@@ -20,17 +20,18 @@ dispatch, measured end-to-end against the PR 2 code paths
 exact geodetic bounding-box test, eager uplink tables).  It asserts the
 two hard properties of the engine — quiet steady-state epochs run ≥ 1.5×
 faster than the PR 2 baseline with **zero** Dijkstra solver calls, and
-full-churn epochs never regress materially (the adaptive guard degrades
-to cold-solve cost) — and emits the measurements as a ``BENCH_paths.json``
-artifact (path via the ``BENCH_PATHS_JSON`` environment variable) so the
-perf trajectory is tracked across PRs.
+full-churn epochs never regress materially (the routing rule reads the
+wholesale regime off each diff and solves outright) — and emits the
+measurements as a ``BENCH_paths.json`` artifact (path via the
+``BENCH_PATHS_JSON`` environment variable) so the perf trajectory is
+tracked across PRs.
 
 The fourth benchmark targets churn epochs themselves (PR 7): a prebuilt
 Starlink ISL-flicker chain (a couple of inter-satellite links drop out
 each epoch and the previous epoch's casualties return) advanced twice
 through identical diffs — once with the bounded regional re-solve kernel
 (:mod:`repro.topology._kernels`) and once with ``kernel_backend=None``,
-the previous guarded path that degrades such epochs to cold solves.  The
+the legacy path that hands such rows to per-table ``csgraph`` solves.  The
 kernel leg must finish its median epoch at least twice as fast.  Its
 measurements merge into the same ``BENCH_paths.json`` under a
 ``churn_epochs`` key.
@@ -43,6 +44,13 @@ stacked into one kernel invocation) and once through the per-table
 ``advance`` loop.  The batched leg must finish its median epoch at least
 twice as fast; measurements merge into ``BENCH_paths.json`` under an
 ``all_pairs`` key.
+
+The sixth is report-only: the crossover sweep behind
+``repro.topology.paths.WHOLESALE_SHARE``.  A growing share of ISL delays
+is raised by one grid step and the same nine rows are advanced once
+through the stacked bounded-repair path and once through the stacked
+solve; both legs must equal the cold solve bit for bit, the timings go
+to ``BENCH_paths.json`` under ``regime_crossover`` and gate nothing.
 """
 
 import itertools
@@ -53,9 +61,10 @@ import time as wallclock
 import numpy as np
 
 from repro.core import ConstellationCalculation
-from repro.scenarios import west_africa_configuration
+from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import NetworkGraph, PathEngine, ShortestPaths
-from repro.topology import _kernels
+from repro.topology.linkparams import DELAY_GRID_MS
+from repro.topology.paths import WHOLESALE_SHARE
 
 _times = itertools.count(start=1)
 
@@ -232,12 +241,14 @@ def test_path_engine_breakdown_and_steady_state_speedup():
     assert reuse_epoch_ms * 1.5 < baseline_epoch_ms
     # Genuine wholesale route churn (every ISL delay moves every epoch and
     # handovers re-hang whole regions) is solver work no matter what; the
-    # adaptive guard must keep the engine at cold-solve parity there.
+    # routing rule sends every such epoch straight to the solver, so the
+    # engine must sit at cold-solve parity there.
+    assert churn_stats["bypassed_epochs"] == rounds
     assert engine_epoch_ms < baseline_epoch_ms * 1.25
 
 
 def test_churn_epoch_flicker_speedup():
-    """PR 7 kernel claim: ISL-flicker epochs run ≥ 2× the guarded path."""
+    """PR 7 kernel claim: ISL-flicker epochs run ≥ 2× the kernel-less path."""
     drops_per_epoch = 2
     epochs = 60
 
@@ -304,20 +315,21 @@ def test_churn_epoch_flicker_speedup():
     }
     print()
     print(
-        f"churn epoch — legacy guarded path {legacy_epoch_ms:.2f} ms | "
+        f"churn epoch — legacy kernel-less path {legacy_epoch_ms:.2f} ms | "
         f"{kernel_engine.kernel_backend} kernel {kernel_epoch_ms:.2f} ms "
         f"({results['speedup_vs_legacy']:.2f}x) | cold solve {cold_solve_ms:.2f} ms"
     )
     _merge_artifact("churn_epochs", results)
 
-    # The chain must exercise the kernel, not fall back to the solver.
+    # The chain must exercise the kernel: two dropped links sit far below
+    # the wholesale share, so no epoch is routed to the stacked solve.
+    assert kernel_engine.stats.bypassed_epochs == 0
     assert kernel_engine.stats.rows_kernel > 0
     # The tentpole claim: flicker epochs at least twice as fast as the
-    # guarded path (which degrades them to cold solves), with any
-    # available backend — the NumPy fallback alone must clear the bar.
+    # kernel-less path (which hands the re-hung rows to csgraph), with
+    # any available backend — the NumPy fallback alone must clear the bar.
     assert kernel_epoch_ms * 2.0 <= legacy_epoch_ms
-    # The guard keeps the legacy leg at cold-solve-like cost, so the
-    # kernel leg in turn beats a cold solve outright.
+    # ... and the kernel leg beats a cold solve outright.
     assert kernel_epoch_ms < cold_solve_ms
 
 
@@ -414,3 +426,88 @@ def test_all_pairs_epoch_speedup():
     # The tentpole claim: with 64+ carried tables, one batched advance
     # per epoch is at least twice as fast as the per-table loop.
     assert batched_epoch_ms * 2.0 <= per_table_epoch_ms
+
+
+def _crossover_rows(graph, table_sources, seed):
+    """Repair path vs stacked solve over a growing share of raised ISLs."""
+    rng = np.random.default_rng(seed)
+    engine = PathEngine()
+    tables = [engine.solve(graph, sources=s) for s in table_sources]
+    for table in tables:
+        # A steady chain arrives with its tree caches warm.
+        table._membership_for(graph)
+    isl_edges = np.flatnonzero(graph.link_type_codes == 0)
+    rows = []
+    for percent in (0.1, 0.5, 1, 2, 5, 10, 25):
+        count = max(1, round(isl_edges.size * percent / 100))
+        repair_seconds, solve_seconds = [], []
+        for _ in range(7):
+            delays = graph.delays_ms.copy()
+            delays[rng.choice(isl_edges, size=count, replace=False)] += DELAY_GRID_MS
+            raised_graph = NetworkGraph.from_edge_arrays(
+                graph.index, graph.node_a, graph.node_b, graph.distances_km,
+                delays, graph.bandwidths_kbps, graph.link_type_codes,
+                structure_from=graph,
+            )
+            diff = raised_graph.diff_from(graph)
+            weights = raised_graph.clamped_delays_ms()
+            raised_graph.delay_matrix()  # shared by both legs, off the clock
+            raised, decreased = engine._classify_changed(raised_graph, diff, weights)
+            # Both legs are called directly, whatever the rule would pick.
+            started = wallclock.perf_counter()
+            repaired, _ = engine._advance_batch(
+                tables, raised_graph, diff, weights, raised, decreased
+            )
+            repair_seconds.append(wallclock.perf_counter() - started)
+            started = wallclock.perf_counter()
+            solved = engine._solve_stacked(tables, raised_graph)
+            solve_seconds.append(wallclock.perf_counter() - started)
+            for sources, repaired_table, solved_table in zip(
+                table_sources, repaired, solved
+            ):
+                cold = ShortestPaths(raised_graph, sources=sources)
+                assert repaired_table._distances.tobytes() == cold._distances.tobytes()
+                assert solved_table._distances.tobytes() == cold._distances.tobytes()
+        rows.append({
+            "raised_isl_percent": percent,
+            "disturbed_share": count / graph.total_links(),
+            "repair_ms": float(np.median(repair_seconds)) * 1000.0,
+            "stacked_solve_ms": float(np.median(solve_seconds)) * 1000.0,
+        })
+    return rows
+
+
+def test_regime_crossover_sweep():
+    """Report-only: where the stacked solve overtakes the repair path."""
+    results = {
+        "wholesale_share": WHOLESALE_SHARE,
+        "kernel_backend": PathEngine().kernel_backend,
+    }
+    scenarios = {
+        "starlink": west_africa_configuration(duration_s=600.0, shells="all"),
+        "iridium": dart_configuration("central", 40, 80, update_interval_s=1.0),
+    }
+    for name, config in scenarios.items():
+        calculation = ConstellationCalculation(config)
+        graph = calculation.state_at(0.0).graph
+        sources = list(calculation.path_engine.sources)
+        satellites = np.setdiff1d(np.arange(len(graph.index)), sources)
+        extras = np.random.default_rng(20220711).choice(satellites, size=4, replace=False)
+        table_sources = [sources] + [[int(node)] for node in extras]
+        rows = _crossover_rows(graph, table_sources, seed=20220711)
+        results[name] = {
+            "nodes": len(graph.index),
+            "links": graph.total_links(),
+            "rows": sum(len(s) for s in table_sources),
+            "sweep": rows,
+        }
+        print(f"\n{name}: {len(graph.index)} nodes, {graph.total_links()} links, "
+              f"{results[name]['rows']} rows")
+        for row in rows:
+            print(
+                f"  {row['raised_isl_percent']:5.1f} % of ISLs raised "
+                f"(share {row['disturbed_share']:.4f}): repair "
+                f"{row['repair_ms']:6.2f} ms | stacked solve "
+                f"{row['stacked_solve_ms']:6.2f} ms"
+            )
+    _merge_artifact("regime_crossover", results)

@@ -433,13 +433,15 @@ class ConstellationState:
             return self.paths, node_b, node_a
         engine = self._path_engine
         scores = self._table_scores
-        table = self._extra_paths.get(node_a)
-        if table is not None:
-            if engine is not None:
-                engine.stats.cache_hits += 1
-            if scores is not None:
-                scores.record_hit(node_a)
-            return table, node_a, node_b
+        # Paths are symmetric: a carried table of either endpoint answers.
+        for source, target in ((node_a, node_b), (node_b, node_a)):
+            table = self._extra_paths.get(source)
+            if table is not None:
+                if engine is not None:
+                    engine.stats.cache_hits += 1
+                if scores is not None:
+                    scores.record_hit(source)
+                return table, source, target
         if engine is not None:
             engine.stats.cache_misses += 1
             table = engine.solve(self.graph, sources=[node_a])

@@ -115,10 +115,12 @@ class UpdateStats:
     #: runs are observable through ``ExperimentResult.path_statistics``.
     path_engine_totals: dict[str, int] = field(default_factory=dict)
     #: Per-update path-repair regime, derived from the engine's counter
-    #: deltas: ``"bypass"`` (churn guard cold-solved), ``"structural"``
-    #: / ``"repair"`` (the engine repaired a structural / delay-only
-    #: diff), ``"reuse"`` (empty diff), ``"cold"`` (full solve, e.g. the
-    #: first epoch) or ``"none"`` (no engine activity).
+    #: deltas: ``"bypass"`` (the diff disturbed at least the engine's
+    #: ``WHOLESALE_SHARE`` of the edges, so every table was solved in
+    #: one stacked call), ``"structural"`` / ``"repair"`` (the engine
+    #: repaired a structural / delay-only diff), ``"reuse"`` (empty
+    #: diff), ``"cold"`` (full solve, e.g. the first epoch) or ``"none"``
+    #: (no engine activity).
     path_regimes: list[str] = field(default_factory=list)
 
     def record_path_engine(self, before: dict[str, int], after: dict[str, int]) -> None:

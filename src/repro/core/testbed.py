@@ -211,7 +211,7 @@ class Celestial:
 
         ``totals`` is the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls, kernel calls, repaired rows, churn-guard bypasses, the
+        calls, kernel calls, repaired rows, wholesale-routed epochs, the
         epoch-batched ``advance_all`` attribution); ``regimes`` counts
         which path-repair regime each coordinator update took; ``cache``
         summarises the extra-table cache's hit/miss/eviction totals;

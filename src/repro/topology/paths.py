@@ -12,8 +12,8 @@ Both solvers treat explicit zeros in the weight matrix as *absent* edges
 links to ``DELAY_EPSILON_MS``; reported delays may therefore exceed the true
 sum of hop delays by at most one nanosecond per hop.
 
-Incremental engine: none / repair / rebuild
--------------------------------------------
+Incremental engine: none / repair / wholesale / rebuild
+-------------------------------------------------------
 
 Consecutive constellation epochs share almost their entire shortest-path
 structure, so rerunning a cold solve every epoch wastes the work the
@@ -48,6 +48,20 @@ epoch's :class:`~repro.topology.graph.TopologyDiff`:
   exceeds ``repair_threshold`` or a violation's finite undercut reaches
   ``solver_handoff_gain_ms`` (a new/disappeared link re-hanging a whole
   region).
+* **wholesale** — the trees are gone anyway: every table of the call is
+  solved in one stacked ``csgraph.dijkstra``, skipping tree carry,
+  closure, seed collection and kernel.  The routing rule reads the
+  epoch's own diff and nothing else: the edges whose tree support can be
+  gone — delay raised, or link removed — as a share ``p`` of the
+  previous edge set.  A carried tree path of depth ``d`` survives with
+  probability ``(1 - p)^d`` and constellation trees are tens of hops
+  deep, so a few percent of disturbed edges invalidate most of every row
+  and the bounded repair degenerates into a full traversal at NumPy
+  speed; ``p ≥ WHOLESALE_SHARE`` routes wholesale.  The regimes sit far
+  apart — ISL flicker, fault injection and handovers disturb well under
+  1 % of the edges, a moving constellation raises ≈ 25 % every epoch —
+  and the rule keeps no state: the same diff always takes the same
+  route, consecutive epochs may alternate freely.
 * **rebuild** — incompatible tables (different sources/method, foreign
   graph) degrade to a cold solve.
 
@@ -57,16 +71,6 @@ arrays, see :meth:`~repro.topology.graph.NetworkGraph.edge_membership`):
 sources whose trees traverse no raised edge have nothing to invalidate,
 so the whole hit-detection pass is skipped and only the cheap
 decreased-edge check runs against their carried rows.
-
-An adaptive churn guard watches the dispatch outcome: when most of a
-table's rows were handed to the C solver anyway, the constellation is in
-a regime of genuine wholesale route churn (every satellite moves every
-epoch; handovers re-hang large regions) where the scan/verify machinery
-is pure overhead — the table's next few epochs cold-solve directly, and
-the repair path is re-probed afterwards.  The engine therefore degrades
-to cold-solve cost plus noise in the worst case, while quiet and
-localized workloads (bounded scenarios, fault injection, bandwidth-only
-updates, replays) keep the full reuse benefit.
 
 Invariants
 ~~~~~~~~~~
@@ -142,6 +146,21 @@ from repro.topology.graph import DELAY_EPSILON_MS, NetworkGraph, TopologyDiff
 #: Sentinel used by ``scipy.sparse.csgraph`` for "no predecessor" (the
 #: source itself and unreachable nodes).  The engine preserves it.
 NO_PREDECESSOR = -9999
+
+#: Share of the previous epoch's edges whose tree support can be gone
+#: (delay raised, or link removed) at or above which an epoch is solved
+#: wholesale instead of repaired.  From the crossover sweep in
+#: ``benchmarks/test_claim_update_time.py`` (``BENCH_paths.json`` →
+#: ``regime_crossover``; share → stacked repair vs stacked solve, median
+#: of 7 [ms], 2 vCPU, NumPy kernel): full Starlink, 9 rows: 0.001 → 3.2
+#: vs 6.7; 0.005 → 4.9 vs 6.6; 0.010 → 8.1 vs 6.6; 0.019 → 11.9 vs 7.3;
+#: 0.049 → 22.0 vs 7.4; 0.243 → 24.2 vs 6.9.  DART Iridium, 125 rows:
+#: 0.007 → 1.4 vs 2.4; 0.021 → 2.1 vs 2.3; 0.041 → 2.9 vs 2.3; 0.103 →
+#: 3.4 vs 2.3.  Deep Starlink trees cross over below 0.01, shallow
+#: Iridium ones above 0.02, where the large graph already loses 1.6×.  No
+#: workload sits near it: flicker and handovers disturb < 0.005 of the
+#: edges, a moving constellation raises ≈ 0.25 (the inter-plane ISLs).
+WHOLESALE_SHARE = 0.02
 
 
 @dataclass(frozen=True)
@@ -386,12 +405,16 @@ class PathEngineStats:
     re-solve, ``kernel_calls``/``kernel_settles`` size that work).  The
     ``membership_*`` pair proves the edge→tree membership index is
     carried across delay-only epochs instead of rebuilt per diff.
+    ``bypassed_epochs`` counts epochs routed to the wholesale stacked
+    solve (once per ``advance_all`` call, or per ``advance`` call
+    outside one), ``cold_solves`` the tables :meth:`PathEngine.solve`
+    built from nothing (first epochs, cache misses, incompatible ones).
 
     Multi-table attribution: ``tables_advanced`` counts every table
     advanced through :meth:`PathEngine.advance` or
     :meth:`PathEngine.advance_all`; ``batched_calls``/``batched_rows``
-    size the epoch-batched path (one batch per :meth:`advance_all`
-    invocation that formed a batch, rows summed across all its tables).
+    size the stacked repair path (one batch per :meth:`advance_all`
+    invocation that formed one, rows summed across all its tables).
     The ``cache_*`` trio is incremented by the extra-table cache in
     :mod:`repro.core.constellation` — lookup hits and misses in
     ``_paths_from`` and insert-time evictions — so all-pairs runs are
@@ -432,7 +455,9 @@ class PathEngine:
     lazily created single-source satellite tables): :meth:`solve` runs a
     counted cold solve, :meth:`advance` carries a table across a
     :class:`~repro.topology.graph.TopologyDiff` using the none / repair /
-    rebuild dispatch described in the module docstring.  Tables are
+    wholesale / rebuild dispatch described in the module docstring.  The
+    engine remembers nothing between epochs but its counters: which leg
+    an epoch takes is a function of that epoch's diff alone.  Tables are
     immutable; the engine never mutates a published epoch's arrays, so
     keyframe states held by the database stay valid and any retained
     state can seed a replay.
@@ -461,26 +486,6 @@ class PathEngine:
         # [fast] extra is installed, the vectorised NumPy fallback
         # otherwise; None/"off" → the per-source csgraph fallback).
         self.kernel_backend = _kernels.resolve_backend(kernel_backend)
-        # Adaptive churn guard: when the epoch amounted to near-full
-        # solver work anyway — most rows went to csgraph, or the kernel's
-        # bounded traversal effectively swept the whole graph — the
-        # scan/verify machinery is pure overhead, so the table's next few
-        # epochs cold-solve directly and the repair path is re-probed
-        # afterwards.  Keyed per table shape so the main and any extra
-        # single-source tables adapt independently.  Again a dial, never
-        # a correctness lever.
-        self.churn_bypass_threshold = 0.5
-        self.churn_bypass_epochs = 8
-        # Kernel-regime analogue of the bypass threshold: the fraction of
-        # ``kernel rows × n`` settle events at which a "bounded" re-solve
-        # is judged to have degenerated into a full Python-speed solve.
-        # Wholesale churn (every satellite moves, whole trees re-hang)
-        # settles essentially every state, so it sits near 1.0; flicker
-        # chains that sever even large subtrees stay well below — 0.85
-        # separates the two regimes without ever bypassing a genuinely
-        # bounded repair.
-        self.churn_settle_fraction = 0.85
-        self._bypass_remaining: dict[tuple, int] = {}
         # Per-table work scores of the most recent ``advance_all`` call
         # (parallel to its ``tables`` argument): 0 for pure reuse, ~1 per
         # kernel row, ~4 per solver/cold row.  The constellation's
@@ -522,12 +527,7 @@ class PathEngine:
         solve with the table's own sources.
         """
         self.stats.tables_advanced += 1
-        if (
-            previous.method != "dijkstra"
-            or previous.graph is not diff.previous
-            or graph is not diff.current
-            or len(graph.index) != previous._distances.shape[1]
-        ):
+        if not self._compatible(previous, graph, diff):
             return self.solve(graph, sources=previous.sources)
         source_count = len(previous.sources)
         # "none": identical delays (an empty diff, or bandwidth-only
@@ -539,23 +539,18 @@ class PathEngine:
             self.stats.rows_reused += source_count
             return previous._rebind(graph)
 
-        guard_key = self._guard_key(previous)
-        remaining = self._bypass_remaining.get(guard_key, 0)
-        if remaining > 0:
-            self._bypass_remaining[guard_key] = remaining - 1
-            self.stats.bypassed_epochs += 1
-            return self.solve(graph, sources=previous.sources)
-
         n = len(graph.index)
         weights = graph.clamped_delays_ms()
+        raised, decreased = self._classify_changed(graph, diff, weights)
+        # "wholesale": the diff says the trees are gone — solve outright.
+        if self._is_wholesale(diff, raised):
+            return self._solve_stacked([previous], graph)[0]
         # Patch the CSR adjacency forward instead of re-sorting it from
         # scratch — boundary-seed expansion and the kernel both need it.
         graph.carry_adjacency_from(diff)
         tree_matrix = previous._tree_matrix_for(graph, diff)
         previous_predecessors = previous._predecessors
         node_a, node_b = graph.node_a, graph.node_b
-
-        raised, decreased = self._classify_changed(graph, diff, weights)
 
         # Directly hit nodes: the tree edge above them disappeared or was
         # delay-raised.  Every other node keeps its carried value (see the
@@ -716,15 +711,13 @@ class PathEngine:
                 )
             self.stats.rows_repaired += 1
             self.stats.heap_settles += settles
-        kernel_settles = 0
         if kernel_rows:
-            kernel_settles = self._kernel_resolve(
+            self.stats.kernel_settles += self._kernel_resolve(
                 graph, weights, distances, predecessors, kernel_rows,
                 seed_rows, seed_parents, seed_children, seed_edges,
             )
             self.stats.kernel_calls += 1
             self.stats.rows_kernel += len(kernel_rows)
-            self.stats.kernel_settles += kernel_settles
         if solver_rows:
             solved_distances, solved_predecessors = csgraph.dijkstra(
                 graph.delay_matrix(),
@@ -737,21 +730,6 @@ class PathEngine:
             self.stats.solver_calls += 1
             self.stats.rows_solved += len(solver_rows)
         self.stats.rows_reused += source_count - violated_rows.size
-        # Bypass triggers: when the epoch amounted to near-full solver
-        # work anyway — most rows went to the C solver, or the kernel's
-        # bounded traversal settled a large fraction of ``rows × n``
-        # (wholesale churn, where csgraph's C loop beats it) — the
-        # scan/verify machinery was pure overhead: cold-solve the next
-        # few epochs and re-probe after.
-        if (
-            len(solver_rows) >= 3
-            and len(solver_rows) >= self.churn_bypass_threshold * source_count
-        ) or (
-            len(kernel_rows) >= 3
-            and len(kernel_rows) >= self.churn_bypass_threshold * source_count
-            and kernel_settles >= self.churn_settle_fraction * len(kernel_rows) * n
-        ):
-            self._bypass_remaining[guard_key] = self.churn_bypass_epochs
         caches = self._patched_caches(
             graph, tree_matrix, previous._caches, previous._predecessors, predecessors
         )
@@ -771,17 +749,16 @@ class PathEngine:
         """Advance many tables across one epoch, sharing the fixed costs.
 
         Semantically ``[self.advance(t, graph, diff) for t in tables]``
-        — distances and reachability of every published table are
-        byte-identical to the per-table loop, hence to a cold solve —
-        but the per-epoch work (adjacency patch, edge classification,
-        seed gathering, closure rounds) runs once for the batch, and
-        every violated row across every table joins ONE stacked kernel
-        invocation whose row axis spans tables (see the module
-        docstring's row-locality argument).  Tables that cannot join
-        the batch — incompatible with the diff, or under an active
-        churn bypass — fall back to :meth:`advance` individually, as
-        does the whole call when the kernel is disabled or the diff is
-        trivially reusable.
+        — every published table is byte-identical to the per-table
+        loop, hence to a cold solve — but the diff is classified once.
+        A wholesale epoch solves every compatible table in one stacked
+        ``csgraph.dijkstra``; otherwise the per-epoch work (adjacency
+        patch, seed gathering, closure rounds) runs once and every
+        violated row of every table joins ONE stacked kernel invocation
+        (see the module docstring's row-locality argument).  Tables
+        incompatible with the diff fall back to :meth:`advance`
+        individually, as does the whole call on a trivially reusable
+        diff or a repair epoch with the kernel disabled.
 
         Side channel: ``self.last_advance_costs`` is rewritten with a
         list parallel to ``tables`` scoring each table's work this
@@ -806,35 +783,77 @@ class PathEngine:
             )
             return advanced
 
-        trivial = diff.is_empty or (
+        if diff.is_empty or (
             diff.is_structural_noop and diff.delay_changed.size == 0
-        )
-        if self.kernel_backend is None or trivial:
+        ):
             return [_fallback(i, t) for i, t in enumerate(tables)]
         results: list[Optional[ShortestPaths]] = [None] * len(tables)
         batch: list[int] = []
         for i, table in enumerate(tables):
-            if (
-                table.method != "dijkstra"
-                or table.graph is not diff.previous
-                or graph is not diff.current
-                or len(graph.index) != table._distances.shape[1]
-                or self._bypass_remaining.get(self._guard_key(table), 0) > 0
-            ):
-                results[i] = _fallback(i, table)
-            else:
+            if self._compatible(table, graph, diff):
                 batch.append(i)
-        if batch:
+            else:
+                results[i] = _fallback(i, table)
+        if not batch:
+            return results
+        weights = graph.clamped_delays_ms()
+        raised, decreased = self._classify_changed(graph, diff, weights)
+        batch_tables = [tables[i] for i in batch]
+        if self._is_wholesale(diff, raised):
+            self.stats.tables_advanced += len(batch)
+            advanced = self._solve_stacked(batch_tables, graph)
+            batch_costs = [4.0 * len(t.sources) for t in batch_tables]
+        elif self.kernel_backend is None:
+            for i in batch:
+                results[i] = _fallback(i, tables[i])
+            return results
+        else:
             advanced, batch_costs = self._advance_batch(
-                [tables[i] for i in batch], graph, diff
+                batch_tables, graph, diff, weights, raised, decreased
             )
-            for j, i in enumerate(batch):
-                results[i] = advanced[j]
-                costs[i] = batch_costs[j]
+        for j, i in enumerate(batch):
+            results[i] = advanced[j]
+            costs[i] = batch_costs[j]
         return results
 
+    def _solve_stacked(
+        self, tables: list[ShortestPaths], graph: NetworkGraph
+    ) -> list[ShortestPaths]:
+        """The wholesale leg: one ``csgraph`` solve over all tables' sources.
+
+        Every published row is a cold solver row (byte-identity is
+        immediate); tables are row-slice views with fresh caches.
+        """
+        stats = self.stats
+        indices = [source for table in tables for source in table.sources]
+        distances, predecessors = csgraph.dijkstra(
+            graph.delay_matrix(), directed=False, indices=indices,
+            return_predecessors=True,
+        )
+        distances = np.atleast_2d(distances)
+        predecessors = np.atleast_2d(predecessors)
+        stats.bypassed_epochs += 1
+        stats.solver_calls += 1
+        stats.rows_solved += len(indices)
+        out = []
+        start = 0
+        for table in tables:
+            stop = start + len(table.sources)
+            out.append(ShortestPaths._from_arrays(
+                graph, table.sources, "dijkstra",
+                distances[start:stop], predecessors[start:stop],
+            ))
+            start = stop
+        return out
+
     def _advance_batch(
-        self, tables: list[ShortestPaths], graph: NetworkGraph, diff: TopologyDiff
+        self,
+        tables: list[ShortestPaths],
+        graph: NetworkGraph,
+        diff: TopologyDiff,
+        weights: np.ndarray,
+        raised: np.ndarray,
+        decreased: np.ndarray,
     ) -> tuple[list[ShortestPaths], list[float]]:
         """Stacked-row transcription of :meth:`advance` over many tables.
 
@@ -856,9 +875,7 @@ class PathEngine:
         once per *batch* (the epoch classification is shared) and a
         batch contributes at most one ``kernel_calls``/``solver_calls``
         each — that is the point — while the ``rows_*`` counters
-        attribute per row exactly as the per-table loop does.  The
-        churn guard's settle-fraction test is evaluated batch-wide (a
-        dial, never a correctness lever).
+        attribute per row exactly as the per-table loop does.
         """
         stats = self.stats
         stats.tables_advanced += len(tables)
@@ -868,12 +885,10 @@ class PathEngine:
         total_rows = int(row_starts[-1])
         stats.batched_rows += total_rows
         n = len(graph.index)
-        weights = graph.clamped_delays_ms()
         graph.carry_adjacency_from(diff)
         tree_matrix = np.vstack([t._tree_matrix_for(graph, diff) for t in tables])
         previous_predecessors = np.vstack([t._predecessors for t in tables])
         node_a, node_b = graph.node_a, graph.node_b
-        raised, decreased = self._classify_changed(graph, diff, weights)
 
         if diff.is_structural_noop:
             memberships = []
@@ -946,26 +961,18 @@ class PathEngine:
         solver_mask = seed_counts[violated_rows] >= n
         kernel_rows = violated_rows[~solver_mask]
         solver_rows = violated_rows[solver_mask]
-        kernel_settles = 0
         if kernel_rows.size:
-            kernel_settles = self._kernel_resolve(
+            stats.kernel_settles += self._kernel_resolve(
                 graph, weights, distances, predecessors, kernel_rows.tolist(),
                 seed_rows, seed_parents, seed_children, seed_edges,
             )
             stats.kernel_calls += 1
             stats.rows_kernel += int(kernel_rows.size)
-            stats.kernel_settles += kernel_settles
         if solver_rows.size:
-            table_of_solver = (
-                np.searchsorted(row_starts, solver_rows, side="right") - 1
-            )
-            indices = [
-                tables[int(t_index)].sources[int(row - row_starts[t_index])]
-                for t_index, row in zip(table_of_solver, solver_rows)
-            ]
+            stacked_sources = np.concatenate([t.sources for t in tables])
             solved_distances, solved_predecessors = csgraph.dijkstra(
-                graph.delay_matrix(), directed=False, indices=indices,
-                return_predecessors=True,
+                graph.delay_matrix(), directed=False,
+                indices=stacked_sources[solver_rows], return_predecessors=True,
             )
             distances[solver_rows] = np.atleast_2d(solved_distances)
             predecessors[solver_rows] = np.atleast_2d(solved_predecessors)
@@ -973,38 +980,12 @@ class PathEngine:
             stats.rows_solved += int(solver_rows.size)
         stats.rows_reused += total_rows - int(violated_rows.size)
 
-        # Per-table churn guard and work costs, from the per-table share
-        # of kernel/solver rows.
-        kernel_counts = np.bincount(
-            np.searchsorted(row_starts, kernel_rows, side="right") - 1,
-            minlength=len(tables),
-        )
-        solver_counts = np.bincount(
-            np.searchsorted(row_starts, solver_rows, side="right") - 1,
-            minlength=len(tables),
-        )
-        settles_dense = bool(
-            kernel_rows.size
-            and kernel_settles
-            >= self.churn_settle_fraction * kernel_rows.size * n
-        )
-        costs = [0.0] * len(tables)
-        for k, table in enumerate(tables):
-            rows_k = int(row_counts[k])
-            solver_k = int(solver_counts[k])
-            kernel_k = int(kernel_counts[k])
-            costs[k] = 4.0 * solver_k + float(kernel_k)
-            if (
-                solver_k >= 3
-                and solver_k >= self.churn_bypass_threshold * rows_k
-            ) or (
-                kernel_k >= 3
-                and kernel_k >= self.churn_bypass_threshold * rows_k
-                and settles_dense
-            ):
-                self._bypass_remaining[self._guard_key(table)] = (
-                    self.churn_bypass_epochs
-                )
+        # Per-table work costs, from each table's share of kernel/solver rows.
+        table_of = np.repeat(np.arange(len(tables)), row_counts)
+        costs = (
+            4.0 * np.bincount(table_of[solver_rows], minlength=len(tables))
+            + np.bincount(table_of[kernel_rows], minlength=len(tables))
+        ).tolist()
 
         out = []
         for k, table in enumerate(tables):
@@ -1022,10 +1003,22 @@ class PathEngine:
     # -- shared per-epoch building blocks -------------------------------
 
     @staticmethod
-    def _guard_key(table: ShortestPaths) -> tuple:
-        """Churn-guard key: tables of the same shape adapt together."""
-        sources = table.sources
-        return (len(sources), sources[0], sources[-1])
+    def _compatible(
+        table: ShortestPaths, graph: NetworkGraph, diff: TopologyDiff
+    ) -> bool:
+        """Whether ``table`` can be carried across ``diff`` onto ``graph``."""
+        return (
+            table.method == "dijkstra"
+            and table.graph is diff.previous
+            and graph is diff.current
+            and len(graph.index) == table._distances.shape[1]
+        )
+
+    @staticmethod
+    def _is_wholesale(diff: TopologyDiff, raised: np.ndarray) -> bool:
+        """The routing rule, decided here alone and from the diff alone."""
+        disturbed = raised.size + diff.links_removed.size
+        return disturbed >= WHOLESALE_SHARE * diff.previous.total_links()
 
     @staticmethod
     def _classify_changed(

@@ -10,8 +10,9 @@ same tables one at a time through ``advance`` and (b) a cold
 ``csgraph.dijkstra`` solve — across all three kernel backends (the Numba
 leg skips cleanly when the ``[fast]`` extra is absent).  The suite also
 pins the batching itself (one kernel call per epoch instead of one per
-table) and the fallback legs (kernel disabled, churn bypass, trivial
-diffs).
+table), the fallback legs (kernel disabled, incompatible tables, trivial
+diffs) and the stateless routing rule that sends wholesale epochs to one
+stacked solve.
 """
 
 import functools
@@ -21,10 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from churn_chains import FlickerChain
 from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
-from repro.topology import NetworkGraph, PathEngine, ShortestPaths
+from repro.topology import PathEngine, ShortestPaths
 from repro.topology import _kernels
+from repro.topology.graph import DELAY_EPSILON_MS
+from repro.topology.paths import WHOLESALE_SHARE
 
 #: Every backend the kernel seam offers; the Numba leg skips when the
 #: ``[fast]`` extra is not installed instead of failing collection.
@@ -39,9 +43,6 @@ BACKENDS = [
         ),
     ),
 ]
-
-_ISL_CODE = 0
-_UPLINK_CODE = 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,7 +71,6 @@ def _assert_distances_identical(table, graph, sources):
 def _churn_engine(backend):
     """An engine tuned so every affected row goes through the kernel."""
     engine = PathEngine(kernel_backend=backend)
-    engine.churn_bypass_threshold = 2.0
     engine.solver_handoff_gain_ms = 0.0
     return engine
 
@@ -85,41 +85,29 @@ def _table_sources(name, rng, extra_tables=6):
     return [list(sources)] + [[int(node)] for node in extras]
 
 
-def _flicker_graph(full, rng):
-    """One churn epoch: ISL flicker, uplink handovers, delay jitter."""
-    total = full.total_links()
-    isl_edges = np.flatnonzero(full.link_type_codes == _ISL_CODE)
-    uplink_edges = np.flatnonzero(full.link_type_codes == _UPLINK_CODE)
-    failed_isl = rng.choice(isl_edges, size=int(rng.integers(0, 6)), replace=False)
-    failed_uplink = rng.choice(
-        uplink_edges, size=int(rng.integers(0, 4)), replace=False
-    )
-    alive = np.setdiff1d(
-        np.arange(total), np.concatenate([failed_isl, failed_uplink])
-    )
-    delays = full.delays_ms.copy()
-    jitter = rng.choice(total, size=int(rng.integers(1, 20)), replace=False)
-    delays[jitter] = rng.uniform(0.5, 12.0, jitter.size)
-    return NetworkGraph.from_edge_arrays(
-        full.index,
-        full.node_a[alive], full.node_b[alive],
-        full.distances_km[alive], delays[alive],
-        full.bandwidths_kbps[alive], full.link_type_codes[alive],
-    )
+def _run_batched_chain(
+    name, backend, seed, epochs, make_engine=_churn_engine, wholesale_every=0
+):
+    """Advance a multi-table set batched and per-table over one chain.
 
-
-def _run_batched_chain(name, backend, seed, epochs, make_engine=_churn_engine):
-    """Advance a multi-table set batched and per-table over one chain."""
+    The chain is repair-regime flicker (``FlickerChain``); with
+    ``wholesale_every``, every that-many-th epoch moves every delay
+    instead, which the routing rule sends to the stacked solve.
+    """
     full, _ = _base_graph(name)
     rng = np.random.default_rng(seed)
     batched_engine = make_engine(backend)
     reference_engine = make_engine(backend)
     table_sources = _table_sources(name, rng)
-    graph = full
-    batched = [batched_engine.solve(graph, sources=s) for s in table_sources]
-    reference = [reference_engine.solve(graph, sources=s) for s in table_sources]
-    for _ in range(epochs):
-        new_graph = _flicker_graph(full, rng)
+    chain = FlickerChain(full, rng)
+    batched = [batched_engine.solve(full, sources=s) for s in table_sources]
+    reference = [reference_engine.solve(full, sources=s) for s in table_sources]
+    for epoch in range(1, epochs + 1):
+        graph = chain.graph
+        if wholesale_every and epoch % wholesale_every == 0:
+            new_graph = chain.move()
+        else:
+            new_graph = chain.step()
         diff = new_graph.diff_from(graph)
         batched = batched_engine.advance_all(batched, new_graph, diff)
         reference = [
@@ -136,7 +124,6 @@ def _run_batched_chain(name, backend, seed, epochs, make_engine=_churn_engine):
                 == reference_table._distances.tobytes()
             )
             _assert_distances_identical(batched_table, new_graph, sources)
-        graph = new_graph
     return batched_engine, reference_engine
 
 
@@ -167,17 +154,140 @@ class TestAdvanceAllByteIdentity:
         assert batched.stats.kernel_calls > 0
 
 
+def _moving_starlink():
+    """Lowest Starlink shell with 2 s epochs: every satellite moves."""
+    config = west_africa_configuration(
+        duration_s=600.0, shells="lowest", update_interval_s=2.0
+    )
+    calculation = ConstellationCalculation(config)
+    return calculation, calculation.state_at(0.0)
+
+
+def _assert_paths_resum(table, graph, stride=97):
+    """Reconstructed paths exist hop by hop and re-sum to the distance."""
+    for source in table.sources:
+        for target in range(0, len(graph.index), stride):
+            result = table.path(source, target)
+            if not result.reachable or len(result.hops) < 2:
+                continue
+            hops = np.asarray(result.hops, dtype=np.int64)
+            edges = graph.edge_ids_between(hops[:-1], hops[1:])
+            assert (edges >= 0).all()
+            total = 0.0
+            for edge in edges:
+                total = total + max(float(graph.delays_ms[edge]), DELAY_EPSILON_MS)
+            assert total == result.delay_ms
+
+
+class TestRoutingRule:
+    """The stateless per-epoch rule: wholesale diffs → one stacked solve."""
+
+    def test_single_row_table_on_moving_constellation_skips_the_kernel(self):
+        calculation, state = _moving_starlink()
+        source = state.node_for(calculation.satellite(0, 7))
+        engine = PathEngine()
+        tables = [engine.solve(state.graph, sources=[source])]
+        for step in range(1, 31):
+            state, diff = calculation.diff_since(state, step * 2.0)
+            disturbed = diff.topology.links_removed.size
+            assert disturbed < WHOLESALE_SHARE * diff.topology.previous.total_links()
+            tables = engine.advance_all(tables, state.graph, diff.topology)
+            cold = ShortestPaths(state.graph, sources=[source])
+            assert tables[0]._distances.tobytes() == cold._distances.tobytes()
+        # Handovers alone stay far below the share: it is the raised ISL
+        # delays that route all thirty epochs wholesale.
+        assert engine.stats.kernel_calls == 0
+        assert engine.stats.bypassed_epochs == 30
+        assert engine.stats.solver_calls == 1 + 30
+
+    def test_main_table_and_extras_share_one_solve_per_epoch(self):
+        calculation, state = _moving_starlink()
+        probe = calculation.satellite(0, 50)
+        for identifier in (3, 400, 800, 1200):
+            state.delay_ms(calculation.satellite(0, identifier), probe)
+        stats = calculation.path_engine.stats
+        for step in range(1, 9):
+            before = stats.snapshot()
+            state, _ = calculation.diff_since(state, step * 2.0)
+            after = stats.snapshot()
+            assert after["solver_calls"] - before["solver_calls"] == 1
+            assert after["tables_advanced"] - before["tables_advanced"] == 5
+            assert after["bypassed_epochs"] - before["bypassed_epochs"] == 1
+            assert after["kernel_calls"] == before["kernel_calls"]
+            assert len(state._extra_paths) == 4
+            for table in [state.paths, *state._extra_paths.values()]:
+                cold = ShortestPaths(state.graph, sources=table.sources)
+                assert table._distances.tobytes() == cold._distances.tobytes()
+                _assert_paths_resum(table, state.graph)
+
+    def test_rule_is_stateless_across_alternating_epochs(self):
+        """No hang-over: each epoch is routed by its own diff alone."""
+        full, _ = _base_graph("starlink")
+        rng = np.random.default_rng(17)
+        table_sources = _table_sources("starlink", rng, extra_tables=2)
+        chain = FlickerChain(full, rng)
+        engine = PathEngine()
+        tables = [engine.solve(full, sources=s) for s in table_sources]
+        for epoch in range(8):
+            wholesale = epoch % 2 == 0
+            graph = chain.graph
+            new_graph = chain.move() if wholesale else chain.step()
+            before = engine.stats.snapshot()
+            tables = engine.advance_all(tables, new_graph, new_graph.diff_from(graph))
+            after = engine.stats.snapshot()
+            delta = {key: after[key] - before[key] for key in after}
+            if wholesale:
+                assert (delta["bypassed_epochs"], delta["solver_calls"]) == (1, 1)
+                assert delta["kernel_calls"] == 0
+            else:
+                assert delta["bypassed_epochs"] == 0
+                assert delta["kernel_calls"] == 1
+            for sources, table in zip(table_sources, tables):
+                _assert_distances_identical(table, new_graph, sources)
+
+    @pytest.mark.parametrize("wholesale", [True, False])
+    def test_incompatible_tables_fall_back_alone(self, wholesale):
+        full, sources = _base_graph("iridium")
+        chain = FlickerChain(full, np.random.default_rng(23))
+        engine = PathEngine()
+        main = engine.solve(full, sources=list(sources))
+        floyd = ShortestPaths(full, sources=list(sources[:3]), method="floyd-warshall")
+        new_graph = chain.move() if wholesale else chain.step()
+        # Bound to the epoch's *current* graph, not the diff's previous one.
+        foreign = ShortestPaths(new_graph, sources=[0])
+        before = engine.stats.snapshot()
+        advanced = engine.advance_all(
+            [floyd, main, foreign], new_graph, new_graph.diff_from(full)
+        )
+        after = engine.stats.snapshot()
+        for table, expected in zip(advanced, (sources[:3], sources, [0])):
+            assert table.method == "dijkstra"
+            _assert_distances_identical(table, new_graph, expected)
+        # Only the two misfits cold-solved; the main table took the
+        # route the diff chose.
+        assert after["cold_solves"] - before["cold_solves"] == 2
+        assert after["tables_advanced"] - before["tables_advanced"] == 3
+        assert after["bypassed_epochs"] - before["bypassed_epochs"] == int(wholesale)
+        assert engine.last_advance_costs[0] == 4.0 * 3
+        assert engine.last_advance_costs[2] == 4.0
+
+
 class TestAdvanceAllFallbacks:
     """The legs that cannot batch must still match the per-table loop."""
 
-    def test_churn_guard_engines_stay_identical(self):
-        """Default guard settings: bypassed tables fall back per table."""
+    def test_mixed_regime_chain_stays_identical(self):
+        """Wholesale epochs between flicker epochs: one decision per call."""
         batched, reference = _run_batched_chain(
             "iridium", "numpy", seed=7, epochs=30,
             make_engine=lambda backend: PathEngine(kernel_backend=backend),
+            wholesale_every=3,
         )
-        # Identical inputs → the guard must have tripped identically.
-        assert batched.stats.bypassed_epochs == reference.stats.bypassed_epochs
+        # Ten epochs moved every delay.  The batched engine routed each
+        # once for the whole call, the per-table loop once per table.
+        assert batched.stats.bypassed_epochs == 10
+        assert reference.stats.bypassed_epochs == 10 * 7
+        # The flicker epochs in between still took the repair path.
+        assert batched.stats.kernel_calls > 0
 
     def test_kernel_disabled_delegates_per_table(self):
         """kernel_backend=None: advance_all is exactly the advance loop."""

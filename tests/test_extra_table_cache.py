@@ -10,6 +10,7 @@ cold on its next use.  Hits, misses and evictions are asserted all the
 way through ``UpdateStats`` (the ``path_statistics`` plumbing).
 """
 
+import numpy as np
 import pytest
 
 from repro.core import ConstellationCalculation
@@ -75,6 +76,28 @@ class TestInsertTimeBounding:
         assert large < mid
         # Extreme synthetic counts floor at the 32-table minimum.
         assert calculation._extra_table_cap(_FakeGraph(10**7, 10**8)) == 32
+
+
+class TestSymmetricLookup:
+    def test_destination_owned_table_answers_the_reverse_query(self, config):
+        """A carried table serves queries *to* its source as well as from it."""
+        calculation = ConstellationCalculation(config)
+        state = calculation.state_at(0.0)
+        a, b = calculation.satellite(0, 3), calculation.satellite(0, 40)
+        node_a, node_b = state.node_for(a), state.node_for(b)
+        stats = calculation.path_engine.stats
+        forward = state.delay_ms(a, b)  # miss: creates a's table
+        backward = state.delay_ms(b, a)  # hit on a's table, swapped
+        assert list(state._extra_paths) == [node_a]
+        assert stats.cache_misses == 1
+        assert stats.cache_hits == 1
+        assert np.float64(forward).tobytes() == np.float64(backward).tobytes()
+        # Like the main table, the swapped lookup reports the path from
+        # the table's own source.
+        reverse = state.path(b, a)
+        assert (reverse.source, reverse.target) == (node_a, node_b)
+        assert reverse.hops == state.path(a, b).hops
+        assert stats.cache_misses == 1
 
 
 class TestCostAwareEviction:

@@ -13,6 +13,7 @@ sum must reproduce the reported distance exactly.
 import numpy as np
 import pytest
 
+from churn_chains import FlickerChain
 from repro.core import ConstellationCalculation, ConstellationDatabase
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import (
@@ -89,10 +90,20 @@ class TestEngineOnSyntheticChains:
                 graph.delays_ms.copy(), bandwidths, graph.link_type_codes,
                 structure_from=graph,
             )
+        if kind == "flicker":
+            # One link drops out: structural, yet far below the engine's
+            # wholesale share (the next "structural" epoch brings it back).
+            alive = np.delete(
+                np.arange(graph.total_links()), rng.integers(0, graph.total_links())
+            )
+            return NetworkGraph.from_edge_arrays(
+                index, graph.node_a[alive], graph.node_b[alive],
+                graph.distances_km[alive], graph.delays_ms[alive],
+                graph.bandwidths_kbps[alive], graph.link_type_codes[alive],
+            )
         delays = graph.delays_ms.copy()
-        count = (
-            rng.integers(1, 4) if kind == "localized"
-            else rng.integers(1, graph.total_links())
+        count = {"single": 1, "localized": rng.integers(1, 4)}.get(
+            kind, rng.integers(1, graph.total_links())
         )
         touched = rng.choice(graph.total_links(), size=count, replace=False)
         delays[touched] = rng.uniform(0.5, 12.0, count)
@@ -110,7 +121,7 @@ class TestEngineOnSyntheticChains:
         engine = PathEngine(sources=sources)
         graph = self._random_graph(rng, index, n_sat, n_gst)
         table = engine.solve(graph)
-        kinds = ["delay", "localized", "structural", "empty", "bandwidth"]
+        kinds = ["delay", "localized", "structural", "flicker", "empty", "bandwidth"]
         for _ in range(220):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             if kind == "structural":
@@ -124,9 +135,12 @@ class TestEngineOnSyntheticChains:
                 assert engine.stats.solver_calls == before
             _assert_tables_identical(table, new_graph, sources)
             graph = new_graph
+        # The mix covers every leg of the dispatch: reuse, both repair
+        # flavours, and wholesale epochs (full rewrites, mass jitter).
         assert engine.stats.empty_reuses > 0
         assert engine.stats.structural_epochs > 0
         assert engine.stats.repaired_epochs > 0
+        assert engine.stats.bypassed_epochs > 0
 
     def test_empty_diff_reuses_arrays_without_solving(self):
         rng = np.random.default_rng(0)
@@ -157,16 +171,16 @@ class TestEngineOnSyntheticChains:
         index = NodeIndex([40], ["g0", "g1", "g2"])
         sources = list(index.ground_station_indices())
         engine = PathEngine(sources=sources)
-        engine.churn_bypass_threshold = 2.0
         graph = self._random_graph(rng, index, 40, 3)
         table = engine.solve(graph)
         for _ in range(15):
-            changed = self._mutated(rng, index, graph, "localized")
+            changed = self._mutated(rng, index, graph, "single")
             diff = changed.diff_from(graph)
             assert diff.is_structural_noop
             table = engine.advance(table, changed, diff)
             _assert_tables_identical(table, changed, sources)
             graph = changed
+        assert engine.stats.bypassed_epochs == 0
         assert engine.stats.membership_reuses > 0
         assert engine.stats.membership_rebuilds <= 1
 
@@ -194,12 +208,15 @@ class TestEngineOnSyntheticChains:
         graph = self._random_graph(rng, index, 30, 3)
         table = engine.solve(graph)
         for _ in range(25):
-            new_graph = self._mutated(rng, index, graph, "delay")
+            new_graph = self._mutated(rng, index, graph, "single")
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_tables_identical(table, new_graph, sources)
             graph = new_graph
+        # Repair epochs all: with a zero budget every seeded row went to
+        # the solver, none through the heap.
+        assert engine.stats.bypassed_epochs == 0
         assert engine.stats.rows_repaired == 0
-        assert engine.stats.rows_solved > 0
+        assert engine.stats.rows_solved > len(sources)
 
     def test_incompatible_table_degrades_to_cold_solve(self):
         rng = np.random.default_rng(4)
@@ -220,42 +237,30 @@ class TestEngineOnSyntheticChains:
     def test_isl_fault_injection_churn(self):
         """Forced structural churn: random ISL outages and recoveries.
 
-        Models radiation/weather link faults: every epoch a random subset
-        of ISLs drops out and previously failed ones return, on top of
-        delay jitter — heavy exercise for the removal (subtree re-hang)
-        and reconnection paths, including reachability changes.
+        Models radiation/weather link faults: outages accumulate and
+        heal over the epochs on top of delay jitter — heavy exercise for
+        the removal (subtree re-hang) and reconnection paths, including
+        reachability changes.  ``FlickerChain`` keeps every epoch below
+        the wholesale share, so the repair machinery itself is under
+        fire every epoch.
         """
         rng = np.random.default_rng(7)
-        n_sat, n_gst = 36, 3
+        n_sat, n_gst = 150, 3
         index = NodeIndex([n_sat], [f"g{i}" for i in range(n_gst)])
         sources = list(index.ground_station_indices())
         engine = PathEngine(sources=sources)
-        # Disable the adaptive cold-solve bypass: this test wants the
-        # repair machinery itself under fire every epoch.
-        engine.churn_bypass_threshold = 2.0
-        full = self._random_graph(rng, index, n_sat, n_gst)
-        graph = full
-        table = engine.solve(graph)
+        chain = FlickerChain(self._random_graph(rng, index, n_sat, n_gst), rng)
+        table = engine.solve(chain.graph)
         for _ in range(200):
-            total = full.total_links()
-            failed = rng.choice(total, size=int(rng.integers(0, 6)), replace=False)
-            alive = np.setdiff1d(np.arange(total), failed)
-            delays = full.delays_ms.copy()
-            jitter = rng.choice(total, size=int(rng.integers(1, 20)), replace=False)
-            delays[jitter] = rng.uniform(0.5, 12.0, jitter.size)
-            new_graph = NetworkGraph.from_edge_arrays(
-                index,
-                full.node_a[alive], full.node_b[alive],
-                full.distances_km[alive], delays[alive],
-                full.bandwidths_kbps[alive], full.link_type_codes[alive],
-            )
+            graph = chain.graph
+            new_graph = chain.step()
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_tables_identical(table, new_graph, sources)
-            graph = new_graph
+        assert engine.stats.bypassed_epochs == 0
         assert engine.stats.structural_epochs > 100
 
-    def test_churn_guard_bypasses_to_cold_solves(self):
-        """Wholesale churn flips the engine into cold-solve mode (and back)."""
+    def test_wholesale_diffs_route_to_cold_solves(self):
+        """Every wholesale epoch solves outright — none is probed first."""
         rng = np.random.default_rng(9)
         index = NodeIndex([30], ["g0", "g1", "g2", "g3"])
         sources = list(index.ground_station_indices())
@@ -267,9 +272,12 @@ class TestEngineOnSyntheticChains:
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_tables_identical(table, new_graph, sources)
             graph = new_graph
-        # Full-graph rewrites every epoch: the guard must have engaged,
-        # and bypassed epochs stay byte-identical (checked above).
-        assert engine.stats.bypassed_epochs > 0
+        # Full-graph rewrites every epoch: the rule routes each one by
+        # its own diff, so all thirty bypass the repair machinery and
+        # stay byte-identical (checked above).
+        assert engine.stats.bypassed_epochs == 30
+        assert engine.stats.structural_epochs == 0
+        assert engine.stats.kernel_calls == 0
 
 
 class TestEngineOnConstellations:
@@ -288,18 +296,19 @@ class TestEngineOnConstellations:
     def test_iridium_two_hundred_epochs(self):
         config = dart_configuration(buoy_count=5, sink_count=8, duration_s=7200.0)
         calculation, _ = self._run_chain(config, epochs=200, interval=30.0)
-        stats = calculation.path_engine.stats
-        # The run must genuinely exercise the dispatch, not just one leg.
-        assert stats.structural_epochs > 0
-        assert stats.repaired_epochs + stats.empty_reuses > 0
+        # Every satellite moves every epoch: each diff raises far more
+        # than the wholesale share of the delays, so the rule routes all
+        # of them to the solver (the repair legs are exercised by the
+        # flicker chains in test_path_kernels / test_advance_all).
+        assert calculation.path_engine.stats.bypassed_epochs == 200
 
     def test_starlink_two_hundred_epochs(self):
         config = west_africa_configuration(
             duration_s=7200.0, shells="two-lowest", update_interval_s=2.0
         )
         calculation, _ = self._run_chain(config, epochs=200, interval=2.0)
-        stats = calculation.path_engine.stats
-        assert stats.structural_epochs > 0
+        assert calculation.path_engine.stats.bypassed_epochs == 200
+        assert calculation.path_engine.stats.kernel_calls == 0
 
     def test_empty_diff_epoch_solves_nothing(self):
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)

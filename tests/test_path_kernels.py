@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from churn_chains import FlickerChain
 from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
-from repro.topology import NetworkGraph, PathEngine, ShortestPaths
+from repro.topology import PathEngine, ShortestPaths
 from repro.topology import _kernels
 
 #: Every backend the kernel seam offers; the Numba leg skips when the
@@ -36,9 +37,6 @@ BACKENDS = [
         ),
     ),
 ]
-
-_ISL_CODE = 0
-_UPLINK_CODE = 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,10 +65,10 @@ def _assert_distances_identical(table, graph, sources):
 def _churn_engine(sources, backend):
     """An engine tuned so every affected row goes through the kernel."""
     engine = PathEngine(sources=list(sources), kernel_backend=backend)
-    # Disable the adaptive cold-solve bypass and hand every violated row
-    # straight to the kernel: the property under test is the kernel's
-    # byte-identity contract, so it must stay under fire every epoch.
-    engine.churn_bypass_threshold = 2.0
+    # Hand every violated row straight to the kernel: the property under
+    # test is the kernel's byte-identity contract, so it must stay under
+    # fire every epoch (``FlickerChain`` keeps the epochs below the
+    # engine's wholesale share).
     engine.solver_handoff_gain_ms = 0.0
     return engine
 
@@ -78,40 +76,16 @@ def _churn_engine(sources, backend):
 def _run_flicker_chain(name, backend, seed, epochs):
     """Randomized ISL flicker + uplink handover churn against cold solves."""
     full, sources = _base_graph(name)
-    index = full.index
-    rng = np.random.default_rng(seed)
+    chain = FlickerChain(full, np.random.default_rng(seed))
     engine = _churn_engine(sources, backend)
-    graph = full
-    table = engine.solve(graph)
-    total = full.total_links()
-    isl_edges = np.flatnonzero(full.link_type_codes == _ISL_CODE)
-    uplink_edges = np.flatnonzero(full.link_type_codes == _UPLINK_CODE)
+    table = engine.solve(full)
     for _ in range(epochs):
-        # ISL flicker: a few inter-satellite links drop out this epoch and
-        # any previously failed ones return (each epoch cuts from `full`).
-        failed_isl = rng.choice(
-            isl_edges, size=int(rng.integers(0, 6)), replace=False
-        )
-        # Handover churn: ground stations abandon a few uplinks.
-        failed_uplink = rng.choice(
-            uplink_edges, size=int(rng.integers(0, 4)), replace=False
-        )
-        alive = np.setdiff1d(
-            np.arange(total), np.concatenate([failed_isl, failed_uplink])
-        )
-        delays = full.delays_ms.copy()
-        jitter = rng.choice(total, size=int(rng.integers(1, 20)), replace=False)
-        delays[jitter] = rng.uniform(0.5, 12.0, jitter.size)
-        new_graph = NetworkGraph.from_edge_arrays(
-            index,
-            full.node_a[alive], full.node_b[alive],
-            full.distances_km[alive], delays[alive],
-            full.bandwidths_kbps[alive], full.link_type_codes[alive],
-        )
+        graph = chain.graph
+        new_graph = chain.step()
         table = engine.advance(table, new_graph, new_graph.diff_from(graph))
         _assert_distances_identical(table, new_graph, sources)
-        graph = new_graph
     # The chain must have genuinely exercised the kernel, not fallen back.
+    assert engine.stats.bypassed_epochs == 0
     assert engine.stats.kernel_calls > 0
     assert engine.stats.rows_kernel > 0
     return engine
@@ -141,25 +115,13 @@ class TestKernelSeam:
         full, sources = _base_graph("iridium")
         tables = {}
         for backend in _kernels.KERNEL_BACKENDS:
-            rng = np.random.default_rng(123)
+            chain = FlickerChain(full, np.random.default_rng(123))
             engine = _churn_engine(sources, backend)
-            graph = full
-            table = engine.solve(graph)
-            total = full.total_links()
+            table = engine.solve(full)
             for _ in range(30):
-                failed = rng.choice(total, size=int(rng.integers(0, 8)), replace=False)
-                alive = np.setdiff1d(np.arange(total), failed)
-                delays = full.delays_ms.copy()
-                jitter = rng.choice(total, size=10, replace=False)
-                delays[jitter] = rng.uniform(0.5, 12.0, jitter.size)
-                new_graph = NetworkGraph.from_edge_arrays(
-                    full.index,
-                    full.node_a[alive], full.node_b[alive],
-                    full.distances_km[alive], delays[alive],
-                    full.bandwidths_kbps[alive], full.link_type_codes[alive],
-                )
+                graph = chain.graph
+                new_graph = chain.step()
                 table = engine.advance(table, new_graph, new_graph.diff_from(graph))
-                graph = new_graph
             assert engine.stats.rows_kernel > 0
             tables[backend] = table._distances
         reference = tables.pop(_kernels.KERNEL_BACKENDS[0])
@@ -191,23 +153,15 @@ class TestKernelSeam:
     def test_kernel_disabled_routes_to_solver(self):
         """kernel_backend=None restores the pure csgraph fallback path."""
         full, sources = _base_graph("iridium")
-        rng = np.random.default_rng(5)
+        chain = FlickerChain(full, np.random.default_rng(5))
         engine = _churn_engine(sources, None)
-        graph = full
-        table = engine.solve(graph)
-        total = full.total_links()
+        table = engine.solve(full)
         for _ in range(10):
-            failed = rng.choice(total, size=4, replace=False)
-            alive = np.setdiff1d(np.arange(total), failed)
-            new_graph = NetworkGraph.from_edge_arrays(
-                full.index,
-                full.node_a[alive], full.node_b[alive],
-                full.distances_km[alive], full.delays_ms[alive],
-                full.bandwidths_kbps[alive], full.link_type_codes[alive],
-            )
+            graph = chain.graph
+            new_graph = chain.step()
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_distances_identical(table, new_graph, sources)
-            graph = new_graph
+        assert engine.stats.bypassed_epochs == 0
         assert engine.stats.kernel_calls == 0
         assert engine.stats.rows_kernel == 0
         assert engine.stats.rows_solved > 0
