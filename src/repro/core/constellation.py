@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -309,11 +309,6 @@ class _LazyUplinkTable(Mapping):
         return repr(self._materialize())
 
 
-def _default_cache_score(hits: float, cost: float) -> float:
-    """Default table value: earned hits against measured carry cost."""
-    return (hits + 1.0) / (cost + 1.0)
-
-
 class _ExtraTableScores:
     """Cost-aware value bookkeeping behind the extra-table cache.
 
@@ -321,28 +316,31 @@ class _ExtraTableScores:
     query hits) against what it costs (measured advance work: ~1 per
     kernel row, ~4 per solver/cold row, folded in from
     ``PathEngine.last_advance_costs``).  The cache evicts the
-    lowest-value table first — by default ``value = (hits + 1) /
-    (cost + 1)``, replaceable through ``score`` — breaking ties by
-    least-recent use, so a hot table survives a flood of one-shot
-    queries while a table that is expensive to drag across churn epochs
-    and never read is dropped early.  Hits and costs decay geometrically
-    by ``decay_factor`` once per epoch so stale popularity fades (0.5
-    per epoch by default, i.e. a half-life of one epoch).  Entries of
+    lowest-value table first — :meth:`score`, ``(hits + 1) / (cost +
+    1)`` — breaking ties by least-recent use, so a hot table survives a
+    flood of one-shot queries while a table that is expensive to drag
+    across churn epochs and never read is dropped early.  Hits and costs
+    decay geometrically once per epoch with a half-life of
+    ``DECAY_HALF_LIFE_EPOCHS`` so stale popularity fades.  Entries of
     evicted tables are dropped outright, keeping the bookkeeping bounded
     by the cache cap.
     """
 
-    __slots__ = ("hits", "costs", "last_used", "_clock", "decay_factor", "score")
+    __slots__ = ("hits", "costs", "last_used", "_clock")
 
-    def __init__(self, decay_factor: float = 0.5, score=None):
-        if not 0.0 < decay_factor <= 1.0:
-            raise ValueError("decay factor must be in (0, 1]")
+    DECAY_HALF_LIFE_EPOCHS = 1.0
+    DECAY_FACTOR = 0.5 ** (1.0 / DECAY_HALF_LIFE_EPOCHS)
+
+    def __init__(self):
         self.hits: dict[int, float] = {}
         self.costs: dict[int, float] = {}
         self.last_used: dict[int, int] = {}
         self._clock = 0
-        self.decay_factor = decay_factor
-        self.score = score if score is not None else _default_cache_score
+
+    @staticmethod
+    def score(hits: float, cost: float) -> float:
+        """Table value: earned hits against measured carry cost."""
+        return (hits + 1.0) / (cost + 1.0)
 
     def _touch(self, node: int) -> None:
         self._clock += 1
@@ -364,7 +362,7 @@ class _ExtraTableScores:
         """Geometrically decay hits and costs (once per advanced epoch)."""
         for table in (self.hits, self.costs):
             for node in table:
-                table[node] *= self.decay_factor
+                table[node] *= self.DECAY_FACTOR
 
     def drop(self, node: int) -> None:
         self.hits.pop(node, None)
@@ -394,12 +392,11 @@ class ConstellationState:
     uplinks: Mapping = field(default_factory=dict)
     _extra_paths: dict[int, ShortestPaths] = field(default_factory=dict, repr=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
+    #: The owning calculation's engine, extra-table cap at this epoch
+    #: (enforced on insert in :meth:`_paths_from`; 0 disables caching)
+    #: and shared cost-aware score book; the calculation sets all three.
     _path_engine: Optional[PathEngine] = field(default=None, repr=False, compare=False)
-    #: Effective extra-table cap at this epoch (enforced on insert in
-    #: :meth:`_paths_from`; 0 disables caching, None leaves the cache
-    #: unbounded for directly constructed states).
-    _extra_table_limit: Optional[int] = field(default=None, repr=False, compare=False)
-    #: Shared cost-aware score book of the owning calculation.
+    _extra_table_limit: int = field(default=0, repr=False, compare=False)
     _table_scores: Optional[_ExtraTableScores] = field(
         default=None, repr=False, compare=False
     )
@@ -437,34 +434,23 @@ class ConstellationState:
         for source, target in ((node_a, node_b), (node_b, node_a)):
             table = self._extra_paths.get(source)
             if table is not None:
-                if engine is not None:
-                    engine.stats.cache_hits += 1
-                if scores is not None:
-                    scores.record_hit(source)
+                engine.stats.cache_hits += 1
+                scores.record_hit(source)
                 return table, source, target
-        if engine is not None:
-            engine.stats.cache_misses += 1
-            table = engine.solve(self.graph, sources=[node_a])
-        else:
-            table = ShortestPaths(self.graph, sources=[node_a])
+        engine.stats.cache_misses += 1
+        table = engine.solve(self.graph, sources=[node_a])
         limit = self._extra_table_limit
         if limit == 0:
             return table, node_a, node_b
         self._extra_paths[node_a] = table
-        if scores is not None:
-            scores.record_insert(node_a)
-            scores.record_cost(node_a, 4.0)  # a cold solve ≈ one solver row
-        if limit is not None:
-            while len(self._extra_paths) > limit:
-                candidates = [k for k in self._extra_paths if k != node_a]
-                if scores is not None:
-                    victim = min(candidates, key=scores.rank)
-                    scores.drop(victim)
-                else:
-                    victim = candidates[0]
-                del self._extra_paths[victim]
-                if engine is not None:
-                    engine.stats.cache_evictions += 1
+        scores.record_insert(node_a)
+        scores.record_cost(node_a, 4.0)  # a cold solve ≈ one solver row
+        while len(self._extra_paths) > limit:
+            candidates = [k for k in self._extra_paths if k != node_a]
+            victim = min(candidates, key=scores.rank)
+            scores.drop(victim)
+            del self._extra_paths[victim]
+            engine.stats.cache_evictions += 1
         return table, node_a, node_b
 
     def node_for(self, machine: MachineId) -> int:
@@ -536,39 +522,23 @@ class ConstellationCalculation:
         self,
         config: Configuration,
         path_sources: Literal["ground_stations", "all"] = "ground_stations",
-        incremental_paths: bool = True,
-        cheap_geodetic_box: bool = True,
-        eager_uplinks: bool = False,
         max_carried_extra_tables: Optional[int] = None,
         all_pairs: bool = False,
-        cache_decay_half_life: float = 1.0,
-        cache_score: Optional[Callable[[float, float], float]] = None,
     ):
         self.config = config
         # ``all_pairs=True`` is the serving-tier shape: the main table's
         # source set becomes every node (a superset of every active
         # satellite), and each epoch the whole carried table set — main
         # plus extras — advances through one epoch-batched
-        # ``PathEngine.advance_all`` call instead of a per-table loop.
+        # ``PathEngine.advance_all`` call.
         self.all_pairs = all_pairs
         if all_pairs:
             path_sources = "all"
         self.path_sources = path_sources
         # Cost-aware value book of the extra-table cache, shared with
         # every state this calculation produces (eviction needs history
-        # that outlives a single epoch's state object).  The eviction
-        # value function is tunable: ``cache_decay_half_life`` (in
-        # epochs) sets how fast recorded hits/costs fade, ``cache_score``
-        # replaces the default ``(hits + 1) / (cost + 1)`` ranking.  The
-        # defaults reproduce the historical behaviour exactly.
-        if cache_decay_half_life <= 0:
-            raise ValueError("cache decay half-life must be positive")
-        self.cache_decay_half_life = cache_decay_half_life
-        self.cache_score = cache_score
-        self._extra_table_scores = _ExtraTableScores(
-            decay_factor=0.5 ** (1.0 / cache_decay_half_life),
-            score=cache_score,
-        )
+        # that outlives a single epoch's state object).
+        self._extra_table_scores = _ExtraTableScores()
         # Cap on lazily created single-source tables carried between
         # epochs (None → the class default); always additionally bounded
         # by EXTRA_TABLE_MEMORY_BUDGET_MB, see :meth:`_extra_table_cap`.
@@ -579,17 +549,6 @@ class ConstellationCalculation:
         )
         if self.max_carried_extra_tables < 0:
             raise ValueError("max_carried_extra_tables must be >= 0")
-        # ``incremental_paths`` routes ``diff_since`` epochs through the
-        # incremental shortest-path engine; ``cheap_geodetic_box`` enables
-        # the certified geocentric bound in the bounding-box test;
-        # ``eager_uplinks`` builds the per-station uplink tables during the
-        # update instead of on first access.  The non-default combinations
-        # exist to measure the PR 2 baseline behaviour in the benchmarks
-        # (see :meth:`pr2_baseline`), with byte-identical results either
-        # way.
-        self.incremental_paths = incremental_paths
-        self.cheap_geodetic_box = cheap_geodetic_box
-        self.eager_uplinks = eager_uplinks
         self.shells: list[Shell] = [
             Shell(
                 shell_config.geometry,
@@ -684,38 +643,16 @@ class ConstellationCalculation:
             min_range_km = max(geometry.altitude_km - 20.0, 1.0)
             self._elevation_rate_deg_s.append(float(np.degrees(speed / min_range_km)))
 
-    @classmethod
-    def pr2_baseline(
-        cls,
-        config: Configuration,
-        path_sources: Literal["ground_stations", "all"] = "ground_stations",
-    ) -> "ConstellationCalculation":
-        """A calculation emulating the PR 2 update-loop code paths.
-
-        Cold per-epoch shortest-path solves, the full geodetic conversion
-        in the bounding-box test and eagerly built uplink tables — the
-        baseline the benchmarks measure the incremental engine against.
-        Results are byte-identical to the default configuration.
-        """
-        return cls(
-            config,
-            path_sources=path_sources,
-            incremental_paths=False,
-            cheap_geodetic_box=False,
-            eager_uplinks=True,
-        )
-
     def cache_parameters(self) -> dict:
         """The effective extra-table cache tuning, for result records.
 
         Experiment bundles persist this next to the cache counters so a
         run's eviction behaviour is reproducible from its ``result.json``.
         """
-        score = self._extra_table_scores.score
         return {
-            "decay_half_life_epochs": float(self.cache_decay_half_life),
-            "decay_factor": float(self._extra_table_scores.decay_factor),
-            "score": getattr(score, "__name__", repr(score)),
+            "decay_half_life_epochs": _ExtraTableScores.DECAY_HALF_LIFE_EPOCHS,
+            "decay_factor": _ExtraTableScores.DECAY_FACTOR,
+            "score": "(hits + 1) / (cost + 1)",
             "max_carried_extra_tables": int(self.max_carried_extra_tables),
         }
 
@@ -775,17 +712,12 @@ class ConstellationCalculation:
             satellite_positions[shell_index] = positions_ecef
             if config.bounding_box is None:
                 active[shell_index] = np.ones(len(shell), dtype=bool)
-            elif self.cheap_geodetic_box:
+            else:
                 # Certified geocentric latitude bound: the full geodetic
                 # conversion runs only for satellites within the margin
                 # band of a box latitude edge — identical verdicts.
                 active[shell_index] = np.asarray(
                     config.bounding_box.contains_ecef(positions_ecef), dtype=bool
-                )
-            else:
-                lat, lon, _ = ecef_to_geodetic(positions_ecef)
-                active[shell_index] = np.asarray(
-                    config.bounding_box.contains(lat, lon), dtype=bool
                 )
 
             # Inter-satellite links (+GRID) with line-of-sight check, one
@@ -930,22 +862,19 @@ class ConstellationCalculation:
     #: Default cap on lazily created single-source tables carried between
     #: epochs.  The bounded regional re-solve kernel makes advancing an
     #: extra table cost region-sized work instead of a cold row, so the
-    #: default is sized for all-satellites-as-sources workloads rather
-    #: than the handful the per-source ``csgraph`` fallback could afford.
+    #: default is sized for all-satellites-as-sources workloads.
     MAX_CARRIED_EXTRA_TABLES = 256
 
     #: Memory budget for carried extra tables.  Each single-source table
-    #: holds a distance row (float64), a predecessor row (int32), a
-    #: node-indexed tree-edge row (int64) and an edge-membership row
-    #: (bool per link), so the per-table footprint scales with the node
-    #: and link counts; the effective cap shrinks on very large graphs
-    #: so carried tables never dominate the epoch state.
+    #: holds a distance row (float64), a predecessor row (int32) and a
+    #: node-indexed tree-edge row (int64) — 20 bytes per node; the
+    #: effective cap shrinks on very large graphs so carried tables
+    #: never dominate the epoch state.
     EXTRA_TABLE_MEMORY_BUDGET_MB = 64
 
     def _extra_table_cap(self, graph: NetworkGraph) -> int:
         """Effective carry cap: the configured cap, memory-bounded."""
-        node_count = len(graph.index)
-        per_table_bytes = node_count * 20 + graph.total_links()
+        per_table_bytes = len(graph.index) * 20
         budget_bytes = self.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
         memory_cap = max(32, budget_bytes // max(per_table_bytes, 1))
         return int(min(self.max_carried_extra_tables, memory_cap))
@@ -976,50 +905,34 @@ class ConstellationCalculation:
         time_s: float,
         epoch: _EpochArrays,
         graph: NetworkGraph,
-        path_method: Literal["dijkstra", "floyd-warshall"],
         previous: Optional[ConstellationState] = None,
         topology: Optional[TopologyDiff] = None,
     ) -> ConstellationState:
         extra_paths: dict[int, ShortestPaths] = {}
-        cap: Optional[int] = None
-        if path_method != "dijkstra":
-            # The engine only advances Dijkstra tables; other methods stay
-            # on the cold per-epoch solve.
-            paths = ShortestPaths(graph, sources=self._path_sources(), method=path_method)
-            engine = None
+        engine = self.path_engine
+        cap = self._extra_table_cap(graph)
+        if previous is not None and topology is not None:
+            # Satellite-to-satellite query tables ride the same repair
+            # pipeline instead of being re-solved from scratch: the
+            # main table and every carried extra advance through ONE
+            # epoch-batched call, so the per-epoch fixed costs and the
+            # kernel invocation are shared across the whole set.
+            scores = self._extra_table_scores
+            scores.decay()
+            carried = self._select_carry(previous._extra_paths, cap)
+            advanced = engine.advance_all(
+                [previous.paths, *(table for _, table in carried)],
+                graph,
+                topology,
+            )
+            paths = advanced[0]
+            costs = engine.last_advance_costs
+            for (node, _), table, cost in zip(carried, advanced[1:], costs[1:]):
+                extra_paths[node] = table
+                scores.record_cost(node, cost)
         else:
-            engine = self.path_engine
-            cap = self._extra_table_cap(graph)
-            if (
-                self.incremental_paths
-                and previous is not None
-                and topology is not None
-                and previous.paths.method == "dijkstra"
-            ):
-                # Satellite-to-satellite query tables ride the same repair
-                # pipeline instead of being re-solved from scratch: the
-                # main table and every carried extra advance through ONE
-                # epoch-batched call, so the per-epoch fixed costs and the
-                # kernel invocation are shared across the whole set.
-                scores = self._extra_table_scores
-                scores.decay()
-                carried = self._select_carry(previous._extra_paths, cap)
-                advanced = engine.advance_all(
-                    [previous.paths, *(table for _, table in carried)],
-                    graph,
-                    topology,
-                )
-                paths = advanced[0]
-                costs = engine.last_advance_costs
-                for (node, _), table, cost in zip(carried, advanced[1:], costs[1:]):
-                    extra_paths[node] = table
-                    scores.record_cost(node, cost)
-            else:
-                paths = engine.solve(graph)
+            paths = engine.solve(graph)
         points = _SubSatellitePoints(epoch.satellite_positions)
-        uplinks = self._uplink_table(epoch)
-        if self.eager_uplinks:
-            uplinks._materialize()
         return ConstellationState(
             time_s=time_s,
             gmst_rad=epoch.gmst,
@@ -1031,17 +944,15 @@ class ConstellationCalculation:
             satellite_longitudes=points.view(1),
             active_satellites=epoch.active,
             ground_positions_ecef=dict(self._ground_positions),
-            uplinks=uplinks,
+            uplinks=self._uplink_table(epoch),
             _extra_paths=extra_paths,
             _update_hints=epoch.hints,
             _path_engine=engine,
             _extra_table_limit=cap,
-            _table_scores=self._extra_table_scores if engine is not None else None,
+            _table_scores=self._extra_table_scores,
         )
 
-    def state_at(
-        self, time_s: float, path_method: Literal["dijkstra", "floyd-warshall"] = "dijkstra"
-    ) -> ConstellationState:
+    def state_at(self, time_s: float) -> ConstellationState:
         """Compute the full constellation state at a simulation time.
 
         This is the full-rebuild reference path: the graph is reconstructed
@@ -1061,13 +972,10 @@ class ConstellationCalculation:
                 bandwidth,
                 LinkType.UPLINK,
             )
-        return self._state_from_epoch(time_s, epoch, graph, path_method)
+        return self._state_from_epoch(time_s, epoch, graph)
 
     def diff_since(
-        self,
-        previous: ConstellationState,
-        time_s: float,
-        path_method: Literal["dijkstra", "floyd-warshall"] = "dijkstra",
+        self, previous: ConstellationState, time_s: float
     ) -> tuple[ConstellationState, ConstellationDiff]:
         """Advance from a previous epoch, reusing its arrays where possible.
 
@@ -1133,7 +1041,7 @@ class ConstellationCalculation:
             deactivated[shell_index] = np.nonzero(~now_active & was_active)[0]
 
         state = self._state_from_epoch(
-            time_s, epoch, graph, path_method, previous=previous, topology=topology
+            time_s, epoch, graph, previous=previous, topology=topology
         )
         diff = ConstellationDiff(
             previous_time_s=previous.time_s,

@@ -39,18 +39,11 @@ class Celestial:
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
         transport="pipe",
-        cache_decay_half_life: float = 1.0,
-        cache_score=None,
     ):
         self.config = config
         self.sim = Simulation()
         self.streams = RandomStreams(config.seed)
-        self.calculation = ConstellationCalculation(
-            config,
-            path_sources=path_sources,
-            cache_decay_half_life=cache_decay_half_life,
-            cache_score=cache_score,
-        )
+        self.calculation = ConstellationCalculation(config, path_sources=path_sources)
         self.database = ConstellationDatabase()
         self.dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
         self.hosts = [
@@ -211,11 +204,11 @@ class Celestial:
 
         ``totals`` is the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls, kernel calls, repaired rows, wholesale-routed epochs, the
+        calls, kernel calls, kernel rows, wholesale-routed epochs, the
         epoch-batched ``advance_all`` attribution); ``regimes`` counts
         which path-repair regime each coordinator update took; ``cache``
         summarises the extra-table cache's hit/miss/eviction totals;
-        ``cache_parameters`` records the eviction value-function tunables
+        ``cache_parameters`` records the eviction value function and cap
         the run used, so result bundles are self-describing.
         """
         regimes: dict[str, int] = {}

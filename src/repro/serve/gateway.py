@@ -577,15 +577,11 @@ class StreamGateway:
             destination = _machine_from_token(str(meta["destination"]))
             with database.lock:
                 state = database.state
-                engine = state._path_engine
-                hits_before = engine.stats.cache_hits if engine else 0
-                misses_before = engine.stats.cache_misses if engine else 0
+                stats = state._path_engine.stats
+                hits_before, misses_before = stats.cache_hits, stats.cache_misses
                 result = state.path(source, destination)
-                if engine is not None:
-                    subscription.cache_hits += engine.stats.cache_hits - hits_before
-                    subscription.cache_misses += (
-                        engine.stats.cache_misses - misses_before
-                    )
+                subscription.cache_hits += stats.cache_hits - hits_before
+                subscription.cache_misses += stats.cache_misses - misses_before
             reachable = bool(result.reachable)
             return {
                 "client": subscription.client_id,

@@ -3,14 +3,12 @@
 The incremental :class:`~repro.topology.paths.PathEngine` repairs a
 shortest-path table by carrying the previous distances forward,
 invalidating the severed subtrees to ``inf`` and seeding the violated
-edges (the finite→``inf`` boundary plus added/decreased links).  Rows
-whose violations exceed the Python re-relaxation budget used to fall
-back to one
-``csgraph.dijkstra`` row per source — a *full* cold solve of those rows,
-which made churn epochs (handovers, ISL flicker) as expensive as no reuse
-at all.  This module replaces that fallback with a **bounded regional
-re-solve**: all handed-off rows of a table are repaired in one batched
-call that only ever touches the affected region.
+edges (the finite→``inf`` boundary plus added/decreased links).  This
+module is the **bounded regional re-solve** that finishes the repair:
+all violated rows are repaired in one batched call that only ever
+touches the affected region, so a churn epoch (handovers, ISL flicker)
+costs region-sized work instead of a cold ``csgraph.dijkstra`` row per
+source.
 
 Algorithm
 ---------
@@ -36,7 +34,7 @@ bound the work:
   instead of sweeping all ``rows × n`` states.
 * **Batching** — flat ``row * n + node`` indexing makes the per-row
   subproblems independent cells of one array, so a single call (one heap,
-  or one frontier sweep) repairs every handed-off source of the table.
+  or one frontier sweep) repairs every violated row of the call.
 
 Correctness / parity contract
 -----------------------------
@@ -71,7 +69,7 @@ interchangeable implementations behind :func:`bounded_regional_resolve`:
   best candidates with ``np.minimum.at``.  Rounds are bounded by the hop
   radius of the affected region, so churn epochs cost a few dozen
   NumPy calls instead of a Python-level loop per settled node.  This is
-  the default fallback when Numba is absent.
+  the default when Numba is absent.
 * ``"python"`` — the *same source* as the Numba leg, interpreted.  Kept
   as the reference implementation the property tests compare against on
   small graphs (and the body Numba compiles, so the compiled leg cannot
@@ -107,8 +105,6 @@ above.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -315,17 +311,14 @@ KERNEL_BACKENDS: tuple[str, ...] = (
 DEFAULT_BACKEND: str = KERNEL_BACKENDS[0]
 
 
-def resolve_backend(backend: Optional[str]) -> Optional[str]:
-    """Normalise a backend request (``None``/``"off"`` disable the kernel)."""
-    if backend is None or backend == "off":
-        return None
+def resolve_backend(backend: str) -> str:
+    """Normalise a backend request (``"auto"`` → the best available)."""
     if backend == "auto":
         return DEFAULT_BACKEND
     if backend not in KERNEL_BACKENDS:
         available = ", ".join(KERNEL_BACKENDS)
         raise ValueError(
-            f"unknown kernel backend {backend!r} (available: {available}, "
-            "auto, off)"
+            f"unknown kernel backend {backend!r} (available: {available}, auto)"
         )
     return backend
 
@@ -349,8 +342,6 @@ def bounded_regional_resolve(
     are mutated in place.
     """
     backend = resolve_backend(backend)
-    if backend is None:
-        raise ValueError("the kernel is disabled (backend None/'off')")
     if backend == "numba":
         return int(
             _numba_resolve(

@@ -352,7 +352,6 @@ class NetworkGraph:
         self._adj_edges: Optional[np.ndarray] = None
         self._clamped_delays: Optional[np.ndarray] = None
         self._adj_weights: Optional[np.ndarray] = None
-        self._adj_lists: Optional[tuple[list, list, list]] = None
         self._links_view: Optional[list[Link]] = None
         if links is not None:
             for link in links:
@@ -497,7 +496,6 @@ class NetworkGraph:
         self._csr_template = None
         self._clamped_delays = None
         self._adj_weights = None
-        self._adj_lists = None
 
     def _finalize(self) -> None:
         """Concatenate pending chunks and deduplicate node pairs (min delay)."""
@@ -719,8 +717,8 @@ class NetworkGraph:
         The sorted pair-key array is shared (by object, via
         :meth:`from_edge_arrays`) between structurally identical epochs,
         so an ``is`` comparison of this token tells a consumer whether a
-        structure-keyed cache — CSR template, tree edge ids, membership
-        index — is still valid without comparing arrays.
+        structure-keyed cache — CSR template, tree edge ids — is still
+        valid without comparing arrays.
         """
         self._finalize()
         return self._sorted_keys
@@ -834,43 +832,6 @@ class NetworkGraph:
             self._build_adjacency()
             self._adj_weights = self.clamped_delays_ms()[self._adj_edges]
         return self._adj_weights
-
-    def adjacency_lists(self) -> tuple[list, list, list]:
-        """CSR adjacency as plain Python lists ``(indptr, nodes, weights)``.
-
-        The path engine's Python-level heap repair iterates these per
-        settled node; list indexing beats NumPy scalar indexing there by
-        an order of magnitude.  Cached per graph so the conversion is
-        paid once per epoch even when many tables (the main table plus
-        the carried single-source extras) repair against the same graph.
-        """
-        if self._adj_lists is None:
-            indptr, adj_nodes, _ = self.adjacency_arrays()
-            self._adj_lists = (
-                indptr.tolist(),
-                adj_nodes.tolist(),
-                self.adjacency_weights().tolist(),
-            )
-        return self._adj_lists
-
-    def edge_membership(
-        self, rows: np.ndarray, edge_ids: np.ndarray, row_count: int
-    ) -> np.ndarray:
-        """Reverse edge→membership index over per-row edge-id sets.
-
-        Given parallel ``rows``/``edge_ids`` arrays (``-1`` entries are
-        skipped), returns a ``(row_count, total_links)`` boolean matrix
-        whose ``[r, e]`` entry says whether row ``r`` references edge
-        ``e``.  The path engine builds this once per structure epoch from
-        each source's shortest-path-tree edges, then answers "which
-        sources' trees traverse these changed edges?" with one sliced
-        ``any`` reduction.
-        """
-        self._finalize()
-        membership = np.zeros((row_count, self._node_a.size), dtype=bool)
-        valid = edge_ids >= 0
-        membership[rows[valid], edge_ids[valid]] = True
-        return membership
 
     # -- epoch diffs ---------------------------------------------------------
 

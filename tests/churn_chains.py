@@ -28,7 +28,8 @@ class FlickerChain:
     """Stateful ISL flicker + uplink handover + delay jitter below the share.
 
     ``graph`` is the chain's current epoch; :meth:`step` advances it by
-    one repair-regime epoch, :meth:`move` by one wholesale epoch.
+    one repair-regime epoch, :meth:`jitter` by a delay-only one (no link
+    fails or heals), :meth:`move` by one wholesale epoch.
     ``max_disturbed`` caps the per-epoch failures + raises on graphs
     where the share alone would allow hundreds.
     """
@@ -63,28 +64,38 @@ class FlickerChain:
         alive = ~self.failed
         # Heal first (free: a returning link is an addition) ...
         self.failed &= rng.random(self.failed.size) < 0.75
-        # ... then fail links that were up in the previous epoch,
+        # ... then fail links that were up in the previous epoch.  Last,
+        # move surviving delays.
         for _ in range(failures):
             handover = self._uplinks.size and rng.random() < 0.3
             pool = self._uplinks if handover else self._others
             candidates = pool[alive[pool] & ~self.failed[pool]]
             if candidates.size:
                 self.failed[rng.choice(candidates)] = True
-        # raise a few surviving delays (counted) and drop many (free).
-        surviving = alive & ~self.failed
-        raised = self._pick(surviving, disturbed - failures)
+        self._move_delays(alive & ~self.failed, disturbed - failures, 20)
+        return self._publish()
+
+    def jitter(self) -> NetworkGraph:
+        """A delay-only repair epoch on the previous epoch's edge set."""
+        raises = int(self.rng.integers(1, self.budget() + 1))
+        self._move_delays(~self.failed, raises, 4)
+        return self._publish(structure_from=self.graph)
+
+    def _move_delays(self, surviving, raises, max_drops):
+        """Raise ``raises`` surviving delays (counted) and drop 1 to ``max_drops - 1`` (free)."""
+        rng = self.rng
+        raised = self._pick(surviving, raises)
         self.delays[raised] += rng.uniform(0.1, 3.0, raised.size)
         surviving[raised] = False
-        lowered = self._pick(surviving, int(rng.integers(1, 20)))
+        lowered = self._pick(surviving, int(rng.integers(1, max_drops)))
         self.delays[lowered] *= rng.uniform(0.5, 1.0, lowered.size)
-        return self._publish()
 
     def move(self) -> NetworkGraph:
         """A wholesale epoch: every delay drifts, as when the constellation moves."""
         self.delays *= self.rng.uniform(0.9, 1.1, self.delays.size)
         return self._publish()
 
-    def _publish(self) -> NetworkGraph:
+    def _publish(self, structure_from=None) -> NetworkGraph:
         full = self.full
         up = np.flatnonzero(~self.failed)
         self.graph = NetworkGraph.from_edge_arrays(
@@ -92,5 +103,6 @@ class FlickerChain:
             full.node_a[up], full.node_b[up],
             full.distances_km[up], self.delays[up],
             full.bandwidths_kbps[up], full.link_type_codes[up],
+            structure_from=structure_from,
         )
         return self.graph

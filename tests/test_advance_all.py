@@ -2,17 +2,17 @@
 
 ``PathEngine.advance_all`` advances the whole carried table set across
 one diff by stacking every table's violated rows into one flat kernel
-invocation.  Its contract is byte-identity with the per-table loop:
-randomized ISL flicker plus uplink handover churn drives ≥50-epoch
-chains on the Iridium and Starlink constellations, and after every epoch
-every table's distances must match (a) a second engine advancing the
-same tables one at a time through ``advance`` and (b) a cold
+invocation.  Its contract is that stacking changes no byte: randomized
+ISL flicker plus uplink handover churn drives ≥50-epoch chains on the
+Iridium and Starlink constellations, and after every epoch every table's
+distances must match (a) a second engine advancing the same tables one
+at a time (``advance``, i.e. ``advance_all`` on one table) and (b) a cold
 ``csgraph.dijkstra`` solve — across all three kernel backends (the Numba
 leg skips cleanly when the ``[fast]`` extra is absent).  The suite also
 pins the batching itself (one kernel call per epoch instead of one per
-table), the fallback legs (kernel disabled, incompatible tables, trivial
-diffs) and the stateless routing rule that sends wholesale epochs to one
-stacked solve.
+table), the legs that do not repair (incompatible tables, trivial diffs),
+delay-only chains, and the stateless routing rule that sends wholesale
+epochs to one stacked solve.
 """
 
 import functools
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from churn_chains import FlickerChain
 from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
-from repro.topology import PathEngine, ShortestPaths
+from repro.topology import NetworkGraph, PathEngine, ShortestPaths
 from repro.topology import _kernels
 from repro.topology.graph import DELAY_EPSILON_MS
 from repro.topology.paths import WHOLESALE_SHARE
@@ -68,13 +68,6 @@ def _assert_distances_identical(table, graph, sources):
     assert np.array_equal(incremental[finite], reference[finite])
 
 
-def _churn_engine(backend):
-    """An engine tuned so every affected row goes through the kernel."""
-    engine = PathEngine(kernel_backend=backend)
-    engine.solver_handoff_gain_ms = 0.0
-    return engine
-
-
 def _table_sources(name, rng, extra_tables=6):
     """The main ground-station source set plus satellite single-sources."""
     full, sources = _base_graph(name)
@@ -85,9 +78,7 @@ def _table_sources(name, rng, extra_tables=6):
     return [list(sources)] + [[int(node)] for node in extras]
 
 
-def _run_batched_chain(
-    name, backend, seed, epochs, make_engine=_churn_engine, wholesale_every=0
-):
+def _run_batched_chain(name, backend, seed, epochs, wholesale_every=0):
     """Advance a multi-table set batched and per-table over one chain.
 
     The chain is repair-regime flicker (``FlickerChain``); with
@@ -96,8 +87,8 @@ def _run_batched_chain(
     """
     full, _ = _base_graph(name)
     rng = np.random.default_rng(seed)
-    batched_engine = make_engine(backend)
-    reference_engine = make_engine(backend)
+    batched_engine = PathEngine(kernel_backend=backend)
+    reference_engine = PathEngine(kernel_backend=backend)
     table_sources = _table_sources(name, rng)
     chain = FlickerChain(full, rng)
     batched = [batched_engine.solve(full, sources=s) for s in table_sources]
@@ -272,15 +263,108 @@ class TestRoutingRule:
         assert engine.last_advance_costs[2] == 4.0
 
 
+class TestDelayOnlyChain:
+    """Raised and decreased delays on a fixed edge set, below the share."""
+
+    def test_only_the_trees_that_lost_an_edge_are_rewritten(self):
+        full, _ = _base_graph("iridium")
+        rng = np.random.default_rng(41)
+        table_sources = _table_sources("iridium", rng, extra_tables=4)
+        chain = FlickerChain(full, rng)
+        engine = PathEngine()
+        tables = [engine.solve(full, sources=s) for s in table_sources]
+        spared_rows = 0
+        for _ in range(40):
+            graph = chain.graph
+            new_graph = chain.jitter()
+            diff = new_graph.diff_from(graph)
+            assert diff.is_structural_noop and diff.delay_changed.size
+            changed = diff.delay_changed
+            raised = changed[new_graph.delays_ms[changed] > graph.delays_ms[changed]]
+            advanced = engine.advance_all(tables, new_graph, diff)
+            for sources, before, after in zip(table_sources, tables, advanced):
+                cold = ShortestPaths(new_graph, sources=sources)
+                assert after._distances.tobytes() == cold._distances.tobytes()
+                _assert_paths_resum(after, new_graph, stride=1)
+                for row in range(len(sources)):
+                    parents = before._predecessors[row].astype(np.int64)
+                    nodes = np.flatnonzero(parents >= 0)
+                    tree = graph.edge_ids_between(parents[nodes], nodes)
+                    if np.isin(tree, raised).any():
+                        continue
+                    # Nothing of this tree was invalidated: wherever no
+                    # decreased delay improved a distance, the carried
+                    # predecessor is still there.
+                    kept = after._distances[row] == before._distances[row]
+                    assert np.array_equal(
+                        after._predecessors[row][kept], before._predecessors[row][kept]
+                    )
+                    spared_rows += int(kept.all())
+            tables = advanced
+        assert spared_rows > 0
+        assert engine.stats.bypassed_epochs == 0
+        assert engine.stats.repaired_epochs == 40
+        assert engine.stats.structural_epochs == 0
+        assert engine.stats.rows_kernel > 0
+
+
 class TestAdvanceAllFallbacks:
-    """The legs that cannot batch must still match the per-table loop."""
+    """The legs that do not repair must line up per table inside one call."""
+
+    @pytest.mark.parametrize("leg", ["none", "repair"])
+    def test_mixed_call_lines_up_per_table(self, leg):
+        """[floyd, main, foreign-graph, extra] through one call."""
+        full, sources = _base_graph("iridium")
+        chain = FlickerChain(full, np.random.default_rng(29))
+        if leg == "none":
+            new_graph = NetworkGraph.from_edge_arrays(
+                full.index, full.node_a, full.node_b, full.distances_km,
+                full.delays_ms.copy(), full.bandwidths_kbps,
+                full.link_type_codes, structure_from=full,
+            )
+        else:
+            new_graph = chain.step()
+        diff = new_graph.diff_from(full)
+        assert diff.is_empty == (leg == "none")
+        engine = PathEngine()
+        floyd = ShortestPaths(full, sources=list(sources[:3]), method="floyd-warshall")
+        main = engine.solve(full, sources=list(sources))
+        foreign = ShortestPaths(new_graph, sources=[0])  # not the diff's previous
+        extra = engine.solve(full, sources=[1])
+        tables = [floyd, main, foreign, extra]
+        before = engine.stats.snapshot()
+        advanced = engine.advance_all(tables, new_graph, diff)
+        delta = {
+            key: value - before[key] for key, value in engine.stats.snapshot().items()
+        }
+        costs = engine.last_advance_costs
+        for table, result in zip(tables, advanced):
+            assert result.graph is new_graph and result.sources == table.sources
+            _assert_distances_identical(result, new_graph, table.sources)
+        # The two misfits are cold-solved alone, whatever the diff says.
+        assert delta["tables_advanced"] == 4
+        assert delta["cold_solves"] == 2
+        assert (costs[0], costs[2]) == (4.0 * 3, 4.0)
+        if leg == "none":
+            # Zero copies, zero solver calls for the two that can be carried.
+            assert delta["empty_reuses"] == 2
+            assert delta["solver_calls"] == 2
+            assert delta["batched_calls"] == 0
+            assert (costs[1], costs[3]) == (0.0, 0.0)
+            for table, result in ((main, advanced[1]), (extra, advanced[3])):
+                assert result._distances is table._distances
+                assert result._predecessors is table._predecessors
+        else:
+            assert delta["empty_reuses"] == 0
+            assert delta["batched_calls"] == 1
+            assert delta["batched_rows"] == len(sources) + 1
+            repaired_rows_solved = delta["rows_solved"] - 4  # minus the cold rows
+            assert costs[1] + costs[3] == delta["rows_kernel"] + 4.0 * repaired_rows_solved
 
     def test_mixed_regime_chain_stays_identical(self):
         """Wholesale epochs between flicker epochs: one decision per call."""
         batched, reference = _run_batched_chain(
-            "iridium", "numpy", seed=7, epochs=30,
-            make_engine=lambda backend: PathEngine(kernel_backend=backend),
-            wholesale_every=3,
+            "iridium", "numpy", seed=7, epochs=30, wholesale_every=3,
         )
         # Ten epochs moved every delay.  The batched engine routed each
         # once for the whole call, the per-table loop once per table.
@@ -289,19 +373,10 @@ class TestAdvanceAllFallbacks:
         # The flicker epochs in between still took the repair path.
         assert batched.stats.kernel_calls > 0
 
-    def test_kernel_disabled_delegates_per_table(self):
-        """kernel_backend=None: advance_all is exactly the advance loop."""
-        batched, reference = _run_batched_chain(
-            "iridium", None, seed=11, epochs=10
-        )
-        assert batched.stats.batched_calls == 0
-        assert batched.stats.kernel_calls == 0
-        assert batched.stats.snapshot() == reference.stats.snapshot()
-
     def test_trivial_diff_rebinds_every_table(self):
         """An empty diff reuses every table with zero solver work."""
         full, _ = _base_graph("iridium")
-        engine = _churn_engine("numpy")
+        engine = PathEngine()
         rng = np.random.default_rng(3)
         tables = [
             engine.solve(full, sources=s)
@@ -323,6 +398,6 @@ class TestAdvanceAllFallbacks:
         assert all(cost >= 0.0 for cost in costs)
 
     def test_empty_table_list(self):
-        engine = _churn_engine("numpy")
+        engine = PathEngine()
         full, _ = _base_graph("iridium")
         assert engine.advance_all([], full, full.diff_from(full)) == []

@@ -102,20 +102,17 @@ class TestRunnerServe:
 
     def test_cache_value_function_is_recorded(self):
         config = build("iridium", duration_s=30.0, update_interval_s=15.0)
-
-        def flat_score(hits: float, cost: float) -> float:
-            return hits
-
-        testbed = Celestial(
-            config, cache_decay_half_life=3.0, cache_score=flat_score
-        )
+        testbed = Celestial(config)
         try:
             parameters = testbed.path_engine_statistics()["cache_parameters"]
         finally:
             testbed.close()
-        assert parameters["decay_half_life_epochs"] == 3.0
-        assert parameters["decay_factor"] == pytest.approx(0.5 ** (1.0 / 3.0))
-        assert parameters["score"] == "flat_score"
+        assert parameters == {
+            "decay_half_life_epochs": 1.0,
+            "decay_factor": 0.5,
+            "score": "(hits + 1) / (cost + 1)",
+            "max_carried_extra_tables": 256,
+        }
 
 
 class TestBandwidthCapEquivalence:

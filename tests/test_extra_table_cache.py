@@ -60,22 +60,20 @@ class TestInsertTimeBounding:
         calculation = ConstellationCalculation(config, max_carried_extra_tables=10**9)
 
         class _FakeGraph:
-            def __init__(self, nodes, links):
-                self.index = list(range(nodes))
-                self._links = links
-
-            def total_links(self):
-                return self._links
+            def __init__(self, nodes):
+                self.index = range(nodes)
 
         budget = calculation.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
         # Mid-size constellation: the memory bound, not the configured
         # cap, decides — and it shrinks as the node count grows.
-        mid = calculation._extra_table_cap(_FakeGraph(20_000, 80_000))
-        assert mid == budget // (20_000 * 20 + 80_000)
-        large = calculation._extra_table_cap(_FakeGraph(200_000, 800_000))
+        mid = calculation._extra_table_cap(_FakeGraph(20_000))
+        assert mid == budget // (20_000 * 20)
+        large = calculation._extra_table_cap(_FakeGraph(200_000))
         assert large < mid
         # Extreme synthetic counts floor at the 32-table minimum.
-        assert calculation._extra_table_cap(_FakeGraph(10**7, 10**8)) == 32
+        assert calculation._extra_table_cap(_FakeGraph(10**7)) == 32
+        # Full Starlink: the default cap, not the memory bound, decides.
+        assert ConstellationCalculation(config)._extra_table_cap(_FakeGraph(4414)) == 256
 
 
 class TestSymmetricLookup:

@@ -62,22 +62,14 @@ def _assert_distances_identical(table, graph, sources):
     assert np.array_equal(incremental[finite], reference[finite])
 
 
-def _churn_engine(sources, backend):
-    """An engine tuned so every affected row goes through the kernel."""
-    engine = PathEngine(sources=list(sources), kernel_backend=backend)
-    # Hand every violated row straight to the kernel: the property under
-    # test is the kernel's byte-identity contract, so it must stay under
-    # fire every epoch (``FlickerChain`` keeps the epochs below the
-    # engine's wholesale share).
-    engine.solver_handoff_gain_ms = 0.0
-    return engine
-
-
 def _run_flicker_chain(name, backend, seed, epochs):
     """Randomized ISL flicker + uplink handover churn against cold solves."""
     full, sources = _base_graph(name)
     chain = FlickerChain(full, np.random.default_rng(seed))
-    engine = _churn_engine(sources, backend)
+    # The property under test is the kernel's byte-identity contract, so
+    # it must stay under fire every epoch (``FlickerChain`` keeps the
+    # epochs below the engine's wholesale share).
+    engine = PathEngine(sources=list(sources), kernel_backend=backend)
     table = engine.solve(full)
     for _ in range(epochs):
         graph = chain.graph
@@ -116,7 +108,7 @@ class TestKernelSeam:
         tables = {}
         for backend in _kernels.KERNEL_BACKENDS:
             chain = FlickerChain(full, np.random.default_rng(123))
-            engine = _churn_engine(sources, backend)
+            engine = PathEngine(sources=list(sources), kernel_backend=backend)
             table = engine.solve(full)
             for _ in range(30):
                 graph = chain.graph
@@ -129,12 +121,18 @@ class TestKernelSeam:
             assert np.array_equal(distances, reference, equal_nan=True), backend
 
     def test_resolve_backend_validation(self):
-        assert _kernels.resolve_backend(None) is None
-        assert _kernels.resolve_backend("off") is None
         assert _kernels.resolve_backend("auto") == _kernels.DEFAULT_BACKEND
         assert _kernels.resolve_backend("numpy") == "numpy"
-        with pytest.raises(ValueError):
-            _kernels.resolve_backend("fortran")
+
+    @pytest.mark.parametrize("backend", ["fortran", "off", None])
+    def test_unknown_backend_is_rejected_with_the_available_ones(self, backend):
+        """There is no kernel-less mode: None/"off" are unknown backends."""
+        for resolve in (
+            _kernels.resolve_backend,
+            lambda name: PathEngine(sources=[0], kernel_backend=name),
+        ):
+            with pytest.raises(ValueError, match="available: .*numpy, python, auto"):
+                resolve(backend)
 
     def test_numba_leg_gated_cleanly(self):
         """Without the [fast] extra the seam degrades, never breaks."""
@@ -149,19 +147,3 @@ class TestKernelSeam:
         # "auto" always resolves to an importable backend.
         engine = PathEngine(sources=[0], kernel_backend="auto")
         assert engine.kernel_backend == _kernels.DEFAULT_BACKEND
-
-    def test_kernel_disabled_routes_to_solver(self):
-        """kernel_backend=None restores the pure csgraph fallback path."""
-        full, sources = _base_graph("iridium")
-        chain = FlickerChain(full, np.random.default_rng(5))
-        engine = _churn_engine(sources, None)
-        table = engine.solve(full)
-        for _ in range(10):
-            graph = chain.graph
-            new_graph = chain.step()
-            table = engine.advance(table, new_graph, new_graph.diff_from(graph))
-            _assert_distances_identical(table, new_graph, sources)
-        assert engine.stats.bypassed_epochs == 0
-        assert engine.stats.kernel_calls == 0
-        assert engine.stats.rows_kernel == 0
-        assert engine.stats.rows_solved > 0
