@@ -45,12 +45,12 @@ Since PR 4 *where* the slices are applied is a backend decision
 
 * ``threads`` — the managers live in this process and
   :class:`~repro.dist.backend.ThreadFanoutBackend` applies the slices over
-  a persistent thread pool (the PR 2/3 behaviour).  Pure-Python per-host
-  sweeps serialise on the GIL, but nothing crosses a process boundary.
+  a persistent thread pool (the PR 2/3 behaviour).  Slice application
+  serialises on the GIL, but nothing crosses a process boundary.
 * ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
   pool of supervised worker processes (``repro.dist``), each holding the
   authoritative managers of one or more hosts.  Slices travel as compact
-  buffer-backed wire frames, the per-host sweeps run genuinely in parallel,
+  buffer-backed wire frames, the slices are applied genuinely in parallel,
   and usage samples / counters / dirty-machine reconciliation results
   stream back.  The coordinator keeps in-process *shadow* managers for
   placement and parent-side queries; crashed workers are respawned and
@@ -445,13 +445,13 @@ class Coordinator:
     def sample_all_usage(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
     ):
-        """One usage-sampling sweep over every host, via the backend.
+        """One usage sample of every host, via the backend.
 
-        With the process backend the per-host sweeps (which walk every
-        microVM of a host in Python) run genuinely in parallel in the
-        workers and the samples stream back; with the thread backend they
-        run over the fan-out pool.  Results are identical either way and
-        are recorded into the per-host resource traces.
+        Each host answers from its kept accounting (an O(1) reading unless a
+        machine changed since the last sample, see :mod:`repro.hosts.host`):
+        with the process backend that is one round trip per worker, with the
+        thread backend a call over the fan-out pool.  Results are identical
+        either way and are recorded into the per-host resource traces.
         """
         started = wallclock.perf_counter()
         samples = self._backend.sample_all(

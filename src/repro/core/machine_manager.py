@@ -32,8 +32,8 @@ Process boundary
 
 Since PR 4 a manager may live in a worker *process* (``repro.dist``): the
 coordinator keeps an in-process shadow for placement and bookkeeping while
-the authoritative copy applies slices and runs the per-host usage-sampling
-sweeps behind a pipe.  Three members exist for that runtime:
+the authoritative copy applies slices and takes the usage samples behind a
+pipe.  Three members exist for that runtime:
 :meth:`MachineManager.apply_activity` (the full-replay sweep expressed over
 raw per-shell activity masks, so a first-epoch replay does not need the
 whole :class:`ConstellationState` on the wire),
@@ -276,7 +276,7 @@ class MachineManager:
 
     def set_cpu_quota(self, machine_id: MachineId, quota_fraction: float) -> None:
         """Change a machine's CPU quota at runtime."""
-        self.machine(machine_id).cpu_quota.set_quota(quota_fraction)
+        self.host.set_cpu_quota(machine_id.name, quota_fraction)
 
     def set_busy_fraction(self, machine_id: MachineId, fraction: float) -> None:
         """Report workload CPU usage of a machine for host accounting."""

@@ -30,7 +30,7 @@ real parallelism.  This package moves the managers behind a process boundary:
   keyframe/diff restore runs over the fresh connection unchanged.
 * :mod:`repro.dist.worker` — the worker entrypoint.  One worker owns one or
   more Machine Managers (with their hosts and microVMs), applies the slices
-  it is sent, performs the per-host usage-sampling sweeps and streams
+  it is sent, takes the per-host usage samples and streams
   samples, counters and dirty-machine reconciliation results back.  Runs as
   a supervisor-spawned child (pipe or localhost TCP) or standalone on
   another machine: ``python -m repro.dist.worker --connect host:port

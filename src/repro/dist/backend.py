@@ -9,9 +9,9 @@ the slices reach the managers is a backend concern:
   behaviour, and the default).
 * :class:`ProcessFanoutBackend` — the authoritative managers live in
   supervised worker processes (:mod:`repro.dist.worker`).  Slices travel as
-  :mod:`repro.dist.wire` frames; the workers apply them, run the per-host
-  usage-sampling sweeps outside the GIL, and stream samples, counters and
-  dirty-machine reconciliation results back.
+  :mod:`repro.dist.wire` frames; the workers apply them, take the per-host
+  usage samples, and stream samples, counters and dirty-machine
+  reconciliation results back.
 
 Shadow managers
 ---------------
@@ -20,9 +20,10 @@ In process mode the coordinator keeps the managers it was constructed with
 as in-process **shadows**: they perform placement (reserved-memory balance),
 dirty-machine tracking and the cheap O(transitions) slice bookkeeping, so
 every parent-side query (``manager_for``, ``is_running_at``, fault
-injection, the virtual network's running-check) stays a local call.  The
-expensive per-host sweeps happen worker-side only; the shadows merely
-consume the same RNG draws a sweep performs
+injection, the virtual network's running-check) stays a local call.  Usage
+is sampled worker-side only (an O(1) reading of the host's kept accounting,
+see :mod:`repro.hosts.host`); the shadows merely consume the same RNG draws
+a sample performs
 (:meth:`~repro.core.machine_manager.MachineManager.advance_sample_stream`),
 which keeps both streams in lockstep with a single-process run — machines
 created after a sample seed identically everywhere, so even sub-second boot
@@ -389,7 +390,7 @@ class ProcessFanoutBackend(FanoutBackend):
                 arrays,
             )
         # The cheap O(transitions) bookkeeping runs on the shadows while the
-        # workers chew on their sweeps in parallel.
+        # workers apply their slices in parallel.
         for shadow, state_slice in zip(self._shadows, slices):
             shadow.apply_diff(state_slice, now_s)
         last_acks: dict[int, dict] = {}
@@ -444,7 +445,7 @@ class ProcessFanoutBackend(FanoutBackend):
         }
         for worker in range(self.worker_count):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
-        # While the workers sweep, the shadows consume the same RNG draws
+        # While the workers sample, the shadows consume the same RNG draws
         # (without sampling) so later machine creations seed identically on
         # both sides of the pipe — see MachineManager.advance_sample_stream.
         for shadow in self._shadows:

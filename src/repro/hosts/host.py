@@ -5,16 +5,22 @@ cores, §4.1) while memory is a hard constraint because every booted microVM
 keeps its full allocation reserved (§4.2).  The host also accounts for the
 Machine Manager's own overhead so the usage traces of Figs. 7-8 can be
 reproduced.
+
+Accounting invariant: every mutation of an accounted quantity goes through
+:class:`Host` (``place``, ``remove``, ``transfer``, ``set_busy_fraction``,
+``set_cpu_quota``) or :meth:`MicroVM._set_state`, which notifies the host the
+machine is placed on.  Readings are recomputed lazily, by one pass over the
+machines, and are bit-identical to a fresh sweep.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.hosts.resources import ResourceTrace, UsageSample
-from repro.microvm import MachineState, MicroVM, OverlayStore
+from repro.microvm import MicroVM, OverlayStore
 
 
 class HostError(RuntimeError):
@@ -30,6 +36,15 @@ MACHINE_MANAGER_SETUP_CPU_PERCENT = 25.0
 #: Machine-manager memory overhead right after setup (paper: up to 4.5%).
 MACHINE_MANAGER_MEMORY_PERCENT_PEAK = 4.5
 MACHINE_MANAGER_MEMORY_PERCENT_STEADY = 3.0
+
+
+class _Usage(NamedTuple):
+    """One pass over a host's machines (cores not yet clamped to the host)."""
+
+    cpu_cores: float
+    memory_mib: float
+    booted: int
+    running: int
 
 
 class Host:
@@ -52,22 +67,27 @@ class Host:
         self.overlay_store = OverlayStore()
         self.trace = ResourceTrace()
         self._busy_fractions: dict[str, float] = {}
+        # Running totals over the placed machines, maintained by place/remove.
+        self._reserved_memory_mib = 0
+        self._allocated_vcpus = 0
+        # The last pass over the machines; None once anything it depends on
+        # has changed.
+        self._usage: Optional[_Usage] = None
+        self._default_rng = np.random.default_rng(0)
 
     # -- placement ---------------------------------------------------------
 
     def reserved_memory_mib(self) -> float:
         """Memory reserved by all placed machines (booted or not)."""
-        return float(
-            sum(machine.resources.memory_mib for machine in self.machines.values())
-        )
+        return float(self._reserved_memory_mib)
 
     def allocated_memory_mib(self) -> float:
         """Memory held by booted (running or suspended) machines."""
-        return sum(machine.memory_footprint_mib() for machine in self.machines.values())
+        return self._usage_reading().memory_mib
 
     def allocated_vcpus(self) -> int:
         """Total vCPUs of all placed machines (may exceed physical cores)."""
-        return sum(machine.resources.vcpu_count for machine in self.machines.values())
+        return self._allocated_vcpus
 
     def can_place(self, machine: MicroVM) -> bool:
         """Whether the machine's memory allocation fits on this host."""
@@ -76,8 +96,7 @@ class Host:
         prospective = self.reserved_memory_mib() + machine.resources.memory_mib
         return prospective <= self.memory_mib
 
-    def place(self, machine: MicroVM) -> None:
-        """Place a machine on this host (it is not booted yet)."""
+    def _require_placeable(self, machine: MicroVM) -> None:
         if machine.name in self.machines:
             raise HostError(f"machine {machine.name!r} is already placed on host {self.index}")
         if not self.can_place(machine):
@@ -86,14 +105,37 @@ class Host:
                 f"{self.reserved_memory_mib() + machine.resources.memory_mib:.0f} MiB "
                 f"needed, {self.memory_mib} MiB available"
             )
+
+    def place(self, machine: MicroVM) -> None:
+        """Place a machine on this host (it is not booted yet)."""
+        self._require_placeable(machine)
         self.machines[machine.name] = machine
+        self._reserved_memory_mib += machine.resources.memory_mib
+        self._allocated_vcpus += machine.resources.vcpu_count
+        machine.on_state_change = self._drop_usage
+        self._usage = None
         self.overlay_store.create_overlay(machine.name, machine.rootfs)
 
     def remove(self, machine_name: str) -> None:
         """Remove a machine and its overlay from this host."""
-        self.machines.pop(machine_name, None)
+        machine = self.machines.pop(machine_name, None)
+        if machine is not None:
+            self._reserved_memory_mib -= machine.resources.memory_mib
+            self._allocated_vcpus -= machine.resources.vcpu_count
+            machine.on_state_change = None
+            self._usage = None
         self._busy_fractions.pop(machine_name, None)
         self.overlay_store.remove_overlay(machine_name)
+
+    def transfer(self, machine_name: str, target: Host) -> None:
+        """Move a placed machine to another host, workload accounting included."""
+        machine = self.machine(machine_name)
+        target._require_placeable(machine)
+        busy_fraction = self._busy_fractions.get(machine_name)
+        self.remove(machine_name)
+        target.place(machine)
+        if busy_fraction is not None:
+            target.set_busy_fraction(machine_name, busy_fraction)
 
     def machine(self, name: str) -> MicroVM:
         """Look up a placed machine by name."""
@@ -109,21 +151,48 @@ class Host:
             raise ValueError("busy fraction must be in [0, 1]")
         self.machine(machine_name)
         self._busy_fractions[machine_name] = fraction
+        self._usage = None
+
+    def set_cpu_quota(self, machine_name: str, quota_fraction: float) -> None:
+        """Change the CPU quota of a placed machine (fraction in (0, 1])."""
+        self.machine(machine_name).cpu_quota.set_quota(quota_fraction)
+        self._usage = None
+
+    def _drop_usage(self) -> None:
+        self._usage = None
+
+    def _usage_reading(self) -> _Usage:
+        """The kept usage reading, recomputed by one pass when it was dropped.
+
+        Sequential sums in ``machines`` order, so the values carry the same
+        bits whenever they are computed.
+        """
+        usage = self._usage
+        if usage is None:
+            busy_fractions = self._busy_fractions
+            cores = 0.0
+            memory_mib = 0.0
+            booted = 0
+            running = 0
+            for name, machine in self.machines.items():
+                cores += machine.cpu_cores_in_use(busy_fractions.get(name))
+                memory_mib += machine.memory_footprint_mib()
+                booted += machine.is_booted
+                running += machine.is_running
+            usage = self._usage = _Usage(cores, memory_mib, booted, running)
+        return usage
 
     def booted_machine_count(self) -> int:
         """Number of machines that have booted (running or suspended)."""
-        return sum(1 for machine in self.machines.values() if machine.is_booted)
+        return self._usage_reading().booted
 
     def running_machine_count(self) -> int:
         """Number of machines currently running."""
-        return sum(1 for machine in self.machines.values() if machine.is_running)
+        return self._usage_reading().running
 
     def cpu_cores_in_use(self) -> float:
         """Host cores currently consumed by all microVMs."""
-        total = 0.0
-        for name, machine in self.machines.items():
-            total += machine.cpu_cores_in_use(self._busy_fractions.get(name))
-        return min(total, float(self.cpu_cores))
+        return min(self._usage_reading().cpu_cores, float(self.cpu_cores))
 
     def microvm_cpu_percent(self) -> float:
         """microVM CPU usage as a percentage of the host's cores."""
@@ -154,8 +223,13 @@ class Host:
         applying_update: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> UsageSample:
-        """Record and return one resource-usage sample for this host."""
-        rng = rng if rng is not None else np.random.default_rng(0)
+        """Record and return one resource-usage sample for this host.
+
+        Boot bursts are not modelled: :meth:`MicroVM.boot` logs BOOTING and
+        the RUNNING transition at the boot-finished time in one call, so a
+        sample never sees a machine mid-boot.
+        """
+        rng = rng if rng is not None else self._default_rng
         if setup_phase:
             manager_cpu = MACHINE_MANAGER_SETUP_CPU_PERCENT * (0.8 + 0.4 * rng.random())
             manager_memory = MACHINE_MANAGER_MEMORY_PERCENT_PEAK
@@ -164,13 +238,10 @@ class Host:
             if applying_update:
                 manager_cpu += MACHINE_MANAGER_UPDATE_CPU_PERCENT * (0.5 + rng.random())
             manager_memory = MACHINE_MANAGER_MEMORY_PERCENT_STEADY
-        booting = sum(
-            1 for machine in self.machines.values() if machine.state is MachineState.BOOTING
-        )
         sample = UsageSample(
             time_s=now_s,
             machine_manager_cpu_percent=manager_cpu,
-            microvm_cpu_percent=self.microvm_cpu_percent() + 2.0 * booting,
+            microvm_cpu_percent=self.microvm_cpu_percent(),
             machine_manager_memory_percent=manager_memory,
             microvm_memory_percent=self.microvm_memory_percent(),
             firecracker_processes=self.booted_machine_count(),

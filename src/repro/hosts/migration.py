@@ -135,8 +135,7 @@ class MigrationScheduler:
             was_running = machine.state is MachineState.RUNNING
             if was_running:
                 machine.suspend(now_s)
-            source.remove(entry.machine_name)
-            target.place(machine)
+            source.transfer(entry.machine_name, target)
             if was_running:
                 machine.resume(now_s + downtime)
             event = MigrationEvent(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -86,12 +86,17 @@ class MicroVM:
         self.transitions: list[_Transition] = [_Transition(0.0, MachineState.CREATED)]
         self.boot_count = 0
         self._boot_finished_at_s: Optional[float] = None
+        #: Called after every lifecycle transition; the host the machine is
+        #: placed on sets it to keep its usage accounting current.
+        self.on_state_change: Optional[Callable[[], None]] = None
 
     # -- state machine ----------------------------------------------------
 
     def _set_state(self, state: MachineState, now_s: float) -> None:
         self.state = state
         self.transitions.append(_Transition(now_s, state))
+        if self.on_state_change is not None:
+            self.on_state_change()
 
     def sample_boot_time_s(self) -> float:
         """Sub-second boot duration for this machine."""

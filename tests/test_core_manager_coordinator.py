@@ -144,6 +144,60 @@ class TestCoordinator:
         memory = [manager.host.reserved_memory_mib() for manager in managers]
         assert abs(memory[0] - memory[1]) <= 8192.0
 
+    def test_placement_reads_running_totals(self):
+        # Two shells with different machine sizes: 120 + 80 satellites.
+        shells = tuple(
+            ShellConfig(
+                name=name,
+                geometry=ShellGeometry(planes, 10, altitude, 53.0, 360.0),
+                network=NetworkParams(min_elevation_deg=25.0),
+                compute=ComputeParams(vcpu_count=1, memory_mib=memory),
+            )
+            for name, planes, altitude, memory in (("a", 12, 550.0, 1024), ("b", 8, 600.0, 768))
+        )
+        config = Configuration(shells=shells, update_interval_s=5.0, duration_s=60.0)
+        calculation = ConstellationCalculation(config)
+
+        class CountingMachines(dict):
+            walks = 0
+
+            def __iter__(self):
+                CountingMachines.walks += 1
+                return super().__iter__()
+
+            def values(self):
+                CountingMachines.walks += 1
+                return super().values()
+
+            def items(self):
+                CountingMachines.walks += 1
+                return super().items()
+
+        managers = [MachineManager(Host(index=i, memory_mib=1 << 20)) for i in range(4)]
+        for manager in managers:
+            manager.host.machines = CountingMachines()
+        coordinator = Coordinator(config, calculation, ConstellationDatabase(), managers)
+        # Interleave the shells so machine sizes alternate.
+        order = [
+            calculation.satellite(shell, identifier)
+            for identifier in range(120)
+            for shell in (0, 1)
+            if identifier < (120, 80)[shell]
+        ]
+        assert len(order) == 200
+        reference_memory = [0] * 4
+        for machine in order:
+            expected = min(range(4), key=lambda i: reference_memory[i])
+            reference_memory[expected] += config.shells[machine.shell].compute.memory_mib
+            manager = coordinator.create_machine(machine, 0.0)
+            assert manager.host.index == expected
+        assert CountingMachines.walks == 0
+        for manager, reserved in zip(managers, reference_memory):
+            assert manager.host.reserved_memory_mib() == float(reserved)
+            assert reserved == sum(
+                m.resources.memory_mib for m in dict.values(manager.host.machines)
+            )
+
     def test_manager_for_unknown_machine(self):
         _, calculation, _, _, coordinator = _coordinator()
         with pytest.raises(KeyError):

@@ -178,6 +178,51 @@ class TestProcessBackendEquivalence:
             threads.close()
             processes.close()
 
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_quota_and_busy_changes_reach_the_next_sample(self, transport):
+        # The workers keep their usage reading between samples; a quota or
+        # busy-fraction change made through the proxy must drop it there.
+        config = _iridium_box_config()
+        threads = _coordinator(config, "threads")
+        processes = _coordinator(config, "processes", transport=transport)
+        try:
+            for coordinator in (threads, processes):
+                coordinator.update(0.0)
+            before = threads.sample_all_usage(0.0)
+            assert before == processes.sample_all_usage(0.0)
+            # A running satellite and the ground station, on different hosts.
+            throttled = threads.calculation.ground_station("hawaii")
+            busy = next(
+                machine
+                for machine in (
+                    threads.calculation.satellite(0, int(identifier))
+                    for identifier in np.nonzero(threads.database.state.active_satellites[0])[0]
+                )
+                if threads.manager_for(machine) is not threads.manager_for(throttled)
+            )
+            for coordinator in (threads, processes):
+                coordinator.manager_for(busy).set_busy_fraction(busy, 1.0)
+                coordinator.manager_for(throttled).set_cpu_quota(throttled, 0.25)
+            # No lifecycle transition in between: only the two changes can
+            # have dropped the kept readings, each on its own host.
+            changed = threads.sample_all_usage(30.0)
+            assert changed == processes.sample_all_usage(30.0)
+            owners = {
+                threads.managers.index(threads.manager_for(machine))
+                for machine in (busy, throttled)
+            }
+            assert owners == {
+                position
+                for position, (old, new) in enumerate(zip(before, changed))
+                if old.microvm_cpu_percent != new.microvm_cpu_percent
+            }
+            for coordinator in (threads, processes):
+                coordinator.update(60.0)
+            assert threads.sample_all_usage(60.0) == processes.sample_all_usage(60.0)
+        finally:
+            threads.close()
+            processes.close()
+
     def test_dirty_machine_reconciliation_after_fault_injection(self):
         config = _iridium_box_config()
         threads = _coordinator(config, "threads")

@@ -82,6 +82,24 @@ class TestMigrationScheduler:
         assert events == []
         assert len(hosts[0].machines) == 4
 
+    def test_migration_carries_workload_accounting(self):
+        hosts = _imbalanced_hosts()
+        for name in list(hosts[0].machines):
+            hosts[0].set_busy_fraction(name, 0.75)
+        cores_before = sum(host.cpu_cores_in_use() for host in hosts)
+        events = MigrationScheduler(hosts, imbalance_threshold_mib=1024.0).rebalance(100.0)
+        assert events
+        assert sum(host.cpu_cores_in_use() for host in hosts) == cores_before
+        for host in hosts:
+            assert host.cpu_cores_in_use() == sum(
+                machine.cpu_cores_in_use(0.75) for machine in host.machines.values()
+            )
+            assert host.reserved_memory_mib() == 1024.0 * len(host.machines)
+        # The moved machines report to their new host from now on.
+        hosts[1].machine(events[0].machine_name).suspend(200.0)
+        assert hosts[1].running_machine_count() == len(events) - 1
+        assert hosts[0].running_machine_count() == 8 - len(events)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MigrationScheduler([Host(index=0)])
