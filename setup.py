@@ -35,10 +35,6 @@ setup(
             "networkx",
         ],
         "export": ["networkx"],
-        # Optional Numba leg of the bounded regional re-solve kernel
-        # (repro.topology._kernels); the pure-NumPy fallback is always
-        # available, so this only changes speed, never results.
-        "fast": ["numba>=0.57"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

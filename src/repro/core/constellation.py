@@ -35,13 +35,12 @@ produce are byte-identical; the diff path additionally
   per-shell bounding-box ``activated``/``deactivated`` satellite ids —
   which the coordinator shards into per-host slices instead of replaying
   the full state to every machine manager, and
-* advances the shortest-path tables through the incremental
-  :class:`~repro.topology.paths.PathEngine` instead of re-solving from
-  scratch: the previous epoch's distance/predecessor trees are carried
-  across the diff (reused verbatim on empty diffs, repaired where the
-  diff touched them, re-solved per source only where routes genuinely
-  rewired), including any lazily created satellite-to-satellite tables.
-  Engine output is byte-identical to a cold solve by construction.
+* advances the shortest-path tables through the
+  :class:`~repro.topology.paths.PathEngine`: the previous epoch's tables
+  are reused verbatim when the diff changed no delay and no link, and
+  otherwise the main table and every lazily created
+  satellite-to-satellite table share one stacked solve.  Engine output
+  is byte-identical to a cold solve by construction.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -310,37 +309,28 @@ class _LazyUplinkTable(Mapping):
 
 
 class _ExtraTableScores:
-    """Cost-aware value bookkeeping behind the extra-table cache.
+    """Usage bookkeeping behind the extra-table cache.
 
-    Each cached single-source table is scored by what it earns (recorded
-    query hits) against what it costs (measured advance work: ~1 per
-    kernel row, ~4 per solver/cold row, folded in from
-    ``PathEngine.last_advance_costs``).  The cache evicts the
-    lowest-value table first — :meth:`score`, ``(hits + 1) / (cost +
-    1)`` — breaking ties by least-recent use, so a hot table survives a
-    flood of one-shot queries while a table that is expensive to drag
-    across churn epochs and never read is dropped early.  Hits and costs
-    decay geometrically once per epoch with a half-life of
-    ``DECAY_HALF_LIFE_EPOCHS`` so stale popularity fades.  Entries of
-    evicted tables are dropped outright, keeping the bookkeeping bounded
-    by the cache cap.
+    Each cached single-source table is scored by what it earns: recorded
+    query hits, decayed geometrically once per epoch with a half-life of
+    ``DECAY_HALF_LIFE_EPOCHS`` so stale popularity fades.  (Carrying a
+    table costs the same for every table — one row of the epoch's single
+    stacked solve — so cost does not enter the ranking.)  The cache
+    evicts the table with the fewest decayed hits first, breaking ties
+    by least-recent use, so a hot table survives a flood of one-shot
+    queries.  Entries of evicted tables are dropped outright, keeping
+    the bookkeeping bounded by the cache cap.
     """
 
-    __slots__ = ("hits", "costs", "last_used", "_clock")
+    __slots__ = ("hits", "last_used", "_clock")
 
     DECAY_HALF_LIFE_EPOCHS = 1.0
     DECAY_FACTOR = 0.5 ** (1.0 / DECAY_HALF_LIFE_EPOCHS)
 
     def __init__(self):
         self.hits: dict[int, float] = {}
-        self.costs: dict[int, float] = {}
         self.last_used: dict[int, int] = {}
         self._clock = 0
-
-    @staticmethod
-    def score(hits: float, cost: float) -> float:
-        """Table value: earned hits against measured carry cost."""
-        return (hits + 1.0) / (cost + 1.0)
 
     def _touch(self, node: int) -> None:
         self._clock += 1
@@ -352,27 +342,20 @@ class _ExtraTableScores:
 
     def record_insert(self, node: int) -> None:
         self.hits.setdefault(node, 0.0)
-        self.costs.setdefault(node, 0.0)
         self._touch(node)
 
-    def record_cost(self, node: int, cost: float) -> None:
-        self.costs[node] = self.costs.get(node, 0.0) + cost
-
     def decay(self) -> None:
-        """Geometrically decay hits and costs (once per advanced epoch)."""
-        for table in (self.hits, self.costs):
-            for node in table:
-                table[node] *= self.DECAY_FACTOR
+        """Geometrically decay the hits (once per advanced epoch)."""
+        for node in self.hits:
+            self.hits[node] *= self.DECAY_FACTOR
 
     def drop(self, node: int) -> None:
         self.hits.pop(node, None)
-        self.costs.pop(node, None)
         self.last_used.pop(node, None)
 
     def rank(self, node: int) -> tuple[float, int]:
-        """Sort key: ascending → first to evict (low value, then LRU)."""
-        value = self.score(self.hits.get(node, 0.0), self.costs.get(node, 0.0))
-        return (value, self.last_used.get(node, 0))
+        """Sort key: ascending → first to evict (fewest hits, then LRU)."""
+        return (self.hits.get(node, 0.0), self.last_used.get(node, 0))
 
 
 @dataclass
@@ -394,7 +377,7 @@ class ConstellationState:
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
     #: The owning calculation's engine, extra-table cap at this epoch
     #: (enforced on insert in :meth:`_paths_from`; 0 disables caching)
-    #: and shared cost-aware score book; the calculation sets all three.
+    #: and shared score book; the calculation sets all three.
     _path_engine: Optional[PathEngine] = field(default=None, repr=False, compare=False)
     _extra_table_limit: int = field(default=0, repr=False, compare=False)
     _table_scores: Optional[_ExtraTableScores] = field(
@@ -412,17 +395,17 @@ class ConstellationState:
         and cached single-source table.  The tables are engine-managed:
         created through the constellation's :class:`PathEngine` (so solver
         work is counted) and carried to the next epoch by ``diff_since``,
-        where they are repaired incrementally instead of re-solved.
+        where they join the main table's stacked solve.
 
         The cache is bounded at *insert* time: when adding a table would
         exceed the epoch's effective cap (:meth:`ConstellationCalculation.
-        _extra_table_cap`), the lowest-value cached table is evicted per
-        the cost-aware policy (:class:`_ExtraTableScores`) before the new
-        one is kept; a cap of 0 disables caching entirely.  Every lookup
-        records a hit or miss, both in the score book (so eviction ranks
-        on real usage, not insertion order) and in the engine's
-        ``cache_*`` counters (so the behaviour is observable through
-        ``path_statistics``).
+        _extra_table_cap`), the lowest-ranked cached table is evicted
+        (:class:`_ExtraTableScores`: fewest decayed hits, then least
+        recently used) before the new one is kept; a cap of 0 disables
+        caching entirely.  Every lookup records a hit or miss, both in
+        the score book (so eviction ranks on real usage, not insertion
+        order) and in the engine's ``cache_*`` counters (so the behaviour
+        is observable through ``path_statistics``).
         """
         if self.paths.has_source(node_a):
             return self.paths, node_a, node_b
@@ -444,7 +427,6 @@ class ConstellationState:
             return table, node_a, node_b
         self._extra_paths[node_a] = table
         scores.record_insert(node_a)
-        scores.record_cost(node_a, 4.0)  # a cold solve ≈ one solver row
         while len(self._extra_paths) > limit:
             candidates = [k for k in self._extra_paths if k != node_a]
             victim = min(candidates, key=scores.rank)
@@ -535,7 +517,7 @@ class ConstellationCalculation:
         if all_pairs:
             path_sources = "all"
         self.path_sources = path_sources
-        # Cost-aware value book of the extra-table cache, shared with
+        # Usage score book of the extra-table cache, shared with
         # every state this calculation produces (eviction needs history
         # that outlives a single epoch's state object).
         self._extra_table_scores = _ExtraTableScores()
@@ -652,7 +634,7 @@ class ConstellationCalculation:
         return {
             "decay_half_life_epochs": _ExtraTableScores.DECAY_HALF_LIFE_EPOCHS,
             "decay_factor": _ExtraTableScores.DECAY_FACTOR,
-            "score": "(hits + 1) / (cost + 1)",
+            "score": "decayed hits, then least-recent use",
             "max_carried_extra_tables": int(self.max_carried_extra_tables),
         }
 
@@ -860,21 +842,20 @@ class ConstellationCalculation:
         return _LazyUplinkTable(build)
 
     #: Default cap on lazily created single-source tables carried between
-    #: epochs.  The bounded regional re-solve kernel makes advancing an
-    #: extra table cost region-sized work instead of a cold row, so the
-    #: default is sized for all-satellites-as-sources workloads.
+    #: epochs.  Every carried table adds one source row to the epoch's
+    #: stacked solve (≈ 1 ms per row on full Starlink), so the default
+    #: bounds a fully populated cache to a few hundred rows per epoch.
     MAX_CARRIED_EXTRA_TABLES = 256
 
     #: Memory budget for carried extra tables.  Each single-source table
-    #: holds a distance row (float64), a predecessor row (int32) and a
-    #: node-indexed tree-edge row (int64) — 20 bytes per node; the
-    #: effective cap shrinks on very large graphs so carried tables
-    #: never dominate the epoch state.
+    #: holds a distance row (float64) and a predecessor row (int32) —
+    #: 12 bytes per node; the effective cap shrinks on very large graphs
+    #: so carried tables never dominate the epoch state.
     EXTRA_TABLE_MEMORY_BUDGET_MB = 64
 
     def _extra_table_cap(self, graph: NetworkGraph) -> int:
         """Effective carry cap: the configured cap, memory-bounded."""
-        per_table_bytes = len(graph.index) * 20
+        per_table_bytes = len(graph.index) * 12
         budget_bytes = self.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
         memory_cap = max(32, budget_bytes // max(per_table_bytes, 1))
         return int(min(self.max_carried_extra_tables, memory_cap))
@@ -884,11 +865,11 @@ class ConstellationCalculation:
     ) -> list[tuple[int, ShortestPaths]]:
         """Pick which cached extra tables to carry into the next epoch.
 
-        Keeps the ``cap`` highest-value tables per the cost-aware policy
-        (:class:`_ExtraTableScores`), preserving their insertion order;
-        dropped tables count as evictions and lose their score entries.
-        With no recorded hits or costs the ranking degenerates to
-        least-recently-inserted-first — recency, not FIFO position.
+        Keeps the ``cap`` highest-ranked tables (:class:`_ExtraTableScores`),
+        preserving their insertion order; dropped tables count as
+        evictions and lose their score entries.  With no recorded hits
+        the ranking degenerates to least-recently-inserted-first —
+        recency, not FIFO position.
         """
         scores = self._extra_table_scores
         excess = len(tables) - cap
@@ -912,24 +893,17 @@ class ConstellationCalculation:
         engine = self.path_engine
         cap = self._extra_table_cap(graph)
         if previous is not None and topology is not None:
-            # Satellite-to-satellite query tables ride the same repair
-            # pipeline instead of being re-solved from scratch: the
-            # main table and every carried extra advance through ONE
-            # epoch-batched call, so the per-epoch fixed costs and the
-            # kernel invocation are shared across the whole set.
-            scores = self._extra_table_scores
-            scores.decay()
+            # The main table and every carried satellite-to-satellite
+            # query table advance through ONE call: reused together or
+            # solved together in one stacked solver invocation.
+            self._extra_table_scores.decay()
             carried = self._select_carry(previous._extra_paths, cap)
-            advanced = engine.advance_all(
+            paths, *extras = engine.advance_all(
                 [previous.paths, *(table for _, table in carried)],
                 graph,
                 topology,
             )
-            paths = advanced[0]
-            costs = engine.last_advance_costs
-            for (node, _), table, cost in zip(carried, advanced[1:], costs[1:]):
-                extra_paths[node] = table
-                scores.record_cost(node, cost)
+            extra_paths = {node: table for (node, _), table in zip(carried, extras)}
         else:
             paths = engine.solve(graph)
         points = _SubSatellitePoints(epoch.satellite_positions)

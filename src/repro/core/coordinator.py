@@ -30,10 +30,10 @@ of application logic from distribution concerns.
 
 The same separation applies one layer down: since PR 3 the shortest-path
 tables behind the per-ground-station delay vectors come from the
-incremental :class:`~repro.topology.paths.PathEngine`, which decides per
-epoch how much solver work a :class:`TopologyDiff` actually requires
-(none / repair / rebuild).  The coordinator is oblivious to that policy
-too — ``delays_from`` slices engine-repaired rows into
+:class:`~repro.topology.paths.PathEngine`, which decides per epoch
+whether a :class:`TopologyDiff` requires solver work at all (reuse /
+solve).  The coordinator is oblivious to that too — ``delays_from``
+slices engine rows into
 :class:`~repro.core.machine_manager.HostStateSlice` unchanged, because the
 engine's tables are byte-identical to cold solves.
 
@@ -107,36 +107,35 @@ class UpdateStats:
     #: only; empty under the thread backend, which has no transport).
     worker_ack_seconds: dict[int, list[float]] = field(default_factory=dict)
     #: Cumulative :class:`~repro.topology.paths.PathEngineStats` snapshot
-    #: of the calculation's path engine after the latest update.  Includes
-    #: the multi-table attribution counters (``tables_advanced``,
-    #: ``batched_calls``/``batched_rows`` of the epoch-batched
-    #: ``advance_all`` path) and the extra-table cache's
-    #: ``cache_hits``/``cache_misses``/``cache_evictions``, so all-pairs
-    #: runs are observable through ``ExperimentResult.path_statistics``.
+    #: of the calculation's path engine after the latest update: solver
+    #: calls and rows, tables advanced and reused, cold solves, and the
+    #: extra-table cache's ``cache_hits``/``cache_misses``/
+    #: ``cache_evictions``, so all-pairs runs are observable through
+    #: ``ExperimentResult.path_statistics``.
     path_engine_totals: dict[str, int] = field(default_factory=dict)
-    #: Per-update path-repair regime, derived from the engine's counter
-    #: deltas: ``"bypass"`` (the diff disturbed at least the engine's
-    #: ``WHOLESALE_SHARE`` of the edges, so every table was solved in
-    #: one stacked call), ``"structural"`` / ``"repair"`` (the engine
-    #: repaired a structural / delay-only diff), ``"reuse"`` (empty
-    #: diff), ``"cold"`` (full solve, e.g. the first epoch) or ``"none"``
-    #: (no engine activity).
-    path_regimes: list[str] = field(default_factory=list)
+    #: How many updates took each path regime, derived from the engine's
+    #: counter deltas: ``"solve"`` (a delay or a link changed, so every
+    #: table shared one stacked solve), ``"reuse"`` (nothing changed, the
+    #: tables were rebound), ``"cold"`` (only cold solves: the first
+    #: epoch, or a full rebuild) or ``"none"`` (no engine activity).
+    path_regimes: dict[str, int] = field(default_factory=dict)
 
     def record_path_engine(self, before: dict[str, int], after: dict[str, int]) -> None:
         """Fold one update's path-engine counter delta into the stats."""
         self.path_engine_totals = after
-        for regime, counter in (
-            ("bypass", "bypassed_epochs"),
-            ("structural", "structural_epochs"),
-            ("repair", "repaired_epochs"),
-            ("reuse", "empty_reuses"),
-            ("cold", "cold_solves"),
-        ):
-            if after.get(counter, 0) > before.get(counter, 0):
-                self.path_regimes.append(regime)
-                return
-        self.path_regimes.append("none")
+        solver_calls, cold_solves, reuses = (
+            after[counter] - before[counter]
+            for counter in ("solver_calls", "cold_solves", "empty_reuses")
+        )
+        if solver_calls > cold_solves:
+            regime = "solve"
+        elif reuses:
+            regime = "reuse"
+        elif cold_solves:
+            regime = "cold"
+        else:
+            regime = "none"
+        self.path_regimes[regime] = self.path_regimes.get(regime, 0) + 1
 
     @property
     def path_cache_events(self) -> dict[str, int]:

@@ -200,23 +200,20 @@ class Celestial:
         }
 
     def path_engine_statistics(self) -> dict:
-        """Path-engine solver/kernel counters and per-update repair regimes.
+        """Path-engine counters and how many updates took each path regime.
 
         ``totals`` is the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls, kernel calls, kernel rows, wholesale-routed epochs, the
-        epoch-batched ``advance_all`` attribution); ``regimes`` counts
-        which path-repair regime each coordinator update took; ``cache``
-        summarises the extra-table cache's hit/miss/eviction totals;
-        ``cache_parameters`` records the eviction value function and cap
-        the run used, so result bundles are self-describing.
+        calls and rows, tables advanced and reused, cold solves);
+        ``regimes`` counts the coordinator updates per regime (``solve``
+        / ``reuse`` / ``cold`` / ``none``); ``cache`` summarises the
+        extra-table cache's hit/miss/eviction totals;
+        ``cache_parameters`` records the eviction ranking and cap the run
+        used, so result bundles are self-describing.
         """
-        regimes: dict[str, int] = {}
-        for regime in self.coordinator.stats.path_regimes:
-            regimes[regime] = regimes.get(regime, 0) + 1
         return {
             "totals": dict(self.coordinator.stats.path_engine_totals),
-            "regimes": regimes,
+            "regimes": dict(self.coordinator.stats.path_regimes),
             "cache": self.coordinator.stats.path_cache_events,
             "cache_parameters": self.calculation.cache_parameters(),
         }

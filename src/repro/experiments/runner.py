@@ -61,9 +61,10 @@ class ExperimentResult:
     resource_traces: dict[int, Any] = field(default_factory=dict)
     #: Data-plane counters of the virtual network.
     network_statistics: dict[str, int] = field(default_factory=dict)
-    #: Path-engine solver/kernel counters and per-update repair regimes
-    #: (``{"totals": {...}, "regimes": {...}}``) — which path-repair
-    #: regime the run's epochs took.
+    #: Path-engine counters and per-regime update counts (``{"totals":
+    #: {...}, "regimes": {"solve": n, "reuse": n, "cold": n, "none": n},
+    #: "cache": {...}, "cache_parameters": {...}}``) — see
+    #: :meth:`repro.core.testbed.Celestial.path_engine_statistics`.
     path_statistics: dict = field(default_factory=dict)
     #: Streaming-gateway counters when the spec attached a serving tier
     #: (``[serve]``): published epochs, encode count, per-client delivery.
@@ -359,8 +360,7 @@ def _run_handover(spec: ExperimentSpec, config: Configuration) -> ExperimentResu
         raw=analysis,
         path_statistics={
             # Same shape as Celestial.path_engine_statistics(): the full
-            # counter snapshot (including the epoch-batched advance_all
-            # attribution) plus the extra-table cache summary; no
+            # counter snapshot plus the extra-table cache summary; no
             # coordinator runs here, so there are no per-update regimes.
             "totals": calculation.path_engine.stats.snapshot(),
             "regimes": {},

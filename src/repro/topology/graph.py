@@ -61,7 +61,7 @@ sparse-matrix reconstruction entirely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -130,9 +130,6 @@ class TopologyDiff:
     links_removed: np.ndarray
     delay_changed: np.ndarray
     bandwidth_changed: np.ndarray
-    #: Lazily filled one-element cache of :meth:`edge_id_map` (the dataclass
-    #: is frozen, so the memo lives in a mutable holder).
-    _id_map_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def structural_change_count(self) -> int:
@@ -189,43 +186,6 @@ class TopologyDiff:
     def bandwidth_changed_values_kbps(self) -> np.ndarray:
         """New bandwidths [kbps] of the ``bandwidth_changed`` links."""
         return self.current.bandwidths_kbps[self.bandwidth_changed]
-
-    def edge_id_map(self) -> np.ndarray:
-        """Previous-graph edge id → current-graph edge id (``-1`` if removed).
-
-        Lets diff consumers carry per-edge indices (e.g. the path engine's
-        tree edge ids) across a structural epoch with one gather instead of
-        a fresh pair lookup.  When both epochs share their key layout the
-        map is the identity; otherwise it is derived from the sorted key
-        arrays.  Computed once per diff and cached.
-        """
-        if self._id_map_cache:
-            return self._id_map_cache[0]
-        previous, current = self.previous, self.current
-        previous._finalize()
-        current._finalize()
-        if (
-            previous._keys is current._keys
-            or np.array_equal(previous._keys, current._keys)
-        ):
-            id_map = np.arange(previous._node_a.size, dtype=np.int64)
-        else:
-            # Both key arrays are sorted and unique, so one searchsorted
-            # pass matches them — noticeably cheaper than ``intersect1d``,
-            # which concatenates and re-sorts the union.
-            positions = np.searchsorted(
-                current._sorted_keys, previous._sorted_keys
-            )
-            positions[positions >= current._sorted_keys.size] = 0
-            surviving = (
-                current._sorted_keys[positions] == previous._sorted_keys
-            )
-            id_map = np.full(previous._node_a.size, -1, dtype=np.int64)
-            id_map[previous._sorted_edge_ids[surviving]] = (
-                current._sorted_edge_ids[positions[surviving]]
-            )
-        self._id_map_cache.append(id_map)
-        return id_map
 
     def summary(self) -> dict[str, int]:
         """Compact counters (used by logging and the info API)."""
@@ -350,8 +310,6 @@ class NetworkGraph:
         self._adj_indptr: Optional[np.ndarray] = None
         self._adj_nodes: Optional[np.ndarray] = None
         self._adj_edges: Optional[np.ndarray] = None
-        self._clamped_delays: Optional[np.ndarray] = None
-        self._adj_weights: Optional[np.ndarray] = None
         self._links_view: Optional[list[Link]] = None
         if links is not None:
             for link in links:
@@ -494,8 +452,6 @@ class NetworkGraph:
         self._adj_nodes = None
         self._adj_edges = None
         self._csr_template = None
-        self._clamped_delays = None
-        self._adj_weights = None
 
     def _finalize(self) -> None:
         """Concatenate pending chunks and deduplicate node pairs (min delay)."""
@@ -707,131 +663,6 @@ class NetworkGraph:
         found = self._sorted_keys[positions] == keys
         edges = np.where(found, self._sorted_edge_ids[positions], -1)
         return edges
-
-    # -- shortest-path engine helpers ----------------------------------------
-
-    @property
-    def structure_token(self) -> np.ndarray:
-        """Identity token of the edge structure.
-
-        The sorted pair-key array is shared (by object, via
-        :meth:`from_edge_arrays`) between structurally identical epochs,
-        so an ``is`` comparison of this token tells a consumer whether a
-        structure-keyed cache — CSR template, tree edge ids — is still
-        valid without comparing arrays.
-        """
-        self._finalize()
-        return self._sorted_keys
-
-    def clamped_delays_ms(self) -> np.ndarray:
-        """Per-edge solver weights: delays clamped to :data:`DELAY_EPSILON_MS`.
-
-        Exactly the values scattered into :meth:`delay_matrix`, cached so
-        the incremental path engine's tree re-summing and edge
-        verification use bitwise the same weights as the cold solvers.
-        """
-        self._finalize()
-        if self._clamped_delays is None:
-            self._clamped_delays = np.maximum(self._delay_ms, DELAY_EPSILON_MS)
-        return self._clamped_delays
-
-    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency as ``(indptr, neighbor_nodes, edge_ids)`` arrays.
-
-        ``neighbor_nodes[indptr[v]:indptr[v + 1]]`` are the nodes adjacent
-        to ``v`` and ``edge_ids`` the corresponding undirected edge ids —
-        the traversal structure behind :meth:`links_of`, exposed for the
-        path engine's localized re-relaxation.
-        """
-        self._build_adjacency()
-        return self._adj_indptr, self._adj_nodes, self._adj_edges
-
-    def carry_adjacency_from(self, diff: "TopologyDiff") -> None:
-        """Derive this graph's CSR adjacency from the previous epoch's.
-
-        Steady epochs share the previous graph's arrays outright (the
-        edge ids align when the key layout is unchanged); structural
-        epochs patch them — dropping the removed entries, splicing in the
-        added ones via one ``searchsorted``/``insert`` pass — instead of
-        re-sorting the full endpoint arrays.  No-op when this graph
-        already built its adjacency, the previous epoch never built one,
-        or the diff does not belong to this graph pair.
-
-        Like the edge-id map and the cached adjacency weights, the
-        patched adjacency is a *per-epoch* structure, not a per-table
-        one: the engine's epoch-batched ``advance_all`` pays this call
-        once and every carried table's kernel rows traverse the same
-        arrays.
-        """
-        if self._adj_indptr is not None or diff.current is not self:
-            return
-        previous = diff.previous
-        if (
-            previous._adj_indptr is None
-            or previous._node_count != self._node_count
-        ):
-            return
-        self._finalize()
-        previous._finalize()
-        if previous._keys is self._keys or np.array_equal(
-            previous._keys, self._keys
-        ):
-            self._adj_indptr = previous._adj_indptr
-            self._adj_nodes = previous._adj_nodes
-            self._adj_edges = previous._adj_edges
-            return
-        mapped = diff.edge_id_map()[previous._adj_edges]
-        neighbors = previous._adj_nodes
-        endpoints = np.repeat(
-            np.arange(self._node_count, dtype=np.int64),
-            np.diff(previous._adj_indptr),
-        )
-        if diff.links_removed.size:
-            keep = mapped >= 0
-            mapped = mapped[keep]
-            neighbors = neighbors[keep]
-            endpoints = endpoints[keep]
-        added = diff.links_added
-        degrees = np.bincount(endpoints, minlength=self._node_count)
-        if added.size:
-            add_endpoints = np.concatenate(
-                [self._node_a[added], self._node_b[added]]
-            )
-            add_neighbors = np.concatenate(
-                [self._node_b[added], self._node_a[added]]
-            )
-            add_ids = np.concatenate([added, added]).astype(mapped.dtype)
-            order = np.argsort(add_endpoints, kind="stable")
-            positions = np.searchsorted(endpoints, add_endpoints[order])
-            # One mask-based splice filling both arrays, instead of two
-            # ``np.insert`` passes over the full adjacency.
-            new_slots = positions + np.arange(positions.size)
-            keep_mask = np.ones(neighbors.size + positions.size, dtype=bool)
-            keep_mask[new_slots] = False
-            out_neighbors = np.empty(keep_mask.size, dtype=neighbors.dtype)
-            out_ids = np.empty(keep_mask.size, dtype=mapped.dtype)
-            out_neighbors[keep_mask] = neighbors
-            out_neighbors[new_slots] = add_neighbors[order]
-            out_ids[keep_mask] = mapped
-            out_ids[new_slots] = add_ids[order]
-            neighbors, mapped = out_neighbors, out_ids
-            degrees += np.bincount(add_endpoints, minlength=self._node_count)
-        self._adj_indptr = np.concatenate([[0], np.cumsum(degrees)])
-        self._adj_nodes = neighbors
-        self._adj_edges = mapped
-
-    def adjacency_weights(self) -> np.ndarray:
-        """Clamped solver weights gathered into CSR adjacency order.
-
-        ``adjacency_weights()[p]`` is the weight of the edge at adjacency
-        position ``p`` of :meth:`adjacency_arrays` — the per-position
-        gather the regional re-solve kernel needs, done once per epoch
-        graph instead of once per repaired table.
-        """
-        if self._adj_weights is None:
-            self._build_adjacency()
-            self._adj_weights = self.clamped_delays_ms()[self._adj_edges]
-        return self._adj_weights
 
     # -- epoch diffs ---------------------------------------------------------
 

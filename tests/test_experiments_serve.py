@@ -110,7 +110,7 @@ class TestRunnerServe:
         assert parameters == {
             "decay_half_life_epochs": 1.0,
             "decay_factor": 0.5,
-            "score": "(hits + 1) / (cost + 1)",
+            "score": "decayed hits, then least-recent use",
             "max_carried_extra_tables": 256,
         }
 

@@ -1,10 +1,10 @@
-"""The cost-aware extra-table cache: bounding, eviction policy, stats.
+"""The extra-table cache: bounding, eviction policy, stats.
 
 ``ConstellationState._paths_from`` lazily caches single-source tables
 for satellite-to-satellite queries.  This suite pins the cache's three
 contracts: the effective cap is enforced at *insert* time (and a cap of
 0 disables caching outright), the memory guard shrinks the cap on large
-graphs, and eviction is cost-aware — a table that earns query hits
+graphs, and eviction ranks by usage — a table that earns query hits
 survives a flood of one-shot queries, while an evicted table re-solves
 cold on its next use.  Hits, misses and evictions are asserted all the
 way through ``UpdateStats`` (the ``path_statistics`` plumbing).
@@ -67,7 +67,7 @@ class TestInsertTimeBounding:
         # Mid-size constellation: the memory bound, not the configured
         # cap, decides — and it shrinks as the node count grows.
         mid = calculation._extra_table_cap(_FakeGraph(20_000))
-        assert mid == budget // (20_000 * 20)
+        assert mid == budget // (20_000 * 12)
         large = calculation._extra_table_cap(_FakeGraph(200_000))
         assert large < mid
         # Extreme synthetic counts floor at the 32-table minimum.
@@ -99,6 +99,8 @@ class TestSymmetricLookup:
 
 
 class TestCostAwareEviction:
+    """Eviction ranks by decayed hits, then least-recent use (cost is uniform)."""
+
     def test_hot_table_survives_one_shot_flood(self, config):
         calculation = ConstellationCalculation(config, max_carried_extra_tables=3)
         state = calculation.state_at(0.0)
@@ -153,16 +155,15 @@ class TestCostAwareEviction:
         scores.record_insert(7)
         for _ in range(5):
             scores.record_hit(7)
-        scores.record_cost(7, 4.0)
         scores.record_insert(9)
-        # 7 earned enough hits to outvalue its advance cost: (5+1)/(4+1)
-        # beats the untouched table's (0+1)/(0+1), so 9 evicts first.
-        assert scores.rank(9) < scores.rank(7)
+        scores.record_insert(11)
+        # 7 earned hits, so the untouched tables evict first — the less
+        # recently inserted of the two before the other.
+        assert scores.rank(9) < scores.rank(11) < scores.rank(7)
         scores.decay()
         assert scores.hits[7] == 2.5
-        assert scores.costs[7] == 2.0
         scores.drop(7)
-        assert 7 not in scores.hits and 7 not in scores.costs
+        assert 7 not in scores.hits and 7 not in scores.last_used
 
 
 class TestStatsPlumbing:
@@ -183,9 +184,11 @@ class TestStatsPlumbing:
         assert stats.path_cache_events == {
             "hits": 1, "misses": 4, "evictions": 2,
         }
-        # The batched-advance attribution rides the same snapshot.
+        # The advance attribution rides the same snapshot.
         assert "tables_advanced" in totals
-        assert "batched_rows" in totals
+        assert "rows_solved" in totals
+        # Only cold single-source solves happened in this window.
+        assert stats.path_regimes == {"cold": 1}
 
     def test_advanced_epochs_attribute_tables_and_batches(self, config):
         calculation = ConstellationCalculation(config, max_carried_extra_tables=8)
@@ -196,6 +199,6 @@ class TestStatsPlumbing:
             state, _ = calculation.diff_since(state, step * 5.0)
         totals = calculation.path_engine.stats.snapshot()
         # Each advanced epoch carried the main table plus four extras.
-        assert totals["tables_advanced"] >= 15
-        if totals["batched_calls"]:
-            assert totals["batched_rows"] > 0
+        assert totals["tables_advanced"] == 15
+        # ... and all five shared one solve per epoch (after 1 + 4 cold ones).
+        assert totals["solver_calls"] == 5 + 3

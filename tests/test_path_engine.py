@@ -1,19 +1,22 @@
-"""Equivalence suite for the incremental shortest-path engine.
+"""Equivalence suite for the shortest-path engine.
 
 The engine's contract is byte-identity: distances and reachability of a
 table advanced across any chain of :class:`TopologyDiff`\\ s must equal a
 cold ``ShortestPaths`` solve on the final graph bit for bit — across empty
-diffs, delay-only jitter, structural churn (uplink handovers and injected
-ISL faults) and solver fallbacks.  Predecessor trees may differ only
-between equal-delay alternatives, which the path-reconstruction check pins
-down: every reconstructed path must exist edge-by-edge and its hop-delay
-sum must reproduce the reported distance exactly.
+diffs, delay-only jitter, structural churn (uplink handovers, link
+flicker, full rewrites) and tables of foreign origin.  Predecessor trees
+may differ only between equal-delay alternatives, which the
+path-reconstruction check pins down: every reconstructed path must exist
+edge-by-edge and its hop-delay sum must reproduce the reported distance
+exactly.  ``PathEngine.advance_all`` has two outcomes per table — rebound
+across a diff that changed no delay and no link, or a row slice of the
+call's one stacked solve — and the suite pins the solver-call count of
+each.
 """
 
 import numpy as np
 import pytest
 
-from churn_chains import FlickerChain
 from repro.core import ConstellationCalculation, ConstellationDatabase
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import (
@@ -91,8 +94,7 @@ class TestEngineOnSyntheticChains:
                 structure_from=graph,
             )
         if kind == "flicker":
-            # One link drops out: structural, yet far below the engine's
-            # wholesale share (the next "structural" epoch brings it back).
+            # One link drops out (the next "structural" epoch brings it back).
             alive = np.delete(
                 np.arange(graph.total_links()), rng.integers(0, graph.total_links())
             )
@@ -135,12 +137,9 @@ class TestEngineOnSyntheticChains:
                 assert engine.stats.solver_calls == before
             _assert_tables_identical(table, new_graph, sources)
             graph = new_graph
-        # The mix covers every leg of the dispatch: reuse, both repair
-        # flavours, and wholesale epochs (full rewrites, mass jitter).
+        # The mix covers both outcomes: rebound epochs and solved ones.
         assert engine.stats.empty_reuses > 0
-        assert engine.stats.structural_epochs > 0
-        assert engine.stats.repaired_epochs > 0
-        assert engine.stats.bypassed_epochs > 0
+        assert engine.stats.solver_calls > 1
 
     def test_empty_diff_reuses_arrays_without_solving(self):
         rng = np.random.default_rng(0)
@@ -192,30 +191,35 @@ class TestEngineOnSyntheticChains:
     def test_isl_fault_injection_churn(self):
         """Forced structural churn: random ISL outages and recoveries.
 
-        Models radiation/weather link faults: outages accumulate and
-        heal over the epochs on top of delay jitter — heavy exercise for
-        the removal (subtree re-hang) and reconnection paths, including
-        reachability changes.  ``FlickerChain`` keeps every epoch below
-        the wholesale share, so the repair machinery itself is under
-        fire every epoch.
+        Models radiation/weather link faults on top of delay jitter: each
+        epoch a fresh tenth of the links is down, so links keep dropping
+        out and coming back and nodes lose and regain reachability.
         """
         rng = np.random.default_rng(7)
         n_sat, n_gst = 150, 3
         index = NodeIndex([n_sat], [f"g{i}" for i in range(n_gst)])
         sources = list(index.ground_station_indices())
         engine = PathEngine(sources=sources)
-        chain = FlickerChain(self._random_graph(rng, index, n_sat, n_gst), rng)
-        table = engine.solve(chain.graph)
+        full = self._random_graph(rng, index, n_sat, n_gst)
+        graph = full
+        table = engine.solve(graph)
+        unreachable_epochs = 0
         for _ in range(200):
-            graph = chain.graph
-            new_graph = chain.step()
+            up = np.flatnonzero(rng.random(full.total_links()) > 0.1)
+            delays = full.delays_ms[up] * rng.uniform(0.9, 1.1, up.size)
+            new_graph = NetworkGraph.from_edge_arrays(
+                index, full.node_a[up], full.node_b[up], full.distances_km[up],
+                delays, full.bandwidths_kbps[up], full.link_type_codes[up],
+            )
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_tables_identical(table, new_graph, sources)
-        assert engine.stats.bypassed_epochs == 0
-        assert engine.stats.structural_epochs > 100
+            unreachable_epochs += int(not np.isfinite(table._distances).all())
+            graph = new_graph
+        assert 0 < unreachable_epochs < 200
+        assert engine.stats.solver_calls == 1 + 200
 
     def test_wholesale_diffs_route_to_cold_solves(self):
-        """Every wholesale epoch solves outright — none is probed first."""
+        """Full-graph rewrites: exactly one solver call per epoch."""
         rng = np.random.default_rng(9)
         index = NodeIndex([30], ["g0", "g1", "g2", "g3"])
         sources = list(index.ground_station_indices())
@@ -227,12 +231,7 @@ class TestEngineOnSyntheticChains:
             table = engine.advance(table, new_graph, new_graph.diff_from(graph))
             _assert_tables_identical(table, new_graph, sources)
             graph = new_graph
-        # Full-graph rewrites every epoch: the rule routes each one by
-        # its own diff, so all thirty bypass the repair machinery and
-        # stay byte-identical (checked above).
-        assert engine.stats.bypassed_epochs == 30
-        assert engine.stats.structural_epochs == 0
-        assert engine.stats.kernel_calls == 0
+        assert engine.stats.solver_calls == 1 + 30
 
 
 class TestEngineOnConstellations:
@@ -251,19 +250,15 @@ class TestEngineOnConstellations:
     def test_iridium_two_hundred_epochs(self):
         config = dart_configuration(buoy_count=5, sink_count=8, duration_s=7200.0)
         calculation, _ = self._run_chain(config, epochs=200, interval=30.0)
-        # Every satellite moves every epoch: each diff raises far more
-        # than the wholesale share of the delays, so the rule routes all
-        # of them to the solver (the repair legs are exercised by the
-        # flicker chains in test_path_kernels / test_advance_all).
-        assert calculation.path_engine.stats.bypassed_epochs == 200
+        # Every satellite moves every epoch, so every epoch is one solve.
+        assert calculation.path_engine.stats.solver_calls == 1 + 200
 
     def test_starlink_two_hundred_epochs(self):
         config = west_africa_configuration(
             duration_s=7200.0, shells="two-lowest", update_interval_s=2.0
         )
         calculation, _ = self._run_chain(config, epochs=200, interval=2.0)
-        assert calculation.path_engine.stats.bypassed_epochs == 200
-        assert calculation.path_engine.stats.kernel_calls == 0
+        assert calculation.path_engine.stats.solver_calls == 1 + 200
 
     def test_empty_diff_epoch_solves_nothing(self):
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
@@ -335,7 +330,7 @@ class TestEngineOnConstellations:
         # The memory guard wins over a huge configured cap on any graph.
         greedy = ConstellationCalculation(config, max_carried_extra_tables=10**9)
         cap = greedy._extra_table_cap(state.graph)
-        per_table = len(state.graph.index) * 20
+        per_table = len(state.graph.index) * 12
         budget = greedy.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
         assert cap == max(32, budget // per_table)
         with pytest.raises(ValueError):
@@ -361,3 +356,131 @@ class TestEngineOnConstellations:
         assert np.array_equal(
             replayed._distances, database.state.paths._distances
         )
+
+
+def _iridium_graph():
+    """The epoch-0 DART/Iridium graph and its ground-station sources."""
+    config = dart_configuration(buoy_count=5, sink_count=8, duration_s=600.0)
+    calculation = ConstellationCalculation(config)
+    sources = list(calculation.node_index.ground_station_indices())
+    return calculation.state_at(0.0).graph, sources
+
+
+def _reweighted(graph, delays_ms, bandwidth_factor=1.0):
+    """``graph``'s edge set with other delays (the same ones: an empty diff)."""
+    return NetworkGraph.from_edge_arrays(
+        graph.index, graph.node_a, graph.node_b, graph.distances_km,
+        delays_ms, graph.bandwidths_kbps * bandwidth_factor,
+        graph.link_type_codes, structure_from=graph,
+    )
+
+
+def _moving_starlink():
+    """Lowest Starlink shell with 2 s epochs: every satellite moves."""
+    config = west_africa_configuration(
+        duration_s=600.0, shells="lowest", update_interval_s=2.0
+    )
+    calculation = ConstellationCalculation(config)
+    return calculation, calculation.state_at(0.0)
+
+
+def _assert_cold_bytes(table, graph):
+    """Raw distance bytes (infs included) equal the table's cold solve."""
+    cold = ShortestPaths(graph, sources=table.sources)
+    assert table._distances.tobytes() == cold._distances.tobytes()
+
+
+class TestAdvanceAll:
+    """Per table: rebound, or a row slice of the call's one stacked solve."""
+
+    @pytest.mark.parametrize("leg", ["none", "solve"])
+    def test_mixed_call_lines_up_per_table(self, leg):
+        """[floyd-origin, main, foreign-graph, extra] through one call."""
+        full, sources = _iridium_graph()
+        delays = full.delays_ms.copy()
+        if leg == "solve":
+            delays[::7] += 0.25
+        new_graph = _reweighted(full, delays)
+        diff = new_graph.diff_from(full)
+        assert diff.is_empty == (leg == "none")
+        engine = PathEngine()
+        floyd = ShortestPaths(full, sources=sources[:3], method="floyd-warshall")
+        main = engine.solve(full, sources=sources)
+        foreign = ShortestPaths(new_graph, sources=[0])  # not the diff's previous
+        extra = engine.solve(full, sources=[1])
+        tables = [floyd, main, foreign, extra]
+        before = engine.stats.snapshot()
+        advanced = engine.advance_all(tables, new_graph, diff)
+        delta = {
+            key: value - before[key] for key, value in engine.stats.snapshot().items()
+        }
+        for table, result in zip(tables, advanced):
+            assert result.graph is new_graph and result.sources == table.sources
+            _assert_cold_bytes(result, new_graph)
+        # One stacked solve for whatever could not be rebound — the
+        # misfits ride along instead of being cold-solved one by one.
+        assert delta["tables_advanced"] == 4
+        assert delta["solver_calls"] == 1
+        assert delta["cold_solves"] == 0
+        if leg == "none":
+            # Every table of the diff's previous graph is rebound: zero
+            # copies; only the foreign one is solved.
+            assert delta["empty_reuses"] == 3
+            assert delta["rows_solved"] == 1
+            for table, result in zip(tables, advanced):
+                if table is not foreign:
+                    assert result._distances is table._distances
+                    assert result._predecessors is table._predecessors
+        else:
+            assert delta["empty_reuses"] == 0
+            assert delta["rows_solved"] == 3 + len(sources) + 1 + 1
+            assert all(result.method == "dijkstra" for result in advanced)
+
+    def test_trivial_diff_rebinds_every_table(self):
+        """Empty and bandwidth-only diffs reuse every table, zero solver work."""
+        full, sources = _iridium_graph()
+        engine = PathEngine()
+        tables = [engine.solve(full, sources=s) for s in (sources, [0], [17], [40])]
+        solver_calls = engine.stats.solver_calls
+        widened = _reweighted(full, full.delays_ms, bandwidth_factor=2.0)
+        for graph in (full, widened):
+            advanced = engine.advance_all(tables, graph, graph.diff_from(full))
+            assert engine.stats.solver_calls == solver_calls
+            for before, after in zip(tables, advanced):
+                assert after.graph is graph
+                assert after._distances is before._distances
+
+    def test_empty_table_list(self):
+        engine = PathEngine()
+        full, _ = _iridium_graph()
+        assert engine.advance_all([], full, full.diff_from(full)) == []
+        assert engine.stats.solver_calls == 0
+
+    def test_single_row_table_on_moving_constellation(self):
+        calculation, state = _moving_starlink()
+        source = state.node_for(calculation.satellite(0, 7))
+        engine = PathEngine()
+        tables = [engine.solve(state.graph, sources=[source])]
+        for step in range(1, 31):
+            state, diff = calculation.diff_since(state, step * 2.0)
+            tables = engine.advance_all(tables, state.graph, diff.topology)
+            _assert_cold_bytes(tables[0], state.graph)
+        assert engine.stats.solver_calls == 1 + 30
+
+    def test_main_table_and_extras_share_one_solve_per_epoch(self):
+        calculation, state = _moving_starlink()
+        probe = calculation.satellite(0, 50)
+        for identifier in (3, 400, 800, 1200):
+            state.delay_ms(calculation.satellite(0, identifier), probe)
+        stats = calculation.path_engine.stats
+        for step in range(1, 9):
+            before = stats.snapshot()
+            state, _ = calculation.diff_since(state, step * 2.0)
+            after = stats.snapshot()
+            assert after["solver_calls"] - before["solver_calls"] == 1
+            assert after["tables_advanced"] - before["tables_advanced"] == 5
+            assert after["cold_solves"] == before["cold_solves"]
+            assert len(state._extra_paths) == 4
+            for table in [state.paths, *state._extra_paths.values()]:
+                _assert_cold_bytes(table, state.graph)
+                _assert_tables_identical(table, state.graph, table.sources)
