@@ -8,7 +8,7 @@ and one usage-sample round trip.  Since PR 15 a sample is an O(1) reading of
 each host's kept accounting (one pass over the machines only when one of
 them changed), so neither backend walks every microVM per sample any more
 and there is no compute sweep left for worker processes to parallelise: what
-is compared is slice encode + pipe + ack against a thread-pool call.
+is compared is slice encode + loopback TCP + ack against a thread-pool call.
 Constellation math is identical on both sides and excluded.
 
 The measurements are always written to ``BENCH_dist.json`` (path

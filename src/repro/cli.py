@@ -13,7 +13,7 @@ Usage (installed as ``repro-celestial``)::
     repro-celestial snapshot config.toml --time 120 --output snapshot.json --geojson
     repro-celestial scenarios
     repro-celestial run experiment.toml --output-dir results
-    repro-celestial run experiment.toml --parallelism processes --workers 2 --transport tcp
+    repro-celestial run experiment.toml --parallelism processes --workers 2
     repro-celestial meetup --mode satellite --duration 60
     repro-celestial dart --deployment central --buoys 20 --sinks 40 --duration 60
     repro-celestial handover config.toml --station hawaii --duration 600
@@ -95,9 +95,7 @@ def _print_result(result) -> int:
 
 
 def _runtime_spec(args: argparse.Namespace) -> RuntimeSpec:
-    return RuntimeSpec(
-        parallelism=args.parallelism, workers=args.workers, transport=args.transport
-    )
+    return RuntimeSpec(parallelism=args.parallelism, workers=args.workers)
 
 
 def _cmd_meetup(args: argparse.Namespace) -> int:
@@ -181,7 +179,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for key, value in (
             ("parallelism", args.parallelism),
             ("workers", args.workers),
-            ("transport", args.transport),
             ("duration_s", args.duration),
             ("seed", args.seed),
         )
@@ -211,7 +208,7 @@ def _add_parallelism_arguments(
         choices=["threads", "processes"],
         default="threads" if defaults else None,
         help="host fan-out backend: in-process thread pool (default) or "
-        "supervised worker processes (escapes the GIL for per-host sweeps)",
+        "supervised worker processes reached over loopback TCP",
     )
     parser.add_argument(
         "--workers",
@@ -219,14 +216,6 @@ def _add_parallelism_arguments(
         default=None,
         help="worker-process count for --parallelism processes "
         "(default: one per emulated host)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=["pipe", "tcp"],
-        default="pipe" if defaults else None,
-        help="worker transport for --parallelism processes: local duplex "
-        "pipes (default) or per-worker TCP connections (the remote-worker "
-        "wire path, exercised here over localhost)",
     )
 
 

@@ -40,25 +40,23 @@ engine's tables are byte-identical to cold solves.
 The thread-vs-process seam
 --------------------------
 
-Since PR 4 *where* the slices are applied is a backend decision
+*Where* the slices are applied is a backend decision
 (``parallelism="threads" | "processes"``, default threads):
 
 * ``threads`` — the managers live in this process and
   :class:`~repro.dist.backend.ThreadFanoutBackend` applies the slices over
-  a persistent thread pool (the PR 2/3 behaviour).  Slice application
-  serialises on the GIL, but nothing crosses a process boundary.
+  a persistent thread pool.  Nothing crosses a process boundary.
 * ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
   pool of supervised worker processes (``repro.dist``), each holding the
-  authoritative managers of one or more hosts.  Slices travel as compact
-  buffer-backed wire frames, the slices are applied genuinely in parallel,
-  and usage samples / counters / dirty-machine reconciliation results
-  stream back.  The coordinator keeps in-process *shadow* managers for
-  placement and parent-side queries; crashed workers are respawned and
-  replayed from the database's keyframe + diff chain.  ``transport``
-  selects how the frames travel: local duplex pipes (``"pipe"``, default)
-  or per-worker TCP connections (``"tcp"``) — the latter also accepts
-  operator-started workers on other machines, like the paper's testbed
-  (see :mod:`repro.dist.transport`).
+  authoritative managers of one or more hosts behind its own TCP connection:
+  loopback for the workers the pool spawns, the network for operator-started
+  workers on other machines, like the paper's testbed.  Slices travel as
+  buffer-backed wire frames; usage samples, counters and dirty-machine
+  reconciliation results stream back.  The coordinator keeps in-process
+  *shadow* managers for placement and parent-side queries; crashed workers
+  are respawned and replayed from the database's keyframe + diff chain.
+  ``transport`` carries the pool's deployment settings as a ready
+  :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 
 Both backends are driven through the same four calls (``apply_slices``,
 ``apply_full_state``, ``sample_all``, ``close``), so everything above this
@@ -171,18 +169,15 @@ class Coordinator:
         managers: list[MachineManager],
         network: Optional[VirtualNetwork] = None,
         incremental: bool = True,
-        concurrent_fanout: bool = True,
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
-        mp_context=None,
-        transport="pipe",
+        transport=None,
     ):
         self.config = config
         self.calculation = calculation
         self.database = database
         self.network = network
         self.incremental = incremental
-        self.concurrent_fanout = concurrent_fanout
         self.parallelism = parallelism
         # The backends are imported lazily: repro.dist itself imports from
         # repro.core, so a module-level import would be circular.
@@ -193,12 +188,11 @@ class Coordinator:
                 managers,
                 database,
                 worker_count=worker_count,
-                mp_context=mp_context,
                 transport=transport,
             )
         elif parallelism == "threads":
-            if transport not in (None, "pipe"):
-                # Silently running in-process after the user asked for a
+            if transport is not None:
+                # Silently running in-process after the user configured a
                 # worker transport would fake a passing remote-path test.
                 raise ValueError(
                     f"transport={transport!r} requires parallelism='processes' "
@@ -206,7 +200,7 @@ class Coordinator:
                 )
             from repro.dist.backend import ThreadFanoutBackend
 
-            self._backend = ThreadFanoutBackend(managers, concurrent=concurrent_fanout)
+            self._backend = ThreadFanoutBackend(managers)
         else:
             raise ValueError(f"unknown parallelism backend {parallelism!r}")
         # In process mode these are MirroredManager proxies (shadow +
@@ -495,16 +489,15 @@ class Coordinator:
         concurrently.
         """
         started = wallclock.perf_counter()
-        engine = getattr(self.calculation, "path_engine", None)
-        engine_before = engine.stats.snapshot() if engine is not None else {}
+        engine = self.calculation.path_engine
+        engine_before = engine.stats.snapshot()
         previous = self.database.state if self.database.has_state else None
         if previous is None or not self.incremental:
             state = self.calculation.state_at(now_s)
             diff = None
         else:
             state, diff = self.calculation.diff_since(previous, now_s)
-        if engine is not None:
-            self.stats.record_path_engine(engine_before, engine.stats.snapshot())
+        self.stats.record_path_engine(engine_before, engine.stats.snapshot())
         self.database.set_state(state, diff=diff)
         if diff is None:
             self._ensure_active_satellites(state, now_s)

@@ -131,7 +131,8 @@ class ConstellationDatabase:
     @property
     def latest_diff(self) -> Optional[ConstellationDiff]:
         """The diff between the two most recent epochs (None after a keyframe reset)."""
-        return self._diffs.get(self.epoch)
+        with self._lock:
+            return self._diffs.get(self.epoch)
 
     def keyframe_epochs(self) -> list[int]:
         """Epoch numbers of the retained full-state keyframes (ascending)."""
@@ -299,20 +300,22 @@ class ConstellationDatabase:
 
     def constellation_info(self) -> dict:
         """Summary of the constellation (served at ``/info``)."""
-        state = self.state
-        return {
-            "time_s": state.time_s,
-            "epoch": self.epoch,
-            "shells": len(state.satellite_positions_ecef),
-            "satellites": int(state.node_index.satellite_count),
-            "ground_stations": len(state.ground_positions_ecef),
-            "active_satellites": state.active_count(),
-            "links": state.graph.total_links(),
-            "keyframe_epochs": self.keyframe_epochs(),
-            "last_diff": (
-                self.latest_diff.summary() if self.latest_diff is not None else None
-            ),
-        }
+        # One publication: the info API's threads race the coordinator's
+        # set_state, and state / epoch / diff must belong together.
+        with self._lock:
+            state = self.state
+            diff = self.latest_diff
+            return {
+                "time_s": state.time_s,
+                "epoch": self.epoch,
+                "shells": len(state.satellite_positions_ecef),
+                "satellites": int(state.node_index.satellite_count),
+                "ground_stations": len(state.ground_positions_ecef),
+                "active_satellites": state.active_count(),
+                "links": state.graph.total_links(),
+                "keyframe_epochs": self.keyframe_epochs(),
+                "last_diff": diff.summary() if diff is not None else None,
+            }
 
     def shell_info(self, shell: int) -> dict:
         """Information about one shell (served at ``/shell/<n>``)."""

@@ -33,7 +33,7 @@ Process boundary
 Since PR 4 a manager may live in a worker *process* (``repro.dist``): the
 coordinator keeps an in-process shadow for placement and bookkeeping while
 the authoritative copy applies slices and takes the usage samples behind a
-pipe.  Three members exist for that runtime:
+TCP connection.  Three members exist for that runtime:
 :meth:`MachineManager.apply_activity` (the full-replay sweep expressed over
 raw per-shell activity masks, so a first-epoch replay does not need the
 whole :class:`ConstellationState` on the wire),

@@ -38,7 +38,7 @@ class Celestial:
         allow_memory_overcommit: bool = True,
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
-        transport="pipe",
+        transport=None,
     ):
         self.config = config
         self.sim = Simulation()

@@ -5,13 +5,13 @@ expressed once, in :meth:`~repro.core.coordinator.Coordinator._shard`; *how*
 the slices reach the managers is a backend concern:
 
 * :class:`ThreadFanoutBackend` — the managers live in the coordinator
-  process and slices are applied over a persistent thread pool (the PR 2/3
-  behaviour, and the default).
+  process and slices are applied over a persistent thread pool (the
+  default).
 * :class:`ProcessFanoutBackend` — the authoritative managers live in
-  supervised worker processes (:mod:`repro.dist.worker`).  Slices travel as
-  :mod:`repro.dist.wire` frames; the workers apply them, take the per-host
-  usage samples, and stream samples, counters and dirty-machine
-  reconciliation results back.
+  supervised worker processes (:mod:`repro.dist.worker`), each reached over
+  its own TCP connection.  Slices travel as :mod:`repro.dist.wire` frames;
+  the workers apply them, take the per-host usage samples, and stream
+  samples, counters and dirty-machine reconciliation results back.
 
 Shadow managers
 ---------------
@@ -53,6 +53,7 @@ from repro.core.machine_manager import HostStateSlice, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist import wire
 from repro.dist.supervisor import WorkerSupervisor
+from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import FrameKind
 from repro.dist.worker import HostSpec, WorkerSpec
 
@@ -105,9 +106,8 @@ class ThreadFanoutBackend(FanoutBackend):
 
     parallelism = "threads"
 
-    def __init__(self, managers: list[MachineManager], concurrent: bool = True):
+    def __init__(self, managers: list[MachineManager]):
         self._managers = list(managers)
-        self.concurrent = concurrent
         # Lazily created, persistent pool (one thread per manager); spawning
         # threads per epoch would tax the very path this pipeline optimises.
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -121,7 +121,7 @@ class ThreadFanoutBackend(FanoutBackend):
         """Run one callable per manager, over the pool when it pays off."""
         if self._closed:
             raise RuntimeError("the fan-out backend has been closed")
-        if self.concurrent and len(self._managers) > 1:
+        if len(self._managers) > 1:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     max_workers=len(self._managers),
@@ -191,17 +191,17 @@ class MirroredManager:
 
     def create_machine(self, machine_id, compute, kernel=None, rootfs=None):
         machine = self._shadow.create_machine(machine_id, compute, kernel, rootfs)
-        # kernel/rootfs are small frozen dataclasses: they ride the metadata
-        # blob so the worker's authoritative copy (and every ledger replay)
-        # is built from the same images as the shadow.
+        # kernel/rootfs are small frozen dataclasses: their fields ride the
+        # metadata blob so the worker's authoritative copy (and every ledger
+        # replay) is built from the same images as the shadow.
         self._backend.forward(
             self.position,
             FrameKind.CREATE_MACHINE,
             {
                 **self._identity(machine_id),
                 "compute": dataclasses.asdict(compute),
-                "kernel": kernel,
-                "rootfs": rootfs,
+                "kernel": None if kernel is None else dataclasses.asdict(kernel),
+                "rootfs": None if rootfs is None else dataclasses.asdict(rootfs),
             },
         )
         return machine
@@ -266,12 +266,10 @@ class MirroredManager:
 class ProcessFanoutBackend(FanoutBackend):
     """Supervised worker processes behind the coordinator's fan-out seam.
 
-    ``transport`` selects how frames reach the workers: ``"pipe"`` (local
-    duplex pipes, the default), ``"tcp"`` (length-prefixed frames over
-    per-worker TCP connections), or a ready
-    :class:`~repro.dist.transport.TransportFactory` instance — e.g. an
-    external-mode :class:`~repro.dist.transport.TcpTransportFactory` whose
-    workers are started by hand on other machines.
+    Frames reach every worker over its own TCP connection.  ``transport``
+    takes a ready :class:`~repro.dist.transport.TcpTransportFactory` with the
+    deployment settings — e.g. an external-mode factory whose workers are
+    started by hand on other machines; ``None`` spawns loopback workers.
     """
 
     parallelism = "processes"
@@ -281,11 +279,10 @@ class ProcessFanoutBackend(FanoutBackend):
         managers: list[MachineManager],
         database,
         worker_count: Optional[int] = None,
-        mp_context=None,
         max_restarts: int = 3,
         ack_timeout_s: float = 120.0,
         restart_decay_acks: int = 64,
-        transport="pipe",
+        transport: Optional[TcpTransportFactory] = None,
     ):
         self._shadows = list(managers)
         self._database = database
@@ -321,7 +318,6 @@ class ProcessFanoutBackend(FanoutBackend):
             specs,
             database=database,
             dirty_resolver=self._dirty_names,
-            mp_context=mp_context,
             max_restarts=max_restarts,
             ack_timeout_s=ack_timeout_s,
             restart_decay_acks=restart_decay_acks,
@@ -414,9 +410,8 @@ class ProcessFanoutBackend(FanoutBackend):
         supervisor = self.supervisor
         supervisor.start()
         supervisor.check()
-        meta, arrays = wire.activity_payload(
-            state.active_satellites, state.time_s, self._epoch_hint(state)
-        )
+        epoch = self._database.epoch if self._database is not None else 0
+        meta, arrays = wire.activity_payload(state.active_satellites, state.time_s, epoch)
         for worker in range(self.worker_count):
             supervisor.begin_request(
                 worker, FrameKind.APPLY_ACTIVITY, {**meta, "now_s": now_s}, arrays
@@ -428,9 +423,6 @@ class ProcessFanoutBackend(FanoutBackend):
             for worker in range(self.worker_count)
         }
         self._verify_counters(acks)
-
-    def _epoch_hint(self, state: ConstellationState) -> int:
-        return self._database.epoch if self._database is not None else 0
 
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
@@ -447,7 +439,7 @@ class ProcessFanoutBackend(FanoutBackend):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
         # While the workers sample, the shadows consume the same RNG draws
         # (without sampling) so later machine creations seed identically on
-        # both sides of the pipe — see MachineManager.advance_sample_stream.
+        # both sides of the seam — see MachineManager.advance_sample_stream.
         for shadow in self._shadows:
             shadow.advance_sample_stream(
                 setup_phase=setup_phase, applying_update=applying_update

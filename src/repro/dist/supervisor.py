@@ -2,10 +2,10 @@
 
 The supervisor owns one transport (+ process, when locally spawned) per
 :class:`~repro.dist.worker.WorkerSpec` — obtained from a
-:class:`~repro.dist.transport.TransportFactory`, so the same supervision,
-ledger-replay and restore logic drives pipe-connected local processes,
-TCP-connected local processes and operator-started remote workers — and
-gives the fan-out backend three primitives:
+:class:`~repro.dist.transport.TcpTransportFactory`, so the same supervision,
+ledger-replay and restore logic drives loopback workers it spawned and
+operator-started remote workers — and gives the fan-out backend three
+primitives:
 
 * :meth:`WorkerSupervisor.post` — fire-and-forget control frames (machine
   creations, fault-injection ops).  Durable posts are journalled in a
@@ -19,7 +19,7 @@ gives the fan-out backend three primitives:
   worker's counter/RNG checkpoint and becomes the recovery point.
 * :meth:`WorkerSupervisor.check` / :meth:`ping` — heartbeat: a liveness
   sweep over the pool (dead processes are detected and restarted before the
-  next fan-out trips over a broken pipe) and an end-to-end round-trip probe.
+  next fan-out trips over a broken stream) and an end-to-end round-trip probe.
 
 Crash recovery
 --------------
@@ -59,8 +59,6 @@ loop (which never stays healthy long enough to decay) still hits the bound.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-import os
 import time
 from collections import deque
 from typing import Any, Callable, Optional
@@ -68,7 +66,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.dist import wire
-from repro.dist.transport import TransportTimeout, make_transport_factory
+from repro.dist.transport import TcpTransportFactory, TransportTimeout
 from repro.dist.wire import FrameKind
 from repro.dist.worker import WorkerSpec
 
@@ -89,19 +87,6 @@ class WorkerRemoteError(RuntimeError):
     """A worker reported an exception while executing a frame."""
 
 
-def default_context() -> multiprocessing.context.BaseContext:
-    """The start-method context used for worker processes.
-
-    ``fork`` (where available) shares the already-imported scientific stack
-    with the children, which makes spawning a 4-worker pool cheap; set
-    ``CELESTIAL_MP_CONTEXT=spawn`` to force the slower, stateless method.
-    """
-    name = os.environ.get("CELESTIAL_MP_CONTEXT")
-    if name is None:
-        name = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    return multiprocessing.get_context(name)
-
-
 class _Handle:
     """Book-keeping of one supervised worker."""
 
@@ -119,7 +104,7 @@ class _Handle:
         # ``restart_decay_acks`` the restart budget resets (transient
         # crashes over a long run must not accumulate into a death).
         self.healthy_acks = 0
-        # Set when a send observed a broken pipe: recovery is deferred to
+        # Set when a send observed a broken stream: recovery is deferred to
         # the next collect/heartbeat so that every frame of the current
         # epoch is already queued in ``inflight`` when the worker is rebuilt
         # (the restore skip-set is derived from those frames).
@@ -127,24 +112,33 @@ class _Handle:
 
 
 class WorkerSupervisor:
-    """Spawns, monitors and restarts the worker-process pool."""
+    """Spawns, monitors and restarts the worker-process pool.
+
+    ``transport`` carries the deployment settings as a ready
+    :class:`~repro.dist.transport.TcpTransportFactory`; ``None`` spawns
+    loopback workers on ephemeral ports.
+    """
 
     def __init__(
         self,
         specs: list[WorkerSpec],
         database=None,
         dirty_resolver: Optional[Callable[[int], set[str]]] = None,
-        mp_context=None,
         max_restarts: int = 3,
         ack_timeout_s: float = 120.0,
         restart_decay_acks: int = 64,
-        transport="pipe",
+        transport: Optional[TcpTransportFactory] = None,
     ):
+        if transport is None:
+            transport = TcpTransportFactory()
+        elif not isinstance(transport, TcpTransportFactory):
+            raise TypeError(
+                f"transport must be a TcpTransportFactory or None, got {transport!r}"
+            )
         self._handles = [_Handle(spec) for spec in specs]
         self._database = database
         self._dirty_resolver = dirty_resolver
-        self._ctx = mp_context if mp_context is not None else default_context()
-        self._factory = make_transport_factory(transport)
+        self._factory = transport
         self.max_restarts = max_restarts
         self.ack_timeout_s = ack_timeout_s
         self.restart_decay_acks = restart_decay_acks
@@ -181,16 +175,11 @@ class WorkerSupervisor:
             self._spawn(handle)
         atexit.register(self.close)
 
-    @property
-    def transport_name(self) -> str:
-        """The transport backend in use (``"pipe"`` or ``"tcp"``)."""
-        return self._factory.name
-
     def _spawn(self, handle: _Handle) -> None:
         # ``process`` is None for externally placed workers: the factory
         # then only accepts the (re)connection — liveness checks fall back
         # to EOF detection and the receive timeout.
-        handle.process, handle.conn = self._factory.spawn(handle.spec, self._ctx)
+        handle.process, handle.conn = self._factory.spawn(handle.spec)
 
     def close(self) -> None:
         """Join/kill every worker deterministically (idempotent).
@@ -444,7 +433,7 @@ class WorkerSupervisor:
         # A successor can die too (repeatable crash, OOM while rebuilding
         # thousands of microVMs), so the whole rebuild — spawn, ledger
         # replay, restore, in-flight re-send — retries under the same
-        # bounded restart budget instead of leaking raw pipe errors.
+        # bounded restart budget instead of leaking raw stream errors.
         while True:
             handle.restarts += 1
             self.restart_count += 1
@@ -468,10 +457,10 @@ class WorkerSupervisor:
                     pass
             handle.dead = True
             try:
-                # The spawn itself retries under the same budget: a TCP
+                # The spawn itself retries under the same budget: a
                 # successor can fail its accept/handshake (or an external
-                # worker may take a while to be relaunched) just like a pipe
-                # successor can die mid-replay.
+                # worker may take a while to be relaunched) just like it
+                # can die mid-replay.
                 self._spawn(handle)
                 handle.dead = False
                 for frame in handle.ledger:
@@ -514,8 +503,7 @@ class WorkerSupervisor:
             for position in positions:
                 skip |= self._dirty_resolver(position)
         for _seq, frame, _sent_at in handle.inflight:
-            # allow_pickle: these are bytes this very process encoded.
-            kind, frame_meta, _arrays = wire.decode_frame(frame, allow_pickle=True)
+            kind, frame_meta, _arrays = wire.decode_frame(frame)
             if kind is FrameKind.APPLY_SLICE:
                 skip |= set(frame_meta["dirty_active"])
         epochs = checkpoint.get("epochs", {})

@@ -1,51 +1,34 @@
 """The transport seam between the worker supervisor and its workers.
 
-The paper's testbed runs hosts on *remote* machines; PR 4's worker processes
-only spoke over local :mod:`multiprocessing` pipes.  This module separates
-*what* travels (``repro.dist.wire`` frames) from *how* it travels — in the
-spirit of RAFDA's separation of application logic from distribution policy —
-behind two small abstractions:
+The paper's testbed runs hosts on *remote* machines, so the coordinator ↔
+host seam is a network stream.  *What* travels is a ``repro.dist.wire``
+frame; *how* it travels — RAFDA's distribution policy, kept apart from the
+application logic — is this module, with one transport and one way to
+obtain it:
 
-* :class:`Transport` — one established, bidirectional, message-oriented
-  channel to a worker.  The API mirrors the subset of
-  :class:`multiprocessing.connection.Connection` the supervisor and worker
-  already use (``send_bytes`` / ``recv_bytes`` / ``poll`` / ``close``), so
-  the framing, supervision and recovery code is transport-agnostic.
-
-  - :class:`PipeTransport` wraps a duplex pipe ``Connection`` (the default,
-    byte-for-byte the PR 4 behaviour).
-  - :class:`SocketTransport` speaks length-prefixed frames over a TCP
-    stream: a little-endian ``u32`` byte count followed by the wire frame.
-    Receives take an optional deadline, so a peer that wedges mid-frame
-    raises :class:`TransportTimeout` instead of hanging the supervisor.
-
-* :class:`TransportFactory` — how a supervisor *obtains* a transport for a
-  worker spec, called once at start and again after every crash:
-
-  - :class:`PipeTransportFactory` creates a pipe pair and forks/spawns the
-    worker process with its spec as process arguments.
-  - :class:`TcpTransportFactory` binds one persistent listener per worker
-    (so a restarted worker reconnects to the *same* address) and performs a
-    connect/accept handshake: the worker's first frame is ``HELLO`` carrying
-    its worker index (the frame header itself carries ``WIRE_VERSION``, so
-    an incompatible peer is rejected before anything else is read), and the
-    supervisor answers with a ``SPEC`` frame holding the
-    :class:`~repro.dist.worker.WorkerSpec` — the worker builds its managers
-    from the wire, not from process arguments, so the same code path serves
-    a supervisor-spawned localhost worker and a worker started by hand on
-    another machine (``python -m repro.dist.worker --connect host:port``).
-    With ``external=True`` the factory never spawns anything: it waits for
-    an operator-started worker to connect (and, after a crash, reconnect).
-
-Connection-loss semantics match pipes everywhere: a clean peer close raises
-``EOFError`` from ``recv_bytes``, a broken send raises ``OSError`` — the
-supervisor's crash detection and the worker's exit path work unchanged.
+* :class:`SocketTransport` — length-prefixed frames (:func:`frame`) over one
+  TCP stream.  Its ``send_bytes`` / ``recv_bytes`` / ``poll`` / ``close`` are
+  all the supervisor, the worker and the serving tier's client use; their
+  docstrings are the contract anything wrapping a transport must keep.  A
+  clean peer close is ``EOFError``, a broken stream ``OSError``, a peer that
+  wedges mid-frame :class:`TransportTimeout` instead of a hang.
+* :class:`TcpTransportFactory` — how a supervisor *obtains* a transport for
+  a worker spec, at start and again after every crash: one persistent
+  listener per worker (a restarted worker reconnects to the *same* address)
+  and a connect/accept handshake.  The worker's first frame is ``HELLO``
+  with its index (the frame header carries ``WIRE_VERSION``, so an
+  incompatible peer is rejected before anything else is read); the answer is
+  a ``SPEC`` frame holding its :class:`~repro.dist.worker.WorkerSpec` as
+  plain data.  A supervisor-spawned loopback worker and one started by hand
+  on another machine (``python -m repro.dist.worker --connect host:port``,
+  ``external=True`` here) therefore run the same code.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import multiprocessing
 import os
 import select
 import socket
@@ -63,7 +46,8 @@ MAX_FRAME_BYTES = 1 << 30
 #: Bytes of entropy in an authentication challenge nonce.
 AUTH_NONCE_BYTES = 32
 
-_LENGTH_PREFIX = struct.Struct("<I")
+#: The little-endian ``u32`` byte count in front of every frame on a stream.
+LENGTH_PREFIX = struct.Struct("<I")
 
 
 class TransportError(OSError):
@@ -75,7 +59,17 @@ class TransportTimeout(TransportError, TimeoutError):
 
 
 class HandshakeError(TransportError):
-    """A connecting worker failed the HELLO handshake."""
+    """The HELLO → SPEC handshake failed (unexpected frame, malformed spec)."""
+
+
+def frame(data: bytes) -> bytes:
+    """One message as it travels on a stream: length prefix + payload."""
+    if len(data) > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"refusing to send a {len(data)}-byte frame "
+            f"(limit {MAX_FRAME_BYTES})"
+        )
+    return LENGTH_PREFIX.pack(len(data)) + data
 
 
 # -- shared-secret authentication ---------------------------------------------
@@ -95,7 +89,7 @@ def auth_digest(secret: str, nonce: bytes, identity: str) -> bytes:
 
 
 def verify_auth(
-    transport: Transport, secret: str, identity: str, timeout_s: float
+    transport: SocketTransport, secret: str, identity: str, timeout_s: float
 ) -> bool:
     """Server side: challenge a dialer and verify its digest.
 
@@ -123,7 +117,7 @@ def verify_auth(
 
 
 def answer_challenge(
-    transport: Transport, meta: dict, secret: str, identity: str
+    transport: SocketTransport, meta: dict, secret: str, identity: str
 ) -> None:
     """Dialer side: answer a received ``CHALLENGE`` frame's nonce."""
     nonce = meta.get("nonce", b"")
@@ -134,71 +128,7 @@ def answer_challenge(
     )
 
 
-class Transport:
-    """One established channel to a worker (documentation base class)."""
-
-    def send_bytes(self, data: bytes) -> None:
-        """Send one complete message."""
-        raise NotImplementedError
-
-    def recv_bytes(self, timeout: Optional[float] = None) -> bytes:
-        """Receive one complete message.
-
-        ``timeout=None`` blocks forever.  Raises :class:`TransportTimeout`
-        when the deadline passes, ``EOFError`` when the peer closed.  For
-        sockets the deadline also covers a peer that stalls *mid-message*;
-        for pipes it has message granularity (see :class:`PipeTransport`).
-        """
-        raise NotImplementedError
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a message (or EOF) is ready within ``timeout`` seconds."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Close the channel (idempotent)."""
-        raise NotImplementedError
-
-
-class PipeTransport(Transport):
-    """A duplex :mod:`multiprocessing` pipe behind the transport API.
-
-    Picklable through :mod:`multiprocessing` process arguments (the wrapped
-    ``Connection`` carries its own reduction), so the child receives the
-    same object the factory built.
-    """
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def send_bytes(self, data: bytes) -> None:
-        self.conn.send_bytes(data)
-
-    def recv_bytes(self, timeout: Optional[float] = None) -> bytes:
-        # Connection has no deadline on an in-flight read, so the poll
-        # below bounds the wait at message granularity: a worker that
-        # wedges *between* messages (the realistic failure — a deadlock or
-        # busy loop never starts the ack) is caught; a local peer stopped
-        # midway through writing a message larger than the pipe buffer
-        # could still block past the deadline.  The TCP transport bounds
-        # that case too; pipes trade it for zero-copy kernel framing.
-        if timeout is not None and not self.conn.poll(timeout):
-            raise TransportTimeout(
-                f"no message arrived on the pipe within {timeout:.1f}s"
-            )
-        return self.conn.recv_bytes()
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        return self.conn.poll(timeout)
-
-    def close(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
-class SocketTransport(Transport):
+class SocketTransport:
     """Length-prefixed wire frames over one connected TCP socket."""
 
     def __init__(self, sock: socket.socket):
@@ -213,18 +143,20 @@ class SocketTransport(Transport):
         self._closed = False
 
     def send_bytes(self, data: bytes) -> None:
-        if len(data) > MAX_FRAME_BYTES:
-            raise TransportError(
-                f"refusing to send a {len(data)}-byte frame "
-                f"(limit {MAX_FRAME_BYTES})"
-            )
-        self._sock.sendall(_LENGTH_PREFIX.pack(len(data)) + data)
+        """Send one complete message (``OSError`` when the stream is broken)."""
+        self._sock.sendall(frame(data))
 
     def recv_bytes(self, timeout: Optional[float] = None) -> bytes:
+        """Receive one complete message.
+
+        ``timeout=None`` blocks forever.  Raises :class:`TransportTimeout`
+        when the deadline passes — it also covers a peer that stalls
+        *mid-message* — and ``EOFError`` when the peer closed.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            prefix = self._recv_exact(_LENGTH_PREFIX.size, deadline)
-            (length,) = _LENGTH_PREFIX.unpack(prefix)
+            prefix = self._recv_exact(LENGTH_PREFIX.size, deadline)
+            (length,) = LENGTH_PREFIX.unpack(prefix)
             if length > MAX_FRAME_BYTES:
                 raise TransportError(
                     f"frame length prefix {length} exceeds the "
@@ -272,12 +204,14 @@ class SocketTransport(Transport):
         return b"".join(chunks)
 
     def poll(self, timeout: float = 0.0) -> bool:
+        """Whether a message (or EOF) is ready within ``timeout`` seconds."""
         if self._closed:
             return True  # a read will raise EOF/OSError immediately
         readable, _, _ = select.select([self._sock], [], [], max(0.0, timeout))
         return bool(readable)
 
     def close(self) -> None:
+        """Close the channel (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -311,8 +245,11 @@ def connect_transport(
     worker answers it with the HMAC digest derived from ``auth_secret``
     (an empty secret answers with a digest that cannot match, so the
     mismatch surfaces as the supervisor closing the connection).
-    Returns ``(worker_spec, transport)``.
+    Returns ``(worker_spec, transport)``; anything but a well-formed ``SPEC``
+    frame at the end of the exchange is a :class:`HandshakeError`.
     """
+    from repro.dist.worker import WorkerSpec
+
     deadline = time.monotonic() + timeout_s
     while True:
         budget = max(0.05, deadline - time.monotonic())
@@ -329,10 +266,7 @@ def connect_transport(
             wire.encode_frame(FrameKind.HELLO, {"worker_index": worker_index})
         )
         data = transport.recv_bytes(timeout=max(0.05, deadline - time.monotonic()))
-        # allow_pickle: the SPEC frame carries the rich WorkerSpec blueprint,
-        # and this side *dialed* the operator-configured supervisor address —
-        # the trusted direction of the handshake.
-        kind, meta, _arrays = wire.decode_frame(data, allow_pickle=True)
+        kind, meta, _arrays = wire.decode_frame(data)
         if kind is FrameKind.CHALLENGE:
             answer_challenge(
                 transport, meta, auth_secret, f"worker-{worker_index}"
@@ -340,12 +274,12 @@ def connect_transport(
             data = transport.recv_bytes(
                 timeout=max(0.05, deadline - time.monotonic())
             )
-            kind, meta, _arrays = wire.decode_frame(data, allow_pickle=True)
+            kind, meta, _arrays = wire.decode_frame(data)
         if kind is not FrameKind.SPEC:
             raise HandshakeError(
                 f"expected a SPEC frame after HELLO, got {kind.name}"
             )
-        return meta["spec"], transport
+        return WorkerSpec.from_meta(meta.get("spec")), transport
     except BaseException:
         transport.close()
         raise
@@ -448,59 +382,15 @@ class SocketListener:
             pass
 
 
-# -- factories ----------------------------------------------------------------
+# -- the factory ---------------------------------------------------------------
 
 
-class TransportFactory:
-    """How the supervisor obtains a transport per worker (base class)."""
-
-    #: ``"pipe"`` or ``"tcp"``.
-    name: str
-
-    def spawn(self, spec, ctx) -> tuple[Optional[Any], Transport]:
-        """Bring one worker up and return ``(process, transport)``.
-
-        Called at pool start and again for every restart.  ``process`` is
-        ``None`` when the factory does not manage the worker's lifetime
-        (externally placed workers): the supervisor then skips process-
-        liveness checks and relies on EOF detection and receive timeouts.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release factory resources, e.g. listening sockets (idempotent)."""
-        raise NotImplementedError
-
-
-class PipeTransportFactory(TransportFactory):
-    """Local worker processes over duplex pipes (the default)."""
-
-    name = "pipe"
-
-    def spawn(self, spec, ctx):
-        from repro.dist.worker import worker_main
-
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=worker_main,
-            args=(spec, child_conn),
-            name=f"celestial-worker-{spec.worker_index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return process, PipeTransport(parent_conn)
-
-    def close(self) -> None:
-        pass
-
-
-class TcpTransportFactory(TransportFactory):
-    """Workers over localhost- or LAN-TCP, spawned locally or placed remotely.
+class TcpTransportFactory:
+    """Workers over loopback- or LAN-TCP, spawned locally or placed remotely.
 
     Managed mode (default): ``spawn`` launches a local child process that
-    dials back in — functionally the pipe topology, but every byte crosses a
-    real TCP stream, which is what the equivalence suite pins down.
+    dials back in over loopback — every byte crosses a real TCP stream and
+    the child runs exactly what a remote worker runs.
 
     External mode (``external=True``): the operator starts each worker by
     hand (``python -m repro.dist.worker --connect host:port --index N``,
@@ -508,8 +398,6 @@ class TcpTransportFactory(TransportFactory):
     must then be explicit so the workers know where to dial (worker *i*
     listens on ``base_port + i``).
     """
-
-    name = "tcp"
 
     def __init__(
         self,
@@ -546,13 +434,25 @@ class TcpTransportFactory(TransportFactory):
             )
         return self._listeners[worker_index]
 
-    def spawn(self, spec, ctx):
+    def spawn(self, spec) -> tuple[Optional[Any], SocketTransport]:
+        """Bring one worker up (pool start, every restart): ``(process, transport)``.
+
+        ``process`` is ``None`` in external mode, where the worker's lifetime
+        is not the factory's to manage.
+        """
         from repro.dist.worker import tcp_worker_main
 
         listener = self.listener_for(spec.worker_index)
         process = None
         if not self.external:
-            process = ctx.Process(
+            # fork (where available) shares the already-imported scientific
+            # stack with the child; it is handed four scalars, so spawn does
+            # just as well elsewhere.
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            process = context.Process(
                 target=tcp_worker_main,
                 # Workers dial the loopback/LAN address the listener bound;
                 # a spawned worker inherits the supervisor's shared secret.
@@ -563,7 +463,7 @@ class TcpTransportFactory(TransportFactory):
             process.start()
         try:
             transport = listener.accept(self.accept_timeout_s)
-            transport.send_bytes(wire.encode_frame(FrameKind.SPEC, {"spec": spec}))
+            transport.send_bytes(spec.to_frame())
         except BaseException:
             if process is not None and process.is_alive():
                 process.terminate()
@@ -572,20 +472,10 @@ class TcpTransportFactory(TransportFactory):
         return process, transport
 
     def close(self) -> None:
+        """Release the listening sockets (idempotent)."""
         if self._closed:
             return
         self._closed = True
         for listener in self._listeners.values():
             listener.close()
         self._listeners.clear()
-
-
-def make_transport_factory(transport) -> TransportFactory:
-    """Resolve ``"pipe"`` / ``"tcp"`` (or a ready factory) to a factory."""
-    if isinstance(transport, TransportFactory):
-        return transport
-    if transport in (None, "pipe"):
-        return PipeTransportFactory()
-    if transport == "tcp":
-        return TcpTransportFactory()
-    raise ValueError(f"unknown transport {transport!r} (expected 'pipe' or 'tcp')")

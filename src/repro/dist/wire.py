@@ -17,34 +17,31 @@ Every message is one self-contained frame::
 The metadata blob holds the small, scalar part of the payload (epoch
 numbers, machine names, counters) plus one *descriptor* per NumPy array:
 ``(dtype_str, shape)``.  The arrays themselves travel as their raw memory
-buffers appended after the blob — **not** pickled field by field — so a
-multi-kilobyte per-ground-station delay vector costs one ``memcpy`` each
-way and round-trips byte-identically (dtype, shape and payload bits).
+buffers appended after the blob, so a multi-kilobyte per-ground-station
+delay vector costs one ``memcpy`` each way and round-trips byte-identically
+(dtype, shape and payload bits).
 
-The header is parsed with :mod:`struct` and the version is checked *before*
-the metadata blob is deserialised; a frame from a different protocol
-generation is rejected with :class:`WireVersionError` instead of being
-misinterpreted.  Every array descriptor is validated before its buffer is
-sliced: the dtype string must name a real, fixed-size, object-free dtype and
-every shape dimension must be a non-negative integer, so a corrupt or forged
-descriptor (e.g. a negative dimension that would make ``nbytes`` negative
-and defeat the bounds check) raises :class:`WireError` instead of producing
-a nonsense array view.
+The ``flags`` byte is reserved and must be zero.  The header is parsed with
+:mod:`struct`; version and flags are checked *before* the metadata blob is
+deserialised, so a frame from a different protocol generation is rejected
+with :class:`WireVersionError` instead of being misinterpreted.  Every array
+descriptor is validated before its buffer is sliced: the dtype string must
+name a fixed-size bool / integer / unsigned / float dtype (the only kinds an
+encoder ships) and every shape dimension must be a non-negative integer, so
+a corrupt or forged descriptor (e.g. a negative dimension that would make
+``nbytes`` negative and defeat the bounds check) raises :class:`WireError`
+instead of producing a nonsense array view.
 
 The metadata blob is a *security boundary*: frames arrive from network
 peers that have not authenticated yet (the worker listener's ``HELLO``,
-the streaming gateway's ``SUBSCRIBE``), so the blob must never be able to
-execute code on decode.  It therefore uses a closed, self-describing
-binary encoding (:func:`encode_blob` / :func:`decode_blob`) restricted to
-``None``/bool/int/float/str/bytes/list/tuple/dict — no object
-construction, no imports, no callables.  The one payload that genuinely
-carries rich Python objects — the worker blueprint in ``SPEC`` frames and
-the kernel/rootfs dataclasses of ``CREATE_MACHINE`` — falls back to
-pickle protocol 5 and is *flagged* in the frame header
-(:data:`FLAG_PICKLED`); :func:`decode_frame` refuses such frames unless
-the caller passes ``allow_pickle=True``, which only the worker side of an
-operator-configured supervisor channel does.  An unauthenticated dialer
-can thus never reach ``pickle.loads``.
+the streaming gateway's ``SUBSCRIBE``), so decoding it must never be able to
+execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
+a closed, self-describing binary encoding of
+``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
+no imports, no callables.  Dataclass payloads (the worker blueprint in
+``SPEC``, the kernel/rootfs images of ``CREATE_MACHINE``) travel as their
+``dataclasses.asdict`` form and are rebuilt by the receiver; anything else
+is a :class:`TypeError` at the sender.
 
 Payload codecs
 --------------
@@ -63,7 +60,6 @@ from __future__ import annotations
 
 import enum
 import math
-import pickle
 import struct
 from typing import Any, Optional
 
@@ -75,14 +71,11 @@ from repro.core.machine_manager import HostStateSlice
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
 #: Protocol generation.  Bump on any incompatible frame/codec change.
-#: Version 2: the metadata blob moved from pickle to the safe blob codec
-#: (pickle remains only as the header-flagged fallback for rich payloads).
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-#: Header flag: the metadata blob is pickled, not safe-blob-encoded.  Only
-#: set by :func:`encode_frame` when the metadata holds objects outside the
-#: safe codec's closed type set; decoding requires ``allow_pickle=True``.
-FLAG_PICKLED = 0x01
+#: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
+#: float.  No encoder ships anything else, so nothing else is decoded.
+_ARRAY_KINDS = "biuf"
 
 _HEADER = struct.Struct("<4sHBBII")
 
@@ -97,8 +90,8 @@ class WireVersionError(WireError):
 
 # -- safe metadata-blob codec -------------------------------------------------
 #
-# A tiny tag-length-value encoding over a closed type set.  Unlike pickle
-# it can only ever *construct data* — decoding allocates containers and
+# A tiny tag-length-value encoding over a closed type set.  It can only
+# ever *construct data* — decoding allocates containers and
 # scalars, never looks up classes or calls anything — so it is safe to run
 # on bytes from an unauthenticated network peer.
 
@@ -117,8 +110,7 @@ def encode_blob(obj: Any) -> bytes:
 
     Supports ``None``, bool, int (arbitrary precision), float, str, bytes,
     list, tuple and dict (NumPy scalars are coerced to their Python
-    equivalents).  Raises :class:`TypeError` for anything else — the
-    caller (:func:`encode_frame`) then falls back to flagged pickle.
+    equivalents).  Raises :class:`TypeError` for anything else.
     """
     out: list[bytes] = []
     _encode_obj(obj, out, 0)
@@ -301,32 +293,31 @@ def encode_frame(
 ) -> bytes:
     """Serialise one frame: header + metadata blob + raw array buffers.
 
-    The metadata blob uses the safe blob codec; metadata holding objects
-    outside its closed type set (the ``SPEC`` blueprint, ``CREATE_MACHINE``
-    image dataclasses) falls back to pickle and sets :data:`FLAG_PICKLED`
-    in the header, so only decoders that opted in will accept the frame.
+    Raises :class:`TypeError` — before any byte is produced — for metadata
+    outside the safe blob codec's closed type set and for arrays that are
+    not bool / integer / unsigned / float.
     """
     descriptors = []
     buffers = []
     for array in arrays:
         array = np.ascontiguousarray(array)
+        if array.dtype.kind not in _ARRAY_KINDS:
+            raise TypeError(
+                f"{array.dtype} arrays cannot travel as raw frame buffers"
+            )
         descriptors.append((array.dtype.str, array.shape))
         buffers.append(array.tobytes())
-    payload = {"meta": meta if meta is not None else {}, "arrays": descriptors}
-    flags = 0
-    try:
-        blob = encode_blob(payload)
-    except TypeError:
-        blob = pickle.dumps(payload, protocol=5)
-        flags = FLAG_PICKLED
+    blob = encode_blob(
+        {"meta": meta if meta is not None else {}, "arrays": descriptors}
+    )
     header = _HEADER.pack(
-        WIRE_MAGIC, WIRE_VERSION, int(kind), flags, len(blob), len(descriptors)
+        WIRE_MAGIC, WIRE_VERSION, int(kind), 0, len(blob), len(descriptors)
     )
     return b"".join([header, blob, *buffers])
 
 
 def decode_frame(
-    data: bytes, *, allow_pickle: bool = False
+    data: bytes,
 ) -> tuple[FrameKind, dict[str, Any], list[np.ndarray]]:
     """Parse one frame back into ``(kind, meta, arrays)``.
 
@@ -334,12 +325,6 @@ def decode_frame(
     them before mutating.  Raises :class:`WireError` on malformed frames and
     :class:`WireVersionError` on a protocol-version mismatch (checked before
     anything else is deserialised).
-
-    ``allow_pickle`` gates frames whose metadata fell back to pickle
-    (:data:`FLAG_PICKLED`): it must stay ``False`` — the default — for any
-    frame read from a peer that has not authenticated, and is only set on
-    the worker side of an operator-configured supervisor channel, where the
-    ``SPEC``/``CREATE_MACHINE`` payloads genuinely carry rich objects.
     """
     if len(data) < _HEADER.size:
         raise WireError(f"frame truncated: {len(data)} bytes < header size")
@@ -351,6 +336,8 @@ def decode_frame(
             f"wire protocol version {version} is not supported "
             f"(this codec speaks version {WIRE_VERSION})"
         )
+    if flags:
+        raise WireError(f"reserved header flags {flags:#04x} are set")
     try:
         frame_kind = FrameKind(kind)
     except ValueError as error:
@@ -358,16 +345,8 @@ def decode_frame(
     offset = _HEADER.size
     if len(data) < offset + meta_len:
         raise WireError("frame truncated inside the metadata blob")
-    if flags & FLAG_PICKLED and not allow_pickle:
-        raise WireError(
-            f"refusing the pickled metadata blob of a {frame_kind.name} frame: "
-            "this decoder only accepts pickle on trusted channels"
-        )
     try:
-        if flags & FLAG_PICKLED:
-            blob = pickle.loads(data[offset : offset + meta_len])
-        else:
-            blob = decode_blob(data[offset : offset + meta_len])
+        blob = decode_blob(data[offset : offset + meta_len])
         meta, descriptors = blob["meta"], blob["arrays"]
     except Exception as error:
         raise WireError(f"undecodable metadata blob: {error}") from error
@@ -422,6 +401,10 @@ def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
         raise WireError(f"object dtype {dtype_str!r} cannot travel as a raw buffer")
     if dtype.itemsize == 0:
         raise WireError(f"zero-itemsize dtype {dtype_str!r} in array descriptor")
+    if dtype.kind not in _ARRAY_KINDS:
+        raise WireError(
+            f"array dtype {dtype_str!r} is not a bool/integer/unsigned/float dtype"
+        )
     if not isinstance(shape, (tuple, list)) or len(shape) > 32:
         raise WireError(f"malformed array shape {shape!r}")
     dims = []

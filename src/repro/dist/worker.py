@@ -2,7 +2,7 @@
 
 One worker owns one or more :class:`~repro.core.machine_manager.
 MachineManager`\\ s — each with its :class:`~repro.hosts.Host` and microVMs —
-in a child process.  It plays the role a Celestial host plays on a real
+in a process of its own.  It plays the role a Celestial host plays on a real
 machine of the paper's testbed: receive the part of every constellation
 update that concerns its own machines, apply it, and report host resource
 usage back to the coordinator (§3, Fig. 2).
@@ -10,13 +10,13 @@ usage back to the coordinator (§3, Fig. 2).
 Protocol
 --------
 
-The worker reads :mod:`repro.dist.wire` frames from its transport — a local
-pipe or a TCP connection (:mod:`repro.dist.transport`) — in order and
-executes them sequentially, which makes its random streams replayable: the
-coordinator forwards machine creations and usage-sample requests in exactly
-the order the in-process thread backend would execute them, so every random
-draw (usage-sample jitter, microVM boot times) lands on the same generator
-state as in a single-process run — the foundation of the byte-identical
+The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
+the supervisor (:mod:`repro.dist.transport`) and executes them in order,
+which makes its random streams replayable: the coordinator forwards machine
+creations and usage-sample requests in exactly the order the in-process
+thread backend would execute them, so every random draw (usage-sample
+jitter, microVM boot times) lands on the same generator state as in a
+single-process run — the foundation of the byte-identical
 backend-equivalence guarantee.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
@@ -32,17 +32,17 @@ a crash, followed by a ``RESTORE`` frame that forces bounding-box activity
 to the checkpoint epoch (recovered from the database's keyframe + diff
 chain) and restores counters and RNG streams.
 
-Remote placement
-----------------
+Placement
+---------
 
-Run standalone on another machine with::
+A worker always starts the same way (:func:`tcp_worker_main`): it dials the
+supervisor's per-worker listener, sends ``HELLO`` with its index and
+receives its :class:`WorkerSpec` in the answering ``SPEC`` frame, so it
+needs no blueprint — only an address.  A supervisor-spawned worker does so
+over loopback; run one standalone on another machine with::
 
     python -m repro.dist.worker --connect HOST:PORT --index N [--loop]
 
-The worker dials the supervisor's per-worker listener, handshakes (a
-``HELLO`` frame carrying its index; the frame header carries
-``WIRE_VERSION``) and receives its :class:`WorkerSpec` in the answering
-``SPEC`` frame, so the command line needs no blueprint — only an address.
 With ``--loop`` the worker reconnects after a dropped connection (e.g. the
 supervisor restarting it after a detected wedge), which is the external
 analogue of the supervisor's local respawn.
@@ -65,9 +65,10 @@ from repro.core.config import ComputeParams
 from repro.core.constellation import MachineId
 from repro.core.machine_manager import MachineManager
 from repro.dist import wire
-from repro.dist.transport import PipeTransport, Transport, connect_transport
+from repro.dist.transport import HandshakeError, connect_transport
 from repro.dist.wire import FrameKind
 from repro.hosts import Host
+from repro.microvm import KernelImage, RootFilesystemImage
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,23 @@ class HostSpec:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Blueprint of one worker process (picklable for any start method)."""
+    """Blueprint of one worker process; travels as its ``asdict`` form."""
 
     worker_index: int
     hosts: tuple[HostSpec, ...]
+
+    def to_frame(self) -> bytes:
+        """The ``SPEC`` frame that answers this worker's handshake."""
+        return wire.encode_frame(FrameKind.SPEC, {"spec": dataclasses.asdict(self)})
+
+    @classmethod
+    def from_meta(cls, fields: Any) -> "WorkerSpec":
+        """The spec a ``SPEC`` frame carries; :class:`HandshakeError` if it is none."""
+        try:
+            hosts = tuple(HostSpec(**host) for host in fields["hosts"])
+            return cls(worker_index=fields["worker_index"], hosts=hosts)
+        except (KeyError, TypeError) as error:
+            raise HandshakeError(f"malformed worker spec: {error!r}") from error
 
 
 def _machine_id(meta: dict[str, Any]) -> MachineId:
@@ -165,10 +179,7 @@ class _Worker:
             except (EOFError, OSError):
                 return False
             try:
-                # allow_pickle: this channel is the supervisor that spawned
-                # us (pipe) or whose address the operator configured (TCP);
-                # CREATE_MACHINE frames carry kernel/rootfs dataclasses.
-                kind, meta, arrays = wire.decode_frame(data, allow_pickle=True)
+                kind, meta, arrays = wire.decode_frame(data)
             except wire.WireError:
                 # A corrupt frame means the stream is desynced; treat it
                 # like a dropped connection (a --loop worker reconnects and
@@ -245,12 +256,13 @@ class _Worker:
             self.epochs[position] = meta["epoch"]
             return None
         if kind is FrameKind.CREATE_MACHINE:
-            manager = self.by_position[meta["position"]]
-            manager.create_machine(
+            # The images travel as their asdict form; None means the default.
+            kernel, rootfs = meta["kernel"], meta["rootfs"]
+            self.by_position[meta["position"]].create_machine(
                 _machine_id(meta),
                 ComputeParams(**meta["compute"]),
-                kernel=meta["kernel"],
-                rootfs=meta["rootfs"],
+                kernel=None if kernel is None else KernelImage(**kernel),
+                rootfs=None if rootfs is None else RootFilesystemImage(**rootfs),
             )
             return None
         if kind is FrameKind.BOOT:
@@ -284,39 +296,26 @@ class _Worker:
         raise ValueError(f"worker cannot handle frame kind {kind!r}")
 
 
-def worker_main(spec: WorkerSpec, conn) -> None:
-    """Child-process entrypoint: build the managers and serve the transport.
-
-    ``conn`` may be a raw pipe ``Connection`` (the pipe factory passes the
-    child end through process arguments) or any
-    :class:`~repro.dist.transport.Transport`.
-    """
-    transport = conn if isinstance(conn, Transport) else PipeTransport(conn)
-    try:
-        _Worker(spec, transport).run()
-    finally:
-        try:
-            transport.close()
-        except OSError:
-            pass
-
-
 def tcp_worker_main(
-    host: str, port: int, worker_index: int, auth_secret: str = ""
-) -> None:
-    """Child-process entrypoint of a supervisor-spawned TCP worker.
+    host: str,
+    port: int,
+    worker_index: int,
+    auth_secret: str = "",
+    connect_timeout_s: float = 30.0,
+) -> bool:
+    """One worker incarnation: dial, handshake, receive the spec, serve.
 
-    Identical to what ``python -m repro.dist.worker --connect`` runs: dial,
-    handshake (answering the supervisor's HMAC challenge when a shared
-    secret is configured), receive the spec over the wire, serve — so the
-    localhost equivalence suite exercises exactly the remote-placement
-    code path.
+    The process target of a supervisor-spawned worker and the body of
+    ``python -m repro.dist.worker --connect`` alike (the supervisor's HMAC
+    challenge is answered when a shared secret is configured), so the
+    equivalence suite exercises exactly the remote-placement code path.
+    Returns whether the worker ended on a clean ``SHUTDOWN``.
     """
     spec, transport = connect_transport(
-        host, port, worker_index, auth_secret=auth_secret
+        host, port, worker_index, timeout_s=connect_timeout_s, auth_secret=auth_secret
     )
     try:
-        _Worker(spec, transport).run()
+        return _Worker(spec, transport).run()
     finally:
         transport.close()
 
@@ -363,17 +362,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not host or not port_text.isdigit():
         parser.error(f"--connect expects HOST:PORT, got {args.connect!r}")
     while True:
-        spec, transport = connect_transport(
-            host,
-            int(port_text),
-            args.index,
-            timeout_s=args.connect_timeout,
-            auth_secret=args.auth_secret,
+        clean_shutdown = tcp_worker_main(
+            host, int(port_text), args.index, args.auth_secret, args.connect_timeout
         )
-        try:
-            clean_shutdown = _Worker(spec, transport).run()
-        finally:
-            transport.close()
         if clean_shutdown or not args.loop:
             return 0
 

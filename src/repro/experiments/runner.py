@@ -412,7 +412,6 @@ class ExperimentRunner:
             path_sources="all" if (serve is not None and serve.all_pairs) else "ground_stations",
             parallelism=spec.runtime.parallelism,
             worker_count=spec.runtime.workers,
-            transport=spec.runtime.transport,
         )
         gateway = None
         try:

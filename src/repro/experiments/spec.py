@@ -3,7 +3,7 @@
 An :class:`ExperimentSpec` captures everything one emulation run needs —
 which scenario builds the :class:`~repro.core.config.Configuration`, which
 fault program runs against it, which application workload drives traffic,
-how the run executes (duration, fan-out backend, transport, seed) and which
+how the run executes (duration, fan-out backend, worker count, seed) and which
 analysis outputs to emit — as one frozen value that round-trips through
 TOML and JSON byte-stably.  This extends the paper's single-configuration
 principle (§3.1) from the testbed to the *experiment*: parameter sweeps and
@@ -35,7 +35,6 @@ Example (``experiment.toml``)::
     [runtime]
     parallelism = "processes"
     workers = 2
-    transport = "tcp"
 
     [metrics]
     outputs = ["summary", "latency-csv"]
@@ -124,7 +123,6 @@ class RuntimeSpec:
     duration_s: Optional[float] = None
     parallelism: str = "threads"
     workers: Optional[int] = None
-    transport: str = "pipe"
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -132,10 +130,6 @@ class RuntimeSpec:
             raise ExperimentSpecError(
                 f"unknown parallelism {self.parallelism!r} "
                 "(expected 'threads' or 'processes')"
-            )
-        if self.transport not in ("pipe", "tcp"):
-            raise ExperimentSpecError(
-                f"unknown transport {self.transport!r} (expected 'pipe' or 'tcp')"
             )
         if self.duration_s is not None and self.duration_s <= 0:
             raise ExperimentSpecError("runtime duration must be positive")
@@ -262,7 +256,6 @@ class ExperimentSpec:
         runtime["parallelism"] = self.runtime.parallelism
         if self.runtime.workers is not None:
             runtime["workers"] = int(self.runtime.workers)
-        runtime["transport"] = self.runtime.transport
         if self.runtime.seed is not None:
             runtime["seed"] = int(self.runtime.seed)
         data["runtime"] = runtime
@@ -314,11 +307,16 @@ class ExperimentSpec:
                 for op in data.get("fault_program", [])
             )
             runtime_data = data.get("runtime", {})
+            if "transport" in runtime_data:
+                raise ExperimentSpecError(
+                    "runtime.transport was removed: worker processes are always "
+                    "reached over TCP (loopback for the ones the run spawns); "
+                    "delete the key"
+                )
             runtime = RuntimeSpec(
                 duration_s=runtime_data.get("duration_s"),
                 parallelism=runtime_data.get("parallelism", "threads"),
                 workers=runtime_data.get("workers"),
-                transport=runtime_data.get("transport", "pipe"),
                 seed=runtime_data.get("seed"),
             )
             metrics_data = data.get("metrics", {})

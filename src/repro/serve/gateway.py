@@ -21,9 +21,9 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
   epoch's keyframe, from which the diff stream resumes.
 * **No pre-auth deserialisation hazards.**  Every frame a client can
   send — including the very first SUBSCRIBE — is decoded with the wire
-  module's safe metadata codec; pickled metadata blobs are refused
-  outright (:func:`repro.dist.wire.decode_frame`'s default), so a dialer
-  gets no code-execution surface before (or after) authenticating.
+  module's one metadata codec, which can only construct plain data
+  (:func:`repro.dist.wire.decode_frame`), so a dialer gets no
+  code-execution surface before (or after) authenticating.
 * **Scoped subscriptions.**  A subscription may scope itself to a
   geodetic bounding box (server-side filtering through
   :meth:`~repro.core.bounding_box.BoundingBox.contains_ecef` against the
@@ -54,7 +54,13 @@ import numpy as np
 
 from repro.core.bounding_box import BoundingBox
 from repro.dist import wire
-from repro.dist.transport import _LENGTH_PREFIX, MAX_FRAME_BYTES, auth_digest
+from repro.dist.transport import (
+    AUTH_NONCE_BYTES,
+    LENGTH_PREFIX,
+    MAX_FRAME_BYTES,
+    auth_digest,
+    frame,
+)
 from repro.dist.wire import FrameKind
 from repro.serve.codec import changed_nodes, encode_skip_update
 
@@ -198,15 +204,11 @@ class StreamGateway:
 
     @staticmethod
     async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-        prefix = await reader.readexactly(_LENGTH_PREFIX.size)
-        (length,) = _LENGTH_PREFIX.unpack(prefix)
+        prefix = await reader.readexactly(LENGTH_PREFIX.size)
+        (length,) = LENGTH_PREFIX.unpack(prefix)
         if length > MAX_FRAME_BYTES:
             raise GatewayError(f"frame length {length} exceeds the limit")
         return await reader.readexactly(length)
-
-    @staticmethod
-    def _frame_bytes(data: bytes) -> bytes:
-        return _LENGTH_PREFIX.pack(len(data)) + data
 
     # -- publication (called from the database listener) --------------------
 
@@ -227,7 +229,7 @@ class StreamGateway:
             update = codec.diff_update(epoch, diff=diff)
             meta, arrays = update.decoded()
             touched = changed_nodes(meta, arrays)
-        payload = self._frame_bytes(update.data)
+        payload = frame(update.data)
         skip_payload: Optional[bytes] = None
         for subscription in self._subscriptions.values():
             if subscription.closed:
@@ -239,7 +241,7 @@ class StreamGateway:
                 # so the scoped client's epoch chain keeps advancing
                 # (encoded at most once per epoch, shared by all skips).
                 if skip_payload is None:
-                    skip_payload = self._frame_bytes(encode_skip_update(diff, epoch))
+                    skip_payload = frame(encode_skip_update(diff, epoch))
                 subscription.skipped += 1
                 self._enqueue(subscription, skip_payload, epoch, state)
                 continue
@@ -303,7 +305,7 @@ class StreamGateway:
                 )
         else:
             keyframe = database.codec.keyframe_update(epoch, state=state)
-        items = [(self._frame_bytes(keyframe.data), False), *preserved]
+        items = [(frame(keyframe.data), False), *preserved]
         if closing:
             items.append(None)
         for item in items:
@@ -434,9 +436,9 @@ class StreamGateway:
         if self.auth_secret:
             # Same challenge/response the worker handshake uses, with the
             # client id as the identity bound into the digest.
-            nonce = os.urandom(32)
+            nonce = os.urandom(AUTH_NONCE_BYTES)
             writer.write(
-                self._frame_bytes(
+                frame(
                     wire.encode_frame(FrameKind.CHALLENGE, {"nonce": nonce})
                 )
             )
@@ -461,7 +463,7 @@ class StreamGateway:
             # when this connection's cleanup popped the shared key.
             self.rejected_subscriptions += 1
             writer.write(
-                self._frame_bytes(
+                frame(
                     wire.encode_frame(
                         FrameKind.ERROR,
                         {"error": f"client id {client_id!r} is already subscribed"},
@@ -500,11 +502,11 @@ class StreamGateway:
                 "keyframe_epochs": keyframe_epochs,
             },
         )
-        writer.write(self._frame_bytes(ack))
+        writer.write(frame(ack))
         # Seed the stream with the current epoch's keyframe so the client
         # has a base state to apply subsequent diffs onto.
         if seed is not None:
-            subscription.queue.put_nowait((self._frame_bytes(seed.data), False))
+            subscription.queue.put_nowait((frame(seed.data), False))
             subscription.last_epoch = epoch
         await writer.drain()
         return subscription
@@ -547,7 +549,7 @@ class StreamGateway:
             if kind is not FrameKind.QUERY:
                 raise GatewayError(f"unexpected {kind.name} frame mid-stream")
             result = self._answer_query(subscription, meta)
-            payload = self._frame_bytes(wire.encode_frame(FrameKind.RESULT, result))
+            payload = frame(wire.encode_frame(FrameKind.RESULT, result))
             try:
                 subscription.queue.put_nowait((payload, True))
             except asyncio.QueueFull:

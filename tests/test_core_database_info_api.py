@@ -1,6 +1,7 @@
 """Unit tests for the constellation database, info API, DNS-over-HTTP and animation."""
 
 import json
+import threading
 import urllib.request
 
 import pytest
@@ -202,6 +203,21 @@ class TestDiffHistoryAPI:
         )
         # JSON-serialisable end to end.
         json.dumps(payload)
+
+    def test_constellation_info_reads_one_publication(self):
+        # /info threads race set_state: the read waits for the database lock
+        # and returns the state, epoch and diff of a single publication.
+        calculation, database, _ = self._chained(epochs=3)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(database.constellation_info()))
+        with database.lock:
+            reader.start()
+            reader.join(timeout=0.3)
+            assert reader.is_alive() and not result  # waiting for the lock
+            database.set_state(calculation.state_at(500.0))  # keyframe reset
+        reader.join(timeout=5.0)
+        info = result[0]
+        assert (info["epoch"], info["time_s"], info["last_diff"]) == (4, 500.0, None)
 
     def test_current_epoch_yields_empty_stream(self):
         _, database, api = self._chained()

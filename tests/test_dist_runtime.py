@@ -5,12 +5,9 @@ no-op relative to the default thread backend — suspend/resume counters,
 dirty-machine reconciliation, machine states and usage samples are
 byte/count-identical over many epochs, **including** a worker crash that is
 recovered by replaying the durable control ledger plus the constellation
-database's keyframe + diff chain.
-
-The equivalence tests are parametrized over the worker transport: the
-``pipe`` rows pin the PR 4 behaviour, the ``tcp`` rows prove the
-remote-worker wire path (length-prefixed frames, handshake, reconnect
-after SIGKILL) is byte/count-identical over localhost.
+database's keyframe + diff chain.  Every process-backend test runs over the
+one worker seam: length-prefixed frames on loopback TCP, handshake, reconnect
+after SIGKILL — the path a remote worker takes.
 """
 
 import dataclasses
@@ -34,6 +31,7 @@ from repro.core import (
 )
 from repro.dist.backend import ProcessFanoutBackend
 from repro.dist.supervisor import WorkerCrashError
+from repro.dist.transport import TcpTransportFactory
 from repro.hosts import Host
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
@@ -61,7 +59,7 @@ def _iridium_box_config(update_interval_s=60.0, duration_s=1200.0):
     )
 
 
-def _coordinator(config, parallelism, host_count=3, worker_count=2, transport="pipe"):
+def _coordinator(config, parallelism, host_count=3, worker_count=2, transport=None):
     calculation = ConstellationCalculation(config)
     managers = [
         MachineManager(
@@ -123,13 +121,12 @@ def _assert_equivalent(threads, processes):
 
 
 class TestProcessBackendEquivalence:
-    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
-    def test_iridium_counters_states_and_samples(self, transport):
+    def test_iridium_counters_states_and_samples(self):
         # Long enough that satellites leave the box, are suspended, come
         # back and are resumed; usage sampled every epoch.
         config = _iridium_box_config(duration_s=1200.0)
         threads = _coordinator(config, "threads")
-        processes = _coordinator(config, "processes", transport=transport)
+        processes = _coordinator(config, "processes")
         try:
             for step in range(13):
                 now = step * 60.0
@@ -155,15 +152,12 @@ class TestProcessBackendEquivalence:
             threads.close()
             processes.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
-    def test_starlink_epochs_match(self, transport):
+    def test_starlink_epochs_match(self):
         # Starlink (two lowest shells, West-Africa bounding box), ≥ 10
         # epochs through the differential pipeline on both backends.
         config = west_africa_configuration(duration_s=60.0, shells="two-lowest")
         threads = _coordinator(config, "threads", host_count=4, worker_count=2)
-        processes = _coordinator(
-            config, "processes", host_count=4, worker_count=2, transport=transport
-        )
+        processes = _coordinator(config, "processes", host_count=4, worker_count=2)
         try:
             for step in range(11):
                 now = step * config.update_interval_s
@@ -178,13 +172,12 @@ class TestProcessBackendEquivalence:
             threads.close()
             processes.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
-    def test_quota_and_busy_changes_reach_the_next_sample(self, transport):
+    def test_quota_and_busy_changes_reach_the_next_sample(self):
         # The workers keep their usage reading between samples; a quota or
         # busy-fraction change made through the proxy must drop it there.
         config = _iridium_box_config()
         threads = _coordinator(config, "threads")
-        processes = _coordinator(config, "processes", transport=transport)
+        processes = _coordinator(config, "processes")
         try:
             for coordinator in (threads, processes):
                 coordinator.update(0.0)
@@ -254,11 +247,10 @@ class TestProcessBackendEquivalence:
             threads.close()
             processes.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
-    def test_worker_crash_recovered_by_keyframe_diff_replay(self, transport):
+    def test_worker_crash_recovered_by_keyframe_diff_replay(self):
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
-        processes = _coordinator(config, "processes", transport=transport)
+        processes = _coordinator(config, "processes")
         try:
             for step in range(7):
                 now = step * 60.0
@@ -266,8 +258,8 @@ class TestProcessBackendEquivalence:
                 processes.update(now)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             # Kill one worker the hard way (SIGKILL).  The next fan-out's
-            # heartbeat sweep detects the death, respawns the worker (over
-            # TCP: the successor reconnects to the same listener), replays
+            # heartbeat sweep detects the death, respawns the worker (the
+            # successor reconnects to the same listener), replays
             # its control ledger and restores activity from the database's
             # keyframe + diff chain plus the last checkpoint.
             processes._backend.crash_worker(0)
@@ -408,11 +400,14 @@ class TestProcessBackendEquivalence:
 
 
 def test_thread_backend_rejects_worker_transport():
-    # --transport tcp without --parallelism processes must fail loudly:
-    # silently running in-process would fake a passing remote-path run.
+    # Worker deployment settings without parallelism="processes" must fail
+    # loudly: silently running in-process would fake a passing remote-path run.
     config = _iridium_box_config()
     with pytest.raises(ValueError, match="parallelism='processes'"):
-        _coordinator(config, "threads", transport="tcp")
+        _coordinator(config, "threads", transport=TcpTransportFactory())
+    # ... and a transport *name* selects nothing: there is one transport.
+    with pytest.raises(TypeError, match="TcpTransportFactory"):
+        _coordinator(config, "processes", transport="tcp")
 
 
 class TestSupervision:

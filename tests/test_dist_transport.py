@@ -3,7 +3,7 @@
 Three layers of contract:
 
 * :class:`SocketTransport` — length-prefixed frames round-trip exactly;
-  closed peers raise ``EOFError`` (like pipes), stalled peers raise
+  closed peers raise ``EOFError``, stalled peers raise
   :class:`TransportTimeout` instead of hanging, corrupt length prefixes are
   typed errors.
 * The connect/accept handshake — version skew and wrong worker indices are
@@ -38,15 +38,12 @@ from repro.dist.supervisor import (
 )
 from repro.dist.transport import (
     MAX_FRAME_BYTES,
-    PipeTransport,
-    PipeTransportFactory,
     SocketListener,
     SocketTransport,
     TcpTransportFactory,
     TransportError,
     TransportTimeout,
     connect_transport,
-    make_transport_factory,
 )
 from repro.dist.wire import FrameKind, WireVersionError
 from repro.dist.worker import HostSpec, WorkerSpec
@@ -71,6 +68,31 @@ def _spec(worker_index=0, position=0):
             ),
         ),
     )
+
+
+def _handshake(worker_index, listener_secret="", dial_secret=""):
+    """Dial a fresh listener for the slot; the spec the dialer received."""
+    listener = SocketListener(worker_index=worker_index, auth_secret=listener_secret)
+    result = {}
+
+    def dial():
+        spec, transport = connect_transport(
+            "127.0.0.1", listener.port, worker_index, timeout_s=5.0, auth_secret=dial_secret
+        )
+        result["spec"] = spec
+        transport.close()
+
+    thread = threading.Thread(target=dial)
+    thread.start()
+    try:
+        server_side = listener.accept(5.0)
+        server_side.send_bytes(_spec(worker_index=worker_index).to_frame())
+        thread.join(timeout=5.0)
+        server_side.close()
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    return result["spec"]
 
 
 class TestSocketTransportFraming:
@@ -181,47 +203,9 @@ class TestSocketTransportFraming:
             b.close()
 
 
-class TestPipeTransportTimeout:
-    def test_recv_timeout_when_idle(self):
-        import multiprocessing
-
-        parent, child = multiprocessing.Pipe(duplex=True)
-        transport = PipeTransport(parent)
-        try:
-            with pytest.raises(TransportTimeout):
-                transport.recv_bytes(timeout=0.2)
-            child.send_bytes(b"late")
-            assert transport.recv_bytes(timeout=1.0) == b"late"
-        finally:
-            transport.close()
-            child.close()
-
-
 class TestHandshake:
     def test_matching_worker_is_accepted_and_receives_spec(self):
-        listener = SocketListener(worker_index=3)
-        result = {}
-
-        def dial():
-            spec, transport = connect_transport(
-                "127.0.0.1", listener.port, 3, timeout_s=5.0
-            )
-            result["spec"] = spec
-            transport.close()
-
-        thread = threading.Thread(target=dial)
-        thread.start()
-        try:
-            server_side = listener.accept(5.0)
-            server_side.send_bytes(
-                wire.encode_frame(FrameKind.SPEC, {"spec": _spec(worker_index=3)})
-            )
-            thread.join(timeout=5.0)
-            assert result["spec"] == _spec(worker_index=3)
-            server_side.close()
-        finally:
-            thread.join(timeout=5.0)
-            listener.close()
+        assert _handshake(3) == _spec(worker_index=3)
 
     def test_wrong_worker_index_is_rejected(self):
         listener = SocketListener(worker_index=3)
@@ -278,14 +262,14 @@ class TestHandshake:
             spec, transport = connect_transport(
                 "127.0.0.1", listener.port, 1, timeout_s=5.0
             )
-            assert spec == "ok"
+            assert spec == _spec(worker_index=1)
             transport.close()
 
         thread = threading.Thread(target=garbage_then_dial)
         thread.start()
         try:
             server_side = listener.accept(5.0)
-            server_side.send_bytes(wire.encode_frame(FrameKind.SPEC, {"spec": "ok"}))
+            server_side.send_bytes(_spec(worker_index=1).to_frame())
             thread.join(timeout=5.0)
             assert not thread.is_alive()
             server_side.close()
@@ -306,33 +290,7 @@ class TestHandshake:
 
 class TestAuthHandshake:
     def test_matching_secret_receives_spec(self):
-        listener = SocketListener(worker_index=2, auth_secret="orbital")
-        result = {}
-
-        def dial():
-            spec, transport = connect_transport(
-                "127.0.0.1",
-                listener.port,
-                2,
-                timeout_s=5.0,
-                auth_secret="orbital",
-            )
-            result["spec"] = spec
-            transport.close()
-
-        thread = threading.Thread(target=dial)
-        thread.start()
-        try:
-            server_side = listener.accept(5.0)
-            server_side.send_bytes(
-                wire.encode_frame(FrameKind.SPEC, {"spec": _spec(worker_index=2)})
-            )
-            thread.join(timeout=5.0)
-            assert result["spec"] == _spec(worker_index=2)
-            server_side.close()
-        finally:
-            thread.join(timeout=5.0)
-            listener.close()
+        assert _handshake(2, "orbital", "orbital") == _spec(worker_index=2)
 
     def test_mismatched_secret_is_rejected_before_the_spec_flows(self):
         listener = SocketListener(worker_index=2, auth_secret="orbital")
@@ -365,15 +323,6 @@ class TestAuthHandshake:
 
 
 class TestFactories:
-    def test_factory_resolution(self):
-        assert isinstance(make_transport_factory("pipe"), PipeTransportFactory)
-        assert isinstance(make_transport_factory(None), PipeTransportFactory)
-        assert isinstance(make_transport_factory("tcp"), TcpTransportFactory)
-        ready = TcpTransportFactory()
-        assert make_transport_factory(ready) is ready
-        with pytest.raises(ValueError, match="unknown transport"):
-            make_transport_factory("carrier-pigeon")
-
     def test_external_mode_requires_explicit_ports(self):
         with pytest.raises(ValueError, match="base_port"):
             TcpTransportFactory(external=True)
@@ -390,18 +339,17 @@ class TestFactories:
             factory.listener_for(0)
 
 
-def _supervisor(transport, **kwargs):
+def _supervisor(**kwargs):
     kwargs.setdefault("ack_timeout_s", 10.0)
-    return WorkerSupervisor([_spec()], transport=transport, **kwargs)
+    return WorkerSupervisor([_spec()], **kwargs)
 
 
 class TestSupervisionHardening:
-    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
-    def test_wedged_worker_hits_timeout_and_is_rebuilt(self, transport):
+    def test_wedged_worker_hits_timeout_and_is_rebuilt(self):
         # The worker stays alive but stops serving: only the receive
         # deadline can notice, and it must route into the crash/restart
         # path rather than surfacing a bare TimeoutError (or hanging).
-        supervisor = _supervisor(transport, ack_timeout_s=1.0, max_restarts=2)
+        supervisor = _supervisor(ack_timeout_s=1.0, max_restarts=2)
         try:
             supervisor.start()
             assert "counters" in supervisor.ping(0)
@@ -416,7 +364,7 @@ class TestSupervisionHardening:
         assert issubclass(WorkerTimeoutError, WorkerCrashError)
 
     def test_restart_budget_decays_after_healthy_acks(self):
-        supervisor = _supervisor("pipe", max_restarts=1, restart_decay_acks=3)
+        supervisor = _supervisor(max_restarts=1, restart_decay_acks=3)
         try:
             supervisor.start()
             supervisor.ping(0)
@@ -433,7 +381,7 @@ class TestSupervisionHardening:
     def test_crash_loop_still_bounded(self):
         # Crashes faster than the decay threshold must still exhaust the
         # budget — the decay handles transience, not brokenness.
-        supervisor = _supervisor("pipe", max_restarts=1, restart_decay_acks=100)
+        supervisor = _supervisor(max_restarts=1, restart_decay_acks=100)
         try:
             supervisor.start()
             supervisor.ping(0)

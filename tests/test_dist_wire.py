@@ -1,12 +1,13 @@
 """Wire-protocol round-trip tests for the distribution runtime.
 
 The contract under test: a :class:`HostStateSlice` (and every other frame
-payload) crosses the coordinator ↔ worker pipe **byte-identically** — same
+payload) crosses the coordinator ↔ worker seam **byte-identically** — same
 dtypes, same shapes, same payload bits — including empty slices and
 zero-length edge arrays, and frames from a different protocol generation
 are rejected before any payload is deserialised.
 """
 
+import importlib
 import pickle
 import struct
 
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.machine_manager import HostStateSlice
+from repro.core.config import ComputeParams
+from repro.core.machine_manager import HostStateSlice, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
+from repro.dist.backend import MirroredManager
+from repro.dist.transport import HandshakeError
 from repro.dist.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -27,6 +31,12 @@ from repro.dist.wire import (
     decode_frame,
     encode_frame,
 )
+from repro.dist.worker import HostSpec, WorkerSpec, _Worker
+from repro.hosts import Host
+from repro.microvm import KernelImage, RootFilesystemImage
+
+# NumPy warns while parsing its deprecated "a" alias of "S", before the kind is refused.
+pytestmark = pytest.mark.filterwarnings("ignore:Data type alias 'a':DeprecationWarning")
 
 
 def _assert_bytes_identical(sent: np.ndarray, received: np.ndarray):
@@ -174,6 +184,14 @@ class TestForgedDescriptors:
         frame = _forge_frame(descriptors=[("not-a-dtype", (2,))], payload=b"")
         with pytest.raises(WireError, match="invalid array dtype"):
             decode_frame(frame)
+        # Fixed-size and object-free, but nothing an encoder ships: strings,
+        # void records, datetimes and complex numbers are refused both ways.
+        for dtype in ("a4", "S8", "U3", "V16", "M8[s]", "c16"):
+            frame = _forge_frame(descriptors=[(dtype, (1,))], payload=b"\x00" * 16)
+            with pytest.raises(WireError, match="dtype"):
+                decode_frame(frame)
+            with pytest.raises(TypeError, match="raw frame buffers"):
+                encode_frame(FrameKind.PING, {}, (np.zeros(1, dtype=dtype),))
 
     def test_non_string_dtype_rejected(self):
         # np.dtype(8) would happily build int64 — the descriptor contract
@@ -309,42 +327,35 @@ def _trip_canary(tag: str) -> None:
 
 class _Canary:
     """Pickles to a call of :func:`_trip_canary` — unpickling it anywhere
-    without opt-in would be the remote-code-execution the gate prevents."""
+    would be the remote code execution the single codec rules out."""
 
     def __reduce__(self):
         return (_trip_canary, ("boom",))
 
 
 class TestPickleGating:
-    """Pickle survives only as a header-flagged fallback for trusted
-    channels; a frame from an unauthenticated peer can never reach
-    ``pickle.loads`` without the decoder opting in."""
+    """The metadata blob has one codec, and it is not pickle: a set flags
+    byte is refused before the blob is looked at, pickle bytes in an
+    unflagged frame are just a malformed blob."""
 
-    def test_pickled_blob_refused_by_default(self):
+    def test_pickled_blob_refused_by_default(self, monkeypatch):
+        monkeypatch.setattr(wire, "decode_blob", lambda data: pytest.fail("blob decoded"))
         blob = pickle.dumps({"meta": {"x": 1}, "arrays": []}, protocol=5)
-        frame = _forge_frame(blob=blob, array_count=0, flags=wire.FLAG_PICKLED)
-        with pytest.raises(WireError, match="pickle"):
-            decode_frame(frame)
-
-    def test_pickled_blob_accepted_with_opt_in(self):
-        blob = pickle.dumps({"meta": {"x": 1}, "arrays": []}, protocol=5)
-        frame = _forge_frame(blob=blob, array_count=0, flags=wire.FLAG_PICKLED)
-        _, meta, arrays = decode_frame(frame, allow_pickle=True)
-        assert meta == {"x": 1}
-        assert arrays == []
+        for flags in (0x01, 0x80, 0xFF):
+            with pytest.raises(WireError, match="flags"):
+                decode_frame(_forge_frame(blob=blob, array_count=0, flags=flags))
 
     def test_malicious_pickle_never_executes_without_opt_in(self):
         del _CANARY_CALLS[:]
         blob = pickle.dumps({"meta": {"evil": _Canary()}, "arrays": []}, protocol=5)
-        frame = _forge_frame(blob=blob, array_count=0, flags=wire.FLAG_PICKLED)
+        frame = _forge_frame(blob=blob, array_count=0, flags=0x01)
         with pytest.raises(WireError):
             decode_frame(frame)
         assert _CANARY_CALLS == []
 
     def test_unflagged_pickle_bytes_are_not_routed_to_pickle(self):
-        # A frame whose flags lie (pickle bytes without FLAG_PICKLED) must
-        # fail safe-blob decoding — the flag decides the codec, so stripping
-        # it cannot smuggle a pickle past the gate.
+        # A frame whose flags lie (pickle bytes, flags byte zero) must fail
+        # blob decoding: no header bit selects another codec.
         del _CANARY_CALLS[:]
         blob = pickle.dumps({"meta": {"evil": _Canary()}, "arrays": []}, protocol=5)
         frame = _forge_frame(blob=blob, array_count=0, flags=0)
@@ -352,16 +363,11 @@ class TestPickleGating:
             decode_frame(frame)
         assert _CANARY_CALLS == []
 
-    def test_rich_payloads_take_the_flagged_fallback(self):
-        # Sets are outside the safe type set — stand-in for the WorkerSpec
-        # blueprint that rides SPEC frames.
-        frame = encode_frame(FrameKind.SPEC, {"spec": {1, 2}})
-        flags = frame[7]  # header: magic(4) + version(2) + kind(1) + flags
-        assert flags & wire.FLAG_PICKLED
-        with pytest.raises(WireError, match="pickle"):
-            decode_frame(frame)
-        _, meta, _ = decode_frame(frame, allow_pickle=True)
-        assert meta == {"spec": {1, 2}}
+    def test_rich_payloads_are_a_type_error(self):
+        # Outside the closed type set the sender fails; no byte is produced.
+        for value in ({1, 2}, _Canary(), np.arange(3), object()):
+            with pytest.raises(TypeError, match="safe metadata blob"):
+                encode_frame(FrameKind.SPEC, {"spec": value})
 
     def test_safe_payloads_are_never_flagged(self):
         for meta in (
@@ -371,9 +377,53 @@ class TestPickleGating:
             {"rng_state": 2**127 - 1, "epoch": 3},
         ):
             frame = encode_frame(FrameKind.SUBSCRIBE, meta)
-            assert not frame[7] & wire.FLAG_PICKLED
-            _, out, _ = decode_frame(frame)  # safe default decodes it
+            assert frame[7] == 0  # header: magic(4) + version(2) + kind(1) + flags
+            _, out, _ = decode_frame(frame)
             assert out == meta
+
+    def test_no_runtime_module_binds_pickle(self):
+        for name in ("dist.wire", "dist.transport", "dist.worker", "dist.supervisor",
+                     "serve.gateway", "serve.client"):
+            assert "pickle" not in vars(importlib.import_module(f"repro.{name}")), name
+
+    def test_spec_and_create_machine_travel_as_plain_data(self):
+        # Built by the real senders, decoded by the one decode_frame, rebuilt
+        # by the worker: equal objects, RNG streams that continue identically.
+        rngs = [np.random.default_rng(seed) for seed in (5, 6)]
+        for rng in rngs:
+            rng.random(3)  # live state, not a fresh seed
+        hosts = tuple(
+            HostSpec(position, 10 + position, 8, 4096, True, rng.bit_generator.state)
+            for position, rng in enumerate(rngs)
+        )
+        spec = WorkerSpec(worker_index=1, hosts=hosts)
+        kind, meta, _ = decode_frame(spec.to_frame())
+        assert kind is FrameKind.SPEC and WorkerSpec.from_meta(meta["spec"]) == spec
+        worker = _Worker(WorkerSpec.from_meta(meta["spec"]), None)
+        for position, rng in enumerate(rngs):
+            continued = worker.by_position[position]._rng
+            assert continued.random(4).tolist() == rng.random(4).tolist()
+        for malformed in ("ok", {"worker_index": 0}, {"worker_index": 0, "hosts": [{}]}):
+            with pytest.raises(HandshakeError, match="malformed worker spec"):
+                WorkerSpec.from_meta(malformed)
+
+        sent = []
+
+        class _Recorder:  # stands in for ProcessFanoutBackend.forward
+            def forward(self, position, kind, meta):
+                sent.append(encode_frame(kind, {**meta, "position": position}))
+
+        kernel = KernelImage().with_args("quiet")
+        rootfs = RootFilesystemImage(name="edge.img", size_mib=512.0)
+        proxy = MirroredManager(MachineManager(Host(index=10)), _Recorder(), 0)
+        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams(), kernel, rootfs)
+        proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
+        for data in sent:
+            worker._dispatch(*decode_frame(data))
+        machines = worker.by_position[0].host.machines
+        created = machines["4.0.celestial"]
+        assert (created.kernel, created.rootfs) == (kernel, rootfs)
+        assert machines["5.0.celestial"].kernel == KernelImage()  # None → the default
 
 
 def _reference_frame() -> bytes:

@@ -128,8 +128,10 @@ class TestSpecValidation:
     def test_runtime_validation(self):
         with pytest.raises(ExperimentSpecError, match="parallelism"):
             RuntimeSpec(parallelism="fibers")
-        with pytest.raises(ExperimentSpecError, match="transport"):
-            RuntimeSpec(transport="carrier-pigeon")
+        # A request for pipes is refused, not silently run over TCP.
+        stale = {"name": "x", "scenario": {"name": "iridium"}, "runtime": {"transport": "pipe"}}
+        with pytest.raises(ExperimentSpecError, match="transport was removed"):
+            ExperimentSpec.from_dict(stale)
         with pytest.raises(ExperimentSpecError, match="duration"):
             RuntimeSpec(duration_s=-1.0)
 
@@ -165,7 +167,7 @@ def _full_spec() -> ExperimentSpec:
                 params={"isls_per_step": 5, "interval_s": 30.0},
             ),
         ),
-        runtime=RuntimeSpec(parallelism="processes", workers=2, transport="tcp", seed=7),
+        runtime=RuntimeSpec(parallelism="processes", workers=2, seed=7),
         metrics=MetricsSpec(outputs=("summary", "latency-csv")),
     )
 

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.orbits import GroundStation, ShellGeometry
 from repro.dist import wire
-from repro.dist.transport import _LENGTH_PREFIX
+from repro.dist.transport import LENGTH_PREFIX, frame as stream_frame
 from repro.serve import EpochSnapshot
 from repro.serve.client import SubscriptionClient, SubscriptionError
 from repro.serve.gateway import GatewayServer, StreamGateway, _Subscription
@@ -264,9 +264,10 @@ class TestPreAuthSafety:
         self, testbed_core
     ):
         """The first frame of an unauthenticated dialer must never reach
-        ``pickle.loads`` — a crafted SUBSCRIBE gets the connection dropped,
-        not code execution (the gateway runs in this process, so a pickle
-        canary firing would be observable here)."""
+        ``pickle.loads`` — a crafted SUBSCRIBE, with or without a lying
+        flags byte, gets the connection dropped, not code execution (the
+        gateway runs in this process, so a pickle canary firing would be
+        observable here)."""
         _, _, database, _ = testbed_core
         del _CANARY_CALLS[:]
         blob = pickle.dumps(
@@ -278,7 +279,7 @@ class TestPreAuthSafety:
                 wire.WIRE_MAGIC,
                 wire.WIRE_VERSION,
                 int(wire.FrameKind.SUBSCRIBE),
-                wire.FLAG_PICKLED,
+                0x01,
                 len(blob),
                 0,
             )
@@ -286,10 +287,11 @@ class TestPreAuthSafety:
         )
         with GatewayServer(database) as server:
             host, port = server.address
-            with socket.create_connection((host, port), timeout=5.0) as sock:
-                sock.sendall(_LENGTH_PREFIX.pack(len(frame)) + frame)
-                sock.settimeout(5.0)
-                assert sock.recv(4096) == b""  # dropped, no handshake reply
+            for data in (frame, frame[:7] + b"\x00" + frame[8:]):  # flags byte zeroed
+                with socket.create_connection((host, port), timeout=5.0) as sock:
+                    sock.sendall(stream_frame(data))
+                    sock.settimeout(5.0)
+                    assert sock.recv(4096) == b""  # dropped, no handshake reply
             assert server.statistics()["subscriptions"] == 0
         assert _CANARY_CALLS == []
 
@@ -316,7 +318,7 @@ class TestEvictionPreservesReplies:
         # epoch backlog is gone, the blocked queries still get answered.
         resync, *rest = items
         assert resync[1] is False
-        kind, _meta, _arrays = wire.decode_frame(resync[0][_LENGTH_PREFIX.size :])
+        kind, _meta, _arrays = wire.decode_frame(resync[0][LENGTH_PREFIX.size :])
         assert kind is wire.FrameKind.KEYFRAME
         assert rest == [(reply_a, True), (reply_b, True)]
         assert subscription.evictions == 1
