@@ -74,8 +74,8 @@ def _run_backend(parallelism: str) -> dict:
         machines = sum(len(m.host.machines) for m in coordinator.managers)
         # Per epoch: slice fan-out + one usage-sample round trip; skip the
         # full-replay epoch and the warm-up sample.
-        fanout = coordinator.stats.fanout_seconds[1:]
-        samples = coordinator.stats.sample_seconds[1:]
+        fanout = list(coordinator.stats.fanout_seconds)[1:]
+        samples = list(coordinator.stats.sample_seconds)[1:]
         return {
             "backend": parallelism,
             "machines": machines,

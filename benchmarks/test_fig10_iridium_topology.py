@@ -12,6 +12,7 @@ from repro.analysis import render_table
 from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration
 from repro.topology import LinkType
+from repro.topology.graph import _LINK_TYPE_BY_CODE
 
 
 def test_fig10_iridium_dart_topology(benchmark):
@@ -20,8 +21,11 @@ def test_fig10_iridium_dart_topology(benchmark):
 
     state = benchmark(calculation.state_at, 0.0)
 
-    isl_links = [link for link in state.graph.links if link.link_type is LinkType.ISL]
-    uplinks = [link for link in state.graph.links if link.link_type is LinkType.UPLINK]
+    graph = state.graph
+    types = [_LINK_TYPE_BY_CODE[code] for code in graph.link_type_codes]
+    endpoints = list(zip(graph.node_a.tolist(), graph.node_b.tolist()))
+    isl_links = [pair for pair, kind in zip(endpoints, types) if kind is LinkType.ISL]
+    uplinks = [pair for pair, kind in zip(endpoints, types) if kind is LinkType.UPLINK]
     geometry = config.shells[0].geometry
 
     # Seam check: no ISL connects plane 0 and plane 5.
@@ -29,9 +33,9 @@ def test_fig10_iridium_dart_topology(benchmark):
     first_plane = set(range(per_plane))
     last_plane = set(range((geometry.planes - 1) * per_plane, geometry.planes * per_plane))
     seam_links = [
-        link for link in isl_links
-        if (link.node_a in first_plane and link.node_b in last_plane)
-        or (link.node_b in first_plane and link.node_a in last_plane)
+        (a, b) for a, b in isl_links
+        if (a in first_plane and b in last_plane)
+        or (b in first_plane and a in last_plane)
     ]
 
     rows = [

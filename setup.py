@@ -32,9 +32,7 @@ setup(
             "pytest",
             "pytest-benchmark",
             "hypothesis",
-            "networkx",
         ],
-        "export": ["networkx"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

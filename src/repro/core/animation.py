@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.constellation import ConstellationState
 from repro.orbits.coordinates import ecef_to_geodetic
+from repro.topology.graph import _LINK_TYPE_BY_CODE
 
 
 def constellation_snapshot(state: ConstellationState, include_links: bool = True) -> dict:
@@ -53,15 +54,23 @@ def constellation_snapshot(state: ConstellationState, include_links: bool = True
         "ground_stations": ground_stations,
     }
     if include_links:
+        graph = state.graph
+        describe = state.node_index.describe
         snapshot["links"] = [
             {
-                "a": state.node_index.describe(link.node_a),
-                "b": state.node_index.describe(link.node_b),
-                "distance_km": link.distance_km,
-                "delay_ms": link.delay_ms,
-                "type": link.link_type.value,
+                "a": describe(a),
+                "b": describe(b),
+                "distance_km": distance,
+                "delay_ms": delay,
+                "type": _LINK_TYPE_BY_CODE[code].value,
             }
-            for link in state.graph.links
+            for a, b, distance, delay, code in zip(
+                graph.node_a.tolist(),
+                graph.node_b.tolist(),
+                graph.distances_km.tolist(),
+                graph.delays_ms.tolist(),
+                graph.link_type_codes.tolist(),
+            )
         ]
     return snapshot
 

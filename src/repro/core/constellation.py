@@ -9,11 +9,10 @@ network parameters are handed to the Machine Managers without modification.
 The snapshot hot path is fully vectorised: static structures (the node
 index, per-shell +GRID ISL endpoint arrays as flat global node indices, and
 ground-station nodes/positions) are computed once in
-:class:`ConstellationCalculation` and reused across consecutive snapshots,
-and each :meth:`ConstellationCalculation.state_at` call builds the
-array-backed :class:`~repro.topology.graph.NetworkGraph` from a handful of
-bulk array appends (one per shell for ISLs, one per ground-station/shell
-pair for uplinks) instead of a Python loop over individual links.
+:class:`ConstellationCalculation` and reused across consecutive snapshots.
+Each epoch's link set is derived as a handful of per-shell and
+per-ground-station array chunks, which one assembly step concatenates into
+the edge table of a :class:`~repro.topology.graph.NetworkGraph`.
 Ground-station elevation checks are batched into one matrix operation per
 shell over the stacked GST×satellite position array
 (:func:`~repro.topology.uplinks.visible_satellites_batch`).
@@ -21,26 +20,32 @@ shell over the stacked GST×satellite position array
 Differential updates
 --------------------
 
-:meth:`ConstellationCalculation.diff_since` is the epoch-to-epoch fast
-path.  Both it and :meth:`ConstellationCalculation.state_at` derive their
-link set from the same internal per-epoch arrays, so the states they
-produce are byte-identical; the diff path additionally
+:meth:`ConstellationCalculation.state_at` is the cold reference,
+:meth:`ConstellationCalculation.diff_since` the epoch-to-epoch fast path.
+Both derive their link set from the same per-epoch arrays and build the
+graph through the same assembly
+(:meth:`ConstellationCalculation._assemble_graph`: ISLs by shell, then
+uplinks by ground station and shell), so edge ids agree and the states
+they produce are byte-identical.  What differs is what the diff path
+reuses from the previous epoch:
 
-* assembles the graph directly from the concatenated edge arrays
-  (:meth:`~repro.topology.graph.NetworkGraph.from_edge_arrays`), sharing
-  the previous epoch's sorted-key/adjacency/CSR caches whenever the edge
-  set did not change structurally (the steady-state case), and
-* emits a :class:`ConstellationDiff` — the
-  :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
-  per-shell bounding-box ``activated``/``deactivated`` satellite ids —
-  which the coordinator shards into per-host slices instead of replaying
-  the full state to every machine manager, and
-* advances the shortest-path tables through the
-  :class:`~repro.topology.paths.PathEngine`: the previous epoch's tables
-  are reused verbatim when the diff changed no delay and no link, and
-  otherwise the main table and every lazily created
-  satellite-to-satellite table share one stacked solve.  Engine output
-  is byte-identical to a cold solve by construction.
+* the certified visibility bounds (:class:`_UpdateHints`), which restrict
+  the line-of-sight and elevation checks to the pairs that can have
+  crossed a threshold — ``state_at`` evaluates every pair;
+* the previous graph's derived structure (sorted keys, delay-matrix
+  template), shared whenever the edge set did not change — ``state_at``
+  passes no ``structure_from``;
+* the shortest-path tables, advanced through the
+  :class:`~repro.topology.paths.PathEngine`: reused verbatim when the diff
+  changed no delay and no link, and otherwise the main table and every
+  lazily created satellite-to-satellite table share one stacked solve —
+  ``state_at`` runs a cold :meth:`~repro.topology.paths.PathEngine.solve`.
+
+The diff path also emits a :class:`ConstellationDiff` — the
+:class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
+per-shell bounding-box ``activated``/``deactivated`` satellite ids — which
+the coordinator shards into per-host slices instead of replaying the full
+state to every machine manager.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -203,9 +208,10 @@ class _EpochArrays:
     ``uplink_chunks`` one ``(gst_name, shell, gst_node, visible_ids,
     sat_nodes, distance_km, delay_ms, bandwidth_kbps)`` tuple per
     ground-station/shell pair with at least one visible satellite, in the
-    deterministic order the links are appended to the graph (ISLs by shell,
-    then uplinks by ground station, then shell).  Keeping both code paths on
-    these arrays guarantees byte-identical snapshots.
+    deterministic order :meth:`ConstellationCalculation._assemble_graph`
+    concatenates them (ISLs by shell, then uplinks by ground station, then
+    shell).  Keeping both code paths on these arrays guarantees
+    byte-identical snapshots.
     """
 
     gmst: float
@@ -375,11 +381,9 @@ class ConstellationState:
     uplinks: Mapping = field(default_factory=dict)
     _extra_paths: dict[int, ShortestPaths] = field(default_factory=dict, repr=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
-    #: The owning calculation's engine, extra-table cap at this epoch
-    #: (enforced on insert in :meth:`_paths_from`; 0 disables caching)
-    #: and shared score book; the calculation sets all three.
+    #: The owning calculation's engine and shared score book; the
+    #: calculation sets both.
     _path_engine: Optional[PathEngine] = field(default=None, repr=False, compare=False)
-    _extra_table_limit: int = field(default=0, repr=False, compare=False)
     _table_scores: Optional[_ExtraTableScores] = field(
         default=None, repr=False, compare=False
     )
@@ -398,14 +402,15 @@ class ConstellationState:
         where they join the main table's stacked solve.
 
         The cache is bounded at *insert* time: when adding a table would
-        exceed the epoch's effective cap (:meth:`ConstellationCalculation.
-        _extra_table_cap`), the lowest-ranked cached table is evicted
+        exceed :attr:`ConstellationCalculation.MAX_CARRIED_EXTRA_TABLES`,
+        the lowest-ranked cached table is evicted
         (:class:`_ExtraTableScores`: fewest decayed hits, then least
-        recently used) before the new one is kept; a cap of 0 disables
-        caching entirely.  Every lookup records a hit or miss, both in
-        the score book (so eviction ranks on real usage, not insertion
-        order) and in the engine's ``cache_*`` counters (so the behaviour
-        is observable through ``path_statistics``).
+        recently used) before the new one is kept, so the set a
+        ``diff_since`` carries never exceeds the cap either.  Every lookup
+        records a hit or miss, both in the score book (so eviction ranks
+        on real usage, not insertion order) and in the engine's
+        ``cache_*`` counters (so the behaviour is observable through
+        ``path_statistics``).
         """
         if self.paths.has_source(node_a):
             return self.paths, node_a, node_b
@@ -422,12 +427,9 @@ class ConstellationState:
                 return table, source, target
         engine.stats.cache_misses += 1
         table = engine.solve(self.graph, sources=[node_a])
-        limit = self._extra_table_limit
-        if limit == 0:
-            return table, node_a, node_b
         self._extra_paths[node_a] = table
         scores.record_insert(node_a)
-        while len(self._extra_paths) > limit:
+        while len(self._extra_paths) > ConstellationCalculation.MAX_CARRIED_EXTRA_TABLES:
             candidates = [k for k in self._extra_paths if k != node_a]
             victim = min(candidates, key=scores.rank)
             scores.drop(victim)
@@ -504,33 +506,18 @@ class ConstellationCalculation:
         self,
         config: Configuration,
         path_sources: Literal["ground_stations", "all"] = "ground_stations",
-        max_carried_extra_tables: Optional[int] = None,
-        all_pairs: bool = False,
     ):
         self.config = config
-        # ``all_pairs=True`` is the serving-tier shape: the main table's
-        # source set becomes every node (a superset of every active
-        # satellite), and each epoch the whole carried table set — main
-        # plus extras — advances through one epoch-batched
+        # ``path_sources="all"`` is the serving-tier shape: the main
+        # table's source set becomes every node (a superset of every
+        # active satellite), and each epoch the whole carried table set —
+        # main plus extras — advances through one epoch-batched
         # ``PathEngine.advance_all`` call.
-        self.all_pairs = all_pairs
-        if all_pairs:
-            path_sources = "all"
         self.path_sources = path_sources
         # Usage score book of the extra-table cache, shared with
         # every state this calculation produces (eviction needs history
         # that outlives a single epoch's state object).
         self._extra_table_scores = _ExtraTableScores()
-        # Cap on lazily created single-source tables carried between
-        # epochs (None → the class default); always additionally bounded
-        # by EXTRA_TABLE_MEMORY_BUDGET_MB, see :meth:`_extra_table_cap`.
-        self.max_carried_extra_tables = (
-            max_carried_extra_tables
-            if max_carried_extra_tables is not None
-            else self.MAX_CARRIED_EXTRA_TABLES
-        )
-        if self.max_carried_extra_tables < 0:
-            raise ValueError("max_carried_extra_tables must be >= 0")
         self.shells: list[Shell] = [
             Shell(
                 shell_config.geometry,
@@ -635,7 +622,7 @@ class ConstellationCalculation:
             "decay_half_life_epochs": _ExtraTableScores.DECAY_HALF_LIFE_EPOCHS,
             "decay_factor": _ExtraTableScores.DECAY_FACTOR,
             "score": "decayed hits, then least-recent use",
-            "max_carried_extra_tables": int(self.max_carried_extra_tables),
+            "max_carried_extra_tables": self.MAX_CARRIED_EXTRA_TABLES,
         }
 
     # -- machine identities -------------------------------------------------
@@ -841,45 +828,11 @@ class ConstellationCalculation:
 
         return _LazyUplinkTable(build)
 
-    #: Default cap on lazily created single-source tables carried between
+    #: Cap on lazily created single-source tables carried between
     #: epochs.  Every carried table adds one source row to the epoch's
-    #: stacked solve (≈ 1 ms per row on full Starlink), so the default
+    #: stacked solve (≈ 1 ms per row on full Starlink), so the cap
     #: bounds a fully populated cache to a few hundred rows per epoch.
     MAX_CARRIED_EXTRA_TABLES = 256
-
-    #: Memory budget for carried extra tables.  Each single-source table
-    #: holds a distance row (float64) and a predecessor row (int32) —
-    #: 12 bytes per node; the effective cap shrinks on very large graphs
-    #: so carried tables never dominate the epoch state.
-    EXTRA_TABLE_MEMORY_BUDGET_MB = 64
-
-    def _extra_table_cap(self, graph: NetworkGraph) -> int:
-        """Effective carry cap: the configured cap, memory-bounded."""
-        per_table_bytes = len(graph.index) * 12
-        budget_bytes = self.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
-        memory_cap = max(32, budget_bytes // max(per_table_bytes, 1))
-        return int(min(self.max_carried_extra_tables, memory_cap))
-
-    def _select_carry(
-        self, tables: dict[int, ShortestPaths], cap: int
-    ) -> list[tuple[int, ShortestPaths]]:
-        """Pick which cached extra tables to carry into the next epoch.
-
-        Keeps the ``cap`` highest-ranked tables (:class:`_ExtraTableScores`),
-        preserving their insertion order; dropped tables count as
-        evictions and lose their score entries.  With no recorded hits
-        the ranking degenerates to least-recently-inserted-first —
-        recency, not FIFO position.
-        """
-        scores = self._extra_table_scores
-        excess = len(tables) - cap
-        if excess <= 0:
-            return list(tables.items())
-        victims = set(sorted(tables, key=scores.rank)[:excess])
-        for node in victims:
-            scores.drop(node)
-        self.path_engine.stats.cache_evictions += len(victims)
-        return [(node, table) for node, table in tables.items() if node not in victims]
 
     def _state_from_epoch(
         self,
@@ -891,13 +844,12 @@ class ConstellationCalculation:
     ) -> ConstellationState:
         extra_paths: dict[int, ShortestPaths] = {}
         engine = self.path_engine
-        cap = self._extra_table_cap(graph)
         if previous is not None and topology is not None:
             # The main table and every carried satellite-to-satellite
             # query table advance through ONE call: reused together or
             # solved together in one stacked solver invocation.
             self._extra_table_scores.decay()
-            carried = self._select_carry(previous._extra_paths, cap)
+            carried = list(previous._extra_paths.items())
             paths, *extras = engine.advance_all(
                 [previous.paths, *(table for _, table in carried)],
                 graph,
@@ -922,54 +874,18 @@ class ConstellationCalculation:
             _extra_paths=extra_paths,
             _update_hints=epoch.hints,
             _path_engine=engine,
-            _extra_table_limit=cap,
             _table_scores=self._extra_table_scores,
         )
 
-    def state_at(self, time_s: float) -> ConstellationState:
-        """Compute the full constellation state at a simulation time.
+    def _assemble_graph(
+        self, epoch: _EpochArrays, structure_from: Optional[NetworkGraph]
+    ) -> NetworkGraph:
+        """Concatenate the epoch's chunks into the graph's flat edge arrays.
 
-        This is the full-rebuild reference path: the graph is reconstructed
-        from scratch through the bulk-append/deduplicate machinery.  Use
-        :meth:`diff_since` to advance from a previous epoch instead.
+        The order — ISLs by shell, then uplinks by ground station and
+        shell — fixes the edge ids, so every graph of one epoch, cold or
+        incremental, numbers its edges alike.
         """
-        epoch = self._epoch_arrays(time_s)
-        graph = NetworkGraph(self.node_index)
-        for nodes_a, nodes_b, distances, delays, bandwidth in epoch.isl_chunks:
-            graph.add_links(nodes_a, nodes_b, distances, delays, bandwidth, LinkType.ISL)
-        for _, _, gst_node, _, sat_nodes, distances, delays, bandwidth in epoch.uplink_chunks:
-            graph.add_links(
-                np.full(sat_nodes.size, gst_node, dtype=np.int64),
-                sat_nodes,
-                distances,
-                delays,
-                bandwidth,
-                LinkType.UPLINK,
-            )
-        return self._state_from_epoch(time_s, epoch, graph)
-
-    def diff_since(
-        self, previous: ConstellationState, time_s: float
-    ) -> tuple[ConstellationState, ConstellationDiff]:
-        """Advance from a previous epoch, reusing its arrays where possible.
-
-        Returns the new state — byte-identical to what :meth:`state_at`
-        would compute for ``time_s`` — together with the
-        :class:`ConstellationDiff` describing everything that changed since
-        ``previous``.  The new graph is assembled directly from the
-        concatenated epoch arrays; in the steady-state case (no links
-        appeared or disappeared) the previous graph's sorted keys, CSR
-        adjacency and delay-matrix structure are shared rather than rebuilt,
-        and the emitted diff aligns edge ids 1:1 without any set
-        intersection.
-        """
-        if previous.node_index is not self.node_index:
-            raise ValueError("previous state belongs to a different calculation")
-        epoch = self._epoch_arrays(time_s, previous)
-
-        # Assemble the flat edge arrays in the exact order state_at appends
-        # them (ISLs by shell, then uplinks by ground station and shell), so
-        # insertion order — and therefore edge ids — match the full rebuild.
         isl_code = _CODE_BY_LINK_TYPE[LinkType.ISL]
         uplink_code = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
         nodes_a, nodes_b, distances_km, delays_ms, bandwidths, type_codes = (
@@ -995,7 +911,7 @@ class ConstellationCalculation:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(chunks)
 
-        graph = NetworkGraph.from_edge_arrays(
+        return NetworkGraph.from_edge_arrays(
             self.node_index,
             _concat(nodes_a, np.int64),
             _concat(nodes_b, np.int64),
@@ -1003,8 +919,38 @@ class ConstellationCalculation:
             _concat(delays_ms, np.float64),
             _concat(bandwidths, np.float64),
             _concat(type_codes, np.int8),
-            structure_from=previous.graph,
+            structure_from=structure_from,
         )
+
+    def state_at(self, time_s: float) -> ConstellationState:
+        """Compute the full constellation state at a simulation time.
+
+        This is the cold reference path: every visibility pair is
+        evaluated (no hints), the graph shares no structure with another
+        epoch, and the path tables come from a cold solve.  Use
+        :meth:`diff_since` to advance from a previous epoch instead.
+        """
+        epoch = self._epoch_arrays(time_s)
+        graph = self._assemble_graph(epoch, structure_from=None)
+        return self._state_from_epoch(time_s, epoch, graph)
+
+    def diff_since(
+        self, previous: ConstellationState, time_s: float
+    ) -> tuple[ConstellationState, ConstellationDiff]:
+        """Advance from a previous epoch, reusing its arrays where possible.
+
+        Returns the new state — byte-identical to what :meth:`state_at`
+        would compute for ``time_s`` — together with the
+        :class:`ConstellationDiff` describing everything that changed since
+        ``previous``.  In the steady-state case (no links appeared or
+        disappeared) the previous graph's sorted keys and delay-matrix
+        structure are shared rather than rebuilt, and the emitted diff
+        aligns edge ids 1:1 without any set intersection.
+        """
+        if previous.node_index is not self.node_index:
+            raise ValueError("previous state belongs to a different calculation")
+        epoch = self._epoch_arrays(time_s, previous)
+        graph = self._assemble_graph(epoch, structure_from=previous.graph)
         topology = graph.diff_from(previous.graph)
 
         activated: dict[int, np.ndarray] = {}

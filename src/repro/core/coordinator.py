@@ -68,6 +68,7 @@ samples) are byte-identical between the two.
 from __future__ import annotations
 
 import time as wallclock
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
@@ -86,24 +87,41 @@ from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
 
 
+#: Most recent entries each per-epoch series of :class:`UpdateStats` keeps,
+#: so a long serving run's bookkeeping stays bounded.
+STATS_SERIES_LENGTH = 4096
+
+
+def _series() -> deque:
+    return deque(maxlen=STATS_SERIES_LENGTH)
+
+
 @dataclass
 class UpdateStats:
-    """Bookkeeping about coordinator updates (used by the <1 s update claim)."""
+    """Bookkeeping about coordinator updates (used by the <1 s update claim).
+
+    Counters and the wall-clock mean/max cover the whole run, each series
+    the latest :data:`STATS_SERIES_LENGTH` entries.
+    """
 
     count: int = 0
-    wallclock_seconds: list[float] = field(default_factory=list)
+    wallclock_seconds: deque = field(default_factory=_series)
     full_updates: int = 0
     diff_updates: int = 0
-    diff_change_counts: list[int] = field(default_factory=list)
+    diff_change_counts: deque = field(default_factory=_series)
     #: Wall-clock of the fan-out step alone (slice/state application),
     #: one entry per update — the quantity the thread-vs-process
     #: benchmark compares.
-    fanout_seconds: list[float] = field(default_factory=list)
+    fanout_seconds: deque = field(default_factory=_series)
     #: Wall-clock of each usage-sampling sweep (``sample_all_usage``).
-    sample_seconds: list[float] = field(default_factory=list)
+    sample_seconds: deque = field(default_factory=_series)
     #: Transport ack round-trip seconds per worker slot (process backends
     #: only; empty under the thread backend, which has no transport).
-    worker_ack_seconds: dict[int, list[float]] = field(default_factory=dict)
+    worker_ack_seconds: dict[int, deque] = field(
+        default_factory=lambda: defaultdict(_series)
+    )
+    total_wallclock_s: float = 0.0
+    max_wallclock_s: float = 0.0
     #: Cumulative :class:`~repro.topology.paths.PathEngineStats` snapshot
     #: of the calculation's path engine after the latest update: solver
     #: calls and rows, tables advanced and reused, cold solves, and the
@@ -117,6 +135,21 @@ class UpdateStats:
     #: tables were rebound), ``"cold"`` (only cold solves: the first
     #: epoch, or a full rebuild) or ``"none"`` (no engine activity).
     path_regimes: dict[str, int] = field(default_factory=dict)
+
+    def record_update(
+        self, wallclock_s: float, fanout_s: float, change_count: Optional[int] = None
+    ) -> None:
+        """Fold one finished update in (``change_count`` is None for a full one)."""
+        self.count += 1
+        self.total_wallclock_s += wallclock_s
+        self.max_wallclock_s = max(self.max_wallclock_s, wallclock_s)
+        self.wallclock_seconds.append(wallclock_s)
+        self.fanout_seconds.append(fanout_s)
+        if change_count is None:
+            self.full_updates += 1
+        else:
+            self.diff_updates += 1
+            self.diff_change_counts.append(change_count)
 
     def record_path_engine(self, before: dict[str, int], after: dict[str, int]) -> None:
         """Fold one update's path-engine counter delta into the stats."""
@@ -148,14 +181,7 @@ class UpdateStats:
     @property
     def mean_wallclock_s(self) -> float:
         """Mean wall-clock duration of one constellation update."""
-        if not self.wallclock_seconds:
-            return 0.0
-        return sum(self.wallclock_seconds) / len(self.wallclock_seconds)
-
-    @property
-    def max_wallclock_s(self) -> float:
-        """Longest wall-clock duration of one constellation update."""
-        return max(self.wallclock_seconds, default=0.0)
+        return self.total_wallclock_s / self.count if self.count else 0.0
 
 
 class Coordinator:
@@ -422,19 +448,6 @@ class Coordinator:
             for position, manager in enumerate(self.managers)
         ]
 
-    def _fan_out(self, slices: list[HostStateSlice], now_s: float) -> None:
-        """Apply the per-host slices through the configured backend.
-
-        Each manager only mutates its own host's machines, so the slices
-        can be applied in parallel; the per-manager counters and machine
-        transitions are deterministic regardless of completion order (and
-        of the backend: threads and worker processes produce byte-identical
-        observable state).
-        """
-        started = wallclock.perf_counter()
-        self._backend.apply_slices(slices, now_s)
-        self.stats.fanout_seconds.append(wallclock.perf_counter() - started)
-
     def sample_all_usage(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
     ):
@@ -457,7 +470,7 @@ class Coordinator:
     def _merge_transport_latencies(self) -> None:
         """Fold the backend's drained ack latencies into the stats."""
         for worker, latencies in self._backend.drain_transport_latencies().items():
-            self.stats.worker_ack_seconds.setdefault(worker, []).extend(latencies)
+            self.stats.worker_ack_seconds[worker].extend(latencies)
 
     def close(self) -> None:
         """Release the fan-out backend (idempotent, both backends).
@@ -499,23 +512,29 @@ class Coordinator:
             state, diff = self.calculation.diff_since(previous, now_s)
         self.stats.record_path_engine(engine_before, engine.stats.snapshot())
         self.database.set_state(state, diff=diff)
+        # Each manager only mutates its own host's machines, so the backend
+        # may apply in parallel: counters and machine transitions come out
+        # the same whatever the completion order (and whichever backend).
         if diff is None:
             self._ensure_active_satellites(state, now_s)
             started_fanout = wallclock.perf_counter()
             self._backend.apply_full_state(state, now_s)
-            self.stats.fanout_seconds.append(wallclock.perf_counter() - started_fanout)
-            if self.network is not None:
-                self.network.mark_updated()
-            self.stats.full_updates += 1
         else:
             self._ensure_activated_satellites(diff, now_s)
-            self._fan_out(self._shard(state, diff), now_s)
-            if self.network is not None:
+            slices = self._shard(state, diff)
+            started_fanout = wallclock.perf_counter()
+            self._backend.apply_slices(slices, now_s)
+        fanout_s = wallclock.perf_counter() - started_fanout
+        if self.network is not None:
+            if diff is None:
+                self.network.mark_updated()
+            else:
                 self.network.apply_diff(diff)
-            self.stats.diff_updates += 1
-            self.stats.diff_change_counts.append(diff.topology.change_count)
-        self.stats.count += 1
-        self.stats.wallclock_seconds.append(wallclock.perf_counter() - started)
+        self.stats.record_update(
+            wallclock.perf_counter() - started,
+            fanout_s,
+            None if diff is None else diff.topology.change_count,
+        )
         self._merge_transport_latencies()
         return state
 

@@ -78,7 +78,7 @@ class EpochSnapshot:
         node_count = len(graph.index)
         a, b = graph.node_a, graph.node_b
         low, high = np.minimum(a, b), np.maximum(a, b)
-        order = np.argsort(low * np.int64(node_count) + high, kind="stable")
+        order = graph.sorted_edge_ids
         return cls(
             epoch=epoch,
             time_s=state.time_s,
@@ -347,11 +347,12 @@ class EpochReplica:
     """A subscriber's reconstruction of the streamed state projection.
 
     Applies KEYFRAME and DIFF updates in stream order; a DIFF whose epoch
-    does not chain onto the replica's epoch raises :class:`CodecError`
-    (the subscriber must resynchronise from a keyframe, which the gateway
-    provides after a slow-client eviction).  Values are kept exactly as
-    decoded, so :meth:`snapshot` is bit-identical to the server's
-    :meth:`EpochSnapshot.from_state` at the same epoch.
+    does not chain onto the replica's epoch, or that changes a link the
+    replica does not hold, raises :class:`CodecError` (the subscriber must
+    resynchronise from a keyframe, which the gateway provides after a
+    slow-client eviction and after a skipped epoch).  Values are kept
+    exactly as decoded, so :meth:`snapshot` is bit-identical to the
+    server's :meth:`EpochSnapshot.from_state` at the same epoch.
     """
 
     def __init__(self):
@@ -417,20 +418,28 @@ class EpochReplica:
             self._links[self._key(a, b)] = (delay, bandwidth, kind)
         for a, b in named["removed_endpoints"].tolist():
             self._links.pop(self._key(a, b), None)
-        for (a, b), delay in zip(
-            named["delay_changed_endpoints"].tolist(),
-            named["delay_changed_ms"].tolist(),
-        ):
-            key = self._key(a, b)
-            _, bandwidth, kind = self._links[key]
-            self._links[key] = (delay, bandwidth, kind)
-        for (a, b), bandwidth in zip(
-            named["bandwidth_changed_endpoints"].tolist(),
-            named["bandwidth_changed_kbps"].tolist(),
-        ):
-            key = self._key(a, b)
-            delay, _, kind = self._links[key]
-            self._links[key] = (delay, bandwidth, kind)
+        try:
+            for (a, b), delay in zip(
+                named["delay_changed_endpoints"].tolist(),
+                named["delay_changed_ms"].tolist(),
+            ):
+                key = self._key(a, b)
+                _, bandwidth, kind = self._links[key]
+                self._links[key] = (delay, bandwidth, kind)
+            for (a, b), bandwidth in zip(
+                named["bandwidth_changed_endpoints"].tolist(),
+                named["bandwidth_changed_kbps"].tolist(),
+            ):
+                key = self._key(a, b)
+                delay, _, kind = self._links[key]
+                self._links[key] = (delay, bandwidth, kind)
+        except KeyError as error:
+            # The replica's link table is stale (it was sent a skip marker
+            # for an epoch that added this link).
+            raise CodecError(
+                f"diff for epoch {meta['epoch']} changes link {error.args[0]} "
+                f"the replica does not hold; resynchronise from a keyframe"
+            ) from None
         for shell, ids in named["activated"].items():
             self.active[shell][ids] = True
         for shell, ids in named["deactivated"].items():

@@ -29,7 +29,9 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
   :meth:`~repro.core.bounding_box.BoundingBox.contains_ecef` against the
   satellites a diff touches) or to a ground station's view; out-of-scope
   diffs are summarised by a lightweight skip marker so scoped clients
-  keep an unbroken epoch chain without receiving unrelated payloads.
+  keep an unbroken epoch chain without receiving unrelated payloads.  A
+  skipped epoch leaves the client's link table stale, so its next
+  in-scope epoch is delivered as that epoch's keyframe.
 * **Warm-table queries.**  ``QUERY`` frames ("path latency src→dst now")
   are answered from the current state's path tables — warm ``all_pairs``
   tables when the calculation serves them — with per-client cache
@@ -102,6 +104,9 @@ class _Subscription:
     bbox: Optional[BoundingBox] = None
     ground_station: Optional[str] = None
     last_epoch: int = 0
+    #: The last epoch went out as a skip marker, so the client's link
+    #: table is stale: its next in-scope epoch must be a keyframe.
+    stale: bool = False
     delivered: int = 0
     skipped: int = 0
     evictions: int = 0
@@ -231,6 +236,7 @@ class StreamGateway:
             touched = changed_nodes(meta, arrays)
         payload = frame(update.data)
         skip_payload: Optional[bytes] = None
+        resync_payload: Optional[bytes] = None
         for subscription in self._subscriptions.values():
             if subscription.closed:
                 continue
@@ -243,7 +249,18 @@ class StreamGateway:
                 if skip_payload is None:
                     skip_payload = frame(encode_skip_update(diff, epoch))
                 subscription.skipped += 1
+                subscription.stale = True
                 self._enqueue(subscription, skip_payload, epoch, state)
+                continue
+            if subscription.stale:
+                # A diff cannot chain onto skipped changes: resynchronise
+                # from this epoch's keyframe (encoded at most once, shared
+                # by all resyncs).
+                if resync_payload is None:
+                    keyframe = codec.keyframe_update(epoch, state=state)
+                    resync_payload = frame(keyframe.data)
+                subscription.stale = False
+                self._enqueue(subscription, resync_payload, epoch, state)
                 continue
             self._enqueue(subscription, payload, epoch, state)
 
@@ -316,6 +333,7 @@ class StreamGateway:
                 # replies; the overflow replies are dropped with the backlog.
                 break
         subscription.last_epoch = max(subscription.last_epoch, keyframe.epoch)
+        subscription.stale = False
         subscription.evictions += 1
         return not closing
 

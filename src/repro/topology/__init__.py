@@ -1,6 +1,6 @@
 """Constellation network topology: ISLs, uplinks, link parameters, shortest paths."""
 
-from repro.topology.graph import Link, LinkType, NetworkGraph, NodeIndex, TopologyDiff
+from repro.topology.graph import LinkType, NetworkGraph, NodeIndex, TopologyDiff
 from repro.topology.isl import grid_plus_isl_pairs
 from repro.topology.linkparams import (
     link_delay_ms,
@@ -11,7 +11,6 @@ from repro.topology.paths import PathEngine, PathEngineStats, PathResult, Shorte
 from repro.topology.uplinks import visible_satellites, visible_satellites_batch
 
 __all__ = [
-    "Link",
     "LinkType",
     "NetworkGraph",
     "NodeIndex",

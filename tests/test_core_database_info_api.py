@@ -188,15 +188,17 @@ class TestDiffHistoryAPI:
             assert len(record["links_added"]) == diff.topology.links_added.size
             assert len(record["links_removed"]) == diff.topology.links_removed.size
             assert len(record["delay_changed"]) == diff.topology.delay_changed.size
+            current = diff.topology.current
             for a, b, delay in record["delay_changed"][:5]:
                 assert isinstance(a, int) and isinstance(b, int)
-                link = diff.topology.current.link_between(a, b)
-                assert link is not None and link.delay_ms == delay
+                edge = current.edge_ids_between([a], [b])[0]
+                assert edge >= 0 and current.delays_ms[edge] == delay
             for a, b, delay, bandwidth in record["links_added"][:5]:
                 assert isinstance(a, int) and isinstance(b, int)
-                link = diff.topology.current.link_between(a, b)
-                assert link is not None
-                assert link.delay_ms == delay and link.bandwidth_kbps == bandwidth
+                edge = current.edge_ids_between([a], [b])[0]
+                assert edge >= 0
+                assert current.delays_ms[edge] == delay
+                assert current.bandwidths_kbps[edge] == bandwidth
         # Consecutive epochs are numbered contiguously up to the current one.
         assert [r["epoch"] for r in payload["diffs"]] == list(
             range(2, database.epoch + 1)
@@ -255,6 +257,30 @@ class TestAnimation:
         assert len(snapshot["links"]) == database.state.graph.total_links()
         altitudes = [sat["altitude_km"] for sat in snapshot["satellites"]]
         assert all(700.0 < altitude < 860.0 for altitude in altitudes)
+
+    def test_snapshot_links_follow_the_edge_arrays(self, setup):
+        """The exported ``links`` list is the edge table row by row: edge-id
+        order, five keys, plain Python values (what ``repro-celestial
+        snapshot`` writes)."""
+        _, _, database, _ = setup
+        state = database.state
+        graph, describe = state.graph, state.node_index.describe
+        kinds = ("isl", "uplink", "host")
+        expected = [
+            {
+                "a": describe(int(graph.node_a[edge])),
+                "b": describe(int(graph.node_b[edge])),
+                "distance_km": float(graph.distances_km[edge]),
+                "delay_ms": float(graph.delays_ms[edge]),
+                "type": kinds[graph.link_type_codes[edge]],
+            }
+            for edge in range(graph.total_links())
+        ]
+        links = constellation_snapshot(state)["links"]
+        assert links == expected
+        assert {link["type"] for link in links} == {"isl", "uplink"}
+        assert links[0]["a"] == ("sat", 0, 0) and links[-1]["a"][0] == "gst"
+        assert all(type(link["delay_ms"]) is float for link in links)
 
     def test_snapshot_without_links(self, setup):
         _, _, database, _ = setup

@@ -17,6 +17,7 @@ from repro.core import (
     RadiationModel,
     ShellConfig,
 )
+from repro.core.coordinator import STATS_SERIES_LENGTH, UpdateStats
 from repro.hosts import Host
 from repro.microvm import MachineState
 from repro.orbits import GroundStation, ShellGeometry
@@ -214,6 +215,32 @@ class TestCoordinator:
         assert database.updated_at_s == 20.0
         assert coordinator.stats.mean_wallclock_s > 0.0
         assert coordinator.stats.max_wallclock_s >= coordinator.stats.mean_wallclock_s
+
+    def test_update_stats_series_are_bounded_and_totals_cover_the_run(self):
+        """A long serving run keeps the latest 4,096 entries per series;
+        the count and the wall-clock mean/max still cover every epoch."""
+        stats = UpdateStats()
+        durations = [((step * 37) % 101 + 1) * 1e-4 for step in range(5000)]
+        durations[10] = 1.0  # the longest epoch falls out of the retained window
+        for step, seconds in enumerate(durations):
+            stats.record_update(seconds, seconds / 2, None if step == 0 else step)
+            stats.sample_seconds.append(seconds)
+            stats.worker_ack_seconds[step % 2].append(seconds)
+            stats.worker_ack_seconds[step % 2].append(seconds)
+        assert STATS_SERIES_LENGTH == 4096
+        for series in (
+            stats.wallclock_seconds,
+            stats.diff_change_counts,
+            stats.fanout_seconds,
+            stats.sample_seconds,
+            *stats.worker_ack_seconds.values(),
+        ):
+            assert len(series) == 4096
+        assert list(stats.wallclock_seconds) == durations[-4096:]
+        assert stats.diff_change_counts[-1] == 4999
+        assert (stats.count, stats.full_updates, stats.diff_updates) == (5000, 1, 4999)
+        assert stats.mean_wallclock_s == pytest.approx(sum(durations) / 5000, rel=1e-12)
+        assert stats.max_wallclock_s == 1.0 > max(stats.wallclock_seconds)
 
 
 class TestFaultInjection:

@@ -18,6 +18,7 @@ from repro.core import (
 )
 from repro.orbits import GroundStation, ShellGeometry
 from repro.topology import LinkType
+from repro.topology.graph import _CODE_BY_LINK_TYPE
 
 
 def _iridium_config(**overrides):
@@ -121,13 +122,14 @@ class TestConstellationCalculation:
     def test_state_graph_composition(self):
         calc = ConstellationCalculation(_iridium_config())
         state = calc.state_at(0.0)
-        isl_links = [l for l in state.graph.links if l.link_type is LinkType.ISL]
-        uplink_links = [l for l in state.graph.links if l.link_type is LinkType.UPLINK]
+        codes = state.graph.link_type_codes
+        isl_links = int(np.count_nonzero(codes == _CODE_BY_LINK_TYPE[LinkType.ISL]))
+        uplink_links = int(np.count_nonzero(codes == _CODE_BY_LINK_TYPE[LinkType.UPLINK]))
         # Walker-star +GRID: 2N - per_plane = 121 ISLs at most (minus any
         # atmosphere-blocked seam links near the poles).
-        assert 100 <= len(isl_links) <= 121
-        assert len(uplink_links) >= 3
-        assert state.graph.total_links() == len(isl_links) + len(uplink_links)
+        assert 100 <= isl_links <= 121
+        assert uplink_links >= 3
+        assert state.graph.total_links() == isl_links + uplink_links
 
     def test_delays_and_reachability(self):
         calc = ConstellationCalculation(_iridium_config())

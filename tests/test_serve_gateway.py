@@ -185,6 +185,53 @@ class TestScopedSubscriptions:
                 assert stats["skipped"] == len(updates) - len(full)
 
 
+    def test_skipped_epoch_that_added_a_link_resyncs_from_a_keyframe(self, testbed_core):
+        """A skip marker leaves the scoped client's link table stale; its
+        next in-scope epoch must arrive as a keyframe (a diff moving the
+        delay of the link added meanwhile could not be applied), after
+        which the diff stream resumes and the replica is bit-exact."""
+        _, calculation, database, state = testbed_core
+        with GatewayServer(database) as server:
+            host, port = server.address
+            skipped_times = set()
+            # No Iridium geometry puts a link addition out of scope on a
+            # fixed epoch, so the scope verdict is stubbed for that epoch.
+            server.gateway._in_scope = (
+                lambda subscription, state, diff, touched: subscription.scope is None
+                or diff.time_s not in skipped_times
+            )
+            scope = {"kind": "gst", "name": "hawaii"}
+            with SubscriptionClient(host, port, client_id="scoped", scope=scope) as scoped, \
+                    SubscriptionClient(host, port, client_id="full") as full:
+                scoped.sync_to_epoch(1)
+                full.sync_to_epoch(1)
+                skipped_epoch = None
+                for step in range(1, 40):
+                    next_state, diff = calculation.diff_since(state, step * 30.0)
+                    if skipped_epoch is None and diff.topology.links_added.size:
+                        skipped_times.add(diff.time_s)
+                        skipped_epoch = database.epoch + 1
+                    database.set_state(next_state, diff=diff)
+                    state = next_state
+                    if skipped_epoch is not None and database.epoch == skipped_epoch + 2:
+                        break
+                assert skipped_epoch is not None
+                updates = {u.epoch: u for u in scoped.sync_to_epoch(database.epoch)}
+                assert updates[skipped_epoch].decoded()[0].get("skip") is True
+                assert updates[skipped_epoch + 1].kind is wire.FrameKind.KEYFRAME
+                assert updates[skipped_epoch + 2].kind is wire.FrameKind.DIFF
+                assert not updates[skipped_epoch + 2].decoded()[0].get("skip")
+                assert scoped.replica.snapshot().same_bits(
+                    EpochSnapshot.from_state(state, database.epoch)
+                )
+                # Unscoped subscribers still get exactly one DIFF per epoch.
+                plain = full.sync_to_epoch(database.epoch)
+                assert [u.epoch for u in plain] == list(range(2, database.epoch + 1))
+                assert all(u.kind is wire.FrameKind.DIFF for u in plain)
+                stats = server.statistics()["clients"]["scoped"]
+                assert stats["skipped"] == 1 and stats["evictions"] == 0
+
+
 class TestAuth:
     def test_matching_secret_subscribes(self, testbed_core):
         _, _, database, _ = testbed_core

@@ -8,9 +8,11 @@ bandwidths as the seed implementation, which stored a Python list of
 per-link dataclasses and built its delay matrix with per-link loops.
 
 The legacy reference below replicates the seed behaviour (including its COO
-construction) from the ``Link`` object view that the new graph still
-exposes, so any divergence in the array core shows up as a mismatch here.
+construction) over a list of per-link records read from the graph's edge
+arrays, so any divergence in the array core shows up as a mismatch here.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,6 +21,22 @@ from scipy.sparse import csgraph
 
 from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
+
+
+_Link = namedtuple("_Link", "node_a node_b delay_ms bandwidth_kbps")
+
+
+def _legacy_links(graph):
+    """The seed's storage: one record per link, in edge-id order."""
+    return [
+        _Link(*row)
+        for row in zip(
+            graph.node_a.tolist(),
+            graph.node_b.tolist(),
+            graph.delays_ms.tolist(),
+            graph.bandwidths_kbps.tolist(),
+        )
+    ]
 
 
 def _legacy_delay_matrix(links, node_count):
@@ -53,18 +71,19 @@ def _legacy_bottleneck_bandwidth(links, hops):
 
 def _assert_state_matches_legacy(calculation, state):
     graph = state.graph
-    links = graph.links
+    links = _legacy_links(graph)
     node_count = len(state.node_index)
     sources = list(state.node_index.ground_station_indices())
     assert sources, "equivalence scenarios must have ground stations"
 
-    # Same edge set, O(1) pair lookup agrees with the O(E) scan.
+    # Same edge set, the sorted-key pair lookup agrees with the O(E) scan.
     legacy_matrix = _legacy_delay_matrix(links, node_count)
     assert graph.total_links() == len(links)
     for link in links[:: max(1, len(links) // 50)]:
-        found = graph.link_between(link.node_a, link.node_b)
-        assert found == link
-        assert found == _legacy_link_between(links, link.node_a, link.node_b)
+        for a, b in ((link.node_a, link.node_b), (link.node_b, link.node_a)):
+            found = links[graph.edge_ids_between([a], [b])[0]]
+            assert found == link
+            assert found == _legacy_link_between(links, a, b)
 
     # Same shortest-path delays as Dijkstra over the seed delay matrix.
     legacy_distances = csgraph.dijkstra(legacy_matrix, directed=False, indices=sources)
@@ -113,8 +132,8 @@ def test_starlink_full_constellation_links_and_delays_stable():
     state = calculation.state_at(10.0)
     assert state.node_index.satellite_count == 4409
     graph = state.graph
-    # The Link view, the arrays and the legacy matrix must agree pairwise.
-    legacy_matrix = _legacy_delay_matrix(graph.links, len(state.node_index))
+    # The arrays and the legacy matrix must agree pairwise.
+    legacy_matrix = _legacy_delay_matrix(_legacy_links(graph), len(state.node_index))
     matrix = graph.delay_matrix()
     difference = (matrix - legacy_matrix).tocoo()
     assert np.all(np.abs(difference.data) <= 1e-9)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.orbits import Shell, ShellGeometry, GroundStation, geodetic_to_ecef
 from repro.topology import (
-    Link,
     LinkType,
     NetworkGraph,
     NodeIndex,
     ShortestPaths,
     visible_satellites,
 )
+from repro.topology.graph import _CODE_BY_LINK_TYPE
 from repro.topology.uplinks import closest_visible_satellite
 
 
@@ -21,16 +21,29 @@ def _simple_index():
     return NodeIndex(shell_sizes=[4], ground_station_names=["gst-a", "gst-b"])
 
 
+def _graph(index, rows):
+    """Graph from ``(node_a, node_b, distance_km, delay_ms, bandwidth_kbps[, LinkType])`` rows."""
+    rows = [row if len(row) == 6 else (*row, LinkType.ISL) for row in rows]
+    columns = list(zip(*rows)) or [()] * 6
+    return NetworkGraph.from_edge_arrays(
+        index,
+        np.array(columns[0], dtype=np.int64),
+        np.array(columns[1], dtype=np.int64),
+        np.array(columns[2], dtype=np.float64),
+        np.array(columns[3], dtype=np.float64),
+        np.array(columns[4], dtype=np.float64),
+        np.array([_CODE_BY_LINK_TYPE[kind] for kind in columns[5]], dtype=np.int8),
+    )
+
+
 def _line_graph():
     """0 -1ms- 1 -2ms- 2 -3ms- 3, gst-a connected to 0, gst-b connected to 3."""
     index = _simple_index()
-    graph = NetworkGraph(index)
     delays = {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 3.0}
-    for (a, b), delay in delays.items():
-        graph.add_link(Link(a, b, delay * 300.0, delay, 10_000.0, LinkType.ISL))
-    graph.add_link(Link(index.ground_station("gst-a"), 0, 300.0, 1.0, 10_000.0, LinkType.UPLINK))
-    graph.add_link(Link(index.ground_station("gst-b"), 3, 300.0, 1.0, 10_000.0, LinkType.UPLINK))
-    return index, graph
+    rows = [(a, b, delay * 300.0, delay, 10_000.0) for (a, b), delay in delays.items()]
+    rows.append((index.ground_station("gst-a"), 0, 300.0, 1.0, 10_000.0, LinkType.UPLINK))
+    rows.append((index.ground_station("gst-b"), 3, 300.0, 1.0, 10_000.0, LinkType.UPLINK))
+    return index, _graph(index, rows)
 
 
 class TestNodeIndex:
@@ -75,25 +88,27 @@ class TestNetworkGraph:
     def test_add_and_query_links(self):
         index, graph = _line_graph()
         assert graph.total_links() == 5
-        assert graph.degree(1) == 2
-        assert graph.link_between(0, 1).delay_ms == 1.0
-        assert graph.link_between(0, 3) is None
-        assert graph.bandwidth_between(0, 1) == 10_000.0
-        assert graph.bandwidth_between(0, 3) == 0.0
-
-    def test_link_other_endpoint(self):
-        link = Link(1, 2, 100.0, 0.5, 1000.0)
-        assert link.other(1) == 2
-        assert link.other(2) == 1
-        with pytest.raises(ValueError):
-            link.other(3)
+        edge, missing = graph.edge_ids_between([0, 0], [1, 3])
+        assert graph.delays_ms[edge] == 1.0
+        assert graph.bandwidths_kbps[edge] == 10_000.0
+        assert missing == -1
+        gst_a = index.ground_station("gst-a")
+        uplink = graph.edge_ids_between([0], [gst_a])[0]
+        assert (graph.node_a[uplink], graph.node_b[uplink]) == (gst_a, 0)
+        assert graph.link_type_codes.tolist() == [0, 0, 0, 1, 1]
 
     def test_invalid_links_rejected(self):
-        index, graph = _line_graph()
+        index = _simple_index()
         with pytest.raises(ValueError):
-            graph.add_link(Link(0, 0, 1.0, 1.0, 1.0))
+            _graph(index, [(0, 0, 1.0, 1.0, 1.0)])
         with pytest.raises(ValueError):
-            graph.add_link(Link(0, 99, 1.0, 1.0, 1.0))
+            _graph(index, [(0, 99, 1.0, 1.0, 1.0)])
+        with pytest.raises(ValueError):
+            _graph(index, [(-1, 2, 1.0, 1.0, 1.0)])
+
+    def test_from_edge_arrays_is_the_only_constructor(self):
+        with pytest.raises(TypeError):
+            NetworkGraph(_simple_index())
 
     def test_delay_matrix_symmetric(self):
         _, graph = _line_graph()
@@ -101,56 +116,32 @@ class TestNetworkGraph:
         np.testing.assert_allclose(matrix, matrix.T)
         assert matrix[0, 1] == 1.0
 
-    def test_networkx_export(self):
-        _, graph = _line_graph()
-        nx_graph = graph.as_networkx()
-        assert nx_graph.number_of_edges() == 5
-        assert nx_graph[0][1]["delay_ms"] == 1.0
-
     def test_empty_graph_delay_matrix(self):
-        index = _simple_index()
-        graph = NetworkGraph(index)
+        graph = _graph(_simple_index(), [])
+        assert graph.total_links() == 0
         assert graph.delay_matrix().nnz == 0
-
-    def test_bulk_add_links_matches_individual_adds(self):
-        index = _simple_index()
-        one_by_one = NetworkGraph(index)
-        bulk = NetworkGraph(index)
-        links = [
-            Link(0, 1, 300.0, 1.0, 1000.0, LinkType.ISL),
-            Link(1, 2, 600.0, 2.0, 2000.0, LinkType.ISL),
-            Link(2, 3, 900.0, 3.0, 3000.0, LinkType.ISL),
-        ]
-        for link in links:
-            one_by_one.add_link(link)
-        bulk.add_links(
-            np.array([0, 1, 2]),
-            np.array([1, 2, 3]),
-            np.array([300.0, 600.0, 900.0]),
-            np.array([1.0, 2.0, 3.0]),
-            np.array([1000.0, 2000.0, 3000.0]),
-            LinkType.ISL,
-        )
-        assert bulk.links == one_by_one.links
-        assert (bulk.delay_matrix() != one_by_one.delay_matrix()).nnz == 0
+        assert graph.edge_ids_between([0], [1]).tolist() == [-1]
 
     def test_bulk_add_links_validation(self):
-        graph = NetworkGraph(_simple_index())
+        """The bulk constructor rejects endpoint arrays of unequal length."""
+        index = _simple_index()
+        values = np.ones(2)
         with pytest.raises(ValueError):
-            graph.add_links(np.array([0]), np.array([0]), 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            graph.add_links(np.array([0]), np.array([99]), 1.0, 1.0, 1.0)
-        # Empty appends are a no-op.
-        graph.add_links(np.array([], dtype=int), np.array([], dtype=int), 1.0, 1.0, 1.0)
-        assert graph.total_links() == 0
+            NetworkGraph.from_edge_arrays(
+                index,
+                np.array([0, 1]),
+                np.array([1]),
+                values,
+                values,
+                values,
+                np.zeros(2, dtype=np.int8),
+            )
 
     def test_zero_delay_link_is_not_dropped(self):
         """Regression: csgraph treats explicit zeros as no-edge, which made
         co-located nodes (zero-delay links) unreachable."""
         index = _simple_index()
-        graph = NetworkGraph(index)
-        graph.add_link(Link(0, 1, 0.0, 0.0, 1000.0))
-        graph.add_link(Link(1, 2, 300.0, 1.0, 1000.0))
+        graph = _graph(index, [(0, 1, 0.0, 0.0, 1000.0), (1, 2, 300.0, 1.0, 1000.0)])
         assert graph.delay_matrix()[0, 1] > 0.0
         for method in ("dijkstra", "floyd-warshall"):
             paths = ShortestPaths(graph, sources=[0], method=method)
@@ -162,37 +153,42 @@ class TestNetworkGraph:
 
     def test_duplicate_links_keep_minimum_delay(self):
         """Regression: duplicate node pairs were silently summed by the
-        COO→CSR construction of delay_matrix, inflating delays."""
+        COO→CSR construction of delay_matrix, inflating delays.  The one
+        constructor does not pick a survivor any more — a pair given twice,
+        in either orientation, is rejected."""
         index = _simple_index()
-        graph = NetworkGraph(index)
-        graph.add_link(Link(0, 1, 1500.0, 5.0, 1000.0))
-        graph.add_link(Link(0, 1, 600.0, 2.0, 2000.0))
-        graph.add_link(Link(1, 0, 900.0, 3.0, 3000.0))
-        assert graph.total_links() == 1
-        assert graph.link_between(0, 1).delay_ms == 2.0
-        assert graph.delay_matrix()[0, 1] == pytest.approx(2.0)
-        paths = ShortestPaths(graph, sources=[0])
-        assert paths.delay_ms(0, 1) == pytest.approx(2.0)
+        with pytest.raises(ValueError):
+            _graph(index, [(0, 1, 1500.0, 5.0, 1000.0), (0, 1, 600.0, 2.0, 2000.0)])
+        with pytest.raises(ValueError):
+            _graph(index, [(0, 1, 1500.0, 5.0, 1000.0), (1, 0, 900.0, 3.0, 3000.0)])
 
-    def test_adjacency_queries_match_link_list(self):
-        index, graph = _line_graph()
-        for node in range(len(index)):
-            incident = graph.links_of(node)
-            assert graph.degree(node) == len(incident)
-            assert all(node in (link.node_a, link.node_b) for link in incident)
-            neighbors = {link.other(node) for link in incident}
-            assert set(graph.neighbors_of(node).tolist()) == neighbors
-
-    def test_out_of_range_queries_are_empty(self):
-        """Seed behaviour: queries about unknown nodes return empty results
-        instead of raising or (worse) wrapping around via negative indexing."""
-        index, graph = _line_graph()
-        for node in (-1, len(index), len(index) + 5):
-            assert graph.links_of(node) == []
-            assert graph.degree(node) == 0
-            assert graph.neighbors_of(node).size == 0
-        assert graph.link_between(-1, 0) is None
-        assert graph.bandwidth_between(0, len(index)) == 0.0
+    def test_edge_arrays_are_read_only(self):
+        """The graph's arrays cannot be written; the caller's own array
+        keeps its flag."""
+        index = _simple_index()
+        delays = np.array([1.0, 2.0])
+        graph = NetworkGraph.from_edge_arrays(
+            index,
+            np.array([0, 1]),
+            np.array([1, 2]),
+            np.array([300.0, 600.0]),
+            delays,
+            np.array([1000.0, 1000.0]),
+            np.zeros(2, dtype=np.int8),
+        )
+        for array in (
+            graph.node_a,
+            graph.node_b,
+            graph.distances_km,
+            graph.delays_ms,
+            graph.bandwidths_kbps,
+            graph.link_type_codes,
+            graph.sorted_edge_ids,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert delays.flags.writeable
+        delays[0] = 7.0  # still the caller's array
 
     def test_edge_ids_between_vectorized_lookup(self):
         index, graph = _line_graph()
@@ -224,8 +220,7 @@ class TestShortestPaths:
 
     def test_unreachable_node(self):
         index = NodeIndex([2], ["isolated"])
-        graph = NetworkGraph(index)
-        graph.add_link(Link(0, 1, 300.0, 1.0, 1000.0))
+        graph = _graph(index, [(0, 1, 300.0, 1.0, 1000.0)])
         paths = ShortestPaths(graph, sources=[0])
         isolated = index.ground_station("isolated")
         assert not paths.reachable(0, isolated)
@@ -273,10 +268,12 @@ class TestShortestPaths:
         """The one-gather ``nearest`` equals the per-candidate delay scan,
         including unreachable candidates and ties."""
         index = NodeIndex([6], ["isolated", "gst"])
-        graph = NetworkGraph(index)
-        for a, b, delay in [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 4.0), (3, 4, 1.0), (0, 5, 3.0)]:
-            graph.add_link(Link(a, b, delay * 300.0, delay, 1000.0))
-        graph.add_link(Link(index.ground_station("gst"), 0, 300.0, 1.0, 1000.0, LinkType.UPLINK))
+        rows = [
+            (a, b, delay * 300.0, delay, 1000.0)
+            for a, b, delay in [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 4.0), (3, 4, 1.0), (0, 5, 3.0)]
+        ]
+        rows.append((index.ground_station("gst"), 0, 300.0, 1.0, 1000.0, LinkType.UPLINK))
+        graph = _graph(index, rows)
         paths = ShortestPaths(graph, sources=[0])
         isolated = index.ground_station("isolated")
         for candidates in ([1, 2, 3], [isolated], [isolated, 4], [5, 3], list(range(len(index)))):
@@ -310,24 +307,85 @@ def test_property_path_hop_delays_sum_to_delay(edges):
     """The delay of every reconstructed path equals the sum of its hop delays
     (up to the zero-delay epsilon clamp of the delay matrix)."""
     index = NodeIndex(shell_sizes=[6], ground_station_names=[])
-    graph = NetworkGraph(index)
+    delays = {}
     for node_a, node_b, delay in edges:
-        if node_a == node_b:
-            continue
-        graph.add_link(Link(node_a, node_b, delay * 300.0, delay, 1000.0))
-    if graph.total_links() == 0:
+        if node_a != node_b:
+            delays.setdefault((min(node_a, node_b), max(node_a, node_b)), delay)
+    if not delays:
         return
+    graph = _graph(index, [(a, b, d * 300.0, d, 1000.0) for (a, b), d in delays.items()])
     paths = ShortestPaths(graph, sources=[0])
     for target in range(len(index)):
         result = paths.path(0, target)
         if not result.reachable:
             continue
-        hop_sum = sum(
-            graph.link_between(a, b).delay_ms
-            for a, b in zip(result.hops, result.hops[1:])
-        )
+        hop_edges = graph.edge_ids_between(result.hops[:-1], result.hops[1:])
+        assert np.all(hop_edges >= 0)
+        hop_sum = float(graph.delays_ms[hop_edges].sum())
         assert result.delay_ms == pytest.approx(hop_sum, abs=1e-6)
         assert result.delay_ms == pytest.approx(paths.delay_ms(0, target))
+
+
+_EDGE_SETS = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda pair: pair[0] < pair[1]),
+    st.tuples(st.sampled_from([1.0, 2.0, 3.0]), st.sampled_from([10.0, 20.0]), st.booleans()),
+    max_size=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EDGE_SETS, _EDGE_SETS)
+def test_property_lookup_and_diff_reassemble_the_edge_set(old_edges, new_edges):
+    """``edge_ids_between`` finds exactly the present pairs, in both
+    orientations, and ``new.diff_from(old)`` rebuilds ``new`` from ``old``."""
+    index = NodeIndex(shell_sizes=[8], ground_station_names=[])
+
+    def build(edges):
+        # ``flip`` stores the pair as (high, low): orientation must not matter.
+        return _graph(
+            index,
+            [
+                (b, a, delay * 300.0, delay, bandwidth) if flip
+                else (a, b, delay * 300.0, delay, bandwidth)
+                for (a, b), (delay, bandwidth, flip) in edges.items()
+            ],
+        )
+
+    old, new = build(old_edges), build(new_edges)
+    all_a, all_b = np.triu_indices(len(index), k=1)
+    for lookup in (new.edge_ids_between(all_a, all_b), new.edge_ids_between(all_b, all_a)):
+        for a, b, edge in zip(all_a.tolist(), all_b.tolist(), lookup.tolist()):
+            assert (edge >= 0) == ((a, b) in new_edges)
+            if edge >= 0:
+                assert {int(new.node_a[edge]), int(new.node_b[edge])} == {a, b}
+
+    diff = new.diff_from(old)
+
+    def pairs(endpoints):
+        return {(min(a, b), max(a, b)) for a, b in endpoints.tolist()}
+
+    added, removed = pairs(diff.added_endpoints()), pairs(diff.removed_endpoints())
+    assert added == set(new_edges) - set(old_edges)
+    assert removed == set(old_edges) - set(new_edges)
+    assert (set(old_edges) - removed) | added == set(new_edges)
+    assert not removed & set(new_edges)
+    surviving = set(old_edges) & set(new_edges)
+    assert pairs(diff.delay_changed_endpoints()) == {
+        pair for pair in surviving if old_edges[pair][0] != new_edges[pair][0]
+    }
+    assert pairs(diff.bandwidth_changed_endpoints()) == {
+        pair for pair in surviving if old_edges[pair][1] != new_edges[pair][1]
+    }
+    for (a, b), delay in zip(
+        diff.delay_changed_endpoints().tolist(), diff.delay_changed_values_ms().tolist()
+    ):
+        assert delay == new_edges[(min(a, b), max(a, b))][0]
+    for (a, b), bandwidth in zip(
+        diff.bandwidth_changed_endpoints().tolist(),
+        diff.bandwidth_changed_values_kbps().tolist(),
+    ):
+        assert bandwidth == new_edges[(min(a, b), max(a, b))][1]
+    assert diff.is_structural_noop == (set(old_edges) == set(new_edges))
 
 
 class TestUplinks:
