@@ -43,9 +43,10 @@ reuses from the previous epoch:
 
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
-per-shell bounding-box ``activated``/``deactivated`` satellite ids — which
-the coordinator shards into per-host slices instead of replaying the full
-state to every machine manager.
+per-shell bounding-box ``activated``/``deactivated`` satellite ids.  The
+coordinator shards the activity half into per-host slices instead of
+replaying the full state to every machine manager, and hands the topology
+half to the virtual network.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -134,8 +135,9 @@ class ConstellationDiff:
     This is the unit of distribution of the differential update protocol:
     the coordinator computes one per epoch via
     :meth:`ConstellationCalculation.diff_since`, stores it in the rolling
-    history of the constellation database, shards it into per-host slices
-    for the machine managers and hands it to the virtual network.
+    history of the constellation database, shards its activity transitions
+    into per-host slices for the machine managers and hands it to the
+    virtual network.
 
     ``topology`` carries the edge-level changes (see
     :class:`~repro.topology.graph.TopologyDiff`); ``activated`` and

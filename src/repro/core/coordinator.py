@@ -16,26 +16,20 @@ pipeline: :meth:`Coordinator.update` asks the constellation calculation for
 a :class:`~repro.core.constellation.ConstellationDiff` against the
 previously published state, stores state + diff in the database (which
 keeps the rolling diff history and periodic keyframes), and then **shards**
-the change set by host: each machine manager receives a
-:class:`~repro.core.machine_manager.HostStateSlice` restricted to its own
-machines — activity transitions, touched links, and per-ground-station
-delay vectors batched through the vectorised ``delays_from`` /
-``edge_ids_between`` paths — instead of the full constellation state.  The
-slices are fanned out concurrently (one thread per manager; managers only
-touch their own host's machines, so the application is embarrassingly
-parallel), and the virtual network consumes the same diff centrally.  The
+the change set by host (:meth:`Coordinator._shard`): each machine manager
+receives a :class:`~repro.core.machine_manager.HostStateSlice` naming the
+machines of its own whose bounding-box activity flipped, plus the current
+activity of its dirty machines — what a manager applies, instead of the
+full constellation state.  The slices are fanned out concurrently (one
+thread per manager; managers only touch their own host's machines, so the
+application is embarrassingly parallel).  The network half of the update
+does not travel in a slice: the virtual network consumes the same diff
+centrally (:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
+per-pair delay and bandwidth are resolved from the published state by
+:meth:`~repro.core.database.ConstellationDatabase.pair_rule`.  The
 distribution policy (who receives what) thus lives entirely in this layer;
 the update producer is oblivious to it, in the spirit of RAFDA's separation
 of application logic from distribution concerns.
-
-The same separation applies one layer down: since PR 3 the shortest-path
-tables behind the per-ground-station delay vectors come from the
-:class:`~repro.topology.paths.PathEngine`, which decides per epoch
-whether a :class:`TopologyDiff` requires solver work at all (reuse /
-solve).  The coordinator is oblivious to that too — ``delays_from``
-slices engine rows into
-:class:`~repro.core.machine_manager.HostStateSlice` unchanged, because the
-engine's tables are byte-identical to cold solves.
 
 The thread-vs-process seam
 --------------------------
@@ -71,8 +65,6 @@ import time as wallclock
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Literal, Optional
-
-import numpy as np
 
 from repro.core.config import Configuration
 from repro.core.constellation import (
@@ -234,11 +226,6 @@ class Coordinator:
         self.managers = list(self._backend.managers)
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
-        # Distribution-layer shard map: flat node index → manager position
-        # (-1 while no microVM exists) plus the per-manager node lists, both
-        # maintained incrementally as machines are created.
-        self._node_owner = np.full(len(calculation.node_index), -1, dtype=np.int64)
-        self._host_nodes: list[list[int]] = [[] for _ in managers]
         self._manager_position = {
             id(manager): pos for pos, manager in enumerate(self.managers)
         }
@@ -261,12 +248,6 @@ class Coordinator:
             key=lambda manager: manager.host.reserved_memory_mib(),
         )
 
-    def _node_of(self, machine: MachineId) -> int:
-        index = self.calculation.node_index
-        if machine.is_ground_station:
-            return index.ground_station(machine.name)
-        return index.satellite(machine.shell, machine.identifier)
-
     def create_machine(
         self, machine: MachineId, now_s: float, boot: bool = True
     ) -> MachineManager:
@@ -282,10 +263,6 @@ class Coordinator:
         if boot:
             manager.boot(machine, now_s)
         self._machine_manager_of[machine.name] = manager
-        position = self._manager_position[id(manager)]
-        node = self._node_of(machine)
-        self._node_owner[node] = position
-        self._host_nodes[position].append(node)
         return manager
 
     def create_ground_stations(self, now_s: float) -> None:
@@ -315,10 +292,15 @@ class Coordinator:
 
     # -- sharding --------------------------------------------------------------
 
-    def _group_transitions_by_manager(
-        self, diff: ConstellationDiff
-    ) -> tuple[list[list[MachineId]], list[list[MachineId]]]:
-        """One pass over the diff's activity transitions, grouped by owner."""
+    def _shard(
+        self, state: ConstellationState, diff: ConstellationDiff
+    ) -> list[HostStateSlice]:
+        """Split one epoch's change set into per-host slices.
+
+        One pass over the diff's activity transitions groups them by owning
+        manager; each manager's dirty satellites ride along with their
+        current activity.
+        """
         activated: list[list[MachineId]] = [[] for _ in self.managers]
         deactivated: list[list[MachineId]] = [[] for _ in self.managers]
         for transitions, grouped in (
@@ -331,119 +313,16 @@ class Coordinator:
                     manager = self._machine_manager_of.get(machine.name)
                     if manager is not None:
                         grouped[self._manager_position[id(manager)]].append(machine)
-        return activated, deactivated
-
-    def _slice_for(
-        self,
-        position: int,
-        state: ConstellationState,
-        manager: MachineManager,
-        activated: list[MachineId],
-        deactivated: list[MachineId],
-        gst_delay_rows: dict[str, np.ndarray],
-        added_endpoints: np.ndarray,
-        added_delays: np.ndarray,
-        removed_endpoints: np.ndarray,
-        changed_endpoints: np.ndarray,
-        changed_delays: np.ndarray,
-    ) -> HostStateSlice:
-        """Restrict one epoch's change set to the machines of one host."""
-        owner = self._node_owner
-        machine_nodes = np.array(self._host_nodes[position], dtype=np.int64)
-
-        def _touching(endpoints: np.ndarray) -> np.ndarray:
-            if endpoints.shape[0] == 0:
-                return np.empty(0, dtype=bool)
-            return (owner[endpoints[:, 0]] == position) | (
-                owner[endpoints[:, 1]] == position
-            )
-
-        added_mask = _touching(added_endpoints)
-        removed_mask = _touching(removed_endpoints)
-        changed_mask = _touching(changed_endpoints)
-
-        dirty_active = {
-            machine.name: state.is_active(machine)
-            for machine in manager.dirty_machine_ids()
-            if not machine.is_ground_station
-        }
-
-        gst_delays = {
-            name: delays[machine_nodes] for name, delays in gst_delay_rows.items()
-        }
-        # Direct ground-station↔machine uplink parameters, resolved with a
-        # single vectorised edge_ids_between lookup over the full GST×machine
-        # pair matrix of this host.
-        uplink_delays: dict[str, np.ndarray] = {}
-        uplink_bandwidths: dict[str, np.ndarray] = {}
-        graph = state.graph
-        gst_names = list(gst_delay_rows)
-        if gst_names and machine_nodes.size:
-            gst_nodes = np.array(
-                [state.node_index.ground_station(name) for name in gst_names],
-                dtype=np.int64,
-            )
-            edges = graph.edge_ids_between(
-                np.repeat(gst_nodes, machine_nodes.size),
-                np.tile(machine_nodes, gst_nodes.size),
-            ).reshape(gst_nodes.size, machine_nodes.size)
-            found = edges >= 0
-            delays = np.where(found, graph.delays_ms[np.maximum(edges, 0)], np.inf)
-            bandwidths = np.where(
-                found, graph.bandwidths_kbps[np.maximum(edges, 0)], 0.0
-            )
-            for row, name in enumerate(gst_names):
-                uplink_delays[name] = delays[row]
-                uplink_bandwidths[name] = bandwidths[row]
-
-        return HostStateSlice(
-            host_index=manager.host.index,
-            time_s=state.time_s,
-            epoch=self.database.epoch,
-            activated=tuple(activated),
-            deactivated=tuple(deactivated),
-            dirty_active=dirty_active,
-            machine_nodes=machine_nodes,
-            links_added=added_endpoints[added_mask],
-            added_delays_ms=added_delays[added_mask],
-            links_removed=removed_endpoints[removed_mask],
-            links_delay_changed=changed_endpoints[changed_mask],
-            delay_changed_ms=changed_delays[changed_mask],
-            gst_delays_ms=gst_delays,
-            uplink_delays_ms=uplink_delays,
-            uplink_bandwidths_kbps=uplink_bandwidths,
-        )
-
-    def _shard(
-        self, state: ConstellationState, diff: ConstellationDiff
-    ) -> list[HostStateSlice]:
-        """Split one epoch's change set into per-host slices."""
-        topology = diff.topology
-        added_endpoints = topology.added_endpoints()
-        added_delays = topology.current.delays_ms[topology.links_added]
-        removed_endpoints = topology.removed_endpoints()
-        changed_endpoints = topology.delay_changed_endpoints()
-        changed_delays = topology.delay_changed_values_ms()
-        # One vectorised delays_from() per ground station, sliced per host.
-        gst_delay_rows = {
-            name: state.paths.delays_from(state.node_index.ground_station(name))
-            for name in self.config.ground_station_names
-            if state.paths.has_source(state.node_index.ground_station(name))
-        }
-        activated_by_host, deactivated_by_host = self._group_transitions_by_manager(diff)
         return [
-            self._slice_for(
-                position,
-                state,
-                manager,
-                activated_by_host[position],
-                deactivated_by_host[position],
-                gst_delay_rows,
-                added_endpoints,
-                added_delays,
-                removed_endpoints,
-                changed_endpoints,
-                changed_delays,
+            HostStateSlice(
+                epoch=self.database.epoch,
+                activated=tuple(activated[position]),
+                deactivated=tuple(deactivated[position]),
+                dirty_active={
+                    machine.name: state.is_active(machine)
+                    for machine in manager.dirty_machine_ids()
+                    if not machine.is_ground_station
+                },
             )
             for position, manager in enumerate(self.managers)
         ]

@@ -47,8 +47,8 @@ class ConstellationDatabase:
     :meth:`set_state` epochs feed the shared
     :class:`~repro.serve.codec.EpochUpdateCodec` (``self.codec``), which
     encodes each epoch's keyframe/diff exactly once for every downstream
-    consumer — the streaming gateway's fan-out, the info API's ``/diffs``
-    JSON and the analysis bundle all render views of those same bytes.
+    consumer — the streaming gateway's fan-out and the info API's ``/diffs``
+    JSON both render views of those same bytes.
     Reads and publications are serialised by an internal lock so info-API
     threads never observe a torn epoch; registered epoch listeners (the
     gateway) are notified after each publication, outside the lock.

@@ -10,22 +10,23 @@ Differential update contract
 
 Under the differential protocol the coordinator no longer replays the full
 constellation state to every manager.  Instead each manager receives a
-:class:`HostStateSlice` — only the part of the epoch's change set that
-involves its own machines — and applies it with
-:meth:`MachineManager.apply_diff`:
+:class:`HostStateSlice` — what this manager has to act on this epoch and
+nothing else — and applies it with :meth:`MachineManager.apply_diff`:
 
 * ``activated``/``deactivated`` are the host's machines whose bounding-box
   activity flipped since the previous epoch; the manager resumes/suspends
   exactly those, instead of scanning its whole fleet.
-* machines whose lifecycle changed *outside* the protocol (created, stopped
-  or rebooted between updates) are tracked in a dirty set and reconciled
-  against the activity flags the coordinator ships in
+* machines whose lifecycle changed *outside* the protocol (created, booted,
+  stopped or rebooted between updates) are tracked in a dirty set and
+  reconciled against the activity flags the coordinator ships in
   ``dirty_active`` — this keeps the incremental path byte-equivalent to a
   full :meth:`MachineManager.apply_state` sweep.
-* the link arrays and per-ground-station delay vectors describe the network
-  changes touching this host; they are informational state the real system
-  would turn into netem rules (the virtual network consumes the same diff
-  centrally) and are exposed via :attr:`MachineManager.last_slice`.
+
+A slice carries no link or delay data: the network half of an update is
+applied centrally, by :meth:`repro.net.network.VirtualNetwork.apply_diff`
+from the same diff and by
+:meth:`repro.core.database.ConstellationDatabase.pair_rule` per machine
+pair, so its size follows the epoch's activity flips, not the fleet.
 
 Process boundary
 ----------------
@@ -47,7 +48,7 @@ suspend/resume counters, then restores counters and RNG stream exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,49 +67,19 @@ from repro.microvm import (
 
 @dataclass(frozen=True)
 class HostStateSlice:
-    """Per-host slice of one differential constellation update.
+    """What one manager applies of one differential constellation update.
 
     The coordinator guarantees that every machine named in ``activated``,
-    ``deactivated`` and ``dirty_active`` is hosted by the receiving manager,
-    and that the link arrays are restricted to pairs with at least one
-    endpoint among ``machine_nodes`` (the host's flat node indices).
-    ``gst_delays_ms[name]`` is aligned with ``machine_nodes`` and holds the
-    shortest-path delay from ground station ``name`` to each machine;
-    ``uplink_delays_ms``/``uplink_bandwidths_kbps`` hold the *direct* uplink
-    parameters between each ground station and the host's machines
-    (``inf``/``0`` where no direct link exists), batched through the
-    vectorised ``edge_ids_between`` lookup.
+    ``deactivated`` and ``dirty_active`` is hosted by the receiving manager.
+    ``epoch`` is the database epoch the slice belongs to (a worker's
+    recovery checkpoint), ``dirty_active`` the current bounding-box activity
+    of the manager's dirty satellites by machine name.
     """
 
-    host_index: int
-    time_s: float
     epoch: int
     activated: tuple[MachineId, ...]
     deactivated: tuple[MachineId, ...]
     dirty_active: dict[str, bool]
-    machine_nodes: np.ndarray
-    links_added: np.ndarray
-    added_delays_ms: np.ndarray
-    links_removed: np.ndarray
-    links_delay_changed: np.ndarray
-    delay_changed_ms: np.ndarray
-    gst_delays_ms: dict[str, np.ndarray] = field(default_factory=dict)
-    uplink_delays_ms: dict[str, np.ndarray] = field(default_factory=dict)
-    uplink_bandwidths_kbps: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def link_change_count(self) -> int:
-        """Number of changed links touching this host."""
-        return int(
-            self.links_added.shape[0]
-            + self.links_removed.shape[0]
-            + self.links_delay_changed.shape[0]
-        )
-
-    @property
-    def activity_change_count(self) -> int:
-        """Number of suspend/resume transitions in this slice."""
-        return len(self.activated) + len(self.deactivated)
 
 
 class MachineManager:
@@ -123,7 +94,6 @@ class MachineManager:
         # Machines whose lifecycle changed outside the diff protocol since
         # the last update; reconciled (and cleared) by apply_diff/apply_state.
         self._dirty: set[str] = set()
-        self.last_slice: Optional[HostStateSlice] = None
         self.applied_diffs = 0
 
     # -- machine creation ---------------------------------------------------
@@ -176,8 +146,9 @@ class MachineManager:
     def boot_all(self, now_s: float) -> float:
         """Boot every created-but-not-booted machine; returns the last finish time."""
         finished = now_s
-        for machine in self.host.machines.values():
+        for name, machine in self.host.machines.items():
             if machine.state is MachineState.CREATED:
+                self._dirty.add(name)
                 finished = max(finished, machine.boot(now_s))
         return finished
 
@@ -252,7 +223,6 @@ class MachineManager:
                 continue
             self._reconcile_activity(machine, active, now_s)
         self._dirty.clear()
-        self.last_slice = state_slice
         self.applied_diffs += 1
 
     def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:

@@ -9,10 +9,15 @@ on a TCP stream.
 
 * :mod:`repro.dist.wire` — the versioned frame: a fixed header, a metadata
   blob in the one closed plain-data codec (decoding constructs no object and
-  calls nothing) and the raw buffers of the payload's NumPy arrays, so a
-  :class:`~repro.core.machine_manager.HostStateSlice` round-trips
-  byte-identically.  Corrupt or forged frames decode to typed
-  :class:`~repro.dist.wire.WireError`\\ s, never to nonsense array views.
+  calls nothing) and the raw buffers of the payload's NumPy arrays.  The
+  per-epoch payload is a
+  :class:`~repro.core.machine_manager.HostStateSlice`: the epoch, the
+  manager's machines whose bounding-box activity flipped and the activity of
+  its dirty ones — what a manager applies.  The network half of an update
+  is applied on the coordinator's side (``VirtualNetwork.apply_diff``,
+  ``ConstellationDatabase.pair_rule``) and is not shipped.  Corrupt or
+  forged frames decode to typed :class:`~repro.dist.wire.WireError`\\ s,
+  never to nonsense array views.
 * :mod:`repro.dist.transport` — how frames travel: length-prefixed over TCP
   (:class:`~repro.dist.transport.SocketTransport`), behind one persistent
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
@@ -72,7 +77,6 @@ from repro.dist.wire import (
     decode_slice,
     encode_blob,
     encode_frame,
-    encode_slice,
 )
 from repro.dist.worker import WorkerSpec
 
@@ -101,5 +105,4 @@ __all__ = [
     "decode_slice",
     "encode_blob",
     "encode_frame",
-    "encode_slice",
 ]

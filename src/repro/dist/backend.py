@@ -1,8 +1,13 @@
 """The thread-vs-process fan-out seam behind the coordinator.
 
 The coordinator's distribution policy (who receives which slice) is
-expressed once, in :meth:`~repro.core.coordinator.Coordinator._shard`; *how*
-the slices reach the managers is a backend concern:
+expressed once, in :meth:`~repro.core.coordinator.Coordinator._shard`.  A
+:class:`~repro.core.machine_manager.HostStateSlice` is what a manager
+applies — its machines whose bounding-box activity flipped and the activity
+of its dirty ones; the network half of an update stays on the coordinator's
+side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``)
+and crosses no seam.  *How* the slices reach the managers is a backend
+concern:
 
 * :class:`ThreadFanoutBackend` — the managers live in the coordinator
   process and slices are applied over a persistent thread pool (the
@@ -168,9 +173,11 @@ class MirroredManager:
 
     Lifecycle operations are applied to the in-process shadow (placement,
     dirty tracking, machine states) *and* forwarded to the owning worker as
-    durable control frames; reads delegate to the shadow.  Usage sampling is
-    worker-authoritative: the sample is drawn from the worker's RNG stream
-    and recorded into the shadow host's trace.
+    durable control frames; reads delegate to the shadow.  Slices and usage
+    sweeps do not go through the proxy but through the backend
+    (:meth:`ProcessFanoutBackend.apply_slices` / ``sample_all``): a sample is
+    drawn from the worker's RNG stream and recorded into the shadow host's
+    trace.
     """
 
     def __init__(self, shadow: MachineManager, backend: "ProcessFanoutBackend", position: int):
@@ -247,20 +254,15 @@ class MirroredManager:
             {**self._identity(machine_id), "fraction": fraction},
         )
 
-    def sample_usage(
-        self, now_s: float, setup_phase: bool = False, applying_update: bool = False
-    ) -> UsageSample:
-        return self._backend.sample_one(
-            self.position, now_s, setup_phase=setup_phase, applying_update=applying_update
-        )
-
-    def apply_state(self, state, now_s: float) -> None:
+    def apply_state(self, *args, **kwargs) -> None:
         raise NotImplementedError(
-            "slice application is routed through the coordinator's fan-out "
-            "backend in process mode"
+            "slice application and usage sampling are routed through the "
+            "coordinator's fan-out backend in process mode"
         )
 
-    apply_diff = apply_state
+    # Not delegated to the shadow: a shadow that applied or sampled on its
+    # own would leave the worker's counters and RNG stream behind.
+    apply_diff = sample_usage = apply_state
 
 
 class ProcessFanoutBackend(FanoutBackend):
@@ -433,7 +435,6 @@ class ProcessFanoutBackend(FanoutBackend):
             "now_s": now_s,
             "setup_phase": setup_phase,
             "applying_update": applying_update,
-            "positions": None,
         }
         for worker in range(self.worker_count):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
@@ -453,31 +454,6 @@ class ProcessFanoutBackend(FanoutBackend):
         for position in sorted(samples):
             self._shadows[position].host.trace.record(samples[position])
         return ordered
-
-    def sample_one(
-        self,
-        position: int,
-        now_s: float,
-        setup_phase: bool = False,
-        applying_update: bool = False,
-    ) -> UsageSample:
-        """Sample a single host (used by :meth:`MirroredManager.sample_usage`)."""
-        ack = self.supervisor.request(
-            self._worker_of[position],
-            FrameKind.SAMPLE_USAGE,
-            {
-                "now_s": now_s,
-                "setup_phase": setup_phase,
-                "applying_update": applying_update,
-                "positions": [position],
-            },
-        )
-        self._shadows[position].advance_sample_stream(
-            setup_phase=setup_phase, applying_update=applying_update
-        )
-        sample = UsageSample(**ack["samples"][position])
-        self._shadows[position].host.trace.record(sample)
-        return sample
 
     # -- observability / fault injection -------------------------------------
 

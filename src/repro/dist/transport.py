@@ -39,8 +39,9 @@ from typing import Any, Optional
 from repro.dist import wire
 from repro.dist.wire import FrameKind
 
-#: Upper bound on one length-prefixed frame (1 GiB).  A full-Starlink slice
-#: is a few MiB; anything near this bound is stream corruption, not data.
+#: Upper bound on one length-prefixed frame (1 GiB).  The largest frames of a
+#: full-Starlink run (a serving-tier keyframe, a worker's activity masks) are
+#: a few MiB at most; anything near this bound is stream corruption, not data.
 MAX_FRAME_BYTES = 1 << 30
 
 #: Bytes of entropy in an authentication challenge nonce.

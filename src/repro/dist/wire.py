@@ -17,9 +17,9 @@ Every message is one self-contained frame::
 The metadata blob holds the small, scalar part of the payload (epoch
 numbers, machine names, counters) plus one *descriptor* per NumPy array:
 ``(dtype_str, shape)``.  The arrays themselves travel as their raw memory
-buffers appended after the blob, so a multi-kilobyte per-ground-station
-delay vector costs one ``memcpy`` each way and round-trips byte-identically
-(dtype, shape and payload bits).
+buffers appended after the blob, so a per-shell activity mask or an epoch
+update's link arrays cost one ``memcpy`` each way and round-trip
+byte-identically (dtype, shape and payload bits).
 
 The ``flags`` byte is reserved and must be zero.  The header is parsed with
 :mod:`struct`; version and flags are checked *before* the metadata blob is
@@ -46,14 +46,18 @@ is a :class:`TypeError` at the sender.
 Payload codecs
 --------------
 
-:func:`encode_slice` / :func:`decode_slice` map a
-:class:`~repro.core.machine_manager.HostStateSlice` onto a frame:
-``activated`` / ``deactivated`` machine identities are shipped as
-``(shell, identifier)`` integer arrays (satellite names are canonical:
-``"{identifier}.{shell}.celestial"``), the link arrays and per-ground-station
-delay vectors as raw buffers, and the small ``dirty_active`` map in the
-metadata blob.  :func:`encode_activity` ships the per-shell bounding-box
-activity masks of a full-state replay the same way.
+:func:`slice_payload` / :func:`decode_slice` map a
+:class:`~repro.core.machine_manager.HostStateSlice` — what one manager
+applies of an epoch — onto an ``APPLY_SLICE`` frame: ``activated`` /
+``deactivated`` machine identities are shipped as ``(shell, identifier)``
+integer arrays (satellite names are canonical:
+``"{identifier}.{shell}.celestial"``), ``epoch`` and the small
+``dirty_active`` map in the metadata blob.  Nothing else crosses the seam
+per epoch: the network half of an update is applied on the coordinator's
+side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``),
+so a slice frame's size follows the epoch's activity flips, not the fleet.
+:func:`activity_payload` / :func:`decode_activity` ship the per-shell
+bounding-box activity masks of a full-state replay the same way.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from repro.core.machine_manager import HostStateSlice
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
 #: Protocol generation.  Bump on any incompatible frame/codec change.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -440,77 +444,29 @@ def _machine_ids_from_arrays(
 
 # -- HostStateSlice codec ----------------------------------------------------
 
-#: Fixed array fields of a slice frame, in wire order.
-_SLICE_FIELDS = (
-    "machine_nodes",
-    "links_added",
-    "added_delays_ms",
-    "links_removed",
-    "links_delay_changed",
-    "delay_changed_ms",
-)
-
 
 def slice_payload(
     state_slice: HostStateSlice,
 ) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
     """The ``(meta, arrays)`` payload of one per-host slice frame."""
-    activated = _machine_ids_to_arrays(state_slice.activated)
-    deactivated = _machine_ids_to_arrays(state_slice.deactivated)
-    gst_names = list(state_slice.gst_delays_ms)
-    uplink_names = list(state_slice.uplink_delays_ms)
     meta = {
-        "host_index": state_slice.host_index,
-        "time_s": state_slice.time_s,
         "epoch": state_slice.epoch,
         "dirty_active": dict(state_slice.dirty_active),
-        "gst_names": gst_names,
-        "uplink_names": uplink_names,
     }
     arrays = (
-        *(getattr(state_slice, name) for name in _SLICE_FIELDS),
-        *activated,
-        *deactivated,
-        *(state_slice.gst_delays_ms[name] for name in gst_names),
-        *(state_slice.uplink_delays_ms[name] for name in uplink_names),
-        *(state_slice.uplink_bandwidths_kbps[name] for name in uplink_names),
+        *_machine_ids_to_arrays(state_slice.activated),
+        *_machine_ids_to_arrays(state_slice.deactivated),
     )
     return meta, arrays
 
 
-def encode_slice(state_slice: HostStateSlice) -> bytes:
-    """Encode one per-host slice as an ``APPLY_SLICE`` frame."""
-    meta, arrays = slice_payload(state_slice)
-    return encode_frame(FrameKind.APPLY_SLICE, meta, arrays)
-
-
 def decode_slice(meta: dict[str, Any], arrays: list[np.ndarray]) -> HostStateSlice:
     """Rebuild a :class:`HostStateSlice` from a decoded ``APPLY_SLICE`` frame."""
-    fixed = dict(zip(_SLICE_FIELDS, arrays))
-    cursor = len(_SLICE_FIELDS)
-    activated = _machine_ids_from_arrays(arrays[cursor], arrays[cursor + 1])
-    deactivated = _machine_ids_from_arrays(arrays[cursor + 2], arrays[cursor + 3])
-    cursor += 4
-    gst_names = meta["gst_names"]
-    uplink_names = meta["uplink_names"]
-    gst_delays = dict(zip(gst_names, arrays[cursor : cursor + len(gst_names)]))
-    cursor += len(gst_names)
-    uplink_delays = dict(zip(uplink_names, arrays[cursor : cursor + len(uplink_names)]))
-    cursor += len(uplink_names)
-    uplink_bandwidths = dict(
-        zip(uplink_names, arrays[cursor : cursor + len(uplink_names)])
-    )
     return HostStateSlice(
-        host_index=meta["host_index"],
-        time_s=meta["time_s"],
         epoch=meta["epoch"],
-        activated=activated,
-        deactivated=deactivated,
+        activated=_machine_ids_from_arrays(arrays[0], arrays[1]),
+        deactivated=_machine_ids_from_arrays(arrays[2], arrays[3]),
         dirty_active=meta["dirty_active"],
-        gst_delays_ms=gst_delays,
-        uplink_delays_ms=uplink_delays,
-        uplink_bandwidths_kbps=uplink_bandwidths,
-        **fixed,
     )
 
 
@@ -524,14 +480,6 @@ def activity_payload(
     shells = sorted(active_satellites)
     meta = {"shells": shells, "time_s": time_s, "epoch": epoch}
     return meta, tuple(active_satellites[shell] for shell in shells)
-
-
-def encode_activity(
-    active_satellites: dict[int, np.ndarray], time_s: float, epoch: int
-) -> bytes:
-    """Encode the per-shell bounding-box masks of a full-state replay."""
-    meta, arrays = activity_payload(active_satellites, time_s, epoch)
-    return encode_frame(FrameKind.APPLY_ACTIVITY, meta, arrays)
 
 
 def decode_activity(

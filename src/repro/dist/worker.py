@@ -4,8 +4,13 @@ One worker owns one or more :class:`~repro.core.machine_manager.
 MachineManager`\\ s — each with its :class:`~repro.hosts.Host` and microVMs —
 in a process of its own.  It plays the role a Celestial host plays on a real
 machine of the paper's testbed: receive the part of every constellation
-update that concerns its own machines, apply it, and report host resource
-usage back to the coordinator (§3, Fig. 2).
+update its managers act on — a
+:class:`~repro.core.machine_manager.HostStateSlice` per manager: the
+bounding-box flips among its machines and the activity of its dirty ones —
+apply it, and report host resource usage back to the coordinator (§3,
+Fig. 2).  Link delays and bandwidths never reach a worker: this
+reproduction applies the network half of an update on the coordinator's
+side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``).
 
 Protocol
 --------
@@ -120,7 +125,6 @@ class _Worker:
         self.spec = spec
         self.conn = conn
         self.by_position: dict[int, MachineManager] = {}
-        self.by_host_index: dict[int, MachineManager] = {}
         for host_spec in spec.hosts:
             host = Host(
                 index=host_spec.host_index,
@@ -131,7 +135,6 @@ class _Worker:
             manager = MachineManager(host)
             manager._rng.bit_generator.state = host_spec.rng_state
             self.by_position[host_spec.position] = manager
-            self.by_host_index[host_spec.host_index] = manager
         # Last epoch applied per manager: a worker owning several hosts may
         # be mid-epoch (one slice applied, the next not), and recovery
         # restores each manager to its own acknowledged epoch.
@@ -232,11 +235,8 @@ class _Worker:
                 self.epochs[position] = epoch
             return None
         if kind is FrameKind.SAMPLE_USAGE:
-            wanted = meta.get("positions")
             samples = {}
             for position, manager in sorted(self.by_position.items()):
-                if wanted is not None and position not in wanted:
-                    continue
                 sample = manager.sample_usage(
                     meta["now_s"],
                     setup_phase=meta["setup_phase"],

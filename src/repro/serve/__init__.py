@@ -1,13 +1,12 @@
 """The streaming serving tier: one state-distribution path for all consumers.
 
-Celestial's constellation state historically reached its consumers over
-three disjoint encodings — binary worker frames, ad-hoc info-API JSON and
-analysis result dumps.  This package unifies them behind a single seam:
+Every consumer of the constellation state outside the coordinator process
+is served from one encoding of each epoch:
 
 * :mod:`repro.serve.codec` — the shared :class:`EpochUpdate` codec.  Each
   epoch's keyframe/diff is encoded exactly once into the versioned
-  :mod:`repro.dist.wire` frame format; the info API's ``/diffs`` JSON and
-  the analysis bundle render *views* of the same encoded bytes.
+  :mod:`repro.dist.wire` frame format; the gateway fans those bytes out and
+  the info API's ``/diffs`` JSON is a *view* of them.
 * :mod:`repro.serve.gateway` — the asyncio :class:`StreamGateway`, fanning
   the shared bytes out to thousands of subscribers with bounded per-client
   queues, backpressure and slow-client keyframe resync, and answering

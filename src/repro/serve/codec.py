@@ -1,19 +1,14 @@
 """The shared epoch-update codec of the serving tier.
 
-Before this module the repository held *three* disjoint encodings of the
-same per-epoch constellation change set: the binary
-:mod:`repro.dist.wire` frames the coordinator ships to workers, the ad-hoc
-JSON the info API rendered for ``/diffs/<epoch>``, and the result dumps of
-the analysis bundle.  The codec collapses them into one unit of
-distribution — the :class:`EpochUpdate` — encoded **exactly once** per
-epoch into the existing versioned wire-frame format (``KEYFRAME`` /
-``DIFF`` frame kinds) and rendered as *views* everywhere else:
+One unit of distribution — the :class:`EpochUpdate` — carries an epoch's
+constellation change set.  It is encoded **exactly once** per epoch into
+the versioned :mod:`repro.dist.wire` frame format (``KEYFRAME`` / ``DIFF``
+frame kinds) and rendered as *views* everywhere else:
 
 * the streaming gateway (:mod:`repro.serve.gateway`) fans the shared
   encoded bytes out to every subscriber,
 * the info API's ``/diffs/<epoch>`` JSON is :func:`diff_json_record` over
-  the decoded frame (byte-for-byte the wire format PR 3 introduced),
-* the analysis bundle's ``epoch_stream.json`` reuses the same JSON view.
+  the decoded frame (byte-for-byte the wire format PR 3 introduced).
 
 What travels is the network-observable projection of a
 :class:`~repro.core.constellation.ConstellationState` — the
@@ -127,7 +122,7 @@ class EpochUpdate:
     """One epoch's encoded distribution unit (a KEYFRAME or DIFF frame).
 
     ``data`` is the shared wire-frame encoding — every consumer (gateway
-    fan-out, JSON views, bundle renderings) works from these same bytes.
+    fan-out, the info API's JSON view) works from these same bytes.
     """
 
     kind: FrameKind
@@ -145,11 +140,10 @@ class EpochUpdate:
         return self._decoded[0]
 
     def json_record(self) -> dict:
-        """The JSON view of this update (the ``/diffs`` wire format)."""
-        meta, arrays = self.decoded()
-        if self.kind is FrameKind.DIFF:
-            return diff_json_record(meta, arrays)
-        return keyframe_json_record(meta, arrays)
+        """The JSON view of a DIFF update (the ``/diffs`` wire format)."""
+        if self.kind is not FrameKind.DIFF:
+            raise CodecError(f"a {self.kind.name} update has no JSON view")
+        return diff_json_record(*self.decoded())
 
 
 # Fixed array layout of a DIFF frame, ahead of the per-shell id arrays.
@@ -303,22 +297,6 @@ def diff_json_record(meta: dict, arrays: list[np.ndarray]) -> dict:
         },
         "deactivated": {
             str(shell): ids.tolist() for shell, ids in named["deactivated"].items()
-        },
-    }
-
-
-def keyframe_json_record(meta: dict, arrays: list[np.ndarray]) -> dict:
-    """Compact JSON summary of a decoded KEYFRAME frame (counters, not rows)."""
-    shells = meta["shells"]
-    masks = arrays[5 : 5 + len(shells)]
-    return {
-        "epoch": meta["epoch"],
-        "time_s": meta["time_s"],
-        "node_count": meta["node_count"],
-        "links": int(arrays[0].shape[0]),
-        "active": {
-            str(shell): int(np.count_nonzero(mask))
-            for shell, mask in zip(shells, masks)
         },
     }
 

@@ -612,7 +612,7 @@ class StreamGateway:
                 "delay_ms": float(result.delay_ms) if reachable else None,
                 "rtt_ms": float(result.rtt_ms) if reachable else None,
             }
-        except (KeyError, ValueError, RuntimeError) as error:
+        except (LookupError, ValueError, RuntimeError) as error:
             return {
                 "client": subscription.client_id,
                 "error": str(error),

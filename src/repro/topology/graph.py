@@ -47,8 +47,9 @@ ISL endpoints are static per shell and only a small fraction of uplinks
 appear or disappear between updates.  :meth:`NetworkGraph.diff_from`
 compares two epochs' edge arrays and emits a :class:`TopologyDiff` —
 ``links_added`` / ``links_removed`` / ``delay_changed`` /
-``bandwidth_changed`` edge-id index arrays — which the coordinator shards
-into per-host slices instead of replaying the full state.
+``bandwidth_changed`` edge-id index arrays — which the path engine, the
+virtual network and the epoch-update codec consume instead of re-reading
+the full state.
 """
 
 from __future__ import annotations

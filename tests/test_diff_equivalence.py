@@ -238,6 +238,20 @@ def _coordinator(config, incremental, host_count=3):
     return coordinator, managers
 
 
+def _suspend_resume_counters(managers):
+    return sorted(
+        (manager.suspension_count, manager.resume_count) for manager in managers
+    )
+
+
+def _machine_states(managers):
+    return {
+        name: machine.state
+        for manager in managers
+        for name, machine in manager.host.machines.items()
+    }
+
+
 class TestShardedCoordinatorEquivalence:
     def test_suspend_resume_and_machine_states_match_full_replay(self):
         # Long enough (two Iridium orbits) that satellites leave the box,
@@ -254,75 +268,13 @@ class TestShardedCoordinatorEquivalence:
                     state_full.active_satellites[shell],
                     state_inc.active_satellites[shell],
                 )
-        counters_inc = sorted(
-            (manager.suspension_count, manager.resume_count)
-            for manager in managers_inc
-        )
-        counters_full = sorted(
-            (manager.suspension_count, manager.resume_count)
-            for manager in managers_full
-        )
-        assert counters_inc == counters_full
+        counters_inc = _suspend_resume_counters(managers_inc)
+        assert counters_inc == _suspend_resume_counters(managers_full)
         assert sum(suspended for suspended, _ in counters_inc) > 0
         assert sum(resumed for _, resumed in counters_inc) > 0
-        states_inc = {
-            name: manager.host.machines[name].state
-            for manager in managers_inc
-            for name in manager.host.machines
-        }
-        states_full = {
-            name: manager.host.machines[name].state
-            for manager in managers_full
-            for name in manager.host.machines
-        }
-        assert states_inc == states_full
+        assert _machine_states(managers_inc) == _machine_states(managers_full)
         assert incremental.stats.diff_updates == 200
         assert incremental.stats.full_updates == 1
-
-    def test_slices_cover_the_full_change_set(self):
-        config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
-        coordinator, managers = _coordinator(config, incremental=True)
-        coordinator.update(0.0)
-        state = coordinator.update(60.0)
-        diff = coordinator.database.latest_diff
-        assert diff is not None
-        slices = [manager.last_slice for manager in managers]
-        assert all(state_slice is not None for state_slice in slices)
-        # Each changed link involving a created machine appears in at least
-        # one host's slice; every slice row genuinely touches that host.
-        owned = {
-            node
-            for state_slice in slices
-            for node in state_slice.machine_nodes.tolist()
-        }
-        changed = diff.topology.delay_changed_endpoints()
-        expected = {
-            (int(a), int(b))
-            for a, b in changed
-            if int(a) in owned or int(b) in owned
-        }
-        covered = set()
-        for state_slice in slices:
-            host_nodes = set(state_slice.machine_nodes.tolist())
-            for a, b in state_slice.links_delay_changed.tolist():
-                assert a in host_nodes or b in host_nodes
-                covered.add((a, b))
-        assert covered == expected
-        # The per-ground-station delay vectors match the shortest-path table.
-        for state_slice in slices:
-            for name, delays in state_slice.gst_delays_ms.items():
-                source = state.node_index.ground_station(name)
-                reference = state.paths.delays_from(source)[state_slice.machine_nodes]
-                assert np.array_equal(delays, reference)
-            for name, delays in state_slice.uplink_delays_ms.items():
-                source = state.node_index.ground_station(name)
-                nodes = state_slice.machine_nodes
-                edges = state.graph.edge_ids_between(np.full(nodes.size, source), nodes)
-                for position, edge in enumerate(edges.tolist()):
-                    if edge < 0:
-                        assert delays[position] == np.inf
-                    else:
-                        assert delays[position] == state.graph.delays_ms[edge]
 
     def test_dirty_machines_reconciled_after_fault_injection(self):
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
@@ -346,6 +298,35 @@ class TestShardedCoordinatorEquivalence:
             victim = coordinator.calculation.satellite(0, outside)
             machine = coordinator.manager_for(victim).machine(victim)
             assert machine.state.value == "suspended"
+
+
+    def test_boot_all_outside_the_box_is_reconciled_like_a_full_replay(self):
+        # A machine created unbooted, carried across an update (which clears
+        # its dirty mark) and only then booted by boot_all while outside the
+        # bounding box: it comes up RUNNING and the next update must suspend
+        # it on the diff path exactly as the full replay does.
+        config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
+        incremental, managers_inc = _coordinator(config, incremental=True)
+        full, managers_full = _coordinator(config, incremental=False)
+        for coordinator in (incremental, full):
+            coordinator.update(0.0)
+        state = incremental.database.state
+        outside = int(np.nonzero(~state.active_satellites[0])[0][0])
+        for coordinator in (incremental, full):
+            victim = coordinator.calculation.satellite(0, outside)
+            assert not coordinator.has_machine(victim)
+            coordinator.create_machine(victim, 10.0, boot=False)
+            coordinator.update(60.0)
+            assert coordinator.manager_for(victim).machine(victim).state.value == "created"
+            coordinator.manager_for(victim).boot_all(70.0)
+            coordinator.update(120.0)
+            assert not coordinator.database.state.is_active(victim)
+            machine = coordinator.manager_for(victim).machine(victim)
+            assert machine.state.value == "suspended"
+        counters_inc = _suspend_resume_counters(managers_inc)
+        assert counters_inc == _suspend_resume_counters(managers_full)
+        assert sum(suspended for suspended, _ in counters_inc) >= 1
+        assert _machine_states(managers_inc) == _machine_states(managers_full)
 
 
 class TestDatabaseDiffHistory:

@@ -243,6 +243,27 @@ class TestProcessBackendEquivalence:
                 assert machine.state.value == "suspended"
                 assert machine.cpu_quota.quota_fraction == 0.25
             _assert_equivalent(threads, processes)
+            # boot_all marks what it boots dirty too: a machine created
+            # unbooted, carried across an update and then booted outside
+            # the box travels in the next slice's dirty_active and is
+            # suspended by shadow and worker alike (counters verified on
+            # the ack, reconciled states compared).
+            state = processes.database.state
+            late = next(
+                int(identifier)
+                for identifier in np.nonzero(~state.active_satellites[0])[0]
+                if not processes.has_machine(processes.calculation.satellite(0, int(identifier)))
+            )
+            for coordinator in (threads, processes):
+                sleeper = coordinator.calculation.satellite(0, late)
+                coordinator.create_machine(sleeper, 70.0, boot=False)
+                coordinator.update(120.0)
+                coordinator.manager_for(sleeper).boot_all(130.0)
+                coordinator.update(180.0)
+                assert not coordinator.database.state.is_active(sleeper)
+                machine = coordinator.manager_for(sleeper).machine(sleeper)
+                assert machine.state.value == "suspended"
+            _assert_equivalent(threads, processes)
         finally:
             threads.close()
             processes.close()

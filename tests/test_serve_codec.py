@@ -194,6 +194,9 @@ class TestCodecCacheAndViews:
         for offset, record in enumerate(history["diffs"]):
             again = database.codec.diff_update(2 + offset).json_record()
             assert record == again
+        # The JSON view is the diff history's; a keyframe has none.
+        with pytest.raises(CodecError, match="KEYFRAME update has no JSON view"):
+            database.codec.keyframe_update(6, state=state).json_record()
 
     def test_prune_tracks_database_history(self):
         config = iridium_configuration()

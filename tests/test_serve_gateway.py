@@ -405,6 +405,27 @@ class TestQueries:
                 stats = server.statistics()["clients"]["asker"]
                 assert stats["queries"] == 3
 
+    def test_out_of_range_satellite_query_keeps_the_subscription(self, testbed_core):
+        # "99999.0" parses as a satellite of shell 0 but no such node exists:
+        # NodeIndex raises IndexError, which must come back as an error
+        # RESULT like an unknown ground station does — not close the stream.
+        _, calculation, database, state = testbed_core
+        with GatewayServer(database) as server:
+            host, port = server.address
+            with SubscriptionClient(host, port, client_id="asker") as client:
+                client.sync_to_epoch(1)
+                bogus = client.query("hawaii", "99999.0")
+                assert bogus["client"] == "asker"
+                assert "error" in bogus
+                answered = client.query("hawaii", "buoy-0")
+                assert answered["reachable"] is True
+                state = advance(calculation, database, state, 30.0)
+                client.sync_to_epoch(database.epoch)
+                assert client.replica.snapshot().same_bits(
+                    EpochSnapshot.from_state(state, database.epoch)
+                )
+                assert server.statistics()["clients"]["asker"]["queries"] == 2
+
     def test_queries_interleave_with_stream_updates(self, testbed_core):
         _, calculation, database, state = testbed_core
         with GatewayServer(database) as server:
