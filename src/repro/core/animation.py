@@ -22,8 +22,7 @@ def constellation_snapshot(state: ConstellationState, include_links: bool = True
     """Structured snapshot of satellites, ground stations and links."""
     satellites = []
     for shell, positions in state.satellite_positions_ecef.items():
-        latitudes = state.satellite_latitudes[shell]
-        longitudes = state.satellite_longitudes[shell]
+        latitudes, longitudes = state.geodetic(shell)
         active = state.active_satellites[shell]
         altitudes = np.linalg.norm(positions, axis=1) - 6378.135
         for identifier in range(positions.shape[0]):
@@ -99,10 +98,10 @@ def ascii_map(
         if grid[row][column] != "G":
             grid[row][column] = symbol
 
-    for shell_index, latitudes in state.satellite_latitudes.items():
+    for shell_index in state.satellite_positions_ecef:
         if shell is not None and shell_index != shell:
             continue
-        longitudes = state.satellite_longitudes[shell_index]
+        latitudes, longitudes = state.geodetic(shell_index)
         active = state.active_satellites[shell_index]
         for identifier in range(latitudes.shape[0]):
             symbol = "#" if active[identifier] else "*"
@@ -116,10 +115,10 @@ def ascii_map(
 def snapshot_to_geojson(state: ConstellationState, shell: Optional[int] = None) -> dict:
     """GeoJSON FeatureCollection of satellite and ground-station positions."""
     features = []
-    for shell_index, latitudes in state.satellite_latitudes.items():
+    for shell_index in state.satellite_positions_ecef:
         if shell is not None and shell_index != shell:
             continue
-        longitudes = state.satellite_longitudes[shell_index]
+        latitudes, longitudes = state.geodetic(shell_index)
         active = state.active_satellites[shell_index]
         for identifier in range(latitudes.shape[0]):
             features.append(

@@ -10,12 +10,16 @@ The snapshot hot path is fully vectorised: static structures (the node
 index, per-shell +GRID ISL endpoint arrays as flat global node indices, and
 ground-station nodes/positions) are computed once in
 :class:`ConstellationCalculation` and reused across consecutive snapshots.
-Each epoch's link set is derived as a handful of per-shell and
-per-ground-station array chunks, which one assembly step concatenates into
-the edge table of a :class:`~repro.topology.graph.NetworkGraph`.
-Ground-station elevation checks are batched into one matrix operation per
-shell over the stacked GST×satellite position array
-(:func:`~repro.topology.uplinks.visible_satellites_batch`).
+Each epoch's link set is derived as one ISL array chunk per shell plus ONE
+flat uplink table — parallel ``(station, shell, satellite, distance_km,
+delay_ms)`` arrays with a row per visible ground-station/satellite pair —
+which one assembly step concatenates into the edge table of a
+:class:`~repro.topology.graph.NetworkGraph`.  The elevation checks and
+slant ranges of all ground stations are one batched operation per shell
+(:func:`~repro.topology.uplinks.visible_satellites_batch`); nothing on the
+epoch path loops over ground stations.  The graph's edge table is the only
+place a state keeps its uplinks: :meth:`ConstellationState.uplinks_of`
+reads a station's ``UPLINK`` edges back out of it.
 
 Differential updates
 --------------------
@@ -25,13 +29,14 @@ Differential updates
 Both derive their link set from the same per-epoch arrays and build the
 graph through the same assembly
 (:meth:`ConstellationCalculation._assemble_graph`: ISLs by shell, then
-uplinks by ground station and shell), so edge ids agree and the states
-they produce are byte-identical.  What differs is what the diff path
+uplinks by ground station, shell and satellite), so edge ids agree and the
+states they produce are byte-identical.  What differs is what the diff path
 reuses from the previous epoch:
 
 * the certified visibility bounds (:class:`_UpdateHints`), which restrict
   the line-of-sight and elevation checks to the pairs that can have
-  crossed a threshold — ``state_at`` evaluates every pair;
+  crossed a threshold — ``state_at`` evaluates every pair; either way the
+  pairs go through the same ``visible_satellites_batch`` tail;
 * the previous graph's derived structure (sorted keys, delay-matrix
   template), shared whenever the edge set did not change — ``state_at``
   passes no ``structure_from``;
@@ -52,13 +57,12 @@ The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
 full per-shell geodetic conversion is only computed for satellites inside
 the margin band of a box latitude edge; the exact sub-satellite
-latitudes/longitudes a consumer may still ask for are derived lazily per
-shell and cached on the state.
+latitudes/longitudes a consumer may still ask for are derived on first use
+per shell and cached on the state (:meth:`ConstellationState.geodetic`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Optional, Sequence
 
@@ -85,6 +89,9 @@ from repro.topology.graph import _CODE_BY_LINK_TYPE
 from repro.topology.isl import grid_plus_isl_pairs
 from repro.topology.linkparams import link_delay_ms
 from repro.topology.uplinks import visible_satellites_batch
+
+_ISL_CODE = _CODE_BY_LINK_TYPE[LinkType.ISL]
+_UPLINK_CODE = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
 
 
 def satellite_name(shell: int, identifier: int) -> str:
@@ -206,114 +213,23 @@ class _EpochArrays:
     """Per-epoch intermediate arrays shared by ``state_at`` and ``diff_since``.
 
     ``isl_chunks`` holds one ``(node_a, node_b, distance_km, delay_ms,
-    bandwidth_kbps)`` tuple per shell (line-of-sight filtered),
-    ``uplink_chunks`` one ``(gst_name, shell, gst_node, visible_ids,
-    sat_nodes, distance_km, delay_ms, bandwidth_kbps)`` tuple per
-    ground-station/shell pair with at least one visible satellite, in the
-    deterministic order :meth:`ConstellationCalculation._assemble_graph`
-    concatenates them (ISLs by shell, then uplinks by ground station, then
-    shell).  Keeping both code paths on these arrays guarantees
-    byte-identical snapshots.
+    bandwidth_kbps)`` tuple per shell (line-of-sight filtered).
+    ``uplinks`` is the epoch's whole uplink set as five parallel arrays
+    ``(station, shell, satellite, distance_km, delay_ms)`` — ``station`` the
+    ground station's position in the configuration, ``satellite`` the
+    in-shell identifier — with one row per visible pair, sorted by ground
+    station, then shell, then satellite: the order in which
+    :meth:`ConstellationCalculation._assemble_graph` appends them to the
+    ISLs, and hence their edge ids.  Keeping both code paths on these arrays
+    guarantees byte-identical snapshots.
     """
 
     gmst: float
     satellite_positions: dict[int, np.ndarray]
     active: dict[int, np.ndarray]
     isl_chunks: list[tuple]
-    uplink_chunks: list[tuple]
+    uplinks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     hints: Optional[_UpdateHints] = None
-
-
-class _SubSatellitePoints:
-    """Lazily computed per-shell sub-satellite geodetic coordinates.
-
-    The epoch hot path only needs latitudes/longitudes where the
-    bounding-box verdict is genuinely uncertain
-    (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
-    full per-shell ``ecef_to_geodetic`` conversion — one of the largest
-    remaining terms of ``_epoch_arrays`` — is deferred until a consumer
-    (info API, animation, experiments) actually asks for it, then cached.
-    The values are identical to an eager conversion: same function over
-    the same position arrays.
-    """
-
-    def __init__(self, positions: dict[int, np.ndarray]):
-        self._positions = positions
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def geodetic(self, shell: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (latitudes, longitudes) [deg] of one shell's satellites."""
-        if shell not in self._cache:
-            lat, lon, _ = ecef_to_geodetic(self._positions[shell])
-            self._cache[shell] = (lat, lon)
-        return self._cache[shell]
-
-    def view(self, component: int) -> "_GeodeticView":
-        """Dict-like view of one coordinate (0 = latitude, 1 = longitude)."""
-        return _GeodeticView(self, component)
-
-
-class _GeodeticView(Mapping):
-    """Read-only per-shell mapping over one lazily computed coordinate."""
-
-    def __init__(self, points: _SubSatellitePoints, component: int):
-        self._points = points
-        self._component = component
-
-    def __getitem__(self, shell: int) -> np.ndarray:
-        return self._points.geodetic(shell)[self._component]
-
-    def __iter__(self):
-        return iter(self._points._positions)
-
-    def __len__(self) -> int:
-        return len(self._points._positions)
-
-
-class _LazyUplinkTable(Mapping):
-    """Uplink table whose :class:`UplinkInfo` lists materialise on first use.
-
-    Building the per-ground-station object lists costs a Python loop over
-    every visible pair; most epochs nobody reads them (the coordinator's
-    slicing works on the raw arrays), so construction is deferred until
-    any mapping operation touches the table.  Deliberately a
-    :class:`~collections.abc.Mapping` rather than a ``dict`` subclass:
-    CPython's concrete-dict C paths (``dict(x)``, ``{**x}``, ``x.copy()``)
-    bypass overridden methods on subclasses and would observe an empty
-    table, whereas with a Mapping they go through ``__iter__`` /
-    ``__getitem__`` and materialise correctly.
-    """
-
-    def __init__(self, builder):
-        self._table: dict[str, list[UplinkInfo]] = {}
-        self._builder = builder
-
-    def _materialize(self) -> dict:
-        if self._builder is not None:
-            builder, self._builder = self._builder, None
-            self._table = builder()
-        return self._table
-
-    def __getitem__(self, key):
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __len__(self):
-        return len(self._materialize())
-
-    def __eq__(self, other):
-        if isinstance(other, _LazyUplinkTable):
-            return self._materialize() == other._materialize()
-        if isinstance(other, dict):
-            return self._materialize() == other
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return repr(self._materialize())
 
 
 class _ExtraTableScores:
@@ -376,11 +292,8 @@ class ConstellationState:
     graph: NetworkGraph
     paths: ShortestPaths
     satellite_positions_ecef: dict[int, np.ndarray]
-    satellite_latitudes: Mapping
-    satellite_longitudes: Mapping
     active_satellites: dict[int, np.ndarray]
     ground_positions_ecef: dict[str, np.ndarray]
-    uplinks: Mapping = field(default_factory=dict)
     _extra_paths: dict[int, ShortestPaths] = field(default_factory=dict, repr=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
     #: The owning calculation's engine and shared score book; the
@@ -388,6 +301,9 @@ class ConstellationState:
     _path_engine: Optional[PathEngine] = field(default=None, repr=False, compare=False)
     _table_scores: Optional[_ExtraTableScores] = field(
         default=None, repr=False, compare=False
+    )
+    _geodetic: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     # -- machine-level queries -------------------------------------------
@@ -486,15 +402,45 @@ class ConstellationState:
         return float(self.graph.bandwidths_kbps[edges].min())
 
     def uplinks_of(self, ground_station: str) -> list[UplinkInfo]:
-        """Usable uplinks of a ground station, nearest first."""
-        return sorted(self.uplinks.get(ground_station, []), key=lambda u: u.distance_km)
+        """Usable uplinks of a ground station, nearest first.
+
+        A view of the graph's ``UPLINK`` edges, which carry the ground
+        station as their first endpoint; equally distant satellites keep
+        their edge order (shell, then satellite).  An unknown name has no
+        uplinks.
+        """
+        index, graph = self.node_index, self.graph
+        try:
+            node = index.ground_station(ground_station)
+        except KeyError:
+            return []
+        edges = np.nonzero((graph.node_a == node) & (graph.link_type_codes == _UPLINK_CODE))[0]
+        edges = edges[np.argsort(graph.distances_km[edges], kind="stable")]
+        return [
+            UplinkInfo(*index.describe(satellite)[1:], distance, delay)
+            for satellite, distance, delay in zip(
+                graph.node_b[edges].tolist(),
+                graph.distances_km[edges].tolist(),
+                graph.delays_ms[edges].tolist(),
+            )
+        ]
+
+    def geodetic(self, shell: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sub-satellite (latitudes, longitudes) [degrees] of one shell.
+
+        The epoch path only needs geodetic coordinates where the
+        bounding-box verdict is uncertain, so the full per-shell conversion
+        runs on first use and is cached on the state.
+        """
+        if shell not in self._geodetic:
+            latitudes, longitudes, _ = ecef_to_geodetic(self.satellite_positions_ecef[shell])
+            self._geodetic[shell] = (latitudes, longitudes)
+        return self._geodetic[shell]
 
     def satellite_position_geodetic(self, shell: int, identifier: int) -> tuple[float, float]:
         """Sub-satellite latitude/longitude of a satellite [degrees]."""
-        return (
-            float(self.satellite_latitudes[shell][identifier]),
-            float(self.satellite_longitudes[shell][identifier]),
-        )
+        latitudes, longitudes = self.geodetic(shell)
+        return float(latitudes[identifier]), float(longitudes[identifier])
 
     def active_count(self) -> int:
         """Number of satellites currently inside the bounding box."""
@@ -556,10 +502,6 @@ class ConstellationCalculation:
         self._ground_positions = {
             gst.name: gst.station.position_ecef for gst in config.ground_stations
         }
-        self._ground_nodes = {
-            gst.name: self.node_index.ground_station(gst.name)
-            for gst in config.ground_stations
-        }
         # Name → configuration-order position, so ground_station() is O(1)
         # instead of an O(n) list.index scan per call (hot in
         # create_ground_stations and per-update pair lookups).
@@ -568,8 +510,10 @@ class ConstellationCalculation:
         }
         # Stacked ground-station structures for the batched (one matrix op
         # per shell) elevation checks: positions as a (G, 3) array plus the
-        # per-shell effective minimum elevations and uplink bandwidths with
-        # ground-station overrides applied.
+        # per-shell effective minimum elevations and the (shell, station)
+        # uplink bandwidths with ground-station overrides applied.  The
+        # uplink table's station and shell columns index these and the two
+        # node lookups below.
         self._gst_position_stack = (
             np.stack([gst.station.position_ecef for gst in config.ground_stations])
             if config.ground_stations
@@ -587,15 +531,23 @@ class ConstellationCalculation:
             )
             for shell_config in config.shells
         ]
-        self._gst_uplink_bandwidths = [
+        self._gst_uplink_bandwidths = np.array(
             [
-                gst.uplink_bandwidth_kbps
-                if gst.uplink_bandwidth_kbps is not None
-                else shell_config.network.uplink_bandwidth_kbps
-                for gst in config.ground_stations
-            ]
-            for shell_config in config.shells
-        ]
+                [
+                    gst.uplink_bandwidth_kbps
+                    if gst.uplink_bandwidth_kbps is not None
+                    else shell_config.network.uplink_bandwidth_kbps
+                    for gst in config.ground_stations
+                ]
+                for shell_config in config.shells
+            ],
+            dtype=float,
+        )
+        self._gst_nodes = np.array(self.node_index.ground_station_indices(), dtype=np.int64)
+        self._shell_offsets = np.array(
+            [self.node_index.shell_offset(shell) for shell in range(len(self.shells))],
+            dtype=np.int64,
+        )
         # Certified per-shell motion bounds for the differential visibility
         # path (:class:`_UpdateHints`).  In the rotating ECEF frame a
         # satellite moves at most orbital speed + frame rotation at the orbit
@@ -732,80 +684,48 @@ class ConstellationCalculation:
                 )
             )
 
-        # Ground-station visibility: the elevation checks of all ground
-        # stations are batched into one stacked GST×satellite matrix
-        # operation per shell (or, on the differential path, one flat
-        # evaluation over the candidate pairs whose bound reached the
-        # threshold).
-        station_count = self._gst_position_stack.shape[0]
+        # Ground-station visibility: per shell one flat (station, satellite,
+        # slant range) table for all ground stations at once — over every
+        # pair on the cold path, over the candidate pairs whose bound
+        # reached the threshold on the differential path.
+        ground = self._gst_position_stack
         elevation_bounds: list[np.ndarray] = []
-        per_shell_visibility: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for shell_index in range(len(self.shells)):
-            positions = satellite_positions[shell_index]
-            if station_count == 0:
-                elevation_bounds.append(np.empty((0, positions.shape[0])))
-                per_shell_visibility.append([])
-                continue
+        tables: list[tuple[np.ndarray, ...]] = []
+        for shell_index, positions in satellite_positions.items():
             thresholds = self._gst_min_elevations[shell_index]
-            results: list[tuple[np.ndarray, np.ndarray]] = []
-            if hints is not None:
+            if hints is None:
+                candidates = None
+                bounds = exact = elevation_angle_matrix_deg(ground, positions)
+            else:
                 step = self._elevation_rate_deg_s[shell_index] * dt
                 bounds = hints.elevation_bounds[shell_index] + step
-                rows, cols = np.nonzero(bounds >= thresholds[:, None])
-                if rows.size:
-                    exact = elevation_angle_deg(
-                        self._gst_position_stack[rows], positions[cols]
-                    )
-                    bounds[rows, cols] = exact
-                else:
-                    exact = np.empty(0)
-                row_starts = np.searchsorted(rows, np.arange(station_count + 1))
-                for row in range(station_count):
-                    start, stop = row_starts[row], row_starts[row + 1]
-                    candidates = cols[start:stop]
-                    visible = candidates[exact[start:stop] >= thresholds[row]]
-                    ranges = slant_range_km(
-                        self._gst_position_stack[row], positions[visible]
-                    )
-                    results.append((visible, np.atleast_1d(ranges)))
-            else:
-                bounds = elevation_angle_matrix_deg(self._gst_position_stack, positions)
-                results = visible_satellites_batch(
-                    self._gst_position_stack,
-                    positions,
-                    thresholds,
-                    elevations_deg=bounds,
-                )
+                candidates = np.nonzero(bounds >= thresholds[:, None])
+                exact = elevation_angle_deg(ground[candidates[0]], positions[candidates[1]])
+                bounds[candidates] = exact
             elevation_bounds.append(bounds)
-            per_shell_visibility.append(results)
-
-        uplink_chunks: list[tuple] = []
-        for gst_position_index, gst_config in enumerate(config.ground_stations):
-            gst_node = self._ground_nodes[gst_config.name]
-            for shell_index in range(len(self.shells)):
-                visible, distances = per_shell_visibility[shell_index][gst_position_index]
-                if visible.size == 0:
-                    continue
-                delays = np.atleast_1d(link_delay_ms(distances))
-                uplink_chunks.append(
-                    (
-                        gst_config.name,
-                        shell_index,
-                        gst_node,
-                        visible,
-                        visible + self.node_index.shell_offset(shell_index),
-                        distances,
-                        delays,
-                        self._gst_uplink_bandwidths[shell_index][gst_position_index],
-                    )
-                )
+            stations, satellites, distances = visible_satellites_batch(
+                ground, positions, thresholds, elevations_deg=exact, candidates=candidates
+            )
+            tables.append(
+                (stations, np.full(stations.size, shell_index), satellites, distances)
+            )
+        station, shell, satellite, distance_km = (
+            np.concatenate(column) for column in zip(*tables)
+        )
+        if len(tables) > 1:
+            # Shell-major so far; a stable sort by station leaves shell and
+            # satellite ascending within each ground station.
+            order = np.argsort(station, kind="stable")
+            station, shell, satellite, distance_km = (
+                station[order], shell[order], satellite[order], distance_km[order]
+            )
 
         return _EpochArrays(
             gmst=gmst,
             satellite_positions=satellite_positions,
             active=active,
             isl_chunks=isl_chunks,
-            uplink_chunks=uplink_chunks,
+            uplinks=(station, shell, satellite, distance_km, link_delay_ms(distance_km)),
             hints=_UpdateHints(
                 time_s=time_s,
                 elevation_bounds=elevation_bounds,
@@ -813,22 +733,6 @@ class ConstellationCalculation:
                 los_upper=los_upper,
             ),
         )
-
-    def _uplink_table(self, epoch: _EpochArrays) -> "_LazyUplinkTable":
-        def build() -> dict[str, list[UplinkInfo]]:
-            uplinks: dict[str, list[UplinkInfo]] = {
-                name: [] for name in self.config.ground_station_names
-            }
-            for name, shell_index, _, visible, _, distances, delays, _ in epoch.uplink_chunks:
-                uplinks[name].extend(
-                    UplinkInfo(shell_index, satellite, distance, delay)
-                    for satellite, distance, delay in zip(
-                        visible.tolist(), distances.tolist(), delays.tolist()
-                    )
-                )
-            return uplinks
-
-        return _LazyUplinkTable(build)
 
     #: Cap on lazily created single-source tables carried between
     #: epochs.  Every carried table adds one source row to the epoch's
@@ -860,7 +764,6 @@ class ConstellationCalculation:
             extra_paths = {node: table for (node, _), table in zip(carried, extras)}
         else:
             paths = engine.solve(graph)
-        points = _SubSatellitePoints(epoch.satellite_positions)
         return ConstellationState(
             time_s=time_s,
             gmst_rad=epoch.gmst,
@@ -868,11 +771,8 @@ class ConstellationCalculation:
             graph=graph,
             paths=paths,
             satellite_positions_ecef=epoch.satellite_positions,
-            satellite_latitudes=points.view(0),
-            satellite_longitudes=points.view(1),
             active_satellites=epoch.active,
             ground_positions_ecef=dict(self._ground_positions),
-            uplinks=self._uplink_table(epoch),
             _extra_paths=extra_paths,
             _update_hints=epoch.hints,
             _path_engine=engine,
@@ -882,45 +782,35 @@ class ConstellationCalculation:
     def _assemble_graph(
         self, epoch: _EpochArrays, structure_from: Optional[NetworkGraph]
     ) -> NetworkGraph:
-        """Concatenate the epoch's chunks into the graph's flat edge arrays.
+        """Concatenate the epoch's ISL chunks and uplink table into the edge arrays.
 
-        The order — ISLs by shell, then uplinks by ground station and
-        shell — fixes the edge ids, so every graph of one epoch, cold or
-        incremental, numbers its edges alike.
+        The order — ISLs by shell, then uplinks by ground station, shell
+        and satellite — fixes the edge ids, so every graph of one epoch,
+        cold or incremental, numbers its edges alike.
         """
-        isl_code = _CODE_BY_LINK_TYPE[LinkType.ISL]
-        uplink_code = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
-        nodes_a, nodes_b, distances_km, delays_ms, bandwidths, type_codes = (
-            [], [], [], [], [], []
-        )
-        for chunk_a, chunk_b, distances, delays, bandwidth in epoch.isl_chunks:
-            nodes_a.append(chunk_a)
-            nodes_b.append(chunk_b)
-            distances_km.append(distances)
-            delays_ms.append(delays)
-            bandwidths.append(np.full(chunk_a.size, bandwidth, dtype=np.float64))
-            type_codes.append(np.full(chunk_a.size, isl_code, dtype=np.int8))
-        for _, _, gst_node, _, sat_nodes, distances, delays, bandwidth in epoch.uplink_chunks:
-            nodes_a.append(np.full(sat_nodes.size, gst_node, dtype=np.int64))
-            nodes_b.append(sat_nodes)
-            distances_km.append(distances)
-            delays_ms.append(delays)
-            bandwidths.append(np.full(sat_nodes.size, bandwidth, dtype=np.float64))
-            type_codes.append(np.full(sat_nodes.size, uplink_code, dtype=np.int8))
-
-        def _concat(chunks: list, dtype) -> np.ndarray:
-            if not chunks:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(chunks)
-
+        chunks = epoch.isl_chunks
+        station, shell, satellite, uplink_distances_km, uplink_delays_ms = epoch.uplinks
+        isl_count = sum(chunk[0].size for chunk in chunks)
         return NetworkGraph.from_edge_arrays(
             self.node_index,
-            _concat(nodes_a, np.int64),
-            _concat(nodes_b, np.int64),
-            _concat(distances_km, np.float64),
-            _concat(delays_ms, np.float64),
-            _concat(bandwidths, np.float64),
-            _concat(type_codes, np.int8),
+            np.concatenate([*(chunk[0] for chunk in chunks), self._gst_nodes[station]]),
+            np.concatenate(
+                [*(chunk[1] for chunk in chunks), self._shell_offsets[shell] + satellite]
+            ),
+            np.concatenate([*(chunk[2] for chunk in chunks), uplink_distances_km]),
+            np.concatenate([*(chunk[3] for chunk in chunks), uplink_delays_ms]),
+            np.concatenate(
+                [
+                    *(np.full(chunk[0].size, chunk[4], dtype=np.float64) for chunk in chunks),
+                    self._gst_uplink_bandwidths[shell, station],
+                ]
+            ),
+            np.concatenate(
+                [
+                    np.full(isl_count, _ISL_CODE, dtype=np.int8),
+                    np.full(station.size, _UPLINK_CODE, dtype=np.int8),
+                ]
+            ),
             structure_from=structure_from,
         )
 

@@ -354,7 +354,8 @@ class Coordinator:
     def close(self) -> None:
         """Release the fan-out backend (idempotent, both backends).
 
-        Thread backend: joins the fan-out pool.  Process backend: drains and
+        Thread backend: shuts the (idle) fan-out pool down without joining
+        it — see :meth:`ThreadFanoutBackend.close`.  Process backend: drains and
         joins every worker, escalating to terminate/kill — deterministic
         even when called during interpreter shutdown (the workers are
         additionally daemonic and the supervisor registers an ``atexit``

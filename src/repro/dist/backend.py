@@ -164,7 +164,13 @@ class ThreadFanoutBackend(FanoutBackend):
             return
         self._closed = True
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            # No join: ``Coordinator.__del__`` closes the backend from the
+            # garbage collector, which can run inside ``threading``'s own
+            # ``_shutdown_locks_lock`` while a thread is being started —
+            # joining takes that lock again and deadlocks ``Thread.start``.
+            # ``_map`` has collected every result, so the pool is idle and
+            # its threads leave on the shutdown sentinel by themselves.
+            self._pool.shutdown(wait=False)
             self._pool = None
 
 

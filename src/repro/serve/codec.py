@@ -36,6 +36,7 @@ from repro.dist.wire import FrameKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState
     from repro.core.database import ConstellationDatabase
+    from repro.topology.graph import TopologyDiff
 
 
 class CodecError(ValueError):
@@ -301,20 +302,28 @@ def diff_json_record(meta: dict, arrays: list[np.ndarray]) -> dict:
     }
 
 
-def changed_nodes(meta: dict, arrays: list[np.ndarray]) -> np.ndarray:
-    """Flat node indices a decoded DIFF frame touches (for scope filtering)."""
-    named = _diff_arrays(meta, arrays)
-    endpoint_sets = [
-        named["added_endpoints"],
-        named["removed_endpoints"],
-        named["delay_changed_endpoints"],
-        named["bandwidth_changed_endpoints"],
-    ]
-    parts = [points.reshape(-1) for points in endpoint_sets if points.size]
-    return (
-        np.unique(np.concatenate(parts).astype(np.int64, copy=False))
-        if parts
-        else np.empty(0, dtype=np.int64)
+def changed_nodes(topology: "TopologyDiff") -> np.ndarray:
+    """Flat node indices a topology diff touches (for scope filtering).
+
+    Sorted and unique: the endpoints of every added, removed,
+    delay-changed and bandwidth-changed link — the endpoint arrays of the
+    epoch's DIFF frame, read from the diff's graphs instead of decoded
+    back out of the frame.
+    """
+    current, previous = topology.current, topology.previous
+    changed = np.concatenate(
+        [topology.links_added, topology.delay_changed, topology.bandwidth_changed]
+    )
+    removed = topology.links_removed
+    return np.unique(
+        np.concatenate(
+            [
+                current.node_a[changed],
+                current.node_b[changed],
+                previous.node_a[removed],
+                previous.node_b[removed],
+            ]
+        )
     )
 
 

@@ -229,20 +229,21 @@ class StreamGateway:
         self.published_epochs += 1
         if diff is None:
             update = codec.keyframe_update(epoch, state=state)
-            touched = None
         else:
             update = codec.diff_update(epoch, diff=diff)
-            meta, arrays = update.decoded()
-            touched = changed_nodes(meta, arrays)
         payload = frame(update.data)
+        # The nodes the diff touches: worked out for the first live scoped
+        # subscription met, so an epoch without one never pays for them.
+        touched: Optional[np.ndarray] = None
         skip_payload: Optional[bytes] = None
         resync_payload: Optional[bytes] = None
         for subscription in self._subscriptions.values():
             if subscription.closed:
                 continue
-            if diff is not None and not self._in_scope(
-                subscription, state, diff, touched
-            ):
+            scoped = diff is not None and subscription.scope is not None
+            if scoped and touched is None:
+                touched = changed_nodes(diff.topology)
+            if scoped and not self._in_scope(subscription, state, diff, touched):
                 # Out of scope: deliver an empty skip-marker diff instead,
                 # so the scoped client's epoch chain keeps advancing
                 # (encoded at most once per epoch, shared by all skips).
@@ -338,42 +339,35 @@ class StreamGateway:
         return not closing
 
     def _in_scope(self, subscription: _Subscription, state, diff, touched) -> bool:
-        """Whether a diff intersects the subscription's scope.
+        """Whether a diff intersects the scope of a scoped subscription.
 
         Scoping is a *delivery* policy: a scoped client is only told about
         epochs whose changes it can observe.  Satellite activity flips and
-        changed-link endpoints are tested against the scope; diffs that
-        touch nothing (pure time advance) pass, so every subscriber's
-        clock keeps moving.
+        changed-link endpoints (``touched``, the diff's
+        :func:`~repro.serve.codec.changed_nodes`) are tested against the
+        scope; diffs that touch nothing (pure time advance) pass, so every
+        subscriber's clock keeps moving.
         """
         if subscription.bbox is not None:
             index = state.node_index
-            satellites = (
-                touched[touched < index.satellite_count]
-                if touched is not None and touched.size
-                else np.empty(0, dtype=np.int64)
-            )
             flipped = [
                 index.shell_offset(shell) + ids
                 for shell, ids in (*diff.activated.items(), *diff.deactivated.items())
-                if ids.size
             ]
             candidates = np.unique(
-                np.concatenate([satellites, *flipped])
-                if flipped
-                else satellites
+                np.concatenate([touched[touched < index.satellite_count], *flipped])
             )
             if not candidates.size:
                 return True
-            positions = np.vstack(
+            # A satellite's node id is its row in the per-shell position
+            # arrays stacked in shell order.
+            positions = np.concatenate(
                 [
-                    state.satellite_positions_ecef[shell][identifier]
-                    for shell, identifier in (
-                        index.describe(int(node))[1:] for node in candidates
-                    )
+                    state.satellite_positions_ecef[shell]
+                    for shell in range(len(index.shell_sizes))
                 ]
             )
-            return bool(np.any(subscription.bbox.contains_ecef(positions)))
+            return bool(np.any(subscription.bbox.contains_ecef(positions[candidates])))
         if subscription.ground_station is not None:
             try:
                 gst_node = state.node_index.ground_station(
@@ -381,7 +375,7 @@ class StreamGateway:
                 )
             except KeyError:
                 return True
-            return touched is None or bool(np.any(touched == gst_node))
+            return bool(np.any(touched == gst_node))
         return True
 
     # -- per-client protocol -------------------------------------------------

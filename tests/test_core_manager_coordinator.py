@@ -1,5 +1,7 @@
 """Unit tests for the machine manager, coordinator and fault injection."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,43 @@ class TestCoordinator:
         assert (stats.count, stats.full_updates, stats.diff_updates) == (5000, 1, 4999)
         assert stats.mean_wallclock_s == pytest.approx(sum(durations) / 5000, rel=1e-12)
         assert stats.max_wallclock_s == 1.0 > max(stats.wallclock_seconds)
+
+
+class TestCoordinatorFinaliser:
+    @pytest.mark.skipif(
+        not hasattr(threading, "_shutdown_locks_lock"),
+        reason="this interpreter's threading module has no shutdown-locks lock",
+    )
+    def test_close_does_not_need_the_threading_modules_lock(self):
+        """``Coordinator.__del__`` closes the backend wherever the garbage
+        collector happens to run — also inside ``threading``'s
+        ``_shutdown_locks_lock``, held while a new thread registers itself.
+        A close that joins the pool's threads takes that lock again: the
+        starting thread deadlocks and ``Thread.start`` never returns (seen
+        as a Tier-1 run hanging in a testbed test)."""
+        *_, coordinator = _coordinator()
+        before = set(threading.enumerate())
+        coordinator.sample_all_usage(0.0)  # two managers: the pool exists now
+        pool_threads = [
+            thread for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("celestial-fanout")
+        ]
+        assert pool_threads
+        closed = threading.Event()
+        # A daemon thread: starting one does not take the lock held here.
+        closer = threading.Thread(
+            target=lambda: (coordinator.close(), closed.set()), daemon=True
+        )
+        with threading._shutdown_locks_lock:
+            closer.start()
+            finished = closed.wait(timeout=5.0)
+        closer.join(timeout=5.0)
+        assert finished and not closer.is_alive()
+        for thread in pool_threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        with pytest.raises(RuntimeError, match="closed"):
+            coordinator.sample_all_usage(1.0)
 
 
 class TestFaultInjection:

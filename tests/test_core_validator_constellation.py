@@ -17,8 +17,9 @@ from repro.core import (
     validate_configuration,
 )
 from repro.orbits import GroundStation, ShellGeometry
-from repro.topology import LinkType
+from repro.topology import LinkType, visible_satellites
 from repro.topology.graph import _CODE_BY_LINK_TYPE
+from repro.topology.linkparams import link_delay_ms
 
 
 def _iridium_config(**overrides):
@@ -218,3 +219,160 @@ class TestConstellationCalculation:
         b = calc.satellite(0, 30)
         assert np.isfinite(state.delay_ms(a, b))
         assert state.path(a, b).hop_count >= 1
+
+
+def _twin_shell_config(ground_stations):
+    """Two shells of identical geometry: satellite ``k`` of either shell is
+    at the same position, so a station that sees both gets exact distance
+    ties between them.  The second shell's own minimum elevation keeps it
+    out of sight of every station that does not override it."""
+    geometry = ShellGeometry(6, 11, 780.0, 90.0, 180.0)
+    compute = ComputeParams(vcpu_count=1, memory_mib=1024)
+    return Configuration(
+        shells=(
+            ShellConfig(
+                name="low-mask",
+                geometry=geometry,
+                network=NetworkParams(uplink_bandwidth_kbps=1000.0, min_elevation_deg=30.0),
+                compute=compute,
+            ),
+            ShellConfig(
+                name="high-mask",
+                geometry=geometry,
+                network=NetworkParams(uplink_bandwidth_kbps=2000.0, min_elevation_deg=89.9),
+                compute=compute,
+            ),
+        ),
+        ground_stations=ground_stations,
+        update_interval_s=15.0,
+        duration_s=900.0,
+    )
+
+
+def _per_pair_uplinks(calc, state):
+    """Tests-only reference: every (station, shell) pair through the per-pair
+    ``visible_satellites``, in station → shell → satellite order, as
+    ``(gst node, satellite node, shell, satellite, distance, delay,
+    bandwidth)`` rows per station."""
+    rows = {}
+    for gst in calc.config.ground_stations:
+        rows[gst.name] = []
+        for shell, shell_config in enumerate(calc.config.shells):
+            threshold = (
+                gst.min_elevation_deg
+                if gst.min_elevation_deg is not None
+                else shell_config.network.min_elevation_deg
+            )
+            bandwidth = (
+                gst.uplink_bandwidth_kbps
+                if gst.uplink_bandwidth_kbps is not None
+                else shell_config.network.uplink_bandwidth_kbps
+            )
+            visible, distances = visible_satellites(
+                gst.station.position_ecef, state.satellite_positions_ecef[shell], threshold
+            )
+            for satellite, distance in zip(visible.tolist(), distances.tolist()):
+                rows[gst.name].append(
+                    (
+                        calc.node_index.ground_station(gst.name),
+                        calc.node_index.satellite(shell, satellite),
+                        shell,
+                        satellite,
+                        distance,
+                        float(link_delay_ms(distance)),
+                        bandwidth,
+                    )
+                )
+    return rows
+
+
+def _assert_uplinks_match_reference(calc, state):
+    reference = _per_pair_uplinks(calc, state)
+    graph = state.graph
+    uplink = graph.link_type_codes == _CODE_BY_LINK_TYPE[LinkType.UPLINK]
+    # ISLs first, then the uplinks by station, shell and satellite.
+    assert np.all(np.diff(uplink.astype(int)) >= 0)
+    edges = [row for rows in reference.values() for row in rows]
+    assert graph.node_a[uplink].tolist() == [row[0] for row in edges]
+    assert graph.node_b[uplink].tolist() == [row[1] for row in edges]
+    assert graph.distances_km[uplink].tolist() == [row[4] for row in edges]
+    assert graph.delays_ms[uplink].tolist() == [row[5] for row in edges]
+    assert graph.bandwidths_kbps[uplink].tolist() == [row[6] for row in edges]
+    for name, rows in reference.items():
+        # sorted() is stable: equally distant satellites keep edge order.
+        nearest_first = sorted(rows, key=lambda row: row[4])
+        assert [
+            (u.shell, u.satellite, u.distance_km, u.delay_ms) for u in state.uplinks_of(name)
+        ] == [row[2:6] for row in nearest_first]
+    return {name: len(rows) for name, rows in reference.items()}
+
+
+class TestUplinkTable:
+    def test_edge_order_and_uplinks_of_on_both_paths(self):
+        """Three stations over two shells — one sees both shells (exact
+        ties between the twins), one sees nothing, one comes to see a
+        single satellite: station → shell → satellite edge order and the
+        nearest-first views, cold and through twelve differential epochs."""
+        config = _twin_shell_config(
+            (
+                GroundStationConfig(
+                    station=GroundStation("both", 21.3, -157.9),
+                    uplink_bandwidth_kbps=500.0,
+                    min_elevation_deg=8.2,
+                ),
+                GroundStationConfig(
+                    station=GroundStation("blind", 10.0, -160.0), min_elevation_deg=89.99
+                ),
+                GroundStationConfig(station=GroundStation("single", -5.0, 170.0)),
+            )
+        )
+        calc = ConstellationCalculation(config)
+        reference = ConstellationCalculation(config)
+        state = calc.state_at(0.0)
+        counts = [_assert_uplinks_match_reference(calc, state)]
+        for step in range(1, 13):
+            state, _ = calc.diff_since(state, step * config.update_interval_s)
+            counts.append(_assert_uplinks_match_reference(calc, state))
+            cold = reference.state_at(state.time_s)
+            for name in config.ground_station_names:
+                assert state.uplinks_of(name) == cold.uplinks_of(name)
+        assert counts[0] == {"both": 4, "blind": 0, "single": 0}
+        assert counts[-1] == {"both": 2, "blind": 0, "single": 1}
+        both = state.uplinks_of("both")
+        assert [u.shell for u in both] == [0, 1]
+        assert both[0].satellite == both[1].satellite
+        assert both[0].distance_km == both[1].distance_km
+        assert state.uplinks_of("blind") == []
+        assert state.uplinks_of("no-such-station") == []
+
+    @pytest.mark.parametrize(
+        "ground_stations",
+        [
+            pytest.param((), id="no-ground-stations"),
+            pytest.param(
+                (
+                    GroundStationConfig(
+                        station=GroundStation("blind-a", 10.0, -160.0), min_elevation_deg=89.99
+                    ),
+                    GroundStationConfig(
+                        station=GroundStation("blind-b", -5.0, 170.0), min_elevation_deg=89.99
+                    ),
+                ),
+                id="no-visible-pair",
+            ),
+        ],
+    )
+    def test_no_uplinks_builds_an_isl_only_graph_on_both_paths(self, ground_stations):
+        config = _twin_shell_config(ground_stations)
+        calc = ConstellationCalculation(config)
+        cold = calc.state_at(0.0)
+        incremental, diff = calc.diff_since(cold, 15.0)
+        for state in (cold, incremental):
+            codes = state.graph.link_type_codes
+            assert codes.size > 200
+            assert np.all(codes == _CODE_BY_LINK_TYPE[LinkType.ISL])
+            assert all(state.uplinks_of(name) == [] for name in config.ground_station_names)
+        assert diff.topology.is_structural_noop
+        reference = calc.state_at(15.0).graph
+        assert incremental.graph.node_a.tobytes() == reference.node_a.tobytes()
+        assert incremental.graph.delays_ms.tobytes() == reference.delays_ms.tobytes()

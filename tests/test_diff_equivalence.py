@@ -40,7 +40,7 @@ def _assert_states_identical(full, incremental):
     assert np.array_equal(g_full.bandwidths_kbps, g_inc.bandwidths_kbps)
     assert np.array_equal(g_full.link_type_codes, g_inc.link_type_codes)
     assert full.gmst_rad == incremental.gmst_rad
-    assert full.uplinks == incremental.uplinks
+    assert all(full.uplinks_of(n) == incremental.uplinks_of(n) for n in full.ground_positions_ecef)
     for shell in full.active_satellites:
         assert np.array_equal(
             full.active_satellites[shell], incremental.active_satellites[shell]

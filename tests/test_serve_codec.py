@@ -24,7 +24,13 @@ from repro.dist.wire import FrameKind
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
 from repro.serve import EpochReplica, EpochSnapshot, EpochUpdateCodec
-from repro.serve.codec import CodecError, EpochUpdate, encode_skip_update
+from repro.serve.codec import (
+    CodecError,
+    EpochUpdate,
+    _diff_arrays,
+    changed_nodes,
+    encode_skip_update,
+)
 
 
 def iridium_configuration() -> Configuration:
@@ -285,3 +291,37 @@ class TestScientificSanity:
         assert np.all(snapshot.delay_ms > 0)
         # ISL delays are bounded by a bent-pipe worst case of a few 100 ms.
         assert np.all(snapshot.delay_ms < 1000.0)
+
+
+class TestChangedNodes:
+    def test_equals_the_endpoints_of_the_decoded_frame(self):
+        """The scope filter reads the touched nodes from the diff's own
+        graphs; they must be the endpoints the DIFF frame carries — on an
+        epoch that adds/removes links and on one that only moves delays."""
+        config = iridium_configuration()
+        calculation = ConstellationCalculation(config)
+        database = ConstellationDatabase()
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        seen = set()
+        for step in range(1, 25):
+            state, diff = advance(calculation, database, state, step * 30.0)
+            named = _diff_arrays(*database.codec.diff_update(database.epoch, diff=diff).decoded())
+            expected = np.unique(
+                np.concatenate(
+                    [
+                        named[field].reshape(-1)
+                        for field in (
+                            "added_endpoints",
+                            "removed_endpoints",
+                            "delay_changed_endpoints",
+                            "bandwidth_changed_endpoints",
+                        )
+                    ]
+                )
+            )
+            touched = changed_nodes(diff.topology)
+            assert touched.dtype == np.int64
+            assert np.array_equal(touched, expected)
+            seen.add(diff.topology.is_structural_noop)
+        assert seen == {True, False}

@@ -28,11 +28,14 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
+from repro.core.bounding_box import BoundingBox
 from repro.orbits import GroundStation, ShellGeometry
+from repro.scenarios import west_africa_configuration
 from repro.dist import wire
 from repro.dist.transport import LENGTH_PREFIX, frame as stream_frame
-from repro.serve import EpochSnapshot
+from repro.serve import EpochSnapshot, gateway as gateway_module
 from repro.serve.client import SubscriptionClient, SubscriptionError
+from repro.serve.codec import EpochUpdate, changed_nodes
 from repro.serve.gateway import GatewayServer, StreamGateway, _Subscription
 
 
@@ -230,6 +233,111 @@ class TestScopedSubscriptions:
                 assert all(u.kind is wire.FrameKind.DIFF for u in plain)
                 stats = server.statistics()["clients"]["scoped"]
                 assert stats["skipped"] == 1 and stats["evictions"] == 0
+
+
+def _subscribe_locally(gateway, client_id, scope=None, ground_station=None):
+    """Register a subscription on a gateway that is not listening."""
+    subscription = _Subscription(
+        client_id=client_id,
+        queue=asyncio.Queue(64),
+        scope=scope,
+        ground_station=ground_station,
+        last_epoch=gateway.database.epoch,
+    )
+    gateway._subscriptions[client_id] = subscription
+    return subscription
+
+
+class TestTouchedNodesOnDemand:
+    def test_unscoped_fanout_never_decodes_or_collects_touched_nodes(
+        self, testbed_core, monkeypatch
+    ):
+        _, calculation, database, state = testbed_core
+        gateway = StreamGateway(database)
+        plain = [_subscribe_locally(gateway, f"plain-{i}") for i in range(2)]
+        calls = []
+        monkeypatch.setattr(
+            EpochUpdate, "decoded", lambda self: pytest.fail("publish decoded its own frame")
+        )
+        monkeypatch.setattr(
+            gateway_module,
+            "changed_nodes",
+            lambda topology: calls.append(topology) or changed_nodes(topology),
+        )
+        for step in range(1, 4):
+            state, diff = calculation.diff_since(state, step * 30.0)
+            database.set_state(state, diff=diff)
+            gateway.publish(database.epoch, state, diff)
+        assert calls == []
+        assert [subscription.queue.qsize() for subscription in plain] == [3, 3]
+        # Scoped subscriptions share one pass per epoch; a closed one is
+        # not a reason to make it.
+        scope = {"kind": "gst", "name": "hawaii"}
+        for name in ("scoped-a", "scoped-b"):
+            _subscribe_locally(gateway, name, scope=scope, ground_station="hawaii")
+        state, diff = calculation.diff_since(state, 120.0)
+        database.set_state(state, diff=diff)
+        gateway.publish(database.epoch, state, diff)
+        assert calls == [diff.topology]
+        for name in ("scoped-a", "scoped-b"):
+            gateway._subscriptions[name].closed = True
+        state, diff = calculation.diff_since(state, 150.0)
+        database.set_state(state, diff=diff)
+        gateway.publish(database.epoch, state, diff)
+        assert len(calls) == 1
+
+
+def _per_node_bbox_verdict(bbox, state, diff, touched):
+    """The box verdict worked out one ``describe()`` per satellite."""
+    index = state.node_index
+    nodes = {int(node) for node in touched if node < index.satellite_count}
+    for shell, ids in (*diff.activated.items(), *diff.deactivated.items()):
+        nodes.update(index.shell_offset(shell) + int(identifier) for identifier in ids)
+    if not nodes:
+        return True
+    return any(
+        bool(bbox.contains_ecef(state.satellite_positions_ecef[shell][[identifier]])[0])
+        for _, shell, identifier in map(index.describe, sorted(nodes))
+    )
+
+
+class TestBoundingBoxScopeVerdict:
+    @pytest.mark.parametrize(
+        "config_factory,step_s,empty_box",
+        [
+            pytest.param(
+                lambda: west_africa_configuration(duration_s=60.0, shells="lowest"),
+                2.0,
+                # Poleward of a 53° shell.
+                BoundingBox(lat_min=70.0, lat_max=80.0, lon_min=-20.0, lon_max=20.0),
+                id="west-africa-lowest",
+            ),
+            pytest.param(
+                iridium_configuration,
+                30.0,
+                BoundingBox(lat_min=-1.0, lat_max=1.0, lon_min=100.0, lon_max=102.0),
+                id="iridium",
+            ),
+        ],
+    )
+    def test_stacked_positions_give_the_per_node_verdict(
+        self, config_factory, step_s, empty_box
+    ):
+        calculation = ConstellationCalculation(config_factory())
+        database = ConstellationDatabase()
+        gateway = StreamGateway(database)
+        occupied_box = BoundingBox(lat_min=-60.0, lat_max=60.0, lon_min=-179.0, lon_max=179.0)
+        state = calculation.state_at(0.0)
+        for step in range(1, 4):
+            state, diff = calculation.diff_since(state, step * step_s)
+            touched = changed_nodes(diff.topology)
+            for bbox, expected in ((occupied_box, True), (empty_box, False)):
+                subscription = _Subscription(
+                    client_id="boxed", queue=asyncio.Queue(1), scope={}, bbox=bbox
+                )
+                verdict = gateway._in_scope(subscription, state, diff, touched)
+                assert verdict is _per_node_bbox_verdict(bbox, state, diff, touched)
+                assert verdict is expected
 
 
 class TestAuth:

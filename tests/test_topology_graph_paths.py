@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.orbits import Shell, ShellGeometry, GroundStation, geodetic_to_ecef
+from repro.orbits.visibility import elevation_angle_matrix_deg
 from repro.topology import (
     LinkType,
     NetworkGraph,
     NodeIndex,
     ShortestPaths,
     visible_satellites,
+    visible_satellites_batch,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE
 from repro.topology.uplinks import closest_visible_satellite
@@ -407,6 +409,65 @@ class TestUplinks:
         lenient, _ = visible_satellites(ground, positions, min_elevation_deg=5.0)
         strict, _ = visible_satellites(ground, positions, min_elevation_deg=60.0)
         assert strict.size <= lenient.size
+
+    def test_batch_table_equals_per_pair_bit_for_bit(self):
+        """The flat (station, satellite, range) table holds, per station,
+        exactly what the per-pair reference returns — with per-station
+        thresholds, a precomputed elevation matrix and a candidate
+        restriction (with and without the candidates' elevations)."""
+        positions = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0)).positions_eci(0.0)
+        grounds = np.stack(
+            [
+                geodetic_to_ecef(latitude, longitude, 0.0)
+                for latitude, longitude in ((0.0, 0.0), (30.0, 45.0), (-60.0, 120.0), (89.0, 0.0))
+            ]
+        )
+        thresholds = np.array([10.0, 5.0, 89.9, 25.0])  # the third station sees nothing
+
+        def assert_reference(table, min_elevations_deg):
+            stations, satellites, ranges_km = table
+            assert stations.shape == satellites.shape == ranges_km.shape
+            assert np.all(np.diff(stations) >= 0)
+            for row, (ground, threshold) in enumerate(zip(grounds, min_elevations_deg)):
+                visible, distances = visible_satellites(ground, positions, threshold)
+                mine = stations == row
+                assert satellites[mine].tobytes() == visible.tobytes()
+                assert ranges_km[mine].tobytes() == distances.tobytes()
+
+        table = visible_satellites_batch(grounds, positions, thresholds)
+        assert_reference(table, thresholds)
+        assert set(table[0].tolist()) == {0, 1, 3}
+        matrix = elevation_angle_matrix_deg(grounds, positions)
+        assert_reference(
+            visible_satellites_batch(grounds, positions, thresholds, elevations_deg=matrix),
+            thresholds,
+        )
+        # Candidates: a certified superset of the visible pairs.
+        candidates = np.nonzero(matrix >= thresholds[:, None] - 20.0)
+        assert candidates[0].size > table[0].size
+        assert_reference(
+            visible_satellites_batch(grounds, positions, thresholds, candidates=candidates),
+            thresholds,
+        )
+        assert_reference(
+            visible_satellites_batch(
+                grounds,
+                positions,
+                thresholds,
+                elevations_deg=matrix[candidates],
+                candidates=candidates,
+            ),
+            thresholds,
+        )
+        nothing = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+        assert all(
+            column.size == 0
+            for column in visible_satellites_batch(
+                grounds, positions, thresholds, candidates=nothing
+            )
+        )
+        # One threshold for every station.
+        assert_reference(visible_satellites_batch(grounds, positions, 40.0), [40.0] * 4)
 
     def test_closest_visible_satellite(self):
         shell = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0))
