@@ -25,11 +25,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tomllib
 from typing import Optional, Sequence
 
 from repro.analysis import cost_comparison, render_table
 from repro.core import (
     Configuration,
+    ConfigurationError,
     ConstellationCalculation,
     constellation_snapshot,
     estimate_resources,
@@ -303,7 +305,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as error:
+        # The file the system call named: the configuration that is missing
+        # or unreadable, or an output path that cannot be written.
+        print(f"error: {error.filename}: {error.strerror}", file=sys.stderr)
+    except (ConfigurationError, tomllib.TOMLDecodeError, json.JSONDecodeError) as error:
+        source = getattr(args, "config", None) or getattr(args, "spec", None)
+        print(f"error: {source}: {error}" if source else f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -401,6 +401,51 @@ class ConstellationState:
             return 0.0
         return float(self.graph.bandwidths_kbps[edges].min())
 
+    def pair_metrics(
+        self, nodes_a: Sequence[int], nodes_b: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Delay [ms] and bottleneck bandwidth [kbps] of many node pairs at once.
+
+        Pair by pair the values of :meth:`delay_ms` and
+        :meth:`bandwidth_kbps` (``inf`` / 0 where no path exists, 0 / 0
+        for a node and itself), computed per path table rather than per
+        pair: the delays are one fancy index into the table, the
+        bottlenecks one lock-step walk of all its pairs
+        (:meth:`ShortestPaths.hop_steps`) with one vectorised edge lookup
+        per step.  Each pair's table comes from :meth:`_paths_from`, so a
+        pair neither of whose nodes is a main-table source consults the
+        extra-table cache exactly as a single query does.
+        """
+        delays = np.zeros(len(nodes_a))
+        bandwidths = np.zeros(len(nodes_a))
+        by_table: dict[int, tuple[ShortestPaths, list[int], list[int], list[int]]] = {}
+        for position, (node_a, node_b) in enumerate(zip(nodes_a, nodes_b)):
+            if node_a == node_b:
+                continue
+            table, source, target = self._paths_from(node_a, node_b)
+            _, positions, sources, targets = by_table.setdefault(
+                id(table), (table, [], [], [])
+            )
+            positions.append(position)
+            sources.append(source)
+            targets.append(target)
+        link_bandwidths = self.graph.bandwidths_kbps
+        for table, *columns in by_table.values():
+            positions, sources, targets = (
+                np.asarray(column, dtype=np.int64) for column in columns
+            )
+            delays[positions] = table.delays_between(sources, targets)
+            bottlenecks = np.full(positions.size, np.inf)
+            for pairs, hop_a, hop_b in table.hop_steps(sources, targets):
+                edges = self.graph.edge_ids_between(hop_a, hop_b)
+                linked = edges >= 0
+                pairs = pairs[linked]
+                bottlenecks[pairs] = np.minimum(
+                    bottlenecks[pairs], link_bandwidths[edges[linked]]
+                )
+            bandwidths[positions] = np.where(np.isfinite(bottlenecks), bottlenecks, 0.0)
+        return delays, bandwidths
+
     def uplinks_of(self, ground_station: str) -> list[UplinkInfo]:
         """Usable uplinks of a ground station, nearest first.
 

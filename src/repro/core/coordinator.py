@@ -75,6 +75,7 @@ from repro.core.constellation import (
 )
 from repro.core.database import ConstellationDatabase
 from repro.core.machine_manager import HostStateSlice, MachineManager
+from repro.microvm import MachineState, MicroVM
 from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
 
@@ -226,6 +227,7 @@ class Coordinator:
         self.managers = list(self._backend.managers)
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
+        self._microvm_of: dict[str, MicroVM] = {}
         self._manager_position = {
             id(manager): pos for pos, manager in enumerate(self.managers)
         }
@@ -241,6 +243,16 @@ class Coordinator:
     def has_machine(self, machine: MachineId) -> bool:
         """Whether a microVM exists for the machine."""
         return machine.name in self._machine_manager_of
+
+    def is_running_at(self, machine: MachineId, now_s: float) -> bool:
+        """Whether a machine exists and is running (booted, not suspended) at a time.
+
+        One lookup by name, whichever manager hosts the machine; with worker
+        processes the microVM consulted is the in-process shadow, which every
+        lifecycle operation is applied to first.
+        """
+        microvm = self._microvm_of.get(machine.name)
+        return microvm is not None and microvm.state_at(now_s) is MachineState.RUNNING
 
     def _least_loaded_manager(self) -> MachineManager:
         return min(
@@ -259,10 +271,11 @@ class Coordinator:
         else:
             compute = self.config.shells[machine.shell].compute
         manager = self._least_loaded_manager()
-        manager.create_machine(machine, compute)
+        microvm = manager.create_machine(machine, compute)
         if boot:
             manager.boot(machine, now_s)
         self._machine_manager_of[machine.name] = manager
+        self._microvm_of[machine.name] = microvm
         return manager
 
     def create_ground_stations(self, now_s: float) -> None:

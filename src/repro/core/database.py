@@ -19,10 +19,28 @@ the diff history is pruned so that it always spans back to the oldest
 retained keyframe.  Consumers that fell behind can thus resynchronise from
 the nearest keyframe at or before their epoch and replay
 :meth:`diffs_since` forward, instead of re-reading the full constellation.
+
+Pair rules: one batch per epoch
+-------------------------------
+
+A pair rule is valid for one epoch; :meth:`ConstellationDatabase.set_state`
+drops them all.  What it keeps is *which* pairs had a rule in the epoch it
+retires — the working set of the traffic.  The first
+:meth:`~ConstellationDatabase.pair_rule` call of the new epoch that finds
+no rule resolves its own pair and all of those with it, in one pass over
+the path table (:meth:`ConstellationState.pair_metrics
+<repro.core.constellation.ConstellationState.pair_metrics>`); a pair
+outside the working set is the same pass with a batch of one.  Only pairs
+the main path table answers are resolved ahead of demand: a
+satellite-to-satellite pair still resolves when it is asked for, so the
+extra-table cache sees exactly the queries the traffic makes.  The kept
+list is bounded by the previous epoch's working set and replaced on every
+``set_state``, whether or not it was used.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional
 
@@ -62,7 +80,15 @@ class ConstellationDatabase:
         self._state: Optional[ConstellationState] = None
         self.epoch = 0
         self.updated_at_s: Optional[float] = None
-        self._rule_cache: dict[tuple[str, str], PairRule] = {}
+        self._rule_cache: dict[tuple[MachineId, MachineId], PairRule] = {}
+        #: Pairs that had a rule in the previous epoch, until the first miss
+        #: of this epoch resolves them in one batch.
+        self._warm_pairs: list[tuple[MachineId, MachineId]] = []
+        #: ``pair_rule`` calls / those that found no rule / pairs resolved
+        #: ahead of demand by a batch (exact counts, for observability).
+        self.rule_lookups = 0
+        self.rule_misses = 0
+        self.rule_batch_pairs = 0
         self.keyframe_interval = keyframe_interval
         self.retained_keyframes = retained_keyframes
         self._keyframes: dict[int, ConstellationState] = {}
@@ -103,6 +129,7 @@ class ConstellationDatabase:
             self._state = state
             self.epoch += 1
             self.updated_at_s = state.time_s
+            self._warm_pairs = list(self._rule_cache)
             self._rule_cache.clear()
             if diff is not None:
                 self._diffs[self.epoch] = diff
@@ -247,22 +274,39 @@ class ConstellationDatabase:
     def pair_rule(self, source: MachineId, destination: MachineId) -> PairRule:
         """Delay/bandwidth rule currently installed for a machine pair."""
         with self._lock:
-            key = (source.name, destination.name)
-            if key in self._rule_cache:
-                return self._rule_cache[key]
-            state = self.state
-            delay = state.delay_ms(source, destination)
-            reachable = bool(np.isfinite(delay))
-            bandwidth = state.bandwidth_kbps(source, destination) if reachable else None
-            if bandwidth is not None and bandwidth <= 0:
-                bandwidth = None
-            rule = PairRule(
+            self.rule_lookups += 1
+            pair = (source, destination)
+            rule = self._rule_cache.get(pair)
+            if rule is None:
+                self.rule_misses += 1
+                warm, self._warm_pairs = self._warm_pairs, []
+                self._resolve(pair, warm)
+                rule = self._rule_cache[pair]
+            return rule
+
+    def _resolve(
+        self,
+        pair: tuple[MachineId, MachineId],
+        warm: list[tuple[MachineId, MachineId]],
+    ) -> None:
+        """Derive and cache the rule of ``pair`` and, in the same pass, of
+        every pair of ``warm`` that the main path table answers."""
+        state = self.state
+        is_source = state.paths.has_source
+        nodes = {pair: (state.node_for(pair[0]), state.node_for(pair[1]))}
+        for other in warm:
+            node_a, node_b = state.node_for(other[0]), state.node_for(other[1])
+            if is_source(node_a) or is_source(node_b):
+                nodes.setdefault(other, (node_a, node_b))
+        self.rule_batch_pairs += len(nodes) - 1
+        delays, bandwidths = state.pair_metrics(*zip(*nodes.values()))
+        for key, delay, bandwidth in zip(nodes, delays.tolist(), bandwidths.tolist()):
+            reachable = math.isfinite(delay)
+            self._rule_cache[key] = PairRule(
                 delay_ms=delay if reachable else 0.0,
-                bandwidth_kbps=bandwidth,
+                bandwidth_kbps=bandwidth if reachable and bandwidth > 0 else None,
                 reachable=reachable,
             )
-            self._rule_cache[key] = rule
-            return rule
 
     def diff_history_info(self, since_epoch: int) -> dict:
         """Wire-format diff history: "what changed since ``since_epoch``?".

@@ -98,10 +98,7 @@ class Celestial:
         return self.database.pair_rule(source, destination)
 
     def _machine_running(self, machine: MachineId) -> bool:
-        if not self.coordinator.has_machine(machine):
-            return False
-        manager = self.coordinator.manager_for(machine)
-        return manager.is_running_at(machine, self.sim.now)
+        return self.coordinator.is_running_at(machine, self.sim.now)
 
     # -- machine identities ------------------------------------------------------
 
@@ -192,11 +189,24 @@ class Celestial:
         return {host.index: host.trace for host in self.hosts}
 
     def network_statistics(self) -> dict[str, int]:
-        """Counters of the virtual network data plane."""
+        """Counters of the virtual network data plane.
+
+        Messages ``sent`` / ``delivered`` / ``dropped``, then the exact
+        bookkeeping counts around them: ``rule_lookups`` (pair rules the
+        network asked the database for), ``rule_misses`` (lookups that had
+        to resolve), ``rule_batch_pairs`` (pairs resolved ahead of demand by
+        the per-epoch batch), ``link_updates`` (materialised links refreshed
+        after an epoch bump) and ``running_checks``.
+        """
         return {
             "sent": self.network.messages_sent,
             "delivered": self.network.messages_delivered,
             "dropped": self.network.messages_dropped,
+            "rule_lookups": self.database.rule_lookups,
+            "rule_misses": self.database.rule_misses,
+            "rule_batch_pairs": self.database.rule_batch_pairs,
+            "link_updates": self.network.link_updates,
+            "running_checks": self.network.running_checks,
         }
 
     def path_engine_statistics(self) -> dict:

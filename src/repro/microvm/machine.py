@@ -84,6 +84,9 @@ class MicroVM:
         self.active_cpu_fraction = active_cpu_fraction
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.transitions: list[_Transition] = [_Transition(0.0, MachineState.CREATED)]
+        #: Latest time in the log (the log is not time-sorted: a boot logs its
+        #: finish ahead of time, and a stop may land before it).
+        self._latest_transition_s = 0.0
         self.boot_count = 0
         self._boot_finished_at_s: Optional[float] = None
         #: Called after every lifecycle transition; the host the machine is
@@ -95,6 +98,8 @@ class MicroVM:
     def _set_state(self, state: MachineState, now_s: float) -> None:
         self.state = state
         self.transitions.append(_Transition(now_s, state))
+        if now_s > self._latest_transition_s:
+            self._latest_transition_s = now_s
         if self.on_state_change is not None:
             self.on_state_change()
 
@@ -179,7 +184,14 @@ class MicroVM:
         return self.resources.vcpu_count * fraction * self.cpu_quota.quota_fraction
 
     def state_at(self, time_s: float) -> MachineState:
-        """Machine state at an arbitrary past time (from the transition log)."""
+        """Machine state at a time (from the transition log).
+
+        At or after the latest logged transition the answer is the current
+        state — every entry of the log passes the walk below — so the usual
+        "is it running now" question reads no log at all.
+        """
+        if time_s >= self._latest_transition_s:
+            return self.state
         state = MachineState.CREATED
         for transition in self.transitions:
             if transition.time_s <= time_s:

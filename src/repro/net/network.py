@@ -16,11 +16,24 @@ Under the differential update protocol the coordinator hands the network a
 every materialised link's cached rule valid, while any edge change bumps
 the rule epoch — end-to-end delays are shortest-path values, so a single
 changed edge may affect any pair, and the per-pair refresh stays lazy.
+
+When the rule provider is asked
+-------------------------------
+
+A send looks at the pair's materialised link first.  The link is kept in
+one record with the rule epoch its parameters belong to, and the provider
+is called only when that record does not answer: the pair has no link yet,
+the rule epoch was bumped since the link was last refreshed, or a loss or
+bandwidth override dropped the record (the next send rebuilds the link
+from a fresh rule, so an override never leaves per-pair residue behind).
+Across an epoch with an empty diff the provider is not called at all.
+Every delivery is one :meth:`~repro.sim.Simulation.call_at` timer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -29,7 +42,8 @@ from repro.core.constellation import MachineId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff
-from repro.netem import EmulatedLink, NetemRule
+from repro.netem import DeliveredPacket, EmulatedLink, NetemRule
+from repro.netem.link import LinkState
 from repro.net.packet import Message
 from repro.sim import Simulation, Store
 
@@ -49,6 +63,16 @@ RuleProvider = Callable[[MachineId, MachineId], PairRule]
 RunningCheck = Callable[[MachineId], bool]
 
 
+class _InstalledLink:
+    """A materialised link and the rule epoch its parameters belong to."""
+
+    __slots__ = ("link", "epoch")
+
+    def __init__(self, link: EmulatedLink, epoch: int):
+        self.link = link
+        self.epoch = epoch
+
+
 class VirtualNetwork:
     """Delivers messages between machine endpoints through emulated links."""
 
@@ -65,8 +89,7 @@ class VirtualNetwork:
         self._running_check = running_check
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._base_jitter_ms = base_jitter_ms
-        self._links: dict[tuple[str, str], EmulatedLink] = {}
-        self._link_epoch: dict[tuple[str, str], int] = {}
+        self._links: dict[tuple[str, str], _InstalledLink] = {}
         self._epoch = 0
         self._loss_overrides: dict[tuple[str, str], float] = {}
         self._bandwidth_caps: dict[tuple[str, str], float] = {}
@@ -74,6 +97,10 @@ class VirtualNetwork:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
+        #: Refreshes of an already materialised link after an epoch bump.
+        self.link_updates = 0
+        #: Calls of the running check (up to two per send, one per delivery).
+        self.running_checks = 0
 
     # -- control plane -------------------------------------------------------
 
@@ -129,6 +156,13 @@ class VirtualNetwork:
         self._bandwidth_caps.pop((source.name, destination.name), None)
         self._links.pop((source.name, destination.name), None)
 
+    def link_state(
+        self, source: MachineId, destination: MachineId
+    ) -> Optional[LinkState]:
+        """Parameters installed on a pair's link; None while it has no link."""
+        installed = self._links.get((source.name, destination.name))
+        return installed.link.state if installed is not None else None
+
     def _effective_bandwidth(
         self, key: tuple[str, str], rule: PairRule
     ) -> Optional[float]:
@@ -141,14 +175,16 @@ class VirtualNetwork:
 
     def _link_for(self, source: MachineId, destination: MachineId) -> EmulatedLink:
         key = (source.name, destination.name)
+        installed = self._links.get(key)
+        if installed is not None and installed.epoch == self._epoch:
+            return installed.link
         rule = self._rule_provider(source, destination)
-        if key not in self._links:
-            loss = self._loss_overrides.get(key, 0.0)
+        if installed is None:
             netem_rule = NetemRule(
                 delay_ms=rule.delay_ms if rule.reachable else 0.0,
                 jitter_ms=self._base_jitter_ms,
                 distribution="normal" if self._base_jitter_ms > 0 else "none",
-                loss_probability=loss,
+                loss_probability=self._loss_overrides.get(key, 0.0),
             )
             link = EmulatedLink(
                 netem_rule,
@@ -157,16 +193,15 @@ class VirtualNetwork:
             )
             if not rule.reachable:
                 link.block()
-            self._links[key] = link
-            self._link_epoch[key] = self._epoch
+            self._links[key] = _InstalledLink(link, self._epoch)
             return link
-        link = self._links[key]
-        if self._link_epoch[key] != self._epoch:
-            if rule.reachable:
-                link.update(rule.delay_ms, self._effective_bandwidth(key, rule))
-            else:
-                link.block()
-            self._link_epoch[key] = self._epoch
+        link = installed.link
+        if rule.reachable:
+            link.update(rule.delay_ms, self._effective_bandwidth(key, rule))
+        else:
+            link.block()
+        installed.epoch = self._epoch
+        self.link_updates += 1
         return link
 
     # -- endpoints -------------------------------------------------------------
@@ -195,31 +230,44 @@ class VirtualNetwork:
         """
         self.messages_sent += 1
         source, destination = message.source, message.destination
-        if not self._running_check(source) or not self._running_check(destination):
+        self.running_checks += 1
+        if not self._running_check(source):
+            self.messages_dropped += 1
+            return False
+        self.running_checks += 1
+        if not self._running_check(destination):
             self.messages_dropped += 1
             return False
         if destination.name not in self._endpoints:
             self.messages_dropped += 1
             return False
         link = self._link_for(source, destination)
-        deliveries = link.transmit(message.size_bytes, self.sim.now)
+        now = self.sim.now
+        deliveries = link.transmit(message.size_bytes, now)
         if not deliveries:
             self.messages_dropped += 1
             return False
         for delivery in deliveries:
-            self._schedule_delivery(message, delivery)
+            # One timer per delivery, at ``now + delay`` (not the arrival
+            # time itself: the sum is what receivers have always observed).
+            self.sim.call_at(
+                now + max(0.0, delivery.arrival_time_s - now),
+                partial(self._deliver, message, delivery),
+            )
         return True
 
-    def _schedule_delivery(self, message: Message, delivery) -> None:
-        inbox = self._endpoints[message.destination.name]
-        delay = max(0.0, delivery.arrival_time_s - self.sim.now)
+    def _deliver(self, message: Message, delivery: DeliveredPacket) -> None:
+        """Timer callback: the message reaches its destination's inbox.
 
-        def deliver():
-            yield self.sim.timeout(delay)
-            if not self._running_check(message.destination):
-                self.messages_dropped += 1
-                return
-            delivered = Message(
+        Liveness is checked again here, so a message to a machine that
+        stopped while the message was in flight is dropped.
+        """
+        self.running_checks += 1
+        if not self._running_check(message.destination):
+            self.messages_dropped += 1
+            return
+        self._endpoints[message.destination.name].put(
+            Message(
                 source=message.source,
                 destination=message.destination,
                 size_bytes=message.size_bytes,
@@ -229,7 +277,5 @@ class VirtualNetwork:
                 corrupted=delivery.corrupted,
                 duplicate=delivery.duplicate,
             )
-            inbox.put(delivered)
-            self.messages_delivered += 1
-
-        self.sim.process(deliver())
+        )
+        self.messages_delivered += 1

@@ -9,6 +9,7 @@ into a netem qdisc for delay/jitter/loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class EmulatedLink:
 
     def update(self, delay_ms: float, bandwidth_kbps: float | None = None) -> None:
         """Install new parameters, as the machine manager does each epoch."""
-        if delay_ms == UNREACHABLE_DELAY_MS or not np.isfinite(delay_ms):
+        if not math.isfinite(delay_ms):
             self.block()
             return
         self._blocked = False

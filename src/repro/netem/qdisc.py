@@ -8,7 +8,7 @@ decides the arrival time(s) and state of each transmitted packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -43,8 +43,16 @@ class NetemRule:
             raise ValueError("rate must be positive when given")
 
     def with_delay(self, delay_ms: float) -> "NetemRule":
-        """Copy of the rule with a different base delay."""
-        return replace(self, delay_ms=delay_ms)
+        """Copy of the rule with a different base delay.
+
+        Only the new delay is validated: every other field already passed
+        ``__post_init__`` when this rule was built.
+        """
+        if delay_ms < 0:
+            raise ValueError("delay and jitter must be non-negative")
+        rule = object.__new__(NetemRule)
+        rule.__dict__.update(self.__dict__, delay_ms=delay_ms)
+        return rule
 
     @property
     def blocks_traffic(self) -> bool:

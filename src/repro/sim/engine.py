@@ -6,6 +6,22 @@ simulated time.  A :class:`Process` wraps a Python generator; every value the
 generator yields must be an :class:`Event`, and the process resumes when that
 event is triggered.  The engine is deterministic: events scheduled for the
 same time are processed in scheduling order.
+
+Timers beside processes
+-----------------------
+
+Work that only has to happen *at* a time — nothing waits on it, nothing
+interrupts it — does not need a process: :meth:`Simulation.call_at` puts a
+bare callback on the same queue as the events, ordered by the same
+``(time, priority, sequence)`` key, with the sequence number taken at the
+call.  A timer scheduled before an event for the same instant therefore
+fires before it, and the other way round.  A generator process costs three
+queue entries for one wake-up (its start, the timeout it yields, its own
+completion); a timer costs one, which is why the virtual network delivers
+messages with timers.
+
+:attr:`Simulation.processed_events` counts queue entries popped — events
+and timers alike, one per :meth:`Simulation.step`.
 """
 
 from __future__ import annotations
@@ -259,7 +275,9 @@ class Simulation:
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: ``(time, priority, sequence, entry)``; an entry is an
+        #: :class:`Event` or the bare callback of a :meth:`call_at` timer.
+        self._queue: list[tuple[float, int, int, Event | Callable[[], None]]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._processed_events = 0
@@ -271,6 +289,21 @@ class Simulation:
             raise SimulationError(f"cannot schedule event in the past: {delay}")
         self._sequence += 1
         heapq.heappush(self._queue, (self.now + delay, 0, self._sequence, event))
+
+    def call_at(self, time: float, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` when simulated time reaches ``time``.
+
+        The timer is one queue entry: no event, no waiters, no way to cancel
+        it.  Among entries for the same time it keeps its scheduling order
+        (the sequence number is taken here, at the call); an exception the
+        callback raises propagates out of :meth:`step`.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule a timer in the past: {time} < {self.now}"
+            )
+        self._sequence += 1
+        heapq.heappush(self._queue, (time, 0, self._sequence, callback))
 
     def event(self) -> Event:
         """Create a new untriggered event."""
@@ -296,7 +329,7 @@ class Simulation:
 
     @property
     def processed_events(self) -> int:
-        """Number of events processed so far (useful for tests/metrics)."""
+        """Queue entries (events and timers) processed so far."""
         return self._processed_events
 
     def peek(self) -> float:
@@ -306,18 +339,21 @@ class Simulation:
         return self._queue[0][0]
 
     def step(self) -> None:
-        """Process exactly one event from the queue."""
+        """Process exactly one queue entry: an event or a timer."""
         if not self._queue:
             raise SimulationError("no more events to process")
-        time, _, _, event = heapq.heappop(self._queue)
+        time, _, _, entry = heapq.heappop(self._queue)
         if time < self.now - 1e-12:
             raise SimulationError("event scheduled in the past")
         self.now = max(self.now, time)
         self._processed_events += 1
-        event.processed = True
-        callbacks, event.callbacks = event.callbacks, []
+        if not isinstance(entry, Event):
+            entry()
+            return
+        entry.processed = True
+        callbacks, entry.callbacks = entry.callbacks, []
         for callback in callbacks:
-            callback(event)
+            callback(entry)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue is empty or simulated time reaches ``until``."""
@@ -325,8 +361,9 @@ class Simulation:
             raise SimulationError(
                 f"cannot run until {until}, already at {self.now}"
             )
-        while self._queue:
-            if until is not None and self.peek() > until:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return
             self.step()

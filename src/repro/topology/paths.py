@@ -43,7 +43,7 @@ The engine keeps no state between epochs but its counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -192,6 +192,35 @@ class ShortestPaths:
         hops.reverse()
         return PathResult(source, target, delay, tuple(hops))
 
+    def delays_between(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """One-way delays [ms] of many ``sources[i] → targets[i]`` pairs at once."""
+        return self._distances[self._rows_of(sources), targets]
+
+    def hop_steps(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Walk many ``sources[i] → targets[i]`` paths backwards in lock-step.
+
+        Each step yields ``(pairs, hop_a, hop_b)``: the positions (into
+        ``sources`` / ``targets``) of the pairs still walking and the link
+        ``hop_a[i] – hop_b[i]`` each of them traverses at this step — the
+        same hops :meth:`path` reconstructs one pair at a time.  A pair
+        leaves the walk when it reaches its source; unreachable pairs and
+        pairs with ``source == target`` never enter it, so the number of
+        steps is the hop count of the longest path.
+        """
+        rows = self._rows_of(sources)
+        pairs = np.nonzero(
+            np.isfinite(self._distances[rows, targets]) & (sources != targets)
+        )[0]
+        rows, current, goal = rows[pairs], targets[pairs], sources[pairs]
+        while pairs.size:
+            previous = self._predecessors[rows, current]
+            yield pairs, previous, current
+            walking = (previous != goal) & (previous >= 0)
+            pairs, rows = pairs[walking], rows[walking]
+            current, goal = previous[walking], goal[walking]
+
     def delays_from(self, source: int) -> np.ndarray:
         """Vector of one-way delays [ms] from a source to every node."""
         return self._distances[self._row_for(source)].copy()
@@ -211,6 +240,13 @@ class ShortestPaths:
         if source not in self._row_of:
             raise KeyError(f"node {source} was not used as a source")
         return self._row_of[source]
+
+    def _rows_of(self, sources: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (self._row_for(source) for source in sources.tolist()),
+            dtype=np.int64,
+            count=sources.size,
+        )
 
 
 @dataclass

@@ -201,3 +201,49 @@ class TestDeclarativeCommands:
         main(["run", str(spec_path), "--no-output"])
         declarative = capsys.readouterr().out
         assert declarative == direct
+
+
+class TestConfigurationErrors:
+    """A bad configuration file is one ``error:`` line and exit code 2."""
+
+    _COMMANDS = (
+        lambda path: ["validate", path],
+        lambda path: ["snapshot", path],
+        lambda path: ["handover", path, "--station", "hawaii"],
+        lambda path: ["run", path, "--no-output"],
+    )
+
+    def _error_line(self, argv, capsys):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = str(tmp_path / "does-not-exist.toml")
+        line = self._error_line(command(path), capsys)
+        assert path in line and "No such file" in line
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_toml_syntax_error(self, command, tmp_path, capsys):
+        path = tmp_path / "broken.toml"
+        path.write_text("update_interval_s = [1,\n")
+        line = self._error_line(command(str(path)), capsys)
+        assert str(path) in line and "(at " in line  # tomllib says where
+
+    @pytest.mark.parametrize("command", _COMMANDS[:3])
+    def test_validation_error(self, command, tmp_path, capsys):
+        path = tmp_path / "invalid.toml"
+        path.write_text(_CONFIG_TOML.replace("update_interval_s = 5.0", "update_interval_s = -5.0"))
+        line = self._error_line(command(str(path)), capsys)
+        assert str(path) in line and "update interval must be positive" in line
+
+    def test_run_rejects_an_inconsistent_spec(self, config_path, capsys):
+        # A plain configuration is not an experiment spec (no [scenario] table).
+        line = self._error_line(["run", config_path, "--no-output"], capsys)
+        assert config_path in line and "scenario" in line

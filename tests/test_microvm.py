@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.microvm import (
     CPUQuota,
@@ -177,3 +179,52 @@ class TestMicroVMLifecycle:
         assert machine.state_at(15.0) is MachineState.RUNNING
         assert machine.state_at(25.0) is MachineState.SUSPENDED
         assert machine.state_at(35.0) is MachineState.RUNNING
+
+
+def _linear_walk(machine, time_s):
+    """The plain reference: walk the transition log until it overtakes ``time_s``."""
+    state = MachineState.CREATED
+    for transition in machine.transitions:
+        if transition.time_s > time_s:
+            break
+        state = transition.state
+    return state
+
+
+class TestStateAtMatchesTheLog:
+    def test_stop_during_boot_log_is_not_time_sorted(self):
+        machine = _machine()
+        finished = machine.boot(10.0)
+        machine.stop(10.1)  # lands in the log after the boot's future finish time
+        times = [transition.time_s for transition in machine.transitions]
+        assert times != sorted(times)
+        for time_s in (0.0, 10.0, 10.05, 10.1, 10.2, finished, finished + 1.0):
+            assert machine.state_at(time_s) is _linear_walk(machine, time_s)
+        assert machine.state_at(finished) is MachineState.STOPPED
+        assert machine.state_at(10.2) is MachineState.BOOTING
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        programme=st.lists(
+            st.tuples(
+                st.sampled_from(["boot", "suspend", "resume", "stop", "reboot", "fail"]),
+                st.floats(min_value=0.0, max_value=2.0),
+            ),
+            max_size=12,
+        ),
+        queries=st.lists(st.floats(min_value=-1.0, max_value=30.0), min_size=1, max_size=8),
+    )
+    def test_property_state_at_equals_linear_walk(self, programme, queries):
+        """Any lifecycle programme, any query time — including operations that
+        arrive before a boot has finished, which leave the log unsorted."""
+        machine = _machine()
+        now = 0.0
+        for operation, gap in programme:
+            now += gap
+            try:
+                getattr(machine, operation)(now)
+            except MicroVMError:
+                pass  # an illegal transition leaves machine and log untouched
+            times = [transition.time_s for transition in machine.transitions]
+            for time_s in queries + times + [now, max(times), max(times) + 1e-9]:
+                assert machine.state_at(time_s) is _linear_walk(machine, time_s)

@@ -459,3 +459,66 @@ def test_property_time_is_monotone_and_matches_max_delay(delays):
     assert observed == sorted(observed)
     assert sim.now == pytest.approx(max(delays))
     assert len(observed) == len(delays)
+
+
+class TestCallAt:
+    """Timers: bare callbacks on the same queue as the events."""
+
+    def test_equal_time_timers_and_events_fire_in_scheduling_order(self):
+        sim = Simulation()
+        log = []
+        sim.call_at(1.0, lambda: log.append("timer-1"))
+        sim.timeout(1.0).callbacks.append(lambda event: log.append("event-2"))
+        sim.call_at(1.0, lambda: log.append("timer-3"))
+        sim.timeout(1.0).callbacks.append(lambda event: log.append("event-4"))
+        sim.call_at(0.5, lambda: log.append("earlier"))
+        sim.run()
+        assert log == ["earlier", "timer-1", "event-2", "timer-3", "event-4"]
+        assert sim.now == 1.0
+
+    def test_timer_counts_as_one_processed_event(self):
+        sim = Simulation()
+        sim.call_at(2.0, lambda: None)
+        sim.run()
+        assert sim.processed_events == 1
+
+    def test_past_time_rejected(self):
+        sim = Simulation()
+        sim.run(until=5.0)
+        with pytest.raises(SimulationError):
+            sim.call_at(4.0, lambda: None)
+        sim.call_at(5.0, lambda: None)  # "now" is not the past
+
+    def test_run_until_stops_before_a_later_timer(self):
+        sim = Simulation()
+        fired = []
+        sim.call_at(3.0, lambda: fired.append(sim.now))
+        sim.run(until=2.0)
+        assert fired == [] and sim.now == 2.0
+        assert sim.peek() == 3.0
+        sim.run()
+        assert fired == [3.0]
+
+    def test_exception_in_callback_propagates_out_of_step(self):
+        sim = Simulation()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_at(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.step()
+        # The entry was consumed: the simulation can go on.
+        assert sim.now == 1.0 and sim.peek() == float("inf")
+
+    def test_timer_may_schedule_events_and_timers(self):
+        sim = Simulation()
+        log = []
+
+        def first():
+            log.append(("first", sim.now))
+            sim.call_at(sim.now + 1.0, lambda: log.append(("second", sim.now)))
+
+        sim.call_at(1.0, first)
+        sim.run()
+        assert log == [("first", 1.0), ("second", 2.0)]
