@@ -1,24 +1,23 @@
-"""Thread vs process backend on a full-Starlink fleet: what one epoch costs.
+"""The cost of the dist seam on a full-Starlink fleet, per backend.
 
 Both backends drive identical full-Starlink epochs (4,409 satellites without
 a bounding box, so every satellite owns a microVM — ~1,100 per host across
 4 hosts/workers) and the benchmark records, per backend, the two quantities
-of ``UpdateStats.fanout_seconds`` / ``sample_seconds``: the slice fan-out
-and one usage-sample round trip.  Since PR 15 a sample is an O(1) reading of
-each host's kept accounting (one pass over the machines only when one of
-them changed), so neither backend walks every microVM per sample any more
-and there is no compute sweep left for worker processes to parallelise: what
-is compared is slice encode + loopback TCP + ack against a thread-pool call.
-Constellation math is identical on both sides and excluded.
+of ``UpdateStats.fanout_seconds`` / ``sample_seconds``: milliseconds per
+slice fan-out and per usage-sample round trip.  A sample is an O(1) reading
+of each host's kept accounting and a slice is microseconds of bookkeeping
+per manager, so there is no compute for worker processes to parallelise:
+the in-process backend is a loop over the managers, the process backend is
+slice encode + loopback TCP + ack, and the difference between the two is
+what the seam costs — the price of exercising the remote-worker protocol,
+not a race one side could win.  Constellation math is identical on both
+sides and excluded.
 
 The measurements are always written to ``BENCH_dist.json`` (path
-overridable via the ``BENCH_DIST_JSON`` environment variable), including
-``sample_seconds_median`` per backend (at the PR 14 parent, with the
-per-sample sweeps: threads 8.7–9.0 ms, processes 5.8–7.3 ms on the 2-vCPU
-dev box; with this PR 0.11 ms and 0.86 ms).  The functional claim (both
-backends drive the same 4,414 machines) is a hard assert; the
-processes-vs-threads wall-clock ratio is recorded and a shortfall is a skip,
-never a Tier-1 failure.
+overridable via the ``BENCH_DIST_JSON`` environment variable).  The
+functional claim — both backends drive the same 4,414 machines to identical
+per-manager counters — is a hard assert; the timings are recorded, never
+gated.
 """
 
 import json
@@ -26,7 +25,6 @@ import os
 
 import numpy as np
 
-from _harness import ratio_gate
 from repro.core import (
     ConstellationCalculation,
     ConstellationDatabase,
@@ -72,6 +70,10 @@ def _run_backend(parallelism: str) -> dict:
             coordinator.update(now)
             coordinator.sample_all_usage(now, applying_update=True)
         machines = sum(len(m.host.machines) for m in coordinator.managers)
+        counters = [
+            [m.suspension_count, m.resume_count, m.applied_diffs, len(m.host.machines)]
+            for m in coordinator.managers
+        ]
         # Per epoch: slice fan-out + one usage-sample round trip; skip the
         # full-replay epoch and the warm-up sample.
         fanout = list(coordinator.stats.fanout_seconds)[1:]
@@ -79,24 +81,23 @@ def _run_backend(parallelism: str) -> dict:
         return {
             "backend": parallelism,
             "machines": machines,
+            "counters": counters,
             "epochs": EPOCHS,
             "fanout_seconds": fanout,
             "sample_seconds": samples,
-            "sample_seconds_median": float(np.median(samples)),
-            "sweep_seconds_median": float(
-                np.median([f + s for f, s in zip(fanout, samples)])
-            ),
+            "fanout_ms_median": float(np.median(fanout)) * 1000,
+            "sample_ms_median": float(np.median(samples)) * 1000,
         }
     finally:
         coordinator.close()
 
 
-def test_process_backend_beats_thread_backend_on_full_starlink_sweep():
+def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded():
     threads = _run_backend("threads")
     processes = _run_backend("processes")
     assert threads["machines"] == processes["machines"] == 4409 + 5
+    assert threads["counters"] == processes["counters"]
 
-    speedup = threads["sweep_seconds_median"] / processes["sweep_seconds_median"]
     results = {
         "scenario": "full-starlink-per-host-sweep",
         "hosts": HOSTS,
@@ -104,24 +105,18 @@ def test_process_backend_beats_thread_backend_on_full_starlink_sweep():
         "cpu_count": os.cpu_count(),
         "threads": threads,
         "processes": processes,
-        "speedup": speedup,
+        "seam_cost_ms": {
+            "slice_fanout": processes["fanout_ms_median"] - threads["fanout_ms_median"],
+            "sample_round_trip": processes["sample_ms_median"] - threads["sample_ms_median"],
+        },
     }
     artifact = os.environ.get("BENCH_DIST_JSON", "BENCH_dist.json")
     with open(artifact, "w") as handle:
         json.dump(results, handle, indent=2)
     print(
-        f"\nslice fan-out + usage sample (4,409 machines, {HOSTS} hosts): threads "
-        f"{threads['sweep_seconds_median'] * 1000:.2f} ms (sample "
-        f"{threads['sample_seconds_median'] * 1000:.2f}) | processes "
-        f"{processes['sweep_seconds_median'] * 1000:.2f} ms (sample "
-        f"{processes['sample_seconds_median'] * 1000:.2f}) "
-        f"({speedup:.2f}x) -> {artifact}"
-    )
-    # A box on which process fan-out does not win reads as a skip, never as
-    # a failure.
-    ratio_gate(
-        "processes_vs_threads_sweep",
-        processes["sweep_seconds_median"] * 1000,
-        threads["sweep_seconds_median"] * 1000,
-        at_least=1.5, env="BENCH_DIST_JSON", default="BENCH_dist.json",
+        f"\n4,409 machines, {HOSTS} hosts — slice fan-out: in process "
+        f"{threads['fanout_ms_median']:.3f} ms | workers "
+        f"{processes['fanout_ms_median']:.3f} ms; usage sample: in process "
+        f"{threads['sample_ms_median']:.3f} ms | workers "
+        f"{processes['sample_ms_median']:.3f} ms -> {artifact}"
     )

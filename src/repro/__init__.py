@@ -6,6 +6,9 @@ coordinator computes satellite constellation state (SGP4/Kepler propagation,
 +GRID ISLs, ground-station uplinks, shortest paths) and hosts emulate
 satellite/ground-station servers as microVMs with tc-netem-style network
 shaping, bounding-box suspension, DNS, an HTTP info API and fault injection.
+A host is placement (least reserved memory) plus CPU/memory accounting;
+the default fan-out to the hosts' managers is a loop, and worker processes
+(``parallelism="processes"``) exist to exercise the remote-worker protocol.
 
 Quickstart::
 

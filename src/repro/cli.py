@@ -209,8 +209,9 @@ def _add_parallelism_arguments(
         "--parallelism",
         choices=["threads", "processes"],
         default="threads" if defaults else None,
-        help="host fan-out backend: in-process thread pool (default) or "
-        "supervised worker processes reached over loopback TCP",
+        help="host fan-out backend: a loop over in-process managers "
+        "(default, starts no thread) or supervised worker processes reached "
+        "over loopback TCP",
     )
     parser.add_argument(
         "--workers",

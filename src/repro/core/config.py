@@ -94,22 +94,25 @@ class GroundStationConfig:
         return self.station.name
 
 
+#: ``[hosts]`` keys earlier versions accepted and nothing ever read.
+_REMOVED_HOST_KEYS = ("inter_host_latency_ms", "coordinator_cores", "coordinator_memory_mib")
+
+
 @dataclass(frozen=True)
 class HostConfig:
-    """The fleet of physical hosts running the emulation."""
+    """The fleet of hosts: how many, and the resources each accounts for.
+
+    A host is an accounting construct (placement by least reserved memory,
+    CPU/memory usage for Figs. 7-8); there is no inter-host network.
+    """
 
     count: int = 1
     cpu_cores: int = 32
     memory_mib: int = 32 * 1024
-    inter_host_latency_ms: float = 0.2
-    coordinator_cores: int = 16
-    coordinator_memory_mib: int = 64 * 1024
 
     def __post_init__(self):
         if self.count <= 0 or self.cpu_cores <= 0 or self.memory_mib <= 0:
             raise ConfigurationError("host resources must be positive")
-        if self.inter_host_latency_ms < 0:
-            raise ConfigurationError("inter-host latency must be non-negative")
 
     @property
     def total_cores(self) -> int:
@@ -222,6 +225,13 @@ class Configuration:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Configuration":
         """Build a configuration from its plain-dictionary form."""
+        for key in _REMOVED_HOST_KEYS:
+            if key in (data.get("hosts") or {}):
+                raise ConfigurationError(
+                    f"hosts.{key} was removed: hosts are an accounting construct "
+                    "(placement and usage only, no overlay between them and no "
+                    "coordinator machine); delete the key"
+                )
         try:
             shells = tuple(
                 ShellConfig(

@@ -8,6 +8,12 @@ satellite server is instantiated on a host the first time it enters the
 bounding box, mirroring how Celestial only expends host resources on
 emulated (in-box) satellites.
 
+A host here is an accounting construct: placement (a new microVM goes to
+the host with the least reserved memory, the one rule:
+:meth:`Coordinator._least_loaded_manager`) plus the CPU/memory bookkeeping
+behind Figs. 7 and 8.  No inter-host latency, overlay or per-host network
+state exists, so placement cannot reach what an application observes.
+
 Differential, sharded fan-out
 -----------------------------
 
@@ -20,31 +26,33 @@ the change set by host (:meth:`Coordinator._shard`): each machine manager
 receives a :class:`~repro.core.machine_manager.HostStateSlice` naming the
 machines of its own whose bounding-box activity flipped, plus the current
 activity of its dirty machines — what a manager applies, instead of the
-full constellation state.  The slices are fanned out concurrently (one
-thread per manager; managers only touch their own host's machines, so the
-application is embarrassingly parallel).  The network half of the update
-does not travel in a slice: the virtual network consumes the same diff
-centrally (:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
+full constellation state.  A manager only touches its own host's machines,
+so the order the slices are applied in cannot show.  The network half of
+the update does not travel in a slice: the virtual network consumes the
+same diff centrally
+(:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
 per-pair delay and bandwidth are resolved from the published state by
 :meth:`~repro.core.database.ConstellationDatabase.pair_rule`.  The
 distribution policy (who receives what) thus lives entirely in this layer;
 the update producer is oblivious to it, in the spirit of RAFDA's separation
 of application logic from distribution concerns.
 
-The thread-vs-process seam
---------------------------
+The in-process-vs-worker seam
+-----------------------------
 
 *Where* the slices are applied is a backend decision
 (``parallelism="threads" | "processes"``, default threads):
 
 * ``threads`` — the managers live in this process and
-  :class:`~repro.dist.backend.ThreadFanoutBackend` applies the slices over
-  a persistent thread pool.  Nothing crosses a process boundary.
+  :class:`~repro.dist.backend.ThreadFanoutBackend` visits them in a loop.
+  Despite the literal no thread is started and nothing crosses a process
+  boundary.
 * ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
   pool of supervised worker processes (``repro.dist``), each holding the
   authoritative managers of one or more hosts behind its own TCP connection:
   loopback for the workers the pool spawns, the network for operator-started
-  workers on other machines, like the paper's testbed.  Slices travel as
+  workers on other machines, like the paper's testbed.  It exists to
+  exercise that remote-worker protocol.  Slices travel as
   buffer-backed wire frames; usage samples, counters and dirty-machine
   reconciliation results stream back.  The coordinator keeps in-process
   *shadow* managers for placement and parent-side queries; crashed workers
@@ -103,13 +111,13 @@ class UpdateStats:
     diff_updates: int = 0
     diff_change_counts: deque = field(default_factory=_series)
     #: Wall-clock of the fan-out step alone (slice/state application),
-    #: one entry per update — the quantity the thread-vs-process
-    #: benchmark compares.
+    #: one entry per update — the cost of the seam the dist benchmark
+    #: records per backend.
     fanout_seconds: deque = field(default_factory=_series)
     #: Wall-clock of each usage-sampling sweep (``sample_all_usage``).
     sample_seconds: deque = field(default_factory=_series)
     #: Transport ack round-trip seconds per worker slot (process backends
-    #: only; empty under the thread backend, which has no transport).
+    #: only; empty under the in-process backend, which has no transport).
     worker_ack_seconds: dict[int, deque] = field(
         default_factory=lambda: defaultdict(_series)
     )
@@ -215,7 +223,7 @@ class Coordinator:
                 # worker transport would fake a passing remote-path test.
                 raise ValueError(
                     f"transport={transport!r} requires parallelism='processes' "
-                    "(the thread backend has no workers to transport to)"
+                    "(the in-process backend has no workers to transport to)"
                 )
             from repro.dist.backend import ThreadFanoutBackend
 
@@ -255,6 +263,11 @@ class Coordinator:
         return microvm is not None and microvm.state_at(now_s) is MachineState.RUNNING
 
     def _least_loaded_manager(self) -> MachineManager:
+        """*The* placement rule: the host with the least reserved memory.
+
+        Ties go to the lowest position; reserved memory moves only when a
+        machine is created, so placement follows from the creation order.
+        """
         return min(
             self.managers,
             key=lambda manager: manager.host.reserved_memory_mib(),
@@ -347,9 +360,9 @@ class Coordinator:
 
         Each host answers from its kept accounting (an O(1) reading unless a
         machine changed since the last sample, see :mod:`repro.hosts.host`):
-        with the process backend that is one round trip per worker, with the
-        thread backend a call over the fan-out pool.  Results are identical
-        either way and are recorded into the per-host resource traces.
+        with the process backend that is one round trip per worker, in
+        process a loop over the managers.  Results are identical either way
+        and are recorded into the per-host resource traces.
         """
         started = wallclock.perf_counter()
         samples = self._backend.sample_all(
@@ -367,9 +380,9 @@ class Coordinator:
     def close(self) -> None:
         """Release the fan-out backend (idempotent, both backends).
 
-        Thread backend: shuts the (idle) fan-out pool down without joining
-        it — see :meth:`ThreadFanoutBackend.close`.  Process backend: drains and
-        joins every worker, escalating to terminate/kill — deterministic
+        In process there is nothing to release; a closed backend only
+        refuses further sweeps.  Process backend: drains and joins every
+        worker, escalating to terminate/kill — deterministic
         even when called during interpreter shutdown (the workers are
         additionally daemonic and the supervisor registers an ``atexit``
         finaliser, so no backend can outlive or hang the interpreter).
@@ -391,8 +404,8 @@ class Coordinator:
 
         The first epoch (and every epoch when ``incremental`` is off) runs
         the full-replay path; afterwards the differential pipeline computes
-        state + diff, shards the diff by host and fans the slices out
-        concurrently.
+        state + diff, shards the diff by host and hands the slices to the
+        backend.
         """
         started = wallclock.perf_counter()
         engine = self.calculation.path_engine
@@ -405,9 +418,8 @@ class Coordinator:
             state, diff = self.calculation.diff_since(previous, now_s)
         self.stats.record_path_engine(engine_before, engine.stats.snapshot())
         self.database.set_state(state, diff=diff)
-        # Each manager only mutates its own host's machines, so the backend
-        # may apply in parallel: counters and machine transitions come out
-        # the same whatever the completion order (and whichever backend).
+        # Each manager only mutates its own host's machines: counters and
+        # machine transitions come out the same whichever backend applies.
         if diff is None:
             self._ensure_active_satellites(state, now_s)
             started_fanout = wallclock.perf_counter()

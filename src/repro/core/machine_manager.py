@@ -31,7 +31,9 @@ pair, so its size follows the epoch's activity flips, not the fleet.
 Process boundary
 ----------------
 
-Since PR 4 a manager may live in a worker *process* (``repro.dist``): the
+By default the managers are plain objects in the coordinator process,
+visited in a loop.  A manager may also live in a worker *process*
+(``repro.dist``, which exists to exercise the remote-worker protocol): the
 coordinator keeps an in-process shadow for placement and bookkeeping while
 the authoritative copy applies slices and takes the usage samples behind a
 TCP connection.  Three members exist for that runtime:

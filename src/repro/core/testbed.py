@@ -5,10 +5,15 @@ its Constellation Calculation and database, the hosts with their Machine
 Managers and microVMs, the virtual network with its per-pair rules, DNS, the
 HTTP info API and fault injection — all driven by a deterministic
 discrete-event simulation so experiments are repeatable (§4.2).
+
+Hosts are placement plus accounting (least reserved memory, Figs. 7-8
+usage); the virtual network connects machines directly, so how many hosts a
+configuration names cannot change what an application measures.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Literal, Optional
 
 from repro.core.config import Configuration
@@ -23,7 +28,6 @@ from repro.core.validator import estimate_resources
 from repro.hosts import Host, ResourceTrace
 from repro.net.endpoint import NetworkEndpoint
 from repro.net.network import VirtualNetwork
-from repro.netem import WireGuardOverlay
 from repro.sim import RandomStreams, Simulation
 
 
@@ -55,10 +59,6 @@ class Celestial:
             )
             for index in range(config.hosts.count)
         ]
-        self.overlay = WireGuardOverlay(
-            host_count=config.hosts.count,
-            inter_host_latency_ms=config.hosts.inter_host_latency_ms,
-        )
         self.managers = [
             MachineManager(host, rng=self.streams.stream(f"manager-{host.index}"))
             for host in self.hosts
@@ -126,7 +126,10 @@ class Celestial:
         interval = self.usage_sample_interval_s
         while True:
             yield self.sim.timeout(interval)
-            applying_update = (self.sim.now % self.config.update_interval_s) < 1e-9
+            # remainder, not %: 5.0 % 0.1 is 0.0999…, not 0.
+            applying_update = (
+                abs(math.remainder(self.sim.now, self.config.update_interval_s)) < 1e-9
+            )
             self.coordinator.sample_all_usage(
                 self.sim.now, applying_update=applying_update
             )
@@ -141,8 +144,8 @@ class Celestial:
         """Release the coordinator's fan-out backend (idempotent).
 
         Required with ``parallelism="processes"`` to join the worker pool
-        deterministically; a no-op-safe courtesy with the default thread
-        backend (and also invoked automatically at interpreter exit).
+        deterministically (also invoked at interpreter exit); the default
+        in-process backend holds nothing to release.
         """
         self.coordinator.close()
 

@@ -33,8 +33,10 @@ on a TCP stream.
   from the durable control ledger and restored from the constellation
   database's keyframe + diff chain plus its last acknowledged checkpoint.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
-  :class:`~repro.dist.backend.ThreadFanoutBackend` and
-  :class:`~repro.dist.backend.ProcessFanoutBackend` behind one interface,
+  :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
+  managers, the default — it starts no thread) and
+  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes; it
+  exists to exercise the remote-worker protocol) answer the same calls,
   selected with ``Coordinator(parallelism="threads" | "processes")``; the
   worker pool's deployment settings (address, ports, external workers,
   shared secret) arrive as a ready
@@ -48,7 +50,6 @@ slices either way, and the two backends are proven byte/count-identical
 """
 
 from repro.dist.backend import (
-    FanoutBackend,
     MirroredManager,
     ProcessFanoutBackend,
     ThreadFanoutBackend,
@@ -81,7 +82,6 @@ from repro.dist.wire import (
 from repro.dist.worker import WorkerSpec
 
 __all__ = [
-    "FanoutBackend",
     "FrameKind",
     "MirroredManager",
     "ProcessFanoutBackend",

@@ -1,4 +1,4 @@
-"""The thread-vs-process fan-out seam behind the coordinator.
+"""The fan-out seam behind the coordinator: in process, or over workers.
 
 The coordinator's distribution policy (who receives which slice) is
 expressed once, in :meth:`~repro.core.coordinator.Coordinator._shard`.  A
@@ -7,16 +7,20 @@ applies — its machines whose bounding-box activity flipped and the activity
 of its dirty ones; the network half of an update stays on the coordinator's
 side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``)
 and crosses no seam.  *How* the slices reach the managers is a backend
-concern:
+concern; both backends answer the same calls (``managers``,
+``apply_slices``, ``apply_full_state``, ``sample_all``,
+``drain_transport_latencies``, ``close``):
 
 * :class:`ThreadFanoutBackend` — the managers live in the coordinator
-  process and slices are applied over a persistent thread pool (the
-  default).
+  process and are visited in a loop (the default; despite the name it
+  starts no thread — a slice is microseconds of pure-Python work per host,
+  which a pool under the GIL would not parallelise).
 * :class:`ProcessFanoutBackend` — the authoritative managers live in
   supervised worker processes (:mod:`repro.dist.worker`), each reached over
   its own TCP connection.  Slices travel as :mod:`repro.dist.wire` frames;
   the workers apply them, take the per-host usage samples, and stream
-  samples, counters and dirty-machine reconciliation results back.
+  samples, counters and dirty-machine reconciliation results back.  It
+  exists to exercise the remote-worker protocol, not to make one box faster.
 
 Shadow managers
 ---------------
@@ -50,7 +54,6 @@ single-process run would have drawn.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from repro.core.constellation import ConstellationState, MachineId
@@ -67,111 +70,59 @@ class WorkerDesyncError(RuntimeError):
     """A worker's observable state diverged from its in-process shadow."""
 
 
-class FanoutBackend:
-    """Common surface of the fan-out backends (documentation base class)."""
+class ThreadFanoutBackend:
+    """In-process managers, visited in a loop: no thread is started.
 
-    #: ``"threads"`` or ``"processes"``.
-    parallelism: str
-
-    @property
-    def managers(self) -> list:
-        """The manager objects the coordinator should hand out."""
-        raise NotImplementedError
-
-    def apply_slices(self, slices: list[HostStateSlice], now_s: float) -> None:
-        """Apply one epoch's per-host slices (one per manager position)."""
-        raise NotImplementedError
-
-    def apply_full_state(self, state: ConstellationState, now_s: float) -> None:
-        """Full-replay sweep (first epoch / non-incremental path)."""
-        raise NotImplementedError
-
-    def sample_all(
-        self, now_s: float, setup_phase: bool = False, applying_update: bool = False
-    ) -> list[UsageSample]:
-        """One usage-sampling sweep across every host, in position order."""
-        raise NotImplementedError
-
-    def drain_transport_latencies(self) -> dict[int, list[float]]:
-        """Transport ack round-trip seconds per worker slot since last drain.
-
-        Empty for in-process backends (there is no transport to measure);
-        the process backend reports the supervisor's acknowledgement
-        latencies per worker.
-        """
-        return {}
-
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-        raise NotImplementedError
-
-
-class ThreadFanoutBackend(FanoutBackend):
-    """In-process managers, slices fanned out over a persistent thread pool."""
+    The name and the ``"threads"`` literal are what the CLI, the experiment
+    specs and the benchmark spell.
+    """
 
     parallelism = "threads"
 
     def __init__(self, managers: list[MachineManager]):
         self._managers = list(managers)
-        # Lazily created, persistent pool (one thread per manager); spawning
-        # threads per epoch would tax the very path this pipeline optimises.
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
     @property
     def managers(self) -> list[MachineManager]:
+        """The manager objects the coordinator hands out."""
         return self._managers
 
-    def _map(self, calls) -> list:
-        """Run one callable per manager, over the pool when it pays off."""
+    def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("the fan-out backend has been closed")
-        if len(self._managers) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=len(self._managers),
-                    thread_name_prefix="celestial-fanout",
-                )
-            return [future.result() for future in
-                    [self._pool.submit(call) for call in calls]]
-        return [call() for call in calls]
 
     def apply_slices(self, slices: list[HostStateSlice], now_s: float) -> None:
-        # Each manager only mutates its own host's machines, so the slices
-        # can be applied in parallel; the per-manager counters and machine
-        # transitions are deterministic regardless of completion order.
-        self._map([
-            (lambda m=manager, s=state_slice: m.apply_diff(s, now_s))
-            for manager, state_slice in zip(self._managers, slices)
-        ])
+        """Apply one epoch's per-host slices (one per manager position)."""
+        self._check_open()
+        for manager, state_slice in zip(self._managers, slices):
+            manager.apply_diff(state_slice, now_s)
 
     def apply_full_state(self, state: ConstellationState, now_s: float) -> None:
+        """Full-replay sweep (first epoch / non-incremental path)."""
+        self._check_open()
         for manager in self._managers:
             manager.apply_state(state, now_s)
 
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
     ) -> list[UsageSample]:
-        return self._map([
-            (lambda m=manager: m.sample_usage(
+        """One usage-sampling sweep across every host, in position order."""
+        self._check_open()
+        return [
+            manager.sample_usage(
                 now_s, setup_phase=setup_phase, applying_update=applying_update
-            ))
+            )
             for manager in self._managers
-        ])
+        ]
+
+    def drain_transport_latencies(self) -> dict[int, list[float]]:
+        """Empty: there is no transport to measure in process."""
+        return {}
 
     def close(self) -> None:
-        if self._closed:
-            return
+        """Refuse further sweeps (idempotent; there is nothing to release)."""
         self._closed = True
-        if self._pool is not None:
-            # No join: ``Coordinator.__del__`` closes the backend from the
-            # garbage collector, which can run inside ``threading``'s own
-            # ``_shutdown_locks_lock`` while a thread is being started —
-            # joining takes that lock again and deadlocks ``Thread.start``.
-            # ``_map`` has collected every result, so the pool is idle and
-            # its threads leave on the shutdown sentinel by themselves.
-            self._pool.shutdown(wait=False)
-            self._pool = None
 
 
 class MirroredManager:
@@ -271,7 +222,7 @@ class MirroredManager:
     apply_diff = sample_usage = apply_state
 
 
-class ProcessFanoutBackend(FanoutBackend):
+class ProcessFanoutBackend:
     """Supervised worker processes behind the coordinator's fan-out seam.
 
     Frames reach every worker over its own TCP connection.  ``transport``
@@ -379,9 +330,10 @@ class ProcessFanoutBackend(FanoutBackend):
                         f"from the shadow's {expected}"
                     )
 
-    # -- FanoutBackend ------------------------------------------------------
+    # -- the calls the coordinator drives ------------------------------------
 
     def apply_slices(self, slices: list[HostStateSlice], now_s: float) -> None:
+        """Apply one epoch's per-host slices (one per manager position)."""
         supervisor = self.supervisor
         supervisor.start()
         supervisor.check()  # heartbeat sweep: restart idle-crashed workers
@@ -415,6 +367,7 @@ class ProcessFanoutBackend(FanoutBackend):
                     )
 
     def apply_full_state(self, state: ConstellationState, now_s: float) -> None:
+        """Full-replay sweep (first epoch / non-incremental path)."""
         supervisor = self.supervisor
         supervisor.start()
         supervisor.check()
@@ -435,6 +388,7 @@ class ProcessFanoutBackend(FanoutBackend):
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
     ) -> list[UsageSample]:
+        """One usage-sampling sweep across every host, in position order."""
         supervisor = self.supervisor
         supervisor.start()
         meta = {
@@ -486,6 +440,7 @@ class ProcessFanoutBackend(FanoutBackend):
         return self.supervisor.restart_count
 
     def close(self) -> None:
+        """Drain and join the worker pool (idempotent)."""
         if self._closed:
             return
         self._closed = True

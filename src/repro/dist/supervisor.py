@@ -479,7 +479,7 @@ class WorkerSupervisor:
         have acknowledged this epoch's slice for one host but not the other,
         so each manager is restored to *its own* last-acknowledged epoch and
         the re-sent in-flight slices advance exactly the managers that were
-        behind — counting their transitions once, like the thread backend.
+        behind — counting their transitions once, like the in-process backend.
         """
         if handle.checkpoint is None or self._database is None:
             return

@@ -18,8 +18,8 @@ Protocol
 The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
 the supervisor (:mod:`repro.dist.transport`) and executes them in order,
 which makes its random streams replayable: the coordinator forwards machine
-creations and usage-sample requests in exactly the order the in-process
-thread backend would execute them, so every random draw (usage-sample
+creations and usage-sample requests in exactly the order the
+in-process backend would execute them, so every random draw (usage-sample
 jitter, microVM boot times) lands on the same generator state as in a
 single-process run — the foundation of the byte-identical
 backend-equivalence guarantee.

@@ -8,22 +8,20 @@ what state) the packet arrives.  The models are deliberately a superset of
 what the paper's experiments use — packet loss, duplication, corruption and
 reordering are the "advanced tc-netem features" the paper lists as future
 extensions (§6.5) and are exercised by the fault-injection tests.
+
+Everything here shapes traffic between *machines*; hosts are an accounting
+construct, so there is no inter-host latency to add or to compensate.
 """
 
 from repro.netem.qdisc import DeliveredPacket, NetemQdisc, NetemRule
 from repro.netem.tbf import TokenBucketFilter
 from repro.netem.link import EmulatedLink, UNREACHABLE_DELAY_MS
-from repro.netem.wireguard import WireGuardOverlay
-from repro.netem.weather import RainFadeModel, ThermalShutdownModel
 
 __all__ = [
     "DeliveredPacket",
     "EmulatedLink",
     "NetemQdisc",
     "NetemRule",
-    "RainFadeModel",
-    "ThermalShutdownModel",
     "TokenBucketFilter",
     "UNREACHABLE_DELAY_MS",
-    "WireGuardOverlay",
 ]

@@ -30,7 +30,6 @@ from repro.orbits.tle import TwoLineElement
 from repro.orbits.sgp4 import SGP4Error, SGP4Propagator
 from repro.orbits.shells import Satellite, Shell, ShellGeometry
 from repro.orbits.ground import GroundStation
-from repro.orbits.mobility import MovingGroundStation, Waypoint
 from repro.orbits.visibility import (
     elevation_angle_deg,
     ground_station_visible,
@@ -43,14 +42,12 @@ __all__ = [
     "GroundStation",
     "KeplerPropagator",
     "KeplerianElements",
-    "MovingGroundStation",
     "SGP4Error",
     "SGP4Propagator",
     "Satellite",
     "Shell",
     "ShellGeometry",
     "TwoLineElement",
-    "Waypoint",
     "constants",
     "ecef_to_eci",
     "GEOCENTRIC_LATITUDE_MARGIN_DEG",

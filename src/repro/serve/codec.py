@@ -8,7 +8,7 @@ frame kinds) and rendered as *views* everywhere else:
 * the streaming gateway (:mod:`repro.serve.gateway`) fans the shared
   encoded bytes out to every subscriber,
 * the info API's ``/diffs/<epoch>`` JSON is :func:`diff_json_record` over
-  the decoded frame (byte-for-byte the wire format PR 3 introduced).
+  the decoded frame (the info API's own wire format, unchanged).
 
 What travels is the network-observable projection of a
 :class:`~repro.core.constellation.ConstellationState` — the
@@ -256,7 +256,7 @@ def _diff_arrays(meta: dict, arrays: list[np.ndarray]) -> dict[str, Any]:
 def diff_json_record(meta: dict, arrays: list[np.ndarray]) -> dict:
     """The ``/diffs/<epoch>`` JSON record of one decoded DIFF frame.
 
-    This *is* the wire format the info API has served since PR 3 — per
+    This *is* the wire format the info API serves — per
     epoch one record with the change counters and flat ``[node_a, node_b,
     ...]`` rows: ``links_added`` carries ``[a, b, delay_ms,
     bandwidth_kbps]``, ``links_removed`` ``[a, b]``, ``delay_changed``

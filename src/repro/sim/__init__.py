@@ -18,17 +18,13 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.clock import Clock, DriftingClock, PTPClock
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Clock",
-    "DriftingClock",
     "Event",
     "Interrupt",
-    "PTPClock",
     "Process",
     "RandomStreams",
     "Resource",

@@ -32,7 +32,7 @@ two possible outcomes, decided by the epoch's
 
 A moving constellation changes about half of its link delays every
 epoch, at any update interval down to 5 ms (full Starlink and
-DART/Iridium, probe table in CHANGES.md, PR 16), so every epoch in which
+DART/Iridium, probe table in CHANGES.md), so every epoch in which
 the clock advanced takes the solve leg; the reuse leg serves epochs
 recomputed at an unchanged time.  Every published row is either a solver
 row or a rebound one, so distances and reachability are

@@ -243,6 +243,12 @@ class TestConfigurationErrors:
         line = self._error_line(command(str(path)), capsys)
         assert str(path) in line and "update interval must be positive" in line
 
+    def test_removed_host_key(self, tmp_path, capsys):
+        path = tmp_path / "stale.toml"
+        path.write_text(_CONFIG_TOML.replace("[hosts]\n", "[hosts]\ninter_host_latency_ms = 0.2\n"))
+        line = self._error_line(["validate", str(path)], capsys)
+        assert str(path) in line and "hosts.inter_host_latency_ms was removed" in line
+
     def test_run_rejects_an_inconsistent_spec(self, config_path, capsys):
         # A plain configuration is not an experiment spec (no [scenario] table).
         line = self._error_line(["run", config_path, "--no-output"], capsys)

@@ -1,5 +1,7 @@
 """Unit tests for the Celestial configuration model."""
 
+import json
+
 import pytest
 
 from repro.core.config import (
@@ -91,8 +93,11 @@ class TestConfiguration:
             config.ground_station_config("unknown")
 
     def test_dict_roundtrip(self):
-        config = _config()
+        config = _config(hosts=HostConfig(count=3, cpu_cores=8, memory_mib=4096))
+        assert config.to_dict()["hosts"] == {"count": 3, "cpu_cores": 8, "memory_mib": 4096}
         rebuilt = Configuration.from_dict(config.to_dict())
+        assert rebuilt.hosts == config.hosts
+        assert rebuilt.to_dict() == config.to_dict()
         assert rebuilt.total_satellites == config.total_satellites
         assert rebuilt.ground_station_names == config.ground_station_names
         assert rebuilt.update_interval_s == config.update_interval_s
@@ -110,6 +115,24 @@ class TestConfiguration:
     def test_from_dict_invalid(self):
         with pytest.raises(ConfigurationError):
             Configuration.from_dict({"shells": [{"name": "x"}]})
+
+    @pytest.mark.parametrize(
+        "key", ["inter_host_latency_ms", "coordinator_cores", "coordinator_memory_mib"]
+    )
+    def test_removed_host_keys_fail_loudly(self, key, tmp_path):
+        """Hosts are an accounting construct: the overlay latency and the
+        coordinator's machine size were read by nothing and are gone; a file
+        that still sets one says so instead of an unexpected-keyword error."""
+        data = _config().to_dict()
+        data["hosts"][key] = 1
+        with pytest.raises(ConfigurationError, match=f"hosts.{key} was removed: hosts are"):
+            Configuration.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=f"hosts.{key} was removed"):
+            Configuration.from_path(path)
+        with pytest.raises(TypeError):
+            HostConfig(**{key: 1})
 
     def test_from_toml(self, tmp_path):
         toml_text = """

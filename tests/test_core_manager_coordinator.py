@@ -245,41 +245,27 @@ class TestCoordinator:
         assert stats.max_wallclock_s == 1.0 > max(stats.wallclock_seconds)
 
 
-class TestCoordinatorFinaliser:
-    @pytest.mark.skipif(
-        not hasattr(threading, "_shutdown_locks_lock"),
-        reason="this interpreter's threading module has no shutdown-locks lock",
-    )
-    def test_close_does_not_need_the_threading_modules_lock(self):
-        """``Coordinator.__del__`` closes the backend wherever the garbage
-        collector happens to run — also inside ``threading``'s
-        ``_shutdown_locks_lock``, held while a new thread registers itself.
-        A close that joins the pool's threads takes that lock again: the
-        starting thread deadlocks and ``Thread.start`` never returns (seen
-        as a Tier-1 run hanging in a testbed test)."""
-        *_, coordinator = _coordinator()
-        before = set(threading.enumerate())
-        coordinator.sample_all_usage(0.0)  # two managers: the pool exists now
-        pool_threads = [
-            thread for thread in set(threading.enumerate()) - before
-            if thread.name.startswith("celestial-fanout")
-        ]
-        assert pool_threads
-        closed = threading.Event()
-        # A daemon thread: starting one does not take the lock held here.
-        closer = threading.Thread(
-            target=lambda: (coordinator.close(), closed.set()), daemon=True
-        )
-        with threading._shutdown_locks_lock:
-            closer.start()
-            finished = closed.wait(timeout=5.0)
-        closer.join(timeout=5.0)
-        assert finished and not closer.is_alive()
-        for thread in pool_threads:
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
+class TestCoordinatorClose:
+    def test_the_default_backend_starts_no_thread(self):
+        """Hosts are accounting: ``parallelism="threads"`` is a loop over
+        the managers, so a whole run leaves ``threading.enumerate()`` as it
+        found it, and ``close`` has nothing to join."""
+        before = threading.enumerate()
+        *_, managers, coordinator = _coordinator()
+        assert coordinator.parallelism == "threads" and len(managers) >= 2
+        coordinator.create_ground_stations(0.0)
+        for step in range(3):
+            coordinator.update(5.0 * step)
+            assert len(coordinator.sample_all_usage(5.0 * step)) == len(managers)
+            assert threading.enumerate() == before
+        coordinator.close()
+        coordinator.close()  # idempotent
+        assert threading.enumerate() == before
+        # Use after close is answered like the process backend answers it.
         with pytest.raises(RuntimeError, match="closed"):
-            coordinator.sample_all_usage(1.0)
+            coordinator.sample_all_usage(15.0)
+        with pytest.raises(RuntimeError, match="closed"):
+            coordinator.update(15.0)
 
 
 class TestFaultInjection:

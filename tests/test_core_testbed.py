@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Celestial
-from repro.core import ComputeParams, Configuration, GroundStationConfig, HostConfig, NetworkParams, ShellConfig
+from repro.core import ComputeParams, Configuration, Coordinator, GroundStationConfig, HostConfig, NetworkParams, ShellConfig
 from repro.microvm import MachineState
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import dart_configuration, west_africa_configuration
@@ -56,6 +56,21 @@ class TestTestbedLifecycle:
         for trace in traces.values():
             assert len(trace) >= 6
             assert trace.peak_memory_percent() > 0.0
+
+    def test_samples_coinciding_with_an_update_are_flagged(self, monkeypatch):
+        """0.5 and 1.0 s are update instants of a 0.1 s interval although
+        ``0.5 % 0.1`` is 0.0999…; 0.25 and 0.75 s are not."""
+        flagged = {}
+        sample_all_usage = Coordinator.sample_all_usage
+
+        def spy(self, now_s, setup_phase=False, applying_update=False):
+            flagged[now_s] = applying_update
+            return sample_all_usage(self, now_s, setup_phase, applying_update)
+
+        monkeypatch.setattr(Coordinator, "sample_all_usage", spy)
+        testbed = Celestial(_small_config(update_interval_s=0.1), usage_sample_interval_s=0.25)
+        testbed.run(until=1.0)
+        assert flagged == {0.0: False, 0.25: False, 0.5: True, 0.75: False, 1.0: True}
 
     def test_machine_access_and_estimate(self):
         testbed = Celestial(_small_config())

@@ -1,4 +1,4 @@
-"""Unit tests for hosts, resource traces and machine placement."""
+"""Unit tests for hosts and resource traces."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,8 @@ from repro.core import ComputeParams, MachineId, MachineManager
 from repro.hosts import (
     Host,
     HostError,
-    PlacementError,
     ResourceTrace,
     UsageSample,
-    place_machines,
 )
 from repro.hosts.host import (
     MACHINE_MANAGER_CPU_PERCENT,
@@ -267,50 +265,3 @@ class TestAccountingInvariant:
         assert suspended.microvm_cpu_percent < throttled.microvm_cpu_percent
         assert throttled.microvm_cpu_percent < busy.microvm_cpu_percent
         assert _readings(manager.host) == _sweep(manager.host)
-
-
-class TestPlacement:
-    def test_round_robin_by_free_memory(self):
-        hosts = [Host(index=i, cpu_cores=32, memory_mib=8192) for i in range(3)]
-        machines = [_machine(f"sat-{i}", memory=1024) for i in range(9)]
-        placement = place_machines(machines, hosts)
-        counts = [len(placement.machines_on(i)) for i in range(3)]
-        assert sum(counts) == 9
-        assert max(counts) - min(counts) <= 1
-
-    def test_affinity_group_shares_host(self):
-        hosts = [Host(index=i, cpu_cores=32, memory_mib=32 * 1024) for i in range(3)]
-        machines = [_machine(f"client-{i}", vcpus=4, memory=4096) for i in range(3)]
-        machines += [_machine(f"sat-{i}", memory=512) for i in range(10)]
-        placement = place_machines(
-            machines, hosts, affinity_groups=[["client-0", "client-1", "client-2"]]
-        )
-        assert placement.colocated("client-0", "client-1")
-        assert placement.colocated("client-1", "client-2")
-
-    def test_unplaceable_machine_raises(self):
-        hosts = [Host(index=0, cpu_cores=4, memory_mib=1024)]
-        machines = [_machine("big", memory=2048)]
-        with pytest.raises(PlacementError):
-            place_machines(machines, hosts)
-
-    def test_unknown_affinity_member_raises(self):
-        hosts = [Host(index=0)]
-        with pytest.raises(PlacementError):
-            place_machines([_machine("a")], hosts, affinity_groups=[["a", "ghost"]])
-
-    def test_no_hosts_raises(self):
-        with pytest.raises(PlacementError):
-            place_machines([_machine("a")], [])
-
-    def test_duplicate_machine_names_raise(self):
-        hosts = [Host(index=0)]
-        with pytest.raises(PlacementError):
-            place_machines([_machine("a"), _machine("a")], hosts)
-
-    def test_placement_lookup_errors(self):
-        hosts = [Host(index=0)]
-        placement = place_machines([_machine("a")], hosts)
-        assert placement.host_for("a") == 0
-        with pytest.raises(KeyError):
-            placement.host_for("ghost")

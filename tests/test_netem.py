@@ -11,7 +11,6 @@ from repro.netem import (
     NetemRule,
     TokenBucketFilter,
     UNREACHABLE_DELAY_MS,
-    WireGuardOverlay,
 )
 
 
@@ -206,33 +205,3 @@ class TestEmulatedLink:
     def test_unreachable_rule_initialises_blocked(self):
         link = EmulatedLink(NetemRule(loss_probability=1.0))
         assert link.state.blocked
-
-
-class TestWireGuardOverlay:
-    def test_same_host_zero_latency(self):
-        overlay = WireGuardOverlay(3, inter_host_latency_ms=0.2)
-        assert overlay.latency_ms(1, 1) == 0.0
-        assert overlay.latency_ms(0, 2) == 0.2
-
-    def test_compensated_delay(self):
-        overlay = WireGuardOverlay(2, inter_host_latency_ms=0.2)
-        assert overlay.compensated_delay_ms(16.0, 0, 1) == pytest.approx(15.8)
-        assert overlay.compensated_delay_ms(16.0, 0, 0) == pytest.approx(16.0)
-        assert overlay.compensated_delay_ms(0.1, 0, 1) == 0.0
-        assert not overlay.can_emulate(0.1, 0, 1)
-        assert overlay.can_emulate(1.0, 0, 1)
-
-    def test_custom_pair_latency(self):
-        overlay = WireGuardOverlay(3)
-        overlay.set_latency(0, 2, 1.5)
-        assert overlay.latency_ms(2, 0) == 1.5
-        assert overlay.latency_ms(0, 1) == 0.2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WireGuardOverlay(0)
-        overlay = WireGuardOverlay(2)
-        with pytest.raises(IndexError):
-            overlay.latency_ms(0, 5)
-        with pytest.raises(ValueError):
-            overlay.set_latency(0, 1, -1.0)

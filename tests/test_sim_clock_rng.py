@@ -1,37 +1,6 @@
-"""Unit tests for simulated clocks and seeded random streams."""
+"""Unit tests for seeded random streams."""
 
-from repro.sim import DriftingClock, PTPClock, RandomStreams, Simulation
-
-
-def _advance(sim, seconds):
-    def proc():
-        yield sim.timeout(seconds)
-
-    sim.process(proc())
-    sim.run()
-
-
-def test_ptp_clock_matches_sim_time():
-    sim = Simulation()
-    clock = PTPClock(sim)
-    _advance(sim, 123.0)
-    assert clock.now() == 123.0
-
-
-def test_drifting_clock_offset_and_drift():
-    sim = Simulation()
-    clock = DriftingClock(sim, offset=1.0, drift_ppm=1000.0)
-    _advance(sim, 1000.0)
-    assert clock.now() == 1000.0 * 1.001 + 1.0
-
-
-def test_clock_comparison_between_two_drifting_clocks():
-    sim = Simulation()
-    a = DriftingClock(sim, drift_ppm=50.0)
-    b = DriftingClock(sim, drift_ppm=-50.0)
-    _advance(sim, 100.0)
-    assert a.now() > b.now()
-    assert abs(a.now() - b.now()) < 0.1
+from repro.sim import RandomStreams
 
 
 def test_random_streams_reproducible():
