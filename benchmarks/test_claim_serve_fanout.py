@@ -70,6 +70,8 @@ def _stream_load(calculation, database) -> dict:
     database.set_state(state)
     publish_times: dict[int, float] = {}
     latencies_ms: list[float] = []
+    #: Frame sizes as subscriber 0 received them (everyone gets the same bytes).
+    frame_bytes: dict[str, list[int]] = {"KEYFRAME": [], "DIFF": []}
     latencies_lock = threading.Lock()
     final_epoch = 1 + EPOCHS
     finished = []
@@ -78,11 +80,15 @@ def _stream_load(calculation, database) -> dict:
         with SubscriptionClient(
             host, port, client_id=f"bench-{index}", timeout_s=60.0
         ) as client:
-            client.sync_to_epoch(1)
+            received = client.sync_to_epoch(1)
             samples = []
             while client.replica.epoch < final_epoch:
                 update = client.recv_update()
                 samples.append((update.epoch, time.perf_counter()))
+                received.append(update)
+            if index == 0:
+                for update in received:
+                    frame_bytes[update.kind.name].append(len(update.data))
             with latencies_lock:
                 latencies_ms.extend(
                     (received - publish_times[epoch]) * 1000.0
@@ -126,6 +132,8 @@ def _stream_load(calculation, database) -> dict:
         "delivery_p50_ms": float(np.percentile(latencies_ms, 50)),
         "delivery_p99_ms": float(np.percentile(latencies_ms, 99)),
         "delivery_max_ms": float(np.max(latencies_ms)),
+        "diff_bytes_p50": float(np.median(frame_bytes["DIFF"])),
+        "keyframe_bytes": frame_bytes["KEYFRAME"][0],
         "evictions": stats["evictions"],
         "encode_count": stats["encode_count"],
     }

@@ -22,9 +22,11 @@ Run with:  python examples/streaming_clients.py [--epochs 8 --clients 4]
 
 import argparse
 import json
+import statistics
 import threading
 
 from repro.core import ConstellationCalculation, ConstellationDatabase
+from repro.dist.wire import FrameKind
 from repro.experiments import build
 from repro.serve import EpochSnapshot
 from repro.serve.client import SubscriptionClient
@@ -79,11 +81,14 @@ def main() -> None:
         # Every full subscriber reconstructs the final state bit-for-bit.
         reference = EpochSnapshot.from_state(database.state, final_epoch)
         for client in clients:
-            client.sync_to_epoch(final_epoch)
+            received = client.sync_to_epoch(final_epoch)
             assert client.replica.snapshot().same_bits(reference)
         print(f"{len(clients)} full subscribers bit-identical at epoch "
               f"{final_epoch} ({reference.node_count} nodes, "
               f"{len(reference.node_a)} links)")
+        diff_sizes = [len(u.data) for u in received if u.kind is FrameKind.DIFF]
+        print(f"each received {len(diff_sizes)} DIFF frames, median "
+              f"{statistics.median(diff_sizes):.0f} B")
 
         # The scoped subscriber stays chained through skip markers.
         updates = scoped.sync_to_epoch(final_epoch)

@@ -58,15 +58,67 @@ from repro.net.network import PairRule
 EpochListener = Callable[[int, ConstellationState, Optional[ConstellationDiff]], None]
 
 
+def diff_json_record(diff: ConstellationDiff, epoch: int) -> dict:
+    """The ``/diffs/<epoch>`` JSON record of one epoch's diff.
+
+    This *is* the wire format the info API serves — per
+    epoch one record with the change counters and flat ``[node_a, node_b,
+    ...]`` rows: ``links_added`` carries ``[a, b, delay_ms,
+    bandwidth_kbps]``, ``links_removed`` ``[a, b]``, ``delay_changed``
+    ``[a, b, delay_ms]``, ``bandwidth_changed`` ``[a, b,
+    bandwidth_kbps]`` — plus the per-shell ``activated``/``deactivated``
+    satellite ids.  The streaming gateway's DIFF frame of the same epoch
+    names links only relative to the previous epoch; a record is
+    self-contained, so it is rendered from the diff that frame is encoded
+    from, not from the frame.
+    """
+    topology = diff.topology
+    current = topology.current
+    shells = sorted(diff.activated)
+    no_ids = np.empty(0, dtype=np.int64)
+
+    def _rows(endpoints: np.ndarray, *values: np.ndarray) -> list:
+        # Zip integer endpoint pairs with float value columns so the JSON
+        # keeps node ids integral (column_stack would upcast everything).
+        columns = [value.tolist() for value in values]
+        return [
+            [a, b, *row_values]
+            for (a, b), *row_values in zip(endpoints.tolist(), *columns)
+        ]
+
+    return {
+        "epoch": epoch,
+        "time_s": diff.time_s,
+        "previous_time_s": diff.previous_time_s,
+        "summary": diff.summary(),
+        "links_added": _rows(
+            topology.added_endpoints(),
+            current.delays_ms[topology.links_added],
+            current.bandwidths_kbps[topology.links_added],
+        ),
+        "links_removed": topology.removed_endpoints().tolist(),
+        "delay_changed": _rows(
+            topology.delay_changed_endpoints(), topology.delay_changed_values_ms()
+        ),
+        "bandwidth_changed": _rows(
+            topology.bandwidth_changed_endpoints(), topology.bandwidth_changed_values_kbps()
+        ),
+        "activated": {str(shell): diff.activated[shell].tolist() for shell in shells},
+        "deactivated": {
+            str(shell): diff.deactivated.get(shell, no_ids).tolist() for shell in shells
+        },
+    }
+
+
 class ConstellationDatabase:
     """Holds the most recent constellation state and answers queries about it.
 
     The database is the publication point of the state-distribution path:
     :meth:`set_state` epochs feed the shared
     :class:`~repro.serve.codec.EpochUpdateCodec` (``self.codec``), which
-    encodes each epoch's keyframe/diff exactly once for every downstream
-    consumer — the streaming gateway's fan-out and the info API's ``/diffs``
-    JSON both render views of those same bytes.
+    encodes each epoch's keyframe/diff exactly once for the streaming
+    gateway's fan-out; the info API's ``/diffs`` JSON is rendered from the
+    same recorded diffs.
     Reads and publications are serialised by an internal lock so info-API
     threads never observe a torn epoch; registered epoch listeners (the
     gateway) are notified after each publication, outside the lock.
@@ -312,25 +364,15 @@ class ConstellationDatabase:
         """Wire-format diff history: "what changed since ``since_epoch``?".
 
         Served over the HTTP info API so emulated machines can poll the
-        change stream instead of re-reading the full constellation.  The
-        format is compact and JSON-native: per epoch one record with the
-        change counters and flat ``[node_a, node_b, ...]`` rows —
-        ``links_added`` carries ``[a, b, delay_ms, bandwidth_kbps]``,
-        ``links_removed`` ``[a, b]``, ``delay_changed`` ``[a, b,
-        delay_ms]``, ``bandwidth_changed`` ``[a, b, bandwidth_kbps]`` —
-        plus the per-shell ``activated``/``deactivated`` satellite ids.
-        Raises ``KeyError`` (→ 404 with a keyframe hint) when the pruned
-        history no longer reaches back to ``since_epoch``.
-
-        The records are rendered through the shared epoch-update codec:
-        each diff is encoded once into its wire frame (cached — the same
-        bytes the streaming gateway fans out) and the JSON is a view of
-        the decoded frame, so the two paths can never disagree.
+        change stream instead of re-reading the full constellation: one
+        :func:`diff_json_record` per epoch after ``since_epoch``.  Raises
+        ``KeyError`` (→ 404 with a keyframe hint) when the pruned history no
+        longer reaches back to ``since_epoch``.
         """
         with self._lock:
             chain = self.diffs_since(since_epoch)
             records = [
-                self.codec.diff_update(since_epoch + offset, diff=diff).json_record()
+                diff_json_record(diff, since_epoch + offset)
                 for offset, diff in enumerate(chain, start=1)
             ]
             return {

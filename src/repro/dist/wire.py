@@ -75,7 +75,9 @@ from repro.core.machine_manager import HostStateSlice
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
 #: Protocol generation.  Bump on any incompatible frame/codec change.
-WIRE_VERSION = 4
+#: 5: the serving tier's KEYFRAME / DIFF payloads name links by position in
+#: the canonical link order and ship delays as grid steps (``serve/codec.py``).
+WIRE_VERSION = 5
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

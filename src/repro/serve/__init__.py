@@ -1,12 +1,13 @@
 """The streaming serving tier: one state-distribution path for all consumers.
 
-Every consumer of the constellation state outside the coordinator process
+Every subscriber to the constellation state outside the coordinator process
 is served from one encoding of each epoch:
 
 * :mod:`repro.serve.codec` — the shared :class:`EpochUpdate` codec.  Each
   epoch's keyframe/diff is encoded exactly once into the versioned
-  :mod:`repro.dist.wire` frame format; the gateway fans those bytes out and
-  the info API's ``/diffs`` JSON is a *view* of them.
+  :mod:`repro.dist.wire` frame format; the gateway fans those bytes out.
+  (The info API's ``/diffs`` JSON is rendered from the same recorded diffs,
+  :func:`repro.core.database.diff_json_record`.)
 * :mod:`repro.serve.gateway` — the asyncio :class:`StreamGateway`, fanning
   the shared bytes out to thousands of subscribers with bounded per-client
   queues, backpressure and slow-client keyframe resync, and answering

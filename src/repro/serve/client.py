@@ -90,11 +90,12 @@ class SubscriptionClient:
     def _pump(self, want_update: bool):
         """Read frames, buffering the kind the caller is not waiting for."""
         while True:
-            kind, meta, _arrays, data = self._recv()
+            kind, meta, arrays, data = self._recv()
             if kind in (FrameKind.KEYFRAME, FrameKind.DIFF):
                 # The update keeps the received bytes verbatim — the client
-                # never re-encodes what the gateway fanned out.
-                update = EpochUpdate(kind, meta["epoch"], data)
+                # never re-encodes what the gateway fanned out — and the
+                # decoding just made, so the replica does not decode again.
+                update = EpochUpdate(kind, meta["epoch"], data, _decoded=[(meta, arrays)])
                 if want_update:
                     return update
                 self._updates.append(update)

@@ -3,12 +3,8 @@
 One unit of distribution — the :class:`EpochUpdate` — carries an epoch's
 constellation change set.  It is encoded **exactly once** per epoch into
 the versioned :mod:`repro.dist.wire` frame format (``KEYFRAME`` / ``DIFF``
-frame kinds) and rendered as *views* everywhere else:
-
-* the streaming gateway (:mod:`repro.serve.gateway`) fans the shared
-  encoded bytes out to every subscriber,
-* the info API's ``/diffs/<epoch>`` JSON is :func:`diff_json_record` over
-  the decoded frame (the info API's own wire format, unchanged).
+frame kinds) and the streaming gateway (:mod:`repro.serve.gateway`) fans
+the shared encoded bytes out to every subscriber.
 
 What travels is the network-observable projection of a
 :class:`~repro.core.constellation.ConstellationState` — the
@@ -18,8 +14,55 @@ masks.  Satellite positions are *not* streamed (they change every epoch
 and would make every diff as large as a keyframe); consumers that need
 geometry query the info API.  A subscriber that applies its keyframe+diff
 stream through an :class:`EpochReplica` reconstructs the snapshot
-bit-for-bit at every epoch: array payloads travel as raw buffers, so
-float bit patterns survive the round trip unchanged.
+bit-for-bit at every epoch.
+
+Frame layout
+------------
+
+Server and replica share one *canonical link order*: links normalised to
+``node_a < node_b``, ascending by ``node_a * node_count + node_b``
+(``NetworkGraph.sorted_edge_ids``).  A frame names a link by its position
+in that order — one bit of an ``np.packbits`` mask (none set: an empty
+array) — so a DIFF means something only to a replica that holds the
+previous epoch's links: its meta carries the link counts before and after,
+and a frame that does not chain is a :class:`CodecError`.  A delay array
+travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps when every value is
+a non-negative multiple of the grid below 2**32 steps — every delay the
+pipeline computes — and as its ``float64`` values otherwise; the array's
+dtype in the frame says which, so off-grid delays stay bit-exact.
+
+``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
+``shells`` (those with an activity flip); a ``skip: True`` marker has
+``epoch``, ``time_s`` and no arrays.
+
+== ================= ================ ============================ ==========
+#  array             dtype            meaning                      mask order
+== ================= ================ ============================ ==========
+0  removed           uint8 (packed)   links that disappeared       previous
+1  added             uint8 (packed)   links that appeared          current
+2  added node_a      int32            their lower endpoints
+3  added node_b      int32            their higher endpoints
+4  added delay       uint32 | float64 their delays
+5  added bandwidth   float64          their bandwidths [kbps]
+6  added type        int8             their link type codes
+7  delay changed     uint8 (packed)   surviving links, new delay   current
+8  new delay         uint32 | float64 those delays
+9  bandwidth changed uint8 (packed)   surviving links, new b/w     current
+10 new bandwidth     float64          those bandwidths [kbps]
+11 activated         int64, per shell satellite ids entering the box
+.. deactivated       int64, per shell satellite ids leaving the box
+== ================= ================ ============================ ==========
+
+Value arrays hold one entry per set bit of their mask, in mask order.  The
+replica applies *removed* (a mask over the links it holds), then *added*
+(a mask over the new order: kept links fill the clear positions, added
+ones the set positions), then *delay changed* and *bandwidth changed*
+(masks over the new order), then the activity flips.
+
+``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
+``satellites`` (each shell's mask length); arrays in canonical order:
+``node_a``, ``node_b`` (``int32``), delay (coded as above), bandwidth
+(``float64``), type (``int8``), then one packed activity mask per shell.
 """
 
 from __future__ import annotations
@@ -32,11 +75,12 @@ import numpy as np
 
 from repro.dist import wire
 from repro.dist.wire import FrameKind
+from repro.topology.linkparams import DELAY_GRID_MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState
     from repro.core.database import ConstellationDatabase
-    from repro.topology.graph import TopologyDiff
+    from repro.topology.graph import NetworkGraph, TopologyDiff
 
 
 class CodecError(ValueError):
@@ -122,8 +166,8 @@ class EpochSnapshot:
 class EpochUpdate:
     """One epoch's encoded distribution unit (a KEYFRAME or DIFF frame).
 
-    ``data`` is the shared wire-frame encoding — every consumer (gateway
-    fan-out, the info API's JSON view) works from these same bytes.
+    ``data`` is the shared wire-frame encoding the gateway fans out.  A receiver
+    that decoded it already passes ``_decoded=[(meta, arrays)]``: no second decode.
     """
 
     kind: FrameKind
@@ -140,25 +184,62 @@ class EpochUpdate:
             self._decoded.append((meta, arrays))
         return self._decoded[0]
 
-    def json_record(self) -> dict:
-        """The JSON view of a DIFF update (the ``/diffs`` wire format)."""
-        if self.kind is not FrameKind.DIFF:
-            raise CodecError(f"a {self.kind.name} update has no JSON view")
-        return diff_json_record(*self.decoded())
+
+_GRID_STEPS_PER_MS = 1.0 / DELAY_GRID_MS
+_NO_LINKS = np.empty(0, dtype=np.uint8)
+#: Arrays of a KEYFRAME / DIFF frame ahead of the per-shell ones.
+_KEYFRAME_ARRAYS = 5
+_DIFF_ARRAYS = 11
 
 
-# Fixed array layout of a DIFF frame, ahead of the per-shell id arrays.
-_DIFF_FIELDS = (
-    "added_endpoints",
-    "added_delay_ms",
-    "added_bandwidth_kbps",
-    "added_type",
-    "removed_endpoints",
-    "delay_changed_endpoints",
-    "delay_changed_ms",
-    "bandwidth_changed_endpoints",
-    "bandwidth_changed_kbps",
-)
+def _pack_delays(delays_ms: np.ndarray) -> np.ndarray:
+    """Delays as ``uint32`` grid-step counts when that decodes to the same bits
+    (else as they are: off the grid, out of range, -0.0, not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the cast's garbage fails the test
+        steps = (delays_ms * _GRID_STEPS_PER_MS).astype(np.uint32)
+    return steps if _unpack_delays(steps).tobytes() == delays_ms.tobytes() else delays_ms
+
+
+def _unpack_delays(values: np.ndarray) -> np.ndarray:
+    if values.dtype == np.uint32:
+        return np.multiply(values, DELAY_GRID_MS, dtype=np.float64)
+    if values.dtype == np.float64:
+        return values
+    raise CodecError(f"delays travel as uint32 grid steps or float64, not {values.dtype}")
+
+
+def _pack_nodes(node_a: np.ndarray, node_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``int32`` endpoint columns of some links, lower node first.  (A graph
+    allocates per-node arrays, so its node indices are far below 2**31.)"""
+    return np.minimum(node_a, node_b).astype(np.int32), np.maximum(node_a, node_b).astype(np.int32)
+
+
+def _pack_positions(graph: "NetworkGraph", edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_ids`` as a packed mask over ``graph``'s canonical link order,
+    and the same ids sorted into that order."""
+    if not edge_ids.size:
+        return _NO_LINKS, edge_ids
+    order = graph.sorted_edge_ids
+    chosen = np.zeros(order.size, dtype=bool)
+    chosen[edge_ids] = True
+    mask = chosen[order]
+    return np.packbits(mask), order[mask]
+
+
+def _unpack_mask(packed: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
+    """The boolean mask over ``length`` positions that a frame carries packed
+    (empty: no bit set); each of ``values`` must hold one entry per set bit."""
+    if not packed.size:
+        mask = np.zeros(length, dtype=bool)
+    elif packed.dtype == np.uint8 and packed.shape == ((length + 7) // 8,):
+        mask = np.unpackbits(packed, count=length).view(bool)
+    else:
+        raise CodecError(f"a {packed.dtype}{packed.shape} mask does not cover {length} positions")
+    chosen = int(np.count_nonzero(mask))
+    for array in values:
+        if array.shape != (chosen,):
+            raise CodecError(f"{array.shape} values for a mask with {chosen} bits set")
+    return mask
 
 
 def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
@@ -170,14 +251,14 @@ def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
         "time_s": snapshot.time_s,
         "node_count": snapshot.node_count,
         "shells": shells,
+        "satellites": [snapshot.active[shell].size for shell in shells],
     }
     arrays = (
-        snapshot.node_a,
-        snapshot.node_b,
-        snapshot.delay_ms,
+        *_pack_nodes(snapshot.node_a, snapshot.node_b),
+        _pack_delays(snapshot.delay_ms),
         snapshot.bandwidth_kbps,
         snapshot.link_type,
-        *(snapshot.active[shell] for shell in shells),
+        *(np.packbits(snapshot.active[shell]) for shell in shells),
     )
     return wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
 
@@ -185,130 +266,54 @@ def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
 def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     """Encode one epoch's DIFF frame from the constellation diff."""
     topology = diff.topology
-    shells = sorted(diff.activated)
+    previous, current = topology.previous, topology.current
+    removed_mask, _ = _pack_positions(previous, topology.links_removed)
+    added_mask, added = _pack_positions(current, topology.links_added)
+    delay_mask, delay_changed = _pack_positions(current, topology.delay_changed)
+    bandwidth_mask, bandwidth_changed = _pack_positions(current, topology.bandwidth_changed)
+    # Only shells with a flip travel: an array descriptor costs more than most id lists.
+    shells = sorted(
+        shell for shell, ids in diff.activated.items() if ids.size or diff.deactivated[shell].size
+    )
     meta = {
         "epoch": epoch,
         "time_s": diff.time_s,
-        "previous_time_s": diff.previous_time_s,
-        "summary": diff.summary(),
+        "links": [previous.total_links(), current.total_links()],
         "shells": shells,
     }
     arrays = (
-        topology.added_endpoints(),
-        topology.current.delays_ms[topology.links_added],
-        topology.current.bandwidths_kbps[topology.links_added],
-        topology.current.link_type_codes[topology.links_added],
-        topology.removed_endpoints(),
-        topology.delay_changed_endpoints(),
-        topology.delay_changed_values_ms(),
-        topology.bandwidth_changed_endpoints(),
-        topology.bandwidth_changed_values_kbps(),
+        removed_mask,
+        added_mask,
+        *_pack_nodes(current.node_a[added], current.node_b[added]),
+        _pack_delays(current.delays_ms[added]),
+        current.bandwidths_kbps[added],
+        current.link_type_codes[added],
+        delay_mask,
+        _pack_delays(current.delays_ms[delay_changed]),
+        bandwidth_mask,
+        current.bandwidths_kbps[bandwidth_changed],
         *(diff.activated[shell] for shell in shells),
-        *(diff.deactivated.get(shell, np.empty(0, dtype=np.int64)) for shell in shells),
+        *(diff.deactivated[shell] for shell in shells),
     )
     return wire.encode_frame(FrameKind.DIFF, meta, arrays)
 
 
 def encode_skip_update(diff: "ConstellationDiff", epoch: int) -> bytes:
-    """Encode the out-of-scope marker of one epoch: an *empty* DIFF frame.
+    """Encode the out-of-scope marker of one epoch: a DIFF frame without arrays.
 
     Scoped subscribers are not sent changes outside their scope, but their
-    epoch chain must keep advancing; this frame carries the epoch and
-    clock of the real diff with every change array empty, so an
-    :class:`EpochReplica` applies it like any other diff.  ``skip: True``
-    in the meta lets clients tell filtered epochs from genuinely quiet
-    ones.
+    epoch chain must keep advancing: the marker carries the real diff's epoch
+    and clock.  An :class:`EpochReplica` that applies it is *stale* — the next
+    frame it accepts is the keyframe the gateway sends for its next in-scope epoch.
     """
-    meta = {
-        "epoch": epoch,
-        "time_s": diff.time_s,
-        "previous_time_s": diff.previous_time_s,
-        "summary": {},
-        "shells": [],
-        "skip": True,
-    }
-    endpoints = np.empty((0, 2), dtype=np.int64)
-    arrays = (
-        endpoints,
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int8),
-        endpoints,
-        endpoints,
-        np.empty(0, dtype=np.float64),
-        endpoints,
-        np.empty(0, dtype=np.float64),
-    )
-    return wire.encode_frame(FrameKind.DIFF, meta, arrays)
-
-
-def _diff_arrays(meta: dict, arrays: list[np.ndarray]) -> dict[str, Any]:
-    """Name the fixed and per-shell arrays of a decoded DIFF frame."""
-    fixed = dict(zip(_DIFF_FIELDS, arrays))
-    shells = meta["shells"]
-    cursor = len(_DIFF_FIELDS)
-    fixed["activated"] = dict(zip(shells, arrays[cursor : cursor + len(shells)]))
-    cursor += len(shells)
-    fixed["deactivated"] = dict(zip(shells, arrays[cursor : cursor + len(shells)]))
-    return fixed
-
-
-def diff_json_record(meta: dict, arrays: list[np.ndarray]) -> dict:
-    """The ``/diffs/<epoch>`` JSON record of one decoded DIFF frame.
-
-    This *is* the wire format the info API serves — per
-    epoch one record with the change counters and flat ``[node_a, node_b,
-    ...]`` rows: ``links_added`` carries ``[a, b, delay_ms,
-    bandwidth_kbps]``, ``links_removed`` ``[a, b]``, ``delay_changed``
-    ``[a, b, delay_ms]``, ``bandwidth_changed`` ``[a, b,
-    bandwidth_kbps]`` — plus the per-shell ``activated``/``deactivated``
-    satellite ids.  Rendered from the decoded frame so the JSON and the
-    fan-out bytes can never disagree.
-    """
-    named = _diff_arrays(meta, arrays)
-
-    def _rows(endpoints: np.ndarray, *values: np.ndarray) -> list:
-        # Zip integer endpoint pairs with float value columns so the JSON
-        # keeps node ids integral (column_stack would upcast everything).
-        columns = [value.tolist() for value in values]
-        return [
-            [a, b, *row_values]
-            for (a, b), *row_values in zip(endpoints.tolist(), *columns)
-        ]
-
-    return {
-        "epoch": meta["epoch"],
-        "time_s": meta["time_s"],
-        "previous_time_s": meta["previous_time_s"],
-        "summary": meta["summary"],
-        "links_added": _rows(
-            named["added_endpoints"],
-            named["added_delay_ms"],
-            named["added_bandwidth_kbps"],
-        ),
-        "links_removed": named["removed_endpoints"].tolist(),
-        "delay_changed": _rows(
-            named["delay_changed_endpoints"], named["delay_changed_ms"]
-        ),
-        "bandwidth_changed": _rows(
-            named["bandwidth_changed_endpoints"], named["bandwidth_changed_kbps"]
-        ),
-        "activated": {
-            str(shell): ids.tolist() for shell, ids in named["activated"].items()
-        },
-        "deactivated": {
-            str(shell): ids.tolist() for shell, ids in named["deactivated"].items()
-        },
-    }
+    return wire.encode_frame(FrameKind.DIFF, {"epoch": epoch, "time_s": diff.time_s, "skip": True})
 
 
 def changed_nodes(topology: "TopologyDiff") -> np.ndarray:
     """Flat node indices a topology diff touches (for scope filtering).
 
     Sorted and unique: the endpoints of every added, removed,
-    delay-changed and bandwidth-changed link — the endpoint arrays of the
-    epoch's DIFF frame, read from the diff's graphs instead of decoded
-    back out of the frame.
+    delay-changed and bandwidth-changed link.
     """
     current, previous = topology.current, topology.previous
     changed = np.concatenate(
@@ -333,27 +338,27 @@ def changed_nodes(topology: "TopologyDiff") -> np.ndarray:
 class EpochReplica:
     """A subscriber's reconstruction of the streamed state projection.
 
-    Applies KEYFRAME and DIFF updates in stream order; a DIFF whose epoch
-    does not chain onto the replica's epoch, or that changes a link the
-    replica does not hold, raises :class:`CodecError` (the subscriber must
+    Holds the links as five parallel arrays in canonical order (the link
+    columns of :class:`EpochSnapshot`) and patches them with each DIFF's
+    masks.  A DIFF that does not chain onto the replica — wrong epoch, wrong
+    link count, or any DIFF once a skip marker left the replica *stale* —
+    raises :class:`CodecError` and changes nothing: the subscriber must
     resynchronise from a keyframe, which the gateway provides after a
-    slow-client eviction and after a skipped epoch).  Values are kept
-    exactly as decoded, so :meth:`snapshot` is bit-identical to the
-    server's :meth:`EpochSnapshot.from_state` at the same epoch.
+    slow-client eviction and after a skipped epoch.  :meth:`snapshot` is
+    bit-identical to :meth:`EpochSnapshot.from_state` at the same epoch.
     """
 
     def __init__(self):
         self.epoch: Optional[int] = None
         self.time_s: Optional[float] = None
         self.node_count = 0
-        self._links: dict[tuple[int, int], tuple[float, float, int]] = {}
+        self.stale = False  # set by a skip marker, cleared by a keyframe
+        # node_a, node_b, delay_ms, bandwidth_kbps, link_type
+        dtypes = (np.int64, np.int64, np.float64, np.float64, np.int8)
+        self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
         self.active: dict[int, np.ndarray] = {}
         self.applied_keyframes = 0
         self.applied_diffs = 0
-
-    @staticmethod
-    def _key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
 
     def apply(self, update: EpochUpdate) -> None:
         """Apply one decoded update (keyframe resync or chained diff)."""
@@ -366,94 +371,88 @@ class EpochReplica:
             raise CodecError(f"cannot apply a {update.kind.name} frame to a replica")
 
     def _apply_keyframe(self, meta: dict, arrays: list[np.ndarray]) -> None:
-        node_a, node_b, delays, bandwidths, types = arrays[:5]
-        self._links = {
-            self._key(a, b): (delay, bandwidth, kind)
-            for a, b, delay, bandwidth, kind in zip(
-                node_a.tolist(),
-                node_b.tolist(),
-                delays.tolist(),
-                bandwidths.tolist(),
-                types.tolist(),
-            )
-        }
-        shells = meta["shells"]
-        self.active = {
-            shell: np.array(mask, dtype=bool)
-            for shell, mask in zip(shells, arrays[5 : 5 + len(shells)])
-        }
+        shells, satellites = meta["shells"], meta["satellites"]
+        if not len(shells) == len(satellites) == len(arrays) - _KEYFRAME_ARRAYS:
+            raise CodecError(f"a KEYFRAME of {len(shells)} shells has no {len(arrays)} arrays")
+        columns = arrays[:_KEYFRAME_ARRAYS]
+        columns[2] = _unpack_delays(columns[2])
+        if any(column.shape != (columns[0].size,) for column in columns):
+            raise CodecError("the link arrays of a KEYFRAME differ in length")
+        active = {}
+        for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:]):
+            if not packed.size:  # "no bit set" is a DIFF's shorthand
+                raise CodecError(f"the KEYFRAME has no activity mask for shell {shell}")
+            active[shell] = _unpack_mask(packed, length)
+        # Decoded arrays are read-only views of the frame; the replica owns copies.
+        self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
+        self.active = active
         self.epoch = meta["epoch"]
         self.time_s = meta["time_s"]
         self.node_count = meta["node_count"]
+        self.stale = False
         self.applied_keyframes += 1
 
     def _apply_diff(self, meta: dict, arrays: list[np.ndarray]) -> None:
         if self.epoch is None:
             raise CodecError("a replica must start from a KEYFRAME")
-        if meta["epoch"] != self.epoch + 1:
+        skip = bool(meta.get("skip"))
+        if meta["epoch"] != self.epoch + 1 or (self.stale and not skip):
             raise CodecError(
-                f"diff for epoch {meta['epoch']} does not chain onto "
-                f"replica epoch {self.epoch}; resynchronise from a keyframe"
+                f"diff for epoch {meta['epoch']} does not chain onto replica epoch {self.epoch}"
+                f"{' (stale)' if self.stale else ''}; resynchronise from a keyframe"
             )
-        named = _diff_arrays(meta, arrays)
-        for (a, b), delay, bandwidth, kind in zip(
-            named["added_endpoints"].tolist(),
-            named["added_delay_ms"].tolist(),
-            named["added_bandwidth_kbps"].tolist(),
-            named["added_type"].tolist(),
-        ):
-            self._links[self._key(a, b)] = (delay, bandwidth, kind)
-        for a, b in named["removed_endpoints"].tolist():
-            self._links.pop(self._key(a, b), None)
-        try:
-            for (a, b), delay in zip(
-                named["delay_changed_endpoints"].tolist(),
-                named["delay_changed_ms"].tolist(),
-            ):
-                key = self._key(a, b)
-                _, bandwidth, kind = self._links[key]
-                self._links[key] = (delay, bandwidth, kind)
-            for (a, b), bandwidth in zip(
-                named["bandwidth_changed_endpoints"].tolist(),
-                named["bandwidth_changed_kbps"].tolist(),
-            ):
-                key = self._key(a, b)
-                delay, _, kind = self._links[key]
-                self._links[key] = (delay, bandwidth, kind)
-        except KeyError as error:
-            # The replica's link table is stale (it was sent a skip marker
-            # for an epoch that added this link).
-            raise CodecError(
-                f"diff for epoch {meta['epoch']} changes link {error.args[0]} "
-                f"the replica does not hold; resynchronise from a keyframe"
-            ) from None
-        for shell, ids in named["activated"].items():
-            self.active[shell][ids] = True
-        for shell, ids in named["deactivated"].items():
-            self.active[shell][ids] = False
+        if skip:
+            self.stale = True  # changes it is not sent: only a keyframe chains from here
+        else:
+            self._patch(meta, arrays)
         self.epoch = meta["epoch"]
         self.time_s = meta["time_s"]
         self.applied_diffs += 1
+
+    def _patch(self, meta: dict, arrays: list[np.ndarray]) -> None:
+        """Apply a DIFF's link and activity changes — every check first."""
+        shells = meta["shells"]
+        if len(arrays) != _DIFF_ARRAYS + 2 * len(shells):
+            raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
+        removed, added, *fresh = arrays[:7]  # positions: the module docstring's table
+        delay_changed, delays, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
+        fresh[2], delays = _unpack_delays(fresh[2]), _unpack_delays(delays)
+        before, after = meta["links"]
+        if before != self._links[0].size:
+            raise CodecError(
+                f"a diff of {before} links onto a replica of {self._links[0].size}; "
+                f"resynchronise from a keyframe"
+            )
+        removed = _unpack_mask(removed, before)
+        if after != before - np.count_nonzero(removed) + fresh[0].size:
+            raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
+        added = _unpack_mask(added, after, *fresh)
+        delay_changed = _unpack_mask(delay_changed, after, delays)
+        bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
+        try:
+            active = {shell: self.active[shell].copy() for shell in shells}
+            for position, ids in enumerate(arrays[_DIFF_ARRAYS:]):  # activated come first
+                active[shells[position % len(shells)]][ids] = position < len(shells)
+        except (KeyError, IndexError) as error:
+            raise CodecError(f"diff for epoch {meta['epoch']} flips unknown satellites") from error
+        if fresh[0].size or removed.any():
+            kept, surviving = ~removed, ~added
+            for column, (held, new) in enumerate(zip(self._links, fresh)):
+                merged = np.empty(after, dtype=held.dtype)
+                merged[surviving] = held[kept]
+                merged[added] = new
+                self._links[column] = merged
+        self._links[2][delay_changed] = delays
+        self._links[3][bandwidth_changed] = bandwidths
+        self.active.update(active)
 
     def snapshot(self) -> EpochSnapshot:
         """The canonical projection of the replica (compare with the server's)."""
         if self.epoch is None:
             raise CodecError("the replica has not applied any update yet")
-        keys = sorted(self._links)
-        node_a = np.array([k[0] for k in keys], dtype=np.int64)
-        node_b = np.array([k[1] for k in keys], dtype=np.int64)
-        values = [self._links[k] for k in keys]
-        return EpochSnapshot(
-            epoch=self.epoch,
-            time_s=self.time_s,
-            node_count=self.node_count,
-            node_a=node_a,
-            node_b=node_b,
-            delay_ms=np.array([v[0] for v in values], dtype=np.float64),
-            bandwidth_kbps=np.array([v[1] for v in values], dtype=np.float64),
-            link_type=np.array([v[2] for v in values], dtype=np.int8),
-            active={shell: mask.copy() for shell, mask in sorted(self.active.items())},
-        )
+        links = (column.copy() for column in self._links)
+        active = {shell: mask.copy() for shell, mask in sorted(self.active.items())}
+        return EpochSnapshot(self.epoch, self.time_s, self.node_count, *links, active=active)
 
 
 # -- the codec -----------------------------------------------------------------
@@ -469,15 +468,14 @@ class EpochUpdateCodec:
     the single-encode guarantee the fan-out benchmark pins down.
 
     The codec is shared between the coordinator thread (publications,
-    history pruning, info-API rendering) and the gateway's event-loop
-    thread (fan-out, eviction resyncs), so an internal lock guards every
-    cache mutation — the check-and-encode is atomic, keeping the
-    exactly-once guarantee under concurrency.  ``prune`` additionally
-    records a floor so a publish racing a prune cannot re-insert a pruned
-    epoch that would then be cached forever.  Lock ordering: callers may
-    hold the database lock when entering the codec (database → codec);
-    the codec resolves any database lookups *before* taking its own lock,
-    so the reverse order never occurs.
+    history pruning) and the gateway's event-loop thread (fan-out, eviction
+    resyncs), so an internal lock guards every cache mutation — the
+    check-and-encode is atomic, keeping the exactly-once guarantee under
+    concurrency.  ``prune`` additionally records a floor so a publish
+    racing a prune cannot re-insert a pruned epoch that would then be
+    cached forever.  Lock ordering: callers may hold the database lock when
+    entering the codec (database → codec); the codec resolves any database
+    lookups *before* taking its own lock, so the reverse order never occurs.
     """
 
     def __init__(self, database: "ConstellationDatabase"):

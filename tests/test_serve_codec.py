@@ -7,9 +7,12 @@ both an Iridium-style and a Starlink-style constellation.
 """
 
 import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ComputeParams,
@@ -20,17 +23,22 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
+from repro.core.constellation import ConstellationDiff
+from repro.core.database import diff_json_record
+from repro.dist import wire
 from repro.dist.wire import FrameKind
 from repro.orbits import GroundStation, ShellGeometry
-from repro.scenarios import west_africa_configuration
+from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.serve import EpochReplica, EpochSnapshot, EpochUpdateCodec
 from repro.serve.codec import (
     CodecError,
     EpochUpdate,
-    _diff_arrays,
     changed_nodes,
+    encode_diff_update,
+    encode_keyframe_update,
     encode_skip_update,
 )
+from repro.topology.graph import NetworkGraph, NodeIndex
 
 
 def iridium_configuration() -> Configuration:
@@ -56,6 +64,40 @@ def advance(calculation, database, previous, now_s):
     state, diff = calculation.diff_since(previous, now_s)
     database.set_state(state, diff=diff)
     return state, diff
+
+
+HAND_BUILT_INDEX = NodeIndex([6], ["g0", "g1"])
+
+
+def hand_built_state(links, time_s, active=(True,) * 6):
+    """A stand-in state over eight nodes from ``{(a, b): (delay_ms,
+    bandwidth_kbps, type_code)}`` — edge ids in the dict's order, endpoints
+    as given — with what :meth:`EpochSnapshot.from_state` reads of a state."""
+    nodes = np.array(list(links), dtype=np.int64).reshape(-1, 2)
+    values = list(links.values())
+    graph = NetworkGraph.from_edge_arrays(
+        HAND_BUILT_INDEX,
+        nodes[:, 0],
+        nodes[:, 1],
+        np.zeros(len(links)),
+        np.array([value[0] for value in values], dtype=np.float64),
+        np.array([value[1] for value in values], dtype=np.float64),
+        np.array([value[2] for value in values], dtype=np.int8),
+    )
+    return SimpleNamespace(
+        graph=graph, time_s=time_s, active_satellites={0: np.array(active, dtype=bool)}
+    )
+
+
+def hand_built_diff(previous, current) -> ConstellationDiff:
+    was, now = previous.active_satellites[0], current.active_satellites[0]
+    return ConstellationDiff(
+        previous_time_s=previous.time_s,
+        time_s=current.time_s,
+        topology=current.graph.diff_from(previous.graph),
+        activated={0: np.nonzero(now & ~was)[0]},
+        deactivated={0: np.nonzero(was & ~now)[0]},
+    )
 
 
 class TestByteIdentity:
@@ -151,9 +193,11 @@ class TestReplicaChaining:
         before = replica.snapshot()
         _, diff = advance(calculation, database, state, 30.0)
         skip = EpochUpdate(FrameKind.DIFF, 2, encode_skip_update(diff, 2))
-        meta, _arrays = skip.decoded()
-        assert meta["skip"] is True
+        meta, arrays = skip.decoded()
+        assert meta["skip"] is True and arrays == []
+        assert not replica.stale
         replica.apply(skip)
+        assert replica.stale
         after = replica.snapshot()
         assert after.epoch == 2 and after.time_s == diff.time_s
         assert after.node_a.tobytes() == before.node_a.tobytes()
@@ -162,9 +206,8 @@ class TestReplicaChaining:
 
     def test_diff_onto_a_skipped_link_addition_is_a_codec_error(self):
         """A replica that was sent a skip marker for an epoch that added
-        links holds a stale link table: the next real diff moves the delay
-        of a link it never received, which must surface as the typed
-        resynchronise error, not a bare ``KeyError``."""
+        links holds a stale link table: the next real diff must surface as
+        the typed resynchronise error, never be applied onto it."""
         config = west_africa_configuration(duration_s=120.0, shells="lowest")
         calculation = ConstellationCalculation(config)
         database = ConstellationDatabase()
@@ -180,14 +223,41 @@ class TestReplicaChaining:
         state, diff = advance(calculation, database, state, 6.0)
         with pytest.raises(CodecError, match="resynchronise from a keyframe"):
             replica.apply(database.codec.diff_update(4, diff=diff))
+        # A frame that was refused changed nothing.
+        assert replica.stale and replica.epoch == 3
         # The keyframe the gateway sends next brings the replica back.
         replica.apply(database.codec.keyframe_update(4, state=state))
+        assert not replica.stale
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
+
+        # The case a link count cannot catch: the skipped epoch adds one link
+        # and removes one, so ``links[0]`` of the next DIFF matches the stale
+        # replica and only the explicit state refuses it.
+        states = [
+            hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (2.0, 1e4, 0)}, 0.0),
+            hand_built_state({(0, 1): (1.0, 1e4, 0), (2, 3): (3.0, 1e4, 0)}, 1.0),
+            hand_built_state({(0, 1): (1.5, 1e4, 0), (2, 3): (3.0, 1e4, 0)}, 2.0),
+        ]
+        replica = EpochReplica()
+        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(states[0], 1)))
+        skipped = hand_built_diff(states[0], states[1])
+        assert skipped.topology.summary()["links_added"] == 1
+        assert skipped.topology.summary()["links_removed"] == 1
+        replica.apply(EpochUpdate(FrameKind.DIFF, 2, encode_skip_update(skipped, 2)))
+        update = EpochUpdate(
+            FrameKind.DIFF, 3, encode_diff_update(hand_built_diff(states[1], states[2]), 3)
+        )
+        assert update.decoded()[0]["links"] == [2, 2]
+        with pytest.raises(CodecError, match="resynchronise from a keyframe"):
+            replica.apply(update)
+        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 3, encode_keyframe_update(states[2], 3)))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[2], 3))
 
 
 class TestCodecCacheAndViews:
     def test_json_record_matches_info_api_history(self):
-        """`/diffs/<epoch>` must be a view of the same encoded update."""
+        """`/diffs/<epoch>` is `diff_json_record` over the recorded diff, and
+        reading it encodes nothing."""
         config = iridium_configuration()
         calculation = ConstellationCalculation(config)
         database = ConstellationDatabase(keyframe_interval=4)
@@ -197,12 +267,9 @@ class TestCodecCacheAndViews:
             state, _ = advance(calculation, database, state, step * 30.0)
         history = database.diff_history_info(1)
         assert [r["epoch"] for r in history["diffs"]] == [2, 3, 4, 5, 6]
-        for offset, record in enumerate(history["diffs"]):
-            again = database.codec.diff_update(2 + offset).json_record()
-            assert record == again
-        # The JSON view is the diff history's; a keyframe has none.
-        with pytest.raises(CodecError, match="KEYFRAME update has no JSON view"):
-            database.codec.keyframe_update(6, state=state).json_record()
+        for offset, diff in enumerate(database.diffs_since(1)):
+            assert history["diffs"][offset] == diff_json_record(diff, 2 + offset)
+        assert database.codec.encode_count == 0
 
     def test_prune_tracks_database_history(self):
         config = iridium_configuration()
@@ -294,10 +361,10 @@ class TestScientificSanity:
 
 
 class TestChangedNodes:
-    def test_equals_the_endpoints_of_the_decoded_frame(self):
-        """The scope filter reads the touched nodes from the diff's own
-        graphs; they must be the endpoints the DIFF frame carries — on an
-        epoch that adds/removes links and on one that only moves delays."""
+    def test_equals_the_endpoints_of_the_topology_diff(self):
+        """The scope filter's touched nodes are the endpoints of every link
+        the diff names — on an epoch that adds/removes links and on one
+        that only moves delays."""
         config = iridium_configuration()
         calculation = ConstellationCalculation(config)
         database = ConstellationDatabase()
@@ -306,22 +373,287 @@ class TestChangedNodes:
         seen = set()
         for step in range(1, 25):
             state, diff = advance(calculation, database, state, step * 30.0)
-            named = _diff_arrays(*database.codec.diff_update(database.epoch, diff=diff).decoded())
+            topology = diff.topology
             expected = np.unique(
                 np.concatenate(
                     [
-                        named[field].reshape(-1)
-                        for field in (
-                            "added_endpoints",
-                            "removed_endpoints",
-                            "delay_changed_endpoints",
-                            "bandwidth_changed_endpoints",
-                        )
+                        topology.added_endpoints().reshape(-1),
+                        topology.removed_endpoints().reshape(-1),
+                        topology.delay_changed_endpoints().reshape(-1),
+                        topology.bandwidth_changed_endpoints().reshape(-1),
                     ]
                 )
             )
-            touched = changed_nodes(diff.topology)
+            touched = changed_nodes(topology)
             assert touched.dtype == np.int64
             assert np.array_equal(touched, expected)
-            seen.add(diff.topology.is_structural_noop)
+            seen.add(topology.is_structural_noop)
+        assert seen == {True, False}
+
+
+# -- bit-exactness where the pipeline never goes --------------------------------
+
+PAIRS = [(a, b) for a in range(8) for b in range(8) if a != b]
+GRID = 2.0**-20
+DELAYS = st.one_of(
+    # Off the grid, exactly zero, at and beyond the uint32 range.  (-0.0 has
+    # its own case below: `diff_from` compares values, and -0.0 == 0.0.)
+    st.sampled_from([0.0, 0.1, 1 / 3, 12.5, 4096.0 - GRID, 4096.0, 5000.5, 1e308]),
+    st.integers(0, 2**32 - 1).map(lambda steps: steps * GRID),
+    st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
+)
+LINKS = st.dictionaries(
+    st.sampled_from(PAIRS), st.tuples(DELAYS, st.sampled_from([1e4, 2.5e6, 1e7])), max_size=10
+).map(
+    # One link per undirected pair; either orientation and any edge order
+    # stay.  A link's type follows from its endpoints, as in the pipeline (a
+    # TopologyDiff does not report a surviving pair that changed type).
+    lambda links: {
+        pair: (*value, int(max(pair) >= HAND_BUILT_INDEX.satellite_count))
+        for pair, value in links.items()
+        if pair[0] < pair[1] or pair[::-1] not in links
+    }
+)
+EPOCHS = st.lists(
+    st.tuples(LINKS, st.tuples(*[st.booleans()] * 6)), min_size=2, max_size=6
+)
+
+
+class TestHandBuiltSequences:
+    @settings(max_examples=150, deadline=None)
+    @given(EPOCHS)
+    def test_replica_is_bit_exact_on_and_off_the_delay_grid(self, epochs):
+        """Random link additions, removals, delay and bandwidth changes over
+        hand-built graphs — delays no pipeline produces included — must
+        reconstruct bit for bit, without a NumPy cast warning."""
+        states = [
+            hand_built_state(links, float(step), active)
+            for step, (links, active) in enumerate(epochs)
+        ]
+        replica = EpochReplica()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(states[0], 1)))
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[0], 1))
+            for epoch, (previous, current) in enumerate(zip(states, states[1:]), start=2):
+                diff = hand_built_diff(previous, current)
+                replica.apply(EpochUpdate(FrameKind.DIFF, epoch, encode_diff_update(diff, epoch)))
+                assert replica.snapshot().same_bits(EpochSnapshot.from_state(current, epoch))
+
+    def test_the_data_alone_chooses_the_delay_coding(self):
+        on_grid = {(0, 1): (3 * GRID, 1e4, 0), (1, 2): (4096.0 - GRID, 1e4, 0)}
+        cases = {
+            "on-grid": (on_grid, np.uint32),
+            "mixed": ({**on_grid, (2, 3): (0.1, 1e4, 0)}, np.float64),
+            "out of range": ({**on_grid, (2, 3): (4096.0, 1e4, 0)}, np.float64),
+            "negative zero": ({**on_grid, (2, 3): (-0.0, 1e4, 0)}, np.float64),
+        }
+        for name, (links, dtype) in cases.items():
+            state = hand_built_state(links, 0.0)
+            keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
+            arrays = keyframe.decoded()[1]
+            assert arrays[2].dtype == dtype, name
+            assert arrays[0].dtype == arrays[1].dtype == np.int32
+            assert np.all(arrays[0] < arrays[1])
+            replica = EpochReplica()
+            replica.apply(keyframe)
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1)), name
+
+
+class TestForgedFrames:
+    """A frame that does not fit the replica raises ``CodecError`` — never an
+    ``IndexError`` or a bare ``ValueError`` — and leaves the replica alone."""
+
+    #: Ten links, so a mask is two bytes and can be truncated to a wrong length.
+    LINKED = [(a, b) for a in range(3) for b in range(a + 1, 6)][:10]
+    FIRST = {pair: (1.0 + pair[1], 1e4, 0) for pair in LINKED}
+    SECOND = {
+        **{pair: (1.5 + pair[1], 1e4, 0) for pair in LINKED[:9]},
+        LINKED[0]: (1.0 + LINKED[0][1], 2e4, 0),
+        (3, 7): (0.1, 1e4, 1),
+    }
+
+    def _replica_and_diff(self):
+        first = hand_built_state(self.FIRST, 0.0)
+        second = hand_built_state(self.SECOND, 1.0, active=(True, False) * 3)
+        replica = EpochReplica()
+        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(first, 1)))
+        _, meta, arrays = wire.decode_frame(encode_diff_update(hand_built_diff(first, second), 2))
+        assert all(array.size for array in arrays[:11])  # every kind of change occurs
+        return replica, second, meta, arrays
+
+    def test_the_honest_frame_applies(self):
+        replica, second, meta, arrays = self._replica_and_diff()
+        data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
+        replica.apply(EpochUpdate(FrameKind.DIFF, 2, data))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(second, 2))
+
+    @pytest.mark.parametrize(
+        "position,forge",
+        [
+            pytest.param(7, lambda mask: mask[:-1], id="truncated-mask"),
+            pytest.param(0, lambda mask: np.append(mask, 0).astype(np.uint8), id="long-mask"),
+            pytest.param(7, lambda mask: mask[:0], id="empty-mask-values-left"),
+            pytest.param(9, lambda mask: mask.astype(np.int8), id="mask-dtype"),
+            pytest.param(
+                8, lambda values: np.append(values, values[-1:]), id="extra-trailing-value"
+            ),
+            pytest.param(10, lambda values: values[:-1], id="missing-value"),
+            pytest.param(5, lambda values: values[:0], id="added-rows-short"),
+            pytest.param(8, lambda values: values.astype(np.float32), id="delay-dtype"),
+            pytest.param(2, lambda nodes: nodes.reshape(-1, 1), id="endpoint-shape"),
+            pytest.param(12, lambda ids: ids + 6, id="flip-out-of-range"),
+            pytest.param("links", lambda links: [links[0] + 1, links[1]], id="links-before"),
+            pytest.param("links", lambda links: [links[0], links[1] + 8], id="links-after"),
+            pytest.param("shells", lambda shells: [], id="array-count"),
+        ],
+    )
+    def test_forged_frames_are_codec_errors(self, position, forge):
+        replica, _, meta, arrays = self._replica_and_diff()
+        before = replica.snapshot()
+        if isinstance(position, str):
+            meta = {**meta, position: forge(meta[position])}
+        else:
+            arrays[position] = forge(arrays[position])
+        data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
+        with pytest.raises(CodecError):
+            replica.apply(EpochUpdate(FrameKind.DIFF, 2, data))
+        assert replica.epoch == 1 and replica.snapshot().same_bits(before)
+
+    def test_forged_keyframes_are_codec_errors(self):
+        state = hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (0.1, 1e4, 0)}, 0.0)
+        _, meta, arrays = wire.decode_frame(encode_keyframe_update(state, 1))
+        forgeries = [
+            (meta, [arrays[0][:-1], *arrays[1:]]),
+            (meta, [*arrays[:5], arrays[5][:0]]),
+            (meta, arrays[:5]),
+            ({**meta, "satellites": [2**40]}, arrays),
+        ]
+        for forged_meta, forged_arrays in forgeries:
+            data = wire.encode_frame(FrameKind.KEYFRAME, forged_meta, tuple(forged_arrays))
+            replica = EpochReplica()
+            with pytest.raises(CodecError):
+                replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, data))
+            assert replica.epoch is None
+
+    def test_truncated_bytes_are_wire_errors(self):
+        data = encode_diff_update(
+            hand_built_diff(
+                hand_built_state({(0, 1): (1.0, 1e4, 0)}, 0.0),
+                hand_built_state({(0, 1): (2.0, 1e4, 0)}, 1.0),
+            ),
+            2,
+        )
+        for cut in (1, 5, len(data) // 2):
+            with pytest.raises(wire.WireError):
+                EpochUpdate(FrameKind.DIFF, 2, data[:-cut]).decoded()
+
+
+class TestFrameBudget:
+    """Exact byte counts (no wall clock): the frame is what every subscriber
+    receives, so its size is the fan-out's unit cost."""
+
+    @pytest.mark.parametrize(
+        "config_factory,step_s,diff_budget,keyframe_budget",
+        [
+            pytest.param(
+                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 200_000,
+                id="starlink-all-shells",
+            ),
+            pytest.param(
+                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 10_000,
+                id="iridium-dart",
+            ),
+        ],
+    )
+    def test_frames_stay_within_budget(self, config_factory, step_s, diff_budget, keyframe_budget):
+        calculation = ConstellationCalculation(config_factory())
+        database = ConstellationDatabase()
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        replica = EpochReplica()
+        keyframe = database.codec.keyframe_update(1, state=state)
+        replica.apply(keyframe)
+        sizes = []
+        for step in range(1, 11):
+            state, diff = advance(calculation, database, state, step * step_s)
+            update = database.codec.diff_update(database.epoch, diff=diff)
+            replica.apply(update)
+            sizes.append(len(update.data))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, database.epoch))
+        assert max(sizes) <= diff_budget, sizes
+        resync = database.codec.keyframe_update(database.epoch, state=state)
+        assert max(len(keyframe.data), len(resync.data)) <= keyframe_budget
+
+
+class TestJsonView:
+    def test_records_are_the_topology_diff_and_replay_to_the_replicas_links(self):
+        """24 Iridium epochs, structural and delay-only: every ``/diffs``
+        record equals rows read straight off ``diff.topology``, and a
+        consumer that replays the rows holds the links of a replica that
+        was fed the frames."""
+        calculation = ConstellationCalculation(iridium_configuration())
+        database = ConstellationDatabase(keyframe_interval=40)
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        replica = EpochReplica()
+        replica.apply(database.codec.keyframe_update(1, state=state))
+        first = replica.snapshot()
+        links = {
+            (a, b): [delay, bandwidth]
+            for a, b, delay, bandwidth in zip(
+                first.node_a.tolist(),
+                first.node_b.tolist(),
+                first.delay_ms.tolist(),
+                first.bandwidth_kbps.tolist(),
+            )
+        }
+        diffs = []
+        for step in range(1, 25):
+            state, diff = advance(calculation, database, state, step * 30.0)
+            diffs.append(diff)
+        records = database.diff_history_info(1)["diffs"]
+        assert len(records) == 24
+
+        def rows(graph, edge_ids, *columns):
+            return [
+                [int(graph.node_a[e]), int(graph.node_b[e]), *(float(c[e]) for c in columns)]
+                for e in edge_ids
+            ]
+
+        seen = set()
+        for record, diff in zip(records, diffs):
+            topology = diff.topology
+            current, previous = topology.current, topology.previous
+            assert record["links_added"] == rows(
+                current, topology.links_added, current.delays_ms, current.bandwidths_kbps
+            )
+            assert record["links_removed"] == rows(previous, topology.links_removed)
+            assert record["delay_changed"] == rows(
+                current, topology.delay_changed, current.delays_ms
+            )
+            assert record["bandwidth_changed"] == rows(
+                current, topology.bandwidth_changed, current.bandwidths_kbps
+            )
+            assert record["summary"] == diff.summary()
+            assert record["activated"] == {
+                str(shell): ids.tolist() for shell, ids in diff.activated.items()
+            }
+
+            for a, b, delay, bandwidth in record["links_added"]:
+                links[min(a, b), max(a, b)] = [delay, bandwidth]
+            for a, b in record["links_removed"]:
+                del links[min(a, b), max(a, b)]
+            for a, b, delay in record["delay_changed"]:
+                links[min(a, b), max(a, b)][0] = delay
+            for a, b, bandwidth in record["bandwidth_changed"]:
+                links[min(a, b), max(a, b)][1] = bandwidth
+            replica.apply(database.codec.diff_update(record["epoch"], diff=diff))
+            held = replica.snapshot()
+            assert sorted(links) == list(zip(held.node_a.tolist(), held.node_b.tolist()))
+            assert [links[key] for key in sorted(links)] == [
+                list(pair) for pair in zip(held.delay_ms.tolist(), held.bandwidth_kbps.tolist())
+            ]
+            seen.add(topology.is_structural_noop)
+        assert [record["epoch"] for record in records] == list(range(2, 26))
         assert seen == {True, False}

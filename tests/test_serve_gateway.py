@@ -106,6 +106,29 @@ class TestStreaming:
         assert stats["published_epochs"] == epochs - 1
         assert stats["subscriptions"] == 3
 
+    def test_client_decodes_each_received_update_once(self, testbed_core, monkeypatch):
+        """The frame the client decoded off the socket is the one its replica
+        applies: one ``decode_frame`` call per received update."""
+        _, calculation, database, state = testbed_core
+        decoded = []
+        decode_frame = wire.decode_frame
+        monkeypatch.setattr(
+            wire, "decode_frame", lambda data: decoded.append(data) or decode_frame(data)
+        )
+        with GatewayServer(database) as server:
+            host, port = server.address
+            with SubscriptionClient(host, port, client_id="once") as client:
+                for step in range(1, 4):
+                    state = advance(calculation, database, state, step * 30.0)
+                decoded.clear()  # the handshake's frames and the server's own
+                updates = client.sync_to_epoch(database.epoch)
+                assert [update.epoch for update in updates] == [1, 2, 3, 4]
+                assert [update.decoded()[0]["epoch"] for update in updates] == [1, 2, 3, 4]
+                assert decoded == [update.data for update in updates]
+                assert client.replica.snapshot().same_bits(
+                    EpochSnapshot.from_state(state, database.epoch)
+                )
+
     def test_slow_client_is_evicted_and_resyncs_bit_for_bit(self, testbed_core):
         _, calculation, database, state_a = testbed_core
         # Two alternating precomputed states let the publisher flood
