@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The streaming serving tier: subscriptions, scopes and path queries.
+"""The streaming serving tier: fan-out, slow-client resync and path queries.
 
 This example runs a small Iridium constellation, attaches the streaming
 gateway to its constellation database and connects three kinds of
@@ -7,9 +7,10 @@ subscribers over real sockets:
 
 * a **full subscriber** that receives every epoch's keyframe/diff and
   reconstructs the constellation state bit-for-bit in its local replica,
-* a **scoped subscriber** restricted to a geodetic bounding box — epochs
-  whose changes fall outside the box arrive as lightweight skip markers
-  that keep the epoch chain unbroken without shipping the payload,
+* a **slow subscriber** that stops reading while the publisher floods
+  epochs: once its bounded queue overflows the gateway drops its backlog
+  and resynchronises it from the current epoch's keyframe, after which it
+  is bit-identical again,
 * a **querying subscriber** that asks "path latency source → destination
   now" and is answered from the warm path tables, with its cache hits
   and misses attributed per client in the gateway statistics.
@@ -52,9 +53,9 @@ def main() -> None:
 
     config = build("iridium", duration_s=600.0, update_interval_s=5.0)
     calculation = ConstellationCalculation(config)
-    database = ConstellationDatabase(keyframe_interval=10)
+    database = ConstellationDatabase()
 
-    with GatewayServer(database) as server:
+    with GatewayServer(database, queue_limit=8) as server:
         host, port = server.address
         print(f"gateway listening on {host}:{port}")
 
@@ -63,12 +64,6 @@ def main() -> None:
             SubscriptionClient(host, port, client_id=f"full-{i}")
             for i in range(args.clients)
         ]
-        # One subscriber scoped to a mid-Pacific bounding box.
-        scoped = SubscriptionClient(
-            host, port, client_id="pacific-box",
-            scope={"kind": "bbox", "lat_min": 0.0, "lat_max": 30.0,
-                   "lon_min": -170.0, "lon_max": -140.0},
-        )
 
         publisher = threading.Thread(
             target=stream_epochs,
@@ -90,13 +85,6 @@ def main() -> None:
         print(f"each received {len(diff_sizes)} DIFF frames, median "
               f"{statistics.median(diff_sizes):.0f} B")
 
-        # The scoped subscriber stays chained through skip markers.
-        updates = scoped.sync_to_epoch(final_epoch)
-        skipped = sum(1 for u in updates if u.decoded()[0].get("skip"))
-        print(f"scoped subscriber: {len(updates)} updates, {skipped} "
-              f"out-of-box epochs arrived as skip markers; replica at "
-              f"epoch {scoped.replica.epoch}")
-
         # Path queries are served from the warm tables.
         asker = clients[0]
         answer = asker.query("hawaii", "0.0.celestial")
@@ -109,9 +97,31 @@ def main() -> None:
               f"(single-encode fan-out to {stats['subscriptions']} "
               f"subscribers), {stats['queries']} queries answered")
 
+        # A subscriber that does not read while epochs pour in.  Two
+        # alternating states make cheap epochs; published in bursts they
+        # overflow its bounded queue, and the gateway drops its backlog and
+        # resynchronises it from the current epoch's keyframe.
+        slow = SubscriptionClient(host, port, client_id="slow")
+        state_a = database.state
+        state_b, diff_ab = calculation.diff_since(state_a, state_a.time_s + 30.0)
+        state_a2, diff_ba = calculation.diff_since(state_b, state_a.time_s)
+        flooded = 0
+        while not server.statistics()["clients"]["slow"]["evictions"]:
+            for _ in range(50):
+                database.set_state(state_b, diff=diff_ab)
+                database.set_state(state_a2, diff=diff_ba)
+            flooded += 100
+        slow.sync_to_epoch(database.epoch)
+        assert slow.replica.snapshot().same_bits(
+            EpochSnapshot.from_state(database.state, database.epoch))
+        print(f"slow subscriber: evicted within {flooded} unread epochs, "
+              f"caught up from {slow.replica.applied_keyframes} keyframes and "
+              f"{slow.replica.applied_diffs} diffs, bit-identical at epoch "
+              f"{slow.replica.epoch}")
+        slow.close()
+
         for client in clients:
             client.close()
-        scoped.close()
 
 
 if __name__ == "__main__":

@@ -315,6 +315,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, tomllib.TOMLDecodeError, json.JSONDecodeError) as error:
         source = getattr(args, "config", None) or getattr(args, "spec", None)
         print(f"error: {source}: {error}" if source else f"error: {error}", file=sys.stderr)
+    except RuntimeError as error:
+        # Imported only once something failed: the gateway pulls in asyncio.
+        from repro.serve.gateway import GatewayError
+
+        if not isinstance(error, GatewayError):
+            raise
+        # ``[serve]`` named an address the gateway cannot listen on.
+        print(f"error: {error}", file=sys.stderr)
     return 2
 
 

@@ -20,8 +20,8 @@ Differential, sharded fan-out
 After the first epoch the coordinator runs the differential update
 pipeline: :meth:`Coordinator.update` asks the constellation calculation for
 a :class:`~repro.core.constellation.ConstellationDiff` against the
-previously published state, stores state + diff in the database (which
-keeps the rolling diff history and periodic keyframes), and then **shards**
+previously published state, publishes state + diff through the database
+(which holds that one epoch, no history), and then **shards**
 the change set by host (:meth:`Coordinator._shard`): each machine manager
 receives a :class:`~repro.core.machine_manager.HostStateSlice` naming the
 machines of its own whose bounding-box activity flipped, plus the current
@@ -56,7 +56,8 @@ The in-process-vs-worker seam
   buffer-backed wire frames; usage samples, counters and dirty-machine
   reconciliation results stream back.  The coordinator keeps in-process
   *shadow* managers for placement and parent-side queries; crashed workers
-  are respawned and replayed from the database's keyframe + diff chain.
+  are respawned, replayed from the control ledger and restored to the
+  checkpoint epoch's activity masks.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 

@@ -6,19 +6,20 @@ HTTP info API (§3.2).  The database also acts as the rule provider for the
 virtual network: the delay/bandwidth installed for a machine pair is derived
 from the latest published state.
 
-Diff history and keyframes
---------------------------
+One epoch, published once
+-------------------------
 
-Under the differential update protocol the coordinator publishes, per
-epoch, the new full state *plus* the
+The coordinator publishes, per epoch, the new full state *plus* the
 :class:`~repro.core.constellation.ConstellationDiff` against the previous
-epoch.  The database keeps a rolling window of those diffs alongside
-periodic full-state **keyframes**: every ``keyframe_interval``-th epoch
-(and every epoch published without a diff) retains its complete state, and
-the diff history is pruned so that it always spans back to the oldest
-retained keyframe.  Consumers that fell behind can thus resynchronise from
-the nearest keyframe at or before their epoch and replay
-:meth:`diffs_since` forward, instead of re-reading the full constellation.
+epoch.  The database holds exactly that publication — the current state and
+:attr:`~ConstellationDatabase.latest_diff` — and keeps no archive beside it:
+a consumer that is late, slow or new is given the current state (the
+streaming gateway's KEYFRAME), never a replay of past epochs.  The one
+value of the previous epoch it still holds is a reference to that state's
+``active_satellites`` masks: crash recovery restores a worker to the last
+epoch it acknowledged, and a synchronous fan-out makes that the current
+epoch or the one before it
+(:meth:`~ConstellationDatabase.activity_at_epoch`).
 
 Pair rules: one batch per epoch
 -------------------------------
@@ -58,58 +59,6 @@ from repro.net.network import PairRule
 EpochListener = Callable[[int, ConstellationState, Optional[ConstellationDiff]], None]
 
 
-def diff_json_record(diff: ConstellationDiff, epoch: int) -> dict:
-    """The ``/diffs/<epoch>`` JSON record of one epoch's diff.
-
-    This *is* the wire format the info API serves — per
-    epoch one record with the change counters and flat ``[node_a, node_b,
-    ...]`` rows: ``links_added`` carries ``[a, b, delay_ms,
-    bandwidth_kbps]``, ``links_removed`` ``[a, b]``, ``delay_changed``
-    ``[a, b, delay_ms]``, ``bandwidth_changed`` ``[a, b,
-    bandwidth_kbps]`` — plus the per-shell ``activated``/``deactivated``
-    satellite ids.  The streaming gateway's DIFF frame of the same epoch
-    names links only relative to the previous epoch; a record is
-    self-contained, so it is rendered from the diff that frame is encoded
-    from, not from the frame.
-    """
-    topology = diff.topology
-    current = topology.current
-    shells = sorted(diff.activated)
-    no_ids = np.empty(0, dtype=np.int64)
-
-    def _rows(endpoints: np.ndarray, *values: np.ndarray) -> list:
-        # Zip integer endpoint pairs with float value columns so the JSON
-        # keeps node ids integral (column_stack would upcast everything).
-        columns = [value.tolist() for value in values]
-        return [
-            [a, b, *row_values]
-            for (a, b), *row_values in zip(endpoints.tolist(), *columns)
-        ]
-
-    return {
-        "epoch": epoch,
-        "time_s": diff.time_s,
-        "previous_time_s": diff.previous_time_s,
-        "summary": diff.summary(),
-        "links_added": _rows(
-            topology.added_endpoints(),
-            current.delays_ms[topology.links_added],
-            current.bandwidths_kbps[topology.links_added],
-        ),
-        "links_removed": topology.removed_endpoints().tolist(),
-        "delay_changed": _rows(
-            topology.delay_changed_endpoints(), topology.delay_changed_values_ms()
-        ),
-        "bandwidth_changed": _rows(
-            topology.bandwidth_changed_endpoints(), topology.bandwidth_changed_values_kbps()
-        ),
-        "activated": {str(shell): diff.activated[shell].tolist() for shell in shells},
-        "deactivated": {
-            str(shell): diff.deactivated.get(shell, no_ids).tolist() for shell in shells
-        },
-    }
-
-
 class ConstellationDatabase:
     """Holds the most recent constellation state and answers queries about it.
 
@@ -117,18 +66,13 @@ class ConstellationDatabase:
     :meth:`set_state` epochs feed the shared
     :class:`~repro.serve.codec.EpochUpdateCodec` (``self.codec``), which
     encodes each epoch's keyframe/diff exactly once for the streaming
-    gateway's fan-out; the info API's ``/diffs`` JSON is rendered from the
-    same recorded diffs.
+    gateway's fan-out.
     Reads and publications are serialised by an internal lock so info-API
     threads never observe a torn epoch; registered epoch listeners (the
     gateway) are notified after each publication, outside the lock.
     """
 
-    def __init__(self, keyframe_interval: int = 10, retained_keyframes: int = 2):
-        if keyframe_interval <= 0:
-            raise ValueError("keyframe interval must be positive")
-        if retained_keyframes <= 0:
-            raise ValueError("at least one keyframe must be retained")
+    def __init__(self):
         self._state: Optional[ConstellationState] = None
         self.epoch = 0
         self.updated_at_s: Optional[float] = None
@@ -141,10 +85,9 @@ class ConstellationDatabase:
         self.rule_lookups = 0
         self.rule_misses = 0
         self.rule_batch_pairs = 0
-        self.keyframe_interval = keyframe_interval
-        self.retained_keyframes = retained_keyframes
-        self._keyframes: dict[int, ConstellationState] = {}
-        self._diffs: dict[int, ConstellationDiff] = {}
+        self._latest_diff: Optional[ConstellationDiff] = None
+        #: The previous epoch's ``active_satellites`` (see ``activity_at_epoch``).
+        self._previous_activity: Optional[dict[int, np.ndarray]] = None
         self._lock = threading.RLock()
         self._listeners: list[EpochListener] = []
         # Imported here, not at module scope: repro.core imports the
@@ -173,21 +116,18 @@ class ConstellationDatabase:
         """Publish a new constellation state (called by the coordinator).
 
         ``diff`` is the change set between the previously published epoch
-        and ``state``; epochs published without one (the first epoch, or a
-        full resynchronisation) always become keyframes, because the diff
-        chain towards them is broken.
+        and ``state``; an epoch published without one (the first epoch, or a
+        full resynchronisation) reaches subscribers as a KEYFRAME.
         """
         with self._lock:
+            if self._state is not None:
+                self._previous_activity = self._state.active_satellites
             self._state = state
+            self._latest_diff = diff
             self.epoch += 1
             self.updated_at_s = state.time_s
             self._warm_pairs = list(self._rule_cache)
             self._rule_cache.clear()
-            if diff is not None:
-                self._diffs[self.epoch] = diff
-            if diff is None or (self.epoch - 1) % self.keyframe_interval == 0:
-                self._keyframes[self.epoch] = state
-                self._prune_history()
             epoch = self.epoch
             listeners = list(self._listeners)
         # Listeners run outside the lock: the gateway's publish hook hands
@@ -196,108 +136,32 @@ class ConstellationDatabase:
         for listener in listeners:
             listener(epoch, state, diff)
 
-    def _prune_history(self) -> None:
-        keyframe_epochs = sorted(self._keyframes)
-        for stale in keyframe_epochs[: -self.retained_keyframes]:
-            del self._keyframes[stale]
-        oldest_keyframe = min(self._keyframes)
-        for epoch in [e for e in self._diffs if e <= oldest_keyframe]:
-            del self._diffs[epoch]
-        self.codec.prune(oldest_keyframe)
-
-    # -- diff history ------------------------------------------------------
-
     @property
     def latest_diff(self) -> Optional[ConstellationDiff]:
-        """The diff between the two most recent epochs (None after a keyframe reset)."""
+        """The diff the current epoch was published with (None: full state only)."""
         with self._lock:
-            return self._diffs.get(self.epoch)
-
-    def keyframe_epochs(self) -> list[int]:
-        """Epoch numbers of the retained full-state keyframes (ascending)."""
-        with self._lock:
-            return sorted(self._keyframes)
-
-    def keyframe_state(self, epoch: int) -> ConstellationState:
-        """The retained full state of a keyframe epoch."""
-        with self._lock:
-            if epoch not in self._keyframes:
-                raise KeyError(f"epoch {epoch} is not a retained keyframe")
-            return self._keyframes[epoch]
-
-    def diffs_since(self, epoch: int) -> list[ConstellationDiff]:
-        """The diff chain replaying ``epoch`` forward to the current epoch.
-
-        ``epoch`` must be at or after the oldest retained keyframe (older
-        history has been pruned) and the chain must be unbroken — a
-        consumer at ``epoch`` applies the returned diffs in order to arrive
-        at the current state.
-        """
-        with self._lock:
-            if epoch > self.epoch:
-                raise KeyError(
-                    f"epoch {epoch} is in the future (current: {self.epoch})"
-                )
-            wanted = range(epoch + 1, self.epoch + 1)
-            missing = [e for e in wanted if e not in self._diffs]
-            if missing:
-                raise KeyError(
-                    f"diff history no longer covers epochs {missing}; "
-                    f"resynchronise from a keyframe ({self.keyframe_epochs()})"
-                )
-            return [self._diffs[e] for e in wanted]
-
-    def diffs_between(self, start_epoch: int, end_epoch: int) -> list[ConstellationDiff]:
-        """The unbroken diff chain advancing ``start_epoch`` to ``end_epoch``.
-
-        A consumer holding the state of ``start_epoch`` applies the returned
-        diffs in order to arrive at ``end_epoch``.  Both epochs must lie
-        within the retained history window; raises ``KeyError`` otherwise.
-        (Retained diffs are contiguous — pruning only trims the old end —
-        so the chain to the current epoch restricted to ``end_epoch`` is
-        exactly the wanted chain.)
-        """
-        with self._lock:
-            if not 0 <= start_epoch <= end_epoch <= self.epoch:
-                raise KeyError(
-                    f"epoch range [{start_epoch}, {end_epoch}] is not within "
-                    f"[0, {self.epoch}]"
-                )
-            return self.diffs_since(start_epoch)[: end_epoch - start_epoch]
+            return self._latest_diff
 
     def activity_at_epoch(self, epoch: int) -> dict[int, np.ndarray]:
-        """Per-shell bounding-box activity masks as of a past epoch.
+        """Per-shell bounding-box activity masks of the current or previous epoch.
 
-        Replayed from the nearest retained keyframe at or before ``epoch``
-        plus the diff chain forward — this is how a crashed worker's
-        supervisor reconstructs which of its satellites were suspended at
-        the last acknowledged checkpoint (``repro.dist.supervisor``).
-        Raises ``KeyError`` when the pruned history no longer reaches
-        ``epoch``.
+        This is how a crashed worker's supervisor learns which of its
+        satellites were suspended at the last acknowledged checkpoint
+        (``repro.dist.supervisor``); the fan-out is synchronous, so that
+        checkpoint is never further back.  The masks are copies.  Raises
+        ``KeyError`` for any other epoch — the database keeps no history.
         """
         with self._lock:
             if epoch == self.epoch and self._state is not None:
-                return {
-                    shell: mask.copy()
-                    for shell, mask in self._state.active_satellites.items()
-                }
-            anchors = [k for k in self._keyframes if k <= epoch]
-            if not anchors:
+                masks = self._state.active_satellites
+            elif epoch == self.epoch - 1 and self._previous_activity is not None:
+                masks = self._previous_activity
+            else:
                 raise KeyError(
-                    f"no retained keyframe at or before epoch {epoch} "
-                    f"(keyframes: {self.keyframe_epochs()})"
+                    f"no activity masks for epoch {epoch}: the database holds "
+                    f"epoch {self.epoch} and the one before it"
                 )
-            anchor = max(anchors)
-            masks = {
-                shell: mask.copy()
-                for shell, mask in self._keyframes[anchor].active_satellites.items()
-            }
-            for diff in self.diffs_between(anchor, epoch):
-                for shell, identifiers in diff.activated.items():
-                    masks[shell][identifiers] = True
-                for shell, identifiers in diff.deactivated.items():
-                    masks[shell][identifiers] = False
-            return masks
+            return {shell: mask.copy() for shell, mask in masks.items()}
 
     @property
     def lock(self) -> threading.RLock:
@@ -360,28 +224,6 @@ class ConstellationDatabase:
                 reachable=reachable,
             )
 
-    def diff_history_info(self, since_epoch: int) -> dict:
-        """Wire-format diff history: "what changed since ``since_epoch``?".
-
-        Served over the HTTP info API so emulated machines can poll the
-        change stream instead of re-reading the full constellation: one
-        :func:`diff_json_record` per epoch after ``since_epoch``.  Raises
-        ``KeyError`` (→ 404 with a keyframe hint) when the pruned history no
-        longer reaches back to ``since_epoch``.
-        """
-        with self._lock:
-            chain = self.diffs_since(since_epoch)
-            records = [
-                diff_json_record(diff, since_epoch + offset)
-                for offset, diff in enumerate(chain, start=1)
-            ]
-            return {
-                "since_epoch": since_epoch,
-                "epoch": self.epoch,
-                "keyframe_epochs": self.keyframe_epochs(),
-                "diffs": records,
-            }
-
     # -- info-API queries ----------------------------------------------------
 
     def constellation_info(self) -> dict:
@@ -399,7 +241,6 @@ class ConstellationDatabase:
                 "ground_stations": len(state.ground_positions_ecef),
                 "active_satellites": state.active_count(),
                 "links": state.graph.total_links(),
-                "keyframe_epochs": self.keyframe_epochs(),
                 "last_diff": diff.summary() if diff is not None else None,
             }
 

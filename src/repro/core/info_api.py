@@ -7,14 +7,9 @@ use it instead of implementing their own model of satellite movement.
 
 ``InfoAPI`` implements the routing and JSON responses; ``HTTPInfoServer``
 exposes the same API over a real local HTTP socket (standard library only)
-for applications that expect to speak HTTP.
-
-Diff-aware polling: ``/diffs/<epoch>`` serves the database's keyframe/diff
-history as a compact JSON change stream ("what changed since epoch N"), so
-emulated machines can follow the constellation incrementally instead of
-re-reading the full ``/info`` state; when the rolling history has been
-pruned past the requested epoch the route 404s with the retained keyframe
-epochs to resynchronise from.
+for applications that expect to speak HTTP.  Every route answers from the
+current epoch; a machine that wants the change stream subscribes to the
+streaming gateway (:mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -31,6 +26,14 @@ from repro.core.dns import CelestialDNS, DNSError
 
 class InfoAPIError(KeyError):
     """Raised when an info API path does not resolve to a resource."""
+
+    status = 404  # what the HTTP server answers
+
+
+class InfoAPINotReady(InfoAPIError):
+    """Raised for any path until the first epoch has been published."""
+
+    status = 503
 
 
 class InfoAPI:
@@ -62,6 +65,8 @@ class InfoAPI:
     def get(self, path: str) -> dict:
         """Resolve a GET request path to its JSON-serialisable response."""
         parts = [part for part in path.strip("/").split("/") if part]
+        if not self.database.has_state:
+            raise InfoAPINotReady("no constellation state has been published yet")
         try:
             if parts == ["info"] or not parts:
                 return self.database.constellation_info()
@@ -76,8 +81,6 @@ class InfoAPI:
                 if machine.is_ground_station:
                     return self.database.ground_station_info(machine.name)
                 return self.database.satellite_info(machine.shell, machine.identifier)
-            if parts[0] == "diffs" and len(parts) == 2:
-                return self.database.diff_history_info(int(parts[1]))
             if parts[0] == "path" and len(parts) == 3:
                 source = self._machine_from_name(parts[1])
                 destination = self._machine_from_name(parts[2])
@@ -104,7 +107,7 @@ class HTTPInfoServer:
                     self.send_response(200)
                 except InfoAPIError as error:
                     body = json.dumps({"error": str(error)}).encode()
-                    self.send_response(404)
+                    self.send_response(error.status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

@@ -43,8 +43,8 @@ whole :class:`ConstellationState` on the wire),
 :meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
 every acknowledgement) and :meth:`MachineManager.restore_runtime_state`
 (applied by a respawned worker after the durable control ledger has been
-replayed: forces bounding-box activity to the checkpoint epoch — recovered
-from the database's keyframe + diff chain — without touching the
+replayed: forces bounding-box activity to the checkpoint epoch — the
+database's current or previous epoch's masks — without touching the
 suspend/resume counters, then restores counters and RNG stream exactly).
 """
 
@@ -308,8 +308,8 @@ class MachineManager:
         (machine creations, fault-injection ops) has been replayed:
 
         * bounding-box activity is *forced* to the per-shell masks of the
-          checkpoint epoch — recovered by the supervisor from the database's
-          keyframe + diff chain — without counting the transitions (the
+          checkpoint epoch — the database's current or previous epoch's
+          masks, read by the supervisor — without counting the transitions (the
           counters below already include them); ``None`` when the manager
           had not applied any epoch yet (counters/RNG restore only);
         * machines in ``skip`` are left exactly as the ledger rebuilt them:

@@ -41,8 +41,8 @@ shadow hosts' traces so observability (``resource_traces()``) is
 backend-agnostic.  After every fan-out the backend verifies the workers'
 counters and reconciliation results against the shadows and raises
 :class:`WorkerDesyncError` on any divergence, which turns the
-backend-equivalence guarantee (and the correctness of crash recovery by
-keyframe + diff replay) into a runtime invariant.
+backend-equivalence guarantee (and the correctness of crash recovery from
+the checkpoint epoch's activity masks) into a runtime invariant.
 
 Lifecycle operations arriving through :class:`MirroredManager` (the proxy
 the coordinator hands out in process mode) are applied to the shadow and

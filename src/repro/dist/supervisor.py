@@ -35,11 +35,12 @@ successor spawns).  Recovery then proceeds in three steps:
    same initial RNG states).
 2. **Replay the control ledger** — the worker re-creates and boots exactly
    the machines it owned, in the original order.
-3. **Restore runtime state from the database's keyframe + diff chain**: the
-   per-shell bounding-box activity masks of the last acknowledged epoch are
-   reconstructed with :meth:`~repro.core.database.ConstellationDatabase.
-   activity_at_epoch` (nearest retained keyframe, diffs replayed forward)
-   and shipped in a ``RESTORE`` frame together with the checkpointed
+3. **Restore runtime state from the database**: the per-shell bounding-box
+   activity masks of the last acknowledged epoch are read with
+   :meth:`~repro.core.database.ConstellationDatabase.activity_at_epoch` —
+   the fan-out is synchronous, so that is the current epoch or the one
+   before it, the two the database can answer; anything older is a
+   ``KeyError``, never the wrong masks — and shipped in a ``RESTORE`` frame together with the checkpointed
    counters and RNG states.  Machines whose lifecycle changed outside the
    diff protocol after the checkpoint (the coordinator-side dirty set,
    obtained through ``dirty_resolver``) are skipped, so the next slice's
@@ -473,7 +474,7 @@ class WorkerSupervisor:
                 continue  # the successor died mid-recovery: rebuild again
 
     def _restore(self, handle: _Handle) -> None:
-        """Ship the keyframe + diff replay of the checkpointed state.
+        """Ship the activity masks and counters of the checkpointed state.
 
         One ``RESTORE`` frame per manager: a worker owning several hosts may
         have acknowledged this epoch's slice for one host but not the other,

@@ -77,7 +77,9 @@ WIRE_MAGIC = b"CLW1"
 #: Protocol generation.  Bump on any incompatible frame/codec change.
 #: 5: the serving tier's KEYFRAME / DIFF payloads name links by position in
 #: the canonical link order and ship delays as grid steps (``serve/codec.py``).
-WIRE_VERSION = 5
+#: 6: ``SUBSCRIBE_ACK`` is ``client`` + ``epoch`` and nothing else, a SUBSCRIBE
+#: carrying ``scope`` is refused, a DIFF has no ``skip`` marker form.
+WIRE_VERSION = 6
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

@@ -34,8 +34,8 @@ latest acknowledgement as the recovery checkpoint.
 Control frames (machine creation, fault-injection ops) are *durable*: the
 supervisor journals them and replays the journal into a fresh process after
 a crash, followed by a ``RESTORE`` frame that forces bounding-box activity
-to the checkpoint epoch (recovered from the database's keyframe + diff
-chain) and restores counters and RNG streams.
+to the checkpoint epoch (the database's current or previous epoch's masks)
+and restores counters and RNG streams.
 
 Placement
 ---------

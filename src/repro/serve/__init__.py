@@ -6,8 +6,8 @@ is served from one encoding of each epoch:
 * :mod:`repro.serve.codec` — the shared :class:`EpochUpdate` codec.  Each
   epoch's keyframe/diff is encoded exactly once into the versioned
   :mod:`repro.dist.wire` frame format; the gateway fans those bytes out.
-  (The info API's ``/diffs`` JSON is rendered from the same recorded diffs,
-  :func:`repro.core.database.diff_json_record`.)
+  Only the current epoch's bytes are held: a subscriber that is new, late
+  or slow gets the current KEYFRAME, not a replay.
 * :mod:`repro.serve.gateway` — the asyncio :class:`StreamGateway`, fanning
   the shared bytes out to thousands of subscribers with bounded per-client
   queues, backpressure and slow-client keyframe resync, and answering

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import socket
 from collections import deque
-from typing import Optional
-
 from repro.dist import wire
 from repro.dist.transport import SocketTransport, answer_challenge
 from repro.dist.wire import FrameKind
@@ -39,7 +37,6 @@ class SubscriptionClient:
         host: str,
         port: int,
         client_id: str = "",
-        scope: Optional[dict] = None,
         auth_secret: str = "",
         timeout_s: float = 30.0,
     ):
@@ -50,11 +47,8 @@ class SubscriptionClient:
         sock = socket.create_connection((host, port), timeout=timeout_s)
         self.transport = SocketTransport(sock)
         try:
-            subscribe_meta: dict = {"client": client_id}
-            if scope is not None:
-                subscribe_meta["scope"] = scope
             self.transport.send_bytes(
-                wire.encode_frame(FrameKind.SUBSCRIBE, subscribe_meta)
+                wire.encode_frame(FrameKind.SUBSCRIBE, {"client": client_id})
             )
             kind, meta, _arrays, _data = self._recv()
             if kind is FrameKind.CHALLENGE:
@@ -72,7 +66,6 @@ class SubscriptionClient:
                 )
             self.client_id = meta["client"]
             self.server_epoch = meta["epoch"]
-            self.keyframe_epochs = list(meta["keyframe_epochs"])
         except BaseException:
             self.transport.close()
             raise

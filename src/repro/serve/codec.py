@@ -32,8 +32,7 @@ pipeline computes — and as its ``float64`` values otherwise; the array's
 dtype in the frame says which, so off-grid delays stay bit-exact.
 
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
-``shells`` (those with an activity flip); a ``skip: True`` marker has
-``epoch``, ``time_s`` and no arrays.
+``shells`` (those with an activity flip).
 
 == ================= ================ ============================ ==========
 #  array             dtype            meaning                      mask order
@@ -80,7 +79,7 @@ from repro.topology.linkparams import DELAY_GRID_MS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState
     from repro.core.database import ConstellationDatabase
-    from repro.topology.graph import NetworkGraph, TopologyDiff
+    from repro.topology.graph import NetworkGraph
 
 
 class CodecError(ValueError):
@@ -298,40 +297,6 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     return wire.encode_frame(FrameKind.DIFF, meta, arrays)
 
 
-def encode_skip_update(diff: "ConstellationDiff", epoch: int) -> bytes:
-    """Encode the out-of-scope marker of one epoch: a DIFF frame without arrays.
-
-    Scoped subscribers are not sent changes outside their scope, but their
-    epoch chain must keep advancing: the marker carries the real diff's epoch
-    and clock.  An :class:`EpochReplica` that applies it is *stale* — the next
-    frame it accepts is the keyframe the gateway sends for its next in-scope epoch.
-    """
-    return wire.encode_frame(FrameKind.DIFF, {"epoch": epoch, "time_s": diff.time_s, "skip": True})
-
-
-def changed_nodes(topology: "TopologyDiff") -> np.ndarray:
-    """Flat node indices a topology diff touches (for scope filtering).
-
-    Sorted and unique: the endpoints of every added, removed,
-    delay-changed and bandwidth-changed link.
-    """
-    current, previous = topology.current, topology.previous
-    changed = np.concatenate(
-        [topology.links_added, topology.delay_changed, topology.bandwidth_changed]
-    )
-    removed = topology.links_removed
-    return np.unique(
-        np.concatenate(
-            [
-                current.node_a[changed],
-                current.node_b[changed],
-                previous.node_a[removed],
-                previous.node_b[removed],
-            ]
-        )
-    )
-
-
 # -- client-side replica -------------------------------------------------------
 
 
@@ -340,19 +305,18 @@ class EpochReplica:
 
     Holds the links as five parallel arrays in canonical order (the link
     columns of :class:`EpochSnapshot`) and patches them with each DIFF's
-    masks.  A DIFF that does not chain onto the replica — wrong epoch, wrong
-    link count, or any DIFF once a skip marker left the replica *stale* —
-    raises :class:`CodecError` and changes nothing: the subscriber must
-    resynchronise from a keyframe, which the gateway provides after a
-    slow-client eviction and after a skipped epoch.  :meth:`snapshot` is
-    bit-identical to :meth:`EpochSnapshot.from_state` at the same epoch.
+    masks.  A DIFF that does not chain onto the replica — not the next
+    epoch, or not the link count it holds — raises :class:`CodecError` and
+    changes nothing: the subscriber must resynchronise from a keyframe,
+    which the gateway provides after a slow-client eviction.
+    :meth:`snapshot` is bit-identical to :meth:`EpochSnapshot.from_state`
+    at the same epoch.
     """
 
     def __init__(self):
         self.epoch: Optional[int] = None
         self.time_s: Optional[float] = None
         self.node_count = 0
-        self.stale = False  # set by a skip marker, cleared by a keyframe
         # node_a, node_b, delay_ms, bandwidth_kbps, link_type
         dtypes = (np.int64, np.int64, np.float64, np.float64, np.int8)
         self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
@@ -389,22 +353,17 @@ class EpochReplica:
         self.epoch = meta["epoch"]
         self.time_s = meta["time_s"]
         self.node_count = meta["node_count"]
-        self.stale = False
         self.applied_keyframes += 1
 
     def _apply_diff(self, meta: dict, arrays: list[np.ndarray]) -> None:
         if self.epoch is None:
             raise CodecError("a replica must start from a KEYFRAME")
-        skip = bool(meta.get("skip"))
-        if meta["epoch"] != self.epoch + 1 or (self.stale and not skip):
+        if meta["epoch"] != self.epoch + 1:
             raise CodecError(
-                f"diff for epoch {meta['epoch']} does not chain onto replica epoch {self.epoch}"
-                f"{' (stale)' if self.stale else ''}; resynchronise from a keyframe"
+                f"diff for epoch {meta['epoch']} does not chain onto replica epoch "
+                f"{self.epoch}; resynchronise from a keyframe"
             )
-        if skip:
-            self.stale = True  # changes it is not sent: only a keyframe chains from here
-        else:
-            self._patch(meta, arrays)
+        self._patch(meta, arrays)
         self.epoch = meta["epoch"]
         self.time_s = meta["time_s"]
         self.applied_diffs += 1
@@ -459,96 +418,78 @@ class EpochReplica:
 
 
 class EpochUpdateCodec:
-    """Encodes each epoch's keyframe/diff exactly once, pruned with history.
+    """Encodes the current epoch's keyframe/diff exactly once.
 
-    Owned by the :class:`~repro.core.database.ConstellationDatabase`:
-    updates are sourced from ``keyframe_state``/``diffs_between`` (or the
-    state/diff the caller passes at publish time), encoded on first use
-    and cached by epoch.  ``encode_count`` counts actual frame encodings —
-    the single-encode guarantee the fan-out benchmark pins down.
+    Owned by the :class:`~repro.core.database.ConstellationDatabase`.  The
+    codec remembers one epoch — the newest it was asked about — and that
+    epoch's KEYFRAME and DIFF bytes, encoded on first use from the
+    state/diff the caller passes at publish time (or the database's current
+    ones).  ``encode_count`` counts actual frame encodings — the
+    single-encode guarantee the fan-out benchmark pins down.
 
-    The codec is shared between the coordinator thread (publications,
-    history pruning) and the gateway's event-loop thread (fan-out, eviction
-    resyncs), so an internal lock guards every cache mutation — the
-    check-and-encode is atomic, keeping the exactly-once guarantee under
-    concurrency.  ``prune`` additionally records a floor so a publish
-    racing a prune cannot re-insert a pruned epoch that would then be
-    cached forever.  Lock ordering: callers may hold the database lock when
-    entering the codec (database → codec); the codec resolves any database
-    lookups *before* taking its own lock, so the reverse order never occurs.
+    The codec is shared between the coordinator thread (publications) and
+    the gateway's event-loop thread (fan-out, eviction resyncs), so an
+    internal lock makes the check-and-encode atomic, keeping the
+    exactly-once guarantee under concurrency.  A request for an epoch older
+    than the remembered one (a publication still queued behind a newer
+    subscription seed) is encoded and returned, not remembered.  Lock
+    ordering: callers may hold the database lock when entering the codec
+    (database → codec); the codec reads the database *before* taking its
+    own lock, so the reverse order never occurs.
     """
 
     def __init__(self, database: "ConstellationDatabase"):
         self._database = database
-        self._keyframes: dict[int, bytes] = {}
-        self._diffs: dict[int, bytes] = {}
         self._lock = threading.Lock()
-        self._oldest_keyframe = 0  # prune floor: see `prune`
+        self._epoch = 0
+        #: The remembered epoch's encoded frames, by kind.
+        self._frames: dict[FrameKind, bytes] = {}
         self.encode_count = 0
+
+    def _update(self, kind: FrameKind, epoch: int, encode, source) -> EpochUpdate:
+        with self._lock:
+            if epoch > self._epoch:
+                self._epoch = epoch
+                self._frames = {}
+            data = self._frames.get(kind) if epoch == self._epoch else None
+            if data is None:
+                data = encode(source, epoch)
+                self.encode_count += 1
+                if epoch == self._epoch:
+                    self._frames[kind] = data
+        return EpochUpdate(kind, epoch, data)
 
     def keyframe_update(
         self, epoch: Optional[int] = None, state: Optional["ConstellationState"] = None
     ) -> EpochUpdate:
         """The KEYFRAME update of an epoch (current epoch by default).
 
-        ``state`` short-circuits the database lookup when the caller — the
-        gateway's publish path — already holds the epoch's state; other
-        epochs must be retained keyframes (``KeyError`` otherwise).
+        ``state`` is the epoch's state when the caller — the gateway's
+        publish path — already holds it; without it only the database's
+        current epoch can be answered (``KeyError`` otherwise).
         """
-        database = self._database
-        if epoch is None:
-            epoch = database.epoch
-        with self._lock:
-            data = self._keyframes.get(epoch)
-        if data is None:
-            if state is None:
-                if epoch == database.epoch:
-                    state = database.state
-                else:
-                    state = database.keyframe_state(epoch)
-            with self._lock:
-                data = self._keyframes.get(epoch)
-                if data is None:
-                    data = encode_keyframe_update(state, epoch)
-                    self.encode_count += 1
-                    if epoch >= self._oldest_keyframe:
-                        self._keyframes[epoch] = data
-        return EpochUpdate(FrameKind.KEYFRAME, epoch, data)
+        if state is None:
+            with self._database.lock:
+                current, state = self._database.epoch, self._database.state
+            if epoch is None:
+                epoch = current
+            elif epoch != current:
+                raise KeyError(f"epoch {epoch} is not the current epoch ({current})")
+        elif epoch is None:
+            epoch = self._database.epoch
+        return self._update(FrameKind.KEYFRAME, epoch, encode_keyframe_update, state)
 
     def diff_update(
         self, epoch: int, diff: Optional["ConstellationDiff"] = None
     ) -> EpochUpdate:
-        """The DIFF update advancing ``epoch - 1`` to ``epoch``."""
-        with self._lock:
-            data = self._diffs.get(epoch)
-        if data is None:
-            if diff is None:
-                chain = self._database.diffs_between(epoch - 1, epoch)
-                if not chain:
-                    raise KeyError(f"no diff recorded for epoch {epoch}")
-                diff = chain[0]
-            with self._lock:
-                data = self._diffs.get(epoch)
-                if data is None:
-                    data = encode_diff_update(diff, epoch)
-                    self.encode_count += 1
-                    if epoch > self._oldest_keyframe:
-                        self._diffs[epoch] = data
-        return EpochUpdate(FrameKind.DIFF, epoch, data)
+        """The DIFF update advancing ``epoch - 1`` to ``epoch``.
 
-    def prune(self, oldest_keyframe: int) -> None:
-        """Drop cached frames the database's history pruning released.
-
-        Mirrors ``ConstellationDatabase._prune_history``: keyframe bytes
-        before the oldest retained keyframe and diff bytes at or before it
-        are dropped, so the cache footprint tracks the retained window.
-        The floor is remembered so concurrent encoders skip caching frames
-        for already-pruned epochs (they still return the encoded update).
+        Without ``diff`` only the database's current epoch can be answered,
+        and only when it was published with one (``KeyError`` otherwise).
         """
-        with self._lock:
-            self._oldest_keyframe = max(self._oldest_keyframe, oldest_keyframe)
-            floor = self._oldest_keyframe
-            for epoch in [e for e in self._keyframes if e < floor]:
-                del self._keyframes[epoch]
-            for epoch in [e for e in self._diffs if e <= floor]:
-                del self._diffs[epoch]
+        if diff is None:
+            with self._database.lock:
+                current, diff = self._database.epoch, self._database.latest_diff
+            if epoch != current or diff is None:
+                raise KeyError(f"no diff recorded for epoch {epoch} (current: {current})")
+        return self._update(FrameKind.DIFF, epoch, encode_diff_update, diff)

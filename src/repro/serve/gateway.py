@@ -24,14 +24,9 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
   module's one metadata codec, which can only construct plain data
   (:func:`repro.dist.wire.decode_frame`), so a dialer gets no
   code-execution surface before (or after) authenticating.
-* **Scoped subscriptions.**  A subscription may scope itself to a
-  geodetic bounding box (server-side filtering through
-  :meth:`~repro.core.bounding_box.BoundingBox.contains_ecef` against the
-  satellites a diff touches) or to a ground station's view; out-of-scope
-  diffs are summarised by a lightweight skip marker so scoped clients
-  keep an unbroken epoch chain without receiving unrelated payloads.  A
-  skipped epoch leaves the client's link table stale, so its next
-  in-scope epoch is delivered as that epoch's keyframe.
+* **One stream.**  Every subscriber is sent every epoch.  A SUBSCRIBE
+  that asks for a filtered stream (a ``scope``, gone since wire version 6)
+  is refused with an ``ERROR`` frame, never silently widened.
 * **Warm-table queries.**  ``QUERY`` frames ("path latency src→dst now")
   are answered from the current state's path tables — warm ``all_pairs``
   tables when the calculation serves them — with per-client cache
@@ -52,9 +47,6 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.core.bounding_box import BoundingBox
 from repro.dist import wire
 from repro.dist.transport import (
     AUTH_NONCE_BYTES,
@@ -64,7 +56,6 @@ from repro.dist.transport import (
     frame,
 )
 from repro.dist.wire import FrameKind
-from repro.serve.codec import changed_nodes, encode_skip_update
 
 
 class GatewayError(RuntimeError):
@@ -100,15 +91,8 @@ class _Subscription:
 
     client_id: str
     queue: asyncio.Queue
-    scope: Optional[dict] = None
-    bbox: Optional[BoundingBox] = None
-    ground_station: Optional[str] = None
     last_epoch: int = 0
-    #: The last epoch went out as a skip marker, so the client's link
-    #: table is stale: its next in-scope epoch must be a keyframe.
-    stale: bool = False
     delivered: int = 0
-    skipped: int = 0
     evictions: int = 0
     queries: int = 0
     cache_hits: int = 0
@@ -118,31 +102,11 @@ class _Subscription:
     def statistics(self) -> dict:
         return {
             "delivered": self.delivered,
-            "skipped": self.skipped,
             "evictions": self.evictions,
             "queries": self.queries,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
         }
-
-
-def _scope_of(meta: dict) -> tuple[Optional[dict], Optional[BoundingBox], Optional[str]]:
-    """Parse a SUBSCRIBE frame's scope into its filter objects."""
-    scope = meta.get("scope")
-    if not scope:
-        return None, None, None
-    kind = scope.get("kind")
-    if kind == "bbox":
-        bbox = BoundingBox(
-            lat_min=float(scope["lat_min"]),
-            lat_max=float(scope["lat_max"]),
-            lon_min=float(scope["lon_min"]),
-            lon_max=float(scope["lon_max"]),
-        )
-        return scope, bbox, None
-    if kind == "gst":
-        return scope, None, str(scope["name"])
-    raise GatewayError(f"unknown subscription scope kind {kind!r}")
 
 
 class StreamGateway:
@@ -220,7 +184,7 @@ class StreamGateway:
     def publish(self, epoch: int, state, diff) -> None:
         """Fan one published epoch out to every subscription.
 
-        The keyframe/diff is encoded at most once (codec cache); clients
+        The keyframe/diff is encoded at most once (the codec's memo); clients
         whose bounded queue overflows are evicted to the current keyframe.
         Runs on the event loop via ``call_soon_threadsafe`` from the
         database's listener hook.
@@ -232,38 +196,9 @@ class StreamGateway:
         else:
             update = codec.diff_update(epoch, diff=diff)
         payload = frame(update.data)
-        # The nodes the diff touches: worked out for the first live scoped
-        # subscription met, so an epoch without one never pays for them.
-        touched: Optional[np.ndarray] = None
-        skip_payload: Optional[bytes] = None
-        resync_payload: Optional[bytes] = None
         for subscription in self._subscriptions.values():
-            if subscription.closed:
-                continue
-            scoped = diff is not None and subscription.scope is not None
-            if scoped and touched is None:
-                touched = changed_nodes(diff.topology)
-            if scoped and not self._in_scope(subscription, state, diff, touched):
-                # Out of scope: deliver an empty skip-marker diff instead,
-                # so the scoped client's epoch chain keeps advancing
-                # (encoded at most once per epoch, shared by all skips).
-                if skip_payload is None:
-                    skip_payload = frame(encode_skip_update(diff, epoch))
-                subscription.skipped += 1
-                subscription.stale = True
-                self._enqueue(subscription, skip_payload, epoch, state)
-                continue
-            if subscription.stale:
-                # A diff cannot chain onto skipped changes: resynchronise
-                # from this epoch's keyframe (encoded at most once, shared
-                # by all resyncs).
-                if resync_payload is None:
-                    keyframe = codec.keyframe_update(epoch, state=state)
-                    resync_payload = frame(keyframe.data)
-                subscription.stale = False
-                self._enqueue(subscription, resync_payload, epoch, state)
-                continue
-            self._enqueue(subscription, payload, epoch, state)
+            if not subscription.closed:
+                self._enqueue(subscription, payload, epoch, state)
 
     def _enqueue(self, subscription: _Subscription, payload: bytes, epoch: int, state) -> None:
         if epoch <= subscription.last_epoch:
@@ -277,8 +212,8 @@ class StreamGateway:
             subscription.queue.put_nowait((payload, False))
         except asyncio.QueueFull:
             # Slow client: drop its backlog and resynchronise it from the
-            # current epoch's keyframe (the codec caches the encoding, so
-            # concurrent evictions share one keyframe encode).
+            # current epoch's keyframe (the codec remembers the encoding,
+            # so concurrent evictions share one keyframe encode).
             self._evict(subscription, epoch=epoch, state=state)
 
     @staticmethod
@@ -334,49 +269,8 @@ class StreamGateway:
                 # replies; the overflow replies are dropped with the backlog.
                 break
         subscription.last_epoch = max(subscription.last_epoch, keyframe.epoch)
-        subscription.stale = False
         subscription.evictions += 1
         return not closing
-
-    def _in_scope(self, subscription: _Subscription, state, diff, touched) -> bool:
-        """Whether a diff intersects the scope of a scoped subscription.
-
-        Scoping is a *delivery* policy: a scoped client is only told about
-        epochs whose changes it can observe.  Satellite activity flips and
-        changed-link endpoints (``touched``, the diff's
-        :func:`~repro.serve.codec.changed_nodes`) are tested against the
-        scope; diffs that touch nothing (pure time advance) pass, so every
-        subscriber's clock keeps moving.
-        """
-        if subscription.bbox is not None:
-            index = state.node_index
-            flipped = [
-                index.shell_offset(shell) + ids
-                for shell, ids in (*diff.activated.items(), *diff.deactivated.items())
-            ]
-            candidates = np.unique(
-                np.concatenate([touched[touched < index.satellite_count], *flipped])
-            )
-            if not candidates.size:
-                return True
-            # A satellite's node id is its row in the per-shell position
-            # arrays stacked in shell order.
-            positions = np.concatenate(
-                [
-                    state.satellite_positions_ecef[shell]
-                    for shell in range(len(index.shell_sizes))
-                ]
-            )
-            return bool(np.any(subscription.bbox.contains_ecef(positions[candidates])))
-        if subscription.ground_station is not None:
-            try:
-                gst_node = state.node_index.ground_station(
-                    subscription.ground_station
-                )
-            except KeyError:
-                return True
-            return bool(np.any(touched == gst_node))
-        return True
 
     # -- per-client protocol -------------------------------------------------
 
@@ -469,28 +363,26 @@ class StreamGateway:
                 self.rejected_subscriptions += 1
                 return None
         existing = self._subscriptions.get(client_id)
+        refusal = None
         if existing is not None and not existing.closed:
             # A second subscriber under the same id must not overwrite the
             # registry entry: the first client's stream would silently stop
             # when this connection's cleanup popped the shared key.
-            self.rejected_subscriptions += 1
-            writer.write(
-                frame(
-                    wire.encode_frame(
-                        FrameKind.ERROR,
-                        {"error": f"client id {client_id!r} is already subscribed"},
-                    )
-                )
+            refusal = f"client id {client_id!r} is already subscribed"
+        elif "scope" in meta:
+            # Refused, not widened: a client that asked for a filtered
+            # stream must not be handed the full one unannounced.
+            refusal = (
+                "scoped subscriptions were removed (wire version 6): "
+                "subscribe without 'scope' to receive every epoch"
             )
+        if refusal is not None:
+            self.rejected_subscriptions += 1
+            writer.write(frame(wire.encode_frame(FrameKind.ERROR, {"error": refusal})))
             await writer.drain()
             return None
-        scope, bbox, ground_station = _scope_of(meta)
         subscription = _Subscription(
-            client_id=client_id,
-            queue=asyncio.Queue(self.queue_limit),
-            scope=scope,
-            bbox=bbox,
-            ground_station=ground_station,
+            client_id=client_id, queue=asyncio.Queue(self.queue_limit)
         )
         self._subscriptions[client_id] = subscription
         database = self.database
@@ -500,19 +392,13 @@ class StreamGateway:
         # epoch lets ``_enqueue`` drop such already-covered publications.
         with database.lock:
             epoch = database.epoch
-            keyframe_epochs = database.keyframe_epochs()
             seed = (
                 database.codec.keyframe_update(epoch, state=database.state)
                 if database.has_state
                 else None
             )
         ack = wire.encode_frame(
-            FrameKind.SUBSCRIBE_ACK,
-            {
-                "client": client_id,
-                "epoch": epoch,
-                "keyframe_epochs": keyframe_epochs,
-            },
+            FrameKind.SUBSCRIBE_ACK, {"client": client_id, "epoch": epoch}
         )
         writer.write(frame(ack))
         # Seed the stream with the current epoch's keyframe so the client
@@ -593,6 +479,7 @@ class StreamGateway:
                 state = database.state
                 stats = state._path_engine.stats
                 hits_before, misses_before = stats.cache_hits, stats.cache_misses
+                epoch = database.epoch
                 result = state.path(source, destination)
                 subscription.cache_hits += stats.cache_hits - hits_before
                 subscription.cache_misses += stats.cache_misses - misses_before
@@ -601,7 +488,7 @@ class StreamGateway:
                 "client": subscription.client_id,
                 "source": source.name,
                 "destination": destination.name,
-                "epoch": database.epoch,
+                "epoch": epoch,
                 "reachable": reachable,
                 "delay_ms": float(result.delay_ms) if reachable else None,
                 "rtt_ms": float(result.rtt_ms) if reachable else None,
@@ -663,6 +550,7 @@ class GatewayServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
+        self._start_error: Optional[BaseException] = None
         self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -680,7 +568,16 @@ class GatewayServer:
             target=self._run_loop, name="celestial-gateway", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout=10.0):
+        started = self._started.wait(timeout=10.0)
+        if self._start_error is not None:
+            # The loop thread is on its way out: leave nothing behind.
+            self._thread.join(timeout=10.0)
+            self._thread = None
+            raise GatewayError(
+                f"the gateway cannot listen on {self.gateway.host}:{self.gateway.port}: "
+                f"{self._start_error}"
+            ) from self._start_error
+        if not started:
             raise GatewayError("the gateway event loop did not start")
         self.database.add_listener(self._on_epoch)
         return self
@@ -688,8 +585,14 @@ class GatewayServer:
     def _run_loop(self) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
+        try:
+            loop.run_until_complete(self.gateway.start())
+        except BaseException as error:  # handed to start(), which raises it
+            self._start_error = error
+            loop.close()
+            self._started.set()
+            return
         self._loop = loop
-        loop.run_until_complete(self.gateway.start())
         self._started.set()
         try:
             loop.run_forever()

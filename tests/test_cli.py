@@ -1,6 +1,8 @@
 """Tests for the repro-celestial command-line interface."""
 
 import json
+import socket
+import time
 
 import pytest
 
@@ -253,3 +255,16 @@ class TestConfigurationErrors:
         # A plain configuration is not an experiment spec (no [scenario] table).
         line = self._error_line(["run", config_path, "--no-output"], capsys)
         assert config_path in line and "scenario" in line
+
+    def test_run_on_a_taken_serve_port(self, tmp_path, capsys):
+        # The gateway cannot bind: the user's to fix, like a bad spec.
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            spec_path = tmp_path / "experiment.toml"
+            spec_path.write_text(_SPEC_TOML + f"\n[serve]\nport = {port}\n")
+            started_at = time.monotonic()
+            line = self._error_line(["run", str(spec_path), "--no-output"], capsys)
+            assert time.monotonic() - started_at < 5.0
+        assert f"127.0.0.1:{port}" in line and "in use" in line

@@ -21,6 +21,7 @@ from repro.core import (
     constellation_snapshot,
     snapshot_to_geojson,
 )
+from repro.core.info_api import InfoAPINotReady
 from repro.orbits import GroundStation, ShellGeometry
 
 
@@ -148,9 +149,31 @@ class TestInfoAPI:
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=5)
 
+    def test_http_server_503_before_the_first_epoch(self, setup):
+        # A machine can boot and ask before the coordinator's first update:
+        # that is an answer ("not yet"), not a dropped connection.
+        _, calculation, _, _ = setup
+        database = ConstellationDatabase()
+        api = InfoAPI(database, calculation)
+        with pytest.raises(InfoAPINotReady):
+            api.get("/info")
+        with HTTPInfoServer(api) as server:
+            host, port = server.address
+            for path in ("/info", "/sat/0/3", "/nope"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=5)
+                assert excinfo.value.code == 503
+                assert excinfo.value.headers["Content-Type"] == "application/json"
+                assert "published" in json.loads(excinfo.value.read())["error"]
+            database.set_state(calculation.state_at(0.0))
+            with urllib.request.urlopen(f"http://{host}:{port}/info", timeout=5) as response:
+                assert json.loads(response.read())["epoch"] == 1
+
 
 class TestDiffHistoryAPI:
-    def _chained(self, epochs=6, keyframe_interval=4):
+    """There is none: ``/info`` describes one publication, ``/diffs`` is gone."""
+
+    def _chained(self, epochs=6):
         config = Configuration(
             shells=(
                 ShellConfig(
@@ -166,7 +189,7 @@ class TestDiffHistoryAPI:
             update_interval_s=5.0,
         )
         calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=keyframe_interval)
+        database = ConstellationDatabase()
         state = calculation.state_at(0.0)
         database.set_state(state)
         for step in range(1, epochs):
@@ -174,37 +197,14 @@ class TestDiffHistoryAPI:
             database.set_state(state, diff=diff)
         return calculation, database, InfoAPI(database, calculation)
 
-    def test_wire_format_matches_diff_history(self):
-        calculation, database, api = self._chained()
-        payload = api.get("/diffs/1")
-        assert payload["since_epoch"] == 1
-        assert payload["epoch"] == database.epoch
-        assert len(payload["diffs"]) == database.epoch - 1
-        chain = database.diffs_since(1)
-        for record, diff in zip(payload["diffs"], chain):
-            assert record["time_s"] == diff.time_s
-            assert record["previous_time_s"] == diff.previous_time_s
-            assert record["summary"] == diff.summary()
-            assert len(record["links_added"]) == diff.topology.links_added.size
-            assert len(record["links_removed"]) == diff.topology.links_removed.size
-            assert len(record["delay_changed"]) == diff.topology.delay_changed.size
-            current = diff.topology.current
-            for a, b, delay in record["delay_changed"][:5]:
-                assert isinstance(a, int) and isinstance(b, int)
-                edge = current.edge_ids_between([a], [b])[0]
-                assert edge >= 0 and current.delays_ms[edge] == delay
-            for a, b, delay, bandwidth in record["links_added"][:5]:
-                assert isinstance(a, int) and isinstance(b, int)
-                edge = current.edge_ids_between([a], [b])[0]
-                assert edge >= 0
-                assert current.delays_ms[edge] == delay
-                assert current.bandwidths_kbps[edge] == bandwidth
-        # Consecutive epochs are numbered contiguously up to the current one.
-        assert [r["epoch"] for r in payload["diffs"]] == list(
-            range(2, database.epoch + 1)
-        )
-        # JSON-serialisable end to end.
-        json.dumps(payload)
+    def test_diffs_route_is_an_unknown_path(self):
+        _, database, api = self._chained()
+        with pytest.raises(InfoAPIError, match="unknown path"):
+            api.get("/diffs/1")
+        info = api.get("/info")
+        assert "keyframe_epochs" not in info
+        assert info["epoch"] == database.epoch
+        assert info["last_diff"] == database.latest_diff.summary()
 
     def test_constellation_info_reads_one_publication(self):
         # /info threads race set_state: the read waits for the database lock
@@ -216,36 +216,10 @@ class TestDiffHistoryAPI:
             reader.start()
             reader.join(timeout=0.3)
             assert reader.is_alive() and not result  # waiting for the lock
-            database.set_state(calculation.state_at(500.0))  # keyframe reset
+            database.set_state(calculation.state_at(500.0))  # full state, no diff
         reader.join(timeout=5.0)
         info = result[0]
         assert (info["epoch"], info["time_s"], info["last_diff"]) == (4, 500.0, None)
-
-    def test_current_epoch_yields_empty_stream(self):
-        _, database, api = self._chained()
-        payload = api.get(f"/diffs/{database.epoch}")
-        assert payload["diffs"] == []
-
-    def test_pruned_and_future_epochs_are_errors(self):
-        _, database, api = self._chained(epochs=12, keyframe_interval=3)
-        with pytest.raises(InfoAPIError) as excinfo:
-            api.get("/diffs/1")  # pruned away
-        assert "keyframe" in str(excinfo.value)
-        with pytest.raises(InfoAPIError):
-            api.get(f"/diffs/{database.epoch + 5}")  # the future
-
-    def test_served_over_http(self):
-        _, database, api = self._chained()
-        with HTTPInfoServer(api) as server:
-            host, port = server.address
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/diffs/1", timeout=5
-            ) as response:
-                payload = json.loads(response.read())
-                assert payload["epoch"] == database.epoch
-                assert len(payload["diffs"]) == database.epoch - 1
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"http://{host}:{port}/diffs/999", timeout=5)
 
 
 class TestAnimation:
@@ -299,9 +273,13 @@ class TestAnimation:
 
 
 class TestKeyframeDiffReplay:
-    """diffs_between / activity_at_epoch: the worker-recovery replay path."""
+    """activity_at_epoch: what worker recovery reads — the current or the
+    previous epoch's masks, nothing older (the database keeps no history)."""
 
-    def _advance(self, keyframe_interval=4, epochs=11, bounding_box=None):
+    FULL_STATE_EPOCH = 7  # published without a diff
+
+    def _advance(self, epochs=12, bounding_box=None):
+        """Yield ``(database, masks_by_epoch)`` after every publication."""
         config = Configuration(
             shells=(
                 ShellConfig(
@@ -318,28 +296,19 @@ class TestKeyframeDiffReplay:
             update_interval_s=5.0,
         )
         calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=keyframe_interval)
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        masks_by_epoch = {1: {s: m.copy() for s, m in state.active_satellites.items()}}
-        for step in range(1, epochs):
-            state, diff = calculation.diff_since(state, step * 60.0)
+        database = ConstellationDatabase()
+        masks_by_epoch = {}
+        state = None
+        for step in range(epochs):
+            if state is None or database.epoch + 1 == self.FULL_STATE_EPOCH:
+                state, diff = calculation.state_at(step * 60.0), None
+            else:
+                state, diff = calculation.diff_since(state, step * 60.0)
             database.set_state(state, diff=diff)
             masks_by_epoch[database.epoch] = {
                 s: m.copy() for s, m in state.active_satellites.items()
             }
-        return database, masks_by_epoch
-
-    def test_diffs_between_bounds_and_chain(self):
-        database, _ = self._advance()
-        chain = database.diffs_between(5, 9)
-        assert len(chain) == 4
-        assert chain == database.diffs_since(5)[:4]
-        assert database.diffs_between(7, 7) == []
-        with pytest.raises(KeyError):
-            database.diffs_between(9, 99)
-        with pytest.raises(KeyError):
-            database.diffs_between(0, 2)  # pruned history
+            yield database, masks_by_epoch
 
     def test_activity_replay_matches_recorded_masks(self):
         import numpy as np
@@ -347,20 +316,29 @@ class TestKeyframeDiffReplay:
         from repro.core import BoundingBox
 
         # A bounding box makes activity genuinely change across epochs.
-        database, masks = self._advance(
-            bounding_box=BoundingBox(-35.0, 35.0, -180.0, -100.0)
+        box = BoundingBox(-35.0, 35.0, -180.0, -100.0)
+        for database, masks in self._advance(bounding_box=box):
+            current = database.epoch
+            for epoch in (current, current - 1):
+                if epoch == 0:
+                    continue
+                answered = database.activity_at_epoch(epoch)
+                assert sorted(answered) == sorted(masks[epoch])
+                for shell, mask in masks[epoch].items():
+                    assert np.array_equal(answered[shell], mask), (current, epoch)
+                    # A copy: the caller ships it, the database keeps its own.
+                    answered[shell][:] = ~answered[shell]
+                    assert np.array_equal(database.activity_at_epoch(epoch)[shell], mask)
+            for epoch in (current - 2, current + 1, 0):
+                with pytest.raises(KeyError):
+                    database.activity_at_epoch(epoch)
+        assert current == 12 and database.latest_diff is not None
+        changed = sum(
+            not np.array_equal(masks[e][0], masks[e + 1][0]) for e in range(1, current)
         )
-        changed = any(
-            not np.array_equal(masks[e][0], masks[e + 1][0])
-            for e in range(4, database.epoch)
-        )
-        assert changed, "scenario too static to exercise the replay"
-        for epoch in range(min(database._keyframes), database.epoch + 1):
-            replayed = database.activity_at_epoch(epoch)
-            for shell, mask in masks[epoch].items():
-                assert np.array_equal(replayed[shell], mask), epoch
+        assert changed >= 3, "scenario too static to tell two epochs apart"
 
     def test_activity_before_retained_history_rejected(self):
-        database, _ = self._advance()
-        with pytest.raises(KeyError, match="keyframe"):
+        *_, (database, _) = self._advance()
+        with pytest.raises(KeyError, match="epoch 1:.*holds epoch 12"):
             database.activity_at_epoch(1)

@@ -230,7 +230,7 @@ def _coordinator(config, incremental, host_count=3):
     coordinator = Coordinator(
         config,
         calculation,
-        ConstellationDatabase(keyframe_interval=5),
+        ConstellationDatabase(),
         managers,
         incremental=incremental,
     )
@@ -327,30 +327,3 @@ class TestShardedCoordinatorEquivalence:
         assert counters_inc == _suspend_resume_counters(managers_full)
         assert sum(suspended for suspended, _ in counters_inc) >= 1
         assert _machine_states(managers_inc) == _machine_states(managers_full)
-
-
-class TestDatabaseDiffHistory:
-    def test_keyframes_and_diff_chain(self):
-        config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=4, retained_keyframes=2)
-        state = calculation.state_at(0.0)
-        database.set_state(state)  # epoch 1: keyframe (no diff)
-        for step in range(1, 12):
-            state, diff = calculation.diff_since(state, step * 5.0)
-            database.set_state(state, diff=diff)
-        assert database.epoch == 12
-        # Keyframes at epochs 1, 5, 9 → the last two are retained.
-        assert database.keyframe_epochs() == [5, 9]
-        chain = database.diffs_since(5)
-        assert len(chain) == 7
-        assert [d.time_s for d in chain] == [25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0]
-        with pytest.raises(KeyError):
-            database.diffs_since(3)  # pruned history
-        with pytest.raises(KeyError):
-            database.diffs_since(99)  # future epoch
-        assert database.latest_diff is chain[-1]
-        assert database.keyframe_state(9).time_s == 40.0
-        info = database.constellation_info()
-        assert info["keyframe_epochs"] == [5, 9]
-        assert info["last_diff"] == chain[-1].summary()

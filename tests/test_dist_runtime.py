@@ -71,7 +71,7 @@ def _coordinator(config, parallelism, host_count=3, worker_count=2, transport=No
     coordinator = Coordinator(
         config,
         calculation,
-        ConstellationDatabase(keyframe_interval=5),
+        ConstellationDatabase(),
         managers,
         parallelism=parallelism,
         worker_count=worker_count,

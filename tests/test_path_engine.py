@@ -17,7 +17,7 @@ each.
 import numpy as np
 import pytest
 
-from repro.core import ConstellationCalculation, ConstellationDatabase
+from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import (
     LinkType,
@@ -330,25 +330,22 @@ class TestEngineOnConstellations:
         assert len(state._extra_paths) == 2  # most recent two survive
 
     def test_engine_survives_keyframe_replay(self):
-        """A retained keyframe state can seed a replay of the diff chain."""
+        """A held full state can seed a replay of the diff chain after it."""
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
         calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=4, retained_keyframes=2)
         state = calculation.state_at(0.0)
-        database.set_state(state)
+        states, diffs = [state], [None]
         for step in range(1, 12):
             state, diff = calculation.diff_since(state, step * 5.0)
-            database.set_state(state, diff=diff)
-        keyframe_epoch = database.keyframe_epochs()[0]
-        replayed = database.keyframe_state(keyframe_epoch).paths
+            states.append(state)
+            diffs.append(diff)
+        replayed = states[4].paths
         engine = PathEngine(sources=replayed.sources)
-        for diff in database.diffs_since(keyframe_epoch):
+        for diff in diffs[5:]:
             replayed = engine.advance(replayed, diff.topology.current, diff.topology)
         sources = replayed.sources
-        _assert_tables_identical(replayed, database.state.graph, sources)
-        assert np.array_equal(
-            replayed._distances, database.state.paths._distances
-        )
+        _assert_tables_identical(replayed, state.graph, sources)
+        assert np.array_equal(replayed._distances, state.paths._distances)
 
 
 def _iridium_graph():

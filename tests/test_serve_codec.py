@@ -24,7 +24,6 @@ from repro.core import (
     ShellConfig,
 )
 from repro.core.constellation import ConstellationDiff
-from repro.core.database import diff_json_record
 from repro.dist import wire
 from repro.dist.wire import FrameKind
 from repro.orbits import GroundStation, ShellGeometry
@@ -33,10 +32,8 @@ from repro.serve import EpochReplica, EpochSnapshot, EpochUpdateCodec
 from repro.serve.codec import (
     CodecError,
     EpochUpdate,
-    changed_nodes,
     encode_diff_update,
     encode_keyframe_update,
-    encode_skip_update,
 )
 from repro.topology.graph import NetworkGraph, NodeIndex
 
@@ -118,7 +115,7 @@ class TestByteIdentity:
     ):
         config = config_factory()
         calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=7)
+        database = ConstellationDatabase()
         state = calculation.state_at(0.0)
         database.set_state(state)
 
@@ -164,7 +161,7 @@ class TestReplicaChaining:
     def test_gapped_diff_rejected_until_keyframe_resync(self):
         config = iridium_configuration()
         calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=2)
+        database = ConstellationDatabase()
         state = calculation.state_at(0.0)
         database.set_state(state)
         replica = EpochReplica()
@@ -182,32 +179,11 @@ class TestReplicaChaining:
             EpochSnapshot.from_state(state, database.epoch)
         )
 
-    def test_skip_marker_advances_the_chain_without_changes(self):
-        config = iridium_configuration()
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase()
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        replica = EpochReplica()
-        replica.apply(database.codec.keyframe_update(1, state=state))
-        before = replica.snapshot()
-        _, diff = advance(calculation, database, state, 30.0)
-        skip = EpochUpdate(FrameKind.DIFF, 2, encode_skip_update(diff, 2))
-        meta, arrays = skip.decoded()
-        assert meta["skip"] is True and arrays == []
-        assert not replica.stale
-        replica.apply(skip)
-        assert replica.stale
-        after = replica.snapshot()
-        assert after.epoch == 2 and after.time_s == diff.time_s
-        assert after.node_a.tobytes() == before.node_a.tobytes()
-        assert after.delay_ms.tobytes() == before.delay_ms.tobytes()
-
 
     def test_diff_onto_a_skipped_link_addition_is_a_codec_error(self):
-        """A replica that was sent a skip marker for an epoch that added
-        links holds a stale link table: the next real diff must surface as
-        the typed resynchronise error, never be applied onto it."""
+        """A replica that never saw the epoch that added links must not be
+        patched by the next one: the chain rule is "epoch + 1 and the link
+        count", and either half alone refuses the frame."""
         config = west_africa_configuration(duration_s=120.0, shells="lowest")
         calculation = ConstellationCalculation(config)
         database = ConstellationDatabase()
@@ -217,106 +193,86 @@ class TestReplicaChaining:
         replica.apply(database.codec.keyframe_update(1, state=state))
         state, diff = advance(calculation, database, state, 2.0)
         replica.apply(database.codec.diff_update(2, diff=diff))
-        state, diff = advance(calculation, database, state, 4.0)
+        held = replica.snapshot()
+        state, diff = advance(calculation, database, state, 4.0)  # never delivered
         assert diff.topology.added_endpoints().tolist() == [[1587, 723], [1588, 723]]
-        replica.apply(EpochUpdate(FrameKind.DIFF, 3, encode_skip_update(diff, 3)))
         state, diff = advance(calculation, database, state, 6.0)
-        with pytest.raises(CodecError, match="resynchronise from a keyframe"):
+        with pytest.raises(CodecError, match="does not chain onto replica epoch 2"):
             replica.apply(database.codec.diff_update(4, diff=diff))
-        # A frame that was refused changed nothing.
-        assert replica.stale and replica.epoch == 3
-        # The keyframe the gateway sends next brings the replica back.
-        replica.apply(database.codec.keyframe_update(4, state=state))
-        assert not replica.stale
-        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
-
-        # The case a link count cannot catch: the skipped epoch adds one link
-        # and removes one, so ``links[0]`` of the next DIFF matches the stale
-        # replica and only the explicit state refuses it.
-        states = [
-            hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (2.0, 1e4, 0)}, 0.0),
-            hand_built_state({(0, 1): (1.0, 1e4, 0), (2, 3): (3.0, 1e4, 0)}, 1.0),
-            hand_built_state({(0, 1): (1.5, 1e4, 0), (2, 3): (3.0, 1e4, 0)}, 2.0),
-        ]
-        replica = EpochReplica()
-        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(states[0], 1)))
-        skipped = hand_built_diff(states[0], states[1])
-        assert skipped.topology.summary()["links_added"] == 1
-        assert skipped.topology.summary()["links_removed"] == 1
-        replica.apply(EpochUpdate(FrameKind.DIFF, 2, encode_skip_update(skipped, 2)))
-        update = EpochUpdate(
-            FrameKind.DIFF, 3, encode_diff_update(hand_built_diff(states[1], states[2]), 3)
-        )
-        assert update.decoded()[0]["links"] == [2, 2]
+        # The same changes under the epoch number the replica expects: the
+        # link count it was computed against is not the one the replica holds.
+        relabelled = EpochUpdate(FrameKind.DIFF, 3, encode_diff_update(diff, 3))
         with pytest.raises(CodecError, match="resynchronise from a keyframe"):
-            replica.apply(update)
-        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 3, encode_keyframe_update(states[2], 3)))
-        assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[2], 3))
+            replica.apply(relabelled)
+        # A frame that was refused changed nothing.
+        assert replica.epoch == 2 and replica.snapshot().same_bits(held)
+        # The keyframe the gateway sends after an eviction brings it back.
+        replica.apply(database.codec.keyframe_update(4, state=state))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
 
 
 class TestCodecCacheAndViews:
-    def test_json_record_matches_info_api_history(self):
-        """`/diffs/<epoch>` is `diff_json_record` over the recorded diff, and
-        reading it encodes nothing."""
-        config = iridium_configuration()
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=4)
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        for step in range(1, 6):
-            state, _ = advance(calculation, database, state, step * 30.0)
-        history = database.diff_history_info(1)
-        assert [r["epoch"] for r in history["diffs"]] == [2, 3, 4, 5, 6]
-        for offset, diff in enumerate(database.diffs_since(1)):
-            assert history["diffs"][offset] == diff_json_record(diff, 2 + offset)
-        assert database.codec.encode_count == 0
-
-    def test_prune_tracks_database_history(self):
-        config = iridium_configuration()
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=2, retained_keyframes=2)
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        for step in range(1, 9):
-            state, diff = advance(calculation, database, state, step * 30.0)
-            database.codec.diff_update(database.epoch, diff=diff)
-        oldest = min(database.keyframe_epochs())
-        assert all(epoch > oldest for epoch in database.codec._diffs)
-        assert all(epoch >= oldest for epoch in database.codec._keyframes)
-        # Pruned epochs are no longer servable from history.
-        with pytest.raises(KeyError):
-            database.codec.diff_update(2)
-
     def test_codec_is_owned_by_the_database(self):
         database = ConstellationDatabase()
         assert isinstance(database.codec, EpochUpdateCodec)
         assert database.codec.encode_count == 0
 
-    def test_publish_racing_a_prune_cannot_reinsert_pruned_epochs(self):
-        config = iridium_configuration()
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase(keyframe_interval=2, retained_keyframes=2)
+    def test_memo_holds_one_epoch_after_thirty_publications(self):
+        calculation = ConstellationCalculation(iridium_configuration())
+        database = ConstellationDatabase()
+        codec = database.codec
         state = calculation.state_at(0.0)
         database.set_state(state)
-        first_state = state
-        first_diff = None
-        for step in range(1, 9):
+        codec.keyframe_update(1, state=state)
+        for step in range(1, 30):
             state, diff = advance(calculation, database, state, step * 30.0)
-            if first_diff is None:
-                first_diff = diff
-        oldest = min(database.keyframe_epochs())
-        assert oldest > 2
-        # A publish that lost the race against history pruning still gets a
-        # usable update, but must not re-populate the cache with an epoch
-        # that would then never be pruned again.
-        keyframe = database.codec.keyframe_update(1, state=first_state)
-        assert keyframe.epoch == 1 and keyframe.data
-        diff_update = database.codec.diff_update(2, diff=first_diff)
-        assert diff_update.epoch == 2 and diff_update.data
-        assert 1 not in database.codec._keyframes
-        assert 2 not in database.codec._diffs
-        assert all(epoch >= oldest for epoch in database.codec._keyframes)
-        assert all(epoch > oldest for epoch in database.codec._diffs)
+            update = codec.diff_update(database.epoch, diff=diff)
+            resync = codec.keyframe_update(database.epoch, state=state)
+            # One epoch's bytes, not a window of them.
+            assert codec._epoch == database.epoch == step + 1
+            assert codec._frames == {FrameKind.DIFF: update.data, FrameKind.KEYFRAME: resync.data}
+        assert codec.encode_count == 1 + 2 * 29
+        # Without state=/diff= the codec answers the current epoch (from the
+        # memo) and no other: the database holds nothing to encode one from.
+        assert codec.diff_update(30).data is update.data
+        assert codec.keyframe_update().data is resync.data
+        assert codec.encode_count == 1 + 2 * 29
+        for epoch in (29, 31):
+            with pytest.raises(KeyError):
+                codec.diff_update(epoch)
+            with pytest.raises(KeyError):
+                codec.keyframe_update(epoch)
+        database.set_state(calculation.state_at(0.0))  # full state: no diff to encode
+        with pytest.raises(KeyError):
+            codec.diff_update(31)
+        assert codec.keyframe_update().epoch == 31 and list(codec._frames) == [FrameKind.KEYFRAME]
+
+    def test_late_request_for_an_older_epoch_is_not_memoised(self):
+        """A publication can still be queued on the gateway's loop when a
+        SUBSCRIBE has already asked for a newer epoch's keyframe."""
+        calculation = ConstellationCalculation(iridium_configuration())
+        database = ConstellationDatabase()
+        codec = database.codec
+        first_state = calculation.state_at(0.0)
+        database.set_state(first_state)
+        second_state, first_diff = advance(calculation, database, first_state, 30.0)
+        state, diff = advance(calculation, database, second_state, 60.0)
+        newest = codec.keyframe_update(3, state=state)
+        newest_diff = codec.diff_update(3, diff=diff)
+        assert codec.encode_count == 2
+        late = codec.keyframe_update(1, state=first_state)
+        assert late.epoch == 1 and late.data == encode_keyframe_update(first_state, 1)
+        late_diff = codec.diff_update(2, diff=first_diff)
+        assert late_diff.epoch == 2 and late_diff.data == encode_diff_update(first_diff, 2)
+        assert codec.encode_count == 4
+        # Asked again, encoded again: only the newest epoch is remembered ...
+        codec.keyframe_update(1, state=first_state)
+        assert codec.encode_count == 5
+        # ... and it was not displaced.
+        assert codec._epoch == 3
+        assert codec.keyframe_update(3, state=state).data is newest.data
+        assert codec.diff_update(3, diff=diff).data is newest_diff.data
+        assert codec.encode_count == 5
 
     def test_concurrent_encodes_stay_exactly_once(self):
         config = iridium_configuration()
@@ -358,37 +314,6 @@ class TestScientificSanity:
         assert np.all(snapshot.delay_ms > 0)
         # ISL delays are bounded by a bent-pipe worst case of a few 100 ms.
         assert np.all(snapshot.delay_ms < 1000.0)
-
-
-class TestChangedNodes:
-    def test_equals_the_endpoints_of_the_topology_diff(self):
-        """The scope filter's touched nodes are the endpoints of every link
-        the diff names — on an epoch that adds/removes links and on one
-        that only moves delays."""
-        config = iridium_configuration()
-        calculation = ConstellationCalculation(config)
-        database = ConstellationDatabase()
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        seen = set()
-        for step in range(1, 25):
-            state, diff = advance(calculation, database, state, step * 30.0)
-            topology = diff.topology
-            expected = np.unique(
-                np.concatenate(
-                    [
-                        topology.added_endpoints().reshape(-1),
-                        topology.removed_endpoints().reshape(-1),
-                        topology.delay_changed_endpoints().reshape(-1),
-                        topology.bandwidth_changed_endpoints().reshape(-1),
-                    ]
-                )
-            )
-            touched = changed_nodes(topology)
-            assert touched.dtype == np.int64
-            assert np.array_equal(touched, expected)
-            seen.add(topology.is_structural_noop)
-        assert seen == {True, False}
 
 
 # -- bit-exactness where the pipeline never goes --------------------------------
@@ -584,76 +509,3 @@ class TestFrameBudget:
         assert max(sizes) <= diff_budget, sizes
         resync = database.codec.keyframe_update(database.epoch, state=state)
         assert max(len(keyframe.data), len(resync.data)) <= keyframe_budget
-
-
-class TestJsonView:
-    def test_records_are_the_topology_diff_and_replay_to_the_replicas_links(self):
-        """24 Iridium epochs, structural and delay-only: every ``/diffs``
-        record equals rows read straight off ``diff.topology``, and a
-        consumer that replays the rows holds the links of a replica that
-        was fed the frames."""
-        calculation = ConstellationCalculation(iridium_configuration())
-        database = ConstellationDatabase(keyframe_interval=40)
-        state = calculation.state_at(0.0)
-        database.set_state(state)
-        replica = EpochReplica()
-        replica.apply(database.codec.keyframe_update(1, state=state))
-        first = replica.snapshot()
-        links = {
-            (a, b): [delay, bandwidth]
-            for a, b, delay, bandwidth in zip(
-                first.node_a.tolist(),
-                first.node_b.tolist(),
-                first.delay_ms.tolist(),
-                first.bandwidth_kbps.tolist(),
-            )
-        }
-        diffs = []
-        for step in range(1, 25):
-            state, diff = advance(calculation, database, state, step * 30.0)
-            diffs.append(diff)
-        records = database.diff_history_info(1)["diffs"]
-        assert len(records) == 24
-
-        def rows(graph, edge_ids, *columns):
-            return [
-                [int(graph.node_a[e]), int(graph.node_b[e]), *(float(c[e]) for c in columns)]
-                for e in edge_ids
-            ]
-
-        seen = set()
-        for record, diff in zip(records, diffs):
-            topology = diff.topology
-            current, previous = topology.current, topology.previous
-            assert record["links_added"] == rows(
-                current, topology.links_added, current.delays_ms, current.bandwidths_kbps
-            )
-            assert record["links_removed"] == rows(previous, topology.links_removed)
-            assert record["delay_changed"] == rows(
-                current, topology.delay_changed, current.delays_ms
-            )
-            assert record["bandwidth_changed"] == rows(
-                current, topology.bandwidth_changed, current.bandwidths_kbps
-            )
-            assert record["summary"] == diff.summary()
-            assert record["activated"] == {
-                str(shell): ids.tolist() for shell, ids in diff.activated.items()
-            }
-
-            for a, b, delay, bandwidth in record["links_added"]:
-                links[min(a, b), max(a, b)] = [delay, bandwidth]
-            for a, b in record["links_removed"]:
-                del links[min(a, b), max(a, b)]
-            for a, b, delay in record["delay_changed"]:
-                links[min(a, b), max(a, b)][0] = delay
-            for a, b, bandwidth in record["bandwidth_changed"]:
-                links[min(a, b), max(a, b)][1] = bandwidth
-            replica.apply(database.codec.diff_update(record["epoch"], diff=diff))
-            held = replica.snapshot()
-            assert sorted(links) == list(zip(held.node_a.tolist(), held.node_b.tolist()))
-            assert [links[key] for key in sorted(links)] == [
-                list(pair) for pair in zip(held.delay_ms.tolist(), held.bandwidth_kbps.tolist())
-            ]
-            seen.add(topology.is_structural_noop)
-        assert [record["epoch"] for record in records] == list(range(2, 26))
-        assert seen == {True, False}

@@ -1,14 +1,15 @@
 """End-to-end tests of the streaming gateway over real sockets.
 
 Covers the serving-tier contract: shared-bytes fan-out with bit-exact
-client reconstruction, slow-client eviction with keyframe resync, scoped
-subscriptions (bounding box and ground-station view) that keep the epoch
-chain unbroken via skip markers, the shared-secret subscription handshake
-and warm-table path queries with per-client cache attribution — plus the
-database staying torn-read-free under concurrent info-API readers.
+client reconstruction, slow-client eviction with keyframe resync, the
+refusal of the removed scoped subscriptions, the shared-secret subscription
+handshake and warm-table path queries with per-client cache attribution —
+plus the database staying torn-read-free under concurrent info-API readers
+and the server's start-up failing fast on a taken port.
 """
 
 import asyncio
+import contextlib
 import pickle
 import socket
 import struct
@@ -24,19 +25,15 @@ from repro.core import (
     ConstellationDatabase,
     GroundStationConfig,
     InfoAPI,
-    InfoAPIError,
     NetworkParams,
     ShellConfig,
 )
-from repro.core.bounding_box import BoundingBox
 from repro.orbits import GroundStation, ShellGeometry
-from repro.scenarios import west_africa_configuration
 from repro.dist import wire
 from repro.dist.transport import LENGTH_PREFIX, frame as stream_frame
-from repro.serve import EpochSnapshot, gateway as gateway_module
+from repro.serve import EpochSnapshot
 from repro.serve.client import SubscriptionClient, SubscriptionError
-from repro.serve.codec import EpochUpdate, changed_nodes
-from repro.serve.gateway import GatewayServer, StreamGateway, _Subscription
+from repro.serve.gateway import GatewayError, GatewayServer, StreamGateway, _Subscription
 
 
 def iridium_configuration() -> Configuration:
@@ -62,7 +59,7 @@ def testbed_core():
     """Calculation + database seeded with epoch 1."""
     config = iridium_configuration()
     calculation = ConstellationCalculation(config)
-    database = ConstellationDatabase(keyframe_interval=5)
+    database = ConstellationDatabase()
     state = calculation.state_at(0.0)
     database.set_state(state)
     return config, calculation, database, state
@@ -168,199 +165,47 @@ class TestStreaming:
                 client.close()
 
 
-class TestScopedSubscriptions:
-    def test_bbox_scope_receives_skip_markers_and_stays_chained(self, testbed_core):
+class TestScopeIsRefused:
+    @pytest.mark.parametrize(
+        "scope",
+        [
+            {"kind": "bbox", "lat_min": -2.0, "lat_max": 2.0, "lon_min": 0.0, "lon_max": 4.0},
+            {"kind": "gst", "name": "hawaii"},
+            {},
+        ],
+        ids=["bbox", "gst", "empty"],
+    )
+    def test_scope_subscribe_is_an_error_and_others_keep_streaming(
+        self, testbed_core, monkeypatch, scope
+    ):
+        """A v5-style SUBSCRIBE asking for a filtered stream is told it is
+        gone — never silently handed the full one."""
         _, calculation, database, state = testbed_core
-        scope = {
-            "kind": "bbox",
-            "lat_min": -2.0,
-            "lat_max": 2.0,
-            "lon_min": 0.0,
-            "lon_max": 4.0,
-        }
+        encode_frame = wire.encode_frame
+
+        def old_client_encode(kind, meta=None, arrays=()):
+            if kind is wire.FrameKind.SUBSCRIBE:
+                meta = {**meta, "scope": scope}
+            return encode_frame(kind, meta, arrays)
+
         with GatewayServer(database) as server:
             host, port = server.address
-            with SubscriptionClient(host, port, client_id="boxed", scope=scope) as client:
-                client.sync_to_epoch(1)
-                for step in range(1, 7):
-                    state = advance(calculation, database, state, step * 30.0)
-                updates = client.sync_to_epoch(database.epoch)
-                skip_count = sum(
-                    1 for u in updates if u.decoded()[0].get("skip")
-                )
-                stats = server.statistics()["clients"]["boxed"]
-                assert stats["skipped"] == skip_count
-                # Every epoch reached the client, in-scope or not.
-                assert client.replica.epoch == database.epoch
-                assert client.replica.time_s == state.time_s
-
-    def test_gst_scope_delivers_epochs_touching_the_station(self, testbed_core):
-        _, calculation, database, state = testbed_core
-        with GatewayServer(database) as server:
-            host, port = server.address
-            scope = {"kind": "gst", "name": "hawaii"}
-            with SubscriptionClient(host, port, client_id="gst", scope=scope) as client:
-                client.sync_to_epoch(1)
-                for step in range(1, 7):
-                    state = advance(calculation, database, state, step * 30.0)
-                updates = client.sync_to_epoch(database.epoch)
-                assert client.replica.epoch == database.epoch
-                # Full diffs and skip markers partition the epoch stream.
-                full = [u for u in updates if not u.decoded()[0].get("skip")]
-                stats = server.statistics()["clients"]["gst"]
-                assert stats["skipped"] == len(updates) - len(full)
-
-
-    def test_skipped_epoch_that_added_a_link_resyncs_from_a_keyframe(self, testbed_core):
-        """A skip marker leaves the scoped client's link table stale; its
-        next in-scope epoch must arrive as a keyframe (a diff moving the
-        delay of the link added meanwhile could not be applied), after
-        which the diff stream resumes and the replica is bit-exact."""
-        _, calculation, database, state = testbed_core
-        with GatewayServer(database) as server:
-            host, port = server.address
-            skipped_times = set()
-            # No Iridium geometry puts a link addition out of scope on a
-            # fixed epoch, so the scope verdict is stubbed for that epoch.
-            server.gateway._in_scope = (
-                lambda subscription, state, diff, touched: subscription.scope is None
-                or diff.time_s not in skipped_times
-            )
-            scope = {"kind": "gst", "name": "hawaii"}
-            with SubscriptionClient(host, port, client_id="scoped", scope=scope) as scoped, \
-                    SubscriptionClient(host, port, client_id="full") as full:
-                scoped.sync_to_epoch(1)
+            with SubscriptionClient(host, port, client_id="full") as full:
                 full.sync_to_epoch(1)
-                skipped_epoch = None
-                for step in range(1, 40):
-                    next_state, diff = calculation.diff_since(state, step * 30.0)
-                    if skipped_epoch is None and diff.topology.links_added.size:
-                        skipped_times.add(diff.time_s)
-                        skipped_epoch = database.epoch + 1
-                    database.set_state(next_state, diff=diff)
-                    state = next_state
-                    if skipped_epoch is not None and database.epoch == skipped_epoch + 2:
-                        break
-                assert skipped_epoch is not None
-                updates = {u.epoch: u for u in scoped.sync_to_epoch(database.epoch)}
-                assert updates[skipped_epoch].decoded()[0].get("skip") is True
-                assert updates[skipped_epoch + 1].kind is wire.FrameKind.KEYFRAME
-                assert updates[skipped_epoch + 2].kind is wire.FrameKind.DIFF
-                assert not updates[skipped_epoch + 2].decoded()[0].get("skip")
-                assert scoped.replica.snapshot().same_bits(
+                with monkeypatch.context() as patched:
+                    patched.setattr(wire, "encode_frame", old_client_encode)
+                    with pytest.raises(SubscriptionError, match="scope"):
+                        SubscriptionClient(host, port, client_id="scoped", timeout_s=5.0)
+                with pytest.raises(TypeError):
+                    SubscriptionClient(host, port, client_id="scoped", scope=scope)
+                stats = server.statistics()
+                assert stats["rejected_subscriptions"] == 1
+                assert list(stats["clients"]) == ["full"]
+                state = advance(calculation, database, state, 30.0)
+                full.sync_to_epoch(database.epoch)
+                assert full.replica.snapshot().same_bits(
                     EpochSnapshot.from_state(state, database.epoch)
                 )
-                # Unscoped subscribers still get exactly one DIFF per epoch.
-                plain = full.sync_to_epoch(database.epoch)
-                assert [u.epoch for u in plain] == list(range(2, database.epoch + 1))
-                assert all(u.kind is wire.FrameKind.DIFF for u in plain)
-                stats = server.statistics()["clients"]["scoped"]
-                assert stats["skipped"] == 1 and stats["evictions"] == 0
-
-
-def _subscribe_locally(gateway, client_id, scope=None, ground_station=None):
-    """Register a subscription on a gateway that is not listening."""
-    subscription = _Subscription(
-        client_id=client_id,
-        queue=asyncio.Queue(64),
-        scope=scope,
-        ground_station=ground_station,
-        last_epoch=gateway.database.epoch,
-    )
-    gateway._subscriptions[client_id] = subscription
-    return subscription
-
-
-class TestTouchedNodesOnDemand:
-    def test_unscoped_fanout_never_decodes_or_collects_touched_nodes(
-        self, testbed_core, monkeypatch
-    ):
-        _, calculation, database, state = testbed_core
-        gateway = StreamGateway(database)
-        plain = [_subscribe_locally(gateway, f"plain-{i}") for i in range(2)]
-        calls = []
-        monkeypatch.setattr(
-            EpochUpdate, "decoded", lambda self: pytest.fail("publish decoded its own frame")
-        )
-        monkeypatch.setattr(
-            gateway_module,
-            "changed_nodes",
-            lambda topology: calls.append(topology) or changed_nodes(topology),
-        )
-        for step in range(1, 4):
-            state, diff = calculation.diff_since(state, step * 30.0)
-            database.set_state(state, diff=diff)
-            gateway.publish(database.epoch, state, diff)
-        assert calls == []
-        assert [subscription.queue.qsize() for subscription in plain] == [3, 3]
-        # Scoped subscriptions share one pass per epoch; a closed one is
-        # not a reason to make it.
-        scope = {"kind": "gst", "name": "hawaii"}
-        for name in ("scoped-a", "scoped-b"):
-            _subscribe_locally(gateway, name, scope=scope, ground_station="hawaii")
-        state, diff = calculation.diff_since(state, 120.0)
-        database.set_state(state, diff=diff)
-        gateway.publish(database.epoch, state, diff)
-        assert calls == [diff.topology]
-        for name in ("scoped-a", "scoped-b"):
-            gateway._subscriptions[name].closed = True
-        state, diff = calculation.diff_since(state, 150.0)
-        database.set_state(state, diff=diff)
-        gateway.publish(database.epoch, state, diff)
-        assert len(calls) == 1
-
-
-def _per_node_bbox_verdict(bbox, state, diff, touched):
-    """The box verdict worked out one ``describe()`` per satellite."""
-    index = state.node_index
-    nodes = {int(node) for node in touched if node < index.satellite_count}
-    for shell, ids in (*diff.activated.items(), *diff.deactivated.items()):
-        nodes.update(index.shell_offset(shell) + int(identifier) for identifier in ids)
-    if not nodes:
-        return True
-    return any(
-        bool(bbox.contains_ecef(state.satellite_positions_ecef[shell][[identifier]])[0])
-        for _, shell, identifier in map(index.describe, sorted(nodes))
-    )
-
-
-class TestBoundingBoxScopeVerdict:
-    @pytest.mark.parametrize(
-        "config_factory,step_s,empty_box",
-        [
-            pytest.param(
-                lambda: west_africa_configuration(duration_s=60.0, shells="lowest"),
-                2.0,
-                # Poleward of a 53° shell.
-                BoundingBox(lat_min=70.0, lat_max=80.0, lon_min=-20.0, lon_max=20.0),
-                id="west-africa-lowest",
-            ),
-            pytest.param(
-                iridium_configuration,
-                30.0,
-                BoundingBox(lat_min=-1.0, lat_max=1.0, lon_min=100.0, lon_max=102.0),
-                id="iridium",
-            ),
-        ],
-    )
-    def test_stacked_positions_give_the_per_node_verdict(
-        self, config_factory, step_s, empty_box
-    ):
-        calculation = ConstellationCalculation(config_factory())
-        database = ConstellationDatabase()
-        gateway = StreamGateway(database)
-        occupied_box = BoundingBox(lat_min=-60.0, lat_max=60.0, lon_min=-179.0, lon_max=179.0)
-        state = calculation.state_at(0.0)
-        for step in range(1, 4):
-            state, diff = calculation.diff_since(state, step * step_s)
-            touched = changed_nodes(diff.topology)
-            for bbox, expected in ((occupied_box, True), (empty_box, False)):
-                subscription = _Subscription(
-                    client_id="boxed", queue=asyncio.Queue(1), scope={}, bbox=bbox
-                )
-                verdict = gateway._in_scope(subscription, state, diff, touched)
-                assert verdict is _per_node_bbox_verdict(bbox, state, diff, touched)
-                assert verdict is expected
 
 
 class TestAuth:
@@ -572,50 +417,96 @@ class TestQueries:
                 )
 
 
+class _PublishesOnRelease(ConstellationDatabase):
+    """A database whose lock, once released by a reader, is immediately
+    followed by the next publication — the interleaving a torn read needs."""
+
+    next_publication = None
+
+    @property
+    @contextlib.contextmanager
+    def lock(self):
+        with self._lock:
+            yield
+        publication, self.next_publication = self.next_publication, None
+        if publication is not None:
+            self.set_state(*publication)
+
+
+class TestQueryReadsOnePublication:
+    def test_reply_names_the_epoch_its_delay_was_computed_from(self):
+        calculation = ConstellationCalculation(iridium_configuration())
+        database = _PublishesOnRelease()
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        database.next_publication = calculation.diff_since(state, 30.0)
+        next_state = database.next_publication[0]
+        gateway = StreamGateway(database)
+        subscription = _Subscription(client_id="asker", queue=asyncio.Queue(4))
+        hawaii, buoy = calculation.ground_station("hawaii"), calculation.ground_station("buoy-0")
+        reply = gateway._answer_query(subscription, {"source": "hawaii", "destination": "buoy-0"})
+        assert database.epoch == 2  # the publication slipped in behind the read
+        assert next_state.path(hawaii, buoy).delay_ms != state.path(hawaii, buoy).delay_ms
+        assert (reply["epoch"], reply["delay_ms"]) == (1, state.path(hawaii, buoy).delay_ms)
+        reply = gateway._answer_query(subscription, {"source": "hawaii", "destination": "buoy-0"})
+        assert (reply["epoch"], reply["delay_ms"]) == (2, next_state.path(hawaii, buoy).delay_ms)
+
+
+class TestStartFailure:
+    def test_taken_port_fails_fast_with_the_cause_and_no_thread_left(self, testbed_core):
+        _, _, database, _ = testbed_core
+        threads_before = threading.active_count()
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            server = GatewayServer(database, port=port)
+            started_at = time.monotonic()
+            with pytest.raises(GatewayError, match=f"127.0.0.1:{port}") as excinfo:
+                server.start()
+            assert time.monotonic() - started_at < 2.0
+            assert isinstance(excinfo.value.__cause__, OSError)
+            assert threading.active_count() == threads_before
+            server.stop()  # nothing to stop, nothing to raise
+        # Nothing is hooked to the database either.
+        database.set_state(database.state)
+        assert server.gateway.published_epochs == 0
+
+
 class TestConcurrentInfoReaders:
     def test_no_torn_diff_reads_while_epochs_advance(self, testbed_core):
+        """``/info`` names the epoch, clock and diff summary of ONE
+        publication, however the readers interleave with ``set_state``."""
         config, calculation, database, state = testbed_core
         api = InfoAPI(database, calculation)
         stop = threading.Event()
         failures: list[str] = []
+        #: epoch -> (time_s, diff summary), written before the epoch is published.
+        published = {1: (state.time_s, None)}
+        seen: set[int] = set()
 
         def reader():
             while not stop.is_set():
-                epochs = database.keyframe_epochs()
-                if epochs != sorted(epochs):
-                    failures.append(f"unsorted keyframes {epochs}")
+                info = api.get("/info")
+                got = (info["time_s"], info["last_diff"])
+                if got != published[info["epoch"]]:
+                    failures.append(f"torn /info at epoch {info['epoch']}: {got}")
                     return
-                try:
-                    history = api.get(f"/diffs/{min(epochs)}")
-                except InfoAPIError as error:
-                    # The keyframe we picked can be pruned between the two
-                    # calls; the API answers with the resync protocol, not
-                    # a torn read.  Retry from a fresh keyframe.
-                    if "resynchronise" in str(error):
-                        continue
-                    failures.append(str(error))
-                    return
-                records = history["diffs"]
-                got = [r["epoch"] for r in records]
-                want = list(
-                    range(history["since_epoch"] + 1, history["epoch"] + 1)
-                )
-                if got != want:
-                    failures.append(f"torn history: {got} != {want}")
-                    return
-                for record in records:
-                    if record["summary"]["links_added"] != len(record["links_added"]):
-                        failures.append("record inconsistent with its summary")
-                        return
+                seen.add(info["epoch"])
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:
             thread.start()
         try:
             for step in range(1, 40):
-                state = advance(calculation, database, state, step * 15.0)
+                next_state, diff = calculation.diff_since(state, step * 15.0)
+                published[database.epoch + 1] = (next_state.time_s, diff.summary())
+                database.set_state(next_state, diff=diff)
+                state = next_state
+                time.sleep(0.001)  # let the readers at it
         finally:
             stop.set()
             for thread in threads:
                 thread.join(timeout=10.0)
         assert not failures, failures[0]
+        assert len(seen) > 1, "the readers never saw the epochs advance"
