@@ -13,15 +13,22 @@ what the seam costs — the price of exercising the remote-worker protocol,
 not a race one side could win.  Constellation math is identical on both
 sides and excluded.
 
+It also records the set-up epoch, the one that creates all 4,409 satellite
+microVMs: ``setup_epoch_ms`` per backend and, for the process backend,
+``control_frames`` — the control-ledger frames per worker after it (every
+lifecycle operation of a flush rides one ``CONTROL`` frame, so one each).
+
 The measurements are always written to ``BENCH_dist.json`` (path
 overridable via the ``BENCH_DIST_JSON`` environment variable).  The
-functional claim — both backends drive the same 4,414 machines to identical
-per-manager counters — is a hard assert; the timings are recorded, never
-gated.
+functional claims — both backends drive the same 4,414 machines to identical
+per-manager counters, the set-up epoch is one control frame per worker and
+the workers' RNG streams stand where the shadows' do — are hard asserts; the
+timings are recorded, never gated.
 """
 
 import json
 import os
+import time
 
 import numpy as np
 
@@ -63,7 +70,17 @@ def _run_backend(parallelism: str) -> dict:
     try:
         coordinator.create_ground_stations(0.0)
         # Epoch 1: full replay; creates all 4,409 satellite microVMs.
+        started = time.perf_counter()
         coordinator.update(0.0)
+        setup_epoch_ms = (time.perf_counter() - started) * 1000
+        control_frames = None
+        if parallelism == "processes":
+            backend = coordinator._backend
+            control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
+            workers = backend.worker_counters()
+            assert [workers[position]["rng_state"] for position in range(HOSTS)] == [
+                shadow._rng.bit_generator.state for shadow in backend.shadows
+            ]
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         for step in range(1, EPOCHS + 1):
             now = step * config.update_interval_s
@@ -83,6 +100,8 @@ def _run_backend(parallelism: str) -> dict:
             "machines": machines,
             "counters": counters,
             "epochs": EPOCHS,
+            "setup_epoch_ms": setup_epoch_ms,
+            "control_frames": control_frames,
             "fanout_seconds": fanout,
             "sample_seconds": samples,
             "fanout_ms_median": float(np.median(fanout)) * 1000,
@@ -97,6 +116,7 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded():
     processes = _run_backend("processes")
     assert threads["machines"] == processes["machines"] == 4409 + 5
     assert threads["counters"] == processes["counters"]
+    assert processes["control_frames"] == [1] * HOSTS
 
     results = {
         "scenario": "full-starlink-per-host-sweep",
@@ -118,5 +138,7 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded():
         f"{threads['fanout_ms_median']:.3f} ms | workers "
         f"{processes['fanout_ms_median']:.3f} ms; usage sample: in process "
         f"{threads['sample_ms_median']:.3f} ms | workers "
-        f"{processes['sample_ms_median']:.3f} ms -> {artifact}"
+        f"{processes['sample_ms_median']:.3f} ms; set-up epoch: in process "
+        f"{threads['setup_epoch_ms']:.0f} ms | workers "
+        f"{processes['setup_epoch_ms']:.0f} ms -> {artifact}"
     )

@@ -30,8 +30,9 @@ on a TCP stream.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
   restart under a bounded, decaying budget.  A restarted worker is rebuilt
-  from the durable control ledger and restored from the constellation
-  database's keyframe + diff chain plus its last acknowledged checkpoint.
+  from the durable control ledger (one ``CONTROL`` frame per flush of
+  lifecycle operations) and restored to its last acknowledged checkpoint
+  with that epoch's activity masks from the constellation database.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and

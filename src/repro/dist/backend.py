@@ -39,30 +39,31 @@ created after a sample seed identically everywhere, so even sub-second boot
 jitter is backend-invariant.  Returned usage samples are recorded into the
 shadow hosts' traces so observability (``resource_traces()``) is
 backend-agnostic.  After every fan-out the backend verifies the workers'
-counters and reconciliation results against the shadows and raises
-:class:`WorkerDesyncError` on any divergence, which turns the
-backend-equivalence guarantee (and the correctness of crash recovery from
-the checkpoint epoch's activity masks) into a runtime invariant.
+counters, RNG stream positions and reconciliation results against the
+shadows and raises :class:`WorkerDesyncError` on any divergence, which turns
+the backend-equivalence guarantee (and the correctness of crash recovery
+from the checkpoint epoch's activity masks) into a runtime invariant.
 
 Lifecycle operations arriving through :class:`MirroredManager` (the proxy
 the coordinator hands out in process mode) are applied to the shadow and
-forwarded to the owning worker as durable control frames, in program order
-— which is what keeps the worker RNG streams in lockstep with what a
-single-process run would have drawn.
+buffered per worker, in program order, as rows of a
+:class:`~repro.dist.wire.ControlBatch`; the batch is flushed as one durable
+``CONTROL`` frame before that worker's next request.  The worker runs the
+rows in the same order, which is what keeps its RNG streams in lockstep
+with what a single-process run would have drawn.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
-from repro.core.constellation import ConstellationState, MachineId
+from repro.core.constellation import ConstellationState
 from repro.core.machine_manager import HostStateSlice, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist import wire
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
-from repro.dist.wire import FrameKind
+from repro.dist.wire import ControlBatch, ControlOp, FrameKind
 from repro.dist.worker import HostSpec, WorkerSpec
 
 
@@ -129,87 +130,61 @@ class MirroredManager:
     """Coordinator-side proxy of a worker-owned manager.
 
     Lifecycle operations are applied to the in-process shadow (placement,
-    dirty tracking, machine states) *and* forwarded to the owning worker as
-    durable control frames; reads delegate to the shadow.  Slices and usage
-    sweeps do not go through the proxy but through the backend
-    (:meth:`ProcessFanoutBackend.apply_slices` / ``sample_all``): a sample is
-    drawn from the worker's RNG stream and recorded into the shadow host's
-    trace.
+    dirty tracking, machine states) *and* appended as rows to the owning
+    worker's :class:`~repro.dist.wire.ControlBatch`; reads delegate to the
+    shadow.  Slices and usage sweeps do not go through the proxy but through
+    the backend (:meth:`ProcessFanoutBackend.apply_slices` / ``sample_all``):
+    a sample is drawn from the worker's RNG stream and recorded into the
+    shadow host's trace.
     """
 
-    def __init__(self, shadow: MachineManager, backend: "ProcessFanoutBackend", position: int):
+    def __init__(
+        self, shadow: MachineManager, supervisor: WorkerSupervisor, worker: int, position: int
+    ):
         self._shadow = shadow
-        self._backend = backend
+        self._supervisor = supervisor
+        self._worker = worker
         self.position = position
 
     def __getattr__(self, name):
         return getattr(self._shadow, name)
 
-    @staticmethod
-    def _identity(machine_id: MachineId) -> dict:
-        return {
-            "shell": machine_id.shell,
-            "identifier": machine_id.identifier,
-            "name": machine_id.name,
-        }
+    def _control(self) -> ControlBatch:
+        return self._supervisor.control(self._worker)
 
     def create_machine(self, machine_id, compute, kernel=None, rootfs=None):
         machine = self._shadow.create_machine(machine_id, compute, kernel, rootfs)
-        # kernel/rootfs are small frozen dataclasses: their fields ride the
-        # metadata blob so the worker's authoritative copy (and every ledger
-        # replay) is built from the same images as the shadow.
-        self._backend.forward(
-            self.position,
-            FrameKind.CREATE_MACHINE,
-            {
-                **self._identity(machine_id),
-                "compute": dataclasses.asdict(compute),
-                "kernel": None if kernel is None else dataclasses.asdict(kernel),
-                "rootfs": None if rootfs is None else dataclasses.asdict(rootfs),
-            },
-        )
+        # The images ride the frame too, so the worker's authoritative copy
+        # (and every ledger replay) is built from the shadow's images.
+        self._control().create(self.position, machine_id, compute, kernel, rootfs)
         return machine
 
     def boot(self, machine_id, now_s: float) -> float:
         finished = self._shadow.boot(machine_id, now_s)
-        self._backend.forward(
-            self.position, FrameKind.BOOT, {**self._identity(machine_id), "now_s": now_s}
-        )
+        self._control().append(ControlOp.BOOT, self.position, machine_id, now_s)
         return finished
 
     def boot_all(self, now_s: float) -> float:
         finished = self._shadow.boot_all(now_s)
-        self._backend.forward(self.position, FrameKind.BOOT_ALL, {"now_s": now_s})
+        self._control().append(ControlOp.BOOT_CREATED, self.position, value=now_s)
         return finished
 
     def stop_machine(self, machine_id, now_s: float) -> None:
         self._shadow.stop_machine(machine_id, now_s)
-        self._backend.forward(
-            self.position, FrameKind.STOP, {**self._identity(machine_id), "now_s": now_s}
-        )
+        self._control().append(ControlOp.STOP, self.position, machine_id, now_s)
 
     def reboot_machine(self, machine_id, now_s: float) -> float:
         finished = self._shadow.reboot_machine(machine_id, now_s)
-        self._backend.forward(
-            self.position, FrameKind.REBOOT, {**self._identity(machine_id), "now_s": now_s}
-        )
+        self._control().append(ControlOp.REBOOT, self.position, machine_id, now_s)
         return finished
 
     def set_cpu_quota(self, machine_id, quota_fraction: float) -> None:
         self._shadow.set_cpu_quota(machine_id, quota_fraction)
-        self._backend.forward(
-            self.position,
-            FrameKind.SET_CPU_QUOTA,
-            {**self._identity(machine_id), "quota_fraction": quota_fraction},
-        )
+        self._control().append(ControlOp.CPU_QUOTA, self.position, machine_id, quota_fraction)
 
     def set_busy_fraction(self, machine_id, fraction: float) -> None:
         self._shadow.set_busy_fraction(machine_id, fraction)
-        self._backend.forward(
-            self.position,
-            FrameKind.SET_BUSY,
-            {**self._identity(machine_id), "fraction": fraction},
-        )
+        self._control().append(ControlOp.BUSY, self.position, machine_id, fraction)
 
     def apply_state(self, *args, **kwargs) -> None:
         raise NotImplementedError(
@@ -283,7 +258,7 @@ class ProcessFanoutBackend:
             transport=transport,
         )
         self._proxies = [
-            MirroredManager(shadow, self, position)
+            MirroredManager(shadow, self.supervisor, self._worker_of[position], position)
             for position, shadow in enumerate(self._shadows)
         ]
         self._closed = False
@@ -302,14 +277,14 @@ class ProcessFanoutBackend:
     def _dirty_names(self, position: int) -> set[str]:
         return set(self._shadows[position]._dirty)
 
-    def forward(self, position: int, kind: FrameKind, meta: dict) -> None:
-        """Forward one durable control frame to the owning worker."""
-        self.supervisor.post(
-            self._worker_of[position], kind, {**meta, "position": position}
-        )
-
     def _verify_counters(self, acks_by_worker: dict[int, dict]) -> None:
-        """Check the workers' counter checkpoints against the shadows."""
+        """Check the workers' counter and RNG checkpoints against the shadows.
+
+        Every lifecycle row was flushed before the request these acks answer,
+        so a worker's manager streams must stand exactly where the shadows'
+        do: a lost, duplicated or replayed-out-of-place ``CREATE`` row (one
+        draw each) shows here, not when a usage sample later drifts.
+        """
         for ack in acks_by_worker.values():
             for position, snapshot in ack["counters"].items():
                 shadow = self._shadows[position]
@@ -328,6 +303,11 @@ class ProcessFanoutBackend:
                         f"host {shadow.host.index}: worker counters "
                         f"(suspensions, resumes, diffs) = {observed} diverged "
                         f"from the shadow's {expected}"
+                    )
+                if snapshot["rng_state"] != shadow._rng.bit_generator.state:
+                    raise WorkerDesyncError(
+                        f"host {shadow.host.index}: the worker's RNG stream "
+                        f"diverged from the shadow's"
                     )
 
     # -- the calls the coordinator drives ------------------------------------

@@ -4,19 +4,24 @@ The supervisor owns one transport (+ process, when locally spawned) per
 :class:`~repro.dist.worker.WorkerSpec` — obtained from a
 :class:`~repro.dist.transport.TcpTransportFactory`, so the same supervision,
 ledger-replay and restore logic drives loopback workers it spawned and
-operator-started remote workers — and gives the fan-out backend three
+operator-started remote workers — and gives the fan-out backend these
 primitives:
 
-* :meth:`WorkerSupervisor.post` — fire-and-forget control frames (machine
-  creations, fault-injection ops).  Durable posts are journalled in a
-  per-worker **control ledger** before they are sent; the ledger is the
-  worker's genesis history and is replayed verbatim into a fresh process
+* :meth:`WorkerSupervisor.control` — the worker's pending lifecycle
+  operations (machine creations, boots, fault-injection ops), a
+  :class:`~repro.dist.wire.ControlBatch` the backend appends rows to.  The
+  batch is flushed as **one** ``CONTROL`` frame just before the worker's
+  next request, and that frame is journalled in the per-worker **control
+  ledger** before it is sent: one ledger frame per flush that carried rows.
+  The ledger is the worker's genesis history, replayed into a fresh process
   after a crash.
 * :meth:`WorkerSupervisor.begin_request` / :meth:`finish_request` — frames
   that want an acknowledgement.  Splitting send from collect lets the
   backend broadcast one slice to every worker and only then start draining
   acks, so workers chew in parallel.  Every acknowledgement carries the
   worker's counter/RNG checkpoint and becomes the recovery point.
+* :meth:`WorkerSupervisor.post` — a fire-and-forget frame that is never
+  journalled (the ``CRASH``/``WEDGE`` test hooks).
 * :meth:`WorkerSupervisor.check` / :meth:`ping` — heartbeat: a liveness
   sweep over the pool (dead processes are detected and restarted before the
   next fan-out trips over a broken stream) and an end-to-end round-trip probe.
@@ -29,12 +34,14 @@ or collecting, a heartbeat sweep finding the process dead, an ack wait
 observing process exit, or — for a worker that *wedges while staying
 alive* — the ``ack_timeout_s`` receive deadline expiring (routed into the
 same recovery path as a hard crash; the wedged process is killed before its
-successor spawns).  Recovery then proceeds in three steps:
+successor spawns).  Recovery then proceeds in four steps:
 
 1. **Respawn** a fresh process from the original spec (same host blueprint,
    same initial RNG states).
-2. **Replay the control ledger** — the worker re-creates and boots exactly
-   the machines it owned, in the original order.
+2. **Replay the control ledger** up to the checkpoint — the ``CONTROL``
+   frames the worker had applied when it sent its last acknowledgement
+   (the ack counts them) — so it re-creates and boots the machines it
+   owned then, in the original order.
 3. **Restore runtime state from the database**: the per-shell bounding-box
    activity masks of the last acknowledged epoch are read with
    :meth:`~repro.core.database.ConstellationDatabase.activity_at_epoch` —
@@ -46,6 +53,8 @@ successor spawns).  Recovery then proceeds in three steps:
    obtained through ``dirty_resolver``) are skipped, so the next slice's
    ``dirty_active`` map reconciles them *with* counting — exactly like the
    in-process path.
+4. **Replay the rest of the ledger**: frames journalled after the
+   checkpoint run on top of the restored RNG streams, as they first did.
 
 The in-flight request that observed the crash is then re-sent: the restored
 worker is at the checkpoint epoch, so re-applying the current epoch's slice
@@ -96,6 +105,9 @@ class _Handle:
         self.process = None
         self.conn = None
         self.seq = 0
+        #: Lifecycle rows not yet sent; flushed before the next request.
+        self.control = wire.ControlBatch()
+        #: Every CONTROL frame sent to this worker slot, in order.
         self.ledger: list[bytes] = []
         self.checkpoint: Optional[dict[str, Any]] = None
         #: (sequence, encoded frame, monotonic send time) per in-flight request.
@@ -223,9 +235,44 @@ class WorkerSupervisor:
 
     # -- frame transport ----------------------------------------------------
 
-    def _track_time(self, meta: dict[str, Any]) -> None:
-        if "now_s" in meta:
-            self._last_now_s = max(self._last_now_s, float(meta["now_s"]))
+    def _track_time(self, now_s: Optional[float]) -> None:
+        if now_s is not None:
+            self._last_now_s = max(self._last_now_s, float(now_s))
+
+    def _send(self, handle: _Handle, frame: bytes) -> None:
+        if handle.dead:
+            return  # recovered at the next collect or heartbeat
+        try:
+            handle.conn.send_bytes(frame)
+        except (OSError, BrokenPipeError, EOFError):
+            handle.dead = True
+
+    def control(self, worker: int) -> wire.ControlBatch:
+        """The worker's pending lifecycle rows (flushed before its next request).
+
+        The first call spawns the pool: a fleet's first lifecycle operation
+        comes before its machines exist, so the workers fork from a small
+        coordinator heap and are up by the time the first flush goes out.
+        """
+        self.start()
+        return self._handles[worker].control
+
+    def _flush(self, handle: _Handle) -> None:
+        """Journal and send the pending rows as one ``CONTROL`` frame.
+
+        The frame is appended to the ledger *before* the send, so a crash
+        mid-send is recovered by the ledger replay alone — the rows are
+        never lost and never applied twice (the replay target is a fresh
+        process).
+        """
+        batch = handle.control
+        if not batch:
+            return
+        self._track_time(batch.latest_s)
+        frame = wire.encode_frame(FrameKind.CONTROL, *batch.payload())
+        batch.clear()
+        handle.ledger.append(frame)
+        self._send(handle, frame)
 
     def post(
         self,
@@ -233,27 +280,10 @@ class WorkerSupervisor:
         kind: FrameKind,
         meta: dict[str, Any],
         arrays: tuple[np.ndarray, ...] = (),
-        durable: bool = True,
     ) -> None:
-        """Send a fire-and-forget control frame (journalled when durable).
-
-        The frame is appended to the worker's ledger *before* the send, so a
-        crash mid-send is recovered by the ledger replay alone — the frame
-        is never lost and never applied twice (the replay target is a fresh
-        process).
-        """
+        """Send a fire-and-forget frame; it is not journalled (test hooks)."""
         self.start()
-        self._track_time(meta)
-        handle = self._handles[worker]
-        frame = wire.encode_frame(kind, meta, arrays)
-        if durable:
-            handle.ledger.append(frame)
-        if handle.dead:
-            return  # durable frames reach the successor via the ledger replay
-        try:
-            handle.conn.send_bytes(frame)
-        except (OSError, BrokenPipeError, EOFError):
-            handle.dead = True
+        self._send(self._handles[worker], wire.encode_frame(kind, meta, arrays))
 
     def begin_request(
         self,
@@ -266,19 +296,17 @@ class WorkerSupervisor:
 
         Several requests may be in flight per worker (one per slice of a
         multi-host worker); acknowledgements are collected FIFO with
-        :meth:`finish_request`.
+        :meth:`finish_request`.  The worker's pending lifecycle rows go
+        first, as one ``CONTROL`` frame.
         """
         self.start()
-        self._track_time(meta)
         handle = self._handles[worker]
+        self._flush(handle)
+        self._track_time(meta.get("now_s"))
         handle.seq += 1
         frame = wire.encode_frame(kind, {**meta, "seq": handle.seq}, arrays)
         handle.inflight.append((handle.seq, frame, time.monotonic()))
-        if not handle.dead:
-            try:
-                handle.conn.send_bytes(frame)
-            except (OSError, BrokenPipeError, EOFError):
-                handle.dead = True  # recovered at collect time, frame queued
+        self._send(handle, frame)  # a broken send is recovered at collect time
         return handle.seq
 
     def finish_request(self, worker: int) -> dict[str, Any]:
@@ -464,9 +492,15 @@ class WorkerSupervisor:
                 # can die mid-replay.
                 self._spawn(handle)
                 handle.dead = False
-                for frame in handle.ledger:
+                # The checkpoint's RNG states include the draws of the
+                # CONTROL frames applied before it was taken, and only
+                # those: the later frames run after the restore.
+                applied = handle.checkpoint["controls"] if handle.checkpoint else 0
+                for frame in handle.ledger[:applied]:
                     handle.conn.send_bytes(frame)
                 self._restore(handle)
+                for frame in handle.ledger[applied:]:
+                    handle.conn.send_bytes(frame)
                 for _seq, frame, _sent_at in handle.inflight:
                     handle.conn.send_bytes(frame)
                 return

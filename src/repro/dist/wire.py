@@ -39,9 +39,54 @@ execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
 a closed, self-describing binary encoding of
 ``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
 no imports, no callables.  Dataclass payloads (the worker blueprint in
-``SPEC``, the kernel/rootfs images of ``CREATE_MACHINE``) travel as their
-``dataclasses.asdict`` form and are rebuilt by the receiver; anything else
-is a :class:`TypeError` at the sender.
+``SPEC``, the compute/kernel/rootfs images of a ``CONTROL`` frame) travel as
+their ``dataclasses.asdict`` form and are rebuilt by the receiver; anything
+else is a :class:`TypeError` at the sender.
+
+Frame kinds
+-----------
+
+=================  ============  =============================================
+kind               direction     payload
+=================  ============  =============================================
+``ACK``/``ERROR``  worker → sup  checkpoint (counters, RNG states, epochs,
+                                 control frames applied) / a traceback
+``CONTROL``        sup → worker  one worker's lifecycle operations in program
+                                 order, journalled (see below)
+``APPLY_SLICE``    sup → worker  one :class:`HostStateSlice`
+``APPLY_ACTIVITY`` sup → worker  per-shell activity masks (full replay)
+``SAMPLE_USAGE``   sup → worker  ``now_s`` and the sample's flags
+``RESTORE``        sup → worker  a checkpoint and its epoch's activity masks
+``PING`` …         both          heartbeat, shutdown, test hooks, handshake
+``KEYFRAME`` …     gateway       the serving tier (:mod:`repro.serve.codec`)
+=================  ============  =============================================
+
+A ``CONTROL`` frame is six equally long columns, one row per lifecycle
+operation (:class:`ControlOp`), run by the worker in row order:
+
+===========  =========  ======================================================
+array        dtype      meaning
+===========  =========  ======================================================
+op           ``u1``     :class:`ControlOp` code
+position     ``<i4``    host position of the manager the row acts on
+shell        ``<i4``    machine shell (``-1``: ground station; unused by
+                        ``BOOT_CREATED``)
+identifier   ``<i4``    in-shell identifier / ground-station index
+image        ``<i4``    ``CREATE``: index into the meta's ``images`` table;
+                        ``-1`` otherwise
+value        ``<f8``    ``now_s`` (``BOOT``, ``BOOT_CREATED``, ``STOP``,
+                        ``REBOOT``), the quota (``CPU_QUOTA``) or the busy
+                        fraction (``BUSY``); ``0.0`` for ``CREATE``
+===========  =========  ======================================================
+
+The meta holds ``images`` — the distinct ``{"compute", "kernel", "rootfs"}``
+dicts the frame's ``CREATE`` rows use — and ``names``, the ground-station
+names of the rows with shell ``-1``, in row order; satellite names are
+rebuilt with :func:`~repro.core.constellation.satellite_name`.  A frame
+whose columns differ in length or dtype, whose op code or image index is out
+of range or whose name count does not match is a :class:`WireError` and
+runs no row.  Version 7 replaced the seven one-operation control frame
+kinds, one frame per lifecycle call, by this one frame per flush.
 
 Payload codecs
 --------------
@@ -62,6 +107,7 @@ bounding-box activity masks of a full-state replay the same way.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import struct
@@ -79,7 +125,9 @@ WIRE_MAGIC = b"CLW1"
 #: the canonical link order and ship delays as grid steps (``serve/codec.py``).
 #: 6: ``SUBSCRIBE_ACK`` is ``client`` + ``epoch`` and nothing else, a SUBSCRIBE
 #: carrying ``scope`` is refused, a DIFF has no ``skip`` marker form.
-WIRE_VERSION = 6
+#: 7: one array-coded ``CONTROL`` frame per flush carries every lifecycle
+#: operation; the seven per-operation control frame kinds are gone.
+WIRE_VERSION = 7
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -257,14 +305,8 @@ class FrameKind(enum.IntEnum):
     ACK = 0
     ERROR = 1
     # control plane (durable: replayed from the ledger after a crash)
-    CREATE_MACHINE = 10
-    BOOT = 11
-    BOOT_ALL = 12
-    STOP = 13
-    REBOOT = 14
-    SET_CPU_QUOTA = 15
-    SET_BUSY = 16
-    # data plane (recovered via keyframe + diff replay, never journalled)
+    CONTROL = 10
+    # data plane (recovered from the checkpoint epoch, never journalled)
     APPLY_SLICE = 20
     APPLY_ACTIVITY = 21
     SAMPLE_USAGE = 22
@@ -491,3 +533,164 @@ def decode_activity(
 ) -> tuple[dict[int, np.ndarray], float, int]:
     """Rebuild ``(active_satellites, time_s, epoch)`` from an activity frame."""
     return dict(zip(meta["shells"], arrays)), meta["time_s"], meta["epoch"]
+
+
+# -- CONTROL codec -------------------------------------------------------------
+
+
+class ControlOp(enum.IntEnum):
+    """The lifecycle operation of one ``CONTROL`` row (a manager method)."""
+
+    CREATE = 0  # create_machine from an ``images`` table entry
+    BOOT = 1  # boot(machine, now_s)
+    BOOT_CREATED = 2  # boot_all(now_s): every created, unbooted machine
+    STOP = 3  # stop_machine(machine, now_s)
+    REBOOT = 4  # reboot_machine(machine, now_s)
+    CPU_QUOTA = 5  # set_cpu_quota(machine, quota)
+    BUSY = 6  # set_busy_fraction(machine, fraction)
+
+
+_CONTROL_OPS = tuple(ControlOp)
+_TIMED_OPS = frozenset(
+    (ControlOp.BOOT, ControlOp.BOOT_CREATED, ControlOp.STOP, ControlOp.REBOOT)
+)
+#: Column dtypes of a ``CONTROL`` frame: op, position, shell, identifier,
+#: image, value.
+_CONTROL_DTYPES = tuple(
+    np.dtype(dtype) for dtype in ("u1", "<i4", "<i4", "<i4", "<i4", "<f8")
+)
+
+
+class ControlBatch:
+    """One worker's lifecycle operations not yet sent, in program order.
+
+    The encoder half of a ``CONTROL`` frame: every :meth:`append` /
+    :meth:`create` adds one row to the columns, :meth:`payload` is the
+    frame's ``(meta, arrays)`` and :meth:`clear` starts the next batch.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every row (after the batch was flushed)."""
+        self._columns: tuple[list, ...] = ([], [], [], [], [], [])
+        self._names: list[str] = []
+        self._images: dict[tuple, int] = {}
+        #: Latest ``now_s`` any row carries; ``None`` without a timed row.
+        self.latest_s: Optional[float] = None
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def append(
+        self,
+        op: ControlOp,
+        position: int,
+        machine_id: Optional[MachineId] = None,
+        value: float = 0.0,
+        image: int = -1,
+    ) -> None:
+        """Add one row; ``machine_id`` is ``None`` only for ``BOOT_CREATED``."""
+        ops, positions, shells, identifiers, images, values = self._columns
+        ops.append(op)
+        positions.append(position)
+        if machine_id is None:
+            shells.append(0)
+            identifiers.append(0)
+        else:
+            shells.append(machine_id.shell)
+            identifiers.append(machine_id.identifier)
+            if machine_id.is_ground_station:
+                self._names.append(machine_id.name)
+        images.append(image)
+        values.append(value)
+        if op in _TIMED_OPS and (self.latest_s is None or value > self.latest_s):
+            self.latest_s = value
+
+    def create(self, position: int, machine_id: MachineId, compute, kernel, rootfs) -> None:
+        """Add a ``CREATE`` row; equal images share one ``images`` entry."""
+        image = self._images.setdefault((compute, kernel, rootfs), len(self._images))
+        self.append(ControlOp.CREATE, position, machine_id, image=image)
+
+    def payload(self) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
+        """The ``(meta, arrays)`` of this batch's ``CONTROL`` frame."""
+        images = [
+            {
+                "compute": dataclasses.asdict(compute),
+                "kernel": None if kernel is None else dataclasses.asdict(kernel),
+                "rootfs": None if rootfs is None else dataclasses.asdict(rootfs),
+            }
+            for compute, kernel, rootfs in self._images
+        ]
+        arrays = tuple(
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(self._columns, _CONTROL_DTYPES)
+        )
+        return {"images": images, "names": list(self._names)}, arrays
+
+
+#: One decoded ``CONTROL`` row: op, position, machine (``None`` for
+#: ``BOOT_CREATED``), image index, value.
+ControlRow = tuple[ControlOp, int, Optional[MachineId], int, float]
+
+
+def decode_control(
+    meta: dict[str, Any], arrays: list[np.ndarray]
+) -> tuple[list[ControlRow], list[Any]]:
+    """The rows and the ``images`` table of a decoded ``CONTROL`` frame.
+
+    Checks the whole frame before returning a row, so a malformed frame is a
+    :class:`WireError` and nothing of it runs.  Whether a row's position is
+    owned, and whether its machine exists, is the worker's to check per row.
+    """
+    if len(arrays) != len(_CONTROL_DTYPES):
+        raise WireError(f"a CONTROL frame has 6 columns, not {len(arrays)}")
+    for array, dtype in zip(arrays, _CONTROL_DTYPES):
+        if array.ndim != 1 or array.dtype != dtype:
+            raise WireError(
+                f"CONTROL column of dtype {array.dtype.str} and shape "
+                f"{array.shape}, expected 1-D {dtype.str}"
+            )
+    ops, positions, shells, identifiers, images, values = arrays
+    if len({len(array) for array in arrays}) != 1:
+        raise WireError(
+            f"CONTROL column lengths differ: {[len(array) for array in arrays]}"
+        )
+    table, names = meta.get("images"), meta.get("names")
+    if not isinstance(table, list) or not isinstance(names, list):
+        raise WireError("a CONTROL frame's meta needs an images and a names list")
+    if not all(isinstance(name, str) for name in names):
+        raise WireError("CONTROL ground-station names must be strings")
+    if len(ops) and int(ops.max()) >= len(_CONTROL_OPS):
+        raise WireError(f"unknown CONTROL op code {int(ops.max())}")
+    creates = images[ops == ControlOp.CREATE]
+    if creates.size and (int(creates.min()) < 0 or int(creates.max()) >= len(table)):
+        raise WireError(
+            f"CONTROL image index out of range for a table of {len(table)}"
+        )
+    named = (ops != ControlOp.BOOT_CREATED) & (shells == MachineId.GROUND_SHELL)
+    if int(np.count_nonzero(named)) != len(names):
+        raise WireError(
+            f"{int(np.count_nonzero(named))} CONTROL rows name a ground station "
+            f"but {len(names)} names were sent"
+        )
+    ground_names = iter(names)
+    rows: list[ControlRow] = []
+    for op, position, shell, identifier, image, value in zip(
+        ops.tolist(),
+        positions.tolist(),
+        shells.tolist(),
+        identifiers.tolist(),
+        images.tolist(),
+        values.tolist(),
+    ):
+        op = _CONTROL_OPS[op]
+        if op is ControlOp.BOOT_CREATED:
+            machine_id = None
+        elif shell == MachineId.GROUND_SHELL:
+            machine_id = MachineId(shell, identifier, next(ground_names))
+        else:
+            machine_id = MachineId(shell, identifier, satellite_name(shell, identifier))
+        rows.append((op, position, machine_id, image, value))
+    return rows, table

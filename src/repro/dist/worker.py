@@ -17,25 +17,30 @@ Protocol
 
 The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
 the supervisor (:mod:`repro.dist.transport`) and executes them in order,
-which makes its random streams replayable: the coordinator forwards machine
-creations and usage-sample requests in exactly the order the
-in-process backend would execute them, so every random draw (usage-sample
-jitter, microVM boot times) lands on the same generator state as in a
-single-process run — the foundation of the byte-identical
-backend-equivalence guarantee.
+which makes its random streams replayable.  Lifecycle operations (machine
+creation, boots, fault-injection ops) arrive batched: one ``CONTROL`` frame
+ahead of each request that had operations pending, its rows in the order the
+in-process backend executed them, run by the worker in that order.  So
+every random draw (usage-sample jitter, microVM boot times) lands on the
+same generator state as in a single-process run — the foundation of the
+byte-identical backend-equivalence guarantee.  A row that fails (an unknown
+machine, a position this worker does not own) is reported and the rows
+after it still run, as if each had been a frame of its own; a malformed
+frame (:func:`~repro.dist.wire.decode_control`) runs no row.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: per-manager
 counter/RNG checkpoints (:meth:`MachineManager.counters_snapshot`), the
-dirty-machine reconciliation results of an applied slice, usage samples, and
-any errors from unacknowledged control frames.  The supervisor keeps the
-latest acknowledgement as the recovery checkpoint.
+number of ``CONTROL`` frames applied so far, the dirty-machine
+reconciliation results of an applied slice, usage samples, and any errors
+from unacknowledged ``CONTROL`` frames.  The supervisor keeps the latest
+acknowledgement as the recovery checkpoint.
 
-Control frames (machine creation, fault-injection ops) are *durable*: the
-supervisor journals them and replays the journal into a fresh process after
-a crash, followed by a ``RESTORE`` frame that forces bounding-box activity
-to the checkpoint epoch (the database's current or previous epoch's masks)
-and restores counters and RNG streams.
+``CONTROL`` frames are *durable*: the supervisor journals each one and,
+after a crash, replays into a fresh process the frames the checkpoint had
+applied, then a ``RESTORE`` frame that forces bounding-box activity to the
+checkpoint epoch (the database's current or previous epoch's masks) and
+restores counters and RNG streams, then the rest of the journal.
 
 Placement
 ---------
@@ -67,11 +72,10 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.config import ComputeParams
-from repro.core.constellation import MachineId
 from repro.core.machine_manager import MachineManager
 from repro.dist import wire
 from repro.dist.transport import HandshakeError, connect_transport
-from repro.dist.wire import FrameKind
+from repro.dist.wire import ControlOp, FrameKind
 from repro.hosts import Host
 from repro.microvm import KernelImage, RootFilesystemImage
 
@@ -114,8 +118,19 @@ class WorkerSpec:
             raise HandshakeError(f"malformed worker spec: {error!r}") from error
 
 
-def _machine_id(meta: dict[str, Any]) -> MachineId:
-    return MachineId(meta["shell"], meta["identifier"], meta["name"])
+def _images(
+    entry: Any,
+) -> tuple[ComputeParams, Optional[KernelImage], Optional[RootFilesystemImage]]:
+    """Rebuild one ``images`` entry of a ``CONTROL`` frame (None: the default)."""
+    try:
+        kernel, rootfs = entry["kernel"], entry["rootfs"]
+        return (
+            ComputeParams(**entry["compute"]),
+            None if kernel is None else KernelImage(**kernel),
+            None if rootfs is None else RootFilesystemImage(**rootfs),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise wire.WireError(f"malformed CONTROL image entry: {error!r}") from error
 
 
 class _Worker:
@@ -139,6 +154,8 @@ class _Worker:
         # be mid-epoch (one slice applied, the next not), and recovery
         # restores each manager to its own acknowledged epoch.
         self.epochs = {host_spec.position: 0 for host_spec in spec.hosts}
+        # CONTROL frames received (ledger frames, the malformed ones too).
+        self.controls = 0
         self.deferred_errors: list[str] = []
 
     # -- acknowledgements ---------------------------------------------------
@@ -147,6 +164,7 @@ class _Worker:
         meta = {
             "seq": seq,
             "epochs": dict(self.epochs),
+            "controls": self.controls,
             "counters": {
                 position: manager.counters_snapshot()
                 for position, manager in self.by_position.items()
@@ -255,45 +273,43 @@ class _Worker:
             )
             self.epochs[position] = meta["epoch"]
             return None
-        if kind is FrameKind.CREATE_MACHINE:
-            # The images travel as their asdict form; None means the default.
-            kernel, rootfs = meta["kernel"], meta["rootfs"]
-            self.by_position[meta["position"]].create_machine(
-                _machine_id(meta),
-                ComputeParams(**meta["compute"]),
-                kernel=None if kernel is None else KernelImage(**kernel),
-                rootfs=None if rootfs is None else RootFilesystemImage(**rootfs),
-            )
-            return None
-        if kind is FrameKind.BOOT:
-            self.by_position[meta["position"]].boot(_machine_id(meta), meta["now_s"])
-            return None
-        if kind is FrameKind.BOOT_ALL:
-            self.by_position[meta["position"]].boot_all(meta["now_s"])
-            return None
-        if kind is FrameKind.STOP:
-            self.by_position[meta["position"]].stop_machine(
-                _machine_id(meta), meta["now_s"]
-            )
-            return None
-        if kind is FrameKind.REBOOT:
-            self.by_position[meta["position"]].reboot_machine(
-                _machine_id(meta), meta["now_s"]
-            )
-            return None
-        if kind is FrameKind.SET_CPU_QUOTA:
-            self.by_position[meta["position"]].set_cpu_quota(
-                _machine_id(meta), meta["quota_fraction"]
-            )
-            return None
-        if kind is FrameKind.SET_BUSY:
-            self.by_position[meta["position"]].set_busy_fraction(
-                _machine_id(meta), meta["fraction"]
-            )
+        if kind is FrameKind.CONTROL:
+            self.controls += 1
+            self._run_control(*wire.decode_control(meta, arrays))
             return None
         if kind is FrameKind.PING:
             return None
         raise ValueError(f"worker cannot handle frame kind {kind!r}")
+
+    def _run_control(self, rows: list[wire.ControlRow], table: list[Any]) -> None:
+        """Run a ``CONTROL`` frame's rows in order; a failing row is reported."""
+        images = [_images(entry) for entry in table]
+        for index, (op, position, machine_id, image, value) in enumerate(rows):
+            try:
+                manager = self.by_position.get(position)
+                if manager is None:
+                    raise LookupError(
+                        f"host position {position} is not owned by worker "
+                        f"{self.spec.worker_index}"
+                    )
+                if op is ControlOp.CREATE:
+                    manager.create_machine(machine_id, *images[image])
+                elif op is ControlOp.BOOT:
+                    manager.boot(machine_id, value)
+                elif op is ControlOp.BOOT_CREATED:
+                    manager.boot_all(value)
+                elif op is ControlOp.STOP:
+                    manager.stop_machine(machine_id, value)
+                elif op is ControlOp.REBOOT:
+                    manager.reboot_machine(machine_id, value)
+                elif op is ControlOp.CPU_QUOTA:
+                    manager.set_cpu_quota(machine_id, value)
+                else:
+                    manager.set_busy_fraction(machine_id, value)
+            except Exception as error:  # noqa: BLE001 - reported to the parent
+                self.deferred_errors.append(
+                    f"CONTROL row {index} ({op.name}): {type(error).__name__}: {error}"
+                )
 
 
 def tcp_worker_main(

@@ -139,40 +139,6 @@ class TopologyDiff:
         """Whether the edge *set* is unchanged (only delays/bandwidths moved)."""
         return self.structural_change_count == 0
 
-    # -- endpoint / value views ------------------------------------------
-
-    def added_endpoints(self) -> np.ndarray:
-        """``(k, 2)`` node pairs of the added links (current-graph order)."""
-        return np.column_stack(
-            (self.current.node_a[self.links_added], self.current.node_b[self.links_added])
-        )
-
-    def removed_endpoints(self) -> np.ndarray:
-        """``(k, 2)`` node pairs of the removed links (previous-graph order)."""
-        return np.column_stack(
-            (self.previous.node_a[self.links_removed], self.previous.node_b[self.links_removed])
-        )
-
-    def delay_changed_endpoints(self) -> np.ndarray:
-        """``(k, 2)`` node pairs of surviving links whose delay changed."""
-        return np.column_stack(
-            (self.current.node_a[self.delay_changed], self.current.node_b[self.delay_changed])
-        )
-
-    def delay_changed_values_ms(self) -> np.ndarray:
-        """New one-way delays [ms] of the ``delay_changed`` links."""
-        return self.current.delays_ms[self.delay_changed]
-
-    def bandwidth_changed_endpoints(self) -> np.ndarray:
-        """``(k, 2)`` node pairs of surviving links whose bandwidth changed."""
-        return np.column_stack(
-            (self.current.node_a[self.bandwidth_changed], self.current.node_b[self.bandwidth_changed])
-        )
-
-    def bandwidth_changed_values_kbps(self) -> np.ndarray:
-        """New bandwidths [kbps] of the ``bandwidth_changed`` links."""
-        return self.current.bandwidths_kbps[self.bandwidth_changed]
-
     def summary(self) -> dict[str, int]:
         """Compact counters (used by logging and the info API)."""
         return {

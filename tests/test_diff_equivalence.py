@@ -152,10 +152,14 @@ class TestTopologyDiffPrimitive:
         old = self._graph(index, [(0, 1, 1.0, 10.0), (1, 2, 2.0, 10.0), (2, 3, 3.0, 10.0)])
         new = self._graph(index, [(0, 1, 1.0, 10.0), (1, 2, 2.5, 10.0), (3, 4, 4.0, 20.0)])
         diff = new.diff_from(old)
-        assert diff.added_endpoints().tolist() == [[3, 4]]
-        assert diff.removed_endpoints().tolist() == [[2, 3]]
-        assert diff.delay_changed_endpoints().tolist() == [[1, 2]]
-        assert diff.delay_changed_values_ms().tolist() == [2.5]
+
+        def endpoints(graph, edges):
+            return np.column_stack((graph.node_a[edges], graph.node_b[edges])).tolist()
+
+        assert endpoints(new, diff.links_added) == [[3, 4]]
+        assert endpoints(old, diff.links_removed) == [[2, 3]]
+        assert endpoints(new, diff.delay_changed) == [[1, 2]]
+        assert new.delays_ms[diff.delay_changed].tolist() == [2.5]
         assert diff.bandwidth_changed.size == 0
         assert not diff.is_empty and not diff.is_structural_noop
         assert diff.change_count == 3

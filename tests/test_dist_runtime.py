@@ -29,9 +29,11 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
-from repro.dist.backend import ProcessFanoutBackend
-from repro.dist.supervisor import WorkerCrashError
+from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
+from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import TcpTransportFactory
+from repro.dist.wire import FrameKind
+from repro.dist.worker import _Worker
 from repro.hosts import Host
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
@@ -416,6 +418,156 @@ class TestProcessBackendEquivalence:
             after = processes.sample_all_usage(65.0)
             assert len(after) == len(before)
             assert processes._backend.restart_count == 1
+        finally:
+            processes.close()
+
+
+def _rng_states(coordinator):
+    """Per-position manager RNG states: the managers' own, or the workers'."""
+    if coordinator.parallelism == "processes":
+        counters = coordinator._backend.worker_counters()
+        return [counters[position]["rng_state"] for position in sorted(counters)]
+    return [manager._rng.bit_generator.state for manager in coordinator.managers]
+
+
+def _ledger_lengths(coordinator):
+    return [len(handle.ledger) for handle in coordinator._backend.supervisor._handles]
+
+
+class TestBatchedControlFrames:
+    """Lifecycle operations reach a worker as one CONTROL frame per flush."""
+
+    def test_crash_recovery_replays_one_frame_per_flush(self):
+        # 1,589 microVMs on 4 hosts / 2 workers.  A worker killed after the
+        # set-up epoch is rebuilt from one ledger frame, not 795 pairs of
+        # CREATE/BOOT frames; one killed right after fault-injection ops is
+        # found by the sample that flushes them, so its rebuild replays the
+        # flush after the checkpoint on top of the restored streams.
+        config = west_africa_configuration(
+            duration_s=600.0, shells="lowest", use_bounding_box=False
+        )
+        threads = _coordinator(config, "threads", host_count=4, worker_count=2)
+        processes = _coordinator(config, "processes", host_count=4, worker_count=2)
+        try:
+            for coordinator in (threads, processes):
+                coordinator.update(0.0)
+            assert sum(len(m.host.machines) for m in processes.managers) >= 1000
+            assert _ledger_lengths(processes) == [1, 1]
+            assert threads.sample_all_usage(0.0) == processes.sample_all_usage(0.0)
+            processes._backend.crash_worker(0)
+            fault_workers = set()
+            for step in range(1, 9):
+                now = step * config.update_interval_s
+                for coordinator in (threads, processes):
+                    coordinator.update(now)
+                if step == 4:
+                    stopped, rebooted, throttled = (
+                        processes.calculation.satellite(0, identifier)
+                        for identifier in (3, 400, 1200)
+                    )
+                    for coordinator in (threads, processes):
+                        injector = FaultInjector(manager_resolver=coordinator.manager_for)
+                        injector.terminate(stopped, now)
+                        injector.reboot(rebooted, now)
+                        injector.degrade_cpu(throttled, 0.5, now)
+                    fault_workers = {
+                        processes.manager_for(machine).position % 2
+                        for machine in (stopped, rebooted, throttled)
+                    }
+                    assert 1 in fault_workers  # its flush follows its checkpoint
+                    processes._backend.crash_worker(1)
+                assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+            assert processes._backend.restart_count == 2
+            _assert_equivalent(threads, processes)
+            assert _rng_states(processes) == _rng_states(threads)
+            assert _ledger_lengths(processes) == [
+                1 + (worker in fault_workers) for worker in range(2)
+            ]
+        finally:
+            threads.close()
+            processes.close()
+
+    def test_creates_flushed_after_the_checkpoint_draw_after_the_restore(self):
+        # Machines created between an update and a sample, on a worker that
+        # dies meanwhile: the sample's flush never reaches it, recovery
+        # restores the checkpoint's RNG streams and only then replays the
+        # flush, so the CREATE draws are not rewound away.
+        config = _iridium_box_config(duration_s=2400.0)
+        threads = _coordinator(config, "threads")
+        processes = _coordinator(config, "processes")
+        try:
+            for step in range(3):
+                now = step * 60.0
+                for coordinator in (threads, processes):
+                    coordinator.update(now)
+                assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+            state = processes.database.state
+            absent = [
+                processes.calculation.satellite(0, int(identifier))
+                for identifier in np.nonzero(~state.active_satellites[0])[0]
+                if not processes.has_machine(
+                    processes.calculation.satellite(0, int(identifier))
+                )
+            ][:2]
+            assert absent
+            for coordinator in (threads, processes):
+                for machine in absent:
+                    coordinator.create_machine(machine, 150.0)
+            processes._backend.crash_worker(
+                processes.manager_for(absent[0]).position % 2
+            )
+            assert threads.sample_all_usage(150.0) == processes.sample_all_usage(150.0)
+            assert processes._backend.restart_count == 1
+            for step in range(3, 8):
+                now = step * 60.0
+                for coordinator in (threads, processes):
+                    coordinator.update(now)
+                assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+            _assert_equivalent(threads, processes)
+            assert _rng_states(processes) == _rng_states(threads)
+        finally:
+            threads.close()
+            processes.close()
+
+    def test_rows_run_a_flush_late_are_a_desync_at_set_up(self, monkeypatch):
+        # Counters cannot see it (no bounding box: nothing is suspended), but
+        # a worker that holds each CONTROL frame back until the next one
+        # acknowledges the set-up epoch with its streams short of every
+        # CREATE draw.
+        dispatch = _Worker._dispatch
+
+        def one_flush_late(self, kind, meta, arrays):
+            if kind is not FrameKind.CONTROL:
+                return dispatch(self, kind, meta, arrays)
+            held, self.held = getattr(self, "held", None), (meta, arrays)
+            if held is not None:
+                dispatch(self, kind, *held)
+            return None
+
+        monkeypatch.setattr(_Worker, "_dispatch", one_flush_late)  # before the fork
+        config = dataclasses.replace(_iridium_box_config(), bounding_box=None)
+        processes = _coordinator(config, "processes")
+        try:
+            with pytest.raises(WorkerDesyncError, match="RNG stream"):
+                processes.update(0.0)
+        finally:
+            processes.close()
+
+    def test_reversed_rows_fail_typed_at_set_up(self, monkeypatch):
+        # Reversed, each BOOT row runs before its machine's CREATE: the failed
+        # rows are reported with the set-up epoch's acknowledgement.  (The
+        # RNG check alone could not tell: each CREATE draws one variate, so
+        # a reordering moves no stream.)
+        run_control = _Worker._run_control
+        monkeypatch.setattr(
+            _Worker,
+            "_run_control",
+            lambda self, rows, table: run_control(self, rows[::-1], table),
+        )
+        processes = _coordinator(_iridium_box_config(), "processes")
+        try:
+            with pytest.raises(WorkerRemoteError, match=r"CONTROL row \d+ \(BOOT\)"):
+                processes.update(0.0)
         finally:
             processes.close()
 

@@ -353,7 +353,7 @@ class TestSupervisionHardening:
         try:
             supervisor.start()
             assert "counters" in supervisor.ping(0)
-            supervisor.post(0, FrameKind.WEDGE, {}, durable=False)
+            supervisor.post(0, FrameKind.WEDGE, {})
             meta = supervisor.ping(0)  # timeout → kill → respawn → re-send
             assert "counters" in meta
             assert supervisor.restart_count == 1

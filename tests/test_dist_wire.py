@@ -401,23 +401,200 @@ class TestPickleGating:
             with pytest.raises(HandshakeError, match="malformed worker spec"):
                 WorkerSpec.from_meta(malformed)
 
-        sent = []
-
-        class _Recorder:  # stands in for ProcessFanoutBackend.forward
-            def forward(self, position, kind, meta):
-                sent.append(encode_frame(kind, {**meta, "position": position}))
-
         kernel = KernelImage().with_args("quiet")
         rootfs = RootFilesystemImage(name="edge.img", size_mib=512.0)
-        proxy = MirroredManager(MachineManager(Host(index=10)), _Recorder(), 0)
+        batch = wire.ControlBatch()
+
+        class _Supervisor:  # stands in for WorkerSupervisor.control
+            def control(self, worker):
+                return batch
+
+        proxy = MirroredManager(MachineManager(Host(index=10)), _Supervisor(), 0, 0)
         proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams(), kernel, rootfs)
         proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
-        for data in sent:
-            worker._dispatch(*decode_frame(data))
+        worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
+        assert worker.deferred_errors == []
         machines = worker.by_position[0].host.machines
         created = machines["4.0.celestial"]
         assert (created.kernel, created.rootfs) == (kernel, rootfs)
         assert machines["5.0.celestial"].kernel == KernelImage()  # None → the default
+
+
+def _control_worker(positions=(0,)) -> _Worker:
+    rng = np.random.default_rng(3)
+    hosts = tuple(
+        HostSpec(position, 10 + position, 8, 4096, True, rng.bit_generator.state)
+        for position in positions
+    )
+    return _Worker(WorkerSpec(worker_index=0, hosts=hosts), None)
+
+
+class _Supervisor:
+    """Stands in for WorkerSupervisor.control: one batch for every worker."""
+
+    def __init__(self):
+        self.batch = wire.ControlBatch()
+
+    def control(self, worker):
+        return self.batch
+
+
+HAWAII = MachineId(MachineId.GROUND_SHELL, 0, "hawaii")
+
+
+def _every_op(proxy: MirroredManager) -> None:
+    """All seven lifecycle operations, a ground station among the machines."""
+    kernel = KernelImage().with_args("quiet")
+    proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams(), kernel)
+    proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
+    proxy.create_machine(HAWAII, ComputeParams(vcpu_count=4, memory_mib=2048))
+    proxy.boot(MachineId(0, 4, "4.0.celestial"), 1.0)
+    proxy.boot(HAWAII, 1.5)
+    proxy.boot_all(2.0)
+    proxy.stop_machine(MachineId(0, 4, "4.0.celestial"), 3.0)
+    proxy.reboot_machine(MachineId(0, 4, "4.0.celestial"), 4.0)
+    proxy.set_cpu_quota(HAWAII, 0.25)
+    proxy.set_busy_fraction(MachineId(0, 5, "5.0.celestial"), 0.5)
+
+
+def _every_op_frame():
+    supervisor = _Supervisor()
+    _every_op(MirroredManager(MachineManager(Host(index=10)), supervisor, 0, 0))
+    meta, arrays = supervisor.batch.payload()
+    return meta, [np.array(array) for array in arrays]
+
+
+def _machines(manager: MachineManager) -> dict:
+    return {
+        name: (
+            machine.state,
+            machine._boot_finished_at_s,
+            machine.cpu_quota.quota_fraction,
+            machine.kernel,
+        )
+        for name, machine in manager.host.machines.items()
+    }
+
+
+def _set(column, index, value):
+    def mutate(meta, arrays):
+        arrays[column][index] = value
+
+    return mutate
+
+
+def _swap(column, dtype=None, shape=None):
+    def mutate(meta, arrays):
+        array = arrays[column]
+        arrays[column] = array.astype(dtype) if dtype else array.reshape(shape)
+
+    return mutate
+
+
+_FORGED_CONTROL = {
+    "short-column": lambda meta, arrays: arrays.__setitem__(3, arrays[3][:-1]),
+    "missing-column": lambda meta, arrays: arrays.pop(),
+    "unknown-op": _set(0, 4, len(wire.ControlOp)),
+    "image-past-table": _set(4, 1, 3),
+    "negative-image": _set(4, 0, -1),
+    "extra-name": lambda meta, arrays: meta["names"].append("tahiti"),
+    "missing-name": lambda meta, arrays: meta["names"].clear(),
+    "non-string-name": lambda meta, arrays: meta["names"].__setitem__(0, 7),
+    "position-dtype": _swap(1, dtype=np.int64),
+    "value-dtype": _swap(5, dtype=np.float32),
+    "two-d-column": _swap(2, shape=(5, 2)),
+    "images-not-a-list": lambda meta, arrays: meta.__setitem__("images", {}),
+    "no-names": lambda meta, arrays: meta.pop("names"),
+    "unknown-compute-field": lambda meta, arrays: meta["images"][0]["compute"].update(
+        gpus=1
+    ),
+    "image-not-a-dict": lambda meta, arrays: meta["images"].__setitem__(2, "big"),
+}
+
+
+def _forged_control(name):
+    meta, arrays = _every_op_frame()
+    _FORGED_CONTROL[name](meta, arrays)
+    return meta, arrays
+
+
+class TestControlFrames:
+    """One CONTROL frame carries a worker's lifecycle operations in order."""
+
+    def test_rows_rebuild_what_the_shadow_did(self):
+        supervisor = _Supervisor()
+        shadow = MachineManager(Host(index=10, cpu_cores=8, memory_mib=4096,
+                                     allow_memory_overcommit=True))
+        worker = _control_worker()
+        shadow._rng.bit_generator.state = worker.by_position[0]._rng.bit_generator.state
+        _every_op(MirroredManager(shadow, supervisor, 0, 0))
+        meta, arrays = supervisor.batch.payload()
+        # One name per ground-station row (create, boot, quota).
+        assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 3
+        assert [array.dtype.str for array in arrays] == [
+            "|u1", "<i4", "<i4", "<i4", "<i4", "<f8"
+        ]
+        assert supervisor.batch.latest_s == 4.0
+        worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
+        assert worker.deferred_errors == [] and worker.controls == 1
+        manager = worker.by_position[0]
+        assert _machines(manager) == _machines(shadow)
+        assert manager.counters_snapshot() == shadow.counters_snapshot()
+        supervisor.batch.clear()
+        assert len(supervisor.batch) == 0 and supervisor.batch.latest_s is None
+
+    @pytest.mark.parametrize("name", sorted(_FORGED_CONTROL))
+    def test_malformed_frames_are_wire_errors_and_run_no_row(self, name):
+        meta, arrays = _forged_control(name)
+        worker = _control_worker()
+        with pytest.raises(WireError):
+            worker._dispatch(FrameKind.CONTROL, meta, arrays)
+        assert worker.by_position[0].host.machines == {}
+        assert worker.controls == 1  # still a ledger frame: replay counts it
+
+    def test_failing_rows_are_reported_and_the_rows_after_them_run(self):
+        supervisor = _Supervisor()
+        batch = supervisor.batch
+        batch.append(wire.ControlOp.CPU_QUOTA, 0, MachineId(0, 9, "9.0.celestial"), 0.5)
+        batch.append(wire.ControlOp.BOOT_CREATED, 7, value=1.0)  # not this worker's
+        proxy = MirroredManager(MachineManager(Host(index=10)), supervisor, 0, 0)
+        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams())
+        proxy.boot(MachineId(0, 4, "4.0.celestial"), 2.0)
+        worker = _control_worker()
+        worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
+        first, second = worker.deferred_errors
+        assert first.startswith("CONTROL row 0 (CPU_QUOTA): HostError")
+        assert second.startswith("CONTROL row 1 (BOOT_CREATED): LookupError")
+        assert "position 7 is not owned" in second
+        machine = worker.by_position[0].host.machines["4.0.celestial"]
+        assert machine.is_running
+
+    def test_a_malformed_frame_surfaces_with_the_next_ack(self):
+        # Through the whole dispatch loop: nothing escapes _Worker.run, the
+        # WireError is a deferred error of the next acknowledgement.
+        meta, arrays = _forged_control("short-column")
+        frames = [
+            encode_frame(FrameKind.CONTROL, meta, arrays),
+            encode_frame(FrameKind.PING, {"seq": 1}),
+        ]
+        sent = []
+
+        class _Connection:
+            def recv_bytes(self):
+                if not frames:
+                    raise EOFError
+                return frames.pop(0)
+
+            def send_bytes(self, data):
+                sent.append(decode_frame(data))
+
+        worker = _control_worker()
+        worker.conn = _Connection()
+        assert worker.run() is False  # the connection ended, nothing raised
+        ((kind, ack, _arrays),) = sent
+        assert kind is FrameKind.ACK and ack["controls"] == 1
+        (error,) = ack["deferred_errors"]
+        assert error.startswith("CONTROL: WireError: CONTROL column lengths differ")
 
 
 def _reference_frame() -> bytes:

@@ -195,7 +195,9 @@ class TestReplicaChaining:
         replica.apply(database.codec.diff_update(2, diff=diff))
         held = replica.snapshot()
         state, diff = advance(calculation, database, state, 4.0)  # never delivered
-        assert diff.topology.added_endpoints().tolist() == [[1587, 723], [1588, 723]]
+        added = diff.topology.links_added
+        assert diff.topology.current.node_a[added].tolist() == [1587, 1588]
+        assert diff.topology.current.node_b[added].tolist() == [723, 723]
         state, diff = advance(calculation, database, state, 6.0)
         with pytest.raises(CodecError, match="does not chain onto replica epoch 2"):
             replica.apply(database.codec.diff_update(4, diff=diff))

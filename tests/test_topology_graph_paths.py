@@ -363,28 +363,31 @@ def test_property_lookup_and_diff_reassemble_the_edge_set(old_edges, new_edges):
 
     diff = new.diff_from(old)
 
-    def pairs(endpoints):
-        return {(min(a, b), max(a, b)) for a, b in endpoints.tolist()}
+    def endpoints(graph, edges):
+        return zip(graph.node_a[edges].tolist(), graph.node_b[edges].tolist())
 
-    added, removed = pairs(diff.added_endpoints()), pairs(diff.removed_endpoints())
+    def pairs(graph, edges):
+        return {(min(a, b), max(a, b)) for a, b in endpoints(graph, edges)}
+
+    added, removed = pairs(new, diff.links_added), pairs(old, diff.links_removed)
     assert added == set(new_edges) - set(old_edges)
     assert removed == set(old_edges) - set(new_edges)
     assert (set(old_edges) - removed) | added == set(new_edges)
     assert not removed & set(new_edges)
     surviving = set(old_edges) & set(new_edges)
-    assert pairs(diff.delay_changed_endpoints()) == {
+    assert pairs(new, diff.delay_changed) == {
         pair for pair in surviving if old_edges[pair][0] != new_edges[pair][0]
     }
-    assert pairs(diff.bandwidth_changed_endpoints()) == {
+    assert pairs(new, diff.bandwidth_changed) == {
         pair for pair in surviving if old_edges[pair][1] != new_edges[pair][1]
     }
     for (a, b), delay in zip(
-        diff.delay_changed_endpoints().tolist(), diff.delay_changed_values_ms().tolist()
+        endpoints(new, diff.delay_changed), new.delays_ms[diff.delay_changed].tolist()
     ):
         assert delay == new_edges[(min(a, b), max(a, b))][0]
     for (a, b), bandwidth in zip(
-        diff.bandwidth_changed_endpoints().tolist(),
-        diff.bandwidth_changed_values_kbps().tolist(),
+        endpoints(new, diff.bandwidth_changed),
+        new.bandwidths_kbps[diff.bandwidth_changed].tolist(),
     ):
         assert bandwidth == new_edges[(min(a, b), max(a, b))][1]
     assert diff.is_structural_noop == (set(old_edges) == set(new_edges))
