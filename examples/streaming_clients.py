@@ -12,8 +12,8 @@ subscribers over real sockets:
   and resynchronises it from the current epoch's keyframe, after which it
   is bit-identical again,
 * a **querying subscriber** that asks "path latency source → destination
-  now" and is answered from the warm path tables, with its cache hits
-  and misses attributed per client in the gateway statistics.
+  now" and is answered from the current epoch, whose state solves the
+  path row the query needs.
 
 All subscribers share the same encoded bytes: each epoch is serialised
 exactly once, however many clients are connected.
@@ -85,7 +85,7 @@ def main() -> None:
         print(f"each received {len(diff_sizes)} DIFF frames, median "
               f"{statistics.median(diff_sizes):.0f} B")
 
-        # Path queries are served from the warm tables.
+        # Path queries are answered from the current epoch's state.
         asker = clients[0]
         answer = asker.query("hawaii", "0.0.celestial")
         print(f"path hawaii -> 0.0.celestial: "

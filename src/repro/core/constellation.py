@@ -5,6 +5,9 @@ the satellite network — positions of satellites and ground stations, network
 link distances and delays, and shortest paths between nodes — based on the
 SILLEO-SCNS approach extended with SGP4 support.  The resulting machine and
 network parameters are handed to the Machine Managers without modification.
+Shortest paths are solved on demand: each state owns one
+:class:`~repro.topology.paths.PathRows` store and solves a source's row
+the first time a query needs it, so computing an epoch solves none.
 
 The snapshot hot path is fully vectorised: static structures (the node
 index, per-shell +GRID ISL endpoint arrays as flat global node indices, and
@@ -40,11 +43,10 @@ reuses from the previous epoch:
 * the previous graph's derived structure (sorted keys, delay-matrix
   template), shared whenever the edge set did not change — ``state_at``
   passes no ``structure_from``;
-* the shortest-path tables, advanced through the
-  :class:`~repro.topology.paths.PathEngine`: reused verbatim when the diff
-  changed no delay and no link, and otherwise the main table and every
-  lazily created satellite-to-satellite table share one stacked solve —
-  ``state_at`` runs a cold :meth:`~repro.topology.paths.PathEngine.solve`.
+* the path rows, handed on by
+  :meth:`~repro.topology.paths.PathEngine.advance_all`: shared when the
+  diff changed no delay and no link, otherwise an empty store, as
+  ``state_at`` starts with — neither path solves a row.
 
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
@@ -64,7 +66,7 @@ per shell and cached on the state (:meth:`ConstellationState.geodetic`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +84,7 @@ from repro.topology import (
     NetworkGraph,
     NodeIndex,
     PathEngine,
-    ShortestPaths,
+    PathRows,
     TopologyDiff,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE
@@ -141,10 +143,11 @@ class ConstellationDiff:
 
     This is the unit of distribution of the differential update protocol:
     the coordinator computes one per epoch via
-    :meth:`ConstellationCalculation.diff_since`, stores it in the rolling
-    history of the constellation database, shards its activity transitions
-    into per-host slices for the machine managers and hands it to the
-    virtual network.
+    :meth:`ConstellationCalculation.diff_since`, publishes it with the new
+    state (the database holds that one publication, the streaming gateway
+    encodes it as the epoch's DIFF), shards its activity transitions into
+    per-host slices for the machine managers and hands it to the virtual
+    network.
 
     ``topology`` carries the edge-level changes (see
     :class:`~repro.topology.graph.TopologyDiff`); ``activated`` and
@@ -232,56 +235,6 @@ class _EpochArrays:
     hints: Optional[_UpdateHints] = None
 
 
-class _ExtraTableScores:
-    """Usage bookkeeping behind the extra-table cache.
-
-    Each cached single-source table is scored by what it earns: recorded
-    query hits, decayed geometrically once per epoch with a half-life of
-    ``DECAY_HALF_LIFE_EPOCHS`` so stale popularity fades.  (Carrying a
-    table costs the same for every table — one row of the epoch's single
-    stacked solve — so cost does not enter the ranking.)  The cache
-    evicts the table with the fewest decayed hits first, breaking ties
-    by least-recent use, so a hot table survives a flood of one-shot
-    queries.  Entries of evicted tables are dropped outright, keeping
-    the bookkeeping bounded by the cache cap.
-    """
-
-    __slots__ = ("hits", "last_used", "_clock")
-
-    DECAY_HALF_LIFE_EPOCHS = 1.0
-    DECAY_FACTOR = 0.5 ** (1.0 / DECAY_HALF_LIFE_EPOCHS)
-
-    def __init__(self):
-        self.hits: dict[int, float] = {}
-        self.last_used: dict[int, int] = {}
-        self._clock = 0
-
-    def _touch(self, node: int) -> None:
-        self._clock += 1
-        self.last_used[node] = self._clock
-
-    def record_hit(self, node: int) -> None:
-        self.hits[node] = self.hits.get(node, 0.0) + 1.0
-        self._touch(node)
-
-    def record_insert(self, node: int) -> None:
-        self.hits.setdefault(node, 0.0)
-        self._touch(node)
-
-    def decay(self) -> None:
-        """Geometrically decay the hits (once per advanced epoch)."""
-        for node in self.hits:
-            self.hits[node] *= self.DECAY_FACTOR
-
-    def drop(self, node: int) -> None:
-        self.hits.pop(node, None)
-        self.last_used.pop(node, None)
-
-    def rank(self, node: int) -> tuple[float, int]:
-        """Sort key: ascending → first to evict (fewest hits, then LRU)."""
-        return (self.hits.get(node, 0.0), self.last_used.get(node, 0))
-
-
 @dataclass
 class ConstellationState:
     """Snapshot of the constellation network at one instant."""
@@ -290,70 +243,16 @@ class ConstellationState:
     gmst_rad: float
     node_index: NodeIndex
     graph: NetworkGraph
-    paths: ShortestPaths
+    paths: PathRows
     satellite_positions_ecef: dict[int, np.ndarray]
     active_satellites: dict[int, np.ndarray]
     ground_positions_ecef: dict[str, np.ndarray]
-    _extra_paths: dict[int, ShortestPaths] = field(default_factory=dict, repr=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
-    #: The owning calculation's engine and shared score book; the
-    #: calculation sets both.
-    _path_engine: Optional[PathEngine] = field(default=None, repr=False, compare=False)
-    _table_scores: Optional[_ExtraTableScores] = field(
-        default=None, repr=False, compare=False
-    )
     _geodetic: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     # -- machine-level queries -------------------------------------------
-
-    def _paths_from(self, node_a: int, node_b: int) -> tuple[ShortestPaths, int, int]:
-        """Shortest-path table that contains one of the two nodes as a source.
-
-        The main table covers the configured path sources (by default the
-        ground stations).  Queries between two satellites — e.g. a state
-        migration between satellite servers — fall back to a lazily computed
-        and cached single-source table.  The tables are engine-managed:
-        created through the constellation's :class:`PathEngine` (so solver
-        work is counted) and carried to the next epoch by ``diff_since``,
-        where they join the main table's stacked solve.
-
-        The cache is bounded at *insert* time: when adding a table would
-        exceed :attr:`ConstellationCalculation.MAX_CARRIED_EXTRA_TABLES`,
-        the lowest-ranked cached table is evicted
-        (:class:`_ExtraTableScores`: fewest decayed hits, then least
-        recently used) before the new one is kept, so the set a
-        ``diff_since`` carries never exceeds the cap either.  Every lookup
-        records a hit or miss, both in the score book (so eviction ranks
-        on real usage, not insertion order) and in the engine's
-        ``cache_*`` counters (so the behaviour is observable through
-        ``path_statistics``).
-        """
-        if self.paths.has_source(node_a):
-            return self.paths, node_a, node_b
-        if self.paths.has_source(node_b):
-            return self.paths, node_b, node_a
-        engine = self._path_engine
-        scores = self._table_scores
-        # Paths are symmetric: a carried table of either endpoint answers.
-        for source, target in ((node_a, node_b), (node_b, node_a)):
-            table = self._extra_paths.get(source)
-            if table is not None:
-                engine.stats.cache_hits += 1
-                scores.record_hit(source)
-                return table, source, target
-        engine.stats.cache_misses += 1
-        table = engine.solve(self.graph, sources=[node_a])
-        self._extra_paths[node_a] = table
-        scores.record_insert(node_a)
-        while len(self._extra_paths) > ConstellationCalculation.MAX_CARRIED_EXTRA_TABLES:
-            candidates = [k for k in self._extra_paths if k != node_a]
-            victim = min(candidates, key=scores.rank)
-            scores.drop(victim)
-            del self._extra_paths[victim]
-            engine.stats.cache_evictions += 1
-        return table, node_a, node_b
 
     def node_for(self, machine: MachineId) -> int:
         """Flat node index of a machine."""
@@ -372,8 +271,7 @@ class ConstellationState:
         node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
         if node_a == node_b:
             return 0.0
-        paths, source, target = self._paths_from(node_a, node_b)
-        return paths.delay_ms(source, target)
+        return self.paths.delay_ms(*self.paths.oriented(node_a, node_b))
 
     def rtt_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Round-trip network delay between two machines [ms]."""
@@ -384,10 +282,13 @@ class ConstellationState:
         return np.isfinite(self.delay_ms(machine_a, machine_b))
 
     def path(self, machine_a: MachineId, machine_b: MachineId):
-        """Full path (hop node indices) between two machines."""
+        """Full path (hop node indices) between two machines.
+
+        Reported from the row that answers the pair, so ``source`` may be
+        ``machine_b``'s node (see :class:`~repro.topology.paths.PathRows`).
+        """
         node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
-        paths, source, target = self._paths_from(node_a, node_b)
-        return paths.path(source, target)
+        return self.paths.path(*self.paths.oriented(node_a, node_b))
 
     def bandwidth_kbps(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Bottleneck bandwidth along the shortest path [kbps] (0 if unreachable)."""
@@ -408,42 +309,29 @@ class ConstellationState:
 
         Pair by pair the values of :meth:`delay_ms` and
         :meth:`bandwidth_kbps` (``inf`` / 0 where no path exists, 0 / 0
-        for a node and itself), computed per path table rather than per
-        pair: the delays are one fancy index into the table, the
-        bottlenecks one lock-step walk of all its pairs
-        (:meth:`ShortestPaths.hop_steps`) with one vectorised edge lookup
-        per step.  Each pair's table comes from :meth:`_paths_from`, so a
-        pair neither of whose nodes is a main-table source consults the
-        extra-table cache exactly as a single query does.
+        for a node and itself), computed as one batch: the pairs are
+        oriented together (:meth:`~repro.topology.paths.PathRows.orient`,
+        where the endpoint most pairs share wins), their missing rows are
+        one solve, the delays one fancy index and the bottlenecks one
+        lock-step walk of all pairs
+        (:meth:`~repro.topology.paths.ShortestPaths.hop_steps`) with one
+        vectorised edge lookup per step.
         """
-        delays = np.zeros(len(nodes_a))
-        bandwidths = np.zeros(len(nodes_a))
-        by_table: dict[int, tuple[ShortestPaths, list[int], list[int], list[int]]] = {}
-        for position, (node_a, node_b) in enumerate(zip(nodes_a, nodes_b)):
-            if node_a == node_b:
-                continue
-            table, source, target = self._paths_from(node_a, node_b)
-            _, positions, sources, targets = by_table.setdefault(
-                id(table), (table, [], [], [])
-            )
-            positions.append(position)
-            sources.append(source)
-            targets.append(target)
+        nodes_a = np.asarray(nodes_a, dtype=np.int64)
+        nodes_b = np.asarray(nodes_b, dtype=np.int64)
+        delays = np.zeros(nodes_a.size)
+        bandwidths = np.zeros(nodes_a.size)
+        positions = np.flatnonzero(nodes_a != nodes_b)
+        sources, targets = self.paths.orient(nodes_a[positions], nodes_b[positions])
+        delays[positions] = self.paths.delays_between(sources, targets)
         link_bandwidths = self.graph.bandwidths_kbps
-        for table, *columns in by_table.values():
-            positions, sources, targets = (
-                np.asarray(column, dtype=np.int64) for column in columns
-            )
-            delays[positions] = table.delays_between(sources, targets)
-            bottlenecks = np.full(positions.size, np.inf)
-            for pairs, hop_a, hop_b in table.hop_steps(sources, targets):
-                edges = self.graph.edge_ids_between(hop_a, hop_b)
-                linked = edges >= 0
-                pairs = pairs[linked]
-                bottlenecks[pairs] = np.minimum(
-                    bottlenecks[pairs], link_bandwidths[edges[linked]]
-                )
-            bandwidths[positions] = np.where(np.isfinite(bottlenecks), bottlenecks, 0.0)
+        bottlenecks = np.full(positions.size, np.inf)
+        for pairs, hop_a, hop_b in self.paths.hop_steps(sources, targets):
+            edges = self.graph.edge_ids_between(hop_a, hop_b)
+            linked = edges >= 0
+            pairs = pairs[linked]
+            bottlenecks[pairs] = np.minimum(bottlenecks[pairs], link_bandwidths[edges[linked]])
+        bandwidths[positions] = np.where(np.isfinite(bottlenecks), bottlenecks, 0.0)
         return delays, bandwidths
 
     def uplinks_of(self, ground_station: str) -> list[UplinkInfo]:
@@ -495,22 +383,8 @@ class ConstellationState:
 class ConstellationCalculation:
     """Computes constellation snapshots for a configuration."""
 
-    def __init__(
-        self,
-        config: Configuration,
-        path_sources: Literal["ground_stations", "all"] = "ground_stations",
-    ):
+    def __init__(self, config: Configuration):
         self.config = config
-        # ``path_sources="all"`` is the serving-tier shape: the main
-        # table's source set becomes every node (a superset of every
-        # active satellite), and each epoch the whole carried table set —
-        # main plus extras — advances through one epoch-batched
-        # ``PathEngine.advance_all`` call.
-        self.path_sources = path_sources
-        # Usage score book of the extra-table cache, shared with
-        # every state this calculation produces (eviction needs history
-        # that outlives a single epoch's state object).
-        self._extra_table_scores = _ExtraTableScores()
         self.shells: list[Shell] = [
             Shell(
                 shell_config.geometry,
@@ -523,11 +397,10 @@ class ConstellationCalculation:
             shell_sizes=config.shell_sizes,
             ground_station_names=config.ground_station_names,
         )
-        # One engine per calculation: it owns the solver-call counters and
-        # advances the main (and any extra single-source) tables across
-        # epochs; the tables themselves live on the states, so database
-        # keyframes stay valid and any retained state can seed a replay.
-        self.path_engine = PathEngine(sources=self._path_sources())
+        # One engine per calculation: it solves the rows every state of the
+        # calculation is asked for and counts that work; the rows live on
+        # the states, so any retained state can seed a replay.
+        self.path_engine = PathEngine()
         # Static structures reused across consecutive snapshots: the node
         # index, per-shell +GRID ISL pair arrays (both in-shell and as flat
         # global node indices, split into contiguous endpoint buffers) and
@@ -610,19 +483,6 @@ class ConstellationCalculation:
             self._shell_speed_km_s.append(speed)
             min_range_km = max(geometry.altitude_km - 20.0, 1.0)
             self._elevation_rate_deg_s.append(float(np.degrees(speed / min_range_km)))
-
-    def cache_parameters(self) -> dict:
-        """The effective extra-table cache tuning, for result records.
-
-        Experiment bundles persist this next to the cache counters so a
-        run's eviction behaviour is reproducible from its ``result.json``.
-        """
-        return {
-            "decay_half_life_epochs": _ExtraTableScores.DECAY_HALF_LIFE_EPOCHS,
-            "decay_factor": _ExtraTableScores.DECAY_FACTOR,
-            "score": "decayed hits, then least-recent use",
-            "max_carried_extra_tables": self.MAX_CARRIED_EXTRA_TABLES,
-        }
 
     # -- machine identities -------------------------------------------------
 
@@ -779,12 +639,6 @@ class ConstellationCalculation:
             ),
         )
 
-    #: Cap on lazily created single-source tables carried between
-    #: epochs.  Every carried table adds one source row to the epoch's
-    #: stacked solve (≈ 1 ms per row on full Starlink), so the cap
-    #: bounds a fully populated cache to a few hundred rows per epoch.
-    MAX_CARRIED_EXTRA_TABLES = 256
-
     def _state_from_epoch(
         self,
         time_s: float,
@@ -793,22 +647,10 @@ class ConstellationCalculation:
         previous: Optional[ConstellationState] = None,
         topology: Optional[TopologyDiff] = None,
     ) -> ConstellationState:
-        extra_paths: dict[int, ShortestPaths] = {}
-        engine = self.path_engine
         if previous is not None and topology is not None:
-            # The main table and every carried satellite-to-satellite
-            # query table advance through ONE call: reused together or
-            # solved together in one stacked solver invocation.
-            self._extra_table_scores.decay()
-            carried = list(previous._extra_paths.items())
-            paths, *extras = engine.advance_all(
-                [previous.paths, *(table for _, table in carried)],
-                graph,
-                topology,
-            )
-            extra_paths = {node: table for (node, _), table in zip(carried, extras)}
+            paths = self.path_engine.advance_all(previous.paths, graph, topology)
         else:
-            paths = engine.solve(graph)
+            paths = PathRows(graph, self.path_engine, self._gst_nodes.tolist())
         return ConstellationState(
             time_s=time_s,
             gmst_rad=epoch.gmst,
@@ -818,10 +660,7 @@ class ConstellationCalculation:
             satellite_positions_ecef=epoch.satellite_positions,
             active_satellites=epoch.active,
             ground_positions_ecef=dict(self._ground_positions),
-            _extra_paths=extra_paths,
             _update_hints=epoch.hints,
-            _path_engine=engine,
-            _table_scores=self._extra_table_scores,
         )
 
     def _assemble_graph(
@@ -864,7 +703,7 @@ class ConstellationCalculation:
 
         This is the cold reference path: every visibility pair is
         evaluated (no hints), the graph shares no structure with another
-        epoch, and the path tables come from a cold solve.  Use
+        epoch, and the path rows start empty.  Use
         :meth:`diff_since` to advance from a previous epoch instead.
         """
         epoch = self._epoch_arrays(time_s)
@@ -908,10 +747,3 @@ class ConstellationCalculation:
             deactivated=deactivated,
         )
         return state, diff
-
-    def _path_sources(self) -> Optional[Sequence[int]]:
-        if self.path_sources == "all":
-            return None
-        sources = list(self.node_index.ground_station_indices())
-        # Without ground stations fall back to all-pairs so queries still work.
-        return sources if sources else None

@@ -124,19 +124,6 @@ class UpdateStats:
     )
     total_wallclock_s: float = 0.0
     max_wallclock_s: float = 0.0
-    #: Cumulative :class:`~repro.topology.paths.PathEngineStats` snapshot
-    #: of the calculation's path engine after the latest update: solver
-    #: calls and rows, tables advanced and reused, cold solves, and the
-    #: extra-table cache's ``cache_hits``/``cache_misses``/
-    #: ``cache_evictions``, so all-pairs runs are observable through
-    #: ``ExperimentResult.path_statistics``.
-    path_engine_totals: dict[str, int] = field(default_factory=dict)
-    #: How many updates took each path regime, derived from the engine's
-    #: counter deltas: ``"solve"`` (a delay or a link changed, so every
-    #: table shared one stacked solve), ``"reuse"`` (nothing changed, the
-    #: tables were rebound), ``"cold"`` (only cold solves: the first
-    #: epoch, or a full rebuild) or ``"none"`` (no engine activity).
-    path_regimes: dict[str, int] = field(default_factory=dict)
 
     def record_update(
         self, wallclock_s: float, fanout_s: float, change_count: Optional[int] = None
@@ -152,33 +139,6 @@ class UpdateStats:
         else:
             self.diff_updates += 1
             self.diff_change_counts.append(change_count)
-
-    def record_path_engine(self, before: dict[str, int], after: dict[str, int]) -> None:
-        """Fold one update's path-engine counter delta into the stats."""
-        self.path_engine_totals = after
-        solver_calls, cold_solves, reuses = (
-            after[counter] - before[counter]
-            for counter in ("solver_calls", "cold_solves", "empty_reuses")
-        )
-        if solver_calls > cold_solves:
-            regime = "solve"
-        elif reuses:
-            regime = "reuse"
-        elif cold_solves:
-            regime = "cold"
-        else:
-            regime = "none"
-        self.path_regimes[regime] = self.path_regimes.get(regime, 0) + 1
-
-    @property
-    def path_cache_events(self) -> dict[str, int]:
-        """Extra-table cache totals (hits/misses/evictions) so far."""
-        totals = self.path_engine_totals
-        return {
-            "hits": totals.get("cache_hits", 0),
-            "misses": totals.get("cache_misses", 0),
-            "evictions": totals.get("cache_evictions", 0),
-        }
 
     @property
     def mean_wallclock_s(self) -> float:
@@ -409,15 +369,12 @@ class Coordinator:
         backend.
         """
         started = wallclock.perf_counter()
-        engine = self.calculation.path_engine
-        engine_before = engine.stats.snapshot()
         previous = self.database.state if self.database.has_state else None
         if previous is None or not self.incremental:
             state = self.calculation.state_at(now_s)
             diff = None
         else:
             state, diff = self.calculation.diff_since(previous, now_s)
-        self.stats.record_path_engine(engine_before, engine.stats.snapshot())
         self.database.set_state(state, diff=diff)
         # Each manager only mutates its own host's machines: counters and
         # machine transitions come out the same whichever backend applies.

@@ -29,14 +29,15 @@ drops them all.  What it keeps is *which* pairs had a rule in the epoch it
 retires — the working set of the traffic.  The first
 :meth:`~ConstellationDatabase.pair_rule` call of the new epoch that finds
 no rule resolves its own pair and all of those with it, in one pass over
-the path table (:meth:`ConstellationState.pair_metrics
+the state's path rows (:meth:`ConstellationState.pair_metrics
 <repro.core.constellation.ConstellationState.pair_metrics>`); a pair
-outside the working set is the same pass with a batch of one.  Only pairs
-the main path table answers are resolved ahead of demand: a
-satellite-to-satellite pair still resolves when it is asked for, so the
-extra-table cache sees exactly the queries the traffic makes.  The kept
-list is bounded by the previous epoch's working set and replaced on every
-``set_state``, whether or not it was used.
+outside the working set is the same pass with a batch of one.  The batch
+is also what keeps the epoch's path rows few: the state solves rows on
+demand, and a batch roots its pairs at the endpoint most of them share —
+one row for a DART deployment whose every pair contains the central
+station, where asking pair by pair would root each at its first ground
+station.  The kept list is bounded by the previous epoch's working set and
+replaced on every ``set_state``, whether or not it was used.
 """
 
 from __future__ import annotations
@@ -206,17 +207,13 @@ class ConstellationDatabase:
         warm: list[tuple[MachineId, MachineId]],
     ) -> None:
         """Derive and cache the rule of ``pair`` and, in the same pass, of
-        every pair of ``warm`` that the main path table answers."""
+        every pair of ``warm``."""
         state = self.state
-        is_source = state.paths.has_source
-        nodes = {pair: (state.node_for(pair[0]), state.node_for(pair[1]))}
-        for other in warm:
-            node_a, node_b = state.node_for(other[0]), state.node_for(other[1])
-            if is_source(node_a) or is_source(node_b):
-                nodes.setdefault(other, (node_a, node_b))
-        self.rule_batch_pairs += len(nodes) - 1
-        delays, bandwidths = state.pair_metrics(*zip(*nodes.values()))
-        for key, delay, bandwidth in zip(nodes, delays.tolist(), bandwidths.tolist()):
+        pairs = dict.fromkeys([pair, *warm])
+        self.rule_batch_pairs += len(pairs) - 1
+        nodes = [(state.node_for(source), state.node_for(target)) for source, target in pairs]
+        delays, bandwidths = state.pair_metrics(*zip(*nodes))
+        for key, delay, bandwidth in zip(pairs, delays.tolist(), bandwidths.tolist()):
             reachable = math.isfinite(delay)
             self._rule_cache[key] = PairRule(
                 delay_ms=delay if reachable else 0.0,

@@ -37,7 +37,6 @@ class Celestial:
     def __init__(
         self,
         config: Configuration,
-        path_sources: Literal["ground_stations", "all"] = "ground_stations",
         usage_sample_interval_s: float = 5.0,
         allow_memory_overcommit: bool = True,
         parallelism: Literal["threads", "processes"] = "threads",
@@ -47,7 +46,7 @@ class Celestial:
         self.config = config
         self.sim = Simulation()
         self.streams = RandomStreams(config.seed)
-        self.calculation = ConstellationCalculation(config, path_sources=path_sources)
+        self.calculation = ConstellationCalculation(config)
         self.database = ConstellationDatabase()
         self.dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
         self.hosts = [
@@ -213,23 +212,10 @@ class Celestial:
         }
 
     def path_engine_statistics(self) -> dict:
-        """Path-engine counters and how many updates took each path regime.
-
-        ``totals`` is the cumulative
+        """``{"totals": ...}``: the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls and rows, tables advanced and reused, cold solves);
-        ``regimes`` counts the coordinator updates per regime (``solve``
-        / ``reuse`` / ``cold`` / ``none``); ``cache`` summarises the
-        extra-table cache's hit/miss/eviction totals;
-        ``cache_parameters`` records the eviction ranking and cap the run
-        used, so result bundles are self-describing.
-        """
-        return {
-            "totals": dict(self.coordinator.stats.path_engine_totals),
-            "regimes": dict(self.coordinator.stats.path_regimes),
-            "cache": self.coordinator.stats.path_cache_events,
-            "cache_parameters": self.calculation.cache_parameters(),
-        }
+        calls, rows solved, stores advanced, rows shared)."""
+        return {"totals": self.calculation.path_engine.stats.snapshot()}
 
     def booted_machines(self) -> int:
         """Number of microVMs created across all hosts."""

@@ -61,9 +61,7 @@ class ExperimentResult:
     resource_traces: dict[int, Any] = field(default_factory=dict)
     #: Data-plane counters of the virtual network.
     network_statistics: dict[str, int] = field(default_factory=dict)
-    #: Path-engine counters and per-regime update counts (``{"totals":
-    #: {...}, "regimes": {"solve": n, "reuse": n, "cold": n, "none": n},
-    #: "cache": {...}, "cache_parameters": {...}}``) — see
+    #: Path-engine counters (``{"totals": {...}}``) — see
     #: :meth:`repro.core.testbed.Celestial.path_engine_statistics`.
     path_statistics: dict = field(default_factory=dict)
     #: Streaming-gateway counters when the spec attached a serving tier
@@ -358,19 +356,7 @@ def _run_handover(spec: ExperimentSpec, config: Configuration) -> ExperimentResu
         title=f"Uplink handovers of {station} over {duration_s:.0f}s",
         metrics=metrics,
         raw=analysis,
-        path_statistics={
-            # Same shape as Celestial.path_engine_statistics(): the full
-            # counter snapshot plus the extra-table cache summary; no
-            # coordinator runs here, so there are no per-update regimes.
-            "totals": calculation.path_engine.stats.snapshot(),
-            "regimes": {},
-            "cache": {
-                "hits": calculation.path_engine.stats.cache_hits,
-                "misses": calculation.path_engine.stats.cache_misses,
-                "evictions": calculation.path_engine.stats.cache_evictions,
-            },
-            "cache_parameters": calculation.cache_parameters(),
-        },
+        path_statistics={"totals": calculation.path_engine.stats.snapshot()},
     )
 
 
@@ -409,7 +395,6 @@ class ExperimentRunner:
         serve = spec.serve
         testbed = Celestial(
             config,
-            path_sources="all" if (serve is not None and serve.all_pairs) else "ground_stations",
             parallelism=spec.runtime.parallelism,
             worker_count=spec.runtime.workers,
         )

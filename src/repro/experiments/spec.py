@@ -143,9 +143,8 @@ class ServeSpec:
     :class:`~repro.serve.gateway.GatewayServer` on the testbed's
     constellation database for the duration of the run: every published
     epoch is encoded once through the shared codec and fanned out to all
-    subscribed clients, and path queries are answered from the warm
-    routing tables.  ``all_pairs=True`` widens the path sources so queries
-    between arbitrary machines hit warm tables instead of cold solves.
+    subscribed clients, and path queries are answered from the current
+    state, which solves the rows it is asked for.
     """
 
     host: str = "127.0.0.1"
@@ -153,7 +152,6 @@ class ServeSpec:
     queue_limit: int = 64
     ack_timeout_s: float = 5.0
     auth_secret: str = ""
-    all_pairs: bool = False
 
     def __post_init__(self):
         if self.queue_limit <= 0:
@@ -276,8 +274,6 @@ class ExperimentSpec:
                 serve["ack_timeout_s"] = float(self.serve.ack_timeout_s)
             if self.serve.auth_secret:
                 serve["auth_secret"] = self.serve.auth_secret
-            if self.serve.all_pairs:
-                serve["all_pairs"] = True
             data["serve"] = serve
         return data
 
@@ -324,13 +320,17 @@ class ExperimentSpec:
             serve: Optional[ServeSpec] = None
             if "serve" in data:
                 serve_data = data["serve"]
+                if "all_pairs" in serve_data:
+                    raise ExperimentSpecError(
+                        "serve.all_pairs was removed: every path row is solved "
+                        "on demand; delete the key"
+                    )
                 serve = ServeSpec(
                     host=serve_data.get("host", "127.0.0.1"),
                     port=int(serve_data.get("port", 0)),
                     queue_limit=int(serve_data.get("queue_limit", 64)),
                     ack_timeout_s=float(serve_data.get("ack_timeout_s", 5.0)),
                     auth_secret=serve_data.get("auth_secret", ""),
-                    all_pairs=bool(serve_data.get("all_pairs", False)),
                 )
             return cls(
                 name=data["name"],

@@ -122,7 +122,7 @@ class SubscriptionClient:
     # -- querying ------------------------------------------------------------
 
     def query(self, source: str, destination: str) -> dict:
-        """Path latency ``source → destination`` now, from the warm tables.
+        """Path latency ``source → destination`` in the gateway's current epoch.
 
         Targets are machine names: ``<id>.<shell>`` (or the DNS form
         ``<id>.<shell>.celestial``) for satellites, the station name for

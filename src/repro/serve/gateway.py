@@ -27,10 +27,9 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
 * **One stream.**  Every subscriber is sent every epoch.  A SUBSCRIBE
   that asks for a filtered stream (a ``scope``, gone since wire version 6)
   is refused with an ``ERROR`` frame, never silently widened.
-* **Warm-table queries.**  ``QUERY`` frames ("path latency src→dst now")
-  are answered from the current state's path tables — warm ``all_pairs``
-  tables when the calculation serves them — with per-client cache
-  hit/miss attribution surfaced in :meth:`StreamGateway.statistics`.
+* **Path queries.**  ``QUERY`` frames ("path latency src→dst now") are
+  answered from the current state, which solves a path row the first time
+  a query needs it; the reply names the epoch it was computed on.
 
 The asyncio core runs inside :class:`GatewayServer`, a thread-hosted
 facade that plugs into :meth:`ConstellationDatabase.add_listener` so the
@@ -95,8 +94,6 @@ class _Subscription:
     delivered: int = 0
     evictions: int = 0
     queries: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     closed: bool = False
 
     def statistics(self) -> dict:
@@ -104,8 +101,6 @@ class _Subscription:
             "delivered": self.delivered,
             "evictions": self.evictions,
             "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -462,13 +457,11 @@ class StreamGateway:
                     pass  # queue brim-full of replies: drop like the backlog
 
     def _answer_query(self, subscription: _Subscription, meta: dict) -> dict:
-        """Answer one path-latency query from the warm state tables.
+        """Answer one path-latency query from the current state.
 
-        The query goes through :meth:`ConstellationState.path`, which
-        serves from the calculation's carried path tables — warm
-        ``all_pairs`` tables when the testbed was started with them — and
-        records hits/misses in the engine statistics; the delta is
-        attributed to the querying client.
+        The query goes through :meth:`ConstellationState.path` under the
+        database lock, so the delay and the epoch it names belong to one
+        publication.
         """
         subscription.queries += 1
         database = self.database
@@ -476,13 +469,8 @@ class StreamGateway:
             source = _machine_from_token(str(meta["source"]))
             destination = _machine_from_token(str(meta["destination"]))
             with database.lock:
-                state = database.state
-                stats = state._path_engine.stats
-                hits_before, misses_before = stats.cache_hits, stats.cache_misses
                 epoch = database.epoch
-                result = state.path(source, destination)
-                subscription.cache_hits += stats.cache_hits - hits_before
-                subscription.cache_misses += stats.cache_misses - misses_before
+                result = database.state.path(source, destination)
             reachable = bool(result.reachable)
             return {
                 "client": subscription.client_id,
@@ -515,8 +503,6 @@ class StreamGateway:
             "delivered": sum(c["delivered"] for c in clients.values()),
             "evictions": sum(c["evictions"] for c in clients.values()),
             "queries": sum(c["queries"] for c in clients.values()),
-            "cache_hits": sum(c["cache_hits"] for c in clients.values()),
-            "cache_misses": sum(c["cache_misses"] for c in clients.values()),
             "clients": clients,
         }
 

@@ -7,7 +7,13 @@ from repro.topology.linkparams import (
     propagation_delay_ms,
     serialization_delay_ms,
 )
-from repro.topology.paths import PathEngine, PathEngineStats, PathResult, ShortestPaths
+from repro.topology.paths import (
+    PathEngine,
+    PathEngineStats,
+    PathResult,
+    PathRows,
+    ShortestPaths,
+)
 from repro.topology.uplinks import visible_satellites, visible_satellites_batch
 
 __all__ = [
@@ -17,6 +23,7 @@ __all__ = [
     "PathEngine",
     "PathEngineStats",
     "PathResult",
+    "PathRows",
     "ShortestPaths",
     "TopologyDiff",
     "grid_plus_isl_pairs",

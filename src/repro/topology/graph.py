@@ -19,8 +19,8 @@ ids are the positions the caller passed the edges in.
 its input (equal endpoint lengths, no self-links, endpoints in range, every
 undirected node pair at most once) and returns a finished graph that
 nothing changes afterwards — the same epoch object is shared, uncopied, by
-the database's keyframes, both sides of a :class:`TopologyDiff`, rebound
-path tables, the codec and the coordinator's sharding.
+the database's publication, both sides of a :class:`TopologyDiff`, the
+path rows that share it, the codec and the coordinator's sharding.
 
 What is cached and shared
 -------------------------

@@ -251,6 +251,12 @@ class TestConfigurationErrors:
         line = self._error_line(["validate", str(path)], capsys)
         assert str(path) in line and "hosts.inter_host_latency_ms was removed" in line
 
+    def test_removed_serve_key(self, tmp_path, capsys):
+        path = tmp_path / "stale-spec.toml"
+        path.write_text(_SPEC_TOML + "\n[serve]\nall_pairs = true\n")
+        line = self._error_line(["run", str(path), "--no-output"], capsys)
+        assert str(path) in line and "serve.all_pairs was removed" in line
+
     def test_run_rejects_an_inconsistent_spec(self, config_path, capsys):
         # A plain configuration is not an experiment spec (no [scenario] table).
         line = self._error_line(["run", config_path, "--no-output"], capsys)

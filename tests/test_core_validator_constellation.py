@@ -212,13 +212,14 @@ class TestConstellationCalculation:
         assert delay > 0.0
         assert state.delay_ms(a, b) == pytest.approx(state.delay_ms(b, a))
 
-    def test_path_sources_all_allows_sat_to_sat(self):
-        calc = ConstellationCalculation(_iridium_config(), path_sources="all")
+    def test_sat_to_sat_solves_one_row(self):
+        calc = ConstellationCalculation(_iridium_config())
         state = calc.state_at(0.0)
         a = calc.satellite(0, 0)
         b = calc.satellite(0, 30)
         assert np.isfinite(state.delay_ms(a, b))
         assert state.path(a, b).hop_count >= 1
+        assert calc.path_engine.stats.rows_solved == 1
 
 
 def _twin_shell_config(ground_stations):

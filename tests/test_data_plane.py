@@ -75,14 +75,14 @@ class TestPairRuleBatch:
         sinks = [calculation.ground_station(n) for n in names if n.startswith("sink-")]
         blind = calculation.ground_station("blind")
         satellites = (calculation.satellite(0, 3), calculation.satellite(0, 40))
-        main_pairs = (
+        pairs = (
             [(buoy, central) for buoy in buoys]
             + [(central, sink) for sink in sinks]
             + [(central, blind), (blind, buoys[0])]  # unreachable
             + [(central, central)]  # a node and itself
-            + [(satellites[0], central)]  # the main table answers backwards
+            + [(satellites[0], central)]  # answered backwards, from central
+            + [satellites]  # neither endpoint is a station
         )
-        extra_pair = satellites  # neither endpoint is a main-table source
 
         state = calculation.state_at(0.0)
         database.set_state(state)
@@ -94,29 +94,31 @@ class TestPairRuleBatch:
             lookups, misses, batched = (
                 database.rule_lookups, database.rule_misses, database.rule_batch_pairs
             )
-            cache_before = (engine_stats.cache_hits, engine_stats.cache_misses)
-            rules = [database.pair_rule(*pair) for pair in main_pairs]
-            # Asking for main-table pairs never touches the extra-table cache,
-            # although the satellite pair is in the warm list from epoch 1 on.
-            assert (engine_stats.cache_hits, engine_stats.cache_misses) == cache_before
+            rows_solved = engine_stats.rows_solved
+            rules = [database.pair_rule(*pair) for pair in pairs]
+            assert database.rule_lookups == lookups + len(pairs)
             if epoch:
-                # One miss resolved the whole working set of the last epoch.
+                # One miss resolved the whole working set of the last epoch,
+                # rooted where its pairs meet: the central station's row,
+                # satellite 3's (in two pairs, satellite 40 in one) and the
+                # blind station's (it ties with buoy 0 and comes first).
                 assert database.rule_misses == misses + 1
-                assert database.rule_batch_pairs == batched + len(main_pairs) - 1
+                assert database.rule_batch_pairs == batched + len(pairs) - 1
+                assert engine_stats.rows_solved == rows_solved + 3
             else:
-                assert database.rule_misses == misses + len(main_pairs)
+                assert database.rule_misses == misses + len(pairs)
                 assert database.rule_batch_pairs == batched
-            extra_rule = database.pair_rule(*extra_pair)
-            assert database.rule_lookups == lookups + len(main_pairs) + 1
-            assert engine_stats.cache_hits + engine_stats.cache_misses == sum(cache_before) + 1
 
-            for pair, rule in zip(main_pairs + [extra_pair], rules + [extra_rule]):
-                _assert_same_rule(rule, _reference_rule(state, *pair))
+            # The reference asks pair by pair on a state of its own, so its
+            # rows are rooted at each pair's first station, not the batch's.
+            reference = calculation.state_at(state.time_s)
+            for pair, rule in zip(pairs, rules):
+                _assert_same_rule(rule, _reference_rule(reference, *pair))
                 assert database.pair_rule(*pair) is rule  # cached for the epoch
             assert not database.pair_rule(central, blind).reachable
             assert database.pair_rule(central, blind).bandwidth_kbps is None
             assert database.pair_rule(central, central) == PairRule(0.0, None, True)
-            assert extra_rule.reachable and extra_rule.bandwidth_kbps > 0
+            assert rules[-1].reachable and rules[-1].bandwidth_kbps > 0
 
     def test_pair_metrics_matches_scalar_path_walk(self, dart_config):
         calculation = ConstellationCalculation(dart_config)
@@ -217,6 +219,28 @@ class TestDartIdentity:
         mirrored = _run_dart(parallelism="processes", worker_count=2)
         assert mirrored[0] == warm[0]
         assert mirrored[1].tobytes() == warm[1].tobytes()
+
+
+class TestPathRows:
+    def test_the_data_plane_solves_one_row_per_epoch(self):
+        config = dart_configuration("central", buoy_count=8, sink_count=16, update_interval_s=1.0)
+        testbed = Celestial(config)
+        try:
+            experiment = DartExperiment(testbed, deployment="central", group_count=2)
+            experiment.run(duration_s=0.0)
+            stats = testbed.calculation.path_engine.stats
+            rows = []
+            for second in range(1, 21):
+                before = stats.rows_solved
+                testbed.run(until=float(second))
+                rows.append(stats.rows_solved - before)
+        finally:
+            testbed.close()
+        # The first epoch with traffic asks pair by pair: one row per buoy.
+        # From then on the working set's batch roots every pair at the
+        # central station, and later pairs of the epoch find its row.
+        assert rows[0] == 8
+        assert max(rows[1:]) <= 2 and sum(rows[1:]) <= len(rows)
 
 
 class TestStoppedInFlight:

@@ -45,6 +45,13 @@ class TestServeSpec:
         with pytest.raises(ExperimentSpecError, match="port"):
             ServeSpec(port=70000)
 
+    def test_removed_all_pairs_key_is_refused(self):
+        stale = {"name": "x", "scenario": {"name": "iridium"}, "serve": {"all_pairs": True}}
+        with pytest.raises(
+            ExperimentSpecError, match="serve.all_pairs was removed: every path row"
+        ):
+            ExperimentSpec.from_dict(stale)
+
     def test_round_trips_are_byte_stable(self):
         spec = ExperimentSpec(
             name="serve-round-trip",
@@ -99,20 +106,6 @@ class TestRunnerServe:
         assert stats["encode_count"] >= stats["published_epochs"]
         summary = json.loads((output_dir / "result.json").read_text())
         assert summary["serve"]["published_epochs"] == stats["published_epochs"]
-
-    def test_cache_value_function_is_recorded(self):
-        config = build("iridium", duration_s=30.0, update_interval_s=15.0)
-        testbed = Celestial(config)
-        try:
-            parameters = testbed.path_engine_statistics()["cache_parameters"]
-        finally:
-            testbed.close()
-        assert parameters == {
-            "decay_half_life_epochs": 1.0,
-            "decay_factor": 0.5,
-            "score": "decayed hits, then least-recent use",
-            "max_carried_extra_tables": 256,
-        }
 
 
 class TestBandwidthCapEquivalence:

@@ -1,56 +1,52 @@
-"""Equivalence suite for the shortest-path engine.
+"""Equivalence suite for the shortest-path engine and its row stores.
 
-The engine's contract is byte-identity: distances and reachability of a
-table advanced across any chain of :class:`TopologyDiff`\\ s must equal a
-cold ``ShortestPaths`` solve on the final graph bit for bit — across empty
-diffs, delay-only jitter, structural churn (uplink handovers, link
-flicker, full rewrites) and tables of foreign origin.  Predecessor trees
-may differ only between equal-delay alternatives, which the
-path-reconstruction check pins down: every reconstructed path must exist
-edge-by-edge and its hop-delay sum must reproduce the reported distance
-exactly.  ``PathEngine.advance_all`` has two outcomes per table — rebound
-across a diff that changed no delay and no link, or a row slice of the
-call's one stacked solve — and the suite pins the solver-call count of
-each.
+The contract is byte-identity: every row a :class:`PathRows` store solves,
+on any graph of any chain of :class:`TopologyDiff`\\ s — empty diffs,
+delay-only jitter, structural churn (uplink handovers, link flicker, ISL
+faults, full rewrites) and stores of foreign origin — carries the distance
+bits and the predecessors of a cold undirected ``csgraph.dijkstra`` on that
+graph.  A store solves a row the first time a query needs it and never
+twice; ``PathEngine.advance_all`` shares the previous rows across a diff
+that changed no delay and no link and starts empty across any other, and
+the suite pins the solver-call count of each.
 """
+
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from repro.core import ConstellationCalculation
+from repro.experiments import build
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import (
     LinkType,
     NetworkGraph,
     NodeIndex,
     PathEngine,
+    PathRows,
     ShortestPaths,
 )
-from repro.topology.graph import DELAY_EPSILON_MS
+from repro.topology.graph import _CODE_BY_LINK_TYPE
 
 
-def _assert_tables_identical(table, graph, sources):
-    """Byte-identical distances/reachability vs a cold solve, valid preds."""
-    cold = ShortestPaths(graph, sources=sources)
-    incremental = table._distances
-    reference = cold._distances
-    finite = np.isfinite(reference)
-    assert np.array_equal(np.isfinite(incremental), finite)
-    assert np.array_equal(incremental[finite], reference[finite])
-    # Predecessors may differ from the cold solve only between equal-delay
-    # paths: reconstructed paths must exist and re-sum to the distance.
-    for row, source in enumerate(sources[:4]):
-        for target in (0, incremental.shape[1] // 2, incremental.shape[1] - 1):
-            result = table.path(source, target)
-            if not result.reachable or len(result.hops) < 2:
-                continue
-            hops = np.asarray(result.hops, dtype=np.int64)
-            edges = graph.edge_ids_between(hops[:-1], hops[1:])
-            assert (edges >= 0).all()
-            total = 0.0
-            for edge in edges:
-                total = total + max(float(graph.delays_ms[edge]), DELAY_EPSILON_MS)
-            assert total == result.delay_ms
+def _assert_rows_cold(store, sources=None):
+    """The rows of ``sources`` (default: every held row) equal a cold solve.
+
+    Rows not held yet are solved on the way, through the store's own
+    batched lookup.
+    """
+    sources = list(store._row_of) if sources is None else list(sources)
+    rows = store._rows_of(np.asarray(sources, dtype=np.int64))
+    distances, predecessors = csgraph.dijkstra(
+        store.graph.delay_matrix(), directed=False, indices=sources,
+        return_predecessors=True,
+    )
+    assert store._distances[rows].tobytes() == distances.tobytes()
+    assert np.array_equal(store._predecessors[rows], predecessors)
 
 
 class TestEngineOnSyntheticChains:
@@ -114,79 +110,84 @@ class TestEngineOnSyntheticChains:
             graph.bandwidths_kbps, graph.link_type_codes, structure_from=graph,
         )
 
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_mixed_chain_byte_identical(self, seed):
+    def _store(self, n_sat, n_gst, seed):
         rng = np.random.default_rng(seed)
-        n_sat, n_gst = 40, 4
         index = NodeIndex([n_sat], [f"g{i}" for i in range(n_gst)])
         sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
+        engine = PathEngine()
         graph = self._random_graph(rng, index, n_sat, n_gst)
-        table = engine.solve(graph)
+        return rng, index, sources, engine, PathRows(graph, engine, sources)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_mixed_chain_byte_identical(self, seed):
+        rng, index, sources, engine, store = self._store(40, 4, seed)
         kinds = ["delay", "localized", "structural", "flicker", "empty", "bandwidth"]
         for _ in range(220):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             if kind == "structural":
-                new_graph = self._random_graph(rng, index, n_sat, n_gst)
+                new_graph = self._random_graph(rng, index, 40, 4)
             else:
-                new_graph = self._mutated(rng, index, graph, kind)
-            diff = new_graph.diff_from(graph)
+                new_graph = self._mutated(rng, index, store.graph, kind)
+            diff = new_graph.diff_from(store.graph)
+            shared = diff.is_structural_noop and diff.delay_changed.size == 0
+            held = dict(store._row_of)
             before = engine.stats.solver_calls
-            table = engine.advance(table, new_graph, diff)
-            if diff.is_empty:
-                assert engine.stats.solver_calls == before
-            _assert_tables_identical(table, new_graph, sources)
-            graph = new_graph
-        # The mix covers both outcomes: rebound epochs and solved ones.
+            store = engine.advance_all(store, new_graph, diff)
+            assert engine.stats.solver_calls == before
+            assert store._row_of == (held if shared else {})
+            # The stations plus a few random satellites, in one batch.
+            asked = sources + rng.integers(0, 40, 3).tolist()
+            _assert_rows_cold(store, asked)
+        # The mix covers both outcomes: shared epochs and solved ones.
         assert engine.stats.empty_reuses > 0
         assert engine.stats.solver_calls > 1
 
     def test_empty_diff_reuses_arrays_without_solving(self):
-        rng = np.random.default_rng(0)
-        index = NodeIndex([20], ["g0", "g1"])
-        sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
-        graph = self._random_graph(rng, index, 20, 2)
-        table = engine.solve(graph)
-        clone = self._mutated(rng, index, graph, "empty")
-        diff = clone.diff_from(graph)
+        rng, index, sources, engine, store = self._store(20, 2, 0)
+        for source in sources + [3]:  # one at a time: the arrays keep a spare row
+            store.delays_from(source)
+        assert len(store._distance_buffer) > len(store._row_of) == 3
+        clone = self._mutated(rng, index, store.graph, "empty")
+        diff = clone.diff_from(store.graph)
         assert diff.is_empty
-        advanced = engine.advance(table, clone, diff)
-        assert engine.stats.solver_calls == 1  # only the initial cold solve
+        advanced = engine.advance_all(store, clone, diff)
+        assert engine.stats.solver_calls == 3  # only the queries' solves
         assert engine.stats.empty_reuses == 1
-        assert advanced._distances is table._distances
-        assert advanced._predecessors is table._predecessors
+        assert engine.stats.rows_reused == 3
+        assert advanced._distances is store._distances
+        assert advanced._predecessors is store._predecessors
         assert advanced.graph is clone
+        # Rows solved afterwards on either store stay that store's own.
+        advanced.delays_from(5)
+        store.delays_from(7)
+        assert not advanced.has_source(7) and not store.has_source(5)
+        _assert_rows_cold(advanced)
+        _assert_rows_cold(store)
+        assert engine.stats.solver_calls == 5
 
     def test_bandwidth_only_diff_is_a_none_dispatch(self):
-        rng = np.random.default_rng(1)
-        index = NodeIndex([20], ["g0", "g1"])
-        sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
-        graph = self._random_graph(rng, index, 20, 2)
-        table = engine.solve(graph)
-        changed = self._mutated(rng, index, graph, "bandwidth")
-        diff = changed.diff_from(graph)
+        rng, index, sources, engine, store = self._store(20, 2, 1)
+        _assert_rows_cold(store, sources)
+        changed = self._mutated(rng, index, store.graph, "bandwidth")
+        diff = changed.diff_from(store.graph)
         assert not diff.is_empty and diff.is_structural_noop
-        advanced = engine.advance(table, changed, diff)
+        advanced = engine.advance_all(store, changed, diff)
+        _assert_rows_cold(advanced, sources)
         assert engine.stats.solver_calls == 1
-        assert advanced._distances is table._distances
+        assert advanced._distances is store._distances
 
     def test_incompatible_table_degrades_to_cold_solve(self):
-        rng = np.random.default_rng(4)
-        index = NodeIndex([20], ["g0", "g1"])
-        sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
-        graph = self._random_graph(rng, index, 20, 2)
-        floyd = ShortestPaths(graph, sources=sources, method="floyd-warshall")
-        changed = self._mutated(rng, index, graph, "delay")
-        diff = changed.diff_from(graph)
-        advanced = engine.advance(floyd, changed, diff)
-        _assert_tables_identical(advanced, changed, sources)
-        # A table from a foreign graph likewise cold-solves rather than
-        # repairing against mismatched arrays.
-        foreign = engine.advance(advanced, graph, diff)
-        _assert_tables_identical(foreign, graph, sources)
+        """A store that does not belong to the diff's previous graph starts empty."""
+        rng, index, sources, engine, store = self._store(20, 2, 4)
+        _assert_rows_cold(store, sources)
+        clone = self._mutated(rng, index, store.graph, "empty")
+        # An empty diff of two other graphs: the store's rows are not theirs.
+        diff = clone.diff_from(clone)
+        foreign = engine.advance_all(store, clone, diff)
+        assert foreign._row_of == {}
+        assert engine.stats.empty_reuses == 0
+        _assert_rows_cold(foreign, sources)
+        assert engine.stats.solver_calls == 2
 
     def test_isl_fault_injection_churn(self):
         """Forced structural churn: random ISL outages and recoveries.
@@ -195,14 +196,9 @@ class TestEngineOnSyntheticChains:
         epoch a fresh tenth of the links is down, so links keep dropping
         out and coming back and nodes lose and regain reachability.
         """
-        rng = np.random.default_rng(7)
-        n_sat, n_gst = 150, 3
-        index = NodeIndex([n_sat], [f"g{i}" for i in range(n_gst)])
-        sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
-        full = self._random_graph(rng, index, n_sat, n_gst)
-        graph = full
-        table = engine.solve(graph)
+        rng, index, sources, engine, store = self._store(150, 3, 7)
+        full = store.graph
+        _assert_rows_cold(store, sources)
         unreachable_epochs = 0
         for _ in range(200):
             up = np.flatnonzero(rng.random(full.total_links()) > 0.1)
@@ -211,26 +207,20 @@ class TestEngineOnSyntheticChains:
                 index, full.node_a[up], full.node_b[up], full.distances_km[up],
                 delays, full.bandwidths_kbps[up], full.link_type_codes[up],
             )
-            table = engine.advance(table, new_graph, new_graph.diff_from(graph))
-            _assert_tables_identical(table, new_graph, sources)
-            unreachable_epochs += int(not np.isfinite(table._distances).all())
-            graph = new_graph
+            store = engine.advance_all(store, new_graph, new_graph.diff_from(store.graph))
+            _assert_rows_cold(store, sources)
+            unreachable_epochs += int(not np.isfinite(store._distances).all())
         assert 0 < unreachable_epochs < 200
         assert engine.stats.solver_calls == 1 + 200
 
     def test_wholesale_diffs_route_to_cold_solves(self):
-        """Full-graph rewrites: exactly one solver call per epoch."""
-        rng = np.random.default_rng(9)
-        index = NodeIndex([30], ["g0", "g1", "g2", "g3"])
-        sources = list(index.ground_station_indices())
-        engine = PathEngine(sources=sources)
-        graph = self._random_graph(rng, index, 30, 4)
-        table = engine.solve(graph)
+        """Full-graph rewrites: each epoch starts empty, one solve per epoch."""
+        rng, index, sources, engine, store = self._store(30, 4, 9)
+        _assert_rows_cold(store, sources)
         for _ in range(30):
             new_graph = self._random_graph(rng, index, 30, 4)
-            table = engine.advance(table, new_graph, new_graph.diff_from(graph))
-            _assert_tables_identical(table, new_graph, sources)
-            graph = new_graph
+            store = engine.advance_all(store, new_graph, new_graph.diff_from(store.graph))
+            _assert_rows_cold(store, sources)
         assert engine.stats.solver_calls == 1 + 30
 
 
@@ -241,16 +231,17 @@ class TestEngineOnConstellations:
         calculation = ConstellationCalculation(config)
         sources = list(calculation.node_index.ground_station_indices())
         state = calculation.state_at(0.0)
-        _assert_tables_identical(state.paths, state.graph, sources)
+        _assert_rows_cold(state.paths, sources)
         for step in range(1, epochs + 1):
             state, _ = calculation.diff_since(state, step * interval)
-            _assert_tables_identical(state.paths, state.graph, sources)
+            assert state.paths._row_of == {}  # the epoch itself solves nothing
+            _assert_rows_cold(state.paths, sources)
         return calculation, state
 
     def test_iridium_two_hundred_epochs(self):
         config = dart_configuration(buoy_count=5, sink_count=8, duration_s=7200.0)
         calculation, _ = self._run_chain(config, epochs=200, interval=30.0)
-        # Every satellite moves every epoch, so every epoch is one solve.
+        # Every satellite moves every epoch: each epoch's batch is one solve.
         assert calculation.path_engine.stats.solver_calls == 1 + 200
 
     def test_starlink_two_hundred_epochs(self):
@@ -271,64 +262,6 @@ class TestEngineOnConstellations:
         assert calculation.path_engine.stats.solver_calls == solver_calls
         assert state2.paths._distances is state.paths._distances
 
-    def test_extra_tables_ride_the_diff_pipeline(self):
-        config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
-        calculation = ConstellationCalculation(config)
-        state = calculation.state_at(0.0)
-        a = calculation.satellite(0, 3)
-        b = calculation.satellite(0, 40)
-        first = state.delay_ms(a, b)  # creates a lazily cached extra table
-        assert np.isfinite(first)
-        node = state.node_for(a)
-        assert node in state._extra_paths
-        cold_solves = calculation.path_engine.stats.cold_solves
-        state, _ = calculation.diff_since(state, 5.0)
-        # The satellite table was advanced, not re-solved from scratch...
-        assert node in state._extra_paths
-        assert calculation.path_engine.stats.cold_solves == cold_solves
-        # ...and answers byte-identically to a cold single-source solve.
-        reference = ShortestPaths(state.graph, sources=[node])
-        assert state.delay_ms(a, b) == reference.delay_ms(node, state.node_for(b))
-
-    def test_more_than_thirty_two_extra_tables_are_carried(self):
-        """The lifted cap carries well over 32 satellite tables per epoch."""
-        config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
-        calculation = ConstellationCalculation(config)
-        assert calculation.MAX_CARRIED_EXTRA_TABLES > 32
-        state = calculation.state_at(0.0)
-        probe = calculation.satellite(0, 0)
-        satellites = [calculation.satellite(0, i) for i in range(1, 41)]
-        for satellite in satellites:
-            state.delay_ms(satellite, probe)  # creates a cached extra table
-        assert len(state._extra_paths) == 40
-        cold_solves = calculation.path_engine.stats.cold_solves
-        state, _ = calculation.diff_since(state, 5.0)
-        # Every table rode the diff pipeline (no cold re-solves) ...
-        assert len(state._extra_paths) == 40
-        assert calculation.path_engine.stats.cold_solves == cold_solves
-        # ... and answers byte-identically to a cold single-source solve.
-        for satellite in satellites[::13]:
-            node = state.node_for(satellite)
-            reference = ShortestPaths(state.graph, sources=[node])
-            assert state.delay_ms(satellite, probe) == reference.delay_ms(
-                node, state.node_for(probe)
-            )
-
-    def test_extra_table_cap_is_configurable_and_memory_bounded(self, monkeypatch):
-        config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
-        monkeypatch.setattr(ConstellationCalculation, "MAX_CARRIED_EXTRA_TABLES", 2)
-        limited = ConstellationCalculation(config)
-        state = limited.state_at(0.0)
-        probe = limited.satellite(0, 0)
-        for i in range(1, 6):
-            state.delay_ms(limited.satellite(0, i), probe)
-        # The cap is enforced on insert (evicting as it goes), not just
-        # at the epoch carry, so the cache never exceeds it intra-epoch.
-        assert len(state._extra_paths) == 2
-        assert limited.path_engine.stats.cache_evictions == 3
-        state, _ = limited.diff_since(state, 5.0)
-        assert len(state._extra_paths) == 2  # most recent two survive
-
     def test_engine_survives_keyframe_replay(self):
         """A held full state can seed a replay of the diff chain after it."""
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=600.0)
@@ -339,13 +272,17 @@ class TestEngineOnConstellations:
             state, diff = calculation.diff_since(state, step * 5.0)
             states.append(state)
             diffs.append(diff)
+        sources = states[4].paths.sources
         replayed = states[4].paths
-        engine = PathEngine(sources=replayed.sources)
+        engine = PathEngine()
         for diff in diffs[5:]:
-            replayed = engine.advance(replayed, diff.topology.current, diff.topology)
-        sources = replayed.sources
-        _assert_tables_identical(replayed, state.graph, sources)
-        assert np.array_equal(replayed._distances, state.paths._distances)
+            replayed = engine.advance_all(replayed, diff.topology.current, diff.topology)
+        assert replayed.graph is state.graph and replayed.sources == sources
+        _assert_rows_cold(replayed, sources)
+        assert np.array_equal(
+            replayed.delays_between(np.array(sources), np.zeros(len(sources), np.int64)),
+            state.paths.delays_between(np.array(sources), np.zeros(len(sources), np.int64)),
+        )
 
 
 def _iridium_graph():
@@ -374,103 +311,205 @@ def _moving_starlink():
     return calculation, calculation.state_at(0.0)
 
 
-def _assert_cold_bytes(table, graph):
-    """Raw distance bytes (infs included) equal the table's cold solve."""
-    cold = ShortestPaths(graph, sources=table.sources)
-    assert table._distances.tobytes() == cold._distances.tobytes()
-
-
 class TestAdvanceAll:
-    """Per table: rebound, or a row slice of the call's one stacked solve."""
-
-    @pytest.mark.parametrize("leg", ["none", "solve"])
-    def test_mixed_call_lines_up_per_table(self, leg):
-        """[floyd-origin, main, foreign-graph, extra] through one call."""
-        full, sources = _iridium_graph()
-        delays = full.delays_ms.copy()
-        if leg == "solve":
-            delays[::7] += 0.25
-        new_graph = _reweighted(full, delays)
-        diff = new_graph.diff_from(full)
-        assert diff.is_empty == (leg == "none")
-        engine = PathEngine()
-        floyd = ShortestPaths(full, sources=sources[:3], method="floyd-warshall")
-        main = engine.solve(full, sources=sources)
-        foreign = ShortestPaths(new_graph, sources=[0])  # not the diff's previous
-        extra = engine.solve(full, sources=[1])
-        tables = [floyd, main, foreign, extra]
-        before = engine.stats.snapshot()
-        advanced = engine.advance_all(tables, new_graph, diff)
-        delta = {
-            key: value - before[key] for key, value in engine.stats.snapshot().items()
-        }
-        for table, result in zip(tables, advanced):
-            assert result.graph is new_graph and result.sources == table.sources
-            _assert_cold_bytes(result, new_graph)
-        # One stacked solve for whatever could not be rebound — the
-        # misfits ride along instead of being cold-solved one by one.
-        assert delta["tables_advanced"] == 4
-        assert delta["solver_calls"] == 1
-        assert delta["cold_solves"] == 0
-        if leg == "none":
-            # Every table of the diff's previous graph is rebound: zero
-            # copies; only the foreign one is solved.
-            assert delta["empty_reuses"] == 3
-            assert delta["rows_solved"] == 1
-            for table, result in zip(tables, advanced):
-                if table is not foreign:
-                    assert result._distances is table._distances
-                    assert result._predecessors is table._predecessors
-        else:
-            assert delta["empty_reuses"] == 0
-            assert delta["rows_solved"] == 3 + len(sources) + 1 + 1
-            assert all(result.method == "dijkstra" for result in advanced)
+    """Per diff: share every row, or start empty."""
 
     def test_trivial_diff_rebinds_every_table(self):
-        """Empty and bandwidth-only diffs reuse every table, zero solver work."""
+        """Empty and bandwidth-only diffs share every row, zero solver work."""
         full, sources = _iridium_graph()
         engine = PathEngine()
-        tables = [engine.solve(full, sources=s) for s in (sources, [0], [17], [40])]
+        store = PathRows(full, engine, sources)
+        _assert_rows_cold(store, sources + [0, 17, 40])
         solver_calls = engine.stats.solver_calls
         widened = _reweighted(full, full.delays_ms, bandwidth_factor=2.0)
         for graph in (full, widened):
-            advanced = engine.advance_all(tables, graph, graph.diff_from(full))
+            advanced = engine.advance_all(store, graph, graph.diff_from(full))
             assert engine.stats.solver_calls == solver_calls
-            for before, after in zip(tables, advanced):
-                assert after.graph is graph
-                assert after._distances is before._distances
-
-    def test_empty_table_list(self):
-        engine = PathEngine()
-        full, _ = _iridium_graph()
-        assert engine.advance_all([], full, full.diff_from(full)) == []
-        assert engine.stats.solver_calls == 0
+            assert advanced.graph is graph
+            assert advanced._row_of == store._row_of
+            assert advanced._distances is store._distances
 
     def test_single_row_table_on_moving_constellation(self):
         calculation, state = _moving_starlink()
         source = state.node_for(calculation.satellite(0, 7))
-        engine = PathEngine()
-        tables = [engine.solve(state.graph, sources=[source])]
-        for step in range(1, 31):
-            state, diff = calculation.diff_since(state, step * 2.0)
-            tables = engine.advance_all(tables, state.graph, diff.topology)
-            _assert_cold_bytes(tables[0], state.graph)
-        assert engine.stats.solver_calls == 1 + 30
+        for step in range(31):
+            if step:
+                state, _ = calculation.diff_since(state, step * 2.0)
+            state.paths.delays_from(source)
+            state.paths.delays_from(source)  # held: no second solve
+            _assert_rows_cold(state.paths)
+        assert calculation.path_engine.stats.solver_calls == 1 + 30
+        assert calculation.path_engine.stats.rows_solved == 1 + 30
 
     def test_main_table_and_extras_share_one_solve_per_epoch(self):
+        """Station rows and satellite rows asked in one batch are one solve."""
         calculation, state = _moving_starlink()
-        probe = calculation.satellite(0, 50)
-        for identifier in (3, 400, 800, 1200):
-            state.delay_ms(calculation.satellite(0, identifier), probe)
+        stations = state.paths.sources
+        satellites = [state.node_for(calculation.satellite(0, i)) for i in range(0, 1500, 100)]
+        # No endpoint is shared: station pairs root at the station, the
+        # satellite pairs at their first satellite.
+        nodes_a = stations + satellites[:4]
+        nodes_b = satellites[4 : 4 + len(nodes_a)]
         stats = calculation.path_engine.stats
         for step in range(1, 9):
-            before = stats.snapshot()
             state, _ = calculation.diff_since(state, step * 2.0)
+            before = stats.snapshot()
+            state.pair_metrics(nodes_a, nodes_b)
             after = stats.snapshot()
             assert after["solver_calls"] - before["solver_calls"] == 1
-            assert after["tables_advanced"] - before["tables_advanced"] == 5
-            assert after["cold_solves"] == before["cold_solves"]
-            assert len(state._extra_paths) == 4
-            for table in [state.paths, *state._extra_paths.values()]:
-                _assert_cold_bytes(table, state.graph)
-                _assert_tables_identical(table, state.graph, table.sources)
+            assert after["rows_solved"] - before["rows_solved"] == len(nodes_a)
+            assert sorted(state.paths._row_of) == sorted(nodes_a)
+            _assert_rows_cold(state.paths)
+
+
+def _severed(graph, rng, share=0.1):
+    """``graph`` with a random ``share`` of its ISLs cut (a fault injection)."""
+    isl = graph.link_type_codes == _CODE_BY_LINK_TYPE[LinkType.ISL]
+    up = np.flatnonzero(~isl | (rng.random(graph.total_links()) > share))
+    return NetworkGraph.from_edge_arrays(
+        graph.index, graph.node_a[up], graph.node_b[up], graph.distances_km[up],
+        graph.delays_ms[up], graph.bandwidths_kbps[up], graph.link_type_codes[up],
+    )
+
+
+class TestRowsOnDemand:
+    """What a store solves: the rows it is asked for, once each, cold-identical."""
+
+    @pytest.mark.parametrize(
+        "constellation, severed",
+        [("iridium", True), ("starlink", False)],
+    )
+    def test_asked_rows_match_a_cold_solve_and_are_solved_once(self, constellation, severed):
+        if constellation == "iridium":
+            config, interval = dart_configuration(buoy_count=5, sink_count=8), 20.0
+        else:
+            config = west_africa_configuration(shells="lowest", update_interval_s=2.0)
+            interval = 2.0
+        calculation = ConstellationCalculation(config)
+        engine = calculation.path_engine
+        rng = np.random.default_rng(5)
+        stations = list(calculation.node_index.ground_station_indices())
+        node_count = len(calculation.node_index)
+        state = calculation.state_at(0.0)
+        store = state.paths
+        for epoch in range(41):
+            if epoch:
+                state, diff = calculation.diff_since(state, epoch * interval)
+                if severed:
+                    graph = _severed(state.graph, rng)
+                    store = engine.advance_all(store, graph, graph.diff_from(store.graph))
+                else:
+                    store = state.paths
+            assert store._row_of == {}
+            before = engine.stats.rows_solved
+            satellites = rng.integers(0, node_count - len(stations), 4).tolist()
+            asked = set()
+            for source in satellites + rng.choice(stations, 2).tolist() + satellites[:2]:
+                target = int(rng.integers(0, node_count))
+                store.delay_ms(source, target)
+                store.path(source, target)
+                asked.add(source)
+            batch = np.array(satellites[1:] + stations[:3], dtype=np.int64)
+            store.delays_between(batch, np.zeros(batch.size, np.int64))
+            list(store.hop_steps(batch, np.full(batch.size, node_count - 1)))
+            store.nearest(stations[0], range(10))
+            asked.update(batch.tolist(), [stations[0]])
+            assert engine.stats.rows_solved - before == len(asked)
+            assert set(store._row_of) == asked
+            _assert_rows_cold(store)
+
+    def test_concurrent_askers_solve_each_row_once(self):
+        calculation, state = _moving_starlink()
+        store = state.paths
+        engine = calculation.path_engine
+        sources = [state.node_for(calculation.satellite(0, i)) for i in range(0, 800, 100)]
+        barrier = threading.Barrier(len(sources), timeout=60.0)
+        answers = {}
+
+        def ask(position):
+            barrier.wait()
+            # Each thread asks its own source first, then everyone else's.
+            for source in sources[position:] + sources[:position]:
+                answers[(position, source)] = (
+                    store.delays_from(source), store.path(source, 0).hops
+                )
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(sources))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == len(sources) ** 2
+        assert engine.stats.rows_solved == len(sources)
+        assert sorted(store._row_of) == sorted(sources)
+        _assert_rows_cold(store)
+        cold = ShortestPaths(state.graph, sources=sources)
+        for (_, source), (delays, hops) in answers.items():
+            assert delays.tobytes() == cold.delays_from(source).tobytes()
+            assert hops == cold.path(source, 0).hops
+
+    @pytest.mark.parametrize("scenario", ["iridium", "starlink-phase1"])
+    def test_a_station_less_constellation_costs_what_it_is_asked(self, scenario):
+        # starlink-phase1 has no station; Iridium's one is taken away.
+        config = dataclasses.replace(build(scenario), ground_stations=())
+        calculation = ConstellationCalculation(config)
+        stats = calculation.path_engine.stats
+        state = calculation.state_at(0.0)
+        for step in range(1, 11):
+            state, _ = calculation.diff_since(state, step * 2.0)
+        assert stats.rows_solved == 0 and stats.solver_calls == 0
+        a, b = calculation.satellite(0, 3), calculation.satellite(0, 40)
+        assert state.delay_ms(a, b) < 1000.0
+        assert state.path(b, a).hop_count >= 1  # a's row answers the reverse pair
+        assert stats.rows_solved == 1 and stats.solver_calls == 1
+
+
+class TestSourceChoice:
+    """Which endpoint's row answers a pair (the module's four rules)."""
+
+    @pytest.fixture
+    def store(self):
+        graph, stations = _iridium_graph()
+        return PathRows(graph, PathEngine(), stations), stations
+
+    def test_a_single_pair(self, store):
+        store, stations = store
+        station, other_station = stations[:2]
+        assert store.oriented(3, station) == (station, 3)  # rule 3
+        assert store.oriented(station, 3) == (station, 3)
+        assert store.oriented(other_station, station) == (other_station, station)  # 4
+        assert store.oriented(3, 40) == (3, 40)  # rule 4
+        store.delays_from(40)
+        assert store.oriented(3, 40) == (40, 3)  # rule 1 beats 4 ...
+        assert store.oriented(station, 40) == (40, station)  # ... and 3
+        assert store.oriented(40, 3) == (40, 3)
+        # The scalar rule is the batch rule on a batch of one.
+        for node_a, node_b in np.random.default_rng(2).choice(len(store.graph.index), (50, 2)):
+            expected = store.orient(np.array([node_a]), np.array([node_b]))
+            assert store.oriented(node_a, node_b) == (expected[0][0], expected[1][0])
+
+    def test_a_batch(self, store):
+        store, stations = store
+        station, hub, other = stations[:3]
+        nodes_a = np.array([station, hub, 5, 6, 7, 11])
+        nodes_b = np.array([hub, 9, hub, hub, 10, other])
+        sources, targets = store.orient(nodes_a, nodes_b)
+        # The hub is shared by four pairs (rule 2, over a station too);
+        # 7–10 tie and neither is a station (rule 4); 11–other tie and the
+        # station wins (rule 3).
+        assert sources.tolist() == [hub, hub, hub, hub, 7, other]
+        assert targets.tolist() == [station, 9, 5, 6, 10, 11]
+        store.delays_from(9)
+        sources, _ = store.orient(nodes_a, nodes_b)
+        assert sources[1] == 9  # rule 1 beats rule 2
+        # Whichever row answers, a delay reads the same bits.
+        assert np.array_equal(
+            store.delays_between(*store.orient(nodes_a, nodes_b)),
+            store.delays_between(nodes_a, nodes_b),
+        )
