@@ -33,7 +33,7 @@ from repro.core.constellation import (
 )
 from repro.core.database import ConstellationDatabase
 from repro.core.info_api import HTTPInfoServer, InfoAPI, InfoAPIError
-from repro.core.machine_manager import HostStateSlice, MachineManager
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.fault_injection import FaultInjector, RadiationModel
 from repro.core.coordinator import Coordinator
 from repro.core.animation import ascii_map, constellation_snapshot, snapshot_to_geojson
@@ -53,11 +53,11 @@ __all__ = [
     "ConstellationState",
     "Coordinator",
     "DNSError",
+    "EpochRecord",
     "FaultInjector",
     "GroundStationConfig",
     "HTTPInfoServer",
     "HostConfig",
-    "HostStateSlice",
     "InfoAPI",
     "InfoAPIError",
     "MachineId",

@@ -51,9 +51,9 @@ reuses from the previous epoch:
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
 per-shell bounding-box ``activated``/``deactivated`` satellite ids.  The
-coordinator shards the activity half into per-host slices instead of
-replaying the full state to every machine manager, and hands the topology
-half to the virtual network.
+coordinator publishes the epoch's activity to every machine manager as one
+:class:`~repro.core.machine_manager.EpochRecord` instead of replaying the
+full state, and hands the topology half to the virtual network.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -145,9 +145,9 @@ class ConstellationDiff:
     the coordinator computes one per epoch via
     :meth:`ConstellationCalculation.diff_since`, publishes it with the new
     state (the database holds that one publication, the streaming gateway
-    encodes it as the epoch's DIFF), shards its activity transitions into
-    per-host slices for the machine managers and hands it to the virtual
-    network.
+    encodes it as the epoch's DIFF) and hands it to the virtual network;
+    the machine managers get the same epoch's activity as one
+    :class:`~repro.core.machine_manager.EpochRecord`.
 
     ``topology`` carries the edge-level changes (see
     :class:`~repro.topology.graph.TopologyDiff`); ``activated`` and

@@ -14,58 +14,61 @@ the host with the least reserved memory, the one rule:
 behind Figs. 7 and 8.  No inter-host latency, overlay or per-host network
 state exists, so placement cannot reach what an application observes.
 
-Differential, sharded fan-out
------------------------------
+One record for every manager
+----------------------------
 
 After the first epoch the coordinator runs the differential update
 pipeline: :meth:`Coordinator.update` asks the constellation calculation for
 a :class:`~repro.core.constellation.ConstellationDiff` against the
 previously published state, publishes state + diff through the database
-(which holds that one epoch, no history), and then **shards**
-the change set by host (:meth:`Coordinator._shard`): each machine manager
-receives a :class:`~repro.core.machine_manager.HostStateSlice` naming the
-machines of its own whose bounding-box activity flipped, plus the current
-activity of its dirty machines — what a manager applies, instead of the
-full constellation state.  A manager only touches its own host's machines,
-so the order the slices are applied in cannot show.  The network half of
-the update does not travel in a slice: the virtual network consumes the
-same diff centrally
-(:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
+(which holds that one epoch, no history), and then builds **one**
+:class:`~repro.core.machine_manager.EpochRecord` for the epoch — per shell
+the activity mask and the mask of satellites that flipped since the
+previous epoch, one XOR per shell and no per-machine loop.  Every
+manager receives the same record and picks out the flips of the satellites
+it hosts and the machines of its own that are dirty
+(:meth:`~repro.core.machine_manager.MachineManager.apply_diff`); a manager
+only touches its own host's machines, so the order the managers apply in
+cannot show.  The first record flips every active satellite from nothing,
+so the first epoch takes the same path.  The network half of the update
+does not travel in the record: the virtual network consumes the same diff
+centrally (:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
 per-pair delay and bandwidth are resolved from the published state by
-:meth:`~repro.core.database.ConstellationDatabase.pair_rule`.  The
-distribution policy (who receives what) thus lives entirely in this layer;
-the update producer is oblivious to it, in the spirit of RAFDA's separation
-of application logic from distribution concerns.
+:meth:`~repro.core.database.ConstellationDatabase.pair_rule`.  What an epoch
+publishes thus does not depend on where machines were placed, in the spirit
+of RAFDA's separation of application logic from distribution policy.
 
 The in-process-vs-worker seam
 -----------------------------
 
-*Where* the slices are applied is a backend decision
+*Where* the record is applied is a backend decision
 (``parallelism="threads" | "processes"``, default threads):
 
 * ``threads`` — the managers live in this process and
-  :class:`~repro.dist.backend.ThreadFanoutBackend` visits them in a loop.
-  Despite the literal no thread is started and nothing crosses a process
-  boundary.
+  :class:`~repro.dist.backend.ThreadFanoutBackend` hands each the record
+  object in a loop.  Despite the literal no thread is started and nothing
+  crosses a process boundary.
 * ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
   pool of supervised worker processes (``repro.dist``), each holding the
   authoritative managers of one or more hosts behind its own TCP connection:
   loopback for the workers the pool spawns, the network for operator-started
   workers on other machines, like the paper's testbed.  It exists to
-  exercise that remote-worker protocol.  Slices travel as
-  buffer-backed wire frames; usage samples, counters and dirty-machine
-  reconciliation results stream back.  The coordinator keeps in-process
-  *shadow* managers for placement and parent-side queries; crashed workers
-  are respawned, replayed from the control ledger and restored to the
-  checkpoint epoch's activity masks.
+  exercise that remote-worker protocol.  The record is encoded once per
+  epoch and travels as one buffer-backed wire frame per worker; usage
+  samples, counters and dirty-machine reconciliation results stream back,
+  one acknowledgement per worker per epoch.  The coordinator keeps
+  in-process *shadow* managers for placement and parent-side queries;
+  crashed workers are respawned, replayed from the control ledger and
+  restored to the checkpoint epoch's activity masks, derived from the last
+  record sent.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 
-Both backends are driven through the same four calls (``apply_slices``,
-``apply_full_state``, ``sample_all``, ``close``), so everything above this
-seam — sharding, diff pipeline, stats — is backend-agnostic, and the
-observable results (machine states, suspend/resume counters, usage
-samples) are byte-identical between the two.
+Both backends are driven through the same calls (``apply_slices``,
+``sample_all``, ``close``), so everything above this seam — the record,
+diff pipeline, stats — is backend-agnostic, and the observable results
+(machine states, suspend/resume counters, usage samples) are byte-identical
+between the two.
 """
 
 from __future__ import annotations
@@ -78,12 +81,11 @@ from typing import Literal, Optional
 from repro.core.config import Configuration
 from repro.core.constellation import (
     ConstellationCalculation,
-    ConstellationDiff,
     ConstellationState,
     MachineId,
 )
 from repro.core.database import ConstellationDatabase
-from repro.core.machine_manager import HostStateSlice, MachineManager
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.microvm import MachineState, MicroVM
 from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
@@ -111,7 +113,7 @@ class UpdateStats:
     full_updates: int = 0
     diff_updates: int = 0
     diff_change_counts: deque = field(default_factory=_series)
-    #: Wall-clock of the fan-out step alone (slice/state application),
+    #: Wall-clock of the fan-out step alone (record application),
     #: one entry per update — the cost of the seam the dist benchmark
     #: records per backend.
     fanout_seconds: deque = field(default_factory=_series)
@@ -156,7 +158,6 @@ class Coordinator:
         database: ConstellationDatabase,
         managers: list[MachineManager],
         network: Optional[VirtualNetwork] = None,
-        incremental: bool = True,
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
         transport=None,
@@ -165,7 +166,6 @@ class Coordinator:
         self.calculation = calculation
         self.database = database
         self.network = network
-        self.incremental = incremental
         self.parallelism = parallelism
         # The backends are imported lazily: repro.dist itself imports from
         # repro.core, so a module-level import would be circular.
@@ -174,7 +174,6 @@ class Coordinator:
 
             self._backend = ProcessFanoutBackend(
                 managers,
-                database,
                 worker_count=worker_count,
                 transport=transport,
             )
@@ -197,9 +196,6 @@ class Coordinator:
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
         self._microvm_of: dict[str, MicroVM] = {}
-        self._manager_position = {
-            id(manager): pos for pos, manager in enumerate(self.managers)
-        }
 
     # -- machine bookkeeping -------------------------------------------------
 
@@ -257,62 +253,22 @@ class Coordinator:
         for name in self.config.ground_station_names:
             self.create_machine(self.calculation.ground_station(name), now_s)
 
-    def _ensure_active_satellites(self, state: ConstellationState, now_s: float) -> None:
-        for shell_index, active in state.active_satellites.items():
-            for identifier in active.nonzero()[0]:
-                machine = self.calculation.satellite(shell_index, int(identifier))
-                if not self.has_machine(machine):
-                    self.create_machine(machine, now_s)
-
-    def _ensure_activated_satellites(self, diff: ConstellationDiff, now_s: float) -> None:
+    def _ensure_activated_satellites(self, record: EpochRecord, now_s: float) -> None:
         """Create microVMs for satellites that just entered the bounding box.
 
         Satellites active before this epoch already received their microVM
-        when they first became active, so only the ``activated`` transitions
-        of the diff can require new machines.
+        when they first became active, so only the activated flips of the
+        record (every active satellite in the first one) can require new
+        machines; they are created shell by shell, identifiers ascending.
         """
-        for shell_index, identifiers in diff.activated.items():
+        for shell_index, identifiers in record.flips.items():
+            active = record.active[shell_index]
             for identifier in identifiers:
-                machine = self.calculation.satellite(shell_index, int(identifier))
+                if not active[identifier]:
+                    continue
+                machine = self.calculation.satellite(shell_index, identifier)
                 if not self.has_machine(machine):
                     self.create_machine(machine, now_s)
-
-    # -- sharding --------------------------------------------------------------
-
-    def _shard(
-        self, state: ConstellationState, diff: ConstellationDiff
-    ) -> list[HostStateSlice]:
-        """Split one epoch's change set into per-host slices.
-
-        One pass over the diff's activity transitions groups them by owning
-        manager; each manager's dirty satellites ride along with their
-        current activity.
-        """
-        activated: list[list[MachineId]] = [[] for _ in self.managers]
-        deactivated: list[list[MachineId]] = [[] for _ in self.managers]
-        for transitions, grouped in (
-            (diff.activated, activated),
-            (diff.deactivated, deactivated),
-        ):
-            for shell_index, identifiers in transitions.items():
-                for identifier in identifiers:
-                    machine = self.calculation.satellite(shell_index, int(identifier))
-                    manager = self._machine_manager_of.get(machine.name)
-                    if manager is not None:
-                        grouped[self._manager_position[id(manager)]].append(machine)
-        return [
-            HostStateSlice(
-                epoch=self.database.epoch,
-                activated=tuple(activated[position]),
-                deactivated=tuple(deactivated[position]),
-                dirty_active={
-                    machine.name: state.is_active(machine)
-                    for machine in manager.dirty_machine_ids()
-                    if not machine.is_ground_station
-                },
-            )
-            for position, manager in enumerate(self.managers)
-        ]
 
     def sample_all_usage(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
@@ -363,30 +319,23 @@ class Coordinator:
     def update(self, now_s: float) -> ConstellationState:
         """Run one constellation update and distribute it to all hosts.
 
-        The first epoch (and every epoch when ``incremental`` is off) runs
-        the full-replay path; afterwards the differential pipeline computes
-        state + diff, shards the diff by host and hands the slices to the
-        backend.
+        The first epoch computes the state cold; afterwards the differential
+        pipeline computes state + diff.  Either way the epoch's record goes
+        to every manager through the backend.
         """
         started = wallclock.perf_counter()
         previous = self.database.state if self.database.has_state else None
-        if previous is None or not self.incremental:
-            state = self.calculation.state_at(now_s)
-            diff = None
+        if previous is None:
+            state, diff = self.calculation.state_at(now_s), None
         else:
             state, diff = self.calculation.diff_since(previous, now_s)
         self.database.set_state(state, diff=diff)
+        record = EpochRecord.of(self.database.epoch, state, previous)
+        self._ensure_activated_satellites(record, now_s)
         # Each manager only mutates its own host's machines: counters and
         # machine transitions come out the same whichever backend applies.
-        if diff is None:
-            self._ensure_active_satellites(state, now_s)
-            started_fanout = wallclock.perf_counter()
-            self._backend.apply_full_state(state, now_s)
-        else:
-            self._ensure_activated_satellites(diff, now_s)
-            slices = self._shard(state, diff)
-            started_fanout = wallclock.perf_counter()
-            self._backend.apply_slices(slices, now_s)
+        started_fanout = wallclock.perf_counter()
+        self._backend.apply_slices(record, now_s)
         fanout_s = wallclock.perf_counter() - started_fanout
         if self.network is not None:
             if diff is None:

@@ -14,12 +14,11 @@ The coordinator publishes, per epoch, the new full state *plus* the
 epoch.  The database holds exactly that publication — the current state and
 :attr:`~ConstellationDatabase.latest_diff` — and keeps no archive beside it:
 a consumer that is late, slow or new is given the current state (the
-streaming gateway's KEYFRAME), never a replay of past epochs.  The one
-value of the previous epoch it still holds is a reference to that state's
-``active_satellites`` masks: crash recovery restores a worker to the last
-epoch it acknowledged, and a synchronous fan-out makes that the current
-epoch or the one before it
-(:meth:`~ConstellationDatabase.activity_at_epoch`).
+streaming gateway's KEYFRAME), never a replay of past epochs.  Nothing of
+the previous epoch is kept either: crash recovery restores a worker to the
+last epoch it acknowledged — the current epoch or the one before it — from
+the last :class:`~repro.core.machine_manager.EpochRecord` the worker was
+sent, whose masks hold both.
 
 Pair rules: one batch per epoch
 -------------------------------
@@ -87,8 +86,6 @@ class ConstellationDatabase:
         self.rule_misses = 0
         self.rule_batch_pairs = 0
         self._latest_diff: Optional[ConstellationDiff] = None
-        #: The previous epoch's ``active_satellites`` (see ``activity_at_epoch``).
-        self._previous_activity: Optional[dict[int, np.ndarray]] = None
         self._lock = threading.RLock()
         self._listeners: list[EpochListener] = []
         # Imported here, not at module scope: repro.core imports the
@@ -121,8 +118,6 @@ class ConstellationDatabase:
         full resynchronisation) reaches subscribers as a KEYFRAME.
         """
         with self._lock:
-            if self._state is not None:
-                self._previous_activity = self._state.active_satellites
             self._state = state
             self._latest_diff = diff
             self.epoch += 1
@@ -142,27 +137,6 @@ class ConstellationDatabase:
         """The diff the current epoch was published with (None: full state only)."""
         with self._lock:
             return self._latest_diff
-
-    def activity_at_epoch(self, epoch: int) -> dict[int, np.ndarray]:
-        """Per-shell bounding-box activity masks of the current or previous epoch.
-
-        This is how a crashed worker's supervisor learns which of its
-        satellites were suspended at the last acknowledged checkpoint
-        (``repro.dist.supervisor``); the fan-out is synchronous, so that
-        checkpoint is never further back.  The masks are copies.  Raises
-        ``KeyError`` for any other epoch — the database keeps no history.
-        """
-        with self._lock:
-            if epoch == self.epoch and self._state is not None:
-                masks = self._state.active_satellites
-            elif epoch == self.epoch - 1 and self._previous_activity is not None:
-                masks = self._previous_activity
-            else:
-                raise KeyError(
-                    f"no activity masks for epoch {epoch}: the database holds "
-                    f"epoch {self.epoch} and the one before it"
-                )
-            return {shell: mask.copy() for shell, mask in masks.items()}
 
     @property
     def lock(self) -> threading.RLock:

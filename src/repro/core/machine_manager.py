@@ -8,25 +8,27 @@ CPU quotas) and reports host resource usage (§3, Fig. 2).
 Differential update contract
 ----------------------------
 
-Under the differential protocol the coordinator no longer replays the full
-constellation state to every manager.  Instead each manager receives a
-:class:`HostStateSlice` — what this manager has to act on this epoch and
-nothing else — and applies it with :meth:`MachineManager.apply_diff`:
+The coordinator publishes one :class:`EpochRecord` per epoch and every
+manager receives the same record, whichever host it runs: per shell the
+bounding-box activity mask and the mask of satellites whose activity flipped
+since the previous epoch.  :meth:`MachineManager.apply_diff` picks out its
+own part:
 
-* ``activated``/``deactivated`` are the host's machines whose bounding-box
-  activity flipped since the previous epoch; the manager resumes/suspends
-  exactly those, instead of scanning its whole fleet.
+* the flips of the satellites it hosts, found through an owned-satellite
+  index kept at :meth:`~MachineManager.create_machine`; the manager
+  resumes/suspends exactly those, instead of scanning its whole fleet;
 * machines whose lifecycle changed *outside* the protocol (created, booted,
   stopped or rebooted between updates) are tracked in a dirty set and
-  reconciled against the activity flags the coordinator ships in
-  ``dirty_active`` — this keeps the incremental path byte-equivalent to a
-  full :meth:`MachineManager.apply_state` sweep.
+  reconciled against the activity masks — this keeps the record path
+  byte-equivalent to a full :meth:`MachineManager.apply_state` sweep.
 
-A slice carries no link or delay data: the network half of an update is
-applied centrally, by :meth:`repro.net.network.VirtualNetwork.apply_diff`
-from the same diff and by
-:meth:`repro.core.database.ConstellationDatabase.pair_rule` per machine
-pair, so its size follows the epoch's activity flips, not the fleet.
+The first record flips every active satellite from nothing, and every
+machine is dirty until its first apply, so the first epoch needs no separate
+sweep.  A record carries no link or delay data: the network half of an
+update is applied centrally, by
+:meth:`repro.net.network.VirtualNetwork.apply_diff` from the epoch's diff
+and by :meth:`repro.core.database.ConstellationDatabase.pair_rule` per
+machine pair, so its size follows the constellation, not the fleet.
 
 Process boundary
 ----------------
@@ -35,22 +37,21 @@ By default the managers are plain objects in the coordinator process,
 visited in a loop.  A manager may also live in a worker *process*
 (``repro.dist``, which exists to exercise the remote-worker protocol): the
 coordinator keeps an in-process shadow for placement and bookkeeping while
-the authoritative copy applies slices and takes the usage samples behind a
-TCP connection.  Three members exist for that runtime:
-:meth:`MachineManager.apply_activity` (the full-replay sweep expressed over
-raw per-shell activity masks, so a first-epoch replay does not need the
-whole :class:`ConstellationState` on the wire),
+the authoritative copy applies the records and takes the usage samples
+behind a TCP connection.  Two members exist for that runtime:
 :meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
-every acknowledgement) and :meth:`MachineManager.restore_runtime_state`
-(applied by a respawned worker after the durable control ledger has been
-replayed: forces bounding-box activity to the checkpoint epoch — the
-database's current or previous epoch's masks — without touching the
-suspend/resume counters, then restores counters and RNG stream exactly).
+every acknowledgement: counters, RNG state and the dirty set) and
+:meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
+after the durable control ledger has been replayed: forces bounding-box
+activity to the checkpoint epoch's masks — derived by the supervisor from
+the last record it sent — without touching the suspend/resume counters,
+then restores counters, dirty set and RNG stream exactly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,20 +69,53 @@ from repro.microvm import (
 
 
 @dataclass(frozen=True)
-class HostStateSlice:
-    """What one manager applies of one differential constellation update.
+class EpochRecord:
+    """One epoch's bounding-box activity, the same for every manager.
 
-    The coordinator guarantees that every machine named in ``activated``,
-    ``deactivated`` and ``dirty_active`` is hosted by the receiving manager.
-    ``epoch`` is the database epoch the slice belongs to (a worker's
-    recovery checkpoint), ``dirty_active`` the current bounding-box activity
-    of the manager's dirty satellites by machine name.
+    ``active`` holds each shell's activity mask, ``flipped`` the mask of the
+    satellites whose activity changed since the previous epoch, so the
+    previous epoch's masks are ``active ^ flipped``.  ``first`` marks the
+    record of an epoch without a previous one: it flips every active
+    satellite from nothing.  ``epoch`` is the database epoch the record
+    belongs to (a worker's recovery checkpoint).
     """
 
     epoch: int
-    activated: tuple[MachineId, ...]
-    deactivated: tuple[MachineId, ...]
-    dirty_active: dict[str, bool]
+    active: dict[int, np.ndarray]
+    flipped: dict[int, np.ndarray]
+    first: bool = False
+
+    @classmethod
+    def of(
+        cls, epoch: int, state: ConstellationState, previous: Optional[ConstellationState]
+    ) -> "EpochRecord":
+        """The record of ``state``, published as ``epoch`` after ``previous``."""
+        active = state.active_satellites
+        if previous is None:
+            return cls(epoch, active, active, first=True)
+        flipped = {
+            shell: mask ^ previous.active_satellites[shell] for shell, mask in active.items()
+        }
+        return cls(epoch, active, flipped)
+
+    @cached_property
+    def flips(self) -> dict[int, list[int]]:
+        """Per shell, the identifiers of the flipped satellites, ascending.
+
+        Computed once per record, however many managers read it.
+        """
+        return {shell: np.flatnonzero(mask).tolist() for shell, mask in self.flipped.items()}
+
+    def masks_at(self, epoch: int) -> dict[int, np.ndarray]:
+        """The activity masks of this record's epoch or of the one before it."""
+        if epoch == self.epoch:
+            return self.active
+        if epoch == self.epoch - 1:
+            return {shell: mask ^ self.flipped[shell] for shell, mask in self.active.items()}
+        raise KeyError(
+            f"no activity masks for epoch {epoch}: the record holds epoch "
+            f"{self.epoch} and the one before it"
+        )
 
 
 class MachineManager:
@@ -91,6 +125,8 @@ class MachineManager:
         self.host = host
         self._rng = rng if rng is not None else np.random.default_rng(host.index)
         self._machine_ids: dict[str, MachineId] = {}
+        #: The owned-satellite index: shell → identifier → machine name.
+        self._satellites: dict[int, dict[int, str]] = {}
         self.suspension_count = 0
         self.resume_count = 0
         # Machines whose lifecycle changed outside the diff protocol since
@@ -123,6 +159,9 @@ class MachineManager:
         machine.cpu_quota.set_quota(compute.cpu_quota)
         self.host.place(machine)
         self._machine_ids[machine_id.name] = machine_id
+        if not machine_id.is_ground_station:
+            owned = self._satellites.setdefault(machine_id.shell, {})
+            owned[machine_id.identifier] = machine_id.name
         self._dirty.add(machine_id.name)
         return machine
 
@@ -157,21 +196,10 @@ class MachineManager:
     def apply_state(self, state: ConstellationState, now_s: float) -> None:
         """Suspend/resume local satellites with a full sweep over the state.
 
-        This is the full-replay reference path (and the first-epoch path);
-        steady-state updates go through :meth:`apply_diff` instead.
+        The full-replay reference the record path (:meth:`apply_diff`) is
+        tested against; the coordinator itself only applies records.
         """
-        self.apply_activity(state.active_satellites, now_s)
-
-    def apply_activity(
-        self, active_satellites: dict[int, np.ndarray], now_s: float
-    ) -> None:
-        """Full-replay sweep expressed over raw per-shell activity masks.
-
-        Byte-equivalent to :meth:`apply_state` (which delegates here): the
-        masks are exactly ``ConstellationState.active_satellites``.  Workers
-        receive them as a compact ``APPLY_ACTIVITY`` wire frame instead of
-        the whole constellation state.
-        """
+        active_satellites = state.active_satellites
         for name, machine_id in self._machine_ids.items():
             if machine_id.is_ground_station:
                 continue
@@ -190,42 +218,42 @@ class MachineManager:
             machine.resume(now_s)
             self.resume_count += 1
 
-    def dirty_machine_ids(self) -> list[MachineId]:
-        """Machines whose lifecycle changed outside the diff protocol.
+    def apply_diff(self, record: EpochRecord, now_s: float) -> list[str]:
+        """Apply one epoch's record to this host's machines.
 
-        The coordinator reads this when sharding an update so it can ship
-        the current activity flag of exactly these machines in the slice's
-        ``dirty_active`` map.
+        Only the machines the record concerns are touched: the flips of the
+        satellites this manager hosts suspend/resume exactly the machines
+        that crossed the boundary, then the machines still dirty since the
+        last update are reconciled against the activity masks.  Both steps
+        guard on the current microVM state, so the result (including the
+        suspend/resume counters) is identical to a full :meth:`apply_state`
+        sweep.  Returns the names the dirty step reconciled.
         """
-        return [self._machine_ids[name] for name in self._dirty if name in self._machine_ids]
-
-    def apply_diff(self, state_slice: HostStateSlice, now_s: float) -> None:
-        """Apply one differential update slice to this host's machines.
-
-        Only the machines named in the slice are touched: bounding-box
-        transitions suspend/resume exactly the machines that crossed the
-        boundary, then machines marked dirty since the last update are
-        reconciled against the shipped activity flags.  Both steps guard on
-        the current microVM state, so the result (including the
-        suspend/resume counters) is identical to a full
-        :meth:`apply_state` sweep.
-        """
-        for machine_id in state_slice.deactivated:
-            machine = self.host.machines.get(machine_id.name)
-            if machine is not None:
-                self._reconcile_activity(machine, False, now_s)
-        for machine_id in state_slice.activated:
-            machine = self.host.machines.get(machine_id.name)
-            if machine is not None:
-                self._reconcile_activity(machine, True, now_s)
-        for name, active in state_slice.dirty_active.items():
+        machines = self.host.machines
+        flips = record.flips
+        for shell, owned in self._satellites.items():
+            active = record.active[shell]
+            for identifier in flips[shell]:
+                name = owned.get(identifier)
+                if name is None:
+                    continue
+                self._dirty.discard(name)  # reconciled here, not again below
+                machine = machines.get(name)
+                if machine is not None:
+                    self._reconcile_activity(machine, bool(active[identifier]), now_s)
+        reconciled = []
+        for name in self._dirty:
             machine_id = self._machine_ids.get(name)
-            machine = self.host.machines.get(name)
+            machine = machines.get(name)
             if machine_id is None or machine is None or machine_id.is_ground_station:
                 continue
-            self._reconcile_activity(machine, active, now_s)
+            active = record.active[machine_id.shell][machine_id.identifier]
+            self._reconcile_activity(machine, bool(active), now_s)
+            reconciled.append(name)
         self._dirty.clear()
-        self.applied_diffs += 1
+        if not record.first:
+            self.applied_diffs += 1
+        return reconciled
 
     def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:
         """Whether a machine is running (boot finished, not suspended) at a time."""
@@ -281,17 +309,18 @@ class MachineManager:
     # -- checkpoint / restore (supervised worker recovery) -----------------------
 
     def counters_snapshot(self) -> dict:
-        """Checkpoint of the observable runtime counters plus the RNG state.
+        """Checkpoint of the observable runtime counters, dirty set and RNG state.
 
         Streamed back with every worker acknowledgement; a supervisor
-        restores it verbatim after a crash so counters and all future random
-        draws (usage-sample jitter) continue exactly where the last
-        acknowledged operation left them.
+        restores it verbatim after a crash so counters, the machines still
+        to reconcile and all future random draws (usage-sample jitter)
+        continue exactly where the last acknowledged operation left them.
         """
         return {
             "suspension_count": self.suspension_count,
             "resume_count": self.resume_count,
             "applied_diffs": self.applied_diffs,
+            "dirty": sorted(self._dirty),
             "rng_state": self._rng.bit_generator.state,
         }
 
@@ -300,29 +329,27 @@ class MachineManager:
         active_satellites: Optional[dict[int, np.ndarray]],
         snapshot: dict,
         now_s: float,
-        skip: Optional[set[str]] = None,
     ) -> None:
         """Restore a freshly rebuilt manager to a checkpointed epoch.
 
-        Called on a respawned worker after the durable control ledger
-        (machine creations, fault-injection ops) has been replayed:
+        Called on a respawned worker after the control ledger frames the
+        checkpoint had applied (machine creations, fault-injection ops) were
+        replayed:
 
         * bounding-box activity is *forced* to the per-shell masks of the
-          checkpoint epoch — the database's current or previous epoch's
-          masks, read by the supervisor — without counting the transitions (the
-          counters below already include them); ``None`` when the manager
-          had not applied any epoch yet (counters/RNG restore only);
-        * machines in ``skip`` are left exactly as the ledger rebuilt them:
-          these are dirty machines whose lifecycle changed outside the diff
-          protocol after the checkpoint, and the next slice's
-          ``dirty_active`` map reconciles them *with* counting, exactly as
-          the in-process path would;
+          checkpoint epoch without counting the transitions (the counters
+          below already include them); ``None`` when the manager had not
+          applied any epoch yet (counters/RNG restore only);
+        * the checkpoint's dirty machines are left exactly as the ledger
+          rebuilt them and stay dirty: their lifecycle changed outside the
+          protocol after the last record, and the next record reconciles
+          them *with* counting, exactly as the in-process path would;
         * counters and the RNG stream are restored from ``snapshot``.
         """
-        skip = skip if skip is not None else set()
+        dirty = set(snapshot["dirty"])
         if active_satellites is not None:
             for name, machine_id in self._machine_ids.items():
-                if machine_id.is_ground_station or name in skip:
+                if machine_id.is_ground_station or name in dirty:
                     continue
                 machine = self.host.machines.get(name)
                 if machine is None or not machine.is_booted:
@@ -338,4 +365,4 @@ class MachineManager:
         self.resume_count = int(snapshot["resume_count"])
         self.applied_diffs = int(snapshot["applied_diffs"])
         self._rng.bit_generator.state = snapshot["rng_state"]
-        self._dirty.clear()
+        self._dirty = dirty

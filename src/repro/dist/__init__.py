@@ -10,11 +10,12 @@ on a TCP stream.
 * :mod:`repro.dist.wire` — the versioned frame: a fixed header, a metadata
   blob in the one closed plain-data codec (decoding constructs no object and
   calls nothing) and the raw buffers of the payload's NumPy arrays.  The
-  per-epoch payload is a
-  :class:`~repro.core.machine_manager.HostStateSlice`: the epoch, the
-  manager's machines whose bounding-box activity flipped and the activity of
-  its dirty ones — what a manager applies.  The network half of an update
-  is applied on the coordinator's side (``VirtualNetwork.apply_diff``,
+  per-epoch payload is one
+  :class:`~repro.core.machine_manager.EpochRecord`, encoded once and sent to
+  every worker alike: per shell the packed activity mask and the packed mask
+  of satellites that flipped since the previous epoch.  Each manager picks
+  out its own machines.  The network half of an update is applied on the
+  coordinator's side (``VirtualNetwork.apply_diff``,
   ``ConstellationDatabase.pair_rule``) and is not shipped.  Corrupt or
   forged frames decode to typed :class:`~repro.dist.wire.WireError`\\ s,
   never to nonsense array views.
@@ -23,16 +24,18 @@ on a TCP stream.
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
   restarted worker *reconnects* to the same address.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers,
-  applies the slices it is sent, samples usage and streams samples, counters
-  and reconciliation results back.  A supervisor-spawned child dialling back
-  over loopback and ``python -m repro.dist.worker --connect host:port
-  --index N`` on another machine run the same code.
+  applies each record to all of them, samples usage and streams samples,
+  counters and reconciliation results back, one acknowledgement per
+  request.  A supervisor-spawned child dialling back over loopback and
+  ``python -m repro.dist.worker --connect host:port --index N`` on another
+  machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
   restart under a bounded, decaying budget.  A restarted worker is rebuilt
   from the durable control ledger (one ``CONTROL`` frame per flush of
-  lifecycle operations) and restored to its last acknowledged checkpoint
-  with that epoch's activity masks from the constellation database.
+  lifecycle operations) and restored to its last acknowledged checkpoint by
+  one ``RESTORE`` frame, with that epoch's activity masks derived from the
+  last record sent — the current epoch's or the one before it.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
@@ -46,7 +49,7 @@ on a TCP stream.
 In the spirit of RAFDA's separation of application logic from distribution
 policy, nothing above this package knows which side of a process — or
 machine — boundary a manager lives on: the update producer emits the same
-slices either way, and the two backends are proven byte/count-identical
+record either way, and the two backends are proven byte/count-identical
 (including crash recovery) by the equivalence suite.
 """
 
@@ -76,7 +79,7 @@ from repro.dist.wire import (
     WireVersionError,
     decode_blob,
     decode_frame,
-    decode_slice,
+    decode_record,
     encode_blob,
     encode_frame,
 )
@@ -103,7 +106,7 @@ __all__ = [
     "connect_transport",
     "decode_blob",
     "decode_frame",
-    "decode_slice",
+    "decode_record",
     "encode_blob",
     "encode_frame",
 ]

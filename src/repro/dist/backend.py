@@ -1,25 +1,25 @@
 """The fan-out seam behind the coordinator: in process, or over workers.
 
-The coordinator's distribution policy (who receives which slice) is
-expressed once, in :meth:`~repro.core.coordinator.Coordinator._shard`.  A
-:class:`~repro.core.machine_manager.HostStateSlice` is what a manager
-applies — its machines whose bounding-box activity flipped and the activity
-of its dirty ones; the network half of an update stays on the coordinator's
-side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``)
-and crosses no seam.  *How* the slices reach the managers is a backend
-concern; both backends answer the same calls (``managers``,
-``apply_slices``, ``apply_full_state``, ``sample_all``,
+The coordinator publishes one
+:class:`~repro.core.machine_manager.EpochRecord` per epoch — per shell the
+activity mask and the mask of satellites that flipped — and every manager
+applies the same record, picking out its own machines.  The network half of
+an update stays on the coordinator's side (``VirtualNetwork.apply_diff``,
+``ConstellationDatabase.pair_rule``) and crosses no seam.  *How* the record
+reaches the managers is a backend concern; both backends answer the same
+calls (``managers``, ``apply_slices``, ``sample_all``,
 ``drain_transport_latencies``, ``close``):
 
 * :class:`ThreadFanoutBackend` — the managers live in the coordinator
-  process and are visited in a loop (the default; despite the name it
-  starts no thread — a slice is microseconds of pure-Python work per host,
-  which a pool under the GIL would not parallelise).
+  process and are handed the record object in a loop (the default; despite
+  the name it starts no thread — a record is microseconds of pure-Python
+  work per host, which a pool under the GIL would not parallelise).
 * :class:`ProcessFanoutBackend` — the authoritative managers live in
   supervised worker processes (:mod:`repro.dist.worker`), each reached over
-  its own TCP connection.  Slices travel as :mod:`repro.dist.wire` frames;
-  the workers apply them, take the per-host usage samples, and stream
-  samples, counters and dirty-machine reconciliation results back.  It
+  its own TCP connection.  The record is encoded once per epoch and sent as
+  one :mod:`repro.dist.wire` frame per worker; the workers apply it, take
+  the per-host usage samples, and stream samples, counters and dirty-machine
+  reconciliation results back, one acknowledgement per worker per epoch.  It
   exists to exercise the remote-worker protocol, not to make one box faster.
 
 Shadow managers
@@ -27,7 +27,7 @@ Shadow managers
 
 In process mode the coordinator keeps the managers it was constructed with
 as in-process **shadows**: they perform placement (reserved-memory balance),
-dirty-machine tracking and the cheap O(transitions) slice bookkeeping, so
+dirty-machine tracking and the cheap O(flips) record bookkeeping, so
 every parent-side query (``manager_for``, ``is_running_at``, fault
 injection, the virtual network's running-check) stays a local call.  Usage
 is sampled worker-side only (an O(1) reading of the host's kept accounting,
@@ -57,10 +57,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.constellation import ConstellationState
-from repro.core.machine_manager import HostStateSlice, MachineManager
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
-from repro.dist import wire
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import ControlBatch, ControlOp, FrameKind
@@ -93,17 +91,15 @@ class ThreadFanoutBackend:
         if self._closed:
             raise RuntimeError("the fan-out backend has been closed")
 
-    def apply_slices(self, slices: list[HostStateSlice], now_s: float) -> None:
-        """Apply one epoch's per-host slices (one per manager position)."""
-        self._check_open()
-        for manager, state_slice in zip(self._managers, slices):
-            manager.apply_diff(state_slice, now_s)
-
-    def apply_full_state(self, state: ConstellationState, now_s: float) -> None:
-        """Full-replay sweep (first epoch / non-incremental path)."""
+    def apply_slices(self, record: EpochRecord, now_s: float) -> None:
+        """Apply one epoch's record on every manager."""
         self._check_open()
         for manager in self._managers:
-            manager.apply_state(state, now_s)
+            manager.apply_diff(record, now_s)
+
+    # The benchmark's tracer still patches this name; ROADMAP item 1 (the
+    # benchmark catch-up) deletes the alias together with that patch point.
+    apply_full_state = apply_slices
 
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
@@ -132,7 +128,7 @@ class MirroredManager:
     Lifecycle operations are applied to the in-process shadow (placement,
     dirty tracking, machine states) *and* appended as rows to the owning
     worker's :class:`~repro.dist.wire.ControlBatch`; reads delegate to the
-    shadow.  Slices and usage sweeps do not go through the proxy but through
+    shadow.  Records and usage sweeps do not go through the proxy but through
     the backend (:meth:`ProcessFanoutBackend.apply_slices` / ``sample_all``):
     a sample is drawn from the worker's RNG stream and recorded into the
     shadow host's trace.
@@ -188,7 +184,7 @@ class MirroredManager:
 
     def apply_state(self, *args, **kwargs) -> None:
         raise NotImplementedError(
-            "slice application and usage sampling are routed through the "
+            "record application and usage sampling are routed through the "
             "coordinator's fan-out backend in process mode"
         )
 
@@ -211,7 +207,6 @@ class ProcessFanoutBackend:
     def __init__(
         self,
         managers: list[MachineManager],
-        database,
         worker_count: Optional[int] = None,
         max_restarts: int = 3,
         ack_timeout_s: float = 120.0,
@@ -219,11 +214,12 @@ class ProcessFanoutBackend:
         transport: Optional[TcpTransportFactory] = None,
     ):
         self._shadows = list(managers)
-        self._database = database
         if worker_count is None:
             worker_count = len(self._shadows)
-        worker_count = max(1, min(worker_count, len(self._shadows)))
-        self.worker_count = worker_count
+        elif worker_count < 1:
+            raise ValueError(f"worker_count must be at least 1, got {worker_count}")
+        # Never more workers than hosts: the rest would own no manager.
+        self.worker_count = worker_count = min(worker_count, len(self._shadows))
         # Hosts are partitioned round-robin over the workers; the worker
         # manager RNG streams start from the shadows' states *now*, before
         # any draw, so they replay exactly what a single-process run draws.
@@ -250,8 +246,6 @@ class ProcessFanoutBackend:
         ]
         self.supervisor = WorkerSupervisor(
             specs,
-            database=database,
-            dirty_resolver=self._dirty_names,
             max_restarts=max_restarts,
             ack_timeout_s=ack_timeout_s,
             restart_decay_acks=restart_decay_acks,
@@ -273,9 +267,6 @@ class ProcessFanoutBackend:
     def shadows(self) -> list[MachineManager]:
         """The in-process shadow managers (placement and bookkeeping)."""
         return self._shadows
-
-    def _dirty_names(self, position: int) -> set[str]:
-        return set(self._shadows[position]._dirty)
 
     def _verify_counters(self, acks_by_worker: dict[int, dict]) -> None:
         """Check the workers' counter and RNG checkpoints against the shadows.
@@ -312,58 +303,40 @@ class ProcessFanoutBackend:
 
     # -- the calls the coordinator drives ------------------------------------
 
-    def apply_slices(self, slices: list[HostStateSlice], now_s: float) -> None:
-        """Apply one epoch's per-host slices (one per manager position)."""
+    def apply_slices(self, record: EpochRecord, now_s: float) -> None:
+        """Apply one epoch's record on every manager: one frame per worker."""
         supervisor = self.supervisor
         supervisor.start()
         supervisor.check()  # heartbeat sweep: restart idle-crashed workers
-        for position, state_slice in enumerate(slices):
-            meta, arrays = wire.slice_payload(state_slice)
-            supervisor.begin_request(
-                self._worker_of[position],
-                FrameKind.APPLY_SLICE,
-                {**meta, "now_s": now_s, "position": position},
-                arrays,
-            )
-        # The cheap O(transitions) bookkeeping runs on the shadows while the
-        # workers apply their slices in parallel.
-        for shadow, state_slice in zip(self._shadows, slices):
-            shadow.apply_diff(state_slice, now_s)
-        last_acks: dict[int, dict] = {}
-        reconciled: dict[int, dict] = {}
-        for position in range(len(slices)):
-            ack = supervisor.finish_request(self._worker_of[position])
-            last_acks[self._worker_of[position]] = ack
-            reconciled.update(ack.get("reconciled", {}))
-        self._verify_counters(last_acks)
-        for position, outcomes in reconciled.items():
-            shadow = self._shadows[position]
-            for name, state_value in outcomes.items():
-                if shadow.host.machines[name].state.value != state_value:
-                    raise WorkerDesyncError(
-                        f"dirty machine {name!r} reconciled to {state_value!r} "
-                        f"on the worker but "
-                        f"{shadow.host.machines[name].state.value!r} on the shadow"
-                    )
-
-    def apply_full_state(self, state: ConstellationState, now_s: float) -> None:
-        """Full-replay sweep (first epoch / non-incremental path)."""
-        supervisor = self.supervisor
-        supervisor.start()
-        supervisor.check()
-        epoch = self._database.epoch if self._database is not None else 0
-        meta, arrays = wire.activity_payload(state.active_satellites, state.time_s, epoch)
-        for worker in range(self.worker_count):
-            supervisor.begin_request(
-                worker, FrameKind.APPLY_ACTIVITY, {**meta, "now_s": now_s}, arrays
-            )
+        supervisor.begin_epoch(record, now_s)
+        # The cheap O(flips) bookkeeping runs on the shadows while the
+        # workers apply the record in parallel.
         for shadow in self._shadows:
-            shadow.apply_state(state, now_s)
+            shadow.apply_diff(record, now_s)
         acks = {
             worker: supervisor.finish_request(worker)
             for worker in range(self.worker_count)
         }
         self._verify_counters(acks)
+        for ack in acks.values():
+            for position, outcomes in ack["reconciled"].items():
+                shadow = self._shadows[position]
+                for name, state_value in outcomes.items():
+                    machine = shadow.host.machines.get(name)
+                    if machine is None:
+                        raise WorkerDesyncError(
+                            f"the worker reconciled dirty machine {name!r}, which "
+                            f"the shadow of host {shadow.host.index} does not host"
+                        )
+                    if machine.state.value != state_value:
+                        raise WorkerDesyncError(
+                            f"dirty machine {name!r} reconciled to {state_value!r} "
+                            f"on the worker but {machine.state.value!r} on the shadow"
+                        )
+
+    # The benchmark's tracer still patches this name; ROADMAP item 1 (the
+    # benchmark catch-up) deletes the alias together with that patch point.
+    apply_full_state = apply_slices
 
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False

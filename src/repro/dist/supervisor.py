@@ -17,9 +17,11 @@ primitives:
   after a crash.
 * :meth:`WorkerSupervisor.begin_request` / :meth:`finish_request` — frames
   that want an acknowledgement.  Splitting send from collect lets the
-  backend broadcast one slice to every worker and only then start draining
+  backend broadcast one frame to every worker and only then start draining
   acks, so workers chew in parallel.  Every acknowledgement carries the
-  worker's counter/RNG checkpoint and becomes the recovery point.
+  worker's checkpoint and becomes the recovery point.
+  :meth:`WorkerSupervisor.begin_epoch` is the broadcast of one epoch's
+  record, which the supervisor keeps: it is what a recovery restores from.
 * :meth:`WorkerSupervisor.post` — a fire-and-forget frame that is never
   journalled (the ``CRASH``/``WEDGE`` test hooks).
 * :meth:`WorkerSupervisor.check` / :meth:`ping` — heartbeat: a liveness
@@ -42,22 +44,23 @@ successor spawns).  Recovery then proceeds in four steps:
    frames the worker had applied when it sent its last acknowledgement
    (the ack counts them) — so it re-creates and boots the machines it
    owned then, in the original order.
-3. **Restore runtime state from the database**: the per-shell bounding-box
-   activity masks of the last acknowledged epoch are read with
-   :meth:`~repro.core.database.ConstellationDatabase.activity_at_epoch` —
-   the fan-out is synchronous, so that is the current epoch or the one
-   before it, the two the database can answer; anything older is a
-   ``KeyError``, never the wrong masks — and shipped in a ``RESTORE`` frame together with the checkpointed
-   counters and RNG states.  Machines whose lifecycle changed outside the
-   diff protocol after the checkpoint (the coordinator-side dirty set,
-   obtained through ``dirty_resolver``) are skipped, so the next slice's
-   ``dirty_active`` map reconciles them *with* counting — exactly like the
-   in-process path.
+3. **Restore runtime state from the last record sent**: one ``RESTORE``
+   frame ships the checkpoint of every manager the worker owns — counters,
+   dirty set, RNG state — and the activity masks of the checkpoint's epoch.
+   A worker applies each record to all of its managers before it
+   acknowledges, and the fan-out is synchronous, so that epoch is the last
+   record's or the one before it, and the record holds both
+   (:meth:`~repro.core.machine_manager.EpochRecord.masks_at`): no history
+   is read.  The checkpoint's dirty machines — lifecycle changed outside the
+   protocol before the checkpoint, not yet reconciled by a record — are
+   left as the ledger rebuilt them and stay dirty, so the next record
+   reconciles them *with* counting, exactly like the in-process path.
 4. **Replay the rest of the ledger**: frames journalled after the
-   checkpoint run on top of the restored RNG streams, as they first did.
+   checkpoint run on top of the restored RNG streams and dirty sets, as
+   they first did.
 
 The in-flight request that observed the crash is then re-sent: the restored
-worker is at the checkpoint epoch, so re-applying the current epoch's slice
+worker is at the checkpoint epoch, so re-applying the current epoch's record
 produces the same transitions (and counter increments) the uncrashed worker
 would have produced.  Restarts are bounded by ``max_restarts`` per worker —
 but the budget *decays*: after ``restart_decay_acks`` healthy acknowledged
@@ -71,10 +74,11 @@ from __future__ import annotations
 import atexit
 import time
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
+from repro.core.machine_manager import EpochRecord
 from repro.dist import wire
 from repro.dist.transport import TcpTransportFactory, TransportTimeout
 from repro.dist.wire import FrameKind
@@ -118,9 +122,8 @@ class _Handle:
         # crashes over a long run must not accumulate into a death).
         self.healthy_acks = 0
         # Set when a send observed a broken stream: recovery is deferred to
-        # the next collect/heartbeat so that every frame of the current
-        # epoch is already queued in ``inflight`` when the worker is rebuilt
-        # (the restore skip-set is derived from those frames).
+        # the next collect/heartbeat, which re-sends every frame queued in
+        # ``inflight`` to the rebuilt worker.
         self.dead = False
 
 
@@ -135,8 +138,6 @@ class WorkerSupervisor:
     def __init__(
         self,
         specs: list[WorkerSpec],
-        database=None,
-        dirty_resolver: Optional[Callable[[int], set[str]]] = None,
         max_restarts: int = 3,
         ack_timeout_s: float = 120.0,
         restart_decay_acks: int = 64,
@@ -149,8 +150,8 @@ class WorkerSupervisor:
                 f"transport must be a TcpTransportFactory or None, got {transport!r}"
             )
         self._handles = [_Handle(spec) for spec in specs]
-        self._database = database
-        self._dirty_resolver = dirty_resolver
+        #: The last epoch record sent: a recovery restores to its masks.
+        self._record: Optional[EpochRecord] = None
         self._factory = transport
         self.max_restarts = max_restarts
         self.ack_timeout_s = ack_timeout_s
@@ -294,10 +295,9 @@ class WorkerSupervisor:
     ) -> int:
         """Send an acknowledged frame without waiting; returns its sequence.
 
-        Several requests may be in flight per worker (one per slice of a
-        multi-host worker); acknowledgements are collected FIFO with
-        :meth:`finish_request`.  The worker's pending lifecycle rows go
-        first, as one ``CONTROL`` frame.
+        Several requests may be in flight per worker; acknowledgements are
+        collected FIFO with :meth:`finish_request`.  The worker's pending
+        lifecycle rows go first, as one ``CONTROL`` frame.
         """
         self.start()
         handle = self._handles[worker]
@@ -308,6 +308,19 @@ class WorkerSupervisor:
         handle.inflight.append((handle.seq, frame, time.monotonic()))
         self._send(handle, frame)  # a broken send is recovered at collect time
         return handle.seq
+
+    def begin_epoch(self, record: EpochRecord, now_s: float) -> None:
+        """Send one epoch's record to every worker, acknowledged, and keep it.
+
+        The record is encoded once; each worker then gets one frame that
+        only its sequence number sets apart.  Collect the acknowledgements
+        with :meth:`finish_request`, one per worker.
+        """
+        meta, arrays = wire.slice_payload(record)
+        meta["now_s"] = now_s
+        self._record = record
+        for worker in range(len(self._handles)):
+            self.begin_request(worker, FrameKind.APPLY_EPOCH, meta, arrays)
 
     def finish_request(self, worker: int) -> dict[str, Any]:
         """Collect the acknowledgement of the oldest in-flight request.
@@ -508,69 +521,27 @@ class WorkerSupervisor:
                 continue  # the successor died mid-recovery: rebuild again
 
     def _restore(self, handle: _Handle) -> None:
-        """Ship the activity masks and counters of the checkpointed state.
-
-        One ``RESTORE`` frame per manager: a worker owning several hosts may
-        have acknowledged this epoch's slice for one host but not the other,
-        so each manager is restored to *its own* last-acknowledged epoch and
-        the re-sent in-flight slices advance exactly the managers that were
-        behind — counting their transitions once, like the in-process backend.
-        """
-        if handle.checkpoint is None or self._database is None:
-            return
-        # Snapshot the checkpoint: the restore acknowledgements below
-        # overwrite handle.checkpoint with the successor's state, which is
-        # only fully valid once *every* position has been restored.  If the
-        # successor dies mid-restore, roll back so the retry recovers from
-        # the original (complete) checkpoint, not a half-rebuilt one.
+        """Ship the checkpoint and its epoch's activity masks in one frame."""
         checkpoint = handle.checkpoint
-        # Machines whose out-of-protocol lifecycle change has not yet been
-        # reconciled *by the worker* keep their ledger-rebuilt state so the
-        # (re-sent) slice counts the reconcile exactly once.  Two sources:
-        # the coordinator-side dirty sets (crash detected before the epoch's
-        # slices were sharded) and the dirty_active maps of the still
-        # unacknowledged in-flight slice frames (crash detected mid-epoch,
-        # after the shadows already reconciled and cleared their dirty
-        # sets).  Machine names are globally unique → one flat set.
-        skip: set[str] = set()
-        positions = list(checkpoint["counters"])
-        if self._dirty_resolver is not None:
-            for position in positions:
-                skip |= self._dirty_resolver(position)
-        for _seq, frame, _sent_at in handle.inflight:
-            kind, frame_meta, _arrays = wire.decode_frame(frame)
-            if kind is FrameKind.APPLY_SLICE:
-                skip |= set(frame_meta["dirty_active"])
-        epochs = checkpoint.get("epochs", {})
-        masks_cache: dict[int, dict] = {}
+        if checkpoint is None:
+            return
+        epoch = checkpoint["epoch"]
+        meta, arrays = {"shells": [], "sizes": []}, ()
+        if epoch:  # epoch 0: nothing applied yet, counters/RNG only
+            meta, arrays = wire.mask_payload(self._record.masks_at(epoch))
+        handle.seq += 1
+        meta.update(
+            seq=handle.seq,
+            epoch=epoch,
+            now_s=self._last_now_s,
+            snapshots=checkpoint["counters"],
+        )
         try:
-            for position in positions:
-                epoch = int(epochs.get(position, 0))
-                if epoch > 0:
-                    if epoch not in masks_cache:
-                        masks_cache[epoch] = self._database.activity_at_epoch(epoch)
-                    active = masks_cache[epoch]
-                    shells = sorted(active)
-                    arrays = tuple(active[shell] for shell in shells)
-                else:
-                    # Nothing applied yet: restore counters/RNG only.
-                    shells, arrays = [], ()
-                handle.seq += 1
-                meta = {
-                    "seq": handle.seq,
-                    "position": position,
-                    "epoch": epoch,
-                    "force_activity": epoch > 0,
-                    "now_s": self._last_now_s,
-                    "shells": shells,
-                    "snapshot": checkpoint["counters"][position],
-                    "skip": sorted(skip),
-                }
-                handle.conn.send_bytes(
-                    wire.encode_frame(FrameKind.RESTORE, meta, arrays)
-                )
-                self._await_ack(handle, handle.seq)
+            handle.conn.send_bytes(wire.encode_frame(FrameKind.RESTORE, meta, arrays))
+            self._await_ack(handle, handle.seq)
         except BaseException:
+            # The restore ack replaced the checkpoint with the successor's;
+            # a retry must recover from the original one.
             handle.checkpoint = checkpoint
             raise
 

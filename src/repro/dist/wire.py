@@ -49,14 +49,15 @@ Frame kinds
 =================  ============  =============================================
 kind               direction     payload
 =================  ============  =============================================
-``ACK``/``ERROR``  worker → sup  checkpoint (counters, RNG states, epochs,
-                                 control frames applied) / a traceback
+``ACK``/``ERROR``  worker → sup  checkpoint (counters, dirty sets, RNG states,
+                                 epoch, control frames applied) / a traceback
 ``CONTROL``        sup → worker  one worker's lifecycle operations in program
                                  order, journalled (see below)
-``APPLY_SLICE``    sup → worker  one :class:`HostStateSlice`
-``APPLY_ACTIVITY`` sup → worker  per-shell activity masks (full replay)
+``APPLY_EPOCH``    sup → worker  one :class:`EpochRecord`, the same for every
+                                 worker (see below)
 ``SAMPLE_USAGE``   sup → worker  ``now_s`` and the sample's flags
-``RESTORE``        sup → worker  a checkpoint and its epoch's activity masks
+``RESTORE``        sup → worker  the checkpoint of every manager the worker
+                                 owns and its epoch's activity masks
 ``PING`` …         both          heartbeat, shutdown, test hooks, handshake
 ``KEYFRAME`` …     gateway       the serving tier (:mod:`repro.serve.codec`)
 =================  ============  =============================================
@@ -88,21 +89,35 @@ of range or whose name count does not match is a :class:`WireError` and
 runs no row.  Version 7 replaced the seven one-operation control frame
 kinds, one frame per lifecycle call, by this one frame per flush.
 
-Payload codecs
---------------
+Epoch records
+-------------
 
-:func:`slice_payload` / :func:`decode_slice` map a
-:class:`~repro.core.machine_manager.HostStateSlice` — what one manager
-applies of an epoch — onto an ``APPLY_SLICE`` frame: ``activated`` /
-``deactivated`` machine identities are shipped as ``(shell, identifier)``
-integer arrays (satellite names are canonical:
-``"{identifier}.{shell}.celestial"``), ``epoch`` and the small
-``dirty_active`` map in the metadata blob.  Nothing else crosses the seam
-per epoch: the network half of an update is applied on the coordinator's
-side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``),
-so a slice frame's size follows the epoch's activity flips, not the fleet.
-:func:`activity_payload` / :func:`decode_activity` ship the per-shell
-bounding-box activity masks of a full-state replay the same way.
+An ``APPLY_EPOCH`` frame is one
+:class:`~repro.core.machine_manager.EpochRecord`, encoded once per epoch by
+:func:`slice_payload` and sent to every worker alike.  The meta holds
+``epoch``, ``first`` and the record's ``shells`` with their ``sizes`` (the
+satellite count of each); the arrays are two packed masks per shell, all the
+activity masks first, then all the flip masks, each in ``shells`` order:
+
+===========  =========  ======================================================
+array        dtype      meaning
+===========  =========  ======================================================
+active[i]    ``u1``     activity of shell ``shells[i]``: ``np.packbits`` of
+                        its mask, ⌈``sizes[i]``/8⌉ bytes, padding bits zero
+flipped[i]   ``u1``     the satellites of that shell whose activity changed
+                        since the previous epoch, packed alike
+===========  =========  ======================================================
+
+On Starlink's 4,409 satellites a mask is 552 bytes.  :func:`decode_record`
+checks the whole frame before a manager sees it: a shell list that does not
+match the arrays, an array that is not 1-D ``u1``, a mask of the wrong
+length for its shell or a set padding bit is a :class:`WireError`.  A
+``RESTORE`` frame carries one mask per shell in the same layout
+(:func:`mask_payload` / :func:`decode_masks`).  Nothing else crosses the
+seam per epoch: the network half of an update is applied on the
+coordinator's side (``VirtualNetwork.apply_diff``,
+``ConstellationDatabase.pair_rule``).  Version 8 replaced the per-host slice
+frame and the first epoch's full-activity frame by this one record.
 """
 
 from __future__ import annotations
@@ -116,7 +131,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.constellation import MachineId, satellite_name
-from repro.core.machine_manager import HostStateSlice
+from repro.core.machine_manager import EpochRecord
 
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
@@ -127,7 +142,10 @@ WIRE_MAGIC = b"CLW1"
 #: carrying ``scope`` is refused, a DIFF has no ``skip`` marker form.
 #: 7: one array-coded ``CONTROL`` frame per flush carries every lifecycle
 #: operation; the seven per-operation control frame kinds are gone.
-WIRE_VERSION = 7
+#: 8: one ``APPLY_EPOCH`` record per epoch, the same for every worker,
+#: replaces the per-host slice frames and the first epoch's full-activity
+#: frame; ``RESTORE`` is one frame per worker.
+WIRE_VERSION = 8
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -156,8 +174,8 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 #: Maximum container nesting in a metadata blob.  Deep enough for every
-#: real payload (slice metas nest 3 levels), shallow enough that a forged
-#: blob cannot drive the recursive decoder into a RecursionError.
+#: real payload (an RNG checkpoint in an ack nests 6 levels), shallow enough
+#: that a forged blob cannot drive the recursive decoder into a RecursionError.
 _BLOB_MAX_DEPTH = 32
 
 
@@ -307,8 +325,7 @@ class FrameKind(enum.IntEnum):
     # control plane (durable: replayed from the ledger after a crash)
     CONTROL = 10
     # data plane (recovered from the checkpoint epoch, never journalled)
-    APPLY_SLICE = 20
-    APPLY_ACTIVITY = 21
+    APPLY_EPOCH = 20
     SAMPLE_USAGE = 22
     RESTORE = 23
     # lifecycle
@@ -465,74 +482,81 @@ def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
     return dtype, tuple(dims)
 
 
-# -- machine identities ------------------------------------------------------
+# -- epoch records -------------------------------------------------------------
 
 
-def _machine_ids_to_arrays(
-    machines: tuple[MachineId, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    shells = np.array([m.shell for m in machines], dtype=np.int64)
-    identifiers = np.array([m.identifier for m in machines], dtype=np.int64)
-    return shells, identifiers
-
-
-def _machine_ids_from_arrays(
-    shells: np.ndarray, identifiers: np.ndarray
-) -> tuple[MachineId, ...]:
-    # Satellite names are canonical, so identities rebuild without a
-    # ConstellationCalculation on the worker side.  Only satellites cross
-    # this path: ground stations never flip activity.
-    return tuple(
-        MachineId(int(shell), int(identifier), satellite_name(int(shell), int(identifier)))
-        for shell, identifier in zip(shells.tolist(), identifiers.tolist())
-    )
-
-
-# -- HostStateSlice codec ----------------------------------------------------
-
-
-def slice_payload(
-    state_slice: HostStateSlice,
+def mask_payload(
+    masks: dict[int, np.ndarray],
 ) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
-    """The ``(meta, arrays)`` payload of one per-host slice frame."""
-    meta = {
-        "epoch": state_slice.epoch,
-        "dirty_active": dict(state_slice.dirty_active),
-    }
-    arrays = (
-        *_machine_ids_to_arrays(state_slice.activated),
-        *_machine_ids_to_arrays(state_slice.deactivated),
-    )
-    return meta, arrays
+    """The ``shells`` / ``sizes`` meta and the packed arrays of per-shell masks."""
+    shells = sorted(masks)
+    meta = {"shells": shells, "sizes": [int(masks[shell].size) for shell in shells]}
+    return meta, tuple(np.packbits(masks[shell]) for shell in shells)
 
 
-def decode_slice(meta: dict[str, Any], arrays: list[np.ndarray]) -> HostStateSlice:
-    """Rebuild a :class:`HostStateSlice` from a decoded ``APPLY_SLICE`` frame."""
-    return HostStateSlice(
-        epoch=meta["epoch"],
-        activated=_machine_ids_from_arrays(arrays[0], arrays[1]),
-        deactivated=_machine_ids_from_arrays(arrays[2], arrays[3]),
-        dirty_active=meta["dirty_active"],
-    )
+def decode_masks(
+    meta: dict[str, Any], arrays: list[np.ndarray], count: int = 1
+) -> list[dict[int, np.ndarray]]:
+    """``count`` groups of per-shell masks from :func:`mask_payload` layouts.
+
+    Checks every array before unpacking any, so a malformed frame is a
+    :class:`WireError` and nothing of it is used.
+    """
+    shells, sizes = meta.get("shells"), meta.get("sizes")
+    if not isinstance(shells, list) or not isinstance(sizes, list):
+        raise WireError("a mask frame's meta needs a shells and a sizes list")
+    if len(shells) != len(sizes) or len(arrays) != count * len(shells):
+        raise WireError(
+            f"{len(shells)} shells and {len(sizes)} sizes do not match "
+            f"{len(arrays)} arrays ({count} per shell)"
+        )
+    if not all(_is_int(value) for value in shells + sizes) or min(sizes, default=0) < 0:
+        raise WireError("mask shells and sizes must be non-negative integers")
+    if len(set(shells)) != len(shells):
+        raise WireError(f"shell listed twice in {shells}")
+    for index, packed in enumerate(arrays):
+        size = sizes[index % len(shells)]
+        if packed.ndim != 1 or packed.dtype != np.uint8:
+            raise WireError(
+                f"mask of dtype {packed.dtype.str} and shape {packed.shape}, "
+                f"expected 1-D |u1"
+            )
+        if packed.size != -(-size // 8):
+            raise WireError(
+                f"a {packed.size}-byte mask for a shell of {size} satellites"
+            )
+        if size % 8 and int(packed[-1]) & (0xFF >> (size % 8)):
+            raise WireError("padding bits set after the last satellite of a mask")
+    groups = []
+    for group in range(count):
+        packed = arrays[group * len(shells) : (group + 1) * len(shells)]
+        groups.append(
+            {
+                shell: np.unpackbits(mask, count=size).view(bool)
+                for shell, size, mask in zip(shells, sizes, packed)
+            }
+        )
+    return groups
 
 
-# -- full-state activity codec ----------------------------------------------
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def activity_payload(
-    active_satellites: dict[int, np.ndarray], time_s: float, epoch: int
-) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
-    """The ``(meta, arrays)`` payload of a full-state activity frame."""
-    shells = sorted(active_satellites)
-    meta = {"shells": shells, "time_s": time_s, "epoch": epoch}
-    return meta, tuple(active_satellites[shell] for shell in shells)
+def slice_payload(record: EpochRecord) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
+    """The ``(meta, arrays)`` payload of one ``APPLY_EPOCH`` frame."""
+    meta, active = mask_payload(record.active)
+    _, flipped = mask_payload(record.flipped)
+    return {**meta, "epoch": record.epoch, "first": record.first}, active + flipped
 
 
-def decode_activity(
-    meta: dict[str, Any], arrays: list[np.ndarray]
-) -> tuple[dict[int, np.ndarray], float, int]:
-    """Rebuild ``(active_satellites, time_s, epoch)`` from an activity frame."""
-    return dict(zip(meta["shells"], arrays)), meta["time_s"], meta["epoch"]
+def decode_record(meta: dict[str, Any], arrays: list[np.ndarray]) -> EpochRecord:
+    """Rebuild the :class:`EpochRecord` of a decoded ``APPLY_EPOCH`` frame."""
+    epoch, first = meta.get("epoch"), meta.get("first")
+    if not _is_int(epoch) or epoch < 0 or not isinstance(first, bool):
+        raise WireError(f"malformed record epoch {epoch!r} / first {first!r}")
+    active, flipped = decode_masks(meta, arrays, 2)
+    return EpochRecord(epoch, active, flipped, first)
 
 
 # -- CONTROL codec -------------------------------------------------------------

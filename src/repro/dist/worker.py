@@ -3,14 +3,14 @@
 One worker owns one or more :class:`~repro.core.machine_manager.
 MachineManager`\\ s — each with its :class:`~repro.hosts.Host` and microVMs —
 in a process of its own.  It plays the role a Celestial host plays on a real
-machine of the paper's testbed: receive the part of every constellation
-update its managers act on — a
-:class:`~repro.core.machine_manager.HostStateSlice` per manager: the
-bounding-box flips among its machines and the activity of its dirty ones —
-apply it, and report host resource usage back to the coordinator (§3,
-Fig. 2).  Link delays and bandwidths never reach a worker: this
-reproduction applies the network half of an update on the coordinator's
-side (``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``).
+machine of the paper's testbed: receive every constellation update — one
+:class:`~repro.core.machine_manager.EpochRecord` per epoch, the same for
+every worker: per shell the activity mask and the mask of satellites that
+flipped — let each of its managers apply its own part, and report host
+resource usage back to the coordinator (§3, Fig. 2).  Link delays and
+bandwidths never reach a worker: this reproduction applies the network half
+of an update on the coordinator's side (``VirtualNetwork.apply_diff``,
+``ConstellationDatabase.pair_rule``).
 
 Protocol
 --------
@@ -29,18 +29,21 @@ after it still run, as if each had been a frame of its own; a malformed
 frame (:func:`~repro.dist.wire.decode_control`) runs no row.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
-acknowledgement streams back the worker's observable state: per-manager
-counter/RNG checkpoints (:meth:`MachineManager.counters_snapshot`), the
-number of ``CONTROL`` frames applied so far, the dirty-machine
-reconciliation results of an applied slice, usage samples, and any errors
-from unacknowledged ``CONTROL`` frames.  The supervisor keeps the latest
+acknowledgement streams back the worker's observable state: the epoch its
+managers last applied, per-manager counter/dirty-set/RNG checkpoints
+(:meth:`MachineManager.counters_snapshot`), the number of ``CONTROL`` frames
+applied so far, the dirty-machine reconciliation results of an applied
+record, usage samples, and any errors from unacknowledged ``CONTROL``
+frames.  A record is applied to every manager before it is acknowledged, so
+the checkpoint is one epoch for all of them; the supervisor keeps the latest
 acknowledgement as the recovery checkpoint.
 
 ``CONTROL`` frames are *durable*: the supervisor journals each one and,
 after a crash, replays into a fresh process the frames the checkpoint had
-applied, then a ``RESTORE`` frame that forces bounding-box activity to the
-checkpoint epoch (the database's current or previous epoch's masks) and
-restores counters and RNG streams, then the rest of the journal.
+applied, then one ``RESTORE`` frame that forces bounding-box activity to the
+checkpoint epoch (masks the supervisor derives from the last record it
+sent) and restores every manager's counters, dirty set and RNG stream, then
+the rest of the journal.
 
 Placement
 ---------
@@ -150,10 +153,8 @@ class _Worker:
             manager = MachineManager(host)
             manager._rng.bit_generator.state = host_spec.rng_state
             self.by_position[host_spec.position] = manager
-        # Last epoch applied per manager: a worker owning several hosts may
-        # be mid-epoch (one slice applied, the next not), and recovery
-        # restores each manager to its own acknowledged epoch.
-        self.epochs = {host_spec.position: 0 for host_spec in spec.hosts}
+        # The epoch of the last record applied (by every manager at once).
+        self.epoch = 0
         # CONTROL frames received (ledger frames, the malformed ones too).
         self.controls = 0
         self.deferred_errors: list[str] = []
@@ -163,7 +164,7 @@ class _Worker:
     def _ack(self, seq: int, extra: Optional[dict[str, Any]] = None) -> None:
         meta = {
             "seq": seq,
-            "epochs": dict(self.epochs),
+            "epoch": self.epoch,
             "controls": self.controls,
             "counters": {
                 position: manager.counters_snapshot()
@@ -234,24 +235,15 @@ class _Worker:
     def _dispatch(
         self, kind: FrameKind, meta: dict[str, Any], arrays: list[np.ndarray]
     ) -> Optional[dict[str, Any]]:
-        if kind is FrameKind.APPLY_SLICE:
-            position = meta["position"]
-            state_slice = wire.decode_slice(meta, arrays)
-            manager = self.by_position[position]
-            manager.apply_diff(state_slice, meta["now_s"])
-            self.epochs[position] = state_slice.epoch
+        if kind is FrameKind.APPLY_EPOCH:
+            record = wire.decode_record(meta, arrays)
             reconciled = {}
-            for name in state_slice.dirty_active:
-                machine = manager.host.machines.get(name)
-                if machine is not None:
-                    reconciled[name] = machine.state.value
-            return {"reconciled": {position: reconciled}}
-        if kind is FrameKind.APPLY_ACTIVITY:
-            active, _time_s, epoch = wire.decode_activity(meta, arrays)
             for position, manager in self.by_position.items():
-                manager.apply_activity(active, meta["now_s"])
-                self.epochs[position] = epoch
-            return None
+                names = manager.apply_diff(record, meta["now_s"])
+                machines = manager.host.machines
+                reconciled[position] = {name: machines[name].state.value for name in names}
+            self.epoch = record.epoch
+            return {"reconciled": reconciled}
         if kind is FrameKind.SAMPLE_USAGE:
             samples = {}
             for position, manager in sorted(self.by_position.items()):
@@ -263,15 +255,12 @@ class _Worker:
                 samples[position] = dataclasses.asdict(sample)
             return {"samples": samples}
         if kind is FrameKind.RESTORE:
-            position = meta["position"]
-            active = dict(zip(meta["shells"], arrays)) if meta["force_activity"] else None
-            self.by_position[position].restore_runtime_state(
-                active,
-                meta["snapshot"],
-                meta["now_s"],
-                skip=set(meta["skip"]),  # machine names are globally unique
-            )
-            self.epochs[position] = meta["epoch"]
+            active = wire.decode_masks(meta, arrays)[0] if meta["epoch"] else None
+            for position, snapshot in meta["snapshots"].items():
+                self.by_position[position].restore_runtime_state(
+                    active, snapshot, meta["now_s"]
+                )
+            self.epoch = meta["epoch"]
             return None
         if kind is FrameKind.CONTROL:
             self.controls += 1

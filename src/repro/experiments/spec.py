@@ -133,6 +133,10 @@ class RuntimeSpec:
             )
         if self.duration_s is not None and self.duration_s <= 0:
             raise ExperimentSpecError("runtime duration must be positive")
+        if self.workers is not None and self.workers < 1:
+            raise ExperimentSpecError(
+                f"runtime workers must be at least 1, got {self.workers}"
+            )
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,19 @@ class TestConfigurationErrors:
         line = self._error_line(["run", config_path, "--no-output"], capsys)
         assert config_path in line and "scenario" in line
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_with_a_worker_count_below_one(self, workers, tmp_path, capsys):
+        spec_path = tmp_path / "experiment.toml"
+        spec_path.write_text(_SPEC_TOML)
+        argv = ["run", str(spec_path), "--no-output", "--parallelism", "processes"]
+        line = self._error_line(argv + ["--workers", workers], capsys)
+        assert str(spec_path) in line and f"workers must be at least 1, got {workers}" in line
+        line = self._error_line(
+            ["dart", "--duration", "5", "--parallelism", "processes", "--workers", workers],
+            capsys,
+        )
+        assert "workers must be at least 1" in line
+
     def test_run_on_a_taken_serve_port(self, tmp_path, capsys):
         # The gateway cannot bind: the user's to fix, like a bad spec.
         with socket.socket() as holder:

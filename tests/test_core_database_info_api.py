@@ -12,6 +12,7 @@ from repro.core import (
     Configuration,
     ConstellationCalculation,
     ConstellationDatabase,
+    EpochRecord,
     GroundStationConfig,
     HTTPInfoServer,
     InfoAPI,
@@ -273,13 +274,14 @@ class TestAnimation:
 
 
 class TestKeyframeDiffReplay:
-    """activity_at_epoch: what worker recovery reads — the current or the
-    previous epoch's masks, nothing older (the database keeps no history)."""
+    """What worker recovery reads: the current or the previous epoch's
+    masks, derived from the last epoch record alone — the database keeps no
+    history, and a record answers nothing older."""
 
     FULL_STATE_EPOCH = 7  # published without a diff
 
     def _advance(self, epochs=12, bounding_box=None):
-        """Yield ``(database, masks_by_epoch)`` after every publication."""
+        """Yield ``(database, record, masks_by_epoch)`` after every publication."""
         config = Configuration(
             shells=(
                 ShellConfig(
@@ -300,15 +302,17 @@ class TestKeyframeDiffReplay:
         masks_by_epoch = {}
         state = None
         for step in range(epochs):
+            previous = state
             if state is None or database.epoch + 1 == self.FULL_STATE_EPOCH:
                 state, diff = calculation.state_at(step * 60.0), None
             else:
                 state, diff = calculation.diff_since(state, step * 60.0)
             database.set_state(state, diff=diff)
+            record = EpochRecord.of(database.epoch, state, previous)
             masks_by_epoch[database.epoch] = {
                 s: m.copy() for s, m in state.active_satellites.items()
             }
-            yield database, masks_by_epoch
+            yield database, record, masks_by_epoch
 
     def test_activity_replay_matches_recorded_masks(self):
         import numpy as np
@@ -317,21 +321,19 @@ class TestKeyframeDiffReplay:
 
         # A bounding box makes activity genuinely change across epochs.
         box = BoundingBox(-35.0, 35.0, -180.0, -100.0)
-        for database, masks in self._advance(bounding_box=box):
+        for database, record, masks in self._advance(bounding_box=box):
             current = database.epoch
+            assert record.epoch == current and record.first == (current == 1)
             for epoch in (current, current - 1):
                 if epoch == 0:
                     continue
-                answered = database.activity_at_epoch(epoch)
+                answered = record.masks_at(epoch)
                 assert sorted(answered) == sorted(masks[epoch])
                 for shell, mask in masks[epoch].items():
                     assert np.array_equal(answered[shell], mask), (current, epoch)
-                    # A copy: the caller ships it, the database keeps its own.
-                    answered[shell][:] = ~answered[shell]
-                    assert np.array_equal(database.activity_at_epoch(epoch)[shell], mask)
-            for epoch in (current - 2, current + 1, 0):
+            for epoch in (current - 2, current + 1):
                 with pytest.raises(KeyError):
-                    database.activity_at_epoch(epoch)
+                    record.masks_at(epoch)
         assert current == 12 and database.latest_diff is not None
         changed = sum(
             not np.array_equal(masks[e][0], masks[e + 1][0]) for e in range(1, current)
@@ -339,6 +341,6 @@ class TestKeyframeDiffReplay:
         assert changed >= 3, "scenario too static to tell two epochs apart"
 
     def test_activity_before_retained_history_rejected(self):
-        *_, (database, _) = self._advance()
+        *_, (_, record, _) = self._advance()
         with pytest.raises(KeyError, match="epoch 1:.*holds epoch 12"):
-            database.activity_at_epoch(1)
+            record.masks_at(1)

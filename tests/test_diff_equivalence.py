@@ -1,8 +1,8 @@
 """Differential-update equivalence suite.
 
 The differential pipeline must be an observable no-op: N consecutive epochs
-advanced via ``ConstellationCalculation.diff_since`` (and distributed as
-sharded per-host slices through ``Coordinator``/``MachineManager.apply_diff``)
+advanced via ``ConstellationCalculation.diff_since`` (and distributed as one
+epoch record for every manager through ``Coordinator``/``MachineManager.apply_diff``)
 have to produce byte-identical constellation state — link arrays, delays,
 bandwidths, shortest-path tables, uplink tables, bounding-box active sets —
 and identical suspend/resume behaviour compared to rebuilding every epoch
@@ -19,6 +19,7 @@ from repro.core import (
     ConstellationCalculation,
     ConstellationDatabase,
     Coordinator,
+    EpochRecord,
     GroundStationConfig,
     MachineManager,
     NetworkParams,
@@ -225,21 +226,32 @@ def _iridium_box_config(update_interval_s, duration_s):
     )
 
 
-def _coordinator(config, incremental, host_count=3):
+def _coordinator(config, host_count=3):
     calculation = ConstellationCalculation(config)
     managers = [
         MachineManager(Host(index=i, allow_memory_overcommit=True))
         for i in range(host_count)
     ]
-    coordinator = Coordinator(
-        config,
-        calculation,
-        ConstellationDatabase(),
-        managers,
-        incremental=incremental,
-    )
+    coordinator = Coordinator(config, calculation, ConstellationDatabase(), managers)
     coordinator.create_ground_stations(0.0)
     return coordinator, managers
+
+
+def _full_replay(coordinator, time_s):
+    """The oracle of one epoch: a cold state, a machine created for every
+    active satellite, then a full :meth:`MachineManager.apply_state` sweep on
+    every manager.  The coordinator only places machines and holds the
+    state; its record path is not used."""
+    state = coordinator.calculation.state_at(time_s)
+    coordinator.database.set_state(state)
+    for shell, active in state.active_satellites.items():
+        for identifier in np.flatnonzero(active):
+            machine = coordinator.calculation.satellite(shell, int(identifier))
+            if not coordinator.has_machine(machine):
+                coordinator.create_machine(machine, time_s)
+    for manager in coordinator.managers:
+        manager.apply_state(state, time_s)
+    return state
 
 
 def _suspend_resume_counters(managers):
@@ -261,12 +273,12 @@ class TestShardedCoordinatorEquivalence:
         # Long enough (two Iridium orbits) that satellites leave the box,
         # get suspended, come back and are resumed again.
         config = _iridium_box_config(update_interval_s=60.0, duration_s=12000.0)
-        incremental, managers_inc = _coordinator(config, incremental=True)
-        full, managers_full = _coordinator(config, incremental=False)
+        incremental, managers_inc = _coordinator(config)
+        full, managers_full = _coordinator(config)
         for step in range(201):
             time_s = step * 60.0
             state_inc = incremental.update(time_s)
-            state_full = full.update(time_s)
+            state_full = _full_replay(full, time_s)
             for shell in state_full.active_satellites:
                 assert np.array_equal(
                     state_full.active_satellites[shell],
@@ -282,10 +294,10 @@ class TestShardedCoordinatorEquivalence:
 
     def test_dirty_machines_reconciled_after_fault_injection(self):
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
-        incremental, managers_inc = _coordinator(config, incremental=True)
-        full, managers_full = _coordinator(config, incremental=False)
-        for coordinator in (incremental, full):
-            coordinator.update(0.0)
+        incremental, managers_inc = _coordinator(config)
+        full, managers_full = _coordinator(config)
+        incremental.update(0.0)
+        _full_replay(full, 0.0)
         # Reboot a suspended (out-of-box) satellite: it comes back RUNNING
         # even though it is outside the box, and the next update must
         # suspend it again on both paths.
@@ -297,12 +309,11 @@ class TestShardedCoordinatorEquivalence:
                 coordinator.create_machine(victim, 10.0)
             coordinator.manager_for(victim).reboot_machine(victim, 20.0)
         incremental.update(60.0)
-        full.update(60.0)
+        _full_replay(full, 60.0)
         for coordinator in (incremental, full):
             victim = coordinator.calculation.satellite(0, outside)
             machine = coordinator.manager_for(victim).machine(victim)
             assert machine.state.value == "suspended"
-
 
     def test_boot_all_outside_the_box_is_reconciled_like_a_full_replay(self):
         # A machine created unbooted, carried across an update (which clears
@@ -310,20 +321,21 @@ class TestShardedCoordinatorEquivalence:
         # bounding box: it comes up RUNNING and the next update must suspend
         # it on the diff path exactly as the full replay does.
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
-        incremental, managers_inc = _coordinator(config, incremental=True)
-        full, managers_full = _coordinator(config, incremental=False)
-        for coordinator in (incremental, full):
-            coordinator.update(0.0)
+        incremental, managers_inc = _coordinator(config)
+        full, managers_full = _coordinator(config)
+        incremental.update(0.0)
+        _full_replay(full, 0.0)
         state = incremental.database.state
         outside = int(np.nonzero(~state.active_satellites[0])[0][0])
-        for coordinator in (incremental, full):
+        oracle = lambda time_s: _full_replay(full, time_s)  # noqa: E731
+        for coordinator, update in ((incremental, incremental.update), (full, oracle)):
             victim = coordinator.calculation.satellite(0, outside)
             assert not coordinator.has_machine(victim)
             coordinator.create_machine(victim, 10.0, boot=False)
-            coordinator.update(60.0)
+            update(60.0)
             assert coordinator.manager_for(victim).machine(victim).state.value == "created"
             coordinator.manager_for(victim).boot_all(70.0)
-            coordinator.update(120.0)
+            update(120.0)
             assert not coordinator.database.state.is_active(victim)
             machine = coordinator.manager_for(victim).machine(victim)
             assert machine.state.value == "suspended"
@@ -331,3 +343,72 @@ class TestShardedCoordinatorEquivalence:
         assert counters_inc == _suspend_resume_counters(managers_full)
         assert sum(suspended for suspended, _ in counters_inc) >= 1
         assert _machine_states(managers_inc) == _machine_states(managers_full)
+
+
+def _census(manager):
+    """What a record can change on a manager: counters and machine states."""
+    return (
+        manager.suspension_count,
+        manager.resume_count,
+        {name: machine.state for name, machine in manager.host.machines.items()},
+    )
+
+
+class TestOneRecordForEveryManager:
+    """Every manager gets the same record and applies only its own part."""
+
+    def test_flips_of_other_hosts_change_nothing(self):
+        config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
+        coordinator, managers = _coordinator(config)
+        state = coordinator.update(0.0)
+        hosted = {
+            name: position
+            for position, manager in enumerate(managers)
+            for name in manager.host.machines
+        }
+        assert len(set(hosted.values())) == 3
+        # Flip every satellite of manager 0, and every satellite no manager
+        # hosts, on all three managers.
+        flipped = np.zeros_like(state.active_satellites[0])
+        for identifier in range(flipped.size):
+            name = coordinator.calculation.satellite(0, identifier).name
+            flipped[identifier] = hosted.get(name, 0) == 0
+        active = {0: ~state.active_satellites[0]}
+        record = EpochRecord(coordinator.database.epoch + 1, active, {0: flipped})
+        before = [_census(manager) for manager in managers]
+        for manager in managers[1:]:
+            manager.apply_diff(record, 30.0)
+        assert [_census(manager) for manager in managers[1:]] == before[1:]
+        managers[0].apply_diff(record, 30.0)
+        suspensions, resumes, states = _census(managers[0])
+        satellites = [m for m in managers[0].machine_ids() if not m.is_ground_station]
+        assert suspensions + resumes - sum(before[0][:2]) == len(satellites)
+        assert states.keys() == before[0][2].keys()  # a record creates nothing
+
+    def test_each_flip_is_applied_exactly_once_across_the_fleet(self):
+        config = _iridium_box_config(update_interval_s=60.0, duration_s=6000.0)
+        coordinator, managers = _coordinator(config)
+        coordinator.update(0.0)
+        applied = 0
+        for step in range(1, 60):
+            existing = {
+                name: position
+                for position, manager in enumerate(managers)
+                for name in manager.host.machines
+            }
+            before = [_census(manager)[:2] for manager in managers]
+            previous = coordinator.database.state
+            state = coordinator.update(step * 60.0)
+            record = EpochRecord.of(coordinator.database.epoch, state, previous)
+            expected = [0] * len(managers)
+            for identifier in np.flatnonzero(record.flipped[0]):
+                name = coordinator.calculation.satellite(0, int(identifier)).name
+                if name in existing:  # a new machine boots running: no flip
+                    expected[existing[name]] += 1
+            transitions = [
+                sum(_census(manager)[:2]) - sum(counts)
+                for manager, counts in zip(managers, before)
+            ]
+            assert transitions == expected, step
+            applied += sum(expected)
+        assert applied > 20, "scenario too static to tell flips apart"

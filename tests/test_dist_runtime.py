@@ -4,10 +4,11 @@ The contract: ``Coordinator(parallelism="processes")`` is an observable
 no-op relative to the default thread backend — suspend/resume counters,
 dirty-machine reconciliation, machine states and usage samples are
 byte/count-identical over many epochs, **including** a worker crash that is
-recovered by replaying the durable control ledger plus the constellation
-database's keyframe + diff chain.  Every process-backend test runs over the
-one worker seam: length-prefixed frames on loopback TCP, handshake, reconnect
-after SIGKILL — the path a remote worker takes.
+recovered by replaying the durable control ledger and restoring the
+checkpoint epoch's activity masks, derived from the last epoch record sent.
+Every process-backend test runs over the one worker seam: length-prefixed
+frames on loopback TCP, handshake, reconnect after SIGKILL — the path a
+remote worker takes.
 """
 
 import dataclasses
@@ -343,13 +344,13 @@ class TestProcessBackendEquivalence:
             processes.close()
 
     def test_crash_after_shadows_applied_still_counts_dirty_once(self):
-        # Worst-case detection point: the worker dies mid-epoch, after the
-        # shadows already reconciled the dirty machines and cleared their
-        # dirty sets.  The restore skip-set must then come from the
-        # in-flight slices' dirty_active maps, so the re-sent slice redoes
-        # the counting reconcile exactly once (a desync otherwise).
-        from repro.dist import wire
-        from repro.dist.wire import FrameKind
+        # Worst-case detection point: the worker dies mid-epoch, after its
+        # checkpoint took in the reboot and after the shadows reconciled the
+        # dirty machines and cleared their dirty sets.  The restore must then
+        # leave the machines the checkpoint held dirty as the ledger rebuilt
+        # them, so the re-sent record redoes the counting reconcile exactly
+        # once (a desync otherwise).
+        from repro.core import EpochRecord
 
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
@@ -370,32 +371,26 @@ class TestProcessBackendEquivalence:
             # Drive the process backend's epoch by hand so the crash lands
             # deterministically between the shadow apply and the collect.
             now = 360.0
-            state, diff = processes.calculation.diff_since(
-                processes.database.state, now
-            )
-            processes.database.set_state(state, diff=diff)
-            processes._ensure_activated_satellites(diff, now)
-            slices = processes._shard(state, diff)
             backend = processes._backend
-            for shadow, state_slice in zip(backend.shadows, slices):
-                shadow.apply_diff(state_slice, now)
             victim = processes.calculation.satellite(0, outside)
-            backend.crash_worker(
-                backend._worker_of[processes.manager_for(victim).position]
-            )
-            for position, state_slice in enumerate(slices):
-                meta, arrays = wire.slice_payload(state_slice)
-                backend.supervisor.begin_request(
-                    backend._worker_of[position],
-                    FrameKind.APPLY_SLICE,
-                    {**meta, "now_s": now, "position": position},
-                    arrays,
-                )
-            acks = {}
-            for position in range(len(slices)):
-                worker = backend._worker_of[position]
-                acks[worker] = backend.supervisor.finish_request(worker)
-            backend._verify_counters(acks)  # desynced before the skip fix
+            worker = backend._worker_of[processes.manager_for(victim).position]
+            # The reboot's CONTROL frame goes out and is acknowledged: the
+            # victim is dirty in the checkpoint the recovery restores.
+            backend.supervisor.ping(worker)
+            previous = processes.database.state
+            state, diff = processes.calculation.diff_since(previous, now)
+            processes.database.set_state(state, diff=diff)
+            record = EpochRecord.of(processes.database.epoch, state, previous)
+            processes._ensure_activated_satellites(record, now)
+            for shadow in backend.shadows:
+                shadow.apply_diff(record, now)
+            backend.crash_worker(worker)
+            backend.supervisor.begin_epoch(record, now)
+            acks = {
+                worker: backend.supervisor.finish_request(worker)
+                for worker in range(backend.worker_count)
+            }
+            backend._verify_counters(acks)  # desynced without the dirty skip
             assert backend.restart_count == 1
             for step in range(7, 12):
                 now = step * 60.0
@@ -572,6 +567,34 @@ class TestBatchedControlFrames:
             processes.close()
 
 
+class TestOneRecordPerEpoch:
+    def test_one_encode_per_epoch_and_one_ack_per_worker(self, monkeypatch):
+        # Three hosts on two workers: worker 0 owns two managers, yet every
+        # epoch is one record encode, one frame and one ack per worker.
+        from repro.dist import wire
+
+        encodes = []
+        slice_payload = wire.slice_payload
+
+        def counted(record):
+            encodes.append(record.epoch)
+            return slice_payload(record)
+
+        monkeypatch.setattr(wire, "slice_payload", counted)
+        config = _iridium_box_config()
+        processes = _coordinator(config, "processes", host_count=3, worker_count=2)
+        try:
+            for step in range(5):
+                processes.update(step * 60.0)
+            assert encodes == [1, 2, 3, 4, 5]
+            acks = processes.stats.worker_ack_seconds
+            assert sorted(acks) == [0, 1]
+            assert [len(acks[worker]) for worker in (0, 1)] == [5, 5]
+            assert [manager.applied_diffs for manager in processes.managers] == [4, 4, 4]
+        finally:
+            processes.close()
+
+
 def test_thread_backend_rejects_worker_transport():
     # Worker deployment settings without parallelism="processes" must fail
     # loudly: silently running in-process would fake a passing remote-path run.
@@ -601,9 +624,7 @@ class TestSupervision:
         config = _iridium_box_config()
         calculation = ConstellationCalculation(config)
         managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
-        backend = ProcessFanoutBackend(
-            managers, ConstellationDatabase(), worker_count=1, max_restarts=0
-        )
+        backend = ProcessFanoutBackend(managers, worker_count=1, max_restarts=0)
         try:
             backend.supervisor.start()
             backend.supervisor.ping(0)
@@ -613,6 +634,18 @@ class TestSupervision:
         finally:
             backend.close()
         assert calculation is not None
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_an_error(self, workers):
+        managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
+        with pytest.raises(ValueError, match="worker_count must be at least 1"):
+            ProcessFanoutBackend(managers, worker_count=workers)
+        # More workers than hosts still clamps to one per host.
+        backend = ProcessFanoutBackend(managers, worker_count=5)
+        try:
+            assert backend.worker_count == 1
+        finally:
+            backend.close()
 
     def test_close_is_idempotent_and_joins_workers(self):
         config = _iridium_box_config()

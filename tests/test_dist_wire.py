@@ -1,10 +1,10 @@
 """Wire-protocol round-trip tests for the distribution runtime.
 
-The contract under test: a :class:`HostStateSlice` (and every other frame
+The contract under test: an :class:`EpochRecord` (and every other frame
 payload) crosses the coordinator ↔ worker seam **byte-identically** — same
-dtypes, same shapes, same payload bits — including empty slices, and frames
+dtypes, same shapes, same payload bits — including quiet epochs, frames
 from a different protocol generation are rejected before any payload is
-deserialised.
+deserialised, and a malformed record is refused before any manager sees it.
 """
 
 import dataclasses
@@ -26,7 +26,7 @@ from repro.core import (
     ShellConfig,
 )
 from repro.core.config import ComputeParams
-from repro.core.machine_manager import HostStateSlice, MachineManager
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
 from repro.dist.backend import MirroredManager
@@ -55,24 +55,31 @@ def _assert_bytes_identical(sent: np.ndarray, received: np.ndarray):
     assert sent.tobytes() == received.tobytes()
 
 
-def _slice(activated=(), deactivated=(), dirty=None):
-    return HostStateSlice(
-        epoch=9,
-        activated=tuple(activated),
-        deactivated=tuple(deactivated),
-        dirty_active=dict(dirty or {}),
-    )
+def _record(active, flipped=None, epoch=9, first=False):
+    masks = {shell: np.array(mask, dtype=bool) for shell, mask in active.items()}
+    if flipped is None:
+        flipped = {shell: np.zeros_like(mask) for shell, mask in masks.items()}
+    flips = {shell: np.array(mask, dtype=bool) for shell, mask in flipped.items()}
+    return EpochRecord(epoch=epoch, active=masks, flipped=flips, first=first)
 
 
-def _slice_frame(state_slice: HostStateSlice) -> bytes:
-    # The path WorkerSupervisor.begin_request takes: payload, then frame.
-    return encode_frame(FrameKind.APPLY_SLICE, *wire.slice_payload(state_slice))
+def _record_frame(record: EpochRecord) -> bytes:
+    # The path WorkerSupervisor.begin_epoch takes: payload, then frame.
+    return encode_frame(FrameKind.APPLY_EPOCH, *wire.slice_payload(record))
 
 
-def _roundtrip(state_slice: HostStateSlice) -> HostStateSlice:
-    kind, meta, arrays = decode_frame(_slice_frame(state_slice))
-    assert kind is FrameKind.APPLY_SLICE
-    return wire.decode_slice(meta, arrays)
+def _roundtrip(record: EpochRecord) -> EpochRecord:
+    kind, meta, arrays = decode_frame(_record_frame(record))
+    assert kind is FrameKind.APPLY_EPOCH
+    return wire.decode_record(meta, arrays)
+
+
+def _assert_records_identical(sent: EpochRecord, received: EpochRecord):
+    assert (received.epoch, received.first) == (sent.epoch, sent.first)
+    for masks, received_masks in ((sent.active, received.active), (sent.flipped, received.flipped)):
+        assert sorted(received_masks) == sorted(masks)
+        for shell, mask in masks.items():
+            _assert_bytes_identical(mask, received_masks[shell])
 
 
 class TestFrameCodec:
@@ -597,11 +604,11 @@ class TestControlFrames:
         assert error.startswith("CONTROL: WireError: CONTROL column lengths differ")
 
 
-def _reference_frame() -> bytes:
+def _generic_frame() -> bytes:
     rng = np.random.default_rng(11)
     return encode_frame(
-        FrameKind.APPLY_SLICE,
-        {"epoch": 12, "names": ["hawaii", "tahiti"], "dirty_active": {"a": True}},
+        FrameKind.SAMPLE_USAGE,
+        {"epoch": 12, "names": ["hawaii", "tahiti"], "flags": {"a": True}},
         (
             rng.integers(0, 100, size=(7, 2)).astype(np.int64),
             rng.random(31),
@@ -610,13 +617,30 @@ def _reference_frame() -> bytes:
     )
 
 
+def _record_reference_frame() -> bytes:
+    rng = np.random.default_rng(12)
+    return _record_frame(
+        _record(
+            {0: rng.random(13) < 0.5, 3: rng.random(8) < 0.5},
+            {0: rng.random(13) < 0.2, 3: rng.random(8) < 0.2},
+        )
+    )
+
+
+_REFERENCE_FRAMES = {"generic": _generic_frame, "record": _record_reference_frame}
+
+
 class TestFrameFuzz:
     """Property corpus: truncated / bit-flipped / garbage inputs either
-    decode cleanly or raise a *typed* wire error — nothing else escapes."""
+    decode cleanly or raise a *typed* wire error — nothing else escapes.
+    A record frame that still frames must decode to a record or be a
+    :class:`WireError` too."""
 
     def _decode_or_typed_error(self, data: bytes):
         try:
             kind, meta, arrays = decode_frame(data)
+            if kind is FrameKind.APPLY_EPOCH:
+                wire.decode_record(meta, arrays)
         except WireError:  # includes WireVersionError
             return None
         assert isinstance(kind, FrameKind)
@@ -628,7 +652,7 @@ class TestFrameFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_truncations(self, data):
-        frame = _reference_frame()
+        frame = _REFERENCE_FRAMES[data.draw(st.sampled_from(sorted(_REFERENCE_FRAMES)))]()
         cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         with pytest.raises(WireError):
             decode_frame(frame[:cut])
@@ -636,13 +660,15 @@ class TestFrameFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_single_bit_flips(self, data):
-        frame = bytearray(_reference_frame())
+        name = data.draw(st.sampled_from(sorted(_REFERENCE_FRAMES)))
+        frame = bytearray(_REFERENCE_FRAMES[name]())
         position = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         bit = data.draw(st.integers(min_value=0, max_value=7))
         frame[position] ^= 1 << bit
         # A flip inside an array buffer still decodes (to different data —
-        # the wire layer is framing, not end-to-end integrity); any flip
-        # that breaks decoding must surface as a typed wire error.
+        # the wire layer is framing, not end-to-end integrity) unless it
+        # sets a record's padding bit; any flip that breaks decoding must
+        # surface as a typed wire error.
         self._decode_or_typed_error(bytes(frame))
 
     @settings(max_examples=200, deadline=None)
@@ -653,52 +679,54 @@ class TestFrameFuzz:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_byte_corruption_bursts(self, data):
-        frame = bytearray(_reference_frame())
+        reference = _REFERENCE_FRAMES[data.draw(st.sampled_from(sorted(_REFERENCE_FRAMES)))]()
+        frame = bytearray(reference)
         start = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         burst = data.draw(st.binary(min_size=1, max_size=16))
         frame[start : start + len(burst)] = burst
-        self._decode_or_typed_error(bytes(frame[: len(_reference_frame())]))
+        self._decode_or_typed_error(bytes(frame[: len(reference)]))
 
 
 class TestSliceCodec:
+    """``slice_payload`` / ``decode_record``: one record, every worker."""
+
     def test_typical_slice_roundtrips_byte_identically(self):
-        activated = (MachineId(0, 4, "4.0.celestial"), MachineId(1, 9, "9.1.celestial"))
-        deactivated = (MachineId(0, 2, "2.0.celestial"),)
-        sent = _slice(
-            activated=activated,
-            deactivated=deactivated,
-            dirty={"4.0.celestial": True, "11.0.celestial": False},
+        # Shell sizes that are and are not multiples of 8 (padding bits).
+        rng = np.random.default_rng(5)
+        sent = _record(
+            {shell: rng.random(size) < 0.5 for shell, size in ((0, 13), (1, 16), (4, 1))},
+            {shell: rng.random(size) < 0.3 for shell, size in ((0, 13), (1, 16), (4, 1))},
+            epoch=41,
         )
-        assert _roundtrip(sent) == sent
+        _assert_records_identical(sent, _roundtrip(sent))
 
     def test_empty_slice_roundtrips(self):
-        # A quiet epoch: no flips, no dirty machines.
-        sent = _slice()
+        # A quiet epoch (nothing flipped) and a shell without satellites.
+        sent = _record({0: [True, False, True], 1: []})
         received = _roundtrip(sent)
-        assert received == sent
-        assert received.activated == () and received.deactivated == ()
-        assert received.dirty_active == {}
-
-    def test_dirty_active_only_slice_roundtrips(self):
-        # No bounding-box flip, but machines rebooted between updates.
-        sent = _slice(dirty={"7.0.celestial": False, "8.0.celestial": True})
-        received = _roundtrip(sent)
-        assert received == sent
-        assert list(received.dirty_active) == ["7.0.celestial", "8.0.celestial"]
-        assert all(type(flag) is bool for flag in received.dirty_active.values())
+        _assert_records_identical(sent, received)
+        assert not any(mask.any() for mask in received.flipped.values())
+        first = _record({0: [True, False, True]}, {0: [True, False, True]}, epoch=1, first=True)
+        _assert_records_identical(first, _roundtrip(first))
 
     def test_slice_carries_exactly_what_a_manager_applies(self):
-        assert [field.name for field in dataclasses.fields(HostStateSlice)] == [
+        assert [field.name for field in dataclasses.fields(EpochRecord)] == [
             "epoch",
-            "activated",
-            "deactivated",
-            "dirty_active",
+            "active",
+            "flipped",
+            "first",
+        ]
+        # Two packed masks per shell, the activity masks first.
+        meta, arrays = wire.slice_payload(_record({2: [True] * 9, 0: [False] * 3}))
+        assert meta == {"shells": [0, 2], "sizes": [3, 9], "epoch": 9, "first": False}
+        assert [(array.dtype.str, array.size) for array in arrays] == [
+            ("|u1", 1), ("|u1", 2), ("|u1", 1), ("|u1", 2)
         ]
 
     def test_slice_frame_size_is_independent_of_fleet_size(self):
-        # One host with 1,000 satellite microVMs (no bounding box, so no
-        # epoch flips activity): the slice the coordinator shards for it
-        # names no machine and its frame stays a few dozen bytes.
+        # One host with 1,000 satellite microVMs: the record names no
+        # machine, so its frame is two 125-byte masks plus a few dozen bytes
+        # whatever the fleet — and the same for every worker.
         config = Configuration(
             shells=(
                 ShellConfig(
@@ -720,30 +748,119 @@ class TestSliceCodec:
             coordinator.create_ground_stations(0.0)
             coordinator.update(0.0)
             assert len(manager.host.machines) == 1001
-            state, diff = coordinator.calculation.diff_since(
-                coordinator.database.state, 2.0
-            )
+            previous = coordinator.database.state
+            state, diff = coordinator.calculation.diff_since(previous, 2.0)
             assert diff.topology.change_count > 1000  # every link's delay moved
-            (state_slice,) = coordinator._shard(state, diff)
+            record = EpochRecord.of(2, state, previous)
         finally:
             coordinator.close()
-        assert state_slice.activated == () and state_slice.deactivated == ()
-        assert len(_slice_frame(state_slice)) < 512
+        assert not record.flipped[0].any()
+        assert 250 < len(_record_frame(record)) < 512
 
     def test_activity_payload_roundtrip(self):
+        # RESTORE's payload: one packed activity mask per shell.
         masks = {
             0: np.array([True, False, True]),
             1: np.zeros(0, dtype=bool),
             2: np.ones(5, dtype=bool),
         }
-        kind, meta, arrays = decode_frame(
-            encode_frame(
-                FrameKind.APPLY_ACTIVITY, *wire.activity_payload(masks, 42.0, 7)
-            )
-        )
-        assert kind is FrameKind.APPLY_ACTIVITY
-        received, time_s, epoch = wire.decode_activity(meta, arrays)
-        assert time_s == 42.0 and epoch == 7
+        meta, arrays = wire.mask_payload(masks)
+        kind, meta, arrays = decode_frame(encode_frame(FrameKind.RESTORE, meta, arrays))
+        assert kind is FrameKind.RESTORE
+        (received,) = wire.decode_masks(meta, arrays)
         assert list(received) == [0, 1, 2]
         for shell, mask in masks.items():
             _assert_bytes_identical(mask, received[shell])
+
+
+def _record_payload():
+    meta, arrays = wire.slice_payload(
+        _record(
+            {0: [True] * 5 + [False] * 8, 1: [True, False] * 4},
+            {0: [False] * 5 + [True] * 8, 1: [False] * 8},
+        )
+    )
+    return meta, [np.array(array) for array in arrays]
+
+
+def _append(key, value):
+    return lambda meta, arrays: meta[key].append(value)
+
+
+def _put(key, value):
+    return lambda meta, arrays: meta.__setitem__(key, value)
+
+
+def _array(index, make):
+    return lambda meta, arrays: arrays.__setitem__(index, make(arrays[index]))
+
+
+def _set_padding_bit(arrays):
+    arrays[0][-1] |= 1
+
+
+_FORGED_RECORD = {
+    "missing-array": lambda meta, arrays: arrays.pop(),
+    "extra-array": lambda meta, arrays: arrays.append(arrays[0]),
+    "shell-without-size": _append("shells", 2),
+    "shell-without-masks": lambda meta, arrays: (
+        meta["shells"].append(2), meta["sizes"].append(8)
+    ),
+    "duplicate-shell": _put("shells", [0, 0]),
+    "non-integer-shell": _put("shells", ["0", 1]),
+    "negative-size": _put("sizes", [-3, 8]),
+    "size-too-small": _put("sizes", [7, 8]),
+    "size-too-large": _put("sizes", [17, 8]),
+    "no-sizes": lambda meta, arrays: meta.pop("sizes"),
+    "bool-mask": _array(1, lambda packed: np.unpackbits(packed).astype(bool)),
+    "wide-mask": _array(3, lambda packed: packed.astype("<u2")),
+    "two-d-mask": _array(0, lambda packed: packed.reshape(1, -1)),
+    "short-mask": _array(2, lambda packed: packed[:-1]),
+    "long-mask": _array(2, lambda packed: np.append(packed, np.uint8(0))),
+    "padding-bit": lambda meta, arrays: _set_padding_bit(arrays),
+    "negative-epoch": _put("epoch", -1),
+    "float-epoch": _put("epoch", 2.0),
+    "first-not-bool": _put("first", 1),
+}
+
+
+def _record_worker() -> _Worker:
+    """A worker whose one manager hosts satellites 4 and 5 of shell 0 and hawaii."""
+    worker = _control_worker()
+    meta, arrays = _every_op_frame()
+    worker._dispatch(FrameKind.CONTROL, meta, arrays)
+    assert worker.deferred_errors == []
+    return worker
+
+
+def _worker_census(worker: _Worker):
+    manager = worker.by_position[0]
+    return worker.epoch, manager.counters_snapshot(), _machines(manager)
+
+
+class TestRecordFrames:
+    """A malformed record is a WireError and changes no manager."""
+
+    def test_a_record_applies_and_reports_its_dirty_reconciles(self):
+        worker = _record_worker()
+        meta, arrays = _record_payload()
+        ack = worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays)
+        # 5.0 flipped out of the box: the flip pass suspends it.  4.0 did
+        # not flip but was rebooted (dirty): the dirty pass reconciles it
+        # against its mask and reports it; the ground station is not a
+        # satellite and is skipped.
+        assert ack == {"reconciled": {0: {"4.0.celestial": "running"}}}
+        machines = worker.by_position[0].host.machines
+        assert machines["5.0.celestial"].state.value == "suspended"
+        assert machines["4.0.celestial"].state.value == "running"
+        assert worker.epoch == 9 and worker.by_position[0].applied_diffs == 1
+
+    @pytest.mark.parametrize("name", sorted(_FORGED_RECORD))
+    def test_malformed_records_are_wire_errors_and_change_nothing(self, name):
+        worker = _record_worker()
+        meta, arrays = _record_payload()
+        _FORGED_RECORD[name](meta, arrays)
+        before = _worker_census(worker)
+        with pytest.raises(WireError):
+            worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays)
+        assert _worker_census(worker) == before

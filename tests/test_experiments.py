@@ -135,6 +135,16 @@ class TestSpecValidation:
         with pytest.raises(ExperimentSpecError, match="duration"):
             RuntimeSpec(duration_s=-1.0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        # Not silently one worker: the count the user asked for cannot run.
+        with pytest.raises(ExperimentSpecError, match="workers must be at least 1"):
+            RuntimeSpec(parallelism="processes", workers=workers)
+        spec = ExperimentSpec(name="x", scenario=ScenarioSpec(name="iridium"))
+        with pytest.raises(ExperimentSpecError, match="workers"):
+            spec.with_runtime(parallelism="processes", workers=workers)
+        assert RuntimeSpec(parallelism="processes", workers=1).workers == 1
+
     def test_metrics_outputs_validated(self):
         with pytest.raises(ExperimentSpecError, match="unknown metrics"):
             MetricsSpec(outputs=("summary", "holograms"))
