@@ -71,6 +71,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.core.config import Configuration
+from repro.core.dns import dns_slug
 from repro.orbits import Shell, constants
 from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef
 from repro.orbits.visibility import (
@@ -99,11 +100,36 @@ _UPLINK_CODE = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
 def satellite_name(shell: int, identifier: int) -> str:
     """Canonical DNS-style name of a satellite server.
 
-    The single source of the naming rule: machine creation, the info API
-    and the distribution runtime's wire codec (which rebuilds identities
-    from ``(shell, identifier)`` pairs) all derive names from here.
+    The single source of the naming rule: machine creation, the name
+    resolver of the info API and the gateway (:func:`machine_from_name`) and
+    the distribution runtime's wire codec (which rebuilds identities from
+    ``(shell, identifier)`` pairs) all derive names from here.
     """
     return f"{identifier}.{shell}.celestial"
+
+
+def machine_from_name(name: str, node_index: NodeIndex) -> MachineId:
+    """Resolve a machine name as every query surface accepts it.
+
+    The single name resolver of the info API and the streaming gateway.
+    Satellites are ``<id>.<shell>``; ground stations are the configured
+    name, its DNS slug, or the slug as ``<slug>.gst`` / ``gst.<slug>``; every
+    form may carry the DNS scheme's ``.celestial`` suffix.  The result is
+    the identity machine creation gives the machine (a ground station's
+    identifier is its configuration position).  An out-of-range satellite
+    is an ``IndexError``, any other unknown name a ``KeyError``.
+    """
+    body = name.removesuffix(".celestial")
+    parts = body.split(".")
+    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+        identifier, shell = int(parts[0]), int(parts[1])
+        node_index.satellite(shell, identifier)  # the range check
+        return MachineId(shell, identifier, satellite_name(shell, identifier))
+    station = body.removesuffix(".gst").removeprefix("gst.")
+    for position, configured in enumerate(node_index.ground_station_names):
+        if station in (configured, dns_slug(configured)):
+            return MachineId(MachineId.GROUND_SHELL, position, configured)
+    raise KeyError(f"unknown machine name: {name!r}")
 
 
 @dataclass(frozen=True)

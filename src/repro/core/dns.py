@@ -20,7 +20,8 @@ class DNSError(KeyError):
     """Raised when a name or address cannot be resolved."""
 
 
-def _slug(name: str) -> str:
+def dns_slug(name: str) -> str:
+    """A ground-station name as a DNS label (lower case, spaces as dashes, no commas)."""
     return name.lower().replace(" ", "-").replace(",", "")
 
 
@@ -31,7 +32,7 @@ class CelestialDNS:
         self.shell_sizes = list(shell_sizes)
         self.ground_station_names = list(ground_station_names)
         self._gst_index = {
-            _slug(name): position for position, name in enumerate(self.ground_station_names)
+            dns_slug(name): position for position, name in enumerate(self.ground_station_names)
         }
         self._reverse: dict[ipaddress.IPv4Address, str] = {}
         for shell, size in enumerate(self.shell_sizes):
@@ -41,7 +42,7 @@ class CelestialDNS:
                 )
         for position, name in enumerate(self.ground_station_names):
             address = machine_ip(self.shell_sizes, len(self.shell_sizes), position)
-            self._reverse[address] = f"{_slug(name)}.gst.celestial"
+            self._reverse[address] = f"{dns_slug(name)}.gst.celestial"
 
     # -- resolution ---------------------------------------------------------
 
@@ -83,6 +84,6 @@ class CelestialDNS:
 
     def ground_station_name(self, name: str) -> str:
         """Canonical DNS name of a ground station."""
-        if _slug(name) not in self._gst_index:
+        if dns_slug(name) not in self._gst_index:
             raise DNSError(f"no such ground station: {name!r}")
-        return f"{_slug(name)}.gst.celestial"
+        return f"{dns_slug(name)}.gst.celestial"

@@ -19,7 +19,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.core.constellation import ConstellationCalculation, MachineId
+from repro.core.constellation import ConstellationCalculation, machine_from_name
 from repro.core.database import ConstellationDatabase
 from repro.core.dns import CelestialDNS, DNSError
 
@@ -49,24 +49,12 @@ class InfoAPI:
         self.calculation = calculation
         self.dns = dns
 
-    def _machine_from_name(self, name: str) -> MachineId:
-        if name.endswith(".celestial"):
-            name = name[: -len(".celestial")]
-        parts = name.split(".")
-        if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            return self.calculation.satellite(int(parts[1]), int(parts[0]))
-        candidate = parts[0] if parts[-1] == "gst" else parts[-1]
-        for gst_name in self.calculation.config.ground_station_names:
-            slug = gst_name.lower().replace(" ", "-").replace(",", "")
-            if candidate in (gst_name, slug):
-                return self.calculation.ground_station(gst_name)
-        raise InfoAPIError(f"unknown machine name: {name!r}")
-
     def get(self, path: str) -> dict:
         """Resolve a GET request path to its JSON-serialisable response."""
         parts = [part for part in path.strip("/").split("/") if part]
         if not self.database.has_state:
             raise InfoAPINotReady("no constellation state has been published yet")
+        nodes = self.calculation.node_index
         try:
             if parts == ["info"] or not parts:
                 return self.database.constellation_info()
@@ -77,13 +65,13 @@ class InfoAPI:
             if parts[0] == "gst" and len(parts) >= 2:
                 return self.database.ground_station_info("/".join(parts[1:]))
             if parts[0] == "self" and len(parts) >= 2:
-                machine = self._machine_from_name("/".join(parts[1:]))
+                machine = machine_from_name("/".join(parts[1:]), nodes)
                 if machine.is_ground_station:
                     return self.database.ground_station_info(machine.name)
                 return self.database.satellite_info(machine.shell, machine.identifier)
             if parts[0] == "path" and len(parts) == 3:
-                source = self._machine_from_name(parts[1])
-                destination = self._machine_from_name(parts[2])
+                source = machine_from_name(parts[1], nodes)
+                destination = machine_from_name(parts[2], nodes)
                 return self.database.path_info(source, destination)
             if parts[0] == "dns" and len(parts) >= 2 and self.dns is not None:
                 return self.dns.a_record("/".join(parts[1:]))

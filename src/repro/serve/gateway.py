@@ -46,6 +46,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.constellation import machine_from_name
 from repro.dist import wire
 from repro.dist.transport import (
     AUTH_NONCE_BYTES,
@@ -59,23 +60,6 @@ from repro.dist.wire import FrameKind
 
 class GatewayError(RuntimeError):
     """Raised when the gateway cannot serve a subscription or query."""
-
-
-def _machine_from_token(token: str):
-    """Resolve a query target name to a :class:`MachineId`.
-
-    Satellites are addressed as ``<id>.<shell>`` (the ``.celestial``
-    suffix of the DNS scheme is accepted and stripped); anything else is
-    a ground-station name, validated against the state at query time.
-    """
-    from repro.core.constellation import MachineId, satellite_name
-
-    name = token[: -len(".celestial")] if token.endswith(".celestial") else token
-    parts = name.split(".")
-    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-        identifier, shell = int(parts[0]), int(parts[1])
-        return MachineId(shell, identifier, satellite_name(shell, identifier))
-    return MachineId(MachineId.GROUND_SHELL, 0, token)
 
 
 @dataclass
@@ -459,18 +443,19 @@ class StreamGateway:
     def _answer_query(self, subscription: _Subscription, meta: dict) -> dict:
         """Answer one path-latency query from the current state.
 
-        The query goes through :meth:`ConstellationState.path` under the
-        database lock, so the delay and the epoch it names belong to one
-        publication.
+        The names resolve as the info API resolves them
+        (:func:`~repro.core.constellation.machine_from_name`), and the query
+        goes through :meth:`ConstellationState.path` under the database
+        lock, so the delay and the epoch it names belong to one publication.
         """
         subscription.queries += 1
         database = self.database
         try:
-            source = _machine_from_token(str(meta["source"]))
-            destination = _machine_from_token(str(meta["destination"]))
             with database.lock:
-                epoch = database.epoch
-                result = database.state.path(source, destination)
+                epoch, state = database.epoch, database.state
+                source = machine_from_name(str(meta["source"]), state.node_index)
+                destination = machine_from_name(str(meta["destination"]), state.node_index)
+                result = state.path(source, destination)
             reachable = bool(result.reachable)
             return {
                 "client": subscription.client_id,

@@ -3,33 +3,17 @@
 The real Celestial testbed runs on wall-clock time on cloud hosts.  This
 reproduction replaces wall-clock execution with a deterministic discrete-event
 simulation so that experiments are repeatable and run offline.  The engine is
-deliberately small (SimPy-like): generator-based processes, an event queue,
-timeouts, stores and resources.
+sized to its callers: an event queue, timers, generator-based processes that
+wait on a timeout or an inbox, and unbounded FIFO inboxes.
 """
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulation,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Event, Simulation
+from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
-    "Process",
     "RandomStreams",
-    "Resource",
     "Simulation",
-    "SimulationError",
     "Store",
-    "Timeout",
 ]

@@ -1,28 +1,26 @@
-"""Shared resources for simulation processes: FIFO stores and counted resources."""
+"""Inboxes for simulation processes: an unbounded FIFO store."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
-from repro.sim.engine import Event, Simulation, SimulationError
+from repro.sim.engine import Event, Simulation
 
 
 class Store:
-    """An unbounded (or bounded) FIFO queue usable from simulation processes.
+    """An unbounded FIFO queue that simulation processes wait on.
 
-    ``put`` is immediate unless the store is full; ``get`` returns an event
-    that triggers with the next item as soon as one is available.
+    ``put`` is immediate and schedules nothing: the item goes to the oldest
+    waiting getter (whose event is then scheduled) or joins the queue.
+    ``get`` returns an event that triggers with the next item as soon as one
+    is available.  A store never holds items and waiting getters at once.
     """
 
-    def __init__(self, sim: Simulation, capacity: Optional[int] = None):
-        if capacity is not None and capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, sim: Simulation):
         self.sim = sim
-        self.capacity = capacity
         self._items: deque = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -32,74 +30,18 @@ class Store:
         """Snapshot of the queued items (oldest first)."""
         return list(self._items)
 
-    def put(self, item: Any) -> Event:
-        """Queue ``item``; the returned event triggers once it is accepted."""
-        event = Event(self.sim)
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self._putters.append((event, item))
+    def put(self, item: Any) -> None:
+        """Hand ``item`` to the oldest waiting getter, or queue it."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-            event.succeed(item)
-            self._dispatch()
-        return event
 
     def get(self) -> Event:
         """Request an item; the returned event triggers with the item."""
         event = Event(self.sim)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        while self._getters and self._items:
-            getter = self._getters.popleft()
-            item = self._items.popleft()
-            getter.succeed(item)
-            while self._putters and (
-                self.capacity is None or len(self._items) < self.capacity
-            ):
-                put_event, pending = self._putters.popleft()
-                self._items.append(pending)
-                put_event.succeed(pending)
-
-
-class Resource:
-    """A counted resource with FIFO request queueing (like a semaphore)."""
-
-    def __init__(self, sim: Simulation, capacity: int = 1):
-        if capacity <= 0:
-            raise SimulationError("resource capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently-held units."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free units."""
-        return self.capacity - self._in_use
-
-    def request(self) -> Event:
-        """Request one unit; the event triggers once the unit is granted."""
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
+        if self._items:
+            event.succeed(self._items.popleft())
         else:
-            self._waiters.append(event)
+            self._getters.append(event)
         return event
-
-    def release(self) -> None:
-        """Release one previously-granted unit."""
-        if self._in_use <= 0:
-            raise SimulationError("release without a matching request")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed()
-        else:
-            self._in_use -= 1

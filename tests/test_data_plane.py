@@ -202,9 +202,9 @@ class TestDartIdentity:
         assert again[1].tobytes() == warm[1].tobytes()
         assert again[2] == warm[2]
 
-    def test_at_most_3_3_queue_entries_per_delivered_message(self, warm):
+    def test_at_most_2_3_queue_entries_per_delivered_message(self, warm):
         statistics, _, events = warm
-        assert events / statistics["delivered"] <= 3.3
+        assert events / statistics["delivered"] <= 2.3
 
     def test_rules_are_asked_for_only_when_the_epoch_moved(self, warm):
         statistics = warm[0]

@@ -10,6 +10,7 @@ and the server's start-up failing fast on a taken port.
 
 import asyncio
 import contextlib
+import itertools
 import pickle
 import socket
 import struct
@@ -380,6 +381,28 @@ class TestQueries:
                 assert "error" in bogus
                 stats = server.statistics()["clients"]["asker"]
                 assert stats["queries"] == 3
+
+    def test_every_spelling_gets_the_info_api_answer(self, testbed_core):
+        # One resolver behind both surfaces: the gateway used to take any
+        # non-satellite name verbatim, so "buoy-0.gst.celestial" was an
+        # unknown ground station there and a delay on the info API's /path.
+        _, calculation, database, _ = testbed_core
+        api = InfoAPI(database, calculation)
+        buoy = ["buoy-0", "buoy-0.gst", "buoy-0.gst.celestial", "gst.buoy-0.celestial"]
+        others = ["hawaii", "hawaii.gst.celestial", "3.0", "3.0.celestial"]
+        with GatewayServer(database) as server:
+            host, port = server.address
+            with SubscriptionClient(host, port, client_id="asker") as client:
+                for source, destination in itertools.product(buoy, others):
+                    answer = client.query(source, destination)
+                    expected = api.get(f"/path/{source}/{destination}")
+                    assert "error" not in answer, (source, destination, answer)
+                    for key in ("source", "destination", "reachable", "delay_ms"):
+                        assert answer[key] == expected[key], (source, destination, key)
+                    assert answer["source"] == "buoy-0"
+                    if destination.startswith("hawaii"):
+                        assert answer["destination"] == "hawaii"
+                        assert answer["reachable"] is True
 
     def test_out_of_range_satellite_query_keeps_the_subscription(self, testbed_core):
         # "99999.0" parses as a satellite of shell 0 but no such node exists:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Event, Interrupt, Simulation, SimulationError
+from repro.sim import Event, Simulation
+from repro.sim.engine import SimulationError
 
 
 def test_timeout_advances_time():
@@ -59,45 +60,24 @@ def test_events_at_same_time_fifo_order():
     assert order == ["a", "b", "c", "d"]
 
 
-def test_process_return_value_propagates():
+def test_waiting_on_already_processed_event():
     sim = Simulation()
     results = []
+    done = sim.timeout(1.0, value="done")
 
-    def child():
-        yield sim.timeout(1.0)
-        return 42
-
-    def parent():
-        value = yield sim.process(child())
-        results.append(value)
-
-    sim.process(parent())
-    sim.run()
-    assert results == [42]
-
-
-def test_waiting_on_already_finished_process():
-    sim = Simulation()
-    results = []
-
-    def child():
-        yield sim.timeout(1.0)
-        return "done"
-
-    def parent(child_proc):
+    def waiter():
         yield sim.timeout(5.0)
-        value = yield child_proc
+        value = yield done
         results.append((sim.now, value))
 
-    child_proc = sim.process(child())
-    sim.process(parent(child_proc))
+    sim.process(waiter())
     sim.run()
     assert results == [(5.0, "done")]
 
 
 def test_event_succeed_wakes_waiter():
     sim = Simulation()
-    event = sim.event()
+    event = Event(sim)
     woke = []
 
     def waiter():
@@ -116,290 +96,10 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_double_trigger_rejected():
     sim = Simulation()
-    event = sim.event()
+    event = Event(sim)
     event.succeed()
     with pytest.raises(SimulationError):
         event.succeed()
-
-
-def test_event_fail_raises_in_waiter():
-    sim = Simulation()
-    event = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield event
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    def trigger():
-        yield sim.timeout(1.0)
-        event.fail(ValueError("boom"))
-
-    sim.process(waiter())
-    sim.process(trigger())
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_interrupt_process():
-    sim = Simulation()
-    log = []
-
-    def worker():
-        try:
-            yield sim.timeout(100.0)
-            log.append("finished")
-        except Interrupt as interrupt:
-            log.append(("interrupted", sim.now, interrupt.cause))
-
-    def interrupter(proc):
-        yield sim.timeout(2.0)
-        proc.interrupt("fault")
-
-    proc = sim.process(worker())
-    sim.process(interrupter(proc))
-    sim.run()
-    assert log == [("interrupted", 2.0, "fault")]
-
-
-def test_interrupt_deregisters_stale_wait_callback():
-    """Regression: interrupt() left _resume registered on the awaited event,
-    so a later trigger resumed the generator a second time at the wrong
-    simulated instant."""
-    sim = Simulation()
-    event = sim.event()
-    log = []
-
-    def worker():
-        try:
-            yield event
-            log.append(("value", sim.now))
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-            yield sim.timeout(10.0)
-            log.append(("resumed", sim.now))
-
-    def interrupter(proc):
-        yield sim.timeout(2.0)
-        proc.interrupt("fault")
-
-    def late_trigger():
-        yield sim.timeout(5.0)
-        event.succeed("late")
-
-    proc = sim.process(worker())
-    sim.process(interrupter(proc))
-    sim.process(late_trigger())
-    sim.run()
-    # The stale event at t=5 must not resume the worker; it finishes its
-    # post-interrupt timeout at t=12 exactly once.
-    assert log == [("interrupted", 2.0), ("resumed", 12.0)]
-
-
-def test_interrupt_supersedes_queued_resume_from_processed_event():
-    """Regression: a resume proxy already queued for an event that had been
-    processed must not fire after an interrupt supersedes the wait."""
-    sim = Simulation()
-    log = []
-
-    def child():
-        yield sim.timeout(1.0)
-        return "done"
-
-    def worker(child_proc):
-        yield sim.timeout(5.0)
-        try:
-            # child finished at t=1, so this queues an immediate resume proxy.
-            value = yield child_proc
-            log.append(("value", value, sim.now))
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-            yield sim.timeout(1.0)
-            log.append(("resumed", sim.now))
-
-    def interrupter(proc):
-        # Runs at t=5 after the worker queued its proxy resume.
-        yield sim.timeout(5.0)
-        proc.interrupt("fault")
-
-    child_proc = sim.process(child())
-    proc = sim.process(worker(child_proc))
-    sim.process(interrupter(proc))
-    sim.run()
-    assert log == [("interrupted", 5.0), ("resumed", 6.0)]
-
-
-def test_interrupt_before_process_first_runs_is_delivered():
-    """An interrupt scheduled before the process has started (so the process
-    re-waits on its first event in between) must still be delivered."""
-    sim = Simulation()
-    log = []
-
-    def worker():
-        try:
-            yield sim.timeout(100.0)
-            log.append("finished")
-        except Interrupt as interrupt:
-            log.append(("interrupted", sim.now, interrupt.cause))
-
-    proc = sim.process(worker())
-    proc.interrupt("early")
-    sim.run()
-    assert log == [("interrupted", 0.0, "early")]
-
-
-def test_two_interrupts_in_same_timestep_both_delivered():
-    sim = Simulation()
-    log = []
-
-    def worker():
-        for _ in range(2):
-            try:
-                yield sim.timeout(100.0)
-                log.append("finished")
-            except Interrupt as interrupt:
-                log.append(("interrupted", sim.now, interrupt.cause))
-
-    def interrupter(proc):
-        yield sim.timeout(1.0)
-        proc.interrupt("first")
-        proc.interrupt("second")
-
-    proc = sim.process(worker())
-    sim.process(interrupter(proc))
-    sim.run()
-    assert log == [("interrupted", 1.0, "first"), ("interrupted", 1.0, "second")]
-
-
-def test_interrupt_delivery_detaches_the_new_wait():
-    """When an interrupt is popped after the process re-waited on another
-    event, that event must not resume the process a second time either."""
-    sim = Simulation()
-    first = sim.event()
-    second = sim.event()
-    log = []
-
-    def worker():
-        try:
-            yield first
-            log.append(("first", sim.now))
-        except Interrupt:
-            log.append(("interrupted-first", sim.now))
-        try:
-            yield second
-            log.append(("second", sim.now))
-        except Interrupt:
-            log.append(("interrupted-second", sim.now))
-            yield sim.timeout(10.0)
-            log.append(("recovered", sim.now))
-
-    proc = sim.process(worker())
-    # Interrupt before the worker first runs: the init event pops first,
-    # the worker waits on `first`, then the interrupt detaches that wait and
-    # the handler moves on to wait on `second`.
-    proc.interrupt("early")
-
-    def late_triggers():
-        yield sim.timeout(5.0)
-        first.succeed("stale")
-        second.succeed("fresh")
-
-    sim.process(late_triggers())
-    sim.run()
-    assert log == [("interrupted-first", 0.0), ("second", 5.0)]
-
-
-def test_interrupt_from_sibling_callback_of_same_event():
-    """Regression: when two processes wait on one event and the first-resumed
-    process interrupts the second, the second must get the Interrupt, not the
-    event value — even though step() already snapshotted the callback list
-    (so deregistration alone cannot stop the in-flight resume)."""
-    sim = Simulation()
-    event = sim.event()
-    log = []
-
-    def second():
-        try:
-            yield event
-            log.append(("value", sim.now))
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-            yield sim.timeout(1.0)
-            log.append(("recovered", sim.now))
-
-    def trigger():
-        yield sim.timeout(2.0)
-        event.succeed("payload")
-
-    # `first` registers on the event before `second`, so it resumes first.
-    second_proc_holder = []
-
-    def first():
-        yield event
-        second_proc_holder[0].interrupt("race")
-
-    sim.process(first())
-    second_proc_holder.append(sim.process(second()))
-    sim.process(trigger())
-    sim.run()
-    assert log == [("interrupted", 2.0), ("recovered", 3.0)]
-
-
-def test_interrupt_while_waiting_on_triggered_but_unprocessed_event():
-    """An event that has been triggered but not yet processed can still be
-    deregistered by an interrupt arriving in the same timestep."""
-    sim = Simulation()
-    event = sim.event()
-    log = []
-
-    def worker():
-        try:
-            yield event
-            log.append(("value", sim.now))
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-            yield sim.timeout(3.0)
-            log.append(("resumed", sim.now))
-
-    def trigger_then_interrupt(proc):
-        yield sim.timeout(2.0)
-        event.succeed("payload")
-        proc.interrupt("fault")
-
-    proc = sim.process(worker())
-    sim.process(trigger_then_interrupt(proc))
-    sim.run()
-    assert log == [("interrupted", 2.0), ("resumed", 5.0)]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulation()
-    done = []
-
-    def parent():
-        timeouts = [sim.timeout(t) for t in (1.0, 4.0, 2.0)]
-        yield sim.all_of(timeouts)
-        done.append(sim.now)
-
-    sim.process(parent())
-    sim.run()
-    assert done == [4.0]
-
-
-def test_any_of_waits_for_first():
-    sim = Simulation()
-    done = []
-
-    def parent():
-        timeouts = [sim.timeout(t) for t in (3.0, 1.0, 2.0)]
-        yield sim.any_of(timeouts)
-        done.append(sim.now)
-
-    sim.process(parent())
-    sim.run()
-    assert done == [1.0]
 
 
 def test_yield_non_event_raises():

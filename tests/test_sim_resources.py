@@ -1,8 +1,6 @@
-"""Unit tests for simulation stores and resources."""
+"""Unit tests for the simulation's FIFO store (the inboxes of the virtual network)."""
 
-import pytest
-
-from repro.sim import Resource, Simulation, SimulationError, Store
+from repro.sim import Simulation, Store
 
 
 def test_store_put_get_fifo():
@@ -45,30 +43,6 @@ def test_store_get_before_put_blocks():
     assert received == [(7.0, "late")]
 
 
-def test_store_capacity_blocks_put():
-    sim = Simulation()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put("first")
-        log.append(("first-accepted", sim.now))
-        yield store.put("second")
-        log.append(("second-accepted", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("first-accepted", 0.0) in log
-    assert ("got", "first", 5.0) in log
-    assert ("second-accepted", 5.0) in log
-
-
 def test_store_items_snapshot_and_len():
     sim = Simulation()
     store = Store(sim)
@@ -78,42 +52,10 @@ def test_store_items_snapshot_and_len():
     assert store.items == [1, 2]
 
 
-def test_store_invalid_capacity():
+def test_put_without_a_waiting_getter_schedules_nothing():
     sim = Simulation()
-    with pytest.raises(SimulationError):
-        Store(sim, capacity=0)
-
-
-def test_resource_limits_concurrency():
-    sim = Simulation()
-    resource = Resource(sim, capacity=2)
-    active = []
-    max_active = []
-
-    def worker(name):
-        yield resource.request()
-        active.append(name)
-        max_active.append(len(active))
-        yield sim.timeout(10.0)
-        active.remove(name)
-        resource.release()
-
-    for i in range(5):
-        sim.process(worker(i))
+    store = Store(sim)
+    store.put("queued")
     sim.run()
-    assert max(max_active) == 2
-    assert resource.in_use == 0
-    assert resource.available == 2
-
-
-def test_resource_release_without_request_raises():
-    sim = Simulation()
-    resource = Resource(sim)
-    with pytest.raises(SimulationError):
-        resource.release()
-
-
-def test_resource_invalid_capacity():
-    sim = Simulation()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
+    assert sim.processed_events == 0
+    assert store.items == ["queued"]
