@@ -25,9 +25,11 @@ receives per steady-state epoch (measured, not assumed: two packed masks of
 The measurements are always written to ``BENCH_dist.json`` (path
 overridable via the ``BENCH_DIST_JSON`` environment variable).  The
 functional claims — both backends drive the same 4,414 machines to identical
-per-manager counters, the set-up epoch is one control frame per worker and
-the workers' RNG streams stand where the shadows' do — are hard asserts; the
-timings are recorded, never gated.
+per-manager counters (under worker processes read from the workers'
+checkpoints, and the machine counts from the driver's ledger), the set-up
+epoch is one control frame per worker and the workers' RNG streams stand
+where the driver's lockstep streams do — are hard asserts; the timings are
+recorded, never gated.
 """
 
 import json
@@ -84,7 +86,7 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
             workers = backend.worker_counters()
             assert [workers[position]["rng_state"] for position in range(HOSTS)] == [
-                shadow._rng.bit_generator.state for shadow in backend.shadows
+                manager.host.rng.bit_generator.state for manager in backend.managers
             ]
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         del record_frames[:]  # the set-up epoch's frames
@@ -92,6 +94,8 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             now = step * config.update_interval_s
             coordinator.update(now)
             coordinator.sample_all_usage(now, applying_update=True)
+        # Under worker processes the counters are read from the workers'
+        # checkpoints and the machine counts from the driver's ledger.
         machines = sum(len(m.host.machines) for m in coordinator.managers)
         counters = [
             [m.suspension_count, m.resume_count, m.applied_diffs, len(m.host.machines)]

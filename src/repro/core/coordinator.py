@@ -55,12 +55,13 @@ The in-process-vs-worker seam
   workers on other machines, like the paper's testbed.  It exists to
   exercise that remote-worker protocol.  The record is encoded once per
   epoch and travels as one buffer-backed wire frame per worker; usage
-  samples, counters and dirty-machine reconciliation results stream back,
-  one acknowledgement per worker per epoch.  The coordinator keeps
-  in-process *shadow* managers for placement and parent-side queries;
-  crashed workers are respawned, replayed from the control ledger and
-  restored to the checkpoint epoch's activity masks, derived from the last
-  record sent.
+  samples, counters and the machines a record suspended or resumed stream
+  back, one acknowledgement per worker per epoch.  The workers own every
+  microVM; the coordinator's side keeps a ledger per host for placement and
+  parent-side queries (:class:`~repro.dist.backend.HostLedger`: reserved
+  memory, and per machine a seed, a state and boot times); crashed workers
+  are respawned, replayed from the control ledger and restored to the
+  checkpoint epoch's activity masks, derived from the last record sent.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 
@@ -190,12 +191,14 @@ class Coordinator:
             self._backend = ThreadFanoutBackend(managers)
         else:
             raise ValueError(f"unknown parallelism backend {parallelism!r}")
-        # In process mode these are MirroredManager proxies (shadow +
+        # In process mode these are MirroredManager proxies (ledger +
         # forwarding); in thread mode they are the managers passed in.
         self.managers = list(self._backend.managers)
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
-        self._microvm_of: dict[str, MicroVM] = {}
+        # The microVM of each machine, or with worker processes its ledger
+        # record: both answer state_at.
+        self._machine_of: dict[str, MicroVM] = {}
 
     # -- machine bookkeeping -------------------------------------------------
 
@@ -213,10 +216,11 @@ class Coordinator:
         """Whether a machine exists and is running (booted, not suspended) at a time.
 
         One lookup by name, whichever manager hosts the machine; with worker
-        processes the microVM consulted is the in-process shadow, which every
-        lifecycle operation is applied to first.
+        processes it reads the driver's ledger record of the machine
+        (:class:`~repro.dist.backend.MachineRecord`), which answers as the
+        microVM would for any time at or after its latest operation.
         """
-        microvm = self._microvm_of.get(machine.name)
+        microvm = self._machine_of.get(machine.name)
         return microvm is not None and microvm.state_at(now_s) is MachineState.RUNNING
 
     def _least_loaded_manager(self) -> MachineManager:
@@ -245,7 +249,7 @@ class Coordinator:
         if boot:
             manager.boot(machine, now_s)
         self._machine_manager_of[machine.name] = manager
-        self._microvm_of[machine.name] = microvm
+        self._machine_of[machine.name] = microvm
         return manager
 
     def create_ground_stations(self, now_s: float) -> None:

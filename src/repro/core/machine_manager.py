@@ -35,10 +35,12 @@ Process boundary
 
 By default the managers are plain objects in the coordinator process,
 visited in a loop.  A manager may also live in a worker *process*
-(``repro.dist``, which exists to exercise the remote-worker protocol): the
-coordinator keeps an in-process shadow for placement and bookkeeping while
-the authoritative copy applies the records and takes the usage samples
-behind a TCP connection.  Two members exist for that runtime:
+(``repro.dist``, which exists to exercise the remote-worker protocol): it is
+then the only owner of its microVMs — it applies the records, takes the
+usage samples and reports the machines a record suspended or resumed —
+while the coordinator's side keeps a ledger for placement and queries
+(:class:`repro.dist.backend.HostLedger`: seeds, states and boot times, no
+microVM).  Two members exist for that runtime:
 :meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
 every acknowledgement: counters, RNG state and the dirty set) and
 :meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
@@ -210,13 +212,17 @@ class MachineManager:
             self._reconcile_activity(machine, active, now_s)
         self._dirty.clear()
 
-    def _reconcile_activity(self, machine: MicroVM, active: bool, now_s: float) -> None:
+    def _reconcile_activity(self, machine: MicroVM, active: bool, now_s: float) -> bool:
+        """Suspend/resume one machine to match its activity; whether it did."""
         if machine.state is MachineState.RUNNING and not active:
             machine.suspend(now_s)
             self.suspension_count += 1
-        elif machine.state is MachineState.SUSPENDED and active:
+            return True
+        if machine.state is MachineState.SUSPENDED and active:
             machine.resume(now_s)
             self.resume_count += 1
+            return True
+        return False
 
     def apply_diff(self, record: EpochRecord, now_s: float) -> list[str]:
         """Apply one epoch's record to this host's machines.
@@ -227,10 +233,11 @@ class MachineManager:
         last update are reconciled against the activity masks.  Both steps
         guard on the current microVM state, so the result (including the
         suspend/resume counters) is identical to a full :meth:`apply_state`
-        sweep.  Returns the names the dirty step reconciled.
+        sweep.  Returns the names of the machines it suspended or resumed.
         """
         machines = self.host.machines
         flips = record.flips
+        changed = []
         for shell, owned in self._satellites.items():
             active = record.active[shell]
             for identifier in flips[shell]:
@@ -239,21 +246,22 @@ class MachineManager:
                     continue
                 self._dirty.discard(name)  # reconciled here, not again below
                 machine = machines.get(name)
-                if machine is not None:
-                    self._reconcile_activity(machine, bool(active[identifier]), now_s)
-        reconciled = []
+                if machine is not None and self._reconcile_activity(
+                    machine, bool(active[identifier]), now_s
+                ):
+                    changed.append(name)
         for name in self._dirty:
             machine_id = self._machine_ids.get(name)
             machine = machines.get(name)
             if machine_id is None or machine is None or machine_id.is_ground_station:
                 continue
             active = record.active[machine_id.shell][machine_id.identifier]
-            self._reconcile_activity(machine, bool(active), now_s)
-            reconciled.append(name)
+            if self._reconcile_activity(machine, bool(active), now_s):
+                changed.append(name)
         self._dirty.clear()
         if not record.first:
             self.applied_diffs += 1
-        return reconciled
+        return changed
 
     def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:
         """Whether a machine is running (boot finished, not suspended) at a time."""
@@ -290,16 +298,11 @@ class MachineManager:
             now_s, setup_phase=setup_phase, applying_update=applying_update, rng=self._rng
         )
 
+    # Uncalled; kept only because the benchmark's tracer patches it by name.
     def advance_sample_stream(
         self, setup_phase: bool = False, applying_update: bool = False
     ) -> None:
-        """Consume the random variates one :meth:`sample_usage` call would draw.
-
-        A shadow manager whose authoritative copy samples in a worker
-        process calls this instead of sampling, so machine creations *after*
-        a sample draw the same per-machine seeds (and hence boot-time
-        jitter) in every backend.
-        """
+        """Consume the random variates one :meth:`sample_usage` call would draw."""
         self._rng.random(
             self.host.sample_rng_draws(
                 setup_phase=setup_phase, applying_update=applying_update

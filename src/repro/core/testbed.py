@@ -79,9 +79,9 @@ class Celestial:
             transport=transport,
         )
         # With the process backend the coordinator hands out mirrored
-        # managers (in-process shadows + worker forwarding); use those for
+        # managers (the driver's ledger + worker forwarding); use those for
         # every manager-level interaction so lifecycle operations reach the
-        # authoritative worker-side copies.
+        # workers, which own the microVMs.
         self.managers = self.coordinator.managers
         self.fault_injector = FaultInjector(
             manager_resolver=self.coordinator.manager_for, network=self.network
@@ -159,7 +159,14 @@ class Celestial:
         self.coordinator.create_machine(machine, self.sim.now)
 
     def machine(self, machine: MachineId):
-        """The microVM backing a machine."""
+        """The microVM backing a machine.
+
+        With ``parallelism="processes"`` the microVM lives in a worker: this
+        is then the driver's read-only view of it
+        (:class:`~repro.dist.backend.MachineRecord`: ``state``,
+        ``cpu_quota``, ``boot_finished_at_s``, ``state_at``); change a
+        machine through the fault injector or its manager.
+        """
         return self.coordinator.manager_for(machine).machine(machine)
 
     def machine_running(self, machine: MachineId) -> bool:
@@ -219,4 +226,4 @@ class Celestial:
 
     def booted_machines(self) -> int:
         """Number of microVMs created across all hosts."""
-        return sum(len(host.machines) for host in self.hosts)
+        return sum(len(manager.host.machines) for manager in self.managers)

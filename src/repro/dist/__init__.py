@@ -23,12 +23,12 @@ on a TCP stream.
   (:class:`~repro.dist.transport.SocketTransport`), behind one persistent
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
   restarted worker *reconnects* to the same address.
-* :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers,
-  applies each record to all of them, samples usage and streams samples,
-  counters and reconciliation results back, one acknowledgement per
-  request.  A supervisor-spawned child dialling back over loopback and
-  ``python -m repro.dist.worker --connect host:port --index N`` on another
-  machine run the same code.
+* :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
+  and their microVMs, applies each record to all of them, samples usage and
+  streams samples, counters and the machines a record suspended or resumed
+  back, one acknowledgement per request.  A supervisor-spawned child
+  dialling back over loopback and ``python -m repro.dist.worker --connect
+  host:port --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
   restart under a bounded, decaying budget.  A restarted worker is rebuilt
@@ -39,9 +39,10 @@ on a TCP stream.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
-  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes; it
-  exists to exercise the remote-worker protocol) answer the same calls,
-  selected with ``Coordinator(parallelism="threads" | "processes")``; the
+  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes, with
+  a ledger of placement, seeds, states and boot times on the coordinator's
+  side; it exists to exercise the remote-worker protocol) answer the same
+  calls, selected with ``Coordinator(parallelism="threads" | "processes")``; the
   worker pool's deployment settings (address, ports, external workers,
   shared secret) arrive as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` in ``transport=``.

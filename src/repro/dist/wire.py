@@ -50,7 +50,8 @@ Frame kinds
 kind               direction     payload
 =================  ============  =============================================
 ``ACK``/``ERROR``  worker → sup  checkpoint (counters, dirty sets, RNG states,
-                                 epoch, control frames applied) / a traceback
+                                 epoch, control frames applied), the machines
+                                 a record suspended or resumed / a traceback
 ``CONTROL``        sup → worker  one worker's lifecycle operations in program
                                  order, journalled (see below)
 ``APPLY_EPOCH``    sup → worker  one :class:`EpochRecord`, the same for every

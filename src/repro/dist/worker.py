@@ -32,11 +32,12 @@ Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: the epoch its
 managers last applied, per-manager counter/dirty-set/RNG checkpoints
 (:meth:`MachineManager.counters_snapshot`), the number of ``CONTROL`` frames
-applied so far, the dirty-machine reconciliation results of an applied
-record, usage samples, and any errors from unacknowledged ``CONTROL``
-frames.  A record is applied to every manager before it is acknowledged, so
-the checkpoint is one epoch for all of them; the supervisor keeps the latest
-acknowledgement as the recovery checkpoint.
+applied so far, the machines an applied record suspended or resumed with
+their new states (``transitions``: the only machine states the coordinator
+cannot work out itself), usage samples, and any errors from unacknowledged
+``CONTROL`` frames.  A record is applied to every manager before it is
+acknowledged, so the checkpoint is one epoch for all of them; the supervisor
+keeps the latest acknowledgement as the recovery checkpoint.
 
 ``CONTROL`` frames are *durable*: the supervisor journals each one and,
 after a crash, replays into a fresh process the frames the checkpoint had
@@ -237,13 +238,16 @@ class _Worker:
     ) -> Optional[dict[str, Any]]:
         if kind is FrameKind.APPLY_EPOCH:
             record = wire.decode_record(meta, arrays)
-            reconciled = {}
+            transitions = {}
             for position, manager in self.by_position.items():
-                names = manager.apply_diff(record, meta["now_s"])
-                machines = manager.host.machines
-                reconciled[position] = {name: machines[name].state.value for name in names}
+                changed = manager.apply_diff(record, meta["now_s"])
+                if changed:
+                    machines = manager.host.machines
+                    transitions[position] = {
+                        name: machines[name].state.value for name in changed
+                    }
             self.epoch = record.epoch
-            return {"reconciled": reconciled}
+            return {"transitions": transitions}
         if kind is FrameKind.SAMPLE_USAGE:
             samples = {}
             for position, manager in sorted(self.by_position.items()):

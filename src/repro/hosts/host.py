@@ -207,10 +207,10 @@ class Host:
         """Number of random variates one :meth:`sample_usage` call consumes.
 
         Kept next to :meth:`sample_usage` because the two must evolve
-        together: a replica that mirrors a sampling host without sampling
-        itself (the coordinator-side shadow managers of
-        ``repro.dist.backend``) advances its RNG stream by exactly this many
-        draws to stay in lockstep.
+        together: the coordinator-side ledger of a host sampled in a worker
+        process (``repro.dist.backend.HostLedger``) skips exactly this many
+        draws of its copy of the host's stream per sample, to stay in
+        lockstep.
         """
         if setup_phase:
             return 1

@@ -61,6 +61,20 @@ class _Transition:
 #: Firecracker boot time: ~125 ms plus configuration overhead (sub-second).
 DEFAULT_BOOT_TIME_S = 0.35
 BOOT_TIME_JITTER_S = 0.15
+#: No boot takes longer: a boot started this long ago has finished.
+MAX_BOOT_TIME_S = DEFAULT_BOOT_TIME_S + BOOT_TIME_JITTER_S
+
+#: The lifecycle guards, shared with the worker-process ledger
+#: (``repro.dist.backend``): the states a boot starts from, the states a stop
+#: is refused in, and the states a reboot boots from without stopping first.
+BOOTABLE_STATES = (MachineState.CREATED, MachineState.STOPPED, MachineState.FAILED)
+UNSTOPPABLE_STATES = (MachineState.STOPPED, MachineState.CREATED)
+DOWN_STATES = (MachineState.STOPPED, MachineState.FAILED)
+
+
+def boot_time_s(draw: float) -> float:
+    """The boot duration of one uniform draw in [0, 1) of a machine's generator."""
+    return DEFAULT_BOOT_TIME_S + draw * BOOT_TIME_JITTER_S
 
 
 class MicroVM:
@@ -105,11 +119,11 @@ class MicroVM:
 
     def sample_boot_time_s(self) -> float:
         """Sub-second boot duration for this machine."""
-        return DEFAULT_BOOT_TIME_S + float(self._rng.random()) * BOOT_TIME_JITTER_S
+        return boot_time_s(float(self._rng.random()))
 
     def boot(self, now_s: float) -> float:
         """Start booting; returns the time at which the machine is running."""
-        if self.state not in (MachineState.CREATED, MachineState.STOPPED, MachineState.FAILED):
+        if self.state not in BOOTABLE_STATES:
             raise MicroVMError(f"cannot boot machine in state {self.state.value}")
         self._set_state(MachineState.BOOTING, now_s)
         boot_time = self.sample_boot_time_s()
@@ -132,7 +146,7 @@ class MicroVM:
 
     def stop(self, now_s: float) -> None:
         """Shut the machine down (fault injection: full shutdown)."""
-        if self.state in (MachineState.STOPPED, MachineState.CREATED):
+        if self.state in UNSTOPPABLE_STATES:
             raise MicroVMError(f"cannot stop machine in state {self.state.value}")
         self._set_state(MachineState.STOPPED, now_s)
 
@@ -142,7 +156,7 @@ class MicroVM:
 
     def reboot(self, now_s: float) -> float:
         """Stop and boot again; returns the time the machine is running again."""
-        if self.state not in (MachineState.STOPPED, MachineState.FAILED):
+        if self.state not in DOWN_STATES:
             self._set_state(MachineState.STOPPED, now_s)
         return self.boot(now_s)
 

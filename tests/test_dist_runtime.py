@@ -12,6 +12,8 @@ remote worker takes.
 """
 
 import dataclasses
+import gc
+import random
 
 import numpy as np
 import pytest
@@ -30,12 +32,13 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
-from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
+from repro.dist.backend import MachineRecord, ProcessFanoutBackend, WorkerDesyncError
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import FrameKind
 from repro.dist.worker import _Worker
 from repro.hosts import Host
+from repro.microvm import MachineResources, MachineState, MicroVM
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
 
@@ -99,28 +102,38 @@ def _machine_states(coordinator):
     }
 
 
+def _boot_times(coordinator):
+    """Every machine's latest boot finish: the microVMs', or the driver's ledger's."""
+    if coordinator.parallelism == "processes":
+        return {
+            name: record.boot_finished_at_s
+            for manager in coordinator.managers
+            for name, record in manager.host.machines.items()
+        }
+    return {
+        name: machine._boot_finished_at_s
+        for manager in coordinator.managers
+        for name, machine in manager.host.machines.items()
+    }
+
+
 def _assert_equivalent(threads, processes):
     assert _counters(threads) == _counters(processes)
+    # The ledger's states (what the operations made of each machine plus
+    # the suspends and resumes the workers reported) are the microVMs'.
     assert _machine_states(threads) == _machine_states(processes)
     # Even sub-second boot jitter is backend-invariant: machines created
-    # mid-run (after usage samples) seed from lockstepped RNG streams.
-    for backend_coordinator in (threads, processes):
-        boot_times = {
-            name: manager.host.machines[name]._boot_finished_at_s
-            for manager in backend_coordinator.managers
-            for name in manager.host.machines
-        }
-        if backend_coordinator is threads:
-            reference_boot_times = boot_times
-    assert boot_times == reference_boot_times
-    # The worker-side counters (not just the in-process shadows) must agree
-    # with the thread backend too — they are the authoritative copies.
+    # mid-run (after usage samples) seed from lockstepped RNG streams, and
+    # the ledger draws a boot's finish from the seed its worker's microVM got.
+    assert _boot_times(processes) == _boot_times(threads)
+    # The worker checkpoints the mirrored managers' counters read agree with
+    # the thread backend's managers, host by host.
     worker_counters = processes._backend.worker_counters()
-    for position, shadow in enumerate(processes._backend.shadows):
+    for position, manager in enumerate(threads.managers):
         snapshot = worker_counters[position]
-        assert snapshot["suspension_count"] == shadow.suspension_count
-        assert snapshot["resume_count"] == shadow.resume_count
-        assert snapshot["applied_diffs"] == shadow.applied_diffs
+        assert snapshot["suspension_count"] == manager.suspension_count
+        assert snapshot["resume_count"] == manager.resume_count
+        assert snapshot["applied_diffs"] == manager.applied_diffs
 
 
 class TestProcessBackendEquivalence:
@@ -147,9 +160,7 @@ class TestProcessBackendEquivalence:
             assert sum(c[0] for c in _counters(processes)) > 0
             assert processes.stats.diff_updates == 12
             # The parent-side traces recorded the streamed samples.
-            trace_lengths = [
-                len(shadow.host.trace) for shadow in processes._backend.shadows
-            ]
+            trace_lengths = [len(manager.host.trace) for manager in processes.managers]
             assert trace_lengths == [13, 13, 13]
         finally:
             threads.close()
@@ -229,7 +240,8 @@ class TestProcessBackendEquivalence:
             # Reboot a suspended (out-of-box) satellite through the
             # fault-injection API: it comes back RUNNING although it is
             # outside the box, and the next update must suspend it again on
-            # both backends (the process backend ships it in dirty_active).
+            # both backends (on the process backend the worker reconciles
+            # it and reports the transition).
             state = processes.database.state
             outside = int(np.nonzero(~state.active_satellites[0])[0][0])
             for coordinator in (threads, processes):
@@ -248,9 +260,8 @@ class TestProcessBackendEquivalence:
             _assert_equivalent(threads, processes)
             # boot_all marks what it boots dirty too: a machine created
             # unbooted, carried across an update and then booted outside
-            # the box travels in the next slice's dirty_active and is
-            # suspended by shadow and worker alike (counters verified on
-            # the ack, reconciled states compared).
+            # the box is reconciled by the next record and suspended on the
+            # worker, whose ack carries the transition into the ledger.
             state = processes.database.state
             late = next(
                 int(identifier)
@@ -343,13 +354,14 @@ class TestProcessBackendEquivalence:
             threads.close()
             processes.close()
 
-    def test_crash_after_shadows_applied_still_counts_dirty_once(self):
+    def test_crash_mid_epoch_still_counts_dirty_once(self):
         # Worst-case detection point: the worker dies mid-epoch, after its
-        # checkpoint took in the reboot and after the shadows reconciled the
-        # dirty machines and cleared their dirty sets.  The restore must then
+        # checkpoint took in the reboot, and the crash is found while the
+        # record's acknowledgement is collected.  The restore must then
         # leave the machines the checkpoint held dirty as the ledger rebuilt
         # them, so the re-sent record redoes the counting reconcile exactly
-        # once (a desync otherwise).
+        # once: otherwise the victim is suspended uncounted and unreported,
+        # and the counters and ledger states compared below differ.
         from repro.core import EpochRecord
 
         config = _iridium_box_config(duration_s=2400.0)
@@ -369,7 +381,7 @@ class TestProcessBackendEquivalence:
                 coordinator.manager_for(victim).reboot_machine(victim, 320.0)
             threads.update(360.0)
             # Drive the process backend's epoch by hand so the crash lands
-            # deterministically between the shadow apply and the collect.
+            # deterministically between the checkpoint and the collect.
             now = 360.0
             backend = processes._backend
             victim = processes.calculation.satellite(0, outside)
@@ -382,15 +394,13 @@ class TestProcessBackendEquivalence:
             processes.database.set_state(state, diff=diff)
             record = EpochRecord.of(processes.database.epoch, state, previous)
             processes._ensure_activated_satellites(record, now)
-            for shadow in backend.shadows:
-                shadow.apply_diff(record, now)
             backend.crash_worker(worker)
             backend.supervisor.begin_epoch(record, now)
             acks = {
                 worker: backend.supervisor.finish_request(worker)
                 for worker in range(backend.worker_count)
             }
-            backend._verify_counters(acks)  # desynced without the dirty skip
+            backend._settle(acks)
             assert backend.restart_count == 1
             for step in range(7, 12):
                 now = step * 60.0
@@ -676,6 +686,232 @@ class TestTestbedProcessBackend:
             for host_index in traces_t:
                 assert traces_t[host_index].samples == traces_p[host_index].samples
             assert testbed_t.booted_machines() == testbed_p.booted_machines()
+            # Celestial.machine is the driver's read-only view of a worker's
+            # microVM: the same state, quota and compute-task duration.
+            for testbed in (testbed_t, testbed_p):
+                hawaii = testbed.ground_station("hawaii")
+                testbed.fault_injector.degrade_cpu(hawaii, 0.25, testbed.sim.now)
+            machines = [
+                machine
+                for machine in testbed_t.calculation.machines()
+                if testbed_t.coordinator.has_machine(machine)
+            ]
+            assert len(machines) == testbed_t.booted_machines() > 1
+            for machine in machines:
+                view, microvm = testbed_p.machine(machine), testbed_t.machine(machine)
+                assert view.state is microvm.state
+                assert view.cpu_quota == microvm.cpu_quota
+                assert testbed_p.processing_delay_s(
+                    machine, 0.01, parallelism=4
+                ) == testbed_t.processing_delay_s(machine, 0.01, parallelism=4)
         finally:
             testbed_t.close()
             testbed_p.close()
+
+
+def _satellites_and_station(coordinator):
+    calculation = coordinator.calculation
+    return [calculation.ground_station("hawaii")] + [
+        calculation.satellite(0, identifier) for identifier in range(66)
+    ]
+
+
+def _bench_reads(coordinator):
+    """What ``bench/workloads.py`` reads off the coordinator's managers."""
+    return [
+        (
+            manager.host.index,
+            len(manager.host.machines),
+            manager.suspension_count,
+            manager.resume_count,
+            manager.applied_diffs,
+        )
+        for manager in coordinator.managers
+    ]
+
+
+def _lifecycle_step(program, threads, processes, now):
+    """One random operation on both coordinators; returns what it answered."""
+    machines = _satellites_and_station(threads)
+    present = [machine for machine in machines if threads.has_machine(machine)]
+    absent = [machine for machine in machines if not threads.has_machine(machine)]
+    kind = program.choice(
+        ["create", "create", "boot_all", "stop", "reboot", "reboot", "quota", "busy"]
+    )
+    if kind == "create" and absent:
+        machine, boot = program.choice(absent), program.random() < 0.7
+        for coordinator in (threads, processes):
+            coordinator.create_machine(machine, now, boot=boot)
+    elif kind == "boot_all":
+        position = program.randrange(len(threads.managers))
+        for coordinator in (threads, processes):
+            coordinator.managers[position].boot_all(now)
+    elif kind == "stop":
+        stoppable = [
+            machine
+            for machine in present
+            if threads.manager_for(machine).machine(machine).state
+            not in (MachineState.STOPPED, MachineState.CREATED)
+        ]
+        if stoppable:
+            machine = program.choice(stoppable)
+            for coordinator in (threads, processes):
+                coordinator.manager_for(machine).stop_machine(machine, now)
+    elif kind == "reboot" and present:
+        machine = program.choice(present)
+        return [
+            coordinator.manager_for(machine).reboot_machine(machine, now)
+            for coordinator in (threads, processes)
+        ]
+    elif kind == "quota" and present:
+        machine, quota = program.choice(present), program.choice([0.25, 0.5, 1.0])
+        for coordinator in (threads, processes):
+            coordinator.manager_for(machine).set_cpu_quota(machine, quota)
+    elif kind == "busy" and present:
+        machine, fraction = program.choice(present), program.random()
+        for coordinator in (threads, processes):
+            coordinator.manager_for(machine).set_busy_fraction(machine, fraction)
+    return None
+
+
+class TestLedgerEquivalence:
+    """With worker processes the driver's ledger answers as microVMs do."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_lifecycle_programs_agree_step_by_step(self, seed):
+        # Iridium through a bounding box, so satellites flip in and out
+        # while machines are created, booted, stopped, rebooted, throttled
+        # and kept busy between updates and usage sweeps.  Steps of 50 ms to
+        # 0.6 s put reboots inside boot windows; the queries at now + 0.1 …
+        # 0.6 land inside the windows of the boots just made.
+        program = random.Random(seed)
+        config = _iridium_box_config(duration_s=7200.0)
+        threads = _coordinator(config, "threads")
+        processes = _coordinator(config, "processes")
+        try:
+            now = 0.0
+            for coordinator in (threads, processes):
+                coordinator.update(now)
+            for _ in range(80):
+                roll = program.random()
+                if roll < 0.15:
+                    now += program.choice([30.0, 60.0, 120.0])
+                    for coordinator in (threads, processes):
+                        coordinator.update(now)
+                elif roll < 0.3:
+                    applying_update = program.random() < 0.5
+                    assert threads.sample_all_usage(
+                        now, applying_update=applying_update
+                    ) == processes.sample_all_usage(now, applying_update=applying_update)
+                else:
+                    now += program.choice([0.05, 0.1, 0.3, 0.6])
+                    answers = _lifecycle_step(program, threads, processes, now)
+                    if answers is not None:  # a reboot's "up at" time
+                        assert answers[0] == answers[1]
+                for machine in _satellites_and_station(threads):
+                    assert threads.has_machine(machine) == processes.has_machine(machine)
+                    if not threads.has_machine(machine):
+                        continue
+                    for later in (0.0, 0.1, 0.4, 0.6):
+                        assert threads.is_running_at(
+                            machine, now + later
+                        ) == processes.is_running_at(machine, now + later), (machine, later)
+                    view = processes.manager_for(machine).machine(machine)
+                    microvm = threads.manager_for(machine).machine(machine)
+                    assert view.state is microvm.state
+                    assert view.cpu_quota == microvm.cpu_quota
+                assert _bench_reads(threads) == _bench_reads(processes)
+                assert [
+                    manager.host.rng.bit_generator.state for manager in processes.managers
+                ] == [manager._rng.bit_generator.state for manager in threads.managers]
+            # One more sweep flushes the last rows, so the checkpoints count them.
+            assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+            assert sum(c[0] for c in _counters(processes)) > 0
+            _assert_equivalent(threads, processes)
+            assert _rng_states(processes) == _rng_states(threads)
+        finally:
+            threads.close()
+            processes.close()
+
+    def test_a_record_reads_like_the_microvm_log(self):
+        # MachineRecord.state_at against MicroVM.state_at for every time at
+        # or after the latest operation, over seeded boot/stop/reboot runs.
+        # A reboot that starts inside a boot window and finishes before it
+        # reads BOOTING until the older boot's finish: "RUNNING once the
+        # latest boot finished" alone would not.
+        held_back = 0
+        for seed in range(40):
+            program = random.Random(seed)
+            microvm = MicroVM(
+                "m", MachineResources(1, 512), rng=np.random.default_rng(seed)
+            )
+            record = MachineRecord(seed, ComputeParams())
+            now = 0.0
+            for _ in range(12):
+                now += program.choice([0.02, 0.05, 0.1, 0.6])
+                operation = program.choice(["boot", "stop", "reboot", "reboot"])
+                if operation == "boot" and microvm.state in (
+                    MachineState.CREATED,
+                    MachineState.STOPPED,
+                ):
+                    microvm.boot(now)
+                    record.boot(now)
+                elif operation == "stop" and microvm.state not in (
+                    MachineState.CREATED,
+                    MachineState.STOPPED,
+                ):
+                    microvm.stop(now)
+                    record.stop()
+                elif operation == "reboot":
+                    finished = microvm.reboot(now)
+                    record.reboot(now)
+                    assert record.boot_finished_at_s == finished
+                assert record.state is microvm.state
+                for step in range(70):
+                    later = now + step / 100.0
+                    assert record.state_at(later) is microvm.state_at(later), (seed, later)
+                    held_back += (
+                        record.state is MachineState.RUNNING
+                        and later >= record.boot_finished_at_s
+                        and microvm.state_at(later) is MachineState.BOOTING
+                    )
+            assert record.boot_finished_at_s == microvm._boot_finished_at_s
+        assert held_back  # the runs reached the corner
+
+
+class TestSingleCopy:
+    """Under worker processes the workers are the only owners of microVMs."""
+
+    @pytest.mark.parametrize("parallelism", ["threads", "processes"])
+    def test_the_driver_builds_microvms_only_in_process(self, parallelism):
+        # Those of earlier tests may still be alive: count what this set-up adds.
+        gc.collect()
+        earlier = [item for item in gc.get_objects() if isinstance(item, MicroVM)]
+        held = {id(item) for item in earlier}
+        coordinator = _coordinator(_iridium_box_config(), parallelism)
+        try:
+            coordinator.update(0.0)
+            coordinator.sample_all_usage(0.0)
+            machines = sum(len(manager.host.machines) for manager in coordinator.managers)
+            built = [
+                item
+                for item in gc.get_objects()
+                if isinstance(item, MicroVM) and id(item) not in held
+            ]
+            assert machines > 1
+            assert len(built) == (machines if parallelism == "threads" else 0)
+        finally:
+            coordinator.close()
+
+    def test_an_unknown_attribute_of_a_mirrored_manager_is_an_attribute_error(self):
+        backend = ProcessFanoutBackend(
+            [MachineManager(Host(index=0, allow_memory_overcommit=True))], worker_count=1
+        )
+        try:
+            manager = backend.managers[0]
+            for name in ("machine_ids", "apply_diff", "sample_usage", "_dirty", "_shadow"):
+                with pytest.raises(AttributeError):
+                    getattr(manager, name)
+            assert not backend.supervisor.started  # nothing reached for a worker
+        finally:
+            backend.close()

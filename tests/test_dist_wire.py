@@ -528,13 +528,24 @@ def _forged_control(name):
 class TestControlFrames:
     """One CONTROL frame carries a worker's lifecycle operations in order."""
 
-    def test_rows_rebuild_what_the_shadow_did(self):
+    def test_rows_rebuild_what_a_manager_does(self):
+        # The proxy's rows, run by a worker, build what the same operations
+        # build on an in-process manager; the proxy's ledger holds the
+        # worker's states, boot times and quotas, and its stream stands
+        # where the worker's does.
         supervisor = _Supervisor()
-        shadow = MachineManager(Host(index=10, cpu_cores=8, memory_mib=4096,
-                                     allow_memory_overcommit=True))
         worker = _control_worker()
-        shadow._rng.bit_generator.state = worker.by_position[0]._rng.bit_generator.state
-        _every_op(MirroredManager(shadow, supervisor, 0, 0))
+        start = worker.by_position[0]._rng.bit_generator.state
+        reference, driver = (
+            MachineManager(Host(index=10, cpu_cores=8, memory_mib=4096,
+                                allow_memory_overcommit=True))
+            for _ in range(2)
+        )
+        for manager in (reference, driver):
+            manager._rng.bit_generator.state = start
+        _every_op(reference)
+        proxy = MirroredManager(driver, supervisor, 0, 0)
+        _every_op(proxy)
         meta, arrays = supervisor.batch.payload()
         # One name per ground-station row (create, boot, quota).
         assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 3
@@ -545,8 +556,13 @@ class TestControlFrames:
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
         assert worker.deferred_errors == [] and worker.controls == 1
         manager = worker.by_position[0]
-        assert _machines(manager) == _machines(shadow)
-        assert manager.counters_snapshot() == shadow.counters_snapshot()
+        assert _machines(manager) == _machines(reference)
+        assert manager.counters_snapshot() == reference.counters_snapshot()
+        assert {
+            name: (record.state, record.boot_finished_at_s, record.quota_fraction)
+            for name, record in proxy.host.machines.items()
+        } == {name: entry[:3] for name, entry in _machines(manager).items()}
+        assert proxy.host.rng.bit_generator.state == manager._rng.bit_generator.state
         supervisor.batch.clear()
         assert len(supervisor.batch) == 0 and supervisor.batch.latest_s is None
 
@@ -845,15 +861,26 @@ class TestRecordFrames:
         worker = _record_worker()
         meta, arrays = _record_payload()
         ack = worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays)
-        # 5.0 flipped out of the box: the flip pass suspends it.  4.0 did
-        # not flip but was rebooted (dirty): the dirty pass reconciles it
-        # against its mask and reports it; the ground station is not a
-        # satellite and is skipped.
-        assert ack == {"reconciled": {0: {"4.0.celestial": "running"}}}
+        # 5.0 flipped out of the box: the flip pass suspends it, and the ack
+        # reports it.  4.0 did not flip but was rebooted (dirty): the dirty
+        # pass reconciles it against its mask, which keeps it running, so
+        # there is nothing to report; the ground station is not a satellite
+        # and is skipped.
+        assert ack == {"transitions": {0: {"5.0.celestial": "suspended"}}}
         machines = worker.by_position[0].host.machines
         assert machines["5.0.celestial"].state.value == "suspended"
         assert machines["4.0.celestial"].state.value == "running"
         assert worker.epoch == 9 and worker.by_position[0].applied_diffs == 1
+        # Rebooted again and then outside the box without a flip: the dirty
+        # pass suspends it, and the ack reports that.
+        batch = wire.ControlBatch()
+        batch.append(wire.ControlOp.REBOOT, 0, MachineId(0, 4, "4.0.celestial"), 6.0)
+        worker._dispatch(FrameKind.CONTROL, *batch.payload())
+        meta, arrays = wire.slice_payload(
+            _record({0: [True] * 4 + [False] * 9, 1: [True, False] * 4}, epoch=10)
+        )
+        ack = worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 7.0}, arrays)
+        assert ack == {"transitions": {0: {"4.0.celestial": "suspended"}}}
 
     @pytest.mark.parametrize("name", sorted(_FORGED_RECORD))
     def test_malformed_records_are_wire_errors_and_change_nothing(self, name):
