@@ -4,8 +4,10 @@ A from-scratch Python reproduction of *Celestial* (Pfandzelter & Bermbach,
 Middleware 2022): an emulation testbed for LEO edge computing in which a
 coordinator computes satellite constellation state (SGP4/Kepler propagation,
 +GRID ISLs, ground-station uplinks, shortest paths) and hosts emulate
-satellite/ground-station servers as microVMs with tc-netem-style network
-shaping, bounding-box suspension, DNS, an HTTP info API and fault injection.
+satellite/ground-station servers as microVMs whose traffic is shaped per
+machine pair (end-to-end delay, token-bucket bandwidth, loss, blocked when
+unreachable), with bounding-box suspension, DNS, an HTTP info API and fault
+injection.
 A host is placement (least reserved memory) plus CPU/memory accounting;
 the default fan-out to the hosts' managers is a loop, and worker processes
 (``parallelism="processes"``) exist to exercise the remote-worker protocol.

@@ -1,11 +1,11 @@
 """Virtual data plane: messages exchanged between emulated machines.
 
 Applications deployed on the testbed communicate through socket-like
-endpoints.  Each message travels over the emulated network: the end-to-end
-delay and bottleneck bandwidth installed by the Machine Managers for the
-machine pair apply, and traffic to or from machines that are suspended,
-stopped or failed is dropped — exactly the behaviour an application would
-observe against tc/netem-shaped Firecracker microVMs.
+endpoints.  Each message travels over the emulated network, which models
+per directed machine pair what the Machine Managers install: the end-to-end
+delay, the bottleneck bandwidth as a token bucket, a loss probability (fault
+injection only) and a blocked state for unreachable pairs.  Traffic to or
+from machines that are suspended, stopped or failed is dropped.
 """
 
 from repro.net.packet import Message

@@ -2,9 +2,15 @@
 
 Celestial's Machine Managers install, per pair of machines, an end-to-end
 delay and bandwidth computed by the coordinator (§3.1).  ``VirtualNetwork``
-reproduces the observable result: each directed machine pair owns an
-:class:`~repro.netem.EmulatedLink` whose parameters are refreshed from the
-latest constellation state whenever the coordinator publishes an update.
+reproduces the observable result with one :class:`PairLink` per directed
+machine pair that carries traffic.  A link models four things:
+
+- the pair's end-to-end delay (the coordinator's shortest-path value);
+- its bottleneck bandwidth, as a token bucket of :data:`BURST_BYTES` whose
+  queue holds at most :data:`QUEUE_LIMIT_BYTES`;
+- a loss probability, set only by fault injection;
+- blocked: an unreachable pair, or a loss of 1, drops every message.
+
 Links are materialised lazily — only pairs that actually exchange traffic
 allocate state, which keeps Starlink-scale configurations tractable while
 matching what applications can observe.
@@ -13,21 +19,21 @@ Under the differential update protocol the coordinator hands the network a
 :class:`~repro.core.constellation.ConstellationDiff` per epoch
 (:meth:`VirtualNetwork.apply_diff`) instead of a blanket
 :meth:`VirtualNetwork.mark_updated`: an epoch whose diff is empty leaves
-every materialised link's cached rule valid, while any edge change bumps
+every materialised link's installed rule valid, while any edge change bumps
 the rule epoch — end-to-end delays are shortest-path values, so a single
 changed edge may affect any pair, and the per-pair refresh stays lazy.
 
 When the rule provider is asked
 -------------------------------
 
-A send looks at the pair's materialised link first.  The link is kept in
-one record with the rule epoch its parameters belong to, and the provider
-is called only when that record does not answer: the pair has no link yet,
-the rule epoch was bumped since the link was last refreshed, or a loss or
-bandwidth override dropped the record (the next send rebuilds the link
-from a fresh rule, so an override never leaves per-pair residue behind).
-Across an epoch with an empty diff the provider is not called at all.
-Every delivery is one :meth:`~repro.sim.Simulation.call_at` timer.
+A send looks at the pair's materialised link first.  The link keeps the
+rule epoch its parameters belong to, and the provider is called only when
+that does not answer: the pair has no link yet, the rule epoch was bumped
+since the link was last refreshed, or setting or clearing a loss or
+bandwidth override dropped the link (the next send rebuilds it from a
+fresh rule, so an override never leaves per-pair residue behind).  Across
+an epoch with an empty diff the provider is not called at all.  Every
+delivery is one :meth:`~repro.sim.Simulation.call_at` timer.
 """
 
 from __future__ import annotations
@@ -42,10 +48,13 @@ from repro.core.constellation import MachineId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff
-from repro.netem import DeliveredPacket, EmulatedLink, NetemRule
-from repro.netem.link import LinkState
 from repro.net.packet import Message
 from repro.sim import Simulation, Store
+
+#: Token-bucket burst [bytes]: what a shaped pair sends at once before pacing.
+BURST_BYTES = 32 * 1024
+#: Shaping queue limit [bytes]: a message that would overflow it is dropped.
+QUEUE_LIMIT_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -63,18 +72,90 @@ RuleProvider = Callable[[MachineId, MachineId], PairRule]
 RunningCheck = Callable[[MachineId], bool]
 
 
-class _InstalledLink:
-    """A materialised link and the rule epoch its parameters belong to."""
+class PairLink:
+    """One directed machine pair: delay, bandwidth, loss, blocked.
 
-    __slots__ = ("link", "epoch")
+    ``rate`` is the token bucket's rate in bytes per second, ``None`` while
+    the pair has no bandwidth limit; ``epoch`` is the rule epoch the
+    parameters belong to.  A loss of 1 blocks the link, so it drops without
+    a draw from ``rng``; a loss strictly between 0 and 1 draws once per
+    message that leaves the shaper.
+    """
 
-    def __init__(self, link: EmulatedLink, epoch: int):
-        self.link = link
-        self.epoch = epoch
+    __slots__ = (
+        "delay_ms",
+        "loss",
+        "blocked",
+        "rate",
+        "epoch",
+        "_rng",
+        "_tokens",
+        "_updated_s",
+        "_clears_at_s",
+    )
+
+    def __init__(self, loss: float = 0.0, rng: Optional[np.random.Generator] = None):
+        self.delay_ms = 0.0
+        self.loss = loss
+        self.blocked = loss >= 1.0
+        self.rate: Optional[float] = None
+        self.epoch = 0
+        self._rng = rng
+        self._tokens = float(BURST_BYTES)
+        self._updated_s = 0.0
+        self._clears_at_s = 0.0
+
+    def install(self, rule: PairRule, bandwidth_kbps: Optional[float]) -> None:
+        """Install a rule, with the pair's bandwidth after any cap.
+
+        An unreachable pair is blocked and keeps its other parameters.  A
+        bandwidth of ``None`` leaves the installed rate as it is; a new rate
+        applies to messages sent from now on, while queued ones keep their
+        departure times.
+        """
+        if not rule.reachable:
+            self.blocked = True
+            return
+        self.delay_ms = rule.delay_ms
+        self.blocked = self.loss >= 1.0
+        if bandwidth_kbps is not None:
+            self.rate = bandwidth_kbps * 1000.0 / 8.0
+
+    def transmit(self, size_bytes: int, now_s: float) -> Optional[float]:
+        """Arrival time of a message sent at ``now_s``; None when dropped.
+
+        The token bucket runs first: a message leaves at once while the
+        bucket holds its size and nothing is queued, otherwise it departs
+        behind the backlog at the bucket's rate, and is dropped when it
+        would overflow the queue.  The loss draw comes after the shaper.
+        """
+        if self.blocked:
+            return None
+        departure_s = now_s
+        rate = self.rate
+        if rate is not None:
+            self._tokens = min(
+                float(BURST_BYTES),
+                self._tokens + max(0.0, now_s - self._updated_s) * rate,
+            )
+            self._updated_s = now_s
+            clears_at_s = self._clears_at_s
+            backlog_bytes = 0.0 if now_s >= clears_at_s else (clears_at_s - now_s) * rate
+            if self._tokens >= size_bytes and backlog_bytes == 0.0:
+                self._tokens -= size_bytes
+            elif backlog_bytes + size_bytes > QUEUE_LIMIT_BYTES:
+                return None
+            else:
+                departure_s = max(now_s, clears_at_s) + size_bytes / rate
+                self._clears_at_s = departure_s
+        loss = self.loss
+        if 0.0 < loss and self._rng.random() < loss:
+            return None
+        return departure_s + self.delay_ms / 1000.0
 
 
 class VirtualNetwork:
-    """Delivers messages between machine endpoints through emulated links."""
+    """Delivers messages between machine endpoints through pair links."""
 
     def __init__(
         self,
@@ -82,14 +163,12 @@ class VirtualNetwork:
         rule_provider: RuleProvider,
         running_check: RunningCheck,
         rng: Optional[np.random.Generator] = None,
-        base_jitter_ms: float = 0.0,
     ):
         self.sim = sim
         self._rule_provider = rule_provider
         self._running_check = running_check
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._base_jitter_ms = base_jitter_ms
-        self._links: dict[tuple[str, str], _InstalledLink] = {}
+        self._links: dict[tuple[str, str], PairLink] = {}
         self._epoch = 0
         self._loss_overrides: dict[tuple[str, str], float] = {}
         self._bandwidth_caps: dict[tuple[str, str], float] = {}
@@ -133,9 +212,10 @@ class VirtualNetwork:
         self._links.pop((source.name, destination.name), None)
 
     def clear_loss_override(self, source: MachineId, destination: MachineId) -> None:
-        """Remove a previously-set loss override."""
-        self._loss_overrides.pop((source.name, destination.name), None)
-        self._links.pop((source.name, destination.name), None)
+        """Remove a loss override; a pair without one keeps its link."""
+        key = (source.name, destination.name)
+        if self._loss_overrides.pop(key, None) is not None:
+            self._links.pop(key, None)
 
     def set_bandwidth_cap(
         self, source: MachineId, destination: MachineId, bandwidth_kbps: float
@@ -152,16 +232,10 @@ class VirtualNetwork:
         self._links.pop((source.name, destination.name), None)
 
     def clear_bandwidth_cap(self, source: MachineId, destination: MachineId) -> None:
-        """Remove a previously-set bandwidth cap."""
-        self._bandwidth_caps.pop((source.name, destination.name), None)
-        self._links.pop((source.name, destination.name), None)
-
-    def link_state(
-        self, source: MachineId, destination: MachineId
-    ) -> Optional[LinkState]:
-        """Parameters installed on a pair's link; None while it has no link."""
-        installed = self._links.get((source.name, destination.name))
-        return installed.link.state if installed is not None else None
+        """Remove a bandwidth cap; a pair without one keeps its link."""
+        key = (source.name, destination.name)
+        if self._bandwidth_caps.pop(key, None) is not None:
+            self._links.pop(key, None)
 
     def _effective_bandwidth(
         self, key: tuple[str, str], rule: PairRule
@@ -173,35 +247,19 @@ class VirtualNetwork:
             return cap
         return min(cap, rule.bandwidth_kbps)
 
-    def _link_for(self, source: MachineId, destination: MachineId) -> EmulatedLink:
+    def _link_for(self, source: MachineId, destination: MachineId) -> PairLink:
         key = (source.name, destination.name)
-        installed = self._links.get(key)
-        if installed is not None and installed.epoch == self._epoch:
-            return installed.link
-        rule = self._rule_provider(source, destination)
-        if installed is None:
-            netem_rule = NetemRule(
-                delay_ms=rule.delay_ms if rule.reachable else 0.0,
-                jitter_ms=self._base_jitter_ms,
-                distribution="normal" if self._base_jitter_ms > 0 else "none",
-                loss_probability=self._loss_overrides.get(key, 0.0),
-            )
-            link = EmulatedLink(
-                netem_rule,
-                bandwidth_kbps=self._effective_bandwidth(key, rule),
-                rng=self._rng,
-            )
-            if not rule.reachable:
-                link.block()
-            self._links[key] = _InstalledLink(link, self._epoch)
+        link = self._links.get(key)
+        if link is not None and link.epoch == self._epoch:
             return link
-        link = installed.link
-        if rule.reachable:
-            link.update(rule.delay_ms, self._effective_bandwidth(key, rule))
+        rule = self._rule_provider(source, destination)
+        if link is None:
+            link = PairLink(self._loss_overrides.get(key, 0.0), self._rng)
+            self._links[key] = link
         else:
-            link.block()
-        installed.epoch = self._epoch
-        self.link_updates += 1
+            self.link_updates += 1
+        link.install(rule, self._effective_bandwidth(key, rule))
+        link.epoch = self._epoch
         return link
 
     # -- endpoints -------------------------------------------------------------
@@ -221,7 +279,7 @@ class VirtualNetwork:
     # -- data plane ---------------------------------------------------------------
 
     def send(self, message: Message) -> bool:
-        """Send a message; returns True if at least one copy was put in flight.
+        """Send a message; returns True if it was put in flight.
 
         Delivery happens asynchronously: the message appears in the
         destination inbox after the emulated network delay.  Messages from or
@@ -241,22 +299,17 @@ class VirtualNetwork:
         if destination.name not in self._endpoints:
             self.messages_dropped += 1
             return False
-        link = self._link_for(source, destination)
         now = self.sim.now
-        deliveries = link.transmit(message.size_bytes, now)
-        if not deliveries:
+        arrival_s = self._link_for(source, destination).transmit(message.size_bytes, now)
+        if arrival_s is None:
             self.messages_dropped += 1
             return False
-        for delivery in deliveries:
-            # One timer per delivery, at ``now + delay`` (not the arrival
-            # time itself: the sum is what receivers have always observed).
-            self.sim.call_at(
-                now + max(0.0, delivery.arrival_time_s - now),
-                partial(self._deliver, message, delivery),
-            )
+        # The timer fires at ``now + delay`` (not the arrival time itself:
+        # the sum is what receivers have always observed).
+        self.sim.call_at(now + max(0.0, arrival_s - now), partial(self._deliver, message))
         return True
 
-    def _deliver(self, message: Message, delivery: DeliveredPacket) -> None:
+    def _deliver(self, message: Message) -> None:
         """Timer callback: the message reaches its destination's inbox.
 
         Liveness is checked again here, so a message to a machine that
@@ -266,16 +319,5 @@ class VirtualNetwork:
         if not self._running_check(message.destination):
             self.messages_dropped += 1
             return
-        self._endpoints[message.destination.name].put(
-            Message(
-                source=message.source,
-                destination=message.destination,
-                size_bytes=message.size_bytes,
-                payload=message.payload,
-                sent_at_s=message.sent_at_s,
-                message_id=message.message_id,
-                corrupted=delivery.corrupted,
-                duplicate=delivery.duplicate,
-            )
-        )
+        self._endpoints[message.destination.name].put(message)
         self.messages_delivered += 1

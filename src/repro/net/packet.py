@@ -21,8 +21,6 @@ class Message:
     payload: Any = None
     sent_at_s: float = 0.0
     message_id: int = field(default_factory=lambda: next(_sequence))
-    corrupted: bool = False
-    duplicate: bool = False
 
     def __post_init__(self):
         if self.size_bytes <= 0:

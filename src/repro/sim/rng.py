@@ -1,6 +1,6 @@
 """Seeded, named random-number streams for reproducible experiments.
 
-Each subsystem (netem jitter, processing delay, boot times, ...) draws from
+Each subsystem (network loss, processing delay, boot times, ...) draws from
 its own named stream so that adding randomness to one component does not
 perturb the sequence observed by another.  This is what makes the
 reproducibility experiment (Fig. 6) meaningful: repeated runs with the same

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.constellation import MachineId
@@ -199,34 +200,39 @@ class TestVirtualNetwork:
         source, destination = _machine("src"), _machine("dst")
         network.register_endpoint(destination)
 
+        key = (source.name, destination.name)
+
         def installed():
             network.send(Message(source, destination, 100))
-            return network.link_state(source, destination)
+            return network._links[key]
 
-        assert network.link_state(source, destination) is None
-        state = installed()
-        assert (state.delay_ms, state.bandwidth_kbps, state.blocked) == (10.0, 1000.0, False)
+        def kbps(link):
+            return link.rate * 8.0 / 1000.0
+
+        assert key not in network._links
+        link = installed()
+        assert (link.delay_ms, kbps(link), link.blocked) == (10.0, 1000.0, False)
 
         network.set_bandwidth_cap(source, destination, 200.0)
-        assert network.link_state(source, destination) is None  # dropped whole
+        assert key not in network._links  # dropped whole
         fake.delay_ms = 20.0
         network.mark_updated()
-        state = installed()
-        assert (state.delay_ms, state.bandwidth_kbps) == (20.0, 200.0)
+        link = installed()
+        assert (link.delay_ms, kbps(link)) == (20.0, 200.0)
 
         network.clear_bandwidth_cap(source, destination)
         fake.delay_ms = 30.0
         network.mark_updated()
-        state = installed()
-        assert (state.delay_ms, state.bandwidth_kbps) == (30.0, 1000.0)
+        link = installed()
+        assert (link.delay_ms, kbps(link)) == (30.0, 1000.0)
 
         network.set_bandwidth_cap(source, destination, 500.0)
-        state = installed()  # same epoch: rebuilt from a fresh rule all the same
-        assert (state.delay_ms, state.bandwidth_kbps) == (30.0, 500.0)
+        link = installed()  # same epoch: rebuilt from a fresh rule all the same
+        assert (link.delay_ms, kbps(link)) == (30.0, 500.0)
         fake.delay_ms = 40.0
         network.mark_updated()
-        state = installed()  # the cap survives the refresh of the rebuilt link
-        assert (state.delay_ms, state.bandwidth_kbps) == (40.0, 500.0)
+        link = installed()  # the cap survives the refresh of the rebuilt link
+        assert (link.delay_ms, kbps(link)) == (40.0, 500.0)
 
         network.set_loss_override(source, destination, 1.0)
         assert not network.send(Message(source, destination, 100))
@@ -235,6 +241,61 @@ class TestVirtualNetwork:
         network.mark_updated()
         assert installed().blocked
         assert len(network._links) == 1
+
+    def test_full_loss_draws_nothing_across_an_epoch_bump(self):
+        """A 100 % loss pair drops without drawing from the network's one
+        stream, before and after a bump, so it cannot move the drop pattern
+        of a partial-loss pair."""
+
+        def outcomes(bump):
+            sim = Simulation()
+            network = VirtualNetwork(
+                sim, _FakeRules().rule, lambda machine: True, rng=np.random.default_rng(3)
+            )
+            a, b, c = _machine("a"), _machine("b", identifier=1), _machine("c", identifier=2)
+            network.register_endpoint(b)
+            network.register_endpoint(c)
+            network.set_loss_override(a, b, 1.0)
+            network.set_loss_override(a, c, 0.5)
+            to_b, to_c = [], []
+            for step in range(20):
+                if bump and step == 1:
+                    network.mark_updated()
+                to_b.append(network.send(Message(a, b, 100)))
+                to_c.append(network.send(Message(a, c, 100)))
+            return to_b, to_c
+
+        to_b, to_c = outcomes(bump=False)
+        assert not any(to_b) and 0 < sum(to_c) < 20
+        assert outcomes(bump=True) == (to_b, to_c)
+
+    def test_clearing_an_absent_override_keeps_the_shaping_queue(self):
+        """A clear that removes nothing leaves the pair's link alone: the
+        next message queues behind the backlog instead of overtaking it."""
+        sim = Simulation()
+        fake = _FakeRules()
+        fake.bandwidth = 88.0  # 11,000 bytes/s after a 32 KiB burst
+        network = _network(sim, fake)
+        source, destination = _machine("src"), _machine("dst", identifier=1)
+        inbox = network.register_endpoint(destination)
+        arrivals = {}
+
+        def receiver():
+            while True:
+                message = yield inbox.get()
+                arrivals[message.payload] = sim.now
+
+        sim.process(receiver())
+        for index in range(6):
+            network.send(Message(source, destination, 10_000, payload=index))
+        network.clear_loss_override(source, destination)
+        network.clear_bandwidth_cap(source, destination)
+        network.send(Message(source, destination, 10_000, payload=6))
+        sim.run()
+        # Three messages fit the burst; the 4th to 7th queue, each leaving
+        # 10,000 / 11,000 s after the one before it.
+        assert arrivals[6] == pytest.approx(4 * 10_000 / 11_000 + 0.010)
+        assert sorted(arrivals, key=arrivals.get) == list(range(7))
 
     def test_message_to_machine_stopped_in_flight_dropped_at_delivery(self):
         sim = Simulation()

@@ -2,7 +2,7 @@
 
 These complement the per-module unit tests with randomized checks of the
 invariants the whole system relies on: address/DNS consistency, shell
-geometry, constellation network symmetry, netem conservation properties and
+geometry, constellation network symmetry, latency statistics and
 configuration round-tripping.
 """
 
@@ -23,7 +23,6 @@ from repro.core import (
     ShellConfig,
 )
 from repro.core.addressing import machine_ip, parse_machine_ip
-from repro.netem import NetemQdisc, NetemRule
 from repro.orbits import GroundStation, Shell, ShellGeometry, constants
 from repro.topology.isl import grid_plus_isl_pairs
 
@@ -148,38 +147,6 @@ class TestConstellationProperties:
             lenient_sats = {(u.shell, u.satellite) for u in lenient.uplinks_of(name)}
             strict_sats = {(u.shell, u.satellite) for u in strict.uplinks_of(name)}
             assert strict_sats <= lenient_sats
-
-
-class TestNetemProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        delay=st.floats(min_value=0.0, max_value=200.0),
-        loss=st.floats(min_value=0.0, max_value=0.9),
-        duplicate=st.floats(min_value=0.0, max_value=0.9),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_delivery_counts_bounded(self, delay, loss, duplicate, seed):
-        qdisc = NetemQdisc(
-            NetemRule(delay_ms=delay, loss_probability=loss, duplicate_probability=duplicate),
-            rng=np.random.default_rng(seed),
-        )
-        deliveries = qdisc.transmit(1000, now_s=5.0)
-        assert 0 <= len(deliveries) <= 2
-        for delivery in deliveries:
-            assert delivery.arrival_time_s >= 5.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    def test_same_seed_same_outcome(self, seed):
-        rule = NetemRule(delay_ms=10.0, jitter_ms=2.0, distribution="normal",
-                         loss_probability=0.2)
-        a = NetemQdisc(rule, rng=np.random.default_rng(seed))
-        b = NetemQdisc(rule, rng=np.random.default_rng(seed))
-        outcomes_a = [tuple((d.arrival_time_s, d.corrupted) for d in a.transmit(100, 0.0))
-                      for _ in range(20)]
-        outcomes_b = [tuple((d.arrival_time_s, d.corrupted) for d in b.transmit(100, 0.0))
-                      for _ in range(20)]
-        assert outcomes_a == outcomes_b
 
 
 class TestLatencyStatisticsProperties:

@@ -6,7 +6,7 @@ from repro.sim import RandomStreams
 def test_random_streams_reproducible():
     a = RandomStreams(seed=7)
     b = RandomStreams(seed=7)
-    assert a.stream("netem").normal(size=5).tolist() == b.stream("netem").normal(size=5).tolist()
+    assert a.stream("network").normal(size=5).tolist() == b.stream("network").normal(size=5).tolist()
 
 
 def test_random_streams_independent_by_name():
