@@ -10,23 +10,19 @@ remaining imbalance and the per-machine downtime cost.
 import numpy as np
 
 from repro.analysis import render_table
+from repro.core import ComputeParams
 from repro.hosts import Host, MigrationScheduler
-from repro.microvm import MachineResources, MicroVM
+from repro.microvm import MachineBatch
 
 
 def _skewed_hosts(host_count=3, machines=48, memory_mib=512):
     hosts = [Host(index=index, memory_mib=32 * 1024) for index in range(host_count)]
     rng = np.random.default_rng(1)
+    compute = ComputeParams(vcpu_count=2, memory_mib=memory_mib)
     for index in range(machines):
-        machine = MicroVM(
-            f"sat-{index}",
-            MachineResources(vcpu_count=2, memory_mib=memory_mib),
-            rng=np.random.default_rng(index),
-        )
         # Two thirds of the machines land on host 0 (the skew to correct).
         target = hosts[0] if rng.random() < 0.66 else hosts[1 + index % (host_count - 1)]
-        target.place(machine)
-        machine.boot(0.0)
+        target.place(MachineBatch.single(f"sat-{index}", 0, index, compute), rng, boot_s=0.0)
     return hosts
 
 

@@ -86,7 +86,7 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
             workers = backend.worker_counters()
             assert [workers[position]["rng_state"] for position in range(HOSTS)] == [
-                manager.host.rng.bit_generator.state for manager in backend.managers
+                manager._rng.bit_generator.state for manager in backend.managers
             ]
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         del record_frames[:]  # the set-up epoch's frames

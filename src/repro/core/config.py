@@ -51,12 +51,11 @@ class ComputeParams:
 
     vcpu_count: int = 2
     memory_mib: int = 512
-    disk_mib: int = 512
     cpu_quota: float = 1.0
     idle_cpu_fraction: float = 0.03
 
     def __post_init__(self):
-        if self.vcpu_count <= 0 or self.memory_mib <= 0 or self.disk_mib <= 0:
+        if self.vcpu_count <= 0 or self.memory_mib <= 0:
             raise ConfigurationError("compute resources must be positive")
         if not 0.0 < self.cpu_quota <= 1.0:
             raise ConfigurationError("cpu quota must be in (0, 1]")
@@ -96,6 +95,9 @@ class GroundStationConfig:
 
 #: ``[hosts]`` keys earlier versions accepted and nothing ever read.
 _REMOVED_HOST_KEYS = ("inter_host_latency_ms", "coordinator_cores", "coordinator_memory_mib")
+#: ``compute`` keys (of shells and ground stations) earlier versions accepted
+#: and wrote, and nothing ever read.
+_REMOVED_COMPUTE_KEYS = ("disk_mib",)
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,15 @@ class Configuration:
                     "(placement and usage only, no overlay between them and no "
                     "coordinator machine); delete the key"
                 )
+        for server in (*data.get("shells", ()), *data.get("ground_stations", ())):
+            compute = server.get("compute") if isinstance(server, dict) else None
+            for key in _REMOVED_COMPUTE_KEYS:
+                if key in (compute or {}):
+                    raise ConfigurationError(
+                        f"compute.{key} was removed: a machine is its vCPUs, memory, "
+                        f"CPU quota and idle CPU share; delete the key from "
+                        f"{server.get('name')!r}"
+                    )
         try:
             shells = tuple(
                 ShellConfig(

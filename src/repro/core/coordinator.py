@@ -9,10 +9,12 @@ bounding box, mirroring how Celestial only expends host resources on
 emulated (in-box) satellites.
 
 A host here is an accounting construct: placement (a new microVM goes to
-the host with the least reserved memory, the one rule:
-:meth:`Coordinator._least_loaded_manager`) plus the CPU/memory bookkeeping
+the host with the least reserved memory, ties to the lowest position, the
+one rule: :func:`least_reserved_placement`) plus the CPU/memory bookkeeping
 behind Figs. 7 and 8.  No inter-host latency, overlay or per-host network
-state exists, so placement cannot reach what an application observes.
+state exists, so placement cannot reach what an application observes.  The
+machines an epoch activates are created as one batch: placement is computed
+for the whole batch, and each host appends its share of it at once.
 
 One record for every manager
 ----------------------------
@@ -56,11 +58,11 @@ The in-process-vs-worker seam
   exercise that remote-worker protocol.  The record is encoded once per
   epoch and travels as one buffer-backed wire frame per worker; usage
   samples, counters and the machines a record suspended or resumed stream
-  back, one acknowledgement per worker per epoch.  The workers own every
-  microVM; the coordinator's side keeps a ledger per host for placement and
-  parent-side queries (:class:`~repro.dist.backend.HostLedger`: reserved
-  memory, and per machine a seed, a state and boot times); crashed workers
-  are respawned, replayed from the control ledger and restored to the
+  back, one acknowledgement per worker per epoch.  The workers apply the
+  records to their hosts' machine tables; the coordinator's side keeps a
+  replica of each table for placement and parent-side queries
+  (:class:`~repro.dist.backend.MirroredManager`); crashed workers are
+  respawned, replayed from the control ledger and restored to the
   checkpoint epoch's activity masks, derived from the last record sent.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
@@ -77,17 +79,20 @@ from __future__ import annotations
 import time as wallclock
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
+
+import numpy as np
 
 from repro.core.config import Configuration
 from repro.core.constellation import (
     ConstellationCalculation,
     ConstellationState,
     MachineId,
+    satellite_name,
 )
 from repro.core.database import ConstellationDatabase
 from repro.core.machine_manager import EpochRecord, MachineManager
-from repro.microvm import MachineState, MicroVM
+from repro.microvm import MachineBatch, MachineTable
 from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
 
@@ -149,6 +154,30 @@ class UpdateStats:
         return self.total_wallclock_s / self.count if self.count else 0.0
 
 
+def least_reserved_placement(reserved: Sequence[int], memory_mib: np.ndarray) -> np.ndarray:
+    """The host position of each machine of a batch, in batch order.
+
+    *The* placement rule, applied one machine at a time: the host with the
+    least reserved memory takes the machine (ties go to the lowest
+    position), and the machine's memory is reserved there before the next
+    one is placed.  Within a run of equally sized machines the hosts'
+    levels grow as ``reserved[p] + j * m``, so the run's choices are the
+    smallest (level, position) pairs of those sequences, in order: one
+    sort per run instead of one minimum per machine.
+    """
+    levels = np.array(reserved, dtype=np.int64)
+    hosts = levels.size
+    positions = np.empty(memory_mib.size, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(memory_mib, prepend=-1))
+    for start, stop in zip(starts.tolist(), [*starts[1:].tolist(), memory_mib.size]):
+        count, memory = stop - start, int(memory_mib[start])
+        keys = (levels[:, None] + memory * np.arange(count)) * hosts + np.arange(hosts)[:, None]
+        chosen = np.sort(keys, axis=None)[:count] % hosts
+        positions[start:stop] = chosen
+        levels += memory * np.bincount(chosen, minlength=hosts)
+    return positions
+
+
 class Coordinator:
     """Drives periodic constellation updates and distributes them to hosts."""
 
@@ -191,14 +220,19 @@ class Coordinator:
             self._backend = ThreadFanoutBackend(managers)
         else:
             raise ValueError(f"unknown parallelism backend {parallelism!r}")
-        # In process mode these are MirroredManager proxies (ledger +
+        # In process mode these are MirroredManager proxies (replica table +
         # forwarding); in thread mode they are the managers passed in.
         self.managers = list(self._backend.managers)
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
-        # The microVM of each machine, or with worker processes its ledger
-        # record: both answer state_at.
-        self._machine_of: dict[str, MicroVM] = {}
+        # The table each machine's row is in: the manager's host's, or with
+        # worker processes the driver's replica of it.
+        self._table_of: dict[str, MachineTable] = {}
+        # The compute parameters of every shell, then of every ground
+        # station: a machine's image is its index here.
+        self._computes = tuple(shell.compute for shell in config.shells) + tuple(
+            station.compute for station in config.ground_stations
+        )
 
     # -- machine bookkeeping -------------------------------------------------
 
@@ -215,47 +249,65 @@ class Coordinator:
     def is_running_at(self, machine: MachineId, now_s: float) -> bool:
         """Whether a machine exists and is running (booted, not suspended) at a time.
 
-        One lookup by name, whichever manager hosts the machine; with worker
-        processes it reads the driver's ledger record of the machine
-        (:class:`~repro.dist.backend.MachineRecord`), which answers as the
-        microVM would for any time at or after its latest operation.
+        One lookup by name, whichever manager hosts the machine, then a read
+        of its row (with worker processes, of the driver's replica).
         """
-        microvm = self._machine_of.get(machine.name)
-        return microvm is not None and microvm.state_at(now_s) is MachineState.RUNNING
+        table = self._table_of.get(machine.name)
+        return table is not None and table.is_running_at(machine.name, now_s)
 
-    def _least_loaded_manager(self) -> MachineManager:
-        """*The* placement rule: the host with the least reserved memory.
+    def create_machines(
+        self, names: list[str], shells: np.ndarray, identifiers: np.ndarray, now_s: float,
+        boot: bool = True,
+    ) -> None:
+        """Create (and by default boot) a batch of new machines, in order.
 
-        Ties go to the lowest position; reserved memory moves only when a
-        machine is created, so placement follows from the creation order.
+        Placement is computed for the whole batch
+        (:func:`least_reserved_placement`), then every host takes its share
+        as one batch: one append of rows, one seed draw of its stream, and
+        with worker processes one ``CREATE`` row on the wire.
         """
-        return min(
-            self.managers,
-            key=lambda manager: manager.host.reserved_memory_mib(),
+        if not names:
+            return
+        images = np.where(shells >= 0, shells, len(self.config.shells) + identifiers)
+        batch = MachineBatch(names, shells, identifiers, images, self._computes)
+        placement = least_reserved_placement(
+            [manager.host.reserved_memory_mib() for manager in self.managers],
+            batch.column("memory_mib"),
         )
+        for position in np.unique(placement).tolist():
+            manager = self.managers[position]
+            share = batch.take(np.flatnonzero(placement == position))
+            manager.create_machines(share, now_s if boot else None)
+            self._machine_manager_of.update(dict.fromkeys(share.names, manager))
+            self._table_of.update(dict.fromkeys(share.names, manager.host.machines))
 
     def create_machine(
         self, machine: MachineId, now_s: float, boot: bool = True
     ) -> MachineManager:
         """Create (and optionally boot) a microVM for a machine."""
-        if self.has_machine(machine):
-            return self.manager_for(machine)
-        if machine.is_ground_station:
-            compute = self.config.ground_station_config(machine.name).compute
-        else:
-            compute = self.config.shells[machine.shell].compute
-        manager = self._least_loaded_manager()
-        microvm = manager.create_machine(machine, compute)
-        if boot:
-            manager.boot(machine, now_s)
-        self._machine_manager_of[machine.name] = manager
-        self._machine_of[machine.name] = microvm
-        return manager
+        if not self.has_machine(machine):
+            self.create_machines(
+                [machine.name],
+                np.array([machine.shell]),
+                np.array([machine.identifier]),
+                now_s,
+                boot,
+            )
+        return self.manager_for(machine)
 
     def create_ground_stations(self, now_s: float) -> None:
         """Create and boot the microVMs of all configured ground stations."""
-        for name in self.config.ground_station_names:
-            self.create_machine(self.calculation.ground_station(name), now_s)
+        stations = [
+            self.calculation.ground_station(name)
+            for name in self.config.ground_station_names
+        ]
+        new = [station for station in stations if not self.has_machine(station)]
+        self.create_machines(
+            [station.name for station in new],
+            np.full(len(new), MachineId.GROUND_SHELL),
+            np.array([station.identifier for station in new], dtype=np.int64),
+            now_s,
+        )
 
     def _ensure_activated_satellites(self, record: EpochRecord, now_s: float) -> None:
         """Create microVMs for satellites that just entered the bounding box.
@@ -263,16 +315,18 @@ class Coordinator:
         Satellites active before this epoch already received their microVM
         when they first became active, so only the activated flips of the
         record (every active satellite in the first one) can require new
-        machines; they are created shell by shell, identifiers ascending.
+        machines; they are created as one batch, shell by shell, identifiers
+        ascending.
         """
-        for shell_index, identifiers in record.flips.items():
-            active = record.active[shell_index]
-            for identifier in identifiers:
-                if not active[identifier]:
-                    continue
-                machine = self.calculation.satellite(shell_index, identifier)
-                if not self.has_machine(machine):
-                    self.create_machine(machine, now_s)
+        names, shells, identifiers = [], [], []
+        for shell, flipped in record.flipped.items():
+            for identifier in np.flatnonzero(flipped & record.active[shell]).tolist():
+                name = satellite_name(shell, identifier)
+                if name not in self._machine_manager_of:
+                    names.append(name)
+                    shells.append(shell)
+                    identifiers.append(identifier)
+        self.create_machines(names, np.array(shells), np.array(identifiers), now_s)
 
     def sample_all_usage(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False

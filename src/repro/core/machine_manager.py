@@ -3,7 +3,9 @@
 Each Celestial host runs a Machine Manager that creates and boots the
 microVMs assigned to it, suspends/resumes them when they leave/enter the
 bounding box, applies machine parameter changes at runtime (fault injection,
-CPU quotas) and reports host resource usage (§3, Fig. 2).
+CPU quotas) and reports host resource usage (§3, Fig. 2).  A host's machines
+are one :class:`~repro.microvm.MachineTable`, and creating a batch of them
+is one append.
 
 Differential update contract
 ----------------------------
@@ -15,8 +17,8 @@ since the previous epoch.  :meth:`MachineManager.apply_diff` picks out its
 own part:
 
 * the flips of the satellites it hosts, found through an owned-satellite
-  index kept at :meth:`~MachineManager.create_machine`; the manager
-  resumes/suspends exactly those, instead of scanning its whole fleet;
+  index kept as machines are created; the manager resumes/suspends exactly
+  those, instead of scanning its whole fleet;
 * machines whose lifecycle changed *outside* the protocol (created, booted,
   stopped or rebooted between updates) are tracked in a dirty set and
   reconciled against the activity masks — this keeps the record path
@@ -35,39 +37,37 @@ Process boundary
 
 By default the managers are plain objects in the coordinator process,
 visited in a loop.  A manager may also live in a worker *process*
-(``repro.dist``, which exists to exercise the remote-worker protocol): it is
-then the only owner of its microVMs — it applies the records, takes the
-usage samples and reports the machines a record suspended or resumed —
-while the coordinator's side keeps a ledger for placement and queries
-(:class:`repro.dist.backend.HostLedger`: seeds, states and boot times, no
-microVM).  Two members exist for that runtime:
-:meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
-every acknowledgement: counters, RNG state and the dirty set) and
-:meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
-after the durable control ledger has been replayed: forces bounding-box
-activity to the checkpoint epoch's masks — derived by the supervisor from
-the last record it sent — without touching the suspend/resume counters,
-then restores counters, dirty set and RNG stream exactly).
+(``repro.dist``, which exists to exercise the remote-worker protocol): it
+then applies the records, takes the usage samples and reports the machines a
+record suspended or resumed, while the coordinator's side holds a replica
+of its host's table (:class:`repro.dist.backend.MirroredManager`).  Both
+sides run the lifecycle operations of :class:`MachineControl` on their copy
+of the table — the same rows, the same seeds, the same boot times — so a
+machine is one model whichever side of the seam reads it.  Two members
+exist for that runtime: :meth:`MachineManager.counters_snapshot` (the
+checkpoint streamed back with every acknowledgement: counters, RNG state and
+the dirty set) and :meth:`MachineManager.restore_runtime_state` (applied by
+a respawned worker after the durable control ledger has been replayed:
+forces bounding-box activity to the checkpoint epoch's masks — derived by
+the supervisor from the last record it sent — without touching the
+suspend/resume counters, then restores counters, dirty set and RNG stream
+exactly).
 """
 
 from __future__ import annotations
 
+import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.config import ComputeParams
 from repro.core.constellation import ConstellationState, MachineId
 from repro.hosts import Host
-from repro.microvm import (
-    KernelImage,
-    MachineResources,
-    MachineState,
-    MicroVM,
-    RootFilesystemImage,
-)
+from repro.microvm import MachineBatch, MachineState, MachineView
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,121 @@ class EpochRecord:
         )
 
 
-class MachineManager:
+class ControlOp(enum.IntEnum):
+    """A lifecycle operation on a host's machines (one ``CONTROL`` row on the wire)."""
+
+    CREATE = 0  # create_machines(batch): value is the boot time, NaN unbooted
+    BOOT = 1  # boot(machine, now_s)
+    BOOT_CREATED = 2  # boot_all(now_s): every created, unbooted machine
+    STOP = 3  # stop_machine(machine, now_s)
+    REBOOT = 4  # reboot_machine(machine, now_s)
+    CPU_QUOTA = 5  # set_cpu_quota(machine, quota)
+    BUSY = 6  # set_busy_fraction(machine, fraction)
+
+
+class MachineControl:
+    """The lifecycle operations of one host's machines, on one copy of its table.
+
+    Both sides of the worker seam run these: a :class:`MachineManager` on
+    the host it owns and, with worker processes, the driver's
+    :class:`~repro.dist.backend.MirroredManager` on its replica of the
+    worker's table.  Each operation changes the table and then reports
+    itself to :meth:`_record` — a manager marks the machines dirty, the
+    mirror forwards the operation to its worker — so the two copies follow
+    one rule.  ``rng`` is the host's manager stream, which machine seeds are
+    drawn from.
+    """
+
+    def __init__(self, host: Host, rng: np.random.Generator):
+        self.host = host
+        self._rng = rng
+
+    def _record(
+        self,
+        op: ControlOp,
+        machine: Union[MachineBatch, MachineId, None],
+        value: float,
+        changed: Iterable[str],
+    ) -> None:
+        """One operation done: ``changed`` names the machines whose lifecycle it changed."""
+        raise NotImplementedError
+
+    # -- creation -----------------------------------------------------------
+
+    def create_machines(self, batch: MachineBatch, boot_s: Optional[float] = None) -> None:
+        """Create a batch of machines on this host: booted at ``boot_s``, if given."""
+        self.host.place(batch, self._rng, boot_s)
+        self._record(ControlOp.CREATE, batch, math.nan if boot_s is None else boot_s, batch.names)
+
+    def create_machine(self, machine_id: MachineId, compute: ComputeParams) -> MachineView:
+        """Create (but not boot) one machine on this host."""
+        self.create_machines(
+            MachineBatch.single(machine_id.name, machine_id.shell, machine_id.identifier, compute)
+        )
+        return self.machine(machine_id)
+
+    def has_machine(self, machine_id: MachineId) -> bool:
+        """Whether this host holds the machine."""
+        return machine_id.name in self.host.machines
+
+    def machine(self, machine_id: MachineId) -> MachineView:
+        """The read-only view of a machine of this host."""
+        return self.host.machine(machine_id.name)
+
+    def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:
+        """Whether a machine is running (boot finished, not suspended) at a time."""
+        machines = self.host.machines
+        return machine_id.name in machines and machines.is_running_at(machine_id.name, now_s)
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def _placed(self, machine_id: MachineId) -> str:
+        """The name of a machine of this host (:class:`HostError` for any other)."""
+        return self.host.machine(machine_id.name).name
+
+    def boot(self, machine_id: MachineId, now_s: float) -> float:
+        """Boot a created machine; returns the boot-finished time."""
+        name = self._placed(machine_id)
+        self.host.machines.boot(name, now_s)
+        self._record(ControlOp.BOOT, machine_id, now_s, (name,))
+        return self.host.machines.boot_finished_at_s(name)
+
+    def boot_all(self, now_s: float) -> float:
+        """Boot every created-but-not-booted machine; returns the last finish time."""
+        machines = self.host.machines
+        booted = machines.boot_created(now_s)
+        self._record(ControlOp.BOOT_CREATED, None, now_s, booted)
+        return max((machines.boot_finished_at_s(name) for name in booted), default=now_s)
+
+    def stop_machine(self, machine_id: MachineId, now_s: float) -> None:
+        """Terminate a machine (e.g. modelling a radiation-induced shutdown)."""
+        name = self._placed(machine_id)
+        self.host.machines.stop(name)
+        self._record(ControlOp.STOP, machine_id, now_s, (name,))
+
+    def reboot_machine(self, machine_id: MachineId, now_s: float) -> float:
+        """Reboot a machine; returns the time it is running again."""
+        name = self._placed(machine_id)
+        self.host.machines.reboot(name, now_s)
+        self._record(ControlOp.REBOOT, machine_id, now_s, (name,))
+        return self.host.machines.boot_finished_at_s(name)
+
+    def set_cpu_quota(self, machine_id: MachineId, quota_fraction: float) -> None:
+        """Change a machine's CPU quota at runtime."""
+        self.host.set_cpu_quota(machine_id.name, quota_fraction)
+        self._record(ControlOp.CPU_QUOTA, machine_id, quota_fraction, ())
+
+    def set_busy_fraction(self, machine_id: MachineId, fraction: float) -> None:
+        """Report workload CPU usage of a machine for host accounting."""
+        self.host.set_busy_fraction(machine_id.name, fraction)
+        self._record(ControlOp.BUSY, machine_id, fraction, ())
+
+
+class MachineManager(MachineControl):
     """Manages the microVMs of one host."""
 
     def __init__(self, host: Host, rng: Optional[np.random.Generator] = None):
-        self.host = host
-        self._rng = rng if rng is not None else np.random.default_rng(host.index)
-        self._machine_ids: dict[str, MachineId] = {}
+        super().__init__(host, rng if rng is not None else np.random.default_rng(host.index))
         #: The owned-satellite index: shell → identifier → machine name.
         self._satellites: dict[int, dict[int, str]] = {}
         self.suspension_count = 0
@@ -136,64 +244,26 @@ class MachineManager:
         self._dirty: set[str] = set()
         self.applied_diffs = 0
 
-    # -- machine creation ---------------------------------------------------
+    def _record(self, op, machine, value, changed) -> None:
+        if op is ControlOp.CREATE:
+            for shell, identifier, name in zip(
+                machine.shells.tolist(), machine.identifiers.tolist(), machine.names
+            ):
+                if shell != MachineId.GROUND_SHELL:
+                    self._satellites.setdefault(shell, {})[identifier] = name
+        self._dirty.update(changed)
 
-    def create_machine(
-        self,
-        machine_id: MachineId,
-        compute: ComputeParams,
-        kernel: Optional[KernelImage] = None,
-        rootfs: Optional[RootFilesystemImage] = None,
-    ) -> MicroVM:
-        """Create (but not boot) a microVM for a machine on this host."""
-        machine = MicroVM(
-            name=machine_id.name,
-            resources=MachineResources(
-                vcpu_count=compute.vcpu_count,
-                memory_mib=compute.memory_mib,
-                disk_mib=compute.disk_mib,
-            ),
-            kernel=kernel,
-            rootfs=rootfs,
-            rng=np.random.default_rng(self._rng.integers(0, 2**63)),
-            active_cpu_fraction=compute.idle_cpu_fraction,
-        )
-        machine.cpu_quota.set_quota(compute.cpu_quota)
-        self.host.place(machine)
-        self._machine_ids[machine_id.name] = machine_id
-        if not machine_id.is_ground_station:
-            owned = self._satellites.setdefault(machine_id.shell, {})
-            owned[machine_id.identifier] = machine_id.name
-        self._dirty.add(machine_id.name)
-        return machine
+    # -- bounding-box activity -------------------------------------------------
 
-    def has_machine(self, machine_id: MachineId) -> bool:
-        """Whether this manager hosts the machine."""
-        return machine_id.name in self.host.machines
-
-    def machine(self, machine_id: MachineId) -> MicroVM:
-        """The microVM of a machine managed by this host."""
-        return self.host.machine(machine_id.name)
-
-    def machine_ids(self) -> list[MachineId]:
-        """Identities of all machines managed by this host."""
-        return list(self._machine_ids.values())
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def boot(self, machine_id: MachineId, now_s: float) -> float:
-        """Boot a created machine; returns the boot-finished time."""
-        self._dirty.add(machine_id.name)
-        return self.machine(machine_id).boot(now_s)
-
-    def boot_all(self, now_s: float) -> float:
-        """Boot every created-but-not-booted machine; returns the last finish time."""
-        finished = now_s
-        for name, machine in self.host.machines.items():
-            if machine.state is MachineState.CREATED:
-                self._dirty.add(name)
-                finished = max(finished, machine.boot(now_s))
-        return finished
+    def _satellite_activity(self, name: str, active: dict[int, np.ndarray]) -> Optional[bool]:
+        """A hosted satellite's activity in per-shell masks (``None``: not a hosted satellite)."""
+        machines = self.host.machines
+        if name not in machines:
+            return None
+        shell, identifier = machines.identity(name)
+        if shell == MachineId.GROUND_SHELL:
+            return None
+        return bool(active[shell][identifier])
 
     def apply_state(self, state: ConstellationState, now_s: float) -> None:
         """Suspend/resume local satellites with a full sweep over the state.
@@ -201,28 +271,20 @@ class MachineManager:
         The full-replay reference the record path (:meth:`apply_diff`) is
         tested against; the coordinator itself only applies records.
         """
-        active_satellites = state.active_satellites
-        for name, machine_id in self._machine_ids.items():
-            if machine_id.is_ground_station:
-                continue
-            machine = self.host.machines.get(name)
-            if machine is None:
-                continue
-            active = bool(active_satellites[machine_id.shell][machine_id.identifier])
-            self._reconcile_activity(machine, active, now_s)
+        for name in list(self.host.machines):
+            active = self._satellite_activity(name, state.active_satellites)
+            if active is not None:
+                self._reconcile_activity(name, active)
         self._dirty.clear()
 
-    def _reconcile_activity(self, machine: MicroVM, active: bool, now_s: float) -> bool:
+    def _reconcile_activity(self, name: str, active: bool) -> bool:
         """Suspend/resume one machine to match its activity; whether it did."""
-        if machine.state is MachineState.RUNNING and not active:
-            machine.suspend(now_s)
+        state = self.host.machines.follow_activity(name, active)
+        if state is MachineState.SUSPENDED:
             self.suspension_count += 1
-            return True
-        if machine.state is MachineState.SUSPENDED and active:
-            machine.resume(now_s)
+        elif state is MachineState.RUNNING:
             self.resume_count += 1
-            return True
-        return False
+        return state is not None
 
     def apply_diff(self, record: EpochRecord, now_s: float) -> list[str]:
         """Apply one epoch's record to this host's machines.
@@ -231,11 +293,10 @@ class MachineManager:
         satellites this manager hosts suspend/resume exactly the machines
         that crossed the boundary, then the machines still dirty since the
         last update are reconciled against the activity masks.  Both steps
-        guard on the current microVM state, so the result (including the
+        guard on the current state, so the result (including the
         suspend/resume counters) is identical to a full :meth:`apply_state`
         sweep.  Returns the names of the machines it suspended or resumed.
         """
-        machines = self.host.machines
         flips = record.flips
         changed = []
         for shell, owned in self._satellites.items():
@@ -245,50 +306,16 @@ class MachineManager:
                 if name is None:
                     continue
                 self._dirty.discard(name)  # reconciled here, not again below
-                machine = machines.get(name)
-                if machine is not None and self._reconcile_activity(
-                    machine, bool(active[identifier]), now_s
-                ):
+                if self._reconcile_activity(name, bool(active[identifier])):
                     changed.append(name)
         for name in self._dirty:
-            machine_id = self._machine_ids.get(name)
-            machine = machines.get(name)
-            if machine_id is None or machine is None or machine_id.is_ground_station:
-                continue
-            active = record.active[machine_id.shell][machine_id.identifier]
-            if self._reconcile_activity(machine, bool(active), now_s):
+            active = self._satellite_activity(name, record.active)
+            if active is not None and self._reconcile_activity(name, active):
                 changed.append(name)
         self._dirty.clear()
         if not record.first:
             self.applied_diffs += 1
         return changed
-
-    def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:
-        """Whether a machine is running (boot finished, not suspended) at a time."""
-        machine = self.host.machines.get(machine_id.name)
-        if machine is None:
-            return False
-        return machine.state_at(now_s) is MachineState.RUNNING
-
-    # -- runtime machine control (fault injection API) -------------------------
-
-    def stop_machine(self, machine_id: MachineId, now_s: float) -> None:
-        """Terminate a machine (e.g. modelling a radiation-induced shutdown)."""
-        self.machine(machine_id).stop(now_s)
-        self._dirty.add(machine_id.name)
-
-    def reboot_machine(self, machine_id: MachineId, now_s: float) -> float:
-        """Reboot a machine; returns the time it is running again."""
-        self._dirty.add(machine_id.name)
-        return self.machine(machine_id).reboot(now_s)
-
-    def set_cpu_quota(self, machine_id: MachineId, quota_fraction: float) -> None:
-        """Change a machine's CPU quota at runtime."""
-        self.host.set_cpu_quota(machine_id.name, quota_fraction)
-
-    def set_busy_fraction(self, machine_id: MachineId, fraction: float) -> None:
-        """Report workload CPU usage of a machine for host accounting."""
-        self.host.set_busy_fraction(machine_id.name, fraction)
 
     # -- accounting --------------------------------------------------------------
 
@@ -351,19 +378,10 @@ class MachineManager:
         """
         dirty = set(snapshot["dirty"])
         if active_satellites is not None:
-            for name, machine_id in self._machine_ids.items():
-                if machine_id.is_ground_station or name in dirty:
-                    continue
-                machine = self.host.machines.get(name)
-                if machine is None or not machine.is_booted:
-                    continue
-                active = bool(
-                    active_satellites[machine_id.shell][machine_id.identifier]
-                )
-                if machine.state is MachineState.RUNNING and not active:
-                    machine.suspend(now_s)
-                elif machine.state is MachineState.SUSPENDED and active:
-                    machine.resume(now_s)
+            for name in list(self.host.machines):
+                active = self._satellite_activity(name, active_satellites)
+                if active is not None and name not in dirty:
+                    self.host.machines.follow_activity(name, active)
         self.suspension_count = int(snapshot["suspension_count"])
         self.resume_count = int(snapshot["resume_count"])
         self.applied_diffs = int(snapshot["applied_diffs"])

@@ -26,6 +26,7 @@ from repro.core.info_api import InfoAPI
 from repro.core.machine_manager import MachineManager
 from repro.core.validator import estimate_resources
 from repro.hosts import Host, ResourceTrace
+from repro.microvm import MachineView
 from repro.net.endpoint import NetworkEndpoint
 from repro.net.network import VirtualNetwork
 from repro.sim import RandomStreams, Simulation
@@ -79,9 +80,9 @@ class Celestial:
             transport=transport,
         )
         # With the process backend the coordinator hands out mirrored
-        # managers (the driver's ledger + worker forwarding); use those for
-        # every manager-level interaction so lifecycle operations reach the
-        # workers, which own the microVMs.
+        # managers (the driver's replica tables + worker forwarding); use
+        # those for every manager-level interaction so lifecycle operations
+        # reach the workers.
         self.managers = self.coordinator.managers
         self.fault_injector = FaultInjector(
             manager_resolver=self.coordinator.manager_for, network=self.network
@@ -158,14 +159,14 @@ class Celestial:
         """Create and boot a machine immediately (outside bounding-box logic)."""
         self.coordinator.create_machine(machine, self.sim.now)
 
-    def machine(self, machine: MachineId):
-        """The microVM backing a machine.
+    def machine(self, machine: MachineId) -> MachineView:
+        """The read-only view of a machine's row in its host's table.
 
-        With ``parallelism="processes"`` the microVM lives in a worker: this
-        is then the driver's read-only view of it
-        (:class:`~repro.dist.backend.MachineRecord`: ``state``,
-        ``cpu_quota``, ``boot_finished_at_s``, ``state_at``); change a
-        machine through the fault injector or its manager.
+        The same view under both backends (``state``, ``cpu_quota``,
+        ``boot_finished_at_s``, ``state_at``): with
+        ``parallelism="processes"`` it reads the driver's replica of the
+        worker's table.  Change a machine through the fault injector or its
+        manager.
         """
         return self.coordinator.manager_for(machine).machine(machine)
 
@@ -183,8 +184,8 @@ class Celestial:
         """Wall-clock duration of a compute task on a machine under its CPU quota."""
         if not self.coordinator.has_machine(machine):
             return nominal_seconds
-        microvm = self.machine(machine)
-        return microvm.cpu_quota.scaled_duration(nominal_seconds, parallelism=parallelism)
+        quota = self.machine(machine).cpu_quota
+        return quota.scaled_duration(nominal_seconds, parallelism=parallelism)
 
     # -- observability ------------------------------------------------------------------
 

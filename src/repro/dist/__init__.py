@@ -24,9 +24,9 @@ on a TCP stream.
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
   restarted worker *reconnects* to the same address.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
-  and their microVMs, applies each record to all of them, samples usage and
-  streams samples, counters and the machines a record suspended or resumed
-  back, one acknowledgement per request.  A supervisor-spawned child
+  and their hosts' machine tables, applies each record to all of them,
+  samples usage and streams samples, counters and the machines a record
+  suspended or resumed back, one acknowledgement per request.  A supervisor-spawned child
   dialling back over loopback and ``python -m repro.dist.worker --connect
   host:port --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
@@ -40,9 +40,10 @@ on a TCP stream.
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
   :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes, with
-  a ledger of placement, seeds, states and boot times on the coordinator's
-  side; it exists to exercise the remote-worker protocol) answer the same
-  calls, selected with ``Coordinator(parallelism="threads" | "processes")``; the
+  a replica of every worker's machine tables on the coordinator's side,
+  kept by the same lifecycle operations; it exists to exercise the
+  remote-worker protocol) answer the same calls, selected with
+  ``Coordinator(parallelism="threads" | "processes")``; the
   worker pool's deployment settings (address, ports, external workers,
   shared secret) arrive as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` in ``transport=``.
@@ -50,8 +51,10 @@ on a TCP stream.
 In the spirit of RAFDA's separation of application logic from distribution
 policy, nothing above this package knows which side of a process — or
 machine — boundary a manager lives on: the update producer emits the same
-record either way, and the two backends are proven byte/count-identical
-(including crash recovery) by the equivalence suite.
+record either way, a machine is one table row on either side (the same
+:class:`~repro.microvm.MachineView` under both backends), and the two
+backends are proven byte/count-identical (including crash recovery) by the
+equivalence suite.
 """
 
 from repro.dist.backend import (

@@ -16,82 +16,64 @@ calls (``managers``, ``apply_slices``, ``sample_all``,
   work per host, which a pool under the GIL would not parallelise).
 * :class:`ProcessFanoutBackend` — the managers live in supervised worker
   processes (:mod:`repro.dist.worker`), each reached over its own TCP
-  connection, and own every microVM.  The record is encoded once per epoch
+  connection, and apply the records to their hosts' machine tables.  The record is encoded once per epoch
   and sent as one :mod:`repro.dist.wire` frame per worker; the workers apply
   it, take the per-host usage samples, and stream samples, counters and the
   machines a record suspended or resumed back, one acknowledgement per
   worker per epoch.  It exists to exercise the remote-worker protocol, not
   to make one box faster.
 
-The driver's ledger
--------------------
+The driver's replica
+--------------------
 
-With worker processes the coordinator's side holds no microVM.  It keeps one
-:class:`HostLedger` per host, which answers every parent-side query
-(placement, ``is_running_at``, fault injection, the virtual network's
-running check, ``Celestial.machine``) with a local read:
-
-* per host, the reserved memory placement balances, the host's
-  :class:`~repro.hosts.resources.ResourceTrace` the acknowledged usage
-  samples are recorded into, and the host's manager RNG stream in lockstep
-  with the worker's: one ``integers(0, 2**63)`` draw per created machine
-  (its seed), and per usage sample the draws the worker's sample takes
-  (:meth:`~repro.hosts.Host.sample_rng_draws`) skipped.  A machine created
-  after a sample therefore seeds identically on both sides of the seam and
-  in either backend, down to its sub-second boot jitter;
-* per machine, one :class:`MachineRecord`: its seed, vCPUs and CPU quota,
-  lifecycle state and boot times.  A boot's finish time is drawn from the
-  machine's own generator (``default_rng(seed)``, one draw per boot) only
-  when somebody asks — a query inside a boot window, a reboot's return
-  value — so a set-up that nobody queries builds no generator here.
+With worker processes the driver keeps a replica of every worker's
+:class:`~repro.microvm.MachineTable`, on its own :class:`~repro.hosts.Host`,
+and answers every parent-side query (placement, ``is_running_at``, fault
+injection, the virtual network's running check, ``Celestial.machine``) from
+it.  :class:`MirroredManager` runs the same lifecycle operations
+(:class:`~repro.core.machine_manager.MachineControl`) on the replica as the
+worker's manager runs on its table, so both hold the same rows: the same
+placement checks, one batched seed draw per created batch from the host's
+manager stream, the same boot, stop and quota rules, and boot finishes
+drawn from ``default_rng(seed)`` only when somebody asks.  The driver keeps
+that stream in lockstep with the worker's by skipping, per usage sample,
+the draws the worker's sample takes
+(:meth:`~repro.hosts.Host.sample_rng_draws`), so a machine created after a
+sample seeds identically in either backend.
 
 What only a worker decides comes back in its acknowledgement: the machines
-an epoch record suspended or resumed, with their new states
+an epoch record suspended or resumed
 (:meth:`~repro.core.machine_manager.MachineManager.apply_diff` on the worker
-stays the one implementation of the reconcile rule), and the
-suspend/resume/record counters of its checkpoint, which
+stays the one implementation of the reconcile rule), which the replica then
+applies, and the suspend/resume/record counters of its checkpoint, which
 :class:`MirroredManager` reads.  After every record the backend checks each
-worker's RNG stream positions against the ledger's and that every reported
-transition starts from the state the ledger holds, and raises
+worker's RNG stream positions against the driver's and that every reported
+transition starts from the state the replica holds, and raises
 :class:`WorkerDesyncError` otherwise: a ``CREATE`` row lost, duplicated or
 replayed out of place shows there, not when a usage sample later drifts.
 
-Lifecycle operations arriving through :class:`MirroredManager` (the manager
-the coordinator hands out in process mode) update the ledger and are
-buffered per worker, in program order, as rows of a
-:class:`~repro.dist.wire.ControlBatch`; the batch is flushed as one durable
-``CONTROL`` frame before that worker's next request.  The worker runs the
-rows in the same order, which is what keeps its RNG streams in lockstep
-with what a single-process run would have drawn.
+Each operation the mirror runs is also buffered per worker, in program
+order, as a row of a :class:`~repro.dist.wire.ControlBatch`; the batch is
+flushed as one durable ``CONTROL`` frame before that worker's next request,
+and the worker runs the rows in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.core.config import ComputeParams
-from repro.core.constellation import MachineId
-from repro.core.machine_manager import EpochRecord, MachineManager
-from repro.hosts import Host, HostError
+from repro.core.machine_manager import EpochRecord, MachineControl, MachineManager
+from repro.hosts import Host
 from repro.hosts.resources import UsageSample
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
-from repro.dist.wire import ControlBatch, ControlOp, FrameKind
+from repro.dist.wire import FrameKind
 from repro.dist.worker import HostSpec, WorkerSpec
-from repro.microvm import CPUQuota, KernelImage, MachineState, MicroVMError, RootFilesystemImage
-from repro.microvm.machine import (
-    BOOTABLE_STATES,
-    DOWN_STATES,
-    MAX_BOOT_TIME_S,
-    UNSTOPPABLE_STATES,
-    boot_time_s,
-)
+from repro.microvm import MachineState
 
 
 class WorkerDesyncError(RuntimeError):
-    """A worker's observable state diverged from the driver's ledger."""
+    """A worker's observable state diverged from the driver's replica."""
 
 
 #: The one transition an epoch record makes, either way round.
@@ -151,169 +133,30 @@ class ThreadFanoutBackend:
         self._closed = True
 
 
-class MachineRecord:
-    """The ledger's row of one worker-owned machine, and a read-only view of it.
-
-    ``state`` is the machine's current lifecycle state: what the operations
-    sent made of it, and the suspends and resumes its worker reported.
-    :meth:`state_at` answers for times at or after the latest lifecycle
-    operation — the only times the discrete-event simulation asks about —
-    exactly as :meth:`~repro.microvm.MicroVM.state_at` does: ``BOOTING``
-    until every boot so far has finished, the current state after.
-    ``cpu_quota`` is a copy; change the quota through the manager.
-    """
-
-    __slots__ = (
-        "seed",
-        "vcpu_count",
-        "quota_fraction",
-        "state",
-        "boot_count",
-        "boot_started_s",
-        "_finished_s",
-        "_held_s",
-    )
-
-    def __init__(self, seed: int, compute: ComputeParams):
-        self.seed = seed
-        self.vcpu_count = compute.vcpu_count
-        self.quota_fraction = compute.cpu_quota
-        self.state = MachineState.CREATED
-        #: Boots so far; the k-th boot's duration is the k-th draw of the
-        #: machine's generator.
-        self.boot_count = 0
-        self.boot_started_s = 0.0
-        # The latest boot's finish time, once drawn.
-        self._finished_s: Optional[float] = None
-        # The latest finish of the earlier boots still running when the
-        # latest one started: a microVM's log reads BOOTING until then.
-        self._held_s = 0.0
-
-    @property
-    def cpu_quota(self) -> CPUQuota:
-        """A copy of the machine's CPU quota."""
-        return CPUQuota(self.vcpu_count, self.quota_fraction)
-
-    @property
-    def boot_finished_at_s(self) -> Optional[float]:
-        """When the latest boot finishes (``None`` before the first boot)."""
-        if self.boot_count and self._finished_s is None:
-            draws = np.random.default_rng(self.seed).random(self.boot_count)
-            self._finished_s = self.boot_started_s + boot_time_s(float(draws[-1]))
-        return self._finished_s
-
-    def state_at(self, time_s: float) -> MachineState:
-        """The machine's state at ``time_s`` (no earlier than its latest operation)."""
-        if (
-            self.boot_count
-            and time_s < self.boot_started_s + MAX_BOOT_TIME_S
-            and (time_s < self._held_s or time_s < self.boot_finished_at_s)
-        ):
-            return MachineState.BOOTING
-        return self.state
-
-    def boot(self, now_s: float) -> None:
-        """Start a boot (:meth:`~repro.microvm.MicroVM.boot`'s rule).
-
-        Its finish time is drawn when first asked for, except that a boot
-        started inside the previous one's window draws the previous finish
-        now: the machine reads BOOTING until the later of the two.
-        """
-        if self.state not in BOOTABLE_STATES:
-            raise MicroVMError(f"cannot boot machine in state {self.state.value}")
-        if self.boot_count and now_s < self.boot_started_s + MAX_BOOT_TIME_S:
-            self._held_s = max(self._held_s, self.boot_finished_at_s)
-        self.state = MachineState.RUNNING
-        self.boot_count += 1
-        self.boot_started_s = now_s
-        self._finished_s = None
-
-    def stop(self) -> None:
-        """Shut the machine down (:meth:`~repro.microvm.MicroVM.stop`'s rule)."""
-        if self.state in UNSTOPPABLE_STATES:
-            raise MicroVMError(f"cannot stop machine in state {self.state.value}")
-        self.state = MachineState.STOPPED
-
-    def reboot(self, now_s: float) -> None:
-        """Stop unless down, then boot (:meth:`~repro.microvm.MicroVM.reboot`)."""
-        if self.state not in DOWN_STATES:
-            self.state = MachineState.STOPPED
-        self.boot(now_s)
-
-
-class HostLedger:
-    """What the driver keeps of one worker-owned host.
-
-    It stands where the :class:`~repro.hosts.Host` stands in process for
-    every read of the coordinator's side: ``index``, ``machines`` (name →
-    :class:`MachineRecord`, in creation order), ``reserved_memory_mib()``
-    for placement and ``trace``, the host's resource trace the acknowledged
-    usage samples are recorded into.  ``rng`` is the host's manager stream,
-    kept in lockstep with the worker's.
-    """
-
-    def __init__(self, host: Host, rng: np.random.Generator):
-        self.index = host.index
-        self.memory_mib = host.memory_mib
-        self.allow_memory_overcommit = host.allow_memory_overcommit
-        self.trace = host.trace
-        self.rng = rng
-        self.machines: dict[str, MachineRecord] = {}
-        self._reserved_memory_mib = 0
-
-    def reserved_memory_mib(self) -> float:
-        """Memory reserved by all placed machines (booted or not)."""
-        return float(self._reserved_memory_mib)
-
-    def place(self, name: str, compute: ComputeParams) -> MachineRecord:
-        """Record a new machine: the placement checks of :meth:`Host.place`, then its seed."""
-        if name in self.machines:
-            raise HostError(f"machine {name!r} is already placed on host {self.index}")
-        needed = self._reserved_memory_mib + compute.memory_mib
-        if not self.allow_memory_overcommit and needed > self.memory_mib:
-            raise HostError(
-                f"host {self.index} cannot fit machine {name!r}: {needed:.0f} MiB "
-                f"needed, {self.memory_mib} MiB available"
-            )
-        record = self.machines[name] = MachineRecord(
-            int(self.rng.integers(0, 2**63)), compute
-        )
-        self._reserved_memory_mib = needed
-        return record
-
-    def machine(self, name: str) -> MachineRecord:
-        """The record of a placed machine."""
-        record = self.machines.get(name)
-        if record is None:
-            raise HostError(f"machine {name!r} is not placed on host {self.index}")
-        return record
-
-
-class MirroredManager:
+class MirroredManager(MachineControl):
     """Coordinator-side stand-in for a worker-owned manager.
 
-    Lifecycle operations update the host's :class:`HostLedger` and are
-    appended as rows to the owning worker's
-    :class:`~repro.dist.wire.ControlBatch`; reads answer from the ledger,
+    ``host`` is the driver's host, whose table is the replica of the
+    worker's.  Lifecycle operations run on the replica (the same
+    :class:`~repro.core.machine_manager.MachineControl` the worker's manager
+    runs) and are appended as rows to the owning worker's
+    :class:`~repro.dist.wire.ControlBatch`; reads answer from the replica,
     and the suspend/resume/record counters from the worker's last
     acknowledged checkpoint.  Records and usage sweeps do not go through the
     proxy but through the backend (:meth:`ProcessFanoutBackend.apply_slices`
-    / ``sample_all``).  Unlike a ``MachineManager``'s, ``boot`` and
-    ``boot_all`` return nothing: a finish time is drawn when somebody asks
-    for it (``machine(m).boot_finished_at_s``), and the coordinator's
-    set-up, which boots every machine it creates, asks for none.
+    / ``sample_all``).
     """
 
     def __init__(
         self, manager: MachineManager, supervisor: WorkerSupervisor, worker: int, position: int
     ):
-        self.host = HostLedger(manager.host, manager._rng)
+        super().__init__(manager.host, manager._rng)
         self._supervisor = supervisor
         self._worker = worker
         self.position = position
 
-    def _control(self) -> ControlBatch:
-        return self._supervisor.control(self._worker)
+    def _record(self, op, machine, value, changed) -> None:
+        self._supervisor.control(self._worker).append(op, self.position, machine, value)
 
     def _counter(self, name: str) -> int:
         checkpoint = self._supervisor.checkpoint(self._worker)
@@ -330,59 +173,6 @@ class MirroredManager:
     @property
     def applied_diffs(self) -> int:
         return self._counter("applied_diffs")
-
-    def machine(self, machine_id: MachineId) -> MachineRecord:
-        """The ledger's read-only view of a machine of this host."""
-        return self.host.machine(machine_id.name)
-
-    def is_running_at(self, machine_id: MachineId, now_s: float) -> bool:
-        """Whether a machine is running (boot finished, not suspended) at a time."""
-        record = self.host.machines.get(machine_id.name)
-        return record is not None and record.state_at(now_s) is MachineState.RUNNING
-
-    def create_machine(
-        self,
-        machine_id: MachineId,
-        compute: ComputeParams,
-        kernel: Optional[KernelImage] = None,
-        rootfs: Optional[RootFilesystemImage] = None,
-    ) -> MachineRecord:
-        record = self.host.place(machine_id.name, compute)
-        # The images ride the frame, so the worker's microVM (and every
-        # ledger replay) is built from them.
-        self._control().create(self.position, machine_id, compute, kernel, rootfs)
-        return record
-
-    def boot(self, machine_id: MachineId, now_s: float) -> None:
-        self.machine(machine_id).boot(now_s)
-        self._control().append(ControlOp.BOOT, self.position, machine_id, now_s)
-
-    def boot_all(self, now_s: float) -> None:
-        for record in self.host.machines.values():
-            if record.state is MachineState.CREATED:
-                record.boot(now_s)
-        self._control().append(ControlOp.BOOT_CREATED, self.position, value=now_s)
-
-    def stop_machine(self, machine_id: MachineId, now_s: float) -> None:
-        self.machine(machine_id).stop()
-        self._control().append(ControlOp.STOP, self.position, machine_id, now_s)
-
-    def reboot_machine(self, machine_id: MachineId, now_s: float) -> float:
-        record = self.machine(machine_id)
-        record.reboot(now_s)
-        self._control().append(ControlOp.REBOOT, self.position, machine_id, now_s)
-        return record.boot_finished_at_s
-
-    def set_cpu_quota(self, machine_id: MachineId, quota_fraction: float) -> None:
-        record = self.machine(machine_id)
-        record.quota_fraction = CPUQuota(record.vcpu_count, quota_fraction).quota_fraction
-        self._control().append(ControlOp.CPU_QUOTA, self.position, machine_id, quota_fraction)
-
-    def set_busy_fraction(self, machine_id: MachineId, fraction: float) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("busy fraction must be in [0, 1]")
-        self.machine(machine_id)
-        self._control().append(ControlOp.BUSY, self.position, machine_id, fraction)
 
 
 class ProcessFanoutBackend:
@@ -456,34 +246,38 @@ class ProcessFanoutBackend:
         return self._proxies
 
     def _settle(self, acks_by_worker: dict[int, dict]) -> None:
-        """Check an epoch's acknowledgements against the ledger, then take them in.
+        """Check an epoch's acknowledgements against the replica, then take them in.
 
         Every lifecycle row was flushed before the record these acks answer,
-        so a worker's manager streams must stand exactly where the ledger's
-        do: a lost, duplicated or replayed-out-of-place ``CREATE`` row (one
-        draw each) shows here.  Each machine the record suspended (resumed)
-        must be one the ledger holds as running (suspended).
+        so a worker's manager streams must stand exactly where the driver's
+        do: a lost, duplicated or replayed-out-of-place ``CREATE`` row shows
+        here.  Each machine the record suspended (resumed) must be one the
+        replica holds as running (suspended).
         """
         for ack in acks_by_worker.values():
             for position, snapshot in ack["counters"].items():
-                host = self._proxies[position].host
-                if snapshot["rng_state"] != host.rng.bit_generator.state:
+                proxy = self._proxies[position]
+                if snapshot["rng_state"] != proxy._rng.bit_generator.state:
                     raise WorkerDesyncError(
-                        f"host {host.index}: the worker's RNG stream diverged "
+                        f"host {proxy.host.index}: the worker's RNG stream diverged "
                         f"from the driver's"
                     )
             for position, transitions in ack["transitions"].items():
                 host = self._proxies[position].host
+                machines = host.machines
                 for name, state_value in transitions.items():
-                    record = host.machines.get(name)
+                    held = machines.state(name) if name in machines else None
                     state = MachineState(state_value)
-                    if record is None or {record.state, state} != _SUSPEND_RESUME:
-                        held = "absent" if record is None else record.state.value
+                    if held is None or {held, state} != _SUSPEND_RESUME:
                         raise WorkerDesyncError(
                             f"host {host.index}: the worker took machine {name!r} "
-                            f"to {state_value!r}; the driver's ledger holds it {held}"
+                            f"to {state_value!r}; the driver's replica holds it "
+                            f"{'absent' if held is None else held.value}"
                         )
-                    record.state = state
+                    if state is MachineState.SUSPENDED:
+                        machines.suspend(name)
+                    else:
+                        machines.resume(name)
 
     # -- the calls the coordinator drives ------------------------------------
 
@@ -514,12 +308,12 @@ class ProcessFanoutBackend:
         }
         for worker in range(self.worker_count):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
-        # While the workers sample, the ledger skips the same draws of every
+        # While the workers sample, the driver skips the same draws of every
         # host's stream, so later machine creations seed identically on both
         # sides of the seam.
         draws = Host.sample_rng_draws(setup_phase=setup_phase, applying_update=applying_update)
         for proxy in self._proxies:
-            proxy.host.rng.random(draws)
+            proxy._rng.random(draws)
         samples: dict[int, UsageSample] = {}
         for worker in range(self.worker_count):
             ack = supervisor.finish_request(worker)

@@ -39,7 +39,7 @@ execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
 a closed, self-describing binary encoding of
 ``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
 no imports, no callables.  Dataclass payloads (the worker blueprint in
-``SPEC``, the compute/kernel/rootfs images of a ``CONTROL`` frame) travel as
+``SPEC``, the compute tables of a ``CONTROL`` frame) travel as
 their ``dataclasses.asdict`` form and are rebuilt by the receiver; anything
 else is a :class:`TypeError` at the sender.
 
@@ -63,32 +63,41 @@ kind               direction     payload
 ``KEYFRAME`` …     gateway       the serving tier (:mod:`repro.serve.codec`)
 =================  ============  =============================================
 
-A ``CONTROL`` frame is six equally long columns, one row per lifecycle
-operation (:class:`ControlOp`), run by the worker in row order:
+A ``CONTROL`` frame is two tables of equally long columns: one row per
+lifecycle operation (:class:`ControlOp`), run by the worker in row order,
+and one entry per machine the rows name, the machines of each row in turn:
 
 ===========  =========  ======================================================
 array        dtype      meaning
 ===========  =========  ======================================================
 op           ``u1``     :class:`ControlOp` code
 position     ``<i4``    host position of the manager the row acts on
-shell        ``<i4``    machine shell (``-1``: ground station; unused by
-                        ``BOOT_CREATED``)
+count        ``<i4``    machines the row names: a ``CREATE`` row its batch
+                        (at least one), ``BOOT_CREATED`` none, any other
+                        row exactly one
+value        ``<f8``    ``CREATE``: the batch's boot time, NaN for created
+                        and not booted; ``now_s`` (``BOOT``,
+                        ``BOOT_CREATED``, ``STOP``, ``REBOOT``), the quota
+                        (``CPU_QUOTA``) or the busy fraction (``BUSY``)
+shell        ``<i4``    machine shell (``-1``: ground station)
 identifier   ``<i4``    in-shell identifier / ground-station index
-image        ``<i4``    ``CREATE``: index into the meta's ``images`` table;
-                        ``-1`` otherwise
-value        ``<f8``    ``now_s`` (``BOOT``, ``BOOT_CREATED``, ``STOP``,
-                        ``REBOOT``), the quota (``CPU_QUOTA``) or the busy
-                        fraction (``BUSY``); ``0.0`` for ``CREATE``
+image        ``<i4``    a ``CREATE`` row's machine: index into the meta's
+                        ``images`` table; ``-1`` otherwise
 ===========  =========  ======================================================
 
-The meta holds ``images`` — the distinct ``{"compute", "kernel", "rootfs"}``
-dicts the frame's ``CREATE`` rows use — and ``names``, the ground-station
-names of the rows with shell ``-1``, in row order; satellite names are
-rebuilt with :func:`~repro.core.constellation.satellite_name`.  A frame
-whose columns differ in length or dtype, whose op code or image index is out
-of range or whose name count does not match is a :class:`WireError` and
-runs no row.  Version 7 replaced the seven one-operation control frame
-kinds, one frame per lifecycle call, by this one frame per flush.
+The meta holds ``images`` — the distinct compute tables
+(``ComputeParams`` as a dict) the frame's ``CREATE`` rows use — and
+``names``, the ground-station names of the machine entries with shell
+``-1``, in order; satellite names are rebuilt with
+:func:`~repro.core.constellation.satellite_name`.  A frame whose columns
+differ in length or dtype, whose op code, count or image index is out of
+range, whose counts do not add up to the machine entries, whose name count
+does not match or whose images are not compute tables is a
+:class:`WireError` and runs no row.  Version 7 replaced the seven
+one-operation control frame kinds, one frame per lifecycle call, by one
+frame per flush; version 9 made a ``CREATE`` row a host's whole batch,
+booted or not (one append of rows on the worker), and dropped the kernel
+and root-filesystem images, which no caller set.
 
 Epoch records
 -------------
@@ -131,8 +140,10 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.core.config import ComputeParams
 from repro.core.constellation import MachineId, satellite_name
-from repro.core.machine_manager import EpochRecord
+from repro.core.machine_manager import ControlOp, EpochRecord
+from repro.microvm import MachineBatch
 
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
@@ -146,7 +157,10 @@ WIRE_MAGIC = b"CLW1"
 #: 8: one ``APPLY_EPOCH`` record per epoch, the same for every worker,
 #: replaces the per-host slice frames and the first epoch's full-activity
 #: frame; ``RESTORE`` is one frame per worker.
-WIRE_VERSION = 8
+#: 9: a ``CONTROL`` row names its machines in a second table, so one
+#: ``CREATE`` row is a host's whole batch (with its boot time); the images
+#: table holds compute tables only.
+WIRE_VERSION = 9
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -563,35 +577,23 @@ def decode_record(meta: dict[str, Any], arrays: list[np.ndarray]) -> EpochRecord
 # -- CONTROL codec -------------------------------------------------------------
 
 
-class ControlOp(enum.IntEnum):
-    """The lifecycle operation of one ``CONTROL`` row (a manager method)."""
-
-    CREATE = 0  # create_machine from an ``images`` table entry
-    BOOT = 1  # boot(machine, now_s)
-    BOOT_CREATED = 2  # boot_all(now_s): every created, unbooted machine
-    STOP = 3  # stop_machine(machine, now_s)
-    REBOOT = 4  # reboot_machine(machine, now_s)
-    CPU_QUOTA = 5  # set_cpu_quota(machine, quota)
-    BUSY = 6  # set_busy_fraction(machine, fraction)
-
-
 _CONTROL_OPS = tuple(ControlOp)
 _TIMED_OPS = frozenset(
     (ControlOp.BOOT, ControlOp.BOOT_CREATED, ControlOp.STOP, ControlOp.REBOOT)
 )
-#: Column dtypes of a ``CONTROL`` frame: op, position, shell, identifier,
-#: image, value.
+#: Column dtypes of a ``CONTROL`` frame: op, position, count, value, then
+#: the machine entries' shell, identifier, image.
 _CONTROL_DTYPES = tuple(
-    np.dtype(dtype) for dtype in ("u1", "<i4", "<i4", "<i4", "<i4", "<f8")
+    np.dtype(dtype) for dtype in ("u1", "<i4", "<i4", "<f8", "<i4", "<i4", "<i4")
 )
 
 
 class ControlBatch:
     """One worker's lifecycle operations not yet sent, in program order.
 
-    The encoder half of a ``CONTROL`` frame: every :meth:`append` /
-    :meth:`create` adds one row to the columns, :meth:`payload` is the
-    frame's ``(meta, arrays)`` and :meth:`clear` starts the next batch.
+    The encoder half of a ``CONTROL`` frame: every :meth:`append` adds one
+    row (and the machines it names), :meth:`payload` is the frame's
+    ``(meta, arrays)`` and :meth:`clear` starts the next batch.
     """
 
     def __init__(self) -> None:
@@ -599,9 +601,9 @@ class ControlBatch:
 
     def clear(self) -> None:
         """Forget every row (after the batch was flushed)."""
-        self._columns: tuple[list, ...] = ([], [], [], [], [], [])
+        self._columns: tuple[list, ...] = ([], [], [], [], [], [], [])
         self._names: list[str] = []
-        self._images: dict[tuple, int] = {}
+        self._images: dict[ComputeParams, int] = {}
         #: Latest ``now_s`` any row carries; ``None`` without a timed row.
         self.latest_s: Optional[float] = None
 
@@ -612,42 +614,44 @@ class ControlBatch:
         self,
         op: ControlOp,
         position: int,
-        machine_id: Optional[MachineId] = None,
+        machine: MachineBatch | MachineId | None = None,
         value: float = 0.0,
-        image: int = -1,
     ) -> None:
-        """Add one row; ``machine_id`` is ``None`` only for ``BOOT_CREATED``."""
-        ops, positions, shells, identifiers, images, values = self._columns
+        """Add one row: ``machine`` is a ``CREATE`` row's batch, ``None`` for
+        ``BOOT_CREATED`` and the machine the row acts on otherwise."""
+        ops, positions, counts, values, shells, identifiers, images = self._columns
+        if isinstance(machine, MachineBatch):
+            table = np.array(
+                [self._images.setdefault(compute, len(self._images))
+                 for compute in machine.computes],
+                dtype=np.int32,
+            )
+            shells.extend(machine.shells.tolist())
+            identifiers.extend(machine.identifiers.tolist())
+            images.extend(table[machine.images].tolist())
+            grounded = machine.shells == MachineId.GROUND_SHELL
+            self._names.extend(machine.names[index] for index in np.flatnonzero(grounded))
+            count = len(machine)
+        elif machine is not None:
+            shells.append(machine.shell)
+            identifiers.append(machine.identifier)
+            images.append(-1)
+            if machine.is_ground_station:
+                self._names.append(machine.name)
+            count = 1
+        else:
+            count = 0
         ops.append(op)
         positions.append(position)
-        if machine_id is None:
-            shells.append(0)
-            identifiers.append(0)
-        else:
-            shells.append(machine_id.shell)
-            identifiers.append(machine_id.identifier)
-            if machine_id.is_ground_station:
-                self._names.append(machine_id.name)
-        images.append(image)
+        counts.append(count)
         values.append(value)
-        if op in _TIMED_OPS and (self.latest_s is None or value > self.latest_s):
+        timed = not math.isnan(value) if op is ControlOp.CREATE else op in _TIMED_OPS
+        if timed and (self.latest_s is None or value > self.latest_s):
             self.latest_s = value
-
-    def create(self, position: int, machine_id: MachineId, compute, kernel, rootfs) -> None:
-        """Add a ``CREATE`` row; equal images share one ``images`` entry."""
-        image = self._images.setdefault((compute, kernel, rootfs), len(self._images))
-        self.append(ControlOp.CREATE, position, machine_id, image=image)
 
     def payload(self) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
         """The ``(meta, arrays)`` of this batch's ``CONTROL`` frame."""
-        images = [
-            {
-                "compute": dataclasses.asdict(compute),
-                "kernel": None if kernel is None else dataclasses.asdict(kernel),
-                "rootfs": None if rootfs is None else dataclasses.asdict(rootfs),
-            }
-            for compute, kernel, rootfs in self._images
-        ]
+        images = [dataclasses.asdict(compute) for compute in self._images]
         arrays = tuple(
             np.array(column, dtype=dtype)
             for column, dtype in zip(self._columns, _CONTROL_DTYPES)
@@ -655,67 +659,88 @@ class ControlBatch:
         return {"images": images, "names": list(self._names)}, arrays
 
 
-#: One decoded ``CONTROL`` row: op, position, machine (``None`` for
-#: ``BOOT_CREATED``), image index, value.
-ControlRow = tuple[ControlOp, int, Optional[MachineId], int, float]
+#: One decoded ``CONTROL`` row: op, position, the machines (a ``CREATE``
+#: row's batch, ``None`` for ``BOOT_CREATED``, else one machine), value.
+ControlRow = tuple[ControlOp, int, "MachineBatch | MachineId | None", float]
 
 
-def decode_control(
-    meta: dict[str, Any], arrays: list[np.ndarray]
-) -> tuple[list[ControlRow], list[Any]]:
-    """The rows and the ``images`` table of a decoded ``CONTROL`` frame.
+def _computes(table: Any) -> tuple[ComputeParams, ...]:
+    if not isinstance(table, list):
+        raise WireError("a CONTROL frame's meta needs an images list")
+    try:
+        return tuple(ComputeParams(**entry) for entry in table)
+    except (TypeError, ValueError) as error:
+        raise WireError(f"malformed CONTROL image entry: {error!r}") from error
+
+
+def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[ControlRow]:
+    """The rows of a decoded ``CONTROL`` frame.
 
     Checks the whole frame before returning a row, so a malformed frame is a
     :class:`WireError` and nothing of it runs.  Whether a row's position is
     owned, and whether its machine exists, is the worker's to check per row.
     """
     if len(arrays) != len(_CONTROL_DTYPES):
-        raise WireError(f"a CONTROL frame has 6 columns, not {len(arrays)}")
+        raise WireError(f"a CONTROL frame has 7 columns, not {len(arrays)}")
     for array, dtype in zip(arrays, _CONTROL_DTYPES):
         if array.ndim != 1 or array.dtype != dtype:
             raise WireError(
                 f"CONTROL column of dtype {array.dtype.str} and shape "
                 f"{array.shape}, expected 1-D {dtype.str}"
             )
-    ops, positions, shells, identifiers, images, values = arrays
-    if len({len(array) for array in arrays}) != 1:
-        raise WireError(
-            f"CONTROL column lengths differ: {[len(array) for array in arrays]}"
-        )
-    table, names = meta.get("images"), meta.get("names")
-    if not isinstance(table, list) or not isinstance(names, list):
-        raise WireError("a CONTROL frame's meta needs an images and a names list")
-    if not all(isinstance(name, str) for name in names):
-        raise WireError("CONTROL ground-station names must be strings")
+    ops, positions, counts, values = arrays[:4]
+    shells, identifiers, images = arrays[4:]
+    for table in (arrays[:4], arrays[4:]):
+        if len({len(array) for array in table}) != 1:
+            raise WireError(
+                f"CONTROL column lengths differ: {[len(array) for array in table]}"
+            )
+    computes = _computes(meta.get("images"))
+    names = meta.get("names")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise WireError("a CONTROL frame's meta needs a names list of strings")
     if len(ops) and int(ops.max()) >= len(_CONTROL_OPS):
         raise WireError(f"unknown CONTROL op code {int(ops.max())}")
-    creates = images[ops == ControlOp.CREATE]
-    if creates.size and (int(creates.min()) < 0 or int(creates.max()) >= len(table)):
+    creates = ops == ControlOp.CREATE
+    # A CREATE row names its batch, BOOT_CREATED none, every other row one.
+    single = (ops != ControlOp.BOOT_CREATED).astype(np.int32)
+    if np.any(np.where(creates, counts < 1, counts != single)):
+        raise WireError("a CONTROL row names a wrong number of machines")
+    if int(counts.sum()) != len(shells):
+        raise WireError(f"CONTROL rows name {int(counts.sum())} machines, {len(shells)} sent")
+    outside = (images < 0) | (images >= len(computes))
+    if np.any(np.where(np.repeat(creates, counts), outside, images != -1)):
+        raise WireError(f"CONTROL image index out of range for a table of {len(computes)}")
+    grounded = shells == MachineId.GROUND_SHELL
+    if int(np.count_nonzero(grounded)) != len(names):
         raise WireError(
-            f"CONTROL image index out of range for a table of {len(table)}"
-        )
-    named = (ops != ControlOp.BOOT_CREATED) & (shells == MachineId.GROUND_SHELL)
-    if int(np.count_nonzero(named)) != len(names):
-        raise WireError(
-            f"{int(np.count_nonzero(named))} CONTROL rows name a ground station "
+            f"{int(np.count_nonzero(grounded))} CONTROL machines are ground stations "
             f"but {len(names)} names were sent"
         )
     ground_names = iter(names)
+    machine_names = [
+        next(ground_names) if shell == MachineId.GROUND_SHELL else satellite_name(shell, number)
+        for shell, number in zip(shells.tolist(), identifiers.tolist())
+    ]
     rows: list[ControlRow] = []
-    for op, position, shell, identifier, image, value in zip(
-        ops.tolist(),
-        positions.tolist(),
-        shells.tolist(),
-        identifiers.tolist(),
-        images.tolist(),
-        values.tolist(),
+    start = 0
+    for op, position, count, value in zip(
+        ops.tolist(), positions.tolist(), counts.tolist(), values.tolist()
     ):
         op = _CONTROL_OPS[op]
-        if op is ControlOp.BOOT_CREATED:
-            machine_id = None
-        elif shell == MachineId.GROUND_SHELL:
-            machine_id = MachineId(shell, identifier, next(ground_names))
+        stop = start + count
+        if op is ControlOp.CREATE:
+            machine = MachineBatch(
+                machine_names[start:stop],
+                shells[start:stop],
+                identifiers[start:stop],
+                images[start:stop],
+                computes,
+            )
+        elif op is ControlOp.BOOT_CREATED:
+            machine = None
         else:
-            machine_id = MachineId(shell, identifier, satellite_name(shell, identifier))
-        rows.append((op, position, machine_id, image, value))
-    return rows, table
+            machine = MachineId(int(shells[start]), int(identifiers[start]), machine_names[start])
+        rows.append((op, position, machine, value))
+        start = stop
+    return rows

@@ -1,9 +1,10 @@
 """The worker-process entrypoint of the distribution runtime.
 
 One worker owns one or more :class:`~repro.core.machine_manager.
-MachineManager`\\ s — each with its :class:`~repro.hosts.Host` and microVMs —
-in a process of its own.  It plays the role a Celestial host plays on a real
-machine of the paper's testbed: receive every constellation update — one
+MachineManager`\\ s — each with its :class:`~repro.hosts.Host` and that
+host's machine table — in a process of its own.  It plays the role a
+Celestial host plays on a real machine of the paper's testbed: receive
+every constellation update — one
 :class:`~repro.core.machine_manager.EpochRecord` per epoch, the same for
 every worker: per shell the activity mask and the mask of satellites that
 flipped — let each of its managers apply its own part, and report host
@@ -20,9 +21,10 @@ the supervisor (:mod:`repro.dist.transport`) and executes them in order,
 which makes its random streams replayable.  Lifecycle operations (machine
 creation, boots, fault-injection ops) arrive batched: one ``CONTROL`` frame
 ahead of each request that had operations pending, its rows in the order the
-in-process backend executed them, run by the worker in that order.  So
-every random draw (usage-sample jitter, microVM boot times) lands on the
-same generator state as in a single-process run — the foundation of the
+in-process backend executed them, run by the worker in that order; a
+``CREATE`` row is a host's whole batch of new machines, appended as rows at
+once.  So every random draw (machine seeds, usage-sample jitter) lands on
+the same generator state as in a single-process run — the foundation of the
 byte-identical backend-equivalence guarantee.  A row that fails (an unknown
 machine, a position this worker does not own) is reported and the rows
 after it still run, as if each had been a frame of its own; a malformed
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -75,13 +78,11 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import ComputeParams
 from repro.core.machine_manager import MachineManager
 from repro.dist import wire
 from repro.dist.transport import HandshakeError, connect_transport
 from repro.dist.wire import ControlOp, FrameKind
 from repro.hosts import Host
-from repro.microvm import KernelImage, RootFilesystemImage
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,6 @@ class WorkerSpec:
             return cls(worker_index=fields["worker_index"], hosts=hosts)
         except (KeyError, TypeError) as error:
             raise HandshakeError(f"malformed worker spec: {error!r}") from error
-
-
-def _images(
-    entry: Any,
-) -> tuple[ComputeParams, Optional[KernelImage], Optional[RootFilesystemImage]]:
-    """Rebuild one ``images`` entry of a ``CONTROL`` frame (None: the default)."""
-    try:
-        kernel, rootfs = entry["kernel"], entry["rootfs"]
-        return (
-            ComputeParams(**entry["compute"]),
-            None if kernel is None else KernelImage(**kernel),
-            None if rootfs is None else RootFilesystemImage(**rootfs),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise wire.WireError(f"malformed CONTROL image entry: {error!r}") from error
 
 
 class _Worker:
@@ -244,7 +230,7 @@ class _Worker:
                 if changed:
                     machines = manager.host.machines
                     transitions[position] = {
-                        name: machines[name].state.value for name in changed
+                        name: machines.state(name).value for name in changed
                     }
             self.epoch = record.epoch
             return {"transitions": transitions}
@@ -268,16 +254,15 @@ class _Worker:
             return None
         if kind is FrameKind.CONTROL:
             self.controls += 1
-            self._run_control(*wire.decode_control(meta, arrays))
+            self._run_control(wire.decode_control(meta, arrays))
             return None
         if kind is FrameKind.PING:
             return None
         raise ValueError(f"worker cannot handle frame kind {kind!r}")
 
-    def _run_control(self, rows: list[wire.ControlRow], table: list[Any]) -> None:
+    def _run_control(self, rows: list[wire.ControlRow]) -> None:
         """Run a ``CONTROL`` frame's rows in order; a failing row is reported."""
-        images = [_images(entry) for entry in table]
-        for index, (op, position, machine_id, image, value) in enumerate(rows):
+        for index, (op, position, machine, value) in enumerate(rows):
             try:
                 manager = self.by_position.get(position)
                 if manager is None:
@@ -286,19 +271,19 @@ class _Worker:
                         f"{self.spec.worker_index}"
                     )
                 if op is ControlOp.CREATE:
-                    manager.create_machine(machine_id, *images[image])
+                    manager.create_machines(machine, None if math.isnan(value) else value)
                 elif op is ControlOp.BOOT:
-                    manager.boot(machine_id, value)
+                    manager.boot(machine, value)
                 elif op is ControlOp.BOOT_CREATED:
                     manager.boot_all(value)
                 elif op is ControlOp.STOP:
-                    manager.stop_machine(machine_id, value)
+                    manager.stop_machine(machine, value)
                 elif op is ControlOp.REBOOT:
-                    manager.reboot_machine(machine_id, value)
+                    manager.reboot_machine(machine, value)
                 elif op is ControlOp.CPU_QUOTA:
-                    manager.set_cpu_quota(machine_id, value)
+                    manager.set_cpu_quota(machine, value)
                 else:
-                    manager.set_busy_fraction(machine_id, value)
+                    manager.set_busy_fraction(machine, value)
             except Exception as error:  # noqa: BLE001 - reported to the parent
                 self.deferred_errors.append(
                     f"CONTROL row {index} ({op.name}): {type(error).__name__}: {error}"

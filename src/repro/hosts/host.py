@@ -6,21 +6,24 @@ keeps its full allocation reserved (§4.2).  The host also accounts for the
 Machine Manager's own overhead so the usage traces of Figs. 7-8 can be
 reproduced.
 
-Accounting invariant: every mutation of an accounted quantity goes through
-:class:`Host` (``place``, ``remove``, ``transfer``, ``set_busy_fraction``,
-``set_cpu_quota``) or :meth:`MicroVM._set_state`, which notifies the host the
-machine is placed on.  Readings are recomputed lazily, by one pass over the
-machines, and are bit-identical to a fresh sweep.
+Accounting invariant: a host's machines are one
+:class:`~repro.microvm.MachineTable` (``Host.machines``), and every mutation
+of an accounted quantity is a method of that table (row appends and
+removals, lifecycle operations, quota and busy-share changes), each of which
+drops the table's kept usage reading.  A reading is then recomputed by one
+pass over the rows, in creation order, and is bit-identical to a fresh
+sweep.  Placement goes through :meth:`Host.place`, which checks before it
+draws: a refused batch leaves no row and no draw behind.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.hosts.resources import ResourceTrace, UsageSample
-from repro.microvm import MicroVM, OverlayStore
+from repro.microvm import MachineBatch, MachineTable, MachineView
 
 
 class HostError(RuntimeError):
@@ -36,15 +39,6 @@ MACHINE_MANAGER_SETUP_CPU_PERCENT = 25.0
 #: Machine-manager memory overhead right after setup (paper: up to 4.5%).
 MACHINE_MANAGER_MEMORY_PERCENT_PEAK = 4.5
 MACHINE_MANAGER_MEMORY_PERCENT_STEADY = 3.0
-
-
-class _Usage(NamedTuple):
-    """One pass over a host's machines (cores not yet clamped to the host)."""
-
-    cpu_cores: float
-    memory_mib: float
-    booted: int
-    running: int
 
 
 class Host:
@@ -63,82 +57,79 @@ class Host:
         self.cpu_cores = cpu_cores
         self.memory_mib = memory_mib
         self.allow_memory_overcommit = allow_memory_overcommit
-        self.machines: dict[str, MicroVM] = {}
-        self.overlay_store = OverlayStore()
+        self.machines = MachineTable()
         self.trace = ResourceTrace()
-        self._busy_fractions: dict[str, float] = {}
-        # Running totals over the placed machines, maintained by place/remove.
-        self._reserved_memory_mib = 0
-        self._allocated_vcpus = 0
-        # The last pass over the machines; None once anything it depends on
-        # has changed.
-        self._usage: Optional[_Usage] = None
         self._default_rng = np.random.default_rng(0)
 
     # -- placement ---------------------------------------------------------
 
     def reserved_memory_mib(self) -> float:
         """Memory reserved by all placed machines (booted or not)."""
-        return float(self._reserved_memory_mib)
+        return float(self.machines.reserved_memory_mib)
 
     def allocated_memory_mib(self) -> float:
         """Memory held by booted (running or suspended) machines."""
-        return self._usage_reading().memory_mib
+        return self.machines.usage().memory_mib
 
     def allocated_vcpus(self) -> int:
         """Total vCPUs of all placed machines (may exceed physical cores)."""
-        return self._allocated_vcpus
+        return self.machines.allocated_vcpus
 
-    def can_place(self, machine: MicroVM) -> bool:
-        """Whether the machine's memory allocation fits on this host."""
+    def can_place(self, memory_mib: int) -> bool:
+        """Whether a machine of this much memory fits on this host."""
         if self.allow_memory_overcommit:
             return True
-        prospective = self.reserved_memory_mib() + machine.resources.memory_mib
-        return prospective <= self.memory_mib
+        return self.machines.reserved_memory_mib + memory_mib <= self.memory_mib
 
-    def _require_placeable(self, machine: MicroVM) -> None:
-        if machine.name in self.machines:
-            raise HostError(f"machine {machine.name!r} is already placed on host {self.index}")
-        if not self.can_place(machine):
+    def _admit(self, names: list[str], memory_mib: np.ndarray) -> None:
+        """Refuse, with a :class:`HostError`, a batch that cannot be placed whole."""
+        placed = self.machines
+        seen: set[str] = set()
+        for name in names:
+            if name in placed or name in seen:
+                raise HostError(f"machine {name!r} is already placed on host {self.index}")
+            seen.add(name)
+        if self.allow_memory_overcommit:
+            return
+        needed = placed.reserved_memory_mib + np.cumsum(memory_mib)
+        over = np.flatnonzero(needed > self.memory_mib)
+        if over.size:
+            first = int(over[0])
             raise HostError(
-                f"host {self.index} cannot fit machine {machine.name!r}: "
-                f"{self.reserved_memory_mib() + machine.resources.memory_mib:.0f} MiB "
-                f"needed, {self.memory_mib} MiB available"
+                f"host {self.index} cannot fit machine {names[first]!r}: "
+                f"{needed[first]:.0f} MiB needed, {self.memory_mib} MiB available"
             )
 
-    def place(self, machine: MicroVM) -> None:
-        """Place a machine on this host (it is not booted yet)."""
-        self._require_placeable(machine)
-        self.machines[machine.name] = machine
-        self._reserved_memory_mib += machine.resources.memory_mib
-        self._allocated_vcpus += machine.resources.vcpu_count
-        machine.on_state_change = self._drop_usage
-        self._usage = None
-        self.overlay_store.create_overlay(machine.name, machine.rootfs)
+    def place(
+        self, batch: MachineBatch, rng: np.random.Generator, boot_s: Optional[float] = None
+    ) -> None:
+        """Place a batch of machines: created, or booted at ``boot_s``.
+
+        The checks come first, so a refused batch draws nothing.  Then each
+        machine's seed is the next ``integers(0, 2**63)`` of ``rng`` (the
+        manager's stream), drawn for the whole batch at once: one
+        ``size=k`` call equals ``k`` scalar calls draw for draw.
+        """
+        self._admit(batch.names, batch.column("memory_mib"))
+        seeds = rng.integers(0, 2**63, size=len(batch)).tolist()
+        self.machines.append(batch, seeds, boot_s)
 
     def remove(self, machine_name: str) -> None:
-        """Remove a machine and its overlay from this host."""
-        machine = self.machines.pop(machine_name, None)
-        if machine is not None:
-            self._reserved_memory_mib -= machine.resources.memory_mib
-            self._allocated_vcpus -= machine.resources.vcpu_count
-            machine.on_state_change = None
-            self._usage = None
-        self._busy_fractions.pop(machine_name, None)
-        self.overlay_store.remove_overlay(machine_name)
+        """Remove a machine from this host."""
+        if machine_name in self.machines:
+            self.machines.take(machine_name)
 
     def transfer(self, machine_name: str, target: Host) -> None:
-        """Move a placed machine to another host, workload accounting included."""
-        machine = self.machine(machine_name)
-        target._require_placeable(machine)
-        busy_fraction = self._busy_fractions.get(machine_name)
-        self.remove(machine_name)
-        target.place(machine)
-        if busy_fraction is not None:
-            target.set_busy_fraction(machine_name, busy_fraction)
+        """Move a placed machine's row to another host, workload accounting included."""
+        memory = self.machine(machine_name).memory_mib
+        if machine_name in target.machines:
+            raise HostError(f"machine {machine_name!r} is already placed on host {target.index}")
+        if not target.can_place(memory):
+            raise HostError(f"host {target.index} cannot fit machine {machine_name!r}")
+        target.machines.put(self.machines.take(machine_name))
 
-    def machine(self, name: str) -> MicroVM:
-        """Look up a placed machine by name."""
+    def machine(self, name: str) -> MachineView:
+        """The view of a placed machine, by name."""
         if name not in self.machines:
             raise HostError(f"machine {name!r} is not placed on host {self.index}")
         return self.machines[name]
@@ -147,52 +138,25 @@ class Host:
 
     def set_busy_fraction(self, machine_name: str, fraction: float) -> None:
         """Report how busy a machine's workload keeps its vCPUs (0..1)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("busy fraction must be in [0, 1]")
         self.machine(machine_name)
-        self._busy_fractions[machine_name] = fraction
-        self._usage = None
+        self.machines.set_busy(machine_name, fraction)
 
     def set_cpu_quota(self, machine_name: str, quota_fraction: float) -> None:
         """Change the CPU quota of a placed machine (fraction in (0, 1])."""
-        self.machine(machine_name).cpu_quota.set_quota(quota_fraction)
-        self._usage = None
-
-    def _drop_usage(self) -> None:
-        self._usage = None
-
-    def _usage_reading(self) -> _Usage:
-        """The kept usage reading, recomputed by one pass when it was dropped.
-
-        Sequential sums in ``machines`` order, so the values carry the same
-        bits whenever they are computed.
-        """
-        usage = self._usage
-        if usage is None:
-            busy_fractions = self._busy_fractions
-            cores = 0.0
-            memory_mib = 0.0
-            booted = 0
-            running = 0
-            for name, machine in self.machines.items():
-                cores += machine.cpu_cores_in_use(busy_fractions.get(name))
-                memory_mib += machine.memory_footprint_mib()
-                booted += machine.is_booted
-                running += machine.is_running
-            usage = self._usage = _Usage(cores, memory_mib, booted, running)
-        return usage
+        self.machine(machine_name)
+        self.machines.set_quota(machine_name, quota_fraction)
 
     def booted_machine_count(self) -> int:
         """Number of machines that have booted (running or suspended)."""
-        return self._usage_reading().booted
+        return self.machines.usage().booted
 
     def running_machine_count(self) -> int:
         """Number of machines currently running."""
-        return self._usage_reading().running
+        return self.machines.usage().running
 
     def cpu_cores_in_use(self) -> float:
         """Host cores currently consumed by all microVMs."""
-        return min(self._usage_reading().cpu_cores, float(self.cpu_cores))
+        return min(self.machines.usage().cpu_cores, float(self.cpu_cores))
 
     def microvm_cpu_percent(self) -> float:
         """microVM CPU usage as a percentage of the host's cores."""
@@ -207,10 +171,9 @@ class Host:
         """Number of random variates one :meth:`sample_usage` call consumes.
 
         Kept next to :meth:`sample_usage` because the two must evolve
-        together: the coordinator-side ledger of a host sampled in a worker
-        process (``repro.dist.backend.HostLedger``) skips exactly this many
-        draws of its copy of the host's stream per sample, to stay in
-        lockstep.
+        together: the driver's copy of a host sampled in a worker process
+        skips exactly this many draws of its copy of the host's stream per
+        sample, to stay in lockstep.
         """
         if setup_phase:
             return 1
@@ -225,9 +188,9 @@ class Host:
     ) -> UsageSample:
         """Record and return one resource-usage sample for this host.
 
-        Boot bursts are not modelled: :meth:`MicroVM.boot` logs BOOTING and
-        the RUNNING transition at the boot-finished time in one call, so a
-        sample never sees a machine mid-boot.
+        Boot bursts are not modelled: a booting machine's stored state is
+        already running (:mod:`repro.microvm.machine`), so a sample never
+        sees a machine mid-boot.
         """
         rng = rng if rng is not None else self._default_rng
         if setup_phase:

@@ -82,7 +82,9 @@ class MigrationScheduler:
         reserved = {host.index: host.reserved_memory_mib() for host in self.hosts}
         machines = {
             host.index: sorted(
-                host.machines.values(), key=lambda m: m.resources.memory_mib, reverse=True
+                zip(host.machines.memory_mib, host.machines.names),
+                key=lambda machine: machine[0],
+                reverse=True,
             )
             for host in self.hosts
         }
@@ -93,23 +95,22 @@ class MigrationScheduler:
             spread = reserved[fullest] - reserved[emptiest]
             if spread <= self.imbalance_threshold_mib:
                 break
-            candidate = None
-            for machine in machines[fullest]:
-                if machine.resources.memory_mib < spread:
-                    candidate = machine
-                    break
+            candidate = next(
+                (machine for machine in machines[fullest] if machine[0] < spread), None
+            )
             if candidate is None:
                 break
+            memory_mib, name = candidate
             machines[fullest].remove(candidate)
             machines[emptiest].append(candidate)
-            reserved[fullest] -= candidate.resources.memory_mib
-            reserved[emptiest] += candidate.resources.memory_mib
+            reserved[fullest] -= memory_mib
+            reserved[emptiest] += memory_mib
             plan.append(
                 MigrationPlanEntry(
-                    machine_name=candidate.name,
+                    machine_name=name,
                     source_host=fullest,
                     target_host=emptiest,
-                    memory_mib=candidate.resources.memory_mib,
+                    memory_mib=memory_mib,
                 )
             )
         return plan
@@ -119,25 +120,26 @@ class MigrationScheduler:
     def execute(self, now_s: float, plan: list[MigrationPlanEntry] | None = None) -> list[MigrationEvent]:
         """Execute a plan (or a freshly computed one) and return the events.
 
-        Running machines are suspended for the duration of the transfer and
-        resumed on the target host; machines in other states are moved
-        without a suspend/resume bracket.
+        A move takes the machine's row from the source host's table to the
+        target's: a running machine is suspended, transferred and resumed
+        there (``downtime_s`` is the transfer it was suspended for); machines
+        in other states are moved without the suspend/resume bracket.
         """
         host_by_index = {host.index: host for host in self.hosts}
         executed: list[MigrationEvent] = []
         for entry in plan if plan is not None else self.plan():
             source = host_by_index[entry.source_host]
             target = host_by_index[entry.target_host]
-            machine = source.machine(entry.machine_name)
-            if not target.can_place(machine):
+            memory_mib = source.machine(entry.machine_name).memory_mib
+            if not target.can_place(memory_mib):
                 continue
-            downtime = self.migration_downtime_s(machine.resources.memory_mib)
-            was_running = machine.state is MachineState.RUNNING
+            downtime = self.migration_downtime_s(memory_mib)
+            was_running = source.machines.state(entry.machine_name) is MachineState.RUNNING
             if was_running:
-                machine.suspend(now_s)
+                source.machines.suspend(entry.machine_name)
             source.transfer(entry.machine_name, target)
             if was_running:
-                machine.resume(now_s + downtime)
+                target.machines.resume(entry.machine_name)
             event = MigrationEvent(
                 time_s=now_s,
                 machine_name=entry.machine_name,

@@ -1,23 +1,45 @@
-"""The microVM machine model: resources, lifecycle and resource footprint.
+"""The microVM machine model: one table of machines per host.
 
 A Firecracker microVM boots in well under a second, can be suspended and
 resumed, and keeps its virtio memory device allocated on the host even while
 suspended (§3.2, §4.2 "Efficiency").  Celestial additionally reboots or
 terminates machines through its fault-injection API to model radiation-induced
 failures (§3.1).
+
+A host's machines are one :class:`MachineTable`: a struct of columns with one
+row per machine, in creation order, plus a name → row index.  Creating
+machines appends rows, a lifecycle operation rewrites one row, and a usage
+reading is one pass over the rows.  The table is the machine
+model on both sides of the worker seam: the host a manager owns holds one,
+and with worker processes the driver holds a replica, kept by the same
+operations plus the suspends and resumes the workers report.
+:class:`MachineView` is the read-only view of one row.
+
+Boot times
+----------
+
+A machine's ``k``-th boot takes ``boot_time_s(default_rng(seed).random(k)[-1])``
+seconds, drawn when first asked for.  :meth:`MachineTable.state_at` answers
+for times at or after the machine's latest lifecycle operation, the only
+times the simulation asks about: ``BOOTING`` until every boot started so far
+has finished, the stored state after.  A boot started inside the previous
+boot's window therefore reads ``BOOTING`` until the later of the two
+finishes.  Boot bursts are not modelled: a booting machine's stored state is
+already ``RUNNING``, so a usage sample never sees one mid-boot.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import math
+from array import array
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.microvm.cgroups import CPUQuota
-from repro.microvm.kernel import KernelImage
-from repro.microvm.rootfs import RootFilesystemImage
 
 
 class MicroVMError(RuntimeError):
@@ -35,28 +57,14 @@ class MachineState(enum.Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class MachineResources:
-    """Resources allocated to a microVM."""
-
-    vcpu_count: int
-    memory_mib: int
-    disk_mib: int = 512
-
-    def __post_init__(self):
-        if self.vcpu_count <= 0:
-            raise ValueError("vcpu count must be positive")
-        if self.memory_mib <= 0:
-            raise ValueError("memory must be positive")
-        if self.disk_mib <= 0:
-            raise ValueError("disk must be positive")
-
-
-@dataclass
-class _Transition:
-    time_s: float
-    state: MachineState
-
+#: A state's code in the table is its position in :class:`MachineState`.
+_STATES = tuple(MachineState)
+_CREATED, _BOOTING, _RUNNING, _SUSPENDED, _STOPPED, _FAILED = range(len(_STATES))
+#: The states a boot starts from, the states a stop is refused in, and the
+#: states a reboot boots from without stopping first.
+_BOOTABLE = (_CREATED, _STOPPED, _FAILED)
+_UNSTOPPABLE = (_STOPPED, _CREATED)
+_DOWN = (_STOPPED, _FAILED)
 
 #: Firecracker boot time: ~125 ms plus configuration overhead (sub-second).
 DEFAULT_BOOT_TIME_S = 0.35
@@ -64,152 +72,400 @@ BOOT_TIME_JITTER_S = 0.15
 #: No boot takes longer: a boot started this long ago has finished.
 MAX_BOOT_TIME_S = DEFAULT_BOOT_TIME_S + BOOT_TIME_JITTER_S
 
-#: The lifecycle guards, shared with the worker-process ledger
-#: (``repro.dist.backend``): the states a boot starts from, the states a stop
-#: is refused in, and the states a reboot boots from without stopping first.
-BOOTABLE_STATES = (MachineState.CREATED, MachineState.STOPPED, MachineState.FAILED)
-UNSTOPPABLE_STATES = (MachineState.STOPPED, MachineState.CREATED)
-DOWN_STATES = (MachineState.STOPPED, MachineState.FAILED)
-
 
 def boot_time_s(draw: float) -> float:
     """The boot duration of one uniform draw in [0, 1) of a machine's generator."""
     return DEFAULT_BOOT_TIME_S + draw * BOOT_TIME_JITTER_S
 
 
-class MicroVM:
-    """One emulated machine (satellite server or ground-station server)."""
+@dataclass(frozen=True, eq=False)
+class MachineBatch:
+    """Machines created together on one host, in creation order.
 
-    def __init__(
-        self,
-        name: str,
-        resources: MachineResources,
-        kernel: Optional[KernelImage] = None,
-        rootfs: Optional[RootFilesystemImage] = None,
-        rng: Optional[np.random.Generator] = None,
-        active_cpu_fraction: float = 0.05,
-    ):
-        self.name = name
-        self.resources = resources
-        self.kernel = kernel if kernel is not None else KernelImage()
-        self.rootfs = rootfs if rootfs is not None else RootFilesystemImage()
-        self.cpu_quota = CPUQuota(vcpu_count=resources.vcpu_count)
-        self.state = MachineState.CREATED
-        self.active_cpu_fraction = active_cpu_fraction
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.transitions: list[_Transition] = [_Transition(0.0, MachineState.CREATED)]
-        #: Latest time in the log (the log is not time-sorted: a boot logs its
-        #: finish ahead of time, and a stop may land before it).
-        self._latest_transition_s = 0.0
-        self.boot_count = 0
-        self._boot_finished_at_s: Optional[float] = None
-        #: Called after every lifecycle transition; the host the machine is
-        #: placed on sets it to keep its usage accounting current.
-        self.on_state_change: Optional[Callable[[], None]] = None
+    ``shells`` and ``identifiers`` are the machines' identities (shell ``-1``
+    is a ground station, its identifier the configuration position);
+    ``images`` indexes ``computes``, the compute parameters the machines are
+    built from (``vcpu_count``, ``memory_mib``, ``cpu_quota``,
+    ``idle_cpu_fraction``).
+    """
 
-    # -- state machine ----------------------------------------------------
+    names: list[str]
+    shells: np.ndarray
+    identifiers: np.ndarray
+    images: np.ndarray
+    computes: tuple[Any, ...]
 
-    def _set_state(self, state: MachineState, now_s: float) -> None:
-        self.state = state
-        self.transitions.append(_Transition(now_s, state))
-        if now_s > self._latest_transition_s:
-            self._latest_transition_s = now_s
-        if self.on_state_change is not None:
-            self.on_state_change()
+    @classmethod
+    def single(cls, name: str, shell: int, identifier: int, compute) -> "MachineBatch":
+        """A batch of one machine."""
+        return cls([name], np.array([shell]), np.array([identifier]), np.zeros(1, int), (compute,))
 
-    def sample_boot_time_s(self) -> float:
-        """Sub-second boot duration for this machine."""
-        return boot_time_s(float(self._rng.random()))
+    def __len__(self) -> int:
+        return len(self.names)
 
-    def boot(self, now_s: float) -> float:
-        """Start booting; returns the time at which the machine is running."""
-        if self.state not in BOOTABLE_STATES:
-            raise MicroVMError(f"cannot boot machine in state {self.state.value}")
-        self._set_state(MachineState.BOOTING, now_s)
-        boot_time = self.sample_boot_time_s()
-        self._boot_finished_at_s = now_s + boot_time
-        self._set_state(MachineState.RUNNING, self._boot_finished_at_s)
-        self.boot_count += 1
-        return self._boot_finished_at_s
+    def column(self, field: str) -> np.ndarray:
+        """One compute parameter per machine."""
+        values = np.array([getattr(compute, field) for compute in self.computes])
+        return values[self.images]
 
-    def suspend(self, now_s: float) -> None:
-        """Suspend the machine (bounding-box exit); memory stays allocated."""
-        if self.state is not MachineState.RUNNING:
-            raise MicroVMError(f"cannot suspend machine in state {self.state.value}")
-        self._set_state(MachineState.SUSPENDED, now_s)
+    def take(self, indices: np.ndarray) -> "MachineBatch":
+        """The machines at ``indices``, in that order."""
+        return MachineBatch(
+            [self.names[index] for index in indices.tolist()],
+            self.shells[indices],
+            self.identifiers[indices],
+            self.images[indices],
+            self.computes,
+        )
 
-    def resume(self, now_s: float) -> None:
+
+class Usage(NamedTuple):
+    """A table's usage reading: cores (not yet clamped to the host), memory, counts."""
+
+    cpu_cores: float
+    memory_mib: float
+    booted: int
+    running: int
+
+
+class MachineTable(Mapping):
+    """The machines of one host: one row each, in creation order.
+
+    The columns are public: ``names`` a list, the others typed arrays
+    (``shells``, ``identifiers``, ``vcpus``, ``memory_mib``, ``quota``,
+    ``busy``, ``seeds``, ``states``, ``boot_counts``, ``boot_started_s``,
+    ``held_until_s``), so a row costs a few dozen bytes and a scalar read
+    is a Python number, never a NumPy scalar.  Every write goes through a
+    method, which drops the kept usage reading.  As a mapping the table is
+    name → :class:`MachineView`, in creation order.
+    """
+
+    #: The columns a row consists of, in the order :meth:`take` returns them.
+    _COLUMNS = (
+        "names",
+        "shells",
+        "identifiers",
+        "vcpus",
+        "memory_mib",
+        "quota",
+        "busy",
+        "seeds",
+        "states",
+        "boot_counts",
+        "boot_started_s",
+        "held_until_s",
+        "_finished_s",
+    )
+
+    def __init__(self) -> None:
+        self._rows: dict[str, int] = {}
+        self.names: list[str] = []
+        self.shells = array("i")
+        self.identifiers = array("i")
+        self.vcpus = array("i")
+        self.memory_mib = array("q")
+        self.quota = array("d")
+        #: The share of its vCPUs a running machine keeps busy: the idle
+        #: fraction of its compute parameters until a workload reports one.
+        self.busy = array("d")
+        self.seeds = array("q")
+        self.states = array("b")
+        self.boot_counts = array("i")
+        self.boot_started_s = array("d")
+        #: The latest finish of the earlier boots still running when the
+        #: latest one started: the machine reads BOOTING until then.
+        self.held_until_s = array("d")
+        # The latest boot's finish once drawn, NaN before.
+        self._finished_s = array("d")
+        #: Running totals over the rows.
+        self.reserved_memory_mib = 0
+        self.allocated_vcpus = 0
+        self._usage: Optional[Usage] = None
+
+    # -- the mapping: name → view ------------------------------------------
+
+    def __getitem__(self, name: str) -> "MachineView":
+        if name not in self._rows:
+            raise KeyError(name)
+        return MachineView(self, name)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._rows
+
+    def state(self, name: str) -> MachineState:
+        """A machine's stored lifecycle state."""
+        return _STATES[self.states[self._rows[name]]]
+
+    def identity(self, name: str) -> tuple[int, int]:
+        """A machine's shell (``-1``: a ground station) and identifier."""
+        row = self._rows[name]
+        return self.shells[row], self.identifiers[row]
+
+    # -- rows ------------------------------------------------------------------
+
+    def append(
+        self, batch: MachineBatch, seeds: Sequence[int], boot_s: Optional[float] = None
+    ) -> None:
+        """Add a batch's rows: created, or booted at ``boot_s``."""
+        count = len(batch)
+        start = len(self.names)
+        self._rows.update(zip(batch.names, range(start, start + count)))
+        self.names.extend(batch.names)
+        self.shells.extend(batch.shells.tolist())
+        self.identifiers.extend(batch.identifiers.tolist())
+        vcpus, memory = batch.column("vcpu_count"), batch.column("memory_mib")
+        self.vcpus.extend(vcpus.tolist())
+        self.memory_mib.extend(memory.tolist())
+        self.quota.extend(batch.column("cpu_quota").tolist())
+        self.busy.extend(batch.column("idle_cpu_fraction").tolist())
+        self.seeds.extend(seeds)
+        booted = boot_s is not None
+        self.states.extend([_RUNNING if booted else _CREATED] * count)
+        self.boot_counts.extend([int(booted)] * count)
+        self.boot_started_s.extend([boot_s if booted else 0.0] * count)
+        self.held_until_s.extend([0.0] * count)
+        self._finished_s.extend([math.nan] * count)
+        self.reserved_memory_mib += int(memory.sum())
+        self.allocated_vcpus += int(vcpus.sum())
+        self._usage = None
+
+    def take(self, name: str) -> tuple:
+        """Remove a machine's row and return its values (for :meth:`put`)."""
+        row = self._rows.pop(name)
+        values = tuple(getattr(self, column).pop(row) for column in self._COLUMNS)
+        for later in self.names[row:]:
+            self._rows[later] -= 1
+        self.reserved_memory_mib -= values[4]
+        self.allocated_vcpus -= values[3]
+        self._usage = None
+        return values
+
+    def put(self, values: tuple) -> None:
+        """Append a row :meth:`take` returned, on this table."""
+        self._rows[values[0]] = len(self.names)
+        for column, value in zip(self._COLUMNS, values):
+            getattr(self, column).append(value)
+        self.reserved_memory_mib += values[4]
+        self.allocated_vcpus += values[3]
+        self._usage = None
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    def _refuse(self, row: int, action: str) -> MicroVMError:
+        return MicroVMError(f"cannot {action} machine in state {_STATES[self.states[row]].value}")
+
+    def _set(self, row: int, code: int) -> None:
+        self.states[row] = code
+        self._usage = None
+
+    def _boot(self, row: int, now_s: float) -> None:
+        # A boot inside the previous one's window draws that finish now: the
+        # machine reads BOOTING until the later of the two.
+        if self.boot_counts[row] and now_s < self.boot_started_s[row] + MAX_BOOT_TIME_S:
+            self.held_until_s[row] = max(self.held_until_s[row], self._finish(row))
+        self.boot_counts[row] += 1
+        self.boot_started_s[row] = now_s
+        self._finished_s[row] = math.nan
+        self._set(row, _RUNNING)
+
+    def boot(self, name: str, now_s: float) -> None:
+        """Start booting a created, stopped or failed machine."""
+        row = self._rows[name]
+        if self.states[row] not in _BOOTABLE:
+            raise self._refuse(row, "boot")
+        self._boot(row, now_s)
+
+    def boot_created(self, now_s: float) -> list[str]:
+        """Boot every created, unbooted machine; returns their names."""
+        rows = [row for row, code in enumerate(self.states) if code == _CREATED]
+        for row in rows:
+            self._boot(row, now_s)
+        return [self.names[row] for row in rows]
+
+    def suspend(self, name: str) -> None:
+        """Suspend a running machine (bounding-box exit); memory stays allocated."""
+        row = self._rows[name]
+        if self.states[row] != _RUNNING:
+            raise self._refuse(row, "suspend")
+        self._set(row, _SUSPENDED)
+
+    def resume(self, name: str) -> None:
         """Resume a suspended machine (bounding-box re-entry)."""
-        if self.state is not MachineState.SUSPENDED:
-            raise MicroVMError(f"cannot resume machine in state {self.state.value}")
-        self._set_state(MachineState.RUNNING, now_s)
+        row = self._rows[name]
+        if self.states[row] != _SUSPENDED:
+            raise self._refuse(row, "resume")
+        self._set(row, _RUNNING)
 
-    def stop(self, now_s: float) -> None:
-        """Shut the machine down (fault injection: full shutdown)."""
-        if self.state in UNSTOPPABLE_STATES:
-            raise MicroVMError(f"cannot stop machine in state {self.state.value}")
-        self._set_state(MachineState.STOPPED, now_s)
+    def stop(self, name: str) -> None:
+        """Shut a machine down (fault injection: full shutdown)."""
+        row = self._rows[name]
+        if self.states[row] in _UNSTOPPABLE:
+            raise self._refuse(row, "stop")
+        self._set(row, _STOPPED)
 
-    def fail(self, now_s: float) -> None:
-        """Mark the machine as failed (e.g. radiation-induced single event upset)."""
-        self._set_state(MachineState.FAILED, now_s)
+    def fail(self, name: str) -> None:
+        """Mark a machine failed (e.g. a radiation-induced single event upset)."""
+        self._set(self._rows[name], _FAILED)
 
-    def reboot(self, now_s: float) -> float:
-        """Stop and boot again; returns the time the machine is running again."""
-        if self.state not in DOWN_STATES:
-            self._set_state(MachineState.STOPPED, now_s)
-        return self.boot(now_s)
+    def follow_activity(self, name: str, active: bool) -> Optional[MachineState]:
+        """Suspend a running machine outside the bounding box, resume a
+        suspended one inside it; the state it took, or ``None``."""
+        row = self._rows.get(name)
+        if row is None:
+            return None
+        code = self.states[row]
+        if code == _RUNNING and not active:
+            code = _SUSPENDED
+        elif code == _SUSPENDED and active:
+            code = _RUNNING
+        else:
+            return None
+        self._set(row, code)
+        return _STATES[code]
 
-    # -- properties & resource footprint -----------------------------------
+    def reboot(self, name: str, now_s: float) -> None:
+        """Stop a machine unless it is down, then boot it."""
+        row = self._rows[name]
+        if self.states[row] not in _DOWN:
+            self.states[row] = _STOPPED
+        self._boot(row, now_s)
+
+    def set_quota(self, name: str, quota_fraction: float) -> None:
+        """Change a machine's CPU quota (fraction in (0, 1])."""
+        CPUQuota._validate_fraction(quota_fraction)
+        self.quota[self._rows[name]] = quota_fraction
+        self._usage = None
+
+    def set_busy(self, name: str, fraction: float) -> None:
+        """Report how busy a machine's workload keeps its vCPUs (0..1)."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("busy fraction must be in [0, 1]")
+        self.busy[self._rows[name]] = fraction
+        self._usage = None
+
+    # -- boot times --------------------------------------------------------------
+
+    def _finish(self, row: int) -> float:
+        finished = self._finished_s[row]
+        if math.isnan(finished):
+            draws = np.random.default_rng(self.seeds[row]).random(self.boot_counts[row])
+            finished = self.boot_started_s[row] + boot_time_s(float(draws[-1]))
+            self._finished_s[row] = finished
+        return finished
+
+    def boot_finished_at_s(self, name: str) -> Optional[float]:
+        """When a machine's latest boot finishes (``None`` before its first boot)."""
+        row = self._rows[name]
+        return self._finish(row) if self.boot_counts[row] else None
+
+    def _booting(self, row: int, time_s: float) -> bool:
+        return time_s < self.boot_started_s[row] + MAX_BOOT_TIME_S and (
+            time_s < self.held_until_s[row] or time_s < self._finish(row)
+        )
+
+    def state_at(self, name: str, time_s: float) -> MachineState:
+        """A machine's state at ``time_s``, no earlier than its latest operation."""
+        row = self._rows[name]
+        if self.boot_counts[row] and self._booting(row, time_s):
+            return MachineState.BOOTING
+        return _STATES[self.states[row]]
+
+    def is_running_at(self, name: str, time_s: float) -> bool:
+        """Whether ``state_at(name, time_s)`` is ``RUNNING``: the per-message check."""
+        row = self._rows[name]
+        if self.states[row] != _RUNNING:
+            return False
+        if time_s >= self.boot_started_s[row] + MAX_BOOT_TIME_S:
+            return True
+        return not (time_s < self.held_until_s[row] or time_s < self._finish(row))
+
+    # -- accounting ----------------------------------------------------------------
+
+    def usage(self) -> Usage:
+        """The kept usage reading, recomputed when anything it depends on changed.
+
+        One pass over the rows in creation order, adding one value at a
+        time, so the values carry the same bits whenever they are computed:
+        a running machine uses its vCPUs × busy share × quota, a booted
+        (running or suspended) one holds its memory.
+        """
+        if self._usage is None:
+            self._usage = self._read_usage()
+        return self._usage
+
+    def _read_usage(self) -> Usage:
+        cores = memory = 0.0
+        booted = running = 0
+        for code, vcpus, busy, quota, memory_mib in zip(
+            self.states, self.vcpus, self.busy, self.quota, self.memory_mib
+        ):
+            if code == _RUNNING:
+                cores += vcpus * busy * quota
+                running += 1
+            elif code != _SUSPENDED:
+                continue
+            memory += memory_mib
+            booted += 1
+        return Usage(cores, memory, booted, running)
+
+
+class MachineView:
+    """The read-only view of one machine's row; change a machine through its manager.
+
+    ``Celestial.machine`` hands these out under either backend: with worker
+    processes the row is the driver's replica of the worker's.
+    """
+
+    __slots__ = ("_table", "name")
+
+    def __init__(self, table: MachineTable, name: str):
+        self._table = table
+        self.name = name
+
+    def _column(self, column: str):
+        return getattr(self._table, column)[self._table._rows[self.name]]
+
+    @property
+    def state(self) -> MachineState:
+        """The machine's current lifecycle state."""
+        return self._table.state(self.name)
+
+    def state_at(self, time_s: float) -> MachineState:
+        """The machine's state at ``time_s``, no earlier than its latest operation."""
+        return self._table.state_at(self.name, time_s)
 
     @property
     def is_running(self) -> bool:
-        """Whether the machine is currently running (not suspended/stopped)."""
+        """Whether the machine is running (not suspended, stopped or failed)."""
         return self.state is MachineState.RUNNING
 
     @property
-    def is_booted(self) -> bool:
-        """Whether the machine has been booted at least once and not stopped."""
-        return self.state in (MachineState.RUNNING, MachineState.SUSPENDED)
+    def boot_count(self) -> int:
+        """Boots so far; the k-th boot's duration is the k-th draw of its generator."""
+        return self._column("boot_counts")
 
-    def memory_footprint_mib(self) -> float:
-        """Host memory blocked by this machine.
+    @property
+    def boot_finished_at_s(self) -> Optional[float]:
+        """When the latest boot finishes (``None`` before the first boot)."""
+        return self._table.boot_finished_at_s(self.name)
 
-        The virtio memory device keeps the full allocation reserved as soon
-        as the machine has booted, even while suspended (§4.2).
-        """
-        if self.state in (MachineState.BOOTING, MachineState.RUNNING, MachineState.SUSPENDED):
-            return float(self.resources.memory_mib)
-        return 0.0
+    @property
+    def cpu_quota(self) -> CPUQuota:
+        """A copy of the machine's CPU quota."""
+        return CPUQuota(self._column("vcpus"), self._column("quota"))
 
-    def cpu_cores_in_use(self, busy_fraction: Optional[float] = None) -> float:
-        """Host cores currently consumed by this machine.
+    @property
+    def memory_mib(self) -> int:
+        """The memory the machine reserves on its host."""
+        return self._column("memory_mib")
 
-        ``busy_fraction`` expresses how busy the workload keeps its allocated
-        vCPUs (1.0 = all allocated vCPUs fully busy); when omitted the
-        machine's idle/active baseline is used.
-        """
-        if self.state is MachineState.BOOTING:
-            return float(self.resources.vcpu_count)
-        if self.state is not MachineState.RUNNING:
-            return 0.0
-        fraction = self.active_cpu_fraction if busy_fraction is None else busy_fraction
-        fraction = min(max(fraction, 0.0), 1.0)
-        return self.resources.vcpu_count * fraction * self.cpu_quota.quota_fraction
-
-    def state_at(self, time_s: float) -> MachineState:
-        """Machine state at a time (from the transition log).
-
-        At or after the latest logged transition the answer is the current
-        state — every entry of the log passes the walk below — so the usual
-        "is it running now" question reads no log at all.
-        """
-        if time_s >= self._latest_transition_s:
-            return self.state
-        state = MachineState.CREATED
-        for transition in self.transitions:
-            if transition.time_s <= time_s:
-                state = transition.state
-            else:
-                break
-        return state
+    @property
+    def seed(self) -> int:
+        """The seed of the machine's boot-time generator."""
+        return self._column("seeds")

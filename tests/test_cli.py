@@ -251,6 +251,12 @@ class TestConfigurationErrors:
         line = self._error_line(["validate", str(path)], capsys)
         assert str(path) in line and "hosts.inter_host_latency_ms was removed" in line
 
+    def test_removed_compute_key(self, tmp_path, capsys):
+        path = tmp_path / "stale-disk.toml"
+        path.write_text(_CONFIG_TOML.replace("memory_mib = 1024\n", "memory_mib = 1024\ndisk_mib = 512\n"))
+        line = self._error_line(["validate", str(path)], capsys)
+        assert str(path) in line and "compute.disk_mib was removed" in line
+
     def test_removed_serve_key(self, tmp_path, capsys):
         path = tmp_path / "stale-spec.toml"
         path.write_text(_SPEC_TOML + "\n[serve]\nall_pairs = true\n")

@@ -134,6 +134,18 @@ class TestConfiguration:
         with pytest.raises(TypeError):
             HostConfig(**{key: 1})
 
+    @pytest.mark.parametrize("servers", ["shells", "ground_stations"])
+    def test_removed_compute_key_fails_loudly(self, servers):
+        """``disk_mib`` was validated and never read; configurations saved by
+        earlier versions carry it, and loading one says so."""
+        data = _config().to_dict()
+        assert "disk_mib" not in data["shells"][0]["compute"]
+        data[servers][0]["compute"]["disk_mib"] = 512
+        with pytest.raises(ConfigurationError, match="compute.disk_mib was removed"):
+            Configuration.from_dict(data)
+        with pytest.raises(TypeError):
+            ComputeParams(disk_mib=512)
+
     def test_from_toml(self, tmp_path):
         toml_text = """
         epoch = "2022-01-01T00:00:00"

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BoundingBox,
@@ -19,9 +21,9 @@ from repro.core import (
     RadiationModel,
     ShellConfig,
 )
-from repro.core.coordinator import STATS_SERIES_LENGTH, UpdateStats
+from repro.core.coordinator import STATS_SERIES_LENGTH, UpdateStats, least_reserved_placement
 from repro.hosts import Host
-from repro.microvm import MachineState
+from repro.microvm import MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.sim import Simulation
 
@@ -147,7 +149,7 @@ class TestCoordinator:
         memory = [manager.host.reserved_memory_mib() for manager in managers]
         assert abs(memory[0] - memory[1]) <= 8192.0
 
-    def test_placement_reads_running_totals(self):
+    def test_placement_reads_running_totals(self, monkeypatch):
         # Two shells with different machine sizes: 120 + 80 satellites.
         shells = tuple(
             ShellConfig(
@@ -161,24 +163,9 @@ class TestCoordinator:
         config = Configuration(shells=shells, update_interval_s=5.0, duration_s=60.0)
         calculation = ConstellationCalculation(config)
 
-        class CountingMachines(dict):
-            walks = 0
-
-            def __iter__(self):
-                CountingMachines.walks += 1
-                return super().__iter__()
-
-            def values(self):
-                CountingMachines.walks += 1
-                return super().values()
-
-            def items(self):
-                CountingMachines.walks += 1
-                return super().items()
-
+        walks = []
+        monkeypatch.setattr(MachineTable, "__iter__", lambda table: walks.append(table) or iter(()))
         managers = [MachineManager(Host(index=i, memory_mib=1 << 20)) for i in range(4)]
-        for manager in managers:
-            manager.host.machines = CountingMachines()
         coordinator = Coordinator(config, calculation, ConstellationDatabase(), managers)
         # Interleave the shells so machine sizes alternate.
         order = [
@@ -194,12 +181,10 @@ class TestCoordinator:
             reference_memory[expected] += config.shells[machine.shell].compute.memory_mib
             manager = coordinator.create_machine(machine, 0.0)
             assert manager.host.index == expected
-        assert CountingMachines.walks == 0
+        assert walks == []
         for manager, reserved in zip(managers, reference_memory):
             assert manager.host.reserved_memory_mib() == float(reserved)
-            assert reserved == sum(
-                m.resources.memory_mib for m in dict.values(manager.host.machines)
-            )
+            assert reserved == sum(manager.host.machines.memory_mib)
 
     def test_manager_for_unknown_machine(self):
         _, calculation, _, _, coordinator = _coordinator()
@@ -243,6 +228,64 @@ class TestCoordinator:
         assert (stats.count, stats.full_updates, stats.diff_updates) == (5000, 1, 4999)
         assert stats.mean_wallclock_s == pytest.approx(sum(durations) / 5000, rel=1e-12)
         assert stats.max_wallclock_s == 1.0 > max(stats.wallclock_seconds)
+
+
+def _per_machine_placement(reserved, memories):
+    """The rule one machine at a time: least reserved memory, ties to the lowest position."""
+    reserved = list(reserved)
+    positions = []
+    for memory in memories:
+        position = min(range(len(reserved)), key=reserved.__getitem__)
+        positions.append(position)
+        reserved[position] += memory
+    return positions
+
+
+class TestBatchPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reserved=st.lists(st.integers(0, 16).map(lambda units: 512 * units), min_size=1, max_size=4),
+        # Runs of satellites of one shell (512 / 1,024 MiB) among ground
+        # stations (4,096 / 8,192 MiB).
+        runs=st.lists(
+            st.tuples(st.sampled_from([512, 1024, 4096, 8192]), st.integers(1, 40)), max_size=8
+        ),
+    )
+    def test_batch_placement_equals_the_per_machine_rule(self, reserved, runs):
+        memories = [memory for memory, count in runs for _ in range(count)]
+        placed = least_reserved_placement(reserved, np.array(memories, dtype=np.int64))
+        assert placed.tolist() == _per_machine_placement(reserved, memories)
+
+    @pytest.mark.parametrize("host_count", [1, 3, 4])
+    def test_a_batch_is_the_machines_created_one_by_one(self, host_count):
+        # The set-up epoch's one batch against the same machines created one
+        # at a time, in the batch's order: same hosts, rows, seeds and states.
+        batched = _coordinator(host_count=host_count)[-1]
+        single = _coordinator(host_count=host_count)[-1]
+        batched.create_ground_stations(0.0)
+        batched.update(0.0)
+        for machine in batched.calculation.machines():
+            if machine.is_ground_station:
+                single.create_machine(machine, 0.0)
+        for machine in batched.calculation.machines():
+            if not machine.is_ground_station:
+                single.create_machine(machine, 0.0)
+        single.update(0.0)
+
+        def rows(coordinator):
+            return [
+                (
+                    manager.host.index,
+                    list(manager.host.machines.names),
+                    list(manager.host.machines.seeds),
+                    list(manager.host.machines.states),
+                    list(manager.host.machines.boot_counts),
+                )
+                for manager in coordinator.managers
+            ]
+
+        assert rows(batched) == rows(single)
+        assert sum(len(manager.host.machines) for manager in batched.managers) == 67
 
 
 class TestCoordinatorClose:

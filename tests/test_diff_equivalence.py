@@ -381,7 +381,7 @@ class TestOneRecordForEveryManager:
         assert [_census(manager) for manager in managers[1:]] == before[1:]
         managers[0].apply_diff(record, 30.0)
         suspensions, resumes, states = _census(managers[0])
-        satellites = [m for m in managers[0].machine_ids() if not m.is_ground_station]
+        satellites = [shell for shell in managers[0].host.machines.shells if shell >= 0]
         assert suspensions + resumes - sum(before[0][:2]) == len(satellites)
         assert states.keys() == before[0][2].keys()  # a record creates nothing
 

@@ -32,13 +32,14 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
-from repro.dist.backend import MachineRecord, ProcessFanoutBackend, WorkerDesyncError
+from repro.core.constellation import MachineId
+from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import FrameKind
 from repro.dist.worker import _Worker
-from repro.hosts import Host
-from repro.microvm import MachineResources, MachineState, MicroVM
+from repro.hosts import Host, HostError
+from repro.microvm import CPUQuota, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
 
@@ -103,15 +104,9 @@ def _machine_states(coordinator):
 
 
 def _boot_times(coordinator):
-    """Every machine's latest boot finish: the microVMs', or the driver's ledger's."""
-    if coordinator.parallelism == "processes":
-        return {
-            name: record.boot_finished_at_s
-            for manager in coordinator.managers
-            for name, record in manager.host.machines.items()
-        }
+    """Every machine's latest boot finish, read off the driver's rows either way."""
     return {
-        name: machine._boot_finished_at_s
+        name: machine.boot_finished_at_s
         for manager in coordinator.managers
         for name, machine in manager.host.machines.items()
     }
@@ -119,12 +114,12 @@ def _boot_times(coordinator):
 
 def _assert_equivalent(threads, processes):
     assert _counters(threads) == _counters(processes)
-    # The ledger's states (what the operations made of each machine plus
-    # the suspends and resumes the workers reported) are the microVMs'.
+    # The replica's states (what the operations made of each machine plus
+    # the suspends and resumes the workers reported) are the in-process rows'.
     assert _machine_states(threads) == _machine_states(processes)
     # Even sub-second boot jitter is backend-invariant: machines created
     # mid-run (after usage samples) seed from lockstepped RNG streams, and
-    # the ledger draws a boot's finish from the seed its worker's microVM got.
+    # the replica draws a boot's finish from the seed its worker's row holds.
     assert _boot_times(processes) == _boot_times(threads)
     # The worker checkpoints the mirrored managers' counters read agree with
     # the thread backend's managers, host by host.
@@ -559,18 +554,20 @@ class TestBatchedControlFrames:
             processes.close()
 
     def test_reversed_rows_fail_typed_at_set_up(self, monkeypatch):
-        # Reversed, each BOOT row runs before its machine's CREATE: the failed
-        # rows are reported with the set-up epoch's acknowledgement.  (The
-        # RNG check alone could not tell: each CREATE draws one variate, so
-        # a reordering moves no stream.)
+        # A machine created unbooted and booted before the first epoch: in
+        # reversed rows its BOOT runs before its CREATE, and the failed row
+        # is reported with the set-up epoch's acknowledgement.  (The RNG
+        # check alone could not tell: a reordering of creates moves no
+        # stream.)
         run_control = _Worker._run_control
         monkeypatch.setattr(
-            _Worker,
-            "_run_control",
-            lambda self, rows, table: run_control(self, rows[::-1], table),
+            _Worker, "_run_control", lambda self, rows: run_control(self, rows[::-1])
         )
         processes = _coordinator(_iridium_box_config(), "processes")
         try:
+            late = processes.calculation.satellite(0, 0)
+            processes.create_machine(late, 0.0, boot=False)
+            processes.manager_for(late).boot(late, 0.0)
             with pytest.raises(WorkerRemoteError, match=r"CONTROL row \d+ \(BOOT\)"):
                 processes.update(0.0)
         finally:
@@ -698,15 +695,53 @@ class TestTestbedProcessBackend:
             ]
             assert len(machines) == testbed_t.booted_machines() > 1
             for machine in machines:
-                view, microvm = testbed_p.machine(machine), testbed_t.machine(machine)
-                assert view.state is microvm.state
-                assert view.cpu_quota == microvm.cpu_quota
+                view, row = testbed_p.machine(machine), testbed_t.machine(machine)
+                assert view.state is row.state
+                assert view.cpu_quota == row.cpu_quota
                 assert testbed_p.processing_delay_s(
                     machine, 0.01, parallelism=4
                 ) == testbed_t.processing_delay_s(machine, 0.01, parallelism=4)
         finally:
             testbed_t.close()
             testbed_p.close()
+
+    def test_machine_views_agree_after_a_fault_program(self):
+        # terminate → reboot → a reboot inside that boot's window → degrade:
+        # Celestial.machine reads the same row under both backends, down to
+        # the boot finish and the held-boot window.
+        config = _iridium_box_config(update_interval_s=30.0, duration_s=120.0)
+        testbeds = [Celestial(config), Celestial(config, parallelism="processes", worker_count=2)]
+        try:
+            reads = []
+            for testbed in testbeds:
+                hawaii = testbed.ground_station("hawaii")
+                injector = testbed.fault_injector
+                testbed.run(until=10.0)
+                injector.terminate(hawaii, 10.0)
+                testbed.run(until=12.0)
+                injector.reboot(hawaii, 12.0)
+                testbed.run(until=12.2)
+                injector.reboot(hawaii, 12.2)
+                injector.degrade_cpu(hawaii, 0.5, 12.2)
+                view = testbed.machine(hawaii)
+                reads.append(
+                    (
+                        view.state,
+                        view.cpu_quota,
+                        view.boot_count,
+                        view.boot_finished_at_s,
+                        [view.state_at(12.2 + step / 20) for step in range(14)],
+                        injector.events,
+                    )
+                )
+            assert reads[0] == reads[1]
+            state, quota, boots, finished, states, _ = reads[0]
+            assert (state, quota, boots) == (MachineState.RUNNING, CPUQuota(8, 0.5), 3)
+            assert states[0] is MachineState.BOOTING and states[-1] is MachineState.RUNNING
+            assert 12.2 + 0.35 <= finished < 12.2 + 0.5
+        finally:
+            for testbed in testbeds:
+                testbed.close()
 
 
 def _satellites_and_station(coordinator):
@@ -775,7 +810,7 @@ def _lifecycle_step(program, threads, processes, now):
 
 
 class TestLedgerEquivalence:
-    """With worker processes the driver's ledger answers as microVMs do."""
+    """With worker processes the driver's replica answers as the in-process rows do."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_lifecycle_programs_agree_step_by_step(self, seed):
@@ -817,12 +852,13 @@ class TestLedgerEquivalence:
                             machine, now + later
                         ) == processes.is_running_at(machine, now + later), (machine, later)
                     view = processes.manager_for(machine).machine(machine)
-                    microvm = threads.manager_for(machine).machine(machine)
-                    assert view.state is microvm.state
-                    assert view.cpu_quota == microvm.cpu_quota
+                    row = threads.manager_for(machine).machine(machine)
+                    assert view.state is row.state
+                    assert view.cpu_quota == row.cpu_quota
+                    assert view.boot_finished_at_s == row.boot_finished_at_s
                 assert _bench_reads(threads) == _bench_reads(processes)
                 assert [
-                    manager.host.rng.bit_generator.state for manager in processes.managers
+                    manager._rng.bit_generator.state for manager in processes.managers
                 ] == [manager._rng.bit_generator.state for manager in threads.managers]
             # One more sweep flushes the last rows, so the checkpoints count them.
             assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
@@ -833,73 +869,57 @@ class TestLedgerEquivalence:
             threads.close()
             processes.close()
 
-    def test_a_record_reads_like_the_microvm_log(self):
-        # MachineRecord.state_at against MicroVM.state_at for every time at
-        # or after the latest operation, over seeded boot/stop/reboot runs.
-        # A reboot that starts inside a boot window and finishes before it
-        # reads BOOTING until the older boot's finish: "RUNNING once the
-        # latest boot finished" alone would not.
-        held_back = 0
-        for seed in range(40):
-            program = random.Random(seed)
-            microvm = MicroVM(
-                "m", MachineResources(1, 512), rng=np.random.default_rng(seed)
-            )
-            record = MachineRecord(seed, ComputeParams())
-            now = 0.0
-            for _ in range(12):
-                now += program.choice([0.02, 0.05, 0.1, 0.6])
-                operation = program.choice(["boot", "stop", "reboot", "reboot"])
-                if operation == "boot" and microvm.state in (
-                    MachineState.CREATED,
-                    MachineState.STOPPED,
-                ):
-                    microvm.boot(now)
-                    record.boot(now)
-                elif operation == "stop" and microvm.state not in (
-                    MachineState.CREATED,
-                    MachineState.STOPPED,
-                ):
-                    microvm.stop(now)
-                    record.stop()
-                elif operation == "reboot":
-                    finished = microvm.reboot(now)
-                    record.reboot(now)
-                    assert record.boot_finished_at_s == finished
-                assert record.state is microvm.state
-                for step in range(70):
-                    later = now + step / 100.0
-                    assert record.state_at(later) is microvm.state_at(later), (seed, later)
-                    held_back += (
-                        record.state is MachineState.RUNNING
-                        and later >= record.boot_finished_at_s
-                        and microvm.state_at(later) is MachineState.BOOTING
-                    )
-            assert record.boot_finished_at_s == microvm._boot_finished_at_s
-        assert held_back  # the runs reached the corner
+    def test_a_refused_placement_draws_no_seed_on_either_side(self):
+        # Host memory 1,536 MiB: s0 (1,024) fits, s1 (1,024) is refused and
+        # s2 (512) fits.  The refusal draws nothing, in process and on the
+        # driver's replica alike, so s2 gets the stream's second seed and
+        # the worker's stream stands where both do.
+        big, small = ComputeParams(1, 1024), ComputeParams(1, 512)
+        in_process, blueprint = (
+            MachineManager(Host(index=0, memory_mib=1536), rng=np.random.default_rng(7))
+            for _ in range(2)
+        )
+        backend = ProcessFanoutBackend([blueprint], worker_count=1)
+        try:
+            for manager in (in_process, backend.managers[0]):
+                manager.create_machine(MachineId(0, 0, "s0"), big)
+                with pytest.raises(HostError, match="cannot fit machine 's1'"):
+                    manager.create_machine(MachineId(0, 1, "s1"), big)
+                assert not manager.has_machine(MachineId(0, 1, "s1"))
+                manager.create_machine(MachineId(0, 2, "s2"), small)
+                assert manager.host.reserved_memory_mib() == 1536.0
+            reference = np.random.default_rng(7)
+            seeds = reference.integers(0, 2**63, size=2).tolist()
+            for manager in (in_process, backend.managers[0]):
+                assert [manager.host.machines[name].seed for name in ("s0", "s2")] == seeds
+                assert manager._rng.bit_generator.state == reference.bit_generator.state
+            assert backend.sample_all(0.0) == [in_process.sample_usage(0.0)]
+            assert backend.worker_counters()[0]["rng_state"] == in_process._rng.bit_generator.state
+        finally:
+            backend.close()
 
 
 class TestSingleCopy:
-    """Under worker processes the workers are the only owners of microVMs."""
+    """The driver holds one machine table per host under either backend."""
 
     @pytest.mark.parametrize("parallelism", ["threads", "processes"])
-    def test_the_driver_builds_microvms_only_in_process(self, parallelism):
+    def test_the_driver_holds_one_row_per_machine(self, parallelism):
         # Those of earlier tests may still be alive: count what this set-up adds.
         gc.collect()
-        earlier = [item for item in gc.get_objects() if isinstance(item, MicroVM)]
-        held = {id(item) for item in earlier}
+        held = {id(item) for item in gc.get_objects() if isinstance(item, MachineTable)}
         coordinator = _coordinator(_iridium_box_config(), parallelism)
         try:
             coordinator.update(0.0)
             coordinator.sample_all_usage(0.0)
             machines = sum(len(manager.host.machines) for manager in coordinator.managers)
-            built = [
+            tables = [
                 item
                 for item in gc.get_objects()
-                if isinstance(item, MicroVM) and id(item) not in held
+                if isinstance(item, MachineTable) and id(item) not in held
             ]
             assert machines > 1
-            assert len(built) == (machines if parallelism == "threads" else 0)
+            assert len(tables) == len(coordinator.managers)
+            assert sum(len(table) for table in tables) == machines
         finally:
             coordinator.close()
 

@@ -42,7 +42,7 @@ from repro.dist.wire import (
 )
 from repro.dist.worker import HostSpec, WorkerSpec, _Worker
 from repro.hosts import Host
-from repro.microvm import KernelImage, RootFilesystemImage
+from repro.microvm import CPUQuota, MachineBatch
 from repro.orbits import GroundStation, ShellGeometry
 
 # NumPy warns while parsing its deprecated "a" alias of "S", before the kind is refused.
@@ -408,23 +408,22 @@ class TestPickleGating:
             with pytest.raises(HandshakeError, match="malformed worker spec"):
                 WorkerSpec.from_meta(malformed)
 
-        kernel = KernelImage().with_args("quiet")
-        rootfs = RootFilesystemImage(name="edge.img", size_mib=512.0)
         batch = wire.ControlBatch()
 
         class _Supervisor:  # stands in for WorkerSupervisor.control
             def control(self, worker):
                 return batch
 
+        compute = ComputeParams(vcpu_count=3, memory_mib=768, cpu_quota=0.5)
         proxy = MirroredManager(MachineManager(Host(index=10)), _Supervisor(), 0, 0)
-        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams(), kernel, rootfs)
+        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), compute)
         proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
         assert worker.deferred_errors == []
         machines = worker.by_position[0].host.machines
         created = machines["4.0.celestial"]
-        assert (created.kernel, created.rootfs) == (kernel, rootfs)
-        assert machines["5.0.celestial"].kernel == KernelImage()  # None → the default
+        assert created.cpu_quota == CPUQuota(3, 0.5) and created.memory_mib == 768
+        assert machines["5.0.celestial"].cpu_quota == CPUQuota(2, 1.0)  # the defaults
 
 
 def _control_worker(positions=(0,)) -> _Worker:
@@ -451,10 +450,28 @@ HAWAII = MachineId(MachineId.GROUND_SHELL, 0, "hawaii")
 
 def _every_op(proxy: MirroredManager) -> None:
     """All seven lifecycle operations, a ground station among the machines."""
-    kernel = KernelImage().with_args("quiet")
-    proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams(), kernel)
-    proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
+    proxy.create_machines(
+        MachineBatch(
+            ["4.0.celestial", "5.0.celestial"],
+            np.array([0, 0]),
+            np.array([4, 5]),
+            np.array([0, 0]),
+            (ComputeParams(),),
+        )
+    )
     proxy.create_machine(HAWAII, ComputeParams(vcpu_count=4, memory_mib=2048))
+    # A booted batch: satellites 0 and 2 of shell 1, both inside the box of
+    # the records below.
+    proxy.create_machines(
+        MachineBatch(
+            ["0.1.celestial", "2.1.celestial"],
+            np.array([1, 1]),
+            np.array([0, 2]),
+            np.array([0, 0]),
+            (ComputeParams(vcpu_count=1, memory_mib=256),),
+        ),
+        boot_s=0.5,
+    )
     proxy.boot(MachineId(0, 4, "4.0.celestial"), 1.0)
     proxy.boot(HAWAII, 1.5)
     proxy.boot_all(2.0)
@@ -471,13 +488,13 @@ def _every_op_frame():
     return meta, [np.array(array) for array in arrays]
 
 
-def _machines(manager: MachineManager) -> dict:
+def _machines(manager) -> dict:
     return {
         name: (
             machine.state,
-            machine._boot_finished_at_s,
+            machine.boot_finished_at_s,
             machine.cpu_quota.quota_fraction,
-            machine.kernel,
+            machine.seed,
         )
         for name, machine in manager.host.machines.items()
     }
@@ -498,23 +515,28 @@ def _swap(column, dtype=None, shape=None):
     return mutate
 
 
+# Columns: 0 op, 1 position, 2 count, 3 value, then the machine entries'
+# 4 shell, 5 identifier, 6 image.  Rows: 0-2 CREATE (two, one, two
+# machines), 3-4 BOOT, 5 BOOT_CREATED, 6 STOP, 7 REBOOT, 8 CPU_QUOTA, 9 BUSY.
 _FORGED_CONTROL = {
     "short-column": lambda meta, arrays: arrays.__setitem__(3, arrays[3][:-1]),
+    "short-machine-column": lambda meta, arrays: arrays.__setitem__(5, arrays[5][:-1]),
     "missing-column": lambda meta, arrays: arrays.pop(),
     "unknown-op": _set(0, 4, len(wire.ControlOp)),
-    "image-past-table": _set(4, 1, 3),
-    "negative-image": _set(4, 0, -1),
+    "create-of-no-machine": _set(2, 0, 0),
+    "boot-of-two-machines": _set(2, 3, 2),
+    "image-past-table": _set(6, 1, 3),
+    "negative-image": _set(6, 0, -1),
+    "image-on-a-boot-row": _set(6, 5, 0),
     "extra-name": lambda meta, arrays: meta["names"].append("tahiti"),
     "missing-name": lambda meta, arrays: meta["names"].clear(),
     "non-string-name": lambda meta, arrays: meta["names"].__setitem__(0, 7),
     "position-dtype": _swap(1, dtype=np.int64),
-    "value-dtype": _swap(5, dtype=np.float32),
+    "value-dtype": _swap(3, dtype=np.float32),
     "two-d-column": _swap(2, shape=(5, 2)),
     "images-not-a-list": lambda meta, arrays: meta.__setitem__("images", {}),
     "no-names": lambda meta, arrays: meta.pop("names"),
-    "unknown-compute-field": lambda meta, arrays: meta["images"][0]["compute"].update(
-        gpus=1
-    ),
+    "unknown-compute-field": lambda meta, arrays: meta["images"][0].update(gpus=1),
     "image-not-a-dict": lambda meta, arrays: meta["images"].__setitem__(2, "big"),
 }
 
@@ -547,22 +569,20 @@ class TestControlFrames:
         proxy = MirroredManager(driver, supervisor, 0, 0)
         _every_op(proxy)
         meta, arrays = supervisor.batch.payload()
-        # One name per ground-station row (create, boot, quota).
+        # One name per ground-station entry (create, boot, quota), one table
+        # per distinct compute.
         assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 3
         assert [array.dtype.str for array in arrays] == [
-            "|u1", "<i4", "<i4", "<i4", "<i4", "<f8"
+            "|u1", "<i4", "<i4", "<f8", "<i4", "<i4", "<i4"
         ]
+        assert arrays[2].tolist() == [2, 1, 2, 1, 1, 0, 1, 1, 1, 1]
         assert supervisor.batch.latest_s == 4.0
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
         assert worker.deferred_errors == [] and worker.controls == 1
         manager = worker.by_position[0]
-        assert _machines(manager) == _machines(reference)
+        assert _machines(manager) == _machines(reference) == _machines(proxy)
         assert manager.counters_snapshot() == reference.counters_snapshot()
-        assert {
-            name: (record.state, record.boot_finished_at_s, record.quota_fraction)
-            for name, record in proxy.host.machines.items()
-        } == {name: entry[:3] for name, entry in _machines(manager).items()}
-        assert proxy.host.rng.bit_generator.state == manager._rng.bit_generator.state
+        assert proxy._rng.bit_generator.state == manager._rng.bit_generator.state
         supervisor.batch.clear()
         assert len(supervisor.batch) == 0 and supervisor.batch.latest_s is None
 

@@ -16,12 +16,12 @@ from repro.hosts.host import (
     MACHINE_MANAGER_CPU_PERCENT,
     MACHINE_MANAGER_UPDATE_CPU_PERCENT,
 )
-from repro.microvm import MachineResources, MicroVM, MicroVMError
+from repro.microvm import MachineBatch, MachineState, MachineTable, MicroVMError
 
 
-def _machine(name, vcpus=2, memory=512):
-    return MicroVM(name, MachineResources(vcpu_count=vcpus, memory_mib=memory),
-                   rng=np.random.default_rng(0))
+def _place(host, name, vcpus=2, memory=512, boot_s=None, idle=0.03):
+    compute = ComputeParams(vcpu_count=vcpus, memory_mib=memory, idle_cpu_fraction=idle)
+    host.place(MachineBatch.single(name, 0, 0, compute), np.random.default_rng(0), boot_s)
 
 
 class TestResourceTrace:
@@ -59,41 +59,39 @@ class TestResourceTrace:
 class TestHost:
     def test_memory_is_hard_constraint(self):
         host = Host(index=0, cpu_cores=4, memory_mib=1024)
-        host.place(_machine("a", memory=512))
-        host.place(_machine("b", memory=512))
+        _place(host, "a", memory=512)
+        _place(host, "b", memory=512)
         # Machines reserve memory only once booted; placement checks the
         # allocation limit regardless.
         with pytest.raises(HostError):
-            host.place(_machine("c", memory=512))
+            _place(host, "c", memory=512)
+        assert list(host.machines) == ["a", "b"]
 
     def test_memory_accounting_follows_boot(self):
         host = Host(index=0, cpu_cores=4, memory_mib=4096)
-        machine = _machine("a", memory=1024)
-        host.place(machine)
+        _place(host, "a", memory=1024)
         assert host.allocated_memory_mib() == 0.0
-        machine.boot(0.0)
+        host.machines.boot("a", 0.0)
         assert host.allocated_memory_mib() == 1024.0
         assert host.microvm_memory_percent() == pytest.approx(25.0)
 
     def test_cpu_overprovisioning_allowed(self):
         host = Host(index=0, cpu_cores=4, memory_mib=32 * 1024)
         for i in range(10):
-            host.place(_machine(f"m{i}", vcpus=2, memory=512))
+            _place(host, f"m{i}", vcpus=2, memory=512)
         assert host.allocated_vcpus() == 20
         assert host.allocated_vcpus() > host.cpu_cores
 
     def test_duplicate_placement_rejected(self):
         host = Host(index=0)
-        machine = _machine("a")
-        host.place(machine)
+        _place(host, "a")
         with pytest.raises(HostError):
-            host.place(machine)
+            _place(host, "a")
+        assert len(host.machines) == 1
 
     def test_busy_fraction_affects_cpu_usage(self):
         host = Host(index=0, cpu_cores=32, memory_mib=32 * 1024)
-        machine = _machine("client", vcpus=4, memory=4096)
-        host.place(machine)
-        machine.boot(0.0)
+        _place(host, "client", vcpus=4, memory=4096, boot_s=0.0)
         idle_usage = host.cpu_cores_in_use()
         host.set_busy_fraction("client", 1.0)
         assert host.cpu_cores_in_use() == pytest.approx(4.0)
@@ -106,10 +104,8 @@ class TestHost:
     def test_usage_sampling(self):
         host = Host(index=0, cpu_cores=32, memory_mib=32 * 1024)
         rng = np.random.default_rng(3)
-        machines = [_machine(f"sat-{i}", vcpus=2, memory=512) for i in range(20)]
-        for machine in machines:
-            host.place(machine)
-            machine.boot(0.0)
+        for i in range(20):
+            _place(host, f"sat-{i}", vcpus=2, memory=512, boot_s=0.0)
         setup = host.sample_usage(0.0, setup_phase=True, rng=rng)
         steady = host.sample_usage(60.0, rng=rng)
         assert setup.machine_manager_cpu_percent > steady.machine_manager_cpu_percent
@@ -119,10 +115,10 @@ class TestHost:
 
     def test_remove_machine(self):
         host = Host(index=0)
-        machine = _machine("a")
-        host.place(machine)
+        _place(host, "a")
         host.remove("a")
         assert host.machines == {}
+        assert host.reserved_memory_mib() == 0.0
         with pytest.raises(HostError):
             host.machine("a")
 
@@ -153,18 +149,25 @@ class TestHost:
 
 
 def _sweep(host):
-    """Every accounted reading recomputed from scratch, one loop per reading."""
+    """Every accounted reading recomputed from scratch, one loop over the rows."""
     machines = host.machines
-    cores = 0.0
-    for name, machine in machines.items():
-        cores += machine.cpu_cores_in_use(host._busy_fractions.get(name))
+    cores = memory = 0.0
+    booted = running = 0
+    for row, name in enumerate(machines.names):
+        state = machines.state(name)
+        if state is MachineState.RUNNING:
+            cores += machines.vcpus[row] * machines.busy[row] * machines.quota[row]
+        if state in (MachineState.RUNNING, MachineState.SUSPENDED):
+            memory += float(machines.memory_mib[row])
+        booted += state in (MachineState.RUNNING, MachineState.SUSPENDED)
+        running += state is MachineState.RUNNING
     return {
-        "reserved_memory_mib": float(sum(m.resources.memory_mib for m in machines.values())),
-        "allocated_vcpus": sum(m.resources.vcpu_count for m in machines.values()),
-        "allocated_memory_mib": sum(m.memory_footprint_mib() for m in machines.values()),
+        "reserved_memory_mib": float(sum(machines.memory_mib)),
+        "allocated_vcpus": sum(machines.vcpus),
+        "allocated_memory_mib": memory,
         "cpu_cores_in_use": min(cores, float(host.cpu_cores)),
-        "booted_machine_count": sum(1 for m in machines.values() if m.is_booted),
-        "running_machine_count": sum(1 for m in machines.values() if m.is_running),
+        "booted_machine_count": booted,
+        "running_machine_count": running,
     }
 
 
@@ -192,34 +195,31 @@ class TestAccountingInvariant:
     def test_readings_equal_a_fresh_sweep_after_every_step(self, steps):
         # Two small hosts, so the cores-in-use clamp is reached as well.
         hosts = [Host(index=0, cpu_cores=2), Host(index=1, cpu_cores=4)]
-        pool = [
-            MicroVM(
-                f"m{i}",
-                MachineResources(vcpu_count=1 + i % 3, memory_mib=256 * (1 + i)),
-                rng=np.random.default_rng(i),
-                active_cpu_fraction=0.05 * (1 + i),
-            )
-            for i in range(6)
-        ]
         for now_s, (op, index, host_index, value) in enumerate(steps):
-            machine = pool[index]
-            owner = next((h for h in hosts if machine.name in h.machines), None)
+            name = f"m{index}"
+            owner = next((h for h in hosts if name in h.machines), None)
             if op == "place":
                 if owner is None:
-                    hosts[host_index].place(machine)
+                    _place(
+                        hosts[host_index], name, vcpus=1 + index % 3,
+                        memory=256 * (1 + index), idle=0.05 * (1 + index),
+                    )
             elif owner is None:
                 continue
             elif op == "remove":
-                owner.remove(machine.name)
+                owner.remove(name)
             elif op == "migrate":
-                owner.transfer(machine.name, hosts[1 - owner.index])
+                owner.transfer(name, hosts[1 - owner.index])
             elif op == "set_busy_fraction":
-                owner.set_busy_fraction(machine.name, value)
+                owner.set_busy_fraction(name, value)
             elif op == "set_cpu_quota":
-                owner.set_cpu_quota(machine.name, value)
+                owner.set_cpu_quota(name, value)
             else:
                 try:
-                    getattr(machine, op)(float(now_s))
+                    if op in ("boot", "reboot"):
+                        getattr(owner.machines, op)(name, float(now_s))
+                    else:
+                        getattr(owner.machines, op)(name)
                 except MicroVMError:
                     pass
             for host in hosts:
@@ -236,24 +236,20 @@ class TestAccountingInvariant:
         manager.boot_all(0.0)
         manager.sample_usage(0.0)
 
-        calls = {"cpu_cores_in_use": 0, "memory_footprint_mib": 0}
-        for name in calls:
-            original = getattr(MicroVM, name)
-
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(MicroVM, name, counted)
+        reads = []
+        read_usage = MachineTable._read_usage
+        monkeypatch.setattr(
+            MachineTable, "_read_usage", lambda table: reads.append(table) or read_usage(table)
+        )
 
         samples = [manager.sample_usage(float(t)) for t in range(1, 11)]
-        assert calls == {"cpu_cores_in_use": 0, "memory_footprint_mib": 0}
+        assert reads == []
         assert len({sample.microvm_cpu_percent for sample in samples}) == 1
 
-        manager.machine(ids[0]).suspend(11.0)
+        manager.host.machines.suspend(ids[0].name)
         suspended = manager.sample_usage(11.0)
         manager.sample_usage(12.0)
-        assert calls == {"cpu_cores_in_use": 1000, "memory_footprint_mib": 1000}
+        assert len(reads) == 1
         assert suspended.microvm_cpu_percent < samples[-1].microvm_cpu_percent
         assert suspended.firecracker_processes == 1000
 

@@ -14,22 +14,20 @@ from repro.core import (
     ascii_map,
 )
 from repro.hosts import Host, MigrationScheduler
-from repro.microvm import MachineResources, MachineState, MicroVM
+from repro.microvm import MachineBatch, MachineState
 from repro.orbits import GroundStation, ShellGeometry
 
 
-def _machine(name, memory=1024):
-    return MicroVM(name, MachineResources(vcpu_count=1, memory_mib=memory),
-                   rng=np.random.default_rng(0))
+def _place(host, name, memory=1024, boot_s=None):
+    compute = ComputeParams(vcpu_count=1, memory_mib=memory)
+    host.place(MachineBatch.single(name, 0, 0, compute), np.random.default_rng(0), boot_s)
 
 
 def _imbalanced_hosts():
-    """Host 0 carries eight 1 GiB machines, host 1 carries none."""
+    """Host 0 carries eight booted 1 GiB machines, host 1 carries none."""
     hosts = [Host(index=0, memory_mib=32 * 1024), Host(index=1, memory_mib=32 * 1024)]
     for index in range(8):
-        machine = _machine(f"sat-{index}")
-        hosts[0].place(machine)
-        machine.boot(0.0)
+        _place(hosts[0], f"sat-{index}", boot_s=0.0)
     return hosts
 
 
@@ -59,8 +57,7 @@ class TestMigrationScheduler:
     def test_balanced_hosts_produce_empty_plan(self):
         hosts = [Host(index=0), Host(index=1)]
         for host in hosts:
-            machine = _machine(f"m-{host.index}")
-            host.place(machine)
+            _place(host, f"m-{host.index}")
         scheduler = MigrationScheduler(hosts)
         assert scheduler.plan() == []
         assert scheduler.rebalance(0.0) == []
@@ -75,8 +72,7 @@ class TestMigrationScheduler:
     def test_execute_skips_target_without_capacity(self):
         hosts = [Host(index=0, memory_mib=32 * 1024), Host(index=1, memory_mib=512)]
         for index in range(4):
-            machine = _machine(f"sat-{index}", memory=1024)
-            hosts[0].place(machine)
+            _place(hosts[0], f"sat-{index}", memory=1024)
         scheduler = MigrationScheduler(hosts, imbalance_threshold_mib=0.0)
         events = scheduler.rebalance(0.0)
         assert events == []
@@ -92,11 +88,11 @@ class TestMigrationScheduler:
         assert sum(host.cpu_cores_in_use() for host in hosts) == cores_before
         for host in hosts:
             assert host.cpu_cores_in_use() == sum(
-                machine.cpu_cores_in_use(0.75) for machine in host.machines.values()
+                0.75 * machine.cpu_quota.effective_cores for machine in host.machines.values()
             )
             assert host.reserved_memory_mib() == 1024.0 * len(host.machines)
         # The moved machines report to their new host from now on.
-        hosts[1].machine(events[0].machine_name).suspend(200.0)
+        hosts[1].machines.suspend(events[0].machine_name)
         assert hosts[1].running_machine_count() == len(events) - 1
         assert hosts[0].running_machine_count() == 8 - len(events)
 

@@ -1,69 +1,27 @@
-"""Unit tests for the microVM substrate (machines, kernels, rootfs, cgroups)."""
+"""Unit tests for the microVM substrate: the machine table, its row view, cgroups."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ComputeParams
 from repro.microvm import (
     CPUQuota,
-    KernelImage,
-    MachineResources,
+    MachineBatch,
     MachineState,
-    MicroVM,
+    MachineTable,
     MicroVMError,
-    OverlayStore,
-    RootFilesystemImage,
 )
+from repro.microvm.machine import boot_time_s
 
 
-def _machine(name="sat-0", vcpus=2, memory=512):
-    return MicroVM(name, MachineResources(vcpu_count=vcpus, memory_mib=memory),
-                   rng=np.random.default_rng(1))
-
-
-class TestKernelAndRootfs:
-    def test_kernel_command_line(self):
-        kernel = KernelImage()
-        assert "console=ttyS0" in kernel.command_line
-        extended = kernel.with_args("quiet")
-        assert extended.command_line.endswith("quiet")
-        assert "quiet" not in kernel.command_line
-
-    def test_kernel_validation(self):
-        with pytest.raises(ValueError):
-            KernelImage(size_mib=0.0)
-
-    def test_rootfs_validation(self):
-        with pytest.raises(ValueError):
-            RootFilesystemImage(size_mib=-1.0)
-
-    def test_overlay_store_dedup(self):
-        store = OverlayStore()
-        base = RootFilesystemImage("rootfs.img", size_mib=350.0)
-        for i in range(10):
-            store.create_overlay(f"sat-{i}", base, overlay_mib=4.0)
-        assert store.machine_count == 10
-        assert store.deduplicated_storage_mib() == pytest.approx(350.0 + 40.0)
-        assert store.naive_storage_mib() == pytest.approx(10 * 354.0)
-        assert store.savings_mib() == pytest.approx(9 * 350.0)
-
-    def test_overlay_grow_and_remove(self):
-        store = OverlayStore()
-        base = RootFilesystemImage()
-        store.create_overlay("sat-0", base, overlay_mib=2.0)
-        store.grow_overlay("sat-0", 8.0)
-        assert store.deduplicated_storage_mib() == pytest.approx(base.size_mib + 10.0)
-        store.remove_overlay("sat-0")
-        assert store.machine_count == 0
-        with pytest.raises(KeyError):
-            store.grow_overlay("sat-0", 1.0)
-
-    def test_overlay_duplicate_machine_rejected(self):
-        store = OverlayStore()
-        store.create_overlay("sat-0", RootFilesystemImage())
-        with pytest.raises(ValueError):
-            store.create_overlay("sat-0", RootFilesystemImage())
+def _table(vcpus=2, memory=512, seed=1, idle=0.05):
+    """A table of one created machine, ``sat-0``."""
+    table = MachineTable()
+    compute = ComputeParams(vcpu_count=vcpus, memory_mib=memory, idle_cpu_fraction=idle)
+    table.append(MachineBatch.single("sat-0", 0, 0, compute), [seed])
+    return table
 
 
 class TestCPUQuota:
@@ -98,133 +56,229 @@ class TestCPUQuota:
 class TestMicroVMLifecycle:
     def test_resources_validation(self):
         with pytest.raises(ValueError):
-            MachineResources(vcpu_count=0, memory_mib=512)
+            ComputeParams(vcpu_count=0, memory_mib=512)
         with pytest.raises(ValueError):
-            MachineResources(vcpu_count=1, memory_mib=0)
+            ComputeParams(vcpu_count=1, memory_mib=0)
+        table = _table()
+        with pytest.raises(ValueError):
+            table.set_quota("sat-0", 0.0)
+        with pytest.raises(ValueError):
+            table.set_busy("sat-0", 1.5)
+        assert table["sat-0"].cpu_quota == CPUQuota(2, 1.0)
 
     def test_boot_is_subsecond(self):
-        machine = _machine()
-        finished = machine.boot(10.0)
-        assert 10.0 < finished < 11.0
+        table = _table()
+        table.boot("sat-0", 10.0)
+        machine = table["sat-0"]
+        assert 10.0 < machine.boot_finished_at_s < 11.0
         assert machine.state is MachineState.RUNNING
         assert machine.boot_count == 1
 
     def test_suspend_resume_cycle(self):
-        machine = _machine()
-        machine.boot(0.0)
-        machine.suspend(5.0)
+        table = _table()
+        table.boot("sat-0", 0.0)
+        table.suspend("sat-0")
+        machine = table["sat-0"]
         assert machine.state is MachineState.SUSPENDED
         assert not machine.is_running
-        assert machine.is_booted
-        machine.resume(9.0)
+        assert table.usage().booted == 1
+        table.resume("sat-0")
         assert machine.is_running
 
     def test_illegal_transitions(self):
-        machine = _machine()
+        table = _table()
         with pytest.raises(MicroVMError):
-            machine.suspend(0.0)
+            table.suspend("sat-0")
         with pytest.raises(MicroVMError):
-            machine.resume(0.0)
+            table.resume("sat-0")
         with pytest.raises(MicroVMError):
-            machine.stop(0.0)
-        machine.boot(0.0)
+            table.stop("sat-0")
+        table.boot("sat-0", 0.0)
         with pytest.raises(MicroVMError):
-            machine.boot(1.0)
+            table.boot("sat-0", 1.0)
 
     def test_fault_injection_stop_and_reboot(self):
-        machine = _machine()
-        machine.boot(0.0)
-        machine.stop(100.0)
-        assert machine.state is MachineState.STOPPED
-        finished = machine.reboot(101.0)
+        table = _table()
+        table.boot("sat-0", 0.0)
+        table.stop("sat-0")
+        assert table["sat-0"].state is MachineState.STOPPED
+        table.reboot("sat-0", 101.0)
+        machine = table["sat-0"]
         assert machine.state is MachineState.RUNNING
-        assert finished > 101.0
+        assert machine.boot_finished_at_s > 101.0
         assert machine.boot_count == 2
 
     def test_fail_and_reboot(self):
-        machine = _machine()
-        machine.boot(0.0)
-        machine.fail(50.0)
-        assert machine.state is MachineState.FAILED
-        machine.reboot(51.0)
-        assert machine.is_running
+        table = _table()
+        table.boot("sat-0", 0.0)
+        table.fail("sat-0")
+        assert table["sat-0"].state is MachineState.FAILED
+        table.reboot("sat-0", 51.0)
+        assert table["sat-0"].is_running
 
     def test_memory_reserved_even_when_suspended(self):
-        machine = _machine(memory=1024)
-        assert machine.memory_footprint_mib() == 0.0
-        machine.boot(0.0)
-        assert machine.memory_footprint_mib() == 1024.0
-        machine.suspend(1.0)
-        assert machine.memory_footprint_mib() == 1024.0
-        machine.stop(2.0)
-        assert machine.memory_footprint_mib() == 0.0
+        table = _table(memory=1024)
+        assert table.reserved_memory_mib == 1024
+        assert table.usage().memory_mib == 0.0
+        table.boot("sat-0", 0.0)
+        assert table.usage().memory_mib == 1024.0
+        table.suspend("sat-0")
+        assert table.usage().memory_mib == 1024.0
+        table.stop("sat-0")
+        assert table.usage().memory_mib == 0.0
 
     def test_cpu_usage_depends_on_state_and_busy_fraction(self):
-        machine = _machine(vcpus=4)
-        assert machine.cpu_cores_in_use() == 0.0
-        machine.boot(0.0)
-        idle = machine.cpu_cores_in_use()
-        busy = machine.cpu_cores_in_use(busy_fraction=1.0)
+        table = _table(vcpus=4)
+        assert table.usage().cpu_cores == 0.0
+        table.boot("sat-0", 0.0)
+        idle = table.usage().cpu_cores
+        table.set_busy("sat-0", 1.0)
+        busy = table.usage().cpu_cores
         assert 0.0 < idle < busy
         assert busy == pytest.approx(4.0)
-        machine.suspend(1.0)
-        assert machine.cpu_cores_in_use(busy_fraction=1.0) == 0.0
+        table.suspend("sat-0")
+        assert table.usage().cpu_cores == 0.0
 
-    def test_state_at_reconstructs_history(self):
-        machine = _machine()
-        machine.boot(10.0)
-        machine.suspend(20.0)
-        machine.resume(30.0)
-        assert machine.state_at(5.0) is MachineState.CREATED
-        assert machine.state_at(15.0) is MachineState.RUNNING
-        assert machine.state_at(25.0) is MachineState.SUSPENDED
-        assert machine.state_at(35.0) is MachineState.RUNNING
+    def test_the_kth_boot_is_the_kth_draw_of_the_machine_generator(self):
+        table = _table(seed=99)
+        starts = (0.0, 5.0, 9.0)
+        finishes = []
+        for now in starts:
+            table.reboot("sat-0", now)
+            finishes.append(table.boot_finished_at_s("sat-0"))
+        draws = np.random.default_rng(99).random(3)
+        assert finishes == [now + boot_time_s(float(draw)) for now, draw in zip(starts, draws)]
 
 
-def _linear_walk(machine, time_s):
-    """The plain reference: walk the transition log until it overtakes ``time_s``."""
-    state = MachineState.CREATED
-    for transition in machine.transitions:
-        if transition.time_s > time_s:
-            break
-        state = transition.state
-    return state
+class TestNumpyContract:
+    """What batched creation relies on: one ``size=k`` draw is ``k`` scalar draws."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), count=st.integers(0, 300), before=st.integers(0, 5))
+    def test_batched_seed_draws_equal_scalar_draws(self, seed, count, before):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        batched.random(before)  # a stream mid-way, as a host's is after samples
+        scalar.random(before)
+        seeds = batched.integers(0, 2**63, size=count).tolist()
+        assert seeds == [int(scalar.integers(0, 2**63)) for _ in range(count)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.random() == scalar.random()
+
+
+class _Log:
+    """The reference: every transition logged at its time, a boot's RUNNING at its finish.
+
+    A microVM with a transition log, drawing each boot's duration from its
+    own generator as the boot starts; :meth:`walk` reads the log in order
+    until an entry lies after the asked time.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.state = MachineState.CREATED
+        self.entries = [(0.0, MachineState.CREATED)]
+        self.finished = None
+
+    def _set(self, state, time_s):
+        self.state = state
+        self.entries.append((time_s, state))
+
+    def boot(self, time_s):
+        if self.state not in (MachineState.CREATED, MachineState.STOPPED, MachineState.FAILED):
+            raise MicroVMError("cannot boot")
+        self._set(MachineState.BOOTING, time_s)
+        self.finished = time_s + boot_time_s(float(self.rng.random()))
+        self._set(MachineState.RUNNING, self.finished)
+
+    def suspend(self, time_s):
+        if self.state is not MachineState.RUNNING:
+            raise MicroVMError("cannot suspend")
+        self._set(MachineState.SUSPENDED, time_s)
+
+    def resume(self, time_s):
+        if self.state is not MachineState.SUSPENDED:
+            raise MicroVMError("cannot resume")
+        self._set(MachineState.RUNNING, time_s)
+
+    def stop(self, time_s):
+        if self.state in (MachineState.STOPPED, MachineState.CREATED):
+            raise MicroVMError("cannot stop")
+        self._set(MachineState.STOPPED, time_s)
+
+    def fail(self, time_s):
+        self._set(MachineState.FAILED, time_s)
+
+    def reboot(self, time_s):
+        if self.state not in (MachineState.STOPPED, MachineState.FAILED):
+            self._set(MachineState.STOPPED, time_s)
+        self.boot(time_s)
+
+    def walk(self, time_s):
+        state = MachineState.CREATED
+        for entry_s, entry in self.entries:
+            if entry_s > time_s:
+                break
+            state = entry
+        return state
+
+
+def _apply(table, operation, now):
+    if operation in ("boot", "reboot"):
+        getattr(table, operation)("sat-0", now)
+    else:
+        getattr(table, operation)("sat-0")
 
 
 class TestStateAtMatchesTheLog:
+    """The table's lazy rule reads as the reference log at and after the latest operation."""
+
     def test_stop_during_boot_log_is_not_time_sorted(self):
-        machine = _machine()
-        finished = machine.boot(10.0)
-        machine.stop(10.1)  # lands in the log after the boot's future finish time
-        times = [transition.time_s for transition in machine.transitions]
+        table, log = _table(seed=1), _Log(1)
+        table.boot("sat-0", 10.0)
+        log.boot(10.0)
+        table.stop("sat-0")  # in the log, after the boot's future finish time
+        log.stop(10.1)
+        times = [entry_s for entry_s, _ in log.entries]
         assert times != sorted(times)
-        for time_s in (0.0, 10.0, 10.05, 10.1, 10.2, finished, finished + 1.0):
-            assert machine.state_at(time_s) is _linear_walk(machine, time_s)
-        assert machine.state_at(finished) is MachineState.STOPPED
-        assert machine.state_at(10.2) is MachineState.BOOTING
+        finished = table.boot_finished_at_s("sat-0")
+        assert finished == log.finished
+        for time_s in (10.1, 10.2, finished, finished + 1.0):
+            assert table.state_at("sat-0", time_s) is log.walk(time_s)
+        assert table.state_at("sat-0", finished) is MachineState.STOPPED
+        assert table.state_at("sat-0", 10.2) is MachineState.BOOTING
 
     @settings(max_examples=200, deadline=None)
     @given(
         programme=st.lists(
             st.tuples(
                 st.sampled_from(["boot", "suspend", "resume", "stop", "reboot", "fail"]),
-                st.floats(min_value=0.0, max_value=2.0),
+                st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.6, 2.0]),
             ),
             max_size=12,
         ),
-        queries=st.lists(st.floats(min_value=-1.0, max_value=30.0), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+        offsets=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
     )
-    def test_property_state_at_equals_linear_walk(self, programme, queries):
-        """Any lifecycle programme, any query time — including operations that
-        arrive before a boot has finished, which leave the log unsorted."""
-        machine = _machine()
+    def test_property_state_at_equals_linear_walk(self, programme, seed, offsets):
+        """Any lifecycle programme, any time at or after the latest operation —
+        including reboots inside a boot window, which hold the machine BOOTING
+        until the earlier boot's finish."""
+        table, log = _table(seed=seed), _Log(seed)
         now = 0.0
         for operation, gap in programme:
             now += gap
             try:
-                getattr(machine, operation)(now)
+                getattr(log, operation)(now)
             except MicroVMError:
-                pass  # an illegal transition leaves machine and log untouched
-            times = [transition.time_s for transition in machine.transitions]
-            for time_s in queries + times + [now, max(times), max(times) + 1e-9]:
-                assert machine.state_at(time_s) is _linear_walk(machine, time_s)
+                with pytest.raises(MicroVMError):  # refused alike, nothing changed
+                    _apply(table, operation, now)
+            else:
+                _apply(table, operation, now)
+            assert table["sat-0"].state is log.state
+            assert table.boot_finished_at_s("sat-0") == log.finished
+            logged = [entry_s for entry_s, _ in log.entries if entry_s >= now]
+            for time_s in [now + offset for offset in offsets] + logged:
+                assert table.state_at("sat-0", time_s) is log.walk(time_s)
+                assert table.is_running_at("sat-0", time_s) == (
+                    log.walk(time_s) is MachineState.RUNNING
+                )
