@@ -22,7 +22,7 @@ def _skewed_hosts(host_count=3, machines=48, memory_mib=512):
     for index in range(machines):
         # Two thirds of the machines land on host 0 (the skew to correct).
         target = hosts[0] if rng.random() < 0.66 else hosts[1 + index % (host_count - 1)]
-        target.place(MachineBatch.single(f"sat-{index}", 0, index, compute), rng, boot_s=0.0)
+        target.place(MachineBatch.single(f"sat-{index}", 0, index, compute), boot_s=0.0)
     return hosts
 
 

@@ -26,9 +26,9 @@ The measurements are always written to ``BENCH_dist.json`` (path
 overridable via the ``BENCH_DIST_JSON`` environment variable).  The
 functional claims — both backends drive the same 4,414 machines to identical
 per-manager counters (under worker processes read from the workers'
-checkpoints, and the machine counts from the driver's ledger), the set-up
-epoch is one control frame per worker and the workers' RNG streams stand
-where the driver's lockstep streams do — are hard asserts; the timings are
+checkpoints, and the machine counts from the driver's replica), the set-up
+epoch is one control frame per worker and every worker holds as many rows
+per host as the driver's replica — are hard asserts; the timings are
 recorded, never gated.
 """
 
@@ -85,8 +85,8 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             backend = coordinator._backend
             control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
             workers = backend.worker_counters()
-            assert [workers[position]["rng_state"] for position in range(HOSTS)] == [
-                manager._rng.bit_generator.state for manager in backend.managers
+            assert [workers[position]["rows"] for position in range(HOSTS)] == [
+                len(manager.host.machines) for manager in backend.managers
             ]
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         del record_frames[:]  # the set-up epoch's frames

@@ -12,9 +12,10 @@ A host here is an accounting construct: placement (a new microVM goes to
 the host with the least reserved memory, ties to the lowest position, the
 one rule: :func:`least_reserved_placement`) plus the CPU/memory bookkeeping
 behind Figs. 7 and 8.  No inter-host latency, overlay or per-host network
-state exists, so placement cannot reach what an application observes.  The
-machines an epoch activates are created as one batch: placement is computed
-for the whole batch, and each host appends its share of it at once.
+state exists, and a machine's seed is keyed by its identity, so placement
+cannot reach what an application observes.  The machines an epoch activates
+are created as one batch: placement is computed for the whole batch, and
+each host appends its share of it at once.
 
 One record for every manager
 ----------------------------
@@ -263,8 +264,8 @@ class Coordinator:
 
         Placement is computed for the whole batch
         (:func:`least_reserved_placement`), then every host takes its share
-        as one batch: one append of rows, one seed draw of its stream, and
-        with worker processes one ``CREATE`` row on the wire.
+        as one batch: one append of rows, seeds keyed by identity, and with
+        worker processes one ``CREATE`` row on the wire.
         """
         if not names:
             return

@@ -43,15 +43,16 @@ record suspended or resumed, while the coordinator's side holds a replica
 of its host's table (:class:`repro.dist.backend.MirroredManager`).  Both
 sides run the lifecycle operations of :class:`MachineControl` on their copy
 of the table — the same rows, the same seeds, the same boot times — so a
-machine is one model whichever side of the seam reads it.  Two members
-exist for that runtime: :meth:`MachineManager.counters_snapshot` (the
-checkpoint streamed back with every acknowledgement: counters, RNG state and
-the dirty set) and :meth:`MachineManager.restore_runtime_state` (applied by
-a respawned worker after the durable control ledger has been replayed:
-forces bounding-box activity to the checkpoint epoch's masks — derived by
-the supervisor from the last record it sent — without touching the
-suspend/resume counters, then restores counters, dirty set and RNG stream
-exactly).
+machine is one model whichever side of the seam reads it; seeds and sample
+noise are keyed draws (:func:`repro.sim.rng.keyed`), so nothing random is
+replayed.  Two members exist for that runtime:
+:meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
+every acknowledgement: counters, row count and the dirty set) and
+:meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
+after the durable control ledger has been replayed: forces bounding-box
+activity to the checkpoint epoch's masks — derived by the supervisor from
+the last record it sent — without touching the suspend/resume counters,
+then restores counters and dirty set).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.core.config import ComputeParams
 from repro.core.constellation import ConstellationState, MachineId
 from repro.hosts import Host
 from repro.microvm import MachineBatch, MachineState, MachineView
+from repro.sim.rng import key_root
 
 
 @dataclass(frozen=True)
@@ -141,13 +143,13 @@ class MachineControl:
     worker's table.  Each operation changes the table and then reports
     itself to :meth:`_record` — a manager marks the machines dirty, the
     mirror forwards the operation to its worker — so the two copies follow
-    one rule.  ``rng`` is the host's manager stream, which machine seeds are
-    drawn from.
+    one rule.  ``key_root`` is the root of the keyed draws of the machines'
+    seeds and of the usage samples' noise.
     """
 
-    def __init__(self, host: Host, rng: np.random.Generator):
+    def __init__(self, host: Host, key_root: int):
         self.host = host
-        self._rng = rng
+        self.key_root = key_root
 
     def _record(
         self,
@@ -163,7 +165,7 @@ class MachineControl:
 
     def create_machines(self, batch: MachineBatch, boot_s: Optional[float] = None) -> None:
         """Create a batch of machines on this host: booted at ``boot_s``, if given."""
-        self.host.place(batch, self._rng, boot_s)
+        self.host.place(batch, self.key_root, boot_s)
         self._record(ControlOp.CREATE, batch, math.nan if boot_s is None else boot_s, batch.names)
 
     def create_machine(self, machine_id: MachineId, compute: ComputeParams) -> MachineView:
@@ -231,10 +233,10 @@ class MachineControl:
 
 
 class MachineManager(MachineControl):
-    """Manages the microVMs of one host."""
+    """Manages the microVMs of one host; keys its draws by ``key_root(rng)``, 0 without one."""
 
     def __init__(self, host: Host, rng: Optional[np.random.Generator] = None):
-        super().__init__(host, rng if rng is not None else np.random.default_rng(host.index))
+        super().__init__(host, 0 if rng is None else key_root(rng))
         #: The owned-satellite index: shell → identifier → machine name.
         self._satellites: dict[int, dict[int, str]] = {}
         self.suspension_count = 0
@@ -319,46 +321,41 @@ class MachineManager(MachineControl):
 
     # -- accounting --------------------------------------------------------------
 
-    def sample_usage(self, now_s: float, setup_phase: bool = False, applying_update: bool = False):
-        """Record a host resource usage sample."""
+    def sample_usage(
+        self,
+        now_s: float,
+        setup_phase: bool = False,
+        applying_update: bool = False,
+        sample_index: Optional[int] = None,
+    ):
+        """Record a host resource usage sample (see :meth:`repro.hosts.Host.sample_usage`)."""
         return self.host.sample_usage(
-            now_s, setup_phase=setup_phase, applying_update=applying_update, rng=self._rng
+            now_s, setup_phase, applying_update, self.key_root, sample_index
         )
 
-    # Uncalled; kept only because the benchmark's tracer patches it by name.
-    def advance_sample_stream(
-        self, setup_phase: bool = False, applying_update: bool = False
-    ) -> None:
-        """Consume the random variates one :meth:`sample_usage` call would draw."""
-        self._rng.random(
-            self.host.sample_rng_draws(
-                setup_phase=setup_phase, applying_update=applying_update
-            )
-        )
+    def advance_sample_stream(self, setup_phase: bool = False, applying_update: bool = False):
+        """Does nothing: a patch point the benchmark's tracer wraps by name."""
 
     # -- checkpoint / restore (supervised worker recovery) -----------------------
 
     def counters_snapshot(self) -> dict:
-        """Checkpoint of the observable runtime counters, dirty set and RNG state.
+        """Checkpoint of the observable runtime counters, row count and dirty set.
 
-        Streamed back with every worker acknowledgement; a supervisor
-        restores it verbatim after a crash so counters, the machines still
-        to reconcile and all future random draws (usage-sample jitter)
+        Streamed back with every worker acknowledgement: the driver checks
+        the row count against its replica, and a supervisor restores the
+        rest after a crash, so counters and the machines still to reconcile
         continue exactly where the last acknowledged operation left them.
         """
         return {
             "suspension_count": self.suspension_count,
             "resume_count": self.resume_count,
             "applied_diffs": self.applied_diffs,
+            "rows": len(self.host.machines),
             "dirty": sorted(self._dirty),
-            "rng_state": self._rng.bit_generator.state,
         }
 
     def restore_runtime_state(
-        self,
-        active_satellites: Optional[dict[int, np.ndarray]],
-        snapshot: dict,
-        now_s: float,
+        self, active_satellites: Optional[dict[int, np.ndarray]], snapshot: dict
     ) -> None:
         """Restore a freshly rebuilt manager to a checkpointed epoch.
 
@@ -369,12 +366,12 @@ class MachineManager(MachineControl):
         * bounding-box activity is *forced* to the per-shell masks of the
           checkpoint epoch without counting the transitions (the counters
           below already include them); ``None`` when the manager had not
-          applied any epoch yet (counters/RNG restore only);
+          applied any epoch yet (counters restore only);
         * the checkpoint's dirty machines are left exactly as the ledger
           rebuilt them and stay dirty: their lifecycle changed outside the
           protocol after the last record, and the next record reconciles
           them *with* counting, exactly as the in-process path would;
-        * counters and the RNG stream are restored from ``snapshot``.
+        * the counters are restored from ``snapshot``.
         """
         dirty = set(snapshot["dirty"])
         if active_satellites is not None:
@@ -385,5 +382,4 @@ class MachineManager(MachineControl):
         self.suspension_count = int(snapshot["suspension_count"])
         self.resume_count = int(snapshot["resume_count"])
         self.applied_diffs = int(snapshot["applied_diffs"])
-        self._rng.bit_generator.state = snapshot["rng_state"]
         self._dirty = dirty

@@ -7,8 +7,10 @@ HTTP info API and fault injection — all driven by a deterministic
 discrete-event simulation so experiments are repeatable (§4.2).
 
 Hosts are placement plus accounting (least reserved memory, Figs. 7-8
-usage); the virtual network connects machines directly, so how many hosts a
-configuration names cannot change what an application measures.
+usage); the virtual network connects machines directly, and a machine's
+seed is keyed by its identity, not its host, so how many hosts a
+configuration names cannot change what an application measures — boot times
+included.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ class Celestial:
             )
             for index in range(config.hosts.count)
         ]
-        self.managers = [
-            MachineManager(host, rng=self.streams.stream(f"manager-{host.index}"))
-            for host in self.hosts
-        ]
+        # One generator for every manager: the key root of machine seeds and
+        # sample noise, so neither depends on the host a machine lands on.
+        machines = self.streams.stream("machines")
+        self.managers = [MachineManager(host, rng=machines) for host in self.hosts]
         self.network = VirtualNetwork(
             self.sim,
             rule_provider=self._pair_rule,

@@ -33,13 +33,13 @@ injection, the virtual network's running check, ``Celestial.machine``) from
 it.  :class:`MirroredManager` runs the same lifecycle operations
 (:class:`~repro.core.machine_manager.MachineControl`) on the replica as the
 worker's manager runs on its table, so both hold the same rows: the same
-placement checks, one batched seed draw per created batch from the host's
-manager stream, the same boot, stop and quota rules, and boot finishes
-drawn from ``default_rng(seed)`` only when somebody asks.  The driver keeps
-that stream in lockstep with the worker's by skipping, per usage sample,
-the draws the worker's sample takes
-(:meth:`~repro.hosts.Host.sample_rng_draws`), so a machine created after a
-sample seeds identically in either backend.
+placement checks, the same boot, stop and quota rules, and boot finishes
+drawn from ``default_rng(seed)`` only when somebody asks.  A machine's seed
+is keyed by the manager's key root and the machine's identity, and a usage
+sample's noise by the host and the sample's index
+(:func:`repro.sim.rng.keyed`), so no random stream has to be replayed in
+step on the two sides: the driver sends each sample's index (its replica
+trace's length) with the ``SAMPLE_USAGE`` frame.
 
 What only a worker decides comes back in its acknowledgement: the machines
 an epoch record suspended or resumed
@@ -47,10 +47,10 @@ an epoch record suspended or resumed
 stays the one implementation of the reconcile rule), which the replica then
 applies, and the suspend/resume/record counters of its checkpoint, which
 :class:`MirroredManager` reads.  After every record the backend checks each
-worker's RNG stream positions against the driver's and that every reported
+worker's row count per host against the replica's and that every reported
 transition starts from the state the replica holds, and raises
 :class:`WorkerDesyncError` otherwise: a ``CREATE`` row lost, duplicated or
-replayed out of place shows there, not when a usage sample later drifts.
+run late shows there, not when a usage sample later drifts.
 
 Each operation the mirror runs is also buffered per worker, in program
 order, as a row of a :class:`~repro.dist.wire.ControlBatch`; the batch is
@@ -63,7 +63,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.machine_manager import EpochRecord, MachineControl, MachineManager
-from repro.hosts import Host
 from repro.hosts.resources import UsageSample
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
@@ -150,7 +149,7 @@ class MirroredManager(MachineControl):
     def __init__(
         self, manager: MachineManager, supervisor: WorkerSupervisor, worker: int, position: int
     ):
-        super().__init__(manager.host, manager._rng)
+        super().__init__(manager.host, manager.key_root)
         self._supervisor = supervisor
         self._worker = worker
         self.position = position
@@ -182,7 +181,7 @@ class ProcessFanoutBackend:
     takes a ready :class:`~repro.dist.transport.TcpTransportFactory` with the
     deployment settings — e.g. an external-mode factory whose workers are
     started by hand on other machines; ``None`` spawns loopback workers.
-    ``managers`` are the hosts' blueprints: each one's host and RNG stream,
+    ``managers`` are the hosts' blueprints: each one's host and key root,
     before any machine exists.
     """
 
@@ -204,9 +203,7 @@ class ProcessFanoutBackend:
             raise ValueError(f"worker_count must be at least 1, got {worker_count}")
         # Never more workers than hosts: the rest would own no manager.
         self.worker_count = worker_count = min(worker_count, len(managers))
-        # Hosts are partitioned round-robin over the workers; the worker
-        # manager RNG streams start from the managers' states *now*, before
-        # any draw, so they replay exactly what a single-process run draws.
+        # Hosts are partitioned round-robin over the workers.
         self._worker_of = [position % worker_count for position in range(len(managers))]
         specs = [
             WorkerSpec(
@@ -218,7 +215,7 @@ class ProcessFanoutBackend:
                         cpu_cores=manager.host.cpu_cores,
                         memory_mib=manager.host.memory_mib,
                         allow_memory_overcommit=manager.host.allow_memory_overcommit,
-                        rng_state=manager._rng.bit_generator.state,
+                        key_root=manager.key_root,
                     )
                     for position, manager in enumerate(managers)
                     if position % worker_count == index
@@ -249,18 +246,18 @@ class ProcessFanoutBackend:
         """Check an epoch's acknowledgements against the replica, then take them in.
 
         Every lifecycle row was flushed before the record these acks answer,
-        so a worker's manager streams must stand exactly where the driver's
-        do: a lost, duplicated or replayed-out-of-place ``CREATE`` row shows
-        here.  Each machine the record suspended (resumed) must be one the
-        replica holds as running (suspended).
+        so a worker's hosts must hold exactly as many machines as the
+        replica's: a lost, duplicated or late ``CREATE`` row shows here.
+        Each machine the record suspended (resumed) must be one the replica
+        holds as running (suspended).
         """
         for ack in acks_by_worker.values():
             for position, snapshot in ack["counters"].items():
-                proxy = self._proxies[position]
-                if snapshot["rng_state"] != proxy._rng.bit_generator.state:
+                host = self._proxies[position].host
+                if snapshot["rows"] != len(host.machines):
                     raise WorkerDesyncError(
-                        f"host {proxy.host.index}: the worker's RNG stream diverged "
-                        f"from the driver's"
+                        f"host {host.index}: the worker holds {snapshot['rows']} "
+                        f"machines, the driver's replica {len(host.machines)}"
                     )
             for position, transitions in ack["transitions"].items():
                 host = self._proxies[position].host
@@ -305,15 +302,10 @@ class ProcessFanoutBackend:
             "now_s": now_s,
             "setup_phase": setup_phase,
             "applying_update": applying_update,
+            "sample_index": [len(proxy.host.trace) for proxy in self._proxies],
         }
         for worker in range(self.worker_count):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
-        # While the workers sample, the driver skips the same draws of every
-        # host's stream, so later machine creations seed identically on both
-        # sides of the seam.
-        draws = Host.sample_rng_draws(setup_phase=setup_phase, applying_update=applying_update)
-        for proxy in self._proxies:
-            proxy._rng.random(draws)
         samples: dict[int, UsageSample] = {}
         for worker in range(self.worker_count):
             ack = supervisor.finish_request(worker)

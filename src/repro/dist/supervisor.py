@@ -38,15 +38,15 @@ alive* — the ``ack_timeout_s`` receive deadline expiring (routed into the
 same recovery path as a hard crash; the wedged process is killed before its
 successor spawns).  Recovery then proceeds in four steps:
 
-1. **Respawn** a fresh process from the original spec (same host blueprint,
-   same initial RNG states).
+1. **Respawn** a fresh process from the original spec (same host
+   blueprint, same key roots: there is no random stream to restore).
 2. **Replay the control ledger** up to the checkpoint — the ``CONTROL``
    frames the worker had applied when it sent its last acknowledgement
    (the ack counts them) — so it re-creates and boots the machines it
    owned then, in the original order.
 3. **Restore runtime state from the last record sent**: one ``RESTORE``
-   frame ships the checkpoint of every manager the worker owns — counters,
-   dirty set, RNG state — and the activity masks of the checkpoint's epoch.
+   frame ships the checkpoint of every manager the worker owns — counters
+   and dirty set — and the activity masks of the checkpoint's epoch.
    A worker applies each record to all of its managers before it
    acknowledges, and the fan-out is synchronous, so that epoch is the last
    record's or the one before it, and the record holds both
@@ -56,8 +56,10 @@ successor spawns).  Recovery then proceeds in four steps:
    left as the ledger rebuilt them and stay dirty, so the next record
    reconciles them *with* counting, exactly like the in-process path.
 4. **Replay the rest of the ledger**: frames journalled after the
-   checkpoint run on top of the restored RNG streams and dirty sets, as
-   they first did.
+   checkpoint run on top of the restored dirty sets and mark their machines
+   dirty again, as they first did.  The dirty set is why the ledger is
+   split around ``RESTORE``: restored after those frames, the checkpoint's
+   dirty set would replace what they marked.
 
 The in-flight request that observed the crash is then re-sent: the restored
 worker is at the checkpoint epoch, so re-applying the current epoch's record
@@ -164,7 +166,6 @@ class WorkerSupervisor:
         self._ack_latency: dict[int, list[float]] = {}
         self._started = False
         self._closed = False
-        self._last_now_s = 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -236,10 +237,6 @@ class WorkerSupervisor:
 
     # -- frame transport ----------------------------------------------------
 
-    def _track_time(self, now_s: Optional[float]) -> None:
-        if now_s is not None:
-            self._last_now_s = max(self._last_now_s, float(now_s))
-
     def _send(self, handle: _Handle, frame: bytes) -> None:
         if handle.dead:
             return  # recovered at the next collect or heartbeat
@@ -269,7 +266,6 @@ class WorkerSupervisor:
         batch = handle.control
         if not batch:
             return
-        self._track_time(batch.latest_s)
         frame = wire.encode_frame(FrameKind.CONTROL, *batch.payload())
         batch.clear()
         handle.ledger.append(frame)
@@ -302,7 +298,6 @@ class WorkerSupervisor:
         self.start()
         handle = self._handles[worker]
         self._flush(handle)
-        self._track_time(meta.get("now_s"))
         handle.seq += 1
         frame = wire.encode_frame(kind, {**meta, "seq": handle.seq}, arrays)
         handle.inflight.append((handle.seq, frame, time.monotonic()))
@@ -505,7 +500,7 @@ class WorkerSupervisor:
                 # can die mid-replay.
                 self._spawn(handle)
                 handle.dead = False
-                # The checkpoint's RNG states include the draws of the
+                # The checkpoint's dirty sets include the machines of the
                 # CONTROL frames applied before it was taken, and only
                 # those: the later frames run after the restore.
                 applied = handle.checkpoint["controls"] if handle.checkpoint else 0
@@ -527,15 +522,10 @@ class WorkerSupervisor:
             return
         epoch = checkpoint["epoch"]
         meta, arrays = {"shells": [], "sizes": []}, ()
-        if epoch:  # epoch 0: nothing applied yet, counters/RNG only
+        if epoch:  # epoch 0: nothing applied yet, counters only
             meta, arrays = wire.mask_payload(self._record.masks_at(epoch))
         handle.seq += 1
-        meta.update(
-            seq=handle.seq,
-            epoch=epoch,
-            now_s=self._last_now_s,
-            snapshots=checkpoint["counters"],
-        )
+        meta.update(seq=handle.seq, epoch=epoch, snapshots=checkpoint["counters"])
         try:
             handle.conn.send_bytes(wire.encode_frame(FrameKind.RESTORE, meta, arrays))
             self._await_ack(handle, handle.seq)

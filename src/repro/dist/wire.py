@@ -49,14 +49,15 @@ Frame kinds
 =================  ============  =============================================
 kind               direction     payload
 =================  ============  =============================================
-``ACK``/``ERROR``  worker → sup  checkpoint (counters, dirty sets, RNG states,
+``ACK``/``ERROR``  worker → sup  checkpoint (counters, row counts, dirty sets,
                                  epoch, control frames applied), the machines
                                  a record suspended or resumed / a traceback
 ``CONTROL``        sup → worker  one worker's lifecycle operations in program
                                  order, journalled (see below)
 ``APPLY_EPOCH``    sup → worker  one :class:`EpochRecord`, the same for every
                                  worker (see below)
-``SAMPLE_USAGE``   sup → worker  ``now_s`` and the sample's flags
+``SAMPLE_USAGE``   sup → worker  ``now_s``, the sample's flags and per host
+                                 position the sample's index
 ``RESTORE``        sup → worker  the checkpoint of every manager the worker
                                  owns and its epoch's activity masks
 ``PING`` …         both          heartbeat, shutdown, test hooks, handshake
@@ -160,7 +161,10 @@ WIRE_MAGIC = b"CLW1"
 #: 9: a ``CONTROL`` row names its machines in a second table, so one
 #: ``CREATE`` row is a host's whole batch (with its boot time); the images
 #: table holds compute tables only.
-WIRE_VERSION = 9
+#: 10: no RNG state travels: ``SPEC`` names each host's key root, a
+#: checkpoint its row count, ``SAMPLE_USAGE`` the sample index; the blob
+#: codec's arbitrary-precision integer tag is gone.
+WIRE_VERSION = 10
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -189,17 +193,17 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 #: Maximum container nesting in a metadata blob.  Deep enough for every
-#: real payload (an RNG checkpoint in an ack nests 6 levels), shallow enough
-#: that a forged blob cannot drive the recursive decoder into a RecursionError.
+#: real payload (an ack's checkpoint nests 5 levels), shallow enough that a
+#: forged blob cannot drive the recursive decoder into a RecursionError.
 _BLOB_MAX_DEPTH = 32
 
 
 def encode_blob(obj: Any) -> bytes:
     """Encode one metadata object with the safe blob codec.
 
-    Supports ``None``, bool, int (arbitrary precision), float, str, bytes,
-    list, tuple and dict (NumPy scalars are coerced to their Python
-    equivalents).  Raises :class:`TypeError` for anything else.
+    Supports ``None``, bool, int (signed 64-bit), float, str, bytes, list,
+    tuple and dict (NumPy scalars are coerced to their Python equivalents).
+    Raises :class:`TypeError` for anything else.
     """
     out: list[bytes] = []
     _encode_obj(obj, out, 0)
@@ -215,17 +219,10 @@ def _encode_obj(obj: Any, out: list[bytes], depth: int) -> None:
         out.append(b"T" if obj else b"F")
     elif isinstance(obj, (int, np.integer)):
         value = int(obj)
-        if -(1 << 63) <= value < (1 << 63):
-            out.append(b"i")
-            out.append(_I64.pack(value))
-        else:
-            # Arbitrary-precision escape hatch: RNG-state checkpoints carry
-            # 128-bit PCG64 state integers through acknowledgement metas.
-            magnitude = abs(value)
-            raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "little")
-            out.append(b"I" + (b"\x01" if value < 0 else b"\x00"))
-            out.append(_U32.pack(len(raw)))
-            out.append(raw)
+        if not -(1 << 63) <= value < (1 << 63):
+            raise TypeError(f"{value} does not fit the 64-bit integers of a safe metadata blob")
+        out.append(b"i")
+        out.append(_I64.pack(value))
     elif isinstance(obj, (float, np.floating)):
         out.append(b"f")
         out.append(_F64.pack(float(obj)))
@@ -283,12 +280,6 @@ def _decode_obj(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     if tag == b"i":
         (value,) = _I64.unpack(_blob_slice(data, offset, 8))
         return value, offset + 8
-    if tag == b"I":
-        sign = _blob_slice(data, offset, 1)
-        (length,) = _U32.unpack(_blob_slice(data, offset + 1, 4))
-        raw = _blob_slice(data, offset + 5, length)
-        value = int.from_bytes(raw, "little")
-        return (-value if sign == b"\x01" else value), offset + 5 + length
     if tag == b"f":
         (value,) = _F64.unpack(_blob_slice(data, offset, 8))
         return value, offset + 8
@@ -578,9 +569,6 @@ def decode_record(meta: dict[str, Any], arrays: list[np.ndarray]) -> EpochRecord
 
 
 _CONTROL_OPS = tuple(ControlOp)
-_TIMED_OPS = frozenset(
-    (ControlOp.BOOT, ControlOp.BOOT_CREATED, ControlOp.STOP, ControlOp.REBOOT)
-)
 #: Column dtypes of a ``CONTROL`` frame: op, position, count, value, then
 #: the machine entries' shell, identifier, image.
 _CONTROL_DTYPES = tuple(
@@ -604,8 +592,6 @@ class ControlBatch:
         self._columns: tuple[list, ...] = ([], [], [], [], [], [], [])
         self._names: list[str] = []
         self._images: dict[ComputeParams, int] = {}
-        #: Latest ``now_s`` any row carries; ``None`` without a timed row.
-        self.latest_s: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -645,9 +631,6 @@ class ControlBatch:
         positions.append(position)
         counts.append(count)
         values.append(value)
-        timed = not math.isnan(value) if op is ControlOp.CREATE else op in _TIMED_OPS
-        if timed and (self.latest_s is None or value > self.latest_s):
-            self.latest_s = value
 
     def payload(self) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
         """The ``(meta, arrays)`` of this batch's ``CONTROL`` frame."""

@@ -17,22 +17,22 @@ Protocol
 --------
 
 The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
-the supervisor (:mod:`repro.dist.transport`) and executes them in order,
-which makes its random streams replayable.  Lifecycle operations (machine
-creation, boots, fault-injection ops) arrive batched: one ``CONTROL`` frame
-ahead of each request that had operations pending, its rows in the order the
-in-process backend executed them, run by the worker in that order; a
-``CREATE`` row is a host's whole batch of new machines, appended as rows at
-once.  So every random draw (machine seeds, usage-sample jitter) lands on
-the same generator state as in a single-process run — the foundation of the
-byte-identical backend-equivalence guarantee.  A row that fails (an unknown
-machine, a position this worker does not own) is reported and the rows
-after it still run, as if each had been a frame of its own; a malformed
-frame (:func:`~repro.dist.wire.decode_control`) runs no row.
+the supervisor (:mod:`repro.dist.transport`) and executes them in order.
+Lifecycle operations (machine creation, boots, fault-injection ops) arrive
+batched: one ``CONTROL`` frame ahead of each request that had operations
+pending, its rows in the order the in-process backend executed them, run by
+the worker in that order; a ``CREATE`` row is a host's whole batch of new
+machines, appended as rows at once.  Nothing random depends on that order:
+machine seeds and usage-sample noise are keyed draws of the host's key root
+(:class:`HostSpec`), the machine's identity and the sample's index, which a
+``SAMPLE_USAGE`` frame carries.  A row that fails (an unknown machine, a
+position this worker does not own) is reported and the rows after it still
+run, as if each had been a frame of its own; a malformed frame
+(:func:`~repro.dist.wire.decode_control`) runs no row.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: the epoch its
-managers last applied, per-manager counter/dirty-set/RNG checkpoints
+managers last applied, per-manager counter/row-count/dirty-set checkpoints
 (:meth:`MachineManager.counters_snapshot`), the number of ``CONTROL`` frames
 applied so far, the machines an applied record suspended or resumed with
 their new states (``transitions``: the only machine states the coordinator
@@ -45,8 +45,8 @@ keeps the latest acknowledgement as the recovery checkpoint.
 after a crash, replays into a fresh process the frames the checkpoint had
 applied, then one ``RESTORE`` frame that forces bounding-box activity to the
 checkpoint epoch (masks the supervisor derives from the last record it
-sent) and restores every manager's counters, dirty set and RNG stream, then
-the rest of the journal.
+sent) and restores every manager's counters and dirty set, then the rest of
+the journal.
 
 Placement
 ---------
@@ -89,9 +89,8 @@ from repro.hosts import Host
 class HostSpec:
     """Blueprint of one host (and its manager) owned by a worker.
 
-    ``rng_state`` is the bit-generator state of the coordinator-side manager
-    stream at backend creation time, so the worker's manager draws exactly
-    the sequence the in-process backend would have drawn.
+    ``key_root`` is the coordinator-side manager's key root, so the worker's
+    manager keys the same seeds and sample noise.
     """
 
     position: int
@@ -99,7 +98,7 @@ class HostSpec:
     cpu_cores: int
     memory_mib: int
     allow_memory_overcommit: bool
-    rng_state: dict
+    key_root: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class _Worker:
                 allow_memory_overcommit=host_spec.allow_memory_overcommit,
             )
             manager = MachineManager(host)
-            manager._rng.bit_generator.state = host_spec.rng_state
+            manager.key_root = host_spec.key_root
             self.by_position[host_spec.position] = manager
         # The epoch of the last record applied (by every manager at once).
         self.epoch = 0
@@ -241,15 +240,14 @@ class _Worker:
                     meta["now_s"],
                     setup_phase=meta["setup_phase"],
                     applying_update=meta["applying_update"],
+                    sample_index=meta["sample_index"][position],
                 )
                 samples[position] = dataclasses.asdict(sample)
             return {"samples": samples}
         if kind is FrameKind.RESTORE:
             active = wire.decode_masks(meta, arrays)[0] if meta["epoch"] else None
             for position, snapshot in meta["snapshots"].items():
-                self.by_position[position].restore_runtime_state(
-                    active, snapshot, meta["now_s"]
-                )
+                self.by_position[position].restore_runtime_state(active, snapshot)
             self.epoch = meta["epoch"]
             return None
         if kind is FrameKind.CONTROL:

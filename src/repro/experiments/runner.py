@@ -18,7 +18,10 @@ Workload identity: the named RNG streams of :class:`~repro.sim.RandomStreams`
 are keyed by ``(seed, name)`` and independent of creation order, so a run
 driven through a spec draws exactly the same random sequences as the same
 experiment wired by hand — spec-driven runs reproduce bespoke runs
-byte-identically.
+byte-identically.  Machine seeds and usage-sample noise are keyed the same
+way, by the ``"machines"`` stream's seed and the machine's identity or the
+host's sample index (:func:`repro.sim.rng.keyed`), so the ``[hosts]`` count
+and the worker count move no boot time and no application latency.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ removals, lifecycle operations, quota and busy-share changes), each of which
 drops the table's kept usage reading.  A reading is then recomputed by one
 pass over the rows, in creation order, and is bit-identical to a fresh
 sweep.  Placement goes through :meth:`Host.place`, which checks before it
-draws: a refused batch leaves no row and no draw behind.
+appends: a refused batch leaves no row behind.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.hosts.resources import ResourceTrace, UsageSample
 from repro.microvm import MachineBatch, MachineTable, MachineView
+from repro.sim.rng import keyed
 
 
 class HostError(RuntimeError):
@@ -59,7 +60,6 @@ class Host:
         self.allow_memory_overcommit = allow_memory_overcommit
         self.machines = MachineTable()
         self.trace = ResourceTrace()
-        self._default_rng = np.random.default_rng(0)
 
     # -- placement ---------------------------------------------------------
 
@@ -100,18 +100,16 @@ class Host:
                 f"{needed[first]:.0f} MiB needed, {self.memory_mib} MiB available"
             )
 
-    def place(
-        self, batch: MachineBatch, rng: np.random.Generator, boot_s: Optional[float] = None
-    ) -> None:
+    def place(self, batch: MachineBatch, root: int = 0, boot_s: Optional[float] = None) -> None:
         """Place a batch of machines: created, or booted at ``boot_s``.
 
-        The checks come first, so a refused batch draws nothing.  Then each
-        machine's seed is the next ``integers(0, 2**63)`` of ``rng`` (the
-        manager's stream), drawn for the whole batch at once: one
-        ``size=k`` call equals ``k`` scalar calls draw for draw.
+        The checks come first, so a refused batch leaves no row.  Each
+        machine's seed is ``keyed(root, shell, identifier) >> 1``: a function
+        of its identity, which neither the host, nor creation order, nor the
+        samples and refusals before it can move.
         """
         self._admit(batch.names, batch.column("memory_mib"))
-        seeds = rng.integers(0, 2**63, size=len(batch)).tolist()
+        seeds = (keyed(root, batch.shells, batch.identifiers) >> 1).tolist()
         self.machines.append(batch, seeds, boot_s)
 
     def remove(self, machine_name: str) -> None:
@@ -166,40 +164,34 @@ class Host:
         """microVM memory usage as a percentage of the host's memory."""
         return 100.0 * self.allocated_memory_mib() / self.memory_mib
 
-    @staticmethod
-    def sample_rng_draws(setup_phase: bool = False, applying_update: bool = False) -> int:
-        """Number of random variates one :meth:`sample_usage` call consumes.
-
-        Kept next to :meth:`sample_usage` because the two must evolve
-        together: the driver's copy of a host sampled in a worker process
-        skips exactly this many draws of its copy of the host's stream per
-        sample, to stay in lockstep.
-        """
-        if setup_phase:
-            return 1
-        return 2 if applying_update else 1
-
     def sample_usage(
         self,
         now_s: float,
         setup_phase: bool = False,
         applying_update: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        root: int = 0,
+        sample_index: Optional[int] = None,
     ) -> UsageSample:
         """Record and return one resource-usage sample for this host.
 
-        Boot bursts are not modelled: a booting machine's stored state is
-        already running (:mod:`repro.microvm.machine`), so a sample never
-        sees a machine mid-boot.
+        The ``j``-th noise draw of the host's ``k``-th sample is the top 53
+        bits of ``keyed(root, index, k, j)``; ``k`` is ``sample_index``, by
+        default the samples the trace holds.  Boot bursts are not modelled: a
+        booting machine's stored state is already running
+        (:mod:`repro.microvm.machine`), so a sample never sees one mid-boot.
         """
-        rng = rng if rng is not None else self._default_rng
+        k = len(self.trace) if sample_index is None else sample_index
+
+        def noise(j: int) -> float:
+            return (keyed(root, self.index, k, j) >> 11) * 2.0**-53
+
         if setup_phase:
-            manager_cpu = MACHINE_MANAGER_SETUP_CPU_PERCENT * (0.8 + 0.4 * rng.random())
+            manager_cpu = MACHINE_MANAGER_SETUP_CPU_PERCENT * (0.8 + 0.4 * noise(0))
             manager_memory = MACHINE_MANAGER_MEMORY_PERCENT_PEAK
         else:
-            manager_cpu = MACHINE_MANAGER_CPU_PERCENT * (0.5 + rng.random())
+            manager_cpu = MACHINE_MANAGER_CPU_PERCENT * (0.5 + noise(0))
             if applying_update:
-                manager_cpu += MACHINE_MANAGER_UPDATE_CPU_PERCENT * (0.5 + rng.random())
+                manager_cpu += MACHINE_MANAGER_UPDATE_CPU_PERCENT * (0.5 + noise(1))
             manager_memory = MACHINE_MANAGER_MEMORY_PERCENT_STEADY
         sample = UsageSample(
             time_s=now_s,

@@ -36,12 +36,13 @@ from repro.core.constellation import MachineId
 from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import TcpTransportFactory
-from repro.dist.wire import FrameKind
+from repro.dist.wire import ControlOp, FrameKind
 from repro.dist.worker import _Worker
 from repro.hosts import Host, HostError
 from repro.microvm import CPUQuota, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
+from repro.sim.rng import key_root, keyed
 
 
 def _iridium_box_config(update_interval_s=60.0, duration_s=1200.0):
@@ -117,9 +118,9 @@ def _assert_equivalent(threads, processes):
     # The replica's states (what the operations made of each machine plus
     # the suspends and resumes the workers reported) are the in-process rows'.
     assert _machine_states(threads) == _machine_states(processes)
-    # Even sub-second boot jitter is backend-invariant: machines created
-    # mid-run (after usage samples) seed from lockstepped RNG streams, and
-    # the replica draws a boot's finish from the seed its worker's row holds.
+    # Even sub-second boot jitter is backend-invariant: seeds are keyed by
+    # identity, and the replica draws a boot's finish from the seed its
+    # worker's row holds.
     assert _boot_times(processes) == _boot_times(threads)
     # The worker checkpoints the mirrored managers' counters read agree with
     # the thread backend's managers, host by host.
@@ -129,6 +130,7 @@ def _assert_equivalent(threads, processes):
         assert snapshot["suspension_count"] == manager.suspension_count
         assert snapshot["resume_count"] == manager.resume_count
         assert snapshot["applied_diffs"] == manager.applied_diffs
+        assert snapshot["rows"] == len(manager.host.machines)
 
 
 class TestProcessBackendEquivalence:
@@ -422,14 +424,6 @@ class TestProcessBackendEquivalence:
             processes.close()
 
 
-def _rng_states(coordinator):
-    """Per-position manager RNG states: the managers' own, or the workers'."""
-    if coordinator.parallelism == "processes":
-        counters = coordinator._backend.worker_counters()
-        return [counters[position]["rng_state"] for position in sorted(counters)]
-    return [manager._rng.bit_generator.state for manager in coordinator.managers]
-
-
 def _ledger_lengths(coordinator):
     return [len(handle.ledger) for handle in coordinator._backend.supervisor._handles]
 
@@ -442,7 +436,7 @@ class TestBatchedControlFrames:
         # set-up epoch is rebuilt from one ledger frame, not 795 pairs of
         # CREATE/BOOT frames; one killed right after fault-injection ops is
         # found by the sample that flushes them, so its rebuild replays the
-        # flush after the checkpoint on top of the restored streams.
+        # flush after the checkpoint on top of the restored checkpoint.
         config = west_africa_configuration(
             duration_s=600.0, shells="lowest", use_bounding_box=False
         )
@@ -479,7 +473,6 @@ class TestBatchedControlFrames:
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             assert processes._backend.restart_count == 2
             _assert_equivalent(threads, processes)
-            assert _rng_states(processes) == _rng_states(threads)
             assert _ledger_lengths(processes) == [
                 1 + (worker in fault_workers) for worker in range(2)
             ]
@@ -490,8 +483,8 @@ class TestBatchedControlFrames:
     def test_creates_flushed_after_the_checkpoint_draw_after_the_restore(self):
         # Machines created between an update and a sample, on a worker that
         # dies meanwhile: the sample's flush never reaches it, recovery
-        # restores the checkpoint's RNG streams and only then replays the
-        # flush, so the CREATE draws are not rewound away.
+        # restores the checkpoint's dirty sets and only then replays the
+        # flush, so the new machines stay dirty for the next record.
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
@@ -524,7 +517,6 @@ class TestBatchedControlFrames:
                     coordinator.update(now)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             _assert_equivalent(threads, processes)
-            assert _rng_states(processes) == _rng_states(threads)
         finally:
             threads.close()
             processes.close()
@@ -532,8 +524,7 @@ class TestBatchedControlFrames:
     def test_rows_run_a_flush_late_are_a_desync_at_set_up(self, monkeypatch):
         # Counters cannot see it (no bounding box: nothing is suspended), but
         # a worker that holds each CONTROL frame back until the next one
-        # acknowledges the set-up epoch with its streams short of every
-        # CREATE draw.
+        # acknowledges the set-up epoch without a single machine.
         dispatch = _Worker._dispatch
 
         def one_flush_late(self, kind, meta, arrays):
@@ -548,7 +539,31 @@ class TestBatchedControlFrames:
         config = dataclasses.replace(_iridium_box_config(), bounding_box=None)
         processes = _coordinator(config, "processes")
         try:
-            with pytest.raises(WorkerDesyncError, match="RNG stream"):
+            with pytest.raises(
+                WorkerDesyncError, match=r"the worker holds 0 machines, the driver's replica \d+"
+            ):
+                processes.update(0.0)
+        finally:
+            processes.close()
+
+    def test_a_dropped_create_row_is_a_desync_at_set_up(self, monkeypatch):
+        # A worker that silently skips the first CREATE row it is sent: no
+        # error is reported and, without a bounding box, no record moves a
+        # machine, so only the row counts of the set-up acknowledgement show
+        # that its host lacks the batch.
+        run_control = _Worker._run_control
+
+        def drop_first_create(self, rows):
+            if not getattr(self, "dropped", False):
+                first = next(i for i, row in enumerate(rows) if row[0] is ControlOp.CREATE)
+                rows, self.dropped = rows[:first] + rows[first + 1 :], True
+            run_control(self, rows)
+
+        monkeypatch.setattr(_Worker, "_run_control", drop_first_create)  # before the fork
+        config = dataclasses.replace(_iridium_box_config(), bounding_box=None)
+        processes = _coordinator(config, "processes", host_count=1, worker_count=1)
+        try:
+            with pytest.raises(WorkerDesyncError, match="the worker holds 66 machines"):
                 processes.update(0.0)
         finally:
             processes.close()
@@ -556,9 +571,8 @@ class TestBatchedControlFrames:
     def test_reversed_rows_fail_typed_at_set_up(self, monkeypatch):
         # A machine created unbooted and booted before the first epoch: in
         # reversed rows its BOOT runs before its CREATE, and the failed row
-        # is reported with the set-up epoch's acknowledgement.  (The RNG
-        # check alone could not tell: a reordering of creates moves no
-        # stream.)
+        # is reported with the set-up epoch's acknowledgement.  (The row
+        # count alone could not tell: a reordering keeps it.)
         run_control = _Worker._run_control
         monkeypatch.setattr(
             _Worker, "_run_control", lambda self, rows: run_control(self, rows[::-1])
@@ -857,23 +871,19 @@ class TestLedgerEquivalence:
                     assert view.cpu_quota == row.cpu_quota
                     assert view.boot_finished_at_s == row.boot_finished_at_s
                 assert _bench_reads(threads) == _bench_reads(processes)
-                assert [
-                    manager._rng.bit_generator.state for manager in processes.managers
-                ] == [manager._rng.bit_generator.state for manager in threads.managers]
             # One more sweep flushes the last rows, so the checkpoints count them.
             assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             assert sum(c[0] for c in _counters(processes)) > 0
             _assert_equivalent(threads, processes)
-            assert _rng_states(processes) == _rng_states(threads)
         finally:
             threads.close()
             processes.close()
 
     def test_a_refused_placement_draws_no_seed_on_either_side(self):
         # Host memory 1,536 MiB: s0 (1,024) fits, s1 (1,024) is refused and
-        # s2 (512) fits.  The refusal draws nothing, in process and on the
-        # driver's replica alike, so s2 gets the stream's second seed and
-        # the worker's stream stands where both do.
+        # s2 (512) fits.  The refusal leaves no row, in process and on the
+        # driver's replica alike; every seed is keyed by the machine's
+        # identity, and the worker holds the same two rows.
         big, small = ComputeParams(1, 1024), ComputeParams(1, 512)
         in_process, blueprint = (
             MachineManager(Host(index=0, memory_mib=1536), rng=np.random.default_rng(7))
@@ -888,13 +898,12 @@ class TestLedgerEquivalence:
                 assert not manager.has_machine(MachineId(0, 1, "s1"))
                 manager.create_machine(MachineId(0, 2, "s2"), small)
                 assert manager.host.reserved_memory_mib() == 1536.0
-            reference = np.random.default_rng(7)
-            seeds = reference.integers(0, 2**63, size=2).tolist()
+            root = key_root(np.random.default_rng(7))
+            seeds = [keyed(root, 0, identifier) >> 1 for identifier in (0, 2)]
             for manager in (in_process, backend.managers[0]):
                 assert [manager.host.machines[name].seed for name in ("s0", "s2")] == seeds
-                assert manager._rng.bit_generator.state == reference.bit_generator.state
             assert backend.sample_all(0.0) == [in_process.sample_usage(0.0)]
-            assert backend.worker_counters()[0]["rng_state"] == in_process._rng.bit_generator.state
+            assert backend.worker_counters()[0]["rows"] == 2
         finally:
             backend.close()
 

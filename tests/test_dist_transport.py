@@ -26,7 +26,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -64,7 +63,7 @@ def _spec(worker_index=0, position=0):
                 cpu_cores=4,
                 memory_mib=4096,
                 allow_memory_overcommit=True,
-                rng_state=np.random.default_rng(42 + position).bit_generator.state,
+                key_root=42 + position,
             ),
         ),
     )

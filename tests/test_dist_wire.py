@@ -44,6 +44,7 @@ from repro.dist.worker import HostSpec, WorkerSpec, _Worker
 from repro.hosts import Host
 from repro.microvm import CPUQuota, MachineBatch
 from repro.orbits import GroundStation, ShellGeometry
+from repro.sim.rng import key_root
 
 # NumPy warns while parsing its deprecated "a" alias of "S", before the kind is refused.
 pytestmark = pytest.mark.filterwarnings("ignore:Data type alias 'a':DeprecationWarning")
@@ -262,8 +263,8 @@ class TestSafeBlobCodec:
             "on": True,
             "off": False,
             "small": -42,
-            "big": 2**100,
-            "neg_big": -(2**127),
+            "big": 2**63 - 1,
+            "neg_big": -(2**63),
             "pi": 3.5,
             "name": "gateway",
             "raw": b"\x00\xff\x80",
@@ -308,6 +309,21 @@ class TestSafeBlobCodec:
         blob += b"N"
         with pytest.raises(WireError, match="deeply"):
             wire.decode_blob(blob)
+
+    def test_integers_outside_64_bits_are_refused_both_ways(self):
+        # The blob's integers are signed 64-bit: a wider one is a TypeError
+        # at the sender, and the retired arbitrary-precision tag "I" is an
+        # unknown tag at the receiver.
+        for value in (2**63, -(2**63) - 1, 2**127 - 1):
+            with pytest.raises(TypeError, match="64-bit"):
+                encode_frame(FrameKind.ACK, {"rows": value})
+        wide = b"I\x00" + struct.pack("<I", 16) + (2**127 - 1).to_bytes(16, "little")
+        blob = wire.encode_blob({"meta": {"rows": 7}, "arrays": []})
+        blob = blob.replace(b"i" + struct.pack("<q", 7), wide)
+        with pytest.raises(WireError, match="unknown metadata blob tag"):
+            decode_frame(_forge_frame(blob=blob, array_count=0))
+        with pytest.raises(WireError, match="unknown metadata blob tag"):
+            wire.decode_blob(wide)
 
     def test_unhashable_dict_key_rejected(self):
         # dict with one entry whose key is a list — encodable tag-wise,
@@ -375,7 +391,7 @@ class TestPickleGating:
             {},
             {"client": "c1", "scope": {"tables": True}},
             {"nonce": b"\x01" * 16, "digest": b"\x02" * 32},
-            {"rng_state": 2**127 - 1, "epoch": 3},
+            {"rows": 2**63 - 1, "epoch": -(2**63)},
         ):
             frame = encode_frame(FrameKind.SUBSCRIBE, meta)
             assert frame[7] == 0  # header: magic(4) + version(2) + kind(1) + flags
@@ -389,21 +405,17 @@ class TestPickleGating:
 
     def test_spec_and_create_machine_travel_as_plain_data(self):
         # Built by the real senders, decoded by the one decode_frame, rebuilt
-        # by the worker: equal objects, RNG streams that continue identically.
-        rngs = [np.random.default_rng(seed) for seed in (5, 6)]
-        for rng in rngs:
-            rng.random(3)  # live state, not a fresh seed
+        # by the worker: equal objects, every host's key root intact.
+        roots = [key_root(np.random.default_rng(5)), 2**63 - 1]
         hosts = tuple(
-            HostSpec(position, 10 + position, 8, 4096, True, rng.bit_generator.state)
-            for position, rng in enumerate(rngs)
+            HostSpec(position, 10 + position, 8, 4096, True, root)
+            for position, root in enumerate(roots)
         )
         spec = WorkerSpec(worker_index=1, hosts=hosts)
         kind, meta, _ = decode_frame(spec.to_frame())
         assert kind is FrameKind.SPEC and WorkerSpec.from_meta(meta["spec"]) == spec
         worker = _Worker(WorkerSpec.from_meta(meta["spec"]), None)
-        for position, rng in enumerate(rngs):
-            continued = worker.by_position[position]._rng
-            assert continued.random(4).tolist() == rng.random(4).tolist()
+        assert [worker.by_position[position].key_root for position in (0, 1)] == roots
         for malformed in ("ok", {"worker_index": 0}, {"worker_index": 0, "hosts": [{}]}):
             with pytest.raises(HandshakeError, match="malformed worker spec"):
                 WorkerSpec.from_meta(malformed)
@@ -426,12 +438,12 @@ class TestPickleGating:
         assert machines["5.0.celestial"].cpu_quota == CPUQuota(2, 1.0)  # the defaults
 
 
+#: The key root of every host of :func:`_control_worker`.
+_ROOT = 3
+
+
 def _control_worker(positions=(0,)) -> _Worker:
-    rng = np.random.default_rng(3)
-    hosts = tuple(
-        HostSpec(position, 10 + position, 8, 4096, True, rng.bit_generator.state)
-        for position in positions
-    )
+    hosts = tuple(HostSpec(position, 10 + position, 8, 4096, True, _ROOT) for position in positions)
     return _Worker(WorkerSpec(worker_index=0, hosts=hosts), None)
 
 
@@ -552,19 +564,17 @@ class TestControlFrames:
 
     def test_rows_rebuild_what_a_manager_does(self):
         # The proxy's rows, run by a worker, build what the same operations
-        # build on an in-process manager; the proxy's ledger holds the
-        # worker's states, boot times and quotas, and its stream stands
-        # where the worker's does.
+        # build on an in-process manager; the proxy's replica holds the
+        # worker's states, seeds, boot times and quotas.
         supervisor = _Supervisor()
         worker = _control_worker()
-        start = worker.by_position[0]._rng.bit_generator.state
         reference, driver = (
             MachineManager(Host(index=10, cpu_cores=8, memory_mib=4096,
                                 allow_memory_overcommit=True))
             for _ in range(2)
         )
         for manager in (reference, driver):
-            manager._rng.bit_generator.state = start
+            manager.key_root = _ROOT
         _every_op(reference)
         proxy = MirroredManager(driver, supervisor, 0, 0)
         _every_op(proxy)
@@ -576,15 +586,13 @@ class TestControlFrames:
             "|u1", "<i4", "<i4", "<f8", "<i4", "<i4", "<i4"
         ]
         assert arrays[2].tolist() == [2, 1, 2, 1, 1, 0, 1, 1, 1, 1]
-        assert supervisor.batch.latest_s == 4.0
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
         assert worker.deferred_errors == [] and worker.controls == 1
         manager = worker.by_position[0]
         assert _machines(manager) == _machines(reference) == _machines(proxy)
         assert manager.counters_snapshot() == reference.counters_snapshot()
-        assert proxy._rng.bit_generator.state == manager._rng.bit_generator.state
         supervisor.batch.clear()
-        assert len(supervisor.batch) == 0 and supervisor.batch.latest_s is None
+        assert len(supervisor.batch) == 0
 
     @pytest.mark.parametrize("name", sorted(_FORGED_CONTROL))
     def test_malformed_frames_are_wire_errors_and_run_no_row(self, name):

@@ -17,11 +17,13 @@ from repro.hosts.host import (
     MACHINE_MANAGER_UPDATE_CPU_PERCENT,
 )
 from repro.microvm import MachineBatch, MachineState, MachineTable, MicroVMError
+from repro.sim.rng import key_root, keyed
 
 
 def _place(host, name, vcpus=2, memory=512, boot_s=None, idle=0.03):
+    # Seeds are keyed by identity: each machine of a host gets its own.
     compute = ComputeParams(vcpu_count=vcpus, memory_mib=memory, idle_cpu_fraction=idle)
-    host.place(MachineBatch.single(name, 0, 0, compute), np.random.default_rng(0), boot_s)
+    host.place(MachineBatch.single(name, 0, len(host.machines), compute), boot_s=boot_s)
 
 
 class TestResourceTrace:
@@ -103,11 +105,10 @@ class TestHost:
 
     def test_usage_sampling(self):
         host = Host(index=0, cpu_cores=32, memory_mib=32 * 1024)
-        rng = np.random.default_rng(3)
         for i in range(20):
             _place(host, f"sat-{i}", vcpus=2, memory=512, boot_s=0.0)
-        setup = host.sample_usage(0.0, setup_phase=True, rng=rng)
-        steady = host.sample_usage(60.0, rng=rng)
+        setup = host.sample_usage(0.0, setup_phase=True)
+        steady = host.sample_usage(60.0)
         assert setup.machine_manager_cpu_percent > steady.machine_manager_cpu_percent
         assert steady.firecracker_processes == 20
         assert steady.microvm_memory_percent == pytest.approx(100.0 * 20 * 512 / (32 * 1024))
@@ -133,19 +134,27 @@ class TestHost:
         assert first.machine_manager_cpu_percent != second.machine_manager_cpu_percent
 
     def test_explicit_rng_sample_is_the_documented_arithmetic(self):
-        # The MachineManager path: the jitter is drawn from the manager's own
-        # stream, one variate (two while applying an update) per sample.
+        # The MachineManager path: the j-th noise draw of the k-th sample is
+        # keyed by the manager's key root, the host index, k and j; one draw
+        # (two while applying an update) per sample.
         manager = MachineManager(Host(index=3), rng=np.random.default_rng(11))
-        reference = np.random.default_rng(11)
+        root = key_root(np.random.default_rng(11))
+
+        def draw(k, j):
+            return (keyed(root, 3, k, j) >> 11) * 2.0**-53
+
         steady = manager.sample_usage(0.0)
         assert steady.machine_manager_cpu_percent == (
-            MACHINE_MANAGER_CPU_PERCENT * (0.5 + reference.random())
+            MACHINE_MANAGER_CPU_PERCENT * (0.5 + draw(0, 0))
         )
         applying = manager.sample_usage(1.0, applying_update=True)
         assert applying.machine_manager_cpu_percent == (
-            MACHINE_MANAGER_CPU_PERCENT * (0.5 + reference.random())
-            + MACHINE_MANAGER_UPDATE_CPU_PERCENT * (0.5 + reference.random())
+            MACHINE_MANAGER_CPU_PERCENT * (0.5 + draw(1, 0))
+            + MACHINE_MANAGER_UPDATE_CPU_PERCENT * (0.5 + draw(1, 1))
         )
+        # An explicit index names the sample whatever the trace holds.
+        again = manager.sample_usage(2.0, applying_update=True, sample_index=1)
+        assert again.machine_manager_cpu_percent == applying.machine_manager_cpu_percent
 
 
 def _sweep(host):

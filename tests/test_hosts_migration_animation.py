@@ -1,6 +1,5 @@
 """Unit tests for the microVM migration scheduler and the ASCII animation map."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -20,7 +19,7 @@ from repro.orbits import GroundStation, ShellGeometry
 
 def _place(host, name, memory=1024, boot_s=None):
     compute = ComputeParams(vcpu_count=1, memory_mib=memory)
-    host.place(MachineBatch.single(name, 0, 0, compute), np.random.default_rng(0), boot_s)
+    host.place(MachineBatch.single(name, 0, len(host.machines), compute), boot_s=boot_s)
 
 
 def _imbalanced_hosts():

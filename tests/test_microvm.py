@@ -150,21 +150,6 @@ class TestMicroVMLifecycle:
         assert finishes == [now + boot_time_s(float(draw)) for now, draw in zip(starts, draws)]
 
 
-class TestNumpyContract:
-    """What batched creation relies on: one ``size=k`` draw is ``k`` scalar draws."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32), count=st.integers(0, 300), before=st.integers(0, 5))
-    def test_batched_seed_draws_equal_scalar_draws(self, seed, count, before):
-        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-        batched.random(before)  # a stream mid-way, as a host's is after samples
-        scalar.random(before)
-        seeds = batched.integers(0, 2**63, size=count).tolist()
-        assert seeds == [int(scalar.integers(0, 2**63)) for _ in range(count)]
-        assert batched.bit_generator.state == scalar.bit_generator.state
-        assert batched.random() == scalar.random()
-
-
 class _Log:
     """The reference: every transition logged at its time, a boot's RUNNING at its finish.
 
