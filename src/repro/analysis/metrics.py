@@ -8,7 +8,7 @@ aggregations over raw measurement samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -108,12 +108,6 @@ class LatencySeries:
             return float("nan")
         return float(np.mean(self.values() <= threshold_ms))
 
-    def cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical CDF: sorted latencies and cumulative fractions (Fig. 4)."""
-        values = np.sort(self.values())
-        fractions = np.arange(1, len(values) + 1) / len(values)
-        return values, fractions
-
     def rolling_median(self, window_s: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Rolling median over a time window (Figs. 5-6): (window centres, medians).
 
@@ -139,17 +133,6 @@ class LatencySeries:
                     float(np.clip(np.median(window), window.min(), window.max()))
                 )
         return np.array(centres), np.array(medians)
-
-    def filtered(self, source: Optional[str] = None, destination: Optional[str] = None) -> "LatencySeries":
-        """New series restricted to samples matching source/destination."""
-        series = LatencySeries(self.name)
-        for sample in self._samples:
-            if source is not None and sample.source != source:
-                continue
-            if destination is not None and sample.destination != destination:
-                continue
-            series.add(sample.time_s, sample.latency_ms, sample.source, sample.destination)
-        return series
 
     def merged_with(self, other: "LatencySeries") -> "LatencySeries":
         """New series containing the samples of both series."""

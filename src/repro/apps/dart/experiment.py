@@ -20,7 +20,12 @@ from repro.apps.dart.lstm import StackedLSTM
 from repro.apps.dart.workload import SensorGroups, SensorReadingGenerator
 from repro.core.constellation import MachineId
 from repro.core.testbed import Celestial
-from repro.orbits import GroundStation
+
+#: The inference service's ground station under the central deployment.
+CENTRAL_NAME = "pacific-tsunami-warning-center"
+#: Bytes of one buoy reading and of one inference result.
+READING_SIZE_BYTES = 512
+RESULT_SIZE_BYTES = 256
 
 
 @dataclass
@@ -90,19 +95,18 @@ class DartResults:
 
 
 class DartExperiment:
-    """Runs the DART-inspired remote-sensing workload on a Celestial testbed."""
+    """Runs the DART-inspired remote-sensing workload on a Celestial testbed.
+
+    The configuration's ``buoy-*`` ground stations send readings, its
+    ``sink-*`` stations receive results.
+    """
 
     def __init__(
         self,
         testbed: Celestial,
         deployment: Literal["central", "satellite"] = "central",
-        buoys: Optional[list[GroundStation]] = None,
-        sinks: Optional[list[GroundStation]] = None,
-        central_name: str = "pacific-tsunami-warning-center",
         group_count: int = 20,
         reading_interval_s: float = 1.0,
-        reading_size_bytes: int = 512,
-        result_size_bytes: int = 256,
         lstm: Optional[StackedLSTM] = None,
         run_inference: bool = False,
     ):
@@ -110,34 +114,17 @@ class DartExperiment:
             raise ValueError(f"unknown deployment: {deployment!r}")
         self.testbed = testbed
         self.deployment = deployment
-        config_names = set(testbed.config.ground_station_names)
-        if buoys is None:
-            buoys = [
-                gst.station
-                for gst in testbed.config.ground_stations
-                if gst.name.startswith("buoy-")
-            ]
-        if sinks is None:
-            sinks = [
-                gst.station
-                for gst in testbed.config.ground_stations
-                if gst.name.startswith("sink-")
-            ]
-        missing = {station.name for station in buoys + sinks} - config_names
-        if missing:
-            raise ValueError(f"stations missing from the configuration: {sorted(missing)[:3]}")
-        self.buoys = buoys
-        self.sinks = sinks
-        self.central = testbed.ground_station(central_name)
-        self.groups = SensorGroups(buoys, sinks, group_count)
+        stations = [gst.station for gst in testbed.config.ground_stations]
+        self.buoys = [station for station in stations if station.name.startswith("buoy-")]
+        self.sinks = [station for station in stations if station.name.startswith("sink-")]
+        self.central = testbed.ground_station(CENTRAL_NAME)
+        self.groups = SensorGroups(self.buoys, self.sinks, group_count)
         self.reading_interval_s = reading_interval_s
-        self.reading_size_bytes = reading_size_bytes
-        self.result_size_bytes = result_size_bytes
         self.lstm = lstm if lstm is not None else StackedLSTM(input_size=1, hidden_sizes=(16, 16))
         self.run_inference = run_inference
         self.results = DartResults(deployment=deployment)
         self._generators = {
-            buoy.name: SensorReadingGenerator(seed=index) for index, buoy in enumerate(buoys)
+            buoy.name: SensorReadingGenerator(seed=index) for index, buoy in enumerate(self.buoys)
         }
         self._sink_endpoints = {}
         self._buoy_endpoints = {}
@@ -193,7 +180,7 @@ class DartExperiment:
                     "group": self.groups.group_of_buoy[buoy_name],
                     "reading": generator.reading(sim.now),
                 }
-                endpoint.send(destination, self.reading_size_bytes, payload=payload)
+                endpoint.send(destination, READING_SIZE_BYTES, payload=payload)
                 self.results.readings_sent += 1
             yield sim.timeout(self.reading_interval_s)
 
@@ -213,7 +200,7 @@ class DartExperiment:
             payload["inference_at"] = machine.name
             for sink_name in self.groups.subscribers(message.payload["origin"]):
                 sink_machine = self.testbed.ground_station(sink_name)
-                endpoint.send(sink_machine, self.result_size_bytes, payload=payload)
+                endpoint.send(sink_machine, RESULT_SIZE_BYTES, payload=payload)
 
     def _sink_process(self, sink_name: str):
         sim = self.testbed.sim

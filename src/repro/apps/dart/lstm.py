@@ -21,21 +21,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class StackedLSTM:
-    """A stacked LSTM with a dense output layer (forward pass only)."""
+    """A stacked LSTM with a dense output layer (forward pass only).
 
-    def __init__(
-        self,
-        input_size: int,
-        hidden_sizes: Sequence[int] = (32, 32),
-        output_size: int = 1,
-        seed: int = 0,
-    ):
-        if input_size <= 0 or output_size <= 0 or not hidden_sizes:
+    The read-out predicts one value; the weights are drawn from seed 0.
+    """
+
+    def __init__(self, input_size: int, hidden_sizes: Sequence[int] = (32, 32)):
+        if input_size <= 0 or not hidden_sizes:
             raise ValueError("layer sizes must be positive and non-empty")
         self.input_size = input_size
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.output_size = output_size
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         self._layers = []
         previous = input_size
         for hidden in self.hidden_sizes:
@@ -49,8 +45,8 @@ class StackedLSTM:
                 }
             )
             previous = hidden
-        self._w_out = rng.normal(0.0, 1.0 / np.sqrt(previous), size=(output_size, previous))
-        self._b_out = np.zeros(output_size)
+        self._w_out = rng.normal(0.0, 1.0 / np.sqrt(previous), size=(1, previous))
+        self._b_out = np.zeros(1)
 
     # -- forward pass ------------------------------------------------------
 

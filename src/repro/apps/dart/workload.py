@@ -46,11 +46,6 @@ class SensorReadingGenerator:
             value += self.anomaly_magnitude_hpa
         return float(value + self._rng.normal(0.0, self.noise_std_hpa))
 
-    def window(self, end_time_s: float, samples: int = 16, interval_s: float = 1.0) -> np.ndarray:
-        """A window of consecutive readings ending at ``end_time_s``."""
-        times = end_time_s - interval_s * np.arange(samples - 1, -1, -1)
-        return np.array([self.reading(float(t)) for t in times])
-
 
 class SensorGroups:
     """Groups buoys geographically and subscribes sinks to nearby groups."""
@@ -110,7 +105,3 @@ class SensorGroups:
     def subscribers(self, buoy_name: str) -> list[str]:
         """Sink names subscribed to a buoy's group."""
         return list(self.sinks_of_group[self.group_of_buoy[buoy_name]])
-
-    def centroid(self, group: int) -> tuple[float, float]:
-        """Latitude/longitude centroid of a group."""
-        return self._centroids[group]

@@ -10,44 +10,31 @@ distribution as a lognormal with the given median and standard deviation.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
+#: The paper's processing delay: median and standard deviation [ms].
+MEDIAN_MS = 1.37
+STD_MS = 3.86
+#: No sample is shorter [ms].
+FLOOR_MS = 0.05
+
+# For a lognormal with median m and sigma s: std/median = e^{s^2/2} sqrt(e^{s^2}-1).
+# Solving x^2 - x = (std/median)^2 for x = e^{s^2} gives the closed form below.
+_RATIO_SQ = (STD_MS / MEDIAN_MS) ** 2
+_SIGMA = math.sqrt(math.log((1.0 + math.sqrt(1.0 + 4.0 * _RATIO_SQ)) / 2.0))
+
 
 class ProcessingDelayModel:
-    """Samples per-packet processing delays with a given median and std."""
+    """Samples per-packet processing delays with the paper's median and std."""
 
-    def __init__(
-        self,
-        median_ms: float = 1.37,
-        std_ms: float = 3.86,
-        rng: Optional[np.random.Generator] = None,
-        floor_ms: float = 0.05,
-    ):
-        if median_ms <= 0:
-            raise ValueError("median must be positive")
-        if std_ms < 0:
-            raise ValueError("standard deviation must be non-negative")
-        self.median_ms = median_ms
-        self.std_ms = std_ms
-        self.floor_ms = floor_ms
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        # For a lognormal with median m and sigma s: std/median = e^{s^2/2} sqrt(e^{s^2}-1).
-        # Solving x^2 - x = (std/median)^2 for x = e^{s^2} gives the closed form below.
-        if std_ms == 0:
-            self._sigma = 0.0
-        else:
-            ratio_sq = (std_ms / median_ms) ** 2
-            x = (1.0 + math.sqrt(1.0 + 4.0 * ratio_sq)) / 2.0
-            self._sigma = math.sqrt(math.log(x))
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
 
     def sample_ms(self) -> float:
         """One processing delay sample [ms]."""
-        if self._sigma == 0.0:
-            return self.median_ms
-        value = self.median_ms * math.exp(self._sigma * float(self._rng.standard_normal()))
-        return max(self.floor_ms, value)
+        value = MEDIAN_MS * math.exp(_SIGMA * float(self._rng.standard_normal()))
+        return max(FLOOR_MS, value)
 
     def sample_s(self) -> float:
         """One processing delay sample [s]."""
@@ -55,4 +42,4 @@ class ProcessingDelayModel:
 
     def expected_ms(self) -> float:
         """The median delay, used when computing *expected* latency (Fig. 5)."""
-        return self.median_ms
+        return MEDIAN_MS

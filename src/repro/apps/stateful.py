@@ -22,6 +22,11 @@ from repro.analysis.metrics import LatencySeries
 from repro.core.constellation import MachineId
 from repro.core.testbed import Celestial
 
+#: How often the migration service checks the anchor [s].
+MIGRATION_INTERVAL_S = 5.0
+#: Bytes of one read request and of one reply.
+REQUEST_SIZE_BYTES = 256
+
 
 @dataclass
 class VirtualStationarityResults:
@@ -48,7 +53,7 @@ class VirtualStationarityExperiment:
     ``policy`` selects the strategy under test:
 
     * ``"proactive"`` — a migration service checks the anchor location every
-      ``migration_interval_s`` and copies the state to the satellite that now
+      :data:`MIGRATION_INTERVAL_S` and copies the state to the satellite that now
       serves the anchor, so reads almost always hit.
     * ``"static"`` — the state stays on the satellite that held it first
       (no migration); as the constellation moves, reads increasingly miss and
@@ -63,8 +68,6 @@ class VirtualStationarityExperiment:
         policy: Literal["proactive", "static"] = "proactive",
         state_size_bytes: int = 256 * 1024,
         read_interval_s: float = 1.0,
-        migration_interval_s: float = 5.0,
-        request_size_bytes: int = 256,
     ):
         if policy not in ("proactive", "static"):
             raise ValueError(f"unknown policy: {policy!r}")
@@ -75,8 +78,6 @@ class VirtualStationarityExperiment:
         self.clients = [testbed.ground_station(name) for name in client_names]
         self.state_size_bytes = state_size_bytes
         self.read_interval_s = read_interval_s
-        self.migration_interval_s = migration_interval_s
-        self.request_size_bytes = request_size_bytes
         self.results = VirtualStationarityResults(policy=policy)
         self._state_holder: Optional[MachineId] = None
         self._holder_endpoints: dict[str, object] = {}
@@ -124,7 +125,7 @@ class VirtualStationarityExperiment:
                     self.results.migration_downtime_s += transfer_s
                     self._state_holder = target
                     self.results.anchor_history.append((sim.now, target.name))
-            yield sim.timeout(self.migration_interval_s)
+            yield sim.timeout(MIGRATION_INTERVAL_S)
 
     def _service_process(self, machine: MachineId, endpoint):
         sim = self.testbed.sim
@@ -141,7 +142,7 @@ class VirtualStationarityExperiment:
                 rule = self.testbed.database.pair_rule(machine, holder)
                 if rule.reachable:
                     yield sim.timeout(2.0 * rule.delay_ms / 1000.0)
-            endpoint.send(message.payload["client"], self.request_size_bytes, payload=reply)
+            endpoint.send(message.payload["client"], REQUEST_SIZE_BYTES, payload=reply)
 
     def _client_process(self, client: MachineId):
         sim = self.testbed.sim
@@ -158,7 +159,7 @@ class VirtualStationarityExperiment:
                     pending[sequence] = sim.now
                     endpoint.send(
                         target,
-                        self.request_size_bytes,
+                        REQUEST_SIZE_BYTES,
                         payload={"client": client, "sequence": sequence},
                     )
                 yield sim.timeout(self.read_interval_s)

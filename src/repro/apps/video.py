@@ -20,6 +20,11 @@ from repro.apps.processing import ProcessingDelayModel
 from repro.core.constellation import MachineId
 from repro.core.testbed import Celestial
 
+#: The meetup's clients, its cloud bridge and its tracking service (§4).
+CLIENT_NAMES = ("accra", "abuja", "yaounde")
+CLOUD_BRIDGE_NAME = "johannesburg-cloud"
+TRACKING_NAME = "johannesburg-tracking"
+
 
 @dataclass(frozen=True)
 class VideoStreamParams:
@@ -108,13 +113,8 @@ class MeetupExperiment:
         self,
         testbed: Celestial,
         mode: Literal["satellite", "cloud"] = "satellite",
-        client_names: tuple[str, ...] = ("accra", "abuja", "yaounde"),
-        cloud_bridge_name: str = "johannesburg-cloud",
-        tracking_name: str = "johannesburg-tracking",
         stream: VideoStreamParams = VideoStreamParams(),
         tracking_interval_s: float = 5.0,
-        processing: Optional[ProcessingDelayModel] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         if mode not in ("satellite", "cloud"):
             raise ValueError(f"unknown mode: {mode!r}")
@@ -122,15 +122,14 @@ class MeetupExperiment:
         self.mode = mode
         self.stream = stream
         self.tracking_interval_s = tracking_interval_s
-        self._rng = rng if rng is not None else testbed.streams.stream("meetup")
-        self.processing = processing or ProcessingDelayModel(rng=self._rng)
-        self.clients = {name: testbed.ground_station(name) for name in client_names}
-        self.cloud_bridge = testbed.ground_station(cloud_bridge_name)
-        self.tracking_machine = testbed.ground_station(tracking_name)
+        self.processing = ProcessingDelayModel(testbed.streams.stream("meetup"))
+        self.clients = {name: testbed.ground_station(name) for name in CLIENT_NAMES}
+        self.cloud_bridge = testbed.ground_station(CLOUD_BRIDGE_NAME)
+        self.tracking_machine = testbed.ground_station(TRACKING_NAME)
         self.selector = BridgeSelector()
         self.results = MeetupResults(mode=mode)
-        for source in client_names:
-            for destination in client_names:
+        for source in CLIENT_NAMES:
+            for destination in CLIENT_NAMES:
                 if source != destination:
                     self.results.measured[(source, destination)] = LatencySeries(
                         f"{source}->{destination} measured"

@@ -7,12 +7,10 @@ suspended to free host resources; they are resumed when they re-enter
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.orbits import constants
 from repro.orbits.coordinates import (
     GEOCENTRIC_LATITUDE_MARGIN_DEG,
     WGS84_EQUATORIAL_RADIUS_KM,
@@ -42,11 +40,6 @@ class BoundingBox:
         for lon in (self.lon_min, self.lon_max):
             if not -180.0 <= lon <= 180.0:
                 raise ValueError("longitudes must be within [-180, 180]")
-
-    @classmethod
-    def whole_earth(cls) -> "BoundingBox":
-        """A box covering the entire Earth (no satellite is ever suspended)."""
-        return cls(-90.0, 90.0, -180.0, 180.0)
 
     @property
     def wraps_antimeridian(self) -> bool:
@@ -112,33 +105,3 @@ class BoundingBox:
         if scalar:
             return bool(result[0])
         return result
-
-    def area_fraction(self) -> float:
-        """Fraction of the Earth's surface area covered by the box."""
-        lat_band = math.sin(math.radians(self.lat_max)) - math.sin(math.radians(self.lat_min))
-        if self.wraps_antimeridian:
-            lon_extent = (self.lon_max + 360.0) - self.lon_min
-        else:
-            lon_extent = self.lon_max - self.lon_min
-        return (lat_band / 2.0) * (lon_extent / 360.0)
-
-    def area_km2(self) -> float:
-        """Approximate surface area of the box [km^2]."""
-        total = 4.0 * math.pi * constants.EARTH_RADIUS_MEAN_KM**2
-        return self.area_fraction() * total
-
-    def expanded(self, margin_deg: float) -> "BoundingBox":
-        """A copy of the box expanded by a margin on every side."""
-        if margin_deg < 0:
-            raise ValueError("margin must be non-negative")
-        lon_min = self.lon_min - margin_deg
-        lon_max = self.lon_max + margin_deg
-        if not self.wraps_antimeridian:
-            lon_min = max(-180.0, lon_min)
-            lon_max = min(180.0, lon_max)
-        return BoundingBox(
-            lat_min=max(-90.0, self.lat_min - margin_deg),
-            lat_max=min(90.0, self.lat_max + margin_deg),
-            lon_min=lon_min,
-            lon_max=lon_max,
-        )

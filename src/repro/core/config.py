@@ -167,25 +167,9 @@ class Configuration:
         return sum(self.shell_sizes)
 
     @property
-    def total_machines(self) -> int:
-        """Number of emulated machines (satellites + ground stations)."""
-        return self.total_satellites + len(self.ground_stations)
-
-    @property
     def ground_station_names(self) -> list[str]:
         """Names of all configured ground stations."""
         return [gst.name for gst in self.ground_stations]
-
-    def ground_station_config(self, name: str) -> GroundStationConfig:
-        """Configuration of a ground station by name."""
-        for gst in self.ground_stations:
-            if gst.name == name:
-                return gst
-        raise ConfigurationError(f"unknown ground station: {name!r}")
-
-    def update_steps(self) -> int:
-        """Number of constellation updates during the run."""
-        return int(self.duration_s // self.update_interval_s) + 1
 
     # -- (de)serialisation ---------------------------------------------------
 

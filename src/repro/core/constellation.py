@@ -182,7 +182,6 @@ class ConstellationDiff:
     manager has to suspend or resume.
     """
 
-    previous_time_s: float
     time_s: float
     topology: TopologyDiff
     activated: dict[int, np.ndarray]
@@ -253,7 +252,6 @@ class _EpochArrays:
     guarantees byte-identical snapshots.
     """
 
-    gmst: float
     satellite_positions: dict[int, np.ndarray]
     active: dict[int, np.ndarray]
     isl_chunks: list[tuple]
@@ -266,7 +264,6 @@ class ConstellationState:
     """Snapshot of the constellation network at one instant."""
 
     time_s: float
-    gmst_rad: float
     node_index: NodeIndex
     graph: NetworkGraph
     paths: PathRows
@@ -285,12 +282,6 @@ class ConstellationState:
         if machine.is_ground_station:
             return self.node_index.ground_station(machine.name)
         return self.node_index.satellite(machine.shell, machine.identifier)
-
-    def is_active(self, machine: MachineId) -> bool:
-        """Whether the machine is inside the bounding box (ground stations always are)."""
-        if machine.is_ground_station:
-            return True
-        return bool(self.active_satellites[machine.shell][machine.identifier])
 
     def delay_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """One-way shortest-path network delay between two machines [ms]."""
@@ -652,7 +643,6 @@ class ConstellationCalculation:
             )
 
         return _EpochArrays(
-            gmst=gmst,
             satellite_positions=satellite_positions,
             active=active,
             isl_chunks=isl_chunks,
@@ -679,7 +669,6 @@ class ConstellationCalculation:
             paths = PathRows(graph, self.path_engine, self._gst_nodes.tolist())
         return ConstellationState(
             time_s=time_s,
-            gmst_rad=epoch.gmst,
             node_index=self.node_index,
             graph=graph,
             paths=paths,
@@ -766,7 +755,6 @@ class ConstellationCalculation:
             time_s, epoch, graph, previous=previous, topology=topology
         )
         diff = ConstellationDiff(
-            previous_time_s=previous.time_s,
             time_s=time_s,
             topology=topology,
             activated=activated,

@@ -111,14 +111,13 @@ def _series() -> deque:
 class UpdateStats:
     """Bookkeeping about coordinator updates (used by the <1 s update claim).
 
-    Counters and the wall-clock mean/max cover the whole run, each series
-    the latest :data:`STATS_SERIES_LENGTH` entries.
+    ``count`` and ``max_wallclock_s`` cover the whole run, each series the
+    latest :data:`STATS_SERIES_LENGTH` entries; ``diff_change_counts`` has
+    one entry per differential update (every update but the first).
     """
 
     count: int = 0
     wallclock_seconds: deque = field(default_factory=_series)
-    full_updates: int = 0
-    diff_updates: int = 0
     diff_change_counts: deque = field(default_factory=_series)
     #: Wall-clock of the fan-out step alone (record application),
     #: one entry per update — the cost of the seam the dist benchmark
@@ -131,7 +130,6 @@ class UpdateStats:
     worker_ack_seconds: dict[int, deque] = field(
         default_factory=lambda: defaultdict(_series)
     )
-    total_wallclock_s: float = 0.0
     max_wallclock_s: float = 0.0
 
     def record_update(
@@ -139,20 +137,11 @@ class UpdateStats:
     ) -> None:
         """Fold one finished update in (``change_count`` is None for a full one)."""
         self.count += 1
-        self.total_wallclock_s += wallclock_s
         self.max_wallclock_s = max(self.max_wallclock_s, wallclock_s)
         self.wallclock_seconds.append(wallclock_s)
         self.fanout_seconds.append(fanout_s)
-        if change_count is None:
-            self.full_updates += 1
-        else:
-            self.diff_updates += 1
+        if change_count is not None:
             self.diff_change_counts.append(change_count)
-
-    @property
-    def mean_wallclock_s(self) -> float:
-        """Mean wall-clock duration of one constellation update."""
-        return self.total_wallclock_s / self.count if self.count else 0.0
 
 
 def least_reserved_placement(reserved: Sequence[int], memory_mib: np.ndarray) -> np.ndarray:

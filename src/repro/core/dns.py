@@ -77,13 +77,3 @@ class CelestialDNS:
         if address not in self._reverse:
             raise DNSError(f"no machine with address {address}")
         return self._reverse[address]
-
-    def satellite_name(self, shell: int, identifier: int) -> str:
-        """Canonical DNS name of a satellite."""
-        return f"{identifier}.{shell}.celestial"
-
-    def ground_station_name(self, name: str) -> str:
-        """Canonical DNS name of a ground station."""
-        if dns_slug(name) not in self._gst_index:
-            raise DNSError(f"no such ground station: {name!r}")
-        return f"{dns_slug(name)}.gst.celestial"

@@ -41,7 +41,6 @@ class Celestial:
         self,
         config: Configuration,
         usage_sample_interval_s: float = 5.0,
-        allow_memory_overcommit: bool = True,
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
         transport=None,
@@ -57,7 +56,7 @@ class Celestial:
                 index=index,
                 cpu_cores=config.hosts.cpu_cores,
                 memory_mib=config.hosts.memory_mib,
-                allow_memory_overcommit=allow_memory_overcommit,
+                allow_memory_overcommit=True,
             )
             for index in range(config.hosts.count)
         ]
@@ -172,10 +171,6 @@ class Celestial:
         """
         return self.coordinator.manager_for(machine).machine(machine)
 
-    def machine_running(self, machine: MachineId) -> bool:
-        """Whether a machine is currently running."""
-        return self._machine_running(machine)
-
     def set_busy(self, machine: MachineId, fraction: float) -> None:
         """Report how busy a machine's workload keeps its vCPUs (for Figs. 7-8)."""
         self.coordinator.manager_for(machine).set_busy_fraction(machine, fraction)
@@ -224,7 +219,7 @@ class Celestial:
     def path_engine_statistics(self) -> dict:
         """``{"totals": ...}``: the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls, rows solved, stores advanced, rows shared)."""
+        calls, rows solved)."""
         return {"totals": self.calculation.path_engine.stats.snapshot()}
 
     def booted_machines(self) -> int:

@@ -191,9 +191,6 @@ class ProcessFanoutBackend:
         self,
         managers: list[MachineManager],
         worker_count: Optional[int] = None,
-        max_restarts: int = 3,
-        ack_timeout_s: float = 120.0,
-        restart_decay_acks: int = 64,
         transport: Optional[TcpTransportFactory] = None,
     ):
         managers = list(managers)
@@ -223,13 +220,7 @@ class ProcessFanoutBackend:
             )
             for index in range(worker_count)
         ]
-        self.supervisor = WorkerSupervisor(
-            specs,
-            max_restarts=max_restarts,
-            ack_timeout_s=ack_timeout_s,
-            restart_decay_acks=restart_decay_acks,
-            transport=transport,
-        )
+        self.supervisor = WorkerSupervisor(specs, transport=transport)
         self._proxies = [
             MirroredManager(manager, self.supervisor, self._worker_of[position], position)
             for position, manager in enumerate(managers)
@@ -330,10 +321,6 @@ class ProcessFanoutBackend:
     def drain_transport_latencies(self) -> dict[int, list[float]]:
         """Per-worker ack round-trip seconds, drained from the supervisor."""
         return self.supervisor.drain_ack_latencies()
-
-    def crash_worker(self, worker: int) -> None:
-        """Test hook: hard-kill one worker process."""
-        self.supervisor.crash_worker(worker)
 
     @property
     def restart_count(self) -> int:

@@ -22,11 +22,9 @@ primitives:
   worker's checkpoint and becomes the recovery point.
   :meth:`WorkerSupervisor.begin_epoch` is the broadcast of one epoch's
   record, which the supervisor keeps: it is what a recovery restores from.
-* :meth:`WorkerSupervisor.post` — a fire-and-forget frame that is never
-  journalled (the ``CRASH``/``WEDGE`` test hooks).
-* :meth:`WorkerSupervisor.check` / :meth:`ping` — heartbeat: a liveness
-  sweep over the pool (dead processes are detected and restarted before the
-  next fan-out trips over a broken stream) and an end-to-end round-trip probe.
+* :meth:`WorkerSupervisor.check` — heartbeat: a liveness sweep over the
+  pool (dead processes are detected and restarted before the next fan-out
+  trips over a broken stream).
 
 Crash recovery
 --------------
@@ -170,11 +168,6 @@ class WorkerSupervisor:
     # -- lifecycle ----------------------------------------------------------
 
     @property
-    def started(self) -> bool:
-        """Whether the pool has been spawned."""
-        return self._started
-
-    @property
     def worker_count(self) -> int:
         """Number of supervised workers."""
         return len(self._handles)
@@ -271,17 +264,6 @@ class WorkerSupervisor:
         handle.ledger.append(frame)
         self._send(handle, frame)
 
-    def post(
-        self,
-        worker: int,
-        kind: FrameKind,
-        meta: dict[str, Any],
-        arrays: tuple[np.ndarray, ...] = (),
-    ) -> None:
-        """Send a fire-and-forget frame; it is not journalled (test hooks)."""
-        self.start()
-        self._send(self._handles[worker], wire.encode_frame(kind, meta, arrays))
-
     def begin_request(
         self,
         worker: int,
@@ -352,17 +334,6 @@ class WorkerSupervisor:
         if handle.restarts and handle.healthy_acks >= self.restart_decay_acks:
             handle.restarts = 0
             handle.healthy_acks = 0
-
-    def request(
-        self,
-        worker: int,
-        kind: FrameKind,
-        meta: dict[str, Any],
-        arrays: tuple[np.ndarray, ...] = (),
-    ) -> dict[str, Any]:
-        """Round-trip one acknowledged frame."""
-        self.begin_request(worker, kind, meta, arrays)
-        return self.finish_request(worker)
 
     def _await_ack(self, handle: _Handle, seq: int) -> dict[str, Any]:
         deadline = time.monotonic() + self.ack_timeout_s
@@ -439,10 +410,6 @@ class WorkerSupervisor:
                 restarted += 1
         return restarted
 
-    def ping(self, worker: int) -> dict[str, Any]:
-        """End-to-end heartbeat probe (returns the worker's checkpoint meta)."""
-        return self.request(worker, FrameKind.PING, {})
-
     def checkpoint(self, worker: int) -> Optional[dict[str, Any]]:
         """The worker's last acknowledged checkpoint (None before the first)."""
         return self._handles[worker].checkpoint
@@ -456,13 +423,6 @@ class WorkerSupervisor:
         drained = self._ack_latency
         self._ack_latency = {}
         return drained
-
-    def crash_worker(self, worker: int) -> None:
-        """Test hook: hard-kill a worker (SIGKILL), as a real crash would."""
-        handle = self._handles[worker]
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=5.0)
 
     # -- recovery -----------------------------------------------------------
 

@@ -54,12 +54,8 @@ class ExperimentResult:
     metrics: list[list[Any]]
     #: Named latency series for CSV export.
     series: dict[str, LatencySeries] = field(default_factory=dict)
-    #: The workload's native results object (``MeetupResults`` etc.).
-    raw: Any = None
     #: Fault-injector event log of the run.
     fault_events: list = field(default_factory=list)
-    #: Stateful fault interpreters (e.g. ``OperatorDegradation`` instances).
-    fault_interpreters: list = field(default_factory=list)
     #: Per-host resource traces (empty for testbed-less workloads).
     resource_traces: dict[int, Any] = field(default_factory=dict)
     #: Data-plane counters of the virtual network.
@@ -287,7 +283,6 @@ def _run_meetup(testbed: Celestial, config: Configuration, params: dict[str, Any
         f"Meetup experiment ({mode} bridge, {config.duration_s:.0f}s)",
         results.summary_metrics(),
         {"meetup": results.all_measurements()},
-        results,
     )
 
 
@@ -306,7 +301,6 @@ def _run_dart(testbed: Celestial, config: Configuration, params: dict[str, Any])
         f"DART experiment ({deployment} deployment, {config.duration_s:.0f}s)",
         results.summary_metrics(),
         {"dart": results.all_latencies(), "processing": results.processing_ms},
-        results,
     )
 
 
@@ -323,7 +317,6 @@ def _run_none(testbed: Celestial, config: Configuration, params: dict[str, Any])
         f"Emulation run ({config.duration_s:.0f}s, no workload)",
         metrics,
         {},
-        None,
     )
 
 
@@ -358,7 +351,6 @@ def _run_handover(spec: ExperimentSpec, config: Configuration) -> ExperimentResu
         config=config,
         title=f"Uplink handovers of {station} over {duration_s:.0f}s",
         metrics=metrics,
-        raw=analysis,
         path_statistics={"totals": calculation.path_engine.stats.snapshot()},
     )
 
@@ -403,16 +395,13 @@ class ExperimentRunner:
         )
         gateway = None
         try:
-            interpreters: list[object] = []
             if spec.fault_program or serve is not None:
                 # Arm faults (and the serving tier) before the workload
                 # starts its processes — the order a user hand-wiring the
                 # fault API and gateway would use.
                 testbed.start()
             if spec.fault_program:
-                interpreters = schedule_fault_program(
-                    testbed, config, spec.fault_program
-                )
+                schedule_fault_program(testbed, config, spec.fault_program)
             if serve is not None:
                 from repro.serve.gateway import GatewayServer
 
@@ -425,16 +414,14 @@ class ExperimentRunner:
                     auth_secret=serve.auth_secret,
                 ).start()
             workload = _TESTBED_WORKLOADS[spec.workload.app]
-            title, metrics, series, raw = workload(testbed, config, spec.workload.params)
+            title, metrics, series = workload(testbed, config, spec.workload.params)
             return ExperimentResult(
                 spec=spec,
                 config=config,
                 title=title,
                 metrics=metrics,
                 series=series,
-                raw=raw,
                 fault_events=list(testbed.fault_injector.events),
-                fault_interpreters=interpreters,
                 resource_traces=testbed.resource_traces(),
                 network_statistics=testbed.network_statistics(),
                 path_statistics=testbed.path_engine_statistics(),

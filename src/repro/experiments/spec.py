@@ -348,10 +348,6 @@ class ExperimentSpec:
         except (KeyError, TypeError) as error:
             raise ExperimentSpecError(f"invalid experiment spec: {error}") from error
 
-    def to_json(self) -> str:
-        """Deterministic JSON rendering of the spec."""
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     def to_toml(self) -> str:
         """Deterministic TOML rendering of the spec.
 

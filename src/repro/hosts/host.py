@@ -71,10 +71,6 @@ class Host:
         """Memory held by booted (running or suspended) machines."""
         return self.machines.usage().memory_mib
 
-    def allocated_vcpus(self) -> int:
-        """Total vCPUs of all placed machines (may exceed physical cores)."""
-        return self.machines.allocated_vcpus
-
     def can_place(self, memory_mib: int) -> bool:
         """Whether a machine of this much memory fits on this host."""
         if self.allow_memory_overcommit:
@@ -147,10 +143,6 @@ class Host:
     def booted_machine_count(self) -> int:
         """Number of machines that have booted (running or suspended)."""
         return self.machines.usage().booted
-
-    def running_machine_count(self) -> int:
-        """Number of machines currently running."""
-        return self.machines.usage().running
 
     def cpu_cores_in_use(self) -> float:
         """Host cores currently consumed by all microVMs."""

@@ -30,11 +30,6 @@ class CPUQuota:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("quota fraction must be in (0, 1]")
 
-    @property
-    def effective_cores(self) -> float:
-        """Host cores' worth of compute available to the machine."""
-        return self.vcpu_count * self.quota_fraction
-
     def set_quota(self, quota_fraction: float) -> None:
         """Change the quota at runtime (Celestial's fault-injection API)."""
         self._validate_fraction(quota_fraction)

@@ -54,17 +54,14 @@ class MachineState(enum.Enum):
     RUNNING = "running"
     SUSPENDED = "suspended"
     STOPPED = "stopped"
-    FAILED = "failed"
 
 
 #: A state's code in the table is its position in :class:`MachineState`.
 _STATES = tuple(MachineState)
-_CREATED, _BOOTING, _RUNNING, _SUSPENDED, _STOPPED, _FAILED = range(len(_STATES))
-#: The states a boot starts from, the states a stop is refused in, and the
-#: states a reboot boots from without stopping first.
-_BOOTABLE = (_CREATED, _STOPPED, _FAILED)
+_CREATED, _BOOTING, _RUNNING, _SUSPENDED, _STOPPED = range(len(_STATES))
+#: The states a boot starts from and the states a stop is refused in.
+_BOOTABLE = (_CREATED, _STOPPED)
 _UNSTOPPABLE = (_STOPPED, _CREATED)
-_DOWN = (_STOPPED, _FAILED)
 
 #: Firecracker boot time: ~125 ms plus configuration overhead (sub-second).
 DEFAULT_BOOT_TIME_S = 0.35
@@ -120,12 +117,11 @@ class MachineBatch:
 
 
 class Usage(NamedTuple):
-    """A table's usage reading: cores (not yet clamped to the host), memory, counts."""
+    """A table's usage reading: cores (not yet clamped to the host), memory, booted count."""
 
     cpu_cores: float
     memory_mib: float
     booted: int
-    running: int
 
 
 class MachineTable(Mapping):
@@ -177,9 +173,8 @@ class MachineTable(Mapping):
         self.held_until_s = array("d")
         # The latest boot's finish once drawn, NaN before.
         self._finished_s = array("d")
-        #: Running totals over the rows.
+        #: Running total over the rows.
         self.reserved_memory_mib = 0
-        self.allocated_vcpus = 0
         self._usage: Optional[Usage] = None
 
     # -- the mapping: name → view ------------------------------------------
@@ -219,8 +214,8 @@ class MachineTable(Mapping):
         self.names.extend(batch.names)
         self.shells.extend(batch.shells.tolist())
         self.identifiers.extend(batch.identifiers.tolist())
-        vcpus, memory = batch.column("vcpu_count"), batch.column("memory_mib")
-        self.vcpus.extend(vcpus.tolist())
+        memory = batch.column("memory_mib")
+        self.vcpus.extend(batch.column("vcpu_count").tolist())
         self.memory_mib.extend(memory.tolist())
         self.quota.extend(batch.column("cpu_quota").tolist())
         self.busy.extend(batch.column("idle_cpu_fraction").tolist())
@@ -232,7 +227,6 @@ class MachineTable(Mapping):
         self.held_until_s.extend([0.0] * count)
         self._finished_s.extend([math.nan] * count)
         self.reserved_memory_mib += int(memory.sum())
-        self.allocated_vcpus += int(vcpus.sum())
         self._usage = None
 
     def take(self, name: str) -> tuple:
@@ -242,7 +236,6 @@ class MachineTable(Mapping):
         for later in self.names[row:]:
             self._rows[later] -= 1
         self.reserved_memory_mib -= values[4]
-        self.allocated_vcpus -= values[3]
         self._usage = None
         return values
 
@@ -252,7 +245,6 @@ class MachineTable(Mapping):
         for column, value in zip(self._COLUMNS, values):
             getattr(self, column).append(value)
         self.reserved_memory_mib += values[4]
-        self.allocated_vcpus += values[3]
         self._usage = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -275,7 +267,7 @@ class MachineTable(Mapping):
         self._set(row, _RUNNING)
 
     def boot(self, name: str, now_s: float) -> None:
-        """Start booting a created, stopped or failed machine."""
+        """Start booting a created or stopped machine."""
         row = self._rows[name]
         if self.states[row] not in _BOOTABLE:
             raise self._refuse(row, "boot")
@@ -309,10 +301,6 @@ class MachineTable(Mapping):
             raise self._refuse(row, "stop")
         self._set(row, _STOPPED)
 
-    def fail(self, name: str) -> None:
-        """Mark a machine failed (e.g. a radiation-induced single event upset)."""
-        self._set(self._rows[name], _FAILED)
-
     def follow_activity(self, name: str, active: bool) -> Optional[MachineState]:
         """Suspend a running machine outside the bounding box, resume a
         suspended one inside it; the state it took, or ``None``."""
@@ -330,11 +318,8 @@ class MachineTable(Mapping):
         return _STATES[code]
 
     def reboot(self, name: str, now_s: float) -> None:
-        """Stop a machine unless it is down, then boot it."""
-        row = self._rows[name]
-        if self.states[row] not in _DOWN:
-            self.states[row] = _STOPPED
-        self._boot(row, now_s)
+        """Stop a machine unless it is stopped, then boot it."""
+        self._boot(self._rows[name], now_s)
 
     def set_quota(self, name: str, quota_fraction: float) -> None:
         """Change a machine's CPU quota (fraction in (0, 1])."""
@@ -401,18 +386,17 @@ class MachineTable(Mapping):
 
     def _read_usage(self) -> Usage:
         cores = memory = 0.0
-        booted = running = 0
+        booted = 0
         for code, vcpus, busy, quota, memory_mib in zip(
             self.states, self.vcpus, self.busy, self.quota, self.memory_mib
         ):
             if code == _RUNNING:
                 cores += vcpus * busy * quota
-                running += 1
             elif code != _SUSPENDED:
                 continue
             memory += memory_mib
             booted += 1
-        return Usage(cores, memory, booted, running)
+        return Usage(cores, memory, booted)
 
 
 class MachineView:
@@ -439,16 +423,6 @@ class MachineView:
     def state_at(self, time_s: float) -> MachineState:
         """The machine's state at ``time_s``, no earlier than its latest operation."""
         return self._table.state_at(self.name, time_s)
-
-    @property
-    def is_running(self) -> bool:
-        """Whether the machine is running (not suspended, stopped or failed)."""
-        return self.state is MachineState.RUNNING
-
-    @property
-    def boot_count(self) -> int:
-        """Boots so far; the k-th boot's duration is the k-th draw of its generator."""
-        return self._column("boot_counts")
 
     @property
     def boot_finished_at_s(self) -> Optional[float]:

@@ -48,7 +48,3 @@ class NetworkEndpoint:
 
     def _count_received(self, _event: Event) -> None:
         self.received_count += 1
-
-    def pending(self) -> int:
-        """Number of messages waiting in the inbox."""
-        return len(self._inbox)

@@ -270,12 +270,6 @@ class VirtualNetwork:
             self._endpoints[machine.name] = Store(self.sim)
         return self._endpoints[machine.name]
 
-    def inbox(self, machine: MachineId) -> Store:
-        """Inbox store of a machine (must have been registered)."""
-        if machine.name not in self._endpoints:
-            raise KeyError(f"machine {machine.name!r} has no registered endpoint")
-        return self._endpoints[machine.name]
-
     # -- data plane ---------------------------------------------------------------
 
     def send(self, message: Message) -> bool:

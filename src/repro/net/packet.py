@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.constellation import MachineId
-
-_sequence = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -20,7 +17,6 @@ class Message:
     size_bytes: int
     payload: Any = None
     sent_at_s: float = 0.0
-    message_id: int = field(default_factory=lambda: next(_sequence))
 
     def __post_init__(self):
         if self.size_bytes <= 0:

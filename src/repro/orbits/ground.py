@@ -32,9 +32,3 @@ class GroundStation:
     def position_eci(self, gmst_rad: float) -> np.ndarray:
         """Inertial position [km] at a given Greenwich sidereal time."""
         return ecef_to_eci(self.position_ecef, gmst_rad)
-
-    @property
-    def dns_name(self) -> str:
-        """DNS-style name of the ground station machine (``gst.<name>.celestial``)."""
-        safe = self.name.lower().replace(" ", "-").replace(",", "")
-        return f"gst.{safe}.celestial"

@@ -11,7 +11,7 @@ includes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,24 +95,6 @@ class KeplerianElements:
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError("eccentricity must be in [0, 1)")
 
-    @classmethod
-    def circular(
-        cls,
-        altitude_km: float,
-        inclination_deg: float,
-        raan_deg: float = 0.0,
-        mean_anomaly_deg: float = 0.0,
-    ) -> "KeplerianElements":
-        """Circular orbit at a given altitude above the equatorial radius."""
-        return cls(
-            semi_major_axis_km=constants.EARTH_RADIUS_KM + altitude_km,
-            eccentricity=0.0,
-            inclination_deg=inclination_deg,
-            raan_deg=raan_deg,
-            arg_perigee_deg=0.0,
-            mean_anomaly_deg=mean_anomaly_deg,
-        )
-
     @property
     def mean_motion_rad_s(self) -> float:
         """Two-body mean motion [rad/s]."""
@@ -127,10 +109,6 @@ class KeplerianElements:
     def altitude_km(self) -> float:
         """Altitude of a circular orbit above the equatorial radius [km]."""
         return self.semi_major_axis_km - constants.EARTH_RADIUS_KM
-
-    def with_mean_anomaly(self, mean_anomaly_deg: float) -> "KeplerianElements":
-        """Copy of the elements with a different mean anomaly."""
-        return replace(self, mean_anomaly_deg=mean_anomaly_deg)
 
 
 def perifocal_to_eci_matrix(

@@ -12,7 +12,7 @@ neighbours (§5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Literal
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from repro.orbits import constants
 from repro.orbits.kepler import (
     KeplerianElements,
-    KeplerPropagator,
     j2_secular_rates,
     mean_motion_from_semi_major_axis,
 )
@@ -103,12 +102,10 @@ class Shell:
         geometry: ShellGeometry,
         shell_index: int = 0,
         propagator: Literal["kepler_j2", "sgp4"] = "kepler_j2",
-        bstar: float = 0.0,
     ):
         self.geometry = geometry
         self.shell_index = shell_index
         self.propagator_kind = propagator
-        self.bstar = bstar
         self.satellites: list[Satellite] = [
             Satellite(
                 shell_index=shell_index,
@@ -177,14 +174,8 @@ class Shell:
             self.elements_for(satellite),
             epoch=datetime(2022, 1, 1),
             name=satellite.name,
-            satellite_number=satellite.identifier + 1,
-            bstar=self.bstar,
         )
         return SGP4Propagator(tle)
-
-    def kepler_propagator_for(self, satellite: Satellite) -> KeplerPropagator:
-        """Scalar Kepler+J2 propagator for one satellite (mainly for tests)."""
-        return KeplerPropagator(self.elements_for(satellite), include_j2=True)
 
     # -- propagation ------------------------------------------------------
 
@@ -204,7 +195,3 @@ class Shell:
         y = a * (cos_u * sin_o + sin_u * cos_o * cos_i)
         z = a * (sin_u * sin_i)
         return np.stack([x, y, z], axis=-1)
-
-    def velocity_km_s(self) -> float:
-        """Orbital speed of satellites in the shell [km/s] (circular orbit)."""
-        return math.sqrt(constants.EARTH_MU_KM3_S2 / self.geometry.semi_major_axis_km)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 from repro.orbits import constants
 
@@ -67,10 +67,6 @@ class Epoch:
     def julian_date(self) -> float:
         """Julian date of the epoch."""
         return julian_date(self.start)
-
-    def at(self, sim_time_s: float) -> datetime:
-        """Absolute datetime corresponding to a simulation time offset."""
-        return self.start + timedelta(seconds=sim_time_s)
 
     def julian_date_at(self, sim_time_s: float) -> float:
         """Julian date corresponding to a simulation time offset."""

@@ -1,10 +1,10 @@
-"""NORAD two-line element set (TLE) parsing, generation and validation.
+"""Two-line element (TLE) mean elements, the input of the SGP4 propagator.
 
 Celestial obtains SGP4 input parameters either from the NORAD TLE database
 (for satellites already in orbit) or computes them from simple shell
 parameters such as inclination and altitude (§3.1).  This module supports
-both directions: parsing published TLEs and generating synthetic TLEs for
-constellation shells.
+both: parsing a published TLE and building a synthetic one from a shell
+satellite's Keplerian elements.  It keeps the elements SGP4 propagates with.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ def _checksum(line: str) -> int:
     return total % 10
 
 
-def _format_exponential(value: float) -> str:
-    """Format a float in the 8-character TLE 'assumed decimal' notation."""
-    if value == 0.0:
-        return " 00000+0"
-    sign = "-" if value < 0 else " "
-    value = abs(value)
-    exponent = int(math.floor(math.log10(value))) + 1
-    mantissa = value / (10.0**exponent)
-    mantissa_digits = int(round(mantissa * 1e5))
-    if mantissa_digits >= 100000:
-        mantissa_digits = 10000
-        exponent += 1
-    exp_sign = "+" if exponent >= 0 else "-"
-    return f"{sign}{mantissa_digits:05d}{exp_sign}{abs(exponent)}"
-
-
 def _parse_exponential(field: str) -> float:
     """Parse the 'assumed decimal point' exponential TLE field."""
     field = field.strip()
@@ -67,12 +51,9 @@ def _parse_exponential(field: str) -> float:
 
 @dataclass(frozen=True)
 class TwoLineElement:
-    """A parsed (or generated) two-line element set."""
+    """The mean elements of one two-line element set."""
 
     name: str
-    satellite_number: int
-    classification: str
-    international_designator: str
     epoch: datetime
     mean_motion_rev_day: float
     eccentricity: float
@@ -81,12 +62,6 @@ class TwoLineElement:
     arg_perigee_deg: float
     mean_anomaly_deg: float
     bstar: float = 0.0
-    mean_motion_dot: float = 0.0
-    mean_motion_ddot: float = 0.0
-    element_set_number: int = 1
-    revolution_number: int = 0
-
-    # -- parsing ----------------------------------------------------------
 
     @classmethod
     def parse(cls, line1: str, line2: str, name: str = "") -> "TwoLineElement":
@@ -99,44 +74,20 @@ class TwoLineElement:
             if len(line) >= 69 and line[68].isdigit():
                 if int(line[68]) != _checksum(line):
                     raise TLEError(f"line {index} checksum mismatch")
-        satellite_number = int(line1[2:7])
-        classification = line1[7].strip() or "U"
-        international_designator = line1[9:17].strip()
         epoch_year = int(line1[18:20])
         epoch_year += 2000 if epoch_year < 57 else 1900
         epoch_day = float(line1[20:32])
-        epoch = datetime(epoch_year, 1, 1) + timedelta(days=epoch_day - 1.0)
-        mean_motion_dot = float(line1[33:43])
-        mean_motion_ddot = _parse_exponential(line1[44:52])
-        bstar = _parse_exponential(line1[53:61])
-        element_set_number = int(line1[64:68])
-        inclination = float(line2[8:16])
-        raan = float(line2[17:25])
-        eccentricity = float(f"0.{line2[26:33].strip()}")
-        arg_perigee = float(line2[34:42])
-        mean_anomaly = float(line2[43:51])
-        mean_motion = float(line2[52:63])
-        revolution_number = int(line2[63:68]) if line2[63:68].strip() else 0
         return cls(
             name=name.strip(),
-            satellite_number=satellite_number,
-            classification=classification,
-            international_designator=international_designator,
-            epoch=epoch,
-            mean_motion_rev_day=mean_motion,
-            eccentricity=eccentricity,
-            inclination_deg=inclination,
-            raan_deg=raan,
-            arg_perigee_deg=arg_perigee,
-            mean_anomaly_deg=mean_anomaly,
-            bstar=bstar,
-            mean_motion_dot=mean_motion_dot,
-            mean_motion_ddot=mean_motion_ddot,
-            element_set_number=element_set_number,
-            revolution_number=revolution_number,
+            epoch=datetime(epoch_year, 1, 1) + timedelta(days=epoch_day - 1.0),
+            mean_motion_rev_day=float(line2[52:63]),
+            eccentricity=float(f"0.{line2[26:33].strip()}"),
+            inclination_deg=float(line2[8:16]),
+            raan_deg=float(line2[17:25]),
+            arg_perigee_deg=float(line2[34:42]),
+            mean_anomaly_deg=float(line2[43:51]),
+            bstar=_parse_exponential(line1[53:61]),
         )
-
-    # -- generation -------------------------------------------------------
 
     @classmethod
     def from_elements(
@@ -144,7 +95,6 @@ class TwoLineElement:
         elements: KeplerianElements,
         epoch: datetime,
         name: str = "",
-        satellite_number: int = 1,
         bstar: float = 0.0,
     ) -> "TwoLineElement":
         """Build a synthetic TLE from Keplerian elements at a given epoch."""
@@ -153,9 +103,6 @@ class TwoLineElement:
         )
         return cls(
             name=name,
-            satellite_number=satellite_number,
-            classification="U",
-            international_designator="00000A",
             epoch=epoch,
             mean_motion_rev_day=mean_motion_rev_day,
             eccentricity=elements.eccentricity,
@@ -165,50 +112,6 @@ class TwoLineElement:
             mean_anomaly_deg=elements.mean_anomaly_deg,
             bstar=bstar,
         )
-
-    def to_elements(self) -> KeplerianElements:
-        """Convert back to Keplerian elements (semi-major axis from mean motion)."""
-        mean_motion_rad_s = self.mean_motion_rev_day * 2.0 * math.pi / constants.SECONDS_PER_DAY
-        semi_major_axis = (constants.EARTH_MU_KM3_S2 / mean_motion_rad_s**2) ** (1.0 / 3.0)
-        return KeplerianElements(
-            semi_major_axis_km=semi_major_axis,
-            eccentricity=self.eccentricity,
-            inclination_deg=self.inclination_deg,
-            raan_deg=self.raan_deg,
-            arg_perigee_deg=self.arg_perigee_deg,
-            mean_anomaly_deg=self.mean_anomaly_deg,
-        )
-
-    def lines(self) -> tuple[str, str]:
-        """Render the TLE as its two checksummed 69-character lines."""
-        epoch_year = self.epoch.year % 100
-        start_of_year = datetime(self.epoch.year, 1, 1)
-        epoch_day = (self.epoch - start_of_year).total_seconds() / constants.SECONDS_PER_DAY + 1.0
-        ndot_sign = "-" if self.mean_motion_dot < 0 else " "
-        ndot = ndot_sign + f"{abs(self.mean_motion_dot):.8f}"[1:]
-        line1 = (
-            f"1 {self.satellite_number:05d}{self.classification[:1]} "
-            f"{self.international_designator:<8s} "
-            f"{epoch_year:02d}{epoch_day:012.8f} "
-            f"{ndot:>10s} "
-            f"{_format_exponential(self.mean_motion_ddot)} "
-            f"{_format_exponential(self.bstar)} 0 "
-            f"{self.element_set_number:4d}"
-        )
-        ecc_field = f"{self.eccentricity:.7f}"[2:9]
-        line2 = (
-            f"2 {self.satellite_number:05d} "
-            f"{self.inclination_deg:8.4f} "
-            f"{self.raan_deg:8.4f} "
-            f"{ecc_field} "
-            f"{self.arg_perigee_deg:8.4f} "
-            f"{self.mean_anomaly_deg:8.4f} "
-            f"{self.mean_motion_rev_day:11.8f}"
-            f"{self.revolution_number:5d}"
-        )
-        line1 = f"{line1:<68s}"[:68]
-        line2 = f"{line2:<68s}"[:68]
-        return line1 + str(_checksum(line1)), line2 + str(_checksum(line2))
 
     @property
     def period_s(self) -> float:

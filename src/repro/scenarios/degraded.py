@@ -92,7 +92,6 @@ class DegradationStep:
     """One executed degradation step (for analysis/plots)."""
 
     time_s: float
-    severed_pairs: int
     total_severed: int
     remaining_intact: int
 
@@ -196,7 +195,6 @@ class OperatorDegradation:
             self.steps.append(
                 DegradationStep(
                     time_s=now,
-                    severed_pairs=severed_now,
                     total_severed=len(self.severed),
                     remaining_intact=len(self._shell_isl_pairs()),
                 )

@@ -144,12 +144,6 @@ class Simulation:
         """Queue entries (events and timers) processed so far."""
         return self._processed_events
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     def step(self) -> None:
         """Process exactly one queue entry: an event or a timer."""
         if not self._queue:

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Literal, Optional, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -154,10 +154,6 @@ class ShortestPaths:
         self._distances = np.atleast_2d(distances)
         self._predecessors = np.atleast_2d(predecessors)
 
-    def has_source(self, node: int) -> bool:
-        """Whether a row of shortest paths from this node is held."""
-        return node in self._row_of
-
     def delay_ms(self, source: int, target: int) -> float:
         """One-way shortest-path delay [ms]; ``inf`` if unreachable."""
         row = self._row_for(source)
@@ -224,18 +220,6 @@ class ShortestPaths:
         row = self._row_for(source)
         return self._distances[row].copy()
 
-    def nearest(self, source: int, candidates: Iterable[int]) -> Optional[int]:
-        """The candidate node with the lowest delay from ``source``, or None."""
-        candidates = np.fromiter(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return None
-        row = self._row_for(source)
-        delays = self._distances[row][candidates]
-        best = int(np.argmin(delays))
-        if not np.isfinite(delays[best]):
-            return None
-        return int(candidates[best])
-
     def _row_for(self, source: int) -> int:
         row = self._row_of.get(source)
         if row is None:
@@ -255,8 +239,7 @@ class PathRows(ShortestPaths):
 
     ``sources`` are the nodes a pair's row is preferably rooted at when
     neither endpoint has a row yet (the ground stations; rule 3 of the
-    module docstring); :meth:`has_source` says whether a row is held.  Any
-    node's row can be asked for.  Rows are solved through ``engine`` and
+    module docstring).  Any node's row can be asked for.  Rows are solved through ``engine`` and
     appended under a lock — the info API reads states without the
     database's lock — so every row is solved once, whichever thread asks
     first.  Arrays grow by doubling and rows are written before they are
@@ -367,17 +350,10 @@ class PathEngineStats:
 
     ``solver_calls`` counts ``csgraph`` invocations and ``rows_solved`` the
     source rows they computed — each row a state was asked for, once.
-    ``tables_advanced`` counts the stores handed across a diff by
-    :meth:`PathEngine.advance_all`, ``empty_reuses`` those that shared
-    their predecessor's rows (the diff changed no delay and no link) and
-    ``rows_reused`` the rows so shared.
     """
 
     solver_calls: int = 0
     rows_solved: int = 0
-    tables_advanced: int = 0
-    empty_reuses: int = 0
-    rows_reused: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy (JSON-serialisable, used by the benchmarks)."""
@@ -426,16 +402,11 @@ class PathEngine:
         solver calls); otherwise it starts empty and solves what it is
         asked.
         """
-        stats = self.stats
-        stats.tables_advanced += 1
         if (
             graph is diff.current
             and previous.graph is diff.previous
             and diff.is_structural_noop
             and diff.delay_changed.size == 0
         ):
-            store = previous._shared_with(graph)
-            stats.empty_reuses += 1
-            stats.rows_reused += len(store._row_of)
-            return store
+            return previous._shared_with(graph)
         return PathRows(graph, self, previous.sources)

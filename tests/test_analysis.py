@@ -38,9 +38,8 @@ class TestLatencySeries:
 
     def test_cdf_monotone(self):
         series = self._series([30.0, 10.0, 20.0])
-        values, fractions = series.cdf()
-        assert values.tolist() == [10.0, 20.0, 30.0]
-        assert fractions.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
+        fractions = [series.fraction_below(value) for value in (10.0, 20.0, 30.0)]
+        assert fractions == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
 
     def test_rolling_median(self):
         series = LatencySeries()
@@ -51,14 +50,13 @@ class TestLatencySeries:
         assert medians[-1] == 30.0
         assert len(centres) == len(medians)
 
-    def test_filtered_and_merged(self):
-        series = LatencySeries()
-        series.add(0.0, 10.0, "a", "b")
-        series.add(1.0, 20.0, "b", "a")
-        filtered = series.filtered(source="a")
-        assert len(filtered) == 1
-        merged = filtered.merged_with(series.filtered(source="b"))
-        assert len(merged) == 2
+    def test_merged_with(self):
+        first, second = LatencySeries("a"), LatencySeries()
+        first.add(0.0, 10.0, "a", "b")
+        second.add(1.0, 20.0, "b", "a")
+        merged = first.merged_with(second)
+        assert merged.name == "a"
+        assert merged.values().tolist() == [10.0, 20.0]
 
     def test_empty_series(self):
         series = LatencySeries()

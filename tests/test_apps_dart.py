@@ -76,14 +76,3 @@ class TestDartExperiment:
         config = dart_configuration(buoy_count=3, sink_count=3, duration_s=10.0)
         with pytest.raises(ValueError):
             DartExperiment(Celestial(config), deployment="edge-of-tomorrow")
-
-    def test_missing_station_rejected(self):
-        from repro.orbits import GroundStation
-
-        config = dart_configuration(buoy_count=3, sink_count=3, duration_s=10.0)
-        with pytest.raises(ValueError):
-            DartExperiment(
-                Celestial(config),
-                deployment="central",
-                buoys=[GroundStation("buoy-999", 0.0, 170.0)],
-            )

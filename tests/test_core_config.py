@@ -64,10 +64,8 @@ class TestConfiguration:
     def test_basic_properties(self):
         config = _config()
         assert config.total_satellites == 66
-        assert config.total_machines == 67
         assert config.shell_sizes == [66]
         assert config.ground_station_names == ["hawaii"]
-        assert config.update_steps() == 121
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
@@ -85,12 +83,6 @@ class TestConfiguration:
                     GroundStationConfig(station=GroundStation("x", 1.0, 1.0)),
                 )
             )
-
-    def test_ground_station_lookup(self):
-        config = _config()
-        assert config.ground_station_config("hawaii").station.latitude_deg == 21.3
-        with pytest.raises(ConfigurationError):
-            config.ground_station_config("unknown")
 
     def test_dict_roundtrip(self):
         config = _config(hosts=HostConfig(count=3, cpu_cores=8, memory_mib=4096))

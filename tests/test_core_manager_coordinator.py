@@ -200,12 +200,11 @@ class TestCoordinator:
         # Updates at t = 0, 5, 10, 15, 20.
         assert coordinator.stats.count == 5
         assert database.updated_at_s == 20.0
-        assert coordinator.stats.mean_wallclock_s > 0.0
-        assert coordinator.stats.max_wallclock_s >= coordinator.stats.mean_wallclock_s
+        assert coordinator.stats.max_wallclock_s >= max(coordinator.stats.wallclock_seconds) > 0.0
 
     def test_update_stats_series_are_bounded_and_totals_cover_the_run(self):
         """A long serving run keeps the latest 4,096 entries per series;
-        the count and the wall-clock mean/max still cover every epoch."""
+        the count and the wall-clock max still cover every epoch."""
         stats = UpdateStats()
         durations = [((step * 37) % 101 + 1) * 1e-4 for step in range(5000)]
         durations[10] = 1.0  # the longest epoch falls out of the retained window
@@ -225,8 +224,7 @@ class TestCoordinator:
             assert len(series) == 4096
         assert list(stats.wallclock_seconds) == durations[-4096:]
         assert stats.diff_change_counts[-1] == 4999
-        assert (stats.count, stats.full_updates, stats.diff_updates) == (5000, 1, 4999)
-        assert stats.mean_wallclock_s == pytest.approx(sum(durations) / 5000, rel=1e-12)
+        assert stats.count == 5000
         assert stats.max_wallclock_s == 1.0 > max(stats.wallclock_seconds)
 
 

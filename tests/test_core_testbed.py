@@ -39,7 +39,7 @@ class TestTestbedLifecycle:
         testbed.run(until=1.0)
         assert testbed.database.has_state
         assert testbed.booted_machines() == 66 + 2
-        assert testbed.machine_running(testbed.ground_station("hawaii"))
+        assert testbed.coordinator.is_running_at(testbed.ground_station("hawaii"), testbed.sim.now)
         assert testbed.state.active_count() == 66
 
     def test_updates_happen_at_interval(self):

@@ -174,13 +174,6 @@ class TestConstellationCalculation:
         calc = ConstellationCalculation(config)
         state = calc.state_at(0.0)
         assert 0 < state.active_count() < 66
-        hawaii = calc.ground_station("hawaii")
-        assert state.is_active(hawaii)
-        inactive = [
-            calc.satellite(0, index)
-            for index in np.nonzero(~state.active_satellites[0])[0][:1]
-        ]
-        assert not state.is_active(inactive[0])
 
     def test_no_bounding_box_all_active(self):
         calc = ConstellationCalculation(_iridium_config())

@@ -259,13 +259,14 @@ class TestStoppedInFlight:
         def scenario():
             sender.send(central, 256)
             yield testbed.sim.timeout(in_flight_ms / 2000.0)
-            assert testbed.machine_running(central)
+            assert testbed.coordinator.is_running_at(central, testbed.sim.now)
             testbed.fault_injector.terminate(central, testbed.sim.now)
-            assert not testbed.machine_running(central)
+            assert not testbed.coordinator.is_running_at(central, testbed.sim.now)
 
         testbed.sim.process(scenario())
         testbed.run(until=2.0)
         statistics = testbed.network_statistics()
         assert (statistics["sent"], statistics["delivered"], statistics["dropped"]) == (1, 0, 1)
         # A machine that was never created is not running either.
-        assert not testbed.machine_running(MachineId(MachineId.GROUND_SHELL, 0, "ghost"))
+        ghost = MachineId(MachineId.GROUND_SHELL, 0, "ghost")
+        assert not testbed.coordinator.is_running_at(ghost, testbed.sim.now)

@@ -40,7 +40,6 @@ def _assert_states_identical(full, incremental):
     assert np.array_equal(g_full.delays_ms, g_inc.delays_ms)
     assert np.array_equal(g_full.bandwidths_kbps, g_inc.bandwidths_kbps)
     assert np.array_equal(g_full.link_type_codes, g_inc.link_type_codes)
-    assert full.gmst_rad == incremental.gmst_rad
     assert all(full.uplinks_of(n) == incremental.uplinks_of(n) for n in full.ground_positions_ecef)
     for shell in full.active_satellites:
         assert np.array_equal(
@@ -65,7 +64,6 @@ def _run_equivalence(config, epochs):
     for step in range(1, epochs + 1):
         time_s = step * config.update_interval_s
         state, diff = incremental.diff_since(state, time_s)
-        assert diff.previous_time_s == (step - 1) * config.update_interval_s
         assert diff.time_s == time_s
         structural_noops += diff.topology.is_structural_noop
         _assert_states_identical(reference.state_at(time_s), state)
@@ -289,8 +287,8 @@ class TestShardedCoordinatorEquivalence:
         assert sum(suspended for suspended, _ in counters_inc) > 0
         assert sum(resumed for _, resumed in counters_inc) > 0
         assert _machine_states(managers_inc) == _machine_states(managers_full)
-        assert incremental.stats.diff_updates == 200
-        assert incremental.stats.full_updates == 1
+        assert len(incremental.stats.diff_change_counts) == 200
+        assert incremental.stats.count == 201
 
     def test_dirty_machines_reconciled_after_fault_injection(self):
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
@@ -336,7 +334,7 @@ class TestShardedCoordinatorEquivalence:
             assert coordinator.manager_for(victim).machine(victim).state.value == "created"
             coordinator.manager_for(victim).boot_all(70.0)
             update(120.0)
-            assert not coordinator.database.state.is_active(victim)
+            assert not coordinator.database.state.active_satellites[victim.shell][victim.identifier]
             machine = coordinator.manager_for(victim).machine(victim)
             assert machine.state.value == "suspended"
         counters_inc = _suspend_resume_counters(managers_inc)

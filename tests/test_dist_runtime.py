@@ -45,6 +45,19 @@ from repro.scenarios import west_africa_configuration
 from repro.sim.rng import key_root, keyed
 
 
+def _ping(supervisor, worker):
+    """One acknowledged ``PING`` round trip; returns the worker's checkpoint."""
+    supervisor.begin_request(worker, FrameKind.PING, {})
+    return supervisor.finish_request(worker)
+
+
+def _crash(supervisor, worker):
+    """Hard-kill a worker process (SIGKILL), as a real crash would."""
+    process = supervisor._handles[worker].process
+    process.kill()
+    process.join(timeout=5.0)
+
+
 def _iridium_box_config(update_interval_s=60.0, duration_s=1200.0):
     return Configuration(
         shells=(
@@ -155,7 +168,7 @@ class TestProcessBackendEquivalence:
                 assert samples_t == samples_p  # byte-identical dataclasses
             _assert_equivalent(threads, processes)
             assert sum(c[0] for c in _counters(processes)) > 0
-            assert processes.stats.diff_updates == 12
+            assert len(processes.stats.diff_change_counts) == 12
             # The parent-side traces recorded the streamed samples.
             trace_lengths = [len(manager.host.trace) for manager in processes.managers]
             assert trace_lengths == [13, 13, 13]
@@ -178,7 +191,7 @@ class TestProcessBackendEquivalence:
             samples_p = processes.sample_all_usage(20.0, applying_update=True)
             assert samples_t == samples_p
             _assert_equivalent(threads, processes)
-            assert processes.stats.diff_updates == 10
+            assert len(processes.stats.diff_change_counts) == 10
         finally:
             threads.close()
             processes.close()
@@ -271,7 +284,9 @@ class TestProcessBackendEquivalence:
                 coordinator.update(120.0)
                 coordinator.manager_for(sleeper).boot_all(130.0)
                 coordinator.update(180.0)
-                assert not coordinator.database.state.is_active(sleeper)
+                assert not coordinator.database.state.active_satellites[sleeper.shell][
+                    sleeper.identifier
+                ]
                 machine = coordinator.manager_for(sleeper).machine(sleeper)
                 assert machine.state.value == "suspended"
             _assert_equivalent(threads, processes)
@@ -294,7 +309,7 @@ class TestProcessBackendEquivalence:
             # successor reconnects to the same listener), replays
             # its control ledger and restores activity from the database's
             # keyframe + diff chain plus the last checkpoint.
-            processes._backend.crash_worker(0)
+            _crash(processes._backend.supervisor, 0)
             for step in range(7, 11):
                 now = step * 60.0
                 threads.update(now)
@@ -302,7 +317,7 @@ class TestProcessBackendEquivalence:
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             # A second crash later in the run recovers just the same (the
             # successor's ledger/checkpoint lineage stays intact).
-            processes._backend.crash_worker(1)
+            _crash(processes._backend.supervisor, 1)
             for step in range(11, 15):
                 now = step * 60.0
                 threads.update(now)
@@ -337,7 +352,7 @@ class TestProcessBackendEquivalence:
             # Crash the worker that owns the dirty machine.
             victim = processes.calculation.satellite(0, outside)
             position = processes.manager_for(victim).position
-            processes._backend.crash_worker(position % 2)
+            _crash(processes._backend.supervisor, position % 2)
             for step in range(6, 12):
                 now = step * 60.0
                 threads.update(now)
@@ -385,13 +400,13 @@ class TestProcessBackendEquivalence:
             worker = backend._worker_of[processes.manager_for(victim).position]
             # The reboot's CONTROL frame goes out and is acknowledged: the
             # victim is dirty in the checkpoint the recovery restores.
-            backend.supervisor.ping(worker)
+            _ping(backend.supervisor, worker)
             previous = processes.database.state
             state, diff = processes.calculation.diff_since(previous, now)
             processes.database.set_state(state, diff=diff)
             record = EpochRecord.of(processes.database.epoch, state, previous)
             processes._ensure_activated_satellites(record, now)
-            backend.crash_worker(worker)
+            _crash(backend.supervisor, worker)
             backend.supervisor.begin_epoch(record, now)
             acks = {
                 worker: backend.supervisor.finish_request(worker)
@@ -416,7 +431,7 @@ class TestProcessBackendEquivalence:
             processes.update(0.0)
             processes.update(60.0)
             before = processes.sample_all_usage(60.0)
-            processes._backend.crash_worker(1)
+            _crash(processes._backend.supervisor, 1)
             after = processes.sample_all_usage(65.0)
             assert len(after) == len(before)
             assert processes._backend.restart_count == 1
@@ -448,7 +463,7 @@ class TestBatchedControlFrames:
             assert sum(len(m.host.machines) for m in processes.managers) >= 1000
             assert _ledger_lengths(processes) == [1, 1]
             assert threads.sample_all_usage(0.0) == processes.sample_all_usage(0.0)
-            processes._backend.crash_worker(0)
+            _crash(processes._backend.supervisor, 0)
             fault_workers = set()
             for step in range(1, 9):
                 now = step * config.update_interval_s
@@ -469,7 +484,7 @@ class TestBatchedControlFrames:
                         for machine in (stopped, rebooted, throttled)
                     }
                     assert 1 in fault_workers  # its flush follows its checkpoint
-                    processes._backend.crash_worker(1)
+                    _crash(processes._backend.supervisor, 1)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             assert processes._backend.restart_count == 2
             _assert_equivalent(threads, processes)
@@ -506,8 +521,8 @@ class TestBatchedControlFrames:
             for coordinator in (threads, processes):
                 for machine in absent:
                     coordinator.create_machine(machine, 150.0)
-            processes._backend.crash_worker(
-                processes.manager_for(absent[0]).position % 2
+            _crash(
+                processes._backend.supervisor, processes.manager_for(absent[0]).position % 2
             )
             assert threads.sample_all_usage(150.0) == processes.sample_all_usage(150.0)
             assert processes._backend.restart_count == 1
@@ -635,7 +650,7 @@ class TestSupervision:
             processes.update(0.0)
             supervisor = processes._backend.supervisor
             for worker in range(supervisor.worker_count):
-                meta = supervisor.ping(worker)
+                meta = _ping(supervisor, worker)
                 assert "counters" in meta
             assert supervisor.check() == 0
         finally:
@@ -645,13 +660,14 @@ class TestSupervision:
         config = _iridium_box_config()
         calculation = ConstellationCalculation(config)
         managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
-        backend = ProcessFanoutBackend(managers, worker_count=1, max_restarts=0)
+        backend = ProcessFanoutBackend(managers, worker_count=1)
+        backend.supervisor.max_restarts = 0
         try:
             backend.supervisor.start()
-            backend.supervisor.ping(0)
-            backend.crash_worker(0)
+            _ping(backend.supervisor, 0)
+            _crash(backend.supervisor, 0)
             with pytest.raises(WorkerCrashError, match="restarts"):
-                backend.supervisor.ping(0)
+                _ping(backend.supervisor, 0)
         finally:
             backend.close()
         assert calculation is not None
@@ -738,11 +754,12 @@ class TestTestbedProcessBackend:
                 injector.reboot(hawaii, 12.2)
                 injector.degrade_cpu(hawaii, 0.5, 12.2)
                 view = testbed.machine(hawaii)
+                machines = testbed.coordinator.manager_for(hawaii).host.machines
                 reads.append(
                     (
                         view.state,
                         view.cpu_quota,
-                        view.boot_count,
+                        machines.boot_counts[machines.names.index(hawaii.name)],
                         view.boot_finished_at_s,
                         [view.state_at(12.2 + step / 20) for step in range(14)],
                         injector.events,
@@ -941,6 +958,6 @@ class TestSingleCopy:
             for name in ("machine_ids", "apply_diff", "sample_usage", "_dirty", "_shadow"):
                 with pytest.raises(AttributeError):
                     getattr(manager, name)
-            assert not backend.supervisor.started  # nothing reached for a worker
+            assert not backend.supervisor._started  # nothing reached for a worker
         finally:
             backend.close()

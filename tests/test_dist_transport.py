@@ -338,6 +338,19 @@ class TestFactories:
             factory.listener_for(0)
 
 
+def _ping(supervisor, worker):
+    """One acknowledged ``PING`` round trip; returns the worker's checkpoint."""
+    supervisor.begin_request(worker, FrameKind.PING, {})
+    return supervisor.finish_request(worker)
+
+
+def _crash(supervisor, worker):
+    """Hard-kill a worker process (SIGKILL), as a real crash would."""
+    process = supervisor._handles[worker].process
+    process.kill()
+    process.join(timeout=5.0)
+
+
 def _supervisor(**kwargs):
     kwargs.setdefault("ack_timeout_s", 10.0)
     return WorkerSupervisor([_spec()], **kwargs)
@@ -351,9 +364,9 @@ class TestSupervisionHardening:
         supervisor = _supervisor(ack_timeout_s=1.0, max_restarts=2)
         try:
             supervisor.start()
-            assert "counters" in supervisor.ping(0)
-            supervisor.post(0, FrameKind.WEDGE, {})
-            meta = supervisor.ping(0)  # timeout → kill → respawn → re-send
+            assert "counters" in _ping(supervisor, 0)
+            supervisor._handles[0].conn.send_bytes(wire.encode_frame(FrameKind.WEDGE, {}))
+            meta = _ping(supervisor, 0)  # timeout → kill → respawn → re-send
             assert "counters" in meta
             assert supervisor.restart_count == 1
         finally:
@@ -366,13 +379,13 @@ class TestSupervisionHardening:
         supervisor = _supervisor(max_restarts=1, restart_decay_acks=3)
         try:
             supervisor.start()
-            supervisor.ping(0)
-            supervisor.crash_worker(0)
-            supervisor.ping(0)  # restart 1 of 1
+            _ping(supervisor, 0)
+            _crash(supervisor, 0)
+            _ping(supervisor, 0)  # restart 1 of 1
             for _ in range(3):
-                supervisor.ping(0)  # healthy streak decays the budget
-            supervisor.crash_worker(0)
-            supervisor.ping(0)  # would exceed max_restarts without decay
+                _ping(supervisor, 0)  # healthy streak decays the budget
+            _crash(supervisor, 0)
+            _ping(supervisor, 0)  # would exceed max_restarts without decay
             assert supervisor.restart_count == 2
         finally:
             supervisor.close()
@@ -383,12 +396,12 @@ class TestSupervisionHardening:
         supervisor = _supervisor(max_restarts=1, restart_decay_acks=100)
         try:
             supervisor.start()
-            supervisor.ping(0)
-            supervisor.crash_worker(0)
-            supervisor.ping(0)  # restart 1 of 1
-            supervisor.crash_worker(0)
+            _ping(supervisor, 0)
+            _crash(supervisor, 0)
+            _ping(supervisor, 0)  # restart 1 of 1
+            _crash(supervisor, 0)
             with pytest.raises(WorkerCrashError, match="exceeded"):
-                supervisor.ping(0)
+                _ping(supervisor, 0)
         finally:
             supervisor.close()
 
@@ -435,7 +448,7 @@ class TestExternalWorkers:
         process = _launch_external_worker(port)
         try:
             supervisor.start()  # accepts the dial-in, ships the spec
-            meta = supervisor.ping(0)
+            meta = _ping(supervisor, 0)
             assert "counters" in meta
             assert supervisor._handles[0].process is None  # not ours to join
         finally:
@@ -458,13 +471,13 @@ class TestExternalWorkers:
         replacement = None
         try:
             supervisor.start()
-            supervisor.ping(0)
+            _ping(supervisor, 0)
             os.kill(first.pid, signal.SIGKILL)
             first.wait(timeout=10.0)
             # The operator's relaunch: a fresh worker dials the same port
             # (the listener's backlog holds it until recovery accepts).
             replacement = _launch_external_worker(port)
-            meta = supervisor.ping(0)  # EOF → recover → re-handshake → replay
+            meta = _ping(supervisor, 0)  # EOF → recover → re-handshake → replay
             assert "counters" in meta
             assert supervisor.restart_count == 1
         finally:

@@ -42,7 +42,7 @@ from repro.dist.wire import (
 )
 from repro.dist.worker import HostSpec, WorkerSpec, _Worker
 from repro.hosts import Host
-from repro.microvm import CPUQuota, MachineBatch
+from repro.microvm import CPUQuota, MachineBatch, MachineState
 from repro.orbits import GroundStation, ShellGeometry
 from repro.sim.rng import key_root
 
@@ -618,7 +618,7 @@ class TestControlFrames:
         assert second.startswith("CONTROL row 1 (BOOT_CREATED): LookupError")
         assert "position 7 is not owned" in second
         machine = worker.by_position[0].host.machines["4.0.celestial"]
-        assert machine.is_running
+        assert machine.state is MachineState.RUNNING
 
     def test_a_malformed_frame_surfaces_with_the_next_ack(self):
         # Through the whole dispatch loop: nothing escapes _Worker.run, the

@@ -192,10 +192,10 @@ class TestSpecSerialisation:
 
     def test_json_round_trip_is_byte_stable(self):
         spec = _full_spec()
-        text = spec.to_json()
+        text = json.dumps(spec.to_dict(), indent=2)
         reparsed = ExperimentSpec.from_dict(json.loads(text))
         assert reparsed == spec
-        assert reparsed.to_json() == text
+        assert json.dumps(reparsed.to_dict(), indent=2) == text
 
     def test_dict_round_trip(self):
         spec = _full_spec()
@@ -206,7 +206,7 @@ class TestSpecSerialisation:
         toml_path = tmp_path / "spec.toml"
         toml_path.write_text(spec.to_toml())
         json_path = tmp_path / "spec.json"
-        json_path.write_text(spec.to_json())
+        json_path.write_text(json.dumps(spec.to_dict()))
         assert ExperimentSpec.from_path(toml_path) == spec
         assert ExperimentSpec.from_path(json_path) == spec
 
@@ -305,11 +305,10 @@ class TestRunnerEquivalence:
         )
         result = ExperimentRunner(spec).run()
         assert result.metrics == direct.summary_metrics()
-        assert result.raw.readings_sent == direct.readings_sent
-        assert result.raw.results_delivered == direct.results_delivered
 
-    def test_fault_program_reproduces_operator_degradation(self):
+    def test_fault_program_reproduces_operator_degradation(self, monkeypatch):
         from repro.core.testbed import Celestial
+        from repro.experiments import runner
         from repro.scenarios.degraded import OperatorDegradation
 
         # Hand-wired: construct the cascade against the victim shell and run.
@@ -331,6 +330,13 @@ class TestRunnerEquivalence:
         def factory():
             return _small_two_operator_configuration()
 
+        interpreters = []
+        schedule = runner.schedule_fault_program
+        monkeypatch.setattr(
+            runner,
+            "schedule_fault_program",
+            lambda *args: interpreters.extend(schedule(*args)),
+        )
         try:
             spec = ExperimentSpec(
                 name="degradation-equivalence",
@@ -352,7 +358,7 @@ class TestRunnerEquivalence:
         finally:
             unregister("tmp-small-degraded")
 
-        declarative = result.fault_interpreters[0]
+        declarative = interpreters[0]
         assert isinstance(declarative, OperatorDegradation)
         # The link-severing sequence is reproduced exactly: same severed
         # pairs in the same order, same step progression, and an identical

@@ -22,6 +22,10 @@ def _place(host, name, memory=1024, boot_s=None):
     host.place(MachineBatch.single(name, 0, len(host.machines), compute), boot_s=boot_s)
 
 
+def _running(host):
+    return sum(machine.state is MachineState.RUNNING for machine in host.machines.values())
+
+
 def _imbalanced_hosts():
     """Host 0 carries eight booted 1 GiB machines, host 1 carries none."""
     hosts = [Host(index=0, memory_mib=32 * 1024), Host(index=1, memory_mib=32 * 1024)]
@@ -87,13 +91,14 @@ class TestMigrationScheduler:
         assert sum(host.cpu_cores_in_use() for host in hosts) == cores_before
         for host in hosts:
             assert host.cpu_cores_in_use() == sum(
-                0.75 * machine.cpu_quota.effective_cores for machine in host.machines.values()
+                0.75 * machine.cpu_quota.vcpu_count * machine.cpu_quota.quota_fraction
+                for machine in host.machines.values()
             )
             assert host.reserved_memory_mib() == 1024.0 * len(host.machines)
         # The moved machines report to their new host from now on.
         hosts[1].machines.suspend(events[0].machine_name)
-        assert hosts[1].running_machine_count() == len(events) - 1
-        assert hosts[0].running_machine_count() == 8 - len(events)
+        assert _running(hosts[1]) == len(events) - 1
+        assert _running(hosts[0]) == 8 - len(events)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -45,9 +45,11 @@ def _on_hosts(config: Configuration, count: int) -> Configuration:
 def _boots(testbed: Celestial) -> dict:
     """Every machine's seed, boot count and latest boot finish."""
     return {
-        name: (view.seed, view.boot_count, view.boot_finished_at_s)
+        name: (view.seed, boots, view.boot_finished_at_s)
         for manager in testbed.managers
-        for name, view in manager.host.machines.items()
+        for (name, view), boots in zip(
+            manager.host.machines.items(), manager.host.machines.boot_counts
+        )
     }
 
 

@@ -18,6 +18,13 @@ from repro.orbits import (
 from repro.orbits.kepler import j2_secular_rates
 
 
+def _circular(altitude_km, inclination_deg, raan_deg=0.0, mean_anomaly_deg=0.0):
+    return KeplerianElements(
+        constants.EARTH_RADIUS_KM + altitude_km, 0.0, inclination_deg, raan_deg, 0.0,
+        mean_anomaly_deg,
+    )
+
+
 def test_mean_motion_of_550km_orbit():
     a = constants.EARTH_RADIUS_KM + 550.0
     period = 2 * math.pi / mean_motion_from_semi_major_axis(a)
@@ -71,21 +78,14 @@ def test_elements_validation():
 
 
 def test_circular_constructor_and_altitude():
-    elements = KeplerianElements.circular(altitude_km=550.0, inclination_deg=53.0)
+    elements = _circular(550.0, 53.0)
     assert elements.altitude_km == pytest.approx(550.0)
     assert elements.eccentricity == 0.0
     assert elements.period_s == pytest.approx(5736, rel=0.01)
 
 
-def test_with_mean_anomaly_copies():
-    elements = KeplerianElements.circular(550.0, 53.0)
-    shifted = elements.with_mean_anomaly(90.0)
-    assert shifted.mean_anomaly_deg == 90.0
-    assert elements.mean_anomaly_deg == 0.0
-
-
 def test_circular_orbit_radius_is_constant():
-    elements = KeplerianElements.circular(550.0, 53.0)
+    elements = _circular(550.0, 53.0)
     propagator = KeplerPropagator(elements, include_j2=False)
     for t in np.linspace(0.0, elements.period_s, 13):
         radius = np.linalg.norm(propagator.position_eci(float(t)))
@@ -93,7 +93,7 @@ def test_circular_orbit_radius_is_constant():
 
 
 def test_two_body_orbit_closes_after_one_period():
-    elements = KeplerianElements.circular(550.0, 53.0, raan_deg=30.0, mean_anomaly_deg=42.0)
+    elements = _circular(550.0, 53.0, raan_deg=30.0, mean_anomaly_deg=42.0)
     propagator = KeplerPropagator(elements, include_j2=False)
     start = propagator.position_eci(0.0)
     end = propagator.position_eci(elements.period_s)
@@ -101,7 +101,7 @@ def test_two_body_orbit_closes_after_one_period():
 
 
 def test_velocity_magnitude_circular():
-    elements = KeplerianElements.circular(550.0, 53.0)
+    elements = _circular(550.0, 53.0)
     propagator = KeplerPropagator(elements, include_j2=False)
     _, velocity = propagator.position_velocity_eci(100.0)
     expected = math.sqrt(constants.EARTH_MU_KM3_S2 / elements.semi_major_axis_km)
@@ -111,7 +111,7 @@ def test_velocity_magnitude_circular():
 
 
 def test_inclination_bounds_z_extent():
-    elements = KeplerianElements.circular(550.0, 53.0)
+    elements = _circular(550.0, 53.0)
     propagator = KeplerPropagator(elements, include_j2=False)
     samples = np.array(
         [propagator.position_eci(t) for t in np.linspace(0, elements.period_s, 200)]
@@ -136,7 +136,7 @@ def test_polar_orbit_has_no_raan_drift():
 
 
 def test_j2_propagator_shifts_node_over_time():
-    elements = KeplerianElements.circular(550.0, 53.0)
+    elements = _circular(550.0, 53.0)
     with_j2 = KeplerPropagator(elements, include_j2=True)
     without_j2 = KeplerPropagator(elements, include_j2=False)
     day = constants.SECONDS_PER_DAY
@@ -154,7 +154,7 @@ def test_j2_propagator_shifts_node_over_time():
     t=st.floats(min_value=0.0, max_value=20000.0),
 )
 def test_property_positions_stay_on_sphere(altitude, inclination, t):
-    elements = KeplerianElements.circular(altitude, inclination)
+    elements = _circular(altitude, inclination)
     propagator = KeplerPropagator(elements, include_j2=True)
     radius = np.linalg.norm(propagator.position_eci(t))
     assert radius == pytest.approx(elements.semi_major_axis_km, rel=1e-6)

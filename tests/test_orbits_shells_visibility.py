@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.orbits import (
     GroundStation,
+    KeplerPropagator,
     Satellite,
     Shell,
     ShellGeometry,
@@ -104,7 +105,7 @@ class TestShell:
     def test_kepler_and_vectorised_propagation_agree(self):
         shell = Shell(_small_shell())
         satellite = shell.satellites[17]
-        scalar = shell.kepler_propagator_for(satellite)
+        scalar = KeplerPropagator(shell.elements_for(satellite))
         for t in (0.0, 120.0, 1200.0):
             vector_position = shell.positions_eci(t)[satellite.identifier]
             scalar_position = scalar.position_eci(t)
@@ -127,7 +128,8 @@ class TestShell:
         # Paper §1: LEO satellites move at speeds in excess of 27,000 km/h;
         # this holds for the dense 550 km Starlink shell.
         shell = Shell(ShellGeometry(72, 22, 550.0, 53.0))
-        assert shell.velocity_km_s() * 3600.0 > 27000.0
+        step_km = np.linalg.norm(shell.positions_eci(1.0) - shell.positions_eci(0.0), axis=1)
+        assert np.all(step_km * 3600.0 > 27000.0)
 
 
 class TestGroundStation:
@@ -141,10 +143,6 @@ class TestGroundStation:
             GroundStation("bad", 95.0, 0.0)
         with pytest.raises(ValueError):
             GroundStation("bad", 0.0, -200.0)
-
-    def test_dns_name(self):
-        station = GroundStation("Accra, Ghana", 5.6037, -0.1870)
-        assert station.dns_name == "gst.accra ghana.celestial".replace(" ", "-")
 
     def test_eci_position_rotates_with_gmst(self):
         station = GroundStation("greenwich", 51.477, 0.0)

@@ -1,7 +1,7 @@
 """Unit tests for TLE handling and the SGP4 propagator."""
 
 import math
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -17,13 +17,15 @@ from repro.orbits import (
 from repro.orbits.tle import TLEError, _checksum
 
 
-def _starlink_like_elements(mean_anomaly=10.0, raan=120.0):
-    return KeplerianElements.circular(
-        altitude_km=550.0,
-        inclination_deg=53.0,
-        raan_deg=raan,
-        mean_anomaly_deg=mean_anomaly,
+def _circular(altitude_km, inclination_deg, raan_deg=0.0, mean_anomaly_deg=0.0):
+    return KeplerianElements(
+        constants.EARTH_RADIUS_KM + altitude_km, 0.0, inclination_deg, raan_deg, 0.0,
+        mean_anomaly_deg,
     )
+
+
+def _starlink_like_elements(mean_anomaly=10.0, raan=120.0):
+    return _circular(550.0, 53.0, raan_deg=raan, mean_anomaly_deg=mean_anomaly)
 
 
 def _starlink_like_tle(bstar=0.0):
@@ -31,34 +33,39 @@ def _starlink_like_tle(bstar=0.0):
         _starlink_like_elements(),
         epoch=datetime(2022, 1, 1),
         name="TESTSAT",
-        satellite_number=878,
         bstar=bstar,
     )
 
 
+#: A published TLE (the ISS, 2008-09-20) with valid checksums.
+ISS_LINES = (
+    "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927",
+    "2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537",
+)
+
+
 class TestTLE:
-    def test_roundtrip_through_lines(self):
-        tle = _starlink_like_tle(bstar=1.5e-4)
-        line1, line2 = tle.lines()
-        assert len(line1) == 69
-        assert len(line2) == 69
-        parsed = TwoLineElement.parse(line1, line2, name="TESTSAT")
-        assert parsed.satellite_number == 878
-        assert parsed.inclination_deg == pytest.approx(53.0, abs=1e-4)
-        assert parsed.raan_deg == pytest.approx(120.0, abs=1e-4)
-        assert parsed.mean_anomaly_deg == pytest.approx(10.0, abs=1e-4)
-        assert parsed.mean_motion_rev_day == pytest.approx(tle.mean_motion_rev_day, rel=1e-7)
-        assert parsed.bstar == pytest.approx(1.5e-4, rel=1e-4)
-        assert parsed.epoch == datetime(2022, 1, 1)
+    def test_parse_published_tle(self):
+        tle = TwoLineElement.parse(*ISS_LINES, name=" ISS (ZARYA) ")
+        assert tle.name == "ISS (ZARYA)"
+        assert tle.epoch == datetime(2008, 9, 20) + timedelta(days=0.51782528)
+        assert tle.inclination_deg == 51.6416
+        assert tle.raan_deg == 247.4627
+        assert tle.eccentricity == pytest.approx(0.0006703)
+        assert tle.arg_perigee_deg == 130.536
+        assert tle.mean_anomaly_deg == 325.0288
+        assert tle.mean_motion_rev_day == 15.72125391
+        assert tle.bstar == pytest.approx(-1.1606e-5)
+        assert 6700.0 < np.linalg.norm(SGP4Propagator(tle).position_eci(600.0)) < 6800.0
 
     def test_checksum_rejects_corruption(self):
-        line1, line2 = _starlink_like_tle().lines()
+        line1, line2 = ISS_LINES
         corrupted = line1[:20] + "9" + line1[21:]
         with pytest.raises(TLEError):
             TwoLineElement.parse(corrupted, line2)
 
     def test_wrong_line_number_rejected(self):
-        line1, line2 = _starlink_like_tle().lines()
+        line1, line2 = ISS_LINES
         with pytest.raises(TLEError):
             TwoLineElement.parse(line2, line1)
 
@@ -71,11 +78,14 @@ class TestTLE:
         assert _checksum("0" * 68) == 0
         assert _checksum("1" + "0" * 67) == 1
 
-    def test_to_elements_recovers_orbit(self):
-        tle = _starlink_like_tle()
-        elements = tle.to_elements()
-        assert elements.altitude_km == pytest.approx(550.0, abs=1.0)
-        assert elements.inclination_deg == pytest.approx(53.0)
+    def test_from_elements_keeps_the_mean_elements(self):
+        tle = _starlink_like_tle(bstar=1.5e-4)
+        assert tle.inclination_deg == 53.0
+        assert tle.raan_deg == 120.0
+        assert tle.mean_anomaly_deg == 10.0
+        assert tle.bstar == 1.5e-4
+        assert tle.epoch == datetime(2022, 1, 1)
+        assert tle.mean_motion_rev_day == pytest.approx(15.05, abs=0.05)
 
     def test_period_property(self):
         tle = _starlink_like_tle()
@@ -153,13 +163,13 @@ class TestSGP4:
         assert radius_with < radius_without
 
     def test_deep_space_orbit_rejected(self):
-        geostationary = KeplerianElements.circular(35786.0, 0.1)
+        geostationary = _circular(35786.0, 0.1)
         tle = TwoLineElement.from_elements(geostationary, epoch=datetime(2022, 1, 1))
         with pytest.raises(SGP4Error):
             SGP4Propagator(tle)
 
     def test_decayed_orbit_raises(self):
-        low = KeplerianElements.circular(120.0, 53.0)
+        low = _circular(120.0, 53.0)
         tle = TwoLineElement.from_elements(low, epoch=datetime(2022, 1, 1), bstar=1e-2)
         propagator = SGP4Propagator(tle)
         with pytest.raises(SGP4Error):

@@ -33,6 +33,11 @@ from repro.scenarios import (
 )
 
 
+
+def _station(config, name):
+    """The ground-station configuration called ``name``."""
+    return next(gst for gst in config.ground_stations if gst.name == name)
+
 class TestStarlink:
     def test_phase1_totals(self):
         shells = starlink_phase1_shells()
@@ -154,10 +159,10 @@ class TestWestAfrica:
 
     def test_client_resources_match_paper(self):
         config = west_africa_configuration()
-        accra = config.ground_station_config("accra")
+        accra = _station(config, "accra")
         assert accra.compute.vcpu_count == 4
         assert accra.compute.memory_mib == 4096
-        bridge = config.ground_station_config("johannesburg-cloud")
+        bridge = _station(config, "johannesburg-cloud")
         assert bridge.compute.vcpu_count == 2
         assert bridge.compute.memory_mib == 512
 
@@ -207,7 +212,7 @@ class TestPacific:
         assert len(config.ground_stations) == 301
         assert config.update_interval_s == 5.0
         assert config.hosts.count == 4
-        central = config.ground_station_config(PACIFIC_TSUNAMI_WARNING_CENTER.name)
+        central = _station(config, PACIFIC_TSUNAMI_WARNING_CENTER.name)
         assert central.compute.vcpu_count == 8
         assert central.compute.memory_mib == 8192
 
@@ -215,7 +220,7 @@ class TestPacific:
         config = dart_configuration(deployment="satellite", buoy_count=10, sink_count=10)
         assert config.shells[0].compute.vcpu_count == 1
         assert config.shells[0].compute.memory_mib == 1024
-        buoy = config.ground_station_config("buoy-0")
+        buoy = _station(config, "buoy-0")
         assert buoy.uplink_bandwidth_kbps == 88.0
 
     def test_invalid_deployment(self):

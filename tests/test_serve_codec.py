@@ -89,7 +89,6 @@ def hand_built_state(links, time_s, active=(True,) * 6):
 def hand_built_diff(previous, current) -> ConstellationDiff:
     was, now = previous.active_satellites[0], current.active_satellites[0]
     return ConstellationDiff(
-        previous_time_s=previous.time_s,
         time_s=current.time_s,
         topology=current.graph.diff_from(previous.graph),
         activated={0: np.nonzero(now & ~was)[0]},

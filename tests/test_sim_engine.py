@@ -125,12 +125,6 @@ def test_processed_events_counter():
     assert sim.processed_events >= 3
 
 
-def test_peek_empty_queue_is_infinite():
-    sim = Simulation()
-    sim.run()
-    assert sim.peek() == float("inf")
-
-
 def test_run_until_past_raises():
     sim = Simulation()
 
@@ -195,7 +189,6 @@ class TestCallAt:
         sim.call_at(3.0, lambda: fired.append(sim.now))
         sim.run(until=2.0)
         assert fired == [] and sim.now == 2.0
-        assert sim.peek() == 3.0
         sim.run()
         assert fired == [3.0]
 
@@ -209,7 +202,7 @@ class TestCallAt:
         with pytest.raises(RuntimeError, match="boom"):
             sim.step()
         # The entry was consumed: the simulation can go on.
-        assert sim.now == 1.0 and sim.peek() == float("inf")
+        assert sim.now == 1.0
 
     def test_timer_may_schedule_events_and_timers(self):
         sim = Simulation()

@@ -256,35 +256,6 @@ class TestShortestPaths:
         with pytest.raises(KeyError):
             paths.delay_ms(1, 2)
 
-    def test_nearest_selection(self):
-        index, graph = _line_graph()
-        gst_a = index.ground_station("gst-a")
-        paths = ShortestPaths(graph, sources=[gst_a])
-        assert paths.nearest(gst_a, [2, 3]) == 2
-        assert paths.nearest(gst_a, []) is None
-        # Accepts any iterable and returns a plain int.
-        assert paths.nearest(gst_a, iter((3, 2, 1))) == 1
-        assert isinstance(paths.nearest(gst_a, [2, 3]), int)
-
-    def test_nearest_vectorized_matches_scalar_loop(self):
-        """The one-gather ``nearest`` equals the per-candidate delay scan,
-        including unreachable candidates and ties."""
-        index = NodeIndex([6], ["isolated", "gst"])
-        rows = [
-            (a, b, delay * 300.0, delay, 1000.0)
-            for a, b, delay in [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 4.0), (3, 4, 1.0), (0, 5, 3.0)]
-        ]
-        rows.append((index.ground_station("gst"), 0, 300.0, 1.0, 1000.0, LinkType.UPLINK))
-        graph = _graph(index, rows)
-        paths = ShortestPaths(graph, sources=[0])
-        isolated = index.ground_station("isolated")
-        for candidates in ([1, 2, 3], [isolated], [isolated, 4], [5, 3], list(range(len(index)))):
-            delays = [paths.delay_ms(0, c) for c in candidates]
-            best = int(np.argmin(delays))
-            expected = None if not np.isfinite(delays[best]) else candidates[best]
-            assert paths.nearest(0, candidates) == expected
-        assert paths.nearest(0, [isolated]) is None
-
     def test_delays_from_vector(self):
         index, graph = _line_graph()
         paths = ShortestPaths(graph, sources=[0])
