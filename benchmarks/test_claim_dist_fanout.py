@@ -25,11 +25,12 @@ receives per steady-state epoch (measured, not assumed: two packed masks of
 The measurements are always written to ``BENCH_dist.json`` (path
 overridable via the ``BENCH_DIST_JSON`` environment variable).  The
 functional claims — both backends drive the same 4,414 machines to identical
-per-manager counters (under worker processes read from the workers'
-checkpoints, and the machine counts from the driver's replica), the set-up
-epoch is one control frame per worker and every worker holds as many rows
-per host as the driver's replica — are hard asserts; the timings are
-recorded, never gated.
+per-manager counters (under worker processes the replica managers' own, which
+every acknowledgement's checkpoints are compared with), the set-up epoch is
+one control frame per worker and every worker holds as many rows per host as
+the driver's replica — are hard asserts; the timings are recorded, never
+gated.  Under worker processes the set-up epoch includes the replica
+managers' own apply of the first record.
 """
 
 import json
@@ -86,7 +87,7 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
             workers = backend.worker_counters()
             assert [workers[position]["rows"] for position in range(HOSTS)] == [
-                len(manager.host.machines) for manager in backend.managers
+                len(manager.host.machines) for manager in coordinator.managers
             ]
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         del record_frames[:]  # the set-up epoch's frames
@@ -94,8 +95,8 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             now = step * config.update_interval_s
             coordinator.update(now)
             coordinator.sample_all_usage(now, applying_update=True)
-        # Under worker processes the counters are read from the workers'
-        # checkpoints and the machine counts from the driver's ledger.
+        # Under worker processes the counters and machine counts are the
+        # replica managers' own.
         machines = sum(len(m.host.machines) for m in coordinator.managers)
         counters = [
             [m.suspension_count, m.resume_count, m.applied_diffs, len(m.host.machines)]

@@ -52,19 +52,19 @@ The in-process-vs-worker seam
   object in a loop.  Despite the literal no thread is started and nothing
   crosses a process boundary.
 * ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
-  pool of supervised worker processes (``repro.dist``), each holding the
-  authoritative managers of one or more hosts behind its own TCP connection:
+  pool of supervised worker processes (``repro.dist``), each running the
+  managers of one or more hosts behind its own TCP connection:
   loopback for the workers the pool spawns, the network for operator-started
   workers on other machines, like the paper's testbed.  It exists to
   exercise that remote-worker protocol.  The record is encoded once per
   epoch and travels as one buffer-backed wire frame per worker; usage
-  samples, counters and the machines a record suspended or resumed stream
-  back, one acknowledgement per worker per epoch.  The workers apply the
-  records to their hosts' machine tables; the coordinator's side keeps a
-  replica of each table for placement and parent-side queries
-  (:class:`~repro.dist.backend.MirroredManager`); crashed workers are
-  respawned, replayed from the control ledger and restored to the
-  checkpoint epoch's activity masks, derived from the last record sent.
+  samples and checkpoints stream back, one acknowledgement per worker per
+  epoch.  The managers this coordinator was given stay its managers, each
+  now the replica of a worker's host: lifecycle operations and records run
+  on both copies, and every checkpoint is compared with the replica's.
+  Crashed workers are respawned, replayed from the control ledger and
+  restored to the checkpoint epoch's activity masks, derived from the last
+  record sent.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 
@@ -210,13 +210,10 @@ class Coordinator:
             self._backend = ThreadFanoutBackend(managers)
         else:
             raise ValueError(f"unknown parallelism backend {parallelism!r}")
-        # In process mode these are MirroredManager proxies (replica table +
-        # forwarding); in thread mode they are the managers passed in.
-        self.managers = list(self._backend.managers)
+        self.managers = list(managers)
         self.stats = UpdateStats()
         self._machine_manager_of: dict[str, MachineManager] = {}
-        # The table each machine's row is in: the manager's host's, or with
-        # worker processes the driver's replica of it.
+        # The table each machine's row is in: its manager's host's.
         self._table_of: dict[str, MachineTable] = {}
         # The compute parameters of every shell, then of every ground
         # station: a machine's image is its index here.
@@ -240,7 +237,7 @@ class Coordinator:
         """Whether a machine exists and is running (booted, not suspended) at a time.
 
         One lookup by name, whichever manager hosts the machine, then a read
-        of its row (with worker processes, of the driver's replica).
+        of its row.
         """
         table = self._table_of.get(machine.name)
         return table is not None and table.is_running_at(machine.name, now_s)
@@ -381,7 +378,7 @@ class Coordinator:
         record = EpochRecord.of(self.database.epoch, state, previous)
         self._ensure_activated_satellites(record, now_s)
         # Each manager only mutates its own host's machines: counters and
-        # machine transitions come out the same whichever backend applies.
+        # machine states come out the same whichever backend applies.
         started_fanout = wallclock.perf_counter()
         self._backend.apply_slices(record, now_s)
         fanout_s = wallclock.perf_counter() - started_fanout

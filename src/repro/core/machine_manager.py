@@ -36,18 +36,16 @@ Process boundary
 ----------------
 
 By default the managers are plain objects in the coordinator process,
-visited in a loop.  A manager may also live in a worker *process*
-(``repro.dist``, which exists to exercise the remote-worker protocol): it
-then applies the records, takes the usage samples and reports the machines a
-record suspended or resumed, while the coordinator's side holds a replica
-of its host's table (:class:`repro.dist.backend.MirroredManager`).  Both
-sides run the lifecycle operations of :class:`MachineControl` on their copy
-of the table — the same rows, the same seeds, the same boot times — so a
-machine is one model whichever side of the seam reads it; seeds and sample
-noise are keyed draws (:func:`repro.sim.rng.keyed`), so nothing random is
-replayed.  Two members exist for that runtime:
+visited in a loop.  A host's machines may also live in a worker *process*
+(``repro.dist``, which exists to exercise the remote-worker protocol): the
+worker runs a manager on the host it owns and the coordinator runs this same
+class on its replica of that host's table, each lifecycle operation on both
+copies (:attr:`MachineManager.sink` carries it to the worker) and each
+record on both.  Seeds and sample noise are keyed draws
+(:func:`repro.sim.rng.keyed`), so the two copies hold the same rows, seeds
+and boot times.  Two members exist for that runtime:
 :meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
-every acknowledgement: counters, row count and the dirty set) and
+every acknowledgement, compared with the replica's) and
 :meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
 after the durable control ledger has been replayed: forces bounding-box
 activity to the checkpoint epoch's masks — derived by the supervisor from
@@ -59,9 +57,10 @@ from __future__ import annotations
 
 import enum
 import math
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -134,22 +133,30 @@ class ControlOp(enum.IntEnum):
     BUSY = 6  # set_busy_fraction(machine, fraction)
 
 
-class MachineControl:
-    """The lifecycle operations of one host's machines, on one copy of its table.
+class MachineManager:
+    """Manages the microVMs of one host; keys its draws by ``key_root(rng)``, 0 without one.
 
-    Both sides of the worker seam run these: a :class:`MachineManager` on
-    the host it owns and, with worker processes, the driver's
-    :class:`~repro.dist.backend.MirroredManager` on its replica of the
-    worker's table.  Each operation changes the table and then reports
-    itself to :meth:`_record` — a manager marks the machines dirty, the
-    mirror forwards the operation to its worker — so the two copies follow
-    one rule.  ``key_root`` is the root of the keyed draws of the machines'
-    seeds and of the usage samples' noise.
+    Both sides of the worker seam run this class: in process it is the one
+    copy of its host's machines, and with worker processes the worker runs
+    one on the host it owns while the driver runs one on its replica of that
+    host's table.  ``sink``, when set, receives every lifecycle operation as
+    an ``(op, machine, value)`` row once it ran: the process backend points
+    it at the host's worker, which runs the same rows on its copy.
     """
 
-    def __init__(self, host: Host, key_root: int):
+    def __init__(self, host: Host, rng: Optional[np.random.Generator] = None):
         self.host = host
-        self.key_root = key_root
+        #: The root of the keyed draws of machine seeds and sample noise.
+        self.key_root = 0 if rng is None else key_root(rng)
+        self.sink: Optional[Callable[..., None]] = None
+        #: The owned-satellite index: shell → identifier → machine name.
+        self._satellites: dict[int, dict[int, str]] = {}
+        self.suspension_count = 0
+        self.resume_count = 0
+        # Machines whose lifecycle changed outside the diff protocol since
+        # the last update; reconciled (and cleared) by apply_diff/apply_state.
+        self._dirty: set[str] = set()
+        self.applied_diffs = 0
 
     def _record(
         self,
@@ -159,13 +166,20 @@ class MachineControl:
         changed: Iterable[str],
     ) -> None:
         """One operation done: ``changed`` names the machines whose lifecycle it changed."""
-        raise NotImplementedError
+        self._dirty.update(changed)
+        if self.sink is not None:
+            self.sink(op, machine, value)
 
     # -- creation -----------------------------------------------------------
 
     def create_machines(self, batch: MachineBatch, boot_s: Optional[float] = None) -> None:
         """Create a batch of machines on this host: booted at ``boot_s``, if given."""
         self.host.place(batch, self.key_root, boot_s)
+        for shell, identifier, name in zip(
+            batch.shells.tolist(), batch.identifiers.tolist(), batch.names
+        ):
+            if shell != MachineId.GROUND_SHELL:
+                self._satellites.setdefault(shell, {})[identifier] = name
         self._record(ControlOp.CREATE, batch, math.nan if boot_s is None else boot_s, batch.names)
 
     def create_machine(self, machine_id: MachineId, compute: ComputeParams) -> MachineView:
@@ -231,30 +245,6 @@ class MachineControl:
         self.host.set_busy_fraction(machine_id.name, fraction)
         self._record(ControlOp.BUSY, machine_id, fraction, ())
 
-
-class MachineManager(MachineControl):
-    """Manages the microVMs of one host; keys its draws by ``key_root(rng)``, 0 without one."""
-
-    def __init__(self, host: Host, rng: Optional[np.random.Generator] = None):
-        super().__init__(host, 0 if rng is None else key_root(rng))
-        #: The owned-satellite index: shell → identifier → machine name.
-        self._satellites: dict[int, dict[int, str]] = {}
-        self.suspension_count = 0
-        self.resume_count = 0
-        # Machines whose lifecycle changed outside the diff protocol since
-        # the last update; reconciled (and cleared) by apply_diff/apply_state.
-        self._dirty: set[str] = set()
-        self.applied_diffs = 0
-
-    def _record(self, op, machine, value, changed) -> None:
-        if op is ControlOp.CREATE:
-            for shell, identifier, name in zip(
-                machine.shells.tolist(), machine.identifiers.tolist(), machine.names
-            ):
-                if shell != MachineId.GROUND_SHELL:
-                    self._satellites.setdefault(shell, {})[identifier] = name
-        self._dirty.update(changed)
-
     # -- bounding-box activity -------------------------------------------------
 
     def _satellite_activity(self, name: str, active: dict[int, np.ndarray]) -> Optional[bool]:
@@ -279,16 +269,15 @@ class MachineManager(MachineControl):
                 self._reconcile_activity(name, active)
         self._dirty.clear()
 
-    def _reconcile_activity(self, name: str, active: bool) -> bool:
-        """Suspend/resume one machine to match its activity; whether it did."""
+    def _reconcile_activity(self, name: str, active: bool) -> None:
+        """Suspend/resume one machine to match its activity."""
         state = self.host.machines.follow_activity(name, active)
         if state is MachineState.SUSPENDED:
             self.suspension_count += 1
         elif state is MachineState.RUNNING:
             self.resume_count += 1
-        return state is not None
 
-    def apply_diff(self, record: EpochRecord, now_s: float) -> list[str]:
+    def apply_diff(self, record: EpochRecord, now_s: float) -> None:
         """Apply one epoch's record to this host's machines.
 
         Only the machines the record concerns are touched: the flips of the
@@ -297,10 +286,9 @@ class MachineManager(MachineControl):
         last update are reconciled against the activity masks.  Both steps
         guard on the current state, so the result (including the
         suspend/resume counters) is identical to a full :meth:`apply_state`
-        sweep.  Returns the names of the machines it suspended or resumed.
+        sweep.
         """
         flips = record.flips
-        changed = []
         for shell, owned in self._satellites.items():
             active = record.active[shell]
             for identifier in flips[shell]:
@@ -308,16 +296,14 @@ class MachineManager(MachineControl):
                 if name is None:
                     continue
                 self._dirty.discard(name)  # reconciled here, not again below
-                if self._reconcile_activity(name, bool(active[identifier])):
-                    changed.append(name)
+                self._reconcile_activity(name, bool(active[identifier]))
         for name in self._dirty:
             active = self._satellite_activity(name, record.active)
-            if active is not None and self._reconcile_activity(name, active):
-                changed.append(name)
+            if active is not None:
+                self._reconcile_activity(name, active)
         self._dirty.clear()
         if not record.first:
             self.applied_diffs += 1
-        return changed
 
     # -- accounting --------------------------------------------------------------
 
@@ -339,19 +325,21 @@ class MachineManager(MachineControl):
     # -- checkpoint / restore (supervised worker recovery) -----------------------
 
     def counters_snapshot(self) -> dict:
-        """Checkpoint of the observable runtime counters, row count and dirty set.
+        """Checkpoint of the row count, the counters, the dirty set and the states.
 
-        Streamed back with every worker acknowledgement: the driver checks
-        the row count against its replica, and a supervisor restores the
-        rest after a crash, so counters and the machines still to reconcile
-        continue exactly where the last acknowledged operation left them.
+        Streamed back with every worker acknowledgement: the driver compares
+        it, key by key, with its replica manager's, and a supervisor restores
+        the counters and the dirty set after a crash, so they continue
+        exactly where the last acknowledged operation left them.  ``states``
+        is the CRC-32 of the table's state column, every machine's state.
         """
         return {
+            "rows": len(self.host.machines),
             "suspension_count": self.suspension_count,
             "resume_count": self.resume_count,
             "applied_diffs": self.applied_diffs,
-            "rows": len(self.host.machines),
             "dirty": sorted(self._dirty),
+            "states": zlib.crc32(self.host.machines.states),
         }
 
     def restore_runtime_state(
@@ -364,9 +352,9 @@ class MachineManager(MachineControl):
         replayed:
 
         * bounding-box activity is *forced* to the per-shell masks of the
-          checkpoint epoch without counting the transitions (the counters
-          below already include them); ``None`` when the manager had not
-          applied any epoch yet (counters restore only);
+          checkpoint epoch without counting the suspends and resumes (the
+          counters below already include them); ``None`` when the manager
+          had not applied any epoch yet (counters restore only);
         * the checkpoint's dirty machines are left exactly as the ledger
           rebuilt them and stay dirty: their lifecycle changed outside the
           protocol after the last record, and the next record reconciles

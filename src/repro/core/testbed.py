@@ -80,11 +80,6 @@ class Celestial:
             worker_count=worker_count,
             transport=transport,
         )
-        # With the process backend the coordinator hands out mirrored
-        # managers (the driver's replica tables + worker forwarding); use
-        # those for every manager-level interaction so lifecycle operations
-        # reach the workers.
-        self.managers = self.coordinator.managers
         self.fault_injector = FaultInjector(
             manager_resolver=self.coordinator.manager_for, network=self.network
         )

@@ -25,10 +25,10 @@ on a TCP stream.
   restarted worker *reconnects* to the same address.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
   and their hosts' machine tables, applies each record to all of them,
-  samples usage and streams samples, counters and the machines a record
-  suspended or resumed back, one acknowledgement per request.  A supervisor-spawned child
-  dialling back over loopback and ``python -m repro.dist.worker --connect
-  host:port --index N`` on another machine run the same code.
+  samples usage and streams samples and checkpoints back, one
+  acknowledgement per request.  A supervisor-spawned child dialling back
+  over loopback and ``python -m repro.dist.worker --connect host:port
+  --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
   restart under a bounded, decaying budget.  A restarted worker is rebuilt
@@ -39,10 +39,10 @@ on a TCP stream.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
-  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes, with
-  a replica of every worker's machine tables on the coordinator's side,
-  kept by the same lifecycle operations; it exists to exercise the
-  remote-worker protocol) answer the same calls, selected with
+  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes; the
+  coordinator's managers become replicas of the workers' hosts, run by the
+  same class, and every acknowledgement's checkpoints are compared with
+  theirs; it exists to exercise the remote-worker protocol) answer the same calls, selected with
   ``Coordinator(parallelism="threads" | "processes")``; the
   worker pool's deployment settings (address, ports, external workers,
   shared secret) arrive as a ready
@@ -58,7 +58,6 @@ equivalence suite.
 """
 
 from repro.dist.backend import (
-    MirroredManager,
     ProcessFanoutBackend,
     ThreadFanoutBackend,
     WorkerDesyncError,
@@ -91,7 +90,6 @@ from repro.dist.worker import WorkerSpec
 
 __all__ = [
     "FrameKind",
-    "MirroredManager",
     "ProcessFanoutBackend",
     "SocketListener",
     "SocketTransport",

@@ -7,76 +7,74 @@ applies the same record, picking out its own machines.  The network half of
 an update stays on the coordinator's side (``VirtualNetwork.apply_diff``,
 ``ConstellationDatabase.pair_rule``) and crosses no seam.  *How* the record
 reaches the managers is a backend concern; both backends answer the same
-calls (``managers``, ``apply_slices``, ``sample_all``,
-``drain_transport_latencies``, ``close``):
+calls (``apply_slices``, ``sample_all``, ``drain_transport_latencies``,
+``close``):
 
 * :class:`ThreadFanoutBackend` — the managers live in the coordinator
   process and are handed the record object in a loop (the default; despite
   the name it starts no thread — a record is microseconds of pure-Python
   work per host, which a pool under the GIL would not parallelise).
-* :class:`ProcessFanoutBackend` — the managers live in supervised worker
-  processes (:mod:`repro.dist.worker`), each reached over its own TCP
-  connection, and apply the records to their hosts' machine tables.  The record is encoded once per epoch
-  and sent as one :mod:`repro.dist.wire` frame per worker; the workers apply
-  it, take the per-host usage samples, and stream samples, counters and the
-  machines a record suspended or resumed back, one acknowledgement per
-  worker per epoch.  It exists to exercise the remote-worker protocol, not
-  to make one box faster.
+* :class:`ProcessFanoutBackend` — every host's machines also live in a
+  supervised worker process (:mod:`repro.dist.worker`), each reached over
+  its own TCP connection.  The record is encoded once per epoch and sent as
+  one :mod:`repro.dist.wire` frame per worker; the workers apply it, take
+  the per-host usage samples and stream samples and checkpoints back, one
+  acknowledgement per worker per request.  It exists to exercise the
+  remote-worker protocol, not to make one box faster.
 
 The driver's replica
 --------------------
 
-With worker processes the driver keeps a replica of every worker's
-:class:`~repro.microvm.MachineTable`, on its own :class:`~repro.hosts.Host`,
-and answers every parent-side query (placement, ``is_running_at``, fault
-injection, the virtual network's running check, ``Celestial.machine``) from
-it.  :class:`MirroredManager` runs the same lifecycle operations
-(:class:`~repro.core.machine_manager.MachineControl`) on the replica as the
-worker's manager runs on its table, so both hold the same rows: the same
-placement checks, the same boot, stop and quota rules, and boot finishes
-drawn from ``default_rng(seed)`` only when somebody asks.  A machine's seed
-is keyed by the manager's key root and the machine's identity, and a usage
-sample's noise by the host and the sample's index
-(:func:`repro.sim.rng.keyed`), so no random stream has to be replayed in
-step on the two sides: the driver sends each sample's index (its replica
-trace's length) with the ``SAMPLE_USAGE`` frame.
-
-What only a worker decides comes back in its acknowledgement: the machines
-an epoch record suspended or resumed
-(:meth:`~repro.core.machine_manager.MachineManager.apply_diff` on the worker
-stays the one implementation of the reconcile rule), which the replica then
-applies, and the suspend/resume/record counters of its checkpoint, which
-:class:`MirroredManager` reads.  After every record the backend checks each
-worker's row count per host against the replica's and that every reported
-transition starts from the state the replica holds, and raises
-:class:`WorkerDesyncError` otherwise: a ``CREATE`` row lost, duplicated or
-run late shows there, not when a usage sample later drifts.
-
-Each operation the mirror runs is also buffered per worker, in program
-order, as a row of a :class:`~repro.dist.wire.ControlBatch`; the batch is
+With worker processes the managers the coordinator was given stay its
+managers: each runs on the driver's own :class:`~repro.hosts.Host`, whose
+table is the replica of the worker's, and answers every parent-side query
+(placement, ``is_running_at``, fault injection, the virtual network's
+running check, ``Celestial.machine``).  The backend points each manager's
+:attr:`~repro.core.machine_manager.MachineManager.sink` at its worker's
+:class:`~repro.dist.wire.ControlBatch`, so every lifecycle operation runs on
+the replica and is buffered for the worker in program order; the batch is
 flushed as one durable ``CONTROL`` frame before that worker's next request,
-and the worker runs the rows in the same order.
+and the worker runs the rows in the same order.  Each record is applied to
+the replica managers while the workers apply it, so both sides run one
+reconcile rule on the same rows.  Usage samples come from the workers: a
+``SAMPLE_USAGE`` frame carries each host's sample index, the length of its
+replica's trace, which keys the sample's noise.
+
+The seam decides no machine state: it moves rows and compares checkpoints.
+Every acknowledgement of a record or a usage sweep carries each of the
+worker's hosts' :meth:`~repro.core.machine_manager.MachineManager.counters_snapshot`,
+and the backend compares it key by key with the replica manager's — row
+count, counters, dirty set and a checksum of every machine's state — and
+raises :class:`WorkerDesyncError` at the first difference: a ``CONTROL`` row
+lost, duplicated, run late or run on one side only shows there, not when a
+usage sample later drifts.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.core.machine_manager import EpochRecord, MachineControl, MachineManager
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import FrameKind
 from repro.dist.worker import HostSpec, WorkerSpec
-from repro.microvm import MachineState
 
 
 class WorkerDesyncError(RuntimeError):
     """A worker's observable state diverged from the driver's replica."""
 
 
-#: The one transition an epoch record makes, either way round.
-_SUSPEND_RESUME = {MachineState.RUNNING, MachineState.SUSPENDED}
+def _forward(supervisor: WorkerSupervisor, worker: int, position: int, op, machine, value):
+    """Buffer one lifecycle row a replica manager ran for its worker.
+
+    A replica manager's sink holds the supervisor, not the backend, so a
+    dropped backend is still finalised (and its workers joined) while the
+    managers live on.
+    """
+    supervisor.control(worker).append(op, position, machine, value)
 
 
 class ThreadFanoutBackend:
@@ -91,11 +89,6 @@ class ThreadFanoutBackend:
     def __init__(self, managers: list[MachineManager]):
         self._managers = list(managers)
         self._closed = False
-
-    @property
-    def managers(self) -> list[MachineManager]:
-        """The manager objects the coordinator hands out."""
-        return self._managers
 
     def _check_open(self) -> None:
         if self._closed:
@@ -132,48 +125,6 @@ class ThreadFanoutBackend:
         self._closed = True
 
 
-class MirroredManager(MachineControl):
-    """Coordinator-side stand-in for a worker-owned manager.
-
-    ``host`` is the driver's host, whose table is the replica of the
-    worker's.  Lifecycle operations run on the replica (the same
-    :class:`~repro.core.machine_manager.MachineControl` the worker's manager
-    runs) and are appended as rows to the owning worker's
-    :class:`~repro.dist.wire.ControlBatch`; reads answer from the replica,
-    and the suspend/resume/record counters from the worker's last
-    acknowledged checkpoint.  Records and usage sweeps do not go through the
-    proxy but through the backend (:meth:`ProcessFanoutBackend.apply_slices`
-    / ``sample_all``).
-    """
-
-    def __init__(
-        self, manager: MachineManager, supervisor: WorkerSupervisor, worker: int, position: int
-    ):
-        super().__init__(manager.host, manager.key_root)
-        self._supervisor = supervisor
-        self._worker = worker
-        self.position = position
-
-    def _record(self, op, machine, value, changed) -> None:
-        self._supervisor.control(self._worker).append(op, self.position, machine, value)
-
-    def _counter(self, name: str) -> int:
-        checkpoint = self._supervisor.checkpoint(self._worker)
-        return 0 if checkpoint is None else checkpoint["counters"][self.position][name]
-
-    @property
-    def suspension_count(self) -> int:
-        return self._counter("suspension_count")
-
-    @property
-    def resume_count(self) -> int:
-        return self._counter("resume_count")
-
-    @property
-    def applied_diffs(self) -> int:
-        return self._counter("applied_diffs")
-
-
 class ProcessFanoutBackend:
     """Supervised worker processes behind the coordinator's fan-out seam.
 
@@ -181,8 +132,8 @@ class ProcessFanoutBackend:
     takes a ready :class:`~repro.dist.transport.TcpTransportFactory` with the
     deployment settings — e.g. an external-mode factory whose workers are
     started by hand on other machines; ``None`` spawns loopback workers.
-    ``managers`` are the hosts' blueprints: each one's host and key root,
-    before any machine exists.
+    ``managers`` hold no machine yet: each becomes the driver's replica of
+    its host, and its host and key root are its worker's blueprint.
     """
 
     parallelism = "processes"
@@ -193,7 +144,7 @@ class ProcessFanoutBackend:
         worker_count: Optional[int] = None,
         transport: Optional[TcpTransportFactory] = None,
     ):
-        managers = list(managers)
+        self._managers = managers = list(managers)
         if worker_count is None:
             worker_count = len(managers)
         elif worker_count < 1:
@@ -221,51 +172,30 @@ class ProcessFanoutBackend:
             for index in range(worker_count)
         ]
         self.supervisor = WorkerSupervisor(specs, transport=transport)
-        self._proxies = [
-            MirroredManager(manager, self.supervisor, self._worker_of[position], position)
-            for position, manager in enumerate(managers)
-        ]
+        for position, manager in enumerate(managers):
+            manager.sink = partial(_forward, self.supervisor, self._worker_of[position], position)
         self._closed = False
 
     # -- plumbing -----------------------------------------------------------
 
-    @property
-    def managers(self) -> list[MirroredManager]:
-        return self._proxies
+    def _compare(self, ack: dict) -> None:
+        """Compare every host checkpoint of an acknowledgement with its replica manager's.
 
-    def _settle(self, acks_by_worker: dict[int, dict]) -> None:
-        """Check an epoch's acknowledgements against the replica, then take them in.
-
-        Every lifecycle row was flushed before the record these acks answer,
-        so a worker's hosts must hold exactly as many machines as the
-        replica's: a lost, duplicated or late ``CREATE`` row shows here.
-        Each machine the record suspended (resumed) must be one the replica
-        holds as running (suspended).
+        Every lifecycle row was flushed before the request this ack answers
+        and every record was applied on both sides, so the two snapshots are
+        equal; the first key that differs is a :class:`WorkerDesyncError`.
         """
-        for ack in acks_by_worker.values():
-            for position, snapshot in ack["counters"].items():
-                host = self._proxies[position].host
-                if snapshot["rows"] != len(host.machines):
-                    raise WorkerDesyncError(
-                        f"host {host.index}: the worker holds {snapshot['rows']} "
-                        f"machines, the driver's replica {len(host.machines)}"
-                    )
-            for position, transitions in ack["transitions"].items():
-                host = self._proxies[position].host
-                machines = host.machines
-                for name, state_value in transitions.items():
-                    held = machines.state(name) if name in machines else None
-                    state = MachineState(state_value)
-                    if held is None or {held, state} != _SUSPEND_RESUME:
-                        raise WorkerDesyncError(
-                            f"host {host.index}: the worker took machine {name!r} "
-                            f"to {state_value!r}; the driver's replica holds it "
-                            f"{'absent' if held is None else held.value}"
-                        )
-                    if state is MachineState.SUSPENDED:
-                        machines.suspend(name)
-                    else:
-                        machines.resume(name)
+        for position, checkpoint in ack["counters"].items():
+            manager = self._managers[position]
+            for key, value in manager.counters_snapshot().items():
+                held = checkpoint.get(key)
+                if held == value:
+                    continue
+                if key == "rows":
+                    difference = f"the worker holds {held} machines, the driver's replica {value}"
+                else:
+                    difference = f"the worker's {key} is {held!r}, the driver's replica's {value!r}"
+                raise WorkerDesyncError(f"host {manager.host.index}: {difference}")
 
     # -- the calls the coordinator drives ------------------------------------
 
@@ -275,9 +205,11 @@ class ProcessFanoutBackend:
         supervisor.start()
         supervisor.check()  # heartbeat sweep: restart idle-crashed workers
         supervisor.begin_epoch(record, now_s)
-        self._settle(
-            {worker: supervisor.finish_request(worker) for worker in range(self.worker_count)}
-        )
+        # The replica applies the record while the workers do.
+        for manager in self._managers:
+            manager.apply_diff(record, now_s)
+        for worker in range(self.worker_count):
+            self._compare(supervisor.finish_request(worker))
 
     # The benchmark's tracer still patches this name; ROADMAP item 1 (the
     # benchmark catch-up) deletes the alias together with that patch point.
@@ -293,18 +225,19 @@ class ProcessFanoutBackend:
             "now_s": now_s,
             "setup_phase": setup_phase,
             "applying_update": applying_update,
-            "sample_index": [len(proxy.host.trace) for proxy in self._proxies],
+            "sample_index": [len(manager.host.trace) for manager in self._managers],
         }
         for worker in range(self.worker_count):
             supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
         samples: dict[int, UsageSample] = {}
         for worker in range(self.worker_count):
             ack = supervisor.finish_request(worker)
+            self._compare(ack)
             for position, fields in ack["samples"].items():
                 samples[position] = UsageSample(**fields)
         ordered = [samples[position] for position in sorted(samples)]
         for position in sorted(samples):
-            self._proxies[position].host.trace.record(samples[position])
+            self._managers[position].host.trace.record(samples[position])
         return ordered
 
     # -- observability / fault injection -------------------------------------

@@ -61,9 +61,9 @@ successor spawns).  Recovery then proceeds in four steps:
 
 The in-flight request that observed the crash is then re-sent: the restored
 worker is at the checkpoint epoch, so re-applying the current epoch's record
-produces the same transitions (and counter increments) the uncrashed worker
-would have produced.  Restarts are bounded by ``max_restarts`` per worker —
-but the budget *decays*: after ``restart_decay_acks`` healthy acknowledged
+suspends and resumes the same machines (and increments the same counters)
+the uncrashed worker would have.  Restarts are bounded by ``max_restarts``
+per worker — but the budget *decays*: after ``restart_decay_acks`` healthy acknowledged
 requests the counter resets to zero, so transient crashes spread over a
 long-running sim never add up to a fatal budget exhaustion, while a crash
 loop (which never stays healthy long enough to decay) still hits the bound.

@@ -49,9 +49,9 @@ Frame kinds
 =================  ============  =============================================
 kind               direction     payload
 =================  ============  =============================================
-``ACK``/``ERROR``  worker → sup  checkpoint (counters, row counts, dirty sets,
-                                 epoch, control frames applied), the machines
-                                 a record suspended or resumed / a traceback
+``ACK``/``ERROR``  worker → sup  checkpoint (row counts, counters, dirty sets,
+                                 state checksums, epoch, control frames
+                                 applied), usage samples / a traceback
 ``CONTROL``        sup → worker  one worker's lifecycle operations in program
                                  order, journalled (see below)
 ``APPLY_EPOCH``    sup → worker  one :class:`EpochRecord`, the same for every
@@ -164,7 +164,9 @@ WIRE_MAGIC = b"CLW1"
 #: 10: no RNG state travels: ``SPEC`` names each host's key root, a
 #: checkpoint its row count, ``SAMPLE_USAGE`` the sample index; the blob
 #: codec's arbitrary-precision integer tag is gone.
-WIRE_VERSION = 10
+#: 11: an ``ACK`` no longer names the machines a record suspended or
+#: resumed; a checkpoint carries ``states``, its host's state-column checksum.
+WIRE_VERSION = 11
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

@@ -32,14 +32,14 @@ run, as if each had been a frame of its own; a malformed frame
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: the epoch its
-managers last applied, per-manager counter/row-count/dirty-set checkpoints
-(:meth:`MachineManager.counters_snapshot`), the number of ``CONTROL`` frames
-applied so far, the machines an applied record suspended or resumed with
-their new states (``transitions``: the only machine states the coordinator
-cannot work out itself), usage samples, and any errors from unacknowledged
-``CONTROL`` frames.  A record is applied to every manager before it is
-acknowledged, so the checkpoint is one epoch for all of them; the supervisor
-keeps the latest acknowledgement as the recovery checkpoint.
+managers last applied, per-manager checkpoints — row count, counters, dirty
+set and a checksum of the machines' states
+(:meth:`MachineManager.counters_snapshot`), which the driver compares with
+its replica's — the number of ``CONTROL`` frames applied so far, usage
+samples, and any errors from unacknowledged ``CONTROL`` frames.  A record
+is applied to every manager before it is acknowledged, so the checkpoint is
+one epoch for all of them; the supervisor keeps the latest acknowledgement
+as the recovery checkpoint.
 
 ``CONTROL`` frames are *durable*: the supervisor journals each one and,
 after a crash, replays into a fresh process the frames the checkpoint had
@@ -223,16 +223,10 @@ class _Worker:
     ) -> Optional[dict[str, Any]]:
         if kind is FrameKind.APPLY_EPOCH:
             record = wire.decode_record(meta, arrays)
-            transitions = {}
-            for position, manager in self.by_position.items():
-                changed = manager.apply_diff(record, meta["now_s"])
-                if changed:
-                    machines = manager.host.machines
-                    transitions[position] = {
-                        name: machines.state(name).value for name in changed
-                    }
+            for manager in self.by_position.values():
+                manager.apply_diff(record, meta["now_s"])
             self.epoch = record.epoch
-            return {"transitions": transitions}
+            return None
         if kind is FrameKind.SAMPLE_USAGE:
             samples = {}
             for position, manager in sorted(self.by_position.items()):

@@ -12,7 +12,7 @@ machines appends rows, a lifecycle operation rewrites one row, and a usage
 reading is one pass over the rows.  The table is the machine
 model on both sides of the worker seam: the host a manager owns holds one,
 and with worker processes the driver holds a replica, kept by the same
-operations plus the suspends and resumes the workers report.
+manager class running the same operations and records.
 :class:`MachineView` is the read-only view of one row.
 
 Boot times

@@ -215,10 +215,10 @@ class TestDartIdentity:
         assert statistics["running_checks"] <= 3 * statistics["sent"]
 
     def test_worker_processes_give_the_same_experiment(self, warm):
-        """The running check reads the driver's ledger of worker-owned machines."""
-        mirrored = _run_dart(parallelism="processes", worker_count=2)
-        assert mirrored[0] == warm[0]
-        assert mirrored[1].tobytes() == warm[1].tobytes()
+        """The running check reads the replica managers' tables of the workers' hosts."""
+        replicated = _run_dart(parallelism="processes", worker_count=2)
+        assert replicated[0] == warm[0]
+        assert replicated[1].tobytes() == warm[1].tobytes()
 
 
 class TestPathRows:

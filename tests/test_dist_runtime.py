@@ -126,24 +126,25 @@ def _boot_times(coordinator):
     }
 
 
+def _position(coordinator, machine):
+    """The host position of the manager that holds a machine."""
+    return coordinator.managers.index(coordinator.manager_for(machine))
+
+
 def _assert_equivalent(threads, processes):
     assert _counters(threads) == _counters(processes)
-    # The replica's states (what the operations made of each machine plus
-    # the suspends and resumes the workers reported) are the in-process rows'.
+    # The replica managers' states are the in-process rows'.
     assert _machine_states(threads) == _machine_states(processes)
     # Even sub-second boot jitter is backend-invariant: seeds are keyed by
     # identity, and the replica draws a boot's finish from the seed its
     # worker's row holds.
     assert _boot_times(processes) == _boot_times(threads)
-    # The worker checkpoints the mirrored managers' counters read agree with
-    # the thread backend's managers, host by host.
+    # Each worker's whole checkpoint — rows, counters, dirty set, states —
+    # is the thread backend's manager's, host by host.
     worker_counters = processes._backend.worker_counters()
-    for position, manager in enumerate(threads.managers):
-        snapshot = worker_counters[position]
-        assert snapshot["suspension_count"] == manager.suspension_count
-        assert snapshot["resume_count"] == manager.resume_count
-        assert snapshot["applied_diffs"] == manager.applied_diffs
-        assert snapshot["rows"] == len(manager.host.machines)
+    assert [worker_counters[position] for position in range(len(threads.managers))] == [
+        manager.counters_snapshot() for manager in threads.managers
+    ]
 
 
 class TestProcessBackendEquivalence:
@@ -198,7 +199,7 @@ class TestProcessBackendEquivalence:
 
     def test_quota_and_busy_changes_reach_the_next_sample(self):
         # The workers keep their usage reading between samples; a quota or
-        # busy-fraction change made through the proxy must drop it there.
+        # busy-fraction change made on the driver must drop it there.
         config = _iridium_box_config()
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
@@ -250,8 +251,8 @@ class TestProcessBackendEquivalence:
             # Reboot a suspended (out-of-box) satellite through the
             # fault-injection API: it comes back RUNNING although it is
             # outside the box, and the next update must suspend it again on
-            # both backends (on the process backend the worker reconciles
-            # it and reports the transition).
+            # both backends (on the process backend the worker and the
+            # replica manager both reconcile it).
             state = processes.database.state
             outside = int(np.nonzero(~state.active_satellites[0])[0][0])
             for coordinator in (threads, processes):
@@ -271,7 +272,7 @@ class TestProcessBackendEquivalence:
             # boot_all marks what it boots dirty too: a machine created
             # unbooted, carried across an update and then booted outside
             # the box is reconciled by the next record and suspended on the
-            # worker, whose ack carries the transition into the ledger.
+            # worker and on the replica alike.
             state = processes.database.state
             late = next(
                 int(identifier)
@@ -351,8 +352,7 @@ class TestProcessBackendEquivalence:
                 coordinator.manager_for(victim).reboot_machine(victim, 320.0)
             # Crash the worker that owns the dirty machine.
             victim = processes.calculation.satellite(0, outside)
-            position = processes.manager_for(victim).position
-            _crash(processes._backend.supervisor, position % 2)
+            _crash(processes._backend.supervisor, _position(processes, victim) % 2)
             for step in range(6, 12):
                 now = step * 60.0
                 threads.update(now)
@@ -372,8 +372,8 @@ class TestProcessBackendEquivalence:
         # record's acknowledgement is collected.  The restore must then
         # leave the machines the checkpoint held dirty as the ledger rebuilt
         # them, so the re-sent record redoes the counting reconcile exactly
-        # once: otherwise the victim is suspended uncounted and unreported,
-        # and the counters and ledger states compared below differ.
+        # once: otherwise the victim is suspended uncounted, and the
+        # checkpoint compared with the replica's differs.
         from repro.core import EpochRecord
 
         config = _iridium_box_config(duration_s=2400.0)
@@ -397,7 +397,7 @@ class TestProcessBackendEquivalence:
             now = 360.0
             backend = processes._backend
             victim = processes.calculation.satellite(0, outside)
-            worker = backend._worker_of[processes.manager_for(victim).position]
+            worker = backend._worker_of[_position(processes, victim)]
             # The reboot's CONTROL frame goes out and is acknowledged: the
             # victim is dirty in the checkpoint the recovery restores.
             _ping(backend.supervisor, worker)
@@ -407,12 +407,7 @@ class TestProcessBackendEquivalence:
             record = EpochRecord.of(processes.database.epoch, state, previous)
             processes._ensure_activated_satellites(record, now)
             _crash(backend.supervisor, worker)
-            backend.supervisor.begin_epoch(record, now)
-            acks = {
-                worker: backend.supervisor.finish_request(worker)
-                for worker in range(backend.worker_count)
-            }
-            backend._settle(acks)
+            backend.apply_slices(record, now)
             assert backend.restart_count == 1
             for step in range(7, 12):
                 now = step * 60.0
@@ -480,7 +475,7 @@ class TestBatchedControlFrames:
                         injector.reboot(rebooted, now)
                         injector.degrade_cpu(throttled, 0.5, now)
                     fault_workers = {
-                        processes.manager_for(machine).position % 2
+                        _position(processes, machine) % 2
                         for machine in (stopped, rebooted, throttled)
                     }
                     assert 1 in fault_workers  # its flush follows its checkpoint
@@ -521,9 +516,7 @@ class TestBatchedControlFrames:
             for coordinator in (threads, processes):
                 for machine in absent:
                     coordinator.create_machine(machine, 150.0)
-            _crash(
-                processes._backend.supervisor, processes.manager_for(absent[0]).position % 2
-            )
+            _crash(processes._backend.supervisor, _position(processes, absent[0]) % 2)
             assert threads.sample_all_usage(150.0) == processes.sample_all_usage(150.0)
             assert processes._backend.restart_count == 1
             for step in range(3, 8):
@@ -580,6 +573,24 @@ class TestBatchedControlFrames:
         try:
             with pytest.raises(WorkerDesyncError, match="the worker holds 66 machines"):
                 processes.update(0.0)
+        finally:
+            processes.close()
+
+    def test_a_row_the_replica_never_ran_is_a_desync_at_the_next_update(self):
+        # A STOP row for the ground station reaches its worker but not the
+        # replica manager.  The row count, the counters and the dirty set
+        # (the record clears it on both sides) cannot tell; the states can.
+        processes = _coordinator(_iridium_box_config(), "processes", host_count=3, worker_count=2)
+        try:
+            processes.update(0.0)
+            hawaii = processes.calculation.ground_station("hawaii")
+            position = _position(processes, hawaii)
+            backend = processes._backend
+            backend.supervisor.control(backend._worker_of[position]).append(
+                ControlOp.STOP, position, hawaii, 10.0
+            )
+            with pytest.raises(WorkerDesyncError, match=rf"host {position}: the worker's states"):
+                processes.update(60.0)
         finally:
             processes.close()
 
@@ -897,28 +908,29 @@ class TestLedgerEquivalence:
             processes.close()
 
     def test_a_refused_placement_draws_no_seed_on_either_side(self):
-        # Host memory 1,536 MiB: s0 (1,024) fits, s1 (1,024) is refused and
-        # s2 (512) fits.  The refusal leaves no row, in process and on the
+        # Host memory 1,536 MiB: satellite 0 (1,024) fits, 1 (1,024) is
+        # refused and 2 (512) fits.  The refusal leaves no row, in process and on the
         # driver's replica alike; every seed is keyed by the machine's
         # identity, and the worker holds the same two rows.
         big, small = ComputeParams(1, 1024), ComputeParams(1, 512)
-        in_process, blueprint = (
+        in_process, replica = (
             MachineManager(Host(index=0, memory_mib=1536), rng=np.random.default_rng(7))
             for _ in range(2)
         )
-        backend = ProcessFanoutBackend([blueprint], worker_count=1)
+        backend = ProcessFanoutBackend([replica], worker_count=1)
         try:
-            for manager in (in_process, backend.managers[0]):
-                manager.create_machine(MachineId(0, 0, "s0"), big)
-                with pytest.raises(HostError, match="cannot fit machine 's1'"):
-                    manager.create_machine(MachineId(0, 1, "s1"), big)
-                assert not manager.has_machine(MachineId(0, 1, "s1"))
-                manager.create_machine(MachineId(0, 2, "s2"), small)
+            for manager in (in_process, replica):
+                manager.create_machine(MachineId(0, 0, "0.0.celestial"), big)
+                with pytest.raises(HostError, match="cannot fit machine '1.0.celestial'"):
+                    manager.create_machine(MachineId(0, 1, "1.0.celestial"), big)
+                assert not manager.has_machine(MachineId(0, 1, "1.0.celestial"))
+                manager.create_machine(MachineId(0, 2, "2.0.celestial"), small)
                 assert manager.host.reserved_memory_mib() == 1536.0
             root = key_root(np.random.default_rng(7))
             seeds = [keyed(root, 0, identifier) >> 1 for identifier in (0, 2)]
-            for manager in (in_process, backend.managers[0]):
-                assert [manager.host.machines[name].seed for name in ("s0", "s2")] == seeds
+            for manager in (in_process, replica):
+                machines = manager.host.machines
+                assert [machines[name].seed for name in ("0.0.celestial", "2.0.celestial")] == seeds
             assert backend.sample_all(0.0) == [in_process.sample_usage(0.0)]
             assert backend.worker_counters()[0]["rows"] == 2
         finally:
@@ -948,16 +960,3 @@ class TestSingleCopy:
             assert sum(len(table) for table in tables) == machines
         finally:
             coordinator.close()
-
-    def test_an_unknown_attribute_of_a_mirrored_manager_is_an_attribute_error(self):
-        backend = ProcessFanoutBackend(
-            [MachineManager(Host(index=0, allow_memory_overcommit=True))], worker_count=1
-        )
-        try:
-            manager = backend.managers[0]
-            for name in ("machine_ids", "apply_diff", "sample_usage", "_dirty", "_shadow"):
-                with pytest.raises(AttributeError):
-                    getattr(manager, name)
-            assert not backend.supervisor._started  # nothing reached for a worker
-        finally:
-            backend.close()

@@ -29,7 +29,6 @@ from repro.core.config import ComputeParams
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
-from repro.dist.backend import MirroredManager
 from repro.dist.transport import HandshakeError
 from repro.dist.wire import (
     WIRE_MAGIC,
@@ -421,15 +420,10 @@ class TestPickleGating:
                 WorkerSpec.from_meta(malformed)
 
         batch = wire.ControlBatch()
-
-        class _Supervisor:  # stands in for WorkerSupervisor.control
-            def control(self, worker):
-                return batch
-
         compute = ComputeParams(vcpu_count=3, memory_mib=768, cpu_quota=0.5)
-        proxy = MirroredManager(MachineManager(Host(index=10)), _Supervisor(), 0, 0)
-        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), compute)
-        proxy.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
+        driver = _replica(batch)
+        driver.create_machine(MachineId(0, 4, "4.0.celestial"), compute)
+        driver.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
         assert worker.deferred_errors == []
         machines = worker.by_position[0].host.machines
@@ -447,22 +441,19 @@ def _control_worker(positions=(0,)) -> _Worker:
     return _Worker(WorkerSpec(worker_index=0, hosts=hosts), None)
 
 
-class _Supervisor:
-    """Stands in for WorkerSupervisor.control: one batch for every worker."""
-
-    def __init__(self):
-        self.batch = wire.ControlBatch()
-
-    def control(self, worker):
-        return self.batch
+def _replica(batch: wire.ControlBatch, manager=None) -> MachineManager:
+    """A driver-side manager whose rows go to ``batch``, as host position 0."""
+    manager = manager or MachineManager(Host(index=10))
+    manager.sink = lambda op, machine, value: batch.append(op, 0, machine, value)
+    return manager
 
 
 HAWAII = MachineId(MachineId.GROUND_SHELL, 0, "hawaii")
 
 
-def _every_op(proxy: MirroredManager) -> None:
+def _every_op(manager: MachineManager) -> None:
     """All seven lifecycle operations, a ground station among the machines."""
-    proxy.create_machines(
+    manager.create_machines(
         MachineBatch(
             ["4.0.celestial", "5.0.celestial"],
             np.array([0, 0]),
@@ -471,10 +462,10 @@ def _every_op(proxy: MirroredManager) -> None:
             (ComputeParams(),),
         )
     )
-    proxy.create_machine(HAWAII, ComputeParams(vcpu_count=4, memory_mib=2048))
+    manager.create_machine(HAWAII, ComputeParams(vcpu_count=4, memory_mib=2048))
     # A booted batch: satellites 0 and 2 of shell 1, both inside the box of
     # the records below.
-    proxy.create_machines(
+    manager.create_machines(
         MachineBatch(
             ["0.1.celestial", "2.1.celestial"],
             np.array([1, 1]),
@@ -484,19 +475,19 @@ def _every_op(proxy: MirroredManager) -> None:
         ),
         boot_s=0.5,
     )
-    proxy.boot(MachineId(0, 4, "4.0.celestial"), 1.0)
-    proxy.boot(HAWAII, 1.5)
-    proxy.boot_all(2.0)
-    proxy.stop_machine(MachineId(0, 4, "4.0.celestial"), 3.0)
-    proxy.reboot_machine(MachineId(0, 4, "4.0.celestial"), 4.0)
-    proxy.set_cpu_quota(HAWAII, 0.25)
-    proxy.set_busy_fraction(MachineId(0, 5, "5.0.celestial"), 0.5)
+    manager.boot(MachineId(0, 4, "4.0.celestial"), 1.0)
+    manager.boot(HAWAII, 1.5)
+    manager.boot_all(2.0)
+    manager.stop_machine(MachineId(0, 4, "4.0.celestial"), 3.0)
+    manager.reboot_machine(MachineId(0, 4, "4.0.celestial"), 4.0)
+    manager.set_cpu_quota(HAWAII, 0.25)
+    manager.set_busy_fraction(MachineId(0, 5, "5.0.celestial"), 0.5)
 
 
 def _every_op_frame():
-    supervisor = _Supervisor()
-    _every_op(MirroredManager(MachineManager(Host(index=10)), supervisor, 0, 0))
-    meta, arrays = supervisor.batch.payload()
+    batch = wire.ControlBatch()
+    _every_op(_replica(batch))
+    meta, arrays = batch.payload()
     return meta, [np.array(array) for array in arrays]
 
 
@@ -563,10 +554,11 @@ class TestControlFrames:
     """One CONTROL frame carries a worker's lifecycle operations in order."""
 
     def test_rows_rebuild_what_a_manager_does(self):
-        # The proxy's rows, run by a worker, build what the same operations
-        # build on an in-process manager; the proxy's replica holds the
-        # worker's states, seeds, boot times and quotas.
-        supervisor = _Supervisor()
+        # The replica manager's rows, run by a worker, build what the same
+        # operations build on an in-process manager; the replica holds the
+        # worker's states, seeds, boot times and quotas, and the worker's
+        # checkpoint is the replica's.
+        batch = wire.ControlBatch()
         worker = _control_worker()
         reference, driver = (
             MachineManager(Host(index=10, cpu_cores=8, memory_mib=4096,
@@ -576,9 +568,8 @@ class TestControlFrames:
         for manager in (reference, driver):
             manager.key_root = _ROOT
         _every_op(reference)
-        proxy = MirroredManager(driver, supervisor, 0, 0)
-        _every_op(proxy)
-        meta, arrays = supervisor.batch.payload()
+        _every_op(_replica(batch, driver))
+        meta, arrays = batch.payload()
         # One name per ground-station entry (create, boot, quota), one table
         # per distinct compute.
         assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 3
@@ -589,10 +580,14 @@ class TestControlFrames:
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
         assert worker.deferred_errors == [] and worker.controls == 1
         manager = worker.by_position[0]
-        assert _machines(manager) == _machines(reference) == _machines(proxy)
-        assert manager.counters_snapshot() == reference.counters_snapshot()
-        supervisor.batch.clear()
-        assert len(supervisor.batch) == 0
+        assert _machines(manager) == _machines(reference) == _machines(driver)
+        assert (
+            manager.counters_snapshot()
+            == reference.counters_snapshot()
+            == driver.counters_snapshot()
+        )
+        batch.clear()
+        assert len(batch) == 0
 
     @pytest.mark.parametrize("name", sorted(_FORGED_CONTROL))
     def test_malformed_frames_are_wire_errors_and_run_no_row(self, name):
@@ -604,13 +599,12 @@ class TestControlFrames:
         assert worker.controls == 1  # still a ledger frame: replay counts it
 
     def test_failing_rows_are_reported_and_the_rows_after_them_run(self):
-        supervisor = _Supervisor()
-        batch = supervisor.batch
+        batch = wire.ControlBatch()
         batch.append(wire.ControlOp.CPU_QUOTA, 0, MachineId(0, 9, "9.0.celestial"), 0.5)
         batch.append(wire.ControlOp.BOOT_CREATED, 7, value=1.0)  # not this worker's
-        proxy = MirroredManager(MachineManager(Host(index=10)), supervisor, 0, 0)
-        proxy.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams())
-        proxy.boot(MachineId(0, 4, "4.0.celestial"), 2.0)
+        driver = _replica(batch)
+        driver.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams())
+        driver.boot(MachineId(0, 4, "4.0.celestial"), 2.0)
         worker = _control_worker()
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
         first, second = worker.deferred_errors
@@ -887,28 +881,35 @@ class TestRecordFrames:
 
     def test_a_record_applies_and_reports_its_dirty_reconciles(self):
         worker = _record_worker()
+        manager = worker.by_position[0]
         meta, arrays = _record_payload()
-        ack = worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays)
-        # 5.0 flipped out of the box: the flip pass suspends it, and the ack
-        # reports it.  4.0 did not flip but was rebooted (dirty): the dirty
-        # pass reconciles it against its mask, which keeps it running, so
-        # there is nothing to report; the ground station is not a satellite
-        # and is skipped.
-        assert ack == {"transitions": {0: {"5.0.celestial": "suspended"}}}
-        machines = worker.by_position[0].host.machines
+        # The acknowledgement adds nothing to the checkpoint: the driver
+        # applies the record to its replica and compares checkpoints.
+        assert worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays) is None
+        # 5.0 flipped out of the box: the flip pass suspends it, and the
+        # checkpoint counts it.  4.0 did not flip but was rebooted (dirty):
+        # the dirty pass reconciles it against its mask, which keeps it
+        # running; the ground station is not a satellite and is skipped.
+        machines = manager.host.machines
         assert machines["5.0.celestial"].state.value == "suspended"
         assert machines["4.0.celestial"].state.value == "running"
-        assert worker.epoch == 9 and worker.by_position[0].applied_diffs == 1
+        assert worker.epoch == 9
+        snapshot = manager.counters_snapshot()
+        assert (snapshot["suspension_count"], snapshot["applied_diffs"], snapshot["dirty"]) == (
+            1, 1, []
+        )
         # Rebooted again and then outside the box without a flip: the dirty
-        # pass suspends it, and the ack reports that.
+        # pass suspends it, and the checkpoint counts that.
         batch = wire.ControlBatch()
         batch.append(wire.ControlOp.REBOOT, 0, MachineId(0, 4, "4.0.celestial"), 6.0)
         worker._dispatch(FrameKind.CONTROL, *batch.payload())
         meta, arrays = wire.slice_payload(
             _record({0: [True] * 4 + [False] * 9, 1: [True, False] * 4}, epoch=10)
         )
-        ack = worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 7.0}, arrays)
-        assert ack == {"transitions": {0: {"4.0.celestial": "suspended"}}}
+        worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 7.0}, arrays)
+        assert machines["4.0.celestial"].state.value == "suspended"
+        assert manager.counters_snapshot()["suspension_count"] == 2
+        assert manager.counters_snapshot()["states"] != snapshot["states"]
 
     @pytest.mark.parametrize("name", sorted(_FORGED_RECORD))
     def test_malformed_records_are_wire_errors_and_change_nothing(self, name):
