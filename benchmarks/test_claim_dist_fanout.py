@@ -16,21 +16,24 @@ Constellation math is identical on both sides and excluded.
 
 It also records the set-up epoch, the one that creates all 4,409 satellite
 microVMs: ``setup_epoch_ms`` per backend and, for the process backend,
-``control_frames`` — the control-ledger frames per worker after it (every
-lifecycle operation of a flush rides one ``CONTROL`` frame, so one each) —
-and ``epoch_frame_bytes``, the median size of the record frame one worker
-receives per steady-state epoch (measured, not assumed: two packed masks of
-552 bytes plus the frame's metadata).
+``respawn_spec_bytes`` — the ``SPEC`` frame that restarts one worker after
+it, its full fleet of hosts as the driver's replica holds them —
+``recovery_ms`` — the epoch after one worker was SIGKILLed, from ``update``
+to the last ack, its restart included — and ``epoch_frame_bytes``, the
+median size of the record frame one worker receives per steady-state epoch
+(measured, not assumed: two packed masks of 552 bytes plus the frame's
+metadata).  The recovery epoch runs on both backends, unmeasured in process,
+so their counters stay comparable.
 
 The measurements are always written to ``BENCH_dist.json`` (path
 overridable via the ``BENCH_DIST_JSON`` environment variable).  The
 functional claims — both backends drive the same 4,414 machines to identical
 per-manager counters (under worker processes the replica managers' own, which
-every acknowledgement's checkpoints are compared with), the set-up epoch is
-one control frame per worker and every worker holds as many rows per host as
-the driver's replica — are hard asserts; the timings are recorded, never
-gated.  Under worker processes the set-up epoch includes the replica
-managers' own apply of the first record.
+every acknowledgement's checkpoints are compared with) and every worker holds
+as many rows per host as the driver's replica — are hard asserts; the
+timings and the ``SPEC`` size are recorded, never gated.  Under worker
+processes the set-up epoch includes the replica managers' own apply of the
+first record.
 """
 
 import json
@@ -81,16 +84,28 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
         started = time.perf_counter()
         coordinator.update(0.0)
         setup_epoch_ms = (time.perf_counter() - started) * 1000
-        control_frames = None
+        respawn_spec_bytes = recovery_ms = None
         if parallelism == "processes":
             backend = coordinator._backend
-            control_frames = [len(handle.ledger) for handle in backend.supervisor._handles]
             workers = backend.worker_counters()
             assert [workers[position]["rows"] for position in range(HOSTS)] == [
                 len(manager.host.machines) for manager in coordinator.managers
             ]
+            respawn_spec_bytes = len(
+                wire.encode_frame(
+                    wire.FrameKind.SPEC,
+                    *wire.spec_payload(backend.supervisor._handles[0].managers),
+                )
+            )
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
-        del record_frames[:]  # the set-up epoch's frames
+        if parallelism == "processes":
+            backend.supervisor._handles[0].process.kill()
+        started = time.perf_counter()
+        coordinator.update(0.5 * config.update_interval_s)
+        if parallelism == "processes":
+            recovery_ms = (time.perf_counter() - started) * 1000
+            assert backend.restart_count == 1
+        del record_frames[:]  # the set-up and recovery epochs' frames
         for step in range(1, EPOCHS + 1):
             now = step * config.update_interval_s
             coordinator.update(now)
@@ -103,8 +118,8 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             for m in coordinator.managers
         ]
         # Per epoch: record fan-out + one usage-sample round trip; skip the
-        # set-up epoch and the warm-up sample.
-        fanout = list(coordinator.stats.fanout_seconds)[1:]
+        # set-up and recovery epochs and the warm-up sample.
+        fanout = list(coordinator.stats.fanout_seconds)[2:]
         samples = list(coordinator.stats.sample_seconds)[1:]
         return {
             "backend": parallelism,
@@ -112,7 +127,8 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             "counters": counters,
             "epochs": EPOCHS,
             "setup_epoch_ms": setup_epoch_ms,
-            "control_frames": control_frames,
+            "respawn_spec_bytes": respawn_spec_bytes,
+            "recovery_ms": recovery_ms,
             "epoch_frame_bytes": (
                 float(np.median(record_frames)) if record_frames else None
             ),
@@ -141,7 +157,6 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkey
     processes = _run_backend("processes", record_frames)
     assert threads["machines"] == processes["machines"] == 4409 + 5
     assert threads["counters"] == processes["counters"]
-    assert processes["control_frames"] == [1] * HOSTS
     # One record frame per worker per epoch, 552 bytes of each mask kind.
     assert len(record_frames) == HOSTS * EPOCHS
     assert 2 * 552 < processes["epoch_frame_bytes"] < 2 * 552 + 512
@@ -168,6 +183,8 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkey
         f"{threads['sample_ms_median']:.3f} ms | workers "
         f"{processes['sample_ms_median']:.3f} ms; set-up epoch: in process "
         f"{threads['setup_epoch_ms']:.0f} ms | workers "
-        f"{processes['setup_epoch_ms']:.0f} ms; record frame per worker "
+        f"{processes['setup_epoch_ms']:.0f} ms; one worker's recovery epoch "
+        f"{processes['recovery_ms']:.0f} ms from a "
+        f"{processes['respawn_spec_bytes']:,} B SPEC; record frame per worker "
         f"{processes['epoch_frame_bytes']:.0f} B -> {artifact}"
     )

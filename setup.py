@@ -19,7 +19,7 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     entry_points={
         "console_scripts": ["repro-celestial=repro.cli:main"],
     },

@@ -62,9 +62,7 @@ The in-process-vs-worker seam
   epoch.  The managers this coordinator was given stay its managers, each
   now the replica of a worker's host: lifecycle operations and records run
   on both copies, and every checkpoint is compared with the replica's.
-  Crashed workers are respawned, replayed from the control ledger and
-  restored to the checkpoint epoch's activity masks, derived from the last
-  record sent.
+  A crashed worker is respawned from the replica, as every worker starts.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
 

@@ -43,14 +43,11 @@ class on its replica of that host's table, each lifecycle operation on both
 copies (:attr:`MachineManager.sink` carries it to the worker) and each
 record on both.  Seeds and sample noise are keyed draws
 (:func:`repro.sim.rng.keyed`), so the two copies hold the same rows, seeds
-and boot times.  Two members exist for that runtime:
-:meth:`MachineManager.counters_snapshot` (the checkpoint streamed back with
-every acknowledgement, compared with the replica's) and
-:meth:`MachineManager.restore_runtime_state` (applied by a respawned worker
-after the durable control ledger has been replayed: forces bounding-box
-activity to the checkpoint epoch's masks — derived by the supervisor from
-the last record it sent — without touching the suspend/resume counters,
-then restores counters and dirty set).
+and boot times.  The worker's manager is built from the replica's: its table,
+counters and dirty set travel in the frame that starts the worker, and a
+manager indexes the satellites its host already holds.
+:meth:`MachineManager.counters_snapshot` is the checkpoint streamed back
+with every acknowledgement and compared with the replica's.
 """
 
 from __future__ import annotations
@@ -80,7 +77,7 @@ class EpochRecord:
     previous epoch's masks are ``active ^ flipped``.  ``first`` marks the
     record of an epoch without a previous one: it flips every active
     satellite from nothing.  ``epoch`` is the database epoch the record
-    belongs to (a worker's recovery checkpoint).
+    belongs to.
     """
 
     epoch: int
@@ -108,17 +105,6 @@ class EpochRecord:
         Computed once per record, however many managers read it.
         """
         return {shell: np.flatnonzero(mask).tolist() for shell, mask in self.flipped.items()}
-
-    def masks_at(self, epoch: int) -> dict[int, np.ndarray]:
-        """The activity masks of this record's epoch or of the one before it."""
-        if epoch == self.epoch:
-            return self.active
-        if epoch == self.epoch - 1:
-            return {shell: mask ^ self.flipped[shell] for shell, mask in self.active.items()}
-        raise KeyError(
-            f"no activity masks for epoch {epoch}: the record holds epoch "
-            f"{self.epoch} and the one before it"
-        )
 
 
 class ControlOp(enum.IntEnum):
@@ -151,12 +137,20 @@ class MachineManager:
         self.sink: Optional[Callable[..., None]] = None
         #: The owned-satellite index: shell → identifier → machine name.
         self._satellites: dict[int, dict[int, str]] = {}
+        machines = host.machines
+        self._index(machines.names, machines.shells, machines.identifiers)
         self.suspension_count = 0
         self.resume_count = 0
-        # Machines whose lifecycle changed outside the diff protocol since
-        # the last update; reconciled (and cleared) by apply_diff/apply_state.
-        self._dirty: set[str] = set()
+        #: Machines whose lifecycle changed outside the diff protocol since
+        #: the last update; reconciled (and cleared) by apply_diff/apply_state.
+        self.dirty: set[str] = set()
         self.applied_diffs = 0
+
+    def _index(self, names: Iterable[str], shells: Iterable[int], identifiers: Iterable[int]) -> None:
+        """Add machines of this host to the owned-satellite index."""
+        for name, shell, identifier in zip(names, shells, identifiers):
+            if shell != MachineId.GROUND_SHELL:
+                self._satellites.setdefault(shell, {})[identifier] = name
 
     def _record(
         self,
@@ -166,7 +160,7 @@ class MachineManager:
         changed: Iterable[str],
     ) -> None:
         """One operation done: ``changed`` names the machines whose lifecycle it changed."""
-        self._dirty.update(changed)
+        self.dirty.update(changed)
         if self.sink is not None:
             self.sink(op, machine, value)
 
@@ -175,11 +169,7 @@ class MachineManager:
     def create_machines(self, batch: MachineBatch, boot_s: Optional[float] = None) -> None:
         """Create a batch of machines on this host: booted at ``boot_s``, if given."""
         self.host.place(batch, self.key_root, boot_s)
-        for shell, identifier, name in zip(
-            batch.shells.tolist(), batch.identifiers.tolist(), batch.names
-        ):
-            if shell != MachineId.GROUND_SHELL:
-                self._satellites.setdefault(shell, {})[identifier] = name
+        self._index(batch.names, batch.shells.tolist(), batch.identifiers.tolist())
         self._record(ControlOp.CREATE, batch, math.nan if boot_s is None else boot_s, batch.names)
 
     def create_machine(self, machine_id: MachineId, compute: ComputeParams) -> MachineView:
@@ -267,7 +257,7 @@ class MachineManager:
             active = self._satellite_activity(name, state.active_satellites)
             if active is not None:
                 self._reconcile_activity(name, active)
-        self._dirty.clear()
+        self.dirty.clear()
 
     def _reconcile_activity(self, name: str, active: bool) -> None:
         """Suspend/resume one machine to match its activity."""
@@ -295,13 +285,13 @@ class MachineManager:
                 name = owned.get(identifier)
                 if name is None:
                     continue
-                self._dirty.discard(name)  # reconciled here, not again below
+                self.dirty.discard(name)  # reconciled here, not again below
                 self._reconcile_activity(name, bool(active[identifier]))
-        for name in self._dirty:
+        for name in self.dirty:
             active = self._satellite_activity(name, record.active)
             if active is not None:
                 self._reconcile_activity(name, active)
-        self._dirty.clear()
+        self.dirty.clear()
         if not record.first:
             self.applied_diffs += 1
 
@@ -322,52 +312,22 @@ class MachineManager:
     def advance_sample_stream(self, setup_phase: bool = False, applying_update: bool = False):
         """Does nothing: a patch point the benchmark's tracer wraps by name."""
 
-    # -- checkpoint / restore (supervised worker recovery) -----------------------
+    # -- checkpoint (supervised workers) ------------------------------------------
 
     def counters_snapshot(self) -> dict:
         """Checkpoint of the row count, the counters, the dirty set and the states.
 
         Streamed back with every worker acknowledgement: the driver compares
-        it, key by key, with its replica manager's, and a supervisor restores
-        the counters and the dirty set after a crash, so they continue
-        exactly where the last acknowledged operation left them.  ``states``
-        is the CRC-32 of the table's state column, every machine's state.
+        it, key by key, with its replica manager's.  A worker's start frame
+        carries the replica's, which the worker's new manager must reproduce.
+        ``states`` is the CRC-32 of the table's state column, every
+        machine's state.
         """
         return {
             "rows": len(self.host.machines),
             "suspension_count": self.suspension_count,
             "resume_count": self.resume_count,
             "applied_diffs": self.applied_diffs,
-            "dirty": sorted(self._dirty),
+            "dirty": sorted(self.dirty),
             "states": zlib.crc32(self.host.machines.states),
         }
-
-    def restore_runtime_state(
-        self, active_satellites: Optional[dict[int, np.ndarray]], snapshot: dict
-    ) -> None:
-        """Restore a freshly rebuilt manager to a checkpointed epoch.
-
-        Called on a respawned worker after the control ledger frames the
-        checkpoint had applied (machine creations, fault-injection ops) were
-        replayed:
-
-        * bounding-box activity is *forced* to the per-shell masks of the
-          checkpoint epoch without counting the suspends and resumes (the
-          counters below already include them); ``None`` when the manager
-          had not applied any epoch yet (counters restore only);
-        * the checkpoint's dirty machines are left exactly as the ledger
-          rebuilt them and stay dirty: their lifecycle changed outside the
-          protocol after the last record, and the next record reconciles
-          them *with* counting, exactly as the in-process path would;
-        * the counters are restored from ``snapshot``.
-        """
-        dirty = set(snapshot["dirty"])
-        if active_satellites is not None:
-            for name in list(self.host.machines):
-                active = self._satellite_activity(name, active_satellites)
-                if active is not None and name not in dirty:
-                    self.host.machines.follow_activity(name, active)
-        self.suspension_count = int(snapshot["suspension_count"])
-        self.resume_count = int(snapshot["resume_count"])
-        self.applied_diffs = int(snapshot["applied_diffs"])
-        self._dirty = dirty

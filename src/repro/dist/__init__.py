@@ -22,7 +22,8 @@ on a TCP stream.
 * :mod:`repro.dist.transport` — how frames travel: length-prefixed over TCP
   (:class:`~repro.dist.transport.SocketTransport`), behind one persistent
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
-  restarted worker *reconnects* to the same address.
+  restarted worker *reconnects* to the same address; the ``SPEC`` carries
+  the worker's hosts as the driver's replica holds them.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
   and their hosts' machine tables, applies each record to all of them,
   samples usage and streams samples and checkpoints back, one
@@ -31,11 +32,8 @@ on a TCP stream.
   --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
-  restart under a bounded, decaying budget.  A restarted worker is rebuilt
-  from the durable control ledger (one ``CONTROL`` frame per flush of
-  lifecycle operations) and restored to its last acknowledged checkpoint by
-  one ``RESTORE`` frame, with that epoch's activity masks derived from the
-  last record sent — the current epoch's or the one before it.
+  restart under a bounded, decaying budget.  A restarted worker starts from
+  the replica like a new one, and its in-flight requests are re-sent.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
@@ -86,8 +84,6 @@ from repro.dist.wire import (
     encode_blob,
     encode_frame,
 )
-from repro.dist.worker import WorkerSpec
-
 __all__ = [
     "FrameKind",
     "ProcessFanoutBackend",
@@ -102,7 +98,6 @@ __all__ = [
     "WireVersionError",
     "WorkerCrashError",
     "WorkerDesyncError",
-    "WorkerSpec",
     "WorkerSupervisor",
     "WorkerTimeoutError",
     "connect_transport",

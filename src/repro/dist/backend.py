@@ -33,10 +33,13 @@ running check, ``Celestial.machine``).  The backend points each manager's
 :attr:`~repro.core.machine_manager.MachineManager.sink` at its worker's
 :class:`~repro.dist.wire.ControlBatch`, so every lifecycle operation runs on
 the replica and is buffered for the worker in program order; the batch is
-flushed as one durable ``CONTROL`` frame before that worker's next request,
-and the worker runs the rows in the same order.  Each record is applied to
-the replica managers while the workers apply it, so both sides run one
-reconcile rule on the same rows.  Usage samples come from the workers: a
+flushed as one ``CONTROL`` frame before that worker's next request, and the
+worker runs the rows in the same order.  Each record is applied to the
+replica managers once every worker acknowledged it, so both sides run one
+reconcile rule on the same rows, and a worker restarted meanwhile starts
+from the replica as the record found it (:mod:`repro.dist.supervisor`).
+The pool starts with the backend, from the replica's tables as they are
+then.  Usage samples come from the workers: a
 ``SAMPLE_USAGE`` frame carries each host's sample index, the length of its
 replica's trace, which keys the sample's noise.
 
@@ -60,7 +63,6 @@ from repro.hosts.resources import UsageSample
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import FrameKind
-from repro.dist.worker import HostSpec, WorkerSpec
 
 
 class WorkerDesyncError(RuntimeError):
@@ -132,8 +134,8 @@ class ProcessFanoutBackend:
     takes a ready :class:`~repro.dist.transport.TcpTransportFactory` with the
     deployment settings — e.g. an external-mode factory whose workers are
     started by hand on other machines; ``None`` spawns loopback workers.
-    ``managers`` hold no machine yet: each becomes the driver's replica of
-    its host, and its host and key root are its worker's blueprint.
+    Each of ``managers`` becomes the driver's replica of its host, and the
+    workers start from them as they are.
     """
 
     parallelism = "processes"
@@ -153,28 +155,19 @@ class ProcessFanoutBackend:
         self.worker_count = worker_count = min(worker_count, len(managers))
         # Hosts are partitioned round-robin over the workers.
         self._worker_of = [position % worker_count for position in range(len(managers))]
-        specs = [
-            WorkerSpec(
-                worker_index=index,
-                hosts=tuple(
-                    HostSpec(
-                        position=position,
-                        host_index=manager.host.index,
-                        cpu_cores=manager.host.cpu_cores,
-                        memory_mib=manager.host.memory_mib,
-                        allow_memory_overcommit=manager.host.allow_memory_overcommit,
-                        key_root=manager.key_root,
-                    )
-                    for position, manager in enumerate(managers)
-                    if position % worker_count == index
-                ),
-            )
+        workers = [
+            {
+                position: manager
+                for position, manager in enumerate(managers)
+                if self._worker_of[position] == index
+            }
             for index in range(worker_count)
         ]
-        self.supervisor = WorkerSupervisor(specs, transport=transport)
+        self.supervisor = WorkerSupervisor(workers, transport=transport)
         for position, manager in enumerate(managers):
             manager.sink = partial(_forward, self.supervisor, self._worker_of[position], position)
         self._closed = False
+        self.supervisor.start()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -202,14 +195,15 @@ class ProcessFanoutBackend:
     def apply_slices(self, record: EpochRecord, now_s: float) -> None:
         """Apply one epoch's record on every manager: one frame per worker."""
         supervisor = self.supervisor
-        supervisor.start()
         supervisor.check()  # heartbeat sweep: restart idle-crashed workers
         supervisor.begin_epoch(record, now_s)
-        # The replica applies the record while the workers do.
+        acks = [supervisor.finish_request(worker) for worker in range(self.worker_count)]
+        # Only now the replica applies the record: a worker restarted while
+        # its ack was awaited started from the replica as the record found it.
         for manager in self._managers:
             manager.apply_diff(record, now_s)
-        for worker in range(self.worker_count):
-            self._compare(supervisor.finish_request(worker))
+        for ack in acks:
+            self._compare(ack)
 
     # The benchmark's tracer still patches this name; ROADMAP item 1 (the
     # benchmark catch-up) deletes the alias together with that patch point.
@@ -220,7 +214,6 @@ class ProcessFanoutBackend:
     ) -> list[UsageSample]:
         """One usage-sampling sweep across every host, in position order."""
         supervisor = self.supervisor
-        supervisor.start()
         meta = {
             "now_s": now_s,
             "setup_phase": setup_phase,

@@ -1,72 +1,55 @@
 """Supervision of the worker-process pool: spawn, heartbeat, crash recovery.
 
 The supervisor owns one transport (+ process, when locally spawned) per
-:class:`~repro.dist.worker.WorkerSpec` — obtained from a
-:class:`~repro.dist.transport.TcpTransportFactory`, so the same supervision,
-ledger-replay and restore logic drives loopback workers it spawned and
-operator-started remote workers — and gives the fan-out backend these
-primitives:
+worker — obtained from a :class:`~repro.dist.transport.TcpTransportFactory`,
+so the same supervision drives loopback workers it spawned and
+operator-started remote workers.  It is given the driver's replica managers,
+one mapping host position → :class:`~repro.core.machine_manager.MachineManager`
+per worker, and gives the fan-out backend these primitives:
 
 * :meth:`WorkerSupervisor.control` — the worker's pending lifecycle
   operations (machine creations, boots, fault-injection ops), a
-  :class:`~repro.dist.wire.ControlBatch` the backend appends rows to.  The
-  batch is flushed as **one** ``CONTROL`` frame just before the worker's
-  next request, and that frame is journalled in the per-worker **control
-  ledger** before it is sent: one ledger frame per flush that carried rows.
-  The ledger is the worker's genesis history, replayed into a fresh process
-  after a crash.
+  :class:`~repro.dist.wire.ControlBatch` the backend appends rows to once
+  the replica ran them.  The batch is flushed as **one** ``CONTROL`` frame
+  just before the worker's next request.
 * :meth:`WorkerSupervisor.begin_request` / :meth:`finish_request` — frames
   that want an acknowledgement.  Splitting send from collect lets the
   backend broadcast one frame to every worker and only then start draining
-  acks, so workers chew in parallel.  Every acknowledgement carries the
-  worker's checkpoint and becomes the recovery point.
-  :meth:`WorkerSupervisor.begin_epoch` is the broadcast of one epoch's
-  record, which the supervisor keeps: it is what a recovery restores from.
+  acks, so workers chew in parallel.  :meth:`WorkerSupervisor.begin_epoch`
+  is the broadcast of one epoch's record.
 * :meth:`WorkerSupervisor.check` — heartbeat: a liveness sweep over the
   pool (dead processes are detected and restarted before the next fan-out
   trips over a broken stream).
 
-Crash recovery
---------------
+Start and crash recovery
+------------------------
 
-A worker crash is detected four ways: a broken/EOF transport while sending
+Every worker, at pool start and after every crash, starts the same way: its
+``SPEC`` frame carries each of its hosts as the replica holds it at that
+moment — machine table, counters, dirty set, key root (empty tables at pool
+start).  A crash is detected four ways: a broken/EOF transport while sending
 or collecting, a heartbeat sweep finding the process dead, an ack wait
 observing process exit, or — for a worker that *wedges while staying
-alive* — the ``ack_timeout_s`` receive deadline expiring (routed into the
-same recovery path as a hard crash; the wedged process is killed before its
-successor spawns).  Recovery then proceeds in four steps:
+alive* — the ``ack_timeout_s`` receive deadline expiring (the wedged process
+is killed before its successor spawns).  The successor is started from the
+replica and the in-flight requests are re-sent.  Two invariants make that
+exact:
 
-1. **Respawn** a fresh process from the original spec (same host
-   blueprint, same key roots: there is no random stream to restore).
-2. **Replay the control ledger** up to the checkpoint — the ``CONTROL``
-   frames the worker had applied when it sent its last acknowledgement
-   (the ack counts them) — so it re-creates and boots the machines it
-   owned then, in the original order.
-3. **Restore runtime state from the last record sent**: one ``RESTORE``
-   frame ships the checkpoint of every manager the worker owns — counters
-   and dirty set — and the activity masks of the checkpoint's epoch.
-   A worker applies each record to all of its managers before it
-   acknowledges, and the fan-out is synchronous, so that epoch is the last
-   record's or the one before it, and the record holds both
-   (:meth:`~repro.core.machine_manager.EpochRecord.masks_at`): no history
-   is read.  The checkpoint's dirty machines — lifecycle changed outside the
-   protocol before the checkpoint, not yet reconciled by a record — are
-   left as the ledger rebuilt them and stay dirty, so the next record
-   reconciles them *with* counting, exactly like the in-process path.
-4. **Replay the rest of the ledger**: frames journalled after the
-   checkpoint run on top of the restored dirty sets and mark their machines
-   dirty again, as they first did.  The dirty set is why the ledger is
-   split around ``RESTORE``: restored after those frames, the checkpoint's
-   dirty set would replace what they marked.
+* **A worker (re)spawned from the replica drops the rows still pending for
+  it.**  The replica already ran them, so sending them too would apply them
+  twice.  (That is also why the backend starts the pool as soon as it is
+  built, on empty tables: started by a first operation, the pool would take
+  that operation in the ``SPEC`` and again as a row.)
+* **An in-flight request is re-sent to a worker restored to the replica as it
+  was when the request was issued.**  The backend changes no replica between
+  issuing a request and collecting its acknowledgement: it applies a record
+  to the replica managers only after every worker acknowledged it.
 
-The in-flight request that observed the crash is then re-sent: the restored
-worker is at the checkpoint epoch, so re-applying the current epoch's record
-suspends and resumes the same machines (and increments the same counters)
-the uncrashed worker would have.  Restarts are bounded by ``max_restarts``
-per worker — but the budget *decays*: after ``restart_decay_acks`` healthy acknowledged
-requests the counter resets to zero, so transient crashes spread over a
-long-running sim never add up to a fatal budget exhaustion, while a crash
-loop (which never stays healthy long enough to decay) still hits the bound.
+Restarts are bounded by ``max_restarts`` per worker — but the budget
+*decays*: after ``restart_decay_acks`` healthy acknowledged requests the
+counter resets to zero, so transient crashes spread over a long-running sim
+never add up to a fatal budget exhaustion, while a crash loop (which never
+stays healthy long enough to decay) still hits the bound.
 """
 
 from __future__ import annotations
@@ -78,11 +61,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.machine_manager import EpochRecord
+from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.dist import wire
 from repro.dist.transport import TcpTransportFactory, TransportTimeout
 from repro.dist.wire import FrameKind
-from repro.dist.worker import WorkerSpec
 
 
 class WorkerCrashError(RuntimeError):
@@ -93,7 +75,7 @@ class WorkerTimeoutError(WorkerCrashError):
     """A live worker failed to acknowledge within ``ack_timeout_s``.
 
     Subclasses :class:`WorkerCrashError` so a wedged-but-alive worker takes
-    the same kill/respawn/replay path as a dead one.
+    the same kill/respawn path as a dead one.
     """
 
 
@@ -104,15 +86,15 @@ class WorkerRemoteError(RuntimeError):
 class _Handle:
     """Book-keeping of one supervised worker."""
 
-    def __init__(self, spec: WorkerSpec):
-        self.spec = spec
+    def __init__(self, index: int, managers: dict[int, MachineManager]):
+        self.index = index
+        #: The driver's replica managers of the worker's hosts, by position.
+        self.managers = managers
         self.process = None
         self.conn = None
         self.seq = 0
         #: Lifecycle rows not yet sent; flushed before the next request.
         self.control = wire.ControlBatch()
-        #: Every CONTROL frame sent to this worker slot, in order.
-        self.ledger: list[bytes] = []
         self.checkpoint: Optional[dict[str, Any]] = None
         #: (sequence, encoded frame, monotonic send time) per in-flight request.
         self.inflight: deque[tuple[int, bytes, float]] = deque()
@@ -130,14 +112,16 @@ class _Handle:
 class WorkerSupervisor:
     """Spawns, monitors and restarts the worker-process pool.
 
-    ``transport`` carries the deployment settings as a ready
+    ``workers`` holds, per worker, the driver's replica managers of its
+    hosts by position: what its ``SPEC`` frame carries.  ``transport``
+    carries the deployment settings as a ready
     :class:`~repro.dist.transport.TcpTransportFactory`; ``None`` spawns
-    loopback workers on ephemeral ports.
+    loopback workers on ephemeral ports.  :meth:`start` spawns the pool.
     """
 
     def __init__(
         self,
-        specs: list[WorkerSpec],
+        workers: list[dict[int, MachineManager]],
         max_restarts: int = 3,
         ack_timeout_s: float = 120.0,
         restart_decay_acks: int = 64,
@@ -149,9 +133,7 @@ class WorkerSupervisor:
             raise TypeError(
                 f"transport must be a TcpTransportFactory or None, got {transport!r}"
             )
-        self._handles = [_Handle(spec) for spec in specs]
-        #: The last epoch record sent: a recovery restores to its masks.
-        self._record: Optional[EpochRecord] = None
+        self._handles = [_Handle(index, managers) for index, managers in enumerate(workers)]
         self._factory = transport
         self.max_restarts = max_restarts
         self.ack_timeout_s = ack_timeout_s
@@ -184,10 +166,17 @@ class WorkerSupervisor:
         atexit.register(self.close)
 
     def _spawn(self, handle: _Handle) -> None:
+        """Start the worker from its replica managers as they stand.
+
+        The rows still pending for it are dropped: the replica ran them, so
+        the ``SPEC`` already holds what they do.
+        """
+        handle.control.clear()
+        spec = wire.encode_frame(FrameKind.SPEC, *wire.spec_payload(handle.managers))
         # ``process`` is None for externally placed workers: the factory
         # then only accepts the (re)connection — liveness checks fall back
         # to EOF detection and the receive timeout.
-        handle.process, handle.conn = self._factory.spawn(handle.spec)
+        handle.process, handle.conn = self._factory.spawn(handle.index, spec)
 
     def close(self) -> None:
         """Join/kill every worker deterministically (idempotent).
@@ -239,29 +228,20 @@ class WorkerSupervisor:
             handle.dead = True
 
     def control(self, worker: int) -> wire.ControlBatch:
-        """The worker's pending lifecycle rows (flushed before its next request).
-
-        The first call spawns the pool: a fleet's first lifecycle operation
-        comes before its machines exist, so the workers fork from a small
-        coordinator heap and are up by the time the first flush goes out.
-        """
-        self.start()
+        """The worker's pending lifecycle rows (flushed before its next request)."""
         return self._handles[worker].control
 
     def _flush(self, handle: _Handle) -> None:
-        """Journal and send the pending rows as one ``CONTROL`` frame.
+        """Send the pending rows as one ``CONTROL`` frame.
 
-        The frame is appended to the ledger *before* the send, so a crash
-        mid-send is recovered by the ledger replay alone — the rows are
-        never lost and never applied twice (the replay target is a fresh
-        process).
+        A crash before the worker ran them loses nothing: its successor
+        starts from the replica, which ran them first.
         """
         batch = handle.control
         if not batch:
             return
         frame = wire.encode_frame(FrameKind.CONTROL, *batch.payload())
         batch.clear()
-        handle.ledger.append(frame)
         self._send(handle, frame)
 
     def begin_request(
@@ -277,7 +257,6 @@ class WorkerSupervisor:
         collected FIFO with :meth:`finish_request`.  The worker's pending
         lifecycle rows go first, as one ``CONTROL`` frame.
         """
-        self.start()
         handle = self._handles[worker]
         self._flush(handle)
         handle.seq += 1
@@ -287,7 +266,7 @@ class WorkerSupervisor:
         return handle.seq
 
     def begin_epoch(self, record: EpochRecord, now_s: float) -> None:
-        """Send one epoch's record to every worker, acknowledged, and keep it.
+        """Send one epoch's record to every worker, acknowledged.
 
         The record is encoded once; each worker then gets one frame that
         only its sequence number sets apart.  Collect the acknowledgements
@@ -295,7 +274,6 @@ class WorkerSupervisor:
         """
         meta, arrays = wire.slice_payload(record)
         meta["now_s"] = now_s
-        self._record = record
         for worker in range(len(self._handles)):
             self.begin_request(worker, FrameKind.APPLY_EPOCH, meta, arrays)
 
@@ -313,11 +291,11 @@ class WorkerSupervisor:
             try:
                 if handle.dead:
                     raise WorkerCrashError(
-                        f"worker {handle.spec.worker_index} transport broke mid-send"
+                        f"worker {handle.index} transport broke mid-send"
                     )
                 meta = self._await_ack(handle, handle.inflight[0][0])
                 _seq, _frame, sent_at = handle.inflight.popleft()
-                self._ack_latency.setdefault(handle.spec.worker_index, []).append(
+                self._ack_latency.setdefault(handle.index, []).append(
                     time.monotonic() - sent_at
                 )
                 self._note_healthy(handle)
@@ -326,10 +304,6 @@ class WorkerSupervisor:
                 self._recover(handle)  # re-sends every in-flight frame
 
     def _note_healthy(self, handle: _Handle) -> None:
-        # Only *request* acknowledgements count as health evidence: the
-        # restore acks of a freshly rebuilt worker must not decay the budget
-        # (a crash loop that always survives its own restore would then
-        # never exhaust it).
         handle.healthy_acks += 1
         if handle.restarts and handle.healthy_acks >= self.restart_decay_acks:
             handle.restarts = 0
@@ -340,7 +314,7 @@ class WorkerSupervisor:
         while not handle.conn.poll(0.05):
             if handle.process is not None and not handle.process.is_alive():
                 raise WorkerCrashError(
-                    f"worker {handle.spec.worker_index} died "
+                    f"worker {handle.index} died "
                     f"(exit code {handle.process.exitcode})"
                 )
             if time.monotonic() > deadline:
@@ -348,7 +322,7 @@ class WorkerSupervisor:
                 # silent: treat the wedge as a crash so recovery kills and
                 # rebuilds it instead of hanging the epoch forever.
                 raise WorkerTimeoutError(
-                    f"worker {handle.spec.worker_index} did not acknowledge "
+                    f"worker {handle.index} did not acknowledge "
                     f"frame {seq} within {self.ack_timeout_s:.0f}s"
                 )
         try:
@@ -360,12 +334,12 @@ class WorkerSupervisor:
             )
         except (TransportTimeout, TimeoutError) as error:
             raise WorkerTimeoutError(
-                f"worker {handle.spec.worker_index} stalled mid-frame while "
+                f"worker {handle.index} stalled mid-frame while "
                 f"acknowledging frame {seq}: {error}"
             ) from error
         except (EOFError, OSError) as error:
             raise WorkerCrashError(
-                f"worker {handle.spec.worker_index} transport closed: {error}"
+                f"worker {handle.index} transport closed: {error}"
             ) from error
         try:
             kind, meta, _arrays = wire.decode_frame(data)
@@ -375,21 +349,21 @@ class WorkerSupervisor:
             # A corrupt frame means the stream itself can no longer be
             # trusted; tear the worker down and rebuild it.
             raise WorkerCrashError(
-                f"worker {handle.spec.worker_index} sent a malformed frame: "
+                f"worker {handle.index} sent a malformed frame: "
                 f"{error}"
             ) from error
         if kind is FrameKind.ERROR:
             raise WorkerRemoteError(
-                f"worker {handle.spec.worker_index} failed:\n{meta['traceback']}"
+                f"worker {handle.index} failed:\n{meta['traceback']}"
             )
         if kind is not FrameKind.ACK or meta.get("seq") != seq:
             raise WorkerRemoteError(
-                f"worker {handle.spec.worker_index} sent unexpected "
+                f"worker {handle.index} sent unexpected "
                 f"{kind.name} (seq {meta.get('seq')!r}, expected {seq})"
             )
         if meta.get("deferred_errors"):
             raise WorkerRemoteError(
-                f"worker {handle.spec.worker_index} control-frame errors: "
+                f"worker {handle.index} control-frame errors: "
                 + "; ".join(meta["deferred_errors"])
             )
         handle.checkpoint = meta
@@ -427,17 +401,17 @@ class WorkerSupervisor:
     # -- recovery -----------------------------------------------------------
 
     def _recover(self, handle: _Handle) -> None:
-        # A successor can die too (repeatable crash, OOM while rebuilding
-        # thousands of microVMs), so the whole rebuild — spawn, ledger
-        # replay, restore, in-flight re-send — retries under the same
-        # bounded restart budget instead of leaking raw stream errors.
+        # A successor can die too (repeatable crash, OOM while loading
+        # thousands of microVMs), so the whole rebuild — spawn from the
+        # replica, in-flight re-send — retries under the same bounded
+        # restart budget instead of leaking raw stream errors.
         while True:
             handle.restarts += 1
             self.restart_count += 1
             handle.healthy_acks = 0
             if handle.restarts > self.max_restarts:
                 raise WorkerCrashError(
-                    f"worker {handle.spec.worker_index} exceeded "
+                    f"worker {handle.index} exceeded "
                     f"{self.max_restarts} restarts"
                 )
             if handle.process is not None:
@@ -457,43 +431,14 @@ class WorkerSupervisor:
                 # The spawn itself retries under the same budget: a
                 # successor can fail its accept/handshake (or an external
                 # worker may take a while to be relaunched) just like it
-                # can die mid-replay.
+                # can die before its re-sent requests.
                 self._spawn(handle)
                 handle.dead = False
-                # The checkpoint's dirty sets include the machines of the
-                # CONTROL frames applied before it was taken, and only
-                # those: the later frames run after the restore.
-                applied = handle.checkpoint["controls"] if handle.checkpoint else 0
-                for frame in handle.ledger[:applied]:
-                    handle.conn.send_bytes(frame)
-                self._restore(handle)
-                for frame in handle.ledger[applied:]:
-                    handle.conn.send_bytes(frame)
                 for _seq, frame, _sent_at in handle.inflight:
                     handle.conn.send_bytes(frame)
                 return
             except (OSError, BrokenPipeError, EOFError, WorkerCrashError):
                 continue  # the successor died mid-recovery: rebuild again
-
-    def _restore(self, handle: _Handle) -> None:
-        """Ship the checkpoint and its epoch's activity masks in one frame."""
-        checkpoint = handle.checkpoint
-        if checkpoint is None:
-            return
-        epoch = checkpoint["epoch"]
-        meta, arrays = {"shells": [], "sizes": []}, ()
-        if epoch:  # epoch 0: nothing applied yet, counters only
-            meta, arrays = wire.mask_payload(self._record.masks_at(epoch))
-        handle.seq += 1
-        meta.update(seq=handle.seq, epoch=epoch, snapshots=checkpoint["counters"])
-        try:
-            handle.conn.send_bytes(wire.encode_frame(FrameKind.RESTORE, meta, arrays))
-            self._await_ack(handle, handle.seq)
-        except BaseException:
-            # The restore ack replaced the checkpoint with the successor's;
-            # a retry must recover from the original one.
-            handle.checkpoint = checkpoint
-            raise
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
         try:

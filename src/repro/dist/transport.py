@@ -18,8 +18,9 @@ obtain it:
   and a connect/accept handshake.  The worker's first frame is ``HELLO``
   with its index (the frame header carries ``WIRE_VERSION``, so an
   incompatible peer is rejected before anything else is read); the answer is
-  a ``SPEC`` frame holding its :class:`~repro.dist.worker.WorkerSpec` as
-  plain data.  A supervisor-spawned loopback worker and one started by hand
+  a ``SPEC`` frame carrying the hosts it owns as the driver's replica holds
+  them (:func:`~repro.dist.wire.decode_spec`).  A supervisor-spawned
+  loopback worker and one started by hand
   on another machine (``python -m repro.dist.worker --connect host:port``,
   ``external=True`` here) therefore run the same code.
 """
@@ -36,6 +37,7 @@ import struct
 import time
 from typing import Any, Optional
 
+from repro.core.machine_manager import MachineManager
 from repro.dist import wire
 from repro.dist.wire import FrameKind
 
@@ -60,7 +62,7 @@ class TransportTimeout(TransportError, TimeoutError):
 
 
 class HandshakeError(TransportError):
-    """The HELLO → SPEC handshake failed (unexpected frame, malformed spec)."""
+    """The HELLO → SPEC handshake failed (an unexpected frame)."""
 
 
 def frame(data: bytes) -> bytes:
@@ -235,8 +237,8 @@ def connect_transport(
     worker_index: int,
     timeout_s: float = 30.0,
     auth_secret: str = "",
-) -> tuple[Any, SocketTransport]:
-    """Worker side: dial the supervisor, handshake, receive the spec.
+) -> tuple[dict[int, MachineManager], SocketTransport]:
+    """Worker side: dial the supervisor, handshake, receive the worker's hosts.
 
     Retries the TCP connect until ``timeout_s`` (the supervisor may still be
     binding its listeners, or — after a crash — still tearing down the dead
@@ -246,11 +248,11 @@ def connect_transport(
     worker answers it with the HMAC digest derived from ``auth_secret``
     (an empty secret answers with a digest that cannot match, so the
     mismatch surfaces as the supervisor closing the connection).
-    Returns ``(worker_spec, transport)``; anything but a well-formed ``SPEC``
-    frame at the end of the exchange is a :class:`HandshakeError`.
+    Returns the managers the ``SPEC`` frame carries, by host position, and
+    the transport; any other frame at the end of the exchange is a
+    :class:`HandshakeError`, a malformed ``SPEC`` a
+    :class:`~repro.dist.wire.WireError`.
     """
-    from repro.dist.worker import WorkerSpec
-
     deadline = time.monotonic() + timeout_s
     while True:
         budget = max(0.05, deadline - time.monotonic())
@@ -267,7 +269,7 @@ def connect_transport(
             wire.encode_frame(FrameKind.HELLO, {"worker_index": worker_index})
         )
         data = transport.recv_bytes(timeout=max(0.05, deadline - time.monotonic()))
-        kind, meta, _arrays = wire.decode_frame(data)
+        kind, meta, arrays = wire.decode_frame(data)
         if kind is FrameKind.CHALLENGE:
             answer_challenge(
                 transport, meta, auth_secret, f"worker-{worker_index}"
@@ -275,12 +277,12 @@ def connect_transport(
             data = transport.recv_bytes(
                 timeout=max(0.05, deadline - time.monotonic())
             )
-            kind, meta, _arrays = wire.decode_frame(data)
+            kind, meta, arrays = wire.decode_frame(data)
         if kind is not FrameKind.SPEC:
             raise HandshakeError(
                 f"expected a SPEC frame after HELLO, got {kind.name}"
             )
-        return WorkerSpec.from_meta(meta.get("spec")), transport
+        return wire.decode_spec(meta, arrays), transport
     except BaseException:
         transport.close()
         raise
@@ -292,7 +294,7 @@ class SocketListener:
     The listener outlives worker incarnations: a restarted (or operator-
     relaunched) worker reconnects to the same address and the accept-side
     handshake re-validates protocol version and worker index before the
-    supervisor replays the ledger into it.
+    supervisor sends it its ``SPEC``.
     """
 
     def __init__(
@@ -364,7 +366,7 @@ class SocketListener:
                 continue
             if self.auth_secret:
                 # The challenge happens before the SPEC frame is sent, so
-                # an unauthenticated dialer never sees the worker blueprint.
+                # an unauthenticated dialer never sees the worker's hosts.
                 handshake_budget = min(5.0, max(0.05, deadline - time.monotonic()))
                 if not verify_auth(
                     transport,
@@ -435,15 +437,16 @@ class TcpTransportFactory:
             )
         return self._listeners[worker_index]
 
-    def spawn(self, spec) -> tuple[Optional[Any], SocketTransport]:
+    def spawn(self, worker_index: int, spec: bytes) -> tuple[Optional[Any], SocketTransport]:
         """Bring one worker up (pool start, every restart): ``(process, transport)``.
 
+        ``spec`` is the ``SPEC`` frame that answers the worker's handshake.
         ``process`` is ``None`` in external mode, where the worker's lifetime
         is not the factory's to manage.
         """
         from repro.dist.worker import tcp_worker_main
 
-        listener = self.listener_for(spec.worker_index)
+        listener = self.listener_for(worker_index)
         process = None
         if not self.external:
             # fork (where available) shares the already-imported scientific
@@ -457,14 +460,14 @@ class TcpTransportFactory:
                 target=tcp_worker_main,
                 # Workers dial the loopback/LAN address the listener bound;
                 # a spawned worker inherits the supervisor's shared secret.
-                args=(self.host, listener.port, spec.worker_index, self.auth_secret),
-                name=f"celestial-worker-{spec.worker_index}",
+                args=(self.host, listener.port, worker_index, self.auth_secret),
+                name=f"celestial-worker-{worker_index}",
                 daemon=True,
             )
             process.start()
         try:
             transport = listener.accept(self.accept_timeout_s)
-            transport.send_bytes(spec.to_frame())
+            transport.send_bytes(spec)
         except BaseException:
             if process is not None and process.is_alive():
                 process.terminate()

@@ -38,10 +38,10 @@ the streaming gateway's ``SUBSCRIBE``), so decoding it must never be able to
 execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
 a closed, self-describing binary encoding of
 ``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
-no imports, no callables.  Dataclass payloads (the worker blueprint in
-``SPEC``, the compute tables of a ``CONTROL`` frame) travel as
-their ``dataclasses.asdict`` form and are rebuilt by the receiver; anything
-else is a :class:`TypeError` at the sender.
+no imports, no callables.  Dataclass payloads (the compute tables of a
+``CONTROL`` frame, usage samples) travel as their ``dataclasses.asdict``
+form and are rebuilt by the receiver; anything else is a :class:`TypeError`
+at the sender.
 
 Frame kinds
 -----------
@@ -50,19 +50,53 @@ Frame kinds
 kind               direction     payload
 =================  ============  =============================================
 ``ACK``/``ERROR``  worker → sup  checkpoint (row counts, counters, dirty sets,
-                                 state checksums, epoch, control frames
-                                 applied), usage samples / a traceback
+                                 state checksums), usage samples / a traceback
+``SPEC``           sup → worker  answers ``HELLO``: every host the worker owns
+                                 as the driver's replica holds it — host
+                                 blueprint, key root, checkpoint and machine
+                                 table (see below)
 ``CONTROL``        sup → worker  one worker's lifecycle operations in program
-                                 order, journalled (see below)
+                                 order (see below)
 ``APPLY_EPOCH``    sup → worker  one :class:`EpochRecord`, the same for every
                                  worker (see below)
 ``SAMPLE_USAGE``   sup → worker  ``now_s``, the sample's flags and per host
                                  position the sample's index
-``RESTORE``        sup → worker  the checkpoint of every manager the worker
-                                 owns and its epoch's activity masks
-``PING`` …         both          heartbeat, shutdown, test hooks, handshake
+``PING`` …         both          heartbeat, shutdown, handshake
 ``KEYFRAME`` …     gateway       the serving tier (:mod:`repro.serve.codec`)
 =================  ============  =============================================
+
+A ``SPEC`` frame's meta holds ``hosts``, one entry per host the worker
+owns: its ``position``, the :class:`~repro.hosts.Host` blueprint (``index``,
+``cpu_cores``, ``memory_mib``, ``allow_memory_overcommit``), the manager's
+``key_root``, its ``checkpoint`` (:meth:`MachineManager.counters_snapshot`:
+row count, the three counters, the dirty set and the state checksum) and
+``names``, the ground-station names of its table in row order.  The arrays
+are each host's table, twelve columns per host, in
+:attr:`MachineTable.COLUMNS` order after the names:
+
+===============  =========  ==================================================
+array            dtype      meaning
+===============  =========  ==================================================
+shells           ``<i4``    machine shell (``-1``: ground station)
+identifiers      ``<i4``    in-shell identifier / ground-station index
+vcpus            ``<i4``    vCPU count
+memory_mib       ``<i8``    reserved memory
+quota            ``<f8``    CPU quota fraction
+busy             ``<f8``    busy share of the vCPUs
+seeds            ``<i8``    boot-time generator seed
+states           ``i1``     :class:`~repro.microvm.MachineState` code
+boot_counts      ``<i4``    boots so far
+boot_started_s   ``<f8``    start of the latest boot
+held_until_s     ``<f8``    finish of an earlier boot still running then
+_finished_s      ``<f8``    the latest boot's finish once drawn, NaN before
+===============  =========  ==================================================
+
+:func:`decode_spec` builds no manager before the whole frame checked out:
+a column of the wrong dtype or length, a state code out of range, a name
+count that does not match the ground stations, a repeated name, a bad host
+blueprint or a table that does not reproduce its checkpoint is a
+:class:`WireError`.  At pool start the tables are empty; after a crash they
+are the replica's, so a worker is started and restarted alike.
 
 A ``CONTROL`` frame is two tables of equally long columns: one row per
 lifecycle operation (:class:`ControlOp`), run by the worker in row order,
@@ -122,11 +156,9 @@ flipped[i]   ``u1``     the satellites of that shell whose activity changed
 On Starlink's 4,409 satellites a mask is 552 bytes.  :func:`decode_record`
 checks the whole frame before a manager sees it: a shell list that does not
 match the arrays, an array that is not 1-D ``u1``, a mask of the wrong
-length for its shell or a set padding bit is a :class:`WireError`.  A
-``RESTORE`` frame carries one mask per shell in the same layout
-(:func:`mask_payload` / :func:`decode_masks`).  Nothing else crosses the
-seam per epoch: the network half of an update is applied on the
-coordinator's side (``VirtualNetwork.apply_diff``,
+length for its shell or a set padding bit is a :class:`WireError`.
+Nothing else crosses the seam per epoch: the network half of an update is
+applied on the coordinator's side (``VirtualNetwork.apply_diff``,
 ``ConstellationDatabase.pair_rule``).  Version 8 replaced the per-host slice
 frame and the first epoch's full-activity frame by this one record.
 """
@@ -143,8 +175,9 @@ import numpy as np
 
 from repro.core.config import ComputeParams
 from repro.core.constellation import MachineId, satellite_name
-from repro.core.machine_manager import ControlOp, EpochRecord
-from repro.microvm import MachineBatch
+from repro.core.machine_manager import ControlOp, EpochRecord, MachineManager
+from repro.hosts import Host
+from repro.microvm import MachineBatch, MachineState, MachineTable
 
 #: Frame magic: "CeLestial Wire".
 WIRE_MAGIC = b"CLW1"
@@ -157,7 +190,7 @@ WIRE_MAGIC = b"CLW1"
 #: operation; the seven per-operation control frame kinds are gone.
 #: 8: one ``APPLY_EPOCH`` record per epoch, the same for every worker,
 #: replaces the per-host slice frames and the first epoch's full-activity
-#: frame; ``RESTORE`` is one frame per worker.
+#: frame; a worker's activity restore is one frame.
 #: 9: a ``CONTROL`` row names its machines in a second table, so one
 #: ``CREATE`` row is a host's whole batch (with its boot time); the images
 #: table holds compute tables only.
@@ -166,7 +199,10 @@ WIRE_MAGIC = b"CLW1"
 #: codec's arbitrary-precision integer tag is gone.
 #: 11: an ``ACK`` no longer names the machines a record suspended or
 #: resumed; a checkpoint carries ``states``, its host's state-column checksum.
-WIRE_VERSION = 11
+#: 12: ``SPEC`` carries each host's machine table, counters and dirty set;
+#: the activity-restore frame and the two test-hook kinds are gone, and an
+#: ``ACK`` carries no epoch or count of control frames.
+WIRE_VERSION = 12
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -330,20 +366,17 @@ class FrameKind(enum.IntEnum):
     # worker → coordinator
     ACK = 0
     ERROR = 1
-    # control plane (durable: replayed from the ledger after a crash)
+    # control plane: lifecycle rows the driver's replica already ran
     CONTROL = 10
-    # data plane (recovered from the checkpoint epoch, never journalled)
+    # data plane
     APPLY_EPOCH = 20
     SAMPLE_USAGE = 22
-    RESTORE = 23
     # lifecycle
     PING = 30
     SHUTDOWN = 31
-    CRASH = 32  # test hook: hard-exit without cleanup
-    WEDGE = 33  # test hook: hang forever while staying alive
     # transport handshake (TCP): worker → supervisor greeting carrying the
     # worker index (the frame header itself carries WIRE_VERSION), answered
-    # by the supervisor with the worker's blueprint.  When the listener is
+    # by the supervisor with the worker's hosts.  When the listener is
     # configured with a shared secret the greeting is interposed by a
     # CHALLENGE (nonce) → AUTH (HMAC response) exchange before SPEC is sent.
     HELLO = 40
@@ -503,7 +536,7 @@ def mask_payload(
 
 
 def decode_masks(
-    meta: dict[str, Any], arrays: list[np.ndarray], count: int = 1
+    meta: dict[str, Any], arrays: list[np.ndarray], count: int
 ) -> list[dict[int, np.ndarray]]:
     """``count`` groups of per-shell masks from :func:`mask_payload` layouts.
 
@@ -649,6 +682,36 @@ class ControlBatch:
 ControlRow = tuple[ControlOp, int, "MachineBatch | MachineId | None", float]
 
 
+def _check_columns(kind: str, arrays: list[np.ndarray], dtypes: tuple[np.dtype, ...]) -> None:
+    """Refuse a table whose columns are not 1-D, of their dtypes and equally long."""
+    for array, dtype in zip(arrays, dtypes):
+        if array.ndim != 1 or array.dtype != dtype:
+            raise WireError(
+                f"{kind} column of dtype {array.dtype.str} and shape "
+                f"{array.shape}, expected 1-D {dtype.str}"
+            )
+    if len({len(array) for array in arrays}) > 1:
+        raise WireError(f"{kind} column lengths differ: {[len(array) for array in arrays]}")
+
+
+def _machine_names(
+    kind: str, shells: np.ndarray, identifiers: np.ndarray, names: Any
+) -> list[str]:
+    """Every machine's name: a ground station's the next of ``names``, a satellite's rebuilt."""
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise WireError(f"a {kind} frame's meta needs a names list of strings")
+    grounded = int(np.count_nonzero(shells == MachineId.GROUND_SHELL))
+    if grounded != len(names):
+        raise WireError(
+            f"{grounded} {kind} machines are ground stations but {len(names)} names were sent"
+        )
+    ground_names = iter(names)
+    return [
+        next(ground_names) if shell == MachineId.GROUND_SHELL else satellite_name(shell, number)
+        for shell, number in zip(shells.tolist(), identifiers.tolist())
+    ]
+
+
 def _computes(table: Any) -> tuple[ComputeParams, ...]:
     if not isinstance(table, list):
         raise WireError("a CONTROL frame's meta needs an images list")
@@ -667,23 +730,11 @@ def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[Contr
     """
     if len(arrays) != len(_CONTROL_DTYPES):
         raise WireError(f"a CONTROL frame has 7 columns, not {len(arrays)}")
-    for array, dtype in zip(arrays, _CONTROL_DTYPES):
-        if array.ndim != 1 or array.dtype != dtype:
-            raise WireError(
-                f"CONTROL column of dtype {array.dtype.str} and shape "
-                f"{array.shape}, expected 1-D {dtype.str}"
-            )
+    _check_columns("CONTROL", arrays[:4], _CONTROL_DTYPES[:4])
+    _check_columns("CONTROL", arrays[4:], _CONTROL_DTYPES[4:])
     ops, positions, counts, values = arrays[:4]
     shells, identifiers, images = arrays[4:]
-    for table in (arrays[:4], arrays[4:]):
-        if len({len(array) for array in table}) != 1:
-            raise WireError(
-                f"CONTROL column lengths differ: {[len(array) for array in table]}"
-            )
     computes = _computes(meta.get("images"))
-    names = meta.get("names")
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise WireError("a CONTROL frame's meta needs a names list of strings")
     if len(ops) and int(ops.max()) >= len(_CONTROL_OPS):
         raise WireError(f"unknown CONTROL op code {int(ops.max())}")
     creates = ops == ControlOp.CREATE
@@ -696,17 +747,7 @@ def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[Contr
     outside = (images < 0) | (images >= len(computes))
     if np.any(np.where(np.repeat(creates, counts), outside, images != -1)):
         raise WireError(f"CONTROL image index out of range for a table of {len(computes)}")
-    grounded = shells == MachineId.GROUND_SHELL
-    if int(np.count_nonzero(grounded)) != len(names):
-        raise WireError(
-            f"{int(np.count_nonzero(grounded))} CONTROL machines are ground stations "
-            f"but {len(names)} names were sent"
-        )
-    ground_names = iter(names)
-    machine_names = [
-        next(ground_names) if shell == MachineId.GROUND_SHELL else satellite_name(shell, number)
-        for shell, number in zip(shells.tolist(), identifiers.tolist())
-    ]
+    machine_names = _machine_names("CONTROL", shells, identifiers, meta.get("names"))
     rows: list[ControlRow] = []
     start = 0
     for op, position, count, value in zip(
@@ -729,3 +770,104 @@ def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[Contr
         rows.append((op, position, machine, value))
         start = stop
     return rows
+
+
+# -- SPEC codec ------------------------------------------------------------------
+
+
+#: Column dtypes of one host's machine table in a ``SPEC`` frame, in
+#: :attr:`MachineTable.COLUMNS` order after ``names``.
+_TABLE_DTYPES = tuple(
+    np.dtype(dtype)
+    for dtype in ("<i4", "<i4", "<i4", "<i8", "<f8", "<f8", "<i8", "i1", "<i4", "<f8", "<f8", "<f8")
+)
+_STATES = MachineTable.COLUMNS.index("states") - 1
+#: The integer fields of a ``SPEC`` host entry: its position, then the host
+#: blueprint (``allow_memory_overcommit`` is the one bool) and the key root.
+_SPEC_INTEGERS = ("position", "index", "cpu_cores", "memory_mib", "key_root")
+_COUNTERS = ("suspension_count", "resume_count", "applied_diffs")
+
+
+def spec_payload(
+    managers: dict[int, MachineManager],
+) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
+    """The ``(meta, arrays)`` of the ``SPEC`` frame that starts a worker owning ``managers``."""
+    hosts, arrays = [], []
+    for position, manager in managers.items():
+        host, table = manager.host, manager.host.machines
+        hosts.append(
+            {
+                "position": position,
+                "index": host.index,
+                "cpu_cores": host.cpu_cores,
+                "memory_mib": host.memory_mib,
+                "allow_memory_overcommit": host.allow_memory_overcommit,
+                "key_root": manager.key_root,
+                "checkpoint": manager.counters_snapshot(),
+                "names": [
+                    name
+                    for name, shell in zip(table.names, table.shells)
+                    if shell == MachineId.GROUND_SHELL
+                ],
+            }
+        )
+        arrays.extend(
+            np.array(getattr(table, column), dtype=dtype)
+            for column, dtype in zip(MachineTable.COLUMNS[1:], _TABLE_DTYPES)
+        )
+    return {"hosts": hosts}, tuple(arrays)
+
+
+def decode_spec(meta: dict[str, Any], arrays: list[np.ndarray]) -> dict[int, MachineManager]:
+    """The managers of a decoded ``SPEC`` frame, by host position.
+
+    Every host entry is checked before its table is built, and the built
+    manager must reproduce the entry's checkpoint, so a malformed frame is a
+    :class:`WireError` and no manager of it is returned.
+    """
+    hosts, width = meta.get("hosts"), len(_TABLE_DTYPES)
+    if not isinstance(hosts, list) or len(arrays) != width * len(hosts):
+        raise WireError(f"a SPEC frame needs a hosts list and {width} columns per host")
+    managers: dict[int, MachineManager] = {}
+    for number, fields in enumerate(hosts):
+        position, manager = _spec_manager(fields, arrays[number * width : (number + 1) * width])
+        if position in managers:
+            raise WireError(f"host position {position} is sent twice")
+        managers[position] = manager
+    return managers
+
+
+def _spec_manager(fields: Any, columns: list[np.ndarray]) -> tuple[int, MachineManager]:
+    """One ``SPEC`` host entry and its table columns, as ``(position, manager)``."""
+    _check_columns("SPEC", columns, _TABLE_DTYPES)
+    states = columns[_STATES]
+    if np.any((states < 0) | (states >= len(MachineState))):
+        raise WireError(f"SPEC state code outside 0..{len(MachineState) - 1}")
+    if not isinstance(fields, dict) or not isinstance(fields.get("checkpoint"), dict):
+        raise WireError("a SPEC host entry needs a mapping with a checkpoint")
+    checkpoint = fields["checkpoint"]
+    position, index, cpu_cores, memory_mib, root = (fields.get(key) for key in _SPEC_INTEGERS)
+    counters = [checkpoint.get(key) for key in _COUNTERS]
+    dirty = checkpoint.get("dirty")
+    if (
+        not all(_is_int(value) for value in (position, index, cpu_cores, memory_mib, root, *counters))
+        or not isinstance(fields.get("allow_memory_overcommit"), bool)
+        or not isinstance(dirty, list)
+        or not all(isinstance(name, str) for name in dirty)
+    ):
+        raise WireError("malformed SPEC host blueprint or checkpoint")
+    names = _machine_names("SPEC", columns[0], columns[1], fields.get("names"))
+    if len(set(names)) < len(names):
+        raise WireError("a SPEC table names a machine twice")
+    try:
+        host = Host(index, cpu_cores, memory_mib, fields["allow_memory_overcommit"])
+    except ValueError as error:
+        raise WireError(f"malformed SPEC host: {error}") from error
+    host.machines = MachineTable.of_columns([names, *(column.tolist() for column in columns)])
+    manager = MachineManager(host)
+    manager.key_root = root
+    manager.suspension_count, manager.resume_count, manager.applied_diffs = counters
+    manager.dirty = set(dirty)
+    if manager.counters_snapshot() != checkpoint:
+        raise WireError(f"host position {position}: the SPEC table does not match its checkpoint")
+    return position, manager

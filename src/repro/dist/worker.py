@@ -24,37 +24,31 @@ pending, its rows in the order the in-process backend executed them, run by
 the worker in that order; a ``CREATE`` row is a host's whole batch of new
 machines, appended as rows at once.  Nothing random depends on that order:
 machine seeds and usage-sample noise are keyed draws of the host's key root
-(:class:`HostSpec`), the machine's identity and the sample's index, which a
-``SAMPLE_USAGE`` frame carries.  A row that fails (an unknown machine, a
+(carried by ``SPEC``), the machine's identity and the sample's index, which
+a ``SAMPLE_USAGE`` frame carries.  A row that fails (an unknown machine, a
 position this worker does not own) is reported and the rows after it still
 run, as if each had been a frame of its own; a malformed frame
 (:func:`~repro.dist.wire.decode_control`) runs no row.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
-acknowledgement streams back the worker's observable state: the epoch its
-managers last applied, per-manager checkpoints — row count, counters, dirty
-set and a checksum of the machines' states
-(:meth:`MachineManager.counters_snapshot`), which the driver compares with
-its replica's — the number of ``CONTROL`` frames applied so far, usage
-samples, and any errors from unacknowledged ``CONTROL`` frames.  A record
-is applied to every manager before it is acknowledged, so the checkpoint is
-one epoch for all of them; the supervisor keeps the latest acknowledgement
-as the recovery checkpoint.
+acknowledgement streams back the worker's observable state: per-manager
+checkpoints — row count, counters, dirty set and a checksum of the
+machines' states (:meth:`MachineManager.counters_snapshot`), which the
+driver compares with its replica's — usage samples, and any errors from
+unacknowledged ``CONTROL`` frames.
 
-``CONTROL`` frames are *durable*: the supervisor journals each one and,
-after a crash, replays into a fresh process the frames the checkpoint had
-applied, then one ``RESTORE`` frame that forces bounding-box activity to the
-checkpoint epoch (masks the supervisor derives from the last record it
-sent) and restores every manager's counters and dirty set, then the rest of
-the journal.
+A worker keeps nothing the driver does not: it starts from the hosts its
+``SPEC`` frame carries, as the driver's replica holds them — empty at pool
+start, the replica's tables, counters and dirty sets after a crash — so
+starting and restarting are one path.
 
 Placement
 ---------
 
 A worker always starts the same way (:func:`tcp_worker_main`): it dials the
 supervisor's per-worker listener, sends ``HELLO`` with its index and
-receives its :class:`WorkerSpec` in the answering ``SPEC`` frame, so it
-needs no blueprint — only an address.  A supervisor-spawned worker does so
+receives its hosts in the answering ``SPEC`` frame, so it needs no
+blueprint — only an address.  A supervisor-spawned worker does so
 over loopback; run one standalone on another machine with::
 
     python -m repro.dist.worker --connect HOST:PORT --index N [--loop]
@@ -71,78 +65,24 @@ import dataclasses
 import math
 import os
 import sys
-import time
 import traceback
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.core.machine_manager import MachineManager
 from repro.dist import wire
-from repro.dist.transport import HandshakeError, connect_transport
+from repro.dist.transport import connect_transport
 from repro.dist.wire import ControlOp, FrameKind
-from repro.hosts import Host
-
-
-@dataclass(frozen=True)
-class HostSpec:
-    """Blueprint of one host (and its manager) owned by a worker.
-
-    ``key_root`` is the coordinator-side manager's key root, so the worker's
-    manager keys the same seeds and sample noise.
-    """
-
-    position: int
-    host_index: int
-    cpu_cores: int
-    memory_mib: int
-    allow_memory_overcommit: bool
-    key_root: int
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Blueprint of one worker process; travels as its ``asdict`` form."""
-
-    worker_index: int
-    hosts: tuple[HostSpec, ...]
-
-    def to_frame(self) -> bytes:
-        """The ``SPEC`` frame that answers this worker's handshake."""
-        return wire.encode_frame(FrameKind.SPEC, {"spec": dataclasses.asdict(self)})
-
-    @classmethod
-    def from_meta(cls, fields: Any) -> "WorkerSpec":
-        """The spec a ``SPEC`` frame carries; :class:`HandshakeError` if it is none."""
-        try:
-            hosts = tuple(HostSpec(**host) for host in fields["hosts"])
-            return cls(worker_index=fields["worker_index"], hosts=hosts)
-        except (KeyError, TypeError) as error:
-            raise HandshakeError(f"malformed worker spec: {error!r}") from error
 
 
 class _Worker:
     """Dispatch loop state of one worker process."""
 
-    def __init__(self, spec: WorkerSpec, conn):
-        self.spec = spec
+    def __init__(self, worker_index: int, by_position: dict[int, MachineManager], conn):
+        self.worker_index = worker_index
+        self.by_position = by_position
         self.conn = conn
-        self.by_position: dict[int, MachineManager] = {}
-        for host_spec in spec.hosts:
-            host = Host(
-                index=host_spec.host_index,
-                cpu_cores=host_spec.cpu_cores,
-                memory_mib=host_spec.memory_mib,
-                allow_memory_overcommit=host_spec.allow_memory_overcommit,
-            )
-            manager = MachineManager(host)
-            manager.key_root = host_spec.key_root
-            self.by_position[host_spec.position] = manager
-        # The epoch of the last record applied (by every manager at once).
-        self.epoch = 0
-        # CONTROL frames received (ledger frames, the malformed ones too).
-        self.controls = 0
         self.deferred_errors: list[str] = []
 
     # -- acknowledgements ---------------------------------------------------
@@ -150,8 +90,6 @@ class _Worker:
     def _ack(self, seq: int, extra: Optional[dict[str, Any]] = None) -> None:
         meta = {
             "seq": seq,
-            "epoch": self.epoch,
-            "controls": self.controls,
             "counters": {
                 position: manager.counters_snapshot()
                 for position, manager in self.by_position.items()
@@ -193,14 +131,6 @@ class _Worker:
                 # like a dropped connection (a --loop worker reconnects and
                 # re-handshakes, the supervisor sees EOF and restarts us).
                 return False
-            if kind is FrameKind.CRASH:
-                # Test hook: die like a killed process, no cleanup, no reply.
-                os._exit(17)
-            if kind is FrameKind.WEDGE:
-                # Test hook: stay alive but stop serving — the supervisor's
-                # receive timeout must detect this and restart the worker.
-                while True:
-                    time.sleep(60.0)
             if kind is FrameKind.SHUTDOWN:
                 if "seq" in meta:
                     self._ack(meta["seq"])
@@ -225,7 +155,6 @@ class _Worker:
             record = wire.decode_record(meta, arrays)
             for manager in self.by_position.values():
                 manager.apply_diff(record, meta["now_s"])
-            self.epoch = record.epoch
             return None
         if kind is FrameKind.SAMPLE_USAGE:
             samples = {}
@@ -238,14 +167,7 @@ class _Worker:
                 )
                 samples[position] = dataclasses.asdict(sample)
             return {"samples": samples}
-        if kind is FrameKind.RESTORE:
-            active = wire.decode_masks(meta, arrays)[0] if meta["epoch"] else None
-            for position, snapshot in meta["snapshots"].items():
-                self.by_position[position].restore_runtime_state(active, snapshot)
-            self.epoch = meta["epoch"]
-            return None
         if kind is FrameKind.CONTROL:
-            self.controls += 1
             self._run_control(wire.decode_control(meta, arrays))
             return None
         if kind is FrameKind.PING:
@@ -260,7 +182,7 @@ class _Worker:
                 if manager is None:
                     raise LookupError(
                         f"host position {position} is not owned by worker "
-                        f"{self.spec.worker_index}"
+                        f"{self.worker_index}"
                     )
                 if op is ControlOp.CREATE:
                     manager.create_machines(machine, None if math.isnan(value) else value)
@@ -289,7 +211,7 @@ def tcp_worker_main(
     auth_secret: str = "",
     connect_timeout_s: float = 30.0,
 ) -> bool:
-    """One worker incarnation: dial, handshake, receive the spec, serve.
+    """One worker incarnation: dial, handshake, receive its hosts, serve.
 
     The process target of a supervisor-spawned worker and the body of
     ``python -m repro.dist.worker --connect`` alike (the supervisor's HMAC
@@ -297,11 +219,11 @@ def tcp_worker_main(
     equivalence suite exercises exactly the remote-placement code path.
     Returns whether the worker ended on a clean ``SHUTDOWN``.
     """
-    spec, transport = connect_transport(
+    by_position, transport = connect_transport(
         host, port, worker_index, timeout_s=connect_timeout_s, auth_secret=auth_secret
     )
     try:
-        return _Worker(spec, transport).run()
+        return _Worker(worker_index, by_position, transport).run()
     finally:
         transport.close()
 
@@ -311,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dist.worker",
         description="Run one Celestial dist-layer worker against a remote "
-        "supervisor (the worker's blueprint arrives over the wire).",
+        "supervisor (the worker's hosts arrive over the wire).",
     )
     parser.add_argument(
         "--connect",

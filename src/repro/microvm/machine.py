@@ -12,7 +12,8 @@ machines appends rows, a lifecycle operation rewrites one row, and a usage
 reading is one pass over the rows.  The table is the machine
 model on both sides of the worker seam: the host a manager owns holds one,
 and with worker processes the driver holds a replica, kept by the same
-manager class running the same operations and records.
+manager class running the same operations and records; a worker (re)starts
+from the replica's columns (:meth:`MachineTable.of_columns`).
 :class:`MachineView` is the read-only view of one row.
 
 Boot times
@@ -137,7 +138,7 @@ class MachineTable(Mapping):
     """
 
     #: The columns a row consists of, in the order :meth:`take` returns them.
-    _COLUMNS = (
+    COLUMNS = (
         "names",
         "shells",
         "identifiers",
@@ -204,6 +205,16 @@ class MachineTable(Mapping):
 
     # -- rows ------------------------------------------------------------------
 
+    @classmethod
+    def of_columns(cls, columns: Sequence[Sequence]) -> "MachineTable":
+        """A table of these rows: one sequence of values per column, in :attr:`COLUMNS` order."""
+        table = cls()
+        for column, values in zip(cls.COLUMNS, columns):
+            getattr(table, column).extend(values)
+        table._rows = {name: row for row, name in enumerate(table.names)}
+        table.reserved_memory_mib = sum(table.memory_mib)
+        return table
+
     def append(
         self, batch: MachineBatch, seeds: Sequence[int], boot_s: Optional[float] = None
     ) -> None:
@@ -232,7 +243,7 @@ class MachineTable(Mapping):
     def take(self, name: str) -> tuple:
         """Remove a machine's row and return its values (for :meth:`put`)."""
         row = self._rows.pop(name)
-        values = tuple(getattr(self, column).pop(row) for column in self._COLUMNS)
+        values = tuple(getattr(self, column).pop(row) for column in self.COLUMNS)
         for later in self.names[row:]:
             self._rows[later] -= 1
         self.reserved_memory_mib -= values[4]
@@ -242,7 +253,7 @@ class MachineTable(Mapping):
     def put(self, values: tuple) -> None:
         """Append a row :meth:`take` returned, on this table."""
         self._rows[values[0]] = len(self.names)
-        for column, value in zip(self._COLUMNS, values):
+        for column, value in zip(self.COLUMNS, values):
             getattr(self, column).append(value)
         self.reserved_memory_mib += values[4]
         self._usage = None

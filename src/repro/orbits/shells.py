@@ -105,7 +105,6 @@ class Shell:
     ):
         self.geometry = geometry
         self.shell_index = shell_index
-        self.propagator_kind = propagator
         self.satellites: list[Satellite] = [
             Satellite(
                 shell_index=shell_index,

@@ -3,12 +3,11 @@
 The contract: ``Coordinator(parallelism="processes")`` is an observable
 no-op relative to the default thread backend — suspend/resume counters,
 dirty-machine reconciliation, machine states and usage samples are
-byte/count-identical over many epochs, **including** a worker crash that is
-recovered by replaying the durable control ledger and restoring the
-checkpoint epoch's activity masks, derived from the last epoch record sent.
-Every process-backend test runs over the one worker seam: length-prefixed
-frames on loopback TCP, handshake, reconnect after SIGKILL — the path a
-remote worker takes.
+byte/count-identical over many epochs, **including** a worker crash, after
+which the successor starts from the driver's replica — one ``SPEC`` frame,
+no replay — and is sent the requests in flight.  Every process-backend test
+runs over the one worker seam: length-prefixed frames on loopback TCP,
+handshake, reconnect after SIGKILL — the path a remote worker takes.
 """
 
 import dataclasses
@@ -35,7 +34,7 @@ from repro.core import (
 from repro.core.constellation import MachineId
 from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
-from repro.dist.transport import TcpTransportFactory
+from repro.dist.transport import SocketTransport, TcpTransportFactory
 from repro.dist.wire import ControlOp, FrameKind
 from repro.dist.worker import _Worker
 from repro.hosts import Host, HostError
@@ -306,18 +305,16 @@ class TestProcessBackendEquivalence:
                 processes.update(now)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             # Kill one worker the hard way (SIGKILL).  The next fan-out's
-            # heartbeat sweep detects the death, respawns the worker (the
-            # successor reconnects to the same listener), replays
-            # its control ledger and restores activity from the database's
-            # keyframe + diff chain plus the last checkpoint.
+            # heartbeat sweep detects the death and respawns the worker (the
+            # successor reconnects to the same listener) from the driver's
+            # replica: tables, counters and dirty sets.
             _crash(processes._backend.supervisor, 0)
             for step in range(7, 11):
                 now = step * 60.0
                 threads.update(now)
                 processes.update(now)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
-            # A second crash later in the run recovers just the same (the
-            # successor's ledger/checkpoint lineage stays intact).
+            # A second crash later in the run recovers just the same.
             _crash(processes._backend.supervisor, 1)
             for step in range(11, 15):
                 now = step * 60.0
@@ -333,8 +330,9 @@ class TestProcessBackendEquivalence:
 
     def test_crash_with_dirty_machines_skips_them_in_restore(self):
         # A machine rebooted outside the protocol right before the crash:
-        # the restore must leave it to the next slice's dirty_active
-        # reconciliation (with counting), exactly like the thread backend.
+        # the successor holds it dirty, as the replica does, so the next
+        # record reconciles it (with counting), exactly like the thread
+        # backend.
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
@@ -367,13 +365,13 @@ class TestProcessBackendEquivalence:
             processes.close()
 
     def test_crash_mid_epoch_still_counts_dirty_once(self):
-        # Worst-case detection point: the worker dies mid-epoch, after its
-        # checkpoint took in the reboot, and the crash is found while the
-        # record's acknowledgement is collected.  The restore must then
-        # leave the machines the checkpoint held dirty as the ledger rebuilt
-        # them, so the re-sent record redoes the counting reconcile exactly
-        # once: otherwise the victim is suspended uncounted, and the
-        # checkpoint compared with the replica's differs.
+        # Worst-case detection point: the worker dies mid-epoch, after it
+        # acknowledged the reboot, and the crash is found while the record's
+        # acknowledgement is collected.  The successor must start from the
+        # replica as the record found it — the victim still dirty — so the
+        # re-sent record redoes the counting reconcile exactly once:
+        # otherwise the victim is suspended uncounted, and the checkpoint
+        # compared with the replica's differs.
         from repro.core import EpochRecord
 
         config = _iridium_box_config(duration_s=2400.0)
@@ -399,7 +397,7 @@ class TestProcessBackendEquivalence:
             victim = processes.calculation.satellite(0, outside)
             worker = backend._worker_of[_position(processes, victim)]
             # The reboot's CONTROL frame goes out and is acknowledged: the
-            # victim is dirty in the checkpoint the recovery restores.
+            # victim is dirty on the worker and on the replica.
             _ping(backend.supervisor, worker)
             previous = processes.database.state
             state, diff = processes.calculation.diff_since(previous, now)
@@ -434,19 +432,35 @@ class TestProcessBackendEquivalence:
             processes.close()
 
 
-def _ledger_lengths(coordinator):
-    return [len(handle.ledger) for handle in coordinator._backend.supervisor._handles]
+class _SentFrames:
+    """The kind of every frame the driver sends, by the transport it went out on."""
+
+    def __init__(self, monkeypatch):
+        self.sent: list[tuple[SocketTransport, FrameKind]] = []
+        send_bytes = SocketTransport.send_bytes
+
+        def logged(transport, data):
+            self.sent.append((transport, FrameKind(data[6])))  # the header's kind byte
+            send_bytes(transport, data)
+
+        monkeypatch.setattr(SocketTransport, "send_bytes", logged)  # before the fork
+
+    def to(self, coordinator, worker):
+        """The kinds sent to the worker's current incarnation, in order."""
+        conn = coordinator._backend.supervisor._handles[worker].conn
+        return [kind for transport, kind in self.sent if transport is conn]
 
 
 class TestBatchedControlFrames:
     """Lifecycle operations reach a worker as one CONTROL frame per flush."""
 
-    def test_crash_recovery_replays_one_frame_per_flush(self):
-        # 1,589 microVMs on 4 hosts / 2 workers.  A worker killed after the
-        # set-up epoch is rebuilt from one ledger frame, not 795 pairs of
-        # CREATE/BOOT frames; one killed right after fault-injection ops is
-        # found by the sample that flushes them, so its rebuild replays the
-        # flush after the checkpoint on top of the restored checkpoint.
+    def test_one_control_frame_per_flush_and_a_spec_per_recovery(self, monkeypatch):
+        # 1,589 microVMs on 4 hosts / 2 workers.  The set-up epoch's
+        # lifecycle rows are one CONTROL frame per worker.  A worker killed
+        # after the set-up epoch, and one killed right after fault-injection
+        # ops (found by the sample that flushes them), each restart from one
+        # SPEC frame holding the replica's tables, then the request in flight.
+        frames = _SentFrames(monkeypatch)
         config = west_africa_configuration(
             duration_s=600.0, shells="lowest", use_bounding_box=False
         )
@@ -456,7 +470,9 @@ class TestBatchedControlFrames:
             for coordinator in (threads, processes):
                 coordinator.update(0.0)
             assert sum(len(m.host.machines) for m in processes.managers) >= 1000
-            assert _ledger_lengths(processes) == [1, 1]
+            assert [frames.to(processes, worker) for worker in range(2)] == [
+                [FrameKind.SPEC, FrameKind.CONTROL, FrameKind.APPLY_EPOCH]
+            ] * 2
             assert threads.sample_all_usage(0.0) == processes.sample_all_usage(0.0)
             _crash(processes._backend.supervisor, 0)
             fault_workers = set()
@@ -464,6 +480,9 @@ class TestBatchedControlFrames:
                 now = step * config.update_interval_s
                 for coordinator in (threads, processes):
                     coordinator.update(now)
+                if step == 1:
+                    # Found by the heartbeat before the record went out.
+                    assert frames.to(processes, 0) == [FrameKind.SPEC, FrameKind.APPLY_EPOCH]
                 if step == 4:
                     stopped, rebooted, throttled = (
                         processes.calculation.satellite(0, identifier)
@@ -478,23 +497,58 @@ class TestBatchedControlFrames:
                         _position(processes, machine) % 2
                         for machine in (stopped, rebooted, throttled)
                     }
-                    assert 1 in fault_workers  # its flush follows its checkpoint
+                    assert 1 in fault_workers
                     _crash(processes._backend.supervisor, 1)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+                if step == 4:
+                    # The fault rows went to the dead worker; its successor
+                    # holds them in its SPEC and is sent the sample again.
+                    assert frames.to(processes, 1) == [FrameKind.SPEC, FrameKind.SAMPLE_USAGE]
             assert processes._backend.restart_count == 2
             _assert_equivalent(threads, processes)
-            assert _ledger_lengths(processes) == [
-                1 + (worker in fault_workers) for worker in range(2)
+            # Worker 0's successor gets the fault rows it owns as a flush;
+            # worker 1's got them in its SPEC.
+            assert [frames.to(processes, worker).count(FrameKind.CONTROL) for worker in range(2)] == [
+                int(0 in fault_workers), 0
             ]
         finally:
             threads.close()
             processes.close()
 
-    def test_creates_flushed_after_the_checkpoint_draw_after_the_restore(self):
+    def test_a_successor_is_sent_one_spec_and_the_request_without_replay(self, monkeypatch):
+        # Fifty flushes with lifecycle rows, then a crash with one more row
+        # pending: the successor is sent its SPEC and the re-sent request,
+        # nothing else.  The replica ran every row, so the SPEC holds them.
+        frames = _SentFrames(monkeypatch)
+        processes = _coordinator(_iridium_box_config(), "processes", host_count=1, worker_count=1)
+        try:
+            processes.update(0.0)
+            supervisor = processes._backend.supervisor
+            hawaii = processes.calculation.ground_station("hawaii")
+            manager = processes.manager_for(hawaii)
+            for flush in range(50):
+                manager.set_busy_fraction(hawaii, flush / 50)
+                _ping(supervisor, 0)
+            assert frames.to(processes, 0).count(FrameKind.CONTROL) == 51
+            manager.set_cpu_quota(hawaii, 0.5)
+            _crash(supervisor, 0)
+            _ping(supervisor, 0)
+            assert frames.to(processes, 0) == [FrameKind.SPEC, FrameKind.PING]
+            assert supervisor.restart_count == 1
+            # The successor holds the pending quota and the last busy share:
+            # its checkpoints (compared on every ack) and samples are the
+            # replica's.
+            processes.update(60.0)
+            (sample,) = processes.sample_all_usage(60.0)
+            assert sample.microvm_cpu_percent == manager.host.microvm_cpu_percent()
+        finally:
+            processes.close()
+
+    def test_creates_pending_at_a_crash_reach_the_successor_in_its_spec(self):
         # Machines created between an update and a sample, on a worker that
-        # dies meanwhile: the sample's flush never reaches it, recovery
-        # restores the checkpoint's dirty sets and only then replays the
-        # flush, so the new machines stay dirty for the next record.
+        # dies meanwhile: the sample's flush never reaches it, and its
+        # successor starts from the replica, which holds them dirty, so the
+        # next record reconciles them as in process.
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
@@ -935,6 +989,57 @@ class TestLedgerEquivalence:
             assert backend.worker_counters()[0]["rows"] == 2
         finally:
             backend.close()
+
+
+class TestCrashSchedule:
+    """Workers killed at seeded points recover to the thread backend's results."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_kills_keep_every_epoch_equal_to_the_thread_backend(self, seed):
+        # Iridium through a box, 3 hosts on 2 workers, 20 epochs with
+        # lifecycle operations between them.  Before each epoch the schedule
+        # picks one SIGKILL point, or none: with rows pending before the
+        # update, between the record's send and its collect, or before the
+        # sample.
+        schedule = random.Random(seed)
+        config = _iridium_box_config(duration_s=2400.0)
+        threads = _coordinator(config, "threads")
+        processes = _coordinator(config, "processes")
+        supervisor = processes._backend.supervisor
+        supervisor.max_restarts = 20  # no healthy streak decays the budget here
+        begin_epoch = supervisor.begin_epoch
+        kills = 0
+        try:
+            for step in range(20):
+                now = step * 60.0
+                point = schedule.choice(["pending", "in-flight", "sample", None])
+                victim = schedule.randrange(2)
+                kills += point is not None
+                if point == "pending":
+                    _crash(supervisor, victim)
+                if point == "in-flight":
+                    def begin_then_kill(record, now_s, victim=victim):
+                        begin_epoch(record, now_s)
+                        _crash(supervisor, victim)
+
+                    supervisor.begin_epoch = begin_then_kill
+                for coordinator in (threads, processes):
+                    coordinator.update(now)
+                supervisor.begin_epoch = begin_epoch
+                _assert_equivalent(threads, processes)
+                if point == "sample":
+                    _crash(supervisor, victim)
+                assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+                _assert_equivalent(threads, processes)
+                for offset in (1.0, 1.2, 1.5):
+                    answers = _lifecycle_step(schedule, threads, processes, now + offset)
+                    if answers is not None:
+                        assert answers[0] == answers[1]
+            assert kills >= 10
+            assert processes._backend.restart_count == kills
+        finally:
+            threads.close()
+            processes.close()
 
 
 class TestSingleCopy:

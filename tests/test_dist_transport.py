@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import MachineManager
 from repro.dist import wire
 from repro.dist.supervisor import (
     WorkerCrashError,
@@ -45,7 +46,7 @@ from repro.dist.transport import (
     connect_transport,
 )
 from repro.dist.wire import FrameKind, WireVersionError
-from repro.dist.worker import HostSpec, WorkerSpec
+from repro.hosts import Host
 
 
 def _transport_pair():
@@ -53,45 +54,56 @@ def _transport_pair():
     return SocketTransport(left), SocketTransport(right)
 
 
-def _spec(worker_index=0, position=0):
-    return WorkerSpec(
-        worker_index=worker_index,
-        hosts=(
-            HostSpec(
-                position=position,
-                host_index=position,
-                cpu_cores=4,
-                memory_mib=4096,
-                allow_memory_overcommit=True,
-                key_root=42 + position,
-            ),
-        ),
-    )
+def _hosts(position=0):
+    """A worker's one replica manager, on an empty host, by position."""
+    manager = MachineManager(Host(index=position, cpu_cores=4, memory_mib=4096,
+                                  allow_memory_overcommit=True))
+    manager.key_root = 42 + position
+    return {position: manager}
+
+
+def _spec_frame(hosts):
+    return wire.encode_frame(FrameKind.SPEC, *wire.spec_payload(hosts))
+
+
+def _blueprint(hosts):
+    """What a SPEC carries of each host, comparable across processes."""
+    return {
+        position: (
+            manager.host.index,
+            manager.host.cpu_cores,
+            manager.host.memory_mib,
+            manager.host.allow_memory_overcommit,
+            manager.key_root,
+            manager.counters_snapshot(),
+        )
+        for position, manager in hosts.items()
+    }
 
 
 def _handshake(worker_index, listener_secret="", dial_secret=""):
-    """Dial a fresh listener for the slot; the spec the dialer received."""
+    """Dial a fresh listener for the slot; the hosts the dialer received."""
     listener = SocketListener(worker_index=worker_index, auth_secret=listener_secret)
     result = {}
 
     def dial():
-        spec, transport = connect_transport(
+        hosts, transport = connect_transport(
             "127.0.0.1", listener.port, worker_index, timeout_s=5.0, auth_secret=dial_secret
         )
-        result["spec"] = spec
+        result["hosts"] = hosts
         transport.close()
 
     thread = threading.Thread(target=dial)
     thread.start()
     try:
         server_side = listener.accept(5.0)
-        server_side.send_bytes(_spec(worker_index=worker_index).to_frame())
+        server_side.send_bytes(_spec_frame(_hosts(position=worker_index)))
         thread.join(timeout=5.0)
         server_side.close()
     finally:
         thread.join(timeout=5.0)
         listener.close()
-    return result["spec"]
+    return result["hosts"]
 
 
 class TestSocketTransportFraming:
@@ -204,7 +216,7 @@ class TestSocketTransportFraming:
 
 class TestHandshake:
     def test_matching_worker_is_accepted_and_receives_spec(self):
-        assert _handshake(3) == _spec(worker_index=3)
+        assert _blueprint(_handshake(3)) == _blueprint(_hosts(position=3))
 
     def test_wrong_worker_index_is_rejected(self):
         listener = SocketListener(worker_index=3)
@@ -258,17 +270,17 @@ class TestHandshake:
             sock = socket.create_connection(("127.0.0.1", listener.port), timeout=5.0)
             sock.sendall(struct.pack("<I", 32) + os.urandom(32))
             sock.close()
-            spec, transport = connect_transport(
+            hosts, transport = connect_transport(
                 "127.0.0.1", listener.port, 1, timeout_s=5.0
             )
-            assert spec == _spec(worker_index=1)
+            assert _blueprint(hosts) == _blueprint(_hosts(position=1))
             transport.close()
 
         thread = threading.Thread(target=garbage_then_dial)
         thread.start()
         try:
             server_side = listener.accept(5.0)
-            server_side.send_bytes(_spec(worker_index=1).to_frame())
+            server_side.send_bytes(_spec_frame(_hosts(position=1)))
             thread.join(timeout=5.0)
             assert not thread.is_alive()
             server_side.close()
@@ -289,7 +301,7 @@ class TestHandshake:
 
 class TestAuthHandshake:
     def test_matching_secret_receives_spec(self):
-        assert _handshake(2, "orbital", "orbital") == _spec(worker_index=2)
+        assert _blueprint(_handshake(2, "orbital", "orbital")) == _blueprint(_hosts(position=2))
 
     def test_mismatched_secret_is_rejected_before_the_spec_flows(self):
         listener = SocketListener(worker_index=2, auth_secret="orbital")
@@ -353,19 +365,20 @@ def _crash(supervisor, worker):
 
 def _supervisor(**kwargs):
     kwargs.setdefault("ack_timeout_s", 10.0)
-    return WorkerSupervisor([_spec()], **kwargs)
+    return WorkerSupervisor([_hosts()], **kwargs)
 
 
 class TestSupervisionHardening:
     def test_wedged_worker_hits_timeout_and_is_rebuilt(self):
-        # The worker stays alive but stops serving: only the receive
-        # deadline can notice, and it must route into the crash/restart
-        # path rather than surfacing a bare TimeoutError (or hanging).
+        # The worker stays alive but stops serving (SIGSTOP): only the
+        # receive deadline can notice, and it must route into the
+        # crash/restart path rather than surfacing a bare TimeoutError (or
+        # hanging); the supervisor's kill still ends the stopped process.
         supervisor = _supervisor(ack_timeout_s=1.0, max_restarts=2)
         try:
             supervisor.start()
             assert "counters" in _ping(supervisor, 0)
-            supervisor._handles[0].conn.send_bytes(wire.encode_frame(FrameKind.WEDGE, {}))
+            os.kill(supervisor._handles[0].process.pid, signal.SIGSTOP)
             meta = _ping(supervisor, 0)  # timeout → kill → respawn → re-send
             assert "counters" in meta
             assert supervisor.restart_count == 1
@@ -443,11 +456,11 @@ class TestExternalWorkers:
             base_port=port, external=True, accept_timeout_s=20.0
         )
         supervisor = WorkerSupervisor(
-            [_spec()], transport=factory, ack_timeout_s=20.0
+            [_hosts()], transport=factory, ack_timeout_s=20.0
         )
         process = _launch_external_worker(port)
         try:
-            supervisor.start()  # accepts the dial-in, ships the spec
+            supervisor.start()  # accepts the dial-in, ships the SPEC
             meta = _ping(supervisor, 0)
             assert "counters" in meta
             assert supervisor._handles[0].process is None  # not ours to join
@@ -465,7 +478,7 @@ class TestExternalWorkers:
             base_port=port, external=True, accept_timeout_s=20.0
         )
         supervisor = WorkerSupervisor(
-            [_spec()], transport=factory, ack_timeout_s=20.0
+            [_hosts()], transport=factory, ack_timeout_s=20.0
         )
         first = _launch_external_worker(port)
         replacement = None
@@ -477,7 +490,7 @@ class TestExternalWorkers:
             # The operator's relaunch: a fresh worker dials the same port
             # (the listener's backlog holds it until recovery accepts).
             replacement = _launch_external_worker(port)
-            meta = _ping(supervisor, 0)  # EOF → recover → re-handshake → replay
+            meta = _ping(supervisor, 0)  # EOF → recover → re-handshake → re-send
             assert "counters" in meta
             assert supervisor.restart_count == 1
         finally:

@@ -29,7 +29,6 @@ from repro.core.config import ComputeParams
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
-from repro.dist.transport import HandshakeError
 from repro.dist.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -39,9 +38,9 @@ from repro.dist.wire import (
     decode_frame,
     encode_frame,
 )
-from repro.dist.worker import HostSpec, WorkerSpec, _Worker
+from repro.dist.worker import _Worker
 from repro.hosts import Host
-from repro.microvm import CPUQuota, MachineBatch, MachineState
+from repro.microvm import CPUQuota, MachineBatch, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.sim.rng import key_root
 
@@ -404,20 +403,22 @@ class TestPickleGating:
 
     def test_spec_and_create_machine_travel_as_plain_data(self):
         # Built by the real senders, decoded by the one decode_frame, rebuilt
-        # by the worker: equal objects, every host's key root intact.
+        # by the worker: equal blueprints, every host's key root intact.
         roots = [key_root(np.random.default_rng(5)), 2**63 - 1]
-        hosts = tuple(
-            HostSpec(position, 10 + position, 8, 4096, True, root)
-            for position, root in enumerate(roots)
+        hosts = {}
+        for position, root in enumerate(roots):
+            hosts[position] = MachineManager(Host(10 + position, 8, 4096, True))
+            hosts[position].key_root = root
+        kind, meta, arrays = decode_frame(
+            encode_frame(FrameKind.SPEC, *wire.spec_payload(hosts))
         )
-        spec = WorkerSpec(worker_index=1, hosts=hosts)
-        kind, meta, _ = decode_frame(spec.to_frame())
-        assert kind is FrameKind.SPEC and WorkerSpec.from_meta(meta["spec"]) == spec
-        worker = _Worker(WorkerSpec.from_meta(meta["spec"]), None)
+        assert kind is FrameKind.SPEC
+        worker = _Worker(1, wire.decode_spec(meta, arrays), None)
         assert [worker.by_position[position].key_root for position in (0, 1)] == roots
-        for malformed in ("ok", {"worker_index": 0}, {"worker_index": 0, "hosts": [{}]}):
-            with pytest.raises(HandshakeError, match="malformed worker spec"):
-                WorkerSpec.from_meta(malformed)
+        assert [
+            (host.index, host.cpu_cores, host.memory_mib, host.allow_memory_overcommit)
+            for host in (worker.by_position[position].host for position in (0, 1))
+        ] == [(10, 8, 4096, True), (11, 8, 4096, True)]
 
         batch = wire.ControlBatch()
         compute = ComputeParams(vcpu_count=3, memory_mib=768, cpu_quota=0.5)
@@ -437,8 +438,10 @@ _ROOT = 3
 
 
 def _control_worker(positions=(0,)) -> _Worker:
-    hosts = tuple(HostSpec(position, 10 + position, 8, 4096, True, _ROOT) for position in positions)
-    return _Worker(WorkerSpec(worker_index=0, hosts=hosts), None)
+    hosts = {position: MachineManager(Host(10 + position, 8, 4096, True)) for position in positions}
+    for manager in hosts.values():
+        manager.key_root = _ROOT
+    return _Worker(0, hosts, None)
 
 
 def _replica(batch: wire.ControlBatch, manager=None) -> MachineManager:
@@ -578,7 +581,7 @@ class TestControlFrames:
         ]
         assert arrays[2].tolist() == [2, 1, 2, 1, 1, 0, 1, 1, 1, 1]
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
-        assert worker.deferred_errors == [] and worker.controls == 1
+        assert worker.deferred_errors == []
         manager = worker.by_position[0]
         assert _machines(manager) == _machines(reference) == _machines(driver)
         assert (
@@ -596,7 +599,6 @@ class TestControlFrames:
         with pytest.raises(WireError):
             worker._dispatch(FrameKind.CONTROL, meta, arrays)
         assert worker.by_position[0].host.machines == {}
-        assert worker.controls == 1  # still a ledger frame: replay counts it
 
     def test_failing_rows_are_reported_and_the_rows_after_them_run(self):
         batch = wire.ControlBatch()
@@ -637,7 +639,7 @@ class TestControlFrames:
         worker.conn = _Connection()
         assert worker.run() is False  # the connection ended, nothing raised
         ((kind, ack, _arrays),) = sent
-        assert kind is FrameKind.ACK and ack["controls"] == 1
+        assert kind is FrameKind.ACK and sorted(ack) == ["counters", "deferred_errors", "seq"]
         (error,) = ack["deferred_errors"]
         assert error.startswith("CONTROL: WireError: CONTROL column lengths differ")
 
@@ -665,20 +667,30 @@ def _record_reference_frame() -> bytes:
     )
 
 
-_REFERENCE_FRAMES = {"generic": _generic_frame, "record": _record_reference_frame}
+def _spec_reference_frame() -> bytes:
+    return encode_frame(FrameKind.SPEC, *wire.spec_payload(_spec_hosts()))
+
+
+_REFERENCE_FRAMES = {
+    "generic": _generic_frame,
+    "record": _record_reference_frame,
+    "spec": _spec_reference_frame,
+}
 
 
 class TestFrameFuzz:
     """Property corpus: truncated / bit-flipped / garbage inputs either
     decode cleanly or raise a *typed* wire error — nothing else escapes.
-    A record frame that still frames must decode to a record or be a
-    :class:`WireError` too."""
+    A record or SPEC frame that still frames must decode to a record or to
+    managers, or be a :class:`WireError` too."""
 
     def _decode_or_typed_error(self, data: bytes):
         try:
             kind, meta, arrays = decode_frame(data)
             if kind is FrameKind.APPLY_EPOCH:
                 wire.decode_record(meta, arrays)
+            if kind is FrameKind.SPEC:
+                wire.decode_spec(meta, arrays)
         except WireError:  # includes WireVersionError
             return None
         assert isinstance(kind, FrameKind)
@@ -796,16 +808,15 @@ class TestSliceCodec:
         assert 250 < len(_record_frame(record)) < 512
 
     def test_activity_payload_roundtrip(self):
-        # RESTORE's payload: one packed activity mask per shell.
+        # The layout of a record's mask groups: one packed mask per shell.
         masks = {
             0: np.array([True, False, True]),
             1: np.zeros(0, dtype=bool),
             2: np.ones(5, dtype=bool),
         }
         meta, arrays = wire.mask_payload(masks)
-        kind, meta, arrays = decode_frame(encode_frame(FrameKind.RESTORE, meta, arrays))
-        assert kind is FrameKind.RESTORE
-        (received,) = wire.decode_masks(meta, arrays)
+        kind, meta, arrays = decode_frame(encode_frame(FrameKind.APPLY_EPOCH, meta, arrays))
+        (received,) = wire.decode_masks(meta, arrays, 1)
         assert list(received) == [0, 1, 2]
         for shell, mask in masks.items():
             _assert_bytes_identical(mask, received[shell])
@@ -873,7 +884,7 @@ def _record_worker() -> _Worker:
 
 def _worker_census(worker: _Worker):
     manager = worker.by_position[0]
-    return worker.epoch, manager.counters_snapshot(), _machines(manager)
+    return manager.counters_snapshot(), _machines(manager)
 
 
 class TestRecordFrames:
@@ -893,7 +904,6 @@ class TestRecordFrames:
         machines = manager.host.machines
         assert machines["5.0.celestial"].state.value == "suspended"
         assert machines["4.0.celestial"].state.value == "running"
-        assert worker.epoch == 9
         snapshot = manager.counters_snapshot()
         assert (snapshot["suspension_count"], snapshot["applied_diffs"], snapshot["dirty"]) == (
             1, 1, []
@@ -920,3 +930,109 @@ class TestRecordFrames:
         with pytest.raises(WireError):
             worker._dispatch(FrameKind.APPLY_EPOCH, {**meta, "now_s": 5.0}, arrays)
         assert _worker_census(worker) == before
+
+
+def _spec_hosts() -> dict[int, MachineManager]:
+    """A worker's replica managers mid-run: one with machines, one still empty.
+
+    The first holds a ground station, running, suspended, stopped and
+    rebooted satellites, counts a suspension and holds a dirty machine.
+    """
+    busy = MachineManager(Host(10, 8, 4096, True), rng=np.random.default_rng(5))
+    _every_op(busy)
+    busy.apply_diff(
+        _record(
+            {0: [True] * 5 + [False] * 8, 1: [True, False] * 4},
+            {0: [False] * 5 + [True] * 8, 1: [False] * 8},
+        ),
+        5.0,
+    )
+    busy.reboot_machine(MachineId(0, 4, "4.0.celestial"), 6.0)
+    # Reading a boot's finish draws it into the table's finish column.
+    assert busy.machine(MachineId(0, 4, "4.0.celestial")).boot_finished_at_s > 6.0
+    empty = MachineManager(Host(11, 4, 2048, False))
+    empty.key_root = 2**63 - 1
+    return {0: busy, 3: empty}
+
+
+def _spec_payload():
+    meta, arrays = wire.spec_payload(_spec_hosts())
+    return meta, list(arrays)
+
+
+def _spec_host(key, value):
+    return lambda meta, arrays: meta["hosts"][0].__setitem__(key, value)
+
+
+def _spec_checkpoint(key, value):
+    return lambda meta, arrays: meta["hosts"][0]["checkpoint"].__setitem__(key, value)
+
+
+# Host 0's columns: 0 shells, 1 identifiers, 2 vcpus, 3 memory, 4 quota,
+# 5 busy, 6 seeds, 7 states, 8 boot counts, 9 boot started, 10 held until,
+# 11 finished; host 3's follow at 12.  Rows: 4.0, 5.0, hawaii, 0.1, 2.1.
+_FORGED_SPEC = {
+    "seed-dtype": _array(6, lambda column: column.astype("<i4")),
+    "state-dtype": _array(7, lambda column: column.astype("<f8")),
+    "two-d-column": _array(2, lambda column: column.reshape(1, -1)),
+    "ragged-columns": _array(4, lambda column: column[:-1]),
+    "ragged-empty-table": _array(21, lambda column: np.append(column, 1.0)),
+    "missing-column": lambda meta, arrays: arrays.pop(),
+    "state-code-past-the-states": _set(7, 0, len(MachineState)),
+    "negative-state-code": _set(7, 1, -1),
+    "state-off-its-checkpoint": _set(7, 1, 0),
+    "extra-name": lambda meta, arrays: meta["hosts"][0]["names"].append("tahiti"),
+    "missing-name": lambda meta, arrays: meta["hosts"][0]["names"].clear(),
+    "ground-station-as-satellite": _set(0, 2, 0),
+    "satellite-as-ground-station": _set(0, 0, MachineId.GROUND_SHELL),
+    "machine-twice": _set(1, 1, 4),
+    "rows-off-its-table": _spec_checkpoint("rows", 4),
+    "string-counter": _spec_checkpoint("suspension_count", "1"),
+    "dirty-not-names": _spec_checkpoint("dirty", [4]),
+    "no-checkpoint": lambda meta, arrays: meta["hosts"][0].pop("checkpoint"),
+    "no-cores": _spec_host("cpu_cores", 0),
+    "bool-position": _spec_host("position", True),
+    "overcommit-not-bool": _spec_host("allow_memory_overcommit", 1),
+    "position-twice": lambda meta, arrays: meta["hosts"][1].__setitem__("position", 0),
+    "hosts-not-a-list": lambda meta, arrays: meta.__setitem__("hosts", {}),
+}
+
+
+class TestSpecFrames:
+    """A worker starts from its hosts as the driver's replica holds them."""
+
+    def test_a_spec_rebuilds_the_replica_managers(self):
+        hosts = _spec_hosts()
+        kind, meta, arrays = decode_frame(
+            encode_frame(FrameKind.SPEC, *wire.spec_payload(hosts))
+        )
+        received = wire.decode_spec(meta, arrays)
+        assert kind is FrameKind.SPEC and list(received) == [0, 3]
+        for position, manager in hosts.items():
+            copy = received[position]
+            assert copy.key_root == manager.key_root
+            assert copy.counters_snapshot() == manager.counters_snapshot()
+            assert _machines(copy) == _machines(manager)
+            for column in MachineTable.COLUMNS[1:]:
+                held, sent = (getattr(m.host.machines, column) for m in (copy, manager))
+                assert held.typecode == sent.typecode and held.tobytes() == sent.tobytes()
+        snapshot = hosts[0].counters_snapshot()
+        assert snapshot["dirty"] == ["4.0.celestial"] and snapshot["suspension_count"] == 1
+        # The satellites the table holds are indexed: the next record moves
+        # the same machines, with the same counts, on both.
+        later = _record(
+            {0: [True] * 13, 1: [False] * 8},
+            {0: [False] * 5 + [True] * 8, 1: [True, False] * 4},
+            epoch=10,
+        )
+        for manager in (hosts[0], received[0]):
+            manager.apply_diff(later, 7.0)
+        assert received[0].counters_snapshot() == hosts[0].counters_snapshot()
+        assert _machines(received[0]) == _machines(hosts[0])
+
+    @pytest.mark.parametrize("name", sorted(_FORGED_SPEC))
+    def test_forged_specs_are_wire_errors(self, name):
+        meta, arrays = _spec_payload()
+        _FORGED_SPEC[name](meta, arrays)
+        with pytest.raises(WireError):
+            wire.decode_spec(meta, arrays)
