@@ -33,16 +33,17 @@ Both derive their link set from the same per-epoch arrays and build the
 graph through the same assembly
 (:meth:`ConstellationCalculation._assemble_graph`: ISLs by shell, then
 uplinks by ground station, shell and satellite), so edge ids agree and the
-states they produce are byte-identical.  What differs is what the diff path
-reuses from the previous epoch:
+states they produce are byte-identical.  The assembly also hands the graph
+its canonical link order, so neither path sorts the edge set: the
+calculation sorts its static ISL candidates once, an epoch keeps the
+candidates whose line of sight is clear and merges in its few sorted
+uplinks.  Nothing of the previous graph is reused; what differs is what
+the diff path reuses from the previous epoch:
 
 * the certified visibility bounds (:class:`_UpdateHints`), which restrict
   the line-of-sight and elevation checks to the pairs that can have
   crossed a threshold — ``state_at`` evaluates every pair; either way the
   pairs go through the same ``visible_satellites_batch`` tail;
-* the previous graph's derived structure (sorted keys, delay-matrix
-  template), shared whenever the edge set did not change — ``state_at``
-  passes no ``structure_from``;
 * the path rows, handed on by
   :meth:`~repro.topology.paths.PathEngine.advance_all`: shared when the
   diff changed no delay and no link, otherwise an empty store, as
@@ -88,7 +89,7 @@ from repro.topology import (
     PathRows,
     TopologyDiff,
 )
-from repro.topology.graph import _CODE_BY_LINK_TYPE
+from repro.topology.graph import _CODE_BY_LINK_TYPE, pair_keys
 from repro.topology.isl import grid_plus_isl_pairs
 from repro.topology.linkparams import link_delay_ms
 from repro.topology.uplinks import visible_satellites_batch
@@ -240,8 +241,11 @@ class _UpdateHints:
 class _EpochArrays:
     """Per-epoch intermediate arrays shared by ``state_at`` and ``diff_since``.
 
-    ``isl_chunks`` holds one ``(node_a, node_b, distance_km, delay_ms,
-    bandwidth_kbps)`` tuple per shell (line-of-sight filtered).
+    ``clear`` holds one mask per shell over its ISL candidates
+    (``ConstellationCalculation._isl_pairs``): the candidates whose line
+    of sight is clear, which are the epoch's ISLs.  ``isl_chunks`` holds
+    one ``(distance_km, delay_ms, bandwidth_kbps)`` tuple per shell with
+    candidates, for the ISLs ``clear`` keeps.
     ``uplinks`` is the epoch's whole uplink set as five parallel arrays
     ``(station, shell, satellite, distance_km, delay_ms)`` — ``station`` the
     ground station's position in the configuration, ``satellite`` the
@@ -254,6 +258,7 @@ class _EpochArrays:
 
     satellite_positions: dict[int, np.ndarray]
     active: dict[int, np.ndarray]
+    clear: list[np.ndarray]
     isl_chunks: list[tuple]
     uplinks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     hints: Optional[_UpdateHints] = None
@@ -419,21 +424,26 @@ class ConstellationCalculation:
         # the states, so any retained state can seed a replay.
         self.path_engine = PathEngine()
         # Static structures reused across consecutive snapshots: the node
-        # index, per-shell +GRID ISL pair arrays (both in-shell and as flat
-        # global node indices, split into contiguous endpoint buffers) and
-        # the fixed ground-station positions/flat node indices.
+        # index, per-shell +GRID ISL candidate pairs (in-shell), all shells'
+        # candidates as flat global endpoint arrays with their pair keys
+        # sorted once (the ISL part of every epoch's canonical link order)
+        # and the fixed ground-station positions/flat node indices.
         self._isl_pairs = [
             np.array(grid_plus_isl_pairs(shell_config.geometry), dtype=int).reshape(-1, 2)
             for shell_config in config.shells
         ]
-        self._isl_endpoints_a = [
-            np.ascontiguousarray(pairs[:, 0] + self.node_index.shell_offset(shell))
-            for shell, pairs in enumerate(self._isl_pairs)
-        ]
-        self._isl_endpoints_b = [
-            np.ascontiguousarray(pairs[:, 1] + self.node_index.shell_offset(shell))
-            for shell, pairs in enumerate(self._isl_pairs)
-        ]
+        self._isl_endpoints_a, self._isl_endpoints_b = (
+            np.concatenate(
+                [
+                    pairs[:, side].astype(np.int64) + self.node_index.shell_offset(shell)
+                    for shell, pairs in enumerate(self._isl_pairs)
+                ]
+            )
+            for side in (0, 1)
+        )
+        isl_keys = pair_keys(self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index))
+        self._isl_key_order = np.argsort(isl_keys)
+        self._isl_sorted_keys = isl_keys[self._isl_key_order]
         self._ground_positions = {
             gst.name: gst.station.position_ecef for gst in config.ground_stations
         }
@@ -547,6 +557,7 @@ class ConstellationCalculation:
 
         satellite_positions: dict[int, np.ndarray] = {}
         active: dict[int, np.ndarray] = {}
+        clear_masks: list[np.ndarray] = []
         isl_chunks: list[tuple] = []
         los_lower: list[np.ndarray] = []
         los_upper: list[np.ndarray] = []
@@ -571,6 +582,7 @@ class ConstellationCalculation:
             if not pairs.size:
                 los_lower.append(np.empty(0))
                 los_upper.append(np.empty(0))
+                clear_masks.append(np.zeros(0, dtype=bool))
                 continue
             endpoint_a = positions_ecef[pairs[:, 0]]
             endpoint_b = positions_ecef[pairs[:, 1]]
@@ -595,15 +607,10 @@ class ConstellationCalculation:
             los_lower.append(lower)
             los_upper.append(upper)
             clear = lower >= limit
+            clear_masks.append(clear)
             distances = distances[clear]
             isl_chunks.append(
-                (
-                    self._isl_endpoints_a[shell_index][clear],
-                    self._isl_endpoints_b[shell_index][clear],
-                    distances,
-                    link_delay_ms(distances),
-                    shell_config.network.isl_bandwidth_kbps,
-                )
+                (distances, link_delay_ms(distances), shell_config.network.isl_bandwidth_kbps)
             )
 
         # Ground-station visibility: per shell one flat (station, satellite,
@@ -645,6 +652,7 @@ class ConstellationCalculation:
         return _EpochArrays(
             satellite_positions=satellite_positions,
             active=active,
+            clear=clear_masks,
             isl_chunks=isl_chunks,
             uplinks=(station, shell, satellite, distance_km, link_delay_ms(distance_km)),
             hints=_UpdateHints(
@@ -678,29 +686,42 @@ class ConstellationCalculation:
             _update_hints=epoch.hints,
         )
 
-    def _assemble_graph(
-        self, epoch: _EpochArrays, structure_from: Optional[NetworkGraph]
-    ) -> NetworkGraph:
-        """Concatenate the epoch's ISL chunks and uplink table into the edge arrays.
+    def _assemble_graph(self, epoch: _EpochArrays) -> NetworkGraph:
+        """Concatenate the epoch's ISLs and uplink table into the edge arrays.
 
         The order — ISLs by shell, then uplinks by ground station, shell
         and satellite — fixes the edge ids, so every graph of one epoch,
-        cold or incremental, numbers its edges alike.
+        cold or incremental, numbers its edges alike.  The canonical link
+        order is handed to the graph, which verifies it: the presorted ISL
+        candidates that ``clear`` keeps, renumbered to edge ids, with the
+        uplinks sorted by pair key merged in by one ``searchsorted``.  No
+        sort sees more than the epoch's uplinks.
         """
-        chunks = epoch.isl_chunks
+        clear = np.concatenate(epoch.clear)
         station, shell, satellite, uplink_distances_km, uplink_delays_ms = epoch.uplinks
-        isl_count = sum(chunk[0].size for chunk in chunks)
+        isl_count = int(np.count_nonzero(clear))
+        ground_nodes = self._gst_nodes[station]
+        satellite_nodes = self._shell_offsets[shell] + satellite
+        # Candidate → edge id, then the kept candidates in key order.
+        isl_edge_ids = np.cumsum(clear) - 1
+        kept = clear[self._isl_key_order]
+        uplink_keys = pair_keys(ground_nodes, satellite_nodes, len(self.node_index))
+        uplink_order = np.argsort(uplink_keys)
+        sorted_edge_ids = np.insert(
+            isl_edge_ids[self._isl_key_order[kept]],
+            np.searchsorted(self._isl_sorted_keys[kept], uplink_keys[uplink_order]),
+            isl_count + uplink_order,
+        )
+        chunks = epoch.isl_chunks
         return NetworkGraph.from_edge_arrays(
             self.node_index,
-            np.concatenate([*(chunk[0] for chunk in chunks), self._gst_nodes[station]]),
-            np.concatenate(
-                [*(chunk[1] for chunk in chunks), self._shell_offsets[shell] + satellite]
-            ),
-            np.concatenate([*(chunk[2] for chunk in chunks), uplink_distances_km]),
-            np.concatenate([*(chunk[3] for chunk in chunks), uplink_delays_ms]),
+            np.concatenate([self._isl_endpoints_a[clear], ground_nodes]),
+            np.concatenate([self._isl_endpoints_b[clear], satellite_nodes]),
+            np.concatenate([*(chunk[0] for chunk in chunks), uplink_distances_km]),
+            np.concatenate([*(chunk[1] for chunk in chunks), uplink_delays_ms]),
             np.concatenate(
                 [
-                    *(np.full(chunk[0].size, chunk[4], dtype=np.float64) for chunk in chunks),
+                    *(np.full(chunk[0].size, chunk[2], dtype=np.float64) for chunk in chunks),
                     self._gst_uplink_bandwidths[shell, station],
                 ]
             ),
@@ -710,19 +731,18 @@ class ConstellationCalculation:
                     np.full(station.size, _UPLINK_CODE, dtype=np.int8),
                 ]
             ),
-            structure_from=structure_from,
+            sorted_edge_ids=sorted_edge_ids,
         )
 
     def state_at(self, time_s: float) -> ConstellationState:
         """Compute the full constellation state at a simulation time.
 
         This is the cold reference path: every visibility pair is
-        evaluated (no hints), the graph shares no structure with another
-        epoch, and the path rows start empty.  Use
+        evaluated (no hints) and the path rows start empty.  Use
         :meth:`diff_since` to advance from a previous epoch instead.
         """
         epoch = self._epoch_arrays(time_s)
-        graph = self._assemble_graph(epoch, structure_from=None)
+        graph = self._assemble_graph(epoch)
         return self._state_from_epoch(time_s, epoch, graph)
 
     def diff_since(
@@ -733,15 +753,18 @@ class ConstellationCalculation:
         Returns the new state — byte-identical to what :meth:`state_at`
         would compute for ``time_s`` — together with the
         :class:`ConstellationDiff` describing everything that changed since
-        ``previous``.  In the steady-state case (no links appeared or
-        disappeared) the previous graph's sorted keys and delay-matrix
-        structure are shared rather than rebuilt, and the emitted diff
-        aligns edge ids 1:1 without any set intersection.
+        ``previous``.  The graph is assembled exactly as :meth:`state_at`
+        assembles it, and no step of the epoch sorts more than its uplinks:
+        the canonical link order comes from the presorted ISL candidates,
+        the topology diff pairs the two sorted key arrays with one
+        ``searchsorted`` (a 1:1 comparison when no link appeared or
+        disappeared), and the delay-matrix structure waits for the first
+        query that solves a row.
         """
         if previous.node_index is not self.node_index:
             raise ValueError("previous state belongs to a different calculation")
         epoch = self._epoch_arrays(time_s, previous)
-        graph = self._assemble_graph(epoch, structure_from=previous.graph)
+        graph = self._assemble_graph(epoch)
         topology = graph.diff_from(previous.graph)
 
         activated: dict[int, np.ndarray] = {}

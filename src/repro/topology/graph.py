@@ -20,24 +20,26 @@ its input (equal endpoint lengths, no self-links, endpoints in range, every
 undirected node pair at most once) and returns a finished graph that
 nothing changes afterwards — the same epoch object is shared, uncopied, by
 the database's publication, both sides of a :class:`TopologyDiff`, the
-path rows that share it, the codec and the coordinator's sharding.
+path rows that answer its queries and the codec.
 
-What is cached and shared
+What is derived, and when
 -------------------------
 
-Two structures derived at construction depend only on the edge *set*:
+Two structures depend only on the edge *set*, and every graph derives its
+own (no graph borrows another's):
 
-* the packed pair keys (:func:`pair_keys`) in edge order and sorted, with
-  the sorting permutation (:attr:`NetworkGraph.sorted_edge_ids`), serving
-  :meth:`NetworkGraph.edge_ids_between`, the set intersection of
-  :meth:`NetworkGraph.diff_from` and the codec's canonical link order;
-* the sparsity structure of :meth:`NetworkGraph.delay_matrix` (data
-  permutation, column indices, row pointers).
-
-``from_edge_arrays(..., structure_from=previous)`` shares both with a
-previous epoch whose keys match in edge order — the steady state, where
-only delays and bandwidths moved — so such an epoch skips the argsort and
-the sparse-matrix reconstruction.
+* at construction, the packed pair keys (:func:`pair_keys`) in edge order
+  and in ascending order, with the permutation between them
+  (:attr:`NetworkGraph.sorted_edge_ids`, the canonical link order).  They
+  serve :meth:`NetworkGraph.edge_ids_between`,
+  :meth:`NetworkGraph.diff_from` and the codec's link positions.  A caller
+  that already knows the order — the constellation calculation derives it
+  from its presorted ISL candidates — passes it as ``sorted_edge_ids``;
+  the constructor verifies it in O(E) instead of sorting;
+* on the first :meth:`NetworkGraph.delay_matrix` call, the sparsity
+  structure (data permutation, column indices, row pointers), placed row
+  by row from the canonical order without a sort.  An epoch whose
+  shortest-path rows no query solves never builds it.
 
 Epoch-to-epoch diffs
 --------------------
@@ -254,18 +256,17 @@ class NetworkGraph:
         delay_ms: np.ndarray,
         bandwidth_kbps: np.ndarray,
         type_code: np.ndarray,
-        structure_from: Optional["NetworkGraph"] = None,
+        sorted_edge_ids: Optional[np.ndarray] = None,
     ) -> "NetworkGraph":
         """Build a graph from parallel edge arrays (position = edge id).
 
         The caller provides the complete edge set; every undirected node
-        pair may occur at most once (verified from the sorted keys).  When
-        ``structure_from`` is a graph over an equally sized node index
-        whose edge keys match in edge order — the steady-state case, where
-        only delays and bandwidths moved — its derived structures (sorted
-        keys, sorting permutation and the delay-matrix structure template)
-        are shared instead of recomputed; nothing mutates them after
-        construction, so sharing is safe.
+        pair may occur at most once.  ``sorted_edge_ids``, when given, is
+        the canonical link order (edge ids by ascending :func:`pair_keys`)
+        the caller already knows; it is verified in O(E) — E ids, each in
+        ``0 … E-1``, whose keys strictly increase, which also proves the
+        ids a permutation and the pairs unique — and a forged order is a
+        ``ValueError``.  Without it the order is an ``argsort`` of the keys.
         """
         graph = cls.__new__(cls)
         graph.index = index
@@ -287,33 +288,53 @@ class NetworkGraph:
             if lo < 0 or hi >= graph._node_count:
                 raise ValueError("link endpoints out of range")
         keys = pair_keys(graph._node_a, graph._node_b, graph._node_count)
-        graph._keys = keys
-        if (
-            structure_from is not None
-            and structure_from._node_count == graph._node_count
-            and np.array_equal(keys, structure_from._keys)
-        ):
-            graph._sorted_keys = structure_from._sorted_keys
-            graph._sorted_edge_ids = structure_from._sorted_edge_ids
-            graph._csr_template = structure_from._csr_template
+        if sorted_edge_ids is None:
+            order = np.argsort(keys)
         else:
-            sort = np.argsort(keys)
-            if keys.size and np.any(np.diff(keys[sort]) == 0):
-                raise ValueError("from_edge_arrays requires unique node pairs")
-            graph._sorted_keys = keys[sort]
-            graph._sorted_edge_ids = _read_only(sort, np.int64)
-            graph._csr_template = graph._build_csr_template()
+            order = np.asarray(sorted_edge_ids, dtype=np.int64)
+            if order.shape != (count,):
+                raise ValueError(f"sorted_edge_ids must hold {count} edge ids")
+            if count and (order.min() < 0 or order.max() >= count):
+                raise ValueError("sorted_edge_ids holds an id outside the edge table")
+        sorted_keys = keys[order]
+        if np.any(sorted_keys[1:] <= sorted_keys[:-1]):
+            raise ValueError(
+                "from_edge_arrays requires unique node pairs"
+                if sorted_edge_ids is None
+                else "sorted_edge_ids is not ascending by pair key over unique node pairs"
+            )
+        graph._keys = keys
+        graph._sorted_keys = sorted_keys
+        graph._sorted_edge_ids = _read_only(order, np.int64)
+        graph._csr_template = None
         return graph
 
     def _build_csr_template(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparsity structure of :meth:`delay_matrix`: it only depends on the edge set."""
-        rows = np.concatenate([self._node_a, self._node_b])
-        cols = np.concatenate([self._node_b, self._node_a])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(rows, minlength=self._node_count))]
-        ).astype(np.int64)
-        return order, cols[order], indptr
+        """Sparsity structure of :meth:`delay_matrix`, from the canonical order.
+
+        Entry ``e`` of ``[delays, delays]`` is the directed pair
+        ``(node_a[e], node_b[e])``, entry ``E + e`` its reverse.  In CSR
+        order a row holds its entries towards lower nodes, then those
+        towards higher ones, each ascending.  Taken in key order, the
+        edges' downward entries ``(hi, lo)`` ascend in ``lo`` within each
+        row and their upward entries ``(lo, hi)`` in ``hi``, so SciPy's
+        COO → CSR conversion, which places entries row by row in input
+        order, receives the downward entries, then the upward ones, and
+        finds every row already sorted.  The result equals a ``lexsort``
+        of all 2E entries.
+        """
+        ids = self._sorted_edge_ids
+        count, n = ids.size, self._node_count
+        lo, hi = np.divmod(self._sorted_keys, n)
+        upward = np.where(self._node_a[ids] == lo, ids, ids + count)
+        entries = sparse.coo_matrix(
+            (
+                np.concatenate([2 * ids + count - upward, upward]),
+                (np.concatenate([hi, lo]), np.concatenate([lo, hi])),
+            ),
+            shape=(n, n),
+        ).tocsr()
+        return entries.data, entries.indices.astype(np.int64), entries.indptr.astype(np.int64)
 
     # -- array views --------------------------------------------------------
 
@@ -359,14 +380,18 @@ class NetworkGraph:
 
         Exact-zero delays are clamped to :data:`DELAY_EPSILON_MS` so that
         ``csgraph`` solvers (which treat explicit zeros as missing edges) keep
-        co-located nodes reachable.  The sparsity structure is cached at
-        construction — and shared across structurally identical epochs —
-        leaving a pure delay-scatter per call.
+        co-located nodes reachable.  The first call builds the sparsity
+        structure (:meth:`_build_csr_template`) and keeps it, leaving a pure
+        delay scatter per later call.  It takes no lock: threads that race
+        on the first call each build equal arrays, and one of them is kept.
         """
         n = self._node_count
         if self._node_a.size == 0:
             return sparse.csr_matrix((n, n))
-        order, indices, indptr = self._csr_template
+        template = self._csr_template
+        if template is None:
+            template = self._csr_template = self._build_csr_template()
+        order, indices, indptr = template
         delays = np.maximum(self._delay_ms, DELAY_EPSILON_MS)
         data = np.concatenate([delays, delays])[order]
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -397,54 +422,50 @@ class NetworkGraph:
 
         Emits a :class:`TopologyDiff` with ``links_added`` /
         ``links_removed`` / ``delay_changed`` / ``bandwidth_changed``
-        edge-id index arrays (see the class docstring for which graph each
-        array indexes into).  Attribute changes are detected by exact float
-        comparison: the constellation calculation recomputes both epochs
-        with bitwise-identical operations, so any genuine movement differs
+        edge-id index arrays, each ascending (see the class docstring for
+        which graph each array indexes into).  When both epochs hold the
+        same keys in the same edge order, edge ids line up 1:1.  Otherwise
+        one ``searchsorted`` of this graph's sorted keys into the previous
+        graph's pairs every link with its previous edge id, if it had one.
+        Attribute changes are detected by exact float comparison: the
+        constellation calculation recomputes both epochs with
+        bitwise-identical operations, so any genuine movement differs
         exactly.
         """
         if self._node_count != previous._node_count:
             raise ValueError("graphs must share the same node index layout")
-        empty = np.empty(0, dtype=np.int64)
         if np.array_equal(self._keys, previous._keys):
-            # Steady state: identical edge sets in identical edge order,
-            # so edge ids line up 1:1 and no set intersection is needed.
-            delay_changed = np.nonzero(self._delay_ms != previous._delay_ms)[0]
-            bandwidth_changed = np.nonzero(
-                self._bandwidth_kbps != previous._bandwidth_kbps
-            )[0]
+            empty = np.empty(0, dtype=np.int64)
             return TopologyDiff(
                 previous=previous,
                 current=self,
                 links_added=empty,
                 links_removed=empty,
-                delay_changed=delay_changed,
-                bandwidth_changed=bandwidth_changed,
+                delay_changed=np.flatnonzero(self._delay_ms != previous._delay_ms),
+                bandwidth_changed=np.flatnonzero(
+                    self._bandwidth_kbps != previous._bandwidth_kbps
+                ),
             )
-        _, in_current, in_previous = np.intersect1d(
-            self._sorted_keys,
-            previous._sorted_keys,
-            assume_unique=True,
-            return_indices=True,
-        )
-        common_current = self._sorted_edge_ids[in_current]
-        common_previous = previous._sorted_edge_ids[in_previous]
-        added_mask = np.ones(self._node_a.size, dtype=bool)
-        added_mask[common_current] = False
-        removed_mask = np.ones(previous._node_a.size, dtype=bool)
-        removed_mask[common_previous] = False
-        delay_changed = common_current[
-            self._delay_ms[common_current] != previous._delay_ms[common_previous]
-        ]
-        bandwidth_changed = common_current[
-            self._bandwidth_kbps[common_current]
-            != previous._bandwidth_kbps[common_previous]
-        ]
+        # The previous edge id of every current edge, -1 for a new link.
+        counterpart = np.full(self._node_a.size, -1, dtype=np.int64)
+        if previous._sorted_keys.size:
+            at = np.searchsorted(previous._sorted_keys, self._sorted_keys)
+            at = np.minimum(at, previous._sorted_keys.size - 1)
+            found = previous._sorted_keys[at] == self._sorted_keys
+            counterpart[self._sorted_edge_ids[found]] = previous._sorted_edge_ids[at[found]]
+        common = np.flatnonzero(counterpart >= 0)
+        common_previous = counterpart[common]
+        removed = np.ones(previous._node_a.size, dtype=bool)
+        removed[common_previous] = False
         return TopologyDiff(
             previous=previous,
             current=self,
-            links_added=np.nonzero(added_mask)[0],
-            links_removed=np.nonzero(removed_mask)[0],
-            delay_changed=np.sort(delay_changed),
-            bandwidth_changed=np.sort(bandwidth_changed),
+            links_added=np.flatnonzero(counterpart < 0),
+            links_removed=np.flatnonzero(removed),
+            delay_changed=common[
+                self._delay_ms[common] != previous._delay_ms[common_previous]
+            ],
+            bandwidth_changed=common[
+                self._bandwidth_kbps[common] != previous._bandwidth_kbps[common_previous]
+            ],
         )

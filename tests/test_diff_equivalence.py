@@ -82,7 +82,7 @@ class TestDiffSinceEquivalence:
     def test_cold_and_incremental_graphs_are_the_same_edge_table(self):
         """Both paths assemble the graph alike: equal bytes in all six edge
         arrays and the same canonical order, whether the epoch changed the
-        edge set (structure rebuilt) or not (structure shared)."""
+        edge set or not; each graph derives its own order."""
         config = dart_configuration(buoy_count=6, sink_count=10, duration_s=120.0)
         reference = ConstellationCalculation(config)
         incremental = ConstellationCalculation(config)
@@ -92,8 +92,7 @@ class TestDiffSinceEquivalence:
             previous, time_s = state, step * config.update_interval_s
             state, diff = incremental.diff_since(previous, time_s)
             structural = not diff.topology.is_structural_noop
-            shared = state.graph.sorted_edge_ids is previous.graph.sorted_edge_ids
-            assert shared != structural
+            assert state.graph.sorted_edge_ids is not previous.graph.sorted_edge_ids
             cold = reference.state_at(time_s).graph
             for name in (
                 "node_a",
@@ -170,9 +169,11 @@ class TestTopologyDiffPrimitive:
         diff = b.diff_from(a)
         assert diff.is_empty and diff.is_structural_noop
 
-    def test_from_edge_arrays_shares_structure(self):
+    def test_from_edge_arrays_takes_a_verified_order(self):
+        """A re-weighted table may reuse its predecessor's canonical order;
+        the clone keeps its own copy and builds its own matrix structure."""
         index = NodeIndex([4], [])
-        base = self._graph(index, [(0, 1, 1.0, 10.0), (1, 2, 2.0, 10.0)])
+        base = self._graph(index, [(2, 1, 1.0, 10.0), (0, 1, 2.0, 10.0)])
         clone = NetworkGraph.from_edge_arrays(
             index,
             base.node_a,
@@ -181,12 +182,14 @@ class TestTopologyDiffPrimitive:
             base.delays_ms * 2.0,
             base.bandwidths_kbps,
             base.link_type_codes,
-            structure_from=base,
+            sorted_edge_ids=base.sorted_edge_ids,
         )
-        assert clone.sorted_edge_ids is base.sorted_edge_ids
-        assert clone._csr_template is base._csr_template
+        assert clone.sorted_edge_ids.tolist() == base.sorted_edge_ids.tolist() == [1, 0]
+        assert not clone.sorted_edge_ids.flags.writeable
         dense = clone.delay_matrix().toarray()
-        assert dense[0, 1] == 2.0 and dense[1, 2] == 4.0
+        assert dense[1, 2] == dense[2, 1] == 2.0 and dense[0, 1] == 4.0
+        assert base._csr_template is None  # never asked for a matrix
+        assert clone.diff_from(base).delay_changed.tolist() == [0, 1]
 
     def test_from_edge_arrays_rejects_duplicates(self):
         index = NodeIndex([4], [])

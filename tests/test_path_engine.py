@@ -75,11 +75,13 @@ class TestEngineOnSyntheticChains:
         )
 
     def _mutated(self, rng, index, graph, kind):
+        # Kinds that keep the edge table hand the graph its predecessor's
+        # canonical order, which the constructor verifies.
         if kind == "empty":
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
                 graph.delays_ms.copy(), graph.bandwidths_kbps,
-                graph.link_type_codes, structure_from=graph,
+                graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
             )
         if kind == "bandwidth":
             bandwidths = graph.bandwidths_kbps.copy()
@@ -87,7 +89,7 @@ class TestEngineOnSyntheticChains:
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
                 graph.delays_ms.copy(), bandwidths, graph.link_type_codes,
-                structure_from=graph,
+                sorted_edge_ids=graph.sorted_edge_ids,
             )
         if kind == "flicker":
             # One link drops out (the next "structural" epoch brings it back).
@@ -107,7 +109,8 @@ class TestEngineOnSyntheticChains:
         delays[touched] = rng.uniform(0.5, 12.0, count)
         return NetworkGraph.from_edge_arrays(
             index, graph.node_a, graph.node_b, graph.distances_km, delays,
-            graph.bandwidths_kbps, graph.link_type_codes, structure_from=graph,
+            graph.bandwidths_kbps, graph.link_type_codes,
+            sorted_edge_ids=graph.sorted_edge_ids,
         )
 
     def _store(self, n_sat, n_gst, seed):
@@ -293,11 +296,12 @@ def _iridium_graph():
 
 
 def _reweighted(graph, delays_ms, bandwidth_factor=1.0):
-    """``graph``'s edge set with other delays (the same ones: an empty diff)."""
+    """``graph``'s edge table and canonical order with other delays and
+    bandwidths (the same ones: an empty diff)."""
     return NetworkGraph.from_edge_arrays(
         graph.index, graph.node_a, graph.node_b, graph.distances_km,
         delays_ms, graph.bandwidths_kbps * bandwidth_factor,
-        graph.link_type_codes, structure_from=graph,
+        graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
     )
 
 
