@@ -3,23 +3,26 @@
 Both backends drive identical full-Starlink epochs (4,409 satellites without
 a bounding box, so every satellite owns a microVM — ~1,100 per host across
 4 hosts/workers) and the benchmark records, per backend, the two quantities
-of ``UpdateStats.fanout_seconds`` / ``sample_seconds``: milliseconds per
-record fan-out and per usage-sample round trip.  A sample is an O(1) reading
-of each host's kept accounting and applying an epoch's record is
-microseconds of bookkeeping per manager, so there is no compute for worker
-processes to parallelise: the in-process backend hands the record object to
-each manager in a loop, the process backend encodes it once and sends one
-frame per worker over loopback TCP and waits for one ack each, and the
-difference between the two is what the seam costs — the price of
-exercising the remote-worker protocol, not a race one side could win.
-Constellation math is identical on both sides and excluded.
+of ``UpdateStats.fanout_seconds`` / ``sample_seconds``: driver-side
+milliseconds per record fan-out and per usage-sample sweep.  A sample is an
+O(1) reading of each host's kept accounting and applying an epoch's record
+is microseconds of bookkeeping per manager.  The in-process backend hands
+the record object to each manager in a loop; the process backend does the
+same on its replica managers, encodes the record once, sends one frame per
+worker over loopback TCP and returns — the fan-out also collects and
+compares the acknowledgements of the previous record and sweeps, which the
+workers sent while the driver computed.  A sweep is taken on the replica
+and sent without waiting.  The difference between the two backends is what
+the seam costs the driver; the target for the record fan-out under worker
+processes is 0.2 ms, recorded, not asserted.  Constellation math is
+identical on both sides and excluded.
 
 It also records the set-up epoch, the one that creates all 4,409 satellite
 microVMs: ``setup_epoch_ms`` per backend and, for the process backend,
 ``respawn_spec_bytes`` — the ``SPEC`` frame that restarts one worker after
 it, its full fleet of hosts as the driver's replica holds them —
 ``recovery_ms`` — the epoch after one worker was SIGKILLed, from ``update``
-to the last ack, its restart included — and ``epoch_frame_bytes``, the
+to its return, the restart found by its collect included — and ``epoch_frame_bytes``, the
 median size of the record frame one worker receives per steady-state epoch
 (measured, not assumed: two packed masks of 552 bytes plus the frame's
 metadata).  The recovery epoch runs on both backends, unmeasured in process,
@@ -99,7 +102,9 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             )
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         if parallelism == "processes":
-            backend.supervisor._handles[0].process.kill()
+            process = backend.supervisor._handles[0].process
+            process.kill()
+            process.join(timeout=5.0)
         started = time.perf_counter()
         coordinator.update(0.5 * config.update_interval_s)
         if parallelism == "processes":
@@ -117,7 +122,7 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             [m.suspension_count, m.resume_count, m.applied_diffs, len(m.host.machines)]
             for m in coordinator.managers
         ]
-        # Per epoch: record fan-out + one usage-sample round trip; skip the
+        # Per epoch: record fan-out + one usage-sample sweep; skip the
         # set-up and recovery epochs and the warm-up sample.
         fanout = list(coordinator.stats.fanout_seconds)[2:]
         samples = list(coordinator.stats.sample_seconds)[1:]
@@ -142,7 +147,7 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
 
 
 def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkeypatch):
-    # Every record frame a worker is sent goes through wire.encode_frame.
+    # Every record frame goes through wire.encode_frame, once for all workers.
     record_frames: list[int] = []
     encode_frame = wire.encode_frame
 
@@ -157,8 +162,8 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkey
     processes = _run_backend("processes", record_frames)
     assert threads["machines"] == processes["machines"] == 4409 + 5
     assert threads["counters"] == processes["counters"]
-    # One record frame per worker per epoch, 552 bytes of each mask kind.
-    assert len(record_frames) == HOSTS * EPOCHS
+    # One record frame per epoch, sent to every worker; 552 bytes of each mask kind.
+    assert len(record_frames) == EPOCHS
     assert 2 * 552 < processes["epoch_frame_bytes"] < 2 * 552 + 512
 
     results = {
@@ -170,7 +175,7 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkey
         "processes": processes,
         "seam_cost_ms": {
             "record_fanout": processes["fanout_ms_median"] - threads["fanout_ms_median"],
-            "sample_round_trip": processes["sample_ms_median"] - threads["sample_ms_median"],
+            "sample_sweep": processes["sample_ms_median"] - threads["sample_ms_median"],
         },
     }
     artifact = os.environ.get("BENCH_DIST_JSON", "BENCH_dist.json")

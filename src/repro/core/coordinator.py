@@ -56,12 +56,15 @@ The in-process-vs-worker seam
   managers of one or more hosts behind its own TCP connection:
   loopback for the workers the pool spawns, the network for operator-started
   workers on other machines, like the paper's testbed.  It exists to
-  exercise that remote-worker protocol.  The record is encoded once per
-  epoch and travels as one buffer-backed wire frame per worker; usage
-  samples and checkpoints stream back, one acknowledgement per worker per
-  epoch.  The managers this coordinator was given stay its managers, each
-  now the replica of a worker's host: lifecycle operations and records run
-  on both copies, and every checkpoint is compared with the replica's.
+  exercise that remote-worker protocol.  The managers this coordinator
+  was given stay its managers, each now the replica of a worker's host, and
+  compute every answer: lifecycle operations, records and usage samples run
+  on the replica first and are then sent to the workers, which repeat them.
+  The record is encoded once per epoch and travels as one buffer-backed
+  wire frame per worker.  No call waits for a worker: each acknowledgement
+  (checkpoints and sample checksums) is compared with what the replica held
+  when the request was sent, before the next record goes out and at
+  :meth:`Coordinator.close`, so a desync is raised at most one epoch late.
   A crashed worker is respawned from the replica, as every worker starts.
   ``transport`` carries the pool's deployment settings as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` (default: loopback).
@@ -123,8 +126,10 @@ class UpdateStats:
     fanout_seconds: deque = field(default_factory=_series)
     #: Wall-clock of each usage-sampling sweep (``sample_all_usage``).
     sample_seconds: deque = field(default_factory=_series)
-    #: Transport ack round-trip seconds per worker slot (process backends
-    #: only; empty under the in-process backend, which has no transport).
+    #: Seconds from a request's send to the collect of its acknowledgement,
+    #: per worker slot: the driver's work in between included, as acks are
+    #: collected before the next record (process backend only; empty in
+    #: process, where there is no transport).
     worker_ack_seconds: dict[int, deque] = field(
         default_factory=lambda: defaultdict(_series)
     )
@@ -319,10 +324,10 @@ class Coordinator:
         """One usage sample of every host, via the backend.
 
         Each host answers from its kept accounting (an O(1) reading unless a
-        machine changed since the last sample, see :mod:`repro.hosts.host`):
-        with the process backend that is one round trip per worker, in
-        process a loop over the managers.  Results are identical either way
-        and are recorded into the per-host resource traces.
+        machine changed since the last sample, see :mod:`repro.hosts.host`),
+        a loop over this coordinator's managers under either backend; worker
+        processes are sent the sweep to check it.  The samples are recorded
+        into the per-host resource traces.
         """
         started = wallclock.perf_counter()
         samples = self._backend.sample_all(
@@ -341,21 +346,15 @@ class Coordinator:
         """Release the fan-out backend (idempotent, both backends).
 
         In process there is nothing to release; a closed backend only
-        refuses further sweeps.  Process backend: drains and joins every
-        worker, escalating to terminate/kill — deterministic
-        even when called during interpreter shutdown (the workers are
-        additionally daemonic and the supervisor registers an ``atexit``
+        refuses further sweeps.  Process backend: compares the
+        acknowledgements still in flight (a desync is raised here), then
+        drains and joins every worker, escalating to terminate/kill.  A
+        coordinator dropped unclosed leaves that to the backend's finaliser,
+        which compares nothing and waits for no acknowledgement (the workers
+        are also daemonic and the supervisor registers an ``atexit``
         finaliser, so no backend can outlive or hang the interpreter).
         """
-        backend = getattr(self, "_backend", None)
-        if backend is not None:
-            backend.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._backend.close()
 
     # -- updates ---------------------------------------------------------------
 

@@ -40,14 +40,15 @@ visited in a loop.  A host's machines may also live in a worker *process*
 (``repro.dist``, which exists to exercise the remote-worker protocol): the
 worker runs a manager on the host it owns and the coordinator runs this same
 class on its replica of that host's table, each lifecycle operation on both
-copies (:attr:`MachineManager.sink` carries it to the worker) and each
-record on both.  Seeds and sample noise are keyed draws
+copies (:attr:`MachineManager.sink` carries it to the worker), each
+record and each usage sample on both.  Seeds and sample noise are keyed draws
 (:func:`repro.sim.rng.keyed`), so the two copies hold the same rows, seeds
 and boot times.  The worker's manager is built from the replica's: its table,
 counters and dirty set travel in the frame that starts the worker, and a
 manager indexes the satellites its host already holds.
 :meth:`MachineManager.counters_snapshot` is the checkpoint streamed back
-with every acknowledgement and compared with the replica's.
+with every acknowledgement and compared with the replica's, as it stood when
+the request went out.
 """
 
 from __future__ import annotations

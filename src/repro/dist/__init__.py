@@ -26,21 +26,22 @@ on a TCP stream.
   the worker's hosts as the driver's replica holds them.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
   and their hosts' machine tables, applies each record to all of them,
-  samples usage and streams samples and checkpoints back, one
-  acknowledgement per request.  A supervisor-spawned child dialling back
+  samples usage and answers each request with checkpoints and sample
+  checksums.  A supervisor-spawned child dialling back
   over loopback and ``python -m repro.dist.worker --connect host:port
   --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
   and wedge detection (every receive is bounded by ``ack_timeout_s``),
   restart under a bounded, decaying budget.  A restarted worker starts from
-  the replica like a new one, and its in-flight requests are re-sent.
+  the replica like a new one; the requests in flight are dropped.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
   :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes; the
-  coordinator's managers become replicas of the workers' hosts, run by the
-  same class, and every acknowledgement's checkpoints are compared with
-  theirs; it exists to exercise the remote-worker protocol) answer the same calls, selected with
+  coordinator's managers become replicas of the workers' hosts and compute
+  every answer, and each acknowledgement is compared with what they held
+  when its request went out, one epoch late at most; it exists to exercise
+  the remote-worker protocol) answer the same calls, selected with
   ``Coordinator(parallelism="threads" | "processes")``; the
   worker pool's deployment settings (address, ports, external workers,
   shared secret) arrive as a ready

@@ -16,41 +16,35 @@ calls (``apply_slices``, ``sample_all``, ``drain_transport_latencies``,
   work per host, which a pool under the GIL would not parallelise).
 * :class:`ProcessFanoutBackend` — every host's machines also live in a
   supervised worker process (:mod:`repro.dist.worker`), each reached over
-  its own TCP connection.  The record is encoded once per epoch and sent as
-  one :mod:`repro.dist.wire` frame per worker; the workers apply it, take
-  the per-host usage samples and stream samples and checkpoints back, one
-  acknowledgement per worker per request.  It exists to exercise the
-  remote-worker protocol, not to make one box faster.
+  its own TCP connection.  The coordinator's own managers compute every
+  answer; the workers repeat the work and check it.  It exists to exercise
+  the remote-worker protocol, not to make one box faster.
 
-The driver's replica
---------------------
+The driver computes, the workers verify
+---------------------------------------
 
 With worker processes the managers the coordinator was given stay its
 managers: each runs on the driver's own :class:`~repro.hosts.Host`, whose
 table is the replica of the worker's, and answers every parent-side query
 (placement, ``is_running_at``, fault injection, the virtual network's
-running check, ``Celestial.machine``).  The backend points each manager's
-:attr:`~repro.core.machine_manager.MachineManager.sink` at its worker's
-:class:`~repro.dist.wire.ControlBatch`, so every lifecycle operation runs on
-the replica and is buffered for the worker in program order; the batch is
-flushed as one ``CONTROL`` frame before that worker's next request, and the
-worker runs the rows in the same order.  Each record is applied to the
-replica managers once every worker acknowledged it, so both sides run one
-reconcile rule on the same rows, and a worker restarted meanwhile starts
-from the replica as the record found it (:mod:`repro.dist.supervisor`).
-The pool starts with the backend, from the replica's tables as they are
-then.  Usage samples come from the workers: a
-``SAMPLE_USAGE`` frame carries each host's sample index, the length of its
-replica's trace, which keys the sample's noise.
+running check, ``Celestial.machine``).  Each manager's
+:attr:`~repro.core.machine_manager.MachineManager.sink` is its worker's
+:class:`~repro.dist.wire.ControlBatch`: a lifecycle operation runs on the
+replica and is buffered, flushed as one ``CONTROL`` frame before that
+worker's next request.  A record is applied to the replica, then sent as one
+``APPLY_EPOCH`` frame per worker; a usage sweep is taken on the replica (its
+samples recorded into the hosts' traces, their noise keyed by the traces'
+lengths, as in process), then sent as ``SAMPLE_USAGE``.  Neither call waits.
 
-The seam decides no machine state: it moves rows and compares checkpoints.
-Every acknowledgement of a record or a usage sweep carries each of the
-worker's hosts' :meth:`~repro.core.machine_manager.MachineManager.counters_snapshot`,
-and the backend compares it key by key with the replica manager's — row
-count, counters, dirty set and a checksum of every machine's state — and
-raises :class:`WorkerDesyncError` at the first difference: a ``CONTROL`` row
-lost, duplicated, run late or run on one side only shows there, not when a
-usage sample later drifts.
+Each request keeps what its worker must answer, taken at send time: per host
+the replica's :meth:`~repro.core.machine_manager.MachineManager.counters_snapshot`
+and, for a sweep, its sample's CRC.  The acknowledgements in flight — the
+last record's and the sweeps' since — are compared before the next record
+goes out, at an explicit ``close()`` and in ``worker_counters()`` (never in a
+finaliser): a :class:`WorkerDesyncError` — a ``CONTROL`` row lost,
+duplicated, run late or on one side only, a sample computed differently — is
+raised one epoch late at most.  The replica is ahead of every request in
+flight, so a crashed worker restarts from it and drops them.
 """
 
 from __future__ import annotations
@@ -62,21 +56,12 @@ from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
+from repro.dist import wire
 from repro.dist.wire import FrameKind
 
 
 class WorkerDesyncError(RuntimeError):
     """A worker's observable state diverged from the driver's replica."""
-
-
-def _forward(supervisor: WorkerSupervisor, worker: int, position: int, op, machine, value):
-    """Buffer one lifecycle row a replica manager ran for its worker.
-
-    A replica manager's sink holds the supervisor, not the backend, so a
-    dropped backend is still finalised (and its workers joined) while the
-    managers live on.
-    """
-    supervisor.control(worker).append(op, position, machine, value)
 
 
 class ThreadFanoutBackend:
@@ -154,56 +139,74 @@ class ProcessFanoutBackend:
         # Never more workers than hosts: the rest would own no manager.
         self.worker_count = worker_count = min(worker_count, len(managers))
         # Hosts are partitioned round-robin over the workers.
-        self._worker_of = [position % worker_count for position in range(len(managers))]
-        workers = [
-            {
-                position: manager
-                for position, manager in enumerate(managers)
-                if self._worker_of[position] == index
-            }
-            for index in range(worker_count)
+        self._hosts = workers = [
+            dict(list(enumerate(managers))[index::worker_count]) for index in range(worker_count)
         ]
         self.supervisor = WorkerSupervisor(workers, transport=transport)
-        for position, manager in enumerate(managers):
-            manager.sink = partial(_forward, self.supervisor, self._worker_of[position], position)
+        # A sink holds its worker's batch only, so a dropped backend is still
+        # finalised (and its workers joined) while the managers live on.
+        for worker, hosts in enumerate(workers):
+            for position, manager in hosts.items():
+                manager.sink = partial(self.supervisor.control(worker).append, position)
         self._closed = False
         self.supervisor.start()
 
     # -- plumbing -----------------------------------------------------------
 
-    def _compare(self, ack: dict) -> None:
-        """Compare every host checkpoint of an acknowledgement with its replica manager's.
+    def _request(self, kind: FrameKind, meta: dict, arrays=(), samples=None) -> None:
+        """Send one frame to every worker with what each must answer.
 
-        Every lifecycle row was flushed before the request this ack answers
-        and every record was applied on both sides, so the two snapshots are
-        equal; the first key that differs is a :class:`WorkerDesyncError`.
+        That is, per host, the replica's checkpoint now and, for a sweep, the
+        CRC of the replica's sample.
         """
-        for position, checkpoint in ack["counters"].items():
-            manager = self._managers[position]
-            for key, value in manager.counters_snapshot().items():
-                held = checkpoint.get(key)
-                if held == value:
-                    continue
-                if key == "rows":
-                    difference = f"the worker holds {held} machines, the driver's replica {value}"
-                else:
-                    difference = f"the worker's {key} is {held!r}, the driver's replica's {value!r}"
-                raise WorkerDesyncError(f"host {manager.host.index}: {difference}")
+        expected = {}
+        for worker, hosts in enumerate(self._hosts):
+            expected[worker] = answers = {}
+            for position, manager in hosts.items():
+                answers[position] = manager.counters_snapshot()
+                if samples is not None:
+                    answers[position]["sample_crc"] = wire.sample_checksum(samples[position])
+        self.supervisor.begin_request(kind, meta, arrays, expected=expected)
+
+    def _collect(self) -> list[tuple[dict, dict]]:
+        """Collect every acknowledgement in flight and compare it with its expectation."""
+        workers = range(self.worker_count)
+        acks = [ack for worker in workers for ack in self.supervisor.collect(worker)]
+        for ack, expected in acks:
+            for position, answer in expected.items():
+                held = dict(ack["counters"].get(position, {}))
+                held["sample_crc"] = ack.get("sample_crc", {}).get(position)
+                self._compare(self._managers[position].host.index, held, answer)
+        return acks
+
+    @staticmethod
+    def _compare(host: int, held: dict, expected: dict) -> None:
+        """The first key ``held`` differs in from ``expected`` is a :class:`WorkerDesyncError`."""
+        for key, value in expected.items():
+            theirs = held.get(key)
+            if theirs == value:
+                continue
+            if key == "rows":
+                difference = f"the worker holds {theirs} machines, the driver's replica {value}"
+            else:
+                difference = f"the worker's {key} is {theirs!r}, the driver's replica's {value!r}"
+            raise WorkerDesyncError(f"host {host}: {difference}")
 
     # -- the calls the coordinator drives ------------------------------------
 
     def apply_slices(self, record: EpochRecord, now_s: float) -> None:
-        """Apply one epoch's record on every manager: one frame per worker."""
-        supervisor = self.supervisor
-        supervisor.check()  # heartbeat sweep: restart idle-crashed workers
-        supervisor.begin_epoch(record, now_s)
-        acks = [supervisor.finish_request(worker) for worker in range(self.worker_count)]
-        # Only now the replica applies the record: a worker restarted while
-        # its ack was awaited started from the replica as the record found it.
+        """Apply one epoch's record on the replica, then send it to every worker.
+
+        The acknowledgements of the requests before it are collected and
+        compared first; the record's own is collected before the next one.
+        """
+        self._collect()
+        self.supervisor.check()  # heartbeat sweep: restart idle-crashed workers
         for manager in self._managers:
             manager.apply_diff(record, now_s)
-        for ack in acks:
-            self._compare(ack)
+        meta, arrays = wire.slice_payload(record)
+        meta["now_s"] = now_s
+        self._request(FrameKind.APPLY_EPOCH, meta, arrays)
 
     # The benchmark's tracer still patches this name; ROADMAP item 1 (the
     # benchmark catch-up) deletes the alias together with that patch point.
@@ -212,40 +215,38 @@ class ProcessFanoutBackend:
     def sample_all(
         self, now_s: float, setup_phase: bool = False, applying_update: bool = False
     ) -> list[UsageSample]:
-        """One usage-sampling sweep across every host, in position order."""
-        supervisor = self.supervisor
+        """One usage-sampling sweep on the replica, in position order, sent to the workers."""
         meta = {
             "now_s": now_s,
             "setup_phase": setup_phase,
             "applying_update": applying_update,
             "sample_index": [len(manager.host.trace) for manager in self._managers],
         }
-        for worker in range(self.worker_count):
-            supervisor.begin_request(worker, FrameKind.SAMPLE_USAGE, meta)
-        samples: dict[int, UsageSample] = {}
-        for worker in range(self.worker_count):
-            ack = supervisor.finish_request(worker)
-            self._compare(ack)
-            for position, fields in ack["samples"].items():
-                samples[position] = UsageSample(**fields)
-        ordered = [samples[position] for position in sorted(samples)]
-        for position in sorted(samples):
-            self._managers[position].host.trace.record(samples[position])
-        return ordered
+        samples = [
+            manager.sample_usage(now_s, setup_phase=setup_phase, applying_update=applying_update)
+            for manager in self._managers
+        ]
+        self._request(FrameKind.SAMPLE_USAGE, meta, samples=samples)
+        return samples
 
     # -- observability / fault injection -------------------------------------
 
     def worker_counters(self) -> dict[int, dict]:
-        """Latest acknowledged per-position counters, straight from the workers."""
+        """Every host's checkpoint by position, fresh from its worker.
+
+        The acknowledgements in flight are compared first; then every worker
+        answers a ``PING``, sent again if a restart dropped it.
+        """
+        self._collect()
         counters: dict[int, dict] = {}
-        for worker in range(self.worker_count):
-            checkpoint = self.supervisor.checkpoint(worker)
-            if checkpoint is not None:
-                counters.update(checkpoint["counters"])
+        while len(counters) < len(self._managers):
+            self._request(FrameKind.PING, {})
+            for ack, _expected in self._collect():
+                counters.update(ack["counters"])
         return counters
 
     def drain_transport_latencies(self) -> dict[int, list[float]]:
-        """Per-worker ack round-trip seconds, drained from the supervisor."""
+        """Per-worker seconds from a request's send to its collect, drained from the supervisor."""
         return self.supervisor.drain_ack_latencies()
 
     @property
@@ -254,14 +255,22 @@ class ProcessFanoutBackend:
         return self.supervisor.restart_count
 
     def close(self) -> None:
-        """Drain and join the worker pool (idempotent)."""
+        """Collect and compare what is in flight, then join the worker pool (idempotent).
+
+        A desync or a worker error found here is raised after the pool is joined.
+        """
         if self._closed:
             return
         self._closed = True
-        self.supervisor.close()
+        try:
+            self._collect()
+        finally:
+            self.supervisor.close()
 
     def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
+        # A finaliser never waits: the acknowledgements in flight are left.
         try:
-            self.close()
+            self._closed = True
+            self.supervisor.close()
         except Exception:
             pass

@@ -12,11 +12,12 @@ per worker, and gives the fan-out backend these primitives:
   :class:`~repro.dist.wire.ControlBatch` the backend appends rows to once
   the replica ran them.  The batch is flushed as **one** ``CONTROL`` frame
   just before the worker's next request.
-* :meth:`WorkerSupervisor.begin_request` / :meth:`finish_request` — frames
-  that want an acknowledgement.  Splitting send from collect lets the
-  backend broadcast one frame to every worker and only then start draining
-  acks, so workers chew in parallel.  :meth:`WorkerSupervisor.begin_epoch`
-  is the broadcast of one epoch's record.
+* :meth:`WorkerSupervisor.begin_request` / :meth:`collect` — frames that
+  want an acknowledgement.  A request is encoded once, sent to the workers
+  it names and kept in flight with what the backend expects each to answer;
+  :meth:`collect` later reads a worker's acknowledgements, oldest first, and
+  hands each back with its expectation.  The backend collects before its
+  next record and at close, so the workers' work overlaps the driver's.
 * :meth:`WorkerSupervisor.check` — heartbeat: a liveness sweep over the
   pool (dead processes are detected and restarted before the next fan-out
   trips over a broken stream).
@@ -31,19 +32,16 @@ start).  A crash is detected four ways: a broken/EOF transport while sending
 or collecting, a heartbeat sweep finding the process dead, an ack wait
 observing process exit, or — for a worker that *wedges while staying
 alive* — the ``ack_timeout_s`` receive deadline expiring (the wedged process
-is killed before its successor spawns).  The successor is started from the
-replica and the in-flight requests are re-sent.  Two invariants make that
-exact:
+is killed before its successor spawns).  One rule makes recovery exact:
 
 * **A worker (re)spawned from the replica drops the rows still pending for
-  it.**  The replica already ran them, so sending them too would apply them
-  twice.  (That is also why the backend starts the pool as soon as it is
-  built, on empty tables: started by a first operation, the pool would take
-  that operation in the ``SPEC`` and again as a row.)
-* **An in-flight request is re-sent to a worker restored to the replica as it
-  was when the request was issued.**  The backend changes no replica between
-  issuing a request and collecting its acknowledgement: it applies a record
-  to the replica managers only after every worker acknowledged it.
+  it and the requests still in flight.**  The backend runs every row, record
+  and sample on the replica before it sends it, so the replica is ahead of
+  all of them and the ``SPEC`` already holds what they do: sending them too
+  would apply them twice.  Nothing is re-sent, and the dropped requests go
+  unverified.  (That is also why the backend starts the pool as soon as it
+  is built, on empty tables: started by a first operation, the pool would
+  take that operation in the ``SPEC`` and again as a row.)
 
 Restarts are bounded by ``max_restarts`` per worker — but the budget
 *decays*: after ``restart_decay_acks`` healthy acknowledged requests the
@@ -61,7 +59,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.machine_manager import EpochRecord, MachineManager
+from repro.core.machine_manager import MachineManager
 from repro.dist import wire
 from repro.dist.transport import TcpTransportFactory, TransportTimeout
 from repro.dist.wire import FrameKind
@@ -92,20 +90,17 @@ class _Handle:
         self.managers = managers
         self.process = None
         self.conn = None
-        self.seq = 0
         #: Lifecycle rows not yet sent; flushed before the next request.
         self.control = wire.ControlBatch()
-        self.checkpoint: Optional[dict[str, Any]] = None
-        #: (sequence, encoded frame, monotonic send time) per in-flight request.
-        self.inflight: deque[tuple[int, bytes, float]] = deque()
+        #: (sequence, monotonic send time, expectation) per in-flight request.
+        self.inflight: deque[tuple[int, float, Any]] = deque()
         self.restarts = 0
         # Healthy acknowledged requests since the last restart; at
         # ``restart_decay_acks`` the restart budget resets (transient
         # crashes over a long run must not accumulate into a death).
         self.healthy_acks = 0
         # Set when a send observed a broken stream: recovery is deferred to
-        # the next collect/heartbeat, which re-sends every frame queued in
-        # ``inflight`` to the rebuilt worker.
+        # the next collect or heartbeat.
         self.dead = False
 
 
@@ -139,10 +134,10 @@ class WorkerSupervisor:
         self.ack_timeout_s = ack_timeout_s
         self.restart_decay_acks = restart_decay_acks
         self.restart_count = 0
-        # Ack round-trip seconds per worker slot, from first send to the
-        # acknowledgement's arrival (recovery time included — a re-sent frame
-        # keeps its original send stamp).  Drained by the backend into
-        # UpdateStats.worker_ack_seconds.
+        self._seq = 0
+        # Seconds per acknowledged request and worker slot, from its send to
+        # its collect (the driver's work in between included).  Drained by
+        # the backend into UpdateStats.worker_ack_seconds.
         self._ack_latency: dict[int, list[float]] = {}
         self._started = False
         self._closed = False
@@ -246,68 +241,56 @@ class WorkerSupervisor:
 
     def begin_request(
         self,
-        worker: int,
         kind: FrameKind,
         meta: dict[str, Any],
         arrays: tuple[np.ndarray, ...] = (),
-    ) -> int:
-        """Send an acknowledged frame without waiting; returns its sequence.
+        *,
+        expected: dict[int, Any],
+    ) -> None:
+        """Send one acknowledged frame to the workers ``expected`` names, without waiting.
 
-        Several requests may be in flight per worker; acknowledgements are
-        collected FIFO with :meth:`finish_request`.  The worker's pending
-        lifecycle rows go first, as one ``CONTROL`` frame.
+        The frame is encoded once: its sequence number is the same for every
+        worker.  Each worker's pending lifecycle rows go first, as one
+        ``CONTROL`` frame.  ``expected`` maps a worker to what its answer
+        must hold, handed back with the acknowledgement by :meth:`collect`.
+        """
+        self._seq += 1
+        frame = wire.encode_frame(kind, {**meta, "seq": self._seq}, arrays)
+        for worker, expectation in expected.items():
+            handle = self._handles[worker]
+            self._flush(handle)
+            handle.inflight.append((self._seq, time.monotonic(), expectation))
+            self._send(handle, frame)
+
+    def collect(self, worker: int) -> list[tuple[dict[str, Any], Any]]:
+        """Collect the acknowledgement of every request in flight, oldest first.
+
+        Returns ``(acknowledgement, expected)`` pairs.  A crash observed on
+        the way restarts the worker, which drops the requests not yet
+        answered (see the module docstring); worker-side exceptions surface
+        as :class:`WorkerRemoteError`.
         """
         handle = self._handles[worker]
-        self._flush(handle)
-        handle.seq += 1
-        frame = wire.encode_frame(kind, {**meta, "seq": handle.seq}, arrays)
-        handle.inflight.append((handle.seq, frame, time.monotonic()))
-        self._send(handle, frame)  # a broken send is recovered at collect time
-        return handle.seq
-
-    def begin_epoch(self, record: EpochRecord, now_s: float) -> None:
-        """Send one epoch's record to every worker, acknowledged.
-
-        The record is encoded once; each worker then gets one frame that
-        only its sequence number sets apart.  Collect the acknowledgements
-        with :meth:`finish_request`, one per worker.
-        """
-        meta, arrays = wire.slice_payload(record)
-        meta["now_s"] = now_s
-        for worker in range(len(self._handles)):
-            self.begin_request(worker, FrameKind.APPLY_EPOCH, meta, arrays)
-
-    def finish_request(self, worker: int) -> dict[str, Any]:
-        """Collect the acknowledgement of the oldest in-flight request.
-
-        Crashes observed while sending or waiting trigger recovery and a
-        re-send of all in-flight frames; worker-side exceptions surface as
-        :class:`WorkerRemoteError`.
-        """
-        handle = self._handles[worker]
-        if not handle.inflight:
-            raise RuntimeError(f"worker {worker} has no request in flight")
-        while True:
+        acks = []
+        while handle.inflight:
+            seq, sent_at, expected = handle.inflight[0]
             try:
                 if handle.dead:
-                    raise WorkerCrashError(
-                        f"worker {handle.index} transport broke mid-send"
-                    )
-                meta = self._await_ack(handle, handle.inflight[0][0])
-                _seq, _frame, sent_at = handle.inflight.popleft()
-                self._ack_latency.setdefault(handle.index, []).append(
-                    time.monotonic() - sent_at
-                )
-                self._note_healthy(handle)
-                return meta
+                    raise WorkerCrashError(f"worker {handle.index} transport broke mid-send")
+                meta = self._await_ack(handle, seq)
             except WorkerCrashError:
-                self._recover(handle)  # re-sends every in-flight frame
-
-    def _note_healthy(self, handle: _Handle) -> None:
-        handle.healthy_acks += 1
-        if handle.restarts and handle.healthy_acks >= self.restart_decay_acks:
-            handle.restarts = 0
-            handle.healthy_acks = 0
+                self._recover(handle)
+                break
+            except WorkerRemoteError:
+                handle.inflight.popleft()  # answered, with an error
+                raise
+            handle.inflight.popleft()
+            self._ack_latency.setdefault(handle.index, []).append(time.monotonic() - sent_at)
+            handle.healthy_acks += 1
+            if handle.restarts and handle.healthy_acks >= self.restart_decay_acks:
+                handle.restarts = handle.healthy_acks = 0
+            acks.append((meta, expected))
+        return acks
 
     def _await_ack(self, handle: _Handle, seq: int) -> dict[str, Any]:
         deadline = time.monotonic() + self.ack_timeout_s
@@ -366,7 +349,6 @@ class WorkerSupervisor:
                 f"worker {handle.index} control-frame errors: "
                 + "; ".join(meta["deferred_errors"])
             )
-        handle.checkpoint = meta
         return meta
 
     # -- heartbeat ----------------------------------------------------------
@@ -384,12 +366,8 @@ class WorkerSupervisor:
                 restarted += 1
         return restarted
 
-    def checkpoint(self, worker: int) -> Optional[dict[str, Any]]:
-        """The worker's last acknowledged checkpoint (None before the first)."""
-        return self._handles[worker].checkpoint
-
     def drain_ack_latencies(self) -> dict[int, list[float]]:
-        """Ack round-trip seconds per worker slot since the last drain.
+        """Send-to-collect seconds per worker slot since the last drain.
 
         Returns and clears the accumulated samples, so successive calls
         partition the samples without double counting.
@@ -401,10 +379,12 @@ class WorkerSupervisor:
     # -- recovery -----------------------------------------------------------
 
     def _recover(self, handle: _Handle) -> None:
+        # The successor starts from the replica, which is ahead of every
+        # request in flight: they are dropped, not re-sent.
+        handle.inflight.clear()
         # A successor can die too (repeatable crash, OOM while loading
-        # thousands of microVMs), so the whole rebuild — spawn from the
-        # replica, in-flight re-send — retries under the same bounded
-        # restart budget instead of leaking raw stream errors.
+        # thousands of microVMs) or fail its accept/handshake, so the spawn
+        # retries under the same bounded restart budget.
         while True:
             handle.restarts += 1
             self.restart_count += 1
@@ -428,14 +408,8 @@ class WorkerSupervisor:
                     pass
             handle.dead = True
             try:
-                # The spawn itself retries under the same budget: a
-                # successor can fail its accept/handshake (or an external
-                # worker may take a while to be relaunched) just like it
-                # can die before its re-sent requests.
                 self._spawn(handle)
                 handle.dead = False
-                for _seq, frame, _sent_at in handle.inflight:
-                    handle.conn.send_bytes(frame)
                 return
             except (OSError, BrokenPipeError, EOFError, WorkerCrashError):
                 continue  # the successor died mid-recovery: rebuild again

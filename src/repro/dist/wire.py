@@ -39,9 +39,9 @@ execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
 a closed, self-describing binary encoding of
 ``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
 no imports, no callables.  Dataclass payloads (the compute tables of a
-``CONTROL`` frame, usage samples) travel as their ``dataclasses.asdict``
-form and are rebuilt by the receiver; anything else is a :class:`TypeError`
-at the sender.
+``CONTROL`` frame) travel as their ``dataclasses.asdict`` form and are
+rebuilt by the receiver; anything else is a :class:`TypeError` at the
+sender.
 
 Frame kinds
 -----------
@@ -49,8 +49,10 @@ Frame kinds
 =================  ============  =============================================
 kind               direction     payload
 =================  ============  =============================================
-``ACK``/``ERROR``  worker → sup  checkpoint (row counts, counters, dirty sets,
-                                 state checksums), usage samples / a traceback
+``ACK``/``ERROR``  worker → sup  ``counters``: per host its checkpoint (row
+                                 count, counters, dirty set, state checksum);
+                                 ``sample_crc``: per host its sample's CRC-32
+                                 (:func:`sample_checksum`) / a traceback
 ``SPEC``           sup → worker  answers ``HELLO``: every host the worker owns
                                  as the driver's replica holds it — host
                                  blueprint, key root, checkpoint and machine
@@ -169,6 +171,7 @@ import dataclasses
 import enum
 import math
 import struct
+import zlib
 from typing import Any, Optional
 
 import numpy as np
@@ -176,7 +179,7 @@ import numpy as np
 from repro.core.config import ComputeParams
 from repro.core.constellation import MachineId, satellite_name
 from repro.core.machine_manager import ControlOp, EpochRecord, MachineManager
-from repro.hosts import Host
+from repro.hosts import Host, UsageSample
 from repro.microvm import MachineBatch, MachineState, MachineTable
 
 #: Frame magic: "CeLestial Wire".
@@ -202,7 +205,9 @@ WIRE_MAGIC = b"CLW1"
 #: 12: ``SPEC`` carries each host's machine table, counters and dirty set;
 #: the activity-restore frame and the two test-hook kinds are gone, and an
 #: ``ACK`` carries no epoch or count of control frames.
-WIRE_VERSION = 12
+#: 13: a ``SAMPLE_USAGE`` acknowledgement carries one CRC-32 per host
+#: (``sample_crc``) instead of the sample's fields.
+WIRE_VERSION = 13
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -600,6 +605,14 @@ def decode_record(meta: dict[str, Any], arrays: list[np.ndarray]) -> EpochRecord
     return EpochRecord(epoch, active, flipped, first)
 
 
+_SAMPLE = struct.Struct("<5dq")
+
+
+def sample_checksum(sample: UsageSample) -> int:
+    """CRC-32 of a usage sample's fields, packed ``<5dq`` in declaration order."""
+    return zlib.crc32(_SAMPLE.pack(*vars(sample).values()))
+
+
 # -- CONTROL codec -------------------------------------------------------------
 
 
@@ -633,13 +646,15 @@ class ControlBatch:
 
     def append(
         self,
-        op: ControlOp,
         position: int,
+        op: ControlOp,
         machine: MachineBatch | MachineId | None = None,
         value: float = 0.0,
     ) -> None:
-        """Add one row: ``machine`` is a ``CREATE`` row's batch, ``None`` for
-        ``BOOT_CREATED`` and the machine the row acts on otherwise."""
+        """Add one row for the manager at host ``position``: ``machine`` is a
+        ``CREATE`` row's batch, ``None`` for ``BOOT_CREATED`` and the machine
+        the row acts on otherwise.  Bound to a position, this is a replica
+        manager's :attr:`~repro.core.machine_manager.MachineManager.sink`."""
         ops, positions, counts, values, shells, identifiers, images = self._columns
         if isinstance(machine, MachineBatch):
             table = np.array(

@@ -7,8 +7,9 @@ Celestial host plays on a real machine of the paper's testbed: receive
 every constellation update — one
 :class:`~repro.core.machine_manager.EpochRecord` per epoch, the same for
 every worker: per shell the activity mask and the mask of satellites that
-flipped — let each of its managers apply its own part, and report host
-resource usage back to the coordinator (§3, Fig. 2).  Link delays and
+flipped — let each of its managers apply its own part, and sample host
+resource usage (§3, Fig. 2); here the coordinator's replica computes the
+same and the worker's answers check it.  Link delays and
 bandwidths never reach a worker: this reproduction applies the network half
 of an update on the coordinator's side (``VirtualNetwork.apply_diff``,
 ``ConstellationDatabase.pair_rule``).
@@ -32,10 +33,11 @@ run, as if each had been a frame of its own; a malformed frame
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: per-manager
-checkpoints — row count, counters, dirty set and a checksum of the
-machines' states (:meth:`MachineManager.counters_snapshot`), which the
-driver compares with its replica's — usage samples, and any errors from
-unacknowledged ``CONTROL`` frames.
+checkpoints (row count, counters, dirty set and a checksum of the
+machines' states: :meth:`MachineManager.counters_snapshot`), for a sweep
+the CRC-32 of each usage sample it took, and any errors from
+unacknowledged ``CONTROL`` frames.  The driver compares them with what its
+replica held when it sent the request; the samples themselves never travel.
 
 A worker keeps nothing the driver does not: it starts from the hosts its
 ``SPEC`` frame carries, as the driver's replica holds them — empty at pool
@@ -61,7 +63,6 @@ analogue of the supervisor's local respawn.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -157,7 +158,7 @@ class _Worker:
                 manager.apply_diff(record, meta["now_s"])
             return None
         if kind is FrameKind.SAMPLE_USAGE:
-            samples = {}
+            checksums = {}
             for position, manager in sorted(self.by_position.items()):
                 sample = manager.sample_usage(
                     meta["now_s"],
@@ -165,8 +166,8 @@ class _Worker:
                     applying_update=meta["applying_update"],
                     sample_index=meta["sample_index"][position],
                 )
-                samples[position] = dataclasses.asdict(sample)
-            return {"samples": samples}
+                checksums[position] = wire.sample_checksum(sample)
+            return {"sample_crc": checksums}
         if kind is FrameKind.CONTROL:
             self._run_control(wire.decode_control(meta, arrays))
             return None

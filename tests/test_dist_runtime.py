@@ -5,9 +5,13 @@ no-op relative to the default thread backend — suspend/resume counters,
 dirty-machine reconciliation, machine states and usage samples are
 byte/count-identical over many epochs, **including** a worker crash, after
 which the successor starts from the driver's replica — one ``SPEC`` frame,
-no replay — and is sent the requests in flight.  Every process-backend test
-runs over the one worker seam: length-prefixed frames on loopback TCP,
-handshake, reconnect after SIGKILL — the path a remote worker takes.
+no replay — and the requests in flight are dropped, not re-sent.  The driver
+computes every answer and checks each worker's one request late: before the
+next record, at ``close()`` and in ``worker_counters()``, so a desync or a
+crash shows there rather than in the call that sent the request.  Every
+process-backend test runs over the one worker seam: length-prefixed frames
+on loopback TCP, handshake, reconnect after SIGKILL — the path a remote
+worker takes.
 """
 
 import dataclasses
@@ -45,9 +49,13 @@ from repro.sim.rng import key_root, keyed
 
 
 def _ping(supervisor, worker):
-    """One acknowledged ``PING`` round trip; returns the worker's checkpoint."""
-    supervisor.begin_request(worker, FrameKind.PING, {})
-    return supervisor.finish_request(worker)
+    """One ``PING`` sent and all in flight collected: its checkpoint, or None.
+
+    None when the worker died with the ``PING`` in flight: its successor
+    starts from the replica and is sent nothing again.
+    """
+    supervisor.begin_request(FrameKind.PING, {}, expected={worker: "ping"})
+    return next((ack for ack, tag in supervisor.collect(worker) if tag == "ping"), None)
 
 
 def _crash(supervisor, worker):
@@ -366,12 +374,13 @@ class TestProcessBackendEquivalence:
 
     def test_crash_mid_epoch_still_counts_dirty_once(self):
         # Worst-case detection point: the worker dies mid-epoch, after it
-        # acknowledged the reboot, and the crash is found while the record's
-        # acknowledgement is collected.  The successor must start from the
-        # replica as the record found it — the victim still dirty — so the
-        # re-sent record redoes the counting reconcile exactly once:
-        # otherwise the victim is suspended uncounted, and the checkpoint
-        # compared with the replica's differs.
+        # acknowledged the reboot and with the record in flight, and the
+        # crash is found when the record's acknowledgement is collected.
+        # The replica applied the record before sending it — the victim's
+        # counting reconcile done once — so the successor starts from there
+        # and the record is not re-sent: sent again, it would reconcile
+        # nothing, but count a second applied diff, and the checkpoint
+        # compared with the replica's would differ.
         from repro.core import EpochRecord
 
         config = _iridium_box_config(duration_s=2400.0)
@@ -391,11 +400,11 @@ class TestProcessBackendEquivalence:
                 coordinator.manager_for(victim).reboot_machine(victim, 320.0)
             threads.update(360.0)
             # Drive the process backend's epoch by hand so the crash lands
-            # deterministically between the checkpoint and the collect.
+            # deterministically between the record's send and its collect.
             now = 360.0
             backend = processes._backend
             victim = processes.calculation.satellite(0, outside)
-            worker = backend._worker_of[_position(processes, victim)]
+            worker = _position(processes, victim) % 2
             # The reboot's CONTROL frame goes out and is acknowledged: the
             # victim is dirty on the worker and on the replica.
             _ping(backend.supervisor, worker)
@@ -404,13 +413,14 @@ class TestProcessBackendEquivalence:
             processes.database.set_state(state, diff=diff)
             record = EpochRecord.of(processes.database.epoch, state, previous)
             processes._ensure_activated_satellites(record, now)
-            _crash(backend.supervisor, worker)
             backend.apply_slices(record, now)
-            assert backend.restart_count == 1
+            _crash(backend.supervisor, worker)
+            assert backend.restart_count == 0  # found when the ack is collected
             for step in range(7, 12):
                 now = step * 60.0
                 threads.update(now)
                 processes.update(now)
+                assert backend.restart_count == 1
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             _assert_equivalent(threads, processes)
         finally:
@@ -418,6 +428,8 @@ class TestProcessBackendEquivalence:
             processes.close()
 
     def test_crash_detected_during_sampling(self):
+        # A sweep sent to a dead worker still answers from the replica; the
+        # crash is found when the next record collects the sweep's ack.
         config = _iridium_box_config()
         processes = _coordinator(config, "processes")
         try:
@@ -427,6 +439,8 @@ class TestProcessBackendEquivalence:
             _crash(processes._backend.supervisor, 1)
             after = processes.sample_all_usage(65.0)
             assert len(after) == len(before)
+            assert processes._backend.restart_count == 0
+            processes.update(120.0)
             assert processes._backend.restart_count == 1
         finally:
             processes.close()
@@ -458,8 +472,9 @@ class TestBatchedControlFrames:
         # 1,589 microVMs on 4 hosts / 2 workers.  The set-up epoch's
         # lifecycle rows are one CONTROL frame per worker.  A worker killed
         # after the set-up epoch, and one killed right after fault-injection
-        # ops (found by the sample that flushes them), each restart from one
-        # SPEC frame holding the replica's tables, then the request in flight.
+        # ops (found when the next record collects the sample that flushed
+        # them), each restart from one SPEC frame holding the replica's
+        # tables; the requests in flight are not re-sent.
         frames = _SentFrames(monkeypatch)
         config = west_africa_configuration(
             duration_s=600.0, shells="lowest", use_bounding_box=False
@@ -481,8 +496,12 @@ class TestBatchedControlFrames:
                 for coordinator in (threads, processes):
                     coordinator.update(now)
                 if step == 1:
-                    # Found by the heartbeat before the record went out.
+                    # Found before the record went out.
                     assert frames.to(processes, 0) == [FrameKind.SPEC, FrameKind.APPLY_EPOCH]
+                if step == 5:
+                    # The fault rows went to the dead worker; its successor
+                    # holds them in its SPEC and is sent the next record only.
+                    assert frames.to(processes, 1) == [FrameKind.SPEC, FrameKind.APPLY_EPOCH]
                 if step == 4:
                     stopped, rebooted, throttled = (
                         processes.calculation.satellite(0, identifier)
@@ -500,10 +519,6 @@ class TestBatchedControlFrames:
                     assert 1 in fault_workers
                     _crash(processes._backend.supervisor, 1)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
-                if step == 4:
-                    # The fault rows went to the dead worker; its successor
-                    # holds them in its SPEC and is sent the sample again.
-                    assert frames.to(processes, 1) == [FrameKind.SPEC, FrameKind.SAMPLE_USAGE]
             assert processes._backend.restart_count == 2
             _assert_equivalent(threads, processes)
             # Worker 0's successor gets the fault rows it owns as a flush;
@@ -515,10 +530,10 @@ class TestBatchedControlFrames:
             threads.close()
             processes.close()
 
-    def test_a_successor_is_sent_one_spec_and_the_request_without_replay(self, monkeypatch):
+    def test_a_successor_is_sent_one_spec_and_nothing_else(self, monkeypatch):
         # Fifty flushes with lifecycle rows, then a crash with one more row
-        # pending: the successor is sent its SPEC and the re-sent request,
-        # nothing else.  The replica ran every row, so the SPEC holds them.
+        # and a PING in flight: the successor is sent its SPEC, nothing
+        # else.  The replica ran every row, so the SPEC holds them.
         frames = _SentFrames(monkeypatch)
         processes = _coordinator(_iridium_box_config(), "processes", host_count=1, worker_count=1)
         try:
@@ -532,15 +547,15 @@ class TestBatchedControlFrames:
             assert frames.to(processes, 0).count(FrameKind.CONTROL) == 51
             manager.set_cpu_quota(hawaii, 0.5)
             _crash(supervisor, 0)
-            _ping(supervisor, 0)
-            assert frames.to(processes, 0) == [FrameKind.SPEC, FrameKind.PING]
+            assert _ping(supervisor, 0) is None  # dropped with its worker
+            assert frames.to(processes, 0) == [FrameKind.SPEC]
             assert supervisor.restart_count == 1
             # The successor holds the pending quota and the last busy share:
-            # its checkpoints (compared on every ack) and samples are the
-            # replica's.
+            # its checkpoints and its sample's checksum are the replica's.
             processes.update(60.0)
             (sample,) = processes.sample_all_usage(60.0)
             assert sample.microvm_cpu_percent == manager.host.microvm_cpu_percent()
+            processes._backend.worker_counters()  # collects and compares both
         finally:
             processes.close()
 
@@ -572,11 +587,11 @@ class TestBatchedControlFrames:
                     coordinator.create_machine(machine, 150.0)
             _crash(processes._backend.supervisor, _position(processes, absent[0]) % 2)
             assert threads.sample_all_usage(150.0) == processes.sample_all_usage(150.0)
-            assert processes._backend.restart_count == 1
             for step in range(3, 8):
                 now = step * 60.0
                 for coordinator in (threads, processes):
                     coordinator.update(now)
+                assert processes._backend.restart_count == 1
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             _assert_equivalent(threads, processes)
         finally:
@@ -586,7 +601,8 @@ class TestBatchedControlFrames:
     def test_rows_run_a_flush_late_are_a_desync_at_set_up(self, monkeypatch):
         # Counters cannot see it (no bounding box: nothing is suspended), but
         # a worker that holds each CONTROL frame back until the next one
-        # acknowledges the set-up epoch without a single machine.
+        # acknowledges the set-up epoch without a single machine, which the
+        # next update finds.
         dispatch = _Worker._dispatch
 
         def one_flush_late(self, kind, meta, arrays):
@@ -601,10 +617,11 @@ class TestBatchedControlFrames:
         config = dataclasses.replace(_iridium_box_config(), bounding_box=None)
         processes = _coordinator(config, "processes")
         try:
+            processes.update(0.0)
             with pytest.raises(
                 WorkerDesyncError, match=r"the worker holds 0 machines, the driver's replica \d+"
             ):
-                processes.update(0.0)
+                processes.update(60.0)
         finally:
             processes.close()
 
@@ -612,7 +629,7 @@ class TestBatchedControlFrames:
         # A worker that silently skips the first CREATE row it is sent: no
         # error is reported and, without a bounding box, no record moves a
         # machine, so only the row counts of the set-up acknowledgement show
-        # that its host lacks the batch.
+        # that its host lacks the batch — compared at close at the latest.
         run_control = _Worker._run_control
 
         def drop_first_create(self, rows):
@@ -625,34 +642,36 @@ class TestBatchedControlFrames:
         config = dataclasses.replace(_iridium_box_config(), bounding_box=None)
         processes = _coordinator(config, "processes", host_count=1, worker_count=1)
         try:
+            processes.update(0.0)
             with pytest.raises(WorkerDesyncError, match="the worker holds 66 machines"):
-                processes.update(0.0)
+                processes.close()
+            assert not processes._backend.supervisor._handles[0].process.is_alive()
         finally:
             processes.close()
 
     def test_a_row_the_replica_never_ran_is_a_desync_at_the_next_update(self):
         # A STOP row for the ground station reaches its worker but not the
         # replica manager.  The row count, the counters and the dirty set
-        # (the record clears it on both sides) cannot tell; the states can.
+        # (the record clears it on both sides) cannot tell; the states can,
+        # once the record that carried the row is collected.
         processes = _coordinator(_iridium_box_config(), "processes", host_count=3, worker_count=2)
         try:
             processes.update(0.0)
             hawaii = processes.calculation.ground_station("hawaii")
             position = _position(processes, hawaii)
             backend = processes._backend
-            backend.supervisor.control(backend._worker_of[position]).append(
-                ControlOp.STOP, position, hawaii, 10.0
-            )
+            backend.supervisor.control(position % 2).append(position, ControlOp.STOP, hawaii, 10.0)
+            processes.update(60.0)
             with pytest.raises(WorkerDesyncError, match=rf"host {position}: the worker's states"):
-                processes.update(60.0)
+                processes.update(120.0)
         finally:
             processes.close()
 
     def test_reversed_rows_fail_typed_at_set_up(self, monkeypatch):
         # A machine created unbooted and booted before the first epoch: in
         # reversed rows its BOOT runs before its CREATE, and the failed row
-        # is reported with the set-up epoch's acknowledgement.  (The row
-        # count alone could not tell: a reordering keeps it.)
+        # is reported with the set-up epoch's acknowledgement, collected at
+        # close.  (The row count alone could not tell: a reordering keeps it.)
         run_control = _Worker._run_control
         monkeypatch.setattr(
             _Worker, "_run_control", lambda self, rows: run_control(self, rows[::-1])
@@ -662,8 +681,9 @@ class TestBatchedControlFrames:
             late = processes.calculation.satellite(0, 0)
             processes.create_machine(late, 0.0, boot=False)
             processes.manager_for(late).boot(late, 0.0)
+            processes.update(0.0)
             with pytest.raises(WorkerRemoteError, match=r"CONTROL row \d+ \(BOOT\)"):
-                processes.update(0.0)
+                processes.close()
         finally:
             processes.close()
 
@@ -671,7 +691,9 @@ class TestBatchedControlFrames:
 class TestOneRecordPerEpoch:
     def test_one_encode_per_epoch_and_one_ack_per_worker(self, monkeypatch):
         # Three hosts on two workers: worker 0 owns two managers, yet every
-        # epoch is one record encode, one frame and one ack per worker.
+        # epoch is one record encode, one frame and one ack per worker.  The
+        # last record's ack is still in flight: it is collected before the
+        # next record or at close.
         from repro.dist import wire
 
         encodes = []
@@ -690,7 +712,9 @@ class TestOneRecordPerEpoch:
             assert encodes == [1, 2, 3, 4, 5]
             acks = processes.stats.worker_ack_seconds
             assert sorted(acks) == [0, 1]
-            assert [len(acks[worker]) for worker in (0, 1)] == [5, 5]
+            assert [len(acks[worker]) for worker in (0, 1)] == [4, 4]
+            handles = processes._backend.supervisor._handles
+            assert [len(handle.inflight) for handle in handles] == [1, 1]
             assert [manager.applied_diffs for manager in processes.managers] == [4, 4, 4]
         finally:
             processes.close()
@@ -999,15 +1023,17 @@ class TestCrashSchedule:
         # Iridium through a box, 3 hosts on 2 workers, 20 epochs with
         # lifecycle operations between them.  Before each epoch the schedule
         # picks one SIGKILL point, or none: with rows pending before the
-        # update, between the record's send and its collect, or before the
-        # sample.
+        # update, right after the record went out, or before the sample.  A
+        # kill is found when the acknowledgements are next collected — at
+        # the latest by the checks of the same step, which collect.
         schedule = random.Random(seed)
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
-        supervisor = processes._backend.supervisor
+        backend = processes._backend
+        supervisor = backend.supervisor
         supervisor.max_restarts = 20  # no healthy streak decays the budget here
-        begin_epoch = supervisor.begin_epoch
+        apply_slices = backend.apply_slices
         kills = 0
         try:
             for step in range(20):
@@ -1018,14 +1044,14 @@ class TestCrashSchedule:
                 if point == "pending":
                     _crash(supervisor, victim)
                 if point == "in-flight":
-                    def begin_then_kill(record, now_s, victim=victim):
-                        begin_epoch(record, now_s)
+                    def send_then_kill(record, now_s, victim=victim):
+                        apply_slices(record, now_s)
                         _crash(supervisor, victim)
 
-                    supervisor.begin_epoch = begin_then_kill
+                    backend.apply_slices = send_then_kill
                 for coordinator in (threads, processes):
                     coordinator.update(now)
-                supervisor.begin_epoch = begin_epoch
+                backend.apply_slices = apply_slices
                 _assert_equivalent(threads, processes)
                 if point == "sample":
                     _crash(supervisor, victim)
@@ -1036,9 +1062,83 @@ class TestCrashSchedule:
                     if answers is not None:
                         assert answers[0] == answers[1]
             assert kills >= 10
-            assert processes._backend.restart_count == kills
+            assert backend.restart_count == kills
         finally:
             threads.close()
+            processes.close()
+
+
+class TestVerifiedOneEpochLate:
+    """The driver answers every call itself; a worker is checked one request late."""
+
+    def test_a_kill_between_send_and_collect_restarts_from_the_replica(self):
+        # SIGKILL a worker after the epoch's record and sweep went out and
+        # before the next record collects them.  The driver already answered
+        # from its replica, which is ahead of both requests, so the successor
+        # starts from it and neither request is sent again.
+        config = _iridium_box_config(duration_s=2400.0)
+        threads = _coordinator(config, "threads")
+        processes = _coordinator(config, "processes")
+        backend = processes._backend
+        try:
+            for step in range(8):
+                now = step * 60.0
+                for coordinator in (threads, processes):
+                    coordinator.update(now)
+                assert backend.restart_count == int(step > 2) + int(step > 5)
+                assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
+                if step in (2, 5):
+                    _crash(backend.supervisor, step % 2)
+            _assert_equivalent(threads, processes)
+            assert sum(c[0] for c in _counters(processes)) > 0
+        finally:
+            threads.close()
+            processes.close()
+
+    @pytest.mark.parametrize("found_by", ["update", "close"])
+    def test_a_forged_sample_is_a_desync_at_the_next_update_or_at_close(
+        self, monkeypatch, found_by
+    ):
+        dispatch = _Worker._dispatch
+
+        def forged(self, kind, meta, arrays):
+            answer = dispatch(self, kind, meta, arrays)
+            if kind is FrameKind.SAMPLE_USAGE and 0 in answer["sample_crc"]:
+                answer["sample_crc"][0] ^= 1
+            return answer
+
+        monkeypatch.setattr(_Worker, "_dispatch", forged)  # before the fork
+        processes = _coordinator(_iridium_box_config(), "processes")
+        try:
+            processes.update(0.0)
+            processes.sample_all_usage(0.0)  # answered by the driver: no error yet
+            with pytest.raises(WorkerDesyncError, match="host 0: the worker's sample_crc is"):
+                if found_by == "update":
+                    processes.update(60.0)
+                else:
+                    processes.close()
+        finally:
+            processes.close()
+
+    def test_the_requests_in_flight_are_the_record_and_the_sweeps_since(self):
+        program = random.Random(5)
+        processes = _coordinator(_iridium_box_config(), "processes")
+        handles = processes._backend.supervisor._handles
+        try:
+            records = sweeps = 0
+            now = 0.0
+            for _ in range(30):
+                if program.random() < 0.4:
+                    processes.update(now)
+                    records, sweeps = 1, 0
+                    now += 60.0
+                else:
+                    processes.sample_all_usage(now)
+                    sweeps += 1
+                assert [len(handle.inflight) for handle in handles] == [records + sweeps] * 2
+            processes._backend.worker_counters()
+            assert [len(handle.inflight) for handle in handles] == [0, 0]
+        finally:
             processes.close()
 
 

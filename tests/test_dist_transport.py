@@ -351,9 +351,14 @@ class TestFactories:
 
 
 def _ping(supervisor, worker):
-    """One acknowledged ``PING`` round trip; returns the worker's checkpoint."""
-    supervisor.begin_request(worker, FrameKind.PING, {})
-    return supervisor.finish_request(worker)
+    """One ``PING`` sent and collected: the worker's checkpoint, or None.
+
+    None when the worker died with the ``PING`` in flight: its successor
+    starts from the replica and is sent nothing again.
+    """
+    supervisor.begin_request(FrameKind.PING, {}, expected={worker: None})
+    acks = supervisor.collect(worker)
+    return acks[-1][0] if acks else None
 
 
 def _crash(supervisor, worker):
@@ -379,9 +384,9 @@ class TestSupervisionHardening:
             supervisor.start()
             assert "counters" in _ping(supervisor, 0)
             os.kill(supervisor._handles[0].process.pid, signal.SIGSTOP)
-            meta = _ping(supervisor, 0)  # timeout → kill → respawn → re-send
-            assert "counters" in meta
+            assert _ping(supervisor, 0) is None  # timeout → kill → respawn, dropped
             assert supervisor.restart_count == 1
+            assert "counters" in _ping(supervisor, 0)
         finally:
             supervisor.close()
 
@@ -490,9 +495,9 @@ class TestExternalWorkers:
             # The operator's relaunch: a fresh worker dials the same port
             # (the listener's backlog holds it until recovery accepts).
             replacement = _launch_external_worker(port)
-            meta = _ping(supervisor, 0)  # EOF → recover → re-handshake → re-send
-            assert "counters" in meta
+            assert _ping(supervisor, 0) is None  # EOF → recover → re-handshake, dropped
             assert supervisor.restart_count == 1
+            assert "counters" in _ping(supervisor, 0)
         finally:
             supervisor.close()
             for process in (first, replacement):

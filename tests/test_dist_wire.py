@@ -447,7 +447,7 @@ def _control_worker(positions=(0,)) -> _Worker:
 def _replica(batch: wire.ControlBatch, manager=None) -> MachineManager:
     """A driver-side manager whose rows go to ``batch``, as host position 0."""
     manager = manager or MachineManager(Host(index=10))
-    manager.sink = lambda op, machine, value: batch.append(op, 0, machine, value)
+    manager.sink = lambda op, machine, value: batch.append(0, op, machine, value)
     return manager
 
 
@@ -602,8 +602,8 @@ class TestControlFrames:
 
     def test_failing_rows_are_reported_and_the_rows_after_them_run(self):
         batch = wire.ControlBatch()
-        batch.append(wire.ControlOp.CPU_QUOTA, 0, MachineId(0, 9, "9.0.celestial"), 0.5)
-        batch.append(wire.ControlOp.BOOT_CREATED, 7, value=1.0)  # not this worker's
+        batch.append(0, wire.ControlOp.CPU_QUOTA, MachineId(0, 9, "9.0.celestial"), 0.5)
+        batch.append(7, wire.ControlOp.BOOT_CREATED, value=1.0)  # not this worker's
         driver = _replica(batch)
         driver.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams())
         driver.boot(MachineId(0, 4, "4.0.celestial"), 2.0)
@@ -657,6 +657,18 @@ def _generic_frame() -> bytes:
     )
 
 
+def _ack_reference_frame() -> bytes:
+    """A sweep's acknowledgement: checkpoints and one sample checksum per host."""
+    worker = _control_worker(positions=(0, 2))
+    checksums = worker._dispatch(
+        FrameKind.SAMPLE_USAGE,
+        {"now_s": 5.0, "setup_phase": False, "applying_update": True, "sample_index": [3, 0, 7]},
+        [],
+    )
+    counters = {position: manager.counters_snapshot() for position, manager in worker.by_position.items()}
+    return encode_frame(FrameKind.ACK, {"seq": 4, "counters": counters, **checksums})
+
+
 def _record_reference_frame() -> bytes:
     rng = np.random.default_rng(12)
     return _record_frame(
@@ -672,10 +684,36 @@ def _spec_reference_frame() -> bytes:
 
 
 _REFERENCE_FRAMES = {
+    "ack": _ack_reference_frame,
     "generic": _generic_frame,
     "record": _record_reference_frame,
     "spec": _spec_reference_frame,
 }
+
+
+class TestSampleChecksum:
+    """A sweep's acknowledgement names each host's sample by its CRC-32 only."""
+
+    def test_the_worker_answers_the_checksum_of_the_sample_the_driver_takes(self):
+        worker = _control_worker(positions=(0, 2))
+        meta = {"now_s": 5.0, "setup_phase": False, "applying_update": True, "sample_index": [3, 0, 7]}
+        answer = worker._dispatch(FrameKind.SAMPLE_USAGE, meta, [])
+        assert sorted(answer) == ["sample_crc"] and sorted(answer["sample_crc"]) == [0, 2]
+        for position in (0, 2):
+            driver = _control_worker(positions=(position,)).by_position[position]
+            for _ in range(meta["sample_index"][position]):  # the trace's length keys the noise
+                driver.sample_usage(0.0)
+            sample = driver.sample_usage(5.0, applying_update=True)
+            assert answer["sample_crc"][position] == wire.sample_checksum(sample)
+
+    def test_every_field_is_in_the_checksum(self):
+        sample = _control_worker().by_position[0].sample_usage(5.0)
+        seen = {wire.sample_checksum(sample)}
+        for field in dataclasses.fields(sample):
+            value = getattr(sample, field.name)
+            changed = value + 1 if isinstance(value, int) else value * 0.5 + 0.25
+            seen.add(wire.sample_checksum(dataclasses.replace(sample, **{field.name: changed})))
+        assert len(seen) == 1 + len(dataclasses.fields(sample))
 
 
 class TestFrameFuzz:
@@ -911,7 +949,7 @@ class TestRecordFrames:
         # Rebooted again and then outside the box without a flip: the dirty
         # pass suspends it, and the checkpoint counts that.
         batch = wire.ControlBatch()
-        batch.append(wire.ControlOp.REBOOT, 0, MachineId(0, 4, "4.0.celestial"), 6.0)
+        batch.append(0, wire.ControlOp.REBOOT, MachineId(0, 4, "4.0.celestial"), 6.0)
         worker._dispatch(FrameKind.CONTROL, *batch.payload())
         meta, arrays = wire.slice_payload(
             _record({0: [True] * 4 + [False] * 9, 1: [True, False] * 4}, epoch=10)
