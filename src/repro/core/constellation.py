@@ -9,20 +9,27 @@ Shortest paths are solved on demand: each state owns one
 :class:`~repro.topology.paths.PathRows` store and solves a source's row
 the first time a query needs it, so computing an epoch solves none.
 
-The snapshot hot path is fully vectorised: static structures (the node
-index, per-shell +GRID ISL endpoint arrays as flat global node indices, and
-ground-station nodes/positions) are computed once in
-:class:`ConstellationCalculation` and reused across consecutive snapshots.
-Each epoch's link set is derived as one ISL array chunk per shell plus ONE
-flat uplink table — parallel ``(station, shell, satellite, distance_km,
-delay_ms)`` arrays with a row per visible ground-station/satellite pair —
-which one assembly step concatenates into the edge table of a
-:class:`~repro.topology.graph.NetworkGraph`.  The elevation checks and
-slant ranges of all ground stations are one batched operation per shell
-(:func:`~repro.topology.uplinks.visible_satellites_batch`); nothing on the
-epoch path loops over ground stations.  The graph's edge table is the only
-place a state keeps its uplinks: :meth:`ConstellationState.uplinks_of`
-reads a station's ``UPLINK`` edges back out of it.
+The snapshot hot path is one flat pass over the global node order (shell
+offset + identifier): static structures (the node index, every shell's
+circular-orbit elements stacked, all shells' +GRID ISL candidates as flat
+global endpoint arrays with their grazing limits, motion bounds and
+bandwidths, and the ground-station nodes/positions/thresholds) are computed
+once in :class:`ConstellationCalculation` and reused across consecutive
+snapshots.  Each epoch propagates every satellite at once, rotates them into
+the Earth-fixed frame, tests them against the bounding box, checks the line
+of sight of every ISL candidate and the elevation of every
+ground-station/satellite pair, each as one batched operation; nothing loops
+over shells or ground stations but the SGP4 shells, which fill their rows.
+Its link set is ONE flat ISL mask with its ``(distance_km, delay_ms,
+bandwidth_kbps)`` arrays plus ONE flat uplink table — parallel ``(station,
+satellite, distance_km, delay_ms)`` arrays with a row per visible
+ground-station/satellite pair
+(:func:`~repro.topology.uplinks.visible_satellites_batch`) — which one
+assembly step concatenates into the edge table of a
+:class:`~repro.topology.graph.NetworkGraph`.  The graph's edge table is the
+only place a state keeps its uplinks: :meth:`ConstellationState.uplinks_of`
+reads a station's ``UPLINK`` edges back out of it; the state's per-shell
+positions and activity masks are views of the flat arrays.
 
 Differential updates
 --------------------
@@ -31,9 +38,9 @@ Differential updates
 :meth:`ConstellationCalculation.diff_since` the epoch-to-epoch fast path.
 Both derive their link set from the same per-epoch arrays and build the
 graph through the same assembly
-(:meth:`ConstellationCalculation._assemble_graph`: ISLs by shell, then
-uplinks by ground station, shell and satellite), so edge ids agree and the
-states they produce are byte-identical.  The assembly also hands the graph
+(:meth:`ConstellationCalculation._assemble_graph`: ISLs in candidate order,
+then uplinks by ground station, shell and satellite), so edge ids agree and
+the states they produce are byte-identical.  The assembly also hands the graph
 its canonical link order, so neither path sorts the edge set: the
 calculation sorts its static ISL candidates once, an epoch keeps the
 candidates whose line of sight is clear and merges in its few sorted
@@ -58,9 +65,9 @@ full state, and hands the topology half to the virtual network.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
-full per-shell geodetic conversion is only computed for satellites inside
-the margin band of a box latitude edge; the exact sub-satellite
-latitudes/longitudes a consumer may still ask for are derived on first use
+full geodetic conversion is only computed for satellites inside the margin
+band of a box latitude edge; the exact sub-satellite latitudes/longitudes
+a consumer may still ask for are derived on first use
 per shell and cached on the state (:meth:`ConstellationState.geodetic`).
 """
 
@@ -75,6 +82,7 @@ from repro.core.config import Configuration
 from repro.core.dns import dns_slug
 from repro.orbits import Shell, constants
 from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef
+from repro.orbits.shells import circular_positions_eci
 from repro.orbits.visibility import (
     elevation_angle_deg,
     elevation_angle_matrix_deg,
@@ -213,18 +221,22 @@ class ConstellationDiff:
 class _UpdateHints:
     """Certified visibility bounds carried from one epoch to the next.
 
-    ``elevation_bounds`` holds, per shell, a ``(G, N)`` matrix of *upper
-    bounds* on each ground-station/satellite elevation angle [deg]:
-    entries are exact where the elevation was last computed and grow by a
-    certified maximum elevation rate × Δt per epoch otherwise.  A pair whose
-    bound stays below the station's minimum elevation provably cannot have
-    become visible, so the differential path skips its elevation check.
+    All arrays run over the global node order (shell offset + identifier).
+    ``elevation_bounds`` is a ``(G, N)`` matrix of *upper bounds* on each
+    ground-station/satellite elevation angle [deg]: entries are exact where
+    the elevation was last computed and grow by a certified maximum
+    elevation rate × Δt per epoch otherwise (the rate of the satellite's
+    shell).  A pair whose bound stays below its minimum elevation provably
+    cannot have become visible, so the differential path skips its
+    elevation check.
 
-    ``los_lower``/``los_upper`` bracket, per shell, each candidate ISL's
-    closest approach to Earth's centre [km]; the closest-approach function
-    is 1-Lipschitz in the endpoint positions, so the interval widens by the
-    maximum satellite displacement per epoch.  Only links whose interval
-    straddles the atmosphere-grazing limit need an exact recomputation.
+    ``los_lower``/``los_upper`` bracket each ISL candidate's closest
+    approach to Earth's centre [km], one entry per candidate of the flat
+    ``_isl_endpoints_a/b``; the closest-approach function is 1-Lipschitz in
+    the endpoint positions, so the interval widens by the maximum satellite
+    displacement of the candidate's shell per epoch.  Only links whose
+    interval straddles their shell's atmosphere-grazing limit need an exact
+    recomputation.
 
     The bounds are conservative: any Δt (including large gaps or stepping
     backwards in time) only widens them, degrading gracefully to the full
@@ -232,35 +244,36 @@ class _UpdateHints:
     """
 
     time_s: float
-    elevation_bounds: list[np.ndarray]
-    los_lower: list[np.ndarray]
-    los_upper: list[np.ndarray]
+    elevation_bounds: np.ndarray
+    los_lower: np.ndarray
+    los_upper: np.ndarray
 
 
 @dataclass
 class _EpochArrays:
     """Per-epoch intermediate arrays shared by ``state_at`` and ``diff_since``.
 
-    ``clear`` holds one mask per shell over its ISL candidates
-    (``ConstellationCalculation._isl_pairs``): the candidates whose line
-    of sight is clear, which are the epoch's ISLs.  ``isl_chunks`` holds
-    one ``(distance_km, delay_ms, bandwidth_kbps)`` tuple per shell with
-    candidates, for the ISLs ``clear`` keeps.
-    ``uplinks`` is the epoch's whole uplink set as five parallel arrays
-    ``(station, shell, satellite, distance_km, delay_ms)`` — ``station`` the
-    ground station's position in the configuration, ``satellite`` the
-    in-shell identifier — with one row per visible pair, sorted by ground
-    station, then shell, then satellite: the order in which
-    :meth:`ConstellationCalculation._assemble_graph` appends them to the
-    ISLs, and hence their edge ids.  Keeping both code paths on these arrays
-    guarantees byte-identical snapshots.
+    Flat arrays over the global node order: ``satellite_positions`` is the
+    ``(N, 3)`` ECEF position and ``active`` the bounding-box mask of every
+    satellite, which the state hands out per shell as views.  ``clear`` is
+    one mask over all ISL candidates (``_isl_endpoints_a/b``): the
+    candidates whose line of sight is clear, which are the epoch's ISLs.
+    ``isls`` holds their ``(distance_km, delay_ms, bandwidth_kbps)`` arrays,
+    in candidate order.  ``uplinks`` is the epoch's whole uplink set as four
+    parallel arrays ``(station, satellite, distance_km, delay_ms)`` —
+    ``station`` the ground station's position in the configuration,
+    ``satellite`` the satellite's global node index — with one row per
+    visible pair, sorted by ground station, then shell, then satellite: the
+    order in which :meth:`ConstellationCalculation._assemble_graph` appends
+    them to the ISLs, and hence their edge ids.  Keeping both code paths on
+    these arrays guarantees byte-identical snapshots.
     """
 
-    satellite_positions: dict[int, np.ndarray]
-    active: dict[int, np.ndarray]
-    clear: list[np.ndarray]
-    isl_chunks: list[tuple]
-    uplinks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    satellite_positions: np.ndarray
+    active: np.ndarray
+    clear: np.ndarray
+    isls: tuple[np.ndarray, np.ndarray, np.ndarray]
+    uplinks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     hints: Optional[_UpdateHints] = None
 
 
@@ -423,22 +436,34 @@ class ConstellationCalculation:
         # calculation is asked for and counts that work; the rows live on
         # the states, so any retained state can seed a replay.
         self.path_engine = PathEngine()
-        # Static structures reused across consecutive snapshots: the node
-        # index, per-shell +GRID ISL candidate pairs (in-shell), all shells'
-        # candidates as flat global endpoint arrays with their pair keys
-        # sorted once (the ISL part of every epoch's canonical link order)
-        # and the fixed ground-station positions/flat node indices.
-        self._isl_pairs = [
-            np.array(grid_plus_isl_pairs(shell_config.geometry), dtype=int).reshape(-1, 2)
+        # Static structures reused across consecutive snapshots, over the
+        # global node order (shell offset + identifier): every shell's
+        # circular-orbit elements stacked, each satellite's shell, the +GRID
+        # ISL candidates as flat endpoint arrays with their pair keys sorted
+        # once (the ISL part of every epoch's canonical link order).
+        sizes = config.shell_sizes
+        offsets = np.array(
+            [self.node_index.shell_offset(shell) for shell in range(len(sizes))], dtype=np.int64
+        )
+        self._satellite_shell = np.repeat(np.arange(len(sizes)), sizes)
+        self._elements = tuple(
+            np.concatenate([np.broadcast_to(value, size) for value, size in zip(column, sizes)])
+            for column in zip(*(shell.elements for shell in self.shells))
+        )
+        self._shell_rows = [
+            slice(offset, offset + size) for offset, size in zip(offsets.tolist(), sizes)
+        ]
+        self._sgp4_shells = [
+            (rows, shell)
+            for rows, shell in zip(self._shell_rows, self.shells)
+            if shell.propagator == "sgp4"
+        ]
+        isl_pairs = [
+            np.array(grid_plus_isl_pairs(shell_config.geometry), dtype=np.int64).reshape(-1, 2)
             for shell_config in config.shells
         ]
         self._isl_endpoints_a, self._isl_endpoints_b = (
-            np.concatenate(
-                [
-                    pairs[:, side].astype(np.int64) + self.node_index.shell_offset(shell)
-                    for shell, pairs in enumerate(self._isl_pairs)
-                ]
-            )
+            np.concatenate([pairs[:, side] + offset for pairs, offset in zip(isl_pairs, offsets)])
             for side in (0, 1)
         )
         isl_keys = pair_keys(self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index))
@@ -453,29 +478,28 @@ class ConstellationCalculation:
         self._ground_station_position = {
             name: position for position, name in enumerate(config.ground_station_names)
         }
-        # Stacked ground-station structures for the batched (one matrix op
-        # per shell) elevation checks: positions as a (G, 3) array plus the
-        # per-shell effective minimum elevations and the (shell, station)
-        # uplink bandwidths with ground-station overrides applied.  The
-        # uplink table's station and shell columns index these and the two
-        # node lookups below.
+        # Stacked ground-station structures for the batched elevation
+        # checks: positions as a (G, 3) array, the (G, N) minimum elevation
+        # of every station/satellite pair and the (shell, station) uplink
+        # bandwidths, ground-station overrides applied.  The uplink table's
+        # station column indexes these and the node lookup below.
         self._gst_position_stack = (
             np.stack([gst.station.position_ecef for gst in config.ground_stations])
             if config.ground_stations
             else np.empty((0, 3), dtype=float)
         )
-        self._gst_min_elevations = [
-            np.array(
+        self._gst_min_elevations = np.array(
+            [
                 [
                     gst.min_elevation_deg
                     if gst.min_elevation_deg is not None
                     else shell_config.network.min_elevation_deg
-                    for gst in config.ground_stations
-                ],
-                dtype=float,
-            )
-            for shell_config in config.shells
-        ]
+                    for shell_config in config.shells
+                ]
+                for gst in config.ground_stations
+            ],
+            dtype=float,
+        ).reshape(-1, len(sizes))[:, self._satellite_shell]
         self._gst_uplink_bandwidths = np.array(
             [
                 [
@@ -489,27 +513,36 @@ class ConstellationCalculation:
             dtype=float,
         )
         self._gst_nodes = np.array(self.node_index.ground_station_indices(), dtype=np.int64)
-        self._shell_offsets = np.array(
-            [self.node_index.shell_offset(shell) for shell in range(len(self.shells))],
-            dtype=np.int64,
-        )
-        # Certified per-shell motion bounds for the differential visibility
-        # path (:class:`_UpdateHints`).  In the rotating ECEF frame a
-        # satellite moves at most orbital speed + frame rotation at the orbit
-        # radius (×1.5 safety); an elevation angle seen from the ground then
-        # changes at most speed/range rad/s with range ≥ altitude, and an ISL
-        # closest approach (1-Lipschitz in the endpoints) at most speed km/s.
-        self._shell_speed_km_s: list[float] = []
-        self._elevation_rate_deg_s: list[float] = []
+        # Per ISL candidate its shell's grazing limit, bandwidth and certified
+        # motion bound, per satellite its shell's elevation rate bound — the
+        # bounds of the differential visibility path (:class:`_UpdateHints`).
+        # In the rotating ECEF frame a satellite moves at most orbital speed +
+        # frame rotation at the orbit radius (×1.5 safety); an elevation
+        # angle seen from the ground then changes at most speed/range rad/s
+        # with range ≥ altitude, and an ISL closest approach (1-Lipschitz in
+        # the endpoints) at most speed km/s.
+        per_shell: list[tuple[float, float, float, float]] = []
         for shell_config in config.shells:
-            geometry = shell_config.geometry
+            geometry, network = shell_config.geometry, shell_config.network
             radius_km = constants.EARTH_RADIUS_KM + geometry.altitude_km
             orbital_km_s = 2.0 * np.pi * radius_km / geometry.period_s
             frame_km_s = 7.2921159e-5 * radius_km  # sidereal rotation rate × radius
             speed = (orbital_km_s + frame_km_s) * 1.5
-            self._shell_speed_km_s.append(speed)
             min_range_km = max(geometry.altitude_km - 20.0, 1.0)
-            self._elevation_rate_deg_s.append(float(np.degrees(speed / min_range_km)))
+            per_shell.append(
+                (
+                    constants.EARTH_RADIUS_KM + network.atmosphere_grazing_altitude_km,
+                    network.isl_bandwidth_kbps,
+                    speed,
+                    float(np.degrees(speed / min_range_km)),
+                )
+            )
+        limits, bandwidths, speeds, elevation_rates = np.array(per_shell, dtype=float).T
+        candidates = [len(pairs) for pairs in isl_pairs]
+        self._isl_limit_km = np.repeat(limits, candidates)
+        self._isl_bandwidths = np.repeat(bandwidths, candidates)
+        self._isl_speed_km_s = np.repeat(speeds, candidates)
+        self._elevation_rate_deg_s = np.repeat(elevation_rates, sizes)
 
     # -- machine identities -------------------------------------------------
 
@@ -543,121 +576,82 @@ class ConstellationCalculation:
         """Propagate positions and derive the epoch's link arrays.
 
         Shared by :meth:`state_at` (full rebuild) and :meth:`diff_since`
-        (differential path) so both produce byte-identical link sets.  When
-        ``previous`` carries :class:`_UpdateHints`, the line-of-sight and
-        elevation checks are restricted to the pairs whose certified bounds
-        could have crossed their thresholds since the previous epoch; all
-        other pairs provably keep their visibility verdict, and recomputed
-        values are bitwise identical to the full evaluation.
+        (differential path) so both produce byte-identical link sets.  One
+        pass over the global satellite order: one propagation, one frame
+        rotation, one bounding-box test, one line-of-sight check of every
+        ISL candidate and one elevation test of every station/satellite
+        pair.  When ``previous`` carries :class:`_UpdateHints`, the
+        line-of-sight and elevation checks are restricted to the pairs whose
+        certified bounds could have crossed their thresholds since the
+        previous epoch; all other pairs provably keep their visibility
+        verdict, and recomputed values are bitwise identical to the full
+        evaluation.
         """
         config = self.config
-        gmst = config.epoch.gmst_at(time_s)
         hints = previous._update_hints if previous is not None else None
         dt = abs(time_s - hints.time_s) if hints is not None else 0.0
 
-        satellite_positions: dict[int, np.ndarray] = {}
-        active: dict[int, np.ndarray] = {}
-        clear_masks: list[np.ndarray] = []
-        isl_chunks: list[tuple] = []
-        los_lower: list[np.ndarray] = []
-        los_upper: list[np.ndarray] = []
+        positions_eci = circular_positions_eci(self._elements, time_s)
+        for rows, shell in self._sgp4_shells:
+            positions_eci[rows] = shell.positions_eci(time_s)
+        positions = eci_to_ecef(positions_eci, config.epoch.gmst_at(time_s))
+        if config.bounding_box is None:
+            active = np.ones(len(positions), dtype=bool)
+        else:
+            # Certified geocentric latitude bound: the full geodetic
+            # conversion runs only for satellites within the margin band of
+            # a box latitude edge — identical verdicts.
+            active = np.asarray(config.bounding_box.contains_ecef(positions), dtype=bool)
 
-        for shell_index, shell in enumerate(self.shells):
-            shell_config = config.shells[shell_index]
-            positions_ecef = eci_to_ecef(shell.positions_eci(time_s), gmst)
-            satellite_positions[shell_index] = positions_ecef
-            if config.bounding_box is None:
-                active[shell_index] = np.ones(len(shell), dtype=bool)
-            else:
-                # Certified geocentric latitude bound: the full geodetic
-                # conversion runs only for satellites within the margin
-                # band of a box latitude edge — identical verdicts.
-                active[shell_index] = np.asarray(
-                    config.bounding_box.contains_ecef(positions_ecef), dtype=bool
-                )
+        # Inter-satellite links (+GRID): the line-of-sight check of every
+        # candidate against its shell's grazing limit.
+        endpoint_a = positions.take(self._isl_endpoints_a, axis=0)  # take: 5× a fancy index
+        endpoint_b = positions.take(self._isl_endpoints_b, axis=0)
+        isl_distances = slant_range_km(endpoint_a, endpoint_b)
+        limit = self._isl_limit_km
+        if hints is not None:
+            step = self._isl_speed_km_s * dt
+            los_lower = hints.los_lower - step
+            los_upper = hints.los_upper + step
+            uncertain = np.flatnonzero((los_lower < limit) & (los_upper >= limit))
+            if uncertain.size:
+                exact = isl_closest_approach_km(endpoint_a[uncertain], endpoint_b[uncertain])
+                los_lower[uncertain] = exact
+                los_upper[uncertain] = exact
+        else:
+            los_lower = isl_closest_approach_km(endpoint_a, endpoint_b)
+            los_upper = los_lower.copy()
+        clear = los_lower >= limit
+        isl_distances = isl_distances[clear]
 
-            # Inter-satellite links (+GRID) with line-of-sight check, one
-            # endpoint/distance/delay array bundle per shell.
-            pairs = self._isl_pairs[shell_index]
-            if not pairs.size:
-                los_lower.append(np.empty(0))
-                los_upper.append(np.empty(0))
-                clear_masks.append(np.zeros(0, dtype=bool))
-                continue
-            endpoint_a = positions_ecef[pairs[:, 0]]
-            endpoint_b = positions_ecef[pairs[:, 1]]
-            distances = slant_range_km(endpoint_a, endpoint_b)
-            limit = constants.EARTH_RADIUS_KM + (
-                shell_config.network.atmosphere_grazing_altitude_km
-            )
-            if hints is not None:
-                step = self._shell_speed_km_s[shell_index] * dt
-                lower = hints.los_lower[shell_index] - step
-                upper = hints.los_upper[shell_index] + step
-                uncertain = (lower < limit) & (upper >= limit)
-                if np.any(uncertain):
-                    exact = isl_closest_approach_km(
-                        endpoint_a[uncertain], endpoint_b[uncertain]
-                    )
-                    lower[uncertain] = exact
-                    upper[uncertain] = exact
-            else:
-                lower = isl_closest_approach_km(endpoint_a, endpoint_b)
-                upper = lower.copy()
-            los_lower.append(lower)
-            los_upper.append(upper)
-            clear = lower >= limit
-            clear_masks.append(clear)
-            distances = distances[clear]
-            isl_chunks.append(
-                (distances, link_delay_ms(distances), shell_config.network.isl_bandwidth_kbps)
-            )
-
-        # Ground-station visibility: per shell one flat (station, satellite,
-        # slant range) table for all ground stations at once — over every
-        # pair on the cold path, over the candidate pairs whose bound
-        # reached the threshold on the differential path.
+        # Ground-station visibility: one flat (station, satellite, slant
+        # range) table for all stations and shells at once — over every pair
+        # on the cold path, over the candidate pairs whose bound reached the
+        # threshold on the differential path.  Its rows come in station,
+        # shell, satellite order.
         ground = self._gst_position_stack
-        elevation_bounds: list[np.ndarray] = []
-        tables: list[tuple[np.ndarray, ...]] = []
-        for shell_index, positions in satellite_positions.items():
-            thresholds = self._gst_min_elevations[shell_index]
-            if hints is None:
-                candidates = None
-                bounds = exact = elevation_angle_matrix_deg(ground, positions)
-            else:
-                step = self._elevation_rate_deg_s[shell_index] * dt
-                bounds = hints.elevation_bounds[shell_index] + step
-                candidates = np.nonzero(bounds >= thresholds[:, None])
-                exact = elevation_angle_deg(ground[candidates[0]], positions[candidates[1]])
-                bounds[candidates] = exact
-            elevation_bounds.append(bounds)
-            stations, satellites, distances = visible_satellites_batch(
-                ground, positions, thresholds, elevations_deg=exact, candidates=candidates
-            )
-            tables.append(
-                (stations, np.full(stations.size, shell_index), satellites, distances)
-            )
-        station, shell, satellite, distance_km = (
-            np.concatenate(column) for column in zip(*tables)
+        thresholds = self._gst_min_elevations
+        if hints is None:
+            candidates = None
+            bounds = exact = elevation_angle_matrix_deg(ground, positions)
+        else:
+            bounds = hints.elevation_bounds + self._elevation_rate_deg_s * dt
+            candidates = np.nonzero(bounds >= thresholds)
+            exact = elevation_angle_deg(ground[candidates[0]], positions[candidates[1]])
+            bounds[candidates] = exact
+        station, satellite, distance_km = visible_satellites_batch(
+            ground, positions, thresholds, elevations_deg=exact, candidates=candidates
         )
-        if len(tables) > 1:
-            # Shell-major so far; a stable sort by station leaves shell and
-            # satellite ascending within each ground station.
-            order = np.argsort(station, kind="stable")
-            station, shell, satellite, distance_km = (
-                station[order], shell[order], satellite[order], distance_km[order]
-            )
 
         return _EpochArrays(
-            satellite_positions=satellite_positions,
+            satellite_positions=positions,
             active=active,
-            clear=clear_masks,
-            isl_chunks=isl_chunks,
-            uplinks=(station, shell, satellite, distance_km, link_delay_ms(distance_km)),
+            clear=clear,
+            isls=(isl_distances, link_delay_ms(isl_distances), self._isl_bandwidths[clear]),
+            uplinks=(station, satellite, distance_km, link_delay_ms(distance_km)),
             hints=_UpdateHints(
                 time_s=time_s,
-                elevation_bounds=elevation_bounds,
+                elevation_bounds=bounds,
                 los_lower=los_lower,
                 los_upper=los_upper,
             ),
@@ -675,13 +669,15 @@ class ConstellationCalculation:
             paths = self.path_engine.advance_all(previous.paths, graph, topology)
         else:
             paths = PathRows(graph, self.path_engine, self._gst_nodes.tolist())
+        rows = self._shell_rows
         return ConstellationState(
             time_s=time_s,
             node_index=self.node_index,
             graph=graph,
             paths=paths,
-            satellite_positions_ecef=epoch.satellite_positions,
-            active_satellites=epoch.active,
+            # Per-shell views of the flat arrays.
+            satellite_positions_ecef={s: epoch.satellite_positions[r] for s, r in enumerate(rows)},
+            active_satellites={s: epoch.active[r] for s, r in enumerate(rows)},
             ground_positions_ecef=dict(self._ground_positions),
             _update_hints=epoch.hints,
         )
@@ -689,7 +685,7 @@ class ConstellationCalculation:
     def _assemble_graph(self, epoch: _EpochArrays) -> NetworkGraph:
         """Concatenate the epoch's ISLs and uplink table into the edge arrays.
 
-        The order — ISLs by shell, then uplinks by ground station, shell
+        The order — ISLs by candidate, then uplinks by ground station, shell
         and satellite — fixes the edge ids, so every graph of one epoch,
         cold or incremental, numbers its edges alike.  The canonical link
         order is handed to the graph, which verifies it: the presorted ISL
@@ -697,11 +693,11 @@ class ConstellationCalculation:
         uplinks sorted by pair key merged in by one ``searchsorted``.  No
         sort sees more than the epoch's uplinks.
         """
-        clear = np.concatenate(epoch.clear)
-        station, shell, satellite, uplink_distances_km, uplink_delays_ms = epoch.uplinks
-        isl_count = int(np.count_nonzero(clear))
+        clear = epoch.clear
+        isl_distances_km, isl_delays_ms, isl_bandwidths = epoch.isls
+        station, satellite_nodes, uplink_distances_km, uplink_delays_ms = epoch.uplinks
+        isl_count = isl_distances_km.size
         ground_nodes = self._gst_nodes[station]
-        satellite_nodes = self._shell_offsets[shell] + satellite
         # Candidate → edge id, then the kept candidates in key order.
         isl_edge_ids = np.cumsum(clear) - 1
         kept = clear[self._isl_key_order]
@@ -712,17 +708,16 @@ class ConstellationCalculation:
             np.searchsorted(self._isl_sorted_keys[kept], uplink_keys[uplink_order]),
             isl_count + uplink_order,
         )
-        chunks = epoch.isl_chunks
         return NetworkGraph.from_edge_arrays(
             self.node_index,
             np.concatenate([self._isl_endpoints_a[clear], ground_nodes]),
             np.concatenate([self._isl_endpoints_b[clear], satellite_nodes]),
-            np.concatenate([*(chunk[0] for chunk in chunks), uplink_distances_km]),
-            np.concatenate([*(chunk[1] for chunk in chunks), uplink_delays_ms]),
+            np.concatenate([isl_distances_km, uplink_distances_km]),
+            np.concatenate([isl_delays_ms, uplink_delays_ms]),
             np.concatenate(
                 [
-                    *(np.full(chunk[0].size, chunk[2], dtype=np.float64) for chunk in chunks),
-                    self._gst_uplink_bandwidths[shell, station],
+                    isl_bandwidths,
+                    self._gst_uplink_bandwidths[self._satellite_shell[satellite_nodes], station],
                 ]
             ),
             np.concatenate(
@@ -767,12 +762,17 @@ class ConstellationCalculation:
         graph = self._assemble_graph(epoch)
         topology = graph.diff_from(previous.graph)
 
-        activated: dict[int, np.ndarray] = {}
-        deactivated: dict[int, np.ndarray] = {}
-        for shell_index, now_active in epoch.active.items():
-            was_active = previous.active_satellites[shell_index]
-            activated[shell_index] = np.nonzero(now_active & ~was_active)[0]
-            deactivated[shell_index] = np.nonzero(~now_active & was_active)[0]
+        was_active = np.concatenate(
+            [previous.active_satellites[shell] for shell in range(len(self.shells))]
+        )
+        flipped = np.flatnonzero(epoch.active ^ was_active)
+        entered = epoch.active[flipped]
+        activated, deactivated = {}, {}
+        for shell, rows in enumerate(self._shell_rows):
+            # flipped ascends, so each shell's flips are one slice of it.
+            mine = slice(*np.searchsorted(flipped, (rows.start, rows.stop)).tolist())
+            identifiers, now = flipped[mine] - rows.start, entered[mine]
+            activated[shell], deactivated[shell] = identifiers[now], identifiers[~now]
 
         state = self._state_from_epoch(
             time_s, epoch, graph, previous=previous, topology=topology

@@ -40,11 +40,12 @@ Each request keeps what its worker must answer, taken at send time: per host
 the replica's :meth:`~repro.core.machine_manager.MachineManager.counters_snapshot`
 and, for a sweep, its sample's CRC.  The acknowledgements in flight — the
 last record's and the sweeps' since — are compared before the next record
-goes out, at an explicit ``close()`` and in ``worker_counters()`` (never in a
-finaliser): a :class:`WorkerDesyncError` — a ``CONTROL`` row lost,
-duplicated, run late or on one side only, a sample computed differently — is
-raised one epoch late at most.  The replica is ahead of every request in
-flight, so a crashed worker restarts from it and drops them.
+goes out, before a request that would make :data:`MAX_IN_FLIGHT` of them, at
+an explicit ``close()`` and in ``worker_counters()`` (never in a finaliser):
+a :class:`WorkerDesyncError` — a ``CONTROL`` row lost, duplicated, run late
+or on one side only, a sample computed differently — is raised one epoch or
+:data:`MAX_IN_FLIGHT` requests late at most.  The replica is ahead of every
+request in flight, so a crashed worker restarts from it and drops them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ from repro.dist.supervisor import WorkerSupervisor
 from repro.dist.transport import TcpTransportFactory
 from repro.dist import wire
 from repro.dist.wire import FrameKind
+
+
+#: Requests a worker may have in flight: a request sent while this many are
+#: waiting collects them first, so a testbed that keeps sampling after its
+#: last record holds acknowledgements back, not the socket buffers.
+MAX_IN_FLIGHT = 8
 
 
 class WorkerDesyncError(RuntimeError):
@@ -149,6 +156,7 @@ class ProcessFanoutBackend:
             for position, manager in hosts.items():
                 manager.sink = partial(self.supervisor.control(worker).append, position)
         self._closed = False
+        self._in_flight = 0
         self.supervisor.start()
 
     # -- plumbing -----------------------------------------------------------
@@ -157,8 +165,12 @@ class ProcessFanoutBackend:
         """Send one frame to every worker with what each must answer.
 
         That is, per host, the replica's checkpoint now and, for a sweep, the
-        CRC of the replica's sample.
+        CRC of the replica's sample.  Once :data:`MAX_IN_FLIGHT` requests
+        wait, they are collected first.
         """
+        if self._in_flight >= MAX_IN_FLIGHT:
+            self._collect()
+        self._in_flight += 1
         expected = {}
         for worker, hosts in enumerate(self._hosts):
             expected[worker] = answers = {}
@@ -172,6 +184,7 @@ class ProcessFanoutBackend:
         """Collect every acknowledgement in flight and compare it with its expectation."""
         workers = range(self.worker_count)
         acks = [ack for worker in workers for ack in self.supervisor.collect(worker)]
+        self._in_flight = 0
         for ack, expected in acks:
             for position, answer in expected.items():
                 held = dict(ack["counters"].get(position, {}))

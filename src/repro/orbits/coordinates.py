@@ -50,8 +50,15 @@ def _rotation_z(theta: float) -> np.ndarray:
 
 
 def eci_to_ecef(position_eci: np.ndarray, gmst: float) -> np.ndarray:
-    """Rotate ECI positions (km) into the Earth-fixed frame at the given GMST."""
+    """Rotate ECI positions (km) into the Earth-fixed frame at the given GMST.
+
+    A row of an ``(N, 3)`` array gets the same bits whatever ``N`` is: a
+    one-row product would take BLAS's matrix-vector kernel, which rounds
+    differently, so a single row is rotated as one of two.
+    """
     position_eci = np.asarray(position_eci, dtype=float)
+    if position_eci.ndim == 2 and len(position_eci) == 1:
+        return eci_to_ecef(np.concatenate([position_eci, position_eci]), gmst)[:1]
     return position_eci @ _rotation_z(gmst).T
 
 

@@ -88,6 +88,27 @@ class ShellGeometry:
         return self.arc_of_ascending_nodes_deg <= 180.0
 
 
+def circular_positions_eci(elements: tuple, t_seconds: float) -> np.ndarray:
+    """ECI positions [km] of circular orbits with secular J2 drift, shape (N, 3).
+
+    ``elements`` is ``(radius_km, raan_rad, raan_rate_rad_s, latitude_rad,
+    latitude_rate_rad_s, cos_inclination, sin_inclination)`` at the epoch,
+    each a scalar or an array over satellites.  The one Kepler/J2 kernel: a
+    :class:`Shell` runs it over its satellites, the constellation
+    calculation over every shell's elements stacked.  Each step is
+    elementwise, so a satellite's position has the same bits in any array.
+    """
+    radius, raan, raan_rate, latitude, latitude_rate, cos_i, sin_i = elements
+    raan = raan + raan_rate * t_seconds
+    latitude = latitude + latitude_rate * t_seconds
+    cos_u, sin_u = np.cos(latitude), np.sin(latitude)
+    cos_o, sin_o = np.cos(raan), np.sin(raan)
+    x = radius * (cos_u * cos_o - sin_u * sin_o * cos_i)
+    y = radius * (cos_u * sin_o + sin_u * cos_o * cos_i)
+    z = radius * (sin_u * sin_i)
+    return np.stack([x, y, z], axis=-1)
+
+
 class Shell:
     """A propagatable shell of satellites.
 
@@ -116,21 +137,27 @@ class Shell:
             for index in range(geometry.satellites_per_plane)
         ]
         self._raan_deg, self._anomaly_deg = self._initial_angles()
+        self.propagator = propagator
         self._sgp4: list[SGP4Propagator] | None = None
         if propagator == "sgp4":
             self._sgp4 = [self._sgp4_for(sat) for sat in self.satellites]
         elif propagator != "kepler_j2":
             raise ValueError(f"unknown propagator kind: {propagator!r}")
         incl = math.radians(geometry.inclination_deg)
-        self._raan_dot, argp_dot, m_dot_extra = j2_secular_rates(
+        raan_dot, argp_dot, m_dot_extra = j2_secular_rates(
             geometry.semi_major_axis_km, geometry.eccentricity, incl
         )
         # For (near-)circular orbits the argument of latitude advances at the
         # sum of the mean-anomaly and argument-of-perigee secular rates.
-        self._mean_motion = (
-            mean_motion_from_semi_major_axis(geometry.semi_major_axis_km)
-            + m_dot_extra
-            + argp_dot
+        mean_motion = mean_motion_from_semi_major_axis(geometry.semi_major_axis_km)
+        self.elements = (
+            geometry.semi_major_axis_km,
+            np.radians(self._raan_deg),
+            raan_dot,
+            np.radians(self._anomaly_deg),
+            mean_motion + m_dot_extra + argp_dot,
+            math.cos(incl),
+            math.sin(incl),
         )
 
     def __len__(self) -> int:
@@ -182,15 +209,4 @@ class Shell:
         """ECI positions [km] of all satellites at ``t_seconds``, shape (N, 3)."""
         if self._sgp4 is not None:
             return np.array([prop.position_eci(t_seconds) for prop in self._sgp4])
-        geometry = self.geometry
-        a = geometry.semi_major_axis_km
-        incl = math.radians(geometry.inclination_deg)
-        raan = np.radians(self._raan_deg) + self._raan_dot * t_seconds
-        anomaly = np.radians(self._anomaly_deg) + self._mean_motion * t_seconds
-        cos_u, sin_u = np.cos(anomaly), np.sin(anomaly)
-        cos_o, sin_o = np.cos(raan), np.sin(raan)
-        cos_i, sin_i = math.cos(incl), math.sin(incl)
-        x = a * (cos_u * cos_o - sin_u * sin_o * cos_i)
-        y = a * (cos_u * sin_o + sin_u * cos_o * cos_i)
-        z = a * (sin_u * sin_i)
-        return np.stack([x, y, z], axis=-1)
+        return circular_positions_eci(self.elements, t_seconds)

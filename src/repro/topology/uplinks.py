@@ -7,8 +7,8 @@ decide which satellite server to use.
 
 :func:`visible_satellites` is the per-pair reference: one ground point, one
 shell.  The constellation calculation does not call it on its hot path — it
-calls :func:`visible_satellites_batch` once per shell per snapshot, which
-answers for every ground station at once with one flat ``(station,
+calls :func:`visible_satellites_batch` once per snapshot, which answers for
+every ground station and every shell at once with one flat ``(station,
 satellite, slant range)`` table (the rows of the snapshot's uplink edges),
 bit for bit the values the per-pair form returns.
 """
@@ -52,13 +52,13 @@ def visible_satellites_batch(
     """Visible (station, satellite) pairs of all ground stations as one flat table.
 
     ``ground_positions`` has shape (G, 3) and ``min_elevations_deg`` is a
-    scalar or a (G,) array of per-station thresholds.  Returns three
-    parallel arrays ``(stations, satellites, ranges_km)`` with one entry per
-    visible pair, ordered by station and then by satellite index: the rows
-    of station ``g`` are — bitwise — the ``(visible indices, slant ranges
-    km)`` that :func:`visible_satellites` returns for that station, and the
-    slant ranges of all stations come from a single
-    :func:`~repro.orbits.visibility.slant_range_km` call.
+    scalar, a (G,) array of per-station or a (G, N) array of per-pair
+    thresholds.  Returns three parallel arrays ``(stations, satellites,
+    ranges_km)`` with one entry per visible pair, ordered by station and
+    then by satellite index: the rows of station ``g`` are — bitwise — the
+    ``(visible indices, slant ranges km)`` that :func:`visible_satellites`
+    returns for that station, and the slant ranges of all stations come from
+    a single :func:`~repro.orbits.visibility.slant_range_km` call.
 
     Without ``candidates`` every G×N pair is tested against its threshold in
     one batched operation
@@ -72,20 +72,22 @@ def visible_satellites_batch(
     """
     ground_positions = np.asarray(ground_positions, dtype=float).reshape(-1, 3)
     satellite_positions = np.asarray(satellite_positions, dtype=float)
+    thresholds = np.asarray(min_elevations_deg, dtype=float)
     thresholds = np.broadcast_to(
-        np.asarray(min_elevations_deg, dtype=float), (ground_positions.shape[0],)
+        thresholds[:, None] if thresholds.ndim == 1 else thresholds,
+        (ground_positions.shape[0], satellite_positions.shape[0]),
     )
     if candidates is None:
         if elevations_deg is None:
             elevations_deg = elevation_angle_matrix_deg(ground_positions, satellite_positions)
-        stations, satellites = np.nonzero(elevations_deg >= thresholds[:, None])
+        stations, satellites = np.nonzero(elevations_deg >= thresholds)
     else:
         stations, satellites = candidates
         if elevations_deg is None:
             elevations_deg = elevation_angle_deg(
                 ground_positions[stations], satellite_positions[satellites]
             )
-        visible = elevations_deg >= thresholds[stations]
+        visible = elevations_deg >= thresholds[stations, satellites]
         stations, satellites = stations[visible], satellites[visible]
     ranges_km = slant_range_km(ground_positions[stations], satellite_positions[satellites])
     return stations, satellites, ranges_km

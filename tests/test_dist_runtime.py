@@ -36,7 +36,7 @@ from repro.core import (
     ShellConfig,
 )
 from repro.core.constellation import MachineId
-from repro.dist.backend import ProcessFanoutBackend, WorkerDesyncError
+from repro.dist.backend import MAX_IN_FLIGHT, ProcessFanoutBackend, WorkerDesyncError
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import SocketTransport, TcpTransportFactory
 from repro.dist.wire import ControlOp, FrameKind
@@ -1138,6 +1138,44 @@ class TestVerifiedOneEpochLate:
                 assert [len(handle.inflight) for handle in handles] == [records + sweeps] * 2
             processes._backend.worker_counters()
             assert [len(handle.inflight) for handle in handles] == [0, 0]
+        finally:
+            processes.close()
+
+    def test_sweeps_without_a_record_keep_a_bounded_number_in_flight(self):
+        # A testbed that samples on after its last update: no worker ever
+        # holds more than MAX_IN_FLIGHT requests.
+        processes = _coordinator(_iridium_box_config(), "processes")
+        handles = processes._backend.supervisor._handles
+        try:
+            processes.update(0.0)
+            for sweep in range(50):
+                processes.sample_all_usage(float(sweep))
+                assert max(len(handle.inflight) for handle in handles) <= MAX_IN_FLIGHT
+        finally:
+            processes.close()
+
+    def test_a_forged_sweep_among_them_is_a_desync_within_the_bound(self, monkeypatch):
+        dispatch = _Worker._dispatch
+
+        def forged(self, kind, meta, arrays):
+            answer = dispatch(self, kind, meta, arrays)
+            if kind is FrameKind.SAMPLE_USAGE and meta["sample_index"][0] == 20:
+                if 0 in answer["sample_crc"]:
+                    answer["sample_crc"][0] ^= 1
+            return answer
+
+        monkeypatch.setattr(_Worker, "_dispatch", forged)  # before the fork
+        processes = _coordinator(_iridium_box_config(), "processes")
+        trace = processes.managers[0].host.trace
+        forged_at = None
+        try:
+            processes.update(0.0)
+            with pytest.raises(WorkerDesyncError, match="host 0: the worker's sample_crc is"):
+                for sweep in range(50):
+                    if len(trace) == 20:
+                        forged_at = sweep
+                    processes.sample_all_usage(float(sweep))
+            assert forged_at is not None and sweep - forged_at <= MAX_IN_FLIGHT
         finally:
             processes.close()
 

@@ -85,6 +85,15 @@ def test_eci_to_ecef_rotation_preserves_norm_and_z():
     assert rotated[2] == pytest.approx(position[2])
 
 
+def test_eci_to_ecef_rows_do_not_depend_on_the_batch():
+    # One call over all shells must equal one call per shell, down to a
+    # shell of one satellite.
+    positions = np.random.default_rng(3).normal(size=(200, 3)) * 7000.0
+    rotated = eci_to_ecef(positions, 1.3)
+    for start, stop in ((0, 1), (7, 8), (8, 10), (10, 97), (97, 200)):
+        assert eci_to_ecef(positions[start:stop], 1.3).tobytes() == rotated[start:stop].tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     latitude=st.floats(min_value=-85.0, max_value=85.0),

@@ -386,8 +386,8 @@ class TestUplinks:
 
     def test_batch_table_equals_per_pair_bit_for_bit(self):
         """The flat (station, satellite, range) table holds, per station,
-        exactly what the per-pair reference returns — with per-station
-        thresholds, a precomputed elevation matrix and a candidate
+        exactly what the per-pair reference returns — with per-station and
+        per-pair thresholds, a precomputed elevation matrix and a candidate
         restriction (with and without the candidates' elevations)."""
         positions = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0)).positions_eci(0.0)
         grounds = np.stack(
@@ -442,6 +442,26 @@ class TestUplinks:
         )
         # One threshold for every station.
         assert_reference(visible_satellites_batch(grounds, positions, 40.0), [40.0] * 4)
+        # One threshold per pair: the satellites fall in two "shells" with
+        # their own minimum, and the second station overrides both.
+        pairwise = np.where(np.arange(positions.shape[0]) < 30, 5.0, 20.0) + np.zeros((4, 1))
+        pairwise[1] = 12.5
+        assert_reference(visible_satellites_batch(grounds, positions, pairwise), pairwise)
+        candidates = np.nonzero(matrix >= pairwise - 20.0)
+        assert_reference(
+            visible_satellites_batch(grounds, positions, pairwise, candidates=candidates),
+            pairwise,
+        )
+        assert_reference(
+            visible_satellites_batch(
+                grounds,
+                positions,
+                pairwise,
+                elevations_deg=matrix[candidates],
+                candidates=candidates,
+            ),
+            pairwise,
+        )
 
     def test_closest_visible_satellite(self):
         shell = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0))
