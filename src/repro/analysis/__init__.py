@@ -1,7 +1,7 @@
-"""Measurement analysis: latency series, experiment repetition, cost model, reports."""
+"""Measurement analysis: latency series, repetitions, handovers, cost model, CSV export, reports."""
 
 from repro.analysis.metrics import LatencySample, LatencySeries
-from repro.analysis.experiments import RepetitionResult, median_repetition, run_repetitions
+from repro.analysis.experiments import RepetitionResult, run_repetitions
 from repro.analysis.cost import (
     GCPPriceTable,
     celestial_experiment_cost,
@@ -11,12 +11,7 @@ from repro.analysis.cost import (
 from repro.analysis.report import render_table
 from repro.analysis.bundle import write_experiment_bundle
 from repro.analysis.handover import HandoverAnalysis, HandoverEvent, analyze_handovers
-from repro.analysis.traces import (
-    experiment_summary_to_json,
-    latency_series_from_csv,
-    latency_series_to_csv,
-    resource_trace_to_csv,
-)
+from repro.analysis.traces import latency_series_to_csv, resource_trace_to_csv
 
 __all__ = [
     "GCPPriceTable",
@@ -28,10 +23,7 @@ __all__ = [
     "analyze_handovers",
     "celestial_experiment_cost",
     "cost_comparison",
-    "experiment_summary_to_json",
-    "latency_series_from_csv",
     "latency_series_to_csv",
-    "median_repetition",
     "per_satellite_vm_cost",
     "render_table",
     "resource_trace_to_csv",

@@ -1,8 +1,8 @@
 """Experiment repetition helpers.
 
 The paper repeats each experiment three times to validate reproducibility
-(§4.1, Fig. 6) and reports the median run for the case study (§5.1).  These
-helpers run a seeded experiment factory multiple times and select runs.
+(§4.1, Fig. 6).  :func:`run_repetitions` runs a seeded experiment factory
+once per repetition.
 """
 
 from __future__ import annotations
@@ -40,16 +40,3 @@ def run_repetitions(
         RepetitionResult(repetition=index, seed=seed, result=factory(seed))
         for index, seed in enumerate(chosen_seeds)
     ]
-
-
-def median_repetition(
-    results: Sequence[RepetitionResult], key: Callable[[Any], float]
-) -> RepetitionResult:
-    """The repetition whose ``key(result)`` is the median across repetitions.
-
-    The paper presents results "for the median runs" in §5.1.
-    """
-    if not results:
-        raise ValueError("no repetition results given")
-    ordered = sorted(results, key=lambda repetition: key(repetition.result))
-    return ordered[len(ordered) // 2]

@@ -1,18 +1,16 @@
-"""Export measurement results to CSV and JSON.
+"""Export measurement results to CSV.
 
 Celestial experiments typically store their measurements in a central
 location for later analysis (§3.1 notes emulated servers can reach the
 Internet through the host for exactly this purpose).  These helpers write
-latency series and host resource traces to plain CSV/JSON files so the
-paper's figures can be re-plotted with any external tool.
+latency series and host resource traces to plain CSV files so the paper's
+figures can be re-plotted with any external tool.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Mapping
 
 from repro.analysis.metrics import LatencySeries
 from repro.hosts.resources import ResourceTrace
@@ -27,20 +25,6 @@ def latency_series_to_csv(series: LatencySeries, path: str | Path) -> Path:
         for sample in series.samples:
             writer.writerow([sample.time_s, sample.latency_ms, sample.source, sample.destination])
     return path
-
-
-def latency_series_from_csv(path: str | Path, name: str = "") -> LatencySeries:
-    """Read a latency series previously written by :func:`latency_series_to_csv`."""
-    series = LatencySeries(name or Path(path).stem)
-    with Path(path).open(newline="") as handle:
-        for row in csv.DictReader(handle):
-            series.add(
-                float(row["time_s"]),
-                float(row["latency_ms"]),
-                row.get("source", ""),
-                row.get("destination", ""),
-            )
-    return series
 
 
 def resource_trace_to_csv(trace: ResourceTrace, path: str | Path) -> Path:
@@ -69,26 +53,4 @@ def resource_trace_to_csv(trace: ResourceTrace, path: str | Path) -> Path:
                     sample.firecracker_processes,
                 ]
             )
-    return path
-
-
-def experiment_summary_to_json(
-    series_by_name: Mapping[str, LatencySeries], path: str | Path, metadata: dict | None = None
-) -> Path:
-    """Write summary statistics of several latency series to a JSON file."""
-    path = Path(path)
-    summary = {
-        "metadata": metadata or {},
-        "series": {
-            name: {
-                "samples": len(series),
-                "mean_ms": series.mean(),
-                "median_ms": series.median(),
-                "p80_ms": series.percentile(80) if len(series) else None,
-                "p99_ms": series.percentile(99) if len(series) else None,
-            }
-            for name, series in series_by_name.items()
-        },
-    }
-    path.write_text(json.dumps(summary, indent=2))
     return path

@@ -41,25 +41,3 @@ def network_for(shell_sizes: Sequence[int], shell: int, identifier: int) -> ipad
 def machine_ip(shell_sizes: Sequence[int], shell: int, identifier: int) -> ipaddress.IPv4Address:
     """The machine-side address of a microVM."""
     return network_for(shell_sizes, shell, identifier)[2]
-
-
-def gateway_ip(shell_sizes: Sequence[int], shell: int, identifier: int) -> ipaddress.IPv4Address:
-    """The host-side (gateway/TAP) address of a microVM."""
-    return network_for(shell_sizes, shell, identifier)[1]
-
-
-def parse_machine_ip(
-    shell_sizes: Sequence[int], address: ipaddress.IPv4Address | str
-) -> tuple[int, int]:
-    """Invert :func:`machine_ip`: return (shell, identifier) for an address."""
-    address = ipaddress.IPv4Address(address)
-    offset, remainder = divmod(int(address) - _BASE, 4)
-    if remainder != 2 or offset < 0:
-        raise ValueError(f"{address} is not a machine address")
-    cumulative = 0
-    for shell, size in enumerate(shell_sizes):
-        if offset < cumulative + size:
-            return shell, offset - cumulative
-        cumulative += size
-    # Ground stations are addressed as a virtual shell after all satellite shells.
-    return len(shell_sizes), offset - cumulative

@@ -74,44 +74,6 @@ def constellation_snapshot(state: ConstellationState, include_links: bool = True
     return snapshot
 
 
-def ascii_map(
-    state: ConstellationState,
-    width: int = 72,
-    height: int = 24,
-    shell: Optional[int] = None,
-) -> str:
-    """Render an equirectangular ASCII map of the constellation.
-
-    Active satellites appear as ``#``, suspended (out-of-bounding-box)
-    satellites as ``*`` and ground stations as ``G``.  The map is a quick
-    terminal substitute for the paper's 3D animation window.
-    """
-    if width < 10 or height < 5:
-        raise ValueError("map must be at least 10x5 characters")
-    grid = [["." for _ in range(width)] for _ in range(height)]
-
-    def plot(latitude: float, longitude: float, symbol: str) -> None:
-        column = int((longitude + 180.0) / 360.0 * (width - 1))
-        row = int((90.0 - latitude) / 180.0 * (height - 1))
-        row = min(max(row, 0), height - 1)
-        column = min(max(column, 0), width - 1)
-        if grid[row][column] != "G":
-            grid[row][column] = symbol
-
-    for shell_index in state.satellite_positions_ecef:
-        if shell is not None and shell_index != shell:
-            continue
-        latitudes, longitudes = state.geodetic(shell_index)
-        active = state.active_satellites[shell_index]
-        for identifier in range(latitudes.shape[0]):
-            symbol = "#" if active[identifier] else "*"
-            plot(float(latitudes[identifier]), float(longitudes[identifier]), symbol)
-    for position in state.ground_positions_ecef.values():
-        latitude, longitude, _ = ecef_to_geodetic(position)
-        plot(float(latitude), float(longitude), "G")
-    return "\n".join("".join(row) for row in grid)
-
-
 def snapshot_to_geojson(state: ConstellationState, shell: Optional[int] = None) -> dict:
     """GeoJSON FeatureCollection of satellite and ground-station positions."""
     features = []

@@ -25,10 +25,6 @@ class ConfigurationError(ValueError):
     """Raised when a configuration is inconsistent or incomplete."""
 
 
-# Alias kept for symmetry with the other *Config names in the public API.
-BoundingBoxConfig = BoundingBox
-
-
 @dataclass(frozen=True)
 class NetworkParams:
     """Network parameters of a shell (or of ground-station uplinks)."""

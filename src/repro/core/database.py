@@ -75,7 +75,6 @@ class ConstellationDatabase:
     def __init__(self):
         self._state: Optional[ConstellationState] = None
         self.epoch = 0
-        self.updated_at_s: Optional[float] = None
         self._rule_cache: dict[tuple[MachineId, MachineId], PairRule] = {}
         #: Pairs that had a rule in the previous epoch, until the first miss
         #: of this epoch resolves them in one batch.
@@ -121,7 +120,6 @@ class ConstellationDatabase:
             self._state = state
             self._latest_diff = diff
             self.epoch += 1
-            self.updated_at_s = state.time_s
             self._warm_pairs = list(self._rule_cache)
             self._rule_cache.clear()
             epoch = self.epoch

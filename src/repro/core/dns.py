@@ -34,15 +34,6 @@ class CelestialDNS:
         self._gst_index = {
             dns_slug(name): position for position, name in enumerate(self.ground_station_names)
         }
-        self._reverse: dict[ipaddress.IPv4Address, str] = {}
-        for shell, size in enumerate(self.shell_sizes):
-            for identifier in range(size):
-                self._reverse[machine_ip(self.shell_sizes, shell, identifier)] = (
-                    f"{identifier}.{shell}.celestial"
-                )
-        for position, name in enumerate(self.ground_station_names):
-            address = machine_ip(self.shell_sizes, len(self.shell_sizes), position)
-            self._reverse[address] = f"{dns_slug(name)}.gst.celestial"
 
     # -- resolution ---------------------------------------------------------
 
@@ -70,10 +61,3 @@ class CelestialDNS:
     def a_record(self, name: str) -> dict[str, str]:
         """DNS A record as a dictionary (mirrors the record a resolver returns)."""
         return {"name": name, "type": "A", "address": str(self.resolve(name))}
-
-    def reverse(self, address: ipaddress.IPv4Address | str) -> str:
-        """Reverse lookup of a machine address to its canonical name."""
-        address = ipaddress.IPv4Address(address)
-        if address not in self._reverse:
-            raise DNSError(f"no machine with address {address}")
-        return self._reverse[address]

@@ -120,13 +120,12 @@ class HTTPInfoServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the server and join its thread."""
-        if self._thread is None:
-            return
-        self._server.shutdown()
-        self._thread.join(timeout=5.0)
+        """Stop the server, join its thread and close the listening socket."""
+        if self._thread is not None:
+            self._server.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
         self._server.server_close()
-        self._thread = None
 
     def __enter__(self) -> "HTTPInfoServer":
         self.start()

@@ -108,11 +108,6 @@ class Host:
         seeds = (keyed(root, batch.shells, batch.identifiers) >> 1).tolist()
         self.machines.append(batch, seeds, boot_s)
 
-    def remove(self, machine_name: str) -> None:
-        """Remove a machine from this host."""
-        if machine_name in self.machines:
-            self.machines.take(machine_name)
-
     def transfer(self, machine_name: str, target: Host) -> None:
         """Move a placed machine's row to another host, workload accounting included."""
         memory = self.machine(machine_name).memory_mib

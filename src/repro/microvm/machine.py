@@ -58,8 +58,10 @@ class MachineState(enum.Enum):
 
 
 #: A state's code in the table is its position in :class:`MachineState`.
+#: BOOTING (1) is never stored: :meth:`MachineTable.state_at` answers it
+#: inside a boot window.
 _STATES = tuple(MachineState)
-_CREATED, _BOOTING, _RUNNING, _SUSPENDED, _STOPPED = range(len(_STATES))
+_CREATED, _RUNNING, _SUSPENDED, _STOPPED = 0, 2, 3, 4
 #: The states a boot starts from and the states a stop is refused in.
 _BOOTABLE = (_CREATED, _STOPPED)
 _UNSTOPPABLE = (_STOPPED, _CREATED)

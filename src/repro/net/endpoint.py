@@ -24,8 +24,6 @@ class NetworkEndpoint:
         self.network = network
         self.machine = machine
         self._inbox = network.register_endpoint(machine)
-        self.sent_count = 0
-        self.received_count = 0
 
     def send(self, destination: MachineId, size_bytes: int, payload: Any = None) -> Message:
         """Send a datagram; returns the message that was put on the wire."""
@@ -37,14 +35,8 @@ class NetworkEndpoint:
             sent_at_s=self.sim.now,
         )
         self.network.send(message)
-        self.sent_count += 1
         return message
 
     def receive(self) -> Event:
         """Event that triggers with the next received :class:`Message`."""
-        event = self._inbox.get()
-        event.callbacks.append(self._count_received)
-        return event
-
-    def _count_received(self, _event: Event) -> None:
-        self.received_count += 1
+        return self._inbox.get()

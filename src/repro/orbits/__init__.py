@@ -5,7 +5,8 @@ simulator extended with SGP4 (§3.1).  This package provides the equivalent
 building blocks from scratch: astronomical time utilities, coordinate
 transformations, two-body/Kepler propagation, TLE handling, an SGP4-class
 simplified-perturbations propagator, Walker constellation shells and ground
-stations, and visibility computations (elevation, line of sight).
+stations, and visibility computations (elevation angles, the closest
+approach of an ISL to the Earth's centre).
 """
 
 from repro.orbits import constants
@@ -17,13 +18,11 @@ from repro.orbits.coordinates import (
     ecef_to_geodetic,
     eci_to_ecef,
     geodetic_to_ecef,
-    subsatellite_point,
 )
 from repro.orbits.kepler import (
     KeplerianElements,
     KeplerPropagator,
     mean_motion_from_semi_major_axis,
-    semi_major_axis_from_mean_motion,
     solve_kepler,
 )
 from repro.orbits.tle import TwoLineElement
@@ -32,8 +31,6 @@ from repro.orbits.shells import Satellite, Shell, ShellGeometry
 from repro.orbits.ground import GroundStation
 from repro.orbits.visibility import (
     elevation_angle_deg,
-    ground_station_visible,
-    isl_line_of_sight,
     slant_range_km,
 )
 
@@ -57,12 +54,8 @@ __all__ = [
     "elevation_angle_deg",
     "geodetic_to_ecef",
     "gmst_rad",
-    "ground_station_visible",
-    "isl_line_of_sight",
     "julian_date",
     "mean_motion_from_semi_major_axis",
-    "semi_major_axis_from_mean_motion",
     "slant_range_km",
     "solve_kepler",
-    "subsatellite_point",
 ]

@@ -8,17 +8,12 @@ the conventions used throughout the constellation calculation.
 # c in the paper's latency model (§4.1).
 SPEED_OF_LIGHT_KM_S = 299_792.458
 
-# Approximate speed of light in optical fiber [km/s] (~2/3 c); used for
-# comparisons with terrestrial paths (ISLs are ~47% faster, §2.1).
-SPEED_OF_LIGHT_FIBER_KM_S = SPEED_OF_LIGHT_KM_S / 1.47
-
 # Earth gravitational parameter [km^3/s^2] (WGS-72, as used by SGP4).
 EARTH_MU_KM3_S2 = 398_600.8
 
 # Earth radii [km].
 EARTH_RADIUS_KM = 6_378.135          # WGS-72 equatorial radius (SGP4)
 EARTH_RADIUS_MEAN_KM = 6_371.0
-EARTH_FLATTENING = 1.0 / 298.26
 
 # Zonal harmonics (WGS-72).
 EARTH_J2 = 1.082616e-3
@@ -27,10 +22,6 @@ EARTH_J4 = -1.65597e-6
 
 # SGP4 canonical units.
 XKE = 0.0743669161          # sqrt(GM) in (earth radii)^1.5 / min
-TUMIN = 1.0 / XKE           # minutes per canonical time unit
-
-# Rotation rate of the Earth [rad/s] (sidereal).
-EARTH_ROTATION_RAD_S = 7.2921158553e-5
 
 # Seconds per day / minutes per day.
 SECONDS_PER_DAY = 86_400.0

@@ -120,13 +120,6 @@ def ecef_to_geocentric_latlon(position_ecef: np.ndarray) -> tuple[np.ndarray, np
     return np.degrees(lat), np.degrees(lon)
 
 
-def subsatellite_point(position_eci: np.ndarray, gmst: float) -> tuple[np.ndarray, np.ndarray]:
-    """Geodetic latitude/longitude (degrees) directly below a satellite."""
-    ecef = eci_to_ecef(position_eci, gmst)
-    lat, lon, _ = ecef_to_geodetic(ecef)
-    return lat, lon
-
-
 def great_circle_distance_km(
     lat1_deg: float, lon1_deg: float, lat2_deg: float, lon2_deg: float
 ) -> float:

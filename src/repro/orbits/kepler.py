@@ -25,13 +25,6 @@ def mean_motion_from_semi_major_axis(semi_major_axis_km: float) -> float:
     return math.sqrt(constants.EARTH_MU_KM3_S2 / semi_major_axis_km**3)
 
 
-def semi_major_axis_from_mean_motion(mean_motion_rad_s: float) -> float:
-    """Semi-major axis [km] for a given mean motion [rad/s]."""
-    if mean_motion_rad_s <= 0:
-        raise ValueError("mean motion must be positive")
-    return (constants.EARTH_MU_KM3_S2 / mean_motion_rad_s**2) ** (1.0 / 3.0)
-
-
 def solve_kepler(mean_anomaly_rad, eccentricity, tolerance: float = 1e-12):
     """Solve Kepler's equation ``M = E - e sin E`` for the eccentric anomaly.
 
@@ -140,7 +133,6 @@ class KeplerPropagator:
 
     def __init__(self, elements: KeplerianElements, include_j2: bool = True):
         self.elements = elements
-        self.include_j2 = include_j2
         incl = math.radians(elements.inclination_deg)
         if include_j2:
             self._raan_dot, self._argp_dot, self._m_dot_extra = j2_secular_rates(

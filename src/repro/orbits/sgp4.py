@@ -32,7 +32,6 @@ from repro.orbits.tle import TwoLineElement
 _XKE = constants.XKE
 _XKMPER = constants.EARTH_RADIUS_KM
 _CK2 = 0.5 * constants.EARTH_J2
-_CK4 = -0.375 * constants.EARTH_J4
 _A3OVK2 = -constants.EARTH_J3 / _CK2
 _QOMS2T = ((120.0 - 78.0) / _XKMPER) ** 4
 _S = 1.0 + 78.0 / _XKMPER
@@ -95,7 +94,6 @@ class SGP4Propagator:
     """Propagates a single TLE with the near-Earth SGP4 model."""
 
     def __init__(self, tle: TwoLineElement):
-        self.tle = tle
         self._state = self._initialise(tle)
 
     # -- initialisation ---------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.orbits import constants
-
 
 def _row_norm(vectors: np.ndarray) -> np.ndarray:
     """`sqrt(sum(x², axis=-1))` — same reduction as ``np.linalg.norm`` (and
@@ -63,26 +61,17 @@ def elevation_angle_matrix_deg(
     return elevation_angle_deg(ground, satellites)
 
 
-def ground_station_visible(
-    ground_position: np.ndarray,
-    satellite_position: np.ndarray,
-    min_elevation_deg: float = constants.DEFAULT_MIN_ELEVATION_DEG,
-) -> np.ndarray:
-    """Whether a satellite is above the minimum elevation for a ground station."""
-    return elevation_angle_deg(ground_position, satellite_position) >= min_elevation_deg
-
-
 def isl_closest_approach_km(
     position_a: np.ndarray, position_b: np.ndarray
 ) -> np.ndarray:
     """Closest approach [km] of the segment between two satellites to Earth's centre.
 
-    This is the quantity :func:`isl_line_of_sight` thresholds against the
-    atmosphere-grazing limit.  It is exposed separately because the
-    differential update path caches it between epochs: the function is
-    1-Lipschitz in each endpoint position, so between two epochs the value
-    can move by at most the largest endpoint displacement — a certified
-    margin that lets steady links skip the recomputation entirely.
+    An ISL is blocked while this falls below ``EARTH_RADIUS_KM`` plus the
+    shell's atmosphere-grazing altitude.  The differential update path
+    caches it between epochs: the function is 1-Lipschitz in each endpoint
+    position, so between two epochs the value can move by at most the
+    largest endpoint displacement — a certified margin that lets steady
+    links skip the recomputation entirely.
     """
     a = np.asarray(position_a, dtype=float)
     b = np.asarray(position_b, dtype=float)
@@ -92,30 +81,3 @@ def isl_closest_approach_km(
         t = np.clip(-np.sum(a * ab, axis=-1) / np.where(ab_sq == 0, 1.0, ab_sq), 0.0, 1.0)
     closest = a + ab * t[..., None] if np.ndim(t) else a + ab * t
     return _row_norm(closest)
-
-
-def isl_line_of_sight(
-    position_a: np.ndarray,
-    position_b: np.ndarray,
-    grazing_altitude_km: float = constants.ATMOSPHERE_GRAZING_ALTITUDE_KM,
-) -> np.ndarray:
-    """Whether the segment between two satellites clears the atmosphere.
-
-    The link is considered blocked when the closest approach of the segment
-    to the Earth's centre falls below ``earth_radius + grazing_altitude`` and
-    the closest point lies between the two satellites.
-    """
-    limit = constants.EARTH_RADIUS_KM + grazing_altitude_km
-    return isl_closest_approach_km(position_a, position_b) >= limit
-
-
-def max_isl_length_km(
-    altitude_a_km: float,
-    altitude_b_km: float,
-    grazing_altitude_km: float = constants.ATMOSPHERE_GRAZING_ALTITUDE_KM,
-) -> float:
-    """Longest possible ISL between two altitudes that still clears the atmosphere."""
-    limit = constants.EARTH_RADIUS_KM + grazing_altitude_km
-    radius_a = constants.EARTH_RADIUS_KM + altitude_a_km
-    radius_b = constants.EARTH_RADIUS_KM + altitude_b_km
-    return float(np.sqrt(radius_a**2 - limit**2) + np.sqrt(radius_b**2 - limit**2))

@@ -3,7 +3,8 @@
 Every configuration constructor is registered with the scenario registry
 (:mod:`repro.experiments.registry`) under a stable name, so experiments can
 reference it declaratively (``repro.scenarios.get("pacific-dart")``,
-``list_scenarios()``) as well as import it directly:
+``list_scenarios()``) as well as import it directly.  A constellation's
+satellite count is ``sum(build(name).shell_sizes)``:
 
 * :mod:`repro.scenarios.starlink` — the planned phase I Starlink constellation
   (five shells, 4,409 satellites; Fig. 1) — ``starlink-phase1``.
@@ -43,20 +44,10 @@ from repro.scenarios.starlink import (
     starlink_first_shell,
     starlink_phase1_configuration,
     starlink_phase1_shells,
-    starlink_phase1_total_satellites,
 )
 from repro.scenarios.iridium import iridium_configuration, iridium_shell
-from repro.scenarios.kuiper import (
-    kuiper_configuration,
-    kuiper_first_shell,
-    kuiper_shells,
-    kuiper_total_satellites,
-)
-from repro.scenarios.oneweb import (
-    oneweb_configuration,
-    oneweb_shell,
-    oneweb_total_satellites,
-)
+from repro.scenarios.kuiper import kuiper_configuration, kuiper_shells
+from repro.scenarios.oneweb import oneweb_configuration, oneweb_shell
 from repro.scenarios.mixed import (
     MIXED_GROUND_STATIONS,
     mixed_operator_configuration,
@@ -67,7 +58,6 @@ from repro.scenarios.telesat import (
     telesat_inclined_shell,
     telesat_polar_shell,
     telesat_shells,
-    telesat_total_satellites,
 )
 from repro.scenarios.degraded import (
     DEFAULT_VICTIM_SHELL,
@@ -110,24 +100,19 @@ __all__ = [
     "iridium_configuration",
     "iridium_shell",
     "kuiper_configuration",
-    "kuiper_first_shell",
     "kuiper_shells",
-    "kuiper_total_satellites",
     "list_scenarios",
     "mixed_operator_configuration",
     "oneweb_configuration",
     "oneweb_shell",
-    "oneweb_total_satellites",
     "scenario",
     "starlink_first_shell",
     "starlink_phase1_configuration",
     "starlink_phase1_shells",
-    "starlink_phase1_total_satellites",
     "telesat_configuration",
     "telesat_inclined_shell",
     "telesat_polar_shell",
     "telesat_shells",
-    "telesat_total_satellites",
     "victim_shell_index",
     "west_africa_bounding_box",
     "west_africa_configuration",

@@ -76,16 +76,6 @@ def kuiper_shells(
     return shells
 
 
-def kuiper_first_shell(satellite_compute: ComputeParams | None = None) -> ShellConfig:
-    """Only the 630 km, 34×34 shell (1,156 satellites)."""
-    return kuiper_shells(satellite_compute, limit=1)[0]
-
-
-def kuiper_total_satellites() -> int:
-    """Total satellites across the three Kuiper shells (3,236)."""
-    return sum(planes * per_plane for planes, per_plane, _, _ in _KUIPER_SHELLS)
-
-
 @scenario("kuiper")
 def kuiper_configuration(
     duration_s: float = 600.0,

@@ -54,11 +54,6 @@ def oneweb_shell(satellite_compute: ComputeParams | None = None) -> ShellConfig:
     )
 
 
-def oneweb_total_satellites() -> int:
-    """Total satellites of the OneWeb shell (648)."""
-    return 18 * 36
-
-
 @scenario("oneweb")
 def oneweb_configuration(
     duration_s: float = 600.0,

@@ -82,11 +82,6 @@ def starlink_first_shell(satellite_compute: ComputeParams | None = None) -> Shel
     return starlink_phase1_shells(satellite_compute, limit=1)[0]
 
 
-def starlink_phase1_total_satellites() -> int:
-    """Total satellites across the five phase I shells (4,409)."""
-    return sum(planes * per_plane for planes, per_plane, _, _ in _PHASE1_SHELLS)
-
-
 @scenario("starlink-phase1")
 def starlink_phase1_configuration(
     duration_s: float = 600.0,

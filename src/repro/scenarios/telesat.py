@@ -111,11 +111,6 @@ def telesat_shells(
     )
 
 
-def telesat_total_satellites() -> int:
-    """Total satellites of the Lightspeed system (298)."""
-    return sum(shell.geometry.total_satellites for shell in telesat_shells())
-
-
 @scenario("telesat-lightspeed")
 def telesat_configuration(
     duration_s: float = 600.0,

@@ -65,7 +65,6 @@ class SubscriptionClient:
                     f"expected SUBSCRIBE_ACK, got {kind.name}"
                 )
             self.client_id = meta["client"]
-            self.server_epoch = meta["epoch"]
         except BaseException:
             self.transport.close()
             raise

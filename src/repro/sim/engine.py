@@ -65,7 +65,6 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
-        self.delay = delay
         self.triggered = True
         self.value = value
         sim._schedule(self, delay)

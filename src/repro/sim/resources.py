@@ -25,11 +25,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> list:
-        """Snapshot of the queued items (oldest first)."""
-        return list(self._items)
-
     def put(self, item: Any) -> None:
         """Hand ``item`` to the oldest waiting getter, or queue it."""
         if self._getters:

@@ -2,11 +2,7 @@
 
 from repro.topology.graph import LinkType, NetworkGraph, NodeIndex, TopologyDiff
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import (
-    link_delay_ms,
-    propagation_delay_ms,
-    serialization_delay_ms,
-)
+from repro.topology.linkparams import link_delay_ms, propagation_delay_ms
 from repro.topology.paths import (
     PathEngine,
     PathEngineStats,
@@ -29,7 +25,6 @@ __all__ = [
     "grid_plus_isl_pairs",
     "link_delay_ms",
     "propagation_delay_ms",
-    "serialization_delay_ms",
     "visible_satellites",
     "visible_satellites_batch",
 ]

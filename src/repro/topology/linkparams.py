@@ -1,4 +1,4 @@
-"""Link parameter computation: propagation delay, serialization, bandwidth.
+"""Link parameter computation: propagation delay on the delay grid.
 
 Both laser ISLs (vacuum) and RF ground-to-satellite links propagate at the
 speed of light ``c`` (§4.1).  Celestial injects the resulting delays with a
@@ -47,13 +47,6 @@ def propagation_delay_ms(distance_km, speed_km_s: float = constants.SPEED_OF_LIG
     return np.asarray(distance_km, dtype=float) / speed_km_s * 1000.0
 
 
-def serialization_delay_ms(size_bytes: float, bandwidth_kbps: float) -> float:
-    """Time [ms] to push ``size_bytes`` onto a link of ``bandwidth_kbps``."""
-    if bandwidth_kbps <= 0:
-        raise ValueError("bandwidth must be positive")
-    return size_bytes * 8.0 / bandwidth_kbps
-
-
 def link_delay_ms(
     distance_km,
     quantize: bool = False,
@@ -72,10 +65,3 @@ def link_delay_ms(
     if np.ndim(delay) == 0:
         return float(delay)
     return delay
-
-
-def fiber_delay_ms(distance_km) -> float:
-    """One-way delay [ms] through terrestrial fiber (~47% slower than vacuum)."""
-    return float(
-        np.asarray(distance_km, dtype=float) / constants.SPEED_OF_LIGHT_FIBER_KM_S * 1000.0
-    )

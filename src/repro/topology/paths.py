@@ -75,10 +75,6 @@ from scipy.sparse import csgraph, csr_matrix
 
 from repro.topology.graph import NetworkGraph, TopologyDiff
 
-#: Sentinel used by ``scipy.sparse.csgraph`` for "no predecessor" (the
-#: source itself and unreachable nodes).  The engine preserves it.
-NO_PREDECESSOR = -9999
-
 
 @dataclass(frozen=True)
 class PathResult:
@@ -133,7 +129,6 @@ class ShortestPaths:
         for source in self.sources:
             if not 0 <= source < node_count:
                 raise ValueError(f"source {source} out of range")
-        self.method = method
         if method == "dijkstra":
             distances, predecessors = csgraph.dijkstra(
                 matrix, directed=False, indices=self.sources, return_predecessors=True

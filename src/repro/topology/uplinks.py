@@ -91,18 +91,3 @@ def visible_satellites_batch(
         stations, satellites = stations[visible], satellites[visible]
     ranges_km = slant_range_km(ground_positions[stations], satellite_positions[satellites])
     return stations, satellites, ranges_km
-
-
-def closest_visible_satellite(
-    ground_position: np.ndarray,
-    satellite_positions: np.ndarray,
-    min_elevation_deg: float = constants.DEFAULT_MIN_ELEVATION_DEG,
-) -> tuple[int, float] | None:
-    """The nearest visible satellite as (index, distance km), or None."""
-    visible, distances = visible_satellites(
-        ground_position, satellite_positions, min_elevation_deg
-    )
-    if visible.size == 0:
-        return None
-    best = int(np.argmin(distances))
-    return int(visible[best]), float(distances[best])

@@ -10,7 +10,6 @@ from repro.analysis import (
     LatencySeries,
     celestial_experiment_cost,
     cost_comparison,
-    median_repetition,
     per_satellite_vm_cost,
     render_table,
     run_repetitions,
@@ -91,13 +90,6 @@ class TestRepetitions:
             run_repetitions(lambda seed: seed, repetitions=2, seeds=[1])
         with pytest.raises(ValueError):
             run_repetitions(lambda seed: seed, repetitions=0)
-
-    def test_median_repetition(self):
-        results = run_repetitions(lambda seed: {"metric": [5.0, 1.0, 3.0][seed]}, repetitions=3)
-        median = median_repetition(results, key=lambda result: result["metric"])
-        assert median.result["metric"] == 3.0
-        with pytest.raises(ValueError):
-            median_repetition([], key=lambda result: result)
 
 
 class TestCostModel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BoundingBox, CelestialDNS, DNSError
-from repro.core.addressing import gateway_ip, machine_ip, network_for, parse_machine_ip
+from repro.core.addressing import machine_ip, network_for
 from repro.orbits import ecef_to_geodetic, geodetic_to_ecef
 
 
@@ -99,32 +99,27 @@ class TestAddressing:
     def test_machine_and_gateway_in_same_block(self):
         shell_sizes = [66]
         network = network_for(shell_sizes, 0, 10)
-        assert machine_ip(shell_sizes, 0, 10) in network
-        assert gateway_ip(shell_sizes, 0, 10) in network
-        assert machine_ip(shell_sizes, 0, 10) != gateway_ip(shell_sizes, 0, 10)
+        # A /30 block: .1 is the host-side gateway, .2 the machine.
+        assert network.prefixlen == 30
+        assert machine_ip(shell_sizes, 0, 10) == network[2] != network[1]
 
     def test_addresses_are_unique(self):
-        shell_sizes = [22, 30]
-        addresses = set()
-        for shell, size in enumerate(shell_sizes):
-            for identifier in range(size):
-                addresses.add(machine_ip(shell_sizes, shell, identifier))
-        assert len(addresses) == sum(shell_sizes)
-
-    def test_parse_roundtrip(self):
-        shell_sizes = [22, 30]
-        assert parse_machine_ip(shell_sizes, machine_ip(shell_sizes, 1, 7)) == (1, 7)
-        # Ground stations live in the virtual shell after all satellite shells.
-        gst_address = machine_ip(shell_sizes, 2, 3)
-        assert parse_machine_ip(shell_sizes, gst_address) == (2, 3)
+        # Over the phase I Starlink address space, ground stations included
+        # (the virtual shell after all satellite shells).
+        shell_sizes = [1584, 1600, 400, 375, 450]
+        pairs = [
+            (shell, identifier)
+            for shell, size in enumerate(shell_sizes + [10])
+            for identifier in range(size)
+        ]
+        addresses = {machine_ip(shell_sizes, shell, identifier) for shell, identifier in pairs}
+        assert len(addresses) == len(pairs) == 4409 + 10
 
     def test_invalid_lookups(self):
         with pytest.raises(IndexError):
             machine_ip([10], 0, 99)
         with pytest.raises(IndexError):
             machine_ip([10], 5, 0)
-        with pytest.raises(ValueError):
-            parse_machine_ip([10], ipaddress.IPv4Address("10.0.0.1"))
 
     def test_all_addresses_in_10_slash_8(self):
         shell_sizes = [100]
@@ -151,13 +146,6 @@ class TestDNS:
         dns = self._dns()
         assert dns.resolve("accra.gst.celestial") == dns.resolve("gst.accra.celestial")
 
-    def test_reverse_lookup(self):
-        dns = self._dns()
-        address = dns.resolve("5.1.celestial")
-        assert dns.reverse(address) == "5.1.celestial"
-        gst_address = dns.resolve("abuja.gst.celestial")
-        assert dns.reverse(gst_address) == "abuja.gst.celestial"
-
     def test_a_record(self):
         dns = self._dns()
         record = dns.a_record("3.0.celestial")
@@ -166,8 +154,9 @@ class TestDNS:
 
     def test_canonical_names(self):
         dns = self._dns()
-        assert dns.reverse(dns.resolve("42.1.celestial")) == "42.1.celestial"
-        assert dns.reverse(dns.resolve("gst.accra.celestial")) == "accra.gst.celestial"
+        assert dns.resolve("42.1.celestial") == machine_ip([66, 100], 1, 42)
+        assert dns.resolve("ABUJA.gst.celestial.") == machine_ip([66, 100], 2, 1)
+        assert dns.resolve("gst.accra.celestial") == machine_ip([66, 100], 2, 0)
         with pytest.raises(DNSError):
             dns.resolve("lagos.gst.celestial")
 
@@ -181,5 +170,3 @@ class TestDNS:
             dns.resolve("lagos.gst.celestial")
         with pytest.raises(DNSError):
             dns.resolve("example.com")
-        with pytest.raises(DNSError):
-            dns.reverse("10.255.255.254")

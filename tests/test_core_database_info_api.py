@@ -1,6 +1,7 @@
 """Unit tests for the constellation database, info API, DNS-over-HTTP and animation."""
 
 import json
+import socket
 import threading
 import urllib.request
 
@@ -63,7 +64,7 @@ class TestDatabase:
         before = database.epoch
         database.set_state(calculation.state_at(5.0))
         assert database.epoch == before + 1
-        assert database.updated_at_s == 5.0
+        assert database.state.time_s == 5.0
         database.set_state(calculation.state_at(0.0))
 
     def test_constellation_info(self, setup):
@@ -142,6 +143,14 @@ class TestInfoAPI:
                 assert payload["satellites"] == 66
             with urllib.request.urlopen(f"http://{host}:{port}/sat/0/3", timeout=5) as response:
                 assert json.loads(response.read())["name"] == "3.0.celestial"
+
+    def test_stop_releases_the_port_of_a_server_that_never_started(self, setup):
+        _, _, _, api = setup
+        server = HTTPInfoServer(api)
+        host, port = server.address
+        server.stop()
+        with socket.socket() as rebound:
+            rebound.bind((host, port))
 
     def test_http_server_404(self, setup):
         _, _, _, api = setup

@@ -199,7 +199,7 @@ class TestCoordinator:
         sim.run()
         # Updates at t = 0, 5, 10, 15, 20.
         assert coordinator.stats.count == 5
-        assert database.updated_at_s == 20.0
+        assert database.state.time_s == 20.0
         assert coordinator.stats.max_wallclock_s >= max(coordinator.stats.wallclock_seconds) > 0.0
 
     def test_update_stats_series_are_bounded_and_totals_cover_the_run(self):

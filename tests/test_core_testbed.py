@@ -46,7 +46,7 @@ class TestTestbedLifecycle:
         testbed = Celestial(_small_config())
         testbed.run(until=30.0)
         assert testbed.coordinator.stats.count == 7
-        assert testbed.database.updated_at_s == 30.0
+        assert testbed.database.state.time_s == 30.0
 
     def test_resource_traces_populated(self):
         testbed = Celestial(_small_config(), usage_sample_interval_s=5.0)

@@ -116,7 +116,7 @@ class TestHost:
     def test_remove_machine(self):
         host = Host(index=0)
         _place(host, "a")
-        host.remove("a")
+        host.machines.take("a")
         assert host.machines == {}
         assert host.reserved_memory_mib() == 0.0
         with pytest.raises(HostError):
@@ -212,7 +212,7 @@ class TestAccountingInvariant:
             elif owner is None:
                 continue
             elif op == "remove":
-                owner.remove(name)
+                owner.machines.take(name)
             elif op == "migrate":
                 owner.transfer(name, hosts[1 - owner.index])
             elif op == "set_busy_fraction":

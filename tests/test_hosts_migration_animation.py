@@ -1,4 +1,4 @@
-"""Unit tests for the microVM migration scheduler and the ASCII animation map."""
+"""Unit tests for the microVM migration scheduler and the GeoJSON constellation map."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.core import (
     GroundStationConfig,
     NetworkParams,
     ShellConfig,
-    ascii_map,
+    snapshot_to_geojson,
 )
 from repro.hosts import Host, MigrationScheduler
 from repro.microvm import MachineBatch, MachineState
@@ -112,7 +112,7 @@ class TestMigrationScheduler:
             MigrationScheduler(hosts).plan(max_moves=0)
 
 
-class TestAsciiMap:
+class TestGeoJSONMap:
     def _state(self, bounding_box=None):
         config = Configuration(
             shells=(
@@ -131,22 +131,12 @@ class TestAsciiMap:
         )
         return ConstellationCalculation(config).state_at(0.0)
 
-    def test_map_dimensions_and_symbols(self):
-        rendering = ascii_map(self._state(), width=72, height=24)
-        lines = rendering.splitlines()
-        assert len(lines) == 24
-        assert all(len(line) == 72 for line in lines)
-        assert "#" in rendering
-        assert "G" in rendering
-
     def test_bounding_box_shows_suspended_satellites(self):
         box = BoundingBox(-20.0, 20.0, -180.0, -140.0)
-        rendering = ascii_map(self._state(bounding_box=box))
-        assert "*" in rendering
-        assert "#" in rendering
-
-    def test_shell_filter_and_validation(self):
-        state = self._state()
-        assert "#" in ascii_map(state, shell=0)
-        with pytest.raises(ValueError):
-            ascii_map(state, width=5, height=3)
+        features = snapshot_to_geojson(self._state(bounding_box=box))["features"]
+        active = [
+            feature["properties"]["active"]
+            for feature in features if feature["properties"]["kind"] == "satellite"
+        ]
+        assert len(active) == 66
+        assert any(active) and not all(active)

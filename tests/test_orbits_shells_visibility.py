@@ -16,11 +16,13 @@ from repro.orbits import (
     constants,
     elevation_angle_deg,
     geodetic_to_ecef,
-    ground_station_visible,
-    isl_line_of_sight,
     slant_range_km,
 )
-from repro.orbits.visibility import max_isl_length_km
+from repro.orbits.visibility import isl_closest_approach_km
+from repro.topology import visible_satellites_batch
+
+#: The closest approach below which an ISL is blocked (the default shell's limit).
+_GRAZING_LIMIT_KM = constants.EARTH_RADIUS_KM + constants.ATMOSPHERE_GRAZING_ALTITUDE_KM
 
 
 def _small_shell(**overrides):
@@ -166,9 +168,9 @@ class TestVisibility:
     def test_min_elevation_threshold(self):
         ground = geodetic_to_ecef(0.0, 0.0, 0.0)
         overhead = ground * 1.1
-        assert ground_station_visible(ground, overhead, min_elevation_deg=40.0)
         low = geodetic_to_ecef(0.0, 60.0, 550.0)
-        assert not ground_station_visible(ground, low, min_elevation_deg=40.0)
+        _, visible, _ = visible_satellites_batch(ground, np.stack([overhead, low]), 40.0)
+        assert visible.tolist() == [0]
 
     def test_elevation_vectorised(self):
         ground = geodetic_to_ecef(0.0, 0.0, 0.0)
@@ -180,23 +182,25 @@ class TestVisibility:
     def test_isl_between_adjacent_satellites_clear(self):
         a = np.array([6928.0, 0.0, 0.0])
         b = np.array([6928.0 * math.cos(0.3), 6928.0 * math.sin(0.3), 0.0])
-        assert bool(isl_line_of_sight(a, b))
+        assert isl_closest_approach_km(a, b) >= _GRAZING_LIMIT_KM
 
     def test_isl_between_antipodal_satellites_blocked(self):
         a = np.array([6928.0, 0.0, 0.0])
         b = np.array([-6928.0, 0.0, 0.0])
-        assert not bool(isl_line_of_sight(a, b))
+        assert isl_closest_approach_km(a, b) < _GRAZING_LIMIT_KM
 
     def test_max_isl_length_consistent_with_line_of_sight(self):
-        length = max_isl_length_km(550.0, 550.0)
-        assert 4500.0 < length < 5600.0
-        # Two satellites exactly at that separation are right at the margin;
-        # slightly closer is visible, slightly farther is blocked.
+        # The longest ISL between two 550 km satellites is the chord tangent
+        # to the grazing sphere: slightly shorter clears it, slightly longer
+        # does not.
         radius = constants.EARTH_RADIUS_KM + 550.0
-        half_angle = math.asin((length * 0.99) / (2.0 * radius))
-        a = np.array([radius * math.cos(half_angle), radius * math.sin(half_angle), 0.0])
-        b = np.array([radius * math.cos(half_angle), -radius * math.sin(half_angle), 0.0])
-        assert bool(isl_line_of_sight(a, b))
+        length = 2.0 * math.sqrt(radius**2 - _GRAZING_LIMIT_KM**2)
+        assert 4500.0 < length < 5600.0
+        for scale, clear in ((0.99, True), (1.01, False)):
+            half_angle = math.asin((length * scale) / (2.0 * radius))
+            a = np.array([radius * math.cos(half_angle), radius * math.sin(half_angle), 0.0])
+            b = np.array([radius * math.cos(half_angle), -radius * math.sin(half_angle), 0.0])
+            assert (isl_closest_approach_km(a, b) >= _GRAZING_LIMIT_KM) == clear
 
     def test_slant_range(self):
         a = np.array([7000.0, 0.0, 0.0])

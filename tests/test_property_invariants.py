@@ -22,7 +22,7 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
-from repro.core.addressing import machine_ip, parse_machine_ip
+from repro.core.addressing import machine_ip
 from repro.orbits import GroundStation, Shell, ShellGeometry, constants
 from repro.topology.isl import grid_plus_isl_pairs
 
@@ -33,11 +33,14 @@ class TestAddressingProperties:
         shell_sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
         data=st.data(),
     )
-    def test_address_roundtrip_and_uniqueness(self, shell_sizes, data):
-        shell = data.draw(st.integers(min_value=0, max_value=len(shell_sizes) - 1))
-        identifier = data.draw(st.integers(min_value=0, max_value=shell_sizes[shell] - 1))
-        address = machine_ip(shell_sizes, shell, identifier)
-        assert parse_machine_ip(shell_sizes, address) == (shell, identifier)
+    def test_distinct_machines_get_distinct_addresses(self, shell_sizes, data):
+        def machine():
+            shell = data.draw(st.integers(min_value=0, max_value=len(shell_sizes) - 1))
+            return shell, data.draw(st.integers(min_value=0, max_value=shell_sizes[shell] - 1))
+
+        first, second = machine(), machine()
+        same = machine_ip(shell_sizes, *first) == machine_ip(shell_sizes, *second)
+        assert same == (first == second)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -49,7 +52,6 @@ class TestAddressingProperties:
         dns = CelestialDNS([shell_size], ["gst-a"])
         resolved = dns.resolve(f"{identifier}.0.celestial")
         assert resolved == machine_ip([shell_size], 0, identifier)
-        assert dns.reverse(resolved) == f"{identifier}.0.celestial"
 
 
 class TestShellGeometryProperties:

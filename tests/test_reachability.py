@@ -1,4 +1,4 @@
-"""Every module and every class member of ``src/repro`` has a reader.
+"""Everything ``src/repro`` defines has a reader: modules, names, members, attributes.
 
 The rule as a test: what ``src/repro`` defines is on the pipeline, reachable
 from ``repro-celestial`` / a worker / a benchmark / an example — or it is
@@ -10,20 +10,33 @@ package import Name`` reaches the module that defines ``Name``: a package
 ``__init__`` that merely re-exports a module does not make it reachable, a
 ``@scenario`` registration (found by name at run time) does.
 
-Members.  Every dataclass field, ``__slots__`` attribute, public method or
-property and defaulted ``__init__`` keyword of a class in ``src/repro`` has
-a *read* in the reader corpus: the reachable modules plus ``bench/``,
-``benchmarks/`` and ``examples/``, nothing under a ``tests`` directory.  A
-read of a member is an attribute load or a string constant naming it — so
-``getattr``, dict keys and the benchmark's by-name patch points count; a
-read of an ``__init__`` keyword is a call of the class (or of a subclass
-that inherits the ``__init__``, or ``super().__init__``) that passes it by
-name or by position, or passes a ``**mapping``.  Not reads: the member's
-own definition and body, loads inside its own class's serialisers
-(:data:`OWN_SERIALISERS`), ``__all__`` and ``__slots__`` strings.  The rule
-is name-level: a name collision can hide an unread member, but a member
-with a read is never flagged, so no type inference is needed.  What is kept
-without a read is in :data:`ALLOWED`, each entry with its reason.
+Reads come from the reader corpus: the reachable modules plus ``bench/``,
+``benchmarks/`` and ``examples/``, nothing under a ``tests`` directory.
+``__all__`` and ``__slots__`` strings are never reads.  Three rules:
+
+1. Module-level names.  Every function, class and constant a module of
+   ``src/repro`` defines at module level, public or ``_private``, has a
+   load outside its own statement: a name or attribute load, or a string
+   constant naming it.  An import, a package re-export or an ``__all__``
+   entry is not a load; a ``@scenario`` registration is.
+2. Class members.  Every dataclass field, ``__slots__`` attribute, public
+   method or property and defaulted ``__init__`` keyword has a read: an
+   attribute load or a string constant naming it — so ``getattr``, dict keys
+   and the benchmark's by-name patch points count.  A read of an
+   ``__init__`` keyword is a call of the class (or of a subclass that
+   inherits the ``__init__``, or ``super().__init__``) that passes it by
+   name or by position, or passes a ``**mapping``.  Not reads: the member's
+   own definition and body, and loads inside its own class's serialisers
+   (:data:`OWN_SERIALISERS`).
+3. ``__init__`` attributes.  Every attribute a class assigns on ``self`` in
+   its ``__init__`` has an attribute load (or a string constant naming it).
+
+The rules are name-level: a name collision can hide an unread definition,
+but a definition with a read is never flagged, so no type inference is
+needed.  The blind spot is a member named like a builtin method — a
+``reverse``, ``remove`` or ``items`` reads as read through ``list.reverse``
+and its kin — so such members are checked by hand.  What is kept without a
+read is in :data:`ALLOWED`, each entry with its reason.
 """
 
 import ast
@@ -47,8 +60,9 @@ CONSUMERS = {
 #: only validate or serialise what the class holds.
 OWN_SERIALISERS = {"__post_init__", "to_dict", "to_toml", "to_json", "from_dict", "snapshot"}
 
-#: Members kept without a read, ``"Class.member": "reason"`` (a keyword
-#: is spelt ``Class.keyword=``).
+#: Definitions kept without a read, ``"Class.member": "reason"`` (a keyword
+#: is spelt ``Class.keyword=``, an ``__init__`` attribute ``Class.attribute``
+#: and a module-level name ``module.name``).
 ALLOWED = {
     "Handler.do_GET": "framework callback: http.server dispatches GET requests to it",
     "Handler.log_message": "framework callback: overridden to silence the request log",
@@ -66,6 +80,8 @@ ALLOWED = {
     "WorkerSupervisor.restart_decay_acks=": "deployment setting: restart budget decay",
     "KeplerPropagator.include_j2=": "reference implementation: tests check Shell against it",
     "TwoLineElement.parse": "documented paper surface: SGP4 input from a NORAD TLE (§3.1)",
+    "repro.orbits.kepler.KeplerPropagator": "reference implementation: tests check Shell against it",
+    "repro.topology.uplinks.visible_satellites": "reference implementation: tests check the batch table against it",
 }
 
 
@@ -175,14 +191,30 @@ class _Reads(ast.NodeVisitor):
     read inside the body of ``C``'s member ``m``.  ``calls`` holds
     ``(callee, scope, enclosing class, positional count, keywords)`` per
     call; ``positional`` is ``inf`` under ``*args`` and ``keywords`` is
-    ``None`` under ``**mapping``.
+    ``None`` under ``**mapping``.  ``loads[name]`` is the set of
+    module-level statements that load ``name``: a name or attribute load,
+    or a string constant naming it.
     """
 
-    def __init__(self, names, calls):
+    def __init__(self, names, calls, loads):
         self.names = names
         self.calls = calls
+        self.loads = loads
         self.classes = []
         self.scope = None
+        self.statement = None
+
+    def visit_Module(self, node):
+        for statement in node.body:
+            self.statement = statement
+            self.visit(statement)
+
+    def _load(self, name):
+        self.loads.setdefault(name, set()).add(self.statement)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._load(node.id)
 
     def visit_ClassDef(self, node):
         self.classes.append(node.name)
@@ -211,11 +243,13 @@ class _Reads(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if isinstance(node.ctx, ast.Load):
             self.names.setdefault(node.attr, set()).add(self.scope)
+            self._load(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str) and node.value.isidentifier():
             self.names.setdefault(node.value, set()).add(self.scope)
+            self._load(node.value)
 
     def visit_Call(self, node):
         callee = node.func
@@ -236,21 +270,24 @@ class _Reads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _unread_members(definitions, readers):
-    """``Class.member`` of every member of ``definitions`` with no read in ``readers``.
+def _unread(definitions, readers):
+    """Every definition of ``definitions`` with no read in ``readers``.
 
-    ``definitions`` and ``readers`` are iterables of parsed modules; a
-    keyword member is spelt ``Class.keyword=``.
+    ``definitions`` maps a module name to its parsed module, ``readers`` is
+    an iterable of parsed modules.  Three sorted lists: members
+    ``Class.member`` (a keyword ``Class.keyword=``), module-level names
+    ``module.name`` and ``__init__`` attributes ``Class.attribute``.
     """
-    names, calls = {}, []
+    names, calls, loads = {}, [], {}
     for tree in readers:
-        _Reads(names, calls).visit(tree)
+        _Reads(names, calls, loads).visit(tree)
     classes = {
         node.name: node
-        for tree in definitions for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for tree in definitions.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
     }
     bases = {name: {_name(base) for base in cls.bases} for name, cls in classes.items()}
-    unread = []
+    members = []
     for name, cls in classes.items():
         for member in _members(cls):
             if member.endswith("="):
@@ -258,8 +295,47 @@ def _unread_members(definitions, readers):
             else:
                 read = bool(names.get(member, set()) - {name, f"{name}.{member}"})
             if not read:
-                unread.append(f"{name}.{member}")
-    return sorted(unread)
+                members.append(f"{name}.{member}")
+    module_level = [
+        f"{module}.{name}"
+        for module, tree in definitions.items()
+        for name, statement in _module_level(tree)
+        if not (_registered(statement) or loads.get(name, set()) - {statement})
+    ]
+    attributes = {
+        f"{name}.{attribute}"
+        for name, cls in classes.items() if _init(cls) is not None
+        for attribute in _self_attributes(_init(cls)) if attribute not in names
+    }
+    return sorted(members), sorted(module_level), sorted(attributes)
+
+
+def _module_level(tree):
+    """``(name, statement)`` of every function, class and constant ``tree`` defines."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield statement.name, statement
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            for node in (node for target in targets for node in ast.walk(target)):
+                if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                    yield node.id, statement
+
+
+def _registered(statement):
+    """Whether ``statement`` is a ``@scenario`` factory, which the registry reads by name."""
+    return any(
+        isinstance(decorator, ast.Call) and _name(decorator.func) == "scenario"
+        for decorator in getattr(statement, "decorator_list", ())
+    )
+
+
+def _self_attributes(init):
+    """The name of every attribute ``init`` assigns on ``self``."""
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                yield node.attr
 
 
 def _init(cls):
@@ -304,22 +380,44 @@ def _readers(trees):
 def _unread_in_repro():
     reached = _reachable() | {name for name in MODULES if _is_package(name)}
     corpus = [TREES[name] for name in sorted(reached)] + _readers(CONSUMERS)
-    return _unread_members([TREES[name] for name in sorted(MODULES)], corpus)
+    return _unread(TREES, corpus)
 
 
 def test_every_member_has_a_reader():
-    assert [member for member in _unread_in_repro() if member not in ALLOWED] == []
+    members, _, _ = _unread_in_repro()
+    assert [member for member in members if member not in ALLOWED] == []
+
+
+def test_every_module_level_name_has_a_reader():
+    _, names, _ = _unread_in_repro()
+    assert [name for name in names if name not in ALLOWED] == []
+
+
+def test_every_init_attribute_has_a_reader():
+    _, _, attributes = _unread_in_repro()
+    assert [attribute for attribute in attributes if attribute not in ALLOWED] == []
 
 
 def test_the_allowlist_names_only_unread_members():
-    assert sorted(set(ALLOWED) - set(_unread_in_repro())) == []
+    unread = {definition for found in _unread_in_repro() for definition in found}
+    assert sorted(set(ALLOWED) - unread) == []
     assert len(ALLOWED) <= 30
     assert all(reason.strip() and "\n" not in reason for reason in ALLOWED.values())
 
 
 SYNTHETIC = {
+    "src/shapes/__init__.py": """
+from shapes.point import Point, reexported
+""",
     "src/shapes/point.py": """
 from dataclasses import dataclass
+
+from registry import scenario
+
+__all__ = ["Point", "exported"]
+
+_ORIGIN = 0.0
+_UNUSED = 1.0
 
 
 @dataclass
@@ -330,7 +428,7 @@ class Point:
     named: float
 
     def to_dict(self):
-        return {"x": self.x, "serialised": self.serialised}
+        return {"x": self.x - _ORIGIN, "serialised": self.serialised}
 
     def uncalled(self):
         return self.x
@@ -344,6 +442,23 @@ class Server:
 class Client:
     def __init__(self, timeout_s=1.0):
         self.timeout_s = timeout_s
+
+
+def exported():
+    return exported()
+
+
+def reexported():
+    return Point(0.0, 0.0, 0.0, 0.0)
+
+
+def unused():
+    return Server()
+
+
+@scenario("shapes")
+def shapes_configuration():
+    return Client()
 """,
     "examples/draw.py": """
 from shapes.point import Client, Point, Server
@@ -351,17 +466,28 @@ from shapes.point import Client, Point, Server
 point = Point(1.0, 2.0, 3.0, 4.0)
 print(point.x, getattr(point, "named"), point.to_dict())
 options = {"port": 8080}
-Server(**options)
+print(Server(**options).address)
 Client()
 """,
     "tests/test_point.py": """
-def test_tested(point):
+from shapes import reexported
+from shapes.point import exported, unused
+
+
+def test_tested(point, client):
     assert point.tested == 3.0
+    assert client.timeout_s == 1.0
+    assert exported() and reexported() and unused()
 """,
 }
 
 
 def test_the_member_walk_on_a_synthetic_module():
     trees = {path: ast.parse(text) for path, text in SYNTHETIC.items()}
-    unread = _unread_members([trees["src/shapes/point.py"]], _readers(trees))
-    assert unread == ["Client.timeout_s=", "Point.serialised", "Point.tested", "Point.uncalled"]
+    definitions = {"shapes": trees["src/shapes/__init__.py"], "shapes.point": trees["src/shapes/point.py"]}
+    members, names, attributes = _unread(definitions, _readers(trees))
+    assert members == ["Client.timeout_s=", "Point.serialised", "Point.tested", "Point.uncalled"]
+    assert names == [
+        "shapes.point._UNUSED", "shapes.point.exported", "shapes.point.reexported", "shapes.point.unused",
+    ]
+    assert attributes == ["Client.timeout_s"]

@@ -10,23 +10,19 @@ from repro.scenarios import (
     PACIFIC_TSUNAMI_WARNING_CENTER,
     OperatorDegradation,
     TELESAT_GROUND_STATIONS,
+    build,
     dart_configuration,
     degraded_operator_configuration,
     generate_buoys,
     generate_sinks,
     iridium_shell,
-    kuiper_first_shell,
     kuiper_shells,
-    kuiper_total_satellites,
     mixed_operator_configuration,
     oneweb_shell,
-    oneweb_total_satellites,
     starlink_first_shell,
     starlink_phase1_shells,
-    starlink_phase1_total_satellites,
     telesat_configuration,
     telesat_shells,
-    telesat_total_satellites,
     victim_shell_index,
     west_africa_configuration,
     west_africa_bounding_box,
@@ -44,7 +40,7 @@ class TestStarlink:
         assert len(shells) == 5
         totals = [shell.geometry.total_satellites for shell in shells]
         assert totals == [1584, 1600, 400, 375, 450]
-        assert starlink_phase1_total_satellites() == 4409
+        assert sum(build("starlink-phase1").shell_sizes) == 4409
 
     def test_first_shell_geometry(self):
         shell = starlink_first_shell()
@@ -82,10 +78,10 @@ class TestKuiper:
         assert len(shells) == 3
         totals = [shell.geometry.total_satellites for shell in shells]
         assert totals == [1156, 1296, 784]
-        assert kuiper_total_satellites() == 3236
+        assert sum(build("kuiper").shell_sizes) == 3236
 
     def test_first_shell_geometry(self):
-        shell = kuiper_first_shell()
+        shell = kuiper_shells(limit=1)[0]
         assert shell.geometry.planes == 34
         assert shell.geometry.satellites_per_plane == 34
         assert shell.geometry.altitude_km == 630.0
@@ -104,7 +100,7 @@ class TestOneWeb:
     def test_geometry_is_near_polar_walker_star(self):
         shell = oneweb_shell()
         assert shell.geometry.total_satellites == 648
-        assert oneweb_total_satellites() == 648
+        assert sum(build("oneweb").shell_sizes) == 648
         assert shell.geometry.planes == 18
         assert shell.geometry.altitude_km == 1200.0
         assert shell.geometry.arc_of_ascending_nodes_deg == 180.0
@@ -233,7 +229,7 @@ class TestTelesat:
         polar, inclined = telesat_shells()
         assert polar.geometry.total_satellites == 78
         assert inclined.geometry.total_satellites == 220
-        assert telesat_total_satellites() == 298
+        assert sum(build("telesat-lightspeed").shell_sizes) == 298
         # The defining property: one operator mixing both Walker patterns.
         assert polar.geometry.is_polar_star
         assert not inclined.geometry.is_polar_star

@@ -43,13 +43,14 @@ def test_store_get_before_put_blocks():
     assert received == [(7.0, "late")]
 
 
-def test_store_items_snapshot_and_len():
+def test_store_len_and_fifo_order():
     sim = Simulation()
     store = Store(sim)
     store.put(1)
     store.put(2)
     assert len(store) == 2
-    assert store.items == [1, 2]
+    assert [store.get().value, store.get().value] == [1, 2]
+    assert len(store) == 0
 
 
 def test_put_without_a_waiting_getter_schedules_nothing():
@@ -58,4 +59,4 @@ def test_put_without_a_waiting_getter_schedules_nothing():
     store.put("queued")
     sim.run()
     assert sim.processed_events == 0
-    assert store.items == ["queued"]
+    assert len(store) == 1

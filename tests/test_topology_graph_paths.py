@@ -16,7 +16,6 @@ from repro.topology import (
     visible_satellites_batch,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE
-from repro.topology.uplinks import closest_visible_satellite
 
 
 def _simple_index():
@@ -463,20 +462,10 @@ class TestUplinks:
             pairwise,
         )
 
-    def test_closest_visible_satellite(self):
-        shell = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0))
-        positions = shell.positions_eci(0.0)
-        ground = geodetic_to_ecef(0.0, 0.0, 0.0)
-        result = closest_visible_satellite(ground, positions, min_elevation_deg=10.0)
-        assert result is not None
-        index, distance = result
-        visible, distances = visible_satellites(ground, positions, min_elevation_deg=10.0)
-        assert distance == pytest.approx(float(np.min(distances)))
-        assert index in set(visible.tolist())
-
     def test_no_visible_satellite_returns_none(self):
         # A single-satellite shell on the other side of the planet.
         shell = Shell(ShellGeometry(1, 1, 550.0, 0.0))
         positions = shell.positions_eci(0.0)
         antipode = geodetic_to_ecef(0.0, 180.0, 0.0)
-        assert closest_visible_satellite(antipode, positions, 25.0) is None
+        _, visible, _ = visible_satellites_batch(antipode, positions, 25.0)
+        assert visible.size == 0

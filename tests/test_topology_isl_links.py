@@ -10,10 +10,8 @@ from repro.topology import (
     grid_plus_isl_pairs,
     link_delay_ms,
     propagation_delay_ms,
-    serialization_delay_ms,
 )
 from repro.topology.isl import isl_count
-from repro.topology.linkparams import fiber_delay_ms
 
 
 class TestGridPlusISL:
@@ -89,17 +87,6 @@ class TestLinkParams:
         delays = link_delay_ms(np.array([300.0, 600.0]))
         assert delays.shape == (2,)
         assert delays[1] == pytest.approx(2 * delays[0])
-
-    def test_serialization_delay(self):
-        # 1250 bytes at 10 Mb/s = 1 ms.
-        assert serialization_delay_ms(1250.0, 10_000.0) == pytest.approx(1.0)
-
-    def test_serialization_delay_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            serialization_delay_ms(100.0, 0.0)
-
-    def test_fiber_slower_than_vacuum(self):
-        assert fiber_delay_ms(1000.0) == pytest.approx(link_delay_ms(1000.0) * 1.47, rel=1e-6)
 
     def test_meetup_example_delays(self):
         # Sanity-check the paper's Fig. 3 numbers: Accra to Johannesburg is
