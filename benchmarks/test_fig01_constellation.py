@@ -10,11 +10,11 @@ snapshot generation (the work the animation component performs per frame).
 
 from repro.analysis import render_table
 from repro.core import ConstellationCalculation, constellation_snapshot, snapshot_to_geojson
-from repro.scenarios import starlink_phase1_shells, west_africa_configuration
+from repro.scenarios import operator_shells, west_africa_configuration
 
 
 def test_fig01_constellation_overview(benchmark):
-    shells = starlink_phase1_shells()
+    shells = operator_shells("starlink")
     rows = [
         [
             shell.name,

@@ -31,7 +31,7 @@ on a TCP stream.
   over loopback and ``python -m repro.dist.worker --connect host:port
   --index N`` on another machine run the same code.
 * :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
-  and wedge detection (every receive is bounded by ``ack_timeout_s``),
+  and wedge detection (every receive is bounded by ``ACK_TIMEOUT_S``),
   restart under a bounded, decaying budget.  A restarted worker starts from
   the replica like a new one; the requests in flight are dropped.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:

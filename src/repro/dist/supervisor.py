@@ -31,7 +31,7 @@ moment — machine table, counters, dirty set, key root (empty tables at pool
 start).  A crash is detected four ways: a broken/EOF transport while sending
 or collecting, a heartbeat sweep finding the process dead, an ack wait
 observing process exit, or — for a worker that *wedges while staying
-alive* — the ``ack_timeout_s`` receive deadline expiring (the wedged process
+alive* — the :data:`ACK_TIMEOUT_S` receive deadline expiring (the wedged process
 is killed before its successor spawns).  One rule makes recovery exact:
 
 * **A worker (re)spawned from the replica drops the rows still pending for
@@ -43,8 +43,8 @@ is killed before its successor spawns).  One rule makes recovery exact:
   is built, on empty tables: started by a first operation, the pool would
   take that operation in the ``SPEC`` and again as a row.)
 
-Restarts are bounded by ``max_restarts`` per worker — but the budget
-*decays*: after ``restart_decay_acks`` healthy acknowledged requests the
+Restarts are bounded by :data:`MAX_RESTARTS` per worker — but the budget
+*decays*: after :data:`RESTART_DECAY_ACKS` healthy acknowledged requests the
 counter resets to zero, so transient crashes spread over a long-running sim
 never add up to a fatal budget exhaustion, while a crash loop (which never
 stays healthy long enough to decay) still hits the bound.
@@ -64,13 +64,20 @@ from repro.dist import wire
 from repro.dist.transport import TcpTransportFactory, TransportTimeout
 from repro.dist.wire import FrameKind
 
+#: Restarts of one worker before its crash is fatal (the budget decays).
+MAX_RESTARTS = 3
+#: Seconds a worker has to acknowledge a request before it counts as wedged.
+ACK_TIMEOUT_S = 120.0
+#: Healthy acknowledged requests after which a worker's restart budget resets.
+RESTART_DECAY_ACKS = 64
+
 
 class WorkerCrashError(RuntimeError):
     """A worker died (detected via transport, heartbeat, exit or timeout)."""
 
 
 class WorkerTimeoutError(WorkerCrashError):
-    """A live worker failed to acknowledge within ``ack_timeout_s``.
+    """A live worker failed to acknowledge within :data:`ACK_TIMEOUT_S`.
 
     Subclasses :class:`WorkerCrashError` so a wedged-but-alive worker takes
     the same kill/respawn path as a dead one.
@@ -96,7 +103,7 @@ class _Handle:
         self.inflight: deque[tuple[int, float, Any]] = deque()
         self.restarts = 0
         # Healthy acknowledged requests since the last restart; at
-        # ``restart_decay_acks`` the restart budget resets (transient
+        # :data:`RESTART_DECAY_ACKS` the restart budget resets (transient
         # crashes over a long run must not accumulate into a death).
         self.healthy_acks = 0
         # Set when a send observed a broken stream: recovery is deferred to
@@ -117,9 +124,6 @@ class WorkerSupervisor:
     def __init__(
         self,
         workers: list[dict[int, MachineManager]],
-        max_restarts: int = 3,
-        ack_timeout_s: float = 120.0,
-        restart_decay_acks: int = 64,
         transport: Optional[TcpTransportFactory] = None,
     ):
         if transport is None:
@@ -130,9 +134,6 @@ class WorkerSupervisor:
             )
         self._handles = [_Handle(index, managers) for index, managers in enumerate(workers)]
         self._factory = transport
-        self.max_restarts = max_restarts
-        self.ack_timeout_s = ack_timeout_s
-        self.restart_decay_acks = restart_decay_acks
         self.restart_count = 0
         self._seq = 0
         # Seconds per acknowledged request and worker slot, from its send to
@@ -287,13 +288,13 @@ class WorkerSupervisor:
             handle.inflight.popleft()
             self._ack_latency.setdefault(handle.index, []).append(time.monotonic() - sent_at)
             handle.healthy_acks += 1
-            if handle.restarts and handle.healthy_acks >= self.restart_decay_acks:
+            if handle.restarts and handle.healthy_acks >= RESTART_DECAY_ACKS:
                 handle.restarts = handle.healthy_acks = 0
             acks.append((meta, expected))
         return acks
 
     def _await_ack(self, handle: _Handle, seq: int) -> dict[str, Any]:
-        deadline = time.monotonic() + self.ack_timeout_s
+        deadline = time.monotonic() + ACK_TIMEOUT_S
         while not handle.conn.poll(0.05):
             if handle.process is not None and not handle.process.is_alive():
                 raise WorkerCrashError(
@@ -306,12 +307,12 @@ class WorkerSupervisor:
                 # rebuilds it instead of hanging the epoch forever.
                 raise WorkerTimeoutError(
                     f"worker {handle.index} did not acknowledge "
-                    f"frame {seq} within {self.ack_timeout_s:.0f}s"
+                    f"frame {seq} within {ACK_TIMEOUT_S:.0f}s"
                 )
         try:
             # The remaining deadline bounds the receive itself too: a peer
             # that wedges mid-frame (or a stream stalled after the length
-            # prefix) cannot block past ack_timeout_s.
+            # prefix) cannot block past ACK_TIMEOUT_S.
             data = handle.conn.recv_bytes(
                 timeout=max(0.05, deadline - time.monotonic())
             )
@@ -389,10 +390,10 @@ class WorkerSupervisor:
             handle.restarts += 1
             self.restart_count += 1
             handle.healthy_acks = 0
-            if handle.restarts > self.max_restarts:
+            if handle.restarts > MAX_RESTARTS:
                 raise WorkerCrashError(
                     f"worker {handle.index} exceeded "
-                    f"{self.max_restarts} restarts"
+                    f"{MAX_RESTARTS} restarts"
                 )
             if handle.process is not None:
                 # Wedged workers are still alive — the receive timeout, not

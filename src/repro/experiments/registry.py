@@ -2,16 +2,21 @@
 
 The paper's §3.1 design principle is that a whole emulation run is driven
 from one configuration; the registry makes the *scenarios* that produce
-those configurations first-class data too.  Each scenario module registers
-its constructor under a stable name::
+those configurations first-class data too.  Each scenario registers its
+constructor under a stable name; the operator catalogue
+(:mod:`repro.scenarios.operators`) registers one per constellation, each a
+few lines over its ``SHELLS`` table::
 
-    @scenario("west-africa-meetup")
-    def west_africa_configuration(...) -> Configuration: ...
+    @scenario("kuiper")
+    def kuiper_configuration(..., shell_limit: Optional[int] = None, ...) -> Configuration:
+        shells = operator_shells("kuiper", limit=shell_limit)
+        ...
 
-and callers discover it by name (``repro.scenarios.get("west-africa-meetup")``,
+and callers discover it by name (``repro.scenarios.get("kuiper")``,
 ``list_scenarios()``) instead of importing the module — which is what lets
 an :class:`~repro.experiments.spec.ExperimentSpec` reference a scenario as
-a string in a TOML file.
+a string in a TOML file, whose ``params`` :func:`build` checks against the
+factory's signature.
 
 The registry itself has no dependencies on the scenario modules; importing
 :mod:`repro.scenarios` triggers the registrations (``get`` does this lazily,
@@ -20,10 +25,11 @@ so a spec file can be resolved without any prior import).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.config import Configuration
+from repro.core.config import Configuration, ConfigurationError
 
 
 class UnknownScenarioError(KeyError):
@@ -107,8 +113,19 @@ def entries() -> list[ScenarioEntry]:
 
 
 def build(name: str, **params: Any) -> Configuration:
-    """Build a scenario's configuration, type-checking the result."""
-    config = get(name)(**params)
+    """Build a scenario's configuration, checking the parameters and the result.
+
+    A parameter the factory does not take is a :class:`ConfigurationError`
+    naming the parameters it does take.
+    """
+    factory = get(name)
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(**params)
+    except TypeError as error:
+        taken = ", ".join(signature.parameters)
+        raise ConfigurationError(f"scenario {name!r}: {error} (it takes {taken})") from None
+    config = factory(**params)
     if not isinstance(config, Configuration):
         raise TypeError(
             f"scenario {name!r} returned {type(config).__name__}, "

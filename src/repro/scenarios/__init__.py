@@ -4,25 +4,29 @@ Every configuration constructor is registered with the scenario registry
 (:mod:`repro.experiments.registry`) under a stable name, so experiments can
 reference it declaratively (``repro.scenarios.get("pacific-dart")``,
 ``list_scenarios()``) as well as import it directly.  A constellation's
-satellite count is ``sum(build(name).shell_sizes)``:
+satellite count is ``sum(build(name).shell_sizes)``.
 
-* :mod:`repro.scenarios.starlink` — the planned phase I Starlink constellation
-  (five shells, 4,409 satellites; Fig. 1) — ``starlink-phase1``.
-* :mod:`repro.scenarios.iridium` — the Iridium constellation used by the DART
-  case study (66 satellites, 180° arc of ascending nodes; Fig. 10) —
-  ``iridium``.
-* :mod:`repro.scenarios.kuiper` — the Project Kuiper system (three shells,
-  3,236 satellites) — ``kuiper``.
-* :mod:`repro.scenarios.oneweb` — the OneWeb constellation (648 satellites,
-  near-polar Walker-star, exercising the +GRID seam at scale) — ``oneweb``.
-* :mod:`repro.scenarios.mixed` — a mixed-operator Starlink + Kuiper + OneWeb
-  configuration stressing multi-shell uplink selection — ``mixed-operator``.
-* :mod:`repro.scenarios.telesat` — the Telesat Lightspeed hybrid (a polar
-  Walker-star shell plus an inclined Walker-delta shell, 298 satellites) —
-  ``telesat-lightspeed``.
-* :mod:`repro.scenarios.degraded` — a degraded-operator scenario on top of
-  the mixed configuration: one operator's shell progressively loses ISLs
-  through the fault-injection API — ``degraded-operator``.
+:mod:`repro.scenarios.operators` is the operator catalogue: one ``SHELLS``
+table of every operator's shells, :func:`operator_shells` to build them and
+six constellations registered over them:
+
+* ``starlink-phase1`` — the planned phase I Starlink constellation (five
+  shells, 4,409 satellites; Fig. 1).
+* ``kuiper`` — the Project Kuiper system (three shells, 3,236 satellites).
+* ``oneweb`` — the OneWeb constellation (648 satellites, near-polar
+  Walker-star, exercising the +GRID seam at scale).
+* ``telesat-lightspeed`` — the Telesat Lightspeed hybrid (a polar
+  Walker-star shell plus an inclined Walker-delta shell, 298 satellites).
+* ``iridium`` — the Iridium constellation of the DART case study (66
+  satellites, 180° arc of ascending nodes; Fig. 10).
+* ``mixed-operator`` — Starlink + Kuiper + OneWeb shells together, stressing
+  multi-shell uplink selection.
+
+Three scenarios put a ground segment or a fault program on the catalogue:
+
+* :mod:`repro.scenarios.degraded` — the mixed-operator sky whose OneWeb
+  shell progressively loses ISLs through the fault-injection API —
+  ``degraded-operator``.
 * :mod:`repro.scenarios.west_africa` — the §4 meetup/video-conference
   deployment with clients in Accra, Abuja and Yaoundé and a cloud data centre
   in Johannesburg (Fig. 3) — ``west-africa-meetup``.
@@ -40,30 +44,20 @@ from repro.experiments.registry import (
     list_scenarios,
     scenario,
 )
-from repro.scenarios.starlink import (
-    starlink_first_shell,
-    starlink_phase1_configuration,
-    starlink_phase1_shells,
-)
-from repro.scenarios.iridium import iridium_configuration, iridium_shell
-from repro.scenarios.kuiper import kuiper_configuration, kuiper_shells
-from repro.scenarios.oneweb import oneweb_configuration, oneweb_shell
-from repro.scenarios.mixed import (
-    MIXED_GROUND_STATIONS,
+from repro.scenarios.operators import (
+    iridium_configuration,
+    iridium_shell,
+    kuiper_configuration,
     mixed_operator_configuration,
-)
-from repro.scenarios.telesat import (
-    TELESAT_GROUND_STATIONS,
+    oneweb_configuration,
+    operator_shells,
+    starlink_phase1_configuration,
     telesat_configuration,
-    telesat_inclined_shell,
-    telesat_polar_shell,
-    telesat_shells,
 )
 from repro.scenarios.degraded import (
     DEFAULT_VICTIM_SHELL,
     OperatorDegradation,
     degraded_mixed_configuration,
-    degraded_operator_configuration,
     victim_shell_index,
 )
 from repro.scenarios.west_africa import (
@@ -83,16 +77,13 @@ __all__ = [
     "CLIENT_LOCATIONS",
     "CLOUD_LOCATION",
     "DEFAULT_VICTIM_SHELL",
-    "MIXED_GROUND_STATIONS",
     "OperatorDegradation",
     "PACIFIC_TSUNAMI_WARNING_CENTER",
     "ScenarioEntry",
-    "TELESAT_GROUND_STATIONS",
     "UnknownScenarioError",
     "build",
     "dart_configuration",
     "degraded_mixed_configuration",
-    "degraded_operator_configuration",
     "entries",
     "generate_buoys",
     "generate_sinks",
@@ -100,19 +91,13 @@ __all__ = [
     "iridium_configuration",
     "iridium_shell",
     "kuiper_configuration",
-    "kuiper_shells",
     "list_scenarios",
     "mixed_operator_configuration",
     "oneweb_configuration",
-    "oneweb_shell",
+    "operator_shells",
     "scenario",
-    "starlink_first_shell",
     "starlink_phase1_configuration",
-    "starlink_phase1_shells",
     "telesat_configuration",
-    "telesat_inclined_shell",
-    "telesat_polar_shell",
-    "telesat_shells",
     "victim_shell_index",
     "west_africa_bounding_box",
     "west_africa_configuration",

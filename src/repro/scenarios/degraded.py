@@ -1,7 +1,7 @@
 """A degraded-operator scenario: one operator's shell progressively loses ISLs.
 
 Built on top of the mixed-operator configuration
-(:mod:`repro.scenarios.mixed`): three operators share the sky, and one of
+(:mod:`repro.scenarios.operators`): three operators share the sky, and one of
 them — by default the OneWeb shell — suffers a progressive inter-satellite
 laser failure cascade.  Every degradation step severs another batch of the
 victim shell's intra-shell ISLs through the **fault-injection API**
@@ -26,31 +26,10 @@ import numpy as np
 
 from repro.core.config import Configuration
 from repro.experiments.registry import scenario
-from repro.scenarios.mixed import mixed_operator_configuration
+from repro.scenarios.operators import mixed_operator_configuration
 
 #: Shell name degraded by default (the OneWeb Walker-star shell).
 DEFAULT_VICTIM_SHELL = "oneweb"
-
-
-def degraded_operator_configuration(
-    duration_s: float = 600.0,
-    update_interval_s: float = 2.0,
-    kuiper_shell_limit: Optional[int] = 1,
-    seed: int = 0,
-) -> tuple[Configuration, int]:
-    """The mixed-operator configuration plus the victim shell's index.
-
-    Returns ``(configuration, victim_shell_index)``; the index feeds
-    :class:`OperatorDegradation` (and is resolved by name, so reordering
-    the mixed shells cannot silently change the victim).
-    """
-    config = mixed_operator_configuration(
-        duration_s=duration_s,
-        update_interval_s=update_interval_s,
-        kuiper_shell_limit=kuiper_shell_limit,
-        seed=seed,
-    )
-    return config, victim_shell_index(config)
 
 
 @scenario("degraded-operator")
@@ -62,19 +41,18 @@ def degraded_mixed_configuration(
 ) -> Configuration:
     """The mixed-operator sky whose OneWeb shell suffers the ISL cascade.
 
-    The registered form of :func:`degraded_operator_configuration`: scenario
-    factories return a plain :class:`Configuration`, so the victim index is
-    not part of the return value — an experiment spec names the victim shell
-    in its fault program (``target = "oneweb"``) and the runner resolves the
-    index with :func:`victim_shell_index`.
+    Scenario factories return a plain :class:`Configuration`, so the victim
+    index is not part of the return value — an experiment spec names the
+    victim shell in its fault program (``target = "oneweb"``) and the runner
+    resolves the index with :func:`victim_shell_index` (by name, so
+    reordering the mixed shells cannot silently change the victim).
     """
-    config, _victim = degraded_operator_configuration(
+    return mixed_operator_configuration(
         duration_s=duration_s,
         update_interval_s=update_interval_s,
         kuiper_shell_limit=kuiper_shell_limit,
         seed=seed,
     )
-    return config
 
 
 def victim_shell_index(
@@ -110,7 +88,8 @@ class OperatorDegradation:
 
     Usage::
 
-        config, victim = degraded_operator_configuration()
+        config = build("degraded-operator")
+        victim = victim_shell_index(config)
         testbed = Celestial(config)
         degradation = OperatorDegradation(testbed, victim)
         testbed.start()

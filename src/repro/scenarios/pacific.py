@@ -16,22 +16,17 @@ import numpy as np
 from repro.core.config import (
     ComputeParams,
     Configuration,
+    ConfigurationError,
     GroundStationConfig,
     HostConfig,
 )
 from repro.experiments.registry import scenario
 from repro.orbits import Epoch, GroundStation
-from repro.scenarios.iridium import (
-    IRIDIUM_ISL_BANDWIDTH_KBPS,
-    IRIDIUM_SENSOR_BANDWIDTH_KBPS,
-    iridium_shell,
-)
+from repro.scenarios.operators import SENSOR_COMPUTE, iridium_shell
 
 #: The central processing location of the DART system (Ford Island, Hawaii).
 PACIFIC_TSUNAMI_WARNING_CENTER = GroundStation("pacific-tsunami-warning-center", 21.3649, -157.9497)
 
-#: Buoys and data sinks: 1 CPU core, 1,024 MB memory (§5.1).
-SENSOR_COMPUTE = ComputeParams(vcpu_count=1, memory_mib=1024)
 #: Central ground-station server: 8 cores, 8,192 MB memory (§5.1).
 CENTRAL_COMPUTE = ComputeParams(vcpu_count=8, memory_mib=8192)
 
@@ -90,14 +85,18 @@ def dart_configuration(
     station eight cores and 8,192 MB.
     """
     if deployment not in ("central", "satellite"):
-        raise ValueError(f"unknown deployment: {deployment!r}")
+        raise ConfigurationError(
+            f"unknown deployment: {deployment!r} (one of 'central', 'satellite')"
+        )
+    # Buoys and sinks uplink at the sensor rate, the central station at the ISL rate.
+    shell = iridium_shell(SENSOR_COMPUTE)
     buoys = generate_buoys(buoy_count, seed=7)
     sinks = generate_sinks(buoys, sink_count, seed=11)
     ground_stations = [
         GroundStationConfig(
             station=station,
             compute=SENSOR_COMPUTE,
-            uplink_bandwidth_kbps=IRIDIUM_SENSOR_BANDWIDTH_KBPS,
+            uplink_bandwidth_kbps=shell.network.uplink_bandwidth_kbps,
         )
         for station in buoys + sinks
     ]
@@ -105,11 +104,11 @@ def dart_configuration(
         GroundStationConfig(
             station=PACIFIC_TSUNAMI_WARNING_CENTER,
             compute=CENTRAL_COMPUTE,
-            uplink_bandwidth_kbps=IRIDIUM_ISL_BANDWIDTH_KBPS,
+            uplink_bandwidth_kbps=shell.network.isl_bandwidth_kbps,
         )
     )
     return Configuration(
-        shells=(iridium_shell(SENSOR_COMPUTE),),
+        shells=(shell,),
         ground_stations=tuple(ground_stations),
         bounding_box=None,
         hosts=HostConfig(count=4, cpu_cores=32, memory_mib=32 * 1024),

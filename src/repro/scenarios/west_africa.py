@@ -15,12 +15,13 @@ from repro.core.bounding_box import BoundingBox
 from repro.core.config import (
     ComputeParams,
     Configuration,
+    ConfigurationError,
     GroundStationConfig,
     HostConfig,
 )
 from repro.experiments.registry import scenario
 from repro.orbits import Epoch, GroundStation
-from repro.scenarios.starlink import STARLINK_BANDWIDTH_KBPS, starlink_phase1_shells
+from repro.scenarios.operators import SERVER_COMPUTE, operator_shells
 
 #: Geodetic client locations of the §4 experiment.
 CLIENT_LOCATIONS = {
@@ -32,10 +33,9 @@ CLIENT_LOCATIONS = {
 #: The nearest cloud data centre: Johannesburg, South Africa.
 CLOUD_LOCATION = GroundStation("johannesburg", -26.2041, 28.0473)
 
-#: Resources of clients and the tracking service: 4 cores, 4 GB (§4.1).
+#: Resources of clients and the tracking service: 4 cores, 4 GB (§4.1).  The
+#: satellite servers and the cloud video bridge get ``SERVER_COMPUTE``.
 CLIENT_COMPUTE = ComputeParams(vcpu_count=4, memory_mib=4096)
-#: Resources of satellite servers and the cloud video bridge: 2 cores, 512 MB.
-SERVER_COMPUTE = ComputeParams(vcpu_count=2, memory_mib=512)
 
 
 def west_africa_bounding_box() -> BoundingBox:
@@ -66,39 +66,24 @@ def west_africa_configuration(
     between fidelity and runtime.  The full five-shell constellation is
     available with ``shells="all"``.
     """
-    limit = {"all": None, "lowest": 1, "two-lowest": 2}[shells]
-    shell_configs = tuple(starlink_phase1_shells(SERVER_COMPUTE, limit=limit))
+    limits = {"all": None, "lowest": 1, "two-lowest": 2}
+    if shells not in limits:
+        raise ConfigurationError(
+            f"unknown shells: {shells!r} (one of {', '.join(map(repr, limits))})"
+        )
+    shell_configs = tuple(operator_shells("starlink", SERVER_COMPUTE, limits[shells]))
+    cloud = (CLOUD_LOCATION.latitude_deg, CLOUD_LOCATION.longitude_deg)
+    machines = [(station, CLIENT_COMPUTE) for station in CLIENT_LOCATIONS.values()] + [
+        # The cloud data centre hosts the video bridge (2 cores / 512 MB)
+        # and the tracking service (4 cores / 4 GB) as separate machines.
+        (GroundStation("johannesburg-cloud", *cloud), SERVER_COMPUTE),
+        (GroundStation("johannesburg-tracking", *cloud), CLIENT_COMPUTE),
+    ]
+    # Every ground link runs at the Starlink shells' uplink rate.
+    uplink_kbps = shell_configs[0].network.uplink_bandwidth_kbps
     ground_stations = tuple(
-        [
-            GroundStationConfig(
-                station=station,
-                compute=CLIENT_COMPUTE,
-                uplink_bandwidth_kbps=STARLINK_BANDWIDTH_KBPS,
-            )
-            for station in CLIENT_LOCATIONS.values()
-        ]
-        + [
-            # The cloud data centre hosts the video bridge (2 cores / 512 MB)
-            # and the tracking service (4 cores / 4 GB) as separate machines.
-            GroundStationConfig(
-                station=GroundStation(
-                    "johannesburg-cloud",
-                    CLOUD_LOCATION.latitude_deg,
-                    CLOUD_LOCATION.longitude_deg,
-                ),
-                compute=SERVER_COMPUTE,
-                uplink_bandwidth_kbps=STARLINK_BANDWIDTH_KBPS,
-            ),
-            GroundStationConfig(
-                station=GroundStation(
-                    "johannesburg-tracking",
-                    CLOUD_LOCATION.latitude_deg,
-                    CLOUD_LOCATION.longitude_deg,
-                ),
-                compute=CLIENT_COMPUTE,
-                uplink_bandwidth_kbps=STARLINK_BANDWIDTH_KBPS,
-            ),
-        ]
+        GroundStationConfig(station=station, compute=compute, uplink_bandwidth_kbps=uplink_kbps)
+        for station, compute in machines
     )
     return Configuration(
         shells=shell_configs,

@@ -263,6 +263,21 @@ class TestConfigurationErrors:
         line = self._error_line(["run", str(path), "--no-output"], capsys)
         assert str(path) in line and "serve.all_pairs was removed" in line
 
+    @pytest.mark.parametrize(
+        ("scenario", "params", "named"),
+        [
+            ("west-africa-meetup", 'shells = "three-lowest"', "'three-lowest'"),
+            ("oneweb", "shell_limit = 1", "shell_limit"),
+            ("pacific-dart", 'deployment = "orbit"', "'orbit'"),
+        ],
+        ids=["unknown-literal", "unknown-keyword", "unknown-deployment"],
+    )
+    def test_run_with_a_bad_scenario_parameter(self, scenario, params, named, tmp_path, capsys):
+        path = tmp_path / "bad-params.toml"
+        path.write_text(f'name = "bad"\n\n[scenario]\nname = "{scenario}"\nparams = {{ {params} }}\n')
+        line = self._error_line(["run", str(path), "--no-output"], capsys)
+        assert str(path) in line and named in line
+
     def test_run_rejects_an_inconsistent_spec(self, config_path, capsys):
         # A plain configuration is not an experiment spec (no [scenario] table).
         line = self._error_line(["run", config_path, "--no-output"], capsys)

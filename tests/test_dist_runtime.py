@@ -37,6 +37,7 @@ from repro.core import (
 )
 from repro.core.constellation import MachineId
 from repro.dist.backend import MAX_IN_FLIGHT, ProcessFanoutBackend, WorkerDesyncError
+from repro.dist import supervisor as supervisor_module
 from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
 from repro.dist.transport import SocketTransport, TcpTransportFactory
 from repro.dist.wire import ControlOp, FrameKind
@@ -745,12 +746,12 @@ class TestSupervision:
         finally:
             processes.close()
 
-    def test_max_restarts_bound(self):
+    def test_max_restarts_bound(self, monkeypatch):
         config = _iridium_box_config()
         calculation = ConstellationCalculation(config)
         managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
         backend = ProcessFanoutBackend(managers, worker_count=1)
-        backend.supervisor.max_restarts = 0
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 0)
         try:
             backend.supervisor.start()
             _ping(backend.supervisor, 0)
@@ -1019,7 +1020,7 @@ class TestCrashSchedule:
     """Workers killed at seeded points recover to the thread backend's results."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_seeded_kills_keep_every_epoch_equal_to_the_thread_backend(self, seed):
+    def test_seeded_kills_keep_every_epoch_equal_to_the_thread_backend(self, seed, monkeypatch):
         # Iridium through a box, 3 hosts on 2 workers, 20 epochs with
         # lifecycle operations between them.  Before each epoch the schedule
         # picks one SIGKILL point, or none: with rows pending before the
@@ -1032,7 +1033,8 @@ class TestCrashSchedule:
         processes = _coordinator(config, "processes")
         backend = processes._backend
         supervisor = backend.supervisor
-        supervisor.max_restarts = 20  # no healthy streak decays the budget here
+        # No healthy streak decays the budget here.
+        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 20)
         apply_slices = backend.apply_slices
         kills = 0
         try:

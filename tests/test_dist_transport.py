@@ -30,6 +30,7 @@ import pytest
 
 import repro
 from repro.core import MachineManager
+from repro.dist import supervisor as supervisor_module
 from repro.dist import wire
 from repro.dist.supervisor import (
     WorkerCrashError,
@@ -368,18 +369,22 @@ def _crash(supervisor, worker):
     process.join(timeout=5.0)
 
 
-def _supervisor(**kwargs):
-    kwargs.setdefault("ack_timeout_s", 10.0)
-    return WorkerSupervisor([_hosts()], **kwargs)
+def _supervisor(monkeypatch, **constants):
+    """A one-worker supervisor under patched module constants (``max_restarts=1``
+    patches ``MAX_RESTARTS``); the ack deadline defaults to 10 s."""
+    constants.setdefault("ack_timeout_s", 10.0)
+    for name, value in constants.items():
+        monkeypatch.setattr(supervisor_module, name.upper(), value)
+    return WorkerSupervisor([_hosts()])
 
 
 class TestSupervisionHardening:
-    def test_wedged_worker_hits_timeout_and_is_rebuilt(self):
+    def test_wedged_worker_hits_timeout_and_is_rebuilt(self, monkeypatch):
         # The worker stays alive but stops serving (SIGSTOP): only the
         # receive deadline can notice, and it must route into the
         # crash/restart path rather than surfacing a bare TimeoutError (or
         # hanging); the supervisor's kill still ends the stopped process.
-        supervisor = _supervisor(ack_timeout_s=1.0, max_restarts=2)
+        supervisor = _supervisor(monkeypatch, ack_timeout_s=1.0, max_restarts=2)
         try:
             supervisor.start()
             assert "counters" in _ping(supervisor, 0)
@@ -393,8 +398,8 @@ class TestSupervisionHardening:
     def test_timeout_error_is_a_crash_error(self):
         assert issubclass(WorkerTimeoutError, WorkerCrashError)
 
-    def test_restart_budget_decays_after_healthy_acks(self):
-        supervisor = _supervisor(max_restarts=1, restart_decay_acks=3)
+    def test_restart_budget_decays_after_healthy_acks(self, monkeypatch):
+        supervisor = _supervisor(monkeypatch, max_restarts=1, restart_decay_acks=3)
         try:
             supervisor.start()
             _ping(supervisor, 0)
@@ -403,15 +408,15 @@ class TestSupervisionHardening:
             for _ in range(3):
                 _ping(supervisor, 0)  # healthy streak decays the budget
             _crash(supervisor, 0)
-            _ping(supervisor, 0)  # would exceed max_restarts without decay
+            _ping(supervisor, 0)  # would exceed MAX_RESTARTS without decay
             assert supervisor.restart_count == 2
         finally:
             supervisor.close()
 
-    def test_crash_loop_still_bounded(self):
+    def test_crash_loop_still_bounded(self, monkeypatch):
         # Crashes faster than the decay threshold must still exhaust the
         # budget — the decay handles transience, not brokenness.
-        supervisor = _supervisor(max_restarts=1, restart_decay_acks=100)
+        supervisor = _supervisor(monkeypatch, max_restarts=1, restart_decay_acks=100)
         try:
             supervisor.start()
             _ping(supervisor, 0)
@@ -455,14 +460,13 @@ def _launch_external_worker(port: int, index: int = 0) -> subprocess.Popen:
 class TestExternalWorkers:
     """The remote-placement path: workers the supervisor did not spawn."""
 
-    def test_standalone_worker_serves_and_shuts_down_cleanly(self):
+    def test_standalone_worker_serves_and_shuts_down_cleanly(self, monkeypatch):
         port = _free_port()
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        supervisor = WorkerSupervisor(
-            [_hosts()], transport=factory, ack_timeout_s=20.0
-        )
+        monkeypatch.setattr(supervisor_module, "ACK_TIMEOUT_S", 20.0)
+        supervisor = WorkerSupervisor([_hosts()], transport=factory)
         process = _launch_external_worker(port)
         try:
             supervisor.start()  # accepts the dial-in, ships the SPEC
@@ -477,14 +481,13 @@ class TestExternalWorkers:
                 if process.poll() is None:  # pragma: no cover - cleanup
                     process.kill()
 
-    def test_killed_external_worker_recovers_via_relaunch_and_reconnect(self):
+    def test_killed_external_worker_recovers_via_relaunch_and_reconnect(self, monkeypatch):
         port = _free_port()
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        supervisor = WorkerSupervisor(
-            [_hosts()], transport=factory, ack_timeout_s=20.0
-        )
+        monkeypatch.setattr(supervisor_module, "ACK_TIMEOUT_S", 20.0)
+        supervisor = WorkerSupervisor([_hosts()], transport=factory)
         first = _launch_external_worker(port)
         replacement = None
         try:

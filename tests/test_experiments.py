@@ -77,6 +77,11 @@ class TestRegistry:
         assert config.update_interval_s == 7.0
         assert config.total_satellites == 66
 
+    def test_unknown_parameter_names_the_ones_the_scenario_takes(self):
+        with pytest.raises(ConfigurationError, match="shell_limit") as error:
+            build("oneweb", shell_limit=1)
+        assert "duration_s, update_interval_s, seed, epoch" in str(error.value)
+
     def test_unknown_scenario_lists_known_names(self):
         with pytest.raises(UnknownScenarioError, match="iridium"):
             entry("no-such-scenario")

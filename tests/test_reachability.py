@@ -75,9 +75,6 @@ ALLOWED = {
     "TcpTransportFactory.auth_secret=": "deployment setting: the workers' shared secret",
     "SubscriptionClient.auth_secret=": "deployment setting: the gateway's shared secret",
     "Celestial.transport=": "deployment setting: external-worker mode (a TcpTransportFactory)",
-    "WorkerSupervisor.max_restarts=": "deployment setting: the restart budget of a worker",
-    "WorkerSupervisor.ack_timeout_s=": "deployment setting: the deadline of a worker's ack",
-    "WorkerSupervisor.restart_decay_acks=": "deployment setting: restart budget decay",
     "KeplerPropagator.include_j2=": "reference implementation: tests check Shell against it",
     "TwoLineElement.parse": "documented paper surface: SGP4 input from a NORAD TLE (§3.1)",
     "repro.orbits.kepler.KeplerPropagator": "reference implementation: tests check Shell against it",
