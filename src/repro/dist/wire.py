@@ -64,7 +64,10 @@ kind               direction     payload
 ``SAMPLE_USAGE``   sup → worker  ``now_s``, the sample's flags and per host
                                  position the sample's index
 ``PING`` …         both          heartbeat, shutdown, handshake
-``KEYFRAME`` …     gateway       the serving tier (:mod:`repro.serve.codec`)
+``KEYFRAME`` …     gateway       the serving tier: a full state with its delay
+                                 steps, or a DIFF whose delays may be
+                                 second-difference residuals
+                                 (:mod:`repro.serve.codec`)
 =================  ============  =============================================
 
 A ``SPEC`` frame's meta holds ``hosts``, one entry per host the worker
@@ -207,7 +210,11 @@ WIRE_MAGIC = b"CLW1"
 #: ``ACK`` carries no epoch or count of control frames.
 #: 13: a ``SAMPLE_USAGE`` acknowledgement carries one CRC-32 per host
 #: (``sample_crc``) instead of the sample's fields.
-WIRE_VERSION = 13
+#: 14: a ``DIFF`` may carry its changed delays as ``int8`` residuals against
+#: the previous epoch's steps, with an escape array 9; a ``KEYFRAME`` carries
+#: the epoch's steps and may carry its bandwidths as indices into a palette
+#: (layouts in :mod:`repro.serve.codec`).
+WIRE_VERSION = 14
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

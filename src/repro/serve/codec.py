@@ -31,37 +31,74 @@ a non-negative multiple of the grid below 2**32 steps — every delay the
 pipeline computes — and as its ``float64`` values otherwise; the array's
 dtype in the frame says which, so off-grid delays stay bit-exact.
 
+Satellites move smoothly, so a link's delay count ``c`` is close to linear
+over three epochs.  A link's *step* in epoch ``k`` is ``c[k] - c[k-1]`` when
+epoch ``k`` changed its delay and every delay that epoch changed is on the
+grid before and after; every other step of epoch ``k`` is 0.  The steps are
+a function of one epoch's change set alone, which a replica that followed
+the stream derives from the delays it held before and after the DIFF, and
+which a KEYFRAME carries.  A DIFF may therefore send each changed delay as
+the residual ``c[k] - (c[k-1] + step[k-1])``: as ``int8`` residuals when the
+encoder holds the previous epoch's steps, every delay involved is on the
+grid, and that is smaller than ``uint32`` counts — a replica that joined
+mid-stream predicts exactly as one that never left, and the DIFF is still
+encoded once for both.
+
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
 ``shells`` (those with an activity flip).
 
-== ================= ================ ============================ ==========
-#  array             dtype            meaning                      mask order
-== ================= ================ ============================ ==========
-0  removed           uint8 (packed)   links that disappeared       previous
-1  added             uint8 (packed)   links that appeared          current
-2  added node_a      int32            their lower endpoints
-3  added node_b      int32            their higher endpoints
-4  added delay       uint32 | float64 their delays
-5  added bandwidth   float64          their bandwidths [kbps]
-6  added type        int8             their link type codes
-7  delay changed     uint8 (packed)   surviving links, new delay   current
-8  new delay         uint32 | float64 those delays
-9  bandwidth changed uint8 (packed)   surviving links, new b/w     current
-10 new bandwidth     float64          those bandwidths [kbps]
-11 activated         int64, per shell satellite ids entering the box
-.. deactivated       int64, per shell satellite ids leaving the box
-== ================= ================ ============================ ==========
+== ================= ===================== =========================== ========
+#  array             dtype                 meaning                     mask
+                                                                       order
+== ================= ===================== =========================== ========
+0  removed           uint8 (packed)        links that disappeared      previous
+1  added             uint8 (packed)        links that appeared         current
+2  added node_a      int32                 their lower endpoints
+3  added node_b      int32                 their higher endpoints
+4  added delay       uint32 | float64      their delays
+5  added bandwidth   float64               their bandwidths [kbps]
+6  added type        int8                  their link type codes
+7  delay changed     uint8 (packed)        surviving links, new delay  current
+8  new delay         int8 | uint32 |       those delays: residuals,
+                     float64               counts or values
+9  escapes           int16 | int32 | int64 the residuals array 8 marks
+                                           ``-128``, in order (else
+                                           empty)
+10 bandwidth changed uint8 (packed)        surviving links, new b/w    current
+11 new bandwidth     float64               those bandwidths [kbps]
+12 activated         int64, per shell      satellite ids entering the
+                                           box
+.. deactivated       int64, per shell      satellite ids leaving the box
+== ================= ===================== =========================== ========
 
 Value arrays hold one entry per set bit of their mask, in mask order.  The
 replica applies *removed* (a mask over the links it holds), then *added*
 (a mask over the new order: kept links fill the clear positions, added
 ones the set positions), then *delay changed* and *bandwidth changed*
-(masks over the new order), then the activity flips.
+(masks over the new order), then the activity flips.  Added links carry
+absolute delays and a step of 0.
 
 ``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
 ``satellites`` (each shell's mask length); arrays in canonical order:
-``node_a``, ``node_b`` (``int32``), delay (coded as above), bandwidth
-(``float64``), type (``int8``), then one packed activity mask per shell.
+
+== =========== ============================= ================================
+#  array       dtype                         meaning
+== =========== ============================= ================================
+0  node_a      int32                         lower endpoints
+1  node_b      int32                         higher endpoints
+2  delay       uint32 | float64              delays, coded as above
+3  bandwidth   uint8 | float64               bandwidths [kbps], or indices
+                                             into the palette
+4  type        int8                          link type codes
+5  step        int8 | int16 | int32 | int64  the epoch's steps, at the
+                                             narrowest width
+6  palette     float64                       the distinct bandwidths (empty
+                                             with a ``float64`` column)
+7  activity    uint8 (packed), per shell     bounding-box activity masks
+== =========== ============================= ================================
+
+The bandwidth column travels as ``uint8`` indices when the links have at
+most 256 distinct bandwidths (the shells built here have one or two).
 """
 
 from __future__ import annotations
@@ -79,7 +116,7 @@ from repro.topology.linkparams import DELAY_GRID_MS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState
     from repro.core.database import ConstellationDatabase
-    from repro.topology.graph import NetworkGraph
+    from repro.topology.graph import NetworkGraph, TopologyDiff
 
 
 class CodecError(ValueError):
@@ -185,18 +222,44 @@ class EpochUpdate:
 
 
 _GRID_STEPS_PER_MS = 1.0 / DELAY_GRID_MS
+#: 2**32 grid steps: the first delay a ``uint32`` count cannot hold.
+_GRID_LIMIT_MS = 2**32 * DELAY_GRID_MS
 _NO_LINKS = np.empty(0, dtype=np.uint8)
+_NO_ESCAPES = np.empty(0, dtype=np.int16)
+_NO_PALETTE = np.empty(0, dtype=np.float64)
+#: The ``int8`` residual that marks an escaped one.
+_ESCAPE = -128
+#: A mask of at most one link in this many is built from the links'
+#: positions, and a merge of that few additions and removals copies the runs
+#: between them: per-link work that beats a pass over every link while the
+#: links are few (an epoch's handovers over thousands of links).
+_FEW_LINKS_PER = 512
 #: Arrays of a KEYFRAME / DIFF frame ahead of the per-shell ones.
-_KEYFRAME_ARRAYS = 5
-_DIFF_ARRAYS = 11
+_KEYFRAME_ARRAYS = 7
+_DIFF_ARRAYS = 12
+#: Signed integer dtypes, narrowest first, with their bounds.
+_SIGNED = tuple(
+    (np.dtype(dtype), np.iinfo(dtype).min, np.iinfo(dtype).max)
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def _counts(delays_ms: np.ndarray) -> np.ndarray:
+    """The ``uint32`` grid-step counts of delays known to be on the grid."""
+    return (delays_ms * _GRID_STEPS_PER_MS).astype(np.uint32)
+
+
+def _grid_counts(delays_ms: np.ndarray) -> Optional[np.ndarray]:
+    """Delays as ``uint32`` grid-step counts when that decodes to the same bits
+    (else None: off the grid, out of range, -0.0, not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the cast's garbage fails the test
+        counts = _counts(delays_ms)
+    return counts if _unpack_delays(counts).tobytes() == delays_ms.tobytes() else None
 
 
 def _pack_delays(delays_ms: np.ndarray) -> np.ndarray:
-    """Delays as ``uint32`` grid-step counts when that decodes to the same bits
-    (else as they are: off the grid, out of range, -0.0, not finite)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the cast's garbage fails the test
-        steps = (delays_ms * _GRID_STEPS_PER_MS).astype(np.uint32)
-    return steps if _unpack_delays(steps).tobytes() == delays_ms.tobytes() else delays_ms
+    counts = _grid_counts(delays_ms)
+    return delays_ms if counts is None else counts
 
 
 def _unpack_delays(values: np.ndarray) -> np.ndarray:
@@ -205,6 +268,51 @@ def _unpack_delays(values: np.ndarray) -> np.ndarray:
     if values.dtype == np.float64:
         return values
     raise CodecError(f"delays travel as uint32 grid steps or float64, not {values.dtype}")
+
+
+def _narrowest(values: np.ndarray, dtypes: tuple = _SIGNED) -> np.ndarray:
+    """Integer ``values`` at the first of ``dtypes`` that holds them all (the
+    last, ``int64``, holds any)."""
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for dtype, least, most in dtypes:
+        if least <= low and high <= most:
+            break
+    return values.astype(dtype)
+
+
+def _escape(residuals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``residuals`` as an ``int8`` column with ``-128`` marking the escaped
+    ones, and those at their narrowest width — None when that is not smaller
+    than ``uint32`` counts."""
+    escaped = np.flatnonzero(np.abs(residuals) > 127)
+    escapes = _narrowest(residuals[escaped], _SIGNED[1:])
+    if residuals.size + escapes.nbytes >= 4 * residuals.size:
+        return None
+    column = residuals.astype(np.int8)
+    column[escaped] = _ESCAPE
+    return column, escapes
+
+
+def _pack_bandwidths(bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A KEYFRAME's bandwidth column and palette: ``uint8`` indices into the
+    distinct bit patterns when there are at most 256, else the column itself."""
+    palette, index = np.unique(bandwidths.view(np.uint64), return_inverse=True)
+    if palette.size > 256:
+        return bandwidths, _NO_PALETTE
+    return index.astype(np.uint8), palette.view(np.float64)
+
+
+def _unpack_bandwidths(column: np.ndarray, palette: np.ndarray) -> np.ndarray:
+    if column.dtype == np.float64 and not palette.size:
+        return column
+    if column.dtype != np.uint8 or palette.dtype != np.float64 or palette.ndim != 1:
+        raise CodecError(
+            f"bandwidths travel as float64 or as uint8 indices into a float64 palette, "
+            f"not as {column.dtype} with a {palette.dtype}{palette.shape} palette"
+        )
+    if column.size and int(column.max()) >= palette.size:
+        raise CodecError(f"a bandwidth index beyond the {palette.size}-entry palette")
+    return palette[column]
 
 
 def _pack_nodes(node_a: np.ndarray, node_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +328,13 @@ def _pack_positions(graph: "NetworkGraph", edge_ids: np.ndarray) -> tuple[np.nda
         return _NO_LINKS, edge_ids
     order = graph.sorted_edge_ids
     chosen = np.zeros(order.size, dtype=bool)
+    if edge_ids.size * _FEW_LINKS_PER <= order.size:
+        positions = graph.canonical_positions(edge_ids)
+        chosen[positions] = True
+        return np.packbits(chosen), edge_ids[np.argsort(positions)]
     chosen[edge_ids] = True
     mask = chosen[order]
-    return np.packbits(mask), order[mask]
+    return np.packbits(mask), order[np.flatnonzero(mask)]  # faster than order[mask]
 
 
 def _unpack_mask(packed: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
@@ -241,9 +353,61 @@ def _unpack_mask(packed: np.ndarray, length: int, *values: np.ndarray) -> np.nda
     return mask
 
 
-def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
-    """Encode one epoch's full-state KEYFRAME frame from its snapshot."""
-    snapshot = EpochSnapshot.from_state(state, epoch)
+def _delay_change(topology: "TopologyDiff", previous_on_grid: bool):
+    """The delay-changed links of a diff in canonical order: their packed
+    mask, current and previous edge ids, new delays (``uint32`` counts or
+    ``float64`` values) and steps (None: a delay involved is off the grid).
+    ``previous_on_grid``: every delay of the previous graph is on the grid."""
+    current = topology.current
+    mask, changed = _pack_positions(current, topology.delay_changed)
+    delays = current.delays_ms[changed]
+    counts = _grid_counts(delays)
+    if counts is None:
+        return mask, changed, None, delays, None
+    was = changed
+    if topology.delay_changed_previous is not topology.delay_changed:  # ids moved
+        lookup = np.empty(current.total_links(), dtype=np.int64)
+        lookup[topology.delay_changed] = topology.delay_changed_previous
+        was = lookup[changed]
+    before = (_counts if previous_on_grid else _grid_counts)(topology.previous.delays_ms[was])
+    steps = None if before is None else np.subtract(counts, before, dtype=np.int64)
+    return mask, changed, was, counts, steps
+
+
+def _steps_by_edge(topology: "TopologyDiff", changed: np.ndarray, steps) -> np.ndarray:
+    """Every link's step in the diff's epoch, by current edge id."""
+    by_edge = np.zeros(topology.current.total_links(), dtype=np.int64)
+    if steps is not None:
+        by_edge[changed] = steps
+    return by_edge
+
+
+def delay_steps(diff: "ConstellationDiff") -> np.ndarray:
+    """The steps of ``diff``'s epoch by current edge id (module docstring)."""
+    _, changed, _, _, steps = _delay_change(diff.topology, previous_on_grid=False)
+    return _steps_by_edge(diff.topology, changed, steps)
+
+
+@dataclass(frozen=True)
+class EpochSteps:
+    """One epoch's steps by edge id (module docstring), and whether every
+    delay of that epoch's graph is on the grid — then the next DIFF need not
+    check the delays it changes from."""
+
+    by_edge: np.ndarray
+    on_grid: bool
+
+
+def encode_keyframe_update(
+    state: "ConstellationState", epoch: int, steps: Optional[np.ndarray] = None
+) -> bytes:
+    """Encode one epoch's full-state KEYFRAME frame from its snapshot.
+
+    ``steps`` are the epoch's steps by edge id (:func:`delay_steps` of the
+    diff it was published with); None, for a publication without a diff,
+    sends zeros.
+    """
+    snapshot, order = EpochSnapshot.from_state(state, epoch), state.graph.sorted_edge_ids
     shells = sorted(snapshot.active)
     meta = {
         "epoch": epoch,
@@ -252,23 +416,41 @@ def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
         "shells": shells,
         "satellites": [snapshot.active[shell].size for shell in shells],
     }
+    bandwidths, palette = _pack_bandwidths(snapshot.bandwidth_kbps)
     arrays = (
         *_pack_nodes(snapshot.node_a, snapshot.node_b),
         _pack_delays(snapshot.delay_ms),
-        snapshot.bandwidth_kbps,
+        bandwidths,
         snapshot.link_type,
+        _narrowest(np.zeros(bandwidths.size, np.int64) if steps is None else steps[order]),
+        palette,
         *(np.packbits(snapshot.active[shell]) for shell in shells),
     )
     return wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
 
 
-def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
-    """Encode one epoch's DIFF frame from the constellation diff."""
+def encode_diff_update(
+    diff: "ConstellationDiff", epoch: int, steps: Optional[EpochSteps] = None
+) -> tuple[bytes, EpochSteps]:
+    """Encode one epoch's DIFF frame from the constellation diff.
+
+    ``steps`` are the previous epoch's; without them the changed delays
+    travel absolute.  Returns the frame and this epoch's steps.
+    """
     topology = diff.topology
     previous, current = topology.previous, topology.current
+    previous_on_grid = (
+        steps.on_grid if steps is not None else _grid_counts(previous.delays_ms) is not None
+    )
     removed_mask, _ = _pack_positions(previous, topology.links_removed)
     added_mask, added = _pack_positions(current, topology.links_added)
-    delay_mask, delay_changed = _pack_positions(current, topology.delay_changed)
+    added_delays = _pack_delays(current.delays_ms[added])
+    delay_mask, delay_changed, was, delays, new_steps = _delay_change(topology, previous_on_grid)
+    escapes = _NO_ESCAPES
+    if steps is not None and new_steps is not None:
+        escaped = _escape(new_steps - steps.by_edge[was])
+        if escaped is not None:
+            delays, escapes = escaped
     bandwidth_mask, bandwidth_changed = _pack_positions(current, topology.bandwidth_changed)
     # Only shells with a flip travel: an array descriptor costs more than most id lists.
     shells = sorted(
@@ -284,17 +466,96 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
         removed_mask,
         added_mask,
         *_pack_nodes(current.node_a[added], current.node_b[added]),
-        _pack_delays(current.delays_ms[added]),
+        added_delays,
         current.bandwidths_kbps[added],
         current.link_type_codes[added],
         delay_mask,
-        _pack_delays(current.delays_ms[delay_changed]),
+        delays,
+        escapes,
         bandwidth_mask,
         current.bandwidths_kbps[bandwidth_changed],
         *(diff.activated[shell] for shell in shells),
         *(diff.deactivated[shell] for shell in shells),
     )
-    return wire.encode_frame(FrameKind.DIFF, meta, arrays)
+    on_grid = previous_on_grid and new_steps is not None and added_delays.dtype == np.uint32
+    return wire.encode_frame(FrameKind.DIFF, meta, arrays), EpochSteps(
+        _steps_by_edge(topology, delay_changed, new_steps), on_grid
+    )
+
+
+def _merge(
+    columns: list[np.ndarray], removed: np.ndarray, added: np.ndarray, fresh: list[np.ndarray]
+) -> list[np.ndarray]:
+    """``columns`` without the ``removed`` links and with the ``added`` ones
+    (masks over the old and the new order), whose values ``fresh`` holds."""
+    gone, at = np.flatnonzero(removed), np.flatnonzero(added)
+    if (gone.size + at.size) * _FEW_LINKS_PER > added.size:
+        kept, surviving = ~removed, ~added
+        merged = [np.empty(added.size, dtype=column.dtype) for column in columns]
+        for column, held, new in zip(merged, columns, fresh):
+            column[surviving] = held[kept]
+            column[added] = new
+        return merged
+    # Few: concatenate the runs of kept links between the removed ones, cut
+    # where an added link goes (the i-th added link follows at[i] - i kept
+    # ones).  A piece is (0, slice) of a held column or (1, slice) of ``fresh``.
+    pieces, placed, i, cuts = [], 0, 0, (at - np.arange(at.size)).tolist()
+    for start, stop in zip([0, *(gone + 1).tolist()], [*gone.tolist(), removed.size]):
+        while i < len(cuts) and cuts[i] <= placed + stop - start:
+            split = start + cuts[i] - placed
+            pieces += [(0, slice(start, split)), (1, slice(i, i + 1))]
+            placed, start, i = placed + split - start, split, i + 1
+        pieces.append((0, slice(start, stop)))
+        placed += stop - start
+    pieces.append((1, slice(i, len(cuts))))
+    return [
+        np.concatenate(
+            [(held, new)[source][part] for source, part in pieces],
+            dtype=held.dtype,
+            casting="unsafe",
+        )
+        for held, new in zip(columns, fresh)
+    ]
+
+
+def _decode_delays(
+    values: np.ndarray,
+    escapes: np.ndarray,
+    held_ms: np.ndarray,
+    held_steps: np.ndarray,
+    on_grid: bool,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """A DIFF's new delays of its delay-changed links (arrays 8 and 9) and
+    their steps (None: a delay involved is off the grid), given the delays
+    and steps the replica holds for those links (``on_grid``: every delay it
+    holds is known to be on the grid).
+
+    Delays on the grid differ by exact multiples of ``DELAY_GRID_MS`` below
+    4096 ms, so ``held + step * DELAY_GRID_MS`` and ``(new - held) /
+    DELAY_GRID_MS`` are exact: the same bits as the counts would give.
+    """
+    held_on_grid = on_grid or _grid_counts(held_ms) is not None
+    if values.dtype != np.int8:
+        if escapes.size:
+            raise CodecError(f"escaped residuals arrived with {values.dtype} delays")
+        delays = _unpack_delays(values)
+        if not held_on_grid or (values.dtype != np.uint32 and _grid_counts(delays) is None):
+            return delays, None
+        return delays, ((delays - held_ms) * _GRID_STEPS_PER_MS).astype(np.int64)
+    if not held_on_grid:
+        raise CodecError("residuals onto delays the replica holds off the grid")
+    escaped = np.flatnonzero(values == _ESCAPE)
+    if escapes.dtype.kind != "i" or escapes.shape != escaped.shape:
+        raise CodecError(
+            f"{escapes.dtype}{escapes.shape} escapes for {escaped.size} escaped residuals"
+        )
+    steps = held_steps + values
+    if escaped.size:
+        steps[escaped] = held_steps[escaped] + escapes
+    delays = held_ms + steps * DELAY_GRID_MS
+    if delays.size and (delays.min() < 0 or delays.max() >= _GRID_LIMIT_MS):
+        raise CodecError("a residual decodes to a delay count outside the uint32 grid")
+    return delays, steps
 
 
 # -- client-side replica -------------------------------------------------------
@@ -304,11 +565,12 @@ class EpochReplica:
     """A subscriber's reconstruction of the streamed state projection.
 
     Holds the links as five parallel arrays in canonical order (the link
-    columns of :class:`EpochSnapshot`) and patches them with each DIFF's
-    masks.  A DIFF that does not chain onto the replica — not the next
-    epoch, or not the link count it holds — raises :class:`CodecError` and
-    changes nothing: the subscriber must resynchronise from a keyframe,
-    which the gateway provides after a slow-client eviction.
+    columns of :class:`EpochSnapshot`), plus each link's step that a DIFF's
+    residuals predict from, and patches them with each DIFF's masks.  A DIFF
+    that does not chain onto the replica — not the next epoch, or not the
+    link count it holds — raises :class:`CodecError` and changes nothing:
+    the subscriber must resynchronise from a keyframe, which the gateway
+    provides after a slow-client eviction.
     :meth:`snapshot` is bit-identical to :meth:`EpochSnapshot.from_state`
     at the same epoch.
     """
@@ -320,6 +582,10 @@ class EpochReplica:
         # node_a, node_b, delay_ms, bandwidth_kbps, link_type
         dtypes = (np.int64, np.int64, np.float64, np.float64, np.int8)
         self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
+        #: Each held link's step in the held epoch (module docstring).
+        self._steps = np.empty(0, dtype=np.int64)
+        #: Every held delay is known to be on the grid (arrived as a count).
+        self._on_grid = True
         self.active: dict[int, np.ndarray] = {}
         self.applied_keyframes = 0
         self.applied_diffs = 0
@@ -338,9 +604,14 @@ class EpochReplica:
         shells, satellites = meta["shells"], meta["satellites"]
         if not len(shells) == len(satellites) == len(arrays) - _KEYFRAME_ARRAYS:
             raise CodecError(f"a KEYFRAME of {len(shells)} shells has no {len(arrays)} arrays")
-        columns = arrays[:_KEYFRAME_ARRAYS]
+        columns = arrays[:5]  # positions: the module docstring's table
+        steps, palette = arrays[5:_KEYFRAME_ARRAYS]
+        on_grid = columns[2].dtype == np.uint32
         columns[2] = _unpack_delays(columns[2])
-        if any(column.shape != (columns[0].size,) for column in columns):
+        columns[3] = _unpack_bandwidths(columns[3], palette)
+        if steps.dtype.kind != "i":
+            raise CodecError(f"steps travel as signed integers, not {steps.dtype}")
+        if any(column.shape != (columns[0].size,) for column in (*columns, steps)):
             raise CodecError("the link arrays of a KEYFRAME differ in length")
         active = {}
         for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:]):
@@ -349,6 +620,8 @@ class EpochReplica:
             active[shell] = _unpack_mask(packed, length)
         # Decoded arrays are read-only views of the frame; the replica owns copies.
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
+        self._steps = steps.astype(np.int64)
+        self._on_grid = on_grid
         self.active = active
         self.epoch = meta["epoch"]
         self.time_s = meta["time_s"]
@@ -374,8 +647,9 @@ class EpochReplica:
         if len(arrays) != _DIFF_ARRAYS + 2 * len(shells):
             raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
         removed, added, *fresh = arrays[:7]  # positions: the module docstring's table
-        delay_changed, delays, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
-        fresh[2], delays = _unpack_delays(fresh[2]), _unpack_delays(delays)
+        delay_changed, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
+        added_on_grid = fresh[2].dtype == np.uint32
+        fresh[2] = _unpack_delays(fresh[2])
         before, after = meta["links"]
         if before != self._links[0].size:
             raise CodecError(
@@ -386,7 +660,7 @@ class EpochReplica:
         if after != before - np.count_nonzero(removed) + fresh[0].size:
             raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
         added = _unpack_mask(added, after, *fresh)
-        delay_changed = _unpack_mask(delay_changed, after, delays)
+        delay_changed = np.flatnonzero(_unpack_mask(delay_changed, after, delays))
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
         try:
             active = {shell: self.active[shell].copy() for shell in shells}
@@ -394,15 +668,21 @@ class EpochReplica:
                 active[shells[position % len(shells)]][ids] = position < len(shells)
         except (KeyError, IndexError) as error:
             raise CodecError(f"diff for epoch {meta['epoch']} flips unknown satellites") from error
+        links, steps = self._links, self._steps
         if fresh[0].size or removed.any():
-            kept, surviving = ~removed, ~added
-            for column, (held, new) in enumerate(zip(self._links, fresh)):
-                merged = np.empty(after, dtype=held.dtype)
-                merged[surviving] = held[kept]
-                merged[added] = new
-                self._links[column] = merged
-        self._links[2][delay_changed] = delays
-        self._links[3][bandwidth_changed] = bandwidths
+            # An added link's step is 0.
+            fresh.append(np.zeros(fresh[0].size, dtype=np.int64))
+            *links, steps = _merge([*self._links, self._steps], removed, added, fresh)
+        delays, changed_steps = _decode_delays(
+            delays, escapes, links[2][delay_changed], steps[delay_changed], self._on_grid
+        )
+        self._on_grid = self._on_grid and added_on_grid and changed_steps is not None
+        self._steps = np.zeros(after, dtype=np.int64)
+        if changed_steps is not None:
+            self._steps[delay_changed] = changed_steps
+        links[2][delay_changed] = delays
+        links[3][bandwidth_changed] = bandwidths
+        self._links = links
         self.active.update(active)
 
     def snapshot(self) -> EpochSnapshot:
@@ -427,6 +707,12 @@ class EpochUpdateCodec:
     ones).  ``encode_count`` counts actual frame encodings — the
     single-encode guarantee the fan-out benchmark pins down.
 
+    It also caches the steps of the newest epoch whose DIFF it encoded, the
+    prediction the next epoch's DIFF is coded against.  The cache only
+    saves recomputing them from that epoch's diff: a DIFF for an epoch
+    whose predecessor's steps it does not hold travels absolute, and a
+    KEYFRAME computes its epoch's steps from the diff it is given.
+
     The codec is shared between the coordinator thread (publications) and
     the gateway's event-loop thread (fan-out, eviction resyncs), so an
     internal lock makes the check-and-encode atomic, keeping the
@@ -444,40 +730,56 @@ class EpochUpdateCodec:
         self._epoch = 0
         #: The remembered epoch's encoded frames, by kind.
         self._frames: dict[FrameKind, bytes] = {}
+        #: The epoch whose steps are cached, and the steps.
+        self._steps_epoch = 0
+        self._steps: Optional[EpochSteps] = None
         self.encode_count = 0
 
-    def _update(self, kind: FrameKind, epoch: int, encode, source) -> EpochUpdate:
+    def _update(self, kind: FrameKind, epoch: int, encode) -> EpochUpdate:
         with self._lock:
             if epoch > self._epoch:
                 self._epoch = epoch
                 self._frames = {}
             data = self._frames.get(kind) if epoch == self._epoch else None
             if data is None:
-                data = encode(source, epoch)
+                data = encode()
                 self.encode_count += 1
                 if epoch == self._epoch:
                     self._frames[kind] = data
         return EpochUpdate(kind, epoch, data)
 
     def keyframe_update(
-        self, epoch: Optional[int] = None, state: Optional["ConstellationState"] = None
+        self,
+        epoch: Optional[int] = None,
+        state: Optional["ConstellationState"] = None,
+        diff: Optional["ConstellationDiff"] = None,
     ) -> EpochUpdate:
         """The KEYFRAME update of an epoch (current epoch by default).
 
-        ``state`` is the epoch's state when the caller — the gateway's
-        publish path — already holds it; without it only the database's
-        current epoch can be answered (``KeyError`` otherwise).
+        ``state`` is the epoch's state and ``diff`` the diff it was published
+        with (None: published without one) when the caller — the gateway's
+        publish path — already holds them; without ``state`` only the
+        database's current epoch can be answered (``KeyError`` otherwise).
         """
         if state is None:
             with self._database.lock:
-                current, state = self._database.epoch, self._database.state
+                current = self._database.epoch
+                state, diff = self._database.state, self._database.latest_diff
             if epoch is None:
                 epoch = current
             elif epoch != current:
                 raise KeyError(f"epoch {epoch} is not the current epoch ({current})")
         elif epoch is None:
             epoch = self._database.epoch
-        return self._update(FrameKind.KEYFRAME, epoch, encode_keyframe_update, state)
+
+        def encode() -> bytes:
+            if epoch == self._steps_epoch:
+                steps = self._steps.by_edge
+            else:
+                steps = None if diff is None else delay_steps(diff)
+            return encode_keyframe_update(state, epoch, steps)
+
+        return self._update(FrameKind.KEYFRAME, epoch, encode)
 
     def diff_update(
         self, epoch: int, diff: Optional["ConstellationDiff"] = None
@@ -492,4 +794,12 @@ class EpochUpdateCodec:
                 current, diff = self._database.epoch, self._database.latest_diff
             if epoch != current or diff is None:
                 raise KeyError(f"no diff recorded for epoch {epoch} (current: {current})")
-        return self._update(FrameKind.DIFF, epoch, encode_diff_update, diff)
+
+        def encode() -> bytes:
+            previous = self._steps if epoch == self._steps_epoch + 1 else None
+            data, steps = encode_diff_update(diff, epoch, previous)
+            if epoch > self._steps_epoch:
+                self._steps_epoch, self._steps = epoch, steps
+            return data
+
+        return self._update(FrameKind.DIFF, epoch, encode)

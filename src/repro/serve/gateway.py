@@ -171,15 +171,17 @@ class StreamGateway:
         codec = self.database.codec
         self.published_epochs += 1
         if diff is None:
-            update = codec.keyframe_update(epoch, state=state)
+            update = codec.keyframe_update(epoch, state=state, diff=None)
         else:
             update = codec.diff_update(epoch, diff=diff)
         payload = frame(update.data)
         for subscription in self._subscriptions.values():
             if not subscription.closed:
-                self._enqueue(subscription, payload, epoch, state)
+                self._enqueue(subscription, payload, epoch, state, diff)
 
-    def _enqueue(self, subscription: _Subscription, payload: bytes, epoch: int, state) -> None:
+    def _enqueue(
+        self, subscription: _Subscription, payload: bytes, epoch: int, state, diff
+    ) -> None:
         if epoch <= subscription.last_epoch:
             # The subscription was seeded (or resynced) at this epoch or a
             # later one while this publication was still queued behind it
@@ -193,7 +195,7 @@ class StreamGateway:
             # Slow client: drop its backlog and resynchronise it from the
             # current epoch's keyframe (the codec remembers the encoding,
             # so concurrent evictions share one keyframe encode).
-            self._evict(subscription, epoch=epoch, state=state)
+            self._evict(subscription, (epoch, state, diff))
 
     @staticmethod
     def _close_subscription(subscription: _Subscription) -> None:
@@ -209,15 +211,14 @@ class StreamGateway:
         except asyncio.QueueFull:
             pass
 
-    def _evict(
-        self, subscription: _Subscription, epoch: Optional[int] = None, state=None
-    ) -> bool:
+    def _evict(self, subscription: _Subscription, publication: Optional[tuple] = None) -> bool:
         """Drop a subscription's epoch backlog and resync it from a keyframe.
 
         Queued RESULT frames survive the flush — they answer QUERYs whose
         clients are blocked waiting on the reply, and resyncing the epoch
-        stream does not invalidate them.  Without ``epoch``/``state`` the
-        current database state is used (taken under the database lock).
+        stream does not invalidate them.  ``publication`` is the ``(epoch,
+        state, diff)`` being published; without it the database's current
+        epoch, state and diff are used (read together under its lock).
         Returns ``False`` when a shutdown sentinel was drained, i.e. the
         subscription is closing and the caller's loop should exit.
         """
@@ -229,14 +230,11 @@ class StreamGateway:
                 closing = True
             elif item[1]:
                 preserved.append(item)
-        database = self.database
-        if epoch is None or state is None:
-            with database.lock:
-                keyframe = database.codec.keyframe_update(
-                    database.epoch, state=database.state
-                )
+        codec = self.database.codec
+        if publication is None:
+            keyframe = codec.keyframe_update()
         else:
-            keyframe = database.codec.keyframe_update(epoch, state=state)
+            keyframe = codec.keyframe_update(*publication)
         items = [(frame(keyframe.data), False), *preserved]
         if closing:
             items.append(None)
@@ -371,11 +369,8 @@ class StreamGateway:
         # epoch lets ``_enqueue`` drop such already-covered publications.
         with database.lock:
             epoch = database.epoch
-            seed = (
-                database.codec.keyframe_update(epoch, state=database.state)
-                if database.has_state
-                else None
-            )
+            # The codec reads the epoch, state and diff under this same lock.
+            seed = database.codec.keyframe_update() if database.has_state else None
         ack = wire.encode_frame(
             FrameKind.SUBSCRIBE_ACK, {"client": client_id, "epoch": epoch}
         )

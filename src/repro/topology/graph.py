@@ -107,9 +107,11 @@ class TopologyDiff:
     ``links_removed`` into the *previous* graph's.  ``delay_changed`` and
     ``bandwidth_changed`` cover pairs present in both epochs whose attribute
     value differs; a pair that (dis)appeared is only reported as
-    added/removed.  Both graphs are kept on the diff so consumers (the
-    coordinator's per-host slicing, the virtual network) can resolve ids to
-    endpoints and new values without a separate lookup channel.
+    added/removed.  ``delay_changed_previous`` holds the *previous* graph's
+    edge ids of the ``delay_changed`` links, entry for entry.  Both graphs
+    are kept on the diff so consumers (the coordinator's per-host slicing,
+    the virtual network, the update codec) can resolve ids to endpoints and
+    old and new values without a separate lookup channel.
     """
 
     previous: "NetworkGraph"
@@ -117,6 +119,7 @@ class TopologyDiff:
     links_added: np.ndarray
     links_removed: np.ndarray
     delay_changed: np.ndarray
+    delay_changed_previous: np.ndarray
     bandwidth_changed: np.ndarray
 
     @property
@@ -411,6 +414,10 @@ class NetworkGraph:
         edges = np.where(found, self._sorted_edge_ids[positions], -1)
         return edges
 
+    def canonical_positions(self, edge_ids: np.ndarray) -> np.ndarray:
+        """The positions of ``edge_ids`` in the canonical link order."""
+        return np.searchsorted(self._sorted_keys, self._keys[edge_ids])
+
     def total_links(self) -> int:
         """Number of undirected links in the graph."""
         return int(self._node_a.size)
@@ -436,12 +443,14 @@ class NetworkGraph:
             raise ValueError("graphs must share the same node index layout")
         if np.array_equal(self._keys, previous._keys):
             empty = np.empty(0, dtype=np.int64)
+            delay_changed = np.flatnonzero(self._delay_ms != previous._delay_ms)
             return TopologyDiff(
                 previous=previous,
                 current=self,
                 links_added=empty,
                 links_removed=empty,
-                delay_changed=np.flatnonzero(self._delay_ms != previous._delay_ms),
+                delay_changed=delay_changed,
+                delay_changed_previous=delay_changed,
                 bandwidth_changed=np.flatnonzero(
                     self._bandwidth_kbps != previous._bandwidth_kbps
                 ),
@@ -457,14 +466,14 @@ class NetworkGraph:
         common_previous = counterpart[common]
         removed = np.ones(previous._node_a.size, dtype=bool)
         removed[common_previous] = False
+        moved = np.flatnonzero(self._delay_ms[common] != previous._delay_ms[common_previous])
         return TopologyDiff(
             previous=previous,
             current=self,
             links_added=np.flatnonzero(counterpart < 0),
             links_removed=np.flatnonzero(removed),
-            delay_changed=common[
-                self._delay_ms[common] != previous._delay_ms[common_previous]
-            ],
+            delay_changed=common[moved],
+            delay_changed_previous=common_previous[moved],
             bandwidth_changed=common[
                 self._bandwidth_kbps[common] != previous._bandwidth_kbps[common_previous]
             ],

@@ -56,7 +56,8 @@ def _oracle_matrix(graph):
 
 
 def _oracle_diff(current, previous):
-    """``(added, removed, delay_changed, bandwidth_changed)`` by set intersection."""
+    """``(added, removed, delay_changed, delay_changed_previous,
+    bandwidth_changed)`` by set intersection."""
     n = len(current.index)
     current_order, previous_order = _oracle_order(current), _oracle_order(previous)
     _, in_current, in_previous = np.intersect1d(
@@ -71,16 +72,16 @@ def _oracle_diff(current, previous):
     added[common_current] = False
     removed = np.ones(previous.total_links(), dtype=bool)
     removed[common_previous] = False
-    delay_changed = common_current[
-        current.delays_ms[common_current] != previous.delays_ms[common_previous]
-    ]
+    moved = current.delays_ms[common_current] != previous.delays_ms[common_previous]
+    by_current_id = np.argsort(common_current[moved])
     bandwidth_changed = common_current[
         current.bandwidths_kbps[common_current] != previous.bandwidths_kbps[common_previous]
     ]
     return (
         np.nonzero(added)[0],
         np.nonzero(removed)[0],
-        np.sort(delay_changed),
+        common_current[moved][by_current_id],
+        common_previous[moved][by_current_id],
         np.sort(bandwidth_changed),
     )
 
@@ -105,7 +106,13 @@ def _assert_structure(graph):
 
 
 def _assert_diff(diff, current, previous):
-    fields = ("links_added", "links_removed", "delay_changed", "bandwidth_changed")
+    fields = (
+        "links_added",
+        "links_removed",
+        "delay_changed",
+        "delay_changed_previous",
+        "bandwidth_changed",
+    )
     for name, theirs in zip(fields, _oracle_diff(current, previous)):
         _same_bytes(getattr(diff, name), theirs, name)
 

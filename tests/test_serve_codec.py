@@ -32,6 +32,8 @@ from repro.serve import EpochReplica, EpochSnapshot, EpochUpdateCodec
 from repro.serve.codec import (
     CodecError,
     EpochUpdate,
+    _merge,
+    _pack_positions,
     encode_diff_update,
     encode_keyframe_update,
 )
@@ -66,14 +68,15 @@ def advance(calculation, database, previous, now_s):
 HAND_BUILT_INDEX = NodeIndex([6], ["g0", "g1"])
 
 
-def hand_built_state(links, time_s, active=(True,) * 6):
-    """A stand-in state over eight nodes from ``{(a, b): (delay_ms,
-    bandwidth_kbps, type_code)}`` — edge ids in the dict's order, endpoints
-    as given — with what :meth:`EpochSnapshot.from_state` reads of a state."""
+def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX):
+    """A stand-in state over ``index``'s nodes (eight by default) from
+    ``{(a, b): (delay_ms, bandwidth_kbps, type_code)}`` — edge ids in the
+    dict's order, endpoints as given — with what
+    :meth:`EpochSnapshot.from_state` reads of a state."""
     nodes = np.array(list(links), dtype=np.int64).reshape(-1, 2)
     values = list(links.values())
     graph = NetworkGraph.from_edge_arrays(
-        HAND_BUILT_INDEX,
+        index,
         nodes[:, 0],
         nodes[:, 1],
         np.zeros(len(links)),
@@ -173,7 +176,7 @@ class TestReplicaChaining:
         with pytest.raises(CodecError, match="does not chain"):
             replica.apply(diffs[2])  # epoch 4 does not
         # Eviction protocol: a keyframe resets the replica, diffs resume.
-        replica.apply(database.codec.keyframe_update(database.epoch, state=state))
+        replica.apply(database.codec.keyframe_update(database.epoch, state=state, diff=diff))
         assert replica.snapshot().same_bits(
             EpochSnapshot.from_state(state, database.epoch)
         )
@@ -202,13 +205,13 @@ class TestReplicaChaining:
             replica.apply(database.codec.diff_update(4, diff=diff))
         # The same changes under the epoch number the replica expects: the
         # link count it was computed against is not the one the replica holds.
-        relabelled = EpochUpdate(FrameKind.DIFF, 3, encode_diff_update(diff, 3))
+        relabelled = EpochUpdate(FrameKind.DIFF, 3, encode_diff_update(diff, 3)[0])
         with pytest.raises(CodecError, match="resynchronise from a keyframe"):
             replica.apply(relabelled)
         # A frame that was refused changed nothing.
         assert replica.epoch == 2 and replica.snapshot().same_bits(held)
         # The keyframe the gateway sends after an eviction brings it back.
-        replica.apply(database.codec.keyframe_update(4, state=state))
+        replica.apply(database.codec.keyframe_update(4, state=state, diff=diff))
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
 
 
@@ -228,7 +231,7 @@ class TestCodecCacheAndViews:
         for step in range(1, 30):
             state, diff = advance(calculation, database, state, step * 30.0)
             update = codec.diff_update(database.epoch, diff=diff)
-            resync = codec.keyframe_update(database.epoch, state=state)
+            resync = codec.keyframe_update(database.epoch, state=state, diff=diff)
             # One epoch's bytes, not a window of them.
             assert codec._epoch == database.epoch == step + 1
             assert codec._frames == {FrameKind.DIFF: update.data, FrameKind.KEYFRAME: resync.data}
@@ -250,7 +253,9 @@ class TestCodecCacheAndViews:
 
     def test_late_request_for_an_older_epoch_is_not_memoised(self):
         """A publication can still be queued on the gateway's loop when a
-        SUBSCRIBE has already asked for a newer epoch's keyframe."""
+        SUBSCRIBE has already asked for a newer epoch's keyframe.  A DIFF for
+        an epoch older than the cached steps travels absolute and leaves the
+        cache alone."""
         calculation = ConstellationCalculation(iridium_configuration())
         database = ConstellationDatabase()
         codec = database.codec
@@ -258,20 +263,23 @@ class TestCodecCacheAndViews:
         database.set_state(first_state)
         second_state, first_diff = advance(calculation, database, first_state, 30.0)
         state, diff = advance(calculation, database, second_state, 60.0)
-        newest = codec.keyframe_update(3, state=state)
+        newest = codec.keyframe_update(3, state=state, diff=diff)
         newest_diff = codec.diff_update(3, diff=diff)
-        assert codec.encode_count == 2
-        late = codec.keyframe_update(1, state=first_state)
+        assert codec.encode_count == 2 and codec._steps_epoch == 3
+        steps = codec._steps
+        late = codec.keyframe_update(1, state=first_state, diff=None)
         assert late.epoch == 1 and late.data == encode_keyframe_update(first_state, 1)
         late_diff = codec.diff_update(2, diff=first_diff)
-        assert late_diff.epoch == 2 and late_diff.data == encode_diff_update(first_diff, 2)
+        assert late_diff.epoch == 2 and late_diff.data == encode_diff_update(first_diff, 2)[0]
+        assert late_diff.decoded()[1][8].dtype == np.uint32
         assert codec.encode_count == 4
+        assert codec._steps_epoch == 3 and codec._steps is steps
         # Asked again, encoded again: only the newest epoch is remembered ...
-        codec.keyframe_update(1, state=first_state)
+        codec.keyframe_update(1, state=first_state, diff=None)
         assert codec.encode_count == 5
         # ... and it was not displaced.
         assert codec._epoch == 3
-        assert codec.keyframe_update(3, state=state).data is newest.data
+        assert codec.keyframe_update(3, state=state, diff=diff).data is newest.data
         assert codec.diff_update(3, diff=diff).data is newest_diff.data
         assert codec.encode_count == 5
 
@@ -328,43 +336,87 @@ DELAYS = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda steps: steps * GRID),
     st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
 )
-LINKS = st.dictionaries(
-    st.sampled_from(PAIRS), st.tuples(DELAYS, st.sampled_from([1e4, 2.5e6, 1e7])), max_size=10
-).map(
-    # One link per undirected pair; either orientation and any edge order
-    # stay.  A link's type follows from its endpoints, as in the pipeline (a
-    # TopologyDiff does not report a surviving pair that changed type).
-    lambda links: {
-        pair: (*value, int(max(pair) >= HAND_BUILT_INDEX.satellite_count))
-        for pair, value in links.items()
-        if pair[0] < pair[1] or pair[::-1] not in links
-    }
-)
-EPOCHS = st.lists(
-    st.tuples(LINKS, st.tuples(*[st.booleans()] * 6)), min_size=2, max_size=6
-)
+BANDWIDTHS = st.sampled_from([1e4, 2.5e6, 1e7])
+#: A delay count's deviation from its linear track: mostly small, so most
+#: second differences fit an int8 residual, sometimes an escape.
+JITTER = st.one_of(*[st.integers(-40, 40)] * 7, st.integers(-(2**20), 2**20))
+
+
+@st.composite
+def chains(draw):
+    """Two to eight epochs of hand-built links over one pool of undirected
+    pairs.  In each epoch a pair is absent, follows its near-linear track of
+    grid counts, or holds any of ``DELAYS`` — so links appear, vanish and
+    reappear, and delays move on and off the grid between epochs — in either
+    orientation and in any edge order."""
+    pool = draw(st.lists(st.sampled_from(PAIRS), max_size=10, unique_by=frozenset))
+    tracks = {pair: (draw(st.integers(0, 2**31)), draw(st.integers(-4096, 4096))) for pair in pool}
+    # How often a link leaves its track: never, in some chains.
+    forms = ["track"] * 10 + ["absent"] + ["any"] * draw(st.integers(0, 2))
+    epochs = []
+    for epoch in range(draw(st.integers(2, 8))):
+        links = {}
+        for pair in draw(st.permutations(pool)):
+            form = draw(st.sampled_from(forms))
+            if form == "absent":
+                continue
+            if form == "track":
+                start, slope = tracks[pair]
+                delay = min(max(start + slope * epoch + draw(JITTER), 0), 2**32 - 1) * GRID
+            else:
+                delay = draw(DELAYS)
+            # A link's type follows from its endpoints, as in the pipeline (a
+            # TopologyDiff does not report a surviving pair that changed type).
+            link_type = int(max(pair) >= HAND_BUILT_INDEX.satellite_count)
+            links[pair[::-1] if draw(st.booleans()) else pair] = (
+                delay, draw(BANDWIDTHS), link_type
+            )
+        epochs.append((links, draw(st.tuples(*[st.booleans()] * 6))))
+    return epochs
 
 
 class TestHandBuiltSequences:
     @settings(max_examples=150, deadline=None)
-    @given(EPOCHS)
+    @given(chains())
     def test_replica_is_bit_exact_on_and_off_the_delay_grid(self, epochs):
         """Random link additions, removals, delay and bandwidth changes over
         hand-built graphs — delays no pipeline produces included — must
-        reconstruct bit for bit, without a NumPy cast warning."""
+        reconstruct bit for bit, without a NumPy cast warning, in three
+        replicas at every epoch: one from the first keyframe, one joining
+        from the keyframe of every later epoch, and one fed by a codec that
+        skipped epoch 2, so that its epoch 3 DIFF travels absolute."""
         states = [
             hand_built_state(links, float(step), active)
             for step, (links, active) in enumerate(epochs)
         ]
-        replica = EpochReplica()
+        codec, gapped, keyframes = (ConstellationDatabase().codec for _ in range(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(states[0], 1)))
-            assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[0], 1))
+            first = codec.keyframe_update(1, states[0], None)
+            replicas, behind_gap = [EpochReplica()], EpochReplica()
+            replicas[0].apply(first)
+            behind_gap.apply(first)
             for epoch, (previous, current) in enumerate(zip(states, states[1:]), start=2):
                 diff = hand_built_diff(previous, current)
-                replica.apply(EpochUpdate(FrameKind.DIFF, epoch, encode_diff_update(diff, epoch)))
-                assert replica.snapshot().same_bits(EpochSnapshot.from_state(current, epoch))
+                # A codec that never encoded this epoch's DIFF derives the
+                # keyframe's steps from the diff; one that did reads its cache.
+                keyframe = keyframes.keyframe_update(epoch, current, diff)
+                update = codec.diff_update(epoch, diff)
+                assert codec.keyframe_update(epoch, current, diff).data == keyframe.data
+                for replica in replicas:
+                    replica.apply(update)
+                if epoch == 2:
+                    behind_gap.apply(update)
+                else:
+                    resumed = gapped.diff_update(epoch, diff)
+                    if epoch == 3:
+                        assert resumed.decoded()[1][8].dtype != np.int8
+                    behind_gap.apply(resumed)
+                replicas.append(EpochReplica())
+                replicas[-1].apply(keyframe)
+                expected = EpochSnapshot.from_state(current, epoch)
+                for replica in (*replicas, behind_gap):
+                    assert replica.snapshot().same_bits(expected), epoch
 
     def test_the_data_alone_chooses_the_delay_coding(self):
         on_grid = {(0, 1): (3 * GRID, 1e4, 0), (1, 2): (4096.0 - GRID, 1e4, 0)}
@@ -385,6 +437,94 @@ class TestHandBuiltSequences:
             replica.apply(keyframe)
             assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1)), name
 
+    def test_the_data_alone_chooses_the_bandwidth_coding(self):
+        """Up to 256 distinct bandwidth bit patterns travel as ``uint8``
+        indices into a palette (-0.0 and 0.0 are two entries), more as
+        ``float64``."""
+        index = NodeIndex([24], [])
+        pairs = [(a, b) for a in range(24) for b in range(a + 1, 24)]  # 276 links
+        cases = {
+            "one": ([1e4] * 276, 1),
+            "signed zeros": ([0.0, -0.0] * 138, 2),
+            "256": ([float(link % 256) for link in range(276)], 256),
+            "257": ([float(link % 257) for link in range(276)], 0),
+        }
+        for name, (bandwidths, palette_size) in cases.items():
+            links = {pair: (1.0, bandwidth, 0) for pair, bandwidth in zip(pairs, bandwidths)}
+            state = hand_built_state(links, 0.0, active=(True,) * 24, index=index)
+            keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
+            arrays = keyframe.decoded()[1]
+            assert arrays[3].dtype == (np.uint8 if palette_size else np.float64), name
+            assert arrays[6].dtype == np.float64 and arrays[6].size == palette_size, name
+            replica = EpochReplica()
+            replica.apply(keyframe)
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1)), name
+
+
+class TestFewLinkPaths:
+    """A mask of a few links is built from their positions, and a merge of a
+    few additions and removals copies the runs between them; both must equal
+    the pass over every link they stand in for, on either side of the size
+    that selects them."""
+
+    @pytest.mark.parametrize(
+        "gone,at,ends",
+        [
+            (0, 1, False), (1, 0, False), (1, 1, False), (3, 5, False), (2, 2, True),
+            (8, 0, False), (0, 8, False), (5, 3, True), (9, 9, False), (40, 40, True),
+        ],
+    )
+    def test_merge_equals_the_masked_merge(self, gone, at, ends):
+        """4,096 links: up to eight changes are few, more are not.  With
+        ``ends``, the first and the last link go and come."""
+        rng = np.random.default_rng(gone * 100 + at)
+
+        def mask(length, count):
+            if ends:
+                inner = rng.choice(np.arange(1, length - 1), count - 2, replace=False)
+                chosen = [0, length - 1, *inner]
+            else:
+                chosen = rng.choice(length, count, replace=False)
+            mask = np.zeros(length, dtype=bool)
+            mask[chosen] = True
+            return mask
+
+        removed, added = mask(4096, gone), mask(4096 - gone + at, at)
+        columns = [rng.integers(0, 99, 4096), rng.random(4096)]
+        fresh = [rng.integers(0, 99, at).astype(np.int32), rng.random(at)]
+        for held, new, merged in zip(columns, fresh, _merge(columns, removed, added, fresh)):
+            expected = np.empty(added.size, dtype=held.dtype)
+            expected[~added] = held[~removed]
+            expected[added] = new
+            assert merged.dtype == expected.dtype and merged.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 6, 200])
+    def test_pack_positions_equals_the_masked_pass(self, count):
+        rng = np.random.default_rng(count)
+        pairs = np.array([(a, b) for a in range(80) for b in range(a + 1, 80)])
+        pairs = pairs[rng.permutation(len(pairs))[:3000]]  # edge ids in no particular order
+        graph = NetworkGraph.from_edge_arrays(
+            NodeIndex([80], []),
+            pairs[:, 0],
+            pairs[:, 1],
+            np.zeros(len(pairs)),
+            np.ones(len(pairs)),
+            np.ones(len(pairs)),
+            np.zeros(len(pairs), dtype=np.int8),
+        )
+        edge_ids = np.sort(rng.choice(len(pairs), count, replace=False))
+        packed, ordered = _pack_positions(graph, edge_ids)
+        chosen = np.zeros(len(pairs), dtype=bool)
+        chosen[edge_ids] = True
+        mask = chosen[graph.sorted_edge_ids]
+        assert packed.tobytes() == np.packbits(mask).tobytes()
+        assert ordered.tolist() == graph.sorted_edge_ids[mask].tolist()
+
+
+def _on_track(pair, ahead):
+    """A forged-frame fixture delay: ``ahead`` grid steps past the link's base."""
+    return (2**20 * (1 + pair[1]) + ahead) * GRID
+
 
 class TestForgedFrames:
     """A frame that does not fit the replica raises ``CodecError`` — never an
@@ -392,27 +532,46 @@ class TestForgedFrames:
 
     #: Ten links, so a mask is two bytes and can be truncated to a wrong length.
     LINKED = [(a, b) for a in range(3) for b in range(a + 1, 6)][:10]
-    FIRST = {pair: (1.0 + pair[1], 1e4, 0) for pair in LINKED}
+    ZERO = {pair: (_on_track(pair, 0), 1e4, 0) for pair in LINKED}
+    FIRST = {pair: (_on_track(pair, 500), 1e4, 0) for pair in LINKED}
+    # Every link steps 500 into FIRST.  Eight then step 503 (a residual of
+    # 3), one steps 900 and changes bandwidth (a residual of 400: an
+    # escape), one goes and an off-grid one comes.
     SECOND = {
-        **{pair: (1.5 + pair[1], 1e4, 0) for pair in LINKED[:9]},
-        LINKED[0]: (1.0 + LINKED[0][1], 2e4, 0),
+        **{pair: (_on_track(pair, 1003), 1e4, 0) for pair in LINKED[1:9]},
+        LINKED[0]: (_on_track(LINKED[0], 1400), 2e4, 0),
         (3, 7): (0.1, 1e4, 1),
     }
 
-    def _replica_and_diff(self):
-        first = hand_built_state(self.FIRST, 0.0)
-        second = hand_built_state(self.SECOND, 1.0, active=(True, False) * 3)
+    def _replica_and_diff(self, held=None):
+        """A replica keyed to FIRST at epoch 2 (with its steps), and the
+        decoded epoch 3 DIFF to SECOND.  ``held`` replaces FIRST in the
+        replica only."""
+        zero = hand_built_state(self.ZERO, 0.0)
+        first = hand_built_state(self.FIRST, 1.0)
+        second = hand_built_state(self.SECOND, 2.0, active=(True, False) * 3)
+        codec = ConstellationDatabase().codec
+        lead_in = hand_built_diff(zero, first)
+        codec.diff_update(2, lead_in)
+        keyframe = codec.keyframe_update(2, first, lead_in)
+        update = codec.diff_update(3, hand_built_diff(first, second))
+        _, meta, arrays = wire.decode_frame(update.data)
+        assert all(array.size for array in arrays[:12])  # every kind of change occurs
+        assert arrays[8].dtype == np.int8 and arrays[8].tolist().count(-128) == 1
+        assert arrays[9].dtype == np.int16 and arrays[9].tolist() == [400]
+        if held is not None:
+            keyframe = EpochUpdate(
+                FrameKind.KEYFRAME, 2, encode_keyframe_update(hand_built_state(held, 1.0), 2)
+            )
         replica = EpochReplica()
-        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(first, 1)))
-        _, meta, arrays = wire.decode_frame(encode_diff_update(hand_built_diff(first, second), 2))
-        assert all(array.size for array in arrays[:11])  # every kind of change occurs
+        replica.apply(keyframe)
         return replica, second, meta, arrays
 
     def test_the_honest_frame_applies(self):
         replica, second, meta, arrays = self._replica_and_diff()
         data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
-        replica.apply(EpochUpdate(FrameKind.DIFF, 2, data))
-        assert replica.snapshot().same_bits(EpochSnapshot.from_state(second, 2))
+        replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(second, 3))
 
     @pytest.mark.parametrize(
         "position,forge",
@@ -420,15 +579,37 @@ class TestForgedFrames:
             pytest.param(7, lambda mask: mask[:-1], id="truncated-mask"),
             pytest.param(0, lambda mask: np.append(mask, 0).astype(np.uint8), id="long-mask"),
             pytest.param(7, lambda mask: mask[:0], id="empty-mask-values-left"),
-            pytest.param(9, lambda mask: mask.astype(np.int8), id="mask-dtype"),
+            pytest.param(10, lambda mask: mask.astype(np.int8), id="mask-dtype"),
             pytest.param(
                 8, lambda values: np.append(values, values[-1:]), id="extra-trailing-value"
             ),
-            pytest.param(10, lambda values: values[:-1], id="missing-value"),
+            pytest.param(11, lambda values: values[:-1], id="missing-value"),
             pytest.param(5, lambda values: values[:0], id="added-rows-short"),
             pytest.param(8, lambda values: values.astype(np.float32), id="delay-dtype"),
             pytest.param(2, lambda nodes: nodes.reshape(-1, 1), id="endpoint-shape"),
-            pytest.param(12, lambda ids: ids + 6, id="flip-out-of-range"),
+            pytest.param(13, lambda ids: ids + 6, id="flip-out-of-range"),
+            pytest.param(9, lambda escapes: np.append(escapes, escapes), id="escapes-too-many"),
+            pytest.param(9, lambda escapes: escapes[:0], id="escapes-too-few"),
+            pytest.param(
+                8, lambda values: np.where(values == -128, 7, values).astype(np.int8),
+                id="escape-unmarked",
+            ),
+            pytest.param(9, lambda escapes: escapes.astype(np.uint16), id="escape-dtype"),
+            pytest.param(9, lambda escapes: escapes.reshape(1, 1), id="escape-shape"),
+            pytest.param(
+                8, lambda values: np.arange(values.size, dtype=np.uint32),
+                id="escapes-with-counts",
+            ),
+            pytest.param(
+                8, lambda values: np.arange(values.size, dtype=np.float64),
+                id="escapes-with-values",
+            ),
+            pytest.param(
+                9, lambda escapes: escapes.astype(np.int64) + 2**40, id="count-above-grid"
+            ),
+            pytest.param(
+                9, lambda escapes: escapes.astype(np.int64) - 2**40, id="count-below-zero"
+            ),
             pytest.param("links", lambda links: [links[0] + 1, links[1]], id="links-before"),
             pytest.param("links", lambda links: [links[0], links[1] + 8], id="links-after"),
             pytest.param("shells", lambda shells: [], id="array-count"),
@@ -443,27 +624,51 @@ class TestForgedFrames:
             arrays[position] = forge(arrays[position])
         data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
         with pytest.raises(CodecError):
-            replica.apply(EpochUpdate(FrameKind.DIFF, 2, data))
-        assert replica.epoch == 1 and replica.snapshot().same_bits(before)
+            replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
+        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
+
+    def test_residuals_onto_off_grid_delays_are_codec_errors(self):
+        """Residuals predict from grid counts: a replica that holds a changed
+        link's delay off the grid cannot apply them."""
+        off_grid = {pair: (1 / 3 + pair[1], 1e4, 0) for pair in self.LINKED}
+        replica, _, meta, arrays = self._replica_and_diff(held=off_grid)
+        before = replica.snapshot()
+        data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
+        with pytest.raises(CodecError, match="off the grid"):
+            replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
+        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
 
     def test_forged_keyframes_are_codec_errors(self):
         state = hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (0.1, 1e4, 0)}, 0.0)
         _, meta, arrays = wire.decode_frame(encode_keyframe_update(state, 1))
-        forgeries = [
-            (meta, [arrays[0][:-1], *arrays[1:]]),
-            (meta, [*arrays[:5], arrays[5][:0]]),
-            (meta, arrays[:5]),
-            ({**meta, "satellites": [2**40]}, arrays),
-        ]
-        for forged_meta, forged_arrays in forgeries:
+        assert arrays[3].dtype == np.uint8 and arrays[6].tolist() == [1e4]  # palette
+
+        def replaced(position, array):
+            return [*arrays[:position], array, *arrays[position + 1 :]]
+
+        forgeries = {
+            "short-column": (meta, replaced(0, arrays[0][:-1])),
+            "empty-mask": (meta, replaced(7, arrays[7][:0])),
+            "no-mask": (meta, arrays[:7]),
+            "huge-mask": ({**meta, "satellites": [2**40]}, arrays),
+            "step-dtype": (meta, replaced(5, arrays[5].astype(np.float64))),
+            "step-unsigned": (meta, replaced(5, arrays[5].astype(np.uint8))),
+            "step-length": (meta, replaced(5, arrays[5][:-1])),
+            "index-dtype": (meta, replaced(3, arrays[3].astype(np.uint16))),
+            "index-length": (meta, replaced(3, arrays[3][:-1])),
+            "index-out-of-range": (meta, replaced(3, np.full_like(arrays[3], 1))),
+            "palette-dtype": (meta, replaced(6, arrays[6].astype(np.float32))),
+            "values-and-palette": (meta, replaced(3, arrays[6][arrays[3]])),
+        }
+        for name, (forged_meta, forged_arrays) in forgeries.items():
             data = wire.encode_frame(FrameKind.KEYFRAME, forged_meta, tuple(forged_arrays))
             replica = EpochReplica()
             with pytest.raises(CodecError):
                 replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, data))
-            assert replica.epoch is None
+            assert replica.epoch is None, name
 
     def test_truncated_bytes_are_wire_errors(self):
-        data = encode_diff_update(
+        data, _ = encode_diff_update(
             hand_built_diff(
                 hand_built_state({(0, 1): (1.0, 1e4, 0)}, 0.0),
                 hand_built_state({(0, 1): (2.0, 1e4, 0)}, 1.0),
@@ -480,25 +685,29 @@ class TestFrameBudget:
     receives, so its size is the fan-out's unit cost."""
 
     @pytest.mark.parametrize(
-        "config_factory,step_s,diff_budget,keyframe_budget",
+        "config_factory,step_s,first_diff_budget,diff_budget,keyframe_budget",
         [
             pytest.param(
-                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 200_000,
+                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 11_000, 170_000,
                 id="starlink-all-shells",
             ),
             pytest.param(
-                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 10_000,
+                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 1_000, 10_000,
                 id="iridium-dart",
             ),
         ],
     )
-    def test_frames_stay_within_budget(self, config_factory, step_s, diff_budget, keyframe_budget):
+    def test_frames_stay_within_budget(
+        self, config_factory, step_s, first_diff_budget, diff_budget, keyframe_budget
+    ):
+        """The first DIFF after the diff-less keyframe has no steps to predict
+        from and travels absolute; every later one travels as residuals."""
         calculation = ConstellationCalculation(config_factory())
         database = ConstellationDatabase()
         state = calculation.state_at(0.0)
         database.set_state(state)
         replica = EpochReplica()
-        keyframe = database.codec.keyframe_update(1, state=state)
+        keyframe = database.codec.keyframe_update(1, state=state, diff=None)
         replica.apply(keyframe)
         sizes = []
         for step in range(1, 11):
@@ -506,7 +715,9 @@ class TestFrameBudget:
             update = database.codec.diff_update(database.epoch, diff=diff)
             replica.apply(update)
             sizes.append(len(update.data))
+            assert (update.decoded()[1][8].dtype == np.int8) == (step > 1), step
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, database.epoch))
-        assert max(sizes) <= diff_budget, sizes
-        resync = database.codec.keyframe_update(database.epoch, state=state)
+        assert sizes[0] <= first_diff_budget, sizes
+        assert max(sizes[1:]) <= diff_budget, sizes
+        resync = database.codec.keyframe_update(database.epoch, state=state, diff=diff)
         assert max(len(keyframe.data), len(resync.data)) <= keyframe_budget

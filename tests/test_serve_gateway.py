@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.orbits import GroundStation, ShellGeometry
 from repro.dist import wire
+from repro.scenarios import west_africa_configuration
 from repro.dist.transport import LENGTH_PREFIX, frame as stream_frame
 from repro.serve import EpochSnapshot
 from repro.serve.client import SubscriptionClient, SubscriptionError
@@ -163,6 +164,93 @@ class TestStreaming:
                 assert client.replica.applied_keyframes >= 2
             finally:
                 client.close()
+
+
+def _assert_every_epoch_matches(client, epoch, expected, coded):
+    """Sync ``client`` to ``epoch`` one update at a time; after each, its
+    replica equals the server's state of that epoch.  Records each DIFF's
+    delay dtype in ``coded``."""
+    while client.replica.epoch is None or client.replica.epoch < epoch:
+        update = client.recv_update()
+        meta, arrays = update.decoded()
+        if update.kind is wire.FrameKind.DIFF:
+            coded.add(arrays[8].dtype.name)
+        assert client.replica.snapshot().same_bits(
+            EpochSnapshot.from_state(expected[update.epoch], update.epoch)
+        ), f"{client.client_id} diverged at epoch {update.epoch}"
+
+
+class TestStreamsOfResiduals:
+    """Delays travel as residuals against each link's previous step; a
+    subscriber that starts from a later keyframe must predict exactly as one
+    that saw every epoch."""
+
+    def test_a_subscriber_joining_at_epoch_37_matches_a_continuous_one(self, testbed_core):
+        _, calculation, database, state = testbed_core
+        expected, coded = {1: state}, set()
+        with GatewayServer(database) as server:
+            host, port = server.address
+            with SubscriptionClient(host, port, client_id="continuous") as continuous:
+                for step in range(1, 37):
+                    state = advance(calculation, database, state, step * 5.0)
+                    expected[database.epoch] = state
+                    _assert_every_epoch_matches(continuous, database.epoch, expected, coded)
+                with SubscriptionClient(host, port, client_id="joiner") as joiner:
+                    _assert_every_epoch_matches(joiner, 37, expected, coded)
+                    assert joiner.replica.applied_keyframes == 1
+                    for step in range(37, 60):
+                        state = advance(calculation, database, state, step * 5.0)
+                        expected[database.epoch] = state
+                        for client in (continuous, joiner):
+                            _assert_every_epoch_matches(client, database.epoch, expected, coded)
+                        assert joiner.replica.snapshot().same_bits(continuous.replica.snapshot())
+                    assert joiner.replica.applied_keyframes == 1
+                assert continuous.replica.applied_keyframes == 1
+        assert "int8" in coded, coded
+
+    def test_an_evicted_subscriber_resyncs_onto_the_residual_stream(self):
+        """A subscriber that stops reading overflows and is resynced from the
+        keyframe of the epoch being published; from then on it matches a
+        continuous subscriber at every epoch.  All-shell Starlink: frames of
+        ≈ 9 KB fill the socket buffers in at most a few hundred epochs."""
+        calculation = ConstellationCalculation(west_africa_configuration(shells="all"))
+        database = ConstellationDatabase()
+        state = calculation.state_at(0.0)
+        database.set_state(state)
+        # A smooth chain out and back, replayed until the slow subscriber's
+        # buffers overflow: residuals on the runs, absolute at the turns.
+        chain, previous = [], state
+        for time_s in [*range(2, 42, 2), *range(38, -2, -2)]:
+            previous, diff = calculation.diff_since(previous, float(time_s))
+            chain.append((previous, diff))
+        cycle = itertools.cycle(chain)
+        expected, coded = {1: state}, set()
+        with GatewayServer(database, queue_limit=4) as server:
+            host, port = server.address
+            slow = SubscriptionClient(host, port, client_id="slow")
+            with slow, SubscriptionClient(host, port, client_id="continuous") as continuous:
+                _assert_every_epoch_matches(slow, 1, expected, coded)
+                for _burst in range(1000):
+                    # No more than the queue holds between two syncs of the
+                    # continuous subscriber, which therefore never overflows.
+                    for _ in range(4):
+                        state, diff = next(cycle)
+                        database.set_state(state, diff=diff)
+                        expected[database.epoch] = state
+                    _assert_every_epoch_matches(continuous, database.epoch, expected, coded)
+                    if server.statistics()["clients"]["slow"]["evictions"]:
+                        break
+                assert server.statistics()["clients"]["slow"]["evictions"] >= 1
+                for _ in range(30):
+                    state, diff = next(cycle)
+                    database.set_state(state, diff=diff)
+                    expected[database.epoch] = state
+                    for client in (continuous, slow):
+                        _assert_every_epoch_matches(client, database.epoch, expected, coded)
+                assert slow.replica.snapshot().same_bits(continuous.replica.snapshot())
+                assert slow.replica.applied_keyframes >= 2
+                assert continuous.replica.applied_keyframes == 1
+        assert "int8" in coded, coded
 
 
 class TestScopeIsRefused:
