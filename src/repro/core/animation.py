@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.constellation import ConstellationState
+from repro.orbits import constants
 from repro.orbits.coordinates import ecef_to_geodetic
+from repro.orbits.visibility import _row_norm
 from repro.topology.graph import _LINK_TYPE_BY_CODE
 
 
@@ -24,7 +24,7 @@ def constellation_snapshot(state: ConstellationState, include_links: bool = True
     for shell, positions in state.satellite_positions_ecef.items():
         latitudes, longitudes = state.geodetic(shell)
         active = state.active_satellites[shell]
-        altitudes = np.linalg.norm(positions, axis=1) - 6378.135
+        altitudes = _row_norm(positions) - constants.EARTH_RADIUS_KM
         for identifier in range(positions.shape[0]):
             satellites.append(
                 {

@@ -27,7 +27,8 @@ previously published state, publishes state + diff through the database
 (which holds that one epoch, no history), and then builds **one**
 :class:`~repro.core.machine_manager.EpochRecord` for the epoch — per shell
 the activity mask and the mask of satellites that flipped since the
-previous epoch, one XOR per shell and no per-machine loop.  Every
+previous epoch, marked from the diff's activated and deactivated
+satellites with no per-machine loop.  Every
 manager receives the same record and picks out the flips of the satellites
 it hosts and the machines of its own that are dirty
 (:meth:`~repro.core.machine_manager.MachineManager.apply_diff`); a manager
@@ -372,7 +373,7 @@ class Coordinator:
         else:
             state, diff = self.calculation.diff_since(previous, now_s)
         self.database.set_state(state, diff=diff)
-        record = EpochRecord.of(self.database.epoch, state, previous)
+        record = EpochRecord.of(self.database.epoch, state, diff)
         self._ensure_activated_satellites(record, now_s)
         # Each manager only mutates its own host's machines: counters and
         # machine states come out the same whichever backend applies.

@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Optional, Union
 import numpy as np
 
 from repro.core.config import ComputeParams
-from repro.core.constellation import ConstellationState, MachineId
+from repro.core.constellation import ConstellationDiff, ConstellationState, MachineId
 from repro.hosts import Host
 from repro.microvm import MachineBatch, MachineState, MachineView
 from repro.sim.rng import key_root
@@ -88,15 +88,20 @@ class EpochRecord:
 
     @classmethod
     def of(
-        cls, epoch: int, state: ConstellationState, previous: Optional[ConstellationState]
+        cls, epoch: int, state: ConstellationState, diff: Optional[ConstellationDiff]
     ) -> "EpochRecord":
-        """The record of ``state``, published as ``epoch`` after ``previous``."""
+        """The record of ``state``, published as ``epoch`` with ``diff``.
+
+        ``diff`` is ``None`` for an epoch without a previous one; otherwise
+        its activated and deactivated satellites are the flips.
+        """
         active = state.active_satellites
-        if previous is None:
+        if diff is None:
             return cls(epoch, active, active, first=True)
-        flipped = {
-            shell: mask ^ previous.active_satellites[shell] for shell, mask in active.items()
-        }
+        flipped = {shell: np.zeros_like(mask) for shell, mask in active.items()}
+        for shell, mask in flipped.items():
+            mask[diff.activated[shell]] = True
+            mask[diff.deactivated[shell]] = True
         return cls(epoch, active, flipped)
 
     @cached_property

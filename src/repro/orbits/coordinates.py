@@ -49,23 +49,35 @@ def _rotation_z(theta: float) -> np.ndarray:
     )
 
 
+def _rotate(positions: np.ndarray, theta: float) -> np.ndarray:
+    """Rotate positions (km) about the z-axis into a frame turned by ``theta``.
+
+    A row gets the same bits whatever batch it comes in: a product of
+    fewer than two rows would take BLAS's matrix-vector kernel, which
+    rounds differently from the matrix-matrix one, so a 1-D vector or a
+    one-row array is rotated as one of two rows.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape[:-1] in ((), (1,)):
+        rows = positions.reshape(1, 3)
+        return _rotate(np.concatenate([rows, rows]), theta)[:1].reshape(positions.shape)
+    return positions @ _rotation_z(theta).T
+
+
 def eci_to_ecef(position_eci: np.ndarray, gmst: float) -> np.ndarray:
     """Rotate ECI positions (km) into the Earth-fixed frame at the given GMST.
 
-    A row of an ``(N, 3)`` array gets the same bits whatever ``N`` is: a
-    one-row product would take BLAS's matrix-vector kernel, which rounds
-    differently, so a single row is rotated as one of two.
+    A row has the same bits alone, as a 1-D vector or in any batch.
     """
-    position_eci = np.asarray(position_eci, dtype=float)
-    if position_eci.ndim == 2 and len(position_eci) == 1:
-        return eci_to_ecef(np.concatenate([position_eci, position_eci]), gmst)[:1]
-    return position_eci @ _rotation_z(gmst).T
+    return _rotate(position_eci, gmst)
 
 
 def ecef_to_eci(position_ecef: np.ndarray, gmst: float) -> np.ndarray:
-    """Rotate Earth-fixed positions (km) into the inertial frame at the given GMST."""
-    position_ecef = np.asarray(position_ecef, dtype=float)
-    return position_ecef @ _rotation_z(-gmst).T
+    """Rotate Earth-fixed positions (km) into the inertial frame at the given GMST.
+
+    A row has the same bits alone, as a 1-D vector or in any batch.
+    """
+    return _rotate(position_ecef, -gmst)
 
 
 def geodetic_to_ecef(
@@ -100,6 +112,26 @@ def ecef_to_geodetic(position_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     n = _WGS84_A / np.sqrt(1.0 - _WGS84_E2 * np.sin(lat) ** 2)
     alt = p / np.cos(lat) - n
     return np.degrees(lat), np.degrees(lon), alt
+
+
+def geodetic_latitude_distance_km(position_ecef: np.ndarray, latitude_deg: float) -> np.ndarray:
+    """A lower bound [km] on each ECEF point's distance to a geodetic latitude.
+
+    The points of geodetic latitude φ lie on the ellipsoid's normals at φ,
+    which in a meridian plane form the line ``z·cos φ − p·sin φ +
+    e²·N(φ)·sin φ·cos φ = 0`` (``p`` the distance from the polar axis,
+    ``N`` the prime vertical radius of curvature).  Its coefficients of
+    ``(p, z)`` are a unit normal, so the left side's magnitude is the
+    distance to that line, and no point of the surface of revolution lies
+    closer to a point than the line in the point's own meridian plane.
+    """
+    position_ecef = np.asarray(position_ecef, dtype=float)
+    x, y, z = position_ecef[..., 0], position_ecef[..., 1], position_ecef[..., 2]
+    latitude = math.radians(latitude_deg)
+    sin_lat, cos_lat = math.sin(latitude), math.cos(latitude)
+    normal_n = _WGS84_A / math.sqrt(1.0 - _WGS84_E2 * sin_lat * sin_lat)
+    offset = _WGS84_E2 * normal_n * sin_lat * cos_lat
+    return np.abs(z * cos_lat - np.sqrt(x * x + y * y) * sin_lat + offset)
 
 
 def ecef_to_geocentric_latlon(position_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -91,18 +91,24 @@ class ShellGeometry:
 def circular_positions_eci(elements: tuple, t_seconds: float) -> np.ndarray:
     """ECI positions [km] of circular orbits with secular J2 drift, shape (N, 3).
 
-    ``elements`` is ``(radius_km, raan_rad, raan_rate_rad_s, latitude_rad,
-    latitude_rate_rad_s, cos_inclination, sin_inclination)`` at the epoch,
-    each a scalar or an array over satellites.  The one Kepler/J2 kernel: a
-    :class:`Shell` runs it over its satellites, the constellation
-    calculation over every shell's elements stacked.  Each step is
-    elementwise, so a satellite's position has the same bits in any array.
+    ``elements`` is ``(radius_km, raan_rad, raan_rate_rad_s, plane_of,
+    latitude_rad, latitude_rate_rad_s, cos_inclination, sin_inclination)``
+    at the epoch.  ``raan_rad`` and ``raan_rate_rad_s`` are over orbital
+    planes (the rate may be a scalar) and ``plane_of`` maps each satellite
+    to its plane's row; every other element is a scalar or an array over
+    satellites.  The nodes' cosine and sine are taken once per plane and
+    gathered to the satellites, which hold their plane's values bit for
+    bit.  The one Kepler/J2 kernel: a :class:`Shell` runs it over its
+    satellites, the constellation calculation over every shell's elements
+    (:func:`stacked_elements`).  A satellite's position depends on its own
+    elements only, so it has the same bits whichever shells are stacked
+    with it.
     """
-    radius, raan, raan_rate, latitude, latitude_rate, cos_i, sin_i = elements
+    radius, raan, raan_rate, plane_of, latitude, latitude_rate, cos_i, sin_i = elements
     raan = raan + raan_rate * t_seconds
+    cos_o, sin_o = np.cos(raan).take(plane_of), np.sin(raan).take(plane_of)
     latitude = latitude + latitude_rate * t_seconds
     cos_u, sin_u = np.cos(latitude), np.sin(latitude)
-    cos_o, sin_o = np.cos(raan), np.sin(raan)
     x = radius * (cos_u * cos_o - sin_u * sin_o * cos_i)
     y = radius * (cos_u * sin_o + sin_u * cos_o * cos_i)
     z = radius * (sin_u * sin_i)
@@ -149,11 +155,13 @@ class Shell:
         )
         # For (near-)circular orbits the argument of latitude advances at the
         # sum of the mean-anomaly and argument-of-perigee secular rates.
+        # Every satellite of a plane shares its node: one RAAN row per plane.
         mean_motion = mean_motion_from_semi_major_axis(geometry.semi_major_axis_km)
         self.elements = (
             geometry.semi_major_axis_km,
-            np.radians(self._raan_deg),
+            np.radians(self._raan_deg[:: geometry.satellites_per_plane]),
             raan_dot,
+            np.repeat(np.arange(geometry.planes), geometry.satellites_per_plane),
             np.radians(self._anomaly_deg),
             mean_motion + m_dot_extra + argp_dot,
             math.cos(incl),
@@ -210,3 +218,23 @@ class Shell:
         if self._sgp4 is not None:
             return np.array([prop.position_eci(t_seconds) for prop in self._sgp4])
         return circular_positions_eci(self.elements, t_seconds)
+
+
+def stacked_elements(shells: Sequence[Shell]) -> tuple:
+    """The elements of several shells as one tuple for :func:`circular_positions_eci`.
+
+    The RAAN columns are concatenated over the shells' planes, every other
+    column over their satellites, and each shell's plane index is moved to
+    its planes' rows of the stack.
+    """
+    sizes = [len(shell) for shell in shells]
+    planes = [shell.geometry.planes for shell in shells]
+    radius, raan, raan_rate, plane_of, *per_satellite = (
+        np.concatenate([np.broadcast_to(value, count) for value, count in zip(column, counts)])
+        for column, counts in zip(
+            zip(*(shell.elements for shell in shells)),
+            (sizes, planes, planes, sizes, sizes, sizes, sizes, sizes),
+        )
+    )
+    plane_of = plane_of + np.repeat(np.cumsum(planes) - planes, sizes)
+    return (radius, raan, raan_rate, plane_of, *per_satellite)

@@ -13,11 +13,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over a length-3 last axis, in column form.
+
+    Bitwise equal to ``np.add.reduce(u * v, axis=-1)``: a reduction of
+    fewer than eight elements is a sequential sum started from ``+0.0``,
+    which ``(p0 + p1) + p2`` repeats except for the sign of a zero sum —
+    the trailing ``+ 0.0`` turns ``-0.0`` into ``+0.0`` as the reduction
+    does.  Three products and three sums over column views skip the ufunc
+    reduce machinery, which dominates at the epoch's row counts.
+    """
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]) + 0.0
+
+
 def _row_norm(vectors: np.ndarray) -> np.ndarray:
-    """`sqrt(sum(x², axis=-1))` — same reduction as ``np.linalg.norm`` (and
-    therefore bitwise identical) without its gufunc dispatch overhead,
-    which is measurable at the per-epoch call rates of the hot path."""
-    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    """Euclidean norm over a length-3 last axis: ``sqrt(_dot(x, x))``.
+
+    The same bits as ``np.linalg.norm(vectors, axis=-1)``, which is
+    ``sqrt(add.reduce(x * x, axis=-1))`` for real input.
+    """
+    return np.sqrt(_dot(vectors, vectors))
 
 
 def slant_range_km(position_a: np.ndarray, position_b: np.ndarray) -> np.ndarray:
@@ -39,7 +54,7 @@ def elevation_angle_deg(
     ground_norm = _row_norm(ground)
     range_norm = _row_norm(to_satellite)
     with np.errstate(invalid="ignore", divide="ignore"):
-        sin_elevation = np.sum(to_satellite * ground, axis=-1) / (range_norm * ground_norm)
+        sin_elevation = _dot(to_satellite, ground) / (range_norm * ground_norm)
     sin_elevation = np.clip(sin_elevation, -1.0, 1.0)
     return np.degrees(np.arcsin(sin_elevation))
 
@@ -76,8 +91,8 @@ def isl_closest_approach_km(
     a = np.asarray(position_a, dtype=float)
     b = np.asarray(position_b, dtype=float)
     ab = b - a
-    ab_sq = np.sum(ab * ab, axis=-1)
+    ab_sq = _dot(ab, ab)
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(-np.sum(a * ab, axis=-1) / np.where(ab_sq == 0, 1.0, ab_sq), 0.0, 1.0)
+        t = np.clip(-_dot(a, ab) / np.where(ab_sq == 0, 1.0, ab_sq), 0.0, 1.0)
     closest = a + ab * t[..., None] if np.ndim(t) else a + ab * t
     return _row_norm(closest)

@@ -317,7 +317,11 @@ class TestKeyframeDiffReplay:
             else:
                 state, diff = calculation.diff_since(state, step * 60.0)
             database.set_state(state, diff=diff)
-            record = EpochRecord.of(database.epoch, state, previous)
+            flips = diff
+            if previous is not None and diff is None:
+                # Published without a diff; the managers' record still flips.
+                flips = calculation.diff_since(previous, step * 60.0)[1]
+            record = EpochRecord.of(database.epoch, state, flips)
             masks_by_epoch[database.epoch] = {
                 s: m.copy() for s, m in state.active_satellites.items()
             }

@@ -398,9 +398,10 @@ class TestOneRecordForEveryManager:
                 for name in manager.host.machines
             }
             before = [_census(manager)[:2] for manager in managers]
-            previous = coordinator.database.state
             state = coordinator.update(step * 60.0)
-            record = EpochRecord.of(coordinator.database.epoch, state, previous)
+            record = EpochRecord.of(
+                coordinator.database.epoch, state, coordinator.database.latest_diff
+            )
             expected = [0] * len(managers)
             for identifier in np.flatnonzero(record.flipped[0]):
                 name = coordinator.calculation.satellite(0, int(identifier)).name

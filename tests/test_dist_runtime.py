@@ -412,7 +412,7 @@ class TestProcessBackendEquivalence:
             previous = processes.database.state
             state, diff = processes.calculation.diff_since(previous, now)
             processes.database.set_state(state, diff=diff)
-            record = EpochRecord.of(processes.database.epoch, state, previous)
+            record = EpochRecord.of(processes.database.epoch, state, diff)
             processes._ensure_activated_satellites(record, now)
             backend.apply_slices(record, now)
             _crash(backend.supervisor, worker)

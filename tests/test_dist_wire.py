@@ -839,7 +839,7 @@ class TestSliceCodec:
             previous = coordinator.database.state
             state, diff = coordinator.calculation.diff_since(previous, 2.0)
             assert diff.topology.change_count > 1000  # every link's delay moved
-            record = EpochRecord.of(2, state, previous)
+            record = EpochRecord.of(2, state, diff)
         finally:
             coordinator.close()
         assert not record.flipped[0].any()

@@ -5,13 +5,15 @@ global node order: one propagation of every shell's stacked elements (SGP4
 shells fill their rows), one frame rotation, one bounding-box test, one
 line-of-sight check of every ISL candidate and one elevation test of every
 ground-station/satellite pair.  The oracle here is the per-shell
-computation, spelled with the reference functions — ``Shell.positions_eci``,
-``eci_to_ecef``, ``BoundingBox.contains`` on the full geodetic conversion,
-``isl_closest_approach_km`` and ``elevation_angle_deg`` — shell by shell and
-station by station.  Positions, activity masks, the ISLs each line-of-sight
-mask keeps, their distances, delays and bandwidths, the uplink table and
-every graph array must equal it byte for byte, on cold and incremental
-states alike, as must the activity changes each diff reports.
+computation, shell by shell and station by station, spelled apart from the
+kernels it checks: each satellite's own node trigonometry, norms and dot
+products as ``np.add.reduce`` over the last axis, and
+``BoundingBox.contains`` on the full geodetic conversion; only the frame
+rotation (``eci_to_ecef``, pinned in ``test_small_vectors.py``) and SGP4
+are shared.  Positions, activity masks, the ISLs each line-of-sight mask
+keeps, their distances, delays and bandwidths, the uplink table and every
+graph array must equal it byte for byte, on cold and incremental states
+alike, as must the activity changes each diff reports.
 """
 
 import dataclasses
@@ -30,7 +32,6 @@ from repro.core import (
 )
 from repro.orbits import GroundStation, ShellGeometry, constants
 from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef
-from repro.orbits.visibility import elevation_angle_deg, isl_closest_approach_km, slant_range_km
 from repro.scenarios import west_africa_configuration
 from repro.topology import LinkType
 from repro.topology.graph import _CODE_BY_LINK_TYPE
@@ -43,6 +44,43 @@ def _isl_candidates(geometry):
     return np.array(grid_plus_isl_pairs(geometry), dtype=np.int64).reshape(-1, 2)
 
 
+def _norm(vectors):
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+
+
+def _positions_eci(orbit, time_s):
+    """A shell's positions with the node's cosine and sine taken per satellite."""
+    if orbit.propagator == "sgp4":
+        return orbit.positions_eci(time_s)
+    radius, _, raan_rate, _, latitude, latitude_rate, cos_i, sin_i = orbit.elements
+    raan = np.radians(orbit._raan_deg) + raan_rate * time_s
+    latitude = latitude + latitude_rate * time_s
+    cos_u, sin_u = np.cos(latitude), np.sin(latitude)
+    cos_o, sin_o = np.cos(raan), np.sin(raan)
+    x = radius * (cos_u * cos_o - sin_u * sin_o * cos_i)
+    y = radius * (cos_u * sin_o + sin_u * cos_o * cos_i)
+    z = radius * (sin_u * sin_i)
+    return np.stack([x, y, z], axis=-1)
+
+
+def _closest_approach_km(a, b):
+    ab = b - a
+    ab_sq = np.add.reduce(ab * ab, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip(
+            -np.add.reduce(a * ab, axis=-1) / np.where(ab_sq == 0, 1.0, ab_sq), 0.0, 1.0
+        )
+    return _norm(a + ab * t[:, None])
+
+
+def _elevation_deg(ground, satellites):
+    to_satellite = satellites - ground
+    ground_norm, range_norm = _norm(ground), _norm(to_satellite)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_elevation = np.add.reduce(to_satellite * ground, axis=-1) / (range_norm * ground_norm)
+    return np.degrees(np.arcsin(np.clip(sin_elevation, -1.0, 1.0)))
+
+
 def _oracle(calculation, time_s):
     """Per-shell ``(positions, active, graph columns)`` of one epoch."""
     config, index = calculation.config, calculation.node_index
@@ -50,7 +88,7 @@ def _oracle(calculation, time_s):
     positions, active = {}, {}
     isl_columns, uplink_columns = [], []
     for shell, (shell_config, orbit) in enumerate(zip(config.shells, calculation.shells)):
-        ecef = eci_to_ecef(orbit.positions_eci(time_s), gmst)
+        ecef = eci_to_ecef(_positions_eci(orbit, time_s), gmst)
         positions[shell] = ecef
         box = config.bounding_box
         active[shell] = (
@@ -62,8 +100,8 @@ def _oracle(calculation, time_s):
         network = shell_config.network
         limit = constants.EARTH_RADIUS_KM + network.atmosphere_grazing_altitude_km
         a, b = ecef[pairs[:, 0]], ecef[pairs[:, 1]]
-        clear = isl_closest_approach_km(a, b) >= limit
-        distances = slant_range_km(a, b)[clear]
+        clear = _closest_approach_km(a, b) >= limit
+        distances = _norm(b - a)[clear]
         offset = index.shell_offset(shell)
         isl_columns.append(
             (
@@ -82,8 +120,8 @@ def _oracle(calculation, time_s):
                 if gst.min_elevation_deg is not None
                 else network.min_elevation_deg
             )
-            visible = np.nonzero(elevation_angle_deg(ground, positions[shell]) >= threshold)[0]
-            distances = np.atleast_1d(slant_range_km(ground, positions[shell][visible]))
+            visible = np.nonzero(_elevation_deg(ground, positions[shell]) >= threshold)[0]
+            distances = _norm(positions[shell][visible] - ground)
             bandwidth = (
                 gst.uplink_bandwidth_kbps
                 if gst.uplink_bandwidth_kbps is not None
