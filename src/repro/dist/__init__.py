@@ -7,10 +7,11 @@ package puts the :class:`~repro.core.machine_manager.MachineManager`\\ s
 behind a process — or machine — boundary, reached over one seam: wire frames
 on a TCP stream.
 
-* :mod:`repro.dist.wire` — the versioned frame: a fixed header, a metadata
-  blob in the one closed plain-data codec (decoding constructs no object and
-  calls nothing) and the raw buffers of the payload's NumPy arrays.  The
-  per-epoch payload is one
+* :mod:`repro.dist.wire` — the versioned frame: a fixed header, the
+  metadata as one compact JSON object (parsing builds only dicts, lists,
+  strings, finite numbers, 64-bit integers, booleans and ``None``; it
+  constructs no object and calls nothing) and the raw buffers of the
+  payload's NumPy arrays.  The per-epoch payload is one
   :class:`~repro.core.machine_manager.EpochRecord`, encoded once and sent to
   every worker alike: per shell the packed activity mask and the packed mask
   of satellites that flipped since the previous epoch.  Each manager picks
@@ -79,10 +80,8 @@ from repro.dist.wire import (
     FrameKind,
     WireError,
     WireVersionError,
-    decode_blob,
     decode_frame,
     decode_record,
-    encode_blob,
     encode_frame,
 )
 __all__ = [
@@ -102,9 +101,7 @@ __all__ = [
     "WorkerSupervisor",
     "WorkerTimeoutError",
     "connect_transport",
-    "decode_blob",
     "decode_frame",
     "decode_record",
-    "encode_blob",
     "encode_frame",
 ]

@@ -188,7 +188,7 @@ class ProcessFanoutBackend:
         for ack, expected in acks:
             for position, answer in expected.items():
                 held = dict(ack["counters"].get(position, {}))
-                held["sample_crc"] = ack.get("sample_crc", {}).get(position)
+                held["sample_crc"] = ack["sample_crc"].get(position)
                 self._compare(self._managers[position].host.index, held, answer)
         return acks
 

@@ -88,6 +88,46 @@ class WorkerRemoteError(RuntimeError):
     """A worker reported an exception while executing a frame."""
 
 
+def _by_position(pairs: Any, kind: type) -> dict[int, Any]:
+    """``[position, value]`` pairs as a dict; ``ValueError`` unless each value is a ``kind``."""
+    if isinstance(pairs, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is kind
+        for pair in pairs
+    ):
+        return dict(pairs)
+    raise ValueError(f"not a list of [position, {kind.__name__}] pairs")
+
+
+def _checked_ack(worker: int, kind: FrameKind, meta: dict[str, Any], seq: int) -> dict[str, Any]:
+    """The acknowledgement of request ``seq``, checked where it was decoded.
+
+    A worker may be remote, so its answer is network input: an ``ERROR``
+    without a traceback, errors that are not strings or per-host answers
+    that are not ``[position, value]`` pairs are a :class:`WorkerCrashError`,
+    the path a corrupt frame takes.  Returns the per-host answers as dicts
+    by position (``sample_crc`` empty for a request that took no sample).
+    """
+    if kind is not FrameKind.ERROR and (kind is not FrameKind.ACK or meta.get("seq") != seq):
+        raise WorkerRemoteError(
+            f"worker {worker} sent unexpected {kind.name} (seq {meta.get('seq')!r}, expected {seq})"
+        )
+    errors = meta.get("deferred_errors", [])
+    try:
+        if kind is FrameKind.ERROR:
+            raise WorkerRemoteError(f"worker {worker} failed:\n" + meta["traceback"])
+        if not isinstance(errors, list) or not all(isinstance(error, str) for error in errors):
+            raise ValueError("deferred errors that are not a list of strings")
+        answer = {
+            "counters": _by_position(meta.get("counters"), dict),
+            "sample_crc": _by_position(meta.get("sample_crc", []), int),
+        }
+    except (KeyError, TypeError, ValueError) as error:
+        raise WorkerCrashError(f"worker {worker} sent a malformed {kind.name}: {error!r}") from error
+    if errors:
+        raise WorkerRemoteError(f"worker {worker} control-frame errors: " + "; ".join(errors))
+    return answer
+
+
 class _Handle:
     """Book-keeping of one supervised worker."""
 
@@ -336,21 +376,7 @@ class WorkerSupervisor:
                 f"worker {handle.index} sent a malformed frame: "
                 f"{error}"
             ) from error
-        if kind is FrameKind.ERROR:
-            raise WorkerRemoteError(
-                f"worker {handle.index} failed:\n{meta['traceback']}"
-            )
-        if kind is not FrameKind.ACK or meta.get("seq") != seq:
-            raise WorkerRemoteError(
-                f"worker {handle.index} sent unexpected "
-                f"{kind.name} (seq {meta.get('seq')!r}, expected {seq})"
-            )
-        if meta.get("deferred_errors"):
-            raise WorkerRemoteError(
-                f"worker {handle.index} control-frame errors: "
-                + "; ".join(meta["deferred_errors"])
-            )
-        return meta
+        return _checked_ack(handle.index, kind, meta, seq)
 
     # -- heartbeat ----------------------------------------------------------
 

@@ -62,7 +62,7 @@ class TransportTimeout(TransportError, TimeoutError):
 
 
 class HandshakeError(TransportError):
-    """The HELLO → SPEC handshake failed (an unexpected frame)."""
+    """The HELLO → SPEC handshake failed (an unexpected frame, a malformed challenge)."""
 
 
 def frame(data: bytes) -> bytes:
@@ -78,17 +78,35 @@ def frame(data: bytes) -> bytes:
 # -- shared-secret authentication ---------------------------------------------
 
 
-def auth_digest(secret: str, nonce: bytes, identity: str) -> bytes:
-    """The HMAC-SHA256 response to an authentication challenge.
+def auth_digest(secret: str, nonce: str, identity: str) -> str:
+    """The HMAC-SHA256 response to an authentication challenge, in hex.
 
     Keyed by the shared secret over ``nonce || identity``: binding the
     dialer's claimed identity (``worker-<index>`` for workers, the client
     id for gateway subscribers) into the digest stops a valid response
     from being replayed for a different slot, and the fresh server nonce
-    stops replays across connections.
+    (:data:`AUTH_NONCE_BYTES` random bytes in hex) stops replays across
+    connections.
     """
-    message = nonce + identity.encode("utf-8")
-    return hmac.new(secret.encode("utf-8"), message, hashlib.sha256).digest()
+    message = (nonce + identity).encode("utf-8")
+    return hmac.new(secret.encode("utf-8"), message, hashlib.sha256).hexdigest()
+
+
+def challenge() -> tuple[str, bytes]:
+    """Server side: a fresh nonce and the ``CHALLENGE`` frame carrying it."""
+    nonce = os.urandom(AUTH_NONCE_BYTES).hex()
+    return nonce, wire.encode_frame(FrameKind.CHALLENGE, {"nonce": nonce})
+
+
+def auth_matches(kind: FrameKind, meta: dict, secret: str, nonce: str, identity: str) -> bool:
+    """Server side: whether a decoded frame is the ``AUTH`` with ``nonce``'s hex :func:`auth_digest`."""
+    digest = meta.get("digest")
+    return (
+        kind is FrameKind.AUTH
+        and isinstance(digest, str)
+        and digest.isascii()
+        and hmac.compare_digest(digest, auth_digest(secret, nonce, identity))
+    )
 
 
 def verify_auth(
@@ -98,37 +116,33 @@ def verify_auth(
 
     Sends a ``CHALLENGE`` frame with a fresh nonce and expects an ``AUTH``
     frame answering it.  Returns ``False`` (instead of raising) on a wrong
-    digest, an unexpected frame or a handshake timeout, so accept loops
-    can drop the dialer and keep listening.
+    or malformed digest, an unexpected frame or a handshake timeout, so
+    accept loops can drop the dialer and keep listening.
     """
-    nonce = os.urandom(AUTH_NONCE_BYTES)
+    nonce, frame_bytes = challenge()
     try:
-        transport.send_bytes(
-            wire.encode_frame(FrameKind.CHALLENGE, {"nonce": nonce})
-        )
+        transport.send_bytes(frame_bytes)
         kind, meta, _arrays = wire.decode_frame(
             transport.recv_bytes(timeout=timeout_s)
         )
     except (wire.WireError, TransportError, EOFError, OSError):
         return False
-    if kind is not FrameKind.AUTH:
-        return False
-    digest = meta.get("digest")
-    if not isinstance(digest, bytes):
-        return False
-    return hmac.compare_digest(digest, auth_digest(secret, nonce, identity))
+    return auth_matches(kind, meta, secret, nonce, identity)
 
 
 def answer_challenge(
     transport: SocketTransport, meta: dict, secret: str, identity: str
 ) -> None:
-    """Dialer side: answer a received ``CHALLENGE`` frame's nonce."""
-    nonce = meta.get("nonce", b"")
-    transport.send_bytes(
-        wire.encode_frame(
-            FrameKind.AUTH, {"digest": auth_digest(secret, nonce, identity)}
-        )
-    )
+    """Dialer side: answer a ``CHALLENGE``; a nonce that is not the hex of
+    :data:`AUTH_NONCE_BYTES` bytes is a :class:`HandshakeError`."""
+    nonce = meta.get("nonce")
+    try:
+        if len(bytes.fromhex(nonce)) != AUTH_NONCE_BYTES:
+            raise ValueError(f"{len(nonce)} hex digits")
+    except (TypeError, ValueError) as error:
+        raise HandshakeError(f"malformed CHALLENGE nonce {nonce!r:.80}: {error}") from error
+    digest = auth_digest(secret, nonce, identity)
+    transport.send_bytes(wire.encode_frame(FrameKind.AUTH, {"digest": digest}))
 
 
 class SocketTransport:

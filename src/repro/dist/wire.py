@@ -9,22 +9,23 @@ Every message is one self-contained frame::
     | magic   | version | kind | flags | meta_len | array_count |   header
     | 4 bytes |   u16   |  u8  |  u8   |   u32    |     u32     |
     +---------+---------+------+-------+----------+-------------+
-    | metadata blob (meta_len bytes)                            |
+    | metadata: one compact UTF-8 JSON object (meta_len bytes)  |
+    |   {"meta": {...}, "arrays": [[dtype_str, shape], ...]}    |
     +-----------------------------------------------------------+
     | raw array buffers, concatenated in descriptor order       |
     +-----------------------------------------------------------+
 
-The metadata blob holds the small, scalar part of the payload (epoch
-numbers, machine names, counters) plus one *descriptor* per NumPy array:
-``(dtype_str, shape)``.  The arrays themselves travel as their raw memory
-buffers appended after the blob, so a per-shell activity mask or an epoch
+The metadata holds the small, scalar part of the payload (epoch numbers,
+machine names, counters) plus one *descriptor* per NumPy array:
+``[dtype_str, shape]``.  The arrays themselves travel as their raw memory
+buffers appended after it, so a per-shell activity mask or an epoch
 update's link arrays cost one ``memcpy`` each way and round-trip
 byte-identically (dtype, shape and payload bits).
 
 The ``flags`` byte is reserved and must be zero.  The header is parsed with
-:mod:`struct`; version and flags are checked *before* the metadata blob is
-deserialised, so a frame from a different protocol generation is rejected
-with :class:`WireVersionError` instead of being misinterpreted.  Every array
+:mod:`struct`; version and flags are checked *before* the metadata is
+parsed, so a frame from a different protocol generation is rejected with
+:class:`WireVersionError` instead of being misinterpreted.  Every array
 descriptor is validated before its buffer is sliced: the dtype string must
 name a fixed-size bool / integer / unsigned / float dtype (the only kinds an
 encoder ships) and every shape dimension must be a non-negative integer, so
@@ -32,16 +33,21 @@ a corrupt or forged descriptor (e.g. a negative dimension that would make
 ``nbytes`` negative and defeat the bounds check) raises :class:`WireError`
 instead of producing a nonsense array view.
 
-The metadata blob is a *security boundary*: frames arrive from network
-peers that have not authenticated yet (the worker listener's ``HELLO``,
-the streaming gateway's ``SUBSCRIBE``), so decoding it must never be able to
-execute code.  Its one codec (:func:`encode_blob` / :func:`decode_blob`) is
-a closed, self-describing binary encoding of
-``None``/bool/int/float/str/bytes/list/tuple/dict — no object construction,
-no imports, no callables.  Dataclass payloads (the compute tables of a
+The metadata is a *security boundary*: frames arrive from network peers
+that have not authenticated yet (the worker listener's ``HELLO``, the
+streaming gateway's ``SUBSCRIBE``), so parsing it must never be able to
+execute code.  It is stdlib JSON, which can only build ``dict``, ``list``,
+``str``, ``int``, ``float``, ``bool`` and ``None`` — no object
+construction, no imports, no callables.  The parser refuses the
+non-standard ``NaN`` / ``Infinity`` tokens and any number that overflows to
+a non-finite float (the encoder writes neither: ``allow_nan=False``), and
+integers outside signed 64 bits; invalid UTF-8, malformed or too deeply
+nested JSON and bytes after the object are a :class:`WireError` too.
+Per-host answers travel as ``[position, value]`` pairs, because a JSON
+object's keys are strings; dataclass payloads (the compute tables of a
 ``CONTROL`` frame) travel as their ``dataclasses.asdict`` form and are
-rebuilt by the receiver; anything else is a :class:`TypeError` at the
-sender.
+rebuilt by the receiver.  Anything that is not JSON data is a
+:class:`TypeError` at the sender.
 
 Frame kinds
 -----------
@@ -49,9 +55,10 @@ Frame kinds
 =================  ============  =============================================
 kind               direction     payload
 =================  ============  =============================================
-``ACK``/``ERROR``  worker → sup  ``counters``: per host its checkpoint (row
-                                 count, counters, dirty set, state checksum);
-                                 ``sample_crc``: per host its sample's CRC-32
+``ACK``/``ERROR``  worker → sup  ``counters``: per host ``[position,
+                                 checkpoint]`` (row count, counters, dirty
+                                 set, state checksum); ``sample_crc``: per
+                                 host ``[position, CRC-32]`` of its sample
                                  (:func:`sample_checksum`) / a traceback
 ``SPEC``           sup → worker  answers ``HELLO``: every host the worker owns
                                  as the driver's replica holds it — host
@@ -133,11 +140,7 @@ The meta holds ``images`` — the distinct compute tables
 differ in length or dtype, whose op code, count or image index is out of
 range, whose counts do not add up to the machine entries, whose name count
 does not match or whose images are not compute tables is a
-:class:`WireError` and runs no row.  Version 7 replaced the seven
-one-operation control frame kinds, one frame per lifecycle call, by one
-frame per flush; version 9 made a ``CREATE`` row a host's whole batch,
-booted or not (one append of rows on the worker), and dropped the kernel
-and root-filesystem images, which no caller set.
+:class:`WireError` and runs no row.
 
 Epoch records
 -------------
@@ -164,14 +167,15 @@ match the arrays, an array that is not 1-D ``u1``, a mask of the wrong
 length for its shell or a set padding bit is a :class:`WireError`.
 Nothing else crosses the seam per epoch: the network half of an update is
 applied on the coordinator's side (``VirtualNetwork.apply_diff``,
-``ConstellationDatabase.pair_rule``).  Version 8 replaced the per-host slice
-frame and the first epoch's full-activity frame by this one record.
+``ConstellationDatabase.pair_rule``).  :data:`WIRE_VERSION`'s comment
+keeps the protocol's history.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import math
 import struct
 import zlib
@@ -214,7 +218,10 @@ WIRE_MAGIC = b"CLW1"
 #: the previous epoch's steps, with an escape array 9; a ``KEYFRAME`` carries
 #: the epoch's steps and may carry its bandwidths as indices into a palette
 #: (layouts in :mod:`repro.serve.codec`).
-WIRE_VERSION = 14
+#: 15: the metadata is compact JSON instead of the hand-written blob codec;
+#: an ``ACK`` carries its per-host answers as ``[position, value]`` pairs and
+#: the ``CHALLENGE`` nonce and ``AUTH`` digest travel as hex strings.
+WIRE_VERSION = 15
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -231,145 +238,25 @@ class WireVersionError(WireError):
     """Raised when a frame was produced by an incompatible protocol version."""
 
 
-# -- safe metadata-blob codec -------------------------------------------------
-#
-# A tiny tag-length-value encoding over a closed type set.  It can only
-# ever *construct data* — decoding allocates containers and
-# scalars, never looks up classes or calls anything — so it is safe to run
-# on bytes from an unauthenticated network peer.
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-#: Maximum container nesting in a metadata blob.  Deep enough for every
-#: real payload (an ack's checkpoint nests 5 levels), shallow enough that a
-#: forged blob cannot drive the recursive decoder into a RecursionError.
-_BLOB_MAX_DEPTH = 32
+# -- metadata parsing hooks -----------------------------------------------------
 
 
-def encode_blob(obj: Any) -> bytes:
-    """Encode one metadata object with the safe blob codec.
-
-    Supports ``None``, bool, int (signed 64-bit), float, str, bytes, list,
-    tuple and dict (NumPy scalars are coerced to their Python equivalents).
-    Raises :class:`TypeError` for anything else.
-    """
-    out: list[bytes] = []
-    _encode_obj(obj, out, 0)
-    return b"".join(out)
+def _int64(text: str) -> int:
+    # The length check comes first: int() of a 5,000-digit string is slow.
+    if len(text) > 20 or not -(1 << 63) <= (value := int(text)) < (1 << 63):
+        raise ValueError(f"integer {text[:24]} does not fit 64 bits")
+    return value
 
 
-def _encode_obj(obj: Any, out: list[bytes], depth: int) -> None:
-    if depth > _BLOB_MAX_DEPTH:
-        raise TypeError("metadata blob nests too deeply for the safe codec")
-    if obj is None:
-        out.append(b"N")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append(b"T" if obj else b"F")
-    elif isinstance(obj, (int, np.integer)):
-        value = int(obj)
-        if not -(1 << 63) <= value < (1 << 63):
-            raise TypeError(f"{value} does not fit the 64-bit integers of a safe metadata blob")
-        out.append(b"i")
-        out.append(_I64.pack(value))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(b"f")
-        out.append(_F64.pack(float(obj)))
-    elif isinstance(obj, str):
-        raw = obj.encode("utf-8", "surrogatepass")
-        out.append(b"s")
-        out.append(_U32.pack(len(raw)))
-        out.append(raw)
-    elif isinstance(obj, (bytes, bytearray)):
-        out.append(b"b")
-        out.append(_U32.pack(len(obj)))
-        out.append(bytes(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append(b"l" if isinstance(obj, list) else b"t")
-        out.append(_U32.pack(len(obj)))
-        for item in obj:
-            _encode_obj(item, out, depth + 1)
-    elif isinstance(obj, dict):
-        out.append(b"d")
-        out.append(_U32.pack(len(obj)))
-        for key, value in obj.items():
-            _encode_obj(key, out, depth + 1)
-            _encode_obj(value, out, depth + 1)
-    else:
-        raise TypeError(
-            f"{type(obj).__name__} cannot travel in a safe metadata blob"
-        )
+def _finite(text: str) -> float:
+    # Also the hook of the NaN / Infinity / -Infinity tokens.
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"number {text[:24]} is not finite")
+    return value
 
 
-def decode_blob(data: bytes) -> Any:
-    """Decode one safe-codec metadata blob; :class:`WireError` on corruption."""
-    obj, offset = _decode_obj(data, 0, 0)
-    if offset != len(data):
-        raise WireError(f"{len(data) - offset} trailing bytes in metadata blob")
-    return obj
-
-
-def _blob_slice(data: bytes, offset: int, count: int) -> bytes:
-    if len(data) - offset < count:
-        raise WireError("metadata blob truncated")
-    return data[offset : offset + count]
-
-
-def _decode_obj(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
-    if depth > _BLOB_MAX_DEPTH:
-        raise WireError("metadata blob nests too deeply")
-    tag = _blob_slice(data, offset, 1)
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"i":
-        (value,) = _I64.unpack(_blob_slice(data, offset, 8))
-        return value, offset + 8
-    if tag == b"f":
-        (value,) = _F64.unpack(_blob_slice(data, offset, 8))
-        return value, offset + 8
-    if tag in (b"s", b"b"):
-        (length,) = _U32.unpack(_blob_slice(data, offset, 4))
-        raw = _blob_slice(data, offset + 4, length)
-        offset += 4 + length
-        if tag == b"b":
-            return raw, offset
-        try:
-            return raw.decode("utf-8", "surrogatepass"), offset
-        except UnicodeDecodeError as error:
-            raise WireError(f"undecodable string in metadata blob: {error}") from error
-    if tag in (b"l", b"t"):
-        (count,) = _U32.unpack(_blob_slice(data, offset, 4))
-        offset += 4
-        if count > len(data) - offset:  # every element costs >= 1 byte
-            raise WireError("metadata blob truncated inside a sequence")
-        items = []
-        for _ in range(count):
-            item, offset = _decode_obj(data, offset, depth + 1)
-            items.append(item)
-        return (items if tag == b"l" else tuple(items)), offset
-    if tag == b"d":
-        (count,) = _U32.unpack(_blob_slice(data, offset, 4))
-        offset += 4
-        if 2 * count > len(data) - offset:
-            raise WireError("metadata blob truncated inside a mapping")
-        mapping = {}
-        for _ in range(count):
-            key, offset = _decode_obj(data, offset, depth + 1)
-            value, offset = _decode_obj(data, offset, depth + 1)
-            try:
-                mapping[key] = value
-            except TypeError as error:
-                raise WireError(
-                    f"unhashable mapping key in metadata blob: {error}"
-                ) from error
-        return mapping, offset
-    raise WireError(f"unknown metadata blob tag {tag!r}")
+_META_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_META_DECODER = json.JSONDecoder(parse_int=_int64, parse_float=_finite, parse_constant=_finite)
 
 
 class FrameKind(enum.IntEnum):
@@ -411,11 +298,11 @@ def encode_frame(
     meta: Optional[dict[str, Any]] = None,
     arrays: tuple[np.ndarray, ...] = (),
 ) -> bytes:
-    """Serialise one frame: header + metadata blob + raw array buffers.
+    """Serialise one frame: header + JSON metadata + raw array buffers.
 
-    Raises :class:`TypeError` — before any byte is produced — for metadata
-    outside the safe blob codec's closed type set and for arrays that are
-    not bool / integer / unsigned / float.
+    Raises — before any byte is produced — :class:`TypeError` for metadata
+    that is not JSON data and for arrays that are not bool / integer /
+    unsigned / float, :class:`ValueError` for a non-finite float.
     """
     descriptors = []
     buffers = []
@@ -427,9 +314,9 @@ def encode_frame(
             )
         descriptors.append((array.dtype.str, array.shape))
         buffers.append(array.tobytes())
-    blob = encode_blob(
+    blob = _META_ENCODER.encode(
         {"meta": meta if meta is not None else {}, "arrays": descriptors}
-    )
+    ).encode()
     header = _HEADER.pack(
         WIRE_MAGIC, WIRE_VERSION, int(kind), 0, len(blob), len(descriptors)
     )
@@ -464,15 +351,17 @@ def decode_frame(
         raise WireError(f"unknown frame kind {kind}") from error
     offset = _HEADER.size
     if len(data) < offset + meta_len:
-        raise WireError("frame truncated inside the metadata blob")
+        raise WireError("frame truncated inside the metadata")
     try:
-        blob = decode_blob(data[offset : offset + meta_len])
-        meta, descriptors = blob["meta"], blob["arrays"]
-    except Exception as error:
-        raise WireError(f"undecodable metadata blob: {error}") from error
+        blob = _META_DECODER.decode(data[offset : offset + meta_len].decode())
+    except (ValueError, RecursionError) as error:  # UnicodeDecodeError is a ValueError
+        raise WireError(f"undecodable frame metadata: {error}") from error
+    if not isinstance(blob, dict) or blob.keys() != {"meta", "arrays"}:
+        raise WireError("frame metadata is not a {meta, arrays} object")
+    meta, descriptors = blob["meta"], blob["arrays"]
     if not isinstance(meta, dict):
         raise WireError(f"frame metadata is {type(meta).__name__}, not a dict")
-    if not isinstance(descriptors, (list, tuple)):
+    if not isinstance(descriptors, list):
         raise WireError(
             f"descriptor table is {type(descriptors).__name__}, not a sequence"
         )
@@ -500,15 +389,15 @@ def decode_frame(
 
 
 def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
-    """Validate one ``(dtype_str, shape)`` array descriptor.
+    """Validate one ``[dtype_str, shape]`` array descriptor.
 
-    Descriptors arrive in the frame's metadata blob, i.e. from outside this
+    Descriptors arrive in the frame's metadata, i.e. from outside this
     process; they must never be able to slice a nonsense array view out of
     the frame (negative dimensions producing a negative ``nbytes``, object
     dtypes materialising arbitrary pointers, dimension counts beyond what
     NumPy supports).  Anything suspicious is a :class:`WireError`.
     """
-    if not isinstance(descriptor, (tuple, list)) or len(descriptor) != 2:
+    if not isinstance(descriptor, list) or len(descriptor) != 2:
         raise WireError(f"malformed array descriptor {descriptor!r}")
     dtype_str, shape = descriptor
     if not isinstance(dtype_str, str):
@@ -525,14 +414,11 @@ def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
         raise WireError(
             f"array dtype {dtype_str!r} is not a bool/integer/unsigned/float dtype"
         )
-    if not isinstance(shape, (tuple, list)) or len(shape) > 32:
+    if not isinstance(shape, list) or len(shape) > 32:
         raise WireError(f"malformed array shape {shape!r}")
-    dims = []
-    for dim in shape:
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 0:
-            raise WireError(f"invalid array shape dimension {dim!r} in {shape!r}")
-        dims.append(int(dim))
-    return dtype, tuple(dims)
+    if not all(_is_int(dim) and dim >= 0 for dim in shape):
+        raise WireError(f"invalid array shape dimension in {shape!r}")
+    return dtype, tuple(shape)
 
 
 # -- epoch records -------------------------------------------------------------

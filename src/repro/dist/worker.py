@@ -89,18 +89,19 @@ class _Worker:
     # -- acknowledgements ---------------------------------------------------
 
     def _ack(self, seq: int, extra: Optional[dict[str, Any]] = None) -> None:
+        # Per-host answers travel as [position, value] pairs: JSON keys are strings.
         meta = {
             "seq": seq,
-            "counters": {
-                position: manager.counters_snapshot()
+            "counters": [
+                [position, manager.counters_snapshot()]
                 for position, manager in self.by_position.items()
-            },
+            ],
         }
         if self.deferred_errors:
             meta["deferred_errors"] = list(self.deferred_errors)
             self.deferred_errors.clear()
         if extra:
-            meta.update(extra)
+            meta["sample_crc"] = [[position, crc] for position, crc in extra["sample_crc"].items()]
         self.conn.send_bytes(wire.encode_frame(FrameKind.ACK, meta))
 
     def _error(self, seq: int, error: BaseException) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import socket
 from collections import deque
 from repro.dist import wire
-from repro.dist.transport import SocketTransport, answer_challenge
+from repro.dist.transport import HandshakeError, SocketTransport, answer_challenge
 from repro.dist.wire import FrameKind
 from repro.serve.codec import EpochReplica, EpochUpdate
 
@@ -52,9 +52,10 @@ class SubscriptionClient:
             )
             kind, meta, _arrays, _data = self._recv()
             if kind is FrameKind.CHALLENGE:
-                answer_challenge(
-                    self.transport, meta, auth_secret, client_id or ""
-                )
+                try:
+                    answer_challenge(self.transport, meta, auth_secret, client_id or "")
+                except HandshakeError as error:
+                    raise SubscriptionError(str(error)) from error
                 kind, meta, _arrays, _data = self._recv()
             if kind is FrameKind.ERROR:
                 raise SubscriptionError(

@@ -20,10 +20,12 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
   (pending query replies are preserved) and replaced with the current
   epoch's keyframe, from which the diff stream resumes.
 * **No pre-auth deserialisation hazards.**  Every frame a client can
-  send — including the very first SUBSCRIBE — is decoded with the wire
-  module's one metadata codec, which can only construct plain data
-  (:func:`repro.dist.wire.decode_frame`), so a dialer gets no
-  code-execution surface before (or after) authenticating.
+  send — including the very first SUBSCRIBE — is decoded by
+  :func:`repro.dist.wire.decode_frame`, whose metadata is stdlib JSON: it
+  can only build dicts, lists, strings, finite numbers, 64-bit integers,
+  booleans and ``None``, so a dialer gets no code-execution surface before
+  (or after) authenticating.  A malformed AUTH answer (a digest that is
+  not hex) is a rejected subscription like a wrong one.
 * **One stream.**  Every subscriber is sent every epoch.  A SUBSCRIBE
   that asks for a filtered stream (a ``scope``, gone since wire version 6)
   is refused with an ``ERROR`` frame, never silently widened.
@@ -40,8 +42,6 @@ coordinator ever blocking on a slow client.
 from __future__ import annotations
 
 import asyncio
-import hmac
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -49,10 +49,10 @@ from typing import Optional
 from repro.core.constellation import machine_from_name
 from repro.dist import wire
 from repro.dist.transport import (
-    AUTH_NONCE_BYTES,
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
-    auth_digest,
+    auth_matches,
+    challenge,
     frame,
 )
 from repro.dist.wire import FrameKind
@@ -319,24 +319,14 @@ class StreamGateway:
         if self.auth_secret:
             # Same challenge/response the worker handshake uses, with the
             # client id as the identity bound into the digest.
-            nonce = os.urandom(AUTH_NONCE_BYTES)
-            writer.write(
-                frame(
-                    wire.encode_frame(FrameKind.CHALLENGE, {"nonce": nonce})
-                )
-            )
+            nonce, challenge_frame = challenge()
+            writer.write(frame(challenge_frame))
             await writer.drain()
             data = await asyncio.wait_for(
                 self._read_frame(reader), timeout=self.ack_timeout_s
             )
             kind, auth_meta, _arrays = wire.decode_frame(data)
-            digest = auth_meta.get("digest") if kind is FrameKind.AUTH else None
-            if not (
-                isinstance(digest, bytes)
-                and hmac.compare_digest(
-                    digest, auth_digest(self.auth_secret, nonce, client_id)
-                )
-            ):
+            if not auth_matches(kind, auth_meta, self.auth_secret, nonce, client_id):
                 self.rejected_subscriptions += 1
                 return None
         existing = self._subscriptions.get(client_id)

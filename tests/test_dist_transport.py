@@ -38,13 +38,17 @@ from repro.dist.supervisor import (
     WorkerTimeoutError,
 )
 from repro.dist.transport import (
+    AUTH_NONCE_BYTES,
     MAX_FRAME_BYTES,
+    HandshakeError,
     SocketListener,
     SocketTransport,
     TcpTransportFactory,
     TransportError,
     TransportTimeout,
+    auth_digest,
     connect_transport,
+    verify_auth,
 )
 from repro.dist.wire import FrameKind, WireVersionError
 from repro.hosts import Host
@@ -332,6 +336,69 @@ class TestAuthHandshake:
         finally:
             thread.join(timeout=5.0)
             listener.close()
+
+
+def _challenging_server(nonce_meta):
+    """A one-shot listener that answers HELLO with a CHALLENGE carrying ``nonce_meta``."""
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _addr = server.accept()
+        transport = SocketTransport(conn)
+        try:
+            transport.recv_bytes(timeout=5.0)  # the HELLO
+            transport.send_bytes(wire.encode_frame(FrameKind.CHALLENGE, nonce_meta))
+            transport.recv_bytes(timeout=5.0)  # EOF once the dialer gave up
+        except (EOFError, OSError):
+            pass
+        finally:
+            transport.close()
+            server.close()
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return server.getsockname()[1], thread
+
+
+class TestMalformedChallenge:
+    """The CHALLENGE nonce and the AUTH digest travel as hex strings; a
+    malformed one ends the handshake with a typed error on either side."""
+
+    @pytest.mark.parametrize(
+        "nonce_meta",
+        [{"nonce": 5}, {"nonce": "zz" * AUTH_NONCE_BYTES}, {"nonce": "ab" * (AUTH_NONCE_BYTES - 1)},
+         {"nonce": " a" * AUTH_NONCE_BYTES}, {}],
+        ids=["int", "not-hex", "short", "whitespace", "missing"],
+    )
+    def test_a_malformed_nonce_is_a_handshake_error(self, nonce_meta):
+        port, thread = _challenging_server(nonce_meta)
+        try:
+            with pytest.raises(HandshakeError, match="nonce"):
+                connect_transport("127.0.0.1", port, 0, timeout_s=5.0, auth_secret="orbital")
+        finally:
+            thread.join(timeout=5.0)
+
+    @pytest.mark.parametrize(
+        "digest", ["not hex", "zz" * 32, "ab" * 31, 5, None, "valid"]
+    )
+    def test_only_the_hex_of_the_right_digest_passes(self, digest):
+        server, dialer = _transport_pair()
+
+        def answer():
+            _kind, meta, _arrays = wire.decode_frame(dialer.recv_bytes(timeout=5.0))
+            reply = digest
+            if digest == "valid":
+                reply = auth_digest("orbital", meta["nonce"], "worker-0")
+            dialer.send_bytes(wire.encode_frame(FrameKind.AUTH, {"digest": reply}))
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        try:
+            assert verify_auth(server, "orbital", "worker-0", 5.0) is (digest == "valid")
+        finally:
+            thread.join(timeout=5.0)
+            server.close()
+            dialer.close()
 
 
 class TestFactories:

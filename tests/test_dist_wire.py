@@ -7,10 +7,15 @@ from a different protocol generation are rejected before any payload is
 deserialised, and a malformed record is refused before any manager sees it.
 """
 
+import copy
 import dataclasses
 import importlib
+import json
+import math
 import pickle
 import struct
+import types
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    BoundingBox,
     Configuration,
     ConstellationCalculation,
     ConstellationDatabase,
@@ -29,6 +35,9 @@ from repro.core.config import ComputeParams
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
+from repro.dist.backend import ProcessFanoutBackend
+from repro.dist.supervisor import WorkerRemoteError
+from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -42,6 +51,8 @@ from repro.dist.worker import _Worker
 from repro.hosts import Host
 from repro.microvm import CPUQuota, MachineBatch, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
+from repro.serve.client import SubscriptionClient
+from repro.serve.gateway import GatewayServer
 from repro.sim.rng import key_root
 
 # NumPy warns while parsing its deprecated "a" alias of "S", before the kind is refused.
@@ -146,9 +157,9 @@ def _forge_frame(
 ):
     """Build a frame by hand so descriptors/counters can lie."""
     if blob is None:
-        blob = wire.encode_blob(
+        blob = json.dumps(
             {"meta": meta if meta is not None else {}, "arrays": list(descriptors)}
-        )
+        ).encode()
     count = len(descriptors) if array_count is None else array_count
     header = struct.pack("<4sHBBII", magic, version, kind, flags, len(blob), count)
     return header + blob + payload
@@ -231,10 +242,10 @@ class TestForgedDescriptors:
                 decode_frame(frame)
 
     def test_descriptor_table_and_meta_type_validated(self):
-        blob = wire.encode_blob({"meta": {}, "arrays": 3})
+        blob = b'{"meta":{},"arrays":3}'
         with pytest.raises(WireError, match="descriptor"):
             decode_frame(_forge_frame(blob=blob, array_count=3))
-        blob = wire.encode_blob({"meta": ["not", "a", "dict"], "arrays": []})
+        blob = b'{"meta":["not","a","dict"],"arrays":[]}'
         with pytest.raises(WireError, match="not a dict"):
             decode_frame(_forge_frame(blob=blob, array_count=0))
 
@@ -250,10 +261,76 @@ class TestForgedDescriptors:
             decode_frame(frame)
 
 
+def _meta_frame(text: bytes) -> bytes:
+    """A frame whose metadata region is ``text``, verbatim."""
+    return _forge_frame(blob=text, array_count=0)
+
+
+class _InProcessFactory(TcpTransportFactory):
+    """Workers that run in this process: a frame is served as it is sent."""
+
+    def spawn(self, worker_index, spec):
+        return None, _Loopback(worker_index, spec)
+
+
+class _Loopback:
+    """The driver's end of an in-process worker's connection."""
+
+    class _WorkerEnd:
+        def __init__(self, inbox, outbox):
+            self.inbox, self.outbox = inbox, outbox
+
+        def recv_bytes(self):
+            if not self.inbox:
+                raise EOFError  # run() returns; the next frame runs it again
+            return self.inbox.popleft()
+
+        def send_bytes(self, data):
+            self.outbox.append(data)
+
+    def __init__(self, worker_index, spec):
+        self.frames, self.replies = deque(), deque()
+        kind, meta, arrays = decode_frame(spec)
+        assert kind is FrameKind.SPEC
+        end = self._WorkerEnd(self.frames, self.replies)
+        self.worker = _Worker(worker_index, wire.decode_spec(meta, arrays), end)
+
+    def send_bytes(self, data):
+        self.frames.append(data)
+        self.worker.run()
+
+    def poll(self, timeout=0.0):
+        return bool(self.replies)
+
+    def recv_bytes(self, timeout=None):
+        return self.replies.popleft()
+
+    def close(self):
+        pass
+
+
+def _gateway_config() -> Configuration:
+    return Configuration(
+        shells=(
+            ShellConfig(
+                name="iridium",
+                geometry=ShellGeometry(6, 11, 780.0, 90.0, 180.0),
+                compute=ComputeParams(vcpu_count=1, memory_mib=1024),
+            ),
+        ),
+        ground_stations=(
+            GroundStationConfig(station=GroundStation("hawaii", 21.3, -157.9)),
+            GroundStationConfig(station=GroundStation("buoy-0", 10.0, -160.0)),
+        ),
+        bounding_box=BoundingBox(-35.0, 35.0, -180.0, -100.0),
+        update_interval_s=60.0,
+    )
+
+
 class TestSafeBlobCodec:
-    """The metadata blob uses a closed-type-set codec by default — the
-    deserialisation boundary an unauthenticated peer can reach must never
-    construct objects or call anything."""
+    """The metadata is one JSON object, the deserialisation boundary an
+    unauthenticated peer can reach: it builds plain data only, and a forged
+    one is a :class:`WireError` — never another exception."""
 
     def test_roundtrip_closed_type_set(self):
         meta = {
@@ -264,73 +341,155 @@ class TestSafeBlobCodec:
             "big": 2**63 - 1,
             "neg_big": -(2**63),
             "pi": 3.5,
-            "name": "gateway",
-            "raw": b"\x00\xff\x80",
+            "tiny": 5e-324,
+            "negative_zero": -0.0,
+            "name": "gateway ✓",
             "seq": [1, "two", 3.0],
-            "pair": (4, 5),
-            7: "int-key",
-            "nested": {"deep": {"er": (None, b"x")}},
+            "nested": {"deep": {"er": [None, "x"]}},
         }
         kind, out, arrays = decode_frame(encode_frame(FrameKind.PING, meta))
         assert kind is FrameKind.PING
         assert out == meta
         assert arrays == []
-        assert isinstance(out["pair"], tuple)
-        assert isinstance(out["seq"], list)
-        assert isinstance(out["raw"], bytes)
-
-    def test_numpy_scalars_coerced_to_python(self):
-        meta = {"i": np.int64(9), "f": np.float64(2.5), "b": np.bool_(True)}
-        _, out, _ = decode_frame(encode_frame(FrameKind.PING, meta))
-        assert out == {"i": 9, "f": 2.5, "b": True}
-        assert type(out["i"]) is int
-        assert type(out["f"]) is float
-        assert type(out["b"]) is bool
+        assert [type(out[key]) for key in ("small", "pi", "on")] == [int, float, bool]
+        assert struct.pack("<d", out["negative_zero"]) == struct.pack("<d", -0.0)
+        # JSON has one sequence type: a tuple is sent as a list.
+        _, out, _ = decode_frame(encode_frame(FrameKind.PING, {"pair": (4, 5)}))
+        assert out == {"pair": [4, 5]}
 
     def test_blob_truncations_raise_wire_error(self):
-        blob = wire.encode_blob({"meta": {"k": [1, 2.5, "three"]}, "arrays": []})
-        for cut in range(len(blob)):
+        text = json.dumps({"meta": {"k": [1, 2.5, "three"]}, "arrays": []}).encode()
+        for cut in range(len(text)):
             with pytest.raises(WireError):
-                wire.decode_blob(blob[:cut])
+                decode_frame(_meta_frame(text[:cut]))
 
-    def test_forged_sequence_count_rejected(self):
-        # A count claiming more elements than remaining bytes must fail the
-        # bounds check, not allocate or loop on garbage.
-        blob = b"l" + struct.pack("<I", 2**31)
-        with pytest.raises(WireError, match="truncated"):
-            wire.decode_blob(blob)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"meta":{"name":"\xff\xfe"},"arrays":[]}',
+            b'{"meta":{"x":NaN},"arrays":[]}',
+            b'{"meta":{"x":Infinity},"arrays":[]}',
+            b'{"meta":{"x":-Infinity},"arrays":[]}',
+            b'{"meta":{"x":1e400},"arrays":[]}',
+            b'{"meta":{"x":' + str(2**63).encode() + b'},"arrays":[]}',
+            b'{"meta":{"x":' + b"7" * 5000 + b'},"arrays":[]}',
+            b'[{"meta":{},"arrays":[]}]',
+            b'{"meta":{},"arrays":[]} {}',
+            b'{"meta":{},"arrays":[]}\x00',
+            b'{"meta":{}}',
+            b"\xef\xbb\xbf{}",
+        ],
+        ids=[
+            "invalid-utf8", "nan", "infinity", "minus-infinity", "overflowing-float",
+            "int-2**63", "int-5000-digits", "top-level-list", "left-over-object",
+            "left-over-byte", "no-arrays", "byte-order-mark",
+        ],
+    )
+    def test_forged_metadata_is_a_wire_error(self, text):
+        with pytest.raises(WireError, match="metadata"):
+            decode_frame(_meta_frame(text))
 
     def test_deep_nesting_rejected(self):
-        blob = b"l" + struct.pack("<I", 1)
-        for _ in range(100):
-            blob += b"l" + struct.pack("<I", 1)
-        blob += b"N"
-        with pytest.raises(WireError, match="deeply"):
-            wire.decode_blob(blob)
+        for opener, closer in ((b"[", b"]"), (b'{"a":', b"}")):
+            nested = opener * 100_000 + b"0" + closer * 100_000
+            with pytest.raises(WireError, match="metadata"):
+                decode_frame(_meta_frame(b'{"meta":{"x":' + nested + b'},"arrays":[]}'))
 
-    def test_integers_outside_64_bits_are_refused_both_ways(self):
-        # The blob's integers are signed 64-bit: a wider one is a TypeError
-        # at the sender, and the retired arbitrary-precision tag "I" is an
-        # unknown tag at the receiver.
+    def test_integers_outside_64_bits_are_refused(self):
+        # Refused where they are parsed; the signed 64-bit bounds themselves pass.
         for value in (2**63, -(2**63) - 1, 2**127 - 1):
-            with pytest.raises(TypeError, match="64-bit"):
-                encode_frame(FrameKind.ACK, {"rows": value})
-        wide = b"I\x00" + struct.pack("<I", 16) + (2**127 - 1).to_bytes(16, "little")
-        blob = wire.encode_blob({"meta": {"rows": 7}, "arrays": []})
-        blob = blob.replace(b"i" + struct.pack("<q", 7), wide)
-        with pytest.raises(WireError, match="unknown metadata blob tag"):
-            decode_frame(_forge_frame(blob=blob, array_count=0))
-        with pytest.raises(WireError, match="unknown metadata blob tag"):
-            wire.decode_blob(wide)
+            with pytest.raises(WireError, match="64 bits"):
+                decode_frame(encode_frame(FrameKind.ACK, {"rows": value}))
+        for value in (2**63 - 1, -(2**63)):
+            assert decode_frame(encode_frame(FrameKind.ACK, {"rows": value}))[1] == {"rows": value}
 
-    def test_unhashable_dict_key_rejected(self):
-        # dict with one entry whose key is a list — encodable tag-wise,
-        # unhashable on decode.
-        blob = b"d" + struct.pack("<I", 1)
-        blob += b"l" + struct.pack("<I", 0)  # key: []
-        blob += b"N"  # value: None
-        with pytest.raises(WireError, match="unhashable"):
-            wire.decode_blob(blob)
+    def test_non_finite_floats_are_refused_at_the_sender(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                encode_frame(FrameKind.PING, {"now_s": value})
+
+    def test_every_frame_kinds_real_meta_roundtrips(self, monkeypatch):
+        # Every frame a testbed run sends — the driver's, the in-process
+        # workers', the gateway's and a subscriber's — decodes to the meta
+        # its sender built.
+        sent = []
+        encode = wire.encode_frame
+
+        def recording(kind, meta=None, arrays=()):
+            frame = encode(kind, meta, arrays)
+            sent.append((kind, copy.deepcopy(meta), frame))
+            return frame
+
+        monkeypatch.setattr(wire, "encode_frame", recording)
+        config = _gateway_config()
+        managers = [MachineManager(Host(index=i, allow_memory_overcommit=True)) for i in range(3)]
+        coordinator = Coordinator(
+            config, ConstellationCalculation(config), ConstellationDatabase(), managers,
+            parallelism="processes", worker_count=2, transport=_InProcessFactory(),
+        )
+        try:
+            coordinator.create_ground_stations(0.0)
+            coordinator.update(0.0)
+            with GatewayServer(coordinator.database) as server:
+                with SubscriptionClient(*server.address, client_id="c") as client:
+                    client.sync_to_epoch(coordinator.database.epoch)
+                    for now in (60.0, 120.0):
+                        coordinator.update(now)
+                        coordinator.sample_all_usage(now)
+                    client.sync_to_epoch(coordinator.database.epoch)
+                    assert "delay_ms" in client.query("hawaii", "buoy-0")
+            assert set(coordinator._backend.worker_counters()) == {0, 1, 2}
+        finally:
+            coordinator.close()
+        for kind, meta, frame in sent:
+            assert decode_frame(frame)[:2] == (kind, meta if meta is not None else {})
+        assert {kind for kind, _meta, _frame in sent} >= {
+            FrameKind.SPEC, FrameKind.CONTROL, FrameKind.APPLY_EPOCH, FrameKind.SAMPLE_USAGE,
+            FrameKind.ACK, FrameKind.KEYFRAME, FrameKind.DIFF, FrameKind.SUBSCRIBE,
+            FrameKind.SUBSCRIBE_ACK, FrameKind.QUERY, FrameKind.RESULT, FrameKind.PING,
+        }
+
+
+def _ping_backend(forged: tuple[FrameKind, dict]) -> ProcessFanoutBackend:
+    """An in-process worker pool whose worker 0 answers the next request with ``forged``."""
+    backend = ProcessFanoutBackend(
+        [MachineManager(Host(index=i)) for i in range(2)], transport=_InProcessFactory()
+    )
+    backend.supervisor._handles[0].conn.replies.append(encode_frame(*forged))
+    return backend
+
+
+class TestAckChecks:
+    """A worker may be remote, so its acknowledgement is network input: a
+    malformed one is a :class:`WorkerCrashError`, the path a corrupt frame
+    takes, and the worker restarts from the replica."""
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            (FrameKind.ERROR, {"seq": 1}),
+            (FrameKind.ACK, {"seq": 1, "counters": [], "deferred_errors": [5]}),
+            (FrameKind.ACK, {"seq": 1, "counters": 7}),
+        ],
+        ids=["error-without-traceback", "non-string-deferred-errors", "counters-not-pairs"],
+    )
+    def test_a_malformed_ack_restarts_the_worker(self, forged):
+        backend = _ping_backend(forged)
+        try:
+            counters = backend.worker_counters()
+            assert backend.restart_count == 1
+            assert counters == {i: backend._managers[i].counters_snapshot() for i in (0, 1)}
+        finally:
+            backend.close()
+
+    def test_a_well_formed_error_is_still_a_remote_error(self):
+        backend = _ping_backend((FrameKind.ERROR, {"seq": 1, "traceback": "Boom"}))
+        try:
+            with pytest.raises(WorkerRemoteError, match="Boom"):
+                backend.worker_counters()
+            assert backend.restart_count == 0
+        finally:
+            backend.close()
 
 
 _CANARY_CALLS: list[str] = []
@@ -354,7 +513,9 @@ class TestPickleGating:
     unflagged frame are just a malformed blob."""
 
     def test_pickled_blob_refused_by_default(self, monkeypatch):
-        monkeypatch.setattr(wire, "decode_blob", lambda data: pytest.fail("blob decoded"))
+        monkeypatch.setattr(
+            wire, "_META_DECODER", types.SimpleNamespace(decode=lambda text: pytest.fail("blob decoded"))
+        )
         blob = pickle.dumps({"meta": {"x": 1}, "arrays": []}, protocol=5)
         for flags in (0x01, 0x80, 0xFF):
             with pytest.raises(WireError, match="flags"):
@@ -381,14 +542,14 @@ class TestPickleGating:
     def test_rich_payloads_are_a_type_error(self):
         # Outside the closed type set the sender fails; no byte is produced.
         for value in ({1, 2}, _Canary(), np.arange(3), object()):
-            with pytest.raises(TypeError, match="safe metadata blob"):
+            with pytest.raises(TypeError, match="not JSON serializable"):
                 encode_frame(FrameKind.SPEC, {"spec": value})
 
     def test_safe_payloads_are_never_flagged(self):
         for meta in (
             {},
             {"client": "c1", "scope": {"tables": True}},
-            {"nonce": b"\x01" * 16, "digest": b"\x02" * 32},
+            {"nonce": "01" * 16, "digest": "02" * 32},
             {"rows": 2**63 - 1, "epoch": -(2**63)},
         ):
             frame = encode_frame(FrameKind.SUBSCRIBE, meta)
@@ -665,8 +826,10 @@ def _ack_reference_frame() -> bytes:
         {"now_s": 5.0, "setup_phase": False, "applying_update": True, "sample_index": [3, 0, 7]},
         [],
     )
-    counters = {position: manager.counters_snapshot() for position, manager in worker.by_position.items()}
-    return encode_frame(FrameKind.ACK, {"seq": 4, "counters": counters, **checksums})
+    sent = []
+    worker.conn = types.SimpleNamespace(send_bytes=sent.append)
+    worker._ack(4, checksums)
+    return sent[0]
 
 
 def _record_reference_frame() -> bytes:

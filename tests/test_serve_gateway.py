@@ -32,7 +32,7 @@ from repro.core import (
 from repro.orbits import GroundStation, ShellGeometry
 from repro.dist import wire
 from repro.scenarios import west_africa_configuration
-from repro.dist.transport import LENGTH_PREFIX, frame as stream_frame
+from repro.dist.transport import LENGTH_PREFIX, SocketTransport, frame as stream_frame
 from repro.serve import EpochSnapshot
 from repro.serve.client import SubscriptionClient, SubscriptionError
 from repro.serve.gateway import GatewayError, GatewayServer, StreamGateway, _Subscription
@@ -316,6 +316,53 @@ class TestAuth:
                 SubscriptionClient(
                     host, port, client_id="mallory", auth_secret="wrong", timeout_s=5.0
                 )
+            stats = server.statistics()
+            assert stats["rejected_subscriptions"] == 1
+            assert stats["subscriptions"] == 0
+
+
+    def test_a_malformed_challenge_is_a_subscription_error(self):
+        # A CHALLENGE whose nonce is not the hex of AUTH_NONCE_BYTES bytes.
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _addr = server.accept()
+            transport = SocketTransport(conn)
+            try:
+                transport.recv_bytes(timeout=5.0)  # the SUBSCRIBE
+                transport.send_bytes(wire.encode_frame(wire.FrameKind.CHALLENGE, {"nonce": 5}))
+                transport.recv_bytes(timeout=5.0)  # EOF once the client gave up
+            except (EOFError, OSError):
+                pass
+            finally:
+                transport.close()
+                server.close()
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            with pytest.raises(SubscriptionError, match="nonce"):
+                SubscriptionClient(
+                    "127.0.0.1", server.getsockname()[1], client_id="c",
+                    auth_secret="orbital", timeout_s=5.0,
+                )
+        finally:
+            thread.join(timeout=5.0)
+
+    @pytest.mark.parametrize("digest", ["not hex", "zz" * 32, 5])
+    def test_a_digest_that_is_not_hex_is_a_rejected_subscription(self, testbed_core, digest):
+        _, _, database, _ = testbed_core
+        with GatewayServer(database, auth_secret="orbital") as server:
+            transport = SocketTransport(socket.create_connection(server.address, timeout=5.0))
+            try:
+                transport.send_bytes(wire.encode_frame(wire.FrameKind.SUBSCRIBE, {"client": "m"}))
+                kind, _meta, _arrays = wire.decode_frame(transport.recv_bytes(timeout=5.0))
+                assert kind is wire.FrameKind.CHALLENGE
+                transport.send_bytes(wire.encode_frame(wire.FrameKind.AUTH, {"digest": digest}))
+                with pytest.raises(EOFError):  # dropped, nothing streamed
+                    transport.recv_bytes(timeout=5.0)
+            finally:
+                transport.close()
             stats = server.statistics()
             assert stats["rejected_subscriptions"] == 1
             assert stats["subscriptions"] == 0
