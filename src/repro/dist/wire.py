@@ -221,7 +221,10 @@ WIRE_MAGIC = b"CLW1"
 #: 15: the metadata is compact JSON instead of the hand-written blob codec;
 #: an ``ACK`` carries its per-host answers as ``[position, value]`` pairs and
 #: the ``CHALLENGE`` nonce and ``AUTH`` digest travel as hex strings.
-WIRE_VERSION = 15
+#: 16: a ``DIFF``'s link masks travel as packed bits or as ascending
+#: positions, whichever is smaller; with residual delays its delay-changed
+#: mask is the XOR with the links that have a step.
+WIRE_VERSION = 16
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

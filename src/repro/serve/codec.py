@@ -21,15 +21,20 @@ Frame layout
 
 Server and replica share one *canonical link order*: links normalised to
 ``node_a < node_b``, ascending by ``node_a * node_count + node_b``
-(``NetworkGraph.sorted_edge_ids``).  A frame names a link by its position
-in that order — one bit of an ``np.packbits`` mask (none set: an empty
-array) — so a DIFF means something only to a replica that holds the
-previous epoch's links: its meta carries the link counts before and after,
-and a frame that does not chain is a :class:`CodecError`.  A delay array
-travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps when every value is
-a non-negative multiple of the grid below 2**32 steps — every delay the
-pipeline computes — and as its ``float64`` values otherwise; the array's
-dtype in the frame says which, so off-grid delays stay bit-exact.
+(``NetworkGraph.sorted_edge_ids``).  A frame names a set of links by their
+positions in that order, as a *link mask* in whichever of two forms is
+smaller: the ``np.packbits`` bits (``uint8``, ``(n + 7) // 8`` bytes over
+``n`` links) or the strictly ascending positions themselves (``uint16``
+when ``n <= 65,536``, else ``uint32``).  The dtype says which; anything
+else — positions out of order, repeated or ``>= n`` — is a
+:class:`CodecError`.  A DIFF therefore means something only to a replica
+that holds the previous epoch's links: its meta carries the link counts
+before and after, and a frame that does not chain is a :class:`CodecError`.
+A delay array travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps when
+every value is a non-negative multiple of the grid below 2**32 steps —
+every delay the pipeline computes — and as its ``float64`` values
+otherwise; the array's dtype in the frame says which, so off-grid delays
+stay bit-exact.
 
 Satellites move smoothly, so a link's delay count ``c`` is close to linear
 over three epochs.  A link's *step* in epoch ``k`` is ``c[k] - c[k-1]`` when
@@ -42,7 +47,11 @@ the residual ``c[k] - (c[k-1] + step[k-1])``: as ``int8`` residuals when the
 encoder holds the previous epoch's steps, every delay involved is on the
 grid, and that is smaller than ``uint32`` counts — a replica that joined
 mid-stream predicts exactly as one that never left, and the DIFF is still
-encoded once for both.
+encoded once for both.  The same steps predict *which* links change: in
+that residual mode the delay-changed mask is sent as its XOR with the
+links whose held step is not 0 (after the removed / added merge; an added
+link's step is 0), which leaves the few links that started or stopped
+changing.
 
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
 ``shells`` (those with an activity flip).
@@ -51,32 +60,35 @@ encoded once for both.
 #  array             dtype                 meaning                     mask
                                                                        order
 == ================= ===================== =========================== ========
-0  removed           uint8 (packed)        links that disappeared      previous
-1  added             uint8 (packed)        links that appeared         current
+0  removed           uint8 (bits) |        links that disappeared      previous
+                     uint16 | uint32
+                     (positions)
+1  added             bits or positions     links that appeared         current
 2  added node_a      int32                 their lower endpoints
 3  added node_b      int32                 their higher endpoints
 4  added delay       uint32 | float64      their delays
 5  added bandwidth   float64               their bandwidths [kbps]
 6  added type        int8                  their link type codes
-7  delay changed     uint8 (packed)        surviving links, new delay  current
+7  delay changed     bits or positions     surviving links, new delay  current
+                                           — with ``int8`` array 8,
+                                           XOR the links with a step
 8  new delay         int8 | uint32 |       those delays: residuals,
                      float64               counts or values
 9  escapes           int16 | int32 | int64 the residuals array 8 marks
                                            ``-128``, in order (else
                                            empty)
-10 bandwidth changed uint8 (packed)        surviving links, new b/w    current
+10 bandwidth changed bits or positions     surviving links, new b/w    current
 11 new bandwidth     float64               those bandwidths [kbps]
 12 activated         int64, per shell      satellite ids entering the
                                            box
 .. deactivated       int64, per shell      satellite ids leaving the box
 == ================= ===================== =========================== ========
 
-Value arrays hold one entry per set bit of their mask, in mask order.  The
+Value arrays hold one entry per link of their mask, in mask order.  The
 replica applies *removed* (a mask over the links it holds), then *added*
-(a mask over the new order: kept links fill the clear positions, added
-ones the set positions), then *delay changed* and *bandwidth changed*
-(masks over the new order), then the activity flips.  Added links carry
-absolute delays and a step of 0.
+(a mask over the new order: kept links fill the other positions), then
+*delay changed* and *bandwidth changed* (masks over the new order), then
+the activity flips.  Added links carry absolute delays and a step of 0.
 
 ``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
 ``satellites`` (each shell's mask length); arrays in canonical order:
@@ -94,7 +106,7 @@ absolute delays and a step of 0.
                                              narrowest width
 6  palette     float64                       the distinct bandwidths (empty
                                              with a ``float64`` column)
-7  activity    uint8 (packed), per shell     bounding-box activity masks
+7  activity    uint8 (bits), per shell       bounding-box activity masks
 == =========== ============================= ================================
 
 The bandwidth column travels as ``uint8`` indices when the links have at
@@ -224,13 +236,15 @@ class EpochUpdate:
 _GRID_STEPS_PER_MS = 1.0 / DELAY_GRID_MS
 #: 2**32 grid steps: the first delay a ``uint32`` count cannot hold.
 _GRID_LIMIT_MS = 2**32 * DELAY_GRID_MS
-_NO_LINKS = np.empty(0, dtype=np.uint8)
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+#: The dtypes of a link mask's positions, over at most 2**16 links and more.
+_POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
 _NO_ESCAPES = np.empty(0, dtype=np.int16)
 _NO_PALETTE = np.empty(0, dtype=np.float64)
 #: The ``int8`` residual that marks an escaped one.
 _ESCAPE = -128
-#: A mask of at most one link in this many is built from the links'
-#: positions, and a merge of that few additions and removals copies the runs
+#: The positions of at most one link in this many are searched for one by
+#: one, and a merge of that few additions and removals copies the runs
 #: between them: per-link work that beats a pass over every link while the
 #: links are few (an epoch's handovers over thousands of links).
 _FEW_LINKS_PER = 512
@@ -322,48 +336,77 @@ def _pack_nodes(node_a: np.ndarray, node_b: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _pack_positions(graph: "NetworkGraph", edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``edge_ids`` as a packed mask over ``graph``'s canonical link order,
-    and the same ids sorted into that order."""
+    """The ascending positions of ``edge_ids`` in ``graph``'s canonical link
+    order, and the same ids sorted into that order."""
     if not edge_ids.size:
-        return _NO_LINKS, edge_ids
+        return _NO_POSITIONS, edge_ids
     order = graph.sorted_edge_ids
-    chosen = np.zeros(order.size, dtype=bool)
     if edge_ids.size * _FEW_LINKS_PER <= order.size:
         positions = graph.canonical_positions(edge_ids)
-        chosen[positions] = True
-        return np.packbits(chosen), edge_ids[np.argsort(positions)]
+        ascending = np.argsort(positions)
+        return positions[ascending], edge_ids[ascending]
+    chosen = np.zeros(order.size, dtype=bool)
     chosen[edge_ids] = True
-    mask = chosen[order]
-    return np.packbits(mask), order[np.flatnonzero(mask)]  # faster than order[mask]
+    positions = np.flatnonzero(chosen[order])
+    return positions, order[positions]
 
 
-def _unpack_mask(packed: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
-    """The boolean mask over ``length`` positions that a frame carries packed
-    (empty: no bit set); each of ``values`` must hold one entry per set bit."""
-    if not packed.size:
-        mask = np.zeros(length, dtype=bool)
-    elif packed.dtype == np.uint8 and packed.shape == ((length + 7) // 8,):
-        mask = np.unpackbits(packed, count=length).view(bool)
-    else:
+def _positions_dtype(length: int) -> np.dtype:
+    return _POSITIONS[length > 2**16]
+
+
+def _pack_mask(positions: np.ndarray, length: int) -> np.ndarray:
+    """A link mask on the wire: ascending ``positions`` among ``length`` as
+    packed bits or as themselves, whichever is smaller."""
+    dtype = _positions_dtype(length)
+    if positions.size * dtype.itemsize < (length + 7) // 8:
+        return positions.astype(dtype)
+    bits = np.zeros(length, dtype=bool)
+    bits[positions] = True
+    return np.packbits(bits)
+
+
+def _unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
+    """The boolean mask over ``length`` positions that ``packed`` bits hold."""
+    if packed.dtype != np.uint8 or packed.shape != ((length + 7) // 8,):
         raise CodecError(f"a {packed.dtype}{packed.shape} mask does not cover {length} positions")
-    chosen = int(np.count_nonzero(mask))
+    return np.unpackbits(packed, count=length).view(bool)
+
+
+def _unpack_mask(mask: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
+    """The ascending positions among ``length`` that a link mask names (either
+    form; module docstring); each of ``values`` must hold one entry per
+    position."""
+    if mask.dtype == np.uint8:
+        positions = np.flatnonzero(_unpack_bits(mask, length))
+    elif mask.dtype == _positions_dtype(length) and mask.ndim == 1:
+        positions = mask.astype(np.intp)
+        if positions.size and (
+            int(positions[-1]) >= length or (positions[1:] <= positions[:-1]).any()
+        ):
+            raise CodecError(f"link positions must ascend strictly and stay below {length}")
+    else:
+        raise CodecError(
+            f"a {mask.dtype}{mask.shape} link mask: {length} links travel as uint8 bits "
+            f"or 1-D {_positions_dtype(length)} positions"
+        )
     for array in values:
-        if array.shape != (chosen,):
-            raise CodecError(f"{array.shape} values for a mask with {chosen} bits set")
-    return mask
+        if array.shape != positions.shape:
+            raise CodecError(f"{array.shape} values for a mask of {positions.size} links")
+    return positions
 
 
 def _delay_change(topology: "TopologyDiff", previous_on_grid: bool):
-    """The delay-changed links of a diff in canonical order: their packed
-    mask, current and previous edge ids, new delays (``uint32`` counts or
+    """The delay-changed links of a diff in canonical order: their positions,
+    current and previous edge ids, new delays (``uint32`` counts or
     ``float64`` values) and steps (None: a delay involved is off the grid).
     ``previous_on_grid``: every delay of the previous graph is on the grid."""
     current = topology.current
-    mask, changed = _pack_positions(current, topology.delay_changed)
+    positions, changed = _pack_positions(current, topology.delay_changed)
     delays = current.delays_ms[changed]
     counts = _grid_counts(delays)
     if counts is None:
-        return mask, changed, None, delays, None
+        return positions, changed, None, delays, None
     was = changed
     if topology.delay_changed_previous is not topology.delay_changed:  # ids moved
         lookup = np.empty(current.total_links(), dtype=np.int64)
@@ -371,7 +414,7 @@ def _delay_change(topology: "TopologyDiff", previous_on_grid: bool):
         was = lookup[changed]
     before = (_counts if previous_on_grid else _grid_counts)(topology.previous.delays_ms[was])
     steps = None if before is None else np.subtract(counts, before, dtype=np.int64)
-    return mask, changed, was, counts, steps
+    return positions, changed, was, counts, steps
 
 
 def _steps_by_edge(topology: "TopologyDiff", changed: np.ndarray, steps) -> np.ndarray:
@@ -390,12 +433,39 @@ def delay_steps(diff: "ConstellationDiff") -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpochSteps:
-    """One epoch's steps by edge id (module docstring), and whether every
-    delay of that epoch's graph is on the grid — then the next DIFF need not
-    check the delays it changes from."""
+    """One epoch's steps by edge id (module docstring), whether every delay
+    of that epoch's graph is on the grid — then the next DIFF need not check
+    the delays it changes from — and how many of its links have a step."""
 
     by_edge: np.ndarray
     on_grid: bool
+    stepped: int
+
+
+def _surprises(
+    topology: "TopologyDiff",
+    steps: EpochSteps,
+    changed: np.ndarray,
+    held: np.ndarray,
+    removed: np.ndarray,
+    added: np.ndarray,
+) -> np.ndarray:
+    """Array 7 in residual mode: the positions of the ``changed`` links XOR
+    those of the links that survive with a step in ``steps``, the previous
+    epoch's.  ``held`` is each changed link's step there; ``removed`` and
+    ``added`` are the diff's positions."""
+    started = changed[held == 0]
+    # A link that stopped changing is rarer still: count before looking.
+    survived = steps.stepped - np.count_nonzero(steps.by_edge[topology.links_removed])
+    if survived == changed.size - started.size:
+        return started
+    stopped = steps.by_edge != 0
+    stopped[topology.delay_changed_previous] = stopped[topology.links_removed] = False
+    ranks = topology.previous.canonical_positions(np.flatnonzero(stopped))
+    ranks -= np.searchsorted(removed, ranks)  # among the kept links
+    # The i-th added link follows added[i] - i kept ones.
+    stopped = ranks + np.searchsorted(added - np.arange(added.size), ranks, side="right")
+    return np.sort(np.concatenate([started, stopped]))
 
 
 def encode_keyframe_update(
@@ -442,65 +512,67 @@ def encode_diff_update(
     previous_on_grid = (
         steps.on_grid if steps is not None else _grid_counts(previous.delays_ms) is not None
     )
-    removed_mask, _ = _pack_positions(previous, topology.links_removed)
-    added_mask, added = _pack_positions(current, topology.links_added)
-    added_delays = _pack_delays(current.delays_ms[added])
-    delay_mask, delay_changed, was, delays, new_steps = _delay_change(topology, previous_on_grid)
-    escapes = _NO_ESCAPES
+    removed, _ = _pack_positions(previous, topology.links_removed)
+    added, added_ids = _pack_positions(current, topology.links_added)
+    added_delays = _pack_delays(current.delays_ms[added_ids])
+    changed, changed_ids, was, delays, new_steps = _delay_change(topology, previous_on_grid)
+    delay_mask, escapes = changed, _NO_ESCAPES
     if steps is not None and new_steps is not None:
-        escaped = _escape(new_steps - steps.by_edge[was])
+        held = steps.by_edge[was]
+        escaped = _escape(new_steps - held)
         if escaped is not None:
             delays, escapes = escaped
-    bandwidth_mask, bandwidth_changed = _pack_positions(current, topology.bandwidth_changed)
+            delay_mask = _surprises(topology, steps, changed, held, removed, added)
+    bandwidth_changed, bandwidth_ids = _pack_positions(current, topology.bandwidth_changed)
     # Only shells with a flip travel: an array descriptor costs more than most id lists.
     shells = sorted(
         shell for shell, ids in diff.activated.items() if ids.size or diff.deactivated[shell].size
     )
-    meta = {
-        "epoch": epoch,
-        "time_s": diff.time_s,
-        "links": [previous.total_links(), current.total_links()],
-        "shells": shells,
-    }
+    links = [previous.total_links(), current.total_links()]
+    meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells}
     arrays = (
-        removed_mask,
-        added_mask,
-        *_pack_nodes(current.node_a[added], current.node_b[added]),
+        _pack_mask(removed, links[0]),
+        _pack_mask(added, links[1]),
+        *_pack_nodes(current.node_a[added_ids], current.node_b[added_ids]),
         added_delays,
-        current.bandwidths_kbps[added],
-        current.link_type_codes[added],
-        delay_mask,
+        current.bandwidths_kbps[added_ids],
+        current.link_type_codes[added_ids],
+        _pack_mask(delay_mask, links[1]),
         delays,
         escapes,
-        bandwidth_mask,
-        current.bandwidths_kbps[bandwidth_changed],
+        _pack_mask(bandwidth_changed, links[1]),
+        current.bandwidths_kbps[bandwidth_ids],
         *(diff.activated[shell] for shell in shells),
         *(diff.deactivated[shell] for shell in shells),
     )
     on_grid = previous_on_grid and new_steps is not None and added_delays.dtype == np.uint32
+    # A changed link's step is not 0: its counts before and after differ.
+    stepped = 0 if new_steps is None else changed.size
     return wire.encode_frame(FrameKind.DIFF, meta, arrays), EpochSteps(
-        _steps_by_edge(topology, delay_changed, new_steps), on_grid
+        _steps_by_edge(topology, changed_ids, new_steps), on_grid, stepped
     )
 
 
 def _merge(
-    columns: list[np.ndarray], removed: np.ndarray, added: np.ndarray, fresh: list[np.ndarray]
+    columns: list[np.ndarray], gone: np.ndarray, at: np.ndarray, fresh: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """``columns`` without the ``removed`` links and with the ``added`` ones
-    (masks over the old and the new order), whose values ``fresh`` holds."""
-    gone, at = np.flatnonzero(removed), np.flatnonzero(added)
-    if (gone.size + at.size) * _FEW_LINKS_PER > added.size:
-        kept, surviving = ~removed, ~added
-        merged = [np.empty(added.size, dtype=column.dtype) for column in columns]
+    """``columns`` without the links at positions ``gone`` and with added ones
+    at positions ``at`` of the new order, whose values ``fresh`` holds."""
+    held_count = columns[0].size
+    length = held_count - gone.size + at.size
+    if (gone.size + at.size) * _FEW_LINKS_PER > length:
+        kept, surviving = np.ones(held_count, dtype=bool), np.ones(length, dtype=bool)
+        kept[gone] = surviving[at] = False
+        merged = [np.empty(length, dtype=column.dtype) for column in columns]
         for column, held, new in zip(merged, columns, fresh):
             column[surviving] = held[kept]
-            column[added] = new
+            column[at] = new
         return merged
     # Few: concatenate the runs of kept links between the removed ones, cut
     # where an added link goes (the i-th added link follows at[i] - i kept
     # ones).  A piece is (0, slice) of a held column or (1, slice) of ``fresh``.
     pieces, placed, i, cuts = [], 0, 0, (at - np.arange(at.size)).tolist()
-    for start, stop in zip([0, *(gone + 1).tolist()], [*gone.tolist(), removed.size]):
+    for start, stop in zip([0, *(gone + 1).tolist()], [*gone.tolist(), held_count]):
         while i < len(cuts) and cuts[i] <= placed + stop - start:
             split = start + cuts[i] - placed
             pieces += [(0, slice(start, split)), (1, slice(i, i + 1))]
@@ -613,11 +685,10 @@ class EpochReplica:
             raise CodecError(f"steps travel as signed integers, not {steps.dtype}")
         if any(column.shape != (columns[0].size,) for column in (*columns, steps)):
             raise CodecError("the link arrays of a KEYFRAME differ in length")
-        active = {}
-        for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:]):
-            if not packed.size:  # "no bit set" is a DIFF's shorthand
-                raise CodecError(f"the KEYFRAME has no activity mask for shell {shell}")
-            active[shell] = _unpack_mask(packed, length)
+        active = {
+            shell: _unpack_bits(packed, length)
+            for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:])
+        }
         # Decoded arrays are read-only views of the frame; the replica owns copies.
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
         self._steps = steps.astype(np.int64)
@@ -646,8 +717,8 @@ class EpochReplica:
         shells = meta["shells"]
         if len(arrays) != _DIFF_ARRAYS + 2 * len(shells):
             raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
-        removed, added, *fresh = arrays[:7]  # positions: the module docstring's table
-        delay_changed, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
+        removed, added, *fresh = arrays[:7]  # arrays 0-6 of the module docstring's table
+        delay_mask, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
         added_on_grid = fresh[2].dtype == np.uint32
         fresh[2] = _unpack_delays(fresh[2])
         before, after = meta["links"]
@@ -657,10 +728,11 @@ class EpochReplica:
                 f"resynchronise from a keyframe"
             )
         removed = _unpack_mask(removed, before)
-        if after != before - np.count_nonzero(removed) + fresh[0].size:
+        if after != before - removed.size + fresh[0].size:
             raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
         added = _unpack_mask(added, after, *fresh)
-        delay_changed = np.flatnonzero(_unpack_mask(delay_changed, after, delays))
+        residuals = delays.dtype == np.int8
+        delay_mask = _unpack_mask(delay_mask, after, *(() if residuals else (delays,)))
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
         try:
             active = {shell: self.active[shell].copy() for shell in shells}
@@ -669,10 +741,19 @@ class EpochReplica:
         except (KeyError, IndexError) as error:
             raise CodecError(f"diff for epoch {meta['epoch']} flips unknown satellites") from error
         links, steps = self._links, self._steps
-        if fresh[0].size or removed.any():
+        if added.size or removed.size:
             # An added link's step is 0.
-            fresh.append(np.zeros(fresh[0].size, dtype=np.int64))
+            fresh.append(np.zeros(added.size, dtype=np.int64))
             *links, steps = _merge([*self._links, self._steps], removed, added, fresh)
+        delay_changed = delay_mask
+        if residuals:  # the mask is the surprises: XOR the links with a step
+            stepped = steps != 0
+            stepped[delay_mask] ^= True
+            delay_changed = np.flatnonzero(stepped)
+            if delay_changed.size != delays.size:
+                raise CodecError(
+                    f"a mask of {delay_changed.size} delay changes for {delays.size} residuals"
+                )
         delays, changed_steps = _decode_delays(
             delays, escapes, links[2][delay_changed], steps[delay_changed], self._on_grid
         )

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     ComputeParams,
@@ -33,7 +33,10 @@ from repro.serve.codec import (
     CodecError,
     EpochUpdate,
     _merge,
+    _pack_mask,
     _pack_positions,
+    _unpack_mask,
+    delay_steps,
     encode_diff_update,
     encode_keyframe_update,
 )
@@ -348,31 +351,84 @@ def chains(draw):
     pairs.  In each epoch a pair is absent, follows its near-linear track of
     grid counts, or holds any of ``DELAYS`` — so links appear, vanish and
     reappear, and delays move on and off the grid between epochs — in either
-    orientation and in any edge order."""
-    pool = draw(st.lists(st.sampled_from(PAIRS), max_size=10, unique_by=frozenset))
-    tracks = {pair: (draw(st.integers(0, 2**31)), draw(st.integers(-4096, 4096))) for pair in pool}
+    orientation and in any edge order.  Some epochs keep the previous one's
+    links, orientation and order: no structural change."""
+    # Up to 24 links: a one-link mask travels as its position (2 B < 3 B of bits).
+    pool = draw(st.lists(st.sampled_from(PAIRS), max_size=24, unique_by=frozenset))
+    tracks = {
+        frozenset(pair): (draw(st.integers(0, 2**31)), draw(st.integers(-4096, 4096)))
+        for pair in pool
+    }
     # How often a link leaves its track: never, in some chains.
     forms = ["track"] * 10 + ["absent"] + ["any"] * draw(st.integers(0, 2))
     epochs = []
     for epoch in range(draw(st.integers(2, 8))):
+        still = list(epochs[-1][0]) if epochs and draw(st.integers(0, 3)) == 0 else None
         links = {}
-        for pair in draw(st.permutations(pool)):
+        for pair in still or draw(st.permutations(pool)):
             form = draw(st.sampled_from(forms))
-            if form == "absent":
+            if form == "absent" and not still:
                 continue
-            if form == "track":
-                start, slope = tracks[pair]
-                delay = min(max(start + slope * epoch + draw(JITTER), 0), 2**32 - 1) * GRID
-            else:
+            if form == "any":
                 delay = draw(DELAYS)
+            else:
+                start, slope = tracks[frozenset(pair)]
+                delay = min(max(start + slope * epoch + draw(JITTER), 0), 2**32 - 1) * GRID
             # A link's type follows from its endpoints, as in the pipeline (a
             # TopologyDiff does not report a surviving pair that changed type).
             link_type = int(max(pair) >= HAND_BUILT_INDEX.satellite_count)
-            links[pair[::-1] if draw(st.booleans()) else pair] = (
-                delay, draw(BANDWIDTHS), link_type
-            )
+            if not still and draw(st.booleans()):
+                pair = pair[::-1]
+            links[pair] = (delay, draw(BANDWIDTHS), link_type)
         epochs.append((links, draw(st.tuples(*[st.booleans()] * 6))))
     return epochs
+
+
+#: Delay counts of five links over nine epochs (None: absent, "off": 0.1 ms,
+#: off the grid).  Epoch 2's DIFF travels absolute; epoch 3 holds the links
+#: and sends residuals for links that all changed, one of them for the first
+#: time; epoch 4 adds a link and one delay leaves the grid (a literal mask),
+#: epoch 5 holds the links and comes back from off the grid (literal again),
+#: epoch 6 holds them and predicts no step, epoch 7 removes a link while
+#: another stops changing, epoch 8 moves that one again, and epoch 9 adds a
+#: link just ahead of it in the link order as it stops once more.
+EXAMPLE_PAIRS = ((0, 1), (1, 2), (2, 6), (2, 7), (3, 4))
+EXAMPLE_COUNTS = [
+    (1000, 2000, None, 3000, None),
+    (1010, 2020, None, 3000, None),
+    (1020, 2040, None, 3030, None),
+    ("off", 2060, None, 3060, 9),
+    (1040, 2080, None, 3090, 9),
+    (1050, 2100, None, 3120, 9),
+    (1060, 2120, None, 3120, None),
+    (1070, 2140, None, 3150, None),
+    (1080, 2160, 500, 3150, None),
+]
+
+
+def _example_chain():
+    def delay(count):
+        return 0.1 if count == "off" else count * GRID
+
+    return [
+        (
+            {
+                pair: (delay(count), 1e4, int(max(pair) >= HAND_BUILT_INDEX.satellite_count))
+                for pair, count in zip(EXAMPLE_PAIRS, counts)
+                if count is not None
+            },
+            (step < 6,) * 6,
+        )
+        for step, counts in enumerate(EXAMPLE_COUNTS)
+    ]
+
+
+@st.composite
+def streams(draw):
+    """A chain, the epoch from whose keyframe a subscriber joins, and the
+    epoch whose DIFF another one misses."""
+    epochs = draw(chains())
+    return epochs, draw(st.integers(1, len(epochs))), draw(st.integers(2, len(epochs)))
 
 
 class TestHandBuiltSequences:
@@ -417,6 +473,49 @@ class TestHandBuiltSequences:
                 expected = EpochSnapshot.from_state(current, epoch)
                 for replica in (*replicas, behind_gap):
                     assert replica.snapshot().same_bits(expected), epoch
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams())
+    @example((_example_chain(), 3, 2))
+    def test_continuous_joined_and_resynced_replicas_agree(self, stream):
+        """Three subscribers of one codec: one never leaves, one joins from
+        the keyframe of epoch ``join``, and one misses the DIFF of epoch
+        ``gap`` — the next is refused — and resyncs from the keyframe that
+        follows, as an evicted subscriber does.  Each is bit-exact at every
+        epoch it holds, whether array 7 travels literal (off-grid delays) or
+        as the XOR with the prediction, with and without structural change.
+        (The example covers each of those.)"""
+        chain, join, gap = stream
+        states = [
+            hand_built_state(links, float(step), active)
+            for step, (links, active) in enumerate(chain)
+        ]
+        codec = ConstellationDatabase().codec
+        continuous, joined, resynced = EpochReplica(), EpochReplica(), EpochReplica()
+        first = codec.keyframe_update(1, states[0], None)
+        for replica in (continuous, resynced, *((joined,) if join == 1 else ())):
+            replica.apply(first)
+        for epoch, (previous, current) in enumerate(zip(states, states[1:]), start=2):
+            diff = hand_built_diff(previous, current)
+            update = codec.diff_update(epoch, diff)
+            continuous.apply(update)
+            if joined.epoch is not None:
+                joined.apply(update)
+            elif epoch == join:
+                joined.apply(codec.keyframe_update(epoch, current, diff))
+            if resynced.epoch == epoch - 1 and epoch != gap:
+                resynced.apply(update)
+            elif epoch != gap:
+                with pytest.raises(CodecError, match="does not chain"):
+                    resynced.apply(update)
+                resynced.apply(codec.keyframe_update(epoch, current, diff))
+            expected = EpochSnapshot.from_state(current, epoch)
+            holding = [
+                replica for replica in (continuous, joined, resynced) if replica.epoch == epoch
+            ]
+            assert len(holding) == 3 - (epoch < join) - (epoch == gap)
+            assert all(replica.snapshot().same_bits(expected) for replica in holding), epoch
+        assert resynced.applied_keyframes == 1 + (gap < len(states))
 
     def test_the_data_alone_chooses_the_delay_coding(self):
         on_grid = {(0, 1): (3 * GRID, 1e4, 0), (1, 2): (4096.0 - GRID, 1e4, 0)}
@@ -492,14 +591,18 @@ class TestFewLinkPaths:
         removed, added = mask(4096, gone), mask(4096 - gone + at, at)
         columns = [rng.integers(0, 99, 4096), rng.random(4096)]
         fresh = [rng.integers(0, 99, at).astype(np.int32), rng.random(at)]
-        for held, new, merged in zip(columns, fresh, _merge(columns, removed, added, fresh)):
+        gone, at_positions = np.flatnonzero(removed), np.flatnonzero(added)
+        for held, new, merged in zip(columns, fresh, _merge(columns, gone, at_positions, fresh)):
             expected = np.empty(added.size, dtype=held.dtype)
             expected[~added] = held[~removed]
             expected[added] = new
             assert merged.dtype == expected.dtype and merged.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("count", [1, 2, 5, 6, 200])
+    @pytest.mark.parametrize("count", [1, 2, 5, 6, 187, 188, 200])
     def test_pack_positions_equals_the_masked_pass(self, count):
+        """3,000 links: up to five are searched for one by one, and a mask of
+        up to 187 travels as ``uint16`` positions (374 B), more as the 375
+        bytes of its bits."""
         rng = np.random.default_rng(count)
         pairs = np.array([(a, b) for a in range(80) for b in range(a + 1, 80)])
         pairs = pairs[rng.permutation(len(pairs))[:3000]]  # edge ids in no particular order
@@ -513,12 +616,42 @@ class TestFewLinkPaths:
             np.zeros(len(pairs), dtype=np.int8),
         )
         edge_ids = np.sort(rng.choice(len(pairs), count, replace=False))
-        packed, ordered = _pack_positions(graph, edge_ids)
+        positions, ordered = _pack_positions(graph, edge_ids)
         chosen = np.zeros(len(pairs), dtype=bool)
         chosen[edge_ids] = True
         mask = chosen[graph.sorted_edge_ids]
-        assert packed.tobytes() == np.packbits(mask).tobytes()
+        assert positions.tolist() == np.flatnonzero(mask).tolist()
         assert ordered.tolist() == graph.sorted_edge_ids[mask].tolist()
+        packed = _pack_mask(positions, len(pairs))
+        if count <= 187:
+            assert packed.dtype == np.uint16 and packed.tolist() == positions.tolist()
+        else:
+            assert packed.tobytes() == np.packbits(mask).tobytes()
+        assert _unpack_mask(packed, len(pairs)).tolist() == positions.tolist()
+
+    @pytest.mark.parametrize(
+        "length,count,dtype",
+        [
+            (0, 0, np.uint8),
+            (1, 0, np.uint16),
+            (1, 1, np.uint8),
+            (17, 1, np.uint16),
+            (16, 1, np.uint8),  # 2 B either way: the bits
+            (2**16, 4095, np.uint16),
+            (2**16, 4096, np.uint8),
+            (2**16 + 1, 2048, np.uint32),
+            (2**16 + 1, 2049, np.uint8),
+        ],
+    )
+    def test_the_size_alone_chooses_the_mask_form(self, length, count, dtype):
+        """Positions travel when strictly smaller than the bits, as ``uint16``
+        over up to 2**16 links and as ``uint32`` over more."""
+        positions = np.linspace(0, length - 1, count).astype(np.intp)
+        assert np.unique(positions).size == count
+        packed = _pack_mask(positions, length)
+        assert packed.dtype == dtype and packed.ndim == 1
+        assert packed.nbytes == (count * packed.itemsize if dtype != np.uint8 else (length + 7) // 8)
+        assert _unpack_mask(packed, length).tolist() == positions.tolist()
 
 
 def _on_track(pair, ahead):
@@ -526,30 +659,39 @@ def _on_track(pair, ahead):
     return (2**20 * (1 + pair[1]) + ahead) * GRID
 
 
+FORGED_INDEX = NodeIndex([12], ["g0", "g1"])
+
+
 class TestForgedFrames:
     """A frame that does not fit the replica raises ``CodecError`` — never an
     ``IndexError`` or a bare ``ValueError`` — and leaves the replica alone."""
 
-    #: Ten links, so a mask is two bytes and can be truncated to a wrong length.
-    LINKED = [(a, b) for a in range(3) for b in range(a + 1, 6)][:10]
+    #: 48 links, so a mask's bits are six bytes and two positions four.
+    LINKED = [(a, b) for a in range(12) for b in range(a + 1, 12)][:48]
     ZERO = {pair: (_on_track(pair, 0), 1e4, 0) for pair in LINKED}
     FIRST = {pair: (_on_track(pair, 500), 1e4, 0) for pair in LINKED}
-    # Every link steps 500 into FIRST.  Eight then step 503 (a residual of
-    # 3), one steps 900 and changes bandwidth (a residual of 400: an
-    # escape), one goes and an off-grid one comes.
+    # Every link steps 500 into FIRST.  Then one steps 900 and changes
+    # bandwidth (a residual of 400: an escape), 42 step 503 (a residual of
+    # 3; one changes bandwidth), three stop, two go and two come, one of
+    # them off the grid.  Removed, added and bandwidth-changed links travel
+    # as two positions; the delay-changed mask is the three that stopped
+    # (six bytes either way: its bits).
     SECOND = {
-        **{pair: (_on_track(pair, 1003), 1e4, 0) for pair in LINKED[1:9]},
         LINKED[0]: (_on_track(LINKED[0], 1400), 2e4, 0),
-        (3, 7): (0.1, 1e4, 1),
+        LINKED[2]: (_on_track(LINKED[2], 1003), 2e4, 0),
+        **{pair: (_on_track(pair, 1003), 1e4, 0) for pair in LINKED[3:44]},
+        **{pair: (_on_track(pair, 500), 1e4, 0) for pair in (*LINKED[44:46], LINKED[47])},
+        (3, 13): (0.1, 1e4, 1),
+        (0, 12): (_on_track((0, 12), 0), 1e4, 1),
     }
 
     def _replica_and_diff(self, held=None):
         """A replica keyed to FIRST at epoch 2 (with its steps), and the
-        decoded epoch 3 DIFF to SECOND.  ``held`` replaces FIRST in the
-        replica only."""
-        zero = hand_built_state(self.ZERO, 0.0)
-        first = hand_built_state(self.FIRST, 1.0)
-        second = hand_built_state(self.SECOND, 2.0, active=(True, False) * 3)
+        decoded epoch 3 DIFF to SECOND.  ``held`` replaces FIRST's delays in
+        the replica only."""
+        zero = hand_built_state(self.ZERO, 0.0, (True,) * 12, FORGED_INDEX)
+        first = hand_built_state(self.FIRST, 1.0, (True,) * 12, FORGED_INDEX)
+        second = hand_built_state(self.SECOND, 2.0, (True, False) * 6, FORGED_INDEX)
         codec = ConstellationDatabase().codec
         lead_in = hand_built_diff(zero, first)
         codec.diff_update(2, lead_in)
@@ -557,11 +699,15 @@ class TestForgedFrames:
         update = codec.diff_update(3, hand_built_diff(first, second))
         _, meta, arrays = wire.decode_frame(update.data)
         assert all(array.size for array in arrays[:12])  # every kind of change occurs
+        assert [arrays[i].dtype for i in (0, 1, 7, 10)] == [np.uint16, np.uint16, np.uint8, np.uint16]
+        assert [arrays[i].nbytes for i in (0, 1, 7, 10)] == [4, 4, 6, 4]
+        assert np.unpackbits(arrays[7]).sum() == 3 and arrays[8].size == 43
         assert arrays[8].dtype == np.int8 and arrays[8].tolist().count(-128) == 1
         assert arrays[9].dtype == np.int16 and arrays[9].tolist() == [400]
-        if held is not None:
+        if held is not None:  # with FIRST's steps, so that the frame's prediction holds
+            state = hand_built_state(held, 1.0, (True,) * 12, FORGED_INDEX)
             keyframe = EpochUpdate(
-                FrameKind.KEYFRAME, 2, encode_keyframe_update(hand_built_state(held, 1.0), 2)
+                FrameKind.KEYFRAME, 2, encode_keyframe_update(state, 2, delay_steps(lead_in))
             )
         replica = EpochReplica()
         replica.apply(keyframe)
@@ -577,9 +723,11 @@ class TestForgedFrames:
         "position,forge",
         [
             pytest.param(7, lambda mask: mask[:-1], id="truncated-mask"),
-            pytest.param(0, lambda mask: np.append(mask, 0).astype(np.uint8), id="long-mask"),
+            pytest.param(7, lambda mask: np.append(mask, 0).astype(np.uint8), id="long-mask"),
             pytest.param(7, lambda mask: mask[:0], id="empty-mask-values-left"),
             pytest.param(10, lambda mask: mask.astype(np.int8), id="mask-dtype"),
+            pytest.param(0, lambda positions: positions[:-1], id="truncated-positions"),
+            pytest.param(10, lambda positions: positions[:0], id="empty-positions-values-left"),
             pytest.param(
                 8, lambda values: np.append(values, values[-1:]), id="extra-trailing-value"
             ),
@@ -587,7 +735,7 @@ class TestForgedFrames:
             pytest.param(5, lambda values: values[:0], id="added-rows-short"),
             pytest.param(8, lambda values: values.astype(np.float32), id="delay-dtype"),
             pytest.param(2, lambda nodes: nodes.reshape(-1, 1), id="endpoint-shape"),
-            pytest.param(13, lambda ids: ids + 6, id="flip-out-of-range"),
+            pytest.param(13, lambda ids: ids + 12, id="flip-out-of-range"),
             pytest.param(9, lambda escapes: np.append(escapes, escapes), id="escapes-too-many"),
             pytest.param(9, lambda escapes: escapes[:0], id="escapes-too-few"),
             pytest.param(
@@ -627,10 +775,44 @@ class TestForgedFrames:
             replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
         assert replica.epoch == 2 and replica.snapshot().same_bits(before)
 
+    @pytest.mark.parametrize(
+        "position,forge,match",
+        [
+            pytest.param(1, lambda positions: positions[::-1], "ascend", id="descending"),
+            pytest.param(1, lambda positions: positions[[0, 0]], "ascend", id="duplicated"),
+            pytest.param(
+                1, lambda positions: np.append(positions[:-1], 48).astype(np.uint16), "below 48",
+                id="beyond-the-links",
+            ),
+            pytest.param(0, lambda positions: positions.astype(np.int16), "int16", id="int16"),
+            pytest.param(0, lambda positions: positions.astype(np.uint32), "uint32", id="wide"),
+            pytest.param(1, lambda positions: positions.astype(np.uint64), "uint64", id="uint64"),
+            pytest.param(
+                10, lambda positions: positions.astype(np.float64), "float64", id="float64"
+            ),
+            pytest.param(1, lambda positions: positions.reshape(1, -1), r"\(1, 2\)", id="2-D"),
+            pytest.param(
+                7, lambda mask: mask ^ np.eye(1, 6, dtype=np.uint8)[0] << 7,
+                "42 delay changes for 43", id="xor-count",
+            ),
+        ],
+    )
+    def test_forged_positions_are_codec_errors(self, position, forge, match):
+        """Positions must ascend strictly below the link count, in the one
+        dtype the link count names; the delay-changed mask of residuals must
+        decode to one link per residual."""
+        replica, _, meta, arrays = self._replica_and_diff()
+        before = replica.snapshot()
+        arrays[position] = forge(arrays[position])
+        data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
+        with pytest.raises(CodecError, match=match):
+            replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
+        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
+
     def test_residuals_onto_off_grid_delays_are_codec_errors(self):
         """Residuals predict from grid counts: a replica that holds a changed
         link's delay off the grid cannot apply them."""
-        off_grid = {pair: (1 / 3 + pair[1], 1e4, 0) for pair in self.LINKED}
+        off_grid = {pair: (1 / 3 + pair[1], *self.FIRST[pair][1:]) for pair in self.LINKED}
         replica, _, meta, arrays = self._replica_and_diff(held=off_grid)
         before = replica.snapshot()
         data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
@@ -688,11 +870,11 @@ class TestFrameBudget:
         "config_factory,step_s,first_diff_budget,diff_budget,keyframe_budget",
         [
             pytest.param(
-                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 11_000, 170_000,
+                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 7_000, 170_000,
                 id="starlink-all-shells",
             ),
             pytest.param(
-                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 1_000, 10_000,
+                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 625, 10_000,
                 id="iridium-dart",
             ),
         ],
@@ -701,7 +883,8 @@ class TestFrameBudget:
         self, config_factory, step_s, first_diff_budget, diff_budget, keyframe_budget
     ):
         """The first DIFF after the diff-less keyframe has no steps to predict
-        from and travels absolute; every later one travels as residuals."""
+        from and travels absolute; every later one travels as residuals.  A
+        removed or added array of one link is its position: at most 4 B."""
         calculation = ConstellationCalculation(config_factory())
         database = ConstellationDatabase()
         state = calculation.state_at(0.0)
@@ -709,13 +892,19 @@ class TestFrameBudget:
         replica = EpochReplica()
         keyframe = database.codec.keyframe_update(1, state=state, diff=None)
         replica.apply(keyframe)
-        sizes = []
+        sizes, single_links = [], 0
         for step in range(1, 11):
             state, diff = advance(calculation, database, state, step * step_s)
             update = database.codec.diff_update(database.epoch, diff=diff)
             replica.apply(update)
             sizes.append(len(update.data))
-            assert (update.decoded()[1][8].dtype == np.int8) == (step > 1), step
+            arrays = update.decoded()[1]
+            assert (arrays[8].dtype == np.int8) == (step > 1), step
+            for links, mask in zip((diff.topology.links_removed, diff.topology.links_added), arrays):
+                if links.size == 1:
+                    single_links += 1
+                    assert mask.nbytes <= 4, (step, mask)
+        assert single_links
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, database.epoch))
         assert sizes[0] <= first_diff_budget, sizes
         assert max(sizes[1:]) <= diff_budget, sizes
