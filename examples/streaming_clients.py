@@ -97,20 +97,21 @@ def main() -> None:
               f"(single-encode fan-out to {stats['subscriptions']} "
               f"subscribers), {stats['queries']} queries answered")
 
-        # A subscriber that does not read while epochs pour in.  Two
-        # alternating states make cheap epochs; published in bursts they
-        # overflow its bounded queue, and the gateway drops its backlog and
-        # resynchronises it from the current epoch's keyframe.
+        # A subscriber that does not read while epochs pour in.  Epochs
+        # alternating between two instants are cheap (each is computed from
+        # the one published before it, whose delay trend its DIFF predicts
+        # from); published in bursts they overflow its bounded queue, and
+        # the gateway drops its backlog and resynchronises it from the
+        # current epoch's keyframe.
         slow = SubscriptionClient(host, port, client_id="slow")
-        state_a = database.state
-        state_b, diff_ab = calculation.diff_since(state_a, state_a.time_s + 30.0)
-        state_a2, diff_ba = calculation.diff_since(state_b, state_a.time_s)
+        state = database.state
+        instants = (state.time_s + 30.0, state.time_s)
         flooded = 0
         while not server.statistics()["clients"]["slow"]["evictions"]:
-            for _ in range(50):
-                database.set_state(state_b, diff=diff_ab)
-                database.set_state(state_a2, diff=diff_ba)
-            flooded += 100
+            for _ in range(100):
+                state, diff = calculation.diff_since(state, instants[flooded % 2])
+                database.set_state(state, diff=diff)
+                flooded += 1
         slow.sync_to_epoch(database.epoch)
         assert slow.replica.snapshot().same_bits(
             EpochSnapshot.from_state(database.state, database.epoch))

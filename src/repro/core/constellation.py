@@ -54,7 +54,10 @@ the diff path reuses from the previous epoch:
 * the path rows, handed on by
   :meth:`~repro.topology.paths.PathEngine.advance_all`: shared when the
   diff changed no delay and no link, otherwise an empty store, as
-  ``state_at`` starts with — neither path solves a row.
+  ``state_at`` starts with — neither path solves a row;
+* the :class:`DelayTrend`, which the diff path advances by the epoch's
+  delay changes — ``state_at``'s is zero.  The trend stays out of every
+  identity check, as the hints do.
 
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
@@ -94,12 +97,13 @@ from repro.topology import (
     NetworkGraph,
     NodeIndex,
     PathEngine,
+    PathResult,
     PathRows,
     TopologyDiff,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE, pair_keys
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import link_delay_ms
+from repro.topology.linkparams import delay_counts, grid_counts, link_delay_ms
 from repro.topology.uplinks import visible_satellites_batch
 
 _ISL_CODE = _CODE_BY_LINK_TYPE[LinkType.ISL]
@@ -173,6 +177,60 @@ class UplinkInfo:
 
 
 @dataclass(frozen=True)
+class DelayTrend:
+    """Each link's delay trend in one epoch ``k``, in ``DELAY_GRID_MS``
+    counts ``c``, by edge id of that epoch's graph.
+
+    ``step`` is ``c[k] - c[k-1]`` where epoch ``k`` changed the link's delay
+    and every delay that epoch changed is on the grid before and after, else
+    0; ``curve`` is ``step[k] - step[k-1]`` where both steps are non-zero,
+    else 0.  ``on_grid``: every delay of the graph is known to be on the
+    grid; ``stepped``: how many links have a step.  A trend is provenance of
+    the state, not part of it: the update codec predicts the next epoch's
+    delays from it (``c[k] + step + curve``) and a KEYFRAME carries it, so a
+    subscriber that joins mid-stream predicts as one that saw every epoch.
+    A cold state's trend is zero.
+    """
+
+    step: np.ndarray
+    curve: np.ndarray
+    on_grid: bool
+    stepped: int
+
+    @classmethod
+    def cold(cls, graph: NetworkGraph) -> "DelayTrend":
+        """The zero trend of a graph without a predecessor."""
+        step, curve = np.zeros((2, graph.total_links()), dtype=np.int64)
+        return cls(step, curve, grid_counts(graph.delays_ms) is not None, 0)
+
+    def after(self, topology: TopologyDiff) -> "DelayTrend":
+        """The trend of the epoch ``topology`` leads to, from this one (its
+        predecessor's).  Only the delay-changed links are counted."""
+        current = topology.current
+        step, curve = np.zeros((2, current.total_links()), dtype=np.int64)
+        changed, was = topology.delay_changed, topology.delay_changed_previous
+        counts = grid_counts(current.delays_ms[changed])
+        before = None
+        if counts is not None:
+            held_ms = topology.previous.delays_ms[was]
+            before = delay_counts(held_ms) if self.on_grid else grid_counts(held_ms)
+        if before is None:
+            return DelayTrend(step, curve, False, 0)
+        new, held = np.subtract(counts, before, dtype=np.int64), self.step[was]
+        step[changed] = new
+        # A changed link's new step is not 0 (its count moved); its curve
+        # needs the held step too.
+        curves = new - held
+        curves[held == 0] = 0
+        curve[changed] = curves
+        added = topology.links_added
+        on_grid = self.on_grid and (
+            not added.size or grid_counts(current.delays_ms[added]) is not None
+        )
+        return DelayTrend(step, curve, on_grid, changed.size)
+
+
+@dataclass(frozen=True)
 class ConstellationDiff:
     """What changed between two consecutive constellation epochs.
 
@@ -188,13 +246,18 @@ class ConstellationDiff:
     :class:`~repro.topology.graph.TopologyDiff`); ``activated`` and
     ``deactivated`` hold, per shell, the satellite identifiers that entered
     or left the bounding box since the previous epoch — the only machines a
-    manager has to suspend or resume.
+    manager has to suspend or resume.  ``previous_trend`` is the previous
+    state's :class:`DelayTrend`, which the epoch's DIFF predicts from, and
+    ``trend`` the new state's, from which it reads each changed link's step
+    (the diff keeps both, as ``topology`` keeps both graphs).
     """
 
     time_s: float
     topology: TopologyDiff
     activated: dict[int, np.ndarray]
     deactivated: dict[int, np.ndarray]
+    previous_trend: DelayTrend
+    trend: DelayTrend
 
     @property
     def activity_change_count(self) -> int:
@@ -296,6 +359,8 @@ class ConstellationState:
     satellite_positions_ecef: dict[int, np.ndarray]
     active_satellites: dict[int, np.ndarray]
     ground_positions_ecef: dict[str, np.ndarray]
+    #: The epoch's delay trend: provenance, outside every identity check.
+    trend: DelayTrend = field(repr=False, compare=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
     _geodetic: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
@@ -331,6 +396,8 @@ class ConstellationState:
         ``machine_b``'s node (see :class:`~repro.topology.paths.PathRows`).
         """
         node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
+        if node_a == node_b:  # what a solved row answers, without the solve
+            return PathResult(node_a, node_a, 0.0, (node_a,))
         return self.paths.path(*self.paths.oriented(node_a, node_b))
 
     def bandwidth_kbps(self, machine_a: MachineId, machine_b: MachineId) -> float:
@@ -688,8 +755,10 @@ class ConstellationCalculation:
     ) -> ConstellationState:
         if previous is not None and topology is not None:
             paths = self.path_engine.advance_all(previous.paths, graph, topology)
+            trend = previous.trend.after(topology)
         else:
             paths = PathRows(graph, self.path_engine, self._gst_nodes.tolist())
+            trend = DelayTrend.cold(graph)
         rows = self._shell_rows
         return ConstellationState(
             time_s=time_s,
@@ -700,6 +769,7 @@ class ConstellationCalculation:
             satellite_positions_ecef={s: epoch.satellite_positions[r] for s, r in enumerate(rows)},
             active_satellites={s: epoch.active[r] for s, r in enumerate(rows)},
             ground_positions_ecef=dict(self._ground_positions),
+            trend=trend,
             _update_hints=epoch.hints,
         )
 
@@ -754,7 +824,8 @@ class ConstellationCalculation:
         """Compute the full constellation state at a simulation time.
 
         This is the cold reference path: every visibility pair is
-        evaluated (no hints) and the path rows start empty.  Use
+        evaluated (no hints), the path rows start empty and the delay trend
+        is zero.  Use
         :meth:`diff_since` to advance from a previous epoch instead.
         """
         epoch = self._epoch_arrays(time_s)
@@ -800,5 +871,7 @@ class ConstellationCalculation:
             topology=topology,
             activated=activated,
             deactivated=deactivated,
+            previous_trend=previous.trend,
+            trend=state.trend,
         )
         return state, diff

@@ -114,9 +114,18 @@ class ConstellationDatabase:
 
         ``diff`` is the change set between the previously published epoch
         and ``state``; an epoch published without one (the first epoch, or a
-        full resynchronisation) reaches subscribers as a KEYFRAME.
+        full resynchronisation) reaches subscribers as a KEYFRAME.  A diff
+        must lead from the published state itself, whose delay trend its
+        DIFF predicts from, to ``state`` (``ValueError`` otherwise:
+        subscribers would predict from another trend).
         """
         with self._lock:
+            if diff is not None and (
+                self._state is None
+                or diff.previous_trend is not self._state.trend
+                or diff.trend is not state.trend
+            ):
+                raise ValueError("a diff must lead from the published state to the new one")
             self._state = state
             self._latest_diff = diff
             self.epoch += 1

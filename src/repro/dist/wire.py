@@ -224,7 +224,12 @@ WIRE_MAGIC = b"CLW1"
 #: 16: a ``DIFF``'s link masks travel as packed bits or as ascending
 #: positions, whichever is smaller; with residual delays its delay-changed
 #: mask is the XOR with the links that have a step.
-WIRE_VERSION = 16
+#: 17: a ``DIFF``'s residuals are third differences against the previous
+#: epoch's delay trend (step and curve), packed as ``bits``-bit fields (a new
+#: meta key, present with residuals) with escapes down to ``int8``; a
+#: ``KEYFRAME`` carries the epoch's curves beside its steps (array 6) and its
+#: endpoints at the narrowest signed width.
+WIRE_VERSION = 17
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

@@ -36,25 +36,36 @@ every delay the pipeline computes — and as its ``float64`` values
 otherwise; the array's dtype in the frame says which, so off-grid delays
 stay bit-exact.
 
-Satellites move smoothly, so a link's delay count ``c`` is close to linear
-over three epochs.  A link's *step* in epoch ``k`` is ``c[k] - c[k-1]`` when
-epoch ``k`` changed its delay and every delay that epoch changed is on the
-grid before and after; every other step of epoch ``k`` is 0.  The steps are
-a function of one epoch's change set alone, which a replica that followed
-the stream derives from the delays it held before and after the DIFF, and
-which a KEYFRAME carries.  A DIFF may therefore send each changed delay as
-the residual ``c[k] - (c[k-1] + step[k-1])``: as ``int8`` residuals when the
-encoder holds the previous epoch's steps, every delay involved is on the
-grid, and that is smaller than ``uint32`` counts — a replica that joined
-mid-stream predicts exactly as one that never left, and the DIFF is still
-encoded once for both.  The same steps predict *which* links change: in
-that residual mode the delay-changed mask is sent as its XOR with the
-links whose held step is not 0 (after the removed / added merge; an added
-link's step is 0), which leaves the few links that started or stopped
-changing.
+Satellites move smoothly, so a link's delay count ``c`` follows a curve
+that three epochs pin down.  Every published epoch carries its
+:class:`~repro.core.constellation.DelayTrend`: per link a *step* ``c[k] -
+c[k-1]`` (non-zero only where epoch ``k`` changed the link's delay and every
+delay that epoch changed is on the grid before and after) and a *curve*
+``step[k] - step[k-1]`` (where both steps are non-zero, else 0).  The
+server computes it once per epoch, as provenance of the state, and the
+diff carries the trends before and after; a replica that follows the
+stream derives the same from the delays it held before and after each
+DIFF, and a KEYFRAME carries it, so a subscriber that joined mid-stream, or
+was evicted and resynced, predicts exactly as one that never left — every
+frame is a function of the publication it is encoded from, and a DIFF is
+still encoded once for all of them.
+
+A DIFF sends each changed delay as the residual ``c[k] - (c[k-1] + step +
+curve)`` against the previous epoch's trend — a third difference, near 0 —
+when every delay involved is on the grid and that is smaller than
+``uint32`` counts: as ``b``-bit two's-complement fields packed
+most-significant bit first (meta ``bits``), ``b`` in 1…8 the width that
+makes the fields plus their escapes smallest.  The most negative field,
+``-2**(b-1)``, marks an escaped residual, which array 9 holds at the
+narrowest of ``int8`` … ``int64``.  The trailing pad bits are 0.  The same
+steps predict *which* links change: with residuals the delay-changed mask
+is sent as its XOR with the links whose previous step is not 0 (after the
+removed / added merge; an added link's step is 0), which leaves the few
+links that started or stopped changing, and fixes the number of fields.
 
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
-``shells`` (those with an activity flip).
+``shells`` (those with an activity flip) and, with residuals, ``bits`` (the
+field width).
 
 == ================= ===================== =========================== ========
 #  array             dtype                 meaning                     mask
@@ -64,18 +75,19 @@ changing.
                      uint16 | uint32
                      (positions)
 1  added             bits or positions     links that appeared         current
-2  added node_a      int32                 their lower endpoints
-3  added node_b      int32                 their higher endpoints
+2  added node_a      int8 … int64          their lower endpoints
+3  added node_b      int8 … int64          their higher endpoints
 4  added delay       uint32 | float64      their delays
 5  added bandwidth   float64               their bandwidths [kbps]
 6  added type        int8                  their link type codes
 7  delay changed     bits or positions     surviving links, new delay  current
-                                           — with ``int8`` array 8,
-                                           XOR the links with a step
-8  new delay         int8 | uint32 |       those delays: residuals,
-                     float64               counts or values
-9  escapes           int16 | int32 | int64 the residuals array 8 marks
-                                           ``-128``, in order (else
+                                           — with residuals, XOR the
+                                           links with a step
+8  new delay         uint8 (``bits``-bit   those delays: residuals,
+                     fields) | uint32 |    counts or values
+                     float64
+9  escapes           int8 | int16 |        the residuals array 8 marks
+                     int32 | int64         escaped, in order (else
                                            empty)
 10 bandwidth changed bits or positions     surviving links, new b/w    current
 11 new bandwidth     float64               those bandwidths [kbps]
@@ -88,7 +100,7 @@ Value arrays hold one entry per link of their mask, in mask order.  The
 replica applies *removed* (a mask over the links it holds), then *added*
 (a mask over the new order: kept links fill the other positions), then
 *delay changed* and *bandwidth changed* (masks over the new order), then
-the activity flips.  Added links carry absolute delays and a step of 0.
+the activity flips.  Added links carry absolute delays and a zero trend.
 
 ``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
 ``satellites`` (each shell's mask length); arrays in canonical order:
@@ -96,21 +108,25 @@ the activity flips.  Added links carry absolute delays and a step of 0.
 == =========== ============================= ================================
 #  array       dtype                         meaning
 == =========== ============================= ================================
-0  node_a      int32                         lower endpoints
-1  node_b      int32                         higher endpoints
+0  node_a      int8 | int16 | int32 | int64  lower endpoints
+1  node_b      int8 | int16 | int32 | int64  higher endpoints
 2  delay       uint32 | float64              delays, coded as above
 3  bandwidth   uint8 | float64               bandwidths [kbps], or indices
                                              into the palette
 4  type        int8                          link type codes
 5  step        int8 | int16 | int32 | int64  the epoch's steps, at the
                                              narrowest width
-6  palette     float64                       the distinct bandwidths (empty
+6  curve       int8 | int16 | int32 | int64  the epoch's curves, at the
+                                             narrowest width
+7  palette     float64                       the distinct bandwidths (empty
                                              with a ``float64`` column)
-7  activity    uint8 (bits), per shell       bounding-box activity masks
+8  activity    uint8 (bits), per shell       bounding-box activity masks
 == =========== ============================= ================================
 
-The bandwidth column travels as ``uint8`` indices when the links have at
-most 256 distinct bandwidths (the shells built here have one or two).
+Endpoints travel at the narrowest signed width that holds every node index
+of the graph (``int16`` for phase-I Starlink's ≈ 4,400 nodes).  The
+bandwidth column travels as ``uint8`` indices when the links have at most
+256 distinct bandwidths (the shells built here have one or two).
 """
 
 from __future__ import annotations
@@ -123,10 +139,10 @@ import numpy as np
 
 from repro.dist import wire
 from repro.dist.wire import FrameKind
-from repro.topology.linkparams import DELAY_GRID_MS
+from repro.topology.linkparams import DELAY_GRID_MS, grid_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.constellation import ConstellationDiff, ConstellationState
+    from repro.core.constellation import ConstellationDiff, ConstellationState, DelayTrend
     from repro.core.database import ConstellationDatabase
     from repro.topology.graph import NetworkGraph, TopologyDiff
 
@@ -239,17 +255,31 @@ _GRID_LIMIT_MS = 2**32 * DELAY_GRID_MS
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
 #: The dtypes of a link mask's positions, over at most 2**16 links and more.
 _POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
-_NO_ESCAPES = np.empty(0, dtype=np.int16)
+_NO_ESCAPES = np.empty(0, dtype=np.int8)
 _NO_PALETTE = np.empty(0, dtype=np.float64)
-#: The ``int8`` residual that marks an escaped one.
-_ESCAPE = -128
+#: The largest residual magnitude a ``b``-bit field holds beside the escape
+#: mark, by ``b`` = 1 … 8.
+_FIELD_LIMITS = [(1 << (bits - 1)) - 1 for bits in range(1, 9)]
+#: Eight ``b``-bit fields make one 64-bit word, the i-th ``i * b`` bits
+#: below the top: by ``b`` = 1 … 8, the weights that place them there.
+_FIELD_WEIGHTS = [
+    np.array([1 << (64 - (i + 1) * bits) for i in range(8)], dtype=np.uint64)
+    for bits in range(1, 9)
+]
+#: What each bit of a ``b``-bit two's-complement field is worth, top first
+#: (``float32``: a field's value, at most 128 in magnitude, is exact, and
+#: the product runs in BLAS).
+_FIELD_VALUES = [
+    np.array([-(1 << (bits - 1)), *(1 << bit for bit in range(bits - 2, -1, -1))], np.float32)
+    for bits in range(1, 9)
+]
 #: The positions of at most one link in this many are searched for one by
 #: one, and a merge of that few additions and removals copies the runs
 #: between them: per-link work that beats a pass over every link while the
 #: links are few (an epoch's handovers over thousands of links).
 _FEW_LINKS_PER = 512
 #: Arrays of a KEYFRAME / DIFF frame ahead of the per-shell ones.
-_KEYFRAME_ARRAYS = 7
+_KEYFRAME_ARRAYS = 8
 _DIFF_ARRAYS = 12
 #: Signed integer dtypes, narrowest first, with their bounds.
 _SIGNED = tuple(
@@ -258,21 +288,8 @@ _SIGNED = tuple(
 )
 
 
-def _counts(delays_ms: np.ndarray) -> np.ndarray:
-    """The ``uint32`` grid-step counts of delays known to be on the grid."""
-    return (delays_ms * _GRID_STEPS_PER_MS).astype(np.uint32)
-
-
-def _grid_counts(delays_ms: np.ndarray) -> Optional[np.ndarray]:
-    """Delays as ``uint32`` grid-step counts when that decodes to the same bits
-    (else None: off the grid, out of range, -0.0, not finite)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the cast's garbage fails the test
-        counts = _counts(delays_ms)
-    return counts if _unpack_delays(counts).tobytes() == delays_ms.tobytes() else None
-
-
 def _pack_delays(delays_ms: np.ndarray) -> np.ndarray:
-    counts = _grid_counts(delays_ms)
+    counts = grid_counts(delays_ms)
     return delays_ms if counts is None else counts
 
 
@@ -284,27 +301,76 @@ def _unpack_delays(values: np.ndarray) -> np.ndarray:
     raise CodecError(f"delays travel as uint32 grid steps or float64, not {values.dtype}")
 
 
-def _narrowest(values: np.ndarray, dtypes: tuple = _SIGNED) -> np.ndarray:
-    """Integer ``values`` at the first of ``dtypes`` that holds them all (the
-    last, ``int64``, holds any)."""
-    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    for dtype, least, most in dtypes:
+def _signed_dtype(low: int, high: int) -> np.dtype:
+    """The narrowest signed dtype that holds ``low`` … ``high`` (``int64``
+    holds any)."""
+    for dtype, least, most in _SIGNED:
         if least <= low and high <= most:
             break
-    return values.astype(dtype)
+    return dtype
 
 
-def _escape(residuals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """``residuals`` as an ``int8`` column with ``-128`` marking the escaped
-    ones, and those at their narrowest width — None when that is not smaller
-    than ``uint32`` counts."""
-    escaped = np.flatnonzero(np.abs(residuals) > 127)
-    escapes = _narrowest(residuals[escaped], _SIGNED[1:])
-    if residuals.size + escapes.nbytes >= 4 * residuals.size:
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` at their narrowest signed width."""
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    return values.astype(_signed_dtype(low, high))
+
+
+def _pack_residuals(residuals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """``residuals`` as packed ``b``-bit fields, the escaped ones and ``b``:
+    the width that makes fields plus escapes smallest (module docstring) —
+    None when that is not smaller than ``uint32`` counts."""
+    count = residuals.size
+    if not count:
         return None
-    column = residuals.astype(np.int8)
-    column[escaped] = _ESCAPE
-    return column, escapes
+    magnitudes = np.abs(residuals)
+    histogram = np.bincount(np.minimum(magnitudes, 128), minlength=129)
+    fits = np.cumsum(histogram)[_FIELD_LIMITS]  # residuals each width holds
+    escape_dtype = (
+        _signed_dtype(int(residuals.min()), int(residuals.max()))
+        if histogram[128]
+        else np.dtype(np.int8)  # every magnitude is below 128
+    )
+    sizes = [
+        (count * bits + 7) // 8 + (count - fitting) * escape_dtype.itemsize
+        for bits, fitting in enumerate(fits.tolist(), start=1)
+    ]
+    bits = 1 + sizes.index(min(sizes))
+    if sizes[bits - 1] >= 4 * count:
+        return None
+    escaped = np.flatnonzero(magnitudes > _FIELD_LIMITS[bits - 1])
+    # Each eight fields in one word: pad to a whole number of words.
+    fields = np.zeros(-(-count // 8) * 8, dtype=np.int64)
+    np.bitwise_and(residuals, (1 << bits) - 1, out=fields[:count])  # two's complement
+    fields[escaped] = 1 << (bits - 1)  # the most negative field
+    words = fields.view(np.uint64).reshape(-1, 8) @ _FIELD_WEIGHTS[bits - 1]
+    packed = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, :bits].reshape(-1)
+    return packed[: (count * bits + 7) // 8], residuals[escaped].astype(escape_dtype), bits
+
+
+def _unpack_residuals(
+    packed: np.ndarray, bits: int, count: int, escapes: np.ndarray
+) -> np.ndarray:
+    """The ``count`` residuals that ``bits``-bit fields and their escapes
+    carry (module docstring)."""
+    length = (count * bits + 7) // 8
+    if packed.dtype != np.uint8 or packed.shape != (length,):
+        raise CodecError(
+            f"{packed.dtype}{packed.shape} residuals: {count} fields of {bits} bits "
+            f"are {length} packed bytes"
+        )
+    padding = 8 * length - count * bits
+    if padding and int(packed[-1]) & ((1 << padding) - 1):
+        raise CodecError("the pad bits after the residual fields are not 0")
+    fields = np.unpackbits(packed, count=count * bits).reshape(count, bits).astype(np.float32)
+    residuals = (fields @ _FIELD_VALUES[bits - 1]).astype(np.int64)
+    escaped = np.flatnonzero(residuals == -(1 << (bits - 1)))
+    if escapes.dtype.kind != "i" or escapes.shape != escaped.shape:
+        raise CodecError(
+            f"{escapes.dtype}{escapes.shape} escapes for {escaped.size} escaped residuals"
+        )
+    residuals[escaped] = escapes
+    return residuals
 
 
 def _pack_bandwidths(bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,10 +395,13 @@ def _unpack_bandwidths(column: np.ndarray, palette: np.ndarray) -> np.ndarray:
     return palette[column]
 
 
-def _pack_nodes(node_a: np.ndarray, node_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``int32`` endpoint columns of some links, lower node first.  (A graph
-    allocates per-node arrays, so its node indices are far below 2**31.)"""
-    return np.minimum(node_a, node_b).astype(np.int32), np.maximum(node_a, node_b).astype(np.int32)
+def _pack_nodes(
+    node_a: np.ndarray, node_b: np.ndarray, node_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint columns of some links, lower node first, at the narrowest
+    signed width that holds every node index of the graph."""
+    dtype = _signed_dtype(0, node_count - 1)
+    return np.minimum(node_a, node_b).astype(dtype), np.maximum(node_a, node_b).astype(dtype)
 
 
 def _pack_positions(graph: "NetworkGraph", edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,87 +465,44 @@ def _unpack_mask(mask: np.ndarray, length: int, *values: np.ndarray) -> np.ndarr
     return positions
 
 
-def _delay_change(topology: "TopologyDiff", previous_on_grid: bool):
-    """The delay-changed links of a diff in canonical order: their positions,
-    current and previous edge ids, new delays (``uint32`` counts or
-    ``float64`` values) and steps (None: a delay involved is off the grid).
-    ``previous_on_grid``: every delay of the previous graph is on the grid."""
-    current = topology.current
-    positions, changed = _pack_positions(current, topology.delay_changed)
-    delays = current.delays_ms[changed]
-    counts = _grid_counts(delays)
-    if counts is None:
-        return positions, changed, None, delays, None
-    was = changed
-    if topology.delay_changed_previous is not topology.delay_changed:  # ids moved
-        lookup = np.empty(current.total_links(), dtype=np.int64)
-        lookup[topology.delay_changed] = topology.delay_changed_previous
-        was = lookup[changed]
-    before = (_counts if previous_on_grid else _grid_counts)(topology.previous.delays_ms[was])
-    steps = None if before is None else np.subtract(counts, before, dtype=np.int64)
-    return positions, changed, was, counts, steps
-
-
-def _steps_by_edge(topology: "TopologyDiff", changed: np.ndarray, steps) -> np.ndarray:
-    """Every link's step in the diff's epoch, by current edge id."""
-    by_edge = np.zeros(topology.current.total_links(), dtype=np.int64)
-    if steps is not None:
-        by_edge[changed] = steps
-    return by_edge
-
-
-def delay_steps(diff: "ConstellationDiff") -> np.ndarray:
-    """The steps of ``diff``'s epoch by current edge id (module docstring)."""
-    _, changed, _, _, steps = _delay_change(diff.topology, previous_on_grid=False)
-    return _steps_by_edge(diff.topology, changed, steps)
-
-
-@dataclass(frozen=True)
-class EpochSteps:
-    """One epoch's steps by edge id (module docstring), whether every delay
-    of that epoch's graph is on the grid — then the next DIFF need not check
-    the delays it changes from — and how many of its links have a step."""
-
-    by_edge: np.ndarray
-    on_grid: bool
-    stepped: int
+def _previous_ids(topology: "TopologyDiff", changed: np.ndarray) -> np.ndarray:
+    """The previous edge ids of some of a diff's delay-changed links."""
+    if topology.delay_changed_previous is topology.delay_changed:  # ids did not move
+        return changed
+    lookup = np.empty(topology.current.total_links(), dtype=np.int64)
+    lookup[topology.delay_changed] = topology.delay_changed_previous
+    return lookup[changed]
 
 
 def _surprises(
     topology: "TopologyDiff",
-    steps: EpochSteps,
+    trend: "DelayTrend",
     changed: np.ndarray,
     held: np.ndarray,
     removed: np.ndarray,
     added: np.ndarray,
 ) -> np.ndarray:
-    """Array 7 in residual mode: the positions of the ``changed`` links XOR
-    those of the links that survive with a step in ``steps``, the previous
+    """Array 7 with residuals: the positions of the ``changed`` links XOR
+    those of the links that survive with a step in ``trend``, the previous
     epoch's.  ``held`` is each changed link's step there; ``removed`` and
     ``added`` are the diff's positions."""
     started = changed[held == 0]
     # A link that stopped changing is rarer still: count before looking.
-    survived = steps.stepped - np.count_nonzero(steps.by_edge[topology.links_removed])
+    survived = trend.stepped - np.count_nonzero(trend.step[topology.links_removed])
     if survived == changed.size - started.size:
         return started
-    stopped = steps.by_edge != 0
-    stopped[topology.delay_changed_previous] = stopped[topology.links_removed] = False
-    ranks = topology.previous.canonical_positions(np.flatnonzero(stopped))
+    stepped = trend.step != 0
+    stepped[topology.delay_changed_previous] = stepped[topology.links_removed] = False
+    ranks = topology.previous.canonical_positions(np.flatnonzero(stepped))
     ranks -= np.searchsorted(removed, ranks)  # among the kept links
     # The i-th added link follows added[i] - i kept ones.
     stopped = ranks + np.searchsorted(added - np.arange(added.size), ranks, side="right")
     return np.sort(np.concatenate([started, stopped]))
 
 
-def encode_keyframe_update(
-    state: "ConstellationState", epoch: int, steps: Optional[np.ndarray] = None
-) -> bytes:
-    """Encode one epoch's full-state KEYFRAME frame from its snapshot.
-
-    ``steps`` are the epoch's steps by edge id (:func:`delay_steps` of the
-    diff it was published with); None, for a publication without a diff,
-    sends zeros.
-    """
+def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
+    """Encode one epoch's full-state KEYFRAME frame from its snapshot and
+    its delay trend."""
     snapshot, order = EpochSnapshot.from_state(state, epoch), state.graph.sorted_edge_ids
     shells = sorted(snapshot.active)
     meta = {
@@ -488,41 +514,38 @@ def encode_keyframe_update(
     }
     bandwidths, palette = _pack_bandwidths(snapshot.bandwidth_kbps)
     arrays = (
-        *_pack_nodes(snapshot.node_a, snapshot.node_b),
+        *_pack_nodes(snapshot.node_a, snapshot.node_b, snapshot.node_count),
         _pack_delays(snapshot.delay_ms),
         bandwidths,
         snapshot.link_type,
-        _narrowest(np.zeros(bandwidths.size, np.int64) if steps is None else steps[order]),
+        _narrowest(state.trend.step[order]),
+        _narrowest(state.trend.curve[order]),
         palette,
         *(np.packbits(snapshot.active[shell]) for shell in shells),
     )
     return wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
 
 
-def encode_diff_update(
-    diff: "ConstellationDiff", epoch: int, steps: Optional[EpochSteps] = None
-) -> tuple[bytes, EpochSteps]:
-    """Encode one epoch's DIFF frame from the constellation diff.
-
-    ``steps`` are the previous epoch's; without them the changed delays
-    travel absolute.  Returns the frame and this epoch's steps.
-    """
-    topology = diff.topology
+def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
+    """Encode one epoch's DIFF frame from the constellation diff: each
+    changed link's step from the epoch's trend, predicted from the previous
+    epoch's (both ride on the diff)."""
+    topology, trend = diff.topology, diff.previous_trend
     previous, current = topology.previous, topology.current
-    previous_on_grid = (
-        steps.on_grid if steps is not None else _grid_counts(previous.delays_ms) is not None
-    )
     removed, _ = _pack_positions(previous, topology.links_removed)
     added, added_ids = _pack_positions(current, topology.links_added)
-    added_delays = _pack_delays(current.delays_ms[added_ids])
-    changed, changed_ids, was, delays, new_steps = _delay_change(topology, previous_on_grid)
-    delay_mask, escapes = changed, _NO_ESCAPES
-    if steps is not None and new_steps is not None:
-        held = steps.by_edge[was]
-        escaped = _escape(new_steps - held)
-        if escaped is not None:
-            delays, escapes = escaped
-            delay_mask = _surprises(topology, steps, changed, held, removed, added)
+    changed, changed_ids = _pack_positions(current, topology.delay_changed)
+    packed = None
+    if diff.trend.stepped == changed.size:  # every changed delay is on the grid: each has a step
+        was = _previous_ids(topology, changed_ids)
+        held = trend.step[was]
+        packed = _pack_residuals(diff.trend.step[changed_ids] - held - trend.curve[was])
+    if packed is None:
+        delays, escapes, bits = _pack_delays(current.delays_ms[changed_ids]), _NO_ESCAPES, 0
+        delay_mask = changed
+    else:
+        delays, escapes, bits = packed
+        delay_mask = _surprises(topology, trend, changed, held, removed, added)
     bandwidth_changed, bandwidth_ids = _pack_positions(current, topology.bandwidth_changed)
     # Only shells with a flip travel: an array descriptor costs more than most id lists.
     shells = sorted(
@@ -530,11 +553,13 @@ def encode_diff_update(
     )
     links = [previous.total_links(), current.total_links()]
     meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells}
+    if bits:
+        meta["bits"] = bits
     arrays = (
         _pack_mask(removed, links[0]),
         _pack_mask(added, links[1]),
-        *_pack_nodes(current.node_a[added_ids], current.node_b[added_ids]),
-        added_delays,
+        *_pack_nodes(current.node_a[added_ids], current.node_b[added_ids], len(current.index)),
+        _pack_delays(current.delays_ms[added_ids]),
         current.bandwidths_kbps[added_ids],
         current.link_type_codes[added_ids],
         _pack_mask(delay_mask, links[1]),
@@ -545,12 +570,7 @@ def encode_diff_update(
         *(diff.activated[shell] for shell in shells),
         *(diff.deactivated[shell] for shell in shells),
     )
-    on_grid = previous_on_grid and new_steps is not None and added_delays.dtype == np.uint32
-    # A changed link's step is not 0: its counts before and after differ.
-    stepped = 0 if new_steps is None else changed.size
-    return wire.encode_frame(FrameKind.DIFF, meta, arrays), EpochSteps(
-        _steps_by_edge(topology, changed_ids, new_steps), on_grid, stepped
-    )
+    return wire.encode_frame(FrameKind.DIFF, meta, arrays)
 
 
 def _merge(
@@ -593,37 +613,33 @@ def _merge(
 def _decode_delays(
     values: np.ndarray,
     escapes: np.ndarray,
+    bits: int,
     held_ms: np.ndarray,
     held_steps: np.ndarray,
+    held_curves: np.ndarray,
     on_grid: bool,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """A DIFF's new delays of its delay-changed links (arrays 8 and 9) and
-    their steps (None: a delay involved is off the grid), given the delays
-    and steps the replica holds for those links (``on_grid``: every delay it
-    holds is known to be on the grid).
+    """A DIFF's new delays of its delay-changed links (arrays 8 and 9, with
+    ``bits``-bit residual fields or none) and their steps (None: a delay
+    involved is off the grid), given the delays and trend the replica holds
+    for those links (``on_grid``: every delay it holds is known to be on
+    the grid).
 
     Delays on the grid differ by exact multiples of ``DELAY_GRID_MS`` below
     4096 ms, so ``held + step * DELAY_GRID_MS`` and ``(new - held) /
     DELAY_GRID_MS`` are exact: the same bits as the counts would give.
     """
-    held_on_grid = on_grid or _grid_counts(held_ms) is not None
-    if values.dtype != np.int8:
+    held_on_grid = on_grid or grid_counts(held_ms) is not None
+    if not bits:
         if escapes.size:
             raise CodecError(f"escaped residuals arrived with {values.dtype} delays")
         delays = _unpack_delays(values)
-        if not held_on_grid or (values.dtype != np.uint32 and _grid_counts(delays) is None):
+        if not held_on_grid or (values.dtype != np.uint32 and grid_counts(delays) is None):
             return delays, None
         return delays, ((delays - held_ms) * _GRID_STEPS_PER_MS).astype(np.int64)
     if not held_on_grid:
         raise CodecError("residuals onto delays the replica holds off the grid")
-    escaped = np.flatnonzero(values == _ESCAPE)
-    if escapes.dtype.kind != "i" or escapes.shape != escaped.shape:
-        raise CodecError(
-            f"{escapes.dtype}{escapes.shape} escapes for {escaped.size} escaped residuals"
-        )
-    steps = held_steps + values
-    if escaped.size:
-        steps[escaped] = held_steps[escaped] + escapes
+    steps = held_steps + held_curves + _unpack_residuals(values, bits, held_ms.size, escapes)
     delays = held_ms + steps * DELAY_GRID_MS
     if delays.size and (delays.min() < 0 or delays.max() >= _GRID_LIMIT_MS):
         raise CodecError("a residual decodes to a delay count outside the uint32 grid")
@@ -637,8 +653,9 @@ class EpochReplica:
     """A subscriber's reconstruction of the streamed state projection.
 
     Holds the links as five parallel arrays in canonical order (the link
-    columns of :class:`EpochSnapshot`), plus each link's step that a DIFF's
-    residuals predict from, and patches them with each DIFF's masks.  A DIFF
+    columns of :class:`EpochSnapshot`), plus each link's step and curve that
+    a DIFF's residuals predict from, and patches them with each DIFF's
+    masks.  A DIFF
     that does not chain onto the replica — not the next epoch, or not the
     link count it holds — raises :class:`CodecError` and changes nothing:
     the subscriber must resynchronise from a keyframe, which the gateway
@@ -654,8 +671,9 @@ class EpochReplica:
         # node_a, node_b, delay_ms, bandwidth_kbps, link_type
         dtypes = (np.int64, np.int64, np.float64, np.float64, np.int8)
         self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
-        #: Each held link's step in the held epoch (module docstring).
+        #: Each held link's step and curve in the held epoch (module docstring).
         self._steps = np.empty(0, dtype=np.int64)
+        self._curves = np.empty(0, dtype=np.int64)
         #: Every held delay is known to be on the grid (arrived as a count).
         self._on_grid = True
         self.active: dict[int, np.ndarray] = {}
@@ -677,13 +695,15 @@ class EpochReplica:
         if not len(shells) == len(satellites) == len(arrays) - _KEYFRAME_ARRAYS:
             raise CodecError(f"a KEYFRAME of {len(shells)} shells has no {len(arrays)} arrays")
         columns = arrays[:5]  # positions: the module docstring's table
-        steps, palette = arrays[5:_KEYFRAME_ARRAYS]
+        steps, curves, palette = arrays[5:_KEYFRAME_ARRAYS]
         on_grid = columns[2].dtype == np.uint32
         columns[2] = _unpack_delays(columns[2])
         columns[3] = _unpack_bandwidths(columns[3], palette)
-        if steps.dtype.kind != "i":
-            raise CodecError(f"steps travel as signed integers, not {steps.dtype}")
-        if any(column.shape != (columns[0].size,) for column in (*columns, steps)):
+        if steps.dtype.kind != "i" or curves.dtype.kind != "i":
+            raise CodecError(
+                f"steps and curves travel as signed integers, not {steps.dtype} / {curves.dtype}"
+            )
+        if any(column.shape != (columns[0].size,) for column in (*columns, steps, curves)):
             raise CodecError("the link arrays of a KEYFRAME differ in length")
         active = {
             shell: _unpack_bits(packed, length)
@@ -692,6 +712,7 @@ class EpochReplica:
         # Decoded arrays are read-only views of the frame; the replica owns copies.
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
         self._steps = steps.astype(np.int64)
+        self._curves = curves.astype(np.int64)
         self._on_grid = on_grid
         self.active = active
         self.epoch = meta["epoch"]
@@ -719,6 +740,9 @@ class EpochReplica:
             raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
         removed, added, *fresh = arrays[:7]  # arrays 0-6 of the module docstring's table
         delay_mask, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
+        bits = meta.get("bits", 0)
+        if type(bits) is not int or not 0 <= bits <= 8:
+            raise CodecError(f"residual fields are 1 to 8 bits wide, not {bits!r}")
         added_on_grid = fresh[2].dtype == np.uint32
         fresh[2] = _unpack_delays(fresh[2])
         before, after = meta["links"]
@@ -731,8 +755,7 @@ class EpochReplica:
         if after != before - removed.size + fresh[0].size:
             raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
         added = _unpack_mask(added, after, *fresh)
-        residuals = delays.dtype == np.int8
-        delay_mask = _unpack_mask(delay_mask, after, *(() if residuals else (delays,)))
+        delay_mask = _unpack_mask(delay_mask, after, *(() if bits else (delays,)))
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
         try:
             active = {shell: self.active[shell].copy() for shell in shells}
@@ -740,27 +763,28 @@ class EpochReplica:
                 active[shells[position % len(shells)]][ids] = position < len(shells)
         except (KeyError, IndexError) as error:
             raise CodecError(f"diff for epoch {meta['epoch']} flips unknown satellites") from error
-        links, steps = self._links, self._steps
+        links, steps, curves = self._links, self._steps, self._curves
         if added.size or removed.size:
-            # An added link's step is 0.
-            fresh.append(np.zeros(added.size, dtype=np.int64))
-            *links, steps = _merge([*self._links, self._steps], removed, added, fresh)
+            zeros = np.zeros(added.size, dtype=np.int64)  # an added link's trend is 0
+            *links, steps, curves = _merge(
+                [*links, steps, curves], removed, added, [*fresh, zeros, zeros]
+            )
         delay_changed = delay_mask
-        if residuals:  # the mask is the surprises: XOR the links with a step
+        if bits:  # the mask is the surprises: XOR the links with a step
             stepped = steps != 0
             stepped[delay_mask] ^= True
             delay_changed = np.flatnonzero(stepped)
-            if delay_changed.size != delays.size:
-                raise CodecError(
-                    f"a mask of {delay_changed.size} delay changes for {delays.size} residuals"
-                )
-        delays, changed_steps = _decode_delays(
-            delays, escapes, links[2][delay_changed], steps[delay_changed], self._on_grid
+        held_steps, held_ms = steps[delay_changed], links[2][delay_changed]
+        delays, new_steps = _decode_delays(
+            delays, escapes, bits, held_ms, held_steps, curves[delay_changed], self._on_grid
         )
-        self._on_grid = self._on_grid and added_on_grid and changed_steps is not None
-        self._steps = np.zeros(after, dtype=np.int64)
-        if changed_steps is not None:
-            self._steps[delay_changed] = changed_steps
+        self._on_grid = self._on_grid and added_on_grid and new_steps is not None
+        self._steps, self._curves = np.zeros((2, after), dtype=np.int64)
+        if new_steps is not None:
+            self._steps[delay_changed] = new_steps
+            curves = new_steps - held_steps
+            curves[held_steps == 0] = 0
+            self._curves[delay_changed] = curves
         links[2][delay_changed] = delays
         links[3][bandwidth_changed] = bandwidths
         self._links = links
@@ -788,11 +812,10 @@ class EpochUpdateCodec:
     ones).  ``encode_count`` counts actual frame encodings — the
     single-encode guarantee the fan-out benchmark pins down.
 
-    It also caches the steps of the newest epoch whose DIFF it encoded, the
-    prediction the next epoch's DIFF is coded against.  The cache only
-    saves recomputing them from that epoch's diff: a DIFF for an epoch
-    whose predecessor's steps it does not hold travels absolute, and a
-    KEYFRAME computes its epoch's steps from the diff it is given.
+    Every frame is a function of the publication it is encoded from: a
+    KEYFRAME of the state (which carries its delay trend), a DIFF of the
+    diff (which carries the trends before and after), so the order in which
+    seed keyframes and queued publications are encoded changes no byte.
 
     The codec is shared between the coordinator thread (publications) and
     the gateway's event-loop thread (fan-out, eviction resyncs), so an
@@ -811,9 +834,6 @@ class EpochUpdateCodec:
         self._epoch = 0
         #: The remembered epoch's encoded frames, by kind.
         self._frames: dict[FrameKind, bytes] = {}
-        #: The epoch whose steps are cached, and the steps.
-        self._steps_epoch = 0
-        self._steps: Optional[EpochSteps] = None
         self.encode_count = 0
 
     def _update(self, kind: FrameKind, epoch: int, encode) -> EpochUpdate:
@@ -830,37 +850,24 @@ class EpochUpdateCodec:
         return EpochUpdate(kind, epoch, data)
 
     def keyframe_update(
-        self,
-        epoch: Optional[int] = None,
-        state: Optional["ConstellationState"] = None,
-        diff: Optional["ConstellationDiff"] = None,
+        self, epoch: Optional[int] = None, state: Optional["ConstellationState"] = None
     ) -> EpochUpdate:
         """The KEYFRAME update of an epoch (current epoch by default).
 
-        ``state`` is the epoch's state and ``diff`` the diff it was published
-        with (None: published without one) when the caller — the gateway's
-        publish path — already holds them; without ``state`` only the
-        database's current epoch can be answered (``KeyError`` otherwise).
+        ``state`` is the epoch's state when the caller — the gateway's
+        publish path — already holds it; without it only the database's
+        current epoch can be answered (``KeyError`` otherwise).
         """
         if state is None:
             with self._database.lock:
-                current = self._database.epoch
-                state, diff = self._database.state, self._database.latest_diff
+                current, state = self._database.epoch, self._database.state
             if epoch is None:
                 epoch = current
             elif epoch != current:
                 raise KeyError(f"epoch {epoch} is not the current epoch ({current})")
         elif epoch is None:
             epoch = self._database.epoch
-
-        def encode() -> bytes:
-            if epoch == self._steps_epoch:
-                steps = self._steps.by_edge
-            else:
-                steps = None if diff is None else delay_steps(diff)
-            return encode_keyframe_update(state, epoch, steps)
-
-        return self._update(FrameKind.KEYFRAME, epoch, encode)
+        return self._update(FrameKind.KEYFRAME, epoch, lambda: encode_keyframe_update(state, epoch))
 
     def diff_update(
         self, epoch: int, diff: Optional["ConstellationDiff"] = None
@@ -875,12 +882,4 @@ class EpochUpdateCodec:
                 current, diff = self._database.epoch, self._database.latest_diff
             if epoch != current or diff is None:
                 raise KeyError(f"no diff recorded for epoch {epoch} (current: {current})")
-
-        def encode() -> bytes:
-            previous = self._steps if epoch == self._steps_epoch + 1 else None
-            data, steps = encode_diff_update(diff, epoch, previous)
-            if epoch > self._steps_epoch:
-                self._steps_epoch, self._steps = epoch, steps
-            return data
-
-        return self._update(FrameKind.DIFF, epoch, encode)
+        return self._update(FrameKind.DIFF, epoch, lambda: encode_diff_update(diff, epoch))

@@ -171,16 +171,16 @@ class StreamGateway:
         codec = self.database.codec
         self.published_epochs += 1
         if diff is None:
-            update = codec.keyframe_update(epoch, state=state, diff=None)
+            update = codec.keyframe_update(epoch, state=state)
         else:
             update = codec.diff_update(epoch, diff=diff)
         payload = frame(update.data)
         for subscription in self._subscriptions.values():
             if not subscription.closed:
-                self._enqueue(subscription, payload, epoch, state, diff)
+                self._enqueue(subscription, payload, epoch, state)
 
     def _enqueue(
-        self, subscription: _Subscription, payload: bytes, epoch: int, state, diff
+        self, subscription: _Subscription, payload: bytes, epoch: int, state
     ) -> None:
         if epoch <= subscription.last_epoch:
             # The subscription was seeded (or resynced) at this epoch or a
@@ -195,7 +195,7 @@ class StreamGateway:
             # Slow client: drop its backlog and resynchronise it from the
             # current epoch's keyframe (the codec remembers the encoding,
             # so concurrent evictions share one keyframe encode).
-            self._evict(subscription, (epoch, state, diff))
+            self._evict(subscription, (epoch, state))
 
     @staticmethod
     def _close_subscription(subscription: _Subscription) -> None:
@@ -217,8 +217,8 @@ class StreamGateway:
         Queued RESULT frames survive the flush — they answer QUERYs whose
         clients are blocked waiting on the reply, and resyncing the epoch
         stream does not invalidate them.  ``publication`` is the ``(epoch,
-        state, diff)`` being published; without it the database's current
-        epoch, state and diff are used (read together under its lock).
+        state)`` being published; without it the database's current epoch
+        and state are used (read together under its lock).
         Returns ``False`` when a shutdown sentinel was drained, i.e. the
         subscription is closing and the caller's loop should exit.
         """
@@ -359,7 +359,7 @@ class StreamGateway:
         # epoch lets ``_enqueue`` drop such already-covered publications.
         with database.lock:
             epoch = database.epoch
-            # The codec reads the epoch, state and diff under this same lock.
+            # The codec reads the epoch and state under this same lock.
             seed = database.codec.keyframe_update() if database.has_state else None
         ack = wire.encode_frame(
             FrameKind.SUBSCRIBE_ACK, {"client": client_id, "epoch": epoch}

@@ -25,6 +25,8 @@ grid boundary.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.orbits import constants
@@ -40,6 +42,20 @@ NETEM_DELAY_RESOLUTION_MS = 0.1
 DELAY_GRID_MS = 2.0**-20
 
 _DELAY_GRID_INVERSE = 2.0**20
+
+
+def delay_counts(delays_ms: np.ndarray) -> np.ndarray:
+    """The ``uint32`` grid-step counts of delays known to be on the grid."""
+    return (delays_ms * _DELAY_GRID_INVERSE).astype(np.uint32)
+
+
+def grid_counts(delays_ms: np.ndarray) -> Optional[np.ndarray]:
+    """Delays as ``uint32`` grid-step counts when those give back the same
+    bits (else None: off the grid, out of range, -0.0, not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the cast's garbage fails the test
+        counts = delay_counts(delays_ms)
+    exact = np.multiply(counts, DELAY_GRID_MS, dtype=np.float64).tobytes() == delays_ms.tobytes()
+    return counts if exact else None
 
 
 def propagation_delay_ms(distance_km, speed_km_s: float = constants.SPEED_OF_LIGHT_KM_S):

@@ -472,6 +472,24 @@ class TestRowsOnDemand:
         assert state.path(b, a).hop_count >= 1  # a's row answers the reverse pair
         assert stats.rows_solved == 1 and stats.solver_calls == 1
 
+    @pytest.mark.parametrize("machine", [("satellite", 0, 17), ("station", "buoy-0")])
+    def test_a_machine_and_itself_solve_no_row(self, machine):
+        """A self pair's answers are what a solved row gives — path ``(node,)``
+        at 0 ms, delay 0, bottleneck 0 — without solving it."""
+        calculation = ConstellationCalculation(dart_configuration(buoy_count=2, sink_count=2))
+        kind, *name = machine
+        identify = calculation.satellite if kind == "satellite" else calculation.ground_station
+        machine = identify(*name)
+        state = calculation.state_at(0.0)
+        stats = calculation.path_engine.stats
+        path = state.path(machine, machine)
+        assert state.delay_ms(machine, machine) == state.bandwidth_kbps(machine, machine) == 0.0
+        assert stats.solver_calls == 0 and state.paths._row_of == {}
+        node = state.node_for(machine)
+        cold = ShortestPaths(state.graph, [node]).path(node, node)
+        assert path == state.paths.path(node, node) == cold
+        assert path.hops == (node,) and path.delay_ms == 0.0 and stats.solver_calls == 1
+
 
 class TestSourceChoice:
     """Which endpoint's row answers a pair (the module's four rules)."""

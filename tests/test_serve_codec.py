@@ -23,7 +23,7 @@ from repro.core import (
     NetworkParams,
     ShellConfig,
 )
-from repro.core.constellation import ConstellationDiff
+from repro.core.constellation import ConstellationDiff, DelayTrend
 from repro.dist import wire
 from repro.dist.wire import FrameKind
 from repro.orbits import GroundStation, ShellGeometry
@@ -36,7 +36,6 @@ from repro.serve.codec import (
     _pack_mask,
     _pack_positions,
     _unpack_mask,
-    delay_steps,
     encode_diff_update,
     encode_keyframe_update,
 )
@@ -71,11 +70,12 @@ def advance(calculation, database, previous, now_s):
 HAND_BUILT_INDEX = NodeIndex([6], ["g0", "g1"])
 
 
-def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX):
+def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX, previous=None):
     """A stand-in state over ``index``'s nodes (eight by default) from
     ``{(a, b): (delay_ms, bandwidth_kbps, type_code)}`` — edge ids in the
     dict's order, endpoints as given — with what
-    :meth:`EpochSnapshot.from_state` reads of a state."""
+    :meth:`EpochSnapshot.from_state` reads of a state and the delay trend:
+    zero, or advanced from the ``previous`` state's as ``diff_since`` does."""
     nodes = np.array(list(links), dtype=np.int64).reshape(-1, 2)
     values = list(links.values())
     graph = NetworkGraph.from_edge_arrays(
@@ -87,9 +87,27 @@ def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX):
         np.array([value[1] for value in values], dtype=np.float64),
         np.array([value[2] for value in values], dtype=np.int8),
     )
-    return SimpleNamespace(
-        graph=graph, time_s=time_s, active_satellites={0: np.array(active, dtype=bool)}
+    trend = (
+        DelayTrend.cold(graph)
+        if previous is None
+        else previous.trend.after(graph.diff_from(previous.graph))
     )
+    return SimpleNamespace(
+        graph=graph,
+        time_s=time_s,
+        active_satellites={0: np.array(active, dtype=bool)},
+        trend=trend,
+    )
+
+
+def hand_built_chain(epochs, index=HAND_BUILT_INDEX):
+    """The states of ``[(links, active), ...]``, each trend from the last."""
+    states = []
+    for step, (links, active) in enumerate(epochs):
+        states.append(
+            hand_built_state(links, float(step), active, index, states[-1] if states else None)
+        )
+    return states
 
 
 def hand_built_diff(previous, current) -> ConstellationDiff:
@@ -99,6 +117,8 @@ def hand_built_diff(previous, current) -> ConstellationDiff:
         topology=current.graph.diff_from(previous.graph),
         activated={0: np.nonzero(now & ~was)[0]},
         deactivated={0: np.nonzero(was & ~now)[0]},
+        previous_trend=previous.trend,
+        trend=current.trend,
     )
 
 
@@ -179,7 +199,7 @@ class TestReplicaChaining:
         with pytest.raises(CodecError, match="does not chain"):
             replica.apply(diffs[2])  # epoch 4 does not
         # Eviction protocol: a keyframe resets the replica, diffs resume.
-        replica.apply(database.codec.keyframe_update(database.epoch, state=state, diff=diff))
+        replica.apply(database.codec.keyframe_update(database.epoch, state=state))
         assert replica.snapshot().same_bits(
             EpochSnapshot.from_state(state, database.epoch)
         )
@@ -208,13 +228,13 @@ class TestReplicaChaining:
             replica.apply(database.codec.diff_update(4, diff=diff))
         # The same changes under the epoch number the replica expects: the
         # link count it was computed against is not the one the replica holds.
-        relabelled = EpochUpdate(FrameKind.DIFF, 3, encode_diff_update(diff, 3)[0])
+        relabelled = EpochUpdate(FrameKind.DIFF, 3, encode_diff_update(diff, 3))
         with pytest.raises(CodecError, match="resynchronise from a keyframe"):
             replica.apply(relabelled)
         # A frame that was refused changed nothing.
         assert replica.epoch == 2 and replica.snapshot().same_bits(held)
         # The keyframe the gateway sends after an eviction brings it back.
-        replica.apply(database.codec.keyframe_update(4, state=state, diff=diff))
+        replica.apply(database.codec.keyframe_update(4, state=state))
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 4))
 
 
@@ -223,6 +243,16 @@ class TestCodecCacheAndViews:
         database = ConstellationDatabase()
         assert isinstance(database.codec, EpochUpdateCodec)
         assert database.codec.encode_count == 0
+
+    def test_a_fresh_codec_encodes_a_keyframe_for_epoch_0(self):
+        """Nothing a codec holds decides a frame: the first thing a fresh one
+        is asked, a keyframe for epoch 0, encodes and applies bit for bit."""
+        state = ConstellationCalculation(iridium_configuration()).state_at(0.0)
+        update = ConstellationDatabase().codec.keyframe_update(0, state=state)
+        replica = EpochReplica()
+        replica.apply(update)
+        assert replica.epoch == 0
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 0))
 
     def test_memo_holds_one_epoch_after_thirty_publications(self):
         calculation = ConstellationCalculation(iridium_configuration())
@@ -234,7 +264,7 @@ class TestCodecCacheAndViews:
         for step in range(1, 30):
             state, diff = advance(calculation, database, state, step * 30.0)
             update = codec.diff_update(database.epoch, diff=diff)
-            resync = codec.keyframe_update(database.epoch, state=state, diff=diff)
+            resync = codec.keyframe_update(database.epoch, state=state)
             # One epoch's bytes, not a window of them.
             assert codec._epoch == database.epoch == step + 1
             assert codec._frames == {FrameKind.DIFF: update.data, FrameKind.KEYFRAME: resync.data}
@@ -256,35 +286,41 @@ class TestCodecCacheAndViews:
 
     def test_late_request_for_an_older_epoch_is_not_memoised(self):
         """A publication can still be queued on the gateway's loop when a
-        SUBSCRIBE has already asked for a newer epoch's keyframe.  A DIFF for
-        an epoch older than the cached steps travels absolute and leaves the
-        cache alone."""
+        SUBSCRIBE has already asked for a newer epoch's keyframe.  Each frame
+        is a function of its publication alone, so the late ones are the
+        bytes their publications encode to, and a subscriber that takes the
+        frames in either order predicts the newest DIFF's residuals."""
         calculation = ConstellationCalculation(iridium_configuration())
         database = ConstellationDatabase()
         codec = database.codec
         first_state = calculation.state_at(0.0)
         database.set_state(first_state)
-        second_state, first_diff = advance(calculation, database, first_state, 30.0)
-        state, diff = advance(calculation, database, second_state, 60.0)
-        newest = codec.keyframe_update(3, state=state, diff=diff)
+        second_state, first_diff = advance(calculation, database, first_state, 5.0)
+        state, diff = advance(calculation, database, second_state, 10.0)
+        newest = codec.keyframe_update(3, state=state)
         newest_diff = codec.diff_update(3, diff=diff)
-        assert codec.encode_count == 2 and codec._steps_epoch == 3
-        steps = codec._steps
-        late = codec.keyframe_update(1, state=first_state, diff=None)
+        assert codec.encode_count == 2 and codec._epoch == 3
+        assert newest_diff.decoded()[0]["bits"] > 0  # residuals against epoch 2's trend
+        late = codec.keyframe_update(1, state=first_state)
         assert late.epoch == 1 and late.data == encode_keyframe_update(first_state, 1)
         late_diff = codec.diff_update(2, diff=first_diff)
-        assert late_diff.epoch == 2 and late_diff.data == encode_diff_update(first_diff, 2)[0]
-        assert late_diff.decoded()[1][8].dtype == np.uint32
+        assert late_diff.epoch == 2 and late_diff.data == encode_diff_update(first_diff, 2)
         assert codec.encode_count == 4
-        assert codec._steps_epoch == 3 and codec._steps is steps
-        # Asked again, encoded again: only the newest epoch is remembered ...
-        codec.keyframe_update(1, state=first_state, diff=None)
+        joiner = codec.keyframe_update(2, second_state)
+        for frames in ((late, late_diff, newest_diff), (joiner, newest_diff)):
+            replica = EpochReplica()
+            for update in frames:
+                replica.apply(update)
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 3))
         assert codec.encode_count == 5
+        # Asked again, encoded again: only the newest epoch is remembered ...
+        codec.keyframe_update(1, state=first_state)
+        assert codec.encode_count == 6
         # ... and it was not displaced.
         assert codec._epoch == 3
-        assert codec.keyframe_update(3, state=state, diff=diff).data is newest.data
+        assert codec.keyframe_update(3, state=state).data is newest.data
         assert codec.diff_update(3, diff=diff).data is newest_diff.data
-        assert codec.encode_count == 5
+        assert codec.encode_count == 6
 
     def test_concurrent_encodes_stay_exactly_once(self):
         config = iridium_configuration()
@@ -340,29 +376,37 @@ DELAYS = st.one_of(
     st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
 )
 BANDWIDTHS = st.sampled_from([1e4, 2.5e6, 1e7])
-#: A delay count's deviation from its linear track: mostly small, so most
-#: second differences fit an int8 residual, sometimes an escape.
-JITTER = st.one_of(*[st.integers(-40, 40)] * 7, st.integers(-(2**20), 2**20))
+#: How far a chain's delay counts stray from their smooth tracks: not at
+#: all, a few counts, or enough that third differences escape at int8,
+#: int16 or int32.
+JITTER = st.sampled_from([0, 3, 10, 40, 3000, 2**20])
 
 
 @st.composite
 def chains(draw):
-    """Two to eight epochs of hand-built links over one pool of undirected
-    pairs.  In each epoch a pair is absent, follows its near-linear track of
-    grid counts, or holds any of ``DELAYS`` — so links appear, vanish and
+    """Two to nine epochs of hand-built links over one pool of undirected
+    pairs.  In each epoch a pair is absent, follows its track of grid counts
+    — a parabola, on which a link that stays keeps changing smoothly, off by
+    up to the chain's ``JITTER`` — or holds any of ``DELAYS`` — so curves
+    are not 0, residuals escape at every width, links appear, vanish and
     reappear, and delays move on and off the grid between epochs — in either
     orientation and in any edge order.  Some epochs keep the previous one's
     links, orientation and order: no structural change."""
     # Up to 24 links: a one-link mask travels as its position (2 B < 3 B of bits).
     pool = draw(st.lists(st.sampled_from(PAIRS), max_size=24, unique_by=frozenset))
     tracks = {
-        frozenset(pair): (draw(st.integers(0, 2**31)), draw(st.integers(-4096, 4096)))
+        frozenset(pair): (
+            draw(st.integers(0, 2**31)),
+            draw(st.integers(-4096, 4096)),
+            draw(st.integers(-64, 64)),
+        )
         for pair in pool
     }
     # How often a link leaves its track: never, in some chains.
-    forms = ["track"] * 10 + ["absent"] + ["any"] * draw(st.integers(0, 2))
+    forms = ["track"] * 30 + ["absent"] * 3 + ["any"] * draw(st.integers(0, 2))
+    jitter = draw(JITTER)
     epochs = []
-    for epoch in range(draw(st.integers(2, 8))):
+    for epoch in range(draw(st.integers(2, 9))):
         still = list(epochs[-1][0]) if epochs and draw(st.integers(0, 3)) == 0 else None
         links = {}
         for pair in still or draw(st.permutations(pool)):
@@ -372,8 +416,10 @@ def chains(draw):
             if form == "any":
                 delay = draw(DELAYS)
             else:
-                start, slope = tracks[frozenset(pair)]
-                delay = min(max(start + slope * epoch + draw(JITTER), 0), 2**32 - 1) * GRID
+                start, slope, bend = tracks[frozenset(pair)]
+                count = start + slope * epoch + bend * epoch**2
+                count += draw(st.one_of(st.just(0), st.integers(-jitter, jitter)))
+                delay = min(max(count, 0), 2**32 - 1) * GRID
             # A link's type follows from its endpoints, as in the pipeline (a
             # TopologyDiff does not report a surviving pair that changed type).
             link_type = int(max(pair) >= HAND_BUILT_INDEX.satellite_count)
@@ -385,9 +431,10 @@ def chains(draw):
 
 
 #: Delay counts of five links over nine epochs (None: absent, "off": 0.1 ms,
-#: off the grid).  Epoch 2's DIFF travels absolute; epoch 3 holds the links
-#: and sends residuals for links that all changed, one of them for the first
-#: time; epoch 4 adds a link and one delay leaves the grid (a literal mask),
+#: off the grid).  Epoch 2's DIFF predicts from the first keyframe's zero
+#: trend; epoch 3 holds the links and sends residuals for links that all
+#: changed, one of them for the first time; epoch 4 adds a link and one
+#: delay leaves the grid (a literal mask),
 #: epoch 5 holds the links and comes back from off the grid (literal again),
 #: epoch 6 holds them and predicts no step, epoch 7 removes a link while
 #: another stops changing, epoch 8 moves that one again, and epoch 9 adds a
@@ -423,6 +470,45 @@ def _example_chain():
     ]
 
 
+#: Third differences of five links' delay counts from epoch 3 on (before,
+#: the trend is not yet three epochs deep): one smooth, one off by a few
+#: counts, and three with one bend each that escapes at int8 (epoch 4),
+#: int16 (epoch 6) and int32 (epoch 8).
+CURVING_PAIRS = ((0, 1), (0, 6), (1, 2), (2, 3), (4, 7))
+CURVING_THIRD = [
+    [0] * 10,
+    [0, 0, 0, 1, -2, 3, -1, 0, 2, -3],
+    [0, 0, 0, 0, 50, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 3000, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 0, 2**20, 0],
+]
+
+
+def _curving_chain():
+    """Ten epochs of the five links, every step non-zero."""
+    tracks = []
+    for link, thirds in enumerate(CURVING_THIRD):
+        count, step, curve, counts = 2**30 + link * 2**24, 5000 + 700 * link, 40 - 9 * link, []
+        for epoch, third in enumerate(thirds):
+            if epoch >= 2:
+                curve += third
+            if epoch:
+                step += curve
+                count += step
+            counts.append(count)
+        tracks.append(counts)
+    return [
+        (
+            {
+                pair: (counts[epoch] * GRID, 1e4, int(max(pair) >= 6))  # 6 satellites
+                for pair, counts in zip(CURVING_PAIRS, tracks)
+            },
+            (True,) * 6,
+        )
+        for epoch in range(len(CURVING_THIRD[0]))
+    ]
+
+
 @st.composite
 def streams(draw):
     """A chain, the epoch from whose keyframe a subscriber joins, and the
@@ -434,39 +520,38 @@ def streams(draw):
 class TestHandBuiltSequences:
     @settings(max_examples=150, deadline=None)
     @given(chains())
+    @example(_curving_chain())
     def test_replica_is_bit_exact_on_and_off_the_delay_grid(self, epochs):
         """Random link additions, removals, delay and bandwidth changes over
         hand-built graphs — delays no pipeline produces included — must
         reconstruct bit for bit, without a NumPy cast warning, in three
         replicas at every epoch: one from the first keyframe, one joining
-        from the keyframe of every later epoch, and one fed by a codec that
-        skipped epoch 2, so that its epoch 3 DIFF travels absolute."""
-        states = [
-            hand_built_state(links, float(step), active)
-            for step, (links, active) in enumerate(epochs)
-        ]
+        from the keyframe of every later epoch, and one fed from epoch 3 on
+        by a codec that skipped epoch 2 — whose frames are the same bytes:
+        a frame is a function of its publication, whichever codec encodes
+        it and whatever that codec encoded before."""
+        states = hand_built_chain(epochs)
         codec, gapped, keyframes = (ConstellationDatabase().codec for _ in range(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            first = codec.keyframe_update(1, states[0], None)
+            first = codec.keyframe_update(1, states[0])
             replicas, behind_gap = [EpochReplica()], EpochReplica()
             replicas[0].apply(first)
             behind_gap.apply(first)
             for epoch, (previous, current) in enumerate(zip(states, states[1:]), start=2):
                 diff = hand_built_diff(previous, current)
-                # A codec that never encoded this epoch's DIFF derives the
-                # keyframe's steps from the diff; one that did reads its cache.
-                keyframe = keyframes.keyframe_update(epoch, current, diff)
+                # A codec that never encoded a DIFF and one that encoded each
+                # before its keyframe send the same keyframe.
+                keyframe = keyframes.keyframe_update(epoch, current)
                 update = codec.diff_update(epoch, diff)
-                assert codec.keyframe_update(epoch, current, diff).data == keyframe.data
+                assert codec.keyframe_update(epoch, current).data == keyframe.data
                 for replica in replicas:
                     replica.apply(update)
                 if epoch == 2:
                     behind_gap.apply(update)
                 else:
                     resumed = gapped.diff_update(epoch, diff)
-                    if epoch == 3:
-                        assert resumed.decoded()[1][8].dtype != np.int8
+                    assert resumed.data == update.data, epoch
                     behind_gap.apply(resumed)
                 replicas.append(EpochReplica())
                 replicas[-1].apply(keyframe)
@@ -477,6 +562,7 @@ class TestHandBuiltSequences:
     @settings(max_examples=150, deadline=None)
     @given(streams())
     @example((_example_chain(), 3, 2))
+    @example((_curving_chain(), 5, 7))
     def test_continuous_joined_and_resynced_replicas_agree(self, stream):
         """Three subscribers of one codec: one never leaves, one joins from
         the keyframe of epoch ``join``, and one misses the DIFF of epoch
@@ -484,15 +570,13 @@ class TestHandBuiltSequences:
         follows, as an evicted subscriber does.  Each is bit-exact at every
         epoch it holds, whether array 7 travels literal (off-grid delays) or
         as the XOR with the prediction, with and without structural change.
-        (The example covers each of those.)"""
+        (The first example covers each of those; the second joins and
+        resyncs where the trend has steps and curves.)"""
         chain, join, gap = stream
-        states = [
-            hand_built_state(links, float(step), active)
-            for step, (links, active) in enumerate(chain)
-        ]
+        states = hand_built_chain(chain)
         codec = ConstellationDatabase().codec
         continuous, joined, resynced = EpochReplica(), EpochReplica(), EpochReplica()
-        first = codec.keyframe_update(1, states[0], None)
+        first = codec.keyframe_update(1, states[0])
         for replica in (continuous, resynced, *((joined,) if join == 1 else ())):
             replica.apply(first)
         for epoch, (previous, current) in enumerate(zip(states, states[1:]), start=2):
@@ -502,13 +586,13 @@ class TestHandBuiltSequences:
             if joined.epoch is not None:
                 joined.apply(update)
             elif epoch == join:
-                joined.apply(codec.keyframe_update(epoch, current, diff))
+                joined.apply(codec.keyframe_update(epoch, current))
             if resynced.epoch == epoch - 1 and epoch != gap:
                 resynced.apply(update)
             elif epoch != gap:
                 with pytest.raises(CodecError, match="does not chain"):
                     resynced.apply(update)
-                resynced.apply(codec.keyframe_update(epoch, current, diff))
+                resynced.apply(codec.keyframe_update(epoch, current))
             expected = EpochSnapshot.from_state(current, epoch)
             holding = [
                 replica for replica in (continuous, joined, resynced) if replica.epoch == epoch
@@ -516,6 +600,45 @@ class TestHandBuiltSequences:
             assert len(holding) == 3 - (epoch < join) - (epoch == gap)
             assert all(replica.snapshot().same_bits(expected) for replica in holding), epoch
         assert resynced.applied_keyframes == 1 + (gap < len(states))
+
+    def test_residuals_are_third_differences_at_their_narrowest_width(self):
+        """The curving chain's DIFFs send its first, second and then third
+        differences, at the field width whose packed bytes plus escapes are
+        fewest (the narrowest on a tie), with the escapes at their narrowest
+        width — int8, int16 and int32 all occur — and its keyframes carry
+        the non-zero curves.  Fields are read back by hand, not by the
+        codec."""
+        chain = _curving_chain()
+        states = hand_built_chain(chain)
+        codec = ConstellationDatabase().codec
+        replica = EpochReplica()
+        replica.apply(codec.keyframe_update(1, states[0]))
+        tracks = [[links[pair][0] / GRID for links, _ in chain] for pair in CURVING_PAIRS]
+        widths = []
+        for step, (previous, current) in enumerate(zip(states, states[1:]), start=1):
+            update = codec.diff_update(step + 1, hand_built_diff(previous, current))
+            replica.apply(update)
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(current, step + 1))
+            meta, arrays = update.decoded()
+            bits, escapes = meta["bits"], arrays[9].tolist()
+            fields = _fields(arrays[8], bits, len(CURVING_PAIRS))
+            marked = iter(escapes)
+            residuals = [next(marked) if field == -(1 << (bits - 1)) else field for field in fields]
+            # The differences of the link's counts, of the order the trend holds.
+            order = min(step, 3)
+            assert residuals == [int(np.diff(track[: step + 1], order)[-1]) for track in tracks]
+            width = _narrowest_signed(residuals).itemsize  # of any escape
+            sizes = [
+                -(-len(fields) * b // 8) + width * sum(abs(r) >= 1 << (b - 1) for r in residuals)
+                for b in range(1, 9)
+            ]
+            assert bits == 1 + sizes.index(min(sizes)), (step, sizes)
+            assert arrays[9].dtype == _narrowest_signed(escapes), step
+            if step >= 3 and escapes:
+                widths.append(arrays[9].dtype.name)
+            curves = codec.keyframe_update(step + 1, current).decoded()[1][6]
+            assert curves.any() == (step >= 2)
+        assert {"int8", "int16", "int32"} <= set(widths), widths
 
     def test_the_data_alone_chooses_the_delay_coding(self):
         on_grid = {(0, 1): (3 * GRID, 1e4, 0), (1, 2): (4096.0 - GRID, 1e4, 0)}
@@ -530,7 +653,7 @@ class TestHandBuiltSequences:
             keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
             arrays = keyframe.decoded()[1]
             assert arrays[2].dtype == dtype, name
-            assert arrays[0].dtype == arrays[1].dtype == np.int32
+            assert arrays[0].dtype == arrays[1].dtype == np.int8  # eight nodes
             assert np.all(arrays[0] < arrays[1])
             replica = EpochReplica()
             replica.apply(keyframe)
@@ -554,7 +677,7 @@ class TestHandBuiltSequences:
             keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
             arrays = keyframe.decoded()[1]
             assert arrays[3].dtype == (np.uint8 if palette_size else np.float64), name
-            assert arrays[6].dtype == np.float64 and arrays[6].size == palette_size, name
+            assert arrays[7].dtype == np.float64 and arrays[7].size == palette_size, name
             replica = EpochReplica()
             replica.apply(keyframe)
             assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1)), name
@@ -654,6 +777,26 @@ class TestFewLinkPaths:
         assert _unpack_mask(packed, length).tolist() == positions.tolist()
 
 
+def _fields(packed, bits, count):
+    """The ``bits``-bit two's-complement fields of packed residuals."""
+    stream = "".join(f"{byte:08b}" for byte in packed.tolist())
+    values = [int(stream[i * bits : (i + 1) * bits], 2) for i in range(count)]
+    return [value - (1 << bits) if value >> (bits - 1) else value for value in values]
+
+
+def _packed(fields, bits):
+    """``fields`` as ``bits``-bit two's-complement fields, packed."""
+    stream = "".join(f"{field & ((1 << bits) - 1):0{bits}b}" for field in fields)
+    stream += "0" * (-len(stream) % 8)
+    return np.array([int(stream[i : i + 8], 2) for i in range(0, len(stream), 8)], dtype=np.uint8)
+
+
+def _narrowest_signed(values):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if all(np.iinfo(dtype).min <= value <= np.iinfo(dtype).max for value in values):
+            return np.dtype(dtype)
+
+
 def _on_track(pair, ahead):
     """A forged-frame fixture delay: ``ahead`` grid steps past the link's base."""
     return (2**20 * (1 + pair[1]) + ahead) * GRID
@@ -668,47 +811,49 @@ class TestForgedFrames:
 
     #: 48 links, so a mask's bits are six bytes and two positions four.
     LINKED = [(a, b) for a in range(12) for b in range(a + 1, 12)][:48]
+    BEFORE = {pair: (_on_track(pair, -400), 1e4, 0) for pair in LINKED}
     ZERO = {pair: (_on_track(pair, 0), 1e4, 0) for pair in LINKED}
     FIRST = {pair: (_on_track(pair, 500), 1e4, 0) for pair in LINKED}
-    # Every link steps 500 into FIRST.  Then one steps 900 and changes
-    # bandwidth (a residual of 400: an escape), 42 step 503 (a residual of
-    # 3; one changes bandwidth), three stop, two go and two come, one of
-    # them off the grid.  Removed, added and bandwidth-changed links travel
-    # as two positions; the delay-changed mask is the three that stopped
-    # (six bytes either way: its bits).
+    # Every link steps 400 into ZERO and 500 into FIRST (a curve of 100).
+    # Then one steps 1000 and changes bandwidth (a residual of 400: an
+    # escape), 42 step 603 (a residual of 3; one changes bandwidth), three
+    # stop, two go and two come, one of them off the grid.  Removed, added
+    # and bandwidth-changed links travel as two positions; the delay-changed
+    # mask is the three that stopped (six bytes either way: its bits); the
+    # residuals are 43 fields of 3 bits.
     SECOND = {
-        LINKED[0]: (_on_track(LINKED[0], 1400), 2e4, 0),
-        LINKED[2]: (_on_track(LINKED[2], 1003), 2e4, 0),
-        **{pair: (_on_track(pair, 1003), 1e4, 0) for pair in LINKED[3:44]},
+        LINKED[0]: (_on_track(LINKED[0], 1500), 2e4, 0),
+        LINKED[2]: (_on_track(LINKED[2], 1103), 2e4, 0),
+        **{pair: (_on_track(pair, 1103), 1e4, 0) for pair in LINKED[3:44]},
         **{pair: (_on_track(pair, 500), 1e4, 0) for pair in (*LINKED[44:46], LINKED[47])},
         (3, 13): (0.1, 1e4, 1),
         (0, 12): (_on_track((0, 12), 0), 1e4, 1),
     }
 
     def _replica_and_diff(self, held=None):
-        """A replica keyed to FIRST at epoch 2 (with its steps), and the
+        """A replica keyed to FIRST at epoch 2 (with its trend), and the
         decoded epoch 3 DIFF to SECOND.  ``held`` replaces FIRST's delays in
         the replica only."""
-        zero = hand_built_state(self.ZERO, 0.0, (True,) * 12, FORGED_INDEX)
-        first = hand_built_state(self.FIRST, 1.0, (True,) * 12, FORGED_INDEX)
-        second = hand_built_state(self.SECOND, 2.0, (True, False) * 6, FORGED_INDEX)
+        zero, first, second = hand_built_chain(
+            [(links, (True,) * 12) for links in (self.BEFORE, self.ZERO, self.FIRST)]
+            + [(self.SECOND, (True, False) * 6)],
+            FORGED_INDEX,
+        )[1:]
         codec = ConstellationDatabase().codec
-        lead_in = hand_built_diff(zero, first)
-        codec.diff_update(2, lead_in)
-        keyframe = codec.keyframe_update(2, first, lead_in)
+        keyframe = codec.keyframe_update(2, first)
         update = codec.diff_update(3, hand_built_diff(first, second))
         _, meta, arrays = wire.decode_frame(update.data)
         assert all(array.size for array in arrays[:12])  # every kind of change occurs
         assert [arrays[i].dtype for i in (0, 1, 7, 10)] == [np.uint16, np.uint16, np.uint8, np.uint16]
         assert [arrays[i].nbytes for i in (0, 1, 7, 10)] == [4, 4, 6, 4]
-        assert np.unpackbits(arrays[7]).sum() == 3 and arrays[8].size == 43
-        assert arrays[8].dtype == np.int8 and arrays[8].tolist().count(-128) == 1
+        assert np.unpackbits(arrays[7]).sum() == 3 and meta["bits"] == 3
+        assert arrays[8].dtype == np.uint8 and arrays[8].size == 17
+        assert _fields(arrays[8], 3, 43) == [-4] + [3] * 42
         assert arrays[9].dtype == np.int16 and arrays[9].tolist() == [400]
-        if held is not None:  # with FIRST's steps, so that the frame's prediction holds
+        if held is not None:  # with FIRST's trend, so that the frame's prediction holds
             state = hand_built_state(held, 1.0, (True,) * 12, FORGED_INDEX)
-            keyframe = EpochUpdate(
-                FrameKind.KEYFRAME, 2, encode_keyframe_update(state, 2, delay_steps(lead_in))
-            )
+            state.trend = first.trend
+            keyframe = EpochUpdate(FrameKind.KEYFRAME, 2, encode_keyframe_update(state, 2))
         replica = EpochReplica()
         replica.apply(keyframe)
         return replica, second, meta, arrays
@@ -739,9 +884,25 @@ class TestForgedFrames:
             pytest.param(9, lambda escapes: np.append(escapes, escapes), id="escapes-too-many"),
             pytest.param(9, lambda escapes: escapes[:0], id="escapes-too-few"),
             pytest.param(
-                8, lambda values: np.where(values == -128, 7, values).astype(np.int8),
+                8, lambda packed: _packed([1 if f == -4 else f for f in _fields(packed, 3, 43)], 3),
                 id="escape-unmarked",
             ),
+            pytest.param(
+                8, lambda packed: _packed([-4, -4, *_fields(packed, 3, 43)[2:]], 3),
+                id="escape-marked-twice",
+            ),
+            pytest.param(8, lambda packed: packed[:-1], id="packed-short"),
+            pytest.param(8, lambda packed: packed | np.uint8(1), id="pad-bits"),
+            pytest.param(8, lambda packed: packed.view(np.int8), id="packed-dtype"),
+            pytest.param("bits", lambda bits: 0, id="bits-zero-with-fields"),  # as if absent
+            pytest.param("bits", lambda bits: 9, id="bits-nine"),
+            pytest.param("bits", lambda bits: -3, id="bits-negative"),
+            pytest.param("bits", lambda bits: 2, id="bits-narrower"),
+            pytest.param("bits", lambda bits: 4, id="bits-wider"),
+            pytest.param("bits", lambda bits: 3.0, id="bits-float"),
+            pytest.param("bits", lambda bits: "3", id="bits-string"),
+            pytest.param("bits", lambda bits: True, id="bits-bool"),
+            pytest.param("bits", lambda bits: None, id="bits-null"),
             pytest.param(9, lambda escapes: escapes.astype(np.uint16), id="escape-dtype"),
             pytest.param(9, lambda escapes: escapes.reshape(1, 1), id="escape-shape"),
             pytest.param(
@@ -793,14 +954,14 @@ class TestForgedFrames:
             pytest.param(1, lambda positions: positions.reshape(1, -1), r"\(1, 2\)", id="2-D"),
             pytest.param(
                 7, lambda mask: mask ^ np.eye(1, 6, dtype=np.uint8)[0] << 7,
-                "42 delay changes for 43", id="xor-count",
+                "42 fields of 3 bits", id="xor-count",
             ),
         ],
     )
     def test_forged_positions_are_codec_errors(self, position, forge, match):
         """Positions must ascend strictly below the link count, in the one
         dtype the link count names; the delay-changed mask of residuals must
-        decode to one link per residual."""
+        decode to one link per packed field."""
         replica, _, meta, arrays = self._replica_and_diff()
         before = replica.snapshot()
         arrays[position] = forge(arrays[position])
@@ -823,24 +984,28 @@ class TestForgedFrames:
     def test_forged_keyframes_are_codec_errors(self):
         state = hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (0.1, 1e4, 0)}, 0.0)
         _, meta, arrays = wire.decode_frame(encode_keyframe_update(state, 1))
-        assert arrays[3].dtype == np.uint8 and arrays[6].tolist() == [1e4]  # palette
+        assert arrays[3].dtype == np.uint8 and arrays[7].tolist() == [1e4]  # palette
 
         def replaced(position, array):
             return [*arrays[:position], array, *arrays[position + 1 :]]
 
         forgeries = {
             "short-column": (meta, replaced(0, arrays[0][:-1])),
-            "empty-mask": (meta, replaced(7, arrays[7][:0])),
-            "no-mask": (meta, arrays[:7]),
+            "empty-mask": (meta, replaced(8, arrays[8][:0])),
+            "no-mask": (meta, arrays[:8]),
             "huge-mask": ({**meta, "satellites": [2**40]}, arrays),
             "step-dtype": (meta, replaced(5, arrays[5].astype(np.float64))),
             "step-unsigned": (meta, replaced(5, arrays[5].astype(np.uint8))),
             "step-length": (meta, replaced(5, arrays[5][:-1])),
+            "curve-dtype": (meta, replaced(6, arrays[6].astype(np.float64))),
+            "curve-unsigned": (meta, replaced(6, arrays[6].astype(np.uint8))),
+            "curve-length": (meta, replaced(6, arrays[6][:-1])),
+            "curve-missing": (meta, [*arrays[:6], *arrays[7:]]),
             "index-dtype": (meta, replaced(3, arrays[3].astype(np.uint16))),
             "index-length": (meta, replaced(3, arrays[3][:-1])),
             "index-out-of-range": (meta, replaced(3, np.full_like(arrays[3], 1))),
-            "palette-dtype": (meta, replaced(6, arrays[6].astype(np.float32))),
-            "values-and-palette": (meta, replaced(3, arrays[6][arrays[3]])),
+            "palette-dtype": (meta, replaced(7, arrays[7].astype(np.float32))),
+            "values-and-palette": (meta, replaced(3, arrays[7][arrays[3]])),
         }
         for name, (forged_meta, forged_arrays) in forgeries.items():
             data = wire.encode_frame(FrameKind.KEYFRAME, forged_meta, tuple(forged_arrays))
@@ -850,7 +1015,7 @@ class TestForgedFrames:
             assert replica.epoch is None, name
 
     def test_truncated_bytes_are_wire_errors(self):
-        data, _ = encode_diff_update(
+        data = encode_diff_update(
             hand_built_diff(
                 hand_built_state({(0, 1): (1.0, 1e4, 0)}, 0.0),
                 hand_built_state({(0, 1): (2.0, 1e4, 0)}, 1.0),
@@ -870,11 +1035,11 @@ class TestFrameBudget:
         "config_factory,step_s,first_diff_budget,diff_budget,keyframe_budget",
         [
             pytest.param(
-                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 7_000, 170_000,
+                lambda: west_africa_configuration(shells="all"), 2.0, 25_000, 6_460, 170_000,
                 id="starlink-all-shells",
             ),
             pytest.param(
-                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 625, 10_000,
+                lambda: dart_configuration("central", 40, 80), 1.0, 2_000, 612, 10_000,
                 id="iridium-dart",
             ),
         ],
@@ -882,15 +1047,16 @@ class TestFrameBudget:
     def test_frames_stay_within_budget(
         self, config_factory, step_s, first_diff_budget, diff_budget, keyframe_budget
     ):
-        """The first DIFF after the diff-less keyframe has no steps to predict
-        from and travels absolute; every later one travels as residuals.  A
-        removed or added array of one link is its position: at most 4 B."""
+        """The first DIFF after the cold keyframe predicts from a zero trend
+        (absolute counts, or first differences where those are smaller);
+        every later one travels as packed residual fields.  A removed or
+        added array of one link is its position: at most 4 B."""
         calculation = ConstellationCalculation(config_factory())
         database = ConstellationDatabase()
         state = calculation.state_at(0.0)
         database.set_state(state)
         replica = EpochReplica()
-        keyframe = database.codec.keyframe_update(1, state=state, diff=None)
+        keyframe = database.codec.keyframe_update(1, state=state)
         replica.apply(keyframe)
         sizes, single_links = [], 0
         for step in range(1, 11):
@@ -898,8 +1064,9 @@ class TestFrameBudget:
             update = database.codec.diff_update(database.epoch, diff=diff)
             replica.apply(update)
             sizes.append(len(update.data))
-            arrays = update.decoded()[1]
-            assert (arrays[8].dtype == np.int8) == (step > 1), step
+            meta, arrays = update.decoded()
+            assert ("bits" in meta) == (arrays[8].dtype == np.uint8), step  # only with fields
+            assert step == 1 or arrays[8].dtype == np.uint8 and 1 <= meta["bits"] <= 8, step
             for links, mask in zip((diff.topology.links_removed, diff.topology.links_added), arrays):
                 if links.size == 1:
                     single_links += 1
@@ -908,5 +1075,5 @@ class TestFrameBudget:
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, database.epoch))
         assert sizes[0] <= first_diff_budget, sizes
         assert max(sizes[1:]) <= diff_budget, sizes
-        resync = database.codec.keyframe_update(database.epoch, state=state, diff=diff)
+        resync = database.codec.keyframe_update(database.epoch, state=state)
         assert max(len(keyframe.data), len(resync.data)) <= keyframe_budget
