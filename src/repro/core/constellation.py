@@ -103,7 +103,7 @@ from repro.topology import (
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE, pair_keys
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import delay_counts, grid_counts, link_delay_ms
+from repro.topology.linkparams import link_delay_counts
 from repro.topology.uplinks import visible_satellites_batch
 
 _ISL_CODE = _CODE_BY_LINK_TYPE[LinkType.ISL]
@@ -181,27 +181,24 @@ class DelayTrend:
     """Each link's delay trend in one epoch ``k``, in ``DELAY_GRID_MS``
     counts ``c``, by edge id of that epoch's graph.
 
-    ``step`` is ``c[k] - c[k-1]`` where epoch ``k`` changed the link's delay
-    and every delay that epoch changed is on the grid before and after, else
-    0; ``curve`` is ``step[k] - step[k-1]`` where both steps are non-zero,
-    else 0.  ``on_grid``: every delay of the graph is known to be on the
-    grid; ``stepped``: how many links have a step.  A trend is provenance of
-    the state, not part of it: the update codec predicts the next epoch's
-    delays from it (``c[k] + step + curve``) and a KEYFRAME carries it, so a
-    subscriber that joins mid-stream predicts as one that saw every epoch.
-    A cold state's trend is zero.
+    ``step`` is ``c[k] - c[k-1]`` where epoch ``k`` changed the link's delay,
+    else 0; ``curve`` is ``step[k] - step[k-1]`` where both steps are
+    non-zero, else 0.  ``stepped``: how many links have a step.  A trend is
+    provenance of the state, not part of it: the update codec predicts the
+    next epoch's delays from it (``c[k] + step + curve``) and a KEYFRAME
+    carries it, so a subscriber that joins mid-stream predicts as one that
+    saw every epoch.  A cold state's trend is zero.
     """
 
     step: np.ndarray
     curve: np.ndarray
-    on_grid: bool
     stepped: int
 
     @classmethod
     def cold(cls, graph: NetworkGraph) -> "DelayTrend":
         """The zero trend of a graph without a predecessor."""
         step, curve = np.zeros((2, graph.total_links()), dtype=np.int64)
-        return cls(step, curve, grid_counts(graph.delays_ms) is not None, 0)
+        return cls(step, curve, 0)
 
     def after(self, topology: TopologyDiff) -> "DelayTrend":
         """The trend of the epoch ``topology`` leads to, from this one (its
@@ -209,25 +206,17 @@ class DelayTrend:
         current = topology.current
         step, curve = np.zeros((2, current.total_links()), dtype=np.int64)
         changed, was = topology.delay_changed, topology.delay_changed_previous
-        counts = grid_counts(current.delays_ms[changed])
-        before = None
-        if counts is not None:
-            held_ms = topology.previous.delays_ms[was]
-            before = delay_counts(held_ms) if self.on_grid else grid_counts(held_ms)
-        if before is None:
-            return DelayTrend(step, curve, False, 0)
-        new, held = np.subtract(counts, before, dtype=np.int64), self.step[was]
+        new = np.subtract(
+            current.delay_counts[changed], topology.previous.delay_counts[was], dtype=np.int64
+        )
+        held = self.step[was]
         step[changed] = new
         # A changed link's new step is not 0 (its count moved); its curve
         # needs the held step too.
         curves = new - held
         curves[held == 0] = 0
         curve[changed] = curves
-        added = topology.links_added
-        on_grid = self.on_grid and (
-            not added.size or grid_counts(current.delays_ms[added]) is not None
-        )
-        return DelayTrend(step, curve, on_grid, changed.size)
+        return DelayTrend(step, curve, changed.size)
 
 
 @dataclass(frozen=True)
@@ -329,15 +318,16 @@ class _EpochArrays:
     satellite, which the state hands out per shell as views.  ``clear`` is
     one mask over all ISL candidates (``_isl_endpoints_a/b``): the
     candidates whose line of sight is clear, which are the epoch's ISLs.
-    ``isls`` holds their ``(distance_km, delay_ms, bandwidth_kbps)`` arrays,
-    in candidate order.  ``uplinks`` is the epoch's whole uplink set as four
-    parallel arrays ``(station, satellite, distance_km, delay_ms)`` —
-    ``station`` the ground station's position in the configuration,
-    ``satellite`` the satellite's global node index — with one row per
-    visible pair, sorted by ground station, then shell, then satellite: the
-    order in which :meth:`ConstellationCalculation._assemble_graph` appends
-    them to the ISLs, and hence their edge ids.  Keeping both code paths on
-    these arrays guarantees byte-identical snapshots.
+    ``isls`` holds their ``(distance_km, delay_counts, bandwidth_kbps)``
+    arrays, in candidate order.  ``uplinks`` is the epoch's whole uplink set
+    as four parallel arrays ``(station, satellite, distance_km,
+    delay_counts)`` — ``station`` the ground station's position in the
+    configuration, ``satellite`` the satellite's global node index — with
+    one row per visible pair, sorted by ground station, then shell, then
+    satellite: the order in which
+    :meth:`ConstellationCalculation._assemble_graph` appends them to the
+    ISLs, and hence their edge ids.  Keeping both code paths on these arrays
+    guarantees byte-identical snapshots.
     """
 
     satellite_positions: np.ndarray
@@ -733,8 +723,8 @@ class ConstellationCalculation:
             satellite_positions=positions,
             active=active,
             clear=clear,
-            isls=(isl_distances, link_delay_ms(isl_distances), self._isl_bandwidths[clear]),
-            uplinks=(station, satellite, distance_km, link_delay_ms(distance_km)),
+            isls=(isl_distances, link_delay_counts(isl_distances), self._isl_bandwidths[clear]),
+            uplinks=(station, satellite, distance_km, link_delay_counts(distance_km)),
             hints=_UpdateHints(
                 time_s=time_s,
                 elevation_bounds=bounds,
@@ -785,8 +775,8 @@ class ConstellationCalculation:
         sort sees more than the epoch's uplinks.
         """
         clear = epoch.clear
-        isl_distances_km, isl_delays_ms, isl_bandwidths = epoch.isls
-        station, satellite_nodes, uplink_distances_km, uplink_delays_ms = epoch.uplinks
+        isl_distances_km, isl_delay_counts, isl_bandwidths = epoch.isls
+        station, satellite_nodes, uplink_distances_km, uplink_delay_counts = epoch.uplinks
         isl_count = isl_distances_km.size
         ground_nodes = self._gst_nodes[station]
         # Candidate → edge id, then the kept candidates in key order.
@@ -804,7 +794,7 @@ class ConstellationCalculation:
             np.concatenate([self._isl_endpoints_a[clear], ground_nodes]),
             np.concatenate([self._isl_endpoints_b[clear], satellite_nodes]),
             np.concatenate([isl_distances_km, uplink_distances_km]),
-            np.concatenate([isl_delays_ms, uplink_delays_ms]),
+            np.concatenate([isl_delay_counts, uplink_delay_counts]),
             np.concatenate(
                 [
                     isl_bandwidths,

@@ -229,7 +229,11 @@ WIRE_MAGIC = b"CLW1"
 #: meta key, present with residuals) with escapes down to ``int8``; a
 #: ``KEYFRAME`` carries the epoch's curves beside its steps (array 6) and its
 #: endpoints at the narrowest signed width.
-WIRE_VERSION = 17
+#: 18: a delay array is ``uint32`` grid counts only (``KEYFRAME`` array 2,
+#: ``DIFF`` arrays 4 and 8 without ``bits``); the ``float64`` forms for
+#: delays off the grid are gone, because a graph holds its delays as grid
+#: counts.
+WIRE_VERSION = 18
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

@@ -30,18 +30,16 @@ else — positions out of order, repeated or ``>= n`` — is a
 :class:`CodecError`.  A DIFF therefore means something only to a replica
 that holds the previous epoch's links: its meta carries the link counts
 before and after, and a frame that does not chain is a :class:`CodecError`.
-A delay array travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps when
-every value is a non-negative multiple of the grid below 2**32 steps —
-every delay the pipeline computes — and as its ``float64`` values
-otherwise; the array's dtype in the frame says which, so off-grid delays
-stay bit-exact.
+A delay array travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps: the
+graph's own delay column (``NetworkGraph.delay_counts``), so every delay is
+on the grid by construction.  A delay array of any other dtype is a
+:class:`CodecError`.
 
 Satellites move smoothly, so a link's delay count ``c`` follows a curve
 that three epochs pin down.  Every published epoch carries its
 :class:`~repro.core.constellation.DelayTrend`: per link a *step* ``c[k] -
-c[k-1]`` (non-zero only where epoch ``k`` changed the link's delay and every
-delay that epoch changed is on the grid before and after) and a *curve*
-``step[k] - step[k-1]`` (where both steps are non-zero, else 0).  The
+c[k-1]`` (non-zero only where epoch ``k`` changed the link's delay) and a
+*curve* ``step[k] - step[k-1]`` (where both steps are non-zero, else 0).  The
 server computes it once per epoch, as provenance of the state, and the
 diff carries the trends before and after; a replica that follows the
 stream derives the same from the delays it held before and after each
@@ -52,11 +50,10 @@ still encoded once for all of them.
 
 A DIFF sends each changed delay as the residual ``c[k] - (c[k-1] + step +
 curve)`` against the previous epoch's trend — a third difference, near 0 —
-when every delay involved is on the grid and that is smaller than
-``uint32`` counts: as ``b``-bit two's-complement fields packed
-most-significant bit first (meta ``bits``), ``b`` in 1…8 the width that
-makes the fields plus their escapes smallest.  The most negative field,
-``-2**(b-1)``, marks an escaped residual, which array 9 holds at the
+when that is smaller than ``uint32`` counts: as ``b``-bit two's-complement
+fields packed most-significant bit first (meta ``bits``), ``b`` in 1…8 the
+width that makes the fields plus their escapes smallest.  The most negative
+field, ``-2**(b-1)``, marks an escaped residual, which array 9 holds at the
 narrowest of ``int8`` … ``int64``.  The trailing pad bits are 0.  The same
 steps predict *which* links change: with residuals the delay-changed mask
 is sent as its XOR with the links whose previous step is not 0 (after the
@@ -77,15 +74,14 @@ field width).
 1  added             bits or positions     links that appeared         current
 2  added node_a      int8 … int64          their lower endpoints
 3  added node_b      int8 … int64          their higher endpoints
-4  added delay       uint32 | float64      their delays
+4  added delay       uint32                their delays [grid counts]
 5  added bandwidth   float64               their bandwidths [kbps]
 6  added type        int8                  their link type codes
 7  delay changed     bits or positions     surviving links, new delay  current
                                            — with residuals, XOR the
                                            links with a step
-8  new delay         uint8 (``bits``-bit   those delays: residuals,
-                     fields) | uint32 |    counts or values
-                     float64
+8  new delay         uint8 (``bits``-bit   those delays: residuals or
+                     fields) | uint32      grid counts
 9  escapes           int8 | int16 |        the residuals array 8 marks
                      int32 | int64         escaped, in order (else
                                            empty)
@@ -110,7 +106,7 @@ the activity flips.  Added links carry absolute delays and a zero trend.
 == =========== ============================= ================================
 0  node_a      int8 | int16 | int32 | int64  lower endpoints
 1  node_b      int8 | int16 | int32 | int64  higher endpoints
-2  delay       uint32 | float64              delays, coded as above
+2  delay       uint32                        delays [grid counts]
 3  bandwidth   uint8 | float64               bandwidths [kbps], or indices
                                              into the palette
 4  type        int8                          link type codes
@@ -127,10 +123,21 @@ Endpoints travel at the narrowest signed width that holds every node index
 of the graph (``int16`` for phase-I Starlink's ≈ 4,400 nodes).  The
 bandwidth column travels as ``uint8`` indices when the links have at most
 256 distinct bandwidths (the shells built here have one or two).
+
+A replica checks a frame where it decodes it, before it changes anything;
+each violation is a :class:`CodecError`.  Meta: ``epoch`` an int >= 0,
+``time_s`` a number (finite: the wire refuses others), ``shells`` strictly
+ascending ints; a KEYFRAME's ``node_count`` an int > 0 and ``satellites``
+one int >= 0 per shell, a DIFF's ``links`` two ints >= 0.  Links:
+endpoints signed ints with ``0 <= node_a < node_b < node_count``, a
+KEYFRAME's in strictly ascending canonical order and each added one
+between its neighbours in the new order; type codes ``int8`` in 0…2;
+bandwidths ``float64`` (or the palette's ``uint8`` indices).
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
@@ -139,7 +146,7 @@ import numpy as np
 
 from repro.dist import wire
 from repro.dist.wire import FrameKind
-from repro.topology.linkparams import DELAY_GRID_MS, grid_counts
+from repro.topology.linkparams import DELAY_GRID_MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState, DelayTrend
@@ -249,9 +256,6 @@ class EpochUpdate:
         return self._decoded[0]
 
 
-_GRID_STEPS_PER_MS = 1.0 / DELAY_GRID_MS
-#: 2**32 grid steps: the first delay a ``uint32`` count cannot hold.
-_GRID_LIMIT_MS = 2**32 * DELAY_GRID_MS
 _NO_POSITIONS = np.empty(0, dtype=np.intp)
 #: The dtypes of a link mask's positions, over at most 2**16 links and more.
 _POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
@@ -288,17 +292,35 @@ _SIGNED = tuple(
 )
 
 
-def _pack_delays(delays_ms: np.ndarray) -> np.ndarray:
-    counts = grid_counts(delays_ms)
-    return delays_ms if counts is None else counts
+def _check_delays(values: np.ndarray) -> None:
+    if values.dtype != np.uint32:
+        raise CodecError(f"delays travel as uint32 grid counts, not {values.dtype}")
 
 
-def _unpack_delays(values: np.ndarray) -> np.ndarray:
-    if values.dtype == np.uint32:
-        return np.multiply(values, DELAY_GRID_MS, dtype=np.float64)
-    if values.dtype == np.float64:
-        return values
-    raise CodecError(f"delays travel as uint32 grid steps or float64, not {values.dtype}")
+def _is_number(value: Any) -> bool:
+    """A JSON number: the wire's decoder already refuses NaN and infinities."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value: Any) -> bool:
+    return wire._is_int(value) and value >= 0
+
+
+def _are_shells(shells: Any) -> bool:
+    """Whether a meta's ``shells`` is a list of strictly ascending ints."""
+    return (
+        isinstance(shells, list)
+        and all(wire._is_int(shell) for shell in shells)
+        and all(low < high for low, high in zip(shells, shells[1:]))
+    )
+
+
+def _check_link_dtypes(node_a: np.ndarray, node_b: np.ndarray, types: np.ndarray) -> None:
+    if node_a.dtype.kind != "i" or node_b.dtype.kind != "i" or types.dtype != np.int8:
+        raise CodecError(
+            f"links travel as signed int endpoints and int8 types, not "
+            f"{node_a.dtype} / {node_b.dtype} / {types.dtype}"
+        )
 
 
 def _signed_dtype(low: int, high: int) -> np.dtype:
@@ -515,7 +537,7 @@ def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
     bandwidths, palette = _pack_bandwidths(snapshot.bandwidth_kbps)
     arrays = (
         *_pack_nodes(snapshot.node_a, snapshot.node_b, snapshot.node_count),
-        _pack_delays(snapshot.delay_ms),
+        state.graph.delay_counts[order],
         bandwidths,
         snapshot.link_type,
         _narrowest(state.trend.step[order]),
@@ -535,13 +557,11 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     removed, _ = _pack_positions(previous, topology.links_removed)
     added, added_ids = _pack_positions(current, topology.links_added)
     changed, changed_ids = _pack_positions(current, topology.delay_changed)
-    packed = None
-    if diff.trend.stepped == changed.size:  # every changed delay is on the grid: each has a step
-        was = _previous_ids(topology, changed_ids)
-        held = trend.step[was]
-        packed = _pack_residuals(diff.trend.step[changed_ids] - held - trend.curve[was])
+    was = _previous_ids(topology, changed_ids)
+    held = trend.step[was]
+    packed = _pack_residuals(diff.trend.step[changed_ids] - held - trend.curve[was])
     if packed is None:
-        delays, escapes, bits = _pack_delays(current.delays_ms[changed_ids]), _NO_ESCAPES, 0
+        delays, escapes, bits = current.delay_counts[changed_ids], _NO_ESCAPES, 0
         delay_mask = changed
     else:
         delays, escapes, bits = packed
@@ -559,7 +579,7 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
         _pack_mask(removed, links[0]),
         _pack_mask(added, links[1]),
         *_pack_nodes(current.node_a[added_ids], current.node_b[added_ids], len(current.index)),
-        _pack_delays(current.delays_ms[added_ids]),
+        current.delay_counts[added_ids],
         current.bandwidths_kbps[added_ids],
         current.link_type_codes[added_ids],
         _pack_mask(delay_mask, links[1]),
@@ -614,36 +634,23 @@ def _decode_delays(
     values: np.ndarray,
     escapes: np.ndarray,
     bits: int,
-    held_ms: np.ndarray,
+    held: np.ndarray,
     held_steps: np.ndarray,
     held_curves: np.ndarray,
-    on_grid: bool,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """A DIFF's new delays of its delay-changed links (arrays 8 and 9, with
-    ``bits``-bit residual fields or none) and their steps (None: a delay
-    involved is off the grid), given the delays and trend the replica holds
-    for those links (``on_grid``: every delay it holds is known to be on
-    the grid).
-
-    Delays on the grid differ by exact multiples of ``DELAY_GRID_MS`` below
-    4096 ms, so ``held + step * DELAY_GRID_MS`` and ``(new - held) /
-    DELAY_GRID_MS`` are exact: the same bits as the counts would give.
-    """
-    held_on_grid = on_grid or grid_counts(held_ms) is not None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A DIFF's new delay counts of its delay-changed links (arrays 8 and 9,
+    with ``bits``-bit residual fields or none) and their steps, given the
+    counts and trend the replica holds for those links."""
     if not bits:
         if escapes.size:
             raise CodecError(f"escaped residuals arrived with {values.dtype} delays")
-        delays = _unpack_delays(values)
-        if not held_on_grid or (values.dtype != np.uint32 and grid_counts(delays) is None):
-            return delays, None
-        return delays, ((delays - held_ms) * _GRID_STEPS_PER_MS).astype(np.int64)
-    if not held_on_grid:
-        raise CodecError("residuals onto delays the replica holds off the grid")
-    steps = held_steps + held_curves + _unpack_residuals(values, bits, held_ms.size, escapes)
-    delays = held_ms + steps * DELAY_GRID_MS
-    if delays.size and (delays.min() < 0 or delays.max() >= _GRID_LIMIT_MS):
+        _check_delays(values)
+        return values, np.subtract(values, held, dtype=np.int64)
+    steps = held_steps + held_curves + _unpack_residuals(values, bits, held.size, escapes)
+    counts = held + steps
+    if counts.size and (counts.min() < 0 or counts.max() >= 2**32):
         raise CodecError("a residual decodes to a delay count outside the uint32 grid")
-    return delays, steps
+    return counts.astype(np.uint32), steps
 
 
 # -- client-side replica -------------------------------------------------------
@@ -668,14 +675,12 @@ class EpochReplica:
         self.epoch: Optional[int] = None
         self.time_s: Optional[float] = None
         self.node_count = 0
-        # node_a, node_b, delay_ms, bandwidth_kbps, link_type
-        dtypes = (np.int64, np.int64, np.float64, np.float64, np.int8)
+        # node_a, node_b, delay (grid counts), bandwidth_kbps, link_type
+        dtypes = (np.int64, np.int64, np.uint32, np.float64, np.int8)
         self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
         #: Each held link's step and curve in the held epoch (module docstring).
         self._steps = np.empty(0, dtype=np.int64)
         self._curves = np.empty(0, dtype=np.int64)
-        #: Every held delay is known to be on the grid (arrived as a count).
-        self._on_grid = True
         self.active: dict[int, np.ndarray] = {}
         self.applied_keyframes = 0
         self.applied_diffs = 0
@@ -691,13 +696,24 @@ class EpochReplica:
             raise CodecError(f"cannot apply a {update.kind.name} frame to a replica")
 
     def _apply_keyframe(self, meta: dict, arrays: list[np.ndarray]) -> None:
-        shells, satellites = meta["shells"], meta["satellites"]
+        epoch, time_s, node_count, shells, satellites = (
+            meta.get(key) for key in ("epoch", "time_s", "node_count", "shells", "satellites")
+        )
+        if not (
+            _is_count(epoch)
+            and _is_number(time_s)
+            and _is_count(node_count)
+            and node_count > 0
+            and _are_shells(shells)
+            and isinstance(satellites, list)
+            and all(map(_is_count, satellites))
+        ):
+            raise CodecError(f"a malformed KEYFRAME meta: {meta!r:.200}")
         if not len(shells) == len(satellites) == len(arrays) - _KEYFRAME_ARRAYS:
             raise CodecError(f"a KEYFRAME of {len(shells)} shells has no {len(arrays)} arrays")
         columns = arrays[:5]  # positions: the module docstring's table
         steps, curves, palette = arrays[5:_KEYFRAME_ARRAYS]
-        on_grid = columns[2].dtype == np.uint32
-        columns[2] = _unpack_delays(columns[2])
+        _check_delays(columns[2])
         columns[3] = _unpack_bandwidths(columns[3], palette)
         if steps.dtype.kind != "i" or curves.dtype.kind != "i":
             raise CodecError(
@@ -705,6 +721,17 @@ class EpochReplica:
             )
         if any(column.shape != (columns[0].size,) for column in (*columns, steps, curves)):
             raise CodecError("the link arrays of a KEYFRAME differ in length")
+        node_a, node_b, types = columns[0], columns[1], columns[4]
+        _check_link_dtypes(node_a, node_b, types)
+        if not ((node_a >= 0) & (node_a < node_b) & (node_b < node_count)).all():
+            raise CodecError(f"a link's endpoints are not 0 <= a < b < {node_count}")
+        if not (types.view(np.uint8) <= 2).all():
+            raise CodecError("a link type code is not 0 … 2")
+        # (node_a, node_b) pairs ascend: the canonical order, with no key
+        # product to overflow.
+        low, high = node_a[:-1], node_a[1:]
+        if not ((low < high) | ((low == high) & (node_b[:-1] < node_b[1:]))).all():
+            raise CodecError("the links of a KEYFRAME do not ascend in the canonical order")
         active = {
             shell: _unpack_bits(packed, length)
             for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:])
@@ -713,24 +740,35 @@ class EpochReplica:
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
         self._steps = steps.astype(np.int64)
         self._curves = curves.astype(np.int64)
-        self._on_grid = on_grid
         self.active = active
-        self.epoch = meta["epoch"]
-        self.time_s = meta["time_s"]
-        self.node_count = meta["node_count"]
+        self.epoch = epoch
+        self.time_s = time_s
+        self.node_count = node_count
         self.applied_keyframes += 1
 
     def _apply_diff(self, meta: dict, arrays: list[np.ndarray]) -> None:
         if self.epoch is None:
             raise CodecError("a replica must start from a KEYFRAME")
-        if meta["epoch"] != self.epoch + 1:
+        epoch, time_s, links, shells = (
+            meta.get(key) for key in ("epoch", "time_s", "links", "shells")
+        )
+        if not (
+            _is_count(epoch)
+            and _is_number(time_s)
+            and _are_shells(shells)
+            and isinstance(links, list)
+            and len(links) == 2
+            and all(map(_is_count, links))
+        ):
+            raise CodecError(f"a malformed DIFF meta: {meta!r:.200}")
+        if epoch != self.epoch + 1:
             raise CodecError(
-                f"diff for epoch {meta['epoch']} does not chain onto replica epoch "
+                f"diff for epoch {epoch} does not chain onto replica epoch "
                 f"{self.epoch}; resynchronise from a keyframe"
             )
         self._patch(meta, arrays)
-        self.epoch = meta["epoch"]
-        self.time_s = meta["time_s"]
+        self.epoch = epoch
+        self.time_s = time_s
         self.applied_diffs += 1
 
     def _patch(self, meta: dict, arrays: list[np.ndarray]) -> None:
@@ -743,8 +781,11 @@ class EpochReplica:
         bits = meta.get("bits", 0)
         if type(bits) is not int or not 0 <= bits <= 8:
             raise CodecError(f"residual fields are 1 to 8 bits wide, not {bits!r}")
-        added_on_grid = fresh[2].dtype == np.uint32
-        fresh[2] = _unpack_delays(fresh[2])
+        _check_delays(fresh[2])
+        if fresh[3].dtype != np.float64 or bandwidths.dtype != np.float64:
+            raise CodecError(
+                f"bandwidths travel as float64, not {fresh[3].dtype} / {bandwidths.dtype}"
+            )
         before, after = meta["links"]
         if before != self._links[0].size:
             raise CodecError(
@@ -755,6 +796,9 @@ class EpochReplica:
         if after != before - removed.size + fresh[0].size:
             raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
         added = _unpack_mask(added, after, *fresh)
+        if added.size:
+            _check_link_dtypes(fresh[0], fresh[1], fresh[4])
+            self._check_added(removed, added, fresh[0], fresh[1], fresh[4])
         delay_mask = _unpack_mask(delay_mask, after, *(() if bits else (delays,)))
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
         try:
@@ -774,29 +818,79 @@ class EpochReplica:
             stepped = steps != 0
             stepped[delay_mask] ^= True
             delay_changed = np.flatnonzero(stepped)
-        held_steps, held_ms = steps[delay_changed], links[2][delay_changed]
-        delays, new_steps = _decode_delays(
-            delays, escapes, bits, held_ms, held_steps, curves[delay_changed], self._on_grid
+        held_steps = steps[delay_changed]
+        counts, new_steps = _decode_delays(
+            delays, escapes, bits, links[2][delay_changed], held_steps, curves[delay_changed]
         )
-        self._on_grid = self._on_grid and added_on_grid and new_steps is not None
         self._steps, self._curves = np.zeros((2, after), dtype=np.int64)
-        if new_steps is not None:
-            self._steps[delay_changed] = new_steps
-            curves = new_steps - held_steps
-            curves[held_steps == 0] = 0
-            self._curves[delay_changed] = curves
-        links[2][delay_changed] = delays
+        self._steps[delay_changed] = new_steps
+        curves = new_steps - held_steps
+        curves[held_steps == 0] = 0
+        self._curves[delay_changed] = curves
+        links[2][delay_changed] = counts
         links[3][bandwidth_changed] = bandwidths
         self._links = links
         self.active.update(active)
+
+    def _check_added(
+        self,
+        removed: np.ndarray,
+        at: np.ndarray,
+        node_a: np.ndarray,
+        node_b: np.ndarray,
+        types: np.ndarray,
+    ) -> None:
+        """The added links one by one, as the KEYFRAME's columns are checked
+        at once (a DIFF adds a handful): ``0 <= node_a < node_b <
+        node_count``, a type code in 0…2, and a place between the link's
+        neighbours at position ``at`` of the new order — the added link
+        before it and the kept links before and after it.  The i-th added
+        link follows ``at[i] - i`` kept links, and the j-th kept link is held
+        at ``j`` plus the removed positions it follows.  Links compare as
+        ``(node_a, node_b)`` tuples: the canonical order, with no key product
+        to overflow."""
+        held_a, held_b = self._links[:2]
+        kept = held_a.size - removed.size
+        removed_ahead = (removed - np.arange(removed.size)).tolist()
+
+        def kept_link(j: int) -> tuple[int, int]:
+            position = j + bisect.bisect_right(removed_ahead, j)
+            return int(held_a[position]), int(held_b[position])
+
+        previous = (-1, -1)  # before every link: endpoints are >= 0
+        rows = zip(at.tolist(), node_a.tolist(), node_b.tolist(), types.tolist())
+        for i, (position, a, b, code) in enumerate(rows):
+            link, ahead = (a, b), position - i
+            if not (0 <= a < b < self.node_count and 0 <= code <= 2):
+                raise CodecError(
+                    f"added link {link} of type {code}: not 0 <= a < b < {self.node_count}, "
+                    f"type 0 … 2"
+                )
+            if (
+                previous >= link
+                or (ahead and kept_link(ahead - 1) >= link)
+                or (ahead < kept and link >= kept_link(ahead))
+            ):
+                raise CodecError(f"added link {link} is out of place in the canonical order")
+            previous = link
 
     def snapshot(self) -> EpochSnapshot:
         """The canonical projection of the replica (compare with the server's)."""
         if self.epoch is None:
             raise CodecError("the replica has not applied any update yet")
-        links = (column.copy() for column in self._links)
+        node_a, node_b, counts, bandwidths, types = self._links
         active = {shell: mask.copy() for shell, mask in sorted(self.active.items())}
-        return EpochSnapshot(self.epoch, self.time_s, self.node_count, *links, active=active)
+        return EpochSnapshot(
+            self.epoch,
+            self.time_s,
+            self.node_count,
+            node_a.copy(),
+            node_b.copy(),
+            np.multiply(counts, DELAY_GRID_MS, dtype=np.float64),
+            bandwidths.copy(),
+            types.copy(),
+            active=active,
+        )
 
 
 # -- the codec -----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.topology.graph import LinkType, NetworkGraph, NodeIndex, TopologyDiff
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import link_delay_ms, propagation_delay_ms
+from repro.topology.linkparams import link_delay_counts, propagation_delay_ms
 from repro.topology.paths import (
     PathEngine,
     PathEngineStats,
@@ -23,7 +23,7 @@ __all__ = [
     "ShortestPaths",
     "TopologyDiff",
     "grid_plus_isl_pairs",
-    "link_delay_ms",
+    "link_delay_counts",
     "propagation_delay_ms",
     "visible_satellites",
     "visible_satellites_batch",

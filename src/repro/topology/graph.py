@@ -10,17 +10,23 @@ Array layout
 
 :class:`NetworkGraph` is an immutable edge table in structure-of-arrays
 form: six parallel, read-only NumPy arrays indexed by *edge id* —
-``node_a`` / ``node_b`` (``int64`` flat node indices), ``distances_km`` /
-``delays_ms`` / ``bandwidths_kbps`` (``float64``) and ``link_type_codes``
-(``int8``, index into :class:`LinkType`: 0=ISL, 1=UPLINK, 2=HOST).  Edge
-ids are the positions the caller passed the edges in.
+``node_a`` / ``node_b`` (``int64`` flat node indices), ``distances_km``
+(``float64``), ``delay_counts`` (``uint32`` counts of
+:data:`~repro.topology.linkparams.DELAY_GRID_MS`), ``bandwidths_kbps``
+(``float64``) and ``link_type_codes`` (``int8``, index into
+:class:`LinkType`: 0=ISL, 1=UPLINK, 2=HOST).  Edge ids are the positions
+the caller passed the edges in.  Every delay is on the grid because it is
+a count; ``delays_ms``, the read-only ``float64`` delays the path engine,
+the uplink info and the stream's snapshot read, is derived from the counts
+(a count times a power of two: exact).
 
 :meth:`NetworkGraph.from_edge_arrays` is the only constructor.  It checks
 its input (equal endpoint lengths, no self-links, endpoints in range, every
-undirected node pair at most once) and returns a finished graph that
-nothing changes afterwards — the same epoch object is shared, uncopied, by
-the database's publication, both sides of a :class:`TopologyDiff`, the
-path rows that answer its queries and the codec.
+undirected node pair at most once, ``uint32`` delay counts) and returns a
+finished graph that nothing changes afterwards — the same epoch object is
+shared, uncopied, by the database's publication, both sides of a
+:class:`TopologyDiff`, the path rows that answer its queries and the
+codec.
 
 What is derived, and when
 -------------------------
@@ -62,6 +68,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+
+from repro.topology.linkparams import DELAY_GRID_MS
 
 #: Delay [ms] substituted for exact-zero link delays in :meth:`NetworkGraph.delay_matrix`.
 #: ``scipy.sparse.csgraph`` treats explicit zeros as "no edge", so a true zero
@@ -256,7 +264,7 @@ class NetworkGraph:
         node_a: np.ndarray,
         node_b: np.ndarray,
         distance_km: np.ndarray,
-        delay_ms: np.ndarray,
+        delay_counts: np.ndarray,
         bandwidth_kbps: np.ndarray,
         type_code: np.ndarray,
         sorted_edge_ids: Optional[np.ndarray] = None,
@@ -264,7 +272,10 @@ class NetworkGraph:
         """Build a graph from parallel edge arrays (position = edge id).
 
         The caller provides the complete edge set; every undirected node
-        pair may occur at most once.  ``sorted_edge_ids``, when given, is
+        pair may occur at most once.  Delays are ``uint32`` counts of
+        :data:`~repro.topology.linkparams.DELAY_GRID_MS` (what
+        :func:`~repro.topology.linkparams.link_delay_counts` returns); any
+        other dtype is a ``ValueError``.  ``sorted_edge_ids``, when given, is
         the canonical link order (edge ids by ascending :func:`pair_keys`)
         the caller already knows; it is verified in O(E) — E ids, each in
         ``0 … E-1``, whose keys strictly increase, which also proves the
@@ -280,7 +291,13 @@ class NetworkGraph:
         if graph._node_b.size != count:
             raise ValueError("endpoint arrays must be of equal length")
         graph._distance_km = _read_only(distance_km, np.float64)
-        graph._delay_ms = _read_only(delay_ms, np.float64)
+        delay_counts = np.asarray(delay_counts)
+        if delay_counts.dtype != np.uint32:
+            raise ValueError(f"delays are uint32 grid counts, not {delay_counts.dtype}")
+        graph._delay_counts = _read_only(delay_counts, np.uint32)
+        graph._delay_ms = graph._delay_counts.astype(np.float64)
+        graph._delay_ms *= DELAY_GRID_MS  # a power of two: exact
+        graph._delay_ms.flags.writeable = False
         graph._bandwidth_kbps = _read_only(bandwidth_kbps, np.float64)
         graph._type_code = _read_only(type_code, np.int8)
         if count:
@@ -357,8 +374,13 @@ class NetworkGraph:
         return self._distance_km
 
     @property
+    def delay_counts(self) -> np.ndarray:
+        """Link one-way delays in ``DELAY_GRID_MS`` counts (the column of record)."""
+        return self._delay_counts
+
+    @property
     def delays_ms(self) -> np.ndarray:
-        """Link one-way delays [ms]."""
+        """Link one-way delays [ms], derived from :attr:`delay_counts`."""
         return self._delay_ms
 
     @property
@@ -434,7 +456,7 @@ class NetworkGraph:
         same keys in the same edge order, edge ids line up 1:1.  Otherwise
         one ``searchsorted`` of this graph's sorted keys into the previous
         graph's pairs every link with its previous edge id, if it had one.
-        Attribute changes are detected by exact float comparison: the
+        Delays are compared as grid counts and bandwidths exactly: the
         constellation calculation recomputes both epochs with
         bitwise-identical operations, so any genuine movement differs
         exactly.
@@ -443,7 +465,7 @@ class NetworkGraph:
             raise ValueError("graphs must share the same node index layout")
         if np.array_equal(self._keys, previous._keys):
             empty = np.empty(0, dtype=np.int64)
-            delay_changed = np.flatnonzero(self._delay_ms != previous._delay_ms)
+            delay_changed = np.flatnonzero(self._delay_counts != previous._delay_counts)
             return TopologyDiff(
                 previous=previous,
                 current=self,
@@ -466,7 +488,9 @@ class NetworkGraph:
         common_previous = counterpart[common]
         removed = np.ones(previous._node_a.size, dtype=bool)
         removed[common_previous] = False
-        moved = np.flatnonzero(self._delay_ms[common] != previous._delay_ms[common_previous])
+        moved = np.flatnonzero(
+            self._delay_counts[common] != previous._delay_counts[common_previous]
+        )
         return TopologyDiff(
             previous=previous,
             current=self,

@@ -33,7 +33,7 @@ order:
 3. a ground station (the store's :attr:`~PathRows.sources`);
 4. the first endpoint.
 
-The choice cannot move a delay: every link delay lies on the binary grid of
+The choice cannot move a delay: every link delay is a ``uint32`` count of
 :data:`~repro.topology.linkparams.DELAY_GRID_MS`, so a path's delay sums to
 the same bits in either direction.  Hop sequences can differ between
 equal-delay alternatives, and a pair's bottleneck bandwidth follows its

@@ -19,7 +19,7 @@ from repro.core import (
 from repro.orbits import GroundStation, ShellGeometry
 from repro.topology import LinkType, visible_satellites
 from repro.topology.graph import _CODE_BY_LINK_TYPE
-from repro.topology.linkparams import link_delay_ms
+from repro.topology.linkparams import DELAY_GRID_MS, link_delay_counts
 
 
 def _iridium_config(**overrides):
@@ -273,7 +273,7 @@ def _per_pair_uplinks(calc, state):
                         shell,
                         satellite,
                         distance,
-                        float(link_delay_ms(distance)),
+                        int(link_delay_counts(distance)) * DELAY_GRID_MS,
                         bandwidth,
                     )
                 )

@@ -12,18 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core import ConstellationCalculation, ConstellationDatabase
-from repro.core.constellation import ConstellationState, DelayTrend
+from repro.core.constellation import ConstellationState
 from repro.scenarios import dart_configuration, west_africa_configuration
-from repro.topology.graph import NetworkGraph, NodeIndex
-from repro.topology.linkparams import DELAY_GRID_MS
 
 
 def _counts_by_pair(state) -> dict:
     graph = state.graph
     low, high = np.minimum(graph.node_a, graph.node_b), np.maximum(graph.node_a, graph.node_b)
-    counts = graph.delays_ms / DELAY_GRID_MS
-    assert np.array_equal(counts, np.rint(counts))  # the pipeline's delays are on the grid
-    return dict(zip(zip(low.tolist(), high.tolist()), counts.astype(np.int64).tolist()))
+    return dict(zip(zip(low.tolist(), high.tolist()), graph.delay_counts.tolist()))
 
 
 def _steps(before: dict, after: dict) -> dict:
@@ -52,7 +48,7 @@ class TestTrendOfThePipeline:
         its predecessor's trend, and a cold state's trend is zero."""
         calculation = ConstellationCalculation(config)
         state = calculation.state_at(0.0)
-        assert not state.trend.step.any() and not state.trend.curve.any() and state.trend.on_grid
+        assert not state.trend.step.any() and not state.trend.curve.any()
         counts = [_counts_by_pair(state)]
         steps = [{}]
         curved = 0
@@ -72,7 +68,6 @@ class TestTrendOfThePipeline:
             assert _by_pair(state, state.trend.step) == steps[-1], step
             assert _by_pair(state, state.trend.curve) == curves, step
             assert state.trend.step.shape == state.trend.curve.shape == (state.graph.total_links(),)
-            assert state.trend.on_grid
             curved += bool(curves)
         assert curved == epochs - 1  # a curve needs two steps
 
@@ -82,54 +77,6 @@ class TestTrendOfThePipeline:
         calculation = ConstellationCalculation(dart_configuration(buoy_count=2, sink_count=2))
         state, _ = calculation.diff_since(calculation.state_at(0.0), 30.0)
         assert "trend" not in repr(state)
-
-
-def _graph(delays_ms):
-    """Three links of a four-node graph with the given delays."""
-    index = NodeIndex([4], [])
-    count = len(delays_ms)
-    return NetworkGraph.from_edge_arrays(
-        index,
-        np.array([0, 1, 2][:count]),
-        np.array([1, 2, 3][:count]),
-        np.zeros(count),
-        np.array(delays_ms, dtype=np.float64),
-        np.ones(count),
-        np.zeros(count, dtype=np.int8),
-    )
-
-
-class TestOffTheGrid:
-    def test_an_epoch_that_changes_a_delay_off_the_grid_has_no_step(self):
-        """Steps are 0 throughout an epoch that changed any delay off the
-        grid, so the next curve is 0 too; a link that stays off the grid
-        does not stop the others' steps, only the ``on_grid`` shortcut."""
-        grid = DELAY_GRID_MS
-        chain = [
-            [10 * grid, 20 * grid, 0.1],
-            [15 * grid, 22 * grid, 0.1],
-            [21 * grid, 0.3, 0.1],
-            [28 * grid, 0.3, 0.1],
-            [36 * grid, 0.3, 0.1],
-        ]
-        expected = [([0, 0, 0], [0, 0, 0]), ([5, 2, 0], [0, 0, 0]), ([0, 0, 0], [0, 0, 0]),
-                    ([7, 0, 0], [0, 0, 0]), ([8, 0, 0], [1, 0, 0])]
-        graphs = [_graph(delays) for delays in chain]
-        trend = DelayTrend.cold(graphs[0])
-        assert not trend.on_grid
-        for epoch, (graph, (step, curve)) in enumerate(zip(graphs, expected)):
-            if epoch:
-                trend = trend.after(graph.diff_from(graphs[epoch - 1]))
-            assert (trend.step.tolist(), trend.curve.tolist(), trend.on_grid) == (step, curve, False)
-
-    def test_on_grid_holds_while_every_delay_does(self):
-        grid = DELAY_GRID_MS
-        first, second = _graph([10 * grid, 20 * grid]), _graph([12 * grid, 20 * grid, 5 * grid])
-        trend = DelayTrend.cold(first)
-        assert trend.on_grid
-        assert trend.after(second.diff_from(first)).on_grid
-        off = _graph([12 * grid, 20 * grid, 0.1])  # an added link off the grid
-        assert not trend.after(off.diff_from(first)).on_grid
 
 
 class TestPublication:

@@ -29,6 +29,7 @@ from repro.hosts import Host
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import NetworkGraph, NodeIndex
+from repro.topology.linkparams import DELAY_GRID_MS
 
 
 def _assert_states_identical(full, incremental):
@@ -140,7 +141,7 @@ class TestTopologyDiffPrimitive:
             arrays[:, 0].astype(np.int64),
             arrays[:, 1].astype(np.int64),
             arrays[:, 2],
-            arrays[:, 2],
+            (arrays[:, 2] / DELAY_GRID_MS).astype(np.uint32),
             arrays[:, 3],
             np.zeros(len(arrays), dtype=np.int8),
         )
@@ -179,7 +180,7 @@ class TestTopologyDiffPrimitive:
             base.node_a,
             base.node_b,
             base.distances_km,
-            base.delays_ms * 2.0,
+            base.delay_counts * np.uint32(2),
             base.bandwidths_kbps,
             base.link_type_codes,
             sorted_edge_ids=base.sorted_edge_ids,
@@ -193,13 +194,13 @@ class TestTopologyDiffPrimitive:
 
     def test_from_edge_arrays_rejects_duplicates(self):
         index = NodeIndex([4], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unique node pairs"):
             NetworkGraph.from_edge_arrays(
                 index,
                 np.array([0, 1]),
                 np.array([1, 0]),
                 np.ones(2),
-                np.ones(2),
+                np.ones(2, dtype=np.uint32),
                 np.ones(2),
                 np.zeros(2, dtype=np.int8),
             )

@@ -36,7 +36,7 @@ from repro.scenarios import west_africa_configuration
 from repro.topology import LinkType
 from repro.topology.graph import _CODE_BY_LINK_TYPE
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import link_delay_ms
+from repro.topology.linkparams import link_delay_counts
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +145,7 @@ def _oracle(calculation, time_s):
             np.full(uplinks, _CODE_BY_LINK_TYPE[LinkType.UPLINK], dtype=np.int8),
         ]
     )
-    graph = (node_a, node_b, distances, link_delay_ms(distances), bandwidths, types)
+    graph = (node_a, node_b, distances, link_delay_counts(distances), bandwidths, types)
     return positions, active, graph
 
 
@@ -166,7 +166,7 @@ def _assert_matches_oracle(calculation, state):
         graph.node_a,
         graph.node_b,
         graph.distances_km,
-        graph.delays_ms,
+        graph.delay_counts,
         graph.bandwidths_kbps,
         graph.link_type_codes,
     )

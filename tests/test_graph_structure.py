@@ -25,6 +25,7 @@ from repro.core import ConstellationCalculation
 from repro.scenarios import dart_configuration, west_africa_configuration
 from repro.topology import LinkType, NetworkGraph, NodeIndex
 from repro.topology.graph import _CODE_BY_LINK_TYPE, DELAY_EPSILON_MS, pair_keys
+from repro.topology.linkparams import DELAY_GRID_MS
 
 _ISL = _CODE_BY_LINK_TYPE[LinkType.ISL]
 _UPLINK = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
@@ -183,8 +184,10 @@ _PAIRS = np.array(
 
 
 def _graph(node_a, node_b, delays, bandwidths, sorted_edge_ids=None):
+    """A graph over ``_INDEX`` with ``delays`` [ms] on the delay grid."""
+    counts = np.rint(delays / DELAY_GRID_MS).astype(np.uint32)
     return NetworkGraph.from_edge_arrays(
-        _INDEX, node_a, node_b, delays * 300.0, delays, bandwidths,
+        _INDEX, node_a, node_b, delays * 300.0, counts, bandwidths,
         np.zeros(node_a.size, dtype=np.int8), sorted_edge_ids=sorted_edge_ids,
     )
 
@@ -276,8 +279,9 @@ class TestSuppliedOrder:
 
     def _build(self, order, node_a=NODE_A, node_b=NODE_B):
         return NetworkGraph.from_edge_arrays(
-            NodeIndex([4], []), node_a, node_b, np.ones(node_a.size), np.ones(node_a.size),
-            np.ones(node_a.size), np.zeros(node_a.size, np.int8), sorted_edge_ids=order,
+            NodeIndex([4], []), node_a, node_b, np.ones(node_a.size),
+            np.ones(node_a.size, np.uint32), np.ones(node_a.size), np.zeros(node_a.size, np.int8),
+            sorted_edge_ids=order,
         )
 
     def test_the_canonical_order_is_accepted(self):

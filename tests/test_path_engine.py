@@ -31,6 +31,12 @@ from repro.topology import (
     ShortestPaths,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE
+from repro.topology.linkparams import DELAY_GRID_MS
+
+
+def _counts(delays_ms):
+    """The delay-grid counts nearest to ``delays_ms``."""
+    return np.rint(delays_ms / DELAY_GRID_MS).astype(np.uint32)
 
 
 def _assert_rows_cold(store, sources=None):
@@ -70,7 +76,7 @@ class TestEngineOnSyntheticChains:
         node_a, node_b = node_a[first], node_b[first]
         delays = rng.uniform(1.0, 10.0, node_a.size)
         return NetworkGraph.from_edge_arrays(
-            index, node_a, node_b, delays * 300.0, delays,
+            index, node_a, node_b, delays * 300.0, _counts(delays),
             np.full(node_a.size, 1e4), np.zeros(node_a.size, np.int8),
         )
 
@@ -80,7 +86,7 @@ class TestEngineOnSyntheticChains:
         if kind == "empty":
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
-                graph.delays_ms.copy(), graph.bandwidths_kbps,
+                graph.delay_counts.copy(), graph.bandwidths_kbps,
                 graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
             )
         if kind == "bandwidth":
@@ -88,7 +94,7 @@ class TestEngineOnSyntheticChains:
             bandwidths[rng.integers(0, bandwidths.size)] *= 2.0
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
-                graph.delays_ms.copy(), bandwidths, graph.link_type_codes,
+                graph.delay_counts.copy(), bandwidths, graph.link_type_codes,
                 sorted_edge_ids=graph.sorted_edge_ids,
             )
         if kind == "flicker":
@@ -98,15 +104,15 @@ class TestEngineOnSyntheticChains:
             )
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a[alive], graph.node_b[alive],
-                graph.distances_km[alive], graph.delays_ms[alive],
+                graph.distances_km[alive], graph.delay_counts[alive],
                 graph.bandwidths_kbps[alive], graph.link_type_codes[alive],
             )
-        delays = graph.delays_ms.copy()
+        delays = graph.delay_counts.copy()
         count = {"single": 1, "localized": rng.integers(1, 4)}.get(
             kind, rng.integers(1, graph.total_links())
         )
         touched = rng.choice(graph.total_links(), size=count, replace=False)
-        delays[touched] = rng.uniform(0.5, 12.0, count)
+        delays[touched] = _counts(rng.uniform(0.5, 12.0, count))
         return NetworkGraph.from_edge_arrays(
             index, graph.node_a, graph.node_b, graph.distances_km, delays,
             graph.bandwidths_kbps, graph.link_type_codes,
@@ -204,7 +210,7 @@ class TestEngineOnSyntheticChains:
         unreachable_epochs = 0
         for _ in range(200):
             up = np.flatnonzero(rng.random(full.total_links()) > 0.1)
-            delays = full.delays_ms[up] * rng.uniform(0.9, 1.1, up.size)
+            delays = _counts(full.delays_ms[up] * rng.uniform(0.9, 1.1, up.size))
             new_graph = NetworkGraph.from_edge_arrays(
                 index, full.node_a[up], full.node_b[up], full.distances_km[up],
                 delays, full.bandwidths_kbps[up], full.link_type_codes[up],
@@ -295,12 +301,12 @@ def _iridium_graph():
     return calculation.state_at(0.0).graph, sources
 
 
-def _reweighted(graph, delays_ms, bandwidth_factor=1.0):
+def _reweighted(graph, delay_counts, bandwidth_factor=1.0):
     """``graph``'s edge table and canonical order with other delays and
     bandwidths (the same ones: an empty diff)."""
     return NetworkGraph.from_edge_arrays(
         graph.index, graph.node_a, graph.node_b, graph.distances_km,
-        delays_ms, graph.bandwidths_kbps * bandwidth_factor,
+        delay_counts, graph.bandwidths_kbps * bandwidth_factor,
         graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
     )
 
@@ -324,7 +330,7 @@ class TestAdvanceAll:
         store = PathRows(full, engine, sources)
         _assert_rows_cold(store, sources + [0, 17, 40])
         solver_calls = engine.stats.solver_calls
-        widened = _reweighted(full, full.delays_ms, bandwidth_factor=2.0)
+        widened = _reweighted(full, full.delay_counts, bandwidth_factor=2.0)
         for graph in (full, widened):
             advanced = engine.advance_all(store, graph, graph.diff_from(full))
             assert engine.stats.solver_calls == solver_calls
@@ -371,7 +377,7 @@ def _severed(graph, rng, share=0.1):
     up = np.flatnonzero(~isl | (rng.random(graph.total_links()) > share))
     return NetworkGraph.from_edge_arrays(
         graph.index, graph.node_a[up], graph.node_b[up], graph.distances_km[up],
-        graph.delays_ms[up], graph.bandwidths_kbps[up], graph.link_type_codes[up],
+        graph.delay_counts[up], graph.bandwidths_kbps[up], graph.link_type_codes[up],
     )
 
 

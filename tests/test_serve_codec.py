@@ -68,12 +68,13 @@ def advance(calculation, database, previous, now_s):
 
 
 HAND_BUILT_INDEX = NodeIndex([6], ["g0", "g1"])
+GRID = 2.0**-20
 
 
 def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX, previous=None):
     """A stand-in state over ``index``'s nodes (eight by default) from
     ``{(a, b): (delay_ms, bandwidth_kbps, type_code)}`` — edge ids in the
-    dict's order, endpoints as given — with what
+    dict's order, endpoints as given, delays on the grid — with what
     :meth:`EpochSnapshot.from_state` reads of a state and the delay trend:
     zero, or advanced from the ``previous`` state's as ``diff_since`` does."""
     nodes = np.array(list(links), dtype=np.int64).reshape(-1, 2)
@@ -83,7 +84,7 @@ def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX, 
         nodes[:, 0],
         nodes[:, 1],
         np.zeros(len(links)),
-        np.array([value[0] for value in values], dtype=np.float64),
+        np.rint(np.array([value[0] for value in values]) / GRID).astype(np.uint32),
         np.array([value[1] for value in values], dtype=np.float64),
         np.array([value[2] for value in values], dtype=np.int8),
     )
@@ -367,14 +368,9 @@ class TestScientificSanity:
 # -- bit-exactness where the pipeline never goes --------------------------------
 
 PAIRS = [(a, b) for a in range(8) for b in range(8) if a != b]
-GRID = 2.0**-20
-DELAYS = st.one_of(
-    # Off the grid, exactly zero, at and beyond the uint32 range.  (-0.0 has
-    # its own case below: `diff_from` compares values, and -0.0 == 0.0.)
-    st.sampled_from([0.0, 0.1, 1 / 3, 12.5, 4096.0 - GRID, 4096.0, 5000.5, 1e308]),
-    st.integers(0, 2**32 - 1).map(lambda steps: steps * GRID),
-    st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
-)
+#: Delay counts: zero, one, the largest a ``uint32`` holds, and anything
+#: between.
+DELAYS = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 BANDWIDTHS = st.sampled_from([1e4, 2.5e6, 1e7])
 #: How far a chain's delay counts stray from their smooth tracks: not at
 #: all, a few counts, or enough that third differences escape at int8,
@@ -389,9 +385,9 @@ def chains(draw):
     — a parabola, on which a link that stays keeps changing smoothly, off by
     up to the chain's ``JITTER`` — or holds any of ``DELAYS`` — so curves
     are not 0, residuals escape at every width, links appear, vanish and
-    reappear, and delays move on and off the grid between epochs — in either
-    orientation and in any edge order.  Some epochs keep the previous one's
-    links, orientation and order: no structural change."""
+    reappear, and delays jump anywhere on the grid between epochs — in
+    either orientation and in any edge order.  Some epochs keep the previous
+    one's links, orientation and order: no structural change."""
     # Up to 24 links: a one-link mask travels as its position (2 B < 3 B of bits).
     pool = draw(st.lists(st.sampled_from(PAIRS), max_size=24, unique_by=frozenset))
     tracks = {
@@ -414,7 +410,7 @@ def chains(draw):
             if form == "absent" and not still:
                 continue
             if form == "any":
-                delay = draw(DELAYS)
+                delay = draw(DELAYS) * GRID
             else:
                 start, slope, bend = tracks[frozenset(pair)]
                 count = start + slope * epoch + bend * epoch**2
@@ -430,21 +426,22 @@ def chains(draw):
     return epochs
 
 
-#: Delay counts of five links over nine epochs (None: absent, "off": 0.1 ms,
-#: off the grid).  Epoch 2's DIFF predicts from the first keyframe's zero
-#: trend; epoch 3 holds the links and sends residuals for links that all
-#: changed, one of them for the first time; epoch 4 adds a link and one
-#: delay leaves the grid (a literal mask),
-#: epoch 5 holds the links and comes back from off the grid (literal again),
-#: epoch 6 holds them and predicts no step, epoch 7 removes a link while
-#: another stops changing, epoch 8 moves that one again, and epoch 9 adds a
-#: link just ahead of it in the link order as it stops once more.
+#: Delay counts of five links over nine epochs (None: absent).  Epoch 2's
+#: DIFF predicts from the first keyframe's zero trend; epoch 3 holds the
+#: links and sends residuals for links that all changed, one of them for the
+#: first time; epoch 4 adds a link as every changed delay jumps 2**31 counts
+#: (a literal mask: no residual is smaller than a count), epoch 5 holds the
+#: links and jumps back (literal again), and the jumps' trend keeps epochs 6
+#: and 7 literal too — epoch 7 removes a link while another stops changing;
+#: epoch 8 holds the links and predicts again as that one moves again, and
+#: epoch 9 adds a link just ahead of it in the link order as it stops once
+#: more.
 EXAMPLE_PAIRS = ((0, 1), (1, 2), (2, 6), (2, 7), (3, 4))
 EXAMPLE_COUNTS = [
     (1000, 2000, None, 3000, None),
     (1010, 2020, None, 3000, None),
     (1020, 2040, None, 3030, None),
-    ("off", 2060, None, 3060, 9),
+    (2**31 + 1030, 2**31 + 2060, None, 2**31 + 3060, 9),
     (1040, 2080, None, 3090, 9),
     (1050, 2100, None, 3120, 9),
     (1060, 2120, None, 3120, None),
@@ -454,13 +451,10 @@ EXAMPLE_COUNTS = [
 
 
 def _example_chain():
-    def delay(count):
-        return 0.1 if count == "off" else count * GRID
-
     return [
         (
             {
-                pair: (delay(count), 1e4, int(max(pair) >= HAND_BUILT_INDEX.satellite_count))
+                pair: (count * GRID, 1e4, int(max(pair) >= HAND_BUILT_INDEX.satellite_count))
                 for pair, count in zip(EXAMPLE_PAIRS, counts)
                 if count is not None
             },
@@ -523,7 +517,7 @@ class TestHandBuiltSequences:
     @example(_curving_chain())
     def test_replica_is_bit_exact_on_and_off_the_delay_grid(self, epochs):
         """Random link additions, removals, delay and bandwidth changes over
-        hand-built graphs — delays no pipeline produces included — must
+        hand-built graphs — delays anywhere on the ``uint32`` grid — must
         reconstruct bit for bit, without a NumPy cast warning, in three
         replicas at every epoch: one from the first keyframe, one joining
         from the keyframe of every later epoch, and one fed from epoch 3 on
@@ -568,8 +562,9 @@ class TestHandBuiltSequences:
         the keyframe of epoch ``join``, and one misses the DIFF of epoch
         ``gap`` — the next is refused — and resyncs from the keyframe that
         follows, as an evicted subscriber does.  Each is bit-exact at every
-        epoch it holds, whether array 7 travels literal (off-grid delays) or
-        as the XOR with the prediction, with and without structural change.
+        epoch it holds, whether array 7 travels literal (delays far off
+        their trend) or as the XOR with the prediction, with and without
+        structural change.
         (The first example covers each of those; the second joins and
         resyncs where the trend has steps and curves.)"""
         chain, join, gap = stream
@@ -641,23 +636,18 @@ class TestHandBuiltSequences:
         assert {"int8", "int16", "int32"} <= set(widths), widths
 
     def test_the_data_alone_chooses_the_delay_coding(self):
-        on_grid = {(0, 1): (3 * GRID, 1e4, 0), (1, 2): (4096.0 - GRID, 1e4, 0)}
-        cases = {
-            "on-grid": (on_grid, np.uint32),
-            "mixed": ({**on_grid, (2, 3): (0.1, 1e4, 0)}, np.float64),
-            "out of range": ({**on_grid, (2, 3): (4096.0, 1e4, 0)}, np.float64),
-            "negative zero": ({**on_grid, (2, 3): (-0.0, 1e4, 0)}, np.float64),
-        }
-        for name, (links, dtype) in cases.items():
-            state = hand_built_state(links, 0.0)
-            keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
-            arrays = keyframe.decoded()[1]
-            assert arrays[2].dtype == dtype, name
-            assert arrays[0].dtype == arrays[1].dtype == np.int8  # eight nodes
-            assert np.all(arrays[0] < arrays[1])
-            replica = EpochReplica()
-            replica.apply(keyframe)
-            assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1)), name
+        """A KEYFRAME's delays are the graph's ``uint32`` counts, from 0 to
+        2**32 - 1, and its endpoints the narrowest signed width."""
+        links = {(0, 1): (0.0, 1e4, 0), (1, 2): (3 * GRID, 1e4, 0), (2, 3): (4096.0 - GRID, 1e4, 0)}
+        state = hand_built_state(links, 0.0)
+        keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
+        arrays = keyframe.decoded()[1]
+        assert arrays[2].dtype == np.uint32 and arrays[2].tolist() == [0, 3, 2**32 - 1]
+        assert arrays[0].dtype == arrays[1].dtype == np.int8  # eight nodes
+        assert np.all(arrays[0] < arrays[1])
+        replica = EpochReplica()
+        replica.apply(keyframe)
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1))
 
     def test_the_data_alone_chooses_the_bandwidth_coding(self):
         """Up to 256 distinct bandwidth bit patterns travel as ``uint8``
@@ -734,7 +724,7 @@ class TestFewLinkPaths:
             pairs[:, 0],
             pairs[:, 1],
             np.zeros(len(pairs)),
-            np.ones(len(pairs)),
+            np.ones(len(pairs), dtype=np.uint32),
             np.ones(len(pairs)),
             np.zeros(len(pairs), dtype=np.int8),
         )
@@ -797,6 +787,10 @@ def _narrowest_signed(values):
             return np.dtype(dtype)
 
 
+def _without(meta, key):
+    return {name: value for name, value in meta.items() if name != key}
+
+
 def _on_track(pair, ahead):
     """A forged-frame fixture delay: ``ahead`` grid steps past the link's base."""
     return (2**20 * (1 + pair[1]) + ahead) * GRID
@@ -817,23 +811,22 @@ class TestForgedFrames:
     # Every link steps 400 into ZERO and 500 into FIRST (a curve of 100).
     # Then one steps 1000 and changes bandwidth (a residual of 400: an
     # escape), 42 step 603 (a residual of 3; one changes bandwidth), three
-    # stop, two go and two come, one of them off the grid.  Removed, added
-    # and bandwidth-changed links travel as two positions; the delay-changed
-    # mask is the three that stopped (six bytes either way: its bits); the
-    # residuals are 43 fields of 3 bits.
+    # stop, two go and two come.  Removed, added and bandwidth-changed links
+    # travel as two positions; the delay-changed mask is the three that
+    # stopped (six bytes either way: its bits); the residuals are 43 fields
+    # of 3 bits.
     SECOND = {
         LINKED[0]: (_on_track(LINKED[0], 1500), 2e4, 0),
         LINKED[2]: (_on_track(LINKED[2], 1103), 2e4, 0),
         **{pair: (_on_track(pair, 1103), 1e4, 0) for pair in LINKED[3:44]},
         **{pair: (_on_track(pair, 500), 1e4, 0) for pair in (*LINKED[44:46], LINKED[47])},
-        (3, 13): (0.1, 1e4, 1),
+        (3, 13): (_on_track((3, 13), 7), 1e4, 1),
         (0, 12): (_on_track((0, 12), 0), 1e4, 1),
     }
 
-    def _replica_and_diff(self, held=None):
+    def _replica_and_diff(self):
         """A replica keyed to FIRST at epoch 2 (with its trend), and the
-        decoded epoch 3 DIFF to SECOND.  ``held`` replaces FIRST's delays in
-        the replica only."""
+        decoded epoch 3 DIFF to SECOND."""
         zero, first, second = hand_built_chain(
             [(links, (True,) * 12) for links in (self.BEFORE, self.ZERO, self.FIRST)]
             + [(self.SECOND, (True, False) * 6)],
@@ -850,10 +843,6 @@ class TestForgedFrames:
         assert arrays[8].dtype == np.uint8 and arrays[8].size == 17
         assert _fields(arrays[8], 3, 43) == [-4] + [3] * 42
         assert arrays[9].dtype == np.int16 and arrays[9].tolist() == [400]
-        if held is not None:  # with FIRST's trend, so that the frame's prediction holds
-            state = hand_built_state(held, 1.0, (True,) * 12, FORGED_INDEX)
-            state.trend = first.trend
-            keyframe = EpochUpdate(FrameKind.KEYFRAME, 2, encode_keyframe_update(state, 2))
         replica = EpochReplica()
         replica.apply(keyframe)
         return replica, second, meta, arrays
@@ -922,12 +911,51 @@ class TestForgedFrames:
             pytest.param("links", lambda links: [links[0] + 1, links[1]], id="links-before"),
             pytest.param("links", lambda links: [links[0], links[1] + 8], id="links-after"),
             pytest.param("shells", lambda shells: [], id="array-count"),
+            pytest.param(4, lambda counts: counts.astype(np.float64), id="added-delay-float64"),
+            pytest.param(
+                None,  # without ``bits``: array 8 holds the three links' delays
+                lambda meta, arrays: (
+                    _without(meta, "bits"), [*arrays[:8], np.zeros(3), arrays[9][:0], *arrays[10:]]
+                ),
+                id="delay-float64",
+            ),
+            pytest.param(
+                None, lambda meta, arrays: (_without(meta, "links"), arrays), id="no-links"
+            ),
+            pytest.param(
+                None, lambda meta, arrays: (_without(meta, "shells"), arrays), id="no-shells"
+            ),
+            pytest.param("links", lambda links: [1, 2, 3], id="links-three"),
+            pytest.param("links", lambda links: [links[0], -1], id="links-negative"),
+            pytest.param("epoch", lambda epoch: float(epoch), id="epoch-float"),
+            pytest.param("epoch", lambda epoch: str(epoch), id="epoch-string"),
+            pytest.param("time_s", lambda time_s: "x", id="time-string"),
+            pytest.param("time_s", lambda time_s: None, id="time-null"),
+            pytest.param("shells", lambda shells: shells * 2, id="shells-repeated"),
+            pytest.param("shells", lambda shells: [0.0], id="shells-float"),
+            pytest.param(
+                None, lambda meta, arrays: (meta, [*arrays[:3], arrays[2], *arrays[4:]]),
+                id="added-self-link",
+            ),
+            pytest.param(3, lambda nodes: np.array([12, 99], nodes.dtype), id="added-node-99"),
+            pytest.param(2, lambda nodes: nodes - 1, id="added-node-negative"),
+            pytest.param(2, lambda nodes: nodes.astype(np.uint8), id="added-nodes-unsigned"),
+            pytest.param(6, lambda types: types.astype(np.float64), id="added-type-float"),
+            pytest.param(6, lambda types: types + 2, id="added-type-three"),
+            pytest.param(5, lambda values: values.astype(np.int64), id="added-bandwidth-int64"),
+            pytest.param(11, lambda values: values.astype(np.float32), id="bandwidth-float32"),
+            pytest.param(2, lambda nodes: nodes[::-1], id="added-links-descending"),
+            pytest.param(
+                2, lambda nodes: np.array([2, 3], nodes.dtype), id="added-link-out-of-place"
+            ),
         ],
     )
     def test_forged_frames_are_codec_errors(self, position, forge):
         replica, _, meta, arrays = self._replica_and_diff()
         before = replica.snapshot()
-        if isinstance(position, str):
+        if position is None:  # the forgery rewrites the whole frame
+            meta, arrays = forge(meta, arrays)
+        elif isinstance(position, str):
             meta = {**meta, position: forge(meta[position])}
         else:
             arrays[position] = forge(arrays[position])
@@ -970,26 +998,55 @@ class TestForgedFrames:
             replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
         assert replica.epoch == 2 and replica.snapshot().same_bits(before)
 
-    def test_residuals_onto_off_grid_delays_are_codec_errors(self):
-        """Residuals predict from grid counts: a replica that holds a changed
-        link's delay off the grid cannot apply them."""
-        off_grid = {pair: (1 / 3 + pair[1], *self.FIRST[pair][1:]) for pair in self.LINKED}
-        replica, _, meta, arrays = self._replica_and_diff(held=off_grid)
-        before = replica.snapshot()
-        data = wire.encode_frame(FrameKind.DIFF, meta, arrays)
-        with pytest.raises(CodecError, match="off the grid"):
-            replica.apply(EpochUpdate(FrameKind.DIFF, 3, data))
-        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
-
     def test_forged_keyframes_are_codec_errors(self):
-        state = hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (0.1, 1e4, 0)}, 0.0)
+        """Each forgery is refused by a replica that holds another epoch,
+        which keeps it."""
+        state = hand_built_state({(0, 1): (1.0, 1e4, 0), (1, 2): (0.5, 1e4, 0)}, 0.0)
         _, meta, arrays = wire.decode_frame(encode_keyframe_update(state, 1))
         assert arrays[3].dtype == np.uint8 and arrays[7].tolist() == [1e4]  # palette
+        assert meta == dict(epoch=1, time_s=0.0, node_count=8, shells=[0], satellites=[6])
+        held = hand_built_state({(2, 3): (2.0, 1e4, 0)}, 5.0)
+        replica = EpochReplica()
+        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 4, encode_keyframe_update(held, 4)))
+        before = replica.snapshot()
 
-        def replaced(position, array):
-            return [*arrays[:position], array, *arrays[position + 1 :]]
+        def replaced(position, array, *more):
+            forged = [*arrays]
+            for at, column in zip((position, *more[::2]), (array, *more[1::2])):
+                forged[at] = column
+            return forged
+
+        def with_meta(**changes):
+            return ({**meta, **changes}, arrays)
+
+        def two_shells(*shells):
+            return {**meta, "shells": list(shells), "satellites": [6, 6]}
 
         forgeries = {
+            "no-epoch": (_without(meta, "epoch"), arrays),
+            "epoch-string": with_meta(epoch="1"),
+            "epoch-negative": with_meta(epoch=-1),
+            "time-string": with_meta(time_s="x"),
+            "no-time": (_without(meta, "time_s"), arrays),
+            "node-count-negative": with_meta(node_count=-1),
+            "node-count-zero": with_meta(node_count=0),
+            "node-count-float": with_meta(node_count=8.0),
+            "shells-repeated": (two_shells(0, 0), [*arrays, arrays[8]]),
+            "shells-descending": (two_shells(1, 0), [*arrays, arrays[8]]),
+            "shells-string": with_meta(shells=["0"]),
+            "satellites-negative": with_meta(satellites=[-6]),
+            "satellites-not-a-list": with_meta(satellites=6),
+            "delay-float64": (meta, replaced(2, arrays[2].astype(np.float64))),
+            "delay-int64": (meta, replaced(2, arrays[2].astype(np.int64))),
+            "endpoint-beyond-nodes": (meta, replaced(1, np.array([1, 99], np.int8))),
+            "endpoint-negative": (meta, replaced(0, np.array([-1, 1], np.int8))),
+            "endpoints-float64": (meta, replaced(0, arrays[0].astype(np.float64))),
+            "endpoints-uint64": (meta, replaced(1, arrays[1].astype(np.uint64))),
+            "self-link": (meta, replaced(1, arrays[0])),
+            "links-unordered": (meta, replaced(0, arrays[0][::-1], 1, arrays[1][::-1])),
+            "links-repeated": (meta, replaced(0, arrays[0][[0, 0]], 1, arrays[1][[0, 0]])),
+            "type-nine": (meta, replaced(4, np.array([9, 0], np.int8))),
+            "type-float": (meta, replaced(4, np.array([7.9, 0.0]))),
             "short-column": (meta, replaced(0, arrays[0][:-1])),
             "empty-mask": (meta, replaced(8, arrays[8][:0])),
             "no-mask": (meta, arrays[:8]),
@@ -1009,10 +1066,12 @@ class TestForgedFrames:
         }
         for name, (forged_meta, forged_arrays) in forgeries.items():
             data = wire.encode_frame(FrameKind.KEYFRAME, forged_meta, tuple(forged_arrays))
-            replica = EpochReplica()
             with pytest.raises(CodecError):
                 replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, data))
-            assert replica.epoch is None, name
+            assert replica.epoch == 4 and replica.snapshot().same_bits(before), name
+        honest = wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
+        replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, honest))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1))
 
     def test_truncated_bytes_are_wire_errors(self):
         data = encode_diff_update(

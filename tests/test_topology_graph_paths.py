@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.orbits import Shell, ShellGeometry, GroundStation, geodetic_to_ecef
+from repro.orbits import Shell, ShellGeometry, GroundStation, constants, geodetic_to_ecef
 from repro.orbits.visibility import elevation_angle_matrix_deg
 from repro.topology import (
     LinkType,
@@ -16,14 +16,21 @@ from repro.topology import (
     visible_satellites_batch,
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE
+from repro.topology.linkparams import DELAY_GRID_MS, link_delay_counts
 
 
 def _simple_index():
     return NodeIndex(shell_sizes=[4], ground_station_names=["gst-a", "gst-b"])
 
 
+def _counts(delays_ms):
+    """The delay-grid counts nearest to ``delays_ms``."""
+    return np.rint(np.asarray(delays_ms, dtype=np.float64) / DELAY_GRID_MS).astype(np.uint32)
+
+
 def _graph(index, rows):
-    """Graph from ``(node_a, node_b, distance_km, delay_ms, bandwidth_kbps[, LinkType])`` rows."""
+    """Graph from ``(node_a, node_b, distance_km, delay_ms, bandwidth_kbps[, LinkType])``
+    rows, each delay on the nearest grid count."""
     rows = [row if len(row) == 6 else (*row, LinkType.ISL) for row in rows]
     columns = list(zip(*rows)) or [()] * 6
     return NetworkGraph.from_edge_arrays(
@@ -31,7 +38,7 @@ def _graph(index, rows):
         np.array(columns[0], dtype=np.int64),
         np.array(columns[1], dtype=np.int64),
         np.array(columns[2], dtype=np.float64),
-        np.array(columns[3], dtype=np.float64),
+        _counts(columns[3]),
         np.array(columns[4], dtype=np.float64),
         np.array([_CODE_BY_LINK_TYPE[kind] for kind in columns[5]], dtype=np.int8),
     )
@@ -111,6 +118,29 @@ class TestNetworkGraph:
         with pytest.raises(TypeError):
             NetworkGraph(_simple_index())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_from_edge_arrays_refuses_delays_that_are_not_uint32_counts(self, dtype):
+        ones = np.ones(2)
+        with pytest.raises(ValueError, match="uint32 grid counts"):
+            NetworkGraph.from_edge_arrays(
+                _simple_index(),
+                np.array([0, 1]),
+                np.array([1, 2]),
+                ones,
+                np.array([1, 2], dtype=dtype),
+                ones,
+                np.zeros(2, dtype=np.int8),
+            )
+
+    def test_link_delay_counts_refuse_a_count_that_reaches_2_to_the_32(self):
+        """2**32 grid counts are 4096 ms, some 1.23 million km at ``c``."""
+        km_per_count = DELAY_GRID_MS / 1000.0 * constants.SPEED_OF_LIGHT_KM_S
+        last = link_delay_counts(np.array([0.0, (2**32 - 1) * km_per_count]))
+        assert last.dtype == np.uint32 and last.tolist() == [0, 2**32 - 1]
+        for distance_km in (2**32 * km_per_count, [300.0, 2**33 * km_per_count], np.nan):
+            with pytest.raises(ValueError, match="does not fit uint32"):
+                link_delay_counts(distance_km)
+
     def test_delay_matrix_symmetric(self):
         _, graph = _line_graph()
         matrix = graph.delay_matrix().toarray()
@@ -127,13 +157,13 @@ class TestNetworkGraph:
         """The bulk constructor rejects endpoint arrays of unequal length."""
         index = _simple_index()
         values = np.ones(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="equal length"):
             NetworkGraph.from_edge_arrays(
                 index,
                 np.array([0, 1]),
                 np.array([1]),
                 values,
-                values,
+                np.ones(2, dtype=np.uint32),
                 values,
                 np.zeros(2, dtype=np.int8),
             )
@@ -167,7 +197,7 @@ class TestNetworkGraph:
         """The graph's arrays cannot be written; the caller's own array
         keeps its flag."""
         index = _simple_index()
-        delays = np.array([1.0, 2.0])
+        delays = _counts([1.0, 2.0])
         graph = NetworkGraph.from_edge_arrays(
             index,
             np.array([0, 1]),
@@ -181,6 +211,7 @@ class TestNetworkGraph:
             graph.node_a,
             graph.node_b,
             graph.distances_km,
+            graph.delay_counts,
             graph.delays_ms,
             graph.bandwidths_kbps,
             graph.link_type_codes,
@@ -188,8 +219,9 @@ class TestNetworkGraph:
         ):
             with pytest.raises(ValueError):
                 array[0] = 1
+        assert graph.delays_ms.tolist() == [1.0, 2.0]  # derived from the counts
         assert delays.flags.writeable
-        delays[0] = 7.0  # still the caller's array
+        delays[0] = 7  # still the caller's array
 
     def test_edge_ids_between_vectorized_lookup(self):
         index, graph = _line_graph()
