@@ -20,12 +20,12 @@ the Earth-fixed frame, tests them against the bounding box, checks the line
 of sight of every ISL candidate and the elevation of every
 ground-station/satellite pair, each as one batched operation; nothing loops
 over shells or ground stations but the SGP4 shells, which fill their rows.
-Its link set is ONE flat ISL mask with its ``(distance_km, delay_ms,
-bandwidth_kbps)`` arrays plus ONE flat uplink table — parallel ``(station,
-satellite, distance_km, delay_ms)`` arrays with a row per visible
-ground-station/satellite pair
+Its link set is the clear ISL candidates in the canonical link order with
+their ``(distance_km, bandwidth_kbps)`` arrays plus ONE flat uplink table —
+parallel ``(station, satellite, distance_km)`` arrays with a row per
+visible ground-station/satellite pair
 (:func:`~repro.topology.uplinks.visible_satellites_batch`) — which one
-assembly step concatenates into the edge table of a
+assembly step merges into the edge table of a
 :class:`~repro.topology.graph.NetworkGraph`.  The graph's edge table is the
 only place a state keeps its uplinks: :meth:`ConstellationState.uplinks_of`
 reads a station's ``UPLINK`` edges back out of it; the state's per-shell
@@ -38,14 +38,14 @@ Differential updates
 :meth:`ConstellationCalculation.diff_since` the epoch-to-epoch fast path.
 Both derive their link set from the same per-epoch arrays and build the
 graph through the same assembly
-(:meth:`ConstellationCalculation._assemble_graph`: ISLs in candidate order,
-then uplinks by ground station, shell and satellite), so edge ids agree and
-the states they produce are byte-identical.  The assembly also hands the graph
-its canonical link order, so neither path sorts the edge set: the
-calculation sorts its static ISL candidates once, an epoch keeps the
-candidates whose line of sight is clear and merges in its few sorted
-uplinks.  Nothing of the previous graph is reused; what differs is what
-the diff path reuses from the previous epoch:
+(:meth:`ConstellationCalculation._assemble_graph`), so edge ids agree and
+the states they produce are byte-identical.  The assembly emits the edges
+in the graph's canonical link order (``node_a < node_b``, ascending by pair
+key), so neither path sorts the edge set and the graph only verifies the
+order: the static ISL candidates are generated in that order, an epoch
+keeps the candidates whose line of sight is clear and merges in its few
+sorted uplinks.  Nothing of the previous graph is reused; what differs
+is what the diff path reuses from the previous epoch:
 
 * the certified visibility bounds (:class:`_UpdateHints`), which restrict
   the line-of-sight and elevation checks to the pairs that can have
@@ -179,7 +179,8 @@ class UplinkInfo:
 @dataclass(frozen=True)
 class DelayTrend:
     """Each link's delay trend in one epoch ``k``, in ``DELAY_GRID_MS``
-    counts ``c``, by edge id of that epoch's graph.
+    counts ``c``, by edge id of that epoch's graph (the canonical link
+    order, which the update stream's replicas hold too).
 
     ``step`` is ``c[k] - c[k-1]`` where epoch ``k`` changed the link's delay,
     else 0; ``curve`` is ``step[k] - step[k-1]`` where both steps are
@@ -200,23 +201,30 @@ class DelayTrend:
         step, curve = np.zeros((2, graph.total_links()), dtype=np.int64)
         return cls(step, curve, 0)
 
+    @classmethod
+    def of(
+        cls, links: int, changed: np.ndarray, steps: np.ndarray, held: np.ndarray
+    ) -> "DelayTrend":
+        """The trend over ``links`` links in which only the ``changed`` ones
+        stepped, by ``steps``, after steps of ``held`` (each link's step in
+        the epoch before).  A changed link's new step is not 0 (its count
+        moved); its curve needs the held step too."""
+        step, curve = np.zeros((2, links), dtype=np.int64)
+        step[changed] = steps
+        curves = steps - held
+        curves[held == 0] = 0
+        curve[changed] = curves
+        return cls(step, curve, changed.size)
+
     def after(self, topology: TopologyDiff) -> "DelayTrend":
         """The trend of the epoch ``topology`` leads to, from this one (its
         predecessor's).  Only the delay-changed links are counted."""
         current = topology.current
-        step, curve = np.zeros((2, current.total_links()), dtype=np.int64)
         changed, was = topology.delay_changed, topology.delay_changed_previous
-        new = np.subtract(
+        steps = np.subtract(
             current.delay_counts[changed], topology.previous.delay_counts[was], dtype=np.int64
         )
-        held = self.step[was]
-        step[changed] = new
-        # A changed link's new step is not 0 (its count moved); its curve
-        # needs the held step too.
-        curves = new - held
-        curves[held == 0] = 0
-        curve[changed] = curves
-        return DelayTrend(step, curve, changed.size)
+        return DelayTrend.of(current.total_links(), changed, steps, self.step[was])
 
 
 @dataclass(frozen=True)
@@ -315,26 +323,23 @@ class _EpochArrays:
 
     Flat arrays over the global node order: ``satellite_positions`` is the
     ``(N, 3)`` ECEF position and ``active`` the bounding-box mask of every
-    satellite, which the state hands out per shell as views.  ``clear`` is
-    one mask over all ISL candidates (``_isl_endpoints_a/b``): the
-    candidates whose line of sight is clear, which are the epoch's ISLs.
-    ``isls`` holds their ``(distance_km, delay_counts, bandwidth_kbps)``
-    arrays, in candidate order.  ``uplinks`` is the epoch's whole uplink set
-    as four parallel arrays ``(station, satellite, distance_km,
-    delay_counts)`` — ``station`` the ground station's position in the
+    satellite, which the state hands out per shell as views.  ``isls``
+    holds the epoch's ISLs: one mask over all ISL candidates
+    (``_isl_endpoints_a/b``), the candidates whose line of sight is clear,
+    and their ``(distance_km, bandwidth_kbps)`` arrays, in candidate order,
+    which is the canonical link order.  ``uplinks`` is the epoch's whole
+    uplink set as three parallel arrays ``(station, satellite,
+    distance_km)`` — ``station`` the ground station's position in the
     configuration, ``satellite`` the satellite's global node index — with
     one row per visible pair, sorted by ground station, then shell, then
-    satellite: the order in which
-    :meth:`ConstellationCalculation._assemble_graph` appends them to the
-    ISLs, and hence their edge ids.  Keeping both code paths on these arrays
-    guarantees byte-identical snapshots.
+    satellite.  Keeping both code paths on these arrays guarantees
+    byte-identical snapshots.
     """
 
     satellite_positions: np.ndarray
     active: np.ndarray
-    clear: np.ndarray
     isls: tuple[np.ndarray, np.ndarray, np.ndarray]
-    uplinks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    uplinks: tuple[np.ndarray, np.ndarray, np.ndarray]
     hints: Optional[_UpdateHints] = None
 
 
@@ -438,21 +443,21 @@ class ConstellationState:
         """Usable uplinks of a ground station, nearest first.
 
         A view of the graph's ``UPLINK`` edges, which carry the ground
-        station as their first endpoint; equally distant satellites keep
-        their edge order (shell, then satellite).  An unknown name has no
-        uplinks.
+        station as their higher endpoint (stations follow every satellite
+        in the node index); equally distant satellites keep their edge
+        order (shell, then satellite).  An unknown name has no uplinks.
         """
         index, graph = self.node_index, self.graph
         try:
             node = index.ground_station(ground_station)
         except KeyError:
             return []
-        edges = np.nonzero((graph.node_a == node) & (graph.link_type_codes == _UPLINK_CODE))[0]
+        edges = np.nonzero((graph.node_b == node) & (graph.link_type_codes == _UPLINK_CODE))[0]
         edges = edges[np.argsort(graph.distances_km[edges], kind="stable")]
         return [
             UplinkInfo(*index.describe(satellite)[1:], distance, delay)
             for satellite, distance, delay in zip(
-                graph.node_b[edges].tolist(),
+                graph.node_a[edges].tolist(),
                 graph.distances_km[edges].tolist(),
                 graph.delays_ms[edges].tolist(),
             )
@@ -504,8 +509,9 @@ class ConstellationCalculation:
         # Static structures reused across consecutive snapshots, over the
         # global node order (shell offset + identifier): every shell's
         # circular-orbit elements stacked, each satellite's shell, the +GRID
-        # ISL candidates as flat endpoint arrays with their pair keys sorted
-        # once (the ISL part of every epoch's canonical link order).
+        # ISL candidates as flat endpoint arrays with their pair keys.  Each
+        # shell's pairs ascend and the shells' node ranges do, so the
+        # candidates are in the canonical link order.
         sizes = config.shell_sizes
         offsets = np.array(
             [self.node_index.shell_offset(shell) for shell in range(len(sizes))], dtype=np.int64
@@ -528,9 +534,9 @@ class ConstellationCalculation:
             np.concatenate([pairs[:, side] + offset for pairs, offset in zip(isl_pairs, offsets)])
             for side in (0, 1)
         )
-        isl_keys = pair_keys(self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index))
-        self._isl_key_order = np.argsort(isl_keys)
-        self._isl_sorted_keys = isl_keys[self._isl_key_order]
+        self._isl_keys = pair_keys(
+            self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index)
+        )
         self._ground_positions = {
             gst.name: gst.station.position_ecef for gst in config.ground_stations
         }
@@ -697,7 +703,6 @@ class ConstellationCalculation:
             los_lower = isl_closest_approach_km(endpoint_a, endpoint_b)
             los_upper = los_lower.copy()
         clear = los_lower >= limit
-        isl_distances = isl_distances[clear]
 
         # Ground-station visibility: one flat (station, satellite, slant
         # range) table for all stations and shells at once — over every pair
@@ -722,9 +727,8 @@ class ConstellationCalculation:
         return _EpochArrays(
             satellite_positions=positions,
             active=active,
-            clear=clear,
-            isls=(isl_distances, link_delay_counts(isl_distances), self._isl_bandwidths[clear]),
-            uplinks=(station, satellite, distance_km, link_delay_counts(distance_km)),
+            isls=(clear, isl_distances[clear], self._isl_bandwidths[clear]),
+            uplinks=(station, satellite, distance_km),
             hints=_UpdateHints(
                 time_s=time_s,
                 elevation_bounds=bounds,
@@ -764,50 +768,44 @@ class ConstellationCalculation:
         )
 
     def _assemble_graph(self, epoch: _EpochArrays) -> NetworkGraph:
-        """Concatenate the epoch's ISLs and uplink table into the edge arrays.
+        """Merge the epoch's ISLs and uplink table into the edge arrays.
 
-        The order — ISLs by candidate, then uplinks by ground station, shell
-        and satellite — fixes the edge ids, so every graph of one epoch,
-        cold or incremental, numbers its edges alike.  The canonical link
-        order is handed to the graph, which verifies it: the presorted ISL
-        candidates that ``clear`` keeps, renumbered to edge ids, with the
-        uplinks sorted by pair key merged in by one ``searchsorted``.  No
-        sort sees more than the epoch's uplinks.
+        The edges come out in the graph's canonical link order, which fixes
+        the edge ids, so every graph of one epoch, cold or incremental,
+        numbers its edges alike and the graph only verifies the order.  The
+        ISL candidates are in it; the uplinks, sorted by pair key, are
+        merged in by one ``searchsorted``, which makes one permutation of
+        the concatenated columns.  The endpoints are the merged pair keys
+        divided by the node count.  No sort sees more than the epoch's
+        uplinks.
         """
-        clear = epoch.clear
-        isl_distances_km, isl_delay_counts, isl_bandwidths = epoch.isls
-        station, satellite_nodes, uplink_distances_km, uplink_delay_counts = epoch.uplinks
-        isl_count = isl_distances_km.size
-        ground_nodes = self._gst_nodes[station]
-        # Candidate → edge id, then the kept candidates in key order.
-        isl_edge_ids = np.cumsum(clear) - 1
-        kept = clear[self._isl_key_order]
-        uplink_keys = pair_keys(ground_nodes, satellite_nodes, len(self.node_index))
+        clear, isl_distances_km, isl_bandwidths = epoch.isls
+        station, satellite_nodes, uplink_distances_km = epoch.uplinks
+        node_count, isl_count = len(self.node_index), isl_distances_km.size
+        isl_keys = self._isl_keys[clear]
+        uplink_keys = pair_keys(self._gst_nodes[station], satellite_nodes, node_count)
         uplink_order = np.argsort(uplink_keys)
-        sorted_edge_ids = np.insert(
-            isl_edge_ids[self._isl_key_order[kept]],
-            np.searchsorted(self._isl_sorted_keys[kept], uplink_keys[uplink_order]),
-            isl_count + uplink_order,
-        )
+        uplink_keys = uplink_keys[uplink_order]
+        at = np.searchsorted(isl_keys, uplink_keys)
+        order = np.insert(np.arange(isl_count), at, isl_count + uplink_order)
+        node_a, node_b = np.divmod(np.insert(isl_keys, at, uplink_keys), node_count)
+        distances_km = np.concatenate([isl_distances_km, uplink_distances_km])[order]
+        uplink_bandwidths = self._gst_uplink_bandwidths[
+            self._satellite_shell[satellite_nodes], station
+        ]
         return NetworkGraph.from_edge_arrays(
             self.node_index,
-            np.concatenate([self._isl_endpoints_a[clear], ground_nodes]),
-            np.concatenate([self._isl_endpoints_b[clear], satellite_nodes]),
-            np.concatenate([isl_distances_km, uplink_distances_km]),
-            np.concatenate([isl_delay_counts, uplink_delay_counts]),
-            np.concatenate(
-                [
-                    isl_bandwidths,
-                    self._gst_uplink_bandwidths[self._satellite_shell[satellite_nodes], station],
-                ]
-            ),
+            node_a,
+            node_b,
+            distances_km,
+            link_delay_counts(distances_km),
+            np.concatenate([isl_bandwidths, uplink_bandwidths])[order],
             np.concatenate(
                 [
                     np.full(isl_count, _ISL_CODE, dtype=np.int8),
                     np.full(station.size, _UPLINK_CODE, dtype=np.int8),
                 ]
-            ),
-            sorted_edge_ids=sorted_edge_ids,
+            )[order],
         )
 
     def state_at(self, time_s: float) -> ConstellationState:

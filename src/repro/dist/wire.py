@@ -72,8 +72,8 @@ kind               direction     payload
                                  position the sample's index
 ``PING`` …         both          heartbeat, shutdown, handshake
 ``KEYFRAME`` …     gateway       the serving tier: a full state with its delay
-                                 steps, or a DIFF whose delays may be
-                                 second-difference residuals
+                                 steps and curves, or a DIFF whose delays
+                                 may be third-difference residuals
                                  (:mod:`repro.serve.codec`)
 =================  ============  =============================================
 

@@ -19,11 +19,13 @@ bit-for-bit at every epoch.
 Frame layout
 ------------
 
-Server and replica share one *canonical link order*: links normalised to
-``node_a < node_b``, ascending by ``node_a * node_count + node_b``
-(``NetworkGraph.sorted_edge_ids``).  A frame names a set of links by their
-positions in that order, as a *link mask* in whichever of two forms is
-smaller: the ``np.packbits`` bits (``uint8``, ``(n + 7) // 8`` bytes over
+Server and replica share one *canonical link order*: links with ``node_a <
+node_b``, ascending by ``node_a * node_count + node_b`` — the order of a
+``NetworkGraph``'s edge ids, so a link's position is its edge id and a
+:class:`~repro.topology.graph.TopologyDiff`'s arrays are positions as they
+are.  A frame names a set of links by their positions in that order, as a
+*link mask* in whichever of two forms is smaller: the ``np.packbits`` bits
+(``uint8``, ``(n + 7) // 8`` bytes over
 ``n`` links) or the strictly ascending positions themselves (``uint16``
 when ``n <= 65,536``, else ``uint32``).  The dtype says which; anything
 else — positions out of order, repeated or ``>= n`` — is a
@@ -99,7 +101,8 @@ replica applies *removed* (a mask over the links it holds), then *added*
 the activity flips.  Added links carry absolute delays and a zero trend.
 
 ``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
-``satellites`` (each shell's mask length); arrays in canonical order:
+``satellites`` (each shell's mask length); arrays in canonical order, the
+graph's columns and its trend's as they are:
 
 == =========== ============================= ================================
 #  array       dtype                         meaning
@@ -132,7 +135,9 @@ one int >= 0 per shell, a DIFF's ``links`` two ints >= 0.  Links:
 endpoints signed ints with ``0 <= node_a < node_b < node_count``, a
 KEYFRAME's in strictly ascending canonical order and each added one
 between its neighbours in the new order; type codes ``int8`` in 0…2;
-bandwidths ``float64`` (or the palette's ``uint8`` indices).
+bandwidths ``float64`` (or the palette's ``uint8`` indices).  Activity
+flips: 1-D signed-int satellite ids in ``0 … satellites-1`` of a shell the
+replica holds.
 """
 
 from __future__ import annotations
@@ -144,14 +149,15 @@ from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from repro.core.constellation import DelayTrend
 from repro.dist import wire
 from repro.dist.wire import FrameKind
 from repro.topology.linkparams import DELAY_GRID_MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.constellation import ConstellationDiff, ConstellationState, DelayTrend
+    from repro.core.constellation import ConstellationDiff, ConstellationState
     from repro.core.database import ConstellationDatabase
-    from repro.topology.graph import NetworkGraph, TopologyDiff
+    from repro.topology.graph import TopologyDiff
 
 
 class CodecError(ValueError):
@@ -165,11 +171,11 @@ class CodecError(ValueError):
 class EpochSnapshot:
     """The streamed, canonically ordered projection of one epoch's state.
 
-    Links are normalised to ``node_a < node_b`` and sorted by the flat
-    edge key ``node_a * node_count + node_b``, so the snapshot of a
-    server-side state and of a client-side replica are comparable
-    independently of graph insertion order.  ``active`` maps shell index
-    to the boolean bounding-box activity mask.
+    Links are in the canonical order (``node_a < node_b``, ascending by the
+    flat edge key ``node_a * node_count + node_b``), the graph's own, so the
+    snapshot of a server-side state and of a client-side replica are
+    comparable column for column.  ``active`` maps shell index to the
+    boolean bounding-box activity mask.
     """
 
     epoch: int
@@ -184,21 +190,18 @@ class EpochSnapshot:
 
     @classmethod
     def from_state(cls, state: "ConstellationState", epoch: int) -> "EpochSnapshot":
-        """The canonical projection of a server-side state."""
+        """The canonical projection of a server-side state: its graph's
+        (read-only) columns."""
         graph = state.graph
-        node_count = len(graph.index)
-        a, b = graph.node_a, graph.node_b
-        low, high = np.minimum(a, b), np.maximum(a, b)
-        order = graph.sorted_edge_ids
         return cls(
             epoch=epoch,
             time_s=state.time_s,
-            node_count=node_count,
-            node_a=np.ascontiguousarray(low[order]),
-            node_b=np.ascontiguousarray(high[order]),
-            delay_ms=np.ascontiguousarray(graph.delays_ms[order]),
-            bandwidth_kbps=np.ascontiguousarray(graph.bandwidths_kbps[order]),
-            link_type=np.ascontiguousarray(graph.link_type_codes[order]),
+            node_count=len(graph.index),
+            node_a=graph.node_a,
+            node_b=graph.node_b,
+            delay_ms=graph.delays_ms,
+            bandwidth_kbps=graph.bandwidths_kbps,
+            link_type=graph.link_type_codes,
             active={
                 shell: np.ascontiguousarray(mask)
                 for shell, mask in sorted(state.active_satellites.items())
@@ -256,7 +259,6 @@ class EpochUpdate:
         return self._decoded[0]
 
 
-_NO_POSITIONS = np.empty(0, dtype=np.intp)
 #: The dtypes of a link mask's positions, over at most 2**16 links and more.
 _POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
 _NO_ESCAPES = np.empty(0, dtype=np.int8)
@@ -277,10 +279,9 @@ _FIELD_VALUES = [
     np.array([-(1 << (bits - 1)), *(1 << bit for bit in range(bits - 2, -1, -1))], np.float32)
     for bits in range(1, 9)
 ]
-#: The positions of at most one link in this many are searched for one by
-#: one, and a merge of that few additions and removals copies the runs
-#: between them: per-link work that beats a pass over every link while the
-#: links are few (an epoch's handovers over thousands of links).
+#: A merge of at most one addition or removal in this many links copies the
+#: runs between them: per-link work that beats a pass over every link while
+#: the changes are few (an epoch's handovers over thousands of links).
 _FEW_LINKS_PER = 512
 #: Arrays of a KEYFRAME / DIFF frame ahead of the per-shell ones.
 _KEYFRAME_ARRAYS = 8
@@ -420,26 +421,10 @@ def _unpack_bandwidths(column: np.ndarray, palette: np.ndarray) -> np.ndarray:
 def _pack_nodes(
     node_a: np.ndarray, node_b: np.ndarray, node_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint columns of some links, lower node first, at the narrowest
-    signed width that holds every node index of the graph."""
+    """The endpoint columns of some links at the narrowest signed width that
+    holds every node index of the graph."""
     dtype = _signed_dtype(0, node_count - 1)
-    return np.minimum(node_a, node_b).astype(dtype), np.maximum(node_a, node_b).astype(dtype)
-
-
-def _pack_positions(graph: "NetworkGraph", edge_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending positions of ``edge_ids`` in ``graph``'s canonical link
-    order, and the same ids sorted into that order."""
-    if not edge_ids.size:
-        return _NO_POSITIONS, edge_ids
-    order = graph.sorted_edge_ids
-    if edge_ids.size * _FEW_LINKS_PER <= order.size:
-        positions = graph.canonical_positions(edge_ids)
-        ascending = np.argsort(positions)
-        return positions[ascending], edge_ids[ascending]
-    chosen = np.zeros(order.size, dtype=bool)
-    chosen[edge_ids] = True
-    positions = np.flatnonzero(chosen[order])
-    return positions, order[positions]
+    return node_a.astype(dtype), node_b.astype(dtype)
 
 
 def _positions_dtype(length: int) -> np.dtype:
@@ -487,35 +472,19 @@ def _unpack_mask(mask: np.ndarray, length: int, *values: np.ndarray) -> np.ndarr
     return positions
 
 
-def _previous_ids(topology: "TopologyDiff", changed: np.ndarray) -> np.ndarray:
-    """The previous edge ids of some of a diff's delay-changed links."""
-    if topology.delay_changed_previous is topology.delay_changed:  # ids did not move
-        return changed
-    lookup = np.empty(topology.current.total_links(), dtype=np.int64)
-    lookup[topology.delay_changed] = topology.delay_changed_previous
-    return lookup[changed]
-
-
-def _surprises(
-    topology: "TopologyDiff",
-    trend: "DelayTrend",
-    changed: np.ndarray,
-    held: np.ndarray,
-    removed: np.ndarray,
-    added: np.ndarray,
-) -> np.ndarray:
-    """Array 7 with residuals: the positions of the ``changed`` links XOR
-    those of the links that survive with a step in ``trend``, the previous
-    epoch's.  ``held`` is each changed link's step there; ``removed`` and
-    ``added`` are the diff's positions."""
+def _surprises(topology: "TopologyDiff", trend: DelayTrend, held: np.ndarray) -> np.ndarray:
+    """Array 7 with residuals: the delay-changed links XOR those that
+    survive with a step in ``trend``, the previous epoch's.  ``held`` is
+    each changed link's step there."""
+    changed, removed, added = topology.delay_changed, topology.links_removed, topology.links_added
     started = changed[held == 0]
     # A link that stopped changing is rarer still: count before looking.
-    survived = trend.stepped - np.count_nonzero(trend.step[topology.links_removed])
+    survived = trend.stepped - np.count_nonzero(trend.step[removed])
     if survived == changed.size - started.size:
         return started
     stepped = trend.step != 0
-    stepped[topology.delay_changed_previous] = stepped[topology.links_removed] = False
-    ranks = topology.previous.canonical_positions(np.flatnonzero(stepped))
+    stepped[topology.delay_changed_previous] = stepped[removed] = False
+    ranks = np.flatnonzero(stepped)
     ranks -= np.searchsorted(removed, ranks)  # among the kept links
     # The i-th added link follows added[i] - i kept ones.
     stopped = ranks + np.searchsorted(added - np.arange(added.size), ranks, side="right")
@@ -523,27 +492,27 @@ def _surprises(
 
 
 def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
-    """Encode one epoch's full-state KEYFRAME frame from its snapshot and
-    its delay trend."""
-    snapshot, order = EpochSnapshot.from_state(state, epoch), state.graph.sorted_edge_ids
-    shells = sorted(snapshot.active)
+    """Encode one epoch's full-state KEYFRAME frame from its graph, its
+    activity and its delay trend."""
+    graph, active = state.graph, state.active_satellites
+    shells = sorted(active)
     meta = {
         "epoch": epoch,
-        "time_s": snapshot.time_s,
-        "node_count": snapshot.node_count,
+        "time_s": state.time_s,
+        "node_count": len(graph.index),
         "shells": shells,
-        "satellites": [snapshot.active[shell].size for shell in shells],
+        "satellites": [active[shell].size for shell in shells],
     }
-    bandwidths, palette = _pack_bandwidths(snapshot.bandwidth_kbps)
+    bandwidths, palette = _pack_bandwidths(graph.bandwidths_kbps)
     arrays = (
-        *_pack_nodes(snapshot.node_a, snapshot.node_b, snapshot.node_count),
-        state.graph.delay_counts[order],
+        *_pack_nodes(graph.node_a, graph.node_b, len(graph.index)),
+        graph.delay_counts,
         bandwidths,
-        snapshot.link_type,
-        _narrowest(state.trend.step[order]),
-        _narrowest(state.trend.curve[order]),
+        graph.link_type_codes,
+        _narrowest(state.trend.step),
+        _narrowest(state.trend.curve),
         palette,
-        *(np.packbits(snapshot.active[shell]) for shell in shells),
+        *(np.packbits(active[shell]) for shell in shells),
     )
     return wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
 
@@ -553,40 +522,36 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     changed link's step from the epoch's trend, predicted from the previous
     epoch's (both ride on the diff)."""
     topology, trend = diff.topology, diff.previous_trend
-    previous, current = topology.previous, topology.current
-    removed, _ = _pack_positions(previous, topology.links_removed)
-    added, added_ids = _pack_positions(current, topology.links_added)
-    changed, changed_ids = _pack_positions(current, topology.delay_changed)
-    was = _previous_ids(topology, changed_ids)
+    current, added = topology.current, topology.links_added
+    changed, was = topology.delay_changed, topology.delay_changed_previous
     held = trend.step[was]
-    packed = _pack_residuals(diff.trend.step[changed_ids] - held - trend.curve[was])
+    packed = _pack_residuals(diff.trend.step[changed] - held - trend.curve[was])
     if packed is None:
-        delays, escapes, bits = current.delay_counts[changed_ids], _NO_ESCAPES, 0
+        delays, escapes, bits = current.delay_counts[changed], _NO_ESCAPES, 0
         delay_mask = changed
     else:
         delays, escapes, bits = packed
-        delay_mask = _surprises(topology, trend, changed, held, removed, added)
-    bandwidth_changed, bandwidth_ids = _pack_positions(current, topology.bandwidth_changed)
+        delay_mask = _surprises(topology, trend, held)
     # Only shells with a flip travel: an array descriptor costs more than most id lists.
     shells = sorted(
         shell for shell, ids in diff.activated.items() if ids.size or diff.deactivated[shell].size
     )
-    links = [previous.total_links(), current.total_links()]
+    links = [topology.previous.total_links(), current.total_links()]
     meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells}
     if bits:
         meta["bits"] = bits
     arrays = (
-        _pack_mask(removed, links[0]),
+        _pack_mask(topology.links_removed, links[0]),
         _pack_mask(added, links[1]),
-        *_pack_nodes(current.node_a[added_ids], current.node_b[added_ids], len(current.index)),
-        current.delay_counts[added_ids],
-        current.bandwidths_kbps[added_ids],
-        current.link_type_codes[added_ids],
+        *_pack_nodes(current.node_a[added], current.node_b[added], len(current.index)),
+        current.delay_counts[added],
+        current.bandwidths_kbps[added],
+        current.link_type_codes[added],
         _pack_mask(delay_mask, links[1]),
         delays,
         escapes,
-        _pack_mask(bandwidth_changed, links[1]),
-        current.bandwidths_kbps[bandwidth_ids],
+        _pack_mask(topology.bandwidth_changed, links[1]),
+        current.bandwidths_kbps[topology.bandwidth_changed],
         *(diff.activated[shell] for shell in shells),
         *(diff.deactivated[shell] for shell in shells),
     )
@@ -660,9 +625,10 @@ class EpochReplica:
     """A subscriber's reconstruction of the streamed state projection.
 
     Holds the links as five parallel arrays in canonical order (the link
-    columns of :class:`EpochSnapshot`), plus each link's step and curve that
-    a DIFF's residuals predict from, and patches them with each DIFF's
-    masks.  A DIFF
+    columns of :class:`EpochSnapshot`), plus the held epoch's
+    :class:`~repro.core.constellation.DelayTrend` that a DIFF's residuals
+    predict from — the publication's, column for column — and patches them
+    with each DIFF's masks.  A DIFF
     that does not chain onto the replica — not the next epoch, or not the
     link count it holds — raises :class:`CodecError` and changes nothing:
     the subscriber must resynchronise from a keyframe, which the gateway
@@ -678,9 +644,8 @@ class EpochReplica:
         # node_a, node_b, delay (grid counts), bandwidth_kbps, link_type
         dtypes = (np.int64, np.int64, np.uint32, np.float64, np.int8)
         self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
-        #: Each held link's step and curve in the held epoch (module docstring).
-        self._steps = np.empty(0, dtype=np.int64)
-        self._curves = np.empty(0, dtype=np.int64)
+        #: The held epoch's delay trend (module docstring).
+        self.trend = DelayTrend(*np.empty((2, 0), dtype=np.int64), 0)
         self.active: dict[int, np.ndarray] = {}
         self.applied_keyframes = 0
         self.applied_diffs = 0
@@ -738,8 +703,9 @@ class EpochReplica:
         }
         # Decoded arrays are read-only views of the frame; the replica owns copies.
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
-        self._steps = steps.astype(np.int64)
-        self._curves = curves.astype(np.int64)
+        self.trend = DelayTrend(
+            steps.astype(np.int64), curves.astype(np.int64), int(np.count_nonzero(steps))
+        )
         self.active = active
         self.epoch = epoch
         self.time_s = time_s
@@ -801,13 +767,23 @@ class EpochReplica:
             self._check_added(removed, added, fresh[0], fresh[1], fresh[4])
         delay_mask = _unpack_mask(delay_mask, after, *(() if bits else (delays,)))
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
-        try:
-            active = {shell: self.active[shell].copy() for shell in shells}
-            for position, ids in enumerate(arrays[_DIFF_ARRAYS:]):  # activated come first
-                active[shells[position % len(shells)]][ids] = position < len(shells)
-        except (KeyError, IndexError) as error:
-            raise CodecError(f"diff for epoch {meta['epoch']} flips unknown satellites") from error
-        links, steps, curves = self._links, self._steps, self._curves
+        flips = arrays[_DIFF_ARRAYS:]  # activated, then deactivated, per shell
+        for shell, ids in zip(shells * 2, flips):
+            held = self.active.get(shell)
+            if (
+                held is None
+                or ids.dtype.kind != "i"
+                or ids.ndim != 1
+                or (ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < held.size)
+            ):
+                raise CodecError(
+                    f"diff for epoch {meta['epoch']} flips {ids.dtype}{ids.shape} ids of "
+                    f"shell {shell}: not 1-D signed ints naming its satellites"
+                )
+        active = {shell: self.active[shell].copy() for shell in shells}
+        for position, ids in enumerate(flips):
+            active[shells[position % len(shells)]][ids] = position < len(shells)
+        links, steps, curves = self._links, self.trend.step, self.trend.curve
         if added.size or removed.size:
             zeros = np.zeros(added.size, dtype=np.int64)  # an added link's trend is 0
             *links, steps, curves = _merge(
@@ -822,11 +798,7 @@ class EpochReplica:
         counts, new_steps = _decode_delays(
             delays, escapes, bits, links[2][delay_changed], held_steps, curves[delay_changed]
         )
-        self._steps, self._curves = np.zeros((2, after), dtype=np.int64)
-        self._steps[delay_changed] = new_steps
-        curves = new_steps - held_steps
-        curves[held_steps == 0] = 0
-        self._curves[delay_changed] = curves
+        self.trend = DelayTrend.of(after, delay_changed, new_steps, held_steps)
         links[2][delay_changed] = counts
         links[3][bandwidth_changed] = bandwidths
         self._links = links

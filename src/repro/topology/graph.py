@@ -14,19 +14,23 @@ form: six parallel, read-only NumPy arrays indexed by *edge id* —
 (``float64``), ``delay_counts`` (``uint32`` counts of
 :data:`~repro.topology.linkparams.DELAY_GRID_MS`), ``bandwidths_kbps``
 (``float64``) and ``link_type_codes`` (``int8``, index into
-:class:`LinkType`: 0=ISL, 1=UPLINK, 2=HOST).  Edge ids are the positions
-the caller passed the edges in.  Every delay is on the grid because it is
-a count; ``delays_ms``, the read-only ``float64`` delays the path engine,
-the uplink info and the stream's snapshot read, is derived from the counts
-(a count times a power of two: exact).
+:class:`LinkType`: 0=ISL, 1=UPLINK, 2=HOST).  A graph has one link order,
+the *canonical* one: every edge is stored with ``node_a < node_b``, and
+the edges ascend by their pair key ``node_a * node_count + node_b``
+(:func:`pair_keys`).  An edge id is therefore the position of the link in
+that order, the position the update stream and its replicas name it by.
+Every delay is on the grid because it is a count; ``delays_ms``, the
+read-only ``float64`` delays the path engine, the uplink info and the
+stream's snapshot read, is derived from the counts (a count times a power
+of two: exact).
 
-:meth:`NetworkGraph.from_edge_arrays` is the only constructor.  It checks
-its input (equal endpoint lengths, no self-links, endpoints in range, every
-undirected node pair at most once, ``uint32`` delay counts) and returns a
-finished graph that nothing changes afterwards — the same epoch object is
-shared, uncopied, by the database's publication, both sides of a
-:class:`TopologyDiff`, the path rows that answer its queries and the
-codec.
+:meth:`NetworkGraph.from_edge_arrays` is the only constructor.  It takes
+the edges in any order and either orientation, checks them (equal column
+lengths, no self-links, endpoints in range, every undirected node pair at
+most once, ``uint32`` delay counts) and returns a finished graph that
+nothing changes afterwards — the same epoch object is shared, uncopied, by
+the database's publication, both sides of a :class:`TopologyDiff`, the
+path rows that answer its queries and the codec.
 
 What is derived, and when
 -------------------------
@@ -34,14 +38,10 @@ What is derived, and when
 Two structures depend only on the edge *set*, and every graph derives its
 own (no graph borrows another's):
 
-* at construction, the packed pair keys (:func:`pair_keys`) in edge order
-  and in ascending order, with the permutation between them
-  (:attr:`NetworkGraph.sorted_edge_ids`, the canonical link order).  They
-  serve :meth:`NetworkGraph.edge_ids_between`,
-  :meth:`NetworkGraph.diff_from` and the codec's link positions.  A caller
-  that already knows the order — the constellation calculation derives it
-  from its presorted ISL candidates — passes it as ``sorted_edge_ids``;
-  the constructor verifies it in O(E) instead of sorting;
+* at construction, the ascending pair keys.  Input that already ascends —
+  the constellation calculation emits its links in the canonical order —
+  is verified in O(E); any other input is sorted once.  The keys serve
+  :meth:`NetworkGraph.edge_ids_between` and :meth:`NetworkGraph.diff_from`;
 * on the first :meth:`NetworkGraph.delay_matrix` call, the sparsity
   structure (data permutation, column indices, row pointers), placed row
   by row from the canonical order without a sort.  An epoch whose
@@ -55,16 +55,16 @@ ISL endpoints are static per shell and only a small fraction of uplinks
 appear or disappear between updates.  :meth:`NetworkGraph.diff_from`
 compares two epochs' edge arrays and emits a :class:`TopologyDiff` —
 ``links_added`` / ``links_removed`` / ``delay_changed`` /
-``bandwidth_changed`` edge-id index arrays — which the path engine, the
-virtual network and the epoch-update codec consume instead of re-reading
-the full state.
+``bandwidth_changed`` arrays of ascending edge ids, that is canonical
+positions — which the path engine, the virtual network and the
+epoch-update codec consume instead of re-reading the full state.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -99,9 +99,9 @@ def pair_keys(nodes_a: np.ndarray, nodes_b: np.ndarray, node_count: int) -> np.n
     return np.minimum(nodes_a, nodes_b) * np.int64(node_count) + np.maximum(nodes_a, nodes_b)
 
 
-def _read_only(values: np.ndarray, dtype) -> np.ndarray:
+def _read_only(values: np.ndarray) -> np.ndarray:
     """Read-only contiguous view; an array the caller still owns keeps its flag."""
-    view = np.ascontiguousarray(values, dtype=dtype).view()
+    view = np.ascontiguousarray(values).view()
     view.flags.writeable = False
     return view
 
@@ -110,16 +110,17 @@ def _read_only(values: np.ndarray, dtype) -> np.ndarray:
 class TopologyDiff:
     """Edge-level difference between two epochs of the constellation network.
 
-    The index arrays refer to edge ids: ``links_added``, ``delay_changed``
-    and ``bandwidth_changed`` index into the *current* graph's edge arrays,
-    ``links_removed`` into the *previous* graph's.  ``delay_changed`` and
-    ``bandwidth_changed`` cover pairs present in both epochs whose attribute
-    value differs; a pair that (dis)appeared is only reported as
-    added/removed.  ``delay_changed_previous`` holds the *previous* graph's
-    edge ids of the ``delay_changed`` links, entry for entry.  Both graphs
-    are kept on the diff so consumers (the coordinator's per-host slicing,
-    the virtual network, the update codec) can resolve ids to endpoints and
-    old and new values without a separate lookup channel.
+    The index arrays hold ascending edge ids, which are canonical link
+    positions: ``links_added``, ``delay_changed`` and ``bandwidth_changed``
+    index into the *current* graph's edge arrays, ``links_removed`` into
+    the *previous* graph's.  ``delay_changed`` and ``bandwidth_changed``
+    cover pairs present in both epochs whose attribute value differs; a
+    pair that (dis)appeared is only reported as added/removed.
+    ``delay_changed_previous`` holds the *previous* graph's edge ids of the
+    ``delay_changed`` links, entry for entry (the same array when no link
+    appeared or disappeared).  Both graphs are kept on the diff so
+    consumers (the virtual network, the update codec) can resolve ids to
+    endpoints and old and new values without a separate lookup channel.
     """
 
     previous: "NetworkGraph"
@@ -267,65 +268,60 @@ class NetworkGraph:
         delay_counts: np.ndarray,
         bandwidth_kbps: np.ndarray,
         type_code: np.ndarray,
-        sorted_edge_ids: Optional[np.ndarray] = None,
     ) -> "NetworkGraph":
-        """Build a graph from parallel edge arrays (position = edge id).
+        """Build a graph from parallel edge arrays, in any order.
 
         The caller provides the complete edge set; every undirected node
-        pair may occur at most once.  Delays are ``uint32`` counts of
-        :data:`~repro.topology.linkparams.DELAY_GRID_MS` (what
-        :func:`~repro.topology.linkparams.link_delay_counts` returns); any
-        other dtype is a ``ValueError``.  ``sorted_edge_ids``, when given, is
-        the canonical link order (edge ids by ascending :func:`pair_keys`)
-        the caller already knows; it is verified in O(E) — E ids, each in
-        ``0 … E-1``, whose keys strictly increase, which also proves the
-        ids a permutation and the pairs unique — and a forged order is a
-        ``ValueError``.  Without it the order is an ``argsort`` of the keys.
+        pair may occur at most once, with either endpoint first.  Delays are
+        ``uint32`` counts of :data:`~repro.topology.linkparams.DELAY_GRID_MS`
+        (what :func:`~repro.topology.linkparams.link_delay_counts` returns);
+        any other dtype is a ``ValueError``.  The graph stores the edges in
+        the canonical order (module docstring): input already in it is
+        verified in O(E) and kept as given, any other is sorted once.
         """
-        graph = cls.__new__(cls)
-        graph.index = index
-        graph._node_count = len(index)
-        graph._node_a = _read_only(node_a, np.int64)
-        graph._node_b = _read_only(node_b, np.int64)
-        count = graph._node_a.size
-        if graph._node_b.size != count:
-            raise ValueError("endpoint arrays must be of equal length")
-        graph._distance_km = _read_only(distance_km, np.float64)
+        node_count = len(index)
         delay_counts = np.asarray(delay_counts)
         if delay_counts.dtype != np.uint32:
             raise ValueError(f"delays are uint32 grid counts, not {delay_counts.dtype}")
-        graph._delay_counts = _read_only(delay_counts, np.uint32)
+        low, high, *values = (
+            np.asarray(column, dtype=dtype)
+            for column, dtype in zip(
+                (node_a, node_b, distance_km, delay_counts, bandwidth_kbps, type_code),
+                (np.int64, np.int64, np.float64, np.uint32, np.float64, np.int8),
+            )
+        )
+        count = low.size
+        if any(column.shape != (count,) for column in (low, high, *values)):
+            raise ValueError("edge arrays must be 1-D and of equal length")
+        if not (low < high).all():
+            low, high = np.minimum(low, high), np.maximum(low, high)
+            if (low == high).any():
+                raise ValueError("self-links are not allowed")
+        if count and (low.min() < 0 or high.max() >= node_count):
+            raise ValueError("link endpoints out of range")
+        keys = low * np.int64(node_count) + high
+        columns = [low, high, *values]
+        if (keys[1:] <= keys[:-1]).any():
+            order = np.argsort(keys)
+            keys = keys[order]
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError("from_edge_arrays requires unique node pairs")
+            columns = [column[order] for column in columns]
+        graph = cls.__new__(cls)
+        graph.index = index
+        graph._node_count = node_count
+        graph._keys = keys
+        (
+            graph._node_a,
+            graph._node_b,
+            graph._distance_km,
+            graph._delay_counts,
+            graph._bandwidth_kbps,
+            graph._type_code,
+        ) = map(_read_only, columns)
         graph._delay_ms = graph._delay_counts.astype(np.float64)
         graph._delay_ms *= DELAY_GRID_MS  # a power of two: exact
         graph._delay_ms.flags.writeable = False
-        graph._bandwidth_kbps = _read_only(bandwidth_kbps, np.float64)
-        graph._type_code = _read_only(type_code, np.int8)
-        if count:
-            if np.any(graph._node_a == graph._node_b):
-                raise ValueError("self-links are not allowed")
-            lo = min(int(graph._node_a.min()), int(graph._node_b.min()))
-            hi = max(int(graph._node_a.max()), int(graph._node_b.max()))
-            if lo < 0 or hi >= graph._node_count:
-                raise ValueError("link endpoints out of range")
-        keys = pair_keys(graph._node_a, graph._node_b, graph._node_count)
-        if sorted_edge_ids is None:
-            order = np.argsort(keys)
-        else:
-            order = np.asarray(sorted_edge_ids, dtype=np.int64)
-            if order.shape != (count,):
-                raise ValueError(f"sorted_edge_ids must hold {count} edge ids")
-            if count and (order.min() < 0 or order.max() >= count):
-                raise ValueError("sorted_edge_ids holds an id outside the edge table")
-        sorted_keys = keys[order]
-        if np.any(sorted_keys[1:] <= sorted_keys[:-1]):
-            raise ValueError(
-                "from_edge_arrays requires unique node pairs"
-                if sorted_edge_ids is None
-                else "sorted_edge_ids is not ascending by pair key over unique node pairs"
-            )
-        graph._keys = keys
-        graph._sorted_keys = sorted_keys
-        graph._sorted_edge_ids = _read_only(order, np.int64)
         graph._csr_template = None
         return graph
 
@@ -335,22 +331,21 @@ class NetworkGraph:
         Entry ``e`` of ``[delays, delays]`` is the directed pair
         ``(node_a[e], node_b[e])``, entry ``E + e`` its reverse.  In CSR
         order a row holds its entries towards lower nodes, then those
-        towards higher ones, each ascending.  Taken in key order, the
-        edges' downward entries ``(hi, lo)`` ascend in ``lo`` within each
-        row and their upward entries ``(lo, hi)`` in ``hi``, so SciPy's
-        COO → CSR conversion, which places entries row by row in input
-        order, receives the downward entries, then the upward ones, and
-        finds every row already sorted.  The result equals a ``lexsort``
-        of all 2E entries.
+        towards higher ones, each ascending.  In edge-id order the edges'
+        downward entries ``(node_b, node_a)`` ascend in ``node_a`` within
+        each row and their upward entries ``(node_a, node_b)`` in
+        ``node_b``, so SciPy's COO → CSR conversion, which places entries
+        row by row in input order, receives the downward entries, then the
+        upward ones, and finds every row already sorted.  The result equals
+        a ``lexsort`` of all 2E entries.
         """
-        ids = self._sorted_edge_ids
-        count, n = ids.size, self._node_count
-        lo, hi = np.divmod(self._sorted_keys, n)
-        upward = np.where(self._node_a[ids] == lo, ids, ids + count)
+        count, n = self._keys.size, self._node_count
+        ids = np.arange(count, dtype=np.int64)
+        low, high = self._node_a, self._node_b
         entries = sparse.coo_matrix(
             (
-                np.concatenate([2 * ids + count - upward, upward]),
-                (np.concatenate([hi, lo]), np.concatenate([lo, hi])),
+                np.concatenate([ids + count, ids]),
+                (np.concatenate([high, low]), np.concatenate([low, high])),
             ),
             shape=(n, n),
         ).tocsr()
@@ -360,12 +355,12 @@ class NetworkGraph:
 
     @property
     def node_a(self) -> np.ndarray:
-        """First endpoints of all links (edge-id order)."""
+        """Lower endpoints of all links (edge-id order)."""
         return self._node_a
 
     @property
     def node_b(self) -> np.ndarray:
-        """Second endpoints of all links."""
+        """Higher endpoints of all links."""
         return self._node_b
 
     @property
@@ -392,11 +387,6 @@ class NetworkGraph:
     def link_type_codes(self) -> np.ndarray:
         """Link type codes (index into ``LinkType``: 0=ISL, 1=UPLINK, 2=HOST)."""
         return self._type_code
-
-    @property
-    def sorted_edge_ids(self) -> np.ndarray:
-        """Edge ids in ascending :func:`pair_keys` order (the canonical link order)."""
-        return self._sorted_edge_ids
 
     # -- queries ------------------------------------------------------------
 
@@ -428,17 +418,10 @@ class NetworkGraph:
         nodes_a = np.asarray(nodes_a, dtype=np.int64)
         nodes_b = np.asarray(nodes_b, dtype=np.int64)
         keys = pair_keys(nodes_a, nodes_b, self._node_count)
-        if self._sorted_keys.size == 0:
+        if self._keys.size == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
-        positions = np.searchsorted(self._sorted_keys, keys)
-        positions = np.minimum(positions, self._sorted_keys.size - 1)
-        found = self._sorted_keys[positions] == keys
-        edges = np.where(found, self._sorted_edge_ids[positions], -1)
-        return edges
-
-    def canonical_positions(self, edge_ids: np.ndarray) -> np.ndarray:
-        """The positions of ``edge_ids`` in the canonical link order."""
-        return np.searchsorted(self._sorted_keys, self._keys[edge_ids])
+        positions = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[positions] == keys, positions, -1)
 
     def total_links(self) -> int:
         """Number of undirected links in the graph."""
@@ -453,13 +436,12 @@ class NetworkGraph:
         ``links_removed`` / ``delay_changed`` / ``bandwidth_changed``
         edge-id index arrays, each ascending (see the class docstring for
         which graph each array indexes into).  When both epochs hold the
-        same keys in the same edge order, edge ids line up 1:1.  Otherwise
-        one ``searchsorted`` of this graph's sorted keys into the previous
-        graph's pairs every link with its previous edge id, if it had one.
-        Delays are compared as grid counts and bandwidths exactly: the
-        constellation calculation recomputes both epochs with
-        bitwise-identical operations, so any genuine movement differs
-        exactly.
+        same keys, edge ids line up 1:1.  Otherwise one ``searchsorted`` of
+        this graph's keys into the previous graph's pairs every link with
+        its previous edge id, if it had one.  Delays are compared as grid
+        counts and bandwidths exactly: the constellation calculation
+        recomputes both epochs with bitwise-identical operations, so any
+        genuine movement differs exactly.
         """
         if self._node_count != previous._node_count:
             raise ValueError("graphs must share the same node index layout")
@@ -477,16 +459,13 @@ class NetworkGraph:
                     self._bandwidth_kbps != previous._bandwidth_kbps
                 ),
             )
-        # The previous edge id of every current edge, -1 for a new link.
-        counterpart = np.full(self._node_a.size, -1, dtype=np.int64)
-        if previous._sorted_keys.size:
-            at = np.searchsorted(previous._sorted_keys, self._sorted_keys)
-            at = np.minimum(at, previous._sorted_keys.size - 1)
-            found = previous._sorted_keys[at] == self._sorted_keys
-            counterpart[self._sorted_edge_ids[found]] = previous._sorted_edge_ids[at[found]]
-        common = np.flatnonzero(counterpart >= 0)
-        common_previous = counterpart[common]
-        removed = np.ones(previous._node_a.size, dtype=bool)
+        # The previous edge id of every current edge that had one.
+        at = np.searchsorted(previous._keys, self._keys)
+        found = at < previous._keys.size
+        found[found] = previous._keys[at[found]] == self._keys[found]
+        common = np.flatnonzero(found)
+        common_previous = at[common]
+        removed = np.ones(previous._keys.size, dtype=bool)
         removed[common_previous] = False
         moved = np.flatnonzero(
             self._delay_counts[common] != previous._delay_counts[common_previous]
@@ -494,7 +473,7 @@ class NetworkGraph:
         return TopologyDiff(
             previous=previous,
             current=self,
-            links_added=np.flatnonzero(counterpart < 0),
+            links_added=np.flatnonzero(~found),
             links_removed=np.flatnonzero(removed),
             delay_changed=common[moved],
             delay_changed_previous=common_previous[moved],

@@ -33,7 +33,7 @@ def grid_plus_isl_pairs(geometry: ShellGeometry) -> list[tuple[int, int]]:
     """Return the +GRID ISL pairs of a shell as flat in-shell identifiers.
 
     Each pair ``(a, b)`` satisfies ``a < b``; links are undirected and listed
-    exactly once.
+    exactly once, ascending — the shell's part of the canonical link order.
     """
     planes = geometry.planes
     per_plane = geometry.satellites_per_plane
@@ -63,8 +63,3 @@ def grid_plus_isl_pairs(geometry: ShellGeometry) -> list[tuple[int, int]]:
                 neighbor = flat(next_plane, index)
                 pairs.add((min(this, neighbor), max(this, neighbor)))
     return sorted(pairs)
-
-
-def isl_count(geometry: ShellGeometry) -> int:
-    """Number of +GRID ISLs in a shell."""
-    return len(grid_plus_isl_pairs(geometry))

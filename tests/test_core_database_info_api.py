@@ -263,7 +263,9 @@ class TestAnimation:
         links = constellation_snapshot(state)["links"]
         assert links == expected
         assert {link["type"] for link in links} == {"isl", "uplink"}
-        assert links[0]["a"] == ("sat", 0, 0) and links[-1]["a"][0] == "gst"
+        # Canonical order, lower node first: a station follows every satellite.
+        assert links[0]["a"] == ("sat", 0, 0) and all(link["a"][0] == "sat" for link in links)
+        assert {link["b"][0] for link in links if link["type"] == "uplink"} == {"gst"}
         assert all(type(link["delay_ms"]) is float for link in links)
 
     def test_snapshot_without_links(self, setup):

@@ -82,8 +82,8 @@ class TestDiffSinceEquivalence:
 
     def test_cold_and_incremental_graphs_are_the_same_edge_table(self):
         """Both paths assemble the graph alike: equal bytes in all six edge
-        arrays and the same canonical order, whether the epoch changed the
-        edge set or not; each graph derives its own order."""
+        arrays, whether the epoch changed the edge set or not; each graph
+        derives its own pair keys."""
         config = dart_configuration(buoy_count=6, sink_count=10, duration_s=120.0)
         reference = ConstellationCalculation(config)
         incremental = ConstellationCalculation(config)
@@ -93,7 +93,7 @@ class TestDiffSinceEquivalence:
             previous, time_s = state, step * config.update_interval_s
             state, diff = incremental.diff_since(previous, time_s)
             structural = not diff.topology.is_structural_noop
-            assert state.graph.sorted_edge_ids is not previous.graph.sorted_edge_ids
+            assert state.graph._keys is not previous.graph._keys
             cold = reference.state_at(time_s).graph
             for name in (
                 "node_a",
@@ -102,7 +102,6 @@ class TestDiffSinceEquivalence:
                 "delays_ms",
                 "bandwidths_kbps",
                 "link_type_codes",
-                "sorted_edge_ids",
             ):
                 mine, theirs = getattr(state.graph, name), getattr(cold, name)
                 assert mine.dtype == theirs.dtype
@@ -171,10 +170,14 @@ class TestTopologyDiffPrimitive:
         assert diff.is_empty and diff.is_structural_noop
 
     def test_from_edge_arrays_takes_a_verified_order(self):
-        """A re-weighted table may reuse its predecessor's canonical order;
-        the clone keeps its own copy and builds its own matrix structure."""
+        """A graph stores its edges in the canonical order; a re-weighted
+        table built from its columns, which are in that order, is verified
+        and kept as given (views, not sorted copies), and builds its own
+        matrix structure."""
         index = NodeIndex([4], [])
         base = self._graph(index, [(2, 1, 1.0, 10.0), (0, 1, 2.0, 10.0)])
+        assert base.node_a.tolist() == [0, 1] and base.node_b.tolist() == [1, 2]
+        assert base.delays_ms.tolist() == [2.0, 1.0]
         clone = NetworkGraph.from_edge_arrays(
             index,
             base.node_a,
@@ -183,10 +186,10 @@ class TestTopologyDiffPrimitive:
             base.delay_counts * np.uint32(2),
             base.bandwidths_kbps,
             base.link_type_codes,
-            sorted_edge_ids=base.sorted_edge_ids,
         )
-        assert clone.sorted_edge_ids.tolist() == base.sorted_edge_ids.tolist() == [1, 0]
-        assert not clone.sorted_edge_ids.flags.writeable
+        for name in ("node_a", "node_b", "distances_km", "bandwidths_kbps", "link_type_codes"):
+            assert np.shares_memory(getattr(clone, name), getattr(base, name)), name
+        assert not clone.node_a.flags.writeable
         dense = clone.delay_matrix().toarray()
         assert dense[1, 2] == dense[2, 1] == 2.0 and dense[0, 1] == 4.0
         assert base._csr_template is None  # never asked for a matrix

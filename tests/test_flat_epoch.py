@@ -145,7 +145,13 @@ def _oracle(calculation, time_s):
             np.full(uplinks, _CODE_BY_LINK_TYPE[LinkType.UPLINK], dtype=np.int8),
         ]
     )
-    graph = (node_a, node_b, distances, link_delay_counts(distances), bandwidths, types)
+    # The graph's canonical link order: lower node first, ascending pairs.
+    low, high = np.minimum(node_a, node_b), np.maximum(node_a, node_b)
+    order = np.lexsort((high, low))
+    graph = tuple(
+        column[order]
+        for column in (low, high, distances, link_delay_counts(distances), bandwidths, types)
+    )
     return positions, active, graph
 
 

@@ -82,12 +82,13 @@ class TestEngineOnSyntheticChains:
 
     def _mutated(self, rng, index, graph, kind):
         # Kinds that keep the edge table hand the graph its predecessor's
-        # canonical order, which the constructor verifies.
+        # columns, already in the canonical order, which the constructor
+        # verifies.
         if kind == "empty":
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
                 graph.delay_counts.copy(), graph.bandwidths_kbps,
-                graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
+                graph.link_type_codes,
             )
         if kind == "bandwidth":
             bandwidths = graph.bandwidths_kbps.copy()
@@ -95,7 +96,6 @@ class TestEngineOnSyntheticChains:
             return NetworkGraph.from_edge_arrays(
                 index, graph.node_a, graph.node_b, graph.distances_km,
                 graph.delay_counts.copy(), bandwidths, graph.link_type_codes,
-                sorted_edge_ids=graph.sorted_edge_ids,
             )
         if kind == "flicker":
             # One link drops out (the next "structural" epoch brings it back).
@@ -116,7 +116,6 @@ class TestEngineOnSyntheticChains:
         return NetworkGraph.from_edge_arrays(
             index, graph.node_a, graph.node_b, graph.distances_km, delays,
             graph.bandwidths_kbps, graph.link_type_codes,
-            sorted_edge_ids=graph.sorted_edge_ids,
         )
 
     def _store(self, n_sat, n_gst, seed):
@@ -302,12 +301,12 @@ def _iridium_graph():
 
 
 def _reweighted(graph, delay_counts, bandwidth_factor=1.0):
-    """``graph``'s edge table and canonical order with other delays and
-    bandwidths (the same ones: an empty diff)."""
+    """``graph``'s edge table with other delays and bandwidths (the same
+    ones: an empty diff)."""
     return NetworkGraph.from_edge_arrays(
         graph.index, graph.node_a, graph.node_b, graph.distances_km,
         delay_counts, graph.bandwidths_kbps * bandwidth_factor,
-        graph.link_type_codes, sorted_edge_ids=graph.sorted_edge_ids,
+        graph.link_type_codes,
     )
 
 

@@ -34,7 +34,6 @@ from repro.serve.codec import (
     EpochUpdate,
     _merge,
     _pack_mask,
-    _pack_positions,
     _unpack_mask,
     encode_diff_update,
     encode_keyframe_update,
@@ -73,10 +72,11 @@ GRID = 2.0**-20
 
 def hand_built_state(links, time_s, active=(True,) * 6, index=HAND_BUILT_INDEX, previous=None):
     """A stand-in state over ``index``'s nodes (eight by default) from
-    ``{(a, b): (delay_ms, bandwidth_kbps, type_code)}`` — edge ids in the
-    dict's order, endpoints as given, delays on the grid — with what
-    :meth:`EpochSnapshot.from_state` reads of a state and the delay trend:
-    zero, or advanced from the ``previous`` state's as ``diff_since`` does."""
+    ``{(a, b): (delay_ms, bandwidth_kbps, type_code)}`` — in any order and
+    orientation (the graph stores them in the canonical one), delays on the
+    grid — with what :meth:`EpochSnapshot.from_state` reads of a state and
+    the delay trend: zero, or advanced from the ``previous`` state's as
+    ``diff_since`` does."""
     nodes = np.array(list(links), dtype=np.int64).reshape(-1, 2)
     values = list(links.values())
     graph = NetworkGraph.from_edge_arrays(
@@ -222,8 +222,9 @@ class TestReplicaChaining:
         held = replica.snapshot()
         state, diff = advance(calculation, database, state, 4.0)  # never delivered
         added = diff.topology.links_added
-        assert diff.topology.current.node_a[added].tolist() == [1587, 1588]
-        assert diff.topology.current.node_b[added].tolist() == [723, 723]
+        # Two uplinks of one satellite, stored lower node (the satellite) first.
+        assert diff.topology.current.node_a[added].tolist() == [723, 723]
+        assert diff.topology.current.node_b[added].tolist() == [1587, 1588]
         state, diff = advance(calculation, database, state, 6.0)
         with pytest.raises(CodecError, match="does not chain onto replica epoch 2"):
             replica.apply(database.codec.diff_update(4, diff=diff))
@@ -503,6 +504,14 @@ def _curving_chain():
     ]
 
 
+def _assert_same_trend(held, published, epoch):
+    """A replica's trend is the publication's, byte for byte."""
+    for name in ("step", "curve"):
+        mine, theirs = getattr(held, name), getattr(published, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), (name, epoch)
+    assert held.stepped == published.stepped, epoch
+
+
 @st.composite
 def streams(draw):
     """A chain, the epoch from whose keyframe a subscriber joins, and the
@@ -552,6 +561,7 @@ class TestHandBuiltSequences:
                 expected = EpochSnapshot.from_state(current, epoch)
                 for replica in (*replicas, behind_gap):
                     assert replica.snapshot().same_bits(expected), epoch
+                    _assert_same_trend(replica.trend, current.trend, epoch)
 
     @settings(max_examples=150, deadline=None)
     @given(streams())
@@ -594,6 +604,8 @@ class TestHandBuiltSequences:
             ]
             assert len(holding) == 3 - (epoch < join) - (epoch == gap)
             assert all(replica.snapshot().same_bits(expected) for replica in holding), epoch
+            for replica in holding:  # one order: the publication's trend columns
+                _assert_same_trend(replica.trend, current.trend, epoch)
         assert resynced.applied_keyframes == 1 + (gap < len(states))
 
     def test_residuals_are_third_differences_at_their_narrowest_width(self):
@@ -674,7 +686,7 @@ class TestHandBuiltSequences:
 
 
 class TestFewLinkPaths:
-    """A mask of a few links is built from their positions, and a merge of a
+    """A mask of a few links travels as their positions, and a merge of a
     few additions and removals copies the runs between them; both must equal
     the pass over every link they stand in for, on either side of the size
     that selects them."""
@@ -713,28 +725,34 @@ class TestFewLinkPaths:
 
     @pytest.mark.parametrize("count", [1, 2, 5, 6, 187, 188, 200])
     def test_pack_positions_equals_the_masked_pass(self, count):
-        """3,000 links: up to five are searched for one by one, and a mask of
-        up to 187 travels as ``uint16`` positions (374 B), more as the 375
-        bytes of its bits."""
+        """3,000 links, given in no particular order: a diff's edge ids are
+        the links' positions in the canonical order, and a mask of up to 187
+        travels as those ``uint16`` positions (374 B), more as the 375 bytes
+        of its bits."""
         rng = np.random.default_rng(count)
         pairs = np.array([(a, b) for a in range(80) for b in range(a + 1, 80)])
-        pairs = pairs[rng.permutation(len(pairs))[:3000]]  # edge ids in no particular order
-        graph = NetworkGraph.from_edge_arrays(
-            NodeIndex([80], []),
-            pairs[:, 0],
-            pairs[:, 1],
-            np.zeros(len(pairs)),
-            np.ones(len(pairs), dtype=np.uint32),
-            np.ones(len(pairs)),
-            np.zeros(len(pairs), dtype=np.int8),
-        )
-        edge_ids = np.sort(rng.choice(len(pairs), count, replace=False))
-        positions, ordered = _pack_positions(graph, edge_ids)
+        pairs = pairs[rng.permutation(len(pairs))[:3000]]
+        pairs[: len(pairs) // 2] = pairs[: len(pairs) // 2, ::-1]  # either endpoint first
+
+        def graph(delays):
+            return NetworkGraph.from_edge_arrays(
+                NodeIndex([80], []),
+                pairs[:, 0],
+                pairs[:, 1],
+                np.zeros(len(pairs)),
+                delays,
+                np.ones(len(pairs)),
+                np.zeros(len(pairs), dtype=np.int8),
+            )
+
         chosen = np.zeros(len(pairs), dtype=bool)
-        chosen[edge_ids] = True
-        mask = chosen[graph.sorted_edge_ids]
+        chosen[rng.choice(len(pairs), count, replace=False)] = True
+        before = graph(np.ones(len(pairs), dtype=np.uint32))
+        after = graph(np.where(chosen, 2, 1).astype(np.uint32))
+        positions = after.diff_from(before).delay_changed
+        low, high = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        mask = chosen[np.lexsort((high, low))]  # the chosen links, in the canonical order
         assert positions.tolist() == np.flatnonzero(mask).tolist()
-        assert ordered.tolist() == graph.sorted_edge_ids[mask].tolist()
         packed = _pack_mask(positions, len(pairs))
         if count <= 187:
             assert packed.dtype == np.uint16 and packed.tolist() == positions.tolist()
@@ -870,6 +888,9 @@ class TestForgedFrames:
             pytest.param(8, lambda values: values.astype(np.float32), id="delay-dtype"),
             pytest.param(2, lambda nodes: nodes.reshape(-1, 1), id="endpoint-shape"),
             pytest.param(13, lambda ids: ids + 12, id="flip-out-of-range"),
+            pytest.param(13, lambda ids: ids - 12, id="flip-negative"),
+            pytest.param(13, lambda ids: np.ones(12, dtype=bool), id="flip-bool"),
+            pytest.param(13, lambda ids: ids.reshape(-1, 1), id="flip-2-D"),
             pytest.param(9, lambda escapes: np.append(escapes, escapes), id="escapes-too-many"),
             pytest.param(9, lambda escapes: escapes[:0], id="escapes-too-few"),
             pytest.param(

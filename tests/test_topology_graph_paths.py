@@ -102,8 +102,10 @@ class TestNetworkGraph:
         assert missing == -1
         gst_a = index.ground_station("gst-a")
         uplink = graph.edge_ids_between([0], [gst_a])[0]
-        assert (graph.node_a[uplink], graph.node_b[uplink]) == (gst_a, 0)
-        assert graph.link_type_codes.tolist() == [0, 0, 0, 1, 1]
+        # Stored lower node first, in the canonical order: (0, 1), (0, gst-a),
+        # (1, 2), (2, 3), (3, gst-b).
+        assert (graph.node_a[uplink], graph.node_b[uplink]) == (0, gst_a)
+        assert graph.link_type_codes.tolist() == [0, 1, 0, 0, 1]
 
     def test_invalid_links_rejected(self):
         index = _simple_index()
@@ -215,7 +217,6 @@ class TestNetworkGraph:
             graph.delays_ms,
             graph.bandwidths_kbps,
             graph.link_type_codes,
-            graph.sorted_edge_ids,
         ):
             with pytest.raises(ValueError):
                 array[0] = 1

@@ -11,7 +11,6 @@ from repro.topology import (
     link_delay_counts,
     propagation_delay_ms,
 )
-from repro.topology.isl import isl_count
 
 
 class TestGridPlusISL:
@@ -55,7 +54,7 @@ class TestGridPlusISL:
     def test_two_satellite_plane_single_link(self):
         geometry = ShellGeometry(planes=1, satellites_per_plane=2, altitude_km=550.0,
                                  inclination_deg=53.0)
-        assert isl_count(geometry) == 1
+        assert len(grid_plus_isl_pairs(geometry)) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(planes=st.integers(min_value=2, max_value=12),
