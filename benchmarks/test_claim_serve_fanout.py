@@ -154,7 +154,7 @@ def _encode_comparison(calculation) -> dict:
         begin = time.perf_counter()
         first = database.codec.diff_update(epoch, diff=diff)  # the one encode
         for _ in range(CLIENTS - 1):
-            update = database.codec.diff_update(epoch)
+            update = database.codec.diff_update(epoch, diff=diff)
             assert update.data is first.data
         shared_s += time.perf_counter() - begin
 

@@ -62,11 +62,11 @@ EpochListener = Callable[[int, ConstellationState, Optional[ConstellationDiff]],
 class ConstellationDatabase:
     """Holds the most recent constellation state and answers queries about it.
 
-    The database is the publication point of the state-distribution path:
-    :meth:`set_state` epochs feed the shared
-    :class:`~repro.serve.codec.EpochUpdateCodec` (``self.codec``), which
-    encodes each epoch's keyframe/diff exactly once for the streaming
-    gateway's fan-out.
+    The database is the publication point of the state-distribution path
+    and owns the shared :class:`~repro.serve.codec.EpochUpdateCodec`
+    (``self.codec``), which encodes each epoch's keyframe/diff exactly once
+    for the streaming gateway's fan-out.  The codec reads nothing back: the
+    gateway hands it the state or diff of the publication it serves.
     Reads and publications are serialised by an internal lock so info-API
     threads never observe a torn epoch; registered epoch listeners (the
     gateway) are notified after each publication, outside the lock.
@@ -92,7 +92,7 @@ class ConstellationDatabase:
         # repro.core — deferring to construction time breaks the cycle.
         from repro.serve.codec import EpochUpdateCodec
 
-        self.codec = EpochUpdateCodec(self)
+        self.codec = EpochUpdateCodec()
 
     # -- updates -----------------------------------------------------------
 

@@ -73,7 +73,7 @@ kind               direction     payload
 ``PING`` …         both          heartbeat, shutdown, handshake
 ``KEYFRAME`` …     gateway       the serving tier: a full state with its delay
                                  steps and curves, or a DIFF whose delays
-                                 may be third-difference residuals
+                                 are third-difference residuals
                                  (:mod:`repro.serve.codec`)
 =================  ============  =============================================
 
@@ -233,7 +233,10 @@ WIRE_MAGIC = b"CLW1"
 #: ``DIFF`` arrays 4 and 8 without ``bits``); the ``float64`` forms for
 #: delays off the grid are gone, because a graph holds its delays as grid
 #: counts.
-WIRE_VERSION = 18
+#: 19: a ``DIFF``'s delays are ``bits``-bit residual fields only (meta
+#: ``bits`` always present, array 8 never ``uint32`` counts); a
+#: ``KEYFRAME``'s bandwidths are palette indices only.
+WIRE_VERSION = 19
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.

@@ -32,10 +32,10 @@ else — positions out of order, repeated or ``>= n`` — is a
 :class:`CodecError`.  A DIFF therefore means something only to a replica
 that holds the previous epoch's links: its meta carries the link counts
 before and after, and a frame that does not chain is a :class:`CodecError`.
-A delay array travels as ``uint32`` counts of ``DELAY_GRID_MS`` steps: the
+A delay array is ``uint32`` counts of ``DELAY_GRID_MS`` steps — the
 graph's own delay column (``NetworkGraph.delay_counts``), so every delay is
-on the grid by construction.  A delay array of any other dtype is a
-:class:`CodecError`.
+on the grid by construction — or, in a DIFF, residual fields against them.
+A delay array of any other dtype is a :class:`CodecError`.
 
 Satellites move smoothly, so a link's delay count ``c`` follows a curve
 that three epochs pin down.  Every published epoch carries its
@@ -52,19 +52,18 @@ still encoded once for all of them.
 
 A DIFF sends each changed delay as the residual ``c[k] - (c[k-1] + step +
 curve)`` against the previous epoch's trend — a third difference, near 0 —
-when that is smaller than ``uint32`` counts: as ``b``-bit two's-complement
-fields packed most-significant bit first (meta ``bits``), ``b`` in 1…8 the
-width that makes the fields plus their escapes smallest.  The most negative
+as ``b``-bit two's-complement fields packed most-significant bit first
+(meta ``bits``), ``b`` in 1…8 the width that makes the fields plus their
+escapes smallest (1 when no delay changed: no fields).  The most negative
 field, ``-2**(b-1)``, marks an escaped residual, which array 9 holds at the
 narrowest of ``int8`` … ``int64``.  The trailing pad bits are 0.  The same
-steps predict *which* links change: with residuals the delay-changed mask
-is sent as its XOR with the links whose previous step is not 0 (after the
-removed / added merge; an added link's step is 0), which leaves the few
-links that started or stopped changing, and fixes the number of fields.
+steps predict *which* links change: the delay-changed mask is sent as its
+XOR with the links whose previous step is not 0 (after the removed / added
+merge; an added link's step is 0), which leaves the few links that started
+or stopped changing, and fixes the number of fields.
 
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
-``shells`` (those with an activity flip) and, with residuals, ``bits`` (the
-field width).
+``shells`` (those with an activity flip) and ``bits`` (the field width).
 
 == ================= ===================== =========================== ========
 #  array             dtype                 meaning                     mask
@@ -80,13 +79,11 @@ field width).
 5  added bandwidth   float64               their bandwidths [kbps]
 6  added type        int8                  their link type codes
 7  delay changed     bits or positions     surviving links, new delay  current
-                                           — with residuals, XOR the
-                                           links with a step
-8  new delay         uint8 (``bits``-bit   those delays: residuals or
-                     fields) | uint32      grid counts
+                                           XOR the links with a step
+8  new delay         uint8 (``bits``-bit   those delays' residuals
+                     fields)
 9  escapes           int8 | int16 |        the residuals array 8 marks
-                     int32 | int64         escaped, in order (else
-                                           empty)
+                     int32 | int64         escaped, in order
 10 bandwidth changed bits or positions     surviving links, new b/w    current
 11 new bandwidth     float64               those bandwidths [kbps]
 12 activated         int64, per shell      satellite ids entering the
@@ -110,39 +107,37 @@ graph's columns and its trend's as they are:
 0  node_a      int8 | int16 | int32 | int64  lower endpoints
 1  node_b      int8 | int16 | int32 | int64  higher endpoints
 2  delay       uint32                        delays [grid counts]
-3  bandwidth   uint8 | float64               bandwidths [kbps], or indices
-                                             into the palette
+3  bandwidth   uint8 | uint16 | uint32       indices into the palette
 4  type        int8                          link type codes
 5  step        int8 | int16 | int32 | int64  the epoch's steps, at the
                                              narrowest width
 6  curve       int8 | int16 | int32 | int64  the epoch's curves, at the
                                              narrowest width
-7  palette     float64                       the distinct bandwidths (empty
-                                             with a ``float64`` column)
+7  palette     float64                       the distinct bandwidths [kbps]
 8  activity    uint8 (bits), per shell       bounding-box activity masks
 == =========== ============================= ================================
 
 Endpoints travel at the narrowest signed width that holds every node index
-of the graph (``int16`` for phase-I Starlink's ≈ 4,400 nodes).  The
-bandwidth column travels as ``uint8`` indices when the links have at most
-256 distinct bandwidths (the shells built here have one or two).
+of the graph (``int16`` for phase-I Starlink's ≈ 4,400 nodes), and the
+bandwidth indices at the narrowest unsigned width that indexes the palette
+(``uint8`` up to 256 entries; the shells built here have one or two).
 
 A replica checks a frame where it decodes it, before it changes anything;
 each violation is a :class:`CodecError`.  Meta: ``epoch`` an int >= 0,
 ``time_s`` a number (finite: the wire refuses others), ``shells`` strictly
 ascending ints; a KEYFRAME's ``node_count`` an int > 0 and ``satellites``
-one int >= 0 per shell, a DIFF's ``links`` two ints >= 0.  Links:
-endpoints signed ints with ``0 <= node_a < node_b < node_count``, a
-KEYFRAME's in strictly ascending canonical order and each added one
-between its neighbours in the new order; type codes ``int8`` in 0…2;
-bandwidths ``float64`` (or the palette's ``uint8`` indices).  Activity
-flips: 1-D signed-int satellite ids in ``0 … satellites-1`` of a shell the
-replica holds.
+one int >= 0 per shell, a DIFF's ``links`` two ints >= 0 and ``bits`` an
+int in 1…8.  Links: endpoints signed ints with ``0 <= node_a < node_b <
+node_count``, a KEYFRAME's in strictly ascending canonical order and each
+added one between its neighbours in the new order; type codes ``int8`` in
+0…2; bandwidths ``float64``, or a KEYFRAME's indices into its palette.
+Packed bits (link masks, activity masks, residual fields) have their pad
+bits 0.  Activity flips: 1-D signed-int satellite ids in ``0 …
+satellites-1`` of a shell the replica holds.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
@@ -156,7 +151,6 @@ from repro.topology.linkparams import DELAY_GRID_MS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.constellation import ConstellationDiff, ConstellationState
-    from repro.core.database import ConstellationDatabase
     from repro.topology.graph import TopologyDiff
 
 
@@ -261,8 +255,6 @@ class EpochUpdate:
 
 #: The dtypes of a link mask's positions, over at most 2**16 links and more.
 _POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
-_NO_ESCAPES = np.empty(0, dtype=np.int8)
-_NO_PALETTE = np.empty(0, dtype=np.float64)
 #: The largest residual magnitude a ``b``-bit field holds beside the escape
 #: mark, by ``b`` = 1 … 8.
 _FIELD_LIMITS = [(1 << (bits - 1)) - 1 for bits in range(1, 9)]
@@ -279,10 +271,6 @@ _FIELD_VALUES = [
     np.array([-(1 << (bits - 1)), *(1 << bit for bit in range(bits - 2, -1, -1))], np.float32)
     for bits in range(1, 9)
 ]
-#: A merge of at most one addition or removal in this many links copies the
-#: runs between them: per-link work that beats a pass over every link while
-#: the changes are few (an epoch's handovers over thousands of links).
-_FEW_LINKS_PER = 512
 #: Arrays of a KEYFRAME / DIFF frame ahead of the per-shell ones.
 _KEYFRAME_ARRAYS = 8
 _DIFF_ARRAYS = 12
@@ -339,13 +327,10 @@ def _narrowest(values: np.ndarray) -> np.ndarray:
     return values.astype(_signed_dtype(low, high))
 
 
-def _pack_residuals(residuals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+def _pack_residuals(residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``residuals`` as packed ``b``-bit fields, the escaped ones and ``b``:
-    the width that makes fields plus escapes smallest (module docstring) —
-    None when that is not smaller than ``uint32`` counts."""
+    the width that makes fields plus escapes smallest (module docstring)."""
     count = residuals.size
-    if not count:
-        return None
     magnitudes = np.abs(residuals)
     histogram = np.bincount(np.minimum(magnitudes, 128), minlength=129)
     fits = np.cumsum(histogram)[_FIELD_LIMITS]  # residuals each width holds
@@ -359,8 +344,6 @@ def _pack_residuals(residuals: np.ndarray) -> Optional[tuple[np.ndarray, np.ndar
         for bits, fitting in enumerate(fits.tolist(), start=1)
     ]
     bits = 1 + sizes.index(min(sizes))
-    if sizes[bits - 1] >= 4 * count:
-        return None
     escaped = np.flatnonzero(magnitudes > _FIELD_LIMITS[bits - 1])
     # Each eight fields in one word: pad to a whole number of words.
     fields = np.zeros(-(-count // 8) * 8, dtype=np.int64)
@@ -396,22 +379,24 @@ def _unpack_residuals(
     return residuals
 
 
+def _index_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that indexes ``size`` palette entries."""
+    return np.min_scalar_type(max(size - 1, 0))
+
+
 def _pack_bandwidths(bandwidths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A KEYFRAME's bandwidth column and palette: ``uint8`` indices into the
-    distinct bit patterns when there are at most 256, else the column itself."""
+    """A KEYFRAME's bandwidth column and palette: indices into the distinct
+    bit patterns, at the narrowest width that indexes them."""
     palette, index = np.unique(bandwidths.view(np.uint64), return_inverse=True)
-    if palette.size > 256:
-        return bandwidths, _NO_PALETTE
-    return index.astype(np.uint8), palette.view(np.float64)
+    return index.astype(_index_dtype(palette.size)), palette.view(np.float64)
 
 
 def _unpack_bandwidths(column: np.ndarray, palette: np.ndarray) -> np.ndarray:
-    if column.dtype == np.float64 and not palette.size:
-        return column
-    if column.dtype != np.uint8 or palette.dtype != np.float64 or palette.ndim != 1:
+    width = _index_dtype(palette.size)
+    if column.dtype != width or palette.dtype != np.float64 or palette.ndim != 1:
         raise CodecError(
-            f"bandwidths travel as float64 or as uint8 indices into a float64 palette, "
-            f"not as {column.dtype} with a {palette.dtype}{palette.shape} palette"
+            f"bandwidths travel as indices into a float64 palette at the narrowest "
+            f"width, not as {column.dtype} with a {palette.dtype}{palette.shape} palette"
         )
     if column.size and int(column.max()) >= palette.size:
         raise CodecError(f"a bandwidth index beyond the {palette.size}-entry palette")
@@ -446,6 +431,8 @@ def _unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
     """The boolean mask over ``length`` positions that ``packed`` bits hold."""
     if packed.dtype != np.uint8 or packed.shape != ((length + 7) // 8,):
         raise CodecError(f"a {packed.dtype}{packed.shape} mask does not cover {length} positions")
+    if length % 8 and int(packed[-1]) & (0xFF >> length % 8):
+        raise CodecError(f"the pad bits after a mask of {length} positions are not 0")
     return np.unpackbits(packed, count=length).view(bool)
 
 
@@ -525,21 +512,13 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     current, added = topology.current, topology.links_added
     changed, was = topology.delay_changed, topology.delay_changed_previous
     held = trend.step[was]
-    packed = _pack_residuals(diff.trend.step[changed] - held - trend.curve[was])
-    if packed is None:
-        delays, escapes, bits = current.delay_counts[changed], _NO_ESCAPES, 0
-        delay_mask = changed
-    else:
-        delays, escapes, bits = packed
-        delay_mask = _surprises(topology, trend, held)
+    residuals, escapes, bits = _pack_residuals(diff.trend.step[changed] - held - trend.curve[was])
     # Only shells with a flip travel: an array descriptor costs more than most id lists.
     shells = sorted(
         shell for shell, ids in diff.activated.items() if ids.size or diff.deactivated[shell].size
     )
     links = [topology.previous.total_links(), current.total_links()]
-    meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells}
-    if bits:
-        meta["bits"] = bits
+    meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells, "bits": bits}
     arrays = (
         _pack_mask(topology.links_removed, links[0]),
         _pack_mask(added, links[1]),
@@ -547,8 +526,8 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
         current.delay_counts[added],
         current.bandwidths_kbps[added],
         current.link_type_codes[added],
-        _pack_mask(delay_mask, links[1]),
-        delays,
+        _pack_mask(_surprises(topology, trend, held), links[1]),
+        residuals,
         escapes,
         _pack_mask(topology.bandwidth_changed, links[1]),
         current.bandwidths_kbps[topology.bandwidth_changed],
@@ -562,29 +541,25 @@ def _merge(
     columns: list[np.ndarray], gone: np.ndarray, at: np.ndarray, fresh: list[np.ndarray]
 ) -> list[np.ndarray]:
     """``columns`` without the links at positions ``gone`` and with added ones
-    at positions ``at`` of the new order, whose values ``fresh`` holds."""
-    held_count = columns[0].size
-    length = held_count - gone.size + at.size
-    if (gone.size + at.size) * _FEW_LINKS_PER > length:
-        kept, surviving = np.ones(held_count, dtype=bool), np.ones(length, dtype=bool)
-        kept[gone] = surviving[at] = False
-        merged = [np.empty(length, dtype=column.dtype) for column in columns]
-        for column, held, new in zip(merged, columns, fresh):
-            column[surviving] = held[kept]
-            column[at] = new
-        return merged
-    # Few: concatenate the runs of kept links between the removed ones, cut
-    # where an added link goes (the i-th added link follows at[i] - i kept
-    # ones).  A piece is (0, slice) of a held column or (1, slice) of ``fresh``.
-    pieces, placed, i, cuts = [], 0, 0, (at - np.arange(at.size)).tolist()
-    for start, stop in zip([0, *(gone + 1).tolist()], [*gone.tolist(), held_count]):
-        while i < len(cuts) and cuts[i] <= placed + stop - start:
-            split = start + cuts[i] - placed
-            pieces += [(0, slice(start, split)), (1, slice(i, i + 1))]
-            placed, start, i = placed + split - start, split, i + 1
-        pieces.append((0, slice(start, stop)))
-        placed += stop - start
-    pieces.append((1, slice(i, len(cuts))))
+    at positions ``at`` of the new order, whose values ``fresh`` holds: the
+    runs of held links between the changes, copied whole (an epoch changes a
+    handful of links among thousands)."""
+    # The i-th added link follows at[i] - i kept links: it goes in ahead of
+    # the held link at ahead[i] (and ahead of a removal there).
+    cuts = at - np.arange(at.size)
+    ahead = cuts + np.searchsorted(gone - np.arange(gone.size), cuts, side="right")
+    additions = ((position, 0, i) for i, position in enumerate(ahead.tolist()))
+    removals = ((position, 1, 0) for position in gone.tolist())
+    # A piece is (0, slice) of a held column or (1, slice) of ``fresh``.
+    pieces, start = [], 0
+    for position, removed, i in sorted([*additions, *removals]):
+        pieces.append((0, slice(start, position)))
+        if removed:
+            start = position + 1
+        else:
+            pieces.append((1, slice(i, i + 1)))
+            start = position
+    pieces.append((0, slice(start, columns[0].size)))
     return [
         np.concatenate(
             [(held, new)[source][part] for source, part in pieces],
@@ -593,29 +568,6 @@ def _merge(
         )
         for held, new in zip(columns, fresh)
     ]
-
-
-def _decode_delays(
-    values: np.ndarray,
-    escapes: np.ndarray,
-    bits: int,
-    held: np.ndarray,
-    held_steps: np.ndarray,
-    held_curves: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A DIFF's new delay counts of its delay-changed links (arrays 8 and 9,
-    with ``bits``-bit residual fields or none) and their steps, given the
-    counts and trend the replica holds for those links."""
-    if not bits:
-        if escapes.size:
-            raise CodecError(f"escaped residuals arrived with {values.dtype} delays")
-        _check_delays(values)
-        return values, np.subtract(values, held, dtype=np.int64)
-    steps = held_steps + held_curves + _unpack_residuals(values, bits, held.size, escapes)
-    counts = held + steps
-    if counts.size and (counts.min() < 0 or counts.max() >= 2**32):
-        raise CodecError("a residual decodes to a delay count outside the uint32 grid")
-    return counts.astype(np.uint32), steps
 
 
 # -- client-side replica -------------------------------------------------------
@@ -744,8 +696,8 @@ class EpochReplica:
             raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
         removed, added, *fresh = arrays[:7]  # arrays 0-6 of the module docstring's table
         delay_mask, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
-        bits = meta.get("bits", 0)
-        if type(bits) is not int or not 0 <= bits <= 8:
+        bits = meta.get("bits")
+        if type(bits) is not int or not 1 <= bits <= 8:
             raise CodecError(f"residual fields are 1 to 8 bits wide, not {bits!r}")
         _check_delays(fresh[2])
         if fresh[3].dtype != np.float64 or bandwidths.dtype != np.float64:
@@ -764,8 +716,7 @@ class EpochReplica:
         added = _unpack_mask(added, after, *fresh)
         if added.size:
             _check_link_dtypes(fresh[0], fresh[1], fresh[4])
-            self._check_added(removed, added, fresh[0], fresh[1], fresh[4])
-        delay_mask = _unpack_mask(delay_mask, after, *(() if bits else (delays,)))
+        delay_mask = _unpack_mask(delay_mask, after)
         bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
         flips = arrays[_DIFF_ARRAYS:]  # activated, then deactivated, per shell
         for shell, ids in zip(shells * 2, flips):
@@ -789,62 +740,42 @@ class EpochReplica:
             *links, steps, curves = _merge(
                 [*links, steps, curves], removed, added, [*fresh, zeros, zeros]
             )
-        delay_changed = delay_mask
-        if bits:  # the mask is the surprises: XOR the links with a step
-            stepped = steps != 0
-            stepped[delay_mask] ^= True
-            delay_changed = np.flatnonzero(stepped)
+            self._check_added(links, added)
+        stepped = steps != 0  # the mask is the surprises: XOR the links with a step
+        stepped[delay_mask] ^= True
+        delay_changed = np.flatnonzero(stepped)
         held_steps = steps[delay_changed]
-        counts, new_steps = _decode_delays(
-            delays, escapes, bits, links[2][delay_changed], held_steps, curves[delay_changed]
-        )
+        residuals = _unpack_residuals(delays, bits, delay_changed.size, escapes)
+        new_steps = held_steps + curves[delay_changed] + residuals
+        counts = links[2][delay_changed] + new_steps
+        if counts.size and (counts.min() < 0 or counts.max() >= 2**32):
+            raise CodecError("a residual decodes to a delay count outside the uint32 grid")
         self.trend = DelayTrend.of(after, delay_changed, new_steps, held_steps)
         links[2][delay_changed] = counts
         links[3][bandwidth_changed] = bandwidths
         self._links = links
         self.active.update(active)
 
-    def _check_added(
-        self,
-        removed: np.ndarray,
-        at: np.ndarray,
-        node_a: np.ndarray,
-        node_b: np.ndarray,
-        types: np.ndarray,
-    ) -> None:
-        """The added links one by one, as the KEYFRAME's columns are checked
-        at once (a DIFF adds a handful): ``0 <= node_a < node_b <
-        node_count``, a type code in 0…2, and a place between the link's
-        neighbours at position ``at`` of the new order — the added link
-        before it and the kept links before and after it.  The i-th added
-        link follows ``at[i] - i`` kept links, and the j-th kept link is held
-        at ``j`` plus the removed positions it follows.  Links compare as
-        ``(node_a, node_b)`` tuples: the canonical order, with no key product
-        to overflow."""
-        held_a, held_b = self._links[:2]
-        kept = held_a.size - removed.size
-        removed_ahead = (removed - np.arange(removed.size)).tolist()
-
-        def kept_link(j: int) -> tuple[int, int]:
-            position = j + bisect.bisect_right(removed_ahead, j)
-            return int(held_a[position]), int(held_b[position])
-
-        previous = (-1, -1)  # before every link: endpoints are >= 0
-        rows = zip(at.tolist(), node_a.tolist(), node_b.tolist(), types.tolist())
-        for i, (position, a, b, code) in enumerate(rows):
-            link, ahead = (a, b), position - i
-            if not (0 <= a < b < self.node_count and 0 <= code <= 2):
+    def _check_added(self, links: list[np.ndarray], at: np.ndarray) -> None:
+        """The added links at positions ``at`` of the merged ``links``, one by
+        one, as the KEYFRAME's columns are checked at once (a DIFF adds a
+        handful): ``0 <= node_a < node_b < node_count``, a type code in 0…2,
+        and a place strictly between the link's neighbours there.  Links
+        compare as ``(node_a, node_b)`` tuples: the canonical order, with no
+        key product to overflow."""
+        node_a, node_b, types = links[0], links[1], links[4]
+        last = node_a.size - 1
+        for position in at.tolist():
+            link, code = (int(node_a[position]), int(node_b[position])), int(types[position])
+            if not (0 <= link[0] < link[1] < self.node_count and 0 <= code <= 2):
                 raise CodecError(
                     f"added link {link} of type {code}: not 0 <= a < b < {self.node_count}, "
                     f"type 0 … 2"
                 )
-            if (
-                previous >= link
-                or (ahead and kept_link(ahead - 1) >= link)
-                or (ahead < kept and link >= kept_link(ahead))
+            if (position and (int(node_a[position - 1]), int(node_b[position - 1])) >= link) or (
+                position < last and link >= (int(node_a[position + 1]), int(node_b[position + 1]))
             ):
                 raise CodecError(f"added link {link} is out of place in the canonical order")
-            previous = link
 
     def snapshot(self) -> EpochSnapshot:
         """The canonical projection of the replica (compare with the server's)."""
@@ -871,12 +802,12 @@ class EpochReplica:
 class EpochUpdateCodec:
     """Encodes the current epoch's keyframe/diff exactly once.
 
-    Owned by the :class:`~repro.core.database.ConstellationDatabase`.  The
-    codec remembers one epoch — the newest it was asked about — and that
-    epoch's KEYFRAME and DIFF bytes, encoded on first use from the
-    state/diff the caller passes at publish time (or the database's current
-    ones).  ``encode_count`` counts actual frame encodings — the
-    single-encode guarantee the fan-out benchmark pins down.
+    Owned by the :class:`~repro.core.database.ConstellationDatabase`, and
+    handed by its callers — the gateway's publish, subscribe and eviction
+    paths — the state or diff to encode.  The codec remembers one epoch —
+    the newest it was asked about — and that epoch's KEYFRAME and DIFF
+    bytes, encoded on first use.  ``encode_count`` counts actual frame
+    encodings — the single-encode guarantee the fan-out benchmark pins down.
 
     Every frame is a function of the publication it is encoded from: a
     KEYFRAME of the state (which carries its delay trend), a DIFF of the
@@ -888,14 +819,10 @@ class EpochUpdateCodec:
     internal lock makes the check-and-encode atomic, keeping the
     exactly-once guarantee under concurrency.  A request for an epoch older
     than the remembered one (a publication still queued behind a newer
-    subscription seed) is encoded and returned, not remembered.  Lock
-    ordering: callers may hold the database lock when entering the codec
-    (database → codec); the codec reads the database *before* taking its
-    own lock, so the reverse order never occurs.
+    subscription seed) is encoded and returned, not remembered.
     """
 
-    def __init__(self, database: "ConstellationDatabase"):
-        self._database = database
+    def __init__(self):
         self._lock = threading.Lock()
         self._epoch = 0
         #: The remembered epoch's encoded frames, by kind.
@@ -915,37 +842,10 @@ class EpochUpdateCodec:
                     self._frames[kind] = data
         return EpochUpdate(kind, epoch, data)
 
-    def keyframe_update(
-        self, epoch: Optional[int] = None, state: Optional["ConstellationState"] = None
-    ) -> EpochUpdate:
-        """The KEYFRAME update of an epoch (current epoch by default).
-
-        ``state`` is the epoch's state when the caller — the gateway's
-        publish path — already holds it; without it only the database's
-        current epoch can be answered (``KeyError`` otherwise).
-        """
-        if state is None:
-            with self._database.lock:
-                current, state = self._database.epoch, self._database.state
-            if epoch is None:
-                epoch = current
-            elif epoch != current:
-                raise KeyError(f"epoch {epoch} is not the current epoch ({current})")
-        elif epoch is None:
-            epoch = self._database.epoch
+    def keyframe_update(self, epoch: int, state: "ConstellationState") -> EpochUpdate:
+        """The KEYFRAME update of ``epoch``, whose state is ``state``."""
         return self._update(FrameKind.KEYFRAME, epoch, lambda: encode_keyframe_update(state, epoch))
 
-    def diff_update(
-        self, epoch: int, diff: Optional["ConstellationDiff"] = None
-    ) -> EpochUpdate:
-        """The DIFF update advancing ``epoch - 1`` to ``epoch``.
-
-        Without ``diff`` only the database's current epoch can be answered,
-        and only when it was published with one (``KeyError`` otherwise).
-        """
-        if diff is None:
-            with self._database.lock:
-                current, diff = self._database.epoch, self._database.latest_diff
-            if epoch != current or diff is None:
-                raise KeyError(f"no diff recorded for epoch {epoch} (current: {current})")
+    def diff_update(self, epoch: int, diff: "ConstellationDiff") -> EpochUpdate:
+        """The DIFF update advancing ``epoch - 1`` to ``epoch`` by ``diff``."""
         return self._update(FrameKind.DIFF, epoch, lambda: encode_diff_update(diff, epoch))

@@ -9,9 +9,10 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
 "serving tier" direction:
 
 * **Single encode, shared fan-out.**  Each published epoch is encoded
-  exactly once by the database's :class:`EpochUpdateCodec`; every client
-  queue holds references to the same ``bytes`` object.  Fan-out cost is
-  queue handling, not serialization.
+  exactly once by the database's :class:`EpochUpdateCodec`, from the state
+  or diff the gateway hands it; every client queue holds references to the
+  same ``bytes`` object.  Fan-out cost is queue handling, not
+  serialization.
 * **Bounded queues, backpressure, keyframe resync.**  Every client has a
   bounded send queue.  A client that cannot drain its queue within the
   configured ``ack_timeout_s`` — the same discipline the worker
@@ -218,7 +219,7 @@ class StreamGateway:
         clients are blocked waiting on the reply, and resyncing the epoch
         stream does not invalidate them.  ``publication`` is the ``(epoch,
         state)`` being published; without it the database's current epoch
-        and state are used (read together under its lock).
+        and state are read together under its lock.
         Returns ``False`` when a shutdown sentinel was drained, i.e. the
         subscription is closing and the caller's loop should exit.
         """
@@ -230,11 +231,10 @@ class StreamGateway:
                 closing = True
             elif item[1]:
                 preserved.append(item)
-        codec = self.database.codec
         if publication is None:
-            keyframe = codec.keyframe_update()
-        else:
-            keyframe = codec.keyframe_update(*publication)
+            with self.database.lock:
+                publication = self.database.epoch, self.database.state
+        keyframe = self.database.codec.keyframe_update(*publication)
         items = [(frame(keyframe.data), False), *preserved]
         if closing:
             items.append(None)
@@ -359,8 +359,11 @@ class StreamGateway:
         # epoch lets ``_enqueue`` drop such already-covered publications.
         with database.lock:
             epoch = database.epoch
-            # The codec reads the epoch and state under this same lock.
-            seed = database.codec.keyframe_update() if database.has_state else None
+            seed = (
+                database.codec.keyframe_update(epoch, database.state)
+                if database.has_state
+                else None
+            )
         ack = wire.encode_frame(
             FrameKind.SUBSCRIBE_ACK, {"client": client_id, "epoch": epoch}
         )

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core import (
     ComputeParams,
@@ -160,8 +160,26 @@ class TestByteIdentity:
         assert replica.applied_diffs == epochs - 1
         # Single-encode guarantee: one encode per epoch, however often the
         # cached updates are re-requested.
-        database.codec.diff_update(database.epoch)
+        database.codec.diff_update(database.epoch, diff=diff)
         assert database.codec.encode_count == epochs
+
+    def test_every_diff_carries_residual_fields(self):
+        """A cold-started Iridium stream: the first DIFF predicts from the
+        keyframe's zero trend and, like every later one, carries ``bits`` in
+        1…8 and ``uint8`` fields; the replica stays bit-exact."""
+        calculation = ConstellationCalculation(iridium_configuration())
+        codec = EpochUpdateCodec()
+        state = calculation.state_at(0.0)
+        replica = EpochReplica()
+        replica.apply(codec.keyframe_update(1, state))
+        for epoch in range(2, 14):
+            state, diff = calculation.diff_since(state, (epoch - 1) * 30.0)
+            update = codec.diff_update(epoch, diff)
+            meta, arrays = update.decoded()
+            assert type(meta["bits"]) is int and 1 <= meta["bits"] <= 8, epoch
+            assert arrays[8].dtype == np.uint8 and arrays[8].size, epoch
+            replica.apply(update)
+            assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, epoch)), epoch
 
     def test_snapshot_differs_when_state_differs(self):
         config = iridium_configuration()
@@ -271,20 +289,13 @@ class TestCodecCacheAndViews:
             assert codec._epoch == database.epoch == step + 1
             assert codec._frames == {FrameKind.DIFF: update.data, FrameKind.KEYFRAME: resync.data}
         assert codec.encode_count == 1 + 2 * 29
-        # Without state=/diff= the codec answers the current epoch (from the
-        # memo) and no other: the database holds nothing to encode one from.
-        assert codec.diff_update(30).data is update.data
-        assert codec.keyframe_update().data is resync.data
+        # Asked again, the remembered epoch's frames come from the memo.
+        assert codec.diff_update(30, diff=diff).data is update.data
+        assert codec.keyframe_update(30, state=state).data is resync.data
         assert codec.encode_count == 1 + 2 * 29
-        for epoch in (29, 31):
-            with pytest.raises(KeyError):
-                codec.diff_update(epoch)
-            with pytest.raises(KeyError):
-                codec.keyframe_update(epoch)
-        database.set_state(calculation.state_at(0.0))  # full state: no diff to encode
-        with pytest.raises(KeyError):
-            codec.diff_update(31)
-        assert codec.keyframe_update().epoch == 31 and list(codec._frames) == [FrameKind.KEYFRAME]
+        database.set_state(calculation.state_at(0.0))  # full state: a keyframe only
+        assert codec.keyframe_update(31, state=database.state).epoch == 31
+        assert list(codec._frames) == [FrameKind.KEYFRAME]
 
     def test_late_request_for_an_older_epoch_is_not_memoised(self):
         """A publication can still be queued on the gateway's loop when a
@@ -431,9 +442,9 @@ def chains(draw):
 #: DIFF predicts from the first keyframe's zero trend; epoch 3 holds the
 #: links and sends residuals for links that all changed, one of them for the
 #: first time; epoch 4 adds a link as every changed delay jumps 2**31 counts
-#: (a literal mask: no residual is smaller than a count), epoch 5 holds the
-#: links and jumps back (literal again), and the jumps' trend keeps epochs 6
-#: and 7 literal too — epoch 7 removes a link while another stops changing;
+#: (every residual escapes at int64), epoch 5 holds the links and jumps back
+#: (escaping again), and the jumps' trend makes epochs 6 and 7 escape too —
+#: epoch 7 removes a link while another stops changing;
 #: epoch 8 holds the links and predicts again as that one moves again, and
 #: epoch 9 adds a link just ahead of it in the link order as it stops once
 #: more.
@@ -572,9 +583,8 @@ class TestHandBuiltSequences:
         the keyframe of epoch ``join``, and one misses the DIFF of epoch
         ``gap`` — the next is refused — and resyncs from the keyframe that
         follows, as an evicted subscriber does.  Each is bit-exact at every
-        epoch it holds, whether array 7 travels literal (delays far off
-        their trend) or as the XOR with the prediction, with and without
-        structural change.
+        epoch it holds, whether the residuals are near 0 or escape (delays
+        far off their trend), with and without structural change.
         (The first example covers each of those; the second joins and
         resyncs where the trend has steps and curves.)"""
         chain, join, gap = stream
@@ -662,23 +672,23 @@ class TestHandBuiltSequences:
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1))
 
     def test_the_data_alone_chooses_the_bandwidth_coding(self):
-        """Up to 256 distinct bandwidth bit patterns travel as ``uint8``
-        indices into a palette (-0.0 and 0.0 are two entries), more as
-        ``float64``."""
+        """Bandwidths travel as indices into a palette of their distinct bit
+        patterns (-0.0 and 0.0 are two entries): ``uint8`` indices up to 256
+        entries, ``uint16`` for 257."""
         index = NodeIndex([24], [])
         pairs = [(a, b) for a in range(24) for b in range(a + 1, 24)]  # 276 links
         cases = {
-            "one": ([1e4] * 276, 1),
-            "signed zeros": ([0.0, -0.0] * 138, 2),
-            "256": ([float(link % 256) for link in range(276)], 256),
-            "257": ([float(link % 257) for link in range(276)], 0),
+            "one": ([1e4] * 276, 1, np.uint8),
+            "signed zeros": ([0.0, -0.0] * 138, 2, np.uint8),
+            "256": ([float(link % 256) for link in range(276)], 256, np.uint8),
+            "257": ([float(link % 257) for link in range(276)], 257, np.uint16),
         }
-        for name, (bandwidths, palette_size) in cases.items():
+        for name, (bandwidths, palette_size, dtype) in cases.items():
             links = {pair: (1.0, bandwidth, 0) for pair, bandwidth in zip(pairs, bandwidths)}
             state = hand_built_state(links, 0.0, active=(True,) * 24, index=index)
             keyframe = EpochUpdate(FrameKind.KEYFRAME, 1, encode_keyframe_update(state, 1))
             arrays = keyframe.decoded()[1]
-            assert arrays[3].dtype == (np.uint8 if palette_size else np.float64), name
+            assert arrays[3].dtype == dtype, name
             assert arrays[7].dtype == np.float64 and arrays[7].size == palette_size, name
             replica = EpochReplica()
             replica.apply(keyframe)
@@ -686,10 +696,10 @@ class TestHandBuiltSequences:
 
 
 class TestFewLinkPaths:
-    """A mask of a few links travels as their positions, and a merge of a
-    few additions and removals copies the runs between them; both must equal
-    the pass over every link they stand in for, on either side of the size
-    that selects them."""
+    """A mask of a few links travels as their positions, which must name the
+    links its bits would, on either side of the size that selects them; and
+    the replica's merge of a few removals and additions must equal deleting
+    and inserting them one by one."""
 
     @pytest.mark.parametrize(
         "gone,at,ends",
@@ -699,7 +709,7 @@ class TestFewLinkPaths:
         ],
     )
     def test_merge_equals_the_masked_merge(self, gone, at, ends):
-        """4,096 links: up to eight changes are few, more are not.  With
+        """4,096 links, against ``np.delete`` then ``np.insert``.  With
         ``ends``, the first and the last link go and come."""
         rng = np.random.default_rng(gone * 100 + at)
 
@@ -717,10 +727,10 @@ class TestFewLinkPaths:
         columns = [rng.integers(0, 99, 4096), rng.random(4096)]
         fresh = [rng.integers(0, 99, at).astype(np.int32), rng.random(at)]
         gone, at_positions = np.flatnonzero(removed), np.flatnonzero(added)
+        # The i-th added link goes ahead of kept link at[i] - i.
+        ahead = at_positions - np.arange(at_positions.size)
         for held, new, merged in zip(columns, fresh, _merge(columns, gone, at_positions, fresh)):
-            expected = np.empty(added.size, dtype=held.dtype)
-            expected[~added] = held[~removed]
-            expected[added] = new
+            expected = np.insert(np.delete(held, gone), ahead, new)
             assert merged.dtype == expected.dtype and merged.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 5, 6, 187, 188, 200])
@@ -904,7 +914,7 @@ class TestForgedFrames:
             pytest.param(8, lambda packed: packed[:-1], id="packed-short"),
             pytest.param(8, lambda packed: packed | np.uint8(1), id="pad-bits"),
             pytest.param(8, lambda packed: packed.view(np.int8), id="packed-dtype"),
-            pytest.param("bits", lambda bits: 0, id="bits-zero-with-fields"),  # as if absent
+            pytest.param("bits", lambda bits: 0, id="bits-zero-with-fields"),
             pytest.param("bits", lambda bits: 9, id="bits-nine"),
             pytest.param("bits", lambda bits: -3, id="bits-negative"),
             pytest.param("bits", lambda bits: 2, id="bits-narrower"),
@@ -933,12 +943,14 @@ class TestForgedFrames:
             pytest.param("links", lambda links: [links[0], links[1] + 8], id="links-after"),
             pytest.param("shells", lambda shells: [], id="array-count"),
             pytest.param(4, lambda counts: counts.astype(np.float64), id="added-delay-float64"),
+            pytest.param(None, lambda meta, arrays: (_without(meta, "bits"), arrays), id="no-bits"),
             pytest.param(
-                None,  # without ``bits``: array 8 holds the three links' delays
+                None,  # the uint32-counts form: the three links' delays, no ``bits``
                 lambda meta, arrays: (
-                    _without(meta, "bits"), [*arrays[:8], np.zeros(3), arrays[9][:0], *arrays[10:]]
+                    _without(meta, "bits"),
+                    [*arrays[:8], np.zeros(3, np.uint32), arrays[9][:0], *arrays[10:]],
                 ),
-                id="delay-float64",
+                id="uint32-delays",
             ),
             pytest.param(
                 None, lambda meta, arrays: (_without(meta, "links"), arrays), id="no-links"
@@ -1084,6 +1096,8 @@ class TestForgedFrames:
             "index-out-of-range": (meta, replaced(3, np.full_like(arrays[3], 1))),
             "palette-dtype": (meta, replaced(7, arrays[7].astype(np.float32))),
             "values-and-palette": (meta, replaced(3, arrays[7][arrays[3]])),
+            "float64-bandwidths": (meta, replaced(3, arrays[7][arrays[3]], 7, arrays[7][:0])),
+            "activity-pad-bits": (meta, replaced(8, arrays[8] | np.uint8(1))),
         }
         for name, (forged_meta, forged_arrays) in forgeries.items():
             data = wire.encode_frame(FrameKind.KEYFRAME, forged_meta, tuple(forged_arrays))
@@ -1093,6 +1107,104 @@ class TestForgedFrames:
         honest = wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
         replica.apply(EpochUpdate(FrameKind.KEYFRAME, 1, honest))
         assert replica.snapshot().same_bits(EpochSnapshot.from_state(state, 1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_an_added_link_out_of_place_changes_nothing(self, data):
+        """Over a random canonical table, a DIFF that removes and adds random
+        links is forged three ways: one added link swapped with a neighbour
+        in the new order (its position moves past a kept link, or it trades
+        places with another added one), or its endpoints repeat a kept link
+        or another added link.  Each is refused and leaves the replica's
+        snapshot and trend as they were; the honest DIFF applies."""
+        satellites = FORGED_INDEX.satellite_count
+        pairs = [(a, b) for a in range(len(FORGED_INDEX)) for b in range(a + 1, len(FORGED_INDEX))]
+        held = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True))
+        fresh = [pair for pair in pairs if pair not in held]
+        added = data.draw(st.lists(st.sampled_from(fresh), min_size=1, max_size=6, unique=True))
+        added.sort()  # the frame's order
+        removed = data.draw(st.lists(st.sampled_from(held), max_size=len(held), unique=True))
+        kept = sorted(set(held) - set(removed))
+        counts = st.integers(0, 2**20)
+        epochs = [
+            {pair: (data.draw(counts) * GRID, 1e4, int(pair[1] >= satellites)) for pair in links}
+            for links in (held, held, kept + added)
+        ]
+        states = hand_built_chain([(links, (True,) * 12) for links in epochs], FORGED_INDEX)
+        codec = EpochUpdateCodec()
+        replica = EpochReplica()
+        replica.apply(codec.keyframe_update(2, states[1]))
+        honest = codec.diff_update(3, hand_built_diff(states[1], states[2]))
+        _, meta, arrays = wire.decode_frame(honest.data)
+        arrays = [np.array(array) for array in arrays]
+        after = len(kept) + len(added)
+        positions = _unpack_mask(arrays[1], after)
+        i = data.draw(st.integers(0, len(added) - 1))
+        forgery = data.draw(st.sampled_from(["neighbour", "kept", "added"]))
+        if forgery == "neighbour":
+            neighbours = [q for q in (positions[i] - 1, positions[i] + 1) if 0 <= q < after]
+            assume(neighbours)
+            q = data.draw(st.sampled_from(neighbours))
+            if q in positions:  # trade places with that added link
+                j = positions.tolist().index(q)
+                for array in arrays[2:7]:
+                    array[[i, j]] = array[[j, i]]
+            else:  # move past the kept link
+                positions[i] = q
+                arrays[1] = _pack_mask(positions, after)
+        else:
+            others = kept if forgery == "kept" else [pair for pair in added if pair != added[i]]
+            assume(others)
+            order = sorted(kept + added)
+            near = [order[q] for q in (positions[i] - 1, positions[i] + 1) if 0 <= q < after]
+            near = [pair for pair in near if pair in others]  # the likeliest to slip through
+            choices = near if near and data.draw(st.booleans()) else others
+            arrays[2][i], arrays[3][i] = data.draw(st.sampled_from(choices))
+        before = replica.snapshot()
+        held_trend = replica.trend
+        trend = DelayTrend(held_trend.step.copy(), held_trend.curve.copy(), held_trend.stepped)
+        forged = wire.encode_frame(FrameKind.DIFF, meta, arrays)
+        with pytest.raises(CodecError, match="out of place"):
+            replica.apply(EpochUpdate(FrameKind.DIFF, 3, forged))
+        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
+        _assert_same_trend(replica.trend, trend, 2)
+        replica.apply(honest)
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[2], 3))
+        _assert_same_trend(replica.trend, states[2].trend, 3)
+
+    @pytest.mark.parametrize(
+        "pad", [pytest.param(0b1, id="mask-pad-bits"), pytest.param(0b10000, id="first-pad-bit")]
+    )
+    def test_set_pad_bits_are_codec_errors(self, pad):
+        """Over three links a mask's bits are one byte with five pad bits,
+        which must be 0.  The DIFF's delay-changed mask names the one link
+        that started changing."""
+        counts = [(10, 10, 10), (20, 10, 10), (30, 20, 10)]  # by epoch
+        pairs = ((0, 1), (1, 2), (2, 3))
+        states = hand_built_chain(
+            [
+                ({pair: (count * GRID, 1e4, 0) for pair, count in zip(pairs, epoch)}, (True,) * 6)
+                for epoch in counts
+            ]
+        )
+        codec = EpochUpdateCodec()
+        replica = EpochReplica()
+        replica.apply(codec.keyframe_update(2, states[1]))
+        before = replica.snapshot()
+        _, meta, arrays = wire.decode_frame(
+            codec.diff_update(3, hand_built_diff(states[1], states[2])).data
+        )
+        assert arrays[7].dtype == np.uint8 and arrays[7].tolist() == [0b01000000]
+
+        def diff(mask):
+            data = wire.encode_frame(FrameKind.DIFF, meta, [*arrays[:7], mask, *arrays[8:]])
+            return EpochUpdate(FrameKind.DIFF, 3, data)
+
+        with pytest.raises(CodecError, match="pad bits"):
+            replica.apply(diff(arrays[7] | np.uint8(pad)))
+        assert replica.epoch == 2 and replica.snapshot().same_bits(before)
+        replica.apply(diff(arrays[7]))
+        assert replica.snapshot().same_bits(EpochSnapshot.from_state(states[2], 3))
 
     def test_truncated_bytes_are_wire_errors(self):
         data = encode_diff_update(
@@ -1127,10 +1239,9 @@ class TestFrameBudget:
     def test_frames_stay_within_budget(
         self, config_factory, step_s, first_diff_budget, diff_budget, keyframe_budget
     ):
-        """The first DIFF after the cold keyframe predicts from a zero trend
-        (absolute counts, or first differences where those are smaller);
-        every later one travels as packed residual fields.  A removed or
-        added array of one link is its position: at most 4 B."""
+        """Every DIFF travels as packed residual fields, the first after the
+        cold keyframe as first differences (it predicts from a zero trend).
+        A removed or added array of one link is its position: at most 4 B."""
         calculation = ConstellationCalculation(config_factory())
         database = ConstellationDatabase()
         state = calculation.state_at(0.0)
@@ -1145,8 +1256,7 @@ class TestFrameBudget:
             replica.apply(update)
             sizes.append(len(update.data))
             meta, arrays = update.decoded()
-            assert ("bits" in meta) == (arrays[8].dtype == np.uint8), step  # only with fields
-            assert step == 1 or arrays[8].dtype == np.uint8 and 1 <= meta["bits"] <= 8, step
+            assert arrays[8].dtype == np.uint8 and 1 <= meta["bits"] <= 8, step
             for links, mask in zip((diff.topology.links_removed, diff.topology.links_added), arrays):
                 if links.size == 1:
                     single_links += 1
