@@ -15,9 +15,10 @@ caches and CSR delay-matrix template instead of recomputing them.
 
 The third benchmark breaks down the shortest-path engine: paths are solved
 on demand, so an epoch (``diff_since``) solves **zero** rows, the first
-query of an epoch about a source solves that one row, and asking again
-solves nothing; quiet steady-state epochs share every row and perform zero
-Dijkstra solver calls.  Those counts are hard asserts.  The wall-clock
+row lookup of an epoch about a source solves that one row, asking again
+solves nothing, and a single pair asked through the state solves no row
+but runs bounded searches; quiet steady-state epochs share every row and
+perform zero Dijkstra solver calls.  Those counts are hard asserts.  The wall-clock
 ratios (steady epochs ≥ 1.5× the rebuild, moving epochs no worse than 1.25×
 of it) go through ``_harness.ratio_gate``.  The measurements, with the rows
 solved per epoch on full Starlink (four station↔station queries per epoch)
@@ -118,6 +119,8 @@ def test_path_engine_breakdown_and_steady_state_speedup(dart_central_run):
     rebuild_calc = ConstellationCalculation(config)
     stations = list(engine_calc.node_index.ground_station_indices())
     rng = np.random.default_rng(7)
+    pair_rng = np.random.default_rng(8)
+    shell_size = len(engine_calc.node_index.satellites_of_shell(0))
 
     # Warm-up: first full snapshot plus one epoch on each side, so
     # caches, visibility bounds and imports are all primed.
@@ -128,7 +131,7 @@ def test_path_engine_breakdown_and_steady_state_speedup(dart_central_run):
     engine = engine_calc.path_engine
     engine.reset_stats()
 
-    engine_seconds, rebuild_seconds, rows_per_epoch = [], [], []
+    engine_seconds, rebuild_seconds, rows_per_epoch, searches_per_epoch = [], [], [], []
     for step in range(2, rounds + 2):
         started = wallclock.perf_counter()
         engine_state, _ = engine_calc.diff_since(engine_state, step * interval)
@@ -137,13 +140,22 @@ def test_path_engine_breakdown_and_steady_state_speedup(dart_central_run):
         assert engine.stats.rows_solved == sum(rows_per_epoch)
         asked = set()
         for _ in range(4):
-            # What ConstellationState.delay_ms does, with the row it used.
+            # What a batch asks of the store: the row of each new source.
             pair = rng.choice(stations, 2, replace=False)
             source, target = engine_state.paths.oriented(*pair)
             engine_state.paths.delay_ms(source, target)
             asked.add(source)
         rows_per_epoch.append(engine.stats.rows_solved - sum(rows_per_epoch))
         assert rows_per_epoch[-1] == len(asked)
+        # Single satellite pairs asked through the state: searches, no row.
+        before = engine.stats.snapshot()
+        for _ in range(4):
+            identifiers = pair_rng.choice(shell_size, 2, replace=False).tolist()
+            engine_state.delay_ms(*(engine_calc.satellite(0, i) for i in identifiers))
+        after = engine.stats.snapshot()
+        assert after["rows_solved"] == before["rows_solved"]
+        searches_per_epoch.append(after["bounded_searches"] - before["bounded_searches"])
+        assert searches_per_epoch[-1] >= 4
     for step in range(2, rounds + 2):
         started = wallclock.perf_counter()
         rebuild_calc.state_at(step * interval)
@@ -200,6 +212,7 @@ def test_path_engine_breakdown_and_steady_state_speedup(dart_central_run):
             "starlink_4_station_queries": rows_per_epoch,
             "dart_central_mean": dart_rows / dart.coordinator.stats.count,
         },
+        "bounded_searches_per_epoch": {"starlink_4_satellite_pairs": searches_per_epoch},
     }
     print()
     print(
@@ -214,7 +227,9 @@ def test_path_engine_breakdown_and_steady_state_speedup(dart_central_run):
     )
     print(
         f"rows solved per epoch: Starlink {np.mean(rows_per_epoch):.2f} "
-        f"(4 station queries), DART {results['rows_per_epoch']['dart_central_mean']:.2f}"
+        f"(4 station queries), DART {results['rows_per_epoch']['dart_central_mean']:.2f}; "
+        f"bounded searches per epoch: Starlink {np.mean(searches_per_epoch):.2f} "
+        f"(4 satellite pairs)"
     )
     merge_artifact("steady_state", results)
 

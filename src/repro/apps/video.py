@@ -169,18 +169,20 @@ class MeetupExperiment:
         if not candidate_sets or not all(candidate_sets):
             return None
         common = set.intersection(*candidate_sets)
-        candidates = common if common else set.union(*candidate_sets)
-        best_key, best_latency = None, float("inf")
-        for shell, satellite in candidates:
-            satellite_machine = self.testbed.satellite(shell, satellite)
-            combined = max(
-                state.delay_ms(client, satellite_machine) for client in self.clients.values()
-            )
-            if combined < best_latency:
-                best_key, best_latency = (shell, satellite), combined
-        if best_key is None:
-            return None
-        return self.testbed.satellite(*best_key)
+        candidates = [
+            self.testbed.satellite(shell, satellite)
+            for shell, satellite in (common if common else set.union(*candidate_sets))
+        ]
+        # Every (candidate, client) pair in one batch; the first candidate
+        # with the lowest worst-client delay wins.
+        clients = [state.node_for(client) for client in self.clients.values()]
+        delays, _ = state.pair_metrics(
+            [state.node_for(candidate) for candidate in candidates for _ in clients],
+            clients * len(candidates),
+        )
+        combined = delays.reshape(len(candidates), len(clients)).max(axis=1)
+        best = int(np.argmin(combined))
+        return candidates[best] if np.isfinite(combined[best]) else None
 
     def _tracking_process(self):
         sim = self.testbed.sim
@@ -203,13 +205,20 @@ class MeetupExperiment:
     def _record_expected_latencies(self, bridge: MachineId) -> None:
         state = self.testbed.state
         now = self.testbed.sim.now
-        for source_name, source in self.clients.items():
-            for destination_name, destination in self.clients.items():
+        # A path's delay reads the same bits in either direction: one batch
+        # of (client, bridge) pairs gives both legs of every client pair.
+        delays, _ = state.pair_metrics(
+            [state.node_for(client) for client in self.clients.values()],
+            [state.node_for(bridge)] * len(self.clients),
+        )
+        to_bridge = dict(zip(self.clients, delays.tolist()))
+        for source_name in self.clients:
+            for destination_name in self.clients:
                 if source_name == destination_name:
                     continue
                 expected = (
-                    state.delay_ms(source, bridge)
-                    + state.delay_ms(bridge, destination)
+                    to_bridge[source_name]
+                    + to_bridge[destination_name]
                     + self.processing.expected_ms()
                 )
                 if np.isfinite(expected):

@@ -6,8 +6,9 @@ link distances and delays, and shortest paths between nodes — based on the
 SILLEO-SCNS approach extended with SGP4 support.  The resulting machine and
 network parameters are handed to the Machine Managers without modification.
 Shortest paths are solved on demand: each state owns one
-:class:`~repro.topology.paths.PathRows` store and solves a source's row
-the first time a query needs it, so computing an epoch solves none.
+:class:`~repro.topology.paths.PathRows` store, which solves a source's row
+the first time a batch needs it and answers a single pair by a bounded
+search, so computing an epoch solves none.
 
 The snapshot hot path is one flat pass over the global node order (shell
 offset + identifier): static structures (the node index, every shell's
@@ -76,6 +77,7 @@ per shell and cached on the state (:meth:`ConstellationState.geodetic`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -103,7 +105,7 @@ from repro.topology import (
 )
 from repro.topology.graph import _CODE_BY_LINK_TYPE, pair_keys
 from repro.topology.isl import grid_plus_isl_pairs
-from repro.topology.linkparams import link_delay_counts
+from repro.topology.linkparams import link_delay_counts, propagation_delay_ms
 from repro.topology.uplinks import visible_satellites_batch
 
 _ISL_CODE = _CODE_BY_LINK_TYPE[LinkType.ISL]
@@ -370,11 +372,12 @@ class ConstellationState:
         return self.node_index.satellite(machine.shell, machine.identifier)
 
     def delay_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
-        """One-way shortest-path network delay between two machines [ms]."""
-        node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
-        if node_a == node_b:
-            return 0.0
-        return self.paths.delay_ms(*self.paths.oriented(node_a, node_b))
+        """One-way shortest-path network delay between two machines [ms].
+
+        The delay of :meth:`path`: read from a held row of the pair's
+        source, else found by a bounded search that stores nothing.
+        """
+        return self.path(machine_a, machine_b).delay_ms
 
     def rtt_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Round-trip network delay between two machines [ms]."""
@@ -387,18 +390,39 @@ class ConstellationState:
     def path(self, machine_a: MachineId, machine_b: MachineId):
         """Full path (hop node indices) between two machines.
 
-        Reported from the row that answers the pair, so ``source`` may be
-        ``machine_b``'s node (see :class:`~repro.topology.paths.PathRows`).
+        Reported from the source the store orients the pair to, so
+        ``source`` may be ``machine_b``'s node (see
+        :class:`~repro.topology.paths.PathRows`).  A held row of that source
+        answers; otherwise one Dijkstra search from it, bounded by twice the
+        larger of the machines' straight-line delay and their cheapest
+        links' sum and doubled until it settles the target or proves it
+        unreachable, answers with the same bits and stores nothing
+        (:meth:`~repro.topology.paths.PathRows.pair_path`).
         """
         node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
         if node_a == node_b:  # what a solved row answers, without the solve
             return PathResult(node_a, node_a, 0.0, (node_a,))
-        return self.paths.path(*self.paths.oriented(node_a, node_b))
+        source, target = self.paths.oriented(node_a, node_b)
+        return self.paths.pair_path(source, target, self._chord_ms(machine_a, machine_b))
+
+    def _chord_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
+        """Straight-line propagation delay between two machines [ms]."""
+        return float(
+            propagation_delay_ms(math.dist(self._position(machine_a), self._position(machine_b)))
+        )
+
+    def _position(self, machine: MachineId) -> np.ndarray:
+        if machine.is_ground_station:
+            return self.ground_positions_ecef[machine.name]
+        return self.satellite_positions_ecef[machine.shell][machine.identifier]
 
     def bandwidth_kbps(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Bottleneck bandwidth along the shortest path [kbps] (0 if unreachable)."""
-        result = self.path(machine_a, machine_b)
-        if not result.reachable or len(result.hops) < 2:
+        return self.bottleneck_kbps(self.path(machine_a, machine_b))
+
+    def bottleneck_kbps(self, result: PathResult) -> float:
+        """Narrowest link bandwidth along a path's hops [kbps] (0 without a link)."""
+        if len(result.hops) < 2:
             return 0.0
         hops = np.asarray(result.hops, dtype=np.int64)
         edges = self.graph.edge_ids_between(hops[:-1], hops[1:])

@@ -36,7 +36,13 @@ demand, and a batch roots its pairs at the endpoint most of them share —
 one row for a DART deployment whose every pair contains the central
 station, where asking pair by pair would root each at its first ground
 station.  The kept list is bounded by the previous epoch's working set and
-replaced on every ``set_state``, whether or not it was used.
+replaced on every ``set_state``, whether or not it was used.  Pair rules
+stay in the state's row regime even for a batch of one, because the rows a
+batch solves serve the rest of the epoch's traffic; the single-pair
+queries (:meth:`~ConstellationDatabase.path_info`, the gateway's ``QUERY``)
+are answered by a bounded search that stores no row
+(:meth:`ConstellationState.path
+<repro.core.constellation.ConstellationState.path>`).
 """
 
 from __future__ import annotations
@@ -284,5 +290,5 @@ class ConstellationDatabase:
             "delay_ms": result.delay_ms if result.reachable else None,
             "rtt_ms": result.rtt_ms if result.reachable else None,
             "hops": [state.node_index.describe(hop) for hop in result.hops],
-            "bandwidth_kbps": state.bandwidth_kbps(source, destination),
+            "bandwidth_kbps": state.bottleneck_kbps(result),
         }

@@ -213,8 +213,10 @@ class Celestial:
 
     def path_engine_statistics(self) -> dict:
         """``{"totals": ...}``: the cumulative
-        :class:`~repro.topology.paths.PathEngineStats` snapshot (solver
-        calls, rows solved)."""
+        :class:`~repro.topology.paths.PathEngineStats` snapshot —
+        ``solver_calls`` (every ``csgraph`` call), ``rows_solved`` (the full
+        rows batches asked for) and ``bounded_searches`` (the limited
+        searches that answer single pairs, every try counted)."""
         return {"totals": self.calculation.path_engine.stats.snapshot()}
 
     def booted_machines(self) -> int:

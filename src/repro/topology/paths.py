@@ -12,21 +12,51 @@ Both solvers treat explicit zeros in the weight matrix as *absent* edges
 links to ``DELAY_EPSILON_MS``; reported delays may therefore exceed the true
 sum of hop delays by at most one nanosecond per hop.
 
-Rows on demand
---------------
+Pairs by bounded search, rows for batches
+-----------------------------------------
 
 A constellation state answers every path query from one :class:`PathRows`
-store: the rows of a shortest-path table, one per source node, each solved
-the first time a query needs it.  A miss — or all the misses of one batched
-query (:meth:`~ShortestPaths.delays_between`, :meth:`~ShortestPaths.hop_steps`)
-— is one counted :meth:`PathEngine.solve`, a single stacked
-``csgraph.dijkstra`` over the store's delay matrix, which is built once per
-store.  Computing an epoch solves nothing, so a state costs the rows it is
-asked for: none for an epoch nobody queries, whatever the constellation's
-size or its number of ground stations.
+store, in one of two regimes, each a counter of :class:`PathEngineStats`.
 
-A pair is answered from the row of one of its endpoints, chosen in this
-order:
+*Rows for batches.*  A batched query (:meth:`~ShortestPaths.delays_between`,
+:meth:`~ShortestPaths.hop_steps`) and a source's full row
+(:meth:`~ShortestPaths.delays_from`) read the rows of a shortest-path
+table, one per source node, each solved the first time a query needs it:
+all the misses of one query are one counted :meth:`PathEngine.solve`, a
+single stacked ``csgraph.dijkstra`` over the store's delay matrix, and the
+store keeps them (``rows_solved``).
+
+*Pairs by bounded search.*  One pair asked on its own
+(:meth:`PathRows.pair_path`) is read from its source's row when the store
+holds one.  Otherwise it costs one Dijkstra search from the source that
+stops at a limit ``L`` (``csgraph.dijkstra(limit=L)``, one
+``bounded_searches`` per try), and nothing of it is stored: on full
+phase-I Starlink (4,414 nodes) a station pair takes ≈ 0.1 ms where its
+row takes ≈ 1 ms (a 2-vCPU x86 container).  The search settles exactly the nodes within
+``L`` of the source, with the distances and predecessors of a full row:
+every node on a shortest path to a node at ``d ≤ L`` lies within ``d``.
+It starts at ``L = 2·L0``, where ``L0`` is the larger of the pair's
+straight-line delay (chord ÷ c, from the state's positions) and the sum of
+the two endpoints' cheapest links; the second term carries co-located
+endpoints, whose chord is 0.  A try ends in one of three ways:
+
+1. the target is settled: its distance and path are exact;
+2. the farthest settled distance plus the widest link delay of the store
+   is at most ``L``: no unsettled node can be within ``L``, so the search
+   has closed the source's component and the pair is unreachable;
+3. neither: ``L`` doubles and the search runs again.
+
+Correctness never rests on ``L0``: a bound too low costs a try, one too
+high costs settled nodes.  The bound is a function of the state alone, so
+a cold and an incremental state answer alike, and the delay matrix and its
+widest delay are built once per store; besides the search, a try costs
+O(degree), and a miss one pass over the search's distances.
+A pair with an endpoint that has no link is unreachable without a search.
+Computing an epoch solves nothing, so a state costs what it is asked: no
+row for an epoch that is only asked pairs.
+
+A pair is answered from the row or the search of one of its endpoints,
+chosen in this order:
 
 1. an endpoint the store already holds a row for;
 2. within a batch, the endpoint more of the batch's pairs share;
@@ -42,10 +72,10 @@ all of its (station, central) pairs with the same delays, bandwidths and
 hops as the station rows did (probed over 80 epochs), so its data plane
 needs one row per epoch where it used to solve one per ground station.
 
-The solve runs ``directed=True``.  The delay matrix is symmetric by
-construction (every link is stored in both orientations with one weight),
-so a directed solve gives the same distances and predecessors as an
-undirected one and skips scipy's symmetrisation pass: one row takes 90 →
+Rows and searches run ``directed=True``.  The delay matrix is symmetric
+by construction (every link is stored in both orientations with one
+weight), so a directed solve gives the same distances and predecessors as
+an undirected one and skips scipy's symmetrisation pass: one row takes 90 →
 31 µs on DART's 187 nodes and 744 → 576 µs on full Starlink's 4,414 (a
 2-vCPU x86 container, SciPy's ``dijkstra``).
 
@@ -66,6 +96,7 @@ are **byte-identical** to a cold solve by construction.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, fields
 from typing import Iterator, Literal, Optional, Sequence
@@ -165,21 +196,9 @@ class ShortestPaths:
     def path(self, source: int, target: int) -> PathResult:
         """Full path reconstruction between a source and a target node."""
         row = self._row_for(source)
-        delay = float(self._distances[row, target])
-        if not np.isfinite(delay):
-            return PathResult(source, target, float("inf"), ())
-        if source == target:
-            return PathResult(source, target, 0.0, (source,))
-        hops = [target]
-        current = target
-        predecessors = self._predecessors[row]
-        while current != source:
-            current = int(predecessors[current])
-            if current < 0:
-                return PathResult(source, target, float("inf"), ())
-            hops.append(current)
-        hops.reverse()
-        return PathResult(source, target, delay, tuple(hops))
+        return _walked(
+            source, target, float(self._distances[row, target]), self._predecessors[row]
+        )
 
     def delays_between(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One-way delays [ms] of many ``sources[i] → targets[i]`` pairs at once."""
@@ -230,7 +249,7 @@ class ShortestPaths:
 
 
 class PathRows(ShortestPaths):
-    """One state's shortest-path rows, each solved the first time it is needed.
+    """A state's path store: rows solved on demand, single pairs by bounded search.
 
     ``sources`` are the nodes a pair's row is preferably rooted at when
     neither endpoint has a row yet (the ground stations; rule 3 of the
@@ -239,7 +258,8 @@ class PathRows(ShortestPaths):
     database's lock — so every row is solved once, whichever thread asks
     first.  Arrays grow by doubling and rows are written before they are
     indexed by ``_row_of``, so a lock-free lookup that finds a row reads it
-    from whichever array is current.
+    from whichever array is current.  A search stores nothing, so once the
+    delay matrix is built it takes no lock.
     """
 
     def __init__(self, graph: NetworkGraph, engine: "PathEngine", sources: Sequence[int] = ()):
@@ -248,6 +268,7 @@ class PathRows(ShortestPaths):
         self._engine = engine
         self._stations = frozenset(self.sources)
         self._matrix: Optional[csr_matrix] = None
+        self._widest_ms = 0.0
         self._lock = threading.Lock()
         self._row_of: dict[int, int] = {}
         node_count = len(graph.index)
@@ -282,6 +303,47 @@ class PathRows(ShortestPaths):
         )
         return np.where(flip, nodes_b, nodes_a), np.where(flip, nodes_a, nodes_b)
 
+    def pair_path(self, source: int, target: int, chord_ms: float) -> PathResult:
+        """:meth:`path` of one pair, from ``source``'s held row or a bounded
+        search; ``chord_ms`` is the endpoints' straight-line delay."""
+        if source in self._row_of:
+            return self.path(source, target)
+        return _walked(source, target, *self._search(source, target, chord_ms))
+
+    def _search(
+        self, source: int, target: int, chord_ms: float
+    ) -> tuple[float, Optional[np.ndarray]]:
+        """``target``'s distance and the predecessors that reach it, from
+        searches of ``source`` bounded as the module docstring says."""
+        if source == target:
+            return 0.0, None
+        matrix, widest = self._weights()
+        indptr, weights = matrix.indptr, matrix.data
+        links_of_source = weights[indptr[source] : indptr[source + 1]]
+        links_of_target = weights[indptr[target] : indptr[target + 1]]
+        if not (links_of_source.size and links_of_target.size):
+            return math.inf, None
+        limit = 2.0 * max(chord_ms, float(links_of_source.min() + links_of_target.min()))
+        while True:
+            distances, predecessors = self._engine.solve(matrix, [source], limit=limit)
+            distances = distances[0]
+            delay = float(distances[target])
+            if delay != math.inf:
+                return delay, predecessors[0]
+            if distances[distances != math.inf].max() + widest <= limit:
+                return math.inf, None
+            limit *= 2.0
+
+    def _weights(self) -> tuple[csr_matrix, float]:
+        """The store's delay matrix and its widest link delay, built once."""
+        if self._matrix is None:
+            with self._lock:
+                if self._matrix is None:
+                    matrix = self.graph.delay_matrix()
+                    self._widest_ms = float(matrix.data.max(initial=0.0))
+                    self._matrix = matrix
+        return self._matrix, self._widest_ms
+
     def _row_for(self, source: int) -> int:
         row = self._row_of.get(source)
         if row is None:
@@ -297,13 +359,12 @@ class PathRows(ShortestPaths):
 
     def _solve_missing(self, nodes: list[int]) -> None:
         """Solve, in one engine call, the rows of ``nodes`` not held yet."""
+        matrix, _ = self._weights()
         with self._lock:
             missing = [node for node in dict.fromkeys(nodes) if node not in self._row_of]
             if not missing:
                 return
-            if self._matrix is None:
-                self._matrix = self.graph.delay_matrix()
-            distances, predecessors = self._engine.solve(self._matrix, missing)
+            distances, predecessors = self._engine.solve(matrix, missing)
             held = len(self._row_of)
             total = held + len(missing)
             if total > len(self._distance_buffer):
@@ -325,11 +386,28 @@ class PathRows(ShortestPaths):
         """
         store = PathRows(graph, self._engine, self.sources)
         with self._lock:
-            store._matrix = self._matrix
+            store._matrix, store._widest_ms = self._matrix, self._widest_ms
             store._row_of = dict(self._row_of)
             store._distances = store._distance_buffer = self._distances
             store._predecessors = store._predecessor_buffer = self._predecessors
         return store
+
+
+def _walked(source: int, target: int, delay: float, predecessors) -> PathResult:
+    """The path to ``target`` at ``delay``, walked back along a predecessor row."""
+    if not np.isfinite(delay):
+        return PathResult(source, target, float("inf"), ())
+    if source == target:
+        return PathResult(source, target, 0.0, (source,))
+    hops = [target]
+    current = target
+    while current != source:
+        current = int(predecessors[current])
+        if current < 0:
+            return PathResult(source, target, float("inf"), ())
+        hops.append(current)
+    hops.reverse()
+    return PathResult(source, target, delay, tuple(hops))
 
 
 def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
@@ -341,14 +419,17 @@ def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
 
 @dataclass
 class PathEngineStats:
-    """Counters of the engine's work.
+    """Counters of the engine's work, one per regime of the module docstring.
 
-    ``solver_calls`` counts ``csgraph`` invocations and ``rows_solved`` the
-    source rows they computed — each row a state was asked for, once.
+    ``solver_calls`` counts ``csgraph`` invocations; ``rows_solved`` the
+    full source rows they computed — each row a state was asked for, once —
+    and ``bounded_searches`` the limited searches, every try of a pair
+    counted.
     """
 
     solver_calls: int = 0
     rows_solved: int = 0
+    bounded_searches: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy (JSON-serialisable, used by the benchmarks)."""
@@ -359,7 +440,8 @@ class PathEngine:
     """Shortest-path engine over consecutive epoch graphs.
 
     One engine serves every store of a calculation: :meth:`solve` runs the
-    counted stacked solve behind each store's misses, :meth:`advance_all`
+    counted stacked solve behind each store's misses and each try of a
+    pair's bounded search, :meth:`advance_all`
     hands a store across a :class:`~repro.topology.graph.TopologyDiff`
     (share or start empty, see the module docstring).  The engine keeps
     nothing between epochs but its counters.
@@ -376,15 +458,26 @@ class PathEngine:
         self.stats = PathEngineStats()
 
     def solve(
-        self, matrix: csr_matrix, sources: Sequence[int]
+        self, matrix: csr_matrix, sources: Sequence[int], limit: Optional[float] = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and predecessors of ``sources``' rows: one stacked solve."""
+        """Distances and predecessors of ``sources``' rows: one stacked solve.
+
+        With a ``limit`` it is a bounded search: only the nodes within
+        ``limit`` of a source are settled, the others read ``inf``.
+        """
         distances, predecessors = csgraph.dijkstra(
-            matrix, directed=True, indices=sources, return_predecessors=True
+            matrix,
+            directed=True,
+            indices=sources,
+            return_predecessors=True,
+            limit=math.inf if limit is None else limit,
         )
         with self._counting:
             self.stats.solver_calls += 1
-            self.stats.rows_solved += len(sources)
+            if limit is None:
+                self.stats.rows_solved += len(sources)
+            else:
+                self.stats.bounded_searches += 1
         return distances, predecessors
 
     def advance_all(

@@ -25,6 +25,7 @@ from repro.core import (
 )
 from repro.core.info_api import InfoAPINotReady
 from repro.orbits import GroundStation, ShellGeometry
+from repro.topology import ShortestPaths
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,30 @@ class TestInfoAPI:
         record = api.get("/dns/13.0.celestial")
         assert record["type"] == "A"
 
+
+    def test_a_path_request_searches_its_pair_once(self, setup):
+        """``/path`` derives the bottleneck from the path it found: one
+        bounded search (every try counted), no row, the row's answer."""
+        config, calculation, _, _ = setup
+        database = ConstellationDatabase()
+        database.set_state(calculation.state_at(0.0))
+        dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
+        api = InfoAPI(database, calculation, dns)
+        state, stats = database.state, calculation.path_engine.stats
+        hawaii = calculation.ground_station("hawaii")
+        buoy = calculation.ground_station("buoy-0")
+        before = stats.bounded_searches
+        found = state.path(hawaii, buoy)
+        tries = stats.bounded_searches - before
+        before = stats.snapshot()
+        answer = api.get("/path/hawaii/buoy-0")
+        after = stats.snapshot()
+        assert after["bounded_searches"] - before["bounded_searches"] == tries >= 1
+        assert after["rows_solved"] == before["rows_solved"] and state.paths._row_of == {}
+        row = ShortestPaths(state.graph, [found.source]).path(found.source, found.target)
+        assert answer["delay_ms"] == row.delay_ms and answer["rtt_ms"] == row.rtt_ms
+        assert answer["hops"] == [state.node_index.describe(hop) for hop in row.hops]
+        assert answer["bandwidth_kbps"] == state.bottleneck_kbps(row) > 0.0
     def test_unknown_routes(self, setup):
         _, _, _, api = setup
         with pytest.raises(InfoAPIError):

@@ -205,14 +205,15 @@ class TestConstellationCalculation:
         assert delay > 0.0
         assert state.delay_ms(a, b) == pytest.approx(state.delay_ms(b, a))
 
-    def test_sat_to_sat_solves_one_row(self):
+    def test_sat_to_sat_solves_no_row(self):
         calc = ConstellationCalculation(_iridium_config())
         state = calc.state_at(0.0)
         a = calc.satellite(0, 0)
         b = calc.satellite(0, 30)
         assert np.isfinite(state.delay_ms(a, b))
         assert state.path(a, b).hop_count >= 1
-        assert calc.path_engine.stats.rows_solved == 1
+        assert calc.path_engine.stats.rows_solved == 0
+        assert calc.path_engine.stats.bounded_searches >= 2  # one search per query
 
 
 def _twin_shell_config(ground_stations):

@@ -474,8 +474,12 @@ class TestRowsOnDemand:
         assert stats.rows_solved == 0 and stats.solver_calls == 0
         a, b = calculation.satellite(0, 3), calculation.satellite(0, 40)
         assert state.delay_ms(a, b) < 1000.0
-        assert state.path(b, a).hop_count >= 1  # a's row answers the reverse pair
-        assert stats.rows_solved == 1 and stats.solver_calls == 1
+        searches = stats.bounded_searches
+        assert searches >= 1
+        assert state.path(b, a).hop_count >= 1  # a search of its own: no row was kept
+        assert stats.bounded_searches >= searches + 1
+        assert stats.rows_solved == 0 and state.paths._row_of == {}
+        assert stats.solver_calls == stats.bounded_searches
 
     @pytest.mark.parametrize("machine", [("satellite", 0, 17), ("station", "buoy-0")])
     def test_a_machine_and_itself_solve_no_row(self, machine):
