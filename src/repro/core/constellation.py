@@ -52,10 +52,9 @@ is what the diff path reuses from the previous epoch:
   the line-of-sight and elevation checks to the pairs that can have
   crossed a threshold — ``state_at`` evaluates every pair; either way the
   pairs go through the same ``visible_satellites_batch`` tail;
-* the path rows, handed on by
-  :meth:`~repro.topology.paths.PathEngine.advance_all`: shared when the
-  diff changed no delay and no link, otherwise an empty store, as
-  ``state_at`` starts with — neither path solves a row;
+* the path store's sources, handed on by
+  :meth:`~repro.topology.paths.PathEngine.advance_all` to an empty store,
+  as ``state_at`` starts with — neither path carries or solves a row;
 * the :class:`DelayTrend`, which the diff path advances by the epoch's
   delay changes — ``state_at``'s is zero.  The trend stays out of every
   identity check, as the hints do.
@@ -650,7 +649,7 @@ class ConstellationCalculation:
     def ground_station(self, name: str) -> MachineId:
         """MachineId of a ground-station server (O(1) name lookup)."""
         if name not in self._ground_station_position:
-            raise ValueError(f"{name!r} is not in list")
+            raise ValueError(f"unknown ground station {name!r}")
         return MachineId(MachineId.GROUND_SHELL, self._ground_station_position[name], name)
 
     def machines(self) -> Iterator[MachineId]:

@@ -247,10 +247,9 @@ class Coordinator:
         return table is not None and table.is_running_at(machine.name, now_s)
 
     def create_machines(
-        self, names: list[str], shells: np.ndarray, identifiers: np.ndarray, now_s: float,
-        boot: bool = True,
+        self, names: list[str], shells: np.ndarray, identifiers: np.ndarray, now_s: float
     ) -> None:
-        """Create (and by default boot) a batch of new machines, in order.
+        """Create a batch of new machines, in order, booted at ``now_s``.
 
         Placement is computed for the whole batch
         (:func:`least_reserved_placement`), then every host takes its share
@@ -268,22 +267,15 @@ class Coordinator:
         for position in np.unique(placement).tolist():
             manager = self.managers[position]
             share = batch.take(np.flatnonzero(placement == position))
-            manager.create_machines(share, now_s if boot else None)
+            manager.create_machines(share, now_s)
             self._machine_manager_of.update(dict.fromkeys(share.names, manager))
             self._table_of.update(dict.fromkeys(share.names, manager.host.machines))
 
-    def create_machine(
-        self, machine: MachineId, now_s: float, boot: bool = True
-    ) -> MachineManager:
-        """Create (and optionally boot) a microVM for a machine."""
+    def create_machine(self, machine: MachineId, now_s: float) -> MachineManager:
+        """Create a microVM for a machine, booted at ``now_s``, unless it exists."""
         if not self.has_machine(machine):
-            self.create_machines(
-                [machine.name],
-                np.array([machine.shell]),
-                np.array([machine.identifier]),
-                now_s,
-                boot,
-            )
+            shells, identifiers = np.array([machine.shell]), np.array([machine.identifier])
+            self.create_machines([machine.name], shells, identifiers, now_s)
         return self.manager_for(machine)
 
     def create_ground_stations(self, now_s: float) -> None:

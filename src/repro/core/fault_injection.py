@@ -19,6 +19,21 @@ from repro.core.machine_manager import MachineManager
 from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
 
+#: Every kind a fault program's op may have: the eight :meth:`FaultInjector.apply_op`
+#: runs, then the two the experiment runner expands into injector calls.
+FAULT_OP_KINDS = (
+    "terminate",
+    "reboot",
+    "degrade-cpu",
+    "restore-cpu",
+    "packet-loss",
+    "clear-packet-loss",
+    "bandwidth-cap",
+    "clear-bandwidth-cap",
+    "ground-outage",
+    "operator-degradation",
+)
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -101,18 +116,6 @@ class FaultInjector:
         self.network.clear_bandwidth_cap(source, destination)
         self._log(now_s, f"{source.name}->{destination.name}", "bandwidth-cap-cleared")
 
-    #: Declarative op kinds understood by :meth:`apply_op`.
-    OP_KINDS = (
-        "terminate",
-        "reboot",
-        "degrade-cpu",
-        "restore-cpu",
-        "packet-loss",
-        "clear-packet-loss",
-        "bandwidth-cap",
-        "clear-bandwidth-cap",
-    )
-
     def apply_op(
         self,
         kind: str,
@@ -153,7 +156,8 @@ class FaultInjector:
             self.clear_bandwidth_cap(source, destination, now_s)
         else:
             raise ValueError(
-                f"unknown fault op kind {kind!r} (known: {', '.join(self.OP_KINDS)})"
+                f"the injector runs no fault op of kind {kind!r} "
+                f"(fault op kinds: {', '.join(FAULT_OP_KINDS)})"
             )
 
 

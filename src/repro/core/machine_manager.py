@@ -5,7 +5,8 @@ microVMs assigned to it, suspends/resumes them when they leave/enter the
 bounding box, applies machine parameter changes at runtime (fault injection,
 CPU quotas) and reports host resource usage (§3, Fig. 2).  A host's machines
 are one :class:`~repro.microvm.MachineTable`, and creating a batch of them
-is one append.
+is one append of booted rows: a machine is created booted, and after that
+only suspended, resumed, stopped or rebooted.
 
 Differential update contract
 ----------------------------
@@ -19,8 +20,8 @@ own part:
 * the flips of the satellites it hosts, found through an owned-satellite
   index kept as machines are created; the manager resumes/suspends exactly
   those, instead of scanning its whole fleet;
-* machines whose lifecycle changed *outside* the protocol (created, booted,
-  stopped or rebooted between updates) are tracked in a dirty set and
+* machines whose lifecycle changed *outside* the protocol (created, stopped
+  or rebooted between updates) are tracked in a dirty set and
   reconciled against the activity masks — this keeps the record path
   byte-equivalent to a full :meth:`MachineManager.apply_state` sweep.
 
@@ -54,7 +55,6 @@ the request went out.
 from __future__ import annotations
 
 import enum
-import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +62,6 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from repro.core.config import ComputeParams
 from repro.core.constellation import ConstellationDiff, ConstellationState, MachineId
 from repro.hosts import Host
 from repro.microvm import MachineBatch, MachineState, MachineView
@@ -116,13 +115,11 @@ class EpochRecord:
 class ControlOp(enum.IntEnum):
     """A lifecycle operation on a host's machines (one ``CONTROL`` row on the wire)."""
 
-    CREATE = 0  # create_machines(batch): value is the boot time, NaN unbooted
-    BOOT = 1  # boot(machine, now_s)
-    BOOT_CREATED = 2  # boot_all(now_s): every created, unbooted machine
-    STOP = 3  # stop_machine(machine, now_s)
-    REBOOT = 4  # reboot_machine(machine, now_s)
-    CPU_QUOTA = 5  # set_cpu_quota(machine, quota)
-    BUSY = 6  # set_busy_fraction(machine, fraction)
+    CREATE = 0  # create_machines(batch, boot_s): value is the boot time
+    STOP = 1  # stop_machine(machine, now_s)
+    REBOOT = 2  # reboot_machine(machine, now_s)
+    CPU_QUOTA = 3  # set_cpu_quota(machine, quota)
+    BUSY = 4  # set_busy_fraction(machine, fraction)
 
 
 class MachineManager:
@@ -161,7 +158,7 @@ class MachineManager:
     def _record(
         self,
         op: ControlOp,
-        machine: Union[MachineBatch, MachineId, None],
+        machine: Union[MachineBatch, MachineId],
         value: float,
         changed: Iterable[str],
     ) -> None:
@@ -172,18 +169,11 @@ class MachineManager:
 
     # -- creation -----------------------------------------------------------
 
-    def create_machines(self, batch: MachineBatch, boot_s: Optional[float] = None) -> None:
-        """Create a batch of machines on this host: booted at ``boot_s``, if given."""
-        self.host.place(batch, self.key_root, boot_s)
+    def create_machines(self, batch: MachineBatch, boot_s: float) -> None:
+        """Create a batch of machines on this host, booted at ``boot_s``."""
+        self.host.place(batch, boot_s, self.key_root)
         self._index(batch.names, batch.shells.tolist(), batch.identifiers.tolist())
-        self._record(ControlOp.CREATE, batch, math.nan if boot_s is None else boot_s, batch.names)
-
-    def create_machine(self, machine_id: MachineId, compute: ComputeParams) -> MachineView:
-        """Create (but not boot) one machine on this host."""
-        self.create_machines(
-            MachineBatch.single(machine_id.name, machine_id.shell, machine_id.identifier, compute)
-        )
-        return self.machine(machine_id)
+        self._record(ControlOp.CREATE, batch, boot_s, batch.names)
 
     def has_machine(self, machine_id: MachineId) -> bool:
         """Whether this host holds the machine."""
@@ -203,20 +193,6 @@ class MachineManager:
     def _placed(self, machine_id: MachineId) -> str:
         """The name of a machine of this host (:class:`HostError` for any other)."""
         return self.host.machine(machine_id.name).name
-
-    def boot(self, machine_id: MachineId, now_s: float) -> float:
-        """Boot a created machine; returns the boot-finished time."""
-        name = self._placed(machine_id)
-        self.host.machines.boot(name, now_s)
-        self._record(ControlOp.BOOT, machine_id, now_s, (name,))
-        return self.host.machines.boot_finished_at_s(name)
-
-    def boot_all(self, now_s: float) -> float:
-        """Boot every created-but-not-booted machine; returns the last finish time."""
-        machines = self.host.machines
-        booted = machines.boot_created(now_s)
-        self._record(ControlOp.BOOT_CREATED, None, now_s, booted)
-        return max((machines.boot_finished_at_s(name) for name in booted), default=now_s)
 
     def stop_machine(self, machine_id: MachineId, now_s: float) -> None:
         """Terminate a machine (e.g. modelling a radiation-induced shutdown)."""

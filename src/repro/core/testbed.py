@@ -161,8 +161,9 @@ class Celestial:
         The same view under both backends (``state``, ``cpu_quota``,
         ``boot_finished_at_s``, ``state_at``): with
         ``parallelism="processes"`` it reads the driver's replica of the
-        worker's table.  Change a machine through the fault injector or its
-        manager.
+        worker's table.  A machine is booted when it is created, so it
+        reads ``BOOTING`` until its first boot finishes.  Change a machine
+        through the fault injector or its manager.
         """
         return self.coordinator.manager_for(machine).machine(machine)
 

@@ -8,7 +8,7 @@ one mapping host position → :class:`~repro.core.machine_manager.MachineManager
 per worker, and gives the fan-out backend these primitives:
 
 * :meth:`WorkerSupervisor.control` — the worker's pending lifecycle
-  operations (machine creations, boots, fault-injection ops), a
+  operations (machine creations, fault-injection ops), a
   :class:`~repro.dist.wire.ControlBatch` the backend appends rows to once
   the replica ran them.  The batch is flushed as **one** ``CONTROL`` frame
   just before the worker's next request.

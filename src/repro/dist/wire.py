@@ -96,19 +96,21 @@ memory_mib       ``<i8``    reserved memory
 quota            ``<f8``    CPU quota fraction
 busy             ``<f8``    busy share of the vCPUs
 seeds            ``<i8``    boot-time generator seed
-states           ``i1``     :class:`~repro.microvm.MachineState` code
-boot_counts      ``<i4``    boots so far
+states           ``i1``     :class:`~repro.microvm.MachineState` code, never
+                            ``BOOTING`` (0)
+boot_counts      ``<i4``    boots so far, at least one
 boot_started_s   ``<f8``    start of the latest boot
 held_until_s     ``<f8``    finish of an earlier boot still running then
 _finished_s      ``<f8``    the latest boot's finish once drawn, NaN before
 ===============  =========  ==================================================
 
 :func:`decode_spec` builds no manager before the whole frame checked out:
-a column of the wrong dtype or length, a state code out of range, a name
-count that does not match the ground stations, a repeated name, a bad host
-blueprint or a table that does not reproduce its checkpoint is a
-:class:`WireError`.  At pool start the tables are empty; after a crash they
-are the replica's, so a worker is started and restarted alike.
+a column of the wrong dtype or length, a state code out of range or
+``BOOTING``, a boot count below one, a name count that does not match the
+ground stations, a repeated name, a bad host blueprint or a table that does
+not reproduce its checkpoint is a :class:`WireError`.  At pool start the
+tables are empty; after a crash they are the replica's, so a worker is
+started and restarted alike.
 
 A ``CONTROL`` frame is two tables of equally long columns: one row per
 lifecycle operation (:class:`ControlOp`), run by the worker in row order,
@@ -120,11 +122,9 @@ array        dtype      meaning
 op           ``u1``     :class:`ControlOp` code
 position     ``<i4``    host position of the manager the row acts on
 count        ``<i4``    machines the row names: a ``CREATE`` row its batch
-                        (at least one), ``BOOT_CREATED`` none, any other
-                        row exactly one
-value        ``<f8``    ``CREATE``: the batch's boot time, NaN for created
-                        and not booted; ``now_s`` (``BOOT``,
-                        ``BOOT_CREATED``, ``STOP``, ``REBOOT``), the quota
+                        (at least one), any other row exactly one
+value        ``<f8``    ``CREATE``: the batch's boot time, finite;
+                        ``now_s`` (``STOP``, ``REBOOT``), the quota
                         (``CPU_QUOTA``) or the busy fraction (``BUSY``)
 shell        ``<i4``    machine shell (``-1``: ground station)
 identifier   ``<i4``    in-shell identifier / ground-station index
@@ -138,9 +138,9 @@ The meta holds ``images`` — the distinct compute tables
 ``-1``, in order; satellite names are rebuilt with
 :func:`~repro.core.constellation.satellite_name`.  A frame whose columns
 differ in length or dtype, whose op code, count or image index is out of
-range, whose counts do not add up to the machine entries, whose name count
-does not match or whose images are not compute tables is a
-:class:`WireError` and runs no row.
+range, whose counts do not add up to the machine entries, whose ``CREATE``
+boot time is not finite, whose name count does not match or whose images
+are not compute tables is a :class:`WireError` and runs no row.
 
 Epoch records
 -------------
@@ -236,7 +236,9 @@ WIRE_MAGIC = b"CLW1"
 #: 19: a ``DIFF``'s delays are ``bits``-bit residual fields only (meta
 #: ``bits`` always present, array 8 never ``uint32`` counts); a
 #: ``KEYFRAME``'s bandwidths are palette indices only.
-WIRE_VERSION = 19
+#: 20: a machine is created booted: the ``BOOT`` and ``BOOT_CREATED`` ops and
+#: the ``CREATED`` state are gone, so op and state codes renumber.
+WIRE_VERSION = 20
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -556,13 +558,13 @@ class ControlBatch:
         self,
         position: int,
         op: ControlOp,
-        machine: MachineBatch | MachineId | None = None,
-        value: float = 0.0,
+        machine: MachineBatch | MachineId,
+        value: float,
     ) -> None:
         """Add one row for the manager at host ``position``: ``machine`` is a
-        ``CREATE`` row's batch, ``None`` for ``BOOT_CREATED`` and the machine
-        the row acts on otherwise.  Bound to a position, this is a replica
-        manager's :attr:`~repro.core.machine_manager.MachineManager.sink`."""
+        ``CREATE`` row's batch and the machine the row acts on otherwise.
+        Bound to a position, this is a replica manager's
+        :attr:`~repro.core.machine_manager.MachineManager.sink`."""
         ops, positions, counts, values, shells, identifiers, images = self._columns
         if isinstance(machine, MachineBatch):
             table = np.array(
@@ -576,15 +578,13 @@ class ControlBatch:
             grounded = machine.shells == MachineId.GROUND_SHELL
             self._names.extend(machine.names[index] for index in np.flatnonzero(grounded))
             count = len(machine)
-        elif machine is not None:
+        else:
             shells.append(machine.shell)
             identifiers.append(machine.identifier)
             images.append(-1)
             if machine.is_ground_station:
                 self._names.append(machine.name)
             count = 1
-        else:
-            count = 0
         ops.append(op)
         positions.append(position)
         counts.append(count)
@@ -601,8 +601,8 @@ class ControlBatch:
 
 
 #: One decoded ``CONTROL`` row: op, position, the machines (a ``CREATE``
-#: row's batch, ``None`` for ``BOOT_CREATED``, else one machine), value.
-ControlRow = tuple[ControlOp, int, "MachineBatch | MachineId | None", float]
+#: row's batch, else one machine), value.
+ControlRow = tuple[ControlOp, int, "MachineBatch | MachineId", float]
 
 
 def _check_columns(kind: str, arrays: list[np.ndarray], dtypes: tuple[np.dtype, ...]) -> None:
@@ -661,10 +661,11 @@ def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[Contr
     if len(ops) and int(ops.max()) >= len(_CONTROL_OPS):
         raise WireError(f"unknown CONTROL op code {int(ops.max())}")
     creates = ops == ControlOp.CREATE
-    # A CREATE row names its batch, BOOT_CREATED none, every other row one.
-    single = (ops != ControlOp.BOOT_CREATED).astype(np.int32)
-    if np.any(np.where(creates, counts < 1, counts != single)):
+    # A CREATE row names its batch, every other row one machine.
+    if np.any(np.where(creates, counts < 1, counts != 1)):
         raise WireError("a CONTROL row names a wrong number of machines")
+    if not np.all(np.isfinite(values[creates])):
+        raise WireError("a CONTROL CREATE row's boot time is not finite")
     if int(counts.sum()) != len(shells):
         raise WireError(f"CONTROL rows name {int(counts.sum())} machines, {len(shells)} sent")
     outside = (images < 0) | (images >= len(computes))
@@ -686,8 +687,6 @@ def decode_control(meta: dict[str, Any], arrays: list[np.ndarray]) -> list[Contr
                 images[start:stop],
                 computes,
             )
-        elif op is ControlOp.BOOT_CREATED:
-            machine = None
         else:
             machine = MachineId(int(shells[start]), int(identifiers[start]), machine_names[start])
         rows.append((op, position, machine, value))
@@ -705,6 +704,7 @@ _TABLE_DTYPES = tuple(
     for dtype in ("<i4", "<i4", "<i4", "<i8", "<f8", "<f8", "<i8", "i1", "<i4", "<f8", "<f8", "<f8")
 )
 _STATES = MachineTable.COLUMNS.index("states") - 1
+_BOOT_COUNTS = MachineTable.COLUMNS.index("boot_counts") - 1
 #: The integer fields of a ``SPEC`` host entry: its position, then the host
 #: blueprint (``allow_memory_overcommit`` is the one bool) and the key root.
 _SPEC_INTEGERS = ("position", "index", "cpu_cores", "memory_mib", "key_root")
@@ -763,9 +763,10 @@ def decode_spec(meta: dict[str, Any], arrays: list[np.ndarray]) -> dict[int, Mac
 def _spec_manager(fields: Any, columns: list[np.ndarray]) -> tuple[int, MachineManager]:
     """One ``SPEC`` host entry and its table columns, as ``(position, manager)``."""
     _check_columns("SPEC", columns, _TABLE_DTYPES)
+    # A table never stores BOOTING (code 0), and every machine has booted.
     states = columns[_STATES]
-    if np.any((states < 0) | (states >= len(MachineState))):
-        raise WireError(f"SPEC state code outside 0..{len(MachineState) - 1}")
+    if np.any((states < 1) | (states >= len(MachineState)) | (columns[_BOOT_COUNTS] < 1)):
+        raise WireError(f"SPEC state code outside 1..{len(MachineState) - 1} or no boot")
     if not isinstance(fields, dict) or not isinstance(fields.get("checkpoint"), dict):
         raise WireError("a SPEC host entry needs a mapping with a checkpoint")
     checkpoint = fields["checkpoint"]

@@ -19,17 +19,18 @@ Protocol
 
 The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
 the supervisor (:mod:`repro.dist.transport`) and executes them in order.
-Lifecycle operations (machine creation, boots, fault-injection ops) arrive
+Lifecycle operations (machine creation, fault-injection ops) arrive
 batched: one ``CONTROL`` frame ahead of each request that had operations
 pending, its rows in the order the in-process backend executed them, run by
 the worker in that order; a ``CREATE`` row is a host's whole batch of new
-machines, appended as rows at once.  Nothing random depends on that order:
-machine seeds and usage-sample noise are keyed draws of the host's key root
-(carried by ``SPEC``), the machine's identity and the sample's index, which
-a ``SAMPLE_USAGE`` frame carries.  A row that fails (an unknown machine, a
-position this worker does not own) is reported and the rows after it still
-run, as if each had been a frame of its own; a malformed frame
-(:func:`~repro.dist.wire.decode_control`) runs no row.
+machines, appended as rows at once, booted at the row's boot time.  Nothing
+random depends on that order: machine seeds and usage-sample noise are
+keyed draws of the host's key root (carried by ``SPEC``), the machine's
+identity and the sample's index, which a ``SAMPLE_USAGE`` frame carries.
+A row that fails (an unknown machine, a position this worker does not own)
+is reported and the rows after it still run, as if each had been a frame of
+its own; a malformed frame (:func:`~repro.dist.wire.decode_control`) runs
+no row.
 
 Frames whose metadata carries a ``seq`` number are acknowledged.  Every
 acknowledgement streams back the worker's observable state: per-manager
@@ -63,7 +64,6 @@ analogue of the supervisor's local respawn.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import traceback
@@ -187,11 +187,7 @@ class _Worker:
                         f"{self.worker_index}"
                     )
                 if op is ControlOp.CREATE:
-                    manager.create_machines(machine, None if math.isnan(value) else value)
-                elif op is ControlOp.BOOT:
-                    manager.boot(machine, value)
-                elif op is ControlOp.BOOT_CREATED:
-                    manager.boot_all(value)
+                    manager.create_machines(machine, value)
                 elif op is ControlOp.STOP:
                     manager.stop_machine(machine, value)
                 elif op is ControlOp.REBOOT:

@@ -33,7 +33,7 @@ from typing import Any, Optional
 import dataclasses
 
 from repro.analysis.metrics import LatencySeries
-from repro.core.config import Configuration, ConfigurationError, HostConfig
+from repro.core.config import Configuration, HostConfig
 from repro.core.constellation import MachineId
 from repro.core.testbed import Celestial
 from repro.experiments import registry
@@ -102,28 +102,34 @@ def build_configuration(spec: ExperimentSpec) -> Configuration:
 # -- fault program -------------------------------------------------------------
 
 
+def _station(testbed: Celestial, name: str) -> MachineId:
+    """A ground station a fault op names; an unknown one is an :class:`ExperimentSpecError`."""
+    try:
+        return testbed.ground_station(name)
+    except ValueError as error:
+        raise ExperimentSpecError(f"fault target: {error}") from error
+
+
 def _resolve_machine(testbed: Celestial, target: str) -> MachineId:
     """A machine target: a ground-station name or ``"<shell>/<identifier>"``.
 
     The shell part may be a shell index or a shell name; satellite targets
     are created immediately (outside bounding-box logic) so the op can reach
-    them.
+    them.  A target naming no machine is an :class:`ExperimentSpecError`.
     """
-    if "/" in target:
-        shell_part, identifier = target.split("/", 1)
-        if shell_part.isdigit():
-            shell_index = int(shell_part)
-        else:
-            names = [shell.name for shell in testbed.config.shells]
-            if shell_part not in names:
-                raise ConfigurationError(
-                    f"fault target {target!r}: no shell named {shell_part!r}"
-                )
-            shell_index = names.index(shell_part)
+    if "/" not in target:
+        return _station(testbed, target)
+    shell_part, identifier = target.split("/", 1)
+    names = [shell.name for shell in testbed.config.shells]
+    if not shell_part.isdigit() and shell_part not in names:
+        raise ExperimentSpecError(f"fault target {target!r}: no shell named {shell_part!r}")
+    shell_index = int(shell_part) if shell_part.isdigit() else names.index(shell_part)
+    try:
         machine = testbed.satellite(shell_index, int(identifier))
-        testbed.ensure_machine(machine)
-        return machine
-    return testbed.ground_station(target)
+    except (ValueError, IndexError) as error:  # not a number, or out of range
+        raise ExperimentSpecError(f"fault target {target!r}: {error}") from error
+    testbed.ensure_machine(machine)
+    return machine
 
 
 def _outage_stations(testbed: Celestial, config: Configuration, op: FaultOp) -> list[MachineId]:
@@ -154,7 +160,7 @@ def _outage_stations(testbed: Celestial, config: Configuration, op: FaultOp) -> 
         ]
     if not names:
         raise ExperimentSpecError("ground-outage selects no ground stations")
-    return [testbed.ground_station(name) for name in names]
+    return [_station(testbed, name) for name in names]
 
 
 def _schedule_ground_outage(testbed: Celestial, config: Configuration, op: FaultOp) -> None:
@@ -250,7 +256,9 @@ def schedule_fault_program(
     The testbed must be started: immediate ops (``at_s == 0``) are applied
     on the spot, timed ops and progressive cascades are registered as
     simulation processes — exactly the sequence a user hand-wiring the
-    fault-injection API would produce.
+    fault-injection API would produce.  Every op's target is looked up
+    here, timed ones too, so a target naming no machine is an
+    :class:`ExperimentSpecError` before the run starts.
     """
     interpreters = []
     for op in program:

@@ -43,10 +43,11 @@ Example (``experiment.toml``)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.core.config import ConfigurationError
+from repro.core.fault_injection import FAULT_OP_KINDS
 
 
 class ExperimentSpecError(ConfigurationError):
@@ -61,6 +62,31 @@ KNOWN_METRIC_OUTPUTS = ("summary", "latency-csv", "resource-traces", "fault-even
 
 def _frozen_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
     return dict(params) if params else {}
+
+
+#: Keys a spec no longer has, with what replaced them.
+_REMOVED = {
+    "runtime.transport": "worker processes are always reached over TCP "
+    "(loopback for the ones the run spawns)",
+    "serve.all_pairs": "every path row is solved on demand",
+}
+
+
+def _table(data: Any, spec_class: type, where: str) -> Mapping[str, Any]:
+    """``data``, the ``where`` table of a ``spec_class``; a key that is not
+    one of its fields is an :class:`ExperimentSpecError` naming it."""
+    if not isinstance(data, Mapping):
+        raise ExperimentSpecError(f"{where} must be a table, not {type(data).__name__}")
+    known = [spec_field.name for spec_field in fields(spec_class)]
+    for key in data:
+        replaced = _REMOVED.get(f"{where}.{key}")
+        if replaced:
+            raise ExperimentSpecError(f"{where}.{key} was removed: {replaced}; delete the key")
+        if key not in known:
+            raise ExperimentSpecError(
+                f"unknown key {key!r} in {where} (known: {', '.join(known)})"
+            )
+    return data
 
 
 @dataclass(frozen=True)
@@ -110,8 +136,10 @@ class FaultOp:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.kind:
-            raise ExperimentSpecError("fault op kind must not be empty")
+        if self.kind not in FAULT_OP_KINDS:
+            raise ExperimentSpecError(
+                f"unknown fault op kind {self.kind!r} (known: {', '.join(FAULT_OP_KINDS)})"
+            )
         if self.at_s < 0:
             raise ExperimentSpecError("fault op time must be non-negative")
 
@@ -283,20 +311,27 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Build a spec from its plain-dictionary form."""
+        """Build a spec from its plain-dictionary form.
+
+        A key this form does not have, at any level, is an
+        :class:`ExperimentSpecError` naming it: a misspelled table or field
+        is refused instead of running without it.
+        """
         try:
-            scenario_data = data.get("scenario", {})
+            _table(data, cls, "the experiment spec")
+            scenario_data = _table(data.get("scenario", {}), ScenarioSpec, "scenario")
             scenario = ScenarioSpec(
                 name=scenario_data.get("name", ""),
                 path=scenario_data.get("path"),
                 params=_frozen_params(scenario_data.get("params")),
                 overrides=_frozen_params(scenario_data.get("overrides")),
             )
-            workload_data = data.get("workload", {})
+            workload_data = _table(data.get("workload", {}), WorkloadSpec, "workload")
             workload = WorkloadSpec(
                 app=workload_data.get("app", "none"),
                 params=_frozen_params(workload_data.get("params")),
             )
+            ops = [_table(op, FaultOp, "fault_program") for op in data.get("fault_program", [])]
             fault_program = tuple(
                 FaultOp(
                     kind=op["kind"],
@@ -304,31 +339,15 @@ class ExperimentSpec:
                     target=op.get("target", ""),
                     params=_frozen_params(op.get("params")),
                 )
-                for op in data.get("fault_program", [])
+                for op in ops
             )
-            runtime_data = data.get("runtime", {})
-            if "transport" in runtime_data:
-                raise ExperimentSpecError(
-                    "runtime.transport was removed: worker processes are always "
-                    "reached over TCP (loopback for the ones the run spawns); "
-                    "delete the key"
-                )
-            runtime = RuntimeSpec(
-                duration_s=runtime_data.get("duration_s"),
-                parallelism=runtime_data.get("parallelism", "threads"),
-                workers=runtime_data.get("workers"),
-                seed=runtime_data.get("seed"),
-            )
-            metrics_data = data.get("metrics", {})
+            # Every key is a field, and every field's default is the form's.
+            runtime = RuntimeSpec(**_table(data.get("runtime", {}), RuntimeSpec, "runtime"))
+            metrics_data = _table(data.get("metrics", {}), MetricsSpec, "metrics")
             metrics = MetricsSpec(outputs=tuple(metrics_data.get("outputs", ("summary",))))
             serve: Optional[ServeSpec] = None
             if "serve" in data:
-                serve_data = data["serve"]
-                if "all_pairs" in serve_data:
-                    raise ExperimentSpecError(
-                        "serve.all_pairs was removed: every path row is solved "
-                        "on demand; delete the key"
-                    )
+                serve_data = _table(data["serve"], ServeSpec, "serve")
                 serve = ServeSpec(
                     host=serve_data.get("host", "127.0.0.1"),
                     port=int(serve_data.get("port", 0)),

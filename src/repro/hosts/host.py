@@ -64,7 +64,7 @@ class Host:
     # -- placement ---------------------------------------------------------
 
     def reserved_memory_mib(self) -> float:
-        """Memory reserved by all placed machines (booted or not)."""
+        """Memory reserved by all placed machines (stopped ones too)."""
         return float(self.machines.reserved_memory_mib)
 
     def allocated_memory_mib(self) -> float:
@@ -96,8 +96,8 @@ class Host:
                 f"{needed[first]:.0f} MiB needed, {self.memory_mib} MiB available"
             )
 
-    def place(self, batch: MachineBatch, root: int = 0, boot_s: Optional[float] = None) -> None:
-        """Place a batch of machines: created, or booted at ``boot_s``.
+    def place(self, batch: MachineBatch, boot_s: float, root: int = 0) -> None:
+        """Place a batch of machines, booted at ``boot_s``.
 
         The checks come first, so a refused batch leaves no row.  Each
         machine's seed is ``keyed(root, shell, identifier) >> 1``: a function

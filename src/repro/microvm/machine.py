@@ -8,8 +8,9 @@ failures (§3.1).
 
 A host's machines are one :class:`MachineTable`: a struct of columns with one
 row per machine, in creation order, plus a name → row index.  Creating
-machines appends rows, a lifecycle operation rewrites one row, and a usage
-reading is one pass over the rows.  The table is the machine
+machines appends rows, each booted at its batch's boot time: a machine is
+never created without booting.  A lifecycle operation rewrites one row, and
+a usage reading is one pass over the rows.  The table is the machine
 model on both sides of the worker seam: the host a manager owns holds one,
 and with worker processes the driver holds a replica, kept by the same
 manager class running the same operations and records; a worker (re)starts
@@ -50,7 +51,6 @@ class MicroVMError(RuntimeError):
 class MachineState(enum.Enum):
     """Lifecycle states of an emulated microVM."""
 
-    CREATED = "created"
     BOOTING = "booting"
     RUNNING = "running"
     SUSPENDED = "suspended"
@@ -58,13 +58,10 @@ class MachineState(enum.Enum):
 
 
 #: A state's code in the table is its position in :class:`MachineState`.
-#: BOOTING (1) is never stored: :meth:`MachineTable.state_at` answers it
+#: BOOTING (0) is never stored: :meth:`MachineTable.state_at` answers it
 #: inside a boot window.
 _STATES = tuple(MachineState)
-_CREATED, _RUNNING, _SUSPENDED, _STOPPED = 0, 2, 3, 4
-#: The states a boot starts from and the states a stop is refused in.
-_BOOTABLE = (_CREATED, _STOPPED)
-_UNSTOPPABLE = (_STOPPED, _CREATED)
+_RUNNING, _SUSPENDED, _STOPPED = 1, 2, 3
 
 #: Firecracker boot time: ~125 ms plus configuration overhead (sub-second).
 DEFAULT_BOOT_TIME_S = 0.35
@@ -217,10 +214,8 @@ class MachineTable(Mapping):
         table.reserved_memory_mib = sum(table.memory_mib)
         return table
 
-    def append(
-        self, batch: MachineBatch, seeds: Sequence[int], boot_s: Optional[float] = None
-    ) -> None:
-        """Add a batch's rows: created, or booted at ``boot_s``."""
+    def append(self, batch: MachineBatch, seeds: Sequence[int], boot_s: float) -> None:
+        """Add a batch's rows, booted at ``boot_s``."""
         count = len(batch)
         start = len(self.names)
         self._rows.update(zip(batch.names, range(start, start + count)))
@@ -233,10 +228,9 @@ class MachineTable(Mapping):
         self.quota.extend(batch.column("cpu_quota").tolist())
         self.busy.extend(batch.column("idle_cpu_fraction").tolist())
         self.seeds.extend(seeds)
-        booted = boot_s is not None
-        self.states.extend([_RUNNING if booted else _CREATED] * count)
-        self.boot_counts.extend([int(booted)] * count)
-        self.boot_started_s.extend([boot_s if booted else 0.0] * count)
+        self.states.extend([_RUNNING] * count)
+        self.boot_counts.extend([1] * count)
+        self.boot_started_s.extend([boot_s] * count)
         self.held_until_s.extend([0.0] * count)
         self._finished_s.extend([math.nan] * count)
         self.reserved_memory_mib += int(memory.sum())
@@ -269,30 +263,6 @@ class MachineTable(Mapping):
         self.states[row] = code
         self._usage = None
 
-    def _boot(self, row: int, now_s: float) -> None:
-        # A boot inside the previous one's window draws that finish now: the
-        # machine reads BOOTING until the later of the two.
-        if self.boot_counts[row] and now_s < self.boot_started_s[row] + MAX_BOOT_TIME_S:
-            self.held_until_s[row] = max(self.held_until_s[row], self._finish(row))
-        self.boot_counts[row] += 1
-        self.boot_started_s[row] = now_s
-        self._finished_s[row] = math.nan
-        self._set(row, _RUNNING)
-
-    def boot(self, name: str, now_s: float) -> None:
-        """Start booting a created or stopped machine."""
-        row = self._rows[name]
-        if self.states[row] not in _BOOTABLE:
-            raise self._refuse(row, "boot")
-        self._boot(row, now_s)
-
-    def boot_created(self, now_s: float) -> list[str]:
-        """Boot every created, unbooted machine; returns their names."""
-        rows = [row for row, code in enumerate(self.states) if code == _CREATED]
-        for row in rows:
-            self._boot(row, now_s)
-        return [self.names[row] for row in rows]
-
     def suspend(self, name: str) -> None:
         """Suspend a running machine (bounding-box exit); memory stays allocated."""
         row = self._rows[name]
@@ -310,9 +280,21 @@ class MachineTable(Mapping):
     def stop(self, name: str) -> None:
         """Shut a machine down (fault injection: full shutdown)."""
         row = self._rows[name]
-        if self.states[row] in _UNSTOPPABLE:
+        if self.states[row] == _STOPPED:
             raise self._refuse(row, "stop")
         self._set(row, _STOPPED)
+
+    def reboot(self, name: str, now_s: float) -> None:
+        """Stop a machine unless it is stopped, then boot it."""
+        row = self._rows[name]
+        # A boot inside the previous one's window draws that finish now: the
+        # machine reads BOOTING until the later of the two.
+        if now_s < self.boot_started_s[row] + MAX_BOOT_TIME_S:
+            self.held_until_s[row] = max(self.held_until_s[row], self._finish(row))
+        self.boot_counts[row] += 1
+        self.boot_started_s[row] = now_s
+        self._finished_s[row] = math.nan
+        self._set(row, _RUNNING)
 
     def follow_activity(self, name: str, active: bool) -> Optional[MachineState]:
         """Suspend a running machine outside the bounding box, resume a
@@ -329,10 +311,6 @@ class MachineTable(Mapping):
             return None
         self._set(row, code)
         return _STATES[code]
-
-    def reboot(self, name: str, now_s: float) -> None:
-        """Stop a machine unless it is stopped, then boot it."""
-        self._boot(self._rows[name], now_s)
 
     def set_quota(self, name: str, quota_fraction: float) -> None:
         """Change a machine's CPU quota (fraction in (0, 1])."""
@@ -357,10 +335,9 @@ class MachineTable(Mapping):
             self._finished_s[row] = finished
         return finished
 
-    def boot_finished_at_s(self, name: str) -> Optional[float]:
-        """When a machine's latest boot finishes (``None`` before its first boot)."""
-        row = self._rows[name]
-        return self._finish(row) if self.boot_counts[row] else None
+    def boot_finished_at_s(self, name: str) -> float:
+        """When a machine's latest boot finishes."""
+        return self._finish(self._rows[name])
 
     def _booting(self, row: int, time_s: float) -> bool:
         return time_s < self.boot_started_s[row] + MAX_BOOT_TIME_S and (
@@ -370,7 +347,7 @@ class MachineTable(Mapping):
     def state_at(self, name: str, time_s: float) -> MachineState:
         """A machine's state at ``time_s``, no earlier than its latest operation."""
         row = self._rows[name]
-        if self.boot_counts[row] and self._booting(row, time_s):
+        if self._booting(row, time_s):
             return MachineState.BOOTING
         return _STATES[self.states[row]]
 
@@ -438,8 +415,8 @@ class MachineView:
         return self._table.state_at(self.name, time_s)
 
     @property
-    def boot_finished_at_s(self) -> Optional[float]:
-        """When the latest boot finishes (``None`` before the first boot)."""
+    def boot_finished_at_s(self) -> float:
+        """When the latest boot finishes."""
         return self._table.boot_finished_at_s(self.name)
 
     @property

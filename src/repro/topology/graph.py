@@ -148,11 +148,6 @@ class TopologyDiff:
         """Whether the two epochs are byte-identical at the edge level."""
         return self.change_count == 0
 
-    @property
-    def is_structural_noop(self) -> bool:
-        """Whether the edge *set* is unchanged (only delays/bandwidths moved)."""
-        return self.structural_change_count == 0
-
     def summary(self) -> dict[str, int]:
         """Compact counters (used by logging and the info API)."""
         return {

@@ -79,19 +79,14 @@ an undirected one and skips scipy's symmetrisation pass: one row takes 90 →
 31 µs on DART's 187 nodes and 744 → 576 µs on full Starlink's 4,414 (a
 2-vCPU x86 container, SciPy's ``dijkstra``).
 
-Epoch to epoch: share or start empty
-------------------------------------
+Epoch to epoch: start empty
+---------------------------
 
-:meth:`PathEngine.advance_all` hands a state's store to the next epoch.  A
-:class:`~repro.topology.graph.TopologyDiff` that changed no delay and no
-link (it is empty, or touches only bandwidths) leaves every row exactly
-valid, so the new store shares the previous one's rows and delay matrix:
-zero copies, zero solver calls.  Any other diff starts the new store
-empty.  Rows are never carried into the next epoch to be re-solved there:
-what an epoch asks one pair at a time would then fix the row set of every
-later epoch.  Every row is either a solver row on its own graph or one
-shared from an identically weighted graph, so distances and predecessors
-are **byte-identical** to a cold solve by construction.
+:meth:`PathEngine.advance_all` gives the next epoch an empty store: no row
+is carried across epochs, shared or re-solved, so what an epoch asks one
+pair at a time never fixes the row set of a later epoch.  Every row is a
+solver row on its own graph, so distances and predecessors are
+**byte-identical** to a cold solve by construction.
 """
 
 from __future__ import annotations
@@ -377,21 +372,6 @@ class PathRows(ShortestPaths):
             self._predecessors = self._predecessor_buffer[:total]
             self._row_of.update(zip(missing, range(held, total)))
 
-    def _shared_with(self, graph: NetworkGraph) -> "PathRows":
-        """A store of ``graph`` (weighted exactly like this one's) sharing its rows.
-
-        The new store's buffers are this store's current views, so its
-        first solve reallocates: neither store ever writes where the other
-        reads.
-        """
-        store = PathRows(graph, self._engine, self.sources)
-        with self._lock:
-            store._matrix, store._widest_ms = self._matrix, self._widest_ms
-            store._row_of = dict(self._row_of)
-            store._distances = store._distance_buffer = self._distances
-            store._predecessors = store._predecessor_buffer = self._predecessors
-        return store
-
 
 def _walked(source: int, target: int, delay: float, predecessors) -> PathResult:
     """The path to ``target`` at ``delay``, walked back along a predecessor row."""
@@ -441,10 +421,9 @@ class PathEngine:
 
     One engine serves every store of a calculation: :meth:`solve` runs the
     counted stacked solve behind each store's misses and each try of a
-    pair's bounded search, :meth:`advance_all`
-    hands a store across a :class:`~repro.topology.graph.TopologyDiff`
-    (share or start empty, see the module docstring).  The engine keeps
-    nothing between epochs but its counters.
+    pair's bounded search, :meth:`advance_all` starts the next epoch's
+    store empty (see the module docstring).  The engine keeps nothing
+    between epochs but its counters.
     """
 
     def __init__(self):
@@ -485,16 +464,7 @@ class PathEngine:
     ) -> PathRows:
         """The store of ``graph``, the diff's current graph, after ``previous``.
 
-        When ``previous`` belongs to ``diff.previous`` and the diff changed
-        no delay and no link, the new store shares all of its rows (zero
-        solver calls); otherwise it starts empty and solves what it is
-        asked.
+        It starts empty, with ``previous``'s sources, and solves what it is
+        asked; ``diff`` is not read.
         """
-        if (
-            graph is diff.current
-            and previous.graph is diff.previous
-            and diff.is_structural_noop
-            and diff.delay_changed.size == 0
-        ):
-            return previous._shared_with(graph)
         return PathRows(graph, self, previous.sources)

@@ -278,6 +278,24 @@ class TestConfigurationErrors:
         line = self._error_line(["run", str(path), "--no-output"], capsys)
         assert str(path) in line and named in line
 
+    @pytest.mark.parametrize(
+        ("fault", "named"),
+        [
+            ('[[faults]]\nkind = "terminate"\ntarget = "buoy-0"\n', "'faults'"),
+            ('[[fault_program]]\nkind = "explode"\nat_s = 5.0\n', "'explode'"),
+            ('[[fault_program]]\nkind = "terminate"\nat_s = 5.0\ntarget = "atlantis"\n',
+             "'atlantis'"),
+            ('[[fault_program]]\nkind = "terminate"\nat_s = 5.0\ntarget = "0/abc"\n', "'0/abc'"),
+        ],
+        ids=["misspelled-table", "unknown-kind", "unknown-station", "non-numeric-satellite"],
+    )
+    def test_run_with_a_bad_fault_program(self, fault, named, tmp_path, capsys):
+        # Refused before the run starts, not ignored or raised mid-run.
+        path = tmp_path / "bad-faults.toml"
+        path.write_text(_SPEC_TOML + "\n" + fault)
+        line = self._error_line(["run", str(path), "--no-output"], capsys)
+        assert str(path) in line and named in line
+
     def test_run_rejects_an_inconsistent_spec(self, config_path, capsys):
         # A plain configuration is not an experiment spec (no [scenario] table).
         line = self._error_line(["run", config_path, "--no-output"], capsys)

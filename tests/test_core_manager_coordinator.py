@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.coordinator import STATS_SERIES_LENGTH, UpdateStats, least_reserved_placement
 from repro.hosts import Host
-from repro.microvm import MachineState, MachineTable
+from repro.microvm import MachineBatch, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.sim import Simulation
 
@@ -57,14 +57,24 @@ def _coordinator(bounding_box=None, host_count=2):
     return config, calculation, database, managers, coordinator
 
 
+def _create(manager, machine_id, compute, boot_s):
+    """Create one machine on ``manager``, booted at ``boot_s``; returns its view."""
+    manager.create_machines(
+        MachineBatch.single(machine_id.name, machine_id.shell, machine_id.identifier, compute),
+        boot_s,
+    )
+    return manager.machine(machine_id)
+
+
 class TestMachineManager:
     def test_create_and_boot(self):
         config, calculation, _, managers, _ = _coordinator()
         manager = managers[0]
         machine_id = calculation.satellite(0, 5)
-        microvm = manager.create_machine(machine_id, config.shells[0].compute)
-        assert microvm.state is MachineState.CREATED
-        finished = manager.boot(machine_id, 1.0)
+        microvm = _create(manager, machine_id, config.shells[0].compute, 1.0)
+        assert microvm.state is MachineState.RUNNING
+        assert microvm.state_at(1.01) is MachineState.BOOTING
+        finished = microvm.boot_finished_at_s
         assert 1.0 < finished < 2.0
         assert manager.has_machine(machine_id)
         assert manager.is_running_at(machine_id, finished + 0.1)
@@ -73,9 +83,13 @@ class TestMachineManager:
     def test_boot_all(self):
         config, calculation, _, managers, _ = _coordinator()
         manager = managers[0]
-        for identifier in range(3):
-            manager.create_machine(calculation.satellite(0, identifier), config.shells[0].compute)
-        finished = manager.boot_all(0.0)
+        # One batch of three is one append, every row booted at its boot time.
+        batch = MachineBatch(
+            [calculation.satellite(0, identifier).name for identifier in range(3)],
+            np.zeros(3, int), np.arange(3), np.zeros(3, int), (config.shells[0].compute,),
+        )
+        manager.create_machines(batch, 0.0)
+        finished = max(manager.host.machines[name].boot_finished_at_s for name in batch.names)
         assert finished < 1.0
         assert manager.host.booted_machine_count() == 3
 
@@ -87,9 +101,7 @@ class TestMachineManager:
         inside = int(np.nonzero(state.active_satellites[0])[0][0])
         outside = int(np.nonzero(~state.active_satellites[0])[0][0])
         for identifier in (inside, outside):
-            machine_id = calculation.satellite(0, identifier)
-            manager.create_machine(machine_id, config.shells[0].compute)
-            manager.boot(machine_id, 0.0)
+            _create(manager, calculation.satellite(0, identifier), config.shells[0].compute, 0.0)
         manager.apply_state(state, 10.0)
         assert manager.machine(calculation.satellite(0, inside)).state is MachineState.RUNNING
         assert manager.machine(calculation.satellite(0, outside)).state is MachineState.SUSPENDED
@@ -106,8 +118,7 @@ class TestMachineManager:
         config, calculation, _, managers, _ = _coordinator()
         manager = managers[0]
         machine_id = calculation.satellite(0, 2)
-        manager.create_machine(machine_id, config.shells[0].compute)
-        manager.boot(machine_id, 0.0)
+        _create(manager, machine_id, config.shells[0].compute, 0.0)
         manager.set_cpu_quota(machine_id, 0.5)
         assert manager.machine(machine_id).cpu_quota.quota_fraction == 0.5
         manager.set_busy_fraction(machine_id, 0.8)

@@ -66,7 +66,7 @@ def _run_equivalence(config, epochs):
         time_s = step * config.update_interval_s
         state, diff = incremental.diff_since(state, time_s)
         assert diff.time_s == time_s
-        structural_noops += diff.topology.is_structural_noop
+        structural_noops += diff.topology.structural_change_count == 0
         _assert_states_identical(reference.state_at(time_s), state)
     return structural_noops
 
@@ -92,7 +92,7 @@ class TestDiffSinceEquivalence:
         for step in range(1, 30):
             previous, time_s = state, step * config.update_interval_s
             state, diff = incremental.diff_since(previous, time_s)
-            structural = not diff.topology.is_structural_noop
+            structural = diff.topology.structural_change_count > 0
             assert state.graph._keys is not previous.graph._keys
             cold = reference.state_at(time_s).graph
             for name in (
@@ -159,7 +159,7 @@ class TestTopologyDiffPrimitive:
         assert endpoints(new, diff.delay_changed) == [[1, 2]]
         assert new.delays_ms[diff.delay_changed].tolist() == [2.5]
         assert diff.bandwidth_changed.size == 0
-        assert not diff.is_empty and not diff.is_structural_noop
+        assert not diff.is_empty and diff.structural_change_count > 0
         assert diff.change_count == 3
 
     def test_identical_graphs_diff_empty(self):
@@ -167,7 +167,7 @@ class TestTopologyDiffPrimitive:
         edges = [(0, 1, 1.0, 10.0), (1, 2, 2.0, 10.0)]
         a, b = self._graph(index, edges), self._graph(index, edges)
         diff = b.diff_from(a)
-        assert diff.is_empty and diff.is_structural_noop
+        assert diff.is_empty and diff.structural_change_count == 0
 
     def test_from_edge_arrays_takes_a_verified_order(self):
         """A graph stores its edges in the canonical order; a re-weighted
@@ -321,10 +321,10 @@ class TestShardedCoordinatorEquivalence:
             assert machine.state.value == "suspended"
 
     def test_boot_all_outside_the_box_is_reconciled_like_a_full_replay(self):
-        # A machine created unbooted, carried across an update (which clears
-        # its dirty mark) and only then booted by boot_all while outside the
-        # bounding box: it comes up RUNNING and the next update must suspend
-        # it on the diff path exactly as the full replay does.
+        # A machine stopped as soon as it was created, carried across an
+        # update (which clears its dirty mark) and only then rebooted while
+        # outside the bounding box: it comes up RUNNING and the next update
+        # must suspend it on the diff path exactly as the full replay does.
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
         incremental, managers_inc = _coordinator(config)
         full, managers_full = _coordinator(config)
@@ -336,10 +336,10 @@ class TestShardedCoordinatorEquivalence:
         for coordinator, update in ((incremental, incremental.update), (full, oracle)):
             victim = coordinator.calculation.satellite(0, outside)
             assert not coordinator.has_machine(victim)
-            coordinator.create_machine(victim, 10.0, boot=False)
+            coordinator.create_machine(victim, 10.0).stop_machine(victim, 10.0)
             update(60.0)
-            assert coordinator.manager_for(victim).machine(victim).state.value == "created"
-            coordinator.manager_for(victim).boot_all(70.0)
+            assert coordinator.manager_for(victim).machine(victim).state.value == "stopped"
+            coordinator.manager_for(victim).reboot_machine(victim, 70.0)
             update(120.0)
             assert not coordinator.database.state.active_satellites[victim.shell][victim.identifier]
             machine = coordinator.manager_for(victim).machine(victim)

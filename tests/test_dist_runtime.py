@@ -43,7 +43,7 @@ from repro.dist.transport import SocketTransport, TcpTransportFactory
 from repro.dist.wire import ControlOp, FrameKind
 from repro.dist.worker import _Worker
 from repro.hosts import Host, HostError
-from repro.microvm import CPUQuota, MachineState, MachineTable
+from repro.microvm import CPUQuota, MachineBatch, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import west_africa_configuration
 from repro.sim.rng import key_root, keyed
@@ -277,10 +277,10 @@ class TestProcessBackendEquivalence:
                 assert machine.state.value == "suspended"
                 assert machine.cpu_quota.quota_fraction == 0.25
             _assert_equivalent(threads, processes)
-            # boot_all marks what it boots dirty too: a machine created
-            # unbooted, carried across an update and then booted outside
-            # the box is reconciled by the next record and suspended on the
-            # worker and on the replica alike.
+            # A reboot marks what it boots dirty too: a machine stopped as
+            # soon as it was created, carried across an update and then
+            # rebooted outside the box is reconciled by the next record and
+            # suspended on the worker and on the replica alike.
             state = processes.database.state
             late = next(
                 int(identifier)
@@ -289,9 +289,9 @@ class TestProcessBackendEquivalence:
             )
             for coordinator in (threads, processes):
                 sleeper = coordinator.calculation.satellite(0, late)
-                coordinator.create_machine(sleeper, 70.0, boot=False)
+                coordinator.create_machine(sleeper, 70.0).stop_machine(sleeper, 70.0)
                 coordinator.update(120.0)
-                coordinator.manager_for(sleeper).boot_all(130.0)
+                coordinator.manager_for(sleeper).reboot_machine(sleeper, 130.0)
                 coordinator.update(180.0)
                 assert not coordinator.database.state.active_satellites[sleeper.shell][
                     sleeper.identifier
@@ -669,8 +669,8 @@ class TestBatchedControlFrames:
             processes.close()
 
     def test_reversed_rows_fail_typed_at_set_up(self, monkeypatch):
-        # A machine created unbooted and booted before the first epoch: in
-        # reversed rows its BOOT runs before its CREATE, and the failed row
+        # A machine created and stopped before the first epoch: in
+        # reversed rows its STOP runs before its CREATE, and the failed row
         # is reported with the set-up epoch's acknowledgement, collected at
         # close.  (The row count alone could not tell: a reordering keeps it.)
         run_control = _Worker._run_control
@@ -680,10 +680,9 @@ class TestBatchedControlFrames:
         processes = _coordinator(_iridium_box_config(), "processes")
         try:
             late = processes.calculation.satellite(0, 0)
-            processes.create_machine(late, 0.0, boot=False)
-            processes.manager_for(late).boot(late, 0.0)
+            processes.create_machine(late, 0.0).stop_machine(late, 0.0)
             processes.update(0.0)
-            with pytest.raises(WorkerRemoteError, match=r"CONTROL row \d+ \(BOOT\)"):
+            with pytest.raises(WorkerRemoteError, match=r"CONTROL row \d+ \(STOP\)"):
                 processes.close()
         finally:
             processes.close()
@@ -891,23 +890,16 @@ def _lifecycle_step(program, threads, processes, now):
     machines = _satellites_and_station(threads)
     present = [machine for machine in machines if threads.has_machine(machine)]
     absent = [machine for machine in machines if not threads.has_machine(machine)]
-    kind = program.choice(
-        ["create", "create", "boot_all", "stop", "reboot", "reboot", "quota", "busy"]
-    )
+    kind = program.choice(["create", "create", "stop", "reboot", "reboot", "quota", "busy"])
     if kind == "create" and absent:
-        machine, boot = program.choice(absent), program.random() < 0.7
+        machine = program.choice(absent)
         for coordinator in (threads, processes):
-            coordinator.create_machine(machine, now, boot=boot)
-    elif kind == "boot_all":
-        position = program.randrange(len(threads.managers))
-        for coordinator in (threads, processes):
-            coordinator.managers[position].boot_all(now)
+            coordinator.create_machine(machine, now)
     elif kind == "stop":
         stoppable = [
             machine
             for machine in present
-            if threads.manager_for(machine).machine(machine).state
-            not in (MachineState.STOPPED, MachineState.CREATED)
+            if threads.manager_for(machine).machine(machine).state is not MachineState.STOPPED
         ]
         if stoppable:
             machine = program.choice(stoppable)
@@ -936,7 +928,7 @@ class TestLedgerEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_lifecycle_programs_agree_step_by_step(self, seed):
         # Iridium through a bounding box, so satellites flip in and out
-        # while machines are created, booted, stopped, rebooted, throttled
+        # while machines are created, stopped, rebooted, throttled
         # and kept busy between updates and usage sweeps.  Steps of 50 ms to
         # 0.6 s put reboots inside boot windows; the queries at now + 0.1 …
         # 0.6 land inside the windows of the boots just made.
@@ -999,11 +991,11 @@ class TestLedgerEquivalence:
         backend = ProcessFanoutBackend([replica], worker_count=1)
         try:
             for manager in (in_process, replica):
-                manager.create_machine(MachineId(0, 0, "0.0.celestial"), big)
+                manager.create_machines(MachineBatch.single("0.0.celestial", 0, 0, big), 0.0)
                 with pytest.raises(HostError, match="cannot fit machine '1.0.celestial'"):
-                    manager.create_machine(MachineId(0, 1, "1.0.celestial"), big)
+                    manager.create_machines(MachineBatch.single("1.0.celestial", 0, 1, big), 0.0)
                 assert not manager.has_machine(MachineId(0, 1, "1.0.celestial"))
-                manager.create_machine(MachineId(0, 2, "2.0.celestial"), small)
+                manager.create_machines(MachineBatch.single("2.0.celestial", 0, 2, small), 0.0)
                 assert manager.host.reserved_memory_mib() == 1536.0
             root = key_root(np.random.default_rng(7))
             seeds = [keyed(root, 0, identifier) >> 1 for identifier in (0, 2)]

@@ -584,8 +584,8 @@ class TestPickleGating:
         batch = wire.ControlBatch()
         compute = ComputeParams(vcpu_count=3, memory_mib=768, cpu_quota=0.5)
         driver = _replica(batch)
-        driver.create_machine(MachineId(0, 4, "4.0.celestial"), compute)
-        driver.create_machine(MachineId(0, 5, "5.0.celestial"), ComputeParams())
+        driver.create_machines(MachineBatch.single("4.0.celestial", 0, 4, compute), 0.0)
+        driver.create_machines(MachineBatch.single("5.0.celestial", 0, 5, ComputeParams()), 0.0)
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
         assert worker.deferred_errors == []
         machines = worker.by_position[0].host.machines
@@ -616,7 +616,7 @@ HAWAII = MachineId(MachineId.GROUND_SHELL, 0, "hawaii")
 
 
 def _every_op(manager: MachineManager) -> None:
-    """All seven lifecycle operations, a ground station among the machines."""
+    """All five lifecycle operations, a ground station among the machines."""
     manager.create_machines(
         MachineBatch(
             ["4.0.celestial", "5.0.celestial"],
@@ -624,11 +624,17 @@ def _every_op(manager: MachineManager) -> None:
             np.array([4, 5]),
             np.array([0, 0]),
             (ComputeParams(),),
-        )
+        ),
+        1.0,
     )
-    manager.create_machine(HAWAII, ComputeParams(vcpu_count=4, memory_mib=2048))
-    # A booted batch: satellites 0 and 2 of shell 1, both inside the box of
-    # the records below.
+    manager.create_machines(
+        MachineBatch.single(
+            HAWAII.name, HAWAII.shell, HAWAII.identifier,
+            ComputeParams(vcpu_count=4, memory_mib=2048),
+        ),
+        1.5,
+    )
+    # Satellites 0 and 2 of shell 1, both inside the box of the records below.
     manager.create_machines(
         MachineBatch(
             ["0.1.celestial", "2.1.celestial"],
@@ -639,9 +645,6 @@ def _every_op(manager: MachineManager) -> None:
         ),
         boot_s=0.5,
     )
-    manager.boot(MachineId(0, 4, "4.0.celestial"), 1.0)
-    manager.boot(HAWAII, 1.5)
-    manager.boot_all(2.0)
     manager.stop_machine(MachineId(0, 4, "4.0.celestial"), 3.0)
     manager.reboot_machine(MachineId(0, 4, "4.0.celestial"), 4.0)
     manager.set_cpu_quota(HAWAII, 0.25)
@@ -684,23 +687,28 @@ def _swap(column, dtype=None, shape=None):
 
 # Columns: 0 op, 1 position, 2 count, 3 value, then the machine entries'
 # 4 shell, 5 identifier, 6 image.  Rows: 0-2 CREATE (two, one, two
-# machines), 3-4 BOOT, 5 BOOT_CREATED, 6 STOP, 7 REBOOT, 8 CPU_QUOTA, 9 BUSY.
+# machines), 3 STOP, 4 REBOOT, 5 CPU_QUOTA, 6 BUSY; machine entries 0-4 are
+# the CREATE rows', 5-8 the others'.
 _FORGED_CONTROL = {
     "short-column": lambda meta, arrays: arrays.__setitem__(3, arrays[3][:-1]),
     "short-machine-column": lambda meta, arrays: arrays.__setitem__(5, arrays[5][:-1]),
     "missing-column": lambda meta, arrays: arrays.pop(),
     "unknown-op": _set(0, 4, len(wire.ControlOp)),
+    # BUSY's code while there were BOOT and BOOT_CREATED ops.
+    "op-code-six": _set(0, 6, 6),
+    "nan-boot-time": _set(3, 0, np.nan),
+    "infinite-boot-time": _set(3, 2, np.inf),
     "create-of-no-machine": _set(2, 0, 0),
-    "boot-of-two-machines": _set(2, 3, 2),
+    "boot-of-two-machines": _set(2, 4, 2),
     "image-past-table": _set(6, 1, 3),
     "negative-image": _set(6, 0, -1),
-    "image-on-a-boot-row": _set(6, 5, 0),
+    "image-on-a-boot-row": _set(6, 6, 0),
     "extra-name": lambda meta, arrays: meta["names"].append("tahiti"),
     "missing-name": lambda meta, arrays: meta["names"].clear(),
     "non-string-name": lambda meta, arrays: meta["names"].__setitem__(0, 7),
     "position-dtype": _swap(1, dtype=np.int64),
     "value-dtype": _swap(3, dtype=np.float32),
-    "two-d-column": _swap(2, shape=(5, 2)),
+    "two-d-column": _swap(2, shape=(7, 1)),
     "images-not-a-list": lambda meta, arrays: meta.__setitem__("images", {}),
     "no-names": lambda meta, arrays: meta.pop("names"),
     "unknown-compute-field": lambda meta, arrays: meta["images"][0].update(gpus=1),
@@ -734,13 +742,13 @@ class TestControlFrames:
         _every_op(reference)
         _every_op(_replica(batch, driver))
         meta, arrays = batch.payload()
-        # One name per ground-station entry (create, boot, quota), one table
-        # per distinct compute.
-        assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 3
+        # One name per ground-station entry (create, quota), one table per
+        # distinct compute.
+        assert len(meta["images"]) == 3 and meta["names"] == ["hawaii"] * 2
         assert [array.dtype.str for array in arrays] == [
             "|u1", "<i4", "<i4", "<f8", "<i4", "<i4", "<i4"
         ]
-        assert arrays[2].tolist() == [2, 1, 2, 1, 1, 0, 1, 1, 1, 1]
+        assert arrays[2].tolist() == [2, 1, 2, 1, 1, 1, 1]
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, meta, arrays)))
         assert worker.deferred_errors == []
         manager = worker.by_position[0]
@@ -764,15 +772,14 @@ class TestControlFrames:
     def test_failing_rows_are_reported_and_the_rows_after_them_run(self):
         batch = wire.ControlBatch()
         batch.append(0, wire.ControlOp.CPU_QUOTA, MachineId(0, 9, "9.0.celestial"), 0.5)
-        batch.append(7, wire.ControlOp.BOOT_CREATED, value=1.0)  # not this worker's
+        batch.append(7, wire.ControlOp.STOP, MachineId(0, 4, "4.0.celestial"), 1.0)  # not ours
         driver = _replica(batch)
-        driver.create_machine(MachineId(0, 4, "4.0.celestial"), ComputeParams())
-        driver.boot(MachineId(0, 4, "4.0.celestial"), 2.0)
+        driver.create_machines(MachineBatch.single("4.0.celestial", 0, 4, ComputeParams()), 2.0)
         worker = _control_worker()
         worker._dispatch(*decode_frame(encode_frame(FrameKind.CONTROL, *batch.payload())))
         first, second = worker.deferred_errors
         assert first.startswith("CONTROL row 0 (CPU_QUOTA): HostError")
-        assert second.startswith("CONTROL row 1 (BOOT_CREATED): LookupError")
+        assert second.startswith("CONTROL row 1 (STOP): LookupError")
         assert "position 7 is not owned" in second
         machine = worker.by_position[0].host.machines["4.0.celestial"]
         assert machine.state is MachineState.RUNNING
@@ -1181,7 +1188,9 @@ _FORGED_SPEC = {
     "missing-column": lambda meta, arrays: arrays.pop(),
     "state-code-past-the-states": _set(7, 0, len(MachineState)),
     "negative-state-code": _set(7, 1, -1),
-    "state-off-its-checkpoint": _set(7, 1, 0),
+    "state-off-its-checkpoint": _set(7, 1, 1),
+    "booting-state-code": _set(7, 0, 0),
+    "never-booted": _set(8, 0, 0),
     "extra-name": lambda meta, arrays: meta["hosts"][0]["names"].append("tahiti"),
     "missing-name": lambda meta, arrays: meta["hosts"][0]["names"].clear(),
     "ground-station-as-satellite": _set(0, 2, 0),

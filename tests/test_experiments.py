@@ -159,6 +159,27 @@ class TestSpecValidation:
             FaultOp(kind="")
         with pytest.raises(ExperimentSpecError):
             FaultOp(kind="reboot", at_s=-5.0)
+        with pytest.raises(ExperimentSpecError, match="unknown fault op kind 'explode'"):
+            FaultOp(kind="explode", at_s=5.0)
+
+    @pytest.mark.parametrize(
+        "table", ["", "scenario", "workload", "fault_program", "runtime", "metrics", "serve"]
+    )
+    def test_an_unknown_key_is_refused_at_every_level(self, table):
+        data = {
+            "name": "x",
+            "scenario": {"name": "iridium"},
+            "workload": {"app": "none"},
+            "fault_program": [{"kind": "terminate", "target": "hawaii"}],
+            "runtime": {"parallelism": "threads"},
+            "metrics": {"outputs": ["summary"]},
+            "serve": {"port": 0},
+        }
+        assert ExperimentSpec.from_dict(data).fault_program[0].target == "hawaii"
+        level = data if not table else data[table]
+        (level[0] if table == "fault_program" else level)["colour"] = "blue"
+        with pytest.raises(ExperimentSpecError, match="unknown key 'colour'.*known: "):
+            ExperimentSpec.from_dict(data)
 
     def test_name_required(self):
         with pytest.raises(ExperimentSpecError):

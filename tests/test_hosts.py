@@ -20,7 +20,7 @@ from repro.microvm import MachineBatch, MachineState, MachineTable, MicroVMError
 from repro.sim.rng import key_root, keyed
 
 
-def _place(host, name, vcpus=2, memory=512, boot_s=None, idle=0.03):
+def _place(host, name, vcpus=2, memory=512, boot_s=0.0, idle=0.03):
     # Seeds are keyed by identity: each machine of a host gets its own.
     compute = ComputeParams(vcpu_count=vcpus, memory_mib=memory, idle_cpu_fraction=idle)
     host.place(MachineBatch.single(name, 0, len(host.machines), compute), boot_s=boot_s)
@@ -63,8 +63,8 @@ class TestHost:
         host = Host(index=0, cpu_cores=4, memory_mib=1024)
         _place(host, "a", memory=512)
         _place(host, "b", memory=512)
-        # Machines reserve memory only once booted; placement checks the
-        # allocation limit regardless.
+        # Placement checks the reserved memory against the limit; a refused
+        # machine leaves no row.
         with pytest.raises(HostError):
             _place(host, "c", memory=512)
         assert list(host.machines) == ["a", "b"]
@@ -72,10 +72,13 @@ class TestHost:
     def test_memory_accounting_follows_boot(self):
         host = Host(index=0, cpu_cores=4, memory_mib=4096)
         _place(host, "a", memory=1024)
-        assert host.allocated_memory_mib() == 0.0
-        host.machines.boot("a", 0.0)
         assert host.allocated_memory_mib() == 1024.0
         assert host.microvm_memory_percent() == pytest.approx(25.0)
+        host.machines.stop("a")
+        assert host.allocated_memory_mib() == 0.0
+        assert host.reserved_memory_mib() == 1024.0
+        host.machines.reboot("a", 1.0)
+        assert host.allocated_memory_mib() == 1024.0
 
     def test_cpu_overprovisioning_allowed(self):
         host = Host(index=0, cpu_cores=4, memory_mib=32 * 1024)
@@ -180,7 +183,7 @@ def _readings(host):
     return {name: getattr(host, name)() for name in _sweep(host)}
 
 
-_LIFECYCLE = ("boot", "suspend", "resume", "stop", "reboot")
+_LIFECYCLE = ("suspend", "resume", "stop", "reboot")
 _OPS = _LIFECYCLE + ("place", "remove", "migrate", "set_busy_fraction", "set_cpu_quota")
 
 
@@ -207,7 +210,8 @@ class TestAccountingInvariant:
                 if owner is None:
                     _place(
                         hosts[host_index], name, vcpus=1 + index % 3,
-                        memory=256 * (1 + index), idle=0.05 * (1 + index),
+                        memory=256 * (1 + index), boot_s=float(now_s),
+                        idle=0.05 * (1 + index),
                     )
             elif owner is None:
                 continue
@@ -221,8 +225,8 @@ class TestAccountingInvariant:
                 owner.set_cpu_quota(name, value)
             else:
                 try:
-                    if op in ("boot", "reboot"):
-                        getattr(owner.machines, op)(name, float(now_s))
+                    if op == "reboot":
+                        owner.machines.reboot(name, float(now_s))
                     else:
                         getattr(owner.machines, op)(name)
                 except MicroVMError:
@@ -236,9 +240,11 @@ class TestAccountingInvariant:
         )
         compute = ComputeParams(vcpu_count=1, memory_mib=512)
         ids = [MachineId(0, i, f"sat-{i}") for i in range(1000)]
-        for machine_id in ids:
-            manager.create_machine(machine_id, compute)
-        manager.boot_all(0.0)
+        batch = MachineBatch(
+            [machine_id.name for machine_id in ids],
+            np.zeros(1000, int), np.arange(1000), np.zeros(1000, int), (compute,),
+        )
+        manager.create_machines(batch, 0.0)
         manager.sample_usage(0.0)
 
         reads = []

@@ -17,7 +17,7 @@ from repro.microvm import MachineBatch, MachineState
 from repro.orbits import GroundStation, ShellGeometry
 
 
-def _place(host, name, memory=1024, boot_s=None):
+def _place(host, name, memory=1024, boot_s=0.0):
     compute = ComputeParams(vcpu_count=1, memory_mib=memory)
     host.place(MachineBatch.single(name, 0, len(host.machines), compute), boot_s=boot_s)
 
@@ -30,7 +30,7 @@ def _imbalanced_hosts():
     """Host 0 carries eight booted 1 GiB machines, host 1 carries none."""
     hosts = [Host(index=0, memory_mib=32 * 1024), Host(index=1, memory_mib=32 * 1024)]
     for index in range(8):
-        _place(hosts[0], f"sat-{index}", boot_s=0.0)
+        _place(hosts[0], f"sat-{index}")
     return hosts
 
 

@@ -125,8 +125,10 @@ def _batch(identifiers, compute=ComputeParams(vcpu_count=1, memory_mib=512)):
 class TestSeedsAreKeyedByIdentity:
     def test_a_seed_is_its_key(self):
         manager = MachineManager(Host(index=2), rng=np.random.default_rng(9))
-        manager.create_machines(_batch([4, 7]))
-        manager.create_machine(MachineId(MachineId.GROUND_SHELL, 3, "hawaii"), ComputeParams())
+        manager.create_machines(_batch([4, 7]), 0.0)
+        manager.create_machines(
+            MachineBatch.single("hawaii", MachineId.GROUND_SHELL, 3, ComputeParams()), 0.0
+        )
         root = key_root(np.random.default_rng(9))
         assert _seeds(manager) == {
             "4.0.celestial": keyed(root, 0, 4) >> 1,
@@ -137,23 +139,23 @@ class TestSeedsAreKeyedByIdentity:
     def test_order_samples_refusals_and_hosts_move_no_seed(self):
         rng = np.random.default_rng(5)
         first = MachineManager(Host(index=0), rng=rng)
-        first.create_machines(_batch([1, 2, 3]))
+        first.create_machines(_batch([1, 2, 3]), 0.0)
         # Last instead of first, on another host, after usage samples and a
         # refused placement: the same seeds.
         last = MachineManager(Host(index=3, memory_mib=2048), rng=rng)
         last.sample_usage(0.0, setup_phase=True)
         last.sample_usage(5.0, applying_update=True)
         with pytest.raises(HostError):
-            last.create_machines(_batch([9, 8, 7, 6, 5]))
+            last.create_machines(_batch([9, 8, 7, 6, 5]), 0.0)
         for identifier in (3, 2, 1):
-            last.create_machines(_batch([identifier]))
+            last.create_machines(_batch([identifier]), 0.0)
         assert _seeds(last) == _seeds(first)
         assert len(set(_seeds(first).values())) == 3
 
     def test_the_key_root_is_read_without_advancing_the_generator(self):
         rng = np.random.default_rng(13)
         root = key_root(rng)
-        MachineManager(Host(index=0), rng=rng).create_machines(_batch([0]))
+        MachineManager(Host(index=0), rng=rng).create_machines(_batch([0]), 0.0)
         assert rng.random() == np.random.default_rng(13).random()
         assert key_root(rng) == root < 2**63
         assert key_root(np.random.default_rng(14)) != root

@@ -16,11 +16,11 @@ from repro.microvm import (
 from repro.microvm.machine import boot_time_s
 
 
-def _table(vcpus=2, memory=512, seed=1, idle=0.05):
-    """A table of one created machine, ``sat-0``."""
+def _table(vcpus=2, memory=512, seed=1, idle=0.05, boot_s=0.0):
+    """A table of one machine, ``sat-0``, booted at ``boot_s``."""
     table = MachineTable()
     compute = ComputeParams(vcpu_count=vcpus, memory_mib=memory, idle_cpu_fraction=idle)
-    table.append(MachineBatch.single("sat-0", 0, 0, compute), [seed])
+    table.append(MachineBatch.single("sat-0", 0, 0, compute), [seed], boot_s)
     return table
 
 
@@ -63,8 +63,7 @@ class TestMicroVMLifecycle:
         assert table["sat-0"].cpu_quota == CPUQuota(2, 1.0)
 
     def test_boot_is_subsecond(self):
-        table = _table()
-        table.boot("sat-0", 10.0)
+        table = _table(boot_s=10.0)
         machine = table["sat-0"]
         assert 10.0 < machine.boot_finished_at_s < 11.0
         assert machine.state is MachineState.RUNNING
@@ -72,7 +71,6 @@ class TestMicroVMLifecycle:
 
     def test_suspend_resume_cycle(self):
         table = _table()
-        table.boot("sat-0", 0.0)
         table.suspend("sat-0")
         machine = table["sat-0"]
         assert machine.state is MachineState.SUSPENDED
@@ -83,18 +81,18 @@ class TestMicroVMLifecycle:
     def test_illegal_transitions(self):
         table = _table()
         with pytest.raises(MicroVMError):
+            table.resume("sat-0")
+        table.stop("sat-0")
+        with pytest.raises(MicroVMError):
             table.suspend("sat-0")
         with pytest.raises(MicroVMError):
             table.resume("sat-0")
         with pytest.raises(MicroVMError):
             table.stop("sat-0")
-        table.boot("sat-0", 0.0)
-        with pytest.raises(MicroVMError):
-            table.boot("sat-0", 1.0)
+        assert table["sat-0"].state is MachineState.STOPPED
 
     def test_fault_injection_stop_and_reboot(self):
         table = _table()
-        table.boot("sat-0", 0.0)
         table.stop("sat-0")
         assert table["sat-0"].state is MachineState.STOPPED
         table.reboot("sat-0", 101.0)
@@ -106,18 +104,17 @@ class TestMicroVMLifecycle:
     def test_memory_reserved_even_when_suspended(self):
         table = _table(memory=1024)
         assert table.reserved_memory_mib == 1024
-        assert table.usage().memory_mib == 0.0
-        table.boot("sat-0", 0.0)
         assert table.usage().memory_mib == 1024.0
         table.suspend("sat-0")
         assert table.usage().memory_mib == 1024.0
         table.stop("sat-0")
         assert table.usage().memory_mib == 0.0
+        assert table.reserved_memory_mib == 1024
+        table.reboot("sat-0", 5.0)
+        assert table.usage().memory_mib == 1024.0
 
     def test_cpu_usage_depends_on_state_and_busy_fraction(self):
         table = _table(vcpus=4)
-        assert table.usage().cpu_cores == 0.0
-        table.boot("sat-0", 0.0)
         idle = table.usage().cpu_cores
         table.set_busy("sat-0", 1.0)
         busy = table.usage().cpu_cores
@@ -125,12 +122,15 @@ class TestMicroVMLifecycle:
         assert busy == pytest.approx(4.0)
         table.suspend("sat-0")
         assert table.usage().cpu_cores == 0.0
+        table.resume("sat-0")
+        table.stop("sat-0")
+        assert table.usage().cpu_cores == 0.0
 
     def test_the_kth_boot_is_the_kth_draw_of_the_machine_generator(self):
-        table = _table(seed=99)
+        table = _table(seed=99, boot_s=0.0)
         starts = (0.0, 5.0, 9.0)
-        finishes = []
-        for now in starts:
+        finishes = [table.boot_finished_at_s("sat-0")]
+        for now in starts[1:]:
             table.reboot("sat-0", now)
             finishes.append(table.boot_finished_at_s("sat-0"))
         draws = np.random.default_rng(99).random(3)
@@ -145,19 +145,16 @@ class _Log:
     until an entry lies after the asked time.
     """
 
-    def __init__(self, seed):
+    def __init__(self, seed, boot_s=0.0):
         self.rng = np.random.default_rng(seed)
-        self.state = MachineState.CREATED
-        self.entries = [(0.0, MachineState.CREATED)]
-        self.finished = None
+        self.entries = []
+        self.boot(boot_s)  # created booted
 
     def _set(self, state, time_s):
         self.state = state
         self.entries.append((time_s, state))
 
     def boot(self, time_s):
-        if self.state not in (MachineState.CREATED, MachineState.STOPPED):
-            raise MicroVMError("cannot boot")
         self._set(MachineState.BOOTING, time_s)
         self.finished = time_s + boot_time_s(float(self.rng.random()))
         self._set(MachineState.RUNNING, self.finished)
@@ -173,7 +170,7 @@ class _Log:
         self._set(MachineState.RUNNING, time_s)
 
     def stop(self, time_s):
-        if self.state in (MachineState.STOPPED, MachineState.CREATED):
+        if self.state is MachineState.STOPPED:
             raise MicroVMError("cannot stop")
         self._set(MachineState.STOPPED, time_s)
 
@@ -183,7 +180,7 @@ class _Log:
         self.boot(time_s)
 
     def walk(self, time_s):
-        state = MachineState.CREATED
+        state = None  # before the creation's boot: never asked
         for entry_s, entry in self.entries:
             if entry_s > time_s:
                 break
@@ -192,8 +189,8 @@ class _Log:
 
 
 def _apply(table, operation, now):
-    if operation in ("boot", "reboot"):
-        getattr(table, operation)("sat-0", now)
+    if operation == "reboot":
+        table.reboot("sat-0", now)
     else:
         getattr(table, operation)("sat-0")
 
@@ -202,9 +199,7 @@ class TestStateAtMatchesTheLog:
     """The table's lazy rule reads as the reference log at and after the latest operation."""
 
     def test_stop_during_boot_log_is_not_time_sorted(self):
-        table, log = _table(seed=1), _Log(1)
-        table.boot("sat-0", 10.0)
-        log.boot(10.0)
+        table, log = _table(seed=1, boot_s=10.0), _Log(1, boot_s=10.0)
         table.stop("sat-0")  # in the log, after the boot's future finish time
         log.stop(10.1)
         times = [entry_s for entry_s, _ in log.entries]
@@ -220,7 +215,7 @@ class TestStateAtMatchesTheLog:
     @given(
         programme=st.lists(
             st.tuples(
-                st.sampled_from(["boot", "suspend", "resume", "stop", "reboot"]),
+                st.sampled_from(["suspend", "resume", "stop", "reboot"]),
                 st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.6, 2.0]),
             ),
             max_size=12,

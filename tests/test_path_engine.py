@@ -6,9 +6,8 @@ delay-only jitter, structural churn (uplink handovers, link flicker, ISL
 faults, full rewrites) and stores of foreign origin — carries the distance
 bits and the predecessors of a cold undirected ``csgraph.dijkstra`` on that
 graph.  A store solves a row the first time a query needs it and never
-twice; ``PathEngine.advance_all`` shares the previous rows across a diff
-that changed no delay and no link and starts empty across any other, and
-the suite pins the solver-call count of each.
+twice; ``PathEngine.advance_all`` starts the next epoch's store empty
+across any diff, and the suite pins the solver-call count of each.
 """
 
 import dataclasses
@@ -130,7 +129,7 @@ class TestEngineOnSyntheticChains:
     def test_mixed_chain_byte_identical(self, seed):
         rng, index, sources, engine, store = self._store(40, 4, seed)
         kinds = ["delay", "localized", "structural", "flicker", "empty", "bandwidth"]
-        shares = 0
+        quiet = 0
         for _ in range(220):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             if kind == "structural":
@@ -138,51 +137,39 @@ class TestEngineOnSyntheticChains:
             else:
                 new_graph = self._mutated(rng, index, store.graph, kind)
             diff = new_graph.diff_from(store.graph)
-            shared = diff.is_structural_noop and diff.delay_changed.size == 0
-            held = dict(store._row_of)
+            quiet += diff.structural_change_count == 0 and diff.delay_changed.size == 0
             before = engine.stats.solver_calls
             store = engine.advance_all(store, new_graph, diff)
             assert engine.stats.solver_calls == before
-            assert store._row_of == (held if shared else {})
-            shares += shared
+            assert store._row_of == {}
             # The stations plus a few random satellites, in one batch.
             asked = sources + rng.integers(0, 40, 3).tolist()
             _assert_rows_cold(store, asked)
-        # The mix covers both outcomes: shared epochs and solved ones.
-        assert shares > 0
-        assert engine.stats.solver_calls > 1
+        # The mix covers diffs that change no delay and no link: they start
+        # empty too, and every epoch's batch is one solve.
+        assert quiet > 0
+        assert engine.stats.solver_calls == 220
 
-    def test_empty_diff_reuses_arrays_without_solving(self):
+    @pytest.mark.parametrize("kind", ["empty", "bandwidth"])
+    def test_quiet_diff_starts_an_empty_store(self, kind):
+        """A diff that changed no delay and no link carries no row either."""
         rng, index, sources, engine, store = self._store(20, 2, 0)
-        for source in sources + [3]:  # one at a time: the arrays keep a spare row
+        for source in sources + [3]:
             store.delays_from(source)
-        assert len(store._distance_buffer) > len(store._row_of) == 3
-        clone = self._mutated(rng, index, store.graph, "empty")
-        diff = clone.diff_from(store.graph)
-        assert diff.is_empty
-        advanced = engine.advance_all(store, clone, diff)
+        changed = self._mutated(rng, index, store.graph, kind)
+        diff = changed.diff_from(store.graph)
+        assert diff.structural_change_count == 0 and diff.delay_changed.size == 0
+        advanced = engine.advance_all(store, changed, diff)
         assert engine.stats.solver_calls == 3  # only the queries' solves
-        assert advanced._distances is store._distances
-        assert advanced._predecessors is store._predecessors
-        assert advanced.graph is clone
+        assert advanced.graph is changed and advanced._row_of == {}
+        assert advanced.sources == store.sources
         # Rows solved afterwards on either store stay that store's own.
         advanced.delays_from(5)
         store.delays_from(7)
-        assert 7 not in advanced._row_of and 5 not in store._row_of
+        assert sorted(advanced._row_of) == [5] and 5 not in store._row_of
         _assert_rows_cold(advanced)
         _assert_rows_cold(store)
         assert engine.stats.solver_calls == 5
-
-    def test_bandwidth_only_diff_is_a_none_dispatch(self):
-        rng, index, sources, engine, store = self._store(20, 2, 1)
-        _assert_rows_cold(store, sources)
-        changed = self._mutated(rng, index, store.graph, "bandwidth")
-        diff = changed.diff_from(store.graph)
-        assert not diff.is_empty and diff.is_structural_noop
-        advanced = engine.advance_all(store, changed, diff)
-        _assert_rows_cold(advanced, sources)
-        assert engine.stats.solver_calls == 1
-        assert advanced._distances is store._distances
 
     def test_incompatible_table_degrades_to_cold_solve(self):
         """A store that does not belong to the diff's previous graph starts empty."""
@@ -267,7 +254,7 @@ class TestEngineOnConstellations:
         state2, diff = calculation.diff_since(state, 0.0)
         assert diff.topology.is_empty
         assert calculation.path_engine.stats.solver_calls == solver_calls
-        assert state2.paths._distances is state.paths._distances
+        assert state2.paths._row_of == {}
 
     def test_engine_survives_keyframe_replay(self):
         """A held full state can seed a replay of the diff chain after it."""
@@ -320,22 +307,22 @@ def _moving_starlink():
 
 
 class TestAdvanceAll:
-    """Per diff: share every row, or start empty."""
+    """Per diff: start empty, whatever the diff."""
 
-    def test_trivial_diff_rebinds_every_table(self):
-        """Empty and bandwidth-only diffs share every row, zero solver work."""
+    def test_trivial_diff_starts_every_store_empty(self):
+        """Empty and bandwidth-only diffs carry no row, zero solver work."""
         full, sources = _iridium_graph()
         engine = PathEngine()
         store = PathRows(full, engine, sources)
         _assert_rows_cold(store, sources + [0, 17, 40])
-        solver_calls = engine.stats.solver_calls
         widened = _reweighted(full, full.delay_counts, bandwidth_factor=2.0)
         for graph in (full, widened):
+            solver_calls = engine.stats.solver_calls
             advanced = engine.advance_all(store, graph, graph.diff_from(full))
             assert engine.stats.solver_calls == solver_calls
             assert advanced.graph is graph
-            assert advanced._row_of == store._row_of
-            assert advanced._distances is store._distances
+            assert advanced._row_of == {}
+            _assert_rows_cold(advanced, sources)
 
     def test_single_row_table_on_moving_constellation(self):
         calculation, state = _moving_starlink()

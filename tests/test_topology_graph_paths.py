@@ -393,7 +393,7 @@ def test_property_lookup_and_diff_reassemble_the_edge_set(old_edges, new_edges):
         new.bandwidths_kbps[diff.bandwidth_changed].tolist(),
     ):
         assert bandwidth == new_edges[(min(a, b), max(a, b))][1]
-    assert diff.is_structural_noop == (set(old_edges) == set(new_edges))
+    assert (diff.structural_change_count == 0) == (set(old_edges) == set(new_edges))
 
 
 class TestUplinks:
