@@ -97,12 +97,12 @@ def _run_backend(parallelism: str, record_frames: list[int]) -> dict:
             respawn_spec_bytes = len(
                 wire.encode_frame(
                     wire.FrameKind.SPEC,
-                    *wire.spec_payload(backend.supervisor._handles[0].managers),
+                    *wire.spec_payload(backend._handles[0].managers),
                 )
             )
         coordinator.sample_all_usage(0.0, applying_update=True)  # warm both paths
         if parallelism == "processes":
-            process = backend.supervisor._handles[0].process
+            process = backend._handles[0].process
             process.kill()
             process.join(timeout=5.0)
         started = time.perf_counter()

@@ -52,9 +52,10 @@ The in-process-vs-worker seam
   :class:`~repro.dist.backend.ThreadFanoutBackend` hands each the record
   object in a loop.  Despite the literal no thread is started and nothing
   crosses a process boundary.
-* ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` owns a
-  pool of supervised worker processes (``repro.dist``), each running the
-  managers of one or more hosts behind its own TCP connection:
+* ``processes`` — :class:`~repro.dist.backend.ProcessFanoutBackend` is a
+  pool of worker processes (``repro.dist``) that it spawns, watches and
+  restarts, each running the managers of one or more hosts behind its own
+  TCP connection:
   loopback for the workers the pool spawns, the network for operator-started
   workers on other machines, like the paper's testbed.  It exists to
   exercise that remote-worker protocol.  The managers this coordinator
@@ -344,8 +345,9 @@ class Coordinator:
         drains and joins every worker, escalating to terminate/kill.  A
         coordinator dropped unclosed leaves that to the backend's finaliser,
         which compares nothing and waits for no acknowledgement (the workers
-        are also daemonic and the supervisor registers an ``atexit``
-        finaliser, so no backend can outlive or hang the interpreter).
+        are also daemonic and an ``atexit`` hook joins every pool still
+        open, holding none alive, so no backend can outlive or hang the
+        interpreter).
         """
         self._backend.close()
 

@@ -292,7 +292,11 @@ class MachineManager:
         )
 
     def advance_sample_stream(self, setup_phase: bool = False, applying_update: bool = False):
-        """Does nothing: a patch point the benchmark's tracer wraps by name."""
+        """Does nothing: a patch point the benchmark's tracer wraps by name.
+
+        Kept while ``bench/trace.py`` patches it; ROADMAP item 3 deletes it
+        together with the patch list.
+        """
 
     # -- checkpoint (supervised workers) ------------------------------------------
 

@@ -28,24 +28,24 @@ on a TCP stream.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
   and their hosts' machine tables, applies each record to all of them,
   samples usage and answers each request with checkpoints and sample
-  checksums.  A supervisor-spawned child dialling back
+  checksums.  A pool-spawned child dialling back
   over loopback and ``python -m repro.dist.worker --connect host:port
   --index N`` on another machine run the same code.
-* :mod:`repro.dist.supervisor` — worker lifecycle: spawn, heartbeat, crash
-  and wedge detection (every receive is bounded by ``ACK_TIMEOUT_S``),
-  restart under a bounded, decaying budget.  A restarted worker starts from
-  the replica like a new one; the requests in flight are dropped.
 * :mod:`repro.dist.backend` — the seam the coordinator dispatches through:
   :class:`~repro.dist.backend.ThreadFanoutBackend` (a loop over in-process
   managers, the default — it starts no thread) and
-  :class:`~repro.dist.backend.ProcessFanoutBackend` (worker processes; the
+  :class:`~repro.dist.backend.ProcessFanoutBackend` (the worker pool; the
   coordinator's managers become replicas of the workers' hosts and compute
   every answer, and each acknowledgement is compared with what they held
   when its request went out, one epoch late at most; it exists to exercise
   the remote-worker protocol) answer the same calls, selected with
-  ``Coordinator(parallelism="threads" | "processes")``; the
-  worker pool's deployment settings (address, ports, external workers,
-  shared secret) arrive as a ready
+  ``Coordinator(parallelism="threads" | "processes")``.  The pool spawns
+  its workers as it is built, sweeps them for liveness before each record,
+  detects crashes and wedges (every receive is bounded by
+  ``ACK_TIMEOUT_S``) and restarts a worker under a bounded, decaying
+  budget: a restarted worker starts from the replica like a new one, and
+  the requests in flight are dropped.  Its deployment settings (address,
+  ports, external workers, shared secret) arrive as a ready
   :class:`~repro.dist.transport.TcpTransportFactory` in ``transport=``.
 
 In the spirit of RAFDA's separation of application logic from distribution
@@ -60,11 +60,9 @@ equivalence suite.
 from repro.dist.backend import (
     ProcessFanoutBackend,
     ThreadFanoutBackend,
-    WorkerDesyncError,
-)
-from repro.dist.supervisor import (
     WorkerCrashError,
-    WorkerSupervisor,
+    WorkerDesyncError,
+    WorkerRemoteError,
     WorkerTimeoutError,
 )
 from repro.dist.transport import (
@@ -98,7 +96,7 @@ __all__ = [
     "WireVersionError",
     "WorkerCrashError",
     "WorkerDesyncError",
-    "WorkerSupervisor",
+    "WorkerRemoteError",
     "WorkerTimeoutError",
     "connect_transport",
     "decode_frame",

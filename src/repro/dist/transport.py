@@ -1,4 +1,4 @@
-"""The transport seam between the worker supervisor and its workers.
+"""The transport seam between the driver's worker pool and its workers.
 
 The paper's testbed runs hosts on *remote* machines, so the coordinator ↔
 host seam is a network stream.  *What* travels is a ``repro.dist.wire``
@@ -8,18 +8,18 @@ obtain it:
 
 * :class:`SocketTransport` — length-prefixed frames (:func:`frame`) over one
   TCP stream.  Its ``send_bytes`` / ``recv_bytes`` / ``poll`` / ``close`` are
-  all the supervisor, the worker and the serving tier's client use; their
+  all the driver, the worker and the serving tier's client use; their
   docstrings are the contract anything wrapping a transport must keep.  A
   clean peer close is ``EOFError``, a broken stream ``OSError``, a peer that
   wedges mid-frame :class:`TransportTimeout` instead of a hang.
-* :class:`TcpTransportFactory` — how a supervisor *obtains* a transport for
+* :class:`TcpTransportFactory` — how the worker pool *obtains* a transport for
   a worker spec, at start and again after every crash: one persistent
   listener per worker (a restarted worker reconnects to the *same* address)
   and a connect/accept handshake.  The worker's first frame is ``HELLO``
   with its index (the frame header carries ``WIRE_VERSION``, so an
   incompatible peer is rejected before anything else is read); the answer is
   a ``SPEC`` frame carrying the hosts it owns as the driver's replica holds
-  them (:func:`~repro.dist.wire.decode_spec`).  A supervisor-spawned
+  them (:func:`~repro.dist.wire.decode_spec`).  A pool-spawned
   loopback worker and one started by hand
   on another machine (``python -m repro.dist.worker --connect host:port``,
   ``external=True`` here) therefore run the same code.
@@ -252,16 +252,16 @@ def connect_transport(
     timeout_s: float = 30.0,
     auth_secret: str = "",
 ) -> tuple[dict[int, MachineManager], SocketTransport]:
-    """Worker side: dial the supervisor, handshake, receive the worker's hosts.
+    """Worker side: dial the driver, handshake, receive the worker's hosts.
 
-    Retries the TCP connect until ``timeout_s`` (the supervisor may still be
+    Retries the TCP connect until ``timeout_s`` (the driver may still be
     binding its listeners, or — after a crash — still tearing down the dead
     predecessor), then sends ``HELLO`` with this worker's index and waits
-    for the answering ``SPEC`` frame.  A supervisor configured with a
+    for the answering ``SPEC`` frame.  A driver configured with a
     shared secret interposes a ``CHALLENGE`` frame before the spec; the
     worker answers it with the HMAC digest derived from ``auth_secret``
     (an empty secret answers with a digest that cannot match, so the
-    mismatch surfaces as the supervisor closing the connection).
+    mismatch surfaces as the driver closing the connection).
     Returns the managers the ``SPEC`` frame carries, by host position, and
     the transport; any other frame at the end of the exchange is a
     :class:`HandshakeError`, a malformed ``SPEC`` a
@@ -308,7 +308,7 @@ class SocketListener:
     The listener outlives worker incarnations: a restarted (or operator-
     relaunched) worker reconnects to the same address and the accept-side
     handshake re-validates protocol version and worker index before the
-    supervisor sends it its ``SPEC``.
+    driver sends it its ``SPEC``.
     """
 
     def __init__(
@@ -427,7 +427,7 @@ class TcpTransportFactory:
         if external and base_port == 0:
             raise ValueError(
                 "external workers need an explicit base_port to dial; "
-                "an ephemeral port is only knowable to a spawning supervisor"
+                "an ephemeral port is only knowable to a spawning pool"
             )
         self.host = host
         self.base_port = base_port
@@ -473,7 +473,7 @@ class TcpTransportFactory:
             process = context.Process(
                 target=tcp_worker_main,
                 # Workers dial the loopback/LAN address the listener bound;
-                # a spawned worker inherits the supervisor's shared secret.
+                # a spawned worker inherits the driver's shared secret.
                 args=(self.host, listener.port, worker_index, self.auth_secret),
                 name=f"celestial-worker-{worker_index}",
                 daemon=True,

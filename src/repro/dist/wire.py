@@ -290,9 +290,9 @@ class FrameKind(enum.IntEnum):
     # lifecycle
     PING = 30
     SHUTDOWN = 31
-    # transport handshake (TCP): worker → supervisor greeting carrying the
+    # transport handshake (TCP): worker → driver greeting carrying the
     # worker index (the frame header itself carries WIRE_VERSION), answered
-    # by the supervisor with the worker's hosts.  When the listener is
+    # by the driver with the worker's hosts.  When the listener is
     # configured with a shared secret the greeting is interposed by a
     # CHALLENGE (nonce) → AUTH (HMAC response) exchange before SPEC is sent.
     HELLO = 40

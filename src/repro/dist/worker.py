@@ -18,7 +18,7 @@ Protocol
 --------
 
 The worker reads :mod:`repro.dist.wire` frames from its TCP connection to
-the supervisor (:mod:`repro.dist.transport`) and executes them in order.
+the driver (:mod:`repro.dist.transport`) and executes them in order.
 Lifecycle operations (machine creation, fault-injection ops) arrive
 batched: one ``CONTROL`` frame ahead of each request that had operations
 pending, its rows in the order the in-process backend executed them, run by
@@ -49,16 +49,16 @@ Placement
 ---------
 
 A worker always starts the same way (:func:`tcp_worker_main`): it dials the
-supervisor's per-worker listener, sends ``HELLO`` with its index and
+driver's per-worker listener, sends ``HELLO`` with its index and
 receives its hosts in the answering ``SPEC`` frame, so it needs no
-blueprint — only an address.  A supervisor-spawned worker does so
+blueprint — only an address.  A pool-spawned worker does so
 over loopback; run one standalone on another machine with::
 
     python -m repro.dist.worker --connect HOST:PORT --index N [--loop]
 
 With ``--loop`` the worker reconnects after a dropped connection (e.g. the
-supervisor restarting it after a detected wedge), which is the external
-analogue of the supervisor's local respawn.
+worker pool restarting it after a detected wedge), which is the external
+analogue of the pool's local respawn.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class _Worker:
             except wire.WireError:
                 # A corrupt frame means the stream is desynced; treat it
                 # like a dropped connection (a --loop worker reconnects and
-                # re-handshakes, the supervisor sees EOF and restarts us).
+                # re-handshakes, the driver sees EOF and restarts us).
                 return False
             if kind is FrameKind.SHUTDOWN:
                 if "seq" in meta:
@@ -211,8 +211,8 @@ def tcp_worker_main(
 ) -> bool:
     """One worker incarnation: dial, handshake, receive its hosts, serve.
 
-    The process target of a supervisor-spawned worker and the body of
-    ``python -m repro.dist.worker --connect`` alike (the supervisor's HMAC
+    The process target of a pool-spawned worker and the body of
+    ``python -m repro.dist.worker --connect`` alike (the driver's HMAC
     challenge is answered when a shared secret is configured), so the
     equivalence suite exercises exactly the remote-placement code path.
     Returns whether the worker ended on a clean ``SHUTDOWN``.
@@ -231,13 +231,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dist.worker",
         description="Run one Celestial dist-layer worker against a remote "
-        "supervisor (the worker's hosts arrive over the wire).",
+        "driver (the worker's hosts arrive over the wire).",
     )
     parser.add_argument(
         "--connect",
         required=True,
         metavar="HOST:PORT",
-        help="address of the supervisor's listener for this worker slot",
+        help="address of the driver's listener for this worker slot",
     )
     parser.add_argument(
         "--index",
@@ -260,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--auth-secret",
         default=os.environ.get("CELESTIAL_AUTH_SECRET", ""),
-        help="shared secret answering the supervisor's HMAC challenge "
+        help="shared secret answering the driver's HMAC challenge "
         "(defaults to $CELESTIAL_AUTH_SECRET; empty disables auth)",
     )
     args = parser.parse_args(argv)

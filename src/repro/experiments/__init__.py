@@ -26,7 +26,6 @@ from repro.experiments.registry import (
     get,
     list_scenarios,
     scenario,
-    unregister,
 )
 from repro.experiments.spec import (
     ExperimentSpec,
@@ -66,5 +65,4 @@ __all__ = [
     "list_scenarios",
     "scenario",
     "schedule_fault_program",
-    "unregister",
 ]

@@ -132,8 +132,3 @@ def build(name: str, **params: Any) -> Configuration:
             "expected Configuration"
         )
     return config
-
-
-def unregister(name: str) -> None:
-    """Remove a registration (primarily for tests registering temporaries)."""
-    _REGISTRY.pop(name, None)

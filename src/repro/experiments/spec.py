@@ -60,10 +60,6 @@ KNOWN_WORKLOADS = ("meetup", "dart", "handover", "none")
 KNOWN_METRIC_OUTPUTS = ("summary", "latency-csv", "resource-traces", "fault-events")
 
 
-def _frozen_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
-    return dict(params) if params else {}
-
-
 #: Keys a spec no longer has, with what replaced them.
 _REMOVED = {
     "runtime.transport": "worker processes are always reached over TCP "
@@ -87,6 +83,33 @@ def _table(data: Any, spec_class: type, where: str) -> Mapping[str, Any]:
                 f"unknown key {key!r} in {where} (known: {', '.join(known)})"
             )
     return data
+
+
+#: How an error names the type a field must have, by the type checked.
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a table", list: "a list"}
+_REQUIRED = object()
+
+
+def _field(table: Mapping[str, Any], key: str, kind: type, where: str, default: Any = None) -> Any:
+    """``table[key]``, ``default`` when absent, checked to be a ``kind``.
+
+    A ``float`` field takes an integer too and is returned as a float; a
+    ``dict`` field is any table, returned as a new dict.  A value of another
+    type — a bool for a number included — or a missing ``_REQUIRED`` field
+    is an :class:`ExperimentSpecError` naming ``where.key``.
+    """
+    name = f"{where}.{key}" if where else key
+    if key not in table:
+        if default is _REQUIRED:
+            raise ExperimentSpecError(f"{name} is required")
+        return default
+    value = table[key]
+    accepted = {float: (int, float), dict: Mapping}.get(kind, kind)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ExperimentSpecError(f"{name} must be {_TYPE_NAMES[kind]}, not {value!r}")
+    if kind is float:
+        return float(value)
+    return dict(value) if kind is dict else value
 
 
 @dataclass(frozen=True)
@@ -315,57 +338,66 @@ class ExperimentSpec:
 
         A key this form does not have, at any level, is an
         :class:`ExperimentSpecError` naming it: a misspelled table or field
-        is refused instead of running without it.
+        is refused instead of running without it.  So is a value of the
+        wrong type (a bool is not a number) or a missing ``name`` or fault
+        ``kind``: the error names the field and the type it must have.
         """
-        try:
-            _table(data, cls, "the experiment spec")
-            scenario_data = _table(data.get("scenario", {}), ScenarioSpec, "scenario")
-            scenario = ScenarioSpec(
-                name=scenario_data.get("name", ""),
-                path=scenario_data.get("path"),
-                params=_frozen_params(scenario_data.get("params")),
-                overrides=_frozen_params(scenario_data.get("overrides")),
+        _table(data, cls, "the experiment spec")
+        scenario_data = _table(data.get("scenario", {}), ScenarioSpec, "scenario")
+        scenario = ScenarioSpec(
+            name=_field(scenario_data, "name", str, "scenario", ""),
+            path=_field(scenario_data, "path", str, "scenario"),
+            params=_field(scenario_data, "params", dict, "scenario", {}),
+            overrides=_field(scenario_data, "overrides", dict, "scenario", {}),
+        )
+        workload_data = _table(data.get("workload", {}), WorkloadSpec, "workload")
+        workload = WorkloadSpec(
+            app=_field(workload_data, "app", str, "workload", "none"),
+            params=_field(workload_data, "params", dict, "workload", {}),
+        )
+        ops = [
+            _table(op, FaultOp, "fault_program")
+            for op in _field(data, "fault_program", list, "", [])
+        ]
+        fault_program = tuple(
+            FaultOp(
+                kind=_field(op, "kind", str, "fault_program", _REQUIRED),
+                at_s=_field(op, "at_s", float, "fault_program", 0.0),
+                target=_field(op, "target", str, "fault_program", ""),
+                params=_field(op, "params", dict, "fault_program", {}),
             )
-            workload_data = _table(data.get("workload", {}), WorkloadSpec, "workload")
-            workload = WorkloadSpec(
-                app=workload_data.get("app", "none"),
-                params=_frozen_params(workload_data.get("params")),
+            for op in ops
+        )
+        runtime_data = _table(data.get("runtime", {}), RuntimeSpec, "runtime")
+        runtime = RuntimeSpec(
+            duration_s=_field(runtime_data, "duration_s", float, "runtime"),
+            parallelism=_field(runtime_data, "parallelism", str, "runtime", "threads"),
+            workers=_field(runtime_data, "workers", int, "runtime"),
+            seed=_field(runtime_data, "seed", int, "runtime"),
+        )
+        metrics_data = _table(data.get("metrics", {}), MetricsSpec, "metrics")
+        outputs = _field(metrics_data, "outputs", list, "metrics", ["summary"])
+        if not all(isinstance(output, str) for output in outputs):
+            raise ExperimentSpecError(f"metrics.outputs must be a list of strings, not {outputs!r}")
+        serve: Optional[ServeSpec] = None
+        if "serve" in data:
+            serve_data = _table(data["serve"], ServeSpec, "serve")
+            serve = ServeSpec(
+                host=_field(serve_data, "host", str, "serve", "127.0.0.1"),
+                port=_field(serve_data, "port", int, "serve", 0),
+                queue_limit=_field(serve_data, "queue_limit", int, "serve", 64),
+                ack_timeout_s=_field(serve_data, "ack_timeout_s", float, "serve", 5.0),
+                auth_secret=_field(serve_data, "auth_secret", str, "serve", ""),
             )
-            ops = [_table(op, FaultOp, "fault_program") for op in data.get("fault_program", [])]
-            fault_program = tuple(
-                FaultOp(
-                    kind=op["kind"],
-                    at_s=float(op.get("at_s", 0.0)),
-                    target=op.get("target", ""),
-                    params=_frozen_params(op.get("params")),
-                )
-                for op in ops
-            )
-            # Every key is a field, and every field's default is the form's.
-            runtime = RuntimeSpec(**_table(data.get("runtime", {}), RuntimeSpec, "runtime"))
-            metrics_data = _table(data.get("metrics", {}), MetricsSpec, "metrics")
-            metrics = MetricsSpec(outputs=tuple(metrics_data.get("outputs", ("summary",))))
-            serve: Optional[ServeSpec] = None
-            if "serve" in data:
-                serve_data = _table(data["serve"], ServeSpec, "serve")
-                serve = ServeSpec(
-                    host=serve_data.get("host", "127.0.0.1"),
-                    port=int(serve_data.get("port", 0)),
-                    queue_limit=int(serve_data.get("queue_limit", 64)),
-                    ack_timeout_s=float(serve_data.get("ack_timeout_s", 5.0)),
-                    auth_secret=serve_data.get("auth_secret", ""),
-                )
-            return cls(
-                name=data["name"],
-                scenario=scenario,
-                workload=workload,
-                fault_program=fault_program,
-                runtime=runtime,
-                metrics=metrics,
-                serve=serve,
-            )
-        except (KeyError, TypeError) as error:
-            raise ExperimentSpecError(f"invalid experiment spec: {error}") from error
+        return cls(
+            name=_field(data, "name", str, "", _REQUIRED),
+            scenario=scenario,
+            workload=workload,
+            fault_program=fault_program,
+            runtime=runtime,
+            metrics=MetricsSpec(outputs=tuple(outputs)),
+            serve=serve,
+        )
 
     def to_toml(self) -> str:
         """Deterministic TOML rendering of the spec.

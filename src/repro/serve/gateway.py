@@ -16,7 +16,7 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
 * **Bounded queues, backpressure, keyframe resync.**  Every client has a
   bounded send queue.  A client that cannot drain its queue within the
   configured ``ack_timeout_s`` — the same discipline the worker
-  supervisor applies to unacknowledged epochs — or whose queue overflows
+  pool applies to unacknowledged epochs — or whose queue overflows
   is *evicted to a keyframe*: its queued epoch backlog is flushed
   (pending query replies are preserved) and replaced with the current
   epoch's keyframe, from which the diff stream resumes.
@@ -382,7 +382,7 @@ class StreamGateway:
         """Drain the subscription queue into the socket, with backpressure.
 
         A client that cannot absorb a frame within ``ack_timeout_s`` (the
-        supervisor's unacked-epoch discipline) is evicted: its backlog is
+        worker pool's unacked-epoch discipline) is evicted: its backlog is
         dropped and a fresh keyframe queued, and the write retried.
         """
         while True:

@@ -36,9 +36,14 @@ from repro.core import (
     ShellConfig,
 )
 from repro.core.constellation import MachineId
-from repro.dist.backend import MAX_IN_FLIGHT, ProcessFanoutBackend, WorkerDesyncError
-from repro.dist import supervisor as supervisor_module
-from repro.dist.supervisor import WorkerCrashError, WorkerRemoteError
+from repro.dist import backend as backend_module
+from repro.dist.backend import (
+    MAX_IN_FLIGHT,
+    ProcessFanoutBackend,
+    WorkerCrashError,
+    WorkerDesyncError,
+    WorkerRemoteError,
+)
 from repro.dist.transport import SocketTransport, TcpTransportFactory
 from repro.dist.wire import ControlOp, FrameKind
 from repro.dist.worker import _Worker
@@ -49,19 +54,23 @@ from repro.scenarios import west_africa_configuration
 from repro.sim.rng import key_root, keyed
 
 
-def _ping(supervisor, worker):
-    """One ``PING`` sent and all in flight collected: its checkpoint, or None.
+def _ping(backend, worker):
+    """One ``PING`` sent to the pool and ``worker``'s requests in flight
+    collected, uncompared: the ``PING``'s checkpoint, or None.
 
     None when the worker died with the ``PING`` in flight: its successor
     starts from the replica and is sent nothing again.
     """
-    supervisor.begin_request(FrameKind.PING, {}, expected={worker: "ping"})
-    return next((ack for ack, tag in supervisor.collect(worker) if tag == "ping"), None)
+    handle = backend._handles[worker]
+    backend._request(FrameKind.PING, {})
+    pending = len(handle.inflight)
+    acks = backend._collect_from(handle)
+    return acks[-1][0] if len(acks) == pending else None
 
 
-def _crash(supervisor, worker):
+def _crash(backend, worker):
     """Hard-kill a worker process (SIGKILL), as a real crash would."""
-    process = supervisor._handles[worker].process
+    process = backend._handles[worker].process
     process.kill()
     process.join(timeout=5.0)
 
@@ -317,14 +326,14 @@ class TestProcessBackendEquivalence:
             # heartbeat sweep detects the death and respawns the worker (the
             # successor reconnects to the same listener) from the driver's
             # replica: tables, counters and dirty sets.
-            _crash(processes._backend.supervisor, 0)
+            _crash(processes._backend, 0)
             for step in range(7, 11):
                 now = step * 60.0
                 threads.update(now)
                 processes.update(now)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             # A second crash later in the run recovers just the same.
-            _crash(processes._backend.supervisor, 1)
+            _crash(processes._backend, 1)
             for step in range(11, 15):
                 now = step * 60.0
                 threads.update(now)
@@ -359,7 +368,7 @@ class TestProcessBackendEquivalence:
                 coordinator.manager_for(victim).reboot_machine(victim, 320.0)
             # Crash the worker that owns the dirty machine.
             victim = processes.calculation.satellite(0, outside)
-            _crash(processes._backend.supervisor, _position(processes, victim) % 2)
+            _crash(processes._backend, _position(processes, victim) % 2)
             for step in range(6, 12):
                 now = step * 60.0
                 threads.update(now)
@@ -408,14 +417,14 @@ class TestProcessBackendEquivalence:
             worker = _position(processes, victim) % 2
             # The reboot's CONTROL frame goes out and is acknowledged: the
             # victim is dirty on the worker and on the replica.
-            _ping(backend.supervisor, worker)
+            _ping(backend, worker)
             previous = processes.database.state
             state, diff = processes.calculation.diff_since(previous, now)
             processes.database.set_state(state, diff=diff)
             record = EpochRecord.of(processes.database.epoch, state, diff)
             processes._ensure_activated_satellites(record, now)
             backend.apply_slices(record, now)
-            _crash(backend.supervisor, worker)
+            _crash(backend, worker)
             assert backend.restart_count == 0  # found when the ack is collected
             for step in range(7, 12):
                 now = step * 60.0
@@ -437,7 +446,7 @@ class TestProcessBackendEquivalence:
             processes.update(0.0)
             processes.update(60.0)
             before = processes.sample_all_usage(60.0)
-            _crash(processes._backend.supervisor, 1)
+            _crash(processes._backend, 1)
             after = processes.sample_all_usage(65.0)
             assert len(after) == len(before)
             assert processes._backend.restart_count == 0
@@ -462,7 +471,7 @@ class _SentFrames:
 
     def to(self, coordinator, worker):
         """The kinds sent to the worker's current incarnation, in order."""
-        conn = coordinator._backend.supervisor._handles[worker].conn
+        conn = coordinator._backend._handles[worker].conn
         return [kind for transport, kind in self.sent if transport is conn]
 
 
@@ -490,7 +499,7 @@ class TestBatchedControlFrames:
                 [FrameKind.SPEC, FrameKind.CONTROL, FrameKind.APPLY_EPOCH]
             ] * 2
             assert threads.sample_all_usage(0.0) == processes.sample_all_usage(0.0)
-            _crash(processes._backend.supervisor, 0)
+            _crash(processes._backend, 0)
             fault_workers = set()
             for step in range(1, 9):
                 now = step * config.update_interval_s
@@ -518,7 +527,7 @@ class TestBatchedControlFrames:
                         for machine in (stopped, rebooted, throttled)
                     }
                     assert 1 in fault_workers
-                    _crash(processes._backend.supervisor, 1)
+                    _crash(processes._backend, 1)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
             assert processes._backend.restart_count == 2
             _assert_equivalent(threads, processes)
@@ -539,18 +548,18 @@ class TestBatchedControlFrames:
         processes = _coordinator(_iridium_box_config(), "processes", host_count=1, worker_count=1)
         try:
             processes.update(0.0)
-            supervisor = processes._backend.supervisor
+            backend = processes._backend
             hawaii = processes.calculation.ground_station("hawaii")
             manager = processes.manager_for(hawaii)
             for flush in range(50):
                 manager.set_busy_fraction(hawaii, flush / 50)
-                _ping(supervisor, 0)
+                _ping(backend, 0)
             assert frames.to(processes, 0).count(FrameKind.CONTROL) == 51
             manager.set_cpu_quota(hawaii, 0.5)
-            _crash(supervisor, 0)
-            assert _ping(supervisor, 0) is None  # dropped with its worker
+            _crash(backend, 0)
+            assert _ping(backend, 0) is None  # dropped with its worker
             assert frames.to(processes, 0) == [FrameKind.SPEC]
-            assert supervisor.restart_count == 1
+            assert backend.restart_count == 1
             # The successor holds the pending quota and the last busy share:
             # its checkpoints and its sample's checksum are the replica's.
             processes.update(60.0)
@@ -586,7 +595,7 @@ class TestBatchedControlFrames:
             for coordinator in (threads, processes):
                 for machine in absent:
                     coordinator.create_machine(machine, 150.0)
-            _crash(processes._backend.supervisor, _position(processes, absent[0]) % 2)
+            _crash(processes._backend, _position(processes, absent[0]) % 2)
             assert threads.sample_all_usage(150.0) == processes.sample_all_usage(150.0)
             for step in range(3, 8):
                 now = step * 60.0
@@ -646,7 +655,7 @@ class TestBatchedControlFrames:
             processes.update(0.0)
             with pytest.raises(WorkerDesyncError, match="the worker holds 66 machines"):
                 processes.close()
-            assert not processes._backend.supervisor._handles[0].process.is_alive()
+            assert not processes._backend._handles[0].process.is_alive()
         finally:
             processes.close()
 
@@ -661,7 +670,7 @@ class TestBatchedControlFrames:
             hawaii = processes.calculation.ground_station("hawaii")
             position = _position(processes, hawaii)
             backend = processes._backend
-            backend.supervisor.control(position % 2).append(position, ControlOp.STOP, hawaii, 10.0)
+            backend._handles[position % 2].control.append(position, ControlOp.STOP, hawaii, 10.0)
             processes.update(60.0)
             with pytest.raises(WorkerDesyncError, match=rf"host {position}: the worker's states"):
                 processes.update(120.0)
@@ -713,7 +722,7 @@ class TestOneRecordPerEpoch:
             acks = processes.stats.worker_ack_seconds
             assert sorted(acks) == [0, 1]
             assert [len(acks[worker]) for worker in (0, 1)] == [4, 4]
-            handles = processes._backend.supervisor._handles
+            handles = processes._backend._handles
             assert [len(handle.inflight) for handle in handles] == [1, 1]
             assert [manager.applied_diffs for manager in processes.managers] == [4, 4, 4]
         finally:
@@ -737,11 +746,12 @@ class TestSupervision:
         processes = _coordinator(config, "processes")
         try:
             processes.update(0.0)
-            supervisor = processes._backend.supervisor
-            for worker in range(supervisor.worker_count):
-                meta = _ping(supervisor, worker)
+            backend = processes._backend
+            for worker in range(len(backend._handles)):
+                meta = _ping(backend, worker)
                 assert "counters" in meta
-            assert supervisor.check() == 0
+            backend._heartbeat()  # every worker alive: nothing restarts
+            assert backend.restart_count == 0
         finally:
             processes.close()
 
@@ -750,13 +760,12 @@ class TestSupervision:
         calculation = ConstellationCalculation(config)
         managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
         backend = ProcessFanoutBackend(managers, worker_count=1)
-        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 0)
+        monkeypatch.setattr(backend_module, "MAX_RESTARTS", 0)
         try:
-            backend.supervisor.start()
-            _ping(backend.supervisor, 0)
-            _crash(backend.supervisor, 0)
+            _ping(backend, 0)
+            _crash(backend, 0)
             with pytest.raises(WorkerCrashError, match="restarts"):
-                _ping(backend.supervisor, 0)
+                _ping(backend, 0)
         finally:
             backend.close()
         assert calculation is not None
@@ -769,7 +778,7 @@ class TestSupervision:
         # More workers than hosts still clamps to one per host.
         backend = ProcessFanoutBackend(managers, worker_count=5)
         try:
-            assert backend.worker_count == 1
+            assert len(backend._handles) == 1
         finally:
             backend.close()
 
@@ -777,7 +786,7 @@ class TestSupervision:
         config = _iridium_box_config()
         processes = _coordinator(config, "processes")
         processes.update(0.0)
-        handles = processes._backend.supervisor._handles
+        handles = processes._backend._handles
         assert all(handle.process.is_alive() for handle in handles)
         processes.close()
         assert all(not handle.process.is_alive() for handle in handles)
@@ -786,6 +795,29 @@ class TestSupervision:
         threads.update(0.0)
         threads.close()
         threads.close()  # idempotent for the thread backend too
+
+    @pytest.mark.parametrize("parallelism", ["threads", "processes"])
+    def test_a_closed_backend_refuses_work_and_spawns_nothing(self, parallelism):
+        from repro.core import EpochRecord
+        from repro.dist.backend import ThreadFanoutBackend
+
+        managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
+        if parallelism == "threads":
+            backend = ThreadFanoutBackend(managers)
+        else:
+            backend = ProcessFanoutBackend(managers, worker_count=1)
+        backend.close()
+        record = EpochRecord(epoch=1, active={}, flipped={}, first=True)
+        calls = [lambda: backend.apply_slices(record, 0.0), lambda: backend.sample_all(0.0)]
+        if parallelism == "processes":
+            calls.append(backend.worker_counters)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="the fan-out backend has been closed"):
+                call()
+        if parallelism == "processes":
+            assert backend.restart_count == 0
+            assert not backend._handles[0].process.is_alive()
+        assert [len(manager.host.trace) for manager in managers] == [0]
 
 
 class TestTestbedProcessBackend:
@@ -1024,9 +1056,8 @@ class TestCrashSchedule:
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
         backend = processes._backend
-        supervisor = backend.supervisor
         # No healthy streak decays the budget here.
-        monkeypatch.setattr(supervisor_module, "MAX_RESTARTS", 20)
+        monkeypatch.setattr(backend_module, "MAX_RESTARTS", 20)
         apply_slices = backend.apply_slices
         kills = 0
         try:
@@ -1036,11 +1067,11 @@ class TestCrashSchedule:
                 victim = schedule.randrange(2)
                 kills += point is not None
                 if point == "pending":
-                    _crash(supervisor, victim)
+                    _crash(backend, victim)
                 if point == "in-flight":
                     def send_then_kill(record, now_s, victim=victim):
                         apply_slices(record, now_s)
-                        _crash(supervisor, victim)
+                        _crash(backend, victim)
 
                     backend.apply_slices = send_then_kill
                 for coordinator in (threads, processes):
@@ -1048,7 +1079,7 @@ class TestCrashSchedule:
                 backend.apply_slices = apply_slices
                 _assert_equivalent(threads, processes)
                 if point == "sample":
-                    _crash(supervisor, victim)
+                    _crash(backend, victim)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
                 _assert_equivalent(threads, processes)
                 for offset in (1.0, 1.2, 1.5):
@@ -1082,7 +1113,7 @@ class TestVerifiedOneEpochLate:
                 assert backend.restart_count == int(step > 2) + int(step > 5)
                 assert threads.sample_all_usage(now) == processes.sample_all_usage(now)
                 if step in (2, 5):
-                    _crash(backend.supervisor, step % 2)
+                    _crash(backend, step % 2)
             _assert_equivalent(threads, processes)
             assert sum(c[0] for c in _counters(processes)) > 0
         finally:
@@ -1117,7 +1148,7 @@ class TestVerifiedOneEpochLate:
     def test_the_requests_in_flight_are_the_record_and_the_sweeps_since(self):
         program = random.Random(5)
         processes = _coordinator(_iridium_box_config(), "processes")
-        handles = processes._backend.supervisor._handles
+        handles = processes._backend._handles
         try:
             records = sweeps = 0
             now = 0.0
@@ -1139,7 +1170,7 @@ class TestVerifiedOneEpochLate:
         # A testbed that samples on after its last update: no worker ever
         # holds more than MAX_IN_FLIGHT requests.
         processes = _coordinator(_iridium_box_config(), "processes")
-        handles = processes._backend.supervisor._handles
+        handles = processes._backend._handles
         try:
             processes.update(0.0)
             for sweep in range(50):

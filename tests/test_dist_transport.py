@@ -30,11 +30,11 @@ import pytest
 
 import repro
 from repro.core import MachineManager
-from repro.dist import supervisor as supervisor_module
+from repro.dist import backend as backend_module
 from repro.dist import wire
-from repro.dist.supervisor import (
+from repro.dist.backend import (
+    ProcessFanoutBackend,
     WorkerCrashError,
-    WorkerSupervisor,
     WorkerTimeoutError,
 )
 from repro.dist.transport import (
@@ -328,7 +328,7 @@ class TestAuthHandshake:
         thread.start()
         try:
             # The impostor never passes the challenge, so no transport is
-            # ever handed to the supervisor — and no SPEC frame is sent.
+            # ever handed to the pool — and no SPEC frame is sent.
             with pytest.raises(TransportTimeout):
                 listener.accept(1.0)
             thread.join(timeout=5.0)
@@ -418,31 +418,34 @@ class TestFactories:
             factory.listener_for(0)
 
 
-def _ping(supervisor, worker):
-    """One ``PING`` sent and collected: the worker's checkpoint, or None.
+def _ping(backend, worker):
+    """One ``PING`` sent to the pool and ``worker``'s requests in flight
+    collected, uncompared: the ``PING``'s checkpoint, or None.
 
     None when the worker died with the ``PING`` in flight: its successor
     starts from the replica and is sent nothing again.
     """
-    supervisor.begin_request(FrameKind.PING, {}, expected={worker: None})
-    acks = supervisor.collect(worker)
-    return acks[-1][0] if acks else None
+    handle = backend._handles[worker]
+    backend._request(FrameKind.PING, {})
+    pending = len(handle.inflight)
+    acks = backend._collect_from(handle)
+    return acks[-1][0] if len(acks) == pending else None
 
 
-def _crash(supervisor, worker):
+def _crash(backend, worker):
     """Hard-kill a worker process (SIGKILL), as a real crash would."""
-    process = supervisor._handles[worker].process
+    process = backend._handles[worker].process
     process.kill()
     process.join(timeout=5.0)
 
 
-def _supervisor(monkeypatch, **constants):
-    """A one-worker supervisor under patched module constants (``max_restarts=1``
+def _pool(monkeypatch, **constants):
+    """A one-worker pool under patched module constants (``max_restarts=1``
     patches ``MAX_RESTARTS``); the ack deadline defaults to 10 s."""
     constants.setdefault("ack_timeout_s", 10.0)
     for name, value in constants.items():
-        monkeypatch.setattr(supervisor_module, name.upper(), value)
-    return WorkerSupervisor([_hosts()])
+        monkeypatch.setattr(backend_module, name.upper(), value)
+    return ProcessFanoutBackend(list(_hosts().values()))
 
 
 class TestSupervisionHardening:
@@ -450,50 +453,47 @@ class TestSupervisionHardening:
         # The worker stays alive but stops serving (SIGSTOP): only the
         # receive deadline can notice, and it must route into the
         # crash/restart path rather than surfacing a bare TimeoutError (or
-        # hanging); the supervisor's kill still ends the stopped process.
-        supervisor = _supervisor(monkeypatch, ack_timeout_s=1.0, max_restarts=2)
+        # hanging); the pool's kill still ends the stopped process.
+        pool = _pool(monkeypatch, ack_timeout_s=1.0, max_restarts=2)
         try:
-            supervisor.start()
-            assert "counters" in _ping(supervisor, 0)
-            os.kill(supervisor._handles[0].process.pid, signal.SIGSTOP)
-            assert _ping(supervisor, 0) is None  # timeout → kill → respawn, dropped
-            assert supervisor.restart_count == 1
-            assert "counters" in _ping(supervisor, 0)
+            assert "counters" in _ping(pool, 0)
+            os.kill(pool._handles[0].process.pid, signal.SIGSTOP)
+            assert _ping(pool, 0) is None  # timeout → kill → respawn, dropped
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
         finally:
-            supervisor.close()
+            pool.close()
 
     def test_timeout_error_is_a_crash_error(self):
         assert issubclass(WorkerTimeoutError, WorkerCrashError)
 
     def test_restart_budget_decays_after_healthy_acks(self, monkeypatch):
-        supervisor = _supervisor(monkeypatch, max_restarts=1, restart_decay_acks=3)
+        pool = _pool(monkeypatch, max_restarts=1, restart_decay_acks=3)
         try:
-            supervisor.start()
-            _ping(supervisor, 0)
-            _crash(supervisor, 0)
-            _ping(supervisor, 0)  # restart 1 of 1
+            _ping(pool, 0)
+            _crash(pool, 0)
+            _ping(pool, 0)  # restart 1 of 1
             for _ in range(3):
-                _ping(supervisor, 0)  # healthy streak decays the budget
-            _crash(supervisor, 0)
-            _ping(supervisor, 0)  # would exceed MAX_RESTARTS without decay
-            assert supervisor.restart_count == 2
+                _ping(pool, 0)  # healthy streak decays the budget
+            _crash(pool, 0)
+            _ping(pool, 0)  # would exceed MAX_RESTARTS without decay
+            assert pool.restart_count == 2
         finally:
-            supervisor.close()
+            pool.close()
 
     def test_crash_loop_still_bounded(self, monkeypatch):
         # Crashes faster than the decay threshold must still exhaust the
         # budget — the decay handles transience, not brokenness.
-        supervisor = _supervisor(monkeypatch, max_restarts=1, restart_decay_acks=100)
+        pool = _pool(monkeypatch, max_restarts=1, restart_decay_acks=100)
         try:
-            supervisor.start()
-            _ping(supervisor, 0)
-            _crash(supervisor, 0)
-            _ping(supervisor, 0)  # restart 1 of 1
-            _crash(supervisor, 0)
+            _ping(pool, 0)
+            _crash(pool, 0)
+            _ping(pool, 0)  # restart 1 of 1
+            _crash(pool, 0)
             with pytest.raises(WorkerCrashError, match="exceeded"):
-                _ping(supervisor, 0)
+                _ping(pool, 0)
         finally:
-            supervisor.close()
+            pool.close()
 
 
 def _free_port() -> int:
@@ -525,23 +525,25 @@ def _launch_external_worker(port: int, index: int = 0) -> subprocess.Popen:
 
 
 class TestExternalWorkers:
-    """The remote-placement path: workers the supervisor did not spawn."""
+    """The remote-placement path: workers the pool did not spawn."""
 
     def test_standalone_worker_serves_and_shuts_down_cleanly(self, monkeypatch):
         port = _free_port()
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        monkeypatch.setattr(supervisor_module, "ACK_TIMEOUT_S", 20.0)
-        supervisor = WorkerSupervisor([_hosts()], transport=factory)
+        monkeypatch.setattr(backend_module, "ACK_TIMEOUT_S", 20.0)
         process = _launch_external_worker(port)
+        pool = None
         try:
-            supervisor.start()  # accepts the dial-in, ships the SPEC
-            meta = _ping(supervisor, 0)
+            # The pool accepts the dial-in and ships the SPEC as it is built.
+            pool = ProcessFanoutBackend(list(_hosts().values()), transport=factory)
+            meta = _ping(pool, 0)
             assert "counters" in meta
-            assert supervisor._handles[0].process is None  # not ours to join
+            assert pool._handles[0].process is None  # not ours to join
         finally:
-            supervisor.close()
+            if pool is not None:
+                pool.close()
             try:
                 assert process.wait(timeout=10.0) == 0  # clean SHUTDOWN exit
             finally:
@@ -553,23 +555,23 @@ class TestExternalWorkers:
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        monkeypatch.setattr(supervisor_module, "ACK_TIMEOUT_S", 20.0)
-        supervisor = WorkerSupervisor([_hosts()], transport=factory)
+        monkeypatch.setattr(backend_module, "ACK_TIMEOUT_S", 20.0)
         first = _launch_external_worker(port)
-        replacement = None
+        pool = replacement = None
         try:
-            supervisor.start()
-            _ping(supervisor, 0)
+            pool = ProcessFanoutBackend(list(_hosts().values()), transport=factory)
+            _ping(pool, 0)
             os.kill(first.pid, signal.SIGKILL)
             first.wait(timeout=10.0)
             # The operator's relaunch: a fresh worker dials the same port
             # (the listener's backlog holds it until recovery accepts).
             replacement = _launch_external_worker(port)
-            assert _ping(supervisor, 0) is None  # EOF → recover → re-handshake, dropped
-            assert supervisor.restart_count == 1
-            assert "counters" in _ping(supervisor, 0)
+            assert _ping(pool, 0) is None  # EOF → recover → re-handshake, dropped
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
         finally:
-            supervisor.close()
+            if pool is not None:
+                pool.close()
             for process in (first, replacement):
                 if process is not None and process.poll() is None:
                     process.kill()

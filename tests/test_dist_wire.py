@@ -35,8 +35,7 @@ from repro.core.config import ComputeParams
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.core.constellation import MachineId
 from repro.dist import wire
-from repro.dist.backend import ProcessFanoutBackend
-from repro.dist.supervisor import WorkerRemoteError
+from repro.dist.backend import ProcessFanoutBackend, WorkerRemoteError
 from repro.dist.transport import TcpTransportFactory
 from repro.dist.wire import (
     WIRE_MAGIC,
@@ -74,7 +73,7 @@ def _record(active, flipped=None, epoch=9, first=False):
 
 
 def _record_frame(record: EpochRecord) -> bytes:
-    # The path WorkerSupervisor.begin_epoch takes: payload, then frame.
+    # The path ProcessFanoutBackend.apply_slices takes: payload, then frame.
     return encode_frame(FrameKind.APPLY_EPOCH, *wire.slice_payload(record))
 
 
@@ -455,7 +454,7 @@ def _ping_backend(forged: tuple[FrameKind, dict]) -> ProcessFanoutBackend:
     backend = ProcessFanoutBackend(
         [MachineManager(Host(index=i)) for i in range(2)], transport=_InProcessFactory()
     )
-    backend.supervisor._handles[0].conn.replies.append(encode_frame(*forged))
+    backend._handles[0].conn.replies.append(encode_frame(*forged))
     return backend
 
 
@@ -558,7 +557,7 @@ class TestPickleGating:
             assert out == meta
 
     def test_no_runtime_module_binds_pickle(self):
-        for name in ("dist.wire", "dist.transport", "dist.worker", "dist.supervisor",
+        for name in ("dist.wire", "dist.transport", "dist.worker", "dist.backend",
                      "serve.gateway", "serve.client"):
             assert "pickle" not in vars(importlib.import_module(f"repro.{name}")), name
 

@@ -28,8 +28,8 @@ from repro.experiments import (
     entry,
     list_scenarios,
     scenario,
-    unregister,
 )
+from repro.experiments.registry import _REGISTRY
 from repro.orbits import GroundStation, ShellGeometry
 
 
@@ -101,7 +101,7 @@ class TestRegistry:
             with pytest.raises(ValueError, match="already registered"):
                 scenario("tmp-duplicate-check")(factory)
         finally:
-            unregister("tmp-duplicate-check")
+            _REGISTRY.pop("tmp-duplicate-check")
         with pytest.raises(UnknownScenarioError):
             entry("tmp-duplicate-check")
 
@@ -114,7 +114,7 @@ class TestRegistry:
             with pytest.raises(TypeError, match="Configuration"):
                 build("tmp-bad-factory")
         finally:
-            unregister("tmp-bad-factory")
+            _REGISTRY.pop("tmp-bad-factory")
 
 
 class TestSpecValidation:
@@ -179,6 +179,42 @@ class TestSpecValidation:
         level = data if not table else data[table]
         (level[0] if table == "fault_program" else level)["colour"] = "blue"
         with pytest.raises(ExperimentSpecError, match="unknown key 'colour'.*known: "):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "table, key, value, message",
+        [
+            ("fault_program", "at_s", "soon", "fault_program.at_s must be a number, not 'soon'"),
+            ("fault_program", "kind", None, "fault_program.kind is required"),
+            ("runtime", "duration_s", "long", "runtime.duration_s must be a number, not 'long'"),
+            ("runtime", "workers", 1.5, "runtime.workers must be an integer, not 1.5"),
+            ("runtime", "seed", "7", "runtime.seed must be an integer, not '7'"),
+            ("metrics", "outputs", "summary", "metrics.outputs must be a list, not 'summary'"),
+            ("serve", "port", "8080", "serve.port must be an integer, not '8080'"),
+            ("serve", "queue_limit", True, "serve.queue_limit must be an integer, not True"),
+            ("serve", "ack_timeout_s", False, "serve.ack_timeout_s must be a number, not False"),
+            ("scenario", "params", [1], "scenario.params must be a table, not \\[1\\]"),
+            ("", "name", 7, "name must be a string, not 7"),
+        ],
+    )
+    def test_a_value_of_the_wrong_type_names_its_field_and_type(self, table, key, value, message):
+        data = {
+            "name": "x",
+            "scenario": {"name": "iridium"},
+            "fault_program": [{"kind": "terminate", "at_s": 5, "target": "hawaii"}],
+            "runtime": {"parallelism": "processes", "workers": 2, "seed": 7, "duration_s": 60},
+            "metrics": {"outputs": ["summary"]},
+            "serve": {"port": 8080, "queue_limit": 8, "ack_timeout_s": 2},
+        }
+        spec = ExperimentSpec.from_dict(data)  # an integer is a number: 5 s, 60 s, 2 s
+        assert (spec.fault_program[0].at_s, spec.runtime.duration_s) == (5.0, 60.0)
+        level = data if not table else data[table]
+        level = level[0] if table == "fault_program" else level
+        if value is None:
+            del level[key]
+        else:
+            level[key] = value
+        with pytest.raises(ExperimentSpecError, match=f"^{message}$"):
             ExperimentSpec.from_dict(data)
 
     def test_name_required(self):
@@ -382,7 +418,7 @@ class TestRunnerEquivalence:
             )
             result = ExperimentRunner(spec).run()
         finally:
-            unregister("tmp-small-degraded")
+            _REGISTRY.pop("tmp-small-degraded")
 
         declarative = interpreters[0]
         assert isinstance(declarative, OperatorDegradation)

@@ -31,8 +31,8 @@ from repro.experiments import (
     WorkloadSpec,
     build,
     scenario,
-    unregister,
 )
+from repro.experiments.registry import _REGISTRY
 from repro.orbits import GroundStation, ShellGeometry
 
 
@@ -247,7 +247,7 @@ class TestGroundOutageEquivalence:
             )
             result = ExperimentRunner(spec).run()
         finally:
-            unregister("tmp-serve-outage")
+            _REGISTRY.pop("tmp-serve-outage")
         assert result.fault_events == manual_events
 
     def test_regional_blackout_selects_stations_by_bounding_box(self):
@@ -277,7 +277,7 @@ class TestGroundOutageEquivalence:
             )
             result = ExperimentRunner(spec).run()
         finally:
-            unregister("tmp-serve-region")
+            _REGISTRY.pop("tmp-serve-region")
         assert [(e.time_s, e.machine, e.kind) for e in result.fault_events] == [
             (20.0, "hawaii", "terminate"),
             (30.0, "hawaii", "reboot"),
@@ -308,7 +308,7 @@ class TestGroundOutageEquivalence:
             with pytest.raises(ExperimentSpecError, match="no ground stations"):
                 ExperimentRunner(spec).run()
         finally:
-            unregister("tmp-serve-empty")
+            _REGISTRY.pop("tmp-serve-empty")
 
     def test_region_requires_all_bounds(self):
         @scenario("tmp-serve-bounds")
@@ -327,4 +327,4 @@ class TestGroundOutageEquivalence:
             with pytest.raises(ExperimentSpecError, match="missing params"):
                 ExperimentRunner(spec).run()
         finally:
-            unregister("tmp-serve-bounds")
+            _REGISTRY.pop("tmp-serve-bounds")

@@ -5,14 +5,16 @@ thread, holding whatever that thread holds.  One that joined a thread pool
 deadlocked roughly one full test run in ten (PR 20), so the rule of this
 code base is: a finaliser never waits for a thread, nor for a worker's
 acknowledgement.  In pure ``ast`` (the code under test is not imported):
-the classes of ``src/repro`` that define ``__del__`` are exactly the two
+the classes of ``src/repro`` that define ``__del__`` are exactly the one
 below, and nothing a finaliser reaches through ``self.<method>()`` inside
 its own class calls ``.shutdown(``, collects acknowledgements
-(``collect`` / ``_collect`` / ``worker_counters``) or calls a ``.join(``
-other than ``str.join`` and the *process* joins of
-``WorkerSupervisor.close`` — ``<...>.process.join(timeout=...)``, bounded,
-and on a child process rather than a thread.  At run time, a process
-backend dropped with requests in flight collects none of them.
+(``_collect`` / ``_collect_from`` / ``worker_counters``) or calls a
+``.join(`` other than ``str.join`` and the *process* joins of
+``ProcessFanoutBackend._join`` — ``<...>.process.join(timeout=...)``,
+bounded, and on a child process rather than a thread.  At run time, a
+process backend dropped with requests in flight collects none of them, the
+interpreter-exit hook collects none either, and neither keeps a dropped
+pool alive.
 """
 
 import ast
@@ -20,9 +22,9 @@ import gc
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "repro"
-FINALISING_CLASSES = {"ProcessFanoutBackend", "WorkerSupervisor"}
+FINALISING_CLASSES = {"ProcessFanoutBackend"}
 #: What reads worker acknowledgements: only an explicit call may wait for one.
-COLLECTING = {"collect", "_collect", "worker_counters"}
+COLLECTING = {"_collect", "_collect_from", "worker_counters"}
 
 
 def _classes():
@@ -74,7 +76,7 @@ def _is_str_join(call):
     return isinstance(receiver, ast.Constant) and isinstance(receiver.value, str)
 
 
-def test_the_classes_with_a_finaliser_are_the_reviewed_two():
+def test_the_classes_with_a_finaliser_are_the_reviewed_one():
     finalising = {
         node.name: path.relative_to(SOURCE).as_posix()
         for path, node in _classes()
@@ -104,28 +106,43 @@ def test_no_finaliser_waits_for_a_thread():
                     if not (_is_str_join(call) or _is_bounded_process_join(call)):
                         offences.append(f"{where} calls .join( on something that may be a thread")
     assert not offences, "\n".join(offences)
-    # The walk saw the joins it exists to judge (WorkerSupervisor.close's three).
+    # The walk saw the joins it exists to judge (ProcessFanoutBackend._join's three).
     assert checked >= 3
 
 
 def test_a_backend_dropped_with_requests_in_flight_collects_none(monkeypatch):
+    import weakref
+
     from repro.core import MachineManager
+    from repro.dist import backend as backend_module
     from repro.dist.backend import ProcessFanoutBackend
-    from repro.dist.supervisor import WorkerSupervisor
     from repro.hosts import Host
 
     collected = []
-    monkeypatch.setattr(WorkerSupervisor, "collect", lambda self, worker: collected.append(worker))
-    manager = MachineManager(Host(index=0, allow_memory_overcommit=True))
-    backend = ProcessFanoutBackend([manager], worker_count=1)
-    supervisor = backend.supervisor
-    backend.sample_all(0.0)
-    backend.sample_all(1.0)
-    assert len(supervisor._handles[0].inflight) == 2
-    process = supervisor._handles[0].process
+    monkeypatch.setattr(
+        ProcessFanoutBackend, "_collect_from", lambda self, handle: collected.append(handle)
+    )
+
+    def pool_with_two_in_flight():
+        manager = MachineManager(Host(index=0, allow_memory_overcommit=True))
+        backend = ProcessFanoutBackend([manager], worker_count=1)
+        backend.sample_all(0.0)
+        backend.sample_all(1.0)
+        assert len(backend._handles[0].inflight) == 2
+        # The manager's sink holds its worker's batch, not the pool.
+        assert manager.sink.func.__self__ is backend._handles[0].control
+        return backend, backend._handles[0].process
+
+    backend, process = pool_with_two_in_flight()
+    dropped = weakref.ref(backend)
     del backend
     gc.collect()
+    assert dropped() is None  # the interpreter-exit hook kept no reference
     assert collected == []
     assert not process.is_alive()  # the finaliser joined the pool all the same
-    supervisor.close()  # the interpreter-exit hook: it collects nothing either
+    backend, process = pool_with_two_in_flight()
+    backend_module._join_live_pools()  # the interpreter-exit hook
+    assert collected == []  # it collects nothing either
+    assert not process.is_alive()
+    backend.close()  # already joined: nothing is left to collect
     assert collected == []
