@@ -12,6 +12,8 @@ This example shows the experiment harness end to end:
 Run with:  python examples/declarative_experiment.py
 """
 
+import tomllib
+
 from repro.analysis import render_table
 from repro.experiments import (
     ExperimentRunner,
@@ -59,7 +61,7 @@ def main() -> None:
     # Specs round-trip byte-stably through TOML — what you run is what you
     # can check in next to the paper's figures.
     text = spec.to_toml()
-    assert ExperimentSpec.from_toml_text(text).to_toml() == text
+    assert ExperimentSpec.from_dict(tomllib.loads(text)).to_toml() == text
     print("\n=== Spec as TOML (repro-celestial run <file>) ===")
     print(text)
 

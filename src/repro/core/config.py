@@ -6,23 +6,23 @@ bandwidth, minimum elevation), compute parameters (resources allocated to
 satellite and ground-station servers), orbital parameters for each satellite
 shell, ground-station locations, the optional bounding box, the host fleet
 and the update interval.  This module provides the typed in-memory form of
-that file plus (de)serialisation from plain dictionaries and TOML.
+that file plus (de)serialisation from plain dictionaries, TOML and JSON.
+
+The file is read like an experiment spec (:mod:`repro.core.tables`): an
+unknown key or a value of the wrong type is a :class:`ConfigurationError`
+naming its dotted path and expected type, not a run with the default.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from datetime import datetime
 from typing import Any, Literal, Optional
 
 from repro.core.bounding_box import BoundingBox
+from repro.core.tables import FLAT, ConfigurationError, load, read
 from repro.orbits import Epoch, GroundStation, ShellGeometry
 from repro.orbits import constants
-
-
-class ConfigurationError(ValueError):
-    """Raised when a configuration is inconsistent or incomplete."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,8 @@ class ShellConfig:
 class GroundStationConfig:
     """A ground-station server with its location and resources."""
 
-    station: GroundStation
+    #: Written flat in the file: ``name``, ``latitude_deg``, ... beside ``compute``.
+    station: GroundStation = field(metadata=FLAT)
     compute: ComputeParams = field(default_factory=ComputeParams)
     uplink_bandwidth_kbps: Optional[float] = None
     min_elevation_deg: Optional[float] = None
@@ -87,13 +88,6 @@ class GroundStationConfig:
     def name(self) -> str:
         """Name of the ground station."""
         return self.station.name
-
-
-#: ``[hosts]`` keys earlier versions accepted and nothing ever read.
-_REMOVED_HOST_KEYS = ("inter_host_latency_ms", "coordinator_cores", "coordinator_memory_mib")
-#: ``compute`` keys (of shells and ground stations) earlier versions accepted
-#: and wrote, and nothing ever read.
-_REMOVED_COMPUTE_KEYS = ("disk_mib",)
 
 
 @dataclass(frozen=True)
@@ -206,91 +200,10 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Configuration":
-        """Build a configuration from its plain-dictionary form."""
-        for key in _REMOVED_HOST_KEYS:
-            if key in (data.get("hosts") or {}):
-                raise ConfigurationError(
-                    f"hosts.{key} was removed: hosts are an accounting construct "
-                    "(placement and usage only, no overlay between them and no "
-                    "coordinator machine); delete the key"
-                )
-        for server in (*data.get("shells", ()), *data.get("ground_stations", ())):
-            compute = server.get("compute") if isinstance(server, dict) else None
-            for key in _REMOVED_COMPUTE_KEYS:
-                if key in (compute or {}):
-                    raise ConfigurationError(
-                        f"compute.{key} was removed: a machine is its vCPUs, memory, "
-                        f"CPU quota and idle CPU share; delete the key from "
-                        f"{server.get('name')!r}"
-                    )
-        try:
-            shells = tuple(
-                ShellConfig(
-                    name=shell["name"],
-                    geometry=ShellGeometry(**shell["geometry"]),
-                    network=NetworkParams(**shell.get("network", {})),
-                    compute=ComputeParams(**shell.get("compute", {})),
-                    propagator=shell.get("propagator", "kepler_j2"),
-                )
-                for shell in data["shells"]
-            )
-            ground_stations = tuple(
-                GroundStationConfig(
-                    station=GroundStation(
-                        name=gst["name"],
-                        latitude_deg=gst["latitude_deg"],
-                        longitude_deg=gst["longitude_deg"],
-                        altitude_km=gst.get("altitude_km", 0.0),
-                    ),
-                    compute=ComputeParams(**gst.get("compute", {})),
-                    uplink_bandwidth_kbps=gst.get("uplink_bandwidth_kbps"),
-                    min_elevation_deg=gst.get("min_elevation_deg"),
-                )
-                for gst in data.get("ground_stations", [])
-            )
-            bounding_box = None
-            if data.get("bounding_box"):
-                bounding_box = BoundingBox(**data["bounding_box"])
-            hosts = HostConfig(**data.get("hosts", {}))
-            epoch = Epoch(datetime.fromisoformat(data["epoch"])) if "epoch" in data else Epoch()
-        except (KeyError, TypeError) as error:
-            raise ConfigurationError(f"invalid configuration: {error}") from error
-        return cls(
-            shells=shells,
-            ground_stations=ground_stations,
-            bounding_box=bounding_box,
-            hosts=hosts,
-            epoch=epoch,
-            update_interval_s=data.get("update_interval_s", 2.0),
-            duration_s=data.get("duration_s", 600.0),
-            seed=data.get("seed", 0),
-        )
-
-    @classmethod
-    def from_toml(cls, path) -> "Configuration":
-        """Load a configuration from a TOML file."""
-        import tomllib
-
-        with open(path, "rb") as handle:
-            return cls.from_dict(tomllib.load(handle))
+        """Build a configuration from its plain-dictionary form, checked key by key."""
+        return read(cls, data)
 
     @classmethod
     def from_path(cls, path) -> "Configuration":
-        """Load a configuration from a ``.toml`` or ``.json`` file.
-
-        The format is selected by the file extension; any other suffix is a
-        :class:`ConfigurationError` (shared by the CLI and the experiment
-        runner, so both reject unknown formats identically).
-        """
-        import json
-
-        path_str = str(path)
-        if path_str.endswith(".toml"):
-            return cls.from_toml(path)
-        if path_str.endswith(".json"):
-            with open(path) as handle:
-                return cls.from_dict(json.load(handle))
-        raise ConfigurationError(
-            f"unsupported configuration file suffix: {path_str!r} "
-            "(expected .toml or .json)"
-        )
+        """Load a configuration from a ``.toml`` or ``.json`` file (by suffix)."""
+        return cls.from_dict(load(path))

@@ -16,23 +16,27 @@ import numpy as np
 
 from repro.core.constellation import MachineId
 from repro.core.machine_manager import MachineManager
+from repro.core.tables import ConfigurationError, bind
 from repro.net.network import VirtualNetwork
 from repro.sim import Simulation
 
+#: The :class:`FaultInjector` method each kind :meth:`FaultInjector.apply_op`
+#: runs, with the params an op of that kind may leave out.
+OP_METHODS = {
+    "terminate": ("terminate", {}),
+    "reboot": ("reboot", {}),
+    "degrade-cpu": ("degrade_cpu", {}),
+    "restore-cpu": ("restore_cpu", {}),
+    "packet-loss": ("inject_packet_loss", {"probability": 1.0}),
+    "clear-packet-loss": ("clear_packet_loss", {}),
+    "bandwidth-cap": ("cap_bandwidth", {}),
+    "clear-bandwidth-cap": ("clear_bandwidth_cap", {}),
+}
 #: Every kind a fault program's op may have: the eight :meth:`FaultInjector.apply_op`
 #: runs, then the two the experiment runner expands into injector calls.
-FAULT_OP_KINDS = (
-    "terminate",
-    "reboot",
-    "degrade-cpu",
-    "restore-cpu",
-    "packet-loss",
-    "clear-packet-loss",
-    "bandwidth-cap",
-    "clear-bandwidth-cap",
-    "ground-outage",
-    "operator-degradation",
-)
+FAULT_OP_KINDS = (*OP_METHODS, "ground-outage", "operator-degradation")
+#: The parameters of an :data:`OP_METHODS` method its op's params may not set.
+_TARGETS = ("self", "machine", "source", "destination", "now_s")
 
 
 @dataclass(frozen=True)
@@ -131,34 +135,31 @@ class FaultInjector:
         (:class:`~repro.experiments.spec.FaultOp`): machine-targeted kinds
         take ``machine``, link-targeted kinds take ``source``/``destination``,
         and kind-specific parameters (``quota_fraction``, ``probability``)
-        arrive as keywords.  Each op routes through the corresponding typed
-        method, so the event log is identical to hand-driven injection.
+        arrive as keywords, read by :meth:`bind_op`.  Each op routes through
+        the corresponding typed method, so the event log is identical to
+        hand-driven injection.
         """
-        if kind == "terminate":
-            self.terminate(machine, now_s)
-        elif kind == "reboot":
-            self.reboot(machine, now_s)
-        elif kind == "degrade-cpu":
-            self.degrade_cpu(machine, float(params["quota_fraction"]), now_s)
-        elif kind == "restore-cpu":
-            self.restore_cpu(machine, now_s)
-        elif kind == "packet-loss":
-            self.inject_packet_loss(
-                source, destination, float(params.get("probability", 1.0)), now_s
-            )
-        elif kind == "clear-packet-loss":
-            self.clear_packet_loss(source, destination, now_s)
-        elif kind == "bandwidth-cap":
-            self.cap_bandwidth(
-                source, destination, float(params["bandwidth_kbps"]), now_s
-            )
-        elif kind == "clear-bandwidth-cap":
-            self.clear_bandwidth_cap(source, destination, now_s)
-        else:
+        link = {"source": source, "destination": destination}
+        targets = {"machine": machine} if machine is not None else link
+        method = getattr(self, OP_METHODS[kind][0])
+        method(**targets, now_s=now_s, **self.bind_op(kind, params))
+
+    @staticmethod
+    def bind_op(
+        kind: str, params: dict, path: str = "params", error: type = ConfigurationError
+    ) -> dict:
+        """The params of one op of ``kind``, read against the method it runs.
+
+        A param the method does not take, a missing one it needs or a value
+        of the wrong type is an ``error`` naming ``path.<key>``.
+        """
+        if kind not in OP_METHODS:
             raise ValueError(
                 f"the injector runs no fault op of kind {kind!r} "
                 f"(fault op kinds: {', '.join(FAULT_OP_KINDS)})"
             )
+        name, defaults = OP_METHODS[kind]
+        return bind(getattr(FaultInjector, name), {**defaults, **params}, path, error, _TARGETS)
 
 
 class RadiationModel:

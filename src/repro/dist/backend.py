@@ -377,13 +377,16 @@ class ProcessFanoutBackend:
     def close(self) -> None:
         """Collect and compare what is in flight, then join the pool (idempotent).
 
-        A desync or a worker error found here is raised after the pool is joined.
+        A worker found dead here is not restarted: its unanswered requests
+        are dropped unverified, as a restart drops them, and it is joined
+        with the rest.  A desync or a worker error found here is raised
+        after the pool is joined.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            self._collect()
+            self._collect(recover=False)
         finally:
             self._join()
 
@@ -477,9 +480,15 @@ class ProcessFanoutBackend:
             handle.inflight.append((self._seq, time.monotonic(), answers))
             self._send(handle, frame)
 
-    def _collect(self) -> list[dict[str, Any]]:
-        """Collect every acknowledgement in flight, then compare each with its answers."""
-        acks = [pair for handle in self._handles for pair in self._collect_from(handle)]
+    def _collect(self, recover: bool = True) -> list[dict[str, Any]]:
+        """Collect every acknowledgement in flight, then compare each with its answers.
+
+        A worker found dead on the way is restarted, or with ``recover``
+        false only has its unanswered requests dropped.
+        """
+        acks = [
+            pair for handle in self._handles for pair in self._collect_from(handle, recover)
+        ]
         for ack, answers in acks:
             for position, answer in answers.items():
                 held = dict(ack["counters"].get(position, {}))
@@ -500,7 +509,9 @@ class ProcessFanoutBackend:
                 difference = f"the worker's {key} is {theirs!r}, the driver's replica's {value!r}"
             raise WorkerDesyncError(f"host {host}: {difference}")
 
-    def _collect_from(self, handle: _Handle) -> list[tuple[dict[str, Any], dict[int, dict]]]:
+    def _collect_from(
+        self, handle: _Handle, recover: bool = True
+    ) -> list[tuple[dict[str, Any], dict[int, dict]]]:
         """Read the worker's acknowledgements in flight, oldest first, uncompared.
 
         Returns ``(acknowledgement, answers)`` pairs.  A crash observed on
@@ -516,7 +527,10 @@ class ProcessFanoutBackend:
                     raise WorkerCrashError(f"worker {handle.index} transport broke mid-send")
                 ack = self._await_ack(handle, seq)
             except WorkerCrashError:
-                self._recover(handle)
+                if recover:
+                    self._recover(handle)
+                else:
+                    handle.inflight.clear()
                 break
             except WorkerRemoteError:
                 handle.inflight.popleft()  # answered, with an error

@@ -15,8 +15,8 @@ few lines over its ``SHELLS`` table::
 and callers discover it by name (``repro.scenarios.get("kuiper")``,
 ``list_scenarios()``) instead of importing the module — which is what lets
 an :class:`~repro.experiments.spec.ExperimentSpec` reference a scenario as
-a string in a TOML file, whose ``params`` :func:`build` checks against the
-factory's signature.
+a string in a TOML file, whose ``params`` :func:`build` reads against the
+factory's signature with the one reader, :func:`repro.core.tables.bind`.
 
 The registry itself has no dependencies on the scenario modules; importing
 :mod:`repro.scenarios` triggers the registrations (``get`` does this lazily,
@@ -25,11 +25,11 @@ so a spec file can be resolved without any prior import).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.config import Configuration, ConfigurationError
+from repro.core.config import Configuration
+from repro.core.tables import bind
 
 
 class UnknownScenarioError(KeyError):
@@ -115,17 +115,12 @@ def entries() -> list[ScenarioEntry]:
 def build(name: str, **params: Any) -> Configuration:
     """Build a scenario's configuration, checking the parameters and the result.
 
-    A parameter the factory does not take is a :class:`ConfigurationError`
-    naming the parameters it does take.
+    A parameter the factory does not take, or a value of another type than
+    its signature annotates, is a :class:`~repro.core.config.ConfigurationError`
+    naming it.
     """
     factory = get(name)
-    signature = inspect.signature(factory)
-    try:
-        signature.bind(**params)
-    except TypeError as error:
-        taken = ", ".join(signature.parameters)
-        raise ConfigurationError(f"scenario {name!r}: {error} (it takes {taken})") from None
-    config = factory(**params)
+    config = factory(**bind(factory, params, "scenario.params"))
     if not isinstance(config, Configuration):
         raise TypeError(
             f"scenario {name!r} returned {type(config).__name__}, "

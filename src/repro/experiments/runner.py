@@ -26,21 +26,21 @@ and the worker count move no boot time and no application latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Any, Optional
-
-import dataclasses
+from typing import Any, Literal, Mapping, Optional
 
 from repro.analysis.metrics import LatencySeries
-from repro.core.config import Configuration, HostConfig
+from repro.core.config import Configuration
 from repro.core.constellation import MachineId
+from repro.core.tables import bind, read
 from repro.core.testbed import Celestial
 from repro.experiments import registry
 from repro.experiments.spec import ExperimentSpec, ExperimentSpecError, FaultOp
 
-#: Configuration fields a scenario override may replace directly.
-_OVERRIDABLE_FIELDS = ("duration_s", "update_interval_s", "seed")
+#: Configuration fields no override sets (one sets duration_s, update_interval_s, seed or hosts).
+_FIXED_FIELDS = ("shells", "ground_stations", "bounding_box", "epoch")
 
 
 @dataclass
@@ -79,24 +79,18 @@ def build_configuration(spec: ExperimentSpec) -> Configuration:
         config = registry.build(spec.scenario.name, **spec.scenario.params)
     else:
         config = Configuration.from_path(spec.scenario.path)
-    changes: dict[str, Any] = {}
-    for key, value in spec.scenario.overrides.items():
-        if key in _OVERRIDABLE_FIELDS:
-            changes[key] = value
-        elif key == "hosts":
-            merged = {**dataclasses.asdict(config.hosts), **value}
-            changes["hosts"] = HostConfig(**merged)
-        else:
-            raise ExperimentSpecError(
-                f"unknown scenario override {key!r} "
-                f"(supported: {', '.join(_OVERRIDABLE_FIELDS)}, hosts)"
-            )
+    overrides = dict(spec.scenario.overrides)
+    if isinstance(overrides.get("hosts"), Mapping):
+        overrides["hosts"] = {**asdict(config.hosts), **overrides["hosts"]}
+    changes = bind(
+        Configuration, overrides, "scenario.overrides", ExperimentSpecError, _FIXED_FIELDS
+    )
     # Runtime duration/seed win over both the scenario and its overrides.
     if spec.runtime.duration_s is not None:
         changes["duration_s"] = spec.runtime.duration_s
     if spec.runtime.seed is not None:
         changes["seed"] = spec.runtime.seed
-    return dataclasses.replace(config, **changes) if changes else config
+    return replace(config, **changes) if changes else config
 
 
 # -- fault program -------------------------------------------------------------
@@ -132,27 +126,53 @@ def _resolve_machine(testbed: Celestial, target: str) -> MachineId:
     return machine
 
 
-def _outage_stations(testbed: Celestial, config: Configuration, op: FaultOp) -> list[MachineId]:
-    """The ground stations a ``ground-outage`` op takes down.
+def _at(testbed: Celestial, at_s: float, action) -> None:
+    """Run ``action(now_s)`` at ``at_s``: on the spot at 0, else from a simulation process."""
+    if at_s <= 0:
+        action(testbed.sim.now)
+        return
+
+    def _deferred():
+        yield testbed.sim.timeout(at_s)
+        action(testbed.sim.now)
+
+    testbed.sim.process(_deferred())
+
+
+def _schedule_ground_outage(
+    testbed: Celestial,
+    config: Configuration,
+    op: FaultOp,
+    lat_min: Optional[float] = None,
+    lat_max: Optional[float] = None,
+    lon_min: Optional[float] = None,
+    lon_max: Optional[float] = None,
+    duration_s: Optional[float] = None,
+) -> None:
+    """Arm a ``ground-outage`` op: terminate a set of stations at once.
 
     Stations are selected either by comma-separated names in the op's
-    target, or — when the target is empty — by a geographic region given
-    as ``lat_min``/``lat_max``/``lon_min``/``lon_max`` params (a regional
-    blackout: every configured station inside the box goes dark).
+    target, or — when the target is empty — by the region its
+    ``lat_min``/``lat_max``/``lon_min``/``lon_max`` params span (a regional
+    blackout: every configured station inside the box goes dark).  The op
+    expands to one ``terminate`` per station (and, when ``duration_s`` is
+    given, one ``reboot`` per station at recovery time), routed through
+    :meth:`FaultInjector.apply_op` — so the injector event log is identical
+    to a run hand-wiring the same terminates and reboots.
     """
+    region = {"lat_min": lat_min, "lat_max": lat_max, "lon_min": lon_min, "lon_max": lon_max}
     if op.target:
         names = [name.strip() for name in op.target.split(",") if name.strip()]
+    elif None in region.values():
+        missing = [key for key, bound in region.items() if bound is None]
+        raise ExperimentSpecError(
+            "ground-outage needs station names in 'target' or a region "
+            f"(missing params: {', '.join(missing)})"
+        )
     else:
-        bounds = ("lat_min", "lat_max", "lon_min", "lon_max")
-        missing = [key for key in bounds if key not in op.params]
-        if missing:
-            raise ExperimentSpecError(
-                "ground-outage needs station names in 'target' or a region "
-                f"(missing params: {', '.join(missing)})"
-            )
         from repro.core.bounding_box import BoundingBox
 
-        box = BoundingBox(*(float(op.params[key]) for key in bounds))
+        box = read(BoundingBox, region, "fault_program.params", ExperimentSpecError)
         names = [
             gst.name
             for gst in config.ground_stations
@@ -160,48 +180,26 @@ def _outage_stations(testbed: Celestial, config: Configuration, op: FaultOp) -> 
         ]
     if not names:
         raise ExperimentSpecError("ground-outage selects no ground stations")
-    return [_station(testbed, name) for name in names]
-
-
-def _schedule_ground_outage(testbed: Celestial, config: Configuration, op: FaultOp) -> None:
-    """Arm a ``ground-outage`` op: terminate a set of stations at once.
-
-    The op expands to one ``terminate`` per selected station (and, when
-    ``duration_s`` is given, one ``reboot`` per station at recovery time),
-    routed through :meth:`FaultInjector.apply_op` — so the injector event
-    log is identical to a run hand-wiring the same terminates and reboots.
-    """
+    stations = [_station(testbed, name) for name in names]
     injector = testbed.fault_injector
-    stations = _outage_stations(testbed, config, op)
-    duration_s = op.params.get("duration_s")
 
-    def _down(now_s: float) -> None:
+    def _all(kind: str, now_s: float) -> None:
         for machine in stations:
-            injector.apply_op("terminate", now_s, machine=machine)
+            injector.apply_op(kind, now_s, machine=machine)
 
-    if op.at_s > 0:
-
-        def _deferred():
-            yield testbed.sim.timeout(op.at_s)
-            _down(testbed.sim.now)
-
-        testbed.sim.process(_deferred())
-    else:
-        _down(testbed.sim.now)
+    _at(testbed, op.at_s, partial(_all, "terminate"))
     if duration_s is not None:
-
-        def _recovery():
-            yield testbed.sim.timeout(op.at_s + float(duration_s))
-            for machine in stations:
-                injector.apply_op("reboot", testbed.sim.now, machine=machine)
-
-        testbed.sim.process(_recovery())
+        _at(testbed, op.at_s + duration_s, partial(_all, "reboot"))
 
 
 def _schedule_op(testbed: Celestial, config: Configuration, op: FaultOp) -> Optional[object]:
-    """Arm one fault op; returns its stateful interpreter, if any."""
+    """Arm one fault op, its params read against the call that consumes them;
+    returns its stateful interpreter, if any."""
+    where = "fault_program.params"
     if op.kind == "ground-outage":
-        _schedule_ground_outage(testbed, config, op)
+        given = ("testbed", "config", "op")
+        params = bind(_schedule_ground_outage, op.params, where, ExperimentSpecError, given)
+        _schedule_ground_outage(testbed, config, op, **params)
         return None
     if op.kind == "operator-degradation":
         # Late import: repro.scenarios imports the registry from this package.
@@ -211,40 +209,31 @@ def _schedule_op(testbed: Celestial, config: Configuration, op: FaultOp) -> Opti
             victim_shell_index,
         )
 
-        shell_name = op.target or DEFAULT_VICTIM_SHELL
-        degradation = OperatorDegradation(
-            testbed,
-            victim_shell_index(config, shell_name),
-            **op.params,
-        )
-        if op.at_s > 0:
+        given = ("testbed", "shell_index", "rng")
+        params = bind(OperatorDegradation, op.params, where, ExperimentSpecError, given)
+        try:
+            shell_index = victim_shell_index(config, op.target or DEFAULT_VICTIM_SHELL)
+            degradation = OperatorDegradation(testbed, shell_index, **params)
+        except ValueError as error:
+            raise ExperimentSpecError(f"fault_program: {error}") from error
 
-            def _delayed():
+        def _cascade():
+            if op.at_s > 0:
                 yield testbed.sim.timeout(op.at_s)
-                yield from degradation.process()
+            yield from degradation.process()
 
-            testbed.sim.process(_delayed())
-        else:
-            testbed.sim.process(degradation.process())
+        testbed.sim.process(_cascade())
         return degradation
 
     injector = testbed.fault_injector
-    kwargs: dict[str, Any] = dict(op.params)
+    kwargs = injector.bind_op(op.kind, op.params, where, ExperimentSpecError)
     if "->" in op.target:
         source_name, destination_name = op.target.split("->", 1)
         kwargs["source"] = _resolve_machine(testbed, source_name)
         kwargs["destination"] = _resolve_machine(testbed, destination_name)
     elif op.target:
         kwargs["machine"] = _resolve_machine(testbed, op.target)
-    if op.at_s > 0:
-
-        def _deferred():
-            yield testbed.sim.timeout(op.at_s)
-            injector.apply_op(op.kind, testbed.sim.now, **kwargs)
-
-        testbed.sim.process(_deferred())
-    else:
-        injector.apply_op(op.kind, testbed.sim.now, **kwargs)
+    _at(testbed, op.at_s, lambda now_s: injector.apply_op(op.kind, now_s, **kwargs))
     return None
 
 
@@ -260,31 +249,29 @@ def schedule_fault_program(
     here, timed ones too, so a target naming no machine is an
     :class:`ExperimentSpecError` before the run starts.
     """
-    interpreters = []
-    for op in program:
-        interpreter = _schedule_op(testbed, config, op)
-        if interpreter is not None:
-            interpreters.append(interpreter)
-    return interpreters
+    interpreters = [_schedule_op(testbed, config, op) for op in program]
+    return [interpreter for interpreter in interpreters if interpreter is not None]
 
 
 # -- workloads -----------------------------------------------------------------
 
 
-def _run_meetup(testbed: Celestial, config: Configuration, params: dict[str, Any]):
+def _run_meetup(
+    testbed: Celestial,
+    config: Configuration,
+    mode: Literal["satellite", "cloud"] = "satellite",
+    # VideoStreamParams' defaults (repro.apps is imported only when a run needs it):
+    bitrate_kbps: float = 2600.0,
+    packet_interval_s: float = 0.02,
+    tracking_interval_s: float = 5.0,
+):
     from repro.apps import MeetupExperiment, VideoStreamParams
 
-    mode = params.get("mode", "satellite")
-    stream_kwargs = {
-        key: params[key]
-        for key in ("bitrate_kbps", "packet_interval_s")
-        if key in params
-    }
     experiment = MeetupExperiment(
         testbed,
         mode=mode,
-        stream=VideoStreamParams(**stream_kwargs),
-        tracking_interval_s=params.get("tracking_interval_s", 5.0),
+        stream=VideoStreamParams(bitrate_kbps, packet_interval_s),
+        tracking_interval_s=tracking_interval_s,
     )
     results = experiment.run()
     return (
@@ -294,15 +281,20 @@ def _run_meetup(testbed: Celestial, config: Configuration, params: dict[str, Any
     )
 
 
-def _run_dart(testbed: Celestial, config: Configuration, params: dict[str, Any]):
+def _run_dart(
+    testbed: Celestial,
+    config: Configuration,
+    deployment: Literal["central", "satellite"] = "central",
+    group_count: int = 20,
+    reading_interval_s: float = 1.0,
+):
     from repro.apps import DartExperiment
 
-    deployment = params.get("deployment", "central")
     experiment = DartExperiment(
         testbed,
         deployment=deployment,
-        group_count=params.get("group_count", 20),
-        reading_interval_s=params.get("reading_interval_s", 1.0),
+        group_count=group_count,
+        reading_interval_s=reading_interval_s,
     )
     results = experiment.run()
     return (
@@ -312,7 +304,7 @@ def _run_dart(testbed: Celestial, config: Configuration, params: dict[str, Any])
     )
 
 
-def _run_none(testbed: Celestial, config: Configuration, params: dict[str, Any]):
+def _run_none(testbed: Celestial, config: Configuration):
     testbed.run()
     statistics = testbed.network_statistics()
     metrics = [
@@ -321,31 +313,21 @@ def _run_none(testbed: Celestial, config: Configuration, params: dict[str, Any])
         ["messages delivered", statistics["delivered"]],
         ["messages dropped", statistics["dropped"]],
     ]
-    return (
-        f"Emulation run ({config.duration_s:.0f}s, no workload)",
-        metrics,
-        {},
-    )
+    return f"Emulation run ({config.duration_s:.0f}s, no workload)", metrics, {}
 
 
-_TESTBED_WORKLOADS = {
-    "meetup": _run_meetup,
-    "dart": _run_dart,
-    "none": _run_none,
-}
-
-
-def _run_handover(spec: ExperimentSpec, config: Configuration) -> ExperimentResult:
+def _run_handover(
+    spec: ExperimentSpec,
+    config: Configuration,
+    station: str,
+    duration_s: Optional[float] = None,
+    interval_s: float = 10.0,
+) -> ExperimentResult:
     """The testbed-less analysis workload (pure constellation calculation)."""
     from repro.analysis.handover import analyze_handovers
     from repro.core.constellation import ConstellationCalculation
 
-    params = spec.workload.params
-    if "station" not in params:
-        raise ExperimentSpecError("the handover workload requires params.station")
-    station = params["station"]
-    duration_s = params.get("duration_s", config.duration_s)
-    interval_s = params.get("interval_s", 10.0)
+    duration_s = config.duration_s if duration_s is None else duration_s
     calculation = ConstellationCalculation(config)
     analysis = analyze_handovers(calculation, station, duration_s, interval_s)
     metrics = [
@@ -363,6 +345,15 @@ def _run_handover(spec: ExperimentSpec, config: Configuration) -> ExperimentResu
     )
 
 
+#: Each workload app's runner; its keyword parameters are the app's params.
+_WORKLOADS = {
+    "meetup": _run_meetup,
+    "dart": _run_dart,
+    "none": _run_none,
+    "handover": _run_handover,
+}
+
+
 # -- the runner ----------------------------------------------------------------
 
 
@@ -377,15 +368,18 @@ class ExperimentRunner:
         """Build, fault-inject, drive and measure; returns the result."""
         spec = self.spec
         config = build_configuration(spec)
+        # Read before anything is built: a misspelled param runs nothing.
+        workload, given = _WORKLOADS[spec.workload.app], ("testbed", "spec", "config")
+        params = bind(workload, spec.workload.params, "workload.params", ExperimentSpecError, given)
         if spec.workload.app == "handover":
             if spec.fault_program:
                 raise ExperimentSpecError(
                     "the handover workload is a pure calculation; "
                     "it cannot host a fault program"
                 )
-            result = _run_handover(spec, config)
+            result = _run_handover(spec, config, **params)
         else:
-            result = self._run_on_testbed(spec, config)
+            result = self._run_on_testbed(spec, config, workload, params)
         if self.output_dir is not None:
             from repro.analysis.bundle import write_experiment_bundle
 
@@ -393,14 +387,11 @@ class ExperimentRunner:
         return result
 
     def _run_on_testbed(
-        self, spec: ExperimentSpec, config: Configuration
+        self, spec: ExperimentSpec, config: Configuration, workload, params: dict[str, Any]
     ) -> ExperimentResult:
         serve = spec.serve
-        testbed = Celestial(
-            config,
-            parallelism=spec.runtime.parallelism,
-            worker_count=spec.runtime.workers,
-        )
+        runtime = spec.runtime
+        testbed = Celestial(config, parallelism=runtime.parallelism, worker_count=runtime.workers)
         gateway = None
         try:
             if spec.fault_program or serve is not None:
@@ -413,16 +404,8 @@ class ExperimentRunner:
             if serve is not None:
                 from repro.serve.gateway import GatewayServer
 
-                gateway = GatewayServer(
-                    testbed.database,
-                    host=serve.host,
-                    port=serve.port,
-                    queue_limit=serve.queue_limit,
-                    ack_timeout_s=serve.ack_timeout_s,
-                    auth_secret=serve.auth_secret,
-                ).start()
-            workload = _TESTBED_WORKLOADS[spec.workload.app]
-            title, metrics, series = workload(testbed, config, spec.workload.params)
+                gateway = GatewayServer(testbed.database, **asdict(serve)).start()
+            title, metrics, series = workload(testbed, config, **params)
             return ExperimentResult(
                 spec=spec,
                 config=config,

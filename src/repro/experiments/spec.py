@@ -12,6 +12,10 @@ ablations become data files interpreted by one runner
 RAFDA line of work that keeps application logic policy-free and pushes
 placement/workload/fault policy into declarative configuration.
 
+A spec is read like the configuration file, by the one reader of
+:mod:`repro.core.tables`; its ``params`` tables are bound later, each
+against the signature that consumes it, before the run starts.
+
 Example (``experiment.toml``)::
 
     name = "dart-smoke"
@@ -43,11 +47,11 @@ Example (``experiment.toml``)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
-from repro.core.config import ConfigurationError
 from repro.core.fault_injection import FAULT_OP_KINDS
+from repro.core.tables import ConfigurationError, load, read
 
 
 class ExperimentSpecError(ConfigurationError):
@@ -58,58 +62,6 @@ class ExperimentSpecError(ConfigurationError):
 KNOWN_WORKLOADS = ("meetup", "dart", "handover", "none")
 #: Analysis outputs a spec may request in ``metrics.outputs``.
 KNOWN_METRIC_OUTPUTS = ("summary", "latency-csv", "resource-traces", "fault-events")
-
-
-#: Keys a spec no longer has, with what replaced them.
-_REMOVED = {
-    "runtime.transport": "worker processes are always reached over TCP "
-    "(loopback for the ones the run spawns)",
-    "serve.all_pairs": "every path row is solved on demand",
-}
-
-
-def _table(data: Any, spec_class: type, where: str) -> Mapping[str, Any]:
-    """``data``, the ``where`` table of a ``spec_class``; a key that is not
-    one of its fields is an :class:`ExperimentSpecError` naming it."""
-    if not isinstance(data, Mapping):
-        raise ExperimentSpecError(f"{where} must be a table, not {type(data).__name__}")
-    known = [spec_field.name for spec_field in fields(spec_class)]
-    for key in data:
-        replaced = _REMOVED.get(f"{where}.{key}")
-        if replaced:
-            raise ExperimentSpecError(f"{where}.{key} was removed: {replaced}; delete the key")
-        if key not in known:
-            raise ExperimentSpecError(
-                f"unknown key {key!r} in {where} (known: {', '.join(known)})"
-            )
-    return data
-
-
-#: How an error names the type a field must have, by the type checked.
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "a table", list: "a list"}
-_REQUIRED = object()
-
-
-def _field(table: Mapping[str, Any], key: str, kind: type, where: str, default: Any = None) -> Any:
-    """``table[key]``, ``default`` when absent, checked to be a ``kind``.
-
-    A ``float`` field takes an integer too and is returned as a float; a
-    ``dict`` field is any table, returned as a new dict.  A value of another
-    type — a bool for a number included — or a missing ``_REQUIRED`` field
-    is an :class:`ExperimentSpecError` naming ``where.key``.
-    """
-    name = f"{where}.{key}" if where else key
-    if key not in table:
-        if default is _REQUIRED:
-            raise ExperimentSpecError(f"{name} is required")
-        return default
-    value = table[key]
-    accepted = {float: (int, float), dict: Mapping}.get(kind, kind)
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ExperimentSpecError(f"{name} must be {_TYPE_NAMES[kind]}, not {value!r}")
-    if kind is float:
-        return float(value)
-    return dict(value) if kind is dict else value
 
 
 @dataclass(frozen=True)
@@ -334,70 +286,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Build a spec from its plain-dictionary form.
-
-        A key this form does not have, at any level, is an
-        :class:`ExperimentSpecError` naming it: a misspelled table or field
-        is refused instead of running without it.  So is a value of the
-        wrong type (a bool is not a number) or a missing ``name`` or fault
-        ``kind``: the error names the field and the type it must have.
-        """
-        _table(data, cls, "the experiment spec")
-        scenario_data = _table(data.get("scenario", {}), ScenarioSpec, "scenario")
-        scenario = ScenarioSpec(
-            name=_field(scenario_data, "name", str, "scenario", ""),
-            path=_field(scenario_data, "path", str, "scenario"),
-            params=_field(scenario_data, "params", dict, "scenario", {}),
-            overrides=_field(scenario_data, "overrides", dict, "scenario", {}),
-        )
-        workload_data = _table(data.get("workload", {}), WorkloadSpec, "workload")
-        workload = WorkloadSpec(
-            app=_field(workload_data, "app", str, "workload", "none"),
-            params=_field(workload_data, "params", dict, "workload", {}),
-        )
-        ops = [
-            _table(op, FaultOp, "fault_program")
-            for op in _field(data, "fault_program", list, "", [])
-        ]
-        fault_program = tuple(
-            FaultOp(
-                kind=_field(op, "kind", str, "fault_program", _REQUIRED),
-                at_s=_field(op, "at_s", float, "fault_program", 0.0),
-                target=_field(op, "target", str, "fault_program", ""),
-                params=_field(op, "params", dict, "fault_program", {}),
-            )
-            for op in ops
-        )
-        runtime_data = _table(data.get("runtime", {}), RuntimeSpec, "runtime")
-        runtime = RuntimeSpec(
-            duration_s=_field(runtime_data, "duration_s", float, "runtime"),
-            parallelism=_field(runtime_data, "parallelism", str, "runtime", "threads"),
-            workers=_field(runtime_data, "workers", int, "runtime"),
-            seed=_field(runtime_data, "seed", int, "runtime"),
-        )
-        metrics_data = _table(data.get("metrics", {}), MetricsSpec, "metrics")
-        outputs = _field(metrics_data, "outputs", list, "metrics", ["summary"])
-        if not all(isinstance(output, str) for output in outputs):
-            raise ExperimentSpecError(f"metrics.outputs must be a list of strings, not {outputs!r}")
-        serve: Optional[ServeSpec] = None
-        if "serve" in data:
-            serve_data = _table(data["serve"], ServeSpec, "serve")
-            serve = ServeSpec(
-                host=_field(serve_data, "host", str, "serve", "127.0.0.1"),
-                port=_field(serve_data, "port", int, "serve", 0),
-                queue_limit=_field(serve_data, "queue_limit", int, "serve", 64),
-                ack_timeout_s=_field(serve_data, "ack_timeout_s", float, "serve", 5.0),
-                auth_secret=_field(serve_data, "auth_secret", str, "serve", ""),
-            )
-        return cls(
-            name=_field(data, "name", str, "", _REQUIRED),
-            scenario=scenario,
-            workload=workload,
-            fault_program=fault_program,
-            runtime=runtime,
-            metrics=MetricsSpec(outputs=tuple(outputs)),
-            serve=serve,
-        )
+        """Build a spec from its plain-dictionary form, every key and type checked."""
+        return read(cls, data, error=ExperimentSpecError)
 
     def to_toml(self) -> str:
         """Deterministic TOML rendering of the spec.
@@ -427,26 +317,9 @@ class ExperimentSpec:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_toml_text(cls, text: str) -> "ExperimentSpec":
-        """Parse a spec from TOML source text."""
-        import tomllib
-
-        return cls.from_dict(tomllib.loads(text))
-
-    @classmethod
     def from_path(cls, path) -> "ExperimentSpec":
-        """Load a spec from a ``.toml`` or ``.json`` file (by extension)."""
-        path_str = str(path)
-        if path_str.endswith(".toml"):
-            with open(path) as handle:
-                return cls.from_toml_text(handle.read())
-        if path_str.endswith(".json"):
-            with open(path) as handle:
-                return cls.from_dict(json.load(handle))
-        raise ExperimentSpecError(
-            f"unsupported experiment spec suffix: {path_str!r} "
-            "(expected .toml or .json)"
-        )
+        """Load a spec from a ``.toml`` or ``.json`` file (by suffix)."""
+        return cls.from_dict(load(path, ExperimentSpecError))
 
 
 # -- TOML emission helpers ---------------------------------------------------

@@ -103,8 +103,8 @@ class OperatorDegradation:
     interval_s: float = 60.0
     target_fraction: float = 0.5
     rng: Optional[np.random.Generator] = None
-    severed: set[tuple[int, int]] = field(default_factory=set)
-    steps: list[DegradationStep] = field(default_factory=list)
+    severed: set[tuple[int, int]] = field(default_factory=set, init=False)
+    steps: list[DegradationStep] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.target_fraction <= 1.0:

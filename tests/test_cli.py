@@ -245,6 +245,12 @@ class TestConfigurationErrors:
         line = self._error_line(command(str(path)), capsys)
         assert str(path) in line and "update interval must be positive" in line
 
+    def test_a_misspelled_key(self, tmp_path, capsys):
+        path = tmp_path / "typo.toml"
+        path.write_text(_CONFIG_TOML.replace("min_elevation_deg = 8.2", "min_elevaton_deg = 8.2"))
+        line = self._error_line(["validate", str(path)], capsys)
+        assert str(path) in line and "'shells.network.min_elevaton_deg'" in line
+
     def test_removed_host_key(self, tmp_path, capsys):
         path = tmp_path / "stale.toml"
         path.write_text(_CONFIG_TOML.replace("[hosts]\n", "[hosts]\ninter_host_latency_ms = 0.2\n"))

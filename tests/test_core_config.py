@@ -13,7 +13,28 @@ from repro.core.config import (
     NetworkParams,
     ShellConfig,
 )
+from repro.experiments import build, list_scenarios
 from repro.orbits import Epoch, GroundStation, ShellGeometry
+
+_IRIDIUM_TOML = """\
+epoch = "2022-01-01T00:00:00"
+update_interval_s = 2.0
+duration_s = 60.0
+
+[[shells]]
+name = "iridium"
+[shells.geometry]
+planes = 6
+satellites_per_plane = 11
+altitude_km = 780.0
+inclination_deg = 86.4
+arc_of_ascending_nodes_deg = 180.0
+
+[[ground_stations]]
+name = "hawaii"
+latitude_deg = 21.3
+longitude_deg = -157.9
+"""
 
 
 def _shell(name="shell-0", planes=6, per_plane=11):
@@ -139,31 +160,52 @@ class TestConfiguration:
             ComputeParams(disk_mib=512)
 
     def test_from_toml(self, tmp_path):
-        toml_text = """
-        epoch = "2022-01-01T00:00:00"
-        update_interval_s = 2.0
-        duration_s = 60.0
-
-        [[shells]]
-        name = "iridium"
-        [shells.geometry]
-        planes = 6
-        satellites_per_plane = 11
-        altitude_km = 780.0
-        inclination_deg = 86.4
-        arc_of_ascending_nodes_deg = 180.0
-
-        [[ground_stations]]
-        name = "hawaii"
-        latitude_deg = 21.3
-        longitude_deg = -157.9
-        """
         path = tmp_path / "config.toml"
-        path.write_text(toml_text)
-        config = Configuration.from_toml(path)
+        path.write_text(_IRIDIUM_TOML)
+        config = Configuration.from_path(path)
         assert config.total_satellites == 66
         assert config.duration_s == 60.0
         assert config.ground_station_names == ["hawaii"]
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("update_interval_s = 2.0", "update_intervall_s = 30.0",
+             "unknown key 'update_intervall_s' (known: shells, "),
+            ("[[ground_stations]]", "[shells.netwrok]\n[[ground_stations]]",
+             "unknown key 'shells.netwrok' (known: name, geometry, network, "),
+            ("[[ground_stations]]", "[shells.network]\nmin_elevaton_deg = 5.0\n[[ground_stations]]",
+             "unknown key 'shells.network.min_elevaton_deg' (known: "),
+            ("longitude_deg = -157.9", "longitude_deg = -157.9\nmin_elevaton_deg = 5.0",
+             "unknown key 'ground_stations.min_elevaton_deg' (known: name, latitude_deg, "),
+            ("duration_s = 60.0", 'duration_s = "long"', "duration_s must be a number, not 'long'"),
+            ("duration_s = 60.0", "duration_s = 60.0\nseed = 1.5",
+             "seed must be an integer, not 1.5"),
+            ("duration_s = 60.0", "duration_s = 60.0\nseed = true",
+             "seed must be an integer, not True"),
+            ('epoch = "2022-01-01T00:00:00"', 'epoch = "yesterday"',
+             "epoch must be an ISO 8601 date-time string, not 'yesterday'"),
+        ],
+        ids=["top-level-key", "shell-table", "network-key", "station-key", "string-duration",
+             "float-seed", "bool-seed", "epoch"],
+    )
+    def test_a_mistake_in_the_file_names_its_dotted_path_and_type(
+        self, old, new, message, tmp_path
+    ):
+        """A misspelled key or a value of the wrong type is refused, not read as the default."""
+        assert old in _IRIDIUM_TOML
+        path = tmp_path / "config.toml"
+        path.write_text(_IRIDIUM_TOML.replace(old, new, 1))
+        with pytest.raises(ConfigurationError) as error:
+            Configuration.from_path(path)
+        assert str(error.value).startswith(message)
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_every_registered_scenario_round_trips_through_its_dict(self, name):
+        config = build(name)
+        assert Configuration.from_dict(config.to_dict()) == config
+        text = json.dumps(config.to_dict())
+        assert json.dumps(Configuration.from_dict(json.loads(text)).to_dict()) == text
 
     def test_epoch_default_and_custom(self):
         from datetime import datetime

@@ -796,6 +796,21 @@ class TestSupervision:
         threads.close()
         threads.close()  # idempotent for the thread backend too
 
+    def test_close_joins_a_dead_worker_without_respawning_it(self):
+        # A sweep in flight, then the only worker dies: close() drops the
+        # sweep unverified and joins the dead process; no successor is
+        # spawned from the replica only to be shut down.
+        managers = [MachineManager(Host(index=0, allow_memory_overcommit=True))]
+        backend = ProcessFanoutBackend(managers, worker_count=1)
+        handle = backend._handles[0]
+        backend.sample_all(0.0)
+        process = handle.process
+        _crash(backend, 0)
+        backend.close()
+        assert backend.restart_count == 0
+        assert handle.process is process and not process.is_alive()
+        assert not handle.inflight
+
     @pytest.mark.parametrize("parallelism", ["threads", "processes"])
     def test_a_closed_backend_refuses_work_and_spawns_nothing(self, parallelism):
         from repro.core import EpochRecord

@@ -1,6 +1,8 @@
 """Tests for the declarative experiment harness: registry, specs, runner."""
 
+import inspect
 import json
+import tomllib
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.experiments import (
     list_scenarios,
     scenario,
 )
+from repro.experiments import runner as runner_module
 from repro.experiments.registry import _REGISTRY
 from repro.orbits import GroundStation, ShellGeometry
 
@@ -178,7 +181,8 @@ class TestSpecValidation:
         assert ExperimentSpec.from_dict(data).fault_program[0].target == "hawaii"
         level = data if not table else data[table]
         (level[0] if table == "fault_program" else level)["colour"] = "blue"
-        with pytest.raises(ExperimentSpecError, match="unknown key 'colour'.*known: "):
+        dotted = f"{table}.colour" if table else "colour"
+        with pytest.raises(ExperimentSpecError, match=f"unknown key '{dotted}'.*known: "):
             ExperimentSpec.from_dict(data)
 
     @pytest.mark.parametrize(
@@ -248,7 +252,7 @@ class TestSpecSerialisation:
     def test_toml_round_trip_is_byte_stable(self):
         spec = _full_spec()
         text = spec.to_toml()
-        reparsed = ExperimentSpec.from_toml_text(text)
+        reparsed = ExperimentSpec.from_dict(tomllib.loads(text))
         assert reparsed == spec
         assert reparsed.to_toml() == text
 
@@ -327,12 +331,129 @@ class TestBuildConfiguration:
             name="cfg",
             scenario=ScenarioSpec(name="iridium", overrides={"warp": 9}),
         )
-        with pytest.raises(ExperimentSpecError, match="unknown scenario override"):
+        with pytest.raises(ExperimentSpecError, match="unknown key 'scenario.overrides.warp'"):
             build_configuration(spec)
 
     def test_unsupported_config_suffix(self):
         with pytest.raises(ConfigurationError, match="suffix"):
             Configuration.from_path("config.yaml")
+
+
+def _no_testbed(*args, **kwargs):
+    raise AssertionError("the testbed was built before the params were read")
+
+
+class TestParamsAreReadBeforeTheRun:
+    """Every params table is read against the call that consumes it, and a
+    mistake is an error naming its dotted path before anything runs."""
+
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"duration_s": "long"}, "scenario.overrides.duration_s must be a number, not 'long'"),
+            ({"hosts": {"cnt": 3}},
+             "unknown key 'scenario.overrides.hosts.cnt' (known: count, cpu_cores, memory_mib)"),
+            ({"seed": True}, "scenario.overrides.seed must be an integer, not True"),
+        ],
+    )
+    def test_a_bad_override(self, overrides, message):
+        spec = ExperimentSpec(
+            name="x", scenario=ScenarioSpec(name="iridium", overrides=overrides)
+        )
+        with pytest.raises(ExperimentSpecError) as error:
+            build_configuration(spec)
+        assert str(error.value) == message
+
+    def test_a_scenario_param_of_the_wrong_type(self):
+        spec = ExperimentSpec(
+            name="x", scenario=ScenarioSpec(name="pacific-dart", params={"buoy_count": "four"})
+        )
+        with pytest.raises(ConfigurationError) as error:
+            build_configuration(spec)
+        assert str(error.value) == "scenario.params.buoy_count must be an integer, not 'four'"
+
+    @pytest.mark.parametrize(
+        ("app", "params", "message"),
+        [
+            ("dart", {"deploymnet": "satellite"}, "unknown key 'workload.params.deploymnet' "
+             "(known: deployment, group_count, reading_interval_s)"),
+            ("dart", {"group_count": 2.5}, "workload.params.group_count must be an integer, not 2.5"),
+            ("meetup", {"mode": "orbit"},
+             "workload.params.mode must be one of 'satellite', 'cloud', not 'orbit'"),
+            ("none", {"duration_s": 5.0}, "unknown key 'workload.params.duration_s' (known: none)"),
+            ("handover", {"interval_s": 5.0}, "workload.params.station is required"),
+        ],
+    )
+    def test_a_bad_workload_param_is_refused_before_the_testbed_is_built(
+        self, app, params, message, monkeypatch
+    ):
+        monkeypatch.setattr(runner_module, "Celestial", _no_testbed)
+        spec = ExperimentSpec(
+            name="x",
+            scenario=ScenarioSpec(name="iridium"),
+            workload=WorkloadSpec(app=app, params=params),
+        )
+        with pytest.raises(ExperimentSpecError) as error:
+            ExperimentRunner(spec).run()
+        assert str(error.value) == message
+
+    def test_the_meetup_stream_params_default_to_the_stream_defaults(self):
+        from repro.apps import VideoStreamParams
+
+        defaults = inspect.signature(runner_module._run_meetup).parameters
+        stream = VideoStreamParams()
+        assert defaults["bitrate_kbps"].default == stream.bitrate_kbps
+        assert defaults["packet_interval_s"].default == stream.packet_interval_s
+
+    @pytest.mark.parametrize(
+        ("kind", "target", "params", "message"),
+        [
+            ("packet-loss", "hawaii->0/0", {"probabilty": 0.1},
+             "unknown key 'fault_program.params.probabilty' (known: probability)"),
+            ("terminate", "hawaii", {"duration_s": 5.0},
+             "unknown key 'fault_program.params.duration_s' (known: none)"),
+            ("degrade-cpu", "hawaii", {}, "fault_program.params.quota_fraction is required"),
+            ("degrade-cpu", "hawaii", {"quota_fraction": "half"},
+             "fault_program.params.quota_fraction must be a number, not 'half'"),
+            ("bandwidth-cap", "hawaii->0/0", {"bandwidth_kbps": True},
+             "fault_program.params.bandwidth_kbps must be a number, not True"),
+            ("operator-degradation", "iridium", {"event_rate": 2.0},
+             "unknown key 'fault_program.params.event_rate' "
+             "(known: isls_per_step, interval_s, target_fraction)"),
+            ("ground-outage", "", {"lat_min": "south"},
+             "fault_program.params.lat_min must be a number, not 'south'"),
+            ("ground-outage", "hawaii", {"duration_s": "5 s"},
+             "fault_program.params.duration_s must be a number, not '5 s'"),
+            ("ground-outage", "", {"lat_min": 30, "lat_max": 10, "lon_min": 0, "lon_max": 10},
+             "fault_program.params: lat_min must be below lat_max"),
+        ],
+    )
+    def test_a_bad_fault_param_is_refused_when_the_program_is_scheduled(
+        self, kind, target, params, message
+    ):
+        # A timed op: its params are read when the program is armed, not
+        # when the op fires mid-run.
+        spec = ExperimentSpec(
+            name="x",
+            scenario=ScenarioSpec(
+                name="iridium", params={"duration_s": 30.0, "update_interval_s": 30.0}
+            ),
+            fault_program=(FaultOp(kind=kind, at_s=5.0, target=target, params=params),),
+        )
+        with pytest.raises(ExperimentSpecError) as error:
+            ExperimentRunner(spec).run()
+        assert str(error.value) == message
+
+    def test_a_packet_loss_op_without_a_probability_drops_everything(self):
+        spec = ExperimentSpec(
+            name="x",
+            scenario=ScenarioSpec(
+                name="iridium", params={"duration_s": 30.0, "update_interval_s": 30.0}
+            ),
+            fault_program=(FaultOp(kind="packet-loss", target="hawaii->0/0"),),
+        )
+        (event,) = ExperimentRunner(spec).run().fault_events
+        assert (event.kind, event.detail) == ("packet-loss", "p=1.0")
 
 
 class TestRunnerEquivalence:

@@ -10,6 +10,7 @@ runs of the same schedule.
 """
 
 import json
+import tomllib
 
 import pytest
 
@@ -61,7 +62,7 @@ class TestServeSpec:
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
         toml = spec.to_toml()
-        again = ExperimentSpec.from_toml_text(toml)
+        again = ExperimentSpec.from_dict(tomllib.loads(toml))
         assert again == spec
         assert again.to_toml() == toml
 
@@ -72,7 +73,7 @@ class TestServeSpec:
             workload=WorkloadSpec(app="none"),
             serve=ServeSpec(),
         )
-        again = ExperimentSpec.from_toml_text(spec.to_toml())
+        again = ExperimentSpec.from_dict(tomllib.loads(spec.to_toml()))
         assert again.serve == ServeSpec()
 
     def test_with_serve_parses_addresses(self):
