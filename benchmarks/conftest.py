@@ -46,7 +46,7 @@ def _run_meetup(mode: str, seed: int = 0, duration_s: float = MEETUP_DURATION_S)
     config = west_africa_configuration(
         duration_s=duration_s, shells="two-lowest", seed=seed
     )
-    testbed = Celestial(config, usage_sample_interval_s=5.0)
+    testbed = Celestial(config)
     experiment = MeetupExperiment(
         testbed,
         mode=mode,

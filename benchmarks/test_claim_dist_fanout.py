@@ -24,8 +24,9 @@ it, its full fleet of hosts as the driver's replica holds them —
 ``recovery_ms`` — the epoch after one worker was SIGKILLed, from ``update``
 to its return, the restart found by its collect included — and ``epoch_frame_bytes``, the
 median size of the record frame one worker receives per steady-state epoch
-(measured, not assumed: two packed masks of 552 bytes plus the frame's
-metadata).  The recovery epoch runs on both backends, unmeasured in process,
+(measured, not assumed: every satellite is active, so the active sets are
+552 bytes of bits, the flip sets of a steady epoch are empty, and the
+frame's metadata comes on top).  The recovery epoch runs on both backends, unmeasured in process,
 so their counters stay comparable.
 
 The measurements are always written to ``BENCH_dist.json`` (path
@@ -162,9 +163,10 @@ def test_both_backends_drive_the_same_fleet_and_the_seam_cost_is_recorded(monkey
     processes = _run_backend("processes", record_frames)
     assert threads["machines"] == processes["machines"] == 4409 + 5
     assert threads["counters"] == processes["counters"]
-    # One record frame per epoch, sent to every worker; 552 bytes of each mask kind.
+    # One record frame per epoch, sent to every worker: 552 bytes of active
+    # bits and empty flip sets.
     assert len(record_frames) == EPOCHS
-    assert 2 * 552 < processes["epoch_frame_bytes"] < 2 * 552 + 512
+    assert 552 < processes["epoch_frame_bytes"] < 552 + 512
 
     results = {
         "scenario": "full-starlink-per-host-sweep",

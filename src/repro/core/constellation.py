@@ -61,7 +61,7 @@ is what the diff path reuses from the previous epoch:
 
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
-per-shell bounding-box ``activated``/``deactivated`` satellite ids.  The
+per-shell ids of the satellites whose bounding-box activity flipped.  The
 coordinator publishes the epoch's activity to every machine manager as one
 :class:`~repro.core.machine_manager.EpochRecord` instead of replaying the
 full state, and hands the topology half to the virtual network.
@@ -241,40 +241,30 @@ class ConstellationDiff:
     :class:`~repro.core.machine_manager.EpochRecord`.
 
     ``topology`` carries the edge-level changes (see
-    :class:`~repro.topology.graph.TopologyDiff`); ``activated`` and
-    ``deactivated`` hold, per shell, the satellite identifiers that entered
-    or left the bounding box since the previous epoch — the only machines a
-    manager has to suspend or resume.  ``previous_trend`` is the previous
-    state's :class:`DelayTrend`, which the epoch's DIFF predicts from, and
-    ``trend`` the new state's, from which it reads each changed link's step
-    (the diff keeps both, as ``topology`` keeps both graphs).
+    :class:`~repro.topology.graph.TopologyDiff`); ``flipped`` holds, per
+    shell, the ascending identifiers of the satellites that entered or left
+    the bounding box since the previous epoch — the only machines a manager
+    has to suspend or resume; the new state's masks say which way each
+    went.  ``previous_trend`` is the previous state's :class:`DelayTrend`,
+    which the epoch's DIFF predicts from, and ``trend`` the new state's,
+    from which it reads each changed link's step (the diff keeps both, as
+    ``topology`` keeps both graphs).
     """
 
     time_s: float
     topology: TopologyDiff
-    activated: dict[int, np.ndarray]
-    deactivated: dict[int, np.ndarray]
+    flipped: dict[int, np.ndarray]
     previous_trend: DelayTrend
     trend: DelayTrend
 
-    @property
-    def activity_change_count(self) -> int:
-        """Number of satellites whose bounding-box activity flipped."""
-        return int(
-            sum(ids.size for ids in self.activated.values())
-            + sum(ids.size for ids in self.deactivated.values())
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether nothing observable changed between the two epochs."""
-        return self.topology.is_empty and self.activity_change_count == 0
-
-    def summary(self) -> dict[str, int]:
-        """Compact counters (topology changes plus activity transitions)."""
+    def summary(self, active: dict[int, np.ndarray]) -> dict[str, int]:
+        """Compact counters: the topology changes plus the activity
+        transitions, split by ``active``, the new state's masks."""
         counters = self.topology.summary()
-        counters["activated"] = int(sum(ids.size for ids in self.activated.values()))
-        counters["deactivated"] = int(sum(ids.size for ids in self.deactivated.values()))
+        flips = self.flipped.items()
+        entered = sum(int(np.count_nonzero(active[shell][ids])) for shell, ids in flips)
+        counters["activated"] = entered
+        counters["deactivated"] = sum(ids.size for _, ids in flips) - entered
         return counters
 
 
@@ -865,14 +855,12 @@ class ConstellationCalculation:
         graph = self._assemble_graph(epoch)
         topology = graph.diff_from(previous.graph)
 
-        flipped = np.flatnonzero(epoch.active ^ previous._update_hints.active)
-        entered = epoch.active[flipped]
-        activated, deactivated = {}, {}
+        changed = np.flatnonzero(epoch.active ^ previous._update_hints.active)
+        flipped = {}
         for shell, rows in enumerate(self._shell_rows):
-            # flipped ascends, so each shell's flips are one slice of it.
-            mine = slice(*np.searchsorted(flipped, (rows.start, rows.stop)).tolist())
-            identifiers, now = flipped[mine] - rows.start, entered[mine]
-            activated[shell], deactivated[shell] = identifiers[now], identifiers[~now]
+            # changed ascends, so each shell's flips are one slice of it.
+            mine = slice(*np.searchsorted(changed, (rows.start, rows.stop)).tolist())
+            flipped[shell] = changed[mine] - rows.start
 
         state = self._state_from_epoch(
             time_s, epoch, graph, previous=previous, topology=topology
@@ -880,8 +868,7 @@ class ConstellationCalculation:
         diff = ConstellationDiff(
             time_s=time_s,
             topology=topology,
-            activated=activated,
-            deactivated=deactivated,
+            flipped=flipped,
             previous_trend=previous.trend,
             trend=state.trend,
         )

@@ -26,9 +26,9 @@ a :class:`~repro.core.constellation.ConstellationDiff` against the
 previously published state, publishes state + diff through the database
 (which holds that one epoch, no history), and then builds **one**
 :class:`~repro.core.machine_manager.EpochRecord` for the epoch — per shell
-the activity mask and the mask of satellites that flipped since the
-previous epoch, marked from the diff's activated and deactivated
-satellites with no per-machine loop.  Every
+the activity mask and the ascending identifiers of the satellites that
+flipped since the previous epoch, the diff's own arrays, with no
+per-machine loop.  Every
 manager receives the same record and picks out the flips of the satellites
 it hosts and the machines of its own that are dirty
 (:meth:`~repro.core.machine_manager.MachineManager.apply_diff`); a manager
@@ -114,14 +114,11 @@ def _series() -> deque:
 class UpdateStats:
     """Bookkeeping about coordinator updates (used by the <1 s update claim).
 
-    ``count`` and ``max_wallclock_s`` cover the whole run, each series the
-    latest :data:`STATS_SERIES_LENGTH` entries; ``diff_change_counts`` has
-    one entry per differential update (every update but the first).
+    ``count`` covers the whole run, each series the latest
+    :data:`STATS_SERIES_LENGTH` entries.
     """
 
     count: int = 0
-    wallclock_seconds: deque = field(default_factory=_series)
-    diff_change_counts: deque = field(default_factory=_series)
     #: Wall-clock of the fan-out step alone (record application),
     #: one entry per update — the cost of the seam the dist benchmark
     #: records per backend.
@@ -135,18 +132,11 @@ class UpdateStats:
     worker_ack_seconds: dict[int, deque] = field(
         default_factory=lambda: defaultdict(_series)
     )
-    max_wallclock_s: float = 0.0
 
-    def record_update(
-        self, wallclock_s: float, fanout_s: float, change_count: Optional[int] = None
-    ) -> None:
-        """Fold one finished update in (``change_count`` is None for a full one)."""
+    def record_update(self, fanout_s: float) -> None:
+        """Fold one finished update in."""
         self.count += 1
-        self.max_wallclock_s = max(self.max_wallclock_s, wallclock_s)
-        self.wallclock_seconds.append(wallclock_s)
         self.fanout_seconds.append(fanout_s)
-        if change_count is not None:
-            self.diff_change_counts.append(change_count)
 
 
 def least_reserved_placement(reserved: Sequence[int], memory_mib: np.ndarray) -> np.ndarray:
@@ -303,8 +293,8 @@ class Coordinator:
         ascending.
         """
         names, shells, identifiers = [], [], []
-        for shell, flipped in record.flipped.items():
-            for identifier in np.flatnonzero(flipped & record.active[shell]).tolist():
+        for shell, flips in record.flips.items():
+            for identifier in flips[record.active[shell][flips]].tolist():
                 name = satellite_name(shell, identifier)
                 if name not in self._machine_manager_of:
                     names.append(name)
@@ -360,7 +350,6 @@ class Coordinator:
         pipeline computes state + diff.  Either way the epoch's record goes
         to every manager through the backend.
         """
-        started = wallclock.perf_counter()
         previous = self.database.state if self.database.has_state else None
         if previous is None:
             state, diff = self.calculation.state_at(now_s), None
@@ -371,19 +360,15 @@ class Coordinator:
         self._ensure_activated_satellites(record, now_s)
         # Each manager only mutates its own host's machines: counters and
         # machine states come out the same whichever backend applies.
-        started_fanout = wallclock.perf_counter()
+        started = wallclock.perf_counter()
         self._backend.apply_slices(record, now_s)
-        fanout_s = wallclock.perf_counter() - started_fanout
+        fanout_s = wallclock.perf_counter() - started
         if self.network is not None:
             if diff is None:
                 self.network.mark_updated()
             else:
                 self.network.apply_diff(diff)
-        self.stats.record_update(
-            wallclock.perf_counter() - started,
-            fanout_s,
-            None if diff is None else diff.topology.change_count,
-        )
+        self.stats.record_update(fanout_s)
         self._merge_transport_latencies()
         return state
 

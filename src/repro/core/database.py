@@ -15,10 +15,10 @@ epoch.  The database holds exactly that publication — the current state and
 :attr:`~ConstellationDatabase.latest_diff` — and keeps no archive beside it:
 a consumer that is late, slow or new is given the current state (the
 streaming gateway's KEYFRAME), never a replay of past epochs.  Nothing of
-the previous epoch is kept either: crash recovery restores a worker to the
-last epoch it acknowledged — the current epoch or the one before it — from
-the last :class:`~repro.core.machine_manager.EpochRecord` the worker was
-sent, whose masks hold both.
+the previous epoch is kept either: a worker that crashed is restarted from
+the ``SPEC`` frame of the driver's replica of its hosts
+(:mod:`repro.dist.backend`), which holds every machine as the replica does
+now, so no past record is needed.
 
 Pair rules: one batch per epoch
 -------------------------------
@@ -225,7 +225,9 @@ class ConstellationDatabase:
                 "ground_stations": len(state.ground_positions_ecef),
                 "active_satellites": state.active_count(),
                 "links": state.graph.total_links(),
-                "last_diff": diff.summary() if diff is not None else None,
+                "last_diff": (
+                    diff.summary(state.active_satellites) if diff is not None else None
+                ),
             }
 
     def shell_info(self, shell: int) -> dict:

@@ -13,9 +13,9 @@ Differential update contract
 
 The coordinator publishes one :class:`EpochRecord` per epoch and every
 manager receives the same record, whichever host it runs: per shell the
-bounding-box activity mask and the mask of satellites whose activity flipped
-since the previous epoch.  :meth:`MachineManager.apply_diff` picks out its
-own part:
+bounding-box activity mask and the identifiers of the satellites whose
+activity flipped since the previous epoch.  :meth:`MachineManager.apply_diff`
+picks out its own part:
 
 * the flips of the satellites it hosts, found through an owned-satellite
   index kept as machines are created; the manager resumes/suspends exactly
@@ -57,7 +57,6 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -72,44 +71,30 @@ from repro.sim.rng import key_root
 class EpochRecord:
     """One epoch's bounding-box activity, the same for every manager.
 
-    ``active`` holds each shell's activity mask, ``flipped`` the mask of the
-    satellites whose activity changed since the previous epoch, so the
-    previous epoch's masks are ``active ^ flipped``.  ``first`` marks the
-    record of an epoch without a previous one: it flips every active
-    satellite from nothing.  ``epoch`` is the database epoch the record
-    belongs to.
+    ``active`` holds each shell's activity mask, ``flips`` the ascending
+    identifiers of the satellites whose activity changed since the previous
+    epoch — the diff's :attr:`~repro.core.constellation.ConstellationDiff.flipped`,
+    carried unchanged.  ``first`` marks the record of an epoch without a
+    previous one: its flips are every active satellite.  ``epoch`` is the
+    database epoch the record belongs to.
     """
 
     epoch: int
     active: dict[int, np.ndarray]
-    flipped: dict[int, np.ndarray]
+    flips: dict[int, np.ndarray]
     first: bool = False
 
     @classmethod
     def of(
         cls, epoch: int, state: ConstellationState, diff: Optional[ConstellationDiff]
     ) -> "EpochRecord":
-        """The record of ``state``, published as ``epoch`` with ``diff``.
-
-        ``diff`` is ``None`` for an epoch without a previous one; otherwise
-        its activated and deactivated satellites are the flips.
-        """
+        """The record of ``state``, published as ``epoch`` with ``diff``
+        (``None`` for an epoch without a previous one)."""
         active = state.active_satellites
         if diff is None:
-            return cls(epoch, active, active, first=True)
-        flipped = {shell: np.zeros_like(mask) for shell, mask in active.items()}
-        for shell, mask in flipped.items():
-            mask[diff.activated[shell]] = True
-            mask[diff.deactivated[shell]] = True
-        return cls(epoch, active, flipped)
-
-    @cached_property
-    def flips(self) -> dict[int, list[int]]:
-        """Per shell, the identifiers of the flipped satellites, ascending.
-
-        Computed once per record, however many managers read it.
-        """
-        return {shell: np.flatnonzero(mask).tolist() for shell, mask in self.flipped.items()}
+            flips = {shell: np.flatnonzero(mask) for shell, mask in active.items()}
+            return cls(epoch, active, flips, first=True)
+        return cls(epoch, active, diff.flipped)
 
 
 class ControlOp(enum.IntEnum):
@@ -260,10 +245,9 @@ class MachineManager:
         suspend/resume counters) is identical to a full :meth:`apply_state`
         sweep.
         """
-        flips = record.flips
         for shell, owned in self._satellites.items():
             active = record.active[shell]
-            for identifier in flips[shell]:
+            for identifier in record.flips[shell].tolist():
                 name = owned.get(identifier)
                 if name is None:
                     continue

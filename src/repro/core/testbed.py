@@ -33,6 +33,9 @@ from repro.net.endpoint import NetworkEndpoint
 from repro.net.network import VirtualNetwork
 from repro.sim import RandomStreams, Simulation
 
+#: Simulated seconds between two host usage samples (Figs. 7-8).
+USAGE_SAMPLE_INTERVAL_S = 5.0
+
 
 class Celestial:
     """A complete virtual LEO edge testbed for one configuration."""
@@ -40,7 +43,6 @@ class Celestial:
     def __init__(
         self,
         config: Configuration,
-        usage_sample_interval_s: float = 5.0,
         parallelism: Literal["threads", "processes"] = "threads",
         worker_count: Optional[int] = None,
         transport=None,
@@ -84,7 +86,6 @@ class Celestial:
             manager_resolver=self.coordinator.manager_for, network=self.network
         )
         self.info_api = InfoAPI(self.database, self.calculation, self.dns)
-        self.usage_sample_interval_s = usage_sample_interval_s
         self.resource_estimate = estimate_resources(config)
         self._started = False
 
@@ -119,9 +120,8 @@ class Celestial:
         self.sim.process(self._usage_sampling_process())
 
     def _usage_sampling_process(self):
-        interval = self.usage_sample_interval_s
         while True:
-            yield self.sim.timeout(interval)
+            yield self.sim.timeout(USAGE_SAMPLE_INTERVAL_S)
             # remainder, not %: 5.0 % 0.1 is 0.0999…, not 0.
             applying_update = (
                 abs(math.remainder(self.sim.now, self.config.update_interval_s)) < 1e-9

@@ -13,9 +13,10 @@ on a TCP stream.
   constructs no object and calls nothing) and the raw buffers of the
   payload's NumPy arrays.  The per-epoch payload is one
   :class:`~repro.core.machine_manager.EpochRecord`, encoded once and sent to
-  every worker alike: per shell the packed activity mask and the packed mask
-  of satellites that flipped since the previous epoch.  Each manager picks
-  out its own machines.  The network half of an update is applied on the
+  every worker alike: per shell the set of active satellites and the set of
+  those that flipped since the previous epoch, each in the wire's one set
+  form (packed bits or ascending positions, whichever is smaller).  Each
+  manager picks out its own machines.  The network half of an update is applied on the
   coordinator's side (``VirtualNetwork.apply_diff``,
   ``ConstellationDatabase.pair_rule``) and is not shipped.  Corrupt or
   forged frames decode to typed :class:`~repro.dist.wire.WireError`\\ s,

@@ -2,7 +2,7 @@
 
 The coordinator publishes one
 :class:`~repro.core.machine_manager.EpochRecord` per epoch — per shell the
-activity mask and the mask of satellites that flipped — and every manager
+activity mask and the ids of the satellites that flipped — and every manager
 applies the same record, picking out its own machines.  The network half of
 an update stays on the coordinator's side (``VirtualNetwork.apply_diff``,
 ``ConstellationDatabase.pair_rule``) and crosses no seam.  *How* the record

@@ -149,26 +149,35 @@ An ``APPLY_EPOCH`` frame is one
 :class:`~repro.core.machine_manager.EpochRecord`, encoded once per epoch by
 :func:`slice_payload` and sent to every worker alike.  The meta holds
 ``epoch``, ``first`` and the record's ``shells`` with their ``sizes`` (the
-satellite count of each); the arrays are two packed masks per shell, all the
-activity masks first, then all the flip masks, each in ``shells`` order:
+satellite count of each); the arrays are two satellite sets per shell, all
+the active sets first, then all the flip sets, each in ``shells`` order:
 
-===========  =========  ======================================================
-array        dtype      meaning
-===========  =========  ======================================================
-active[i]    ``u1``     activity of shell ``shells[i]``: ``np.packbits`` of
-                        its mask, ⌈``sizes[i]``/8⌉ bytes, padding bits zero
-flipped[i]   ``u1``     the satellites of that shell whose activity changed
-                        since the previous epoch, packed alike
-===========  =========  ======================================================
+===========  ===========  ====================================================
+array        dtype        meaning
+===========  ===========  ====================================================
+active[i]    a set        the satellites of shell ``shells[i]`` inside the
+                          bounding box
+flips[i]     a set        the satellites of that shell whose activity changed
+                          since the previous epoch
+===========  ===========  ====================================================
 
-On Starlink's 4,409 satellites a mask is 552 bytes.  :func:`decode_record`
-checks the whole frame before a manager sees it: a shell list that does not
-match the arrays, an array that is not 1-D ``u1``, a mask of the wrong
-length for its shell or a set padding bit is a :class:`WireError`.
-Nothing else crosses the seam per epoch: the network half of an update is
-applied on the coordinator's side (``VirtualNetwork.apply_diff``,
-``ConstellationDatabase.pair_rule``).  :data:`WIRE_VERSION`'s comment
-keeps the protocol's history.
+A *set* of places among ``n`` — satellites of a shell here, links of the
+canonical order in :mod:`repro.serve.codec` — travels in whichever of two
+forms is smaller (:func:`pack_set`): its bits, packed most significant
+first (``u1``, ⌈``n``/8⌉ bytes, padding bits zero), or the strictly
+ascending positions themselves (``<u2`` when ``n <= 65,536``, else
+``<u4``).  The dtype says which.  :func:`unpack_set` is the one decoder: a
+set over more than :data:`MAX_SET_PLACES`, a bits array of the wrong
+length or with a set padding bit, positions that repeat, descend or reach
+``n``, and any other dtype or shape are the caller's error class.  A steady
+all-shell Starlink record without a bounding box is 794 bytes, 552 of them
+the active sets' bits: a quiet epoch's flip sets are empty position
+arrays.  :func:`decode_record` checks the whole frame before a manager
+sees it: a shell list that does not match the arrays, or a set that does
+not decode, is a :class:`WireError`.  Nothing else crosses the seam per
+epoch: the network half of an update is applied on the coordinator's side
+(``VirtualNetwork.apply_diff``, ``ConstellationDatabase.pair_rule``).
+:data:`WIRE_VERSION`'s comment keeps the protocol's history.
 """
 
 from __future__ import annotations
@@ -238,7 +247,11 @@ WIRE_MAGIC = b"CLW1"
 #: ``KEYFRAME``'s bandwidths are palette indices only.
 #: 20: a machine is created booted: the ``BOOT`` and ``BOOT_CREATED`` ops and
 #: the ``CREATED`` state are gone, so op and state codes renumber.
-WIRE_VERSION = 20
+#: 21: every set travels in the one form of :func:`pack_set`: a record's
+#: active and flip sets (flip masks no longer), a ``KEYFRAME``'s activity and
+#: a ``DIFF``'s flips, one set per flipping shell instead of ``int64``
+#: activated and deactivated ids.
+WIRE_VERSION = 21
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -441,58 +454,51 @@ def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
 # -- epoch records -------------------------------------------------------------
 
 
-def mask_payload(
-    masks: dict[int, np.ndarray],
-) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
-    """The ``shells`` / ``sizes`` meta and the packed arrays of per-shell masks."""
-    shells = sorted(masks)
-    meta = {"shells": shells, "sizes": [int(masks[shell].size) for shell in shells]}
-    return meta, tuple(np.packbits(masks[shell]) for shell in shells)
+#: The dtypes of a set's positions, among at most 2**16 places and more.
+_POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
+#: The most places a set spans: far more satellites or links than any
+#: constellation here has, and a 16 MiB mask at most for a decoder to build
+#: from a length that a few bytes of positions claim.
+MAX_SET_PLACES = 2**24
 
 
-def decode_masks(
-    meta: dict[str, Any], arrays: list[np.ndarray], count: int
-) -> list[dict[int, np.ndarray]]:
-    """``count`` groups of per-shell masks from :func:`mask_payload` layouts.
+def _positions_dtype(length: int) -> np.dtype:
+    return _POSITIONS[length > 2**16]
 
-    Checks every array before unpacking any, so a malformed frame is a
-    :class:`WireError` and nothing of it is used.
-    """
-    shells, sizes = meta.get("shells"), meta.get("sizes")
-    if not isinstance(shells, list) or not isinstance(sizes, list):
-        raise WireError("a mask frame's meta needs a shells and a sizes list")
-    if len(shells) != len(sizes) or len(arrays) != count * len(shells):
-        raise WireError(
-            f"{len(shells)} shells and {len(sizes)} sizes do not match "
-            f"{len(arrays)} arrays ({count} per shell)"
+
+def pack_set(positions: np.ndarray, length: int) -> np.ndarray:
+    """A set on the wire: ascending ``positions`` among ``length`` places as
+    packed bits or as themselves, whichever is smaller (module docstring)."""
+    dtype = _positions_dtype(length)
+    if positions.size * dtype.itemsize < (length + 7) // 8:
+        return positions.astype(dtype)
+    bits = np.zeros(length, dtype=bool)
+    bits[positions] = True
+    return np.packbits(bits)
+
+
+def unpack_set(packed: np.ndarray, length: int, error: type = WireError) -> np.ndarray:
+    """The ascending positions among ``length`` places that a :func:`pack_set`
+    array names; anything else is an ``error``."""
+    if not 0 <= length <= MAX_SET_PLACES:
+        raise error(f"a set over {length} places: at most {MAX_SET_PLACES} travel")
+    if packed.dtype == np.uint8:
+        if packed.shape != ((length + 7) // 8,):
+            raise error(f"a {packed.dtype}{packed.shape} set does not cover {length} places")
+        if length % 8 and int(packed[-1]) & (0xFF >> length % 8):
+            raise error(f"the pad bits after a set of {length} places are not 0")
+        return np.flatnonzero(np.unpackbits(packed, count=length))
+    if packed.dtype != _positions_dtype(length) or packed.ndim != 1:
+        raise error(
+            f"a {packed.dtype}{packed.shape} set: {length} places travel as uint8 bits "
+            f"or 1-D {_positions_dtype(length)} positions"
         )
-    if not all(_is_int(value) for value in shells + sizes) or min(sizes, default=0) < 0:
-        raise WireError("mask shells and sizes must be non-negative integers")
-    if len(set(shells)) != len(shells):
-        raise WireError(f"shell listed twice in {shells}")
-    for index, packed in enumerate(arrays):
-        size = sizes[index % len(shells)]
-        if packed.ndim != 1 or packed.dtype != np.uint8:
-            raise WireError(
-                f"mask of dtype {packed.dtype.str} and shape {packed.shape}, "
-                f"expected 1-D |u1"
-            )
-        if packed.size != -(-size // 8):
-            raise WireError(
-                f"a {packed.size}-byte mask for a shell of {size} satellites"
-            )
-        if size % 8 and int(packed[-1]) & (0xFF >> (size % 8)):
-            raise WireError("padding bits set after the last satellite of a mask")
-    groups = []
-    for group in range(count):
-        packed = arrays[group * len(shells) : (group + 1) * len(shells)]
-        groups.append(
-            {
-                shell: np.unpackbits(mask, count=size).view(bool)
-                for shell, size, mask in zip(shells, sizes, packed)
-            }
-        )
-    return groups
+    positions = packed.astype(np.intp)
+    if positions.size and (
+        int(positions[-1]) >= length or (positions[1:] <= positions[:-1]).any()
+    ):
+        raise error(f"set positions must ascend strictly and stay below {length}")
+    return positions
 
 
 def _is_int(value: Any) -> bool:
@@ -501,18 +507,41 @@ def _is_int(value: Any) -> bool:
 
 def slice_payload(record: EpochRecord) -> tuple[dict[str, Any], tuple[np.ndarray, ...]]:
     """The ``(meta, arrays)`` payload of one ``APPLY_EPOCH`` frame."""
-    meta, active = mask_payload(record.active)
-    _, flipped = mask_payload(record.flipped)
-    return {**meta, "epoch": record.epoch, "first": record.first}, active + flipped
+    shells = sorted(record.active)
+    sizes = [int(record.active[shell].size) for shell in shells]
+    active = [np.flatnonzero(record.active[shell]) for shell in shells]
+    flips = [record.flips[shell] for shell in shells]
+    meta = {"shells": shells, "sizes": sizes, "epoch": record.epoch, "first": record.first}
+    return meta, tuple(pack_set(ids, size) for ids, size in zip(active + flips, sizes * 2))
 
 
 def decode_record(meta: dict[str, Any], arrays: list[np.ndarray]) -> EpochRecord:
-    """Rebuild the :class:`EpochRecord` of a decoded ``APPLY_EPOCH`` frame."""
+    """Rebuild the :class:`EpochRecord` of a decoded ``APPLY_EPOCH`` frame.
+
+    Decodes every set before building the record, so a malformed frame is a
+    :class:`WireError` and nothing of it is used.
+    """
     epoch, first = meta.get("epoch"), meta.get("first")
     if not _is_int(epoch) or epoch < 0 or not isinstance(first, bool):
         raise WireError(f"malformed record epoch {epoch!r} / first {first!r}")
-    active, flipped = decode_masks(meta, arrays, 2)
-    return EpochRecord(epoch, active, flipped, first)
+    shells, sizes = meta.get("shells"), meta.get("sizes")
+    if not isinstance(shells, list) or not isinstance(sizes, list):
+        raise WireError("a record's meta needs a shells and a sizes list")
+    if len(shells) != len(sizes) or len(arrays) != 2 * len(shells):
+        raise WireError(
+            f"{len(shells)} shells and {len(sizes)} sizes do not match "
+            f"{len(arrays)} arrays (two sets per shell)"
+        )
+    if not all(_is_int(value) for value in shells + sizes) or min(sizes, default=0) < 0:
+        raise WireError("record shells and sizes must be non-negative integers")
+    if len(set(shells)) != len(shells):
+        raise WireError(f"shell listed twice in {shells}")
+    sets = [unpack_set(packed, size) for packed, size in zip(arrays, sizes * 2)]
+    active = {}
+    for shell, size, ids in zip(shells, sizes, sets):
+        active[shell] = np.zeros(size, dtype=bool)
+        active[shell][ids] = True
+    return EpochRecord(epoch, active, dict(zip(shells, sets[len(shells):])), first)
 
 
 _SAMPLE = struct.Struct("<5dq")

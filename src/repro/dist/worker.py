@@ -6,8 +6,8 @@ host's machine table — in a process of its own.  It plays the role a
 Celestial host plays on a real machine of the paper's testbed: receive
 every constellation update — one
 :class:`~repro.core.machine_manager.EpochRecord` per epoch, the same for
-every worker: per shell the activity mask and the mask of satellites that
-flipped — let each of its managers apply its own part, and sample host
+every worker: per shell the activity mask and the ids of the satellites
+that flipped — let each of its managers apply its own part, and sample host
 resource usage (§3, Fig. 2); here the coordinator's replica computes the
 same and the worker's answers check it.  Link delays and
 bandwidths never reach a worker: this reproduction applies the network half

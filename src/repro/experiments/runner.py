@@ -26,6 +26,7 @@ and the worker count move no boot time and no application latency.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -34,6 +35,7 @@ from typing import Any, Literal, Mapping, Optional
 from repro.analysis.metrics import LatencySeries
 from repro.core.config import Configuration
 from repro.core.constellation import MachineId
+from repro.core.fault_injection import OP_METHODS, FaultInjector
 from repro.core.tables import bind, read
 from repro.core.testbed import Celestial
 from repro.experiments import registry
@@ -227,11 +229,18 @@ def _schedule_op(testbed: Celestial, config: Configuration, op: FaultOp) -> Opti
 
     injector = testbed.fault_injector
     kwargs = injector.bind_op(op.kind, op.params, where, ExperimentSpecError)
-    if "->" in op.target:
+    # The method an op runs takes one machine or a directed pair.
+    link = "source" in inspect.signature(getattr(FaultInjector, OP_METHODS[op.kind][0])).parameters
+    if not op.target or ("->" in op.target) != link:
+        shape = '"<machine>-><machine>"' if link else 'one machine ("<station>" or "<shell>/<id>")'
+        raise ExperimentSpecError(
+            f"fault_program.target: a {op.kind} op targets {shape}, not {op.target!r}"
+        )
+    if link:
         source_name, destination_name = op.target.split("->", 1)
         kwargs["source"] = _resolve_machine(testbed, source_name)
         kwargs["destination"] = _resolve_machine(testbed, destination_name)
-    elif op.target:
+    else:
         kwargs["machine"] = _resolve_machine(testbed, op.target)
     _at(testbed, op.at_s, lambda now_s: injector.apply_op(op.kind, now_s, **kwargs))
     return None

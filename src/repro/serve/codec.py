@@ -23,15 +23,14 @@ Server and replica share one *canonical link order*: links with ``node_a <
 node_b``, ascending by ``node_a * node_count + node_b`` — the order of a
 ``NetworkGraph``'s edge ids, so a link's position is its edge id and a
 :class:`~repro.topology.graph.TopologyDiff`'s arrays are positions as they
-are.  A frame names a set of links by their positions in that order, as a
-*link mask* in whichever of two forms is smaller: the ``np.packbits`` bits
-(``uint8``, ``(n + 7) // 8`` bytes over
-``n`` links) or the strictly ascending positions themselves (``uint16``
-when ``n <= 65,536``, else ``uint32``).  The dtype says which; anything
-else — positions out of order, repeated or ``>= n`` — is a
-:class:`CodecError`.  A DIFF therefore means something only to a replica
-that holds the previous epoch's links: its meta carries the link counts
-before and after, and a frame that does not chain is a :class:`CodecError`.
+are.  A frame names a set of links by their positions in that order, and a
+set of a shell's satellites by their identifiers, in the wire's one set
+form (:func:`repro.dist.wire.pack_set`): packed bits or strictly ascending
+``uint16`` / ``uint32`` positions, whichever is smaller.  A set that does
+not decode (:func:`repro.dist.wire.unpack_set`) is a :class:`CodecError`.
+A DIFF therefore means something only to a replica that holds the previous
+epoch's links: its meta carries the link counts before and after, and a
+frame that does not chain is a :class:`CodecError`.
 A delay array is ``uint32`` counts of ``DELAY_GRID_MS`` steps — the
 graph's own delay column (``NetworkGraph.delay_counts``), so every delay is
 on the grid by construction — or, in a DIFF, residual fields against them.
@@ -64,38 +63,38 @@ or stopped changing, and fixes the number of fields.
 
 ``DIFF`` — meta ``epoch``, ``time_s``, ``links`` (``[before, after]``),
 ``shells`` (those with an activity flip) and ``bits`` (the field width).
+A set is "a set" in the table, over the previous or current link order, or
+over a shell's satellites.
 
 == ================= ===================== =========================== ========
 #  array             dtype                 meaning                     mask
                                                                        order
 == ================= ===================== =========================== ========
-0  removed           uint8 (bits) |        links that disappeared      previous
-                     uint16 | uint32
-                     (positions)
-1  added             bits or positions     links that appeared         current
+0  removed           a set                 links that disappeared      previous
+1  added             a set                 links that appeared         current
 2  added node_a      int8 … int64          their lower endpoints
 3  added node_b      int8 … int64          their higher endpoints
 4  added delay       uint32                their delays [grid counts]
 5  added bandwidth   float64               their bandwidths [kbps]
 6  added type        int8                  their link type codes
-7  delay changed     bits or positions     surviving links, new delay  current
+7  delay changed     a set                 surviving links, new delay  current
                                            XOR the links with a step
 8  new delay         uint8 (``bits``-bit   those delays' residuals
                      fields)
 9  escapes           int8 | int16 |        the residuals array 8 marks
                      int32 | int64         escaped, in order
-10 bandwidth changed bits or positions     surviving links, new b/w    current
+10 bandwidth changed a set                 surviving links, new b/w    current
 11 new bandwidth     float64               those bandwidths [kbps]
-12 activated         int64, per shell      satellite ids entering the
-                                           box
-.. deactivated       int64, per shell      satellite ids leaving the box
+12 flipped           a set, per shell      satellites that entered or  shell
+                                           left the box
 == ================= ===================== =========================== ========
 
 Value arrays hold one entry per link of their mask, in mask order.  The
 replica applies *removed* (a mask over the links it holds), then *added*
 (a mask over the new order: kept links fill the other positions), then
 *delay changed* and *bandwidth changed* (masks over the new order), then
-the activity flips.  Added links carry absolute delays and a zero trend.
+toggles the activity of each shell's flipped satellites.  Added links
+carry absolute delays and a zero trend.
 
 ``KEYFRAME`` — meta ``epoch``, ``time_s``, ``node_count``, ``shells``,
 ``satellites`` (each shell's mask length); arrays in canonical order, the
@@ -114,7 +113,7 @@ graph's columns and its trend's as they are:
 6  curve       int8 | int16 | int32 | int64  the epoch's curves, at the
                                              narrowest width
 7  palette     float64                       the distinct bandwidths [kbps]
-8  activity    uint8 (bits), per shell       bounding-box activity masks
+8  activity    a set, per shell              the satellites inside the box
 == =========== ============================= ================================
 
 Endpoints travel at the narrowest signed width that holds every node index
@@ -130,10 +129,10 @@ one int >= 0 per shell, a DIFF's ``links`` two ints >= 0 and ``bits`` an
 int in 1…8.  Links: endpoints signed ints with ``0 <= node_a < node_b <
 node_count``, a KEYFRAME's in strictly ascending canonical order and each
 added one between its neighbours in the new order; type codes ``int8`` in
-0…2; bandwidths ``float64``, or a KEYFRAME's indices into its palette.
-Packed bits (link masks, activity masks, residual fields) have their pad
-bits 0.  Activity flips: 1-D signed-int satellite ids in ``0 …
-satellites-1`` of a shell the replica holds.
+0…1; bandwidths ``float64``, or a KEYFRAME's indices into its palette.
+Sets decode as :func:`repro.dist.wire.unpack_set` requires; packed
+residual fields have their pad bits 0.  A DIFF flips only shells the
+replica holds.
 """
 
 from __future__ import annotations
@@ -253,8 +252,6 @@ class EpochUpdate:
         return self._decoded[0]
 
 
-#: The dtypes of a link mask's positions, over at most 2**16 links and more.
-_POSITIONS = (np.dtype(np.uint16), np.dtype(np.uint32))
 #: The largest residual magnitude a ``b``-bit field holds beside the escape
 #: mark, by ``b`` = 1 … 8.
 _FIELD_LIMITS = [(1 << (bits - 1)) - 1 for bits in range(1, 9)]
@@ -412,50 +409,13 @@ def _pack_nodes(
     return node_a.astype(dtype), node_b.astype(dtype)
 
 
-def _positions_dtype(length: int) -> np.dtype:
-    return _POSITIONS[length > 2**16]
-
-
-def _pack_mask(positions: np.ndarray, length: int) -> np.ndarray:
-    """A link mask on the wire: ascending ``positions`` among ``length`` as
-    packed bits or as themselves, whichever is smaller."""
-    dtype = _positions_dtype(length)
-    if positions.size * dtype.itemsize < (length + 7) // 8:
-        return positions.astype(dtype)
-    bits = np.zeros(length, dtype=bool)
-    bits[positions] = True
-    return np.packbits(bits)
-
-
-def _unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
-    """The boolean mask over ``length`` positions that ``packed`` bits hold."""
-    if packed.dtype != np.uint8 or packed.shape != ((length + 7) // 8,):
-        raise CodecError(f"a {packed.dtype}{packed.shape} mask does not cover {length} positions")
-    if length % 8 and int(packed[-1]) & (0xFF >> length % 8):
-        raise CodecError(f"the pad bits after a mask of {length} positions are not 0")
-    return np.unpackbits(packed, count=length).view(bool)
-
-
-def _unpack_mask(mask: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
-    """The ascending positions among ``length`` that a link mask names (either
-    form; module docstring); each of ``values`` must hold one entry per
-    position."""
-    if mask.dtype == np.uint8:
-        positions = np.flatnonzero(_unpack_bits(mask, length))
-    elif mask.dtype == _positions_dtype(length) and mask.ndim == 1:
-        positions = mask.astype(np.intp)
-        if positions.size and (
-            int(positions[-1]) >= length or (positions[1:] <= positions[:-1]).any()
-        ):
-            raise CodecError(f"link positions must ascend strictly and stay below {length}")
-    else:
-        raise CodecError(
-            f"a {mask.dtype}{mask.shape} link mask: {length} links travel as uint8 bits "
-            f"or 1-D {_positions_dtype(length)} positions"
-        )
+def _positions(packed: np.ndarray, length: int, *values: np.ndarray) -> np.ndarray:
+    """The ascending positions among ``length`` that a set names; each of
+    ``values`` must hold one entry per position."""
+    positions = wire.unpack_set(packed, length, CodecError)
     for array in values:
         if array.shape != positions.shape:
-            raise CodecError(f"{array.shape} values for a mask of {positions.size} links")
+            raise CodecError(f"{array.shape} values for a set of {positions.size} links")
     return positions
 
 
@@ -499,7 +459,7 @@ def encode_keyframe_update(state: "ConstellationState", epoch: int) -> bytes:
         _narrowest(state.trend.step),
         _narrowest(state.trend.curve),
         palette,
-        *(np.packbits(active[shell]) for shell in shells),
+        *(wire.pack_set(np.flatnonzero(active[shell]), active[shell].size) for shell in shells),
     )
     return wire.encode_frame(FrameKind.KEYFRAME, meta, arrays)
 
@@ -513,26 +473,24 @@ def encode_diff_update(diff: "ConstellationDiff", epoch: int) -> bytes:
     changed, was = topology.delay_changed, topology.delay_changed_previous
     held = trend.step[was]
     residuals, escapes, bits = _pack_residuals(diff.trend.step[changed] - held - trend.curve[was])
-    # Only shells with a flip travel: an array descriptor costs more than most id lists.
-    shells = sorted(
-        shell for shell, ids in diff.activated.items() if ids.size or diff.deactivated[shell].size
-    )
+    # Only shells with a flip travel: an array descriptor costs more than most sets.
+    shells = sorted(shell for shell, ids in diff.flipped.items() if ids.size)
+    satellites = current.index.shell_sizes
     links = [topology.previous.total_links(), current.total_links()]
     meta = {"epoch": epoch, "time_s": diff.time_s, "links": links, "shells": shells, "bits": bits}
     arrays = (
-        _pack_mask(topology.links_removed, links[0]),
-        _pack_mask(added, links[1]),
+        wire.pack_set(topology.links_removed, links[0]),
+        wire.pack_set(added, links[1]),
         *_pack_nodes(current.node_a[added], current.node_b[added], len(current.index)),
         current.delay_counts[added],
         current.bandwidths_kbps[added],
         current.link_type_codes[added],
-        _pack_mask(_surprises(topology, trend, held), links[1]),
+        wire.pack_set(_surprises(topology, trend, held), links[1]),
         residuals,
         escapes,
-        _pack_mask(topology.bandwidth_changed, links[1]),
+        wire.pack_set(topology.bandwidth_changed, links[1]),
         current.bandwidths_kbps[topology.bandwidth_changed],
-        *(diff.activated[shell] for shell in shells),
-        *(diff.deactivated[shell] for shell in shells),
+        *(wire.pack_set(diff.flipped[shell], satellites[shell]) for shell in shells),
     )
     return wire.encode_frame(FrameKind.DIFF, meta, arrays)
 
@@ -642,17 +600,18 @@ class EpochReplica:
         _check_link_dtypes(node_a, node_b, types)
         if not ((node_a >= 0) & (node_a < node_b) & (node_b < node_count)).all():
             raise CodecError(f"a link's endpoints are not 0 <= a < b < {node_count}")
-        if not (types.view(np.uint8) <= 2).all():
-            raise CodecError("a link type code is not 0 … 2")
+        if not (types.view(np.uint8) <= 1).all():
+            raise CodecError("a link type code is not 0 … 1")
         # (node_a, node_b) pairs ascend: the canonical order, with no key
         # product to overflow.
         low, high = node_a[:-1], node_a[1:]
         if not ((low < high) | ((low == high) & (node_b[:-1] < node_b[1:]))).all():
             raise CodecError("the links of a KEYFRAME do not ascend in the canonical order")
-        active = {
-            shell: _unpack_bits(packed, length)
-            for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:])
-        }
+        active = {}
+        for shell, length, packed in zip(shells, satellites, arrays[_KEYFRAME_ARRAYS:]):
+            ids = wire.unpack_set(packed, length, CodecError)
+            active[shell] = np.zeros(length, dtype=bool)
+            active[shell][ids] = True
         # Decoded arrays are read-only views of the frame; the replica owns copies.
         self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
         self.trend = DelayTrend(
@@ -692,7 +651,7 @@ class EpochReplica:
     def _patch(self, meta: dict, arrays: list[np.ndarray]) -> None:
         """Apply a DIFF's link and activity changes — every check first."""
         shells = meta["shells"]
-        if len(arrays) != _DIFF_ARRAYS + 2 * len(shells):
+        if len(arrays) != _DIFF_ARRAYS + len(shells):
             raise CodecError(f"a DIFF of {len(shells)} shells has no {len(arrays)} arrays")
         removed, added, *fresh = arrays[:7]  # arrays 0-6 of the module docstring's table
         delay_mask, delays, escapes, bandwidth_changed, bandwidths = arrays[7:_DIFF_ARRAYS]
@@ -710,30 +669,20 @@ class EpochReplica:
                 f"a diff of {before} links onto a replica of {self._links[0].size}; "
                 f"resynchronise from a keyframe"
             )
-        removed = _unpack_mask(removed, before)
+        removed = _positions(removed, before)
         if after != before - removed.size + fresh[0].size:
             raise CodecError(f"diff for epoch {meta['epoch']} does not add up to {after} links")
-        added = _unpack_mask(added, after, *fresh)
+        added = _positions(added, after, *fresh)
         if added.size:
             _check_link_dtypes(fresh[0], fresh[1], fresh[4])
-        delay_mask = _unpack_mask(delay_mask, after)
-        bandwidth_changed = _unpack_mask(bandwidth_changed, after, bandwidths)
-        flips = arrays[_DIFF_ARRAYS:]  # activated, then deactivated, per shell
-        for shell, ids in zip(shells * 2, flips):
-            held = self.active.get(shell)
-            if (
-                held is None
-                or ids.dtype.kind != "i"
-                or ids.ndim != 1
-                or (ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < held.size)
-            ):
-                raise CodecError(
-                    f"diff for epoch {meta['epoch']} flips {ids.dtype}{ids.shape} ids of "
-                    f"shell {shell}: not 1-D signed ints naming its satellites"
-                )
-        active = {shell: self.active[shell].copy() for shell in shells}
-        for position, ids in enumerate(flips):
-            active[shells[position % len(shells)]][ids] = position < len(shells)
+        delay_mask = _positions(delay_mask, after)
+        bandwidth_changed = _positions(bandwidth_changed, after, bandwidths)
+        active = {}
+        for shell, packed in zip(shells, arrays[_DIFF_ARRAYS:]):
+            if shell not in self.active:
+                raise CodecError(f"diff for epoch {meta['epoch']} flips shell {shell}, not held")
+            active[shell] = self.active[shell].copy()
+            active[shell][wire.unpack_set(packed, active[shell].size, CodecError)] ^= True
         links, steps, curves = self._links, self.trend.step, self.trend.curve
         if added.size or removed.size:
             zeros = np.zeros(added.size, dtype=np.int64)  # an added link's trend is 0
@@ -759,7 +708,7 @@ class EpochReplica:
     def _check_added(self, links: list[np.ndarray], at: np.ndarray) -> None:
         """The added links at positions ``at`` of the merged ``links``, one by
         one, as the KEYFRAME's columns are checked at once (a DIFF adds a
-        handful): ``0 <= node_a < node_b < node_count``, a type code in 0…2,
+        handful): ``0 <= node_a < node_b < node_count``, a type code in 0…1,
         and a place strictly between the link's neighbours there.  Links
         compare as ``(node_a, node_b)`` tuples: the canonical order, with no
         key product to overflow."""
@@ -767,10 +716,10 @@ class EpochReplica:
         last = node_a.size - 1
         for position in at.tolist():
             link, code = (int(node_a[position]), int(node_b[position])), int(types[position])
-            if not (0 <= link[0] < link[1] < self.node_count and 0 <= code <= 2):
+            if not (0 <= link[0] < link[1] < self.node_count and 0 <= code <= 1):
                 raise CodecError(
                     f"added link {link} of type {code}: not 0 <= a < b < {self.node_count}, "
-                    f"type 0 … 2"
+                    f"type 0 … 1"
                 )
             if (position and (int(node_a[position - 1]), int(node_b[position - 1])) >= link) or (
                 position < last and link >= (int(node_a[position + 1]), int(node_b[position + 1]))

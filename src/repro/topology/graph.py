@@ -14,7 +14,7 @@ form: six parallel, read-only NumPy arrays indexed by *edge id* —
 (``float64``), ``delay_counts`` (``uint32`` counts of
 :data:`~repro.topology.linkparams.DELAY_GRID_MS`), ``bandwidths_kbps``
 (``float64``) and ``link_type_codes`` (``int8``, index into
-:class:`LinkType`: 0=ISL, 1=UPLINK, 2=HOST).  A graph has one link order,
+:class:`LinkType`: 0=ISL, 1=UPLINK).  A graph has one link order,
 the *canonical* one: every edge is stored with ``node_a < node_b``, and
 the edges ascend by their pair key ``node_a * node_count + node_b``
 (:func:`pair_keys`).  An edge id is therefore the position of the link in
@@ -84,11 +84,10 @@ class LinkType(enum.Enum):
 
     ISL = "isl"
     UPLINK = "uplink"
-    HOST = "host"
 
 
 #: Stable integer codes used in the packed link-type array.
-_LINK_TYPE_BY_CODE: tuple[LinkType, ...] = (LinkType.ISL, LinkType.UPLINK, LinkType.HOST)
+_LINK_TYPE_BY_CODE: tuple[LinkType, ...] = tuple(LinkType)
 _CODE_BY_LINK_TYPE: dict[LinkType, int] = {
     link_type: code for code, link_type in enumerate(_LINK_TYPE_BY_CODE)
 }
@@ -380,7 +379,7 @@ class NetworkGraph:
 
     @property
     def link_type_codes(self) -> np.ndarray:
-        """Link type codes (index into ``LinkType``: 0=ISL, 1=UPLINK, 2=HOST)."""
+        """Link type codes (index into ``LinkType``: 0=ISL, 1=UPLINK)."""
         return self._type_code
 
     # -- queries ------------------------------------------------------------

@@ -239,7 +239,7 @@ class TestDiffHistoryAPI:
         info = api.get("/info")
         assert "keyframe_epochs" not in info
         assert info["epoch"] == database.epoch
-        assert info["last_diff"] == database.latest_diff.summary()
+        assert info["last_diff"] == database.latest_diff.summary(database.state.active_satellites)
 
     def test_constellation_info_reads_one_publication(self):
         # /info threads race set_state: the read waits for the database lock
@@ -310,7 +310,7 @@ class TestAnimation:
 
 
 class TestKeyframeDiffReplay:
-    """An epoch record holds its epoch's masks and, XORed with its flips,
+    """An epoch record holds its epoch's masks and, toggled at its flips,
     the previous epoch's — whether the epoch was published with a diff or
     without one."""
 
@@ -364,9 +364,9 @@ class TestKeyframeDiffReplay:
         for database, record, masks in self._advance(bounding_box=box):
             current = database.epoch
             assert record.epoch == current and record.first == (current == 1)
-            previous = {
-                shell: mask ^ record.flipped[shell] for shell, mask in record.active.items()
-            }
+            previous = {shell: mask.copy() for shell, mask in record.active.items()}
+            for shell, ids in record.flips.items():
+                previous[shell][ids] ^= True
             for epoch, answered in ((current, record.active), (current - 1, previous)):
                 if epoch == 0:
                     assert not any(mask.any() for mask in answered.values())
@@ -374,6 +374,12 @@ class TestKeyframeDiffReplay:
                 assert sorted(answered) == sorted(masks[epoch])
                 for shell, mask in masks[epoch].items():
                     assert np.array_equal(answered[shell], mask), (current, epoch)
+            # /info splits the diff's flips by the published masks.
+            last_diff = database.constellation_info()["last_diff"]
+            if last_diff is not None:
+                now, was = masks[current][0], masks[current - 1][0]
+                counts = [int(np.count_nonzero(now & ~was)), int(np.count_nonzero(was & ~now))]
+                assert [last_diff["activated"], last_diff["deactivated"]] == counts
         assert current == 12 and database.latest_diff is not None
         changed = sum(
             not np.array_equal(masks[e][0], masks[e + 1][0]) for e in range(1, current)

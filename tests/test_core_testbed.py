@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Celestial
+from repro.core import testbed as testbed_module
 from repro.core import ComputeParams, Configuration, Coordinator, GroundStationConfig, HostConfig, NetworkParams, ShellConfig
 from repro.microvm import MachineState
 from repro.orbits import GroundStation, ShellGeometry
@@ -49,7 +50,7 @@ class TestTestbedLifecycle:
         assert testbed.database.state.time_s == 30.0
 
     def test_resource_traces_populated(self):
-        testbed = Celestial(_small_config(), usage_sample_interval_s=5.0)
+        testbed = Celestial(_small_config())
         testbed.run(until=30.0)
         traces = testbed.resource_traces()
         assert set(traces) == {0, 1}
@@ -68,7 +69,8 @@ class TestTestbedLifecycle:
             return sample_all_usage(self, now_s, setup_phase, applying_update)
 
         monkeypatch.setattr(Coordinator, "sample_all_usage", spy)
-        testbed = Celestial(_small_config(update_interval_s=0.1), usage_sample_interval_s=0.25)
+        monkeypatch.setattr(testbed_module, "USAGE_SAMPLE_INTERVAL_S", 0.25)
+        testbed = Celestial(_small_config(update_interval_s=0.1))
         testbed.run(until=1.0)
         assert flagged == {0.0: False, 0.25: False, 0.5: True, 0.75: False, 1.0: True}
 

@@ -294,8 +294,7 @@ class TestShardedCoordinatorEquivalence:
         assert sum(suspended for suspended, _ in counters_inc) > 0
         assert sum(resumed for _, resumed in counters_inc) > 0
         assert _machine_states(managers_inc) == _machine_states(managers_full)
-        assert len(incremental.stats.diff_change_counts) == 200
-        assert incremental.stats.count == 201
+        assert len(incremental.stats.fanout_seconds) == incremental.stats.count == 201
 
     def test_dirty_machines_reconciled_after_fault_injection(self):
         config = _iridium_box_config(update_interval_s=60.0, duration_s=600.0)
@@ -374,12 +373,13 @@ class TestOneRecordForEveryManager:
         assert len(set(hosted.values())) == 3
         # Flip every satellite of manager 0, and every satellite no manager
         # hosts, on all three managers.
-        flipped = np.zeros_like(state.active_satellites[0])
-        for identifier in range(flipped.size):
-            name = coordinator.calculation.satellite(0, identifier).name
-            flipped[identifier] = hosted.get(name, 0) == 0
+        flips = [
+            identifier
+            for identifier in range(state.active_satellites[0].size)
+            if hosted.get(coordinator.calculation.satellite(0, identifier).name, 0) == 0
+        ]
         active = {0: ~state.active_satellites[0]}
-        record = EpochRecord(coordinator.database.epoch + 1, active, {0: flipped})
+        record = EpochRecord(coordinator.database.epoch + 1, active, {0: np.array(flips)})
         before = [_census(manager) for manager in managers]
         for manager in managers[1:]:
             manager.apply_diff(record, 30.0)
@@ -407,7 +407,7 @@ class TestOneRecordForEveryManager:
                 coordinator.database.epoch, state, coordinator.database.latest_diff
             )
             expected = [0] * len(managers)
-            for identifier in np.flatnonzero(record.flipped[0]):
+            for identifier in record.flips[0]:
                 name = coordinator.calculation.satellite(0, int(identifier)).name
                 if name in existing:  # a new machine boots running: no flip
                     expected[existing[name]] += 1

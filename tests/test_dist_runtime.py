@@ -186,7 +186,7 @@ class TestProcessBackendEquivalence:
                 assert samples_t == samples_p  # byte-identical dataclasses
             _assert_equivalent(threads, processes)
             assert sum(c[0] for c in _counters(processes)) > 0
-            assert len(processes.stats.diff_change_counts) == 12
+            assert processes.stats.count == 13  # the first epoch and 12 diffs
             # The parent-side traces recorded the streamed samples.
             trace_lengths = [len(manager.host.trace) for manager in processes.managers]
             assert trace_lengths == [13, 13, 13]
@@ -209,7 +209,7 @@ class TestProcessBackendEquivalence:
             samples_p = processes.sample_all_usage(20.0, applying_update=True)
             assert samples_t == samples_p
             _assert_equivalent(threads, processes)
-            assert len(processes.stats.diff_change_counts) == 10
+            assert processes.stats.count == 11  # the first epoch and 10 diffs
         finally:
             threads.close()
             processes.close()
@@ -822,7 +822,7 @@ class TestSupervision:
         else:
             backend = ProcessFanoutBackend(managers, worker_count=1)
         backend.close()
-        record = EpochRecord(epoch=1, active={}, flipped={}, first=True)
+        record = EpochRecord(epoch=1, active={}, flips={}, first=True)
         calls = [lambda: backend.apply_slices(record, 0.0), lambda: backend.sample_all(0.0)]
         if parallelism == "processes":
             calls.append(backend.worker_counters)

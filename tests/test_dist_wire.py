@@ -65,11 +65,13 @@ def _assert_bytes_identical(sent: np.ndarray, received: np.ndarray):
 
 
 def _record(active, flipped=None, epoch=9, first=False):
+    """A record of ``active`` masks whose flips are the set places of the
+    ``flipped`` masks (none by default)."""
     masks = {shell: np.array(mask, dtype=bool) for shell, mask in active.items()}
     if flipped is None:
         flipped = {shell: np.zeros_like(mask) for shell, mask in masks.items()}
-    flips = {shell: np.array(mask, dtype=bool) for shell, mask in flipped.items()}
-    return EpochRecord(epoch=epoch, active=masks, flipped=flips, first=first)
+    flips = {shell: np.flatnonzero(np.array(mask, dtype=bool)) for shell, mask in flipped.items()}
+    return EpochRecord(epoch=epoch, active=masks, flips=flips, first=first)
 
 
 def _record_frame(record: EpochRecord) -> bytes:
@@ -85,7 +87,7 @@ def _roundtrip(record: EpochRecord) -> EpochRecord:
 
 def _assert_records_identical(sent: EpochRecord, received: EpochRecord):
     assert (received.epoch, received.first) == (sent.epoch, sent.first)
-    for masks, received_masks in ((sent.active, received.active), (sent.flipped, received.flipped)):
+    for masks, received_masks in ((sent.active, received.active), (sent.flips, received.flips)):
         assert sorted(received_masks) == sorted(masks)
         for shell, mask in masks.items():
             _assert_bytes_identical(mask, received_masks[shell])
@@ -962,7 +964,7 @@ class TestSliceCodec:
         sent = _record({0: [True, False, True], 1: []})
         received = _roundtrip(sent)
         _assert_records_identical(sent, received)
-        assert not any(mask.any() for mask in received.flipped.values())
+        assert not any(ids.size for ids in received.flips.values())
         first = _record({0: [True, False, True]}, {0: [True, False, True]}, epoch=1, first=True)
         _assert_records_identical(first, _roundtrip(first))
 
@@ -970,20 +972,22 @@ class TestSliceCodec:
         assert [field.name for field in dataclasses.fields(EpochRecord)] == [
             "epoch",
             "active",
-            "flipped",
+            "flips",
             "first",
         ]
-        # Two packed masks per shell, the activity masks first.
+        # Two sets per shell, the active sets first: shell 2's nine active
+        # satellites are two bytes of bits, every empty set no positions.
         meta, arrays = wire.slice_payload(_record({2: [True] * 9, 0: [False] * 3}))
         assert meta == {"shells": [0, 2], "sizes": [3, 9], "epoch": 9, "first": False}
         assert [(array.dtype.str, array.size) for array in arrays] == [
-            ("|u1", 1), ("|u1", 2), ("|u1", 1), ("|u1", 2)
+            ("<u2", 0), ("|u1", 2), ("<u2", 0), ("<u2", 0)
         ]
 
     def test_slice_frame_size_is_independent_of_fleet_size(self):
         # One host with 1,000 satellite microVMs: the record names no
-        # machine, so its frame is two 125-byte masks plus a few dozen bytes
-        # whatever the fleet — and the same for every worker.
+        # machine, so its frame is the 125 bytes of the active set's bits, an
+        # empty flip set and a few dozen bytes of meta whatever the fleet —
+        # and the same for every worker.
         config = Configuration(
             shells=(
                 ShellConfig(
@@ -1011,22 +1015,20 @@ class TestSliceCodec:
             record = EpochRecord.of(2, state, diff)
         finally:
             coordinator.close()
-        assert not record.flipped[0].any()
-        assert 250 < len(_record_frame(record)) < 512
+        assert record.flips[0].size == 0
+        assert 125 < len(_record_frame(record)) < 256
 
     def test_activity_payload_roundtrip(self):
-        # The layout of a record's mask groups: one packed mask per shell.
+        # A record's active sets: one set per shell, an empty shell's too.
         masks = {
             0: np.array([True, False, True]),
             1: np.zeros(0, dtype=bool),
             2: np.ones(5, dtype=bool),
         }
-        meta, arrays = wire.mask_payload(masks)
-        kind, meta, arrays = decode_frame(encode_frame(FrameKind.APPLY_EPOCH, meta, arrays))
-        (received,) = wire.decode_masks(meta, arrays, 1)
-        assert list(received) == [0, 1, 2]
+        received = _roundtrip(_record(masks))
+        assert list(received.active) == [0, 1, 2]
         for shell, mask in masks.items():
-            _assert_bytes_identical(mask, received[shell])
+            _assert_bytes_identical(mask, received.active[shell])
 
 
 def _record_payload():
@@ -1069,7 +1071,7 @@ _FORGED_RECORD = {
     "size-too-large": _put("sizes", [17, 8]),
     "no-sizes": lambda meta, arrays: meta.pop("sizes"),
     "bool-mask": _array(1, lambda packed: np.unpackbits(packed).astype(bool)),
-    "wide-mask": _array(3, lambda packed: packed.astype("<u2")),
+    "wide-mask": _array(0, lambda packed: packed.astype("<u4")),
     "two-d-mask": _array(0, lambda packed: packed.reshape(1, -1)),
     "short-mask": _array(2, lambda packed: packed[:-1]),
     "long-mask": _array(2, lambda packed: np.append(packed, np.uint8(0))),

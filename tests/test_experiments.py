@@ -426,6 +426,16 @@ class TestParamsAreReadBeforeTheRun:
              "fault_program.params.duration_s must be a number, not '5 s'"),
             ("ground-outage", "", {"lat_min": 30, "lat_max": 10, "lon_min": 0, "lon_max": 10},
              "fault_program.params: lat_min must be below lat_max"),
+            # The injector method an op runs takes one machine or a directed pair.
+            ("packet-loss", "hawaii", {},
+             "fault_program.target: a packet-loss op targets \"<machine>-><machine>\", "
+             "not 'hawaii'"),
+            ("terminate", "hawaii->0/0", {},
+             "fault_program.target: a terminate op targets one machine "
+             "(\"<station>\" or \"<shell>/<id>\"), not 'hawaii->0/0'"),
+            ("terminate", "", {},
+             "fault_program.target: a terminate op targets one machine "
+             "(\"<station>\" or \"<shell>/<id>\"), not ''"),
         ],
     )
     def test_a_bad_fault_param_is_refused_when_the_program_is_scheduled(

@@ -189,8 +189,7 @@ def _walk(calculation, times, cold_every):
         state, diff = calculation.diff_since(state, time_s)
         now = _assert_matches_oracle(calculation, state)
         for shell in now:
-            _same_bits(diff.activated[shell], np.nonzero(now[shell] & ~was[shell])[0])
-            _same_bits(diff.deactivated[shell], np.nonzero(~now[shell] & was[shell])[0])
+            _same_bits(diff.flipped[shell], np.flatnonzero(now[shell] ^ was[shell]))
         if step % cold_every == 0:
             _assert_matches_oracle(calculation, calculation.state_at(time_s))
         was = now

@@ -33,8 +33,6 @@ from repro.serve.codec import (
     CodecError,
     EpochUpdate,
     _merge,
-    _pack_mask,
-    _unpack_mask,
     encode_diff_update,
     encode_keyframe_update,
 )
@@ -116,8 +114,7 @@ def hand_built_diff(previous, current) -> ConstellationDiff:
     return ConstellationDiff(
         time_s=current.time_s,
         topology=current.graph.diff_from(previous.graph),
-        activated={0: np.nonzero(now & ~was)[0]},
-        deactivated={0: np.nonzero(was & ~now)[0]},
+        flipped={0: np.flatnonzero(now ^ was)},
         previous_trend=previous.trend,
         trend=current.trend,
     )
@@ -763,12 +760,12 @@ class TestFewLinkPaths:
         low, high = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         mask = chosen[np.lexsort((high, low))]  # the chosen links, in the canonical order
         assert positions.tolist() == np.flatnonzero(mask).tolist()
-        packed = _pack_mask(positions, len(pairs))
+        packed = wire.pack_set(positions, len(pairs))
         if count <= 187:
             assert packed.dtype == np.uint16 and packed.tolist() == positions.tolist()
         else:
             assert packed.tobytes() == np.packbits(mask).tobytes()
-        assert _unpack_mask(packed, len(pairs)).tolist() == positions.tolist()
+        assert wire.unpack_set(packed, len(pairs), CodecError).tolist() == positions.tolist()
 
     @pytest.mark.parametrize(
         "length,count,dtype",
@@ -789,10 +786,10 @@ class TestFewLinkPaths:
         over up to 2**16 links and as ``uint32`` over more."""
         positions = np.linspace(0, length - 1, count).astype(np.intp)
         assert np.unique(positions).size == count
-        packed = _pack_mask(positions, length)
+        packed = wire.pack_set(positions, length)
         assert packed.dtype == dtype and packed.ndim == 1
         assert packed.nbytes == (count * packed.itemsize if dtype != np.uint8 else (length + 7) // 8)
-        assert _unpack_mask(packed, length).tolist() == positions.tolist()
+        assert wire.unpack_set(packed, length, CodecError).tolist() == positions.tolist()
 
 
 def _fields(packed, bits, count):
@@ -897,10 +894,11 @@ class TestForgedFrames:
             pytest.param(5, lambda values: values[:0], id="added-rows-short"),
             pytest.param(8, lambda values: values.astype(np.float32), id="delay-dtype"),
             pytest.param(2, lambda nodes: nodes.reshape(-1, 1), id="endpoint-shape"),
-            pytest.param(13, lambda ids: ids + 12, id="flip-out-of-range"),
-            pytest.param(13, lambda ids: ids - 12, id="flip-negative"),
-            pytest.param(13, lambda ids: np.ones(12, dtype=bool), id="flip-bool"),
-            pytest.param(13, lambda ids: ids.reshape(-1, 1), id="flip-2-D"),
+            pytest.param(12, lambda bits: np.array([12], np.uint16), id="flip-out-of-range"),
+            pytest.param(12, lambda bits: np.array([1, 3], np.int64), id="flip-int64-ids"),
+            pytest.param(12, lambda bits: np.ones(12, dtype=bool), id="flip-bool"),
+            pytest.param(12, lambda bits: bits.reshape(-1, 1), id="flip-2-D"),
+            pytest.param("shells", lambda shells: [1], id="flip-unheld-shell"),
             pytest.param(9, lambda escapes: np.append(escapes, escapes), id="escapes-too-many"),
             pytest.param(9, lambda escapes: escapes[:0], id="escapes-too-few"),
             pytest.param(
@@ -975,6 +973,7 @@ class TestForgedFrames:
             pytest.param(2, lambda nodes: nodes.astype(np.uint8), id="added-nodes-unsigned"),
             pytest.param(6, lambda types: types.astype(np.float64), id="added-type-float"),
             pytest.param(6, lambda types: types + 2, id="added-type-three"),
+            pytest.param(6, lambda types: np.full_like(types, 2), id="added-type-two"),
             pytest.param(5, lambda values: values.astype(np.int64), id="added-bandwidth-int64"),
             pytest.param(11, lambda values: values.astype(np.float32), id="bandwidth-float32"),
             pytest.param(2, lambda nodes: nodes[::-1], id="added-links-descending"),
@@ -1079,6 +1078,7 @@ class TestForgedFrames:
             "links-unordered": (meta, replaced(0, arrays[0][::-1], 1, arrays[1][::-1])),
             "links-repeated": (meta, replaced(0, arrays[0][[0, 0]], 1, arrays[1][[0, 0]])),
             "type-nine": (meta, replaced(4, np.array([9, 0], np.int8))),
+            "type-two": (meta, replaced(4, np.array([2, 0], np.int8))),
             "type-float": (meta, replaced(4, np.array([7.9, 0.0]))),
             "short-column": (meta, replaced(0, arrays[0][:-1])),
             "empty-mask": (meta, replaced(8, arrays[8][:0])),
@@ -1138,7 +1138,7 @@ class TestForgedFrames:
         _, meta, arrays = wire.decode_frame(honest.data)
         arrays = [np.array(array) for array in arrays]
         after = len(kept) + len(added)
-        positions = _unpack_mask(arrays[1], after)
+        positions = wire.unpack_set(arrays[1], after, CodecError)
         i = data.draw(st.integers(0, len(added) - 1))
         forgery = data.draw(st.sampled_from(["neighbour", "kept", "added"]))
         if forgery == "neighbour":
@@ -1151,7 +1151,7 @@ class TestForgedFrames:
                     array[[i, j]] = array[[j, i]]
             else:  # move past the kept link
                 positions[i] = q
-                arrays[1] = _pack_mask(positions, after)
+                arrays[1] = wire.pack_set(positions, after)
         else:
             others = kept if forgery == "kept" else [pair for pair in added if pair != added[i]]
             assume(others)

@@ -651,7 +651,8 @@ class TestConcurrentInfoReaders:
         try:
             for step in range(1, 40):
                 next_state, diff = calculation.diff_since(state, step * 15.0)
-                published[database.epoch + 1] = (next_state.time_s, diff.summary())
+                summary = diff.summary(next_state.active_satellites)
+                published[database.epoch + 1] = (next_state.time_s, summary)
                 database.set_state(next_state, diff=diff)
                 state = next_state
                 time.sleep(0.001)  # let the readers at it
