@@ -11,6 +11,9 @@ runs the testbed for one simulated minute and shows:
 Run with:  python examples/quickstart.py
 """
 
+import json
+from urllib.request import urlopen
+
 from repro import Celestial, ComputeParams, Configuration, GroundStationConfig, HostConfig, NetworkParams, ShellConfig
 from repro.analysis import render_table
 from repro.core import HTTPInfoServer
@@ -96,6 +99,10 @@ def main() -> None:
         print(f"info API listening on http://{host}:{port}/info "
               f"(e.g. /sat/0/13, /gst/hawaii, /path/hawaii/guam)")
         print("GET /info ->", testbed.info_api.get("/info"))
+        with urlopen(f"http://{host}:{port}/path/hawaii/guam", timeout=5) as response:
+            route = json.loads(response.read())
+        print(f"GET /path/hawaii/guam over HTTP -> reachable: {route['reachable']}, "
+              f"{len(route['hops']) - 1} hops, RTT {route['rtt_ms']:.2f} ms")
 
     print("\n=== Application measurements ===")
     latencies = [latency for _, latency in observed]

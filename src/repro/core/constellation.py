@@ -66,6 +66,19 @@ coordinator publishes the epoch's activity to every machine manager as one
 :class:`~repro.core.machine_manager.EpochRecord` instead of replaying the
 full state, and hands the topology half to the virtual network.
 
+The coordinator runs ``diff_since`` in its calculation child
+(:mod:`repro.dist.calculation`), which sends each epoch as the update
+stream's DIFF frame; the driver rebuilds the same state and diff from the
+frame with :meth:`ConstellationCalculation.state_from_replica`.  A replica
+holds the graph's link columns with their delay counts, the trend and the
+activity, but no geometry, which is a pure function of the configuration
+and the time: the positions are propagated again and each link's distance
+is the norm of its endpoints' difference, the bits ``diff_since`` computes.
+The topology diff is the frame's own removed, added, delay-changed and
+bandwidth-changed sets, not a diff of the two graphs.  Such a state carries
+no update hints (the child keeps those); ``diff_since`` from it evaluates
+every pair, as from a cold state.
+
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
 full geodetic conversion is only computed for satellites inside the margin
@@ -256,6 +269,10 @@ class ConstellationDiff:
     flipped: dict[int, np.ndarray]
     previous_trend: DelayTrend
     trend: DelayTrend
+    #: The epoch's DIFF frame, when the diff was rebuilt from it
+    #: (:meth:`ConstellationCalculation.state_from_replica`): the stream
+    #: forwards these bytes instead of encoding the diff again.
+    frame: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     def summary(self, active: dict[int, np.ndarray]) -> dict[str, int]:
         """Compact counters: the topology changes plus the activity
@@ -374,7 +391,7 @@ class ConstellationState:
 
     def reachable(self, machine_a: MachineId, machine_b: MachineId) -> bool:
         """Whether a network path exists between the machines."""
-        return np.isfinite(self.delay_ms(machine_a, machine_b))
+        return math.isfinite(self.delay_ms(machine_a, machine_b))
 
     def path(self, machine_a: MachineId, machine_b: MachineId):
         """Full path (hop node indices) between two machines.
@@ -669,15 +686,11 @@ class ConstellationCalculation:
         verdict, and recomputed values are bitwise identical to the full
         evaluation.
         """
-        config = self.config
         hints = previous._update_hints if previous is not None else None
         dt = abs(time_s - hints.time_s) if hints is not None else 0.0
 
-        positions_eci = circular_positions_eci(self._elements, time_s)
-        for rows, shell in self._sgp4_shells:
-            positions_eci[rows] = shell.positions_eci(time_s)
-        positions = eci_to_ecef(positions_eci, config.epoch.gmst_at(time_s))
-        box = config.bounding_box
+        positions = self._positions_ecef(time_s)
+        box = self.config.bounding_box
         if box is None:
             active, box_clearance = np.ones(len(positions), dtype=bool), None
         elif hints is None:
@@ -752,20 +765,32 @@ class ConstellationCalculation:
             ),
         )
 
-    def _state_from_epoch(
+    def _positions_ecef(self, time_s: float) -> np.ndarray:
+        """Every satellite's ECEF position [km] at a time, over the global
+        node order: one propagation and one frame rotation."""
+        positions_eci = circular_positions_eci(self._elements, time_s)
+        for rows, shell in self._sgp4_shells:
+            positions_eci[rows] = shell.positions_eci(time_s)
+        return eci_to_ecef(positions_eci, self.config.epoch.gmst_at(time_s))
+
+    def _state(
         self,
         time_s: float,
-        epoch: _EpochArrays,
+        positions: np.ndarray,
+        active: np.ndarray,
         graph: NetworkGraph,
+        trend: DelayTrend,
         previous: Optional[ConstellationState] = None,
         topology: Optional[TopologyDiff] = None,
+        hints: Optional[_UpdateHints] = None,
     ) -> ConstellationState:
+        """A state over the flat ``positions`` and ``active`` arrays; its
+        path store advances from ``previous``'s by ``topology``, or starts
+        with the ground stations as sources."""
         if previous is not None and topology is not None:
             paths = self.path_engine.advance_all(previous.paths, graph, topology)
-            trend = previous.trend.after(topology)
         else:
             paths = PathRows(graph, self.path_engine, self._gst_nodes.tolist())
-            trend = DelayTrend.cold(graph)
         rows = self._shell_rows
         return ConstellationState(
             time_s=time_s,
@@ -773,11 +798,11 @@ class ConstellationCalculation:
             graph=graph,
             paths=paths,
             # Per-shell views of the flat arrays.
-            satellite_positions_ecef={s: epoch.satellite_positions[r] for s, r in enumerate(rows)},
-            active_satellites={s: epoch.active[r] for s, r in enumerate(rows)},
+            satellite_positions_ecef={s: positions[r] for s, r in enumerate(rows)},
+            active_satellites={s: active[r] for s, r in enumerate(rows)},
             ground_positions_ecef=dict(self._ground_positions),
             trend=trend,
-            _update_hints=epoch.hints,
+            _update_hints=hints,
         )
 
     def _assemble_graph(self, epoch: _EpochArrays) -> NetworkGraph:
@@ -831,7 +856,10 @@ class ConstellationCalculation:
         """
         epoch = self._epoch_arrays(time_s)
         graph = self._assemble_graph(epoch)
-        return self._state_from_epoch(time_s, epoch, graph)
+        trend = DelayTrend.cold(graph)
+        return self._state(
+            time_s, epoch.satellite_positions, epoch.active, graph, trend, hints=epoch.hints
+        )
 
     def diff_since(
         self, previous: ConstellationState, time_s: float
@@ -855,15 +883,24 @@ class ConstellationCalculation:
         graph = self._assemble_graph(epoch)
         topology = graph.diff_from(previous.graph)
 
-        changed = np.flatnonzero(epoch.active ^ previous._update_hints.active)
+        shells = range(len(self.shells))
+        was = np.concatenate([previous.active_satellites[shell] for shell in shells])
+        changed = np.flatnonzero(epoch.active ^ was)
         flipped = {}
         for shell, rows in enumerate(self._shell_rows):
             # changed ascends, so each shell's flips are one slice of it.
             mine = slice(*np.searchsorted(changed, (rows.start, rows.stop)).tolist())
             flipped[shell] = changed[mine] - rows.start
 
-        state = self._state_from_epoch(
-            time_s, epoch, graph, previous=previous, topology=topology
+        state = self._state(
+            time_s,
+            epoch.satellite_positions,
+            epoch.active,
+            graph,
+            previous.trend.after(topology),
+            previous,
+            topology,
+            epoch.hints,
         )
         diff = ConstellationDiff(
             time_s=time_s,
@@ -871,5 +908,58 @@ class ConstellationCalculation:
             flipped=flipped,
             previous_trend=previous.trend,
             trend=state.trend,
+        )
+        return state, diff
+
+    def state_from_replica(
+        self, previous: ConstellationState, replica, frame: bytes
+    ) -> tuple[ConstellationState, ConstellationDiff]:
+        """The state and diff of the DIFF ``frame`` that ``replica`` (a
+        :class:`~repro.serve.codec.EpochReplica`) just applied on top of
+        ``previous``, the state of its epoch before.
+
+        The same state and diff as :meth:`diff_since` from ``previous`` (the
+        frame was encoded from those), rebuilt without computing the epoch:
+        the graph's columns are copies of the replica's, which the next
+        frame patches in place; its distances are computed from the
+        propagated positions, which rebuilds them bit for bit (a slant range
+        is the norm of an endpoint difference either way round); the
+        activity is the replica's and the trend its object, which the
+        published diff must reference.  The :class:`TopologyDiff` is the
+        frame's own sets (:attr:`~repro.serve.codec.EpochReplica.applied`),
+        not a diff of the two graphs: a delay-changed link's previous edge
+        id is its rank among the kept links, counted past the removed ones.
+        """
+        removed, added, delay_changed, bandwidth_changed, flips = replica.applied
+        time_s = replica.time_s
+        positions = self._positions_ecef(time_s)
+        node_a, node_b, counts, bandwidths, types = (column.copy() for column in replica.links)
+        nodes = np.concatenate([positions, self._gst_position_stack])
+        distances_km = slant_range_km(nodes.take(node_a, axis=0), nodes.take(node_b, axis=0))
+        graph = NetworkGraph.from_edge_arrays(
+            self.node_index, node_a, node_b, distances_km, counts, bandwidths, types
+        )
+        kept = delay_changed - np.searchsorted(added, delay_changed)
+        topology = TopologyDiff(
+            previous=previous.graph,
+            current=graph,
+            links_added=added,
+            links_removed=removed,
+            delay_changed=delay_changed,
+            delay_changed_previous=kept
+            + np.searchsorted(removed - np.arange(removed.size), kept, side="right"),
+            bandwidth_changed=bandwidth_changed,
+        )
+        shells = range(len(self.shells))
+        active = np.concatenate([replica.active[shell] for shell in shells])
+        state = self._state(time_s, positions, active, graph, replica.trend, previous, topology)
+        nothing = np.empty(0, dtype=np.intp)
+        diff = ConstellationDiff(
+            time_s=time_s,
+            topology=topology,
+            flipped={shell: flips.get(shell, nothing) for shell in shells},
+            previous_trend=previous.trend,
+            trend=state.trend,
+            frame=frame,
         )
         return state, diff

@@ -20,15 +20,27 @@ each host appends its share of it at once.
 One record for every manager
 ----------------------------
 
-After the first epoch the coordinator runs the differential update
-pipeline: :meth:`Coordinator.update` asks the constellation calculation for
-a :class:`~repro.core.constellation.ConstellationDiff` against the
-previously published state, publishes state + diff through the database
-(which holds that one epoch, no history), and then builds **one**
-:class:`~repro.core.machine_manager.EpochRecord` for the epoch — per shell
-the activity mask and the ascending identifiers of the satellites that
-flipped since the previous epoch, the diff's own arrays, with no
-per-machine loop.  Every
+The first epoch is computed cold, in this process
+(:meth:`~repro.core.constellation.ConstellationCalculation.state_at`).  At
+the first differential update the coordinator forks the calculation child
+(:mod:`repro.dist.calculation`), which inherits the calculation and the
+state just published and from then on computes every epoch one ahead:
+:meth:`~repro.core.constellation.ConstellationCalculation.diff_since` from
+its previous epoch, encoded as the epoch's ``DIFF`` frame.  For each update
+:meth:`Coordinator.update` takes the child's frame for its own time (the
+child's guess, or computed on demand when the time was not the one
+guessed), applies it to an :class:`~repro.serve.codec.EpochReplica` and
+rebuilds the state and the
+:class:`~repro.core.constellation.ConstellationDiff` from it
+(:meth:`~repro.core.constellation.ConstellationCalculation.state_from_replica`):
+the driver never calls ``diff_since`` after the first epoch, and consumes
+its own update stream as a subscriber does.  It publishes state + diff
+through the database (which holds that one epoch, no history, and hands the
+frame's bytes on to the stream without encoding them again), and then
+builds **one** :class:`~repro.core.machine_manager.EpochRecord` for the
+epoch — per shell the activity mask and the ascending identifiers of the
+satellites that flipped since the previous epoch, the diff's own arrays,
+with no per-machine loop.  Every
 manager receives the same record and picks out the flips of the satellites
 it hosts and the machines of its own that are dirty
 (:meth:`~repro.core.machine_manager.MachineManager.apply_diff`); a manager
@@ -39,8 +51,14 @@ does not travel in the record: the virtual network consumes the same diff
 centrally (:meth:`~repro.net.network.VirtualNetwork.apply_diff`) and
 per-pair delay and bandwidth are resolved from the published state by
 :meth:`~repro.core.database.ConstellationDatabase.pair_rule`.  What an epoch
-publishes thus does not depend on where machines were placed, in the spirit
-of RAFDA's separation of application logic from distribution policy.
+publishes thus does not depend on where machines were placed — nor on
+where the calculation ran — in the spirit of RAFDA's separation of
+application logic from distribution policy.  A child that dies, stops,
+stalls or sends a frame that is not the epoch asked for is a
+:class:`~repro.dist.calculation.CalculationChildError` within a deadline;
+it is not respawned.  The child chains onto the coordinator's own
+publications, so a state published to the database around the coordinator
+is refused at the next update.
 
 The in-process-vs-worker seam
 -----------------------------
@@ -215,6 +233,8 @@ class Coordinator:
         self._computes = tuple(shell.compute for shell in config.shells) + tuple(
             station.compute for station in config.ground_stations
         )
+        # The calculation child, forked at the first differential update.
+        self._child = None
 
     # -- machine bookkeeping -------------------------------------------------
 
@@ -327,34 +347,40 @@ class Coordinator:
             self.stats.worker_ack_seconds[worker].extend(latencies)
 
     def close(self) -> None:
-        """Release the fan-out backend (idempotent, both backends).
+        """Release the fan-out backend and reap the calculation child (idempotent).
 
-        In process there is nothing to release; a closed backend only
-        refuses further sweeps.  Process backend: compares the
+        In process the backend has nothing to release; a closed backend
+        only refuses further sweeps.  Process backend: compares the
         acknowledgements still in flight (a desync is raised here), then
-        drains and joins every worker, escalating to terminate/kill.  A
-        coordinator dropped unclosed leaves that to the backend's finaliser,
-        which compares nothing and waits for no acknowledgement (the workers
-        are also daemonic and an ``atexit`` hook joins every pool still
-        open, holding none alive, so no backend can outlive or hang the
-        interpreter).
+        drains and joins every worker, escalating to terminate/kill.  The
+        calculation child, if one was forked, is sent ``SHUTDOWN`` and
+        reaped with the same escalation.  A coordinator dropped unclosed
+        leaves that to the backend's and the child's finalisers, which
+        compare nothing and wait for no acknowledgement (the workers are
+        also daemonic, and ``atexit`` hooks join every pool still open and
+        reap every child, holding none alive, so neither can outlive or hang
+        the interpreter).
         """
-        self._backend.close()
+        try:
+            self._backend.close()
+        finally:
+            if self._child is not None:
+                self._child.close()
 
     # -- updates ---------------------------------------------------------------
 
     def update(self, now_s: float) -> ConstellationState:
         """Run one constellation update and distribute it to all hosts.
 
-        The first epoch computes the state cold; afterwards the differential
-        pipeline computes state + diff.  Either way the epoch's record goes
-        to every manager through the backend.
+        The first epoch computes the state cold; afterwards state + diff
+        are rebuilt from the calculation child's ``DIFF`` frame (module
+        docstring).  Either way the epoch's record goes to every manager
+        through the backend.
         """
-        previous = self.database.state if self.database.has_state else None
-        if previous is None:
-            state, diff = self.calculation.state_at(now_s), None
+        if self.database.has_state:
+            state, diff = self._next_epoch(now_s)
         else:
-            state, diff = self.calculation.diff_since(previous, now_s)
+            state, diff = self.calculation.state_at(now_s), None
         self.database.set_state(state, diff=diff)
         record = EpochRecord.of(self.database.epoch, state, diff)
         self._ensure_activated_satellites(record, now_s)
@@ -371,6 +397,24 @@ class Coordinator:
         self.stats.record_update(fanout_s)
         self._merge_transport_latencies()
         return state
+
+    def _next_epoch(self, now_s: float):
+        """The next epoch's state and diff, rebuilt from the calculation
+        child's DIFF frame; the first call forks the child from the state
+        published now."""
+        previous = self.database.state
+        if self._child is None:
+            from repro.dist.calculation import CalculationChild
+
+            self._child = CalculationChild(
+                self.calculation,
+                previous,
+                self.database.epoch,
+                now_s,
+                self.config.update_interval_s,
+            )
+        frame = self._child.epoch_at(now_s, self.database.epoch + 1)
+        return self.calculation.state_from_replica(previous, self._child.replica, frame)
 
     def run_updates(self, sim: Simulation, duration_s: Optional[float] = None):
         """Simulation process running updates at the configured interval."""

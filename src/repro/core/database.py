@@ -11,7 +11,10 @@ One epoch, published once
 
 The coordinator publishes, per epoch, the new full state *plus* the
 :class:`~repro.core.constellation.ConstellationDiff` against the previous
-epoch.  The database holds exactly that publication — the current state and
+epoch, both rebuilt from the DIFF frame of its calculation child; the diff
+carries that frame, so the codec this database owns forwards its bytes to
+subscribers instead of encoding it again.  The database holds exactly that
+publication — the current state and
 :attr:`~ConstellationDatabase.latest_diff` — and keeps no archive beside it:
 a consumer that is late, slow or new is given the current state (the
 streaming gateway's KEYFRAME), never a replay of past epochs.  Nothing of

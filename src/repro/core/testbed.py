@@ -137,11 +137,14 @@ class Celestial:
         self.sim.run(until if until is not None else self.config.duration_s)
 
     def close(self) -> None:
-        """Release the coordinator's fan-out backend (idempotent).
+        """Release the coordinator's fan-out backend and reap its calculation
+        child (idempotent).
 
-        Required with ``parallelism="processes"`` to join the worker pool
-        deterministically (also invoked at interpreter exit); the default
-        in-process backend holds nothing to release.
+        Joins the worker pool with ``parallelism="processes"`` and, under
+        either backend, reaps the child process that has computed the
+        epochs since the first differential update, deterministically.  A
+        testbed dropped unclosed is cleaned up by finalisers and at
+        interpreter exit instead.
         """
         self.coordinator.close()
 

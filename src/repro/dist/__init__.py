@@ -26,6 +26,12 @@ on a TCP stream.
   listener per worker slot and a ``HELLO`` → ``SPEC`` handshake, so a
   restarted worker *reconnects* to the same address; the ``SPEC`` carries
   the worker's hosts as the driver's replica holds them.
+* :mod:`repro.dist.calculation` — the calculation child: one process the
+  coordinator forks at its first differential update, which computes every
+  epoch one ahead and sends it as the update stream's ``DIFF`` frame over a
+  local :class:`~repro.dist.transport.SocketTransport`; the driver rebuilds
+  the epoch from the frame.  A child that dies, stops or stalls is a
+  :class:`~repro.dist.calculation.CalculationChildError` within a deadline.
 * :mod:`repro.dist.worker` — the worker: owns one or more Machine Managers
   and their hosts' machine tables, applies each record to all of them,
   samples usage and answers each request with checkpoints and sample

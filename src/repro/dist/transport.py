@@ -7,7 +7,9 @@ application logic — is this module, with one transport and one way to
 obtain it:
 
 * :class:`SocketTransport` — length-prefixed frames (:func:`frame`) over one
-  TCP stream.  Its ``send_bytes`` / ``recv_bytes`` / ``poll`` / ``close`` are
+  TCP stream (to the coordinator's calculation child, one local stream
+  socket: :mod:`repro.dist.calculation`).  Its ``send_bytes`` /
+  ``recv_bytes`` / ``poll`` / ``close`` are
   all the driver, the worker and the serving tier's client use; their
   docstrings are the contract anything wrapping a transport must keep.  A
   clean peer close is ``EOFError``, a broken stream ``OSError``, a peer that

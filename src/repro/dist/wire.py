@@ -70,11 +70,17 @@ kind               direction     payload
                                  worker (see below)
 ``SAMPLE_USAGE``   sup → worker  ``now_s``, the sample's flags and per host
                                  position the sample's index
+``EPOCH_AT``       driver →      ``time_s`` of the epoch the driver takes:
+                   child         the child's guessed ``DIFF`` if it is for
+                                 that time, else the child computes that
+                                 time's and sends it too
+                                 (:mod:`repro.dist.calculation`)
 ``PING`` …         both          heartbeat, shutdown, handshake
 ``KEYFRAME`` …     gateway       the serving tier: a full state with its delay
-                                 steps and curves, or a DIFF whose delays
-                                 are third-difference residuals
-                                 (:mod:`repro.serve.codec`)
+                   (a ``DIFF``:  steps and curves, or a DIFF whose delays
+                   also child    are third-difference residuals
+                   → driver)     (:mod:`repro.serve.codec`); the calculation
+                                 child sends the driver each epoch's ``DIFF``
 =================  ============  =============================================
 
 A ``SPEC`` frame's meta holds ``hosts``, one entry per host the worker
@@ -251,7 +257,9 @@ WIRE_MAGIC = b"CLW1"
 #: active and flip sets (flip masks no longer), a ``KEYFRAME``'s activity and
 #: a ``DIFF``'s flips, one set per flipping shell instead of ``int64``
 #: activated and deactivated ids.
-WIRE_VERSION = 21
+#: 22: ``EPOCH_AT``, the driver's answer to its calculation child's guessed
+#: ``DIFF``: the time of the epoch it takes.
+WIRE_VERSION = 22
 
 #: ``dtype.kind`` of the arrays a frame may carry: bool, signed, unsigned,
 #: float.  No encoder ships anything else, so nothing else is decoded.
@@ -299,6 +307,7 @@ class FrameKind(enum.IntEnum):
     CONTROL = 10
     # data plane
     APPLY_EPOCH = 20
+    EPOCH_AT = 21
     SAMPLE_USAGE = 22
     # lifecycle
     PING = 30

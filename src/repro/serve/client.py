@@ -29,6 +29,13 @@ class SubscriptionError(ConnectionError):
     """The gateway rejected or dropped the subscription."""
 
 
+def _field(meta: dict, key: str, kind: FrameKind):
+    """``meta[key]`` of a received frame; a frame without it is a :class:`SubscriptionError`."""
+    if key not in meta:
+        raise SubscriptionError(f"a {kind.name} frame without {key!r}: {meta!r:.200}")
+    return meta[key]
+
+
 class SubscriptionClient:
     """One blocking gateway subscription (dial → subscribe → stream)."""
 
@@ -65,7 +72,7 @@ class SubscriptionClient:
                 raise SubscriptionError(
                     f"expected SUBSCRIBE_ACK, got {kind.name}"
                 )
-            self.client_id = meta["client"]
+            self.client_id = _field(meta, "client", kind)
         except BaseException:
             self.transport.close()
             raise
@@ -88,7 +95,8 @@ class SubscriptionClient:
                 # The update keeps the received bytes verbatim — the client
                 # never re-encodes what the gateway fanned out — and the
                 # decoding just made, so the replica does not decode again.
-                update = EpochUpdate(kind, meta["epoch"], data, _decoded=[(meta, arrays)])
+                epoch = _field(meta, "epoch", kind)
+                update = EpochUpdate(kind, epoch, data, _decoded=[(meta, arrays)])
                 if want_update:
                     return update
                 self._updates.append(update)

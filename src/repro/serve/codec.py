@@ -16,6 +16,16 @@ geometry query the info API.  A subscriber that applies its keyframe+diff
 stream through an :class:`EpochReplica` reconstructs the snapshot
 bit-for-bit at every epoch.
 
+The driver is such a subscriber too.  The coordinator's calculation child
+(:mod:`repro.dist.calculation`) computes each epoch one ahead and encodes
+its DIFF there; the driver applies the frame to its own replica, rebuilds
+the state and diff from what the replica applied
+(:attr:`EpochReplica.applied`; :meth:`~repro.core.constellation
+.ConstellationCalculation.state_from_replica`) and publishes the frame's
+bytes with them, which the codec adopts instead of encoding the diff again
+(:meth:`EpochUpdateCodec.diff_update`).  One reconstruction of an epoch
+serves the subscribers and the driver.
+
 Frame layout
 ------------
 
@@ -551,12 +561,18 @@ class EpochReplica:
         self.epoch: Optional[int] = None
         self.time_s: Optional[float] = None
         self.node_count = 0
-        # node_a, node_b, delay (grid counts), bandwidth_kbps, link_type
         dtypes = (np.int64, np.int64, np.uint32, np.float64, np.int8)
-        self._links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
+        #: node_a, node_b, delay (grid counts), bandwidth_kbps, link_type:
+        #: the replica's own arrays, patched in place by the next DIFF.
+        self.links: list[np.ndarray] = [np.empty(0, dtype=dtype) for dtype in dtypes]
         #: The held epoch's delay trend (module docstring).
         self.trend = DelayTrend(*np.empty((2, 0), dtype=np.int64), 0)
         self.active: dict[int, np.ndarray] = {}
+        #: What the last DIFF applied, as positions: removed (previous
+        #: order), added, delay changed and bandwidth changed (new order),
+        #: and the flipped satellites of each shell that had a flip.  ``None``
+        #: after a KEYFRAME.
+        self.applied: Optional[tuple] = None
         self.applied_keyframes = 0
         self.applied_diffs = 0
 
@@ -613,11 +629,12 @@ class EpochReplica:
             active[shell] = np.zeros(length, dtype=bool)
             active[shell][ids] = True
         # Decoded arrays are read-only views of the frame; the replica owns copies.
-        self._links = [np.array(new, dtype=held.dtype) for held, new in zip(self._links, columns)]
+        self.links = [np.array(new, dtype=held.dtype) for held, new in zip(self.links, columns)]
         self.trend = DelayTrend(
             steps.astype(np.int64), curves.astype(np.int64), int(np.count_nonzero(steps))
         )
         self.active = active
+        self.applied = None
         self.epoch = epoch
         self.time_s = time_s
         self.node_count = node_count
@@ -664,9 +681,9 @@ class EpochReplica:
                 f"bandwidths travel as float64, not {fresh[3].dtype} / {bandwidths.dtype}"
             )
         before, after = meta["links"]
-        if before != self._links[0].size:
+        if before != self.links[0].size:
             raise CodecError(
-                f"a diff of {before} links onto a replica of {self._links[0].size}; "
+                f"a diff of {before} links onto a replica of {self.links[0].size}; "
                 f"resynchronise from a keyframe"
             )
         removed = _positions(removed, before)
@@ -677,13 +694,14 @@ class EpochReplica:
             _check_link_dtypes(fresh[0], fresh[1], fresh[4])
         delay_mask = _positions(delay_mask, after)
         bandwidth_changed = _positions(bandwidth_changed, after, bandwidths)
-        active = {}
+        active, flips = {}, {}
         for shell, packed in zip(shells, arrays[_DIFF_ARRAYS:]):
             if shell not in self.active:
                 raise CodecError(f"diff for epoch {meta['epoch']} flips shell {shell}, not held")
             active[shell] = self.active[shell].copy()
-            active[shell][wire.unpack_set(packed, active[shell].size, CodecError)] ^= True
-        links, steps, curves = self._links, self.trend.step, self.trend.curve
+            flips[shell] = wire.unpack_set(packed, active[shell].size, CodecError)
+            active[shell][flips[shell]] ^= True
+        links, steps, curves = self.links, self.trend.step, self.trend.curve
         if added.size or removed.size:
             zeros = np.zeros(added.size, dtype=np.int64)  # an added link's trend is 0
             *links, steps, curves = _merge(
@@ -702,8 +720,9 @@ class EpochReplica:
         self.trend = DelayTrend.of(after, delay_changed, new_steps, held_steps)
         links[2][delay_changed] = counts
         links[3][bandwidth_changed] = bandwidths
-        self._links = links
+        self.links = links
         self.active.update(active)
+        self.applied = (removed, added, delay_changed, bandwidth_changed, flips)
 
     def _check_added(self, links: list[np.ndarray], at: np.ndarray) -> None:
         """The added links at positions ``at`` of the merged ``links``, one by
@@ -730,7 +749,7 @@ class EpochReplica:
         """The canonical projection of the replica (compare with the server's)."""
         if self.epoch is None:
             raise CodecError("the replica has not applied any update yet")
-        node_a, node_b, counts, bandwidths, types = self._links
+        node_a, node_b, counts, bandwidths, types = self.links
         active = {shell: mask.copy() for shell, mask in sorted(self.active.items())}
         return EpochSnapshot(
             self.epoch,
@@ -755,8 +774,13 @@ class EpochUpdateCodec:
     handed by its callers — the gateway's publish, subscribe and eviction
     paths — the state or diff to encode.  The codec remembers one epoch —
     the newest it was asked about — and that epoch's KEYFRAME and DIFF
-    bytes, encoded on first use.  ``encode_count`` counts actual frame
-    encodings — the single-encode guarantee the fan-out benchmark pins down.
+    bytes, made on first use.  A diff the coordinator rebuilt from the
+    calculation child's frame carries that frame
+    (:attr:`~repro.core.constellation.ConstellationDiff.frame`), and the
+    codec adopts its bytes instead of encoding them again: the driver
+    consumes its own stream, as a subscriber does.  ``encode_count`` counts
+    the frames made for the stream, encoded here or adopted — one encoding
+    each, the single-encode guarantee the fan-out benchmark pins down.
 
     Every frame is a function of the publication it is encoded from: a
     KEYFRAME of the state (which carries its delay trend), a DIFF of the
@@ -796,5 +820,9 @@ class EpochUpdateCodec:
         return self._update(FrameKind.KEYFRAME, epoch, lambda: encode_keyframe_update(state, epoch))
 
     def diff_update(self, epoch: int, diff: "ConstellationDiff") -> EpochUpdate:
-        """The DIFF update advancing ``epoch - 1`` to ``epoch`` by ``diff``."""
-        return self._update(FrameKind.DIFF, epoch, lambda: encode_diff_update(diff, epoch))
+        """The DIFF update advancing ``epoch - 1`` to ``epoch`` by ``diff``:
+        the frame the diff was rebuilt from, when it carries one, else its
+        encoding."""
+        return self._update(
+            FrameKind.DIFF, epoch, lambda: diff.frame or encode_diff_update(diff, epoch)
+        )

@@ -444,7 +444,7 @@ class StreamGateway:
                 source = machine_from_name(str(meta["source"]), state.node_index)
                 destination = machine_from_name(str(meta["destination"]), state.node_index)
                 result = state.path(source, destination)
-            reachable = bool(result.reachable)
+            reachable = result.reachable
             return {
                 "client": subscription.client_id,
                 "source": source.name,

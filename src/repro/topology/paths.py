@@ -113,8 +113,8 @@ class PathResult:
 
     @property
     def reachable(self) -> bool:
-        """Whether a path exists."""
-        return np.isfinite(self.delay_ms)
+        """Whether a path exists (a Python ``bool``: it goes into JSON)."""
+        return math.isfinite(self.delay_ms)
 
     @property
     def hop_count(self) -> int:
@@ -186,7 +186,7 @@ class ShortestPaths:
 
     def reachable(self, source: int, target: int) -> bool:
         """Whether the target can be reached from the source."""
-        return np.isfinite(self.delay_ms(source, target))
+        return math.isfinite(self.delay_ms(source, target))
 
     def path(self, source: int, target: int) -> PathResult:
         """Full path reconstruction between a source and a target node."""

@@ -169,6 +169,27 @@ class TestInfoAPI:
             with urllib.request.urlopen(f"http://{host}:{port}/sat/0/3", timeout=5) as response:
                 assert json.loads(response.read())["name"] == "3.0.celestial"
 
+    @pytest.mark.parametrize(
+        "path",
+        ["/info", "/shell/0", "/sat/0/0", "/gst/hawaii", "/self/buoy-0", "/path/hawaii/buoy-0"],
+    )
+    def test_every_route_answers_json_over_http(self, setup, path):
+        # What the server sends is what the API returns, through json.dumps:
+        # a NumPy scalar in a payload would drop the connection instead.
+        _, _, _, api = setup
+        with HTTPInfoServer(api) as server:
+            host, port = server.address
+            with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=5) as response:
+                assert response.headers["Content-Type"] == "application/json"
+                assert json.loads(response.read()) == json.loads(json.dumps(api.get(path)))
+
+    def test_reachable_is_a_python_bool(self, setup):
+        _, calculation, database, _ = setup
+        hawaii, buoy = (calculation.ground_station(name) for name in ("hawaii", "buoy-0"))
+        assert type(database.path_info(hawaii, buoy)["reachable"]) is bool
+        assert type(database.state.reachable(hawaii, buoy)) is bool
+        assert type(database.state.path(hawaii, buoy).reachable) is bool
+
     def test_stop_releases_the_port_of_a_server_that_never_started(self, setup):
         _, _, _, api = setup
         server = HTTPInfoServer(api)

@@ -391,8 +391,6 @@ class TestProcessBackendEquivalence:
         # and the record is not re-sent: sent again, it would reconcile
         # nothing, but count a second applied diff, and the checkpoint
         # compared with the replica's would differ.
-        from repro.core import EpochRecord
-
         config = _iridium_box_config(duration_s=2400.0)
         threads = _coordinator(config, "threads")
         processes = _coordinator(config, "processes")
@@ -409,7 +407,7 @@ class TestProcessBackendEquivalence:
                     coordinator.create_machine(victim, 310.0)
                 coordinator.manager_for(victim).reboot_machine(victim, 320.0)
             threads.update(360.0)
-            # Drive the process backend's epoch by hand so the crash lands
+            # The coordinator's own epoch, with the crash landing
             # deterministically between the record's send and its collect.
             now = 360.0
             backend = processes._backend
@@ -418,13 +416,15 @@ class TestProcessBackendEquivalence:
             # The reboot's CONTROL frame goes out and is acknowledged: the
             # victim is dirty on the worker and on the replica.
             _ping(backend, worker)
-            previous = processes.database.state
-            state, diff = processes.calculation.diff_since(previous, now)
-            processes.database.set_state(state, diff=diff)
-            record = EpochRecord.of(processes.database.epoch, state, diff)
-            processes._ensure_activated_satellites(record, now)
-            backend.apply_slices(record, now)
-            _crash(backend, worker)
+            apply_slices = backend.apply_slices
+
+            def send_then_kill(record, now_s):
+                apply_slices(record, now_s)
+                _crash(backend, worker)
+
+            backend.apply_slices = send_then_kill
+            processes.update(now)
+            backend.apply_slices = apply_slices
             assert backend.restart_count == 0  # found when the ack is collected
             for step in range(7, 12):
                 now = step * 60.0

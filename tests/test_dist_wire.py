@@ -50,6 +50,7 @@ from repro.dist.worker import _Worker
 from repro.hosts import Host
 from repro.microvm import CPUQuota, MachineBatch, MachineState, MachineTable
 from repro.orbits import GroundStation, ShellGeometry
+from repro.serve.codec import encode_diff_update
 from repro.serve.client import SubscriptionClient
 from repro.serve.gateway import GatewayServer
 from repro.sim.rng import key_root
@@ -428,6 +429,8 @@ class TestSafeBlobCodec:
             config, ConstellationCalculation(config), ConstellationDatabase(), managers,
             parallelism="processes", worker_count=2, transport=_InProcessFactory(),
         )
+        published = []
+        coordinator.database.add_listener(lambda epoch, _state, diff: published.append((epoch, diff)))
         try:
             coordinator.create_ground_stations(0.0)
             coordinator.update(0.0)
@@ -442,12 +445,17 @@ class TestSafeBlobCodec:
             assert set(coordinator._backend.worker_counters()) == {0, 1, 2}
         finally:
             coordinator.close()
+        # The DIFFs were encoded in the calculation child, out of reach of
+        # the recorder: encoded again here, they are the child's bytes.
+        for epoch, diff in published[1:]:
+            assert encode_diff_update(diff, epoch) == diff.frame
         for kind, meta, frame in sent:
             assert decode_frame(frame)[:2] == (kind, meta if meta is not None else {})
         assert {kind for kind, _meta, _frame in sent} >= {
             FrameKind.SPEC, FrameKind.CONTROL, FrameKind.APPLY_EPOCH, FrameKind.SAMPLE_USAGE,
             FrameKind.ACK, FrameKind.KEYFRAME, FrameKind.DIFF, FrameKind.SUBSCRIBE,
             FrameKind.SUBSCRIBE_ACK, FrameKind.QUERY, FrameKind.RESULT, FrameKind.PING,
+            FrameKind.EPOCH_AT,
         }
 
 

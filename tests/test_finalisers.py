@@ -146,3 +146,90 @@ def test_a_backend_dropped_with_requests_in_flight_collects_none(monkeypatch):
     assert not process.is_alive()
     backend.close()  # already joined: nothing is left to collect
     assert collected == []
+
+
+def _calculation_child_stop():
+    path = SOURCE / "dist" / "calculation.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "_stop":
+            return node
+    raise AssertionError("dist/calculation.py has no _stop")
+
+
+def test_the_calculation_childs_finaliser_joins_only_the_process():
+    # The child is reaped by a weakref finaliser (also run at interpreter
+    # exit), not a __del__: it obeys the same rule, bounded process joins.
+    joins = [
+        call
+        for call in ast.walk(_calculation_child_stop())
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in {"join", "shutdown", *COLLECTING}
+    ]
+    assert len(joins) == 3
+    for call in joins:
+        receiver = call.func.value
+        assert call.func.attr == "join" and isinstance(receiver, ast.Name)
+        assert receiver.id == "process" and [k.arg for k in call.keywords] == ["timeout"]
+
+
+def _forked_coordinator():
+    from repro.core import (
+        ConstellationCalculation,
+        ConstellationDatabase,
+        Coordinator,
+        MachineManager,
+    )
+    from repro.hosts import Host
+    from repro.scenarios import dart_configuration
+
+    config = dart_configuration("central", buoy_count=2, sink_count=2, update_interval_s=2.0)
+    coordinator = Coordinator(
+        config,
+        ConstellationCalculation(config),
+        ConstellationDatabase(),
+        [MachineManager(Host(index=0, allow_memory_overcommit=True))],
+    )
+    coordinator.update(0.0)
+    coordinator.update(2.0)  # the first differential update forks the child
+    return coordinator, coordinator._child.process
+
+
+def test_a_coordinator_dropped_unclosed_leaves_no_live_child():
+    import os
+    import weakref
+
+    import pytest
+
+    coordinator, process = _forked_coordinator()
+    assert process.is_alive()
+    dropped = weakref.ref(coordinator)
+    del coordinator
+    gc.collect()
+    assert dropped() is None
+    assert not process.is_alive()
+    with pytest.raises(ProcessLookupError):
+        os.kill(process.pid, 0)  # reaped, not a zombie
+
+
+def test_the_interpreter_exit_hook_reaps_the_child():
+    import os
+    import subprocess
+    import sys
+
+    import pytest
+
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_finalisers as t; "
+        "coordinator, process = t._forked_coordinator(); print(process.pid, flush=True)"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), tests]))
+    finished = subprocess.run(
+        [sys.executable, "-c", script, tests],
+        capture_output=True, text=True, timeout=120, env=environment, check=True,
+    )
+    # Reaped before the interpreter was gone: no orphan is left to end by
+    # itself a second later (and be a zombie until someone reaps it).
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(finished.stdout.split()[0]), 0)

@@ -662,3 +662,54 @@ class TestConcurrentInfoReaders:
                 thread.join(timeout=10.0)
         assert not failures, failures[0]
         assert len(seen) > 1, "the readers never saw the epochs advance"
+
+
+@contextlib.contextmanager
+def _forging_gateway(*frames: bytes):
+    """A listener that answers one SUBSCRIBE with ``frames`` and then waits
+    for the client to hang up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _ = listener.accept()
+        transport = SocketTransport(connection)
+        try:
+            transport.recv_bytes(timeout=10.0)
+            for data in frames:
+                transport.send_bytes(data)
+            transport.recv_bytes(timeout=10.0)
+        except (EOFError, OSError):
+            pass
+        finally:
+            transport.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+
+
+class TestClientForgedFrames:
+    """A frame without the meta key the client reads is a SubscriptionError
+    naming the key, never a KeyError."""
+
+    ACK = wire.encode_frame(wire.FrameKind.SUBSCRIBE_ACK, {"client": "c", "epoch": 1})
+
+    def test_an_ack_without_client(self):
+        ack = wire.encode_frame(wire.FrameKind.SUBSCRIBE_ACK, {"epoch": 1})
+        with _forging_gateway(ack) as address:
+            with pytest.raises(SubscriptionError, match="SUBSCRIBE_ACK frame without 'client'"):
+                SubscriptionClient(*address, client_id="c", timeout_s=10.0)
+
+    @pytest.mark.parametrize(
+        "kind", [wire.FrameKind.DIFF, wire.FrameKind.KEYFRAME], ids=lambda kind: kind.name
+    )
+    def test_an_update_without_epoch(self, kind):
+        forged = wire.encode_frame(kind, {"time_s": 1.0})
+        with _forging_gateway(self.ACK, forged) as address:
+            with SubscriptionClient(*address, client_id="c", timeout_s=10.0) as client:
+                with pytest.raises(SubscriptionError, match=f"{kind.name} frame without 'epoch'"):
+                    client.recv_update()
