@@ -10,17 +10,30 @@ Scaling note: wall-clock budgets force shorter simulated durations and a
 coarser packet pacing than the paper's 10/15-minute experiments; the
 statistics compared against the paper are latency distributions, which are
 stable under this scaling (see EXPERIMENTS.md).
+
+Each run's testbed is closed once it has run (its traces and results stay
+readable), and every module ends with the tier-1 tests' leaked-child check.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro import Celestial
 from repro.apps import DartExperiment, MeetupExperiment, VideoStreamParams
 from repro.scenarios import dart_configuration, west_africa_configuration
+
+# The check of tests/conftest.py: no benchmark module leaves a child process behind.
+_spec = importlib.util.spec_from_file_location(
+    "leaked_children", Path(__file__).resolve().parent.parent / "tests" / "conftest.py"
+)
+_leak_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_leak_check)
+no_leaked_children = _leak_check.no_leaked_children
 
 #: Simulated duration of the meetup runs [s] (paper: 600 s).
 MEETUP_DURATION_S = 120.0
@@ -46,13 +59,13 @@ def _run_meetup(mode: str, seed: int = 0, duration_s: float = MEETUP_DURATION_S)
     config = west_africa_configuration(
         duration_s=duration_s, shells="two-lowest", seed=seed
     )
-    testbed = Celestial(config)
-    experiment = MeetupExperiment(
-        testbed,
-        mode=mode,
-        stream=VideoStreamParams(packet_interval_s=MEETUP_PACKET_INTERVAL_S),
-    )
-    results = experiment.run()
+    with Celestial(config) as testbed:
+        experiment = MeetupExperiment(
+            testbed,
+            mode=mode,
+            stream=VideoStreamParams(packet_interval_s=MEETUP_PACKET_INTERVAL_S),
+        )
+        results = experiment.run()
     return MeetupRun(mode=mode, testbed=testbed, results=results)
 
 
@@ -90,9 +103,9 @@ def _run_dart(deployment: str) -> DartRun:
         sink_count=DART_SINKS,
         duration_s=DART_DURATION_S,
     )
-    testbed = Celestial(config)
-    experiment = DartExperiment(testbed, deployment=deployment, group_count=10)
-    return DartRun(deployment=deployment, testbed=testbed, results=experiment.run())
+    with Celestial(config) as testbed:
+        results = DartExperiment(testbed, deployment=deployment, group_count=10).run()
+    return DartRun(deployment=deployment, testbed=testbed, results=results)
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,8 @@ def _run(use_bounding_box: bool) -> Celestial:
     config = west_africa_configuration(
         duration_s=_DURATION_S, shells="lowest", use_bounding_box=use_bounding_box
     )
-    testbed = Celestial(config)
-    testbed.run(until=_DURATION_S)
+    with Celestial(config) as testbed:
+        testbed.run(until=_DURATION_S)
     return testbed
 
 

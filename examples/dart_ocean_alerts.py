@@ -28,15 +28,15 @@ def run_deployment(deployment: str, buoys: int, sinks: int, duration_s: float,
         sink_count=sinks,
         duration_s=duration_s,
     )
-    testbed = Celestial(config)
-    experiment = DartExperiment(
-        testbed,
-        deployment=deployment,
-        group_count=min(20, max(2, buoys // 5)),
-        lstm=StackedLSTM(input_size=1, hidden_sizes=(16, 16)),
-        run_inference=run_inference,
-    )
-    return experiment.run()
+    with Celestial(config) as testbed:
+        experiment = DartExperiment(
+            testbed,
+            deployment=deployment,
+            group_count=min(20, max(2, buoys // 5)),
+            lstm=StackedLSTM(input_size=1, hidden_sizes=(16, 16)),
+            run_inference=run_inference,
+        )
+        return experiment.run()
 
 
 def main() -> None:

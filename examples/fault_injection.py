@@ -40,72 +40,72 @@ def build_testbed() -> Celestial:
 
 
 def main() -> None:
-    testbed = build_testbed()
-    testbed.start()
-    testbed.run(until=1.0)
+    with build_testbed() as testbed:
+        testbed.start()
+        testbed.run(until=1.0)
 
-    hawaii = testbed.ground_station("hawaii")
-    target = testbed.state.uplinks_of("hawaii")[0]
-    satellite = testbed.satellite(target.shell, target.satellite)
-    print(f"ground station uplink satellite: {satellite.name} "
-          f"({target.distance_km:.0f} km, {target.delay_ms:.2f} ms)")
+        hawaii = testbed.ground_station("hawaii")
+        target = testbed.state.uplinks_of("hawaii")[0]
+        satellite = testbed.satellite(target.shell, target.satellite)
+        print(f"ground station uplink satellite: {satellite.name} "
+              f"({target.distance_km:.0f} km, {target.delay_ms:.2f} ms)")
 
-    sender = testbed.endpoint(hawaii)
-    receiver = testbed.endpoint(satellite)
-    delivered = []
+        sender = testbed.endpoint(hawaii)
+        receiver = testbed.endpoint(satellite)
+        delivered = []
 
-    def ping():
-        while True:
-            sender.send(satellite, 128, payload={"sent": testbed.sim.now})
-            yield testbed.sim.timeout(0.5)
+        def ping():
+            while True:
+                sender.send(satellite, 128, payload={"sent": testbed.sim.now})
+                yield testbed.sim.timeout(0.5)
 
-    def receive():
-        while True:
-            message = yield receiver.receive()
-            delivered.append(testbed.sim.now)
+        def receive():
+            while True:
+                message = yield receiver.receive()
+                delivered.append(testbed.sim.now)
 
-    testbed.sim.process(ping())
-    testbed.sim.process(receive())
-    injector = testbed.fault_injector
+        testbed.sim.process(ping())
+        testbed.sim.process(receive())
+        injector = testbed.fault_injector
 
-    def fault_script():
-        yield testbed.sim.timeout(10.0)
-        print(f"[t={testbed.sim.now:5.1f}s] terminating {satellite.name}")
-        injector.terminate(satellite, testbed.sim.now)
-        yield testbed.sim.timeout(10.0)
-        back = injector.reboot(satellite, testbed.sim.now)
-        print(f"[t={testbed.sim.now:5.1f}s] rebooting {satellite.name}, up again at t={back:.1f}s")
-        yield testbed.sim.timeout(10.0)
-        print(f"[t={testbed.sim.now:5.1f}s] degrading CPU quota to 25%")
-        injector.degrade_cpu(satellite, 0.25, testbed.sim.now)
-        slowed = testbed.processing_delay_s(satellite, 0.002)
-        print(f"          a 2 ms inference now takes {slowed * 1000:.1f} ms")
-        injector.restore_cpu(satellite, testbed.sim.now)
-        yield testbed.sim.timeout(10.0)
-        print(f"[t={testbed.sim.now:5.1f}s] injecting 50% packet loss on the uplink")
-        injector.inject_packet_loss(hawaii, satellite, 0.5, testbed.sim.now)
-        yield testbed.sim.timeout(20.0)
-        injector.clear_packet_loss(hawaii, satellite, testbed.sim.now)
-        print(f"[t={testbed.sim.now:5.1f}s] packet loss cleared")
+        def fault_script():
+            yield testbed.sim.timeout(10.0)
+            print(f"[t={testbed.sim.now:5.1f}s] terminating {satellite.name}")
+            injector.terminate(satellite, testbed.sim.now)
+            yield testbed.sim.timeout(10.0)
+            back = injector.reboot(satellite, testbed.sim.now)
+            print(f"[t={testbed.sim.now:5.1f}s] rebooting {satellite.name}, up again at t={back:.1f}s")
+            yield testbed.sim.timeout(10.0)
+            print(f"[t={testbed.sim.now:5.1f}s] degrading CPU quota to 25%")
+            injector.degrade_cpu(satellite, 0.25, testbed.sim.now)
+            slowed = testbed.processing_delay_s(satellite, 0.002)
+            print(f"          a 2 ms inference now takes {slowed * 1000:.1f} ms")
+            injector.restore_cpu(satellite, testbed.sim.now)
+            yield testbed.sim.timeout(10.0)
+            print(f"[t={testbed.sim.now:5.1f}s] injecting 50% packet loss on the uplink")
+            injector.inject_packet_loss(hawaii, satellite, 0.5, testbed.sim.now)
+            yield testbed.sim.timeout(20.0)
+            injector.clear_packet_loss(hawaii, satellite, testbed.sim.now)
+            print(f"[t={testbed.sim.now:5.1f}s] packet loss cleared")
 
-    testbed.sim.process(fault_script())
+        testbed.sim.process(fault_script())
 
-    # A background radiation model reboots random satellites now and then.
-    radiation = RadiationModel(events_per_machine_hour=20.0,
-                               rng=testbed.streams.stream("radiation"))
-    machines = [testbed.satellite(0, identifier) for identifier in range(66)]
-    testbed.sim.process(radiation.process(testbed.sim, machines, injector))
+        # A background radiation model reboots random satellites now and then.
+        radiation = RadiationModel(events_per_machine_hour=20.0,
+                                   rng=testbed.streams.stream("radiation"))
+        machines = [testbed.satellite(0, identifier) for identifier in range(66)]
+        testbed.sim.process(radiation.process(testbed.sim, machines, injector))
 
-    testbed.run(until=120.0)
+        testbed.run(until=120.0)
 
-    stats = testbed.network_statistics()
-    print("\n=== Results ===")
-    print(f"pings sent: {stats['sent']}, delivered: {stats['delivered']}, "
-          f"dropped: {stats['dropped']}")
-    print(f"background radiation upsets: {len(radiation.upsets)}")
-    print("fault events injected:")
-    for event in injector.events[:12]:
-        print(f"  t={event.time_s:6.1f}s  {event.kind:<20s} {event.machine} {event.detail}")
+        stats = testbed.network_statistics()
+        print("\n=== Results ===")
+        print(f"pings sent: {stats['sent']}, delivered: {stats['delivered']}, "
+              f"dropped: {stats['dropped']}")
+        print(f"background radiation upsets: {len(radiation.upsets)}")
+        print("fault events injected:")
+        for event in injector.events[:12]:
+            print(f"  t={event.time_s:6.1f}s  {event.kind:<20s} {event.machine} {event.detail}")
 
 
 if __name__ == "__main__":

@@ -45,16 +45,16 @@ def build_configuration(duration_s: float) -> Configuration:
 
 def run_policy(policy: str, duration_s: float):
     """Run one migration policy and return its results."""
-    testbed = Celestial(build_configuration(duration_s))
-    experiment = VirtualStationarityExperiment(
-        testbed,
-        anchor_station="accra",
-        client_stations=["accra", "abuja"],
-        policy=policy,
-        state_size_bytes=256 * 1024,
-        read_interval_s=0.5,
-    )
-    return experiment.run()
+    with Celestial(build_configuration(duration_s)) as testbed:
+        experiment = VirtualStationarityExperiment(
+            testbed,
+            anchor_station="accra",
+            client_stations=["accra", "abuja"],
+            policy=policy,
+            state_size_bytes=256 * 1024,
+            read_interval_s=0.5,
+        )
+        return experiment.run()
 
 
 def main() -> None:

@@ -35,9 +35,8 @@ def run_mode(mode: str, duration_s: float, seed: int, full_fidelity: bool):
     stream = VideoStreamParams(
         packet_interval_s=0.02 if full_fidelity else 0.1
     )
-    testbed = Celestial(config)
-    experiment = MeetupExperiment(testbed, mode=mode, stream=stream)
-    return experiment.run()
+    with Celestial(config) as testbed:
+        return MeetupExperiment(testbed, mode=mode, stream=stream).run()
 
 
 def main() -> None:

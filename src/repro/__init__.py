@@ -18,11 +18,10 @@ Quickstart::
     from repro.scenarios import west_africa_configuration
 
     config = west_africa_configuration(duration_s=60.0)
-    testbed = Celestial(config)
-    testbed.start()
-    testbed.run(until=10.0)
-    print(testbed.state.rtt_ms(testbed.ground_station("accra"),
-                               testbed.ground_station("abuja")))
+    with Celestial(config) as testbed:  # closing stops the processes it forked
+        testbed.run(until=10.0)
+        print(testbed.state.rtt_ms(testbed.ground_station("accra"),
+                                   testbed.ground_station("abuja")))
 """
 
 from repro.core import (

@@ -352,14 +352,14 @@ class Coordinator:
         In process the backend has nothing to release; a closed backend
         only refuses further sweeps.  Process backend: compares the
         acknowledgements still in flight (a desync is raised here), then
-        drains and joins every worker, escalating to terminate/kill.  The
-        calculation child, if one was forked, is sent ``SHUTDOWN`` and
-        reaped with the same escalation.  A coordinator dropped unclosed
-        leaves that to the backend's and the child's finalisers, which
-        compare nothing and wait for no acknowledgement (the workers are
-        also daemonic, and ``atexit`` hooks join every pool still open and
-        reap every child, holding none alive, so neither can outlive or hang
-        the interpreter).
+        stops every worker.  The calculation child, if one was forked, is
+        stopped too.  Both go through one handle and one escalation
+        (:func:`~repro.dist.transport.stop`: ``SHUTDOWN``, then terminate,
+        then kill, each join bounded).  A coordinator dropped unclosed
+        leaves that to the backend's and the child's ``weakref.finalize``,
+        which compare nothing, wait for no acknowledgement and also run at
+        interpreter exit — whenever the garbage collector gets to it; an
+        explicit close is the deterministic route.
         """
         try:
             self._backend.close()

@@ -68,7 +68,7 @@ class Celestial:
         self.managers = [MachineManager(host, rng=machines) for host in self.hosts]
         self.network = VirtualNetwork(
             self.sim,
-            rule_provider=self._pair_rule,
+            rule_provider=self.database.pair_rule,
             running_check=self._machine_running,
             rng=self.streams.stream("network"),
         )
@@ -90,9 +90,6 @@ class Celestial:
         self._started = False
 
     # -- wiring callbacks -----------------------------------------------------
-
-    def _pair_rule(self, source: MachineId, destination: MachineId):
-        return self.database.pair_rule(source, destination)
 
     def _machine_running(self, machine: MachineId) -> bool:
         return self.coordinator.is_running_at(machine, self.sim.now)
@@ -137,16 +134,22 @@ class Celestial:
         self.sim.run(until if until is not None else self.config.duration_s)
 
     def close(self) -> None:
-        """Release the coordinator's fan-out backend and reap its calculation
-        child (idempotent).
+        """Stop the coordinator's worker pool and its calculation child
+        (idempotent; :meth:`Coordinator.close`).
 
-        Joins the worker pool with ``parallelism="processes"`` and, under
-        either backend, reaps the child process that has computed the
-        epochs since the first differential update, deterministically.  A
-        testbed dropped unclosed is cleaned up by finalisers and at
-        interpreter exit instead.
+        Use the testbed as a context manager, or close it in a ``finally``:
+        a running testbed sits in reference cycles through its simulation's
+        processes, so dropping it reaps nothing until the garbage collector
+        breaks them (each process's ``weakref.finalize`` does it at
+        interpreter exit at the latest).
         """
         self.coordinator.close()
+
+    def __enter__(self) -> "Celestial":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- application-facing API ------------------------------------------------------
 

@@ -45,14 +45,21 @@ time: per host the replica's
 for a sweep, its sample's CRC.  The acknowledgements in flight — the last
 record's and the sweeps' since — are compared before the next record goes
 out, before a request that would make :data:`MAX_IN_FLIGHT` of them, at an
-explicit ``close()`` and in ``worker_counters()`` (never in the finaliser or
-the interpreter-exit hook): a :class:`WorkerDesyncError` — a ``CONTROL`` row
+explicit ``close()`` and in ``worker_counters()`` (never in the pool's
+finaliser): a :class:`WorkerDesyncError` — a ``CONTROL`` row
 lost, duplicated, run late or on one side only, a sample computed
 differently — is raised one epoch or :data:`MAX_IN_FLIGHT` requests late at
 most.  Before each record a heartbeat sweep restarts the workers found dead.
 
 Start and crash recovery
 ------------------------
+
+A worker is a child the factory forks (:func:`~repro.dist.transport.fork`)
+and watches through its :class:`~repro.dist.transport.ForkedProcess`, the
+handle of the coordinator's calculation child too, and the pool stops it
+with the child's escalation, :func:`~repro.dist.transport.stop`: at
+``close()``, or through the pool's ``weakref.finalize`` when the pool is
+dropped unclosed or still open at interpreter exit.
 
 Every worker, at pool start and after every crash, starts the same way: its
 ``SPEC`` frame carries each of its hosts as the replica holds it at that
@@ -81,7 +88,6 @@ stays healthy long enough to decay) still hits the bound.
 
 from __future__ import annotations
 
-import atexit
 import time
 import weakref
 from collections import deque
@@ -93,7 +99,7 @@ import numpy as np
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist import wire
-from repro.dist.transport import TcpTransportFactory, TransportTimeout
+from repro.dist.transport import TcpTransportFactory, TransportTimeout, stop
 from repro.dist.wire import FrameKind
 
 
@@ -241,18 +247,13 @@ class _Handle:
         self.dead = False
 
 
-#: Pools not yet dropped.  Weak, so the interpreter-exit hook keeps none of
-#: them alive: a dropped pool is still finalised while its managers live on.
-_LIVE_POOLS: "weakref.WeakSet[ProcessFanoutBackend]" = weakref.WeakSet()
-
-
-def _join_live_pools() -> None:
-    """The interpreter-exit hook: join every pool left open, collecting nothing."""
-    for pool in list(_LIVE_POOLS):
-        pool._join()
-
-
-atexit.register(_join_live_pools)
+def _reap(handles: list[_Handle], factory: TcpTransportFactory) -> None:
+    """Stop every worker (:func:`~repro.dist.transport.stop`) and release the
+    listeners, collecting nothing: the pool's close and its finaliser."""
+    for handle in handles:
+        conn, handle.conn = handle.conn, None
+        stop(handle.process, conn)
+    factory.close()
 
 
 class ProcessFanoutBackend:
@@ -302,11 +303,11 @@ class ProcessFanoutBackend:
         self._ack_latency: dict[int, list[float]] = {}
         self._closed = False
         # A sink holds its worker's batch only, so a dropped backend is still
-        # finalised (and its workers joined) while the managers live on.
+        # finalised (and its workers stopped) while the managers live on.
         for handle in self._handles:
             for position, manager in handle.managers.items():
                 manager.sink = partial(handle.control.append, position)
-        _LIVE_POOLS.add(self)
+        self._reaper = weakref.finalize(self, _reap, self._handles, self._factory)
         for handle in self._handles:
             self._spawn(handle)
 
@@ -375,12 +376,14 @@ class ProcessFanoutBackend:
         return drained
 
     def close(self) -> None:
-        """Collect and compare what is in flight, then join the pool (idempotent).
+        """Collect and compare what is in flight, then stop the pool (idempotent).
 
         A worker found dead here is not restarted: its unanswered requests
-        are dropped unverified, as a restart drops them, and it is joined
+        are dropped unverified, as a restart drops them, and it is reaped
         with the rest.  A desync or a worker error found here is raised
-        after the pool is joined.
+        after the pool is stopped.  A pool dropped unclosed is stopped by
+        its ``weakref.finalize`` (at interpreter exit at the latest), which
+        collects nothing.
         """
         if self._closed:
             return
@@ -388,45 +391,7 @@ class ProcessFanoutBackend:
         try:
             self._collect(recover=False)
         finally:
-            self._join()
-
-    def _join(self) -> None:
-        """Shut every worker down and join it, collecting nothing (idempotent).
-
-        A best-effort ``SHUTDOWN`` frame drains each worker, stragglers are
-        terminated, then killed.  The workers are daemonic as a last line of
-        defence, so even an unserviced close can never hang interpreter exit.
-        """
-        self._closed = True
-        for handle in self._handles:
-            conn, handle.conn = handle.conn, None
-            if conn is None:
-                continue
-            try:
-                if handle.process is None or handle.process.is_alive():
-                    conn.send_bytes(wire.encode_frame(FrameKind.SHUTDOWN, {}))
-            except (OSError, BrokenPipeError, ValueError):
-                pass
-            if handle.process is not None:
-                handle.process.join(timeout=2.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=1.0)
-                if handle.process.is_alive():  # pragma: no cover - last resort
-                    handle.process.kill()
-                    handle.process.join(timeout=1.0)
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._factory.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        # A finaliser never waits: the acknowledgements in flight are left.
-        try:
-            self._join()
-        except Exception:
-            pass
+            self._reaper()
 
     # -- requests and acknowledgements ---------------------------------------
 
@@ -547,9 +512,7 @@ class ProcessFanoutBackend:
         deadline = time.monotonic() + ACK_TIMEOUT_S
         while not handle.conn.poll(0.05):
             if handle.process is not None and not handle.process.is_alive():
-                raise WorkerCrashError(
-                    f"worker {handle.index} died (exit code {handle.process.exitcode})"
-                )
+                raise WorkerCrashError(f"worker {handle.index} {handle.process.fate()}")
             if time.monotonic() > deadline:
                 # The worker is alive (or unobservable, when external) but
                 # silent: treat the wedge as a crash so recovery kills and
@@ -607,14 +570,10 @@ class ProcessFanoutBackend:
                 # Wedged workers are still alive — the receive timeout, not
                 # process death, routed us here — so the kill is load-
                 # bearing, not merely defensive.
-                if handle.process.is_alive():
-                    handle.process.kill()
+                handle.process.kill()
                 handle.process.join(timeout=5.0)
             if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
+                handle.conn.close()
             handle.dead = True
             try:
                 self._spawn(handle)

@@ -31,32 +31,26 @@ not the ``DIFF`` of the epoch asked for or does not chain onto the replica,
 is a :class:`CalculationChildError` naming the cause.  A failed child is not
 respawned.
 
-The child is forked while other driver threads (the gateway's event loop)
-run, so it touches nothing they lock: not the database, not the codec's
-memo, not the gateway.  It closes every inherited file descriptor but its
-own stream (a gateway's listening socket or a subscriber's connection stays
-the driver's alone), freezes the inherited heap out of its garbage collector
-(no finaliser of the driver's objects runs in it), ignores warnings instead
-of writing them, leaves by ``os._exit`` and ends by itself when its stream
-closes or the driver is gone.  :meth:`CalculationChild.close`, a finaliser
-and the interpreter-exit hook reap it with the worker pool's escalation: a
+The child is forked (:func:`~repro.dist.transport.fork`) while other
+driver threads (the gateway's event loop) run, so it touches nothing they
+lock: not the database, not the codec's memo, not the gateway.  It keeps
+only its own stream of the driver's file descriptors and ends by itself
+when that stream closes or the driver is gone.  :meth:`CalculationChild.close`
+and a ``weakref.finalize`` (which also runs at interpreter exit) reap it
+with :func:`~repro.dist.transport.stop`, the worker pool's escalation: a
 ``SHUTDOWN`` frame, then terminate, then kill.
 """
 
 from __future__ import annotations
 
-import gc
 import os
-import signal
 import socket
 import time
 import traceback
-import warnings
 import weakref
-from typing import Optional
 
 from repro.dist import wire
-from repro.dist.transport import SocketTransport, TransportTimeout
+from repro.dist.transport import SocketTransport, TransportTimeout, fork, stop
 from repro.dist.wire import FrameKind
 from repro.serve.codec import (
     CodecError,
@@ -79,83 +73,6 @@ class CalculationChildError(RuntimeError):
     frame that is not the epoch asked for."""
 
 
-class _Forked:
-    """A child forked by this process, known by its pid: the calls the
-    worker pool's escalation makes on a process (``is_alive``, ``join``,
-    ``terminate``, ``kill``), plus the stop a ``SIGSTOP`` leaves."""
-
-    def __init__(self, pid: int):
-        self.pid = pid
-        #: Once reaped: the exit status, or minus the signal that ended it.
-        self.exitcode: Optional[int] = None
-        #: The signal that stopped the child, once seen.
-        self.stopped: Optional[int] = None
-
-    def is_alive(self) -> bool:
-        if self.exitcode is None:
-            try:
-                pid, status = os.waitpid(self.pid, os.WNOHANG | os.WUNTRACED)
-            except ChildProcessError:  # reaped by someone else
-                pid, status = self.pid, 0
-            if pid and os.WIFSTOPPED(status):
-                self.stopped = os.WSTOPSIG(status)
-            elif pid:
-                self.exitcode = os.waitstatus_to_exitcode(status)
-        return self.exitcode is None
-
-    def join(self, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while self.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.002)
-
-    def terminate(self) -> None:
-        self._signal(signal.SIGTERM)
-
-    def kill(self) -> None:
-        self._signal(signal.SIGKILL)
-
-    def resume(self) -> None:
-        """Continue a stopped child, so that it reads what it was sent."""
-        self._signal(signal.SIGCONT)
-
-    def _signal(self, number: int) -> None:
-        if self.exitcode is None:
-            try:
-                os.kill(self.pid, number)
-            except ProcessLookupError:
-                pass
-
-    def fate(self) -> str:
-        """How the child ended or paused, for an error message."""
-        if self.exitcode is not None and self.exitcode < 0:
-            return f"was killed by {signal.Signals(-self.exitcode).name}"
-        if self.exitcode is not None:
-            return f"exited with status {self.exitcode}"
-        if self.stopped is not None:
-            return f"was stopped by {signal.Signals(self.stopped).name}"
-        return "is still running"
-
-
-def _stop(process: _Forked, transport: SocketTransport) -> None:
-    """Reap the child: ``SHUTDOWN``, then the worker pool's escalation
-    (:meth:`~repro.dist.backend.ProcessFanoutBackend._join`).  Idempotent;
-    the finaliser and the interpreter-exit hook call it too."""
-    try:
-        if process.is_alive():
-            transport.send_bytes(wire.encode_frame(FrameKind.SHUTDOWN, {}))
-    except OSError:
-        pass
-    transport.close()
-    process.resume()
-    process.join(timeout=2.0)
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=1.0)
-    if process.is_alive():  # pragma: no cover - last resort
-        process.kill()
-        process.join(timeout=1.0)
-
-
 class CalculationChild:
     """The driver's end of the calculation child (module docstring).
 
@@ -168,27 +85,13 @@ class CalculationChild:
 
     def __init__(self, calculation, state, epoch: int, time_s: float, interval_s: float):
         ours, theirs = socket.socketpair()
-        parent = os.getpid()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - runs in the child, which leaves by os._exit
-            code = 1
-            try:
-                _enter_child(theirs.fileno())
-                transport = SocketTransport(theirs)
-                try:
-                    _serve(transport, calculation, state, epoch, time_s, interval_s, parent)
-                    code = 0
-                except Exception:
-                    transport.send_bytes(
-                        wire.encode_frame(FrameKind.ERROR, {"traceback": traceback.format_exc()})
-                    )
-            finally:
-                os._exit(code)
+        self.process = fork(
+            _serve, theirs, calculation, state, epoch, time_s, interval_s, os.getpid()
+        )
         # A plain close of the child's end: a shutdown would end the stream.
         theirs.close()
-        self.process = _Forked(pid)
         self._transport = SocketTransport(ours)
-        self._reaper = weakref.finalize(self, _stop, self.process, self._transport)
+        self._reaper = weakref.finalize(self, stop, self.process, self._transport)
         # Seeded while the child computes its first guess.
         self.replica = EpochReplica()
         seed = encode_keyframe_update(state, epoch)
@@ -279,19 +182,8 @@ class CalculationChild:
         self._reaper()
 
 
-def _enter_child(keep: int) -> None:  # pragma: no cover - runs in the child
-    """Leave the driver's resources to the driver: every inherited file
-    descriptor but 0–2 and ``keep`` is closed, the inherited heap is frozen
-    out of the garbage collector and warnings are ignored."""
-    os.closerange(3, keep)
-    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
-    gc.freeze()
-    warnings.simplefilter("ignore")
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
-
-
 def _serve(
-    transport: SocketTransport,
+    sock: socket.socket,
     calculation,
     state,
     epoch: int,
@@ -301,24 +193,32 @@ def _serve(
 ) -> None:  # pragma: no cover - runs in the child
     """The child's loop: send the next epoch at the guessed time, then wait
     for the driver's ``EPOCH_AT``; a time that is not the guess is computed
-    and sent too.  Anything but an ``EPOCH_AT`` ends it."""
-    while True:
-        following, frame = _advance(calculation, state, time_s, epoch + 1)
-        transport.send_bytes(frame)
-        while not transport.poll(_ORPHAN_S):
-            if os.getppid() != parent:
-                return
-        try:
-            kind, meta, _arrays = wire.decode_frame(transport.recv_bytes())
-        except EOFError:
-            return
-        if kind is not FrameKind.EPOCH_AT:
-            return
-        if meta["time_s"] != time_s:
-            time_s = meta["time_s"]
+    and sent too.  Anything but an ``EPOCH_AT`` or a closed stream ends it,
+    and any other exception is sent as an ``ERROR`` frame before it ends
+    the child."""
+    transport = SocketTransport(sock)
+    try:
+        while True:
             following, frame = _advance(calculation, state, time_s, epoch + 1)
             transport.send_bytes(frame)
-        state, epoch, time_s = following, epoch + 1, time_s + interval_s
+            while not transport.poll(_ORPHAN_S):
+                if os.getppid() != parent:
+                    return
+            kind, meta, _arrays = wire.decode_frame(transport.recv_bytes())
+            if kind is not FrameKind.EPOCH_AT:
+                return
+            if meta["time_s"] != time_s:
+                time_s = meta["time_s"]
+                following, frame = _advance(calculation, state, time_s, epoch + 1)
+                transport.send_bytes(frame)
+            state, epoch, time_s = following, epoch + 1, time_s + interval_s
+    except (EOFError, OSError):  # the driver closed the stream: it asks for nothing more
+        return
+    except Exception:
+        transport.send_bytes(
+            wire.encode_frame(FrameKind.ERROR, {"traceback": traceback.format_exc()})
+        )
+        raise
 
 
 def _advance(calculation, previous, time_s: float, epoch: int):  # pragma: no cover - child

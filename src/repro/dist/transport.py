@@ -25,19 +25,28 @@ obtain it:
   loopback worker and one started by hand
   on another machine (``python -m repro.dist.worker --connect host:port``,
   ``external=True`` here) therefore run the same code.
+* :func:`fork`, :class:`ForkedProcess` and :func:`stop` — how every process
+  the testbed starts is started and reaped, a spawned worker and the
+  coordinator's calculation child alike: forked, watched through one handle
+  and stopped by one escalation (``SHUTDOWN``, then terminate, then kill,
+  each join bounded).  Their owners call :func:`stop` from ``close`` and
+  from a ``weakref.finalize``, which also runs at interpreter exit.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import hmac
-import multiprocessing
 import os
 import select
+import signal
 import socket
 import struct
 import time
-from typing import Any, Optional
+import traceback
+import warnings
+from typing import Callable, Optional
 
 from repro.core.machine_manager import MachineManager
 from repro.dist import wire
@@ -407,8 +416,8 @@ class SocketListener:
 class TcpTransportFactory:
     """Workers over loopback- or LAN-TCP, spawned locally or placed remotely.
 
-    Managed mode (default): ``spawn`` launches a local child process that
-    dials back in over loopback — every byte crosses a real TCP stream and
+    Managed mode (default): ``spawn`` forks a local child (:func:`fork`)
+    that dials back in over loopback — every byte crosses a real TCP stream and
     the child runs exactly what a remote worker runs.
 
     External mode (``external=True``): the operator starts each worker by
@@ -453,7 +462,9 @@ class TcpTransportFactory:
             )
         return self._listeners[worker_index]
 
-    def spawn(self, worker_index: int, spec: bytes) -> tuple[Optional[Any], SocketTransport]:
+    def spawn(
+        self, worker_index: int, spec: bytes
+    ) -> tuple[Optional[ForkedProcess], SocketTransport]:
         """Bring one worker up (pool start, every restart): ``(process, transport)``.
 
         ``spec`` is the ``SPEC`` frame that answers the worker's handshake.
@@ -463,31 +474,18 @@ class TcpTransportFactory:
         from repro.dist.worker import tcp_worker_main
 
         listener = self.listener_for(worker_index)
-        process = None
+        process = transport = None
         if not self.external:
-            # fork (where available) shares the already-imported scientific
-            # stack with the child; it is handed four scalars, so spawn does
-            # just as well elsewhere.
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
+            # Workers dial the loopback/LAN address the listener bound; a
+            # forked worker inherits the driver's shared secret.
+            process = fork(
+                tcp_worker_main, self.host, listener.port, worker_index, self.auth_secret
             )
-            process = context.Process(
-                target=tcp_worker_main,
-                # Workers dial the loopback/LAN address the listener bound;
-                # a spawned worker inherits the driver's shared secret.
-                args=(self.host, listener.port, worker_index, self.auth_secret),
-                name=f"celestial-worker-{worker_index}",
-                daemon=True,
-            )
-            process.start()
         try:
             transport = listener.accept(self.accept_timeout_s)
             transport.send_bytes(spec)
         except BaseException:
-            if process is not None and process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
+            stop(process, transport)
             raise
         return process, transport
 
@@ -499,3 +497,136 @@ class TcpTransportFactory:
         for listener in self._listeners.values():
             listener.close()
         self._listeners.clear()
+
+
+# -- the processes the testbed forks ---------------------------------------------
+
+
+class ForkedProcess:
+    """A child forked by this process (:func:`fork`), known by its pid.
+
+    The calls :func:`stop` and a worker pool's heartbeat make on a process
+    (``is_alive``, ``join``, ``terminate``, ``kill``), plus the stop a
+    ``SIGSTOP`` leaves.  ``join`` takes a deadline: nothing waits for a
+    child unboundedly.
+    """
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        #: Once reaped: the exit status, or minus the signal that ended it.
+        self.exitcode: Optional[int] = None
+        #: The signal that stopped the child, once seen.
+        self.stopped: Optional[int] = None
+
+    def is_alive(self) -> bool:
+        if self.exitcode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG | os.WUNTRACED)
+            except ChildProcessError:  # reaped by someone else
+                pid, status = self.pid, 0
+            if pid and os.WIFSTOPPED(status):
+                self.stopped = os.WSTOPSIG(status)
+            elif pid:
+                self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode is None
+
+    def join(self, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        while self.is_alive() and time.monotonic() < deadline:
+            time.sleep(0.002)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def resume(self) -> None:
+        """Continue a stopped child, so that it reads what it was sent."""
+        self._signal(signal.SIGCONT)
+
+    def _signal(self, number: int) -> None:
+        if self.exitcode is None:
+            try:
+                os.kill(self.pid, number)
+            except ProcessLookupError:
+                pass
+
+    def fate(self) -> str:
+        """How the child ended or paused, for an error message."""
+        if self.exitcode is not None and self.exitcode < 0:
+            return f"was killed by {signal.Signals(-self.exitcode).name}"
+        if self.exitcode is not None:
+            return f"exited with status {self.exitcode}"
+        if self.stopped is not None:
+            return f"was stopped by {signal.Signals(self.stopped).name}"
+        return "is still running"
+
+
+def fork(main: Callable[..., object], *args) -> ForkedProcess:
+    """Run ``main(*args)`` in a forked child and return its handle: how the
+    testbed starts each process of its own (a pool's worker, the
+    calculation child).
+
+    The child inherits what is imported and built, keeps standard input,
+    output and error and the sockets among ``args``, and leaves the rest to
+    this process (:func:`_enter_child`).  It ends by ``os._exit``: status 0
+    when ``main`` returns, 1 after printing the traceback when it raises.
+    """
+    keep = sorted(arg.fileno() for arg in args if isinstance(arg, socket.socket))
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child, which leaves by os._exit
+        code = 1
+        try:
+            _enter_child(keep)
+            main(*args)
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    return ForkedProcess(pid)
+
+
+def _enter_child(keep: list[int]) -> None:  # pragma: no cover - runs in the child
+    """Leave the driver's resources to the driver: every inherited file
+    descriptor but 0–2 and ``keep`` (ascending) is closed — a gateway's
+    listening socket, a subscriber's connection, another child's stream —
+    the inherited heap is frozen out of the garbage collector (no finaliser
+    of the driver's objects runs here), and warnings and Ctrl-C are
+    ignored (the driver handles both)."""
+    low = 3
+    for descriptor in keep:
+        os.closerange(low, descriptor)
+        low = descriptor + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+    gc.freeze()
+    warnings.simplefilter("ignore")
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def stop(process: Optional[ForkedProcess], transport: Optional[SocketTransport]) -> None:
+    """Reap a forked child over its stream (idempotent): ``SHUTDOWN``, close
+    the stream, ``SIGCONT`` (a stopped child reads nothing), then a bounded
+    join, terminate, kill.
+
+    ``process`` is ``None`` for an external worker, which is only sent
+    ``SHUTDOWN``; ``transport`` is ``None`` for a child that never connected.
+    """
+    if transport is not None:
+        try:
+            if process is None or process.is_alive():
+                transport.send_bytes(wire.encode_frame(FrameKind.SHUTDOWN, {}))
+        except OSError:
+            pass
+        transport.close()
+    if process is None:
+        return
+    process.resume()
+    process.join(timeout=2.0)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=1.0)
+    if process.is_alive():  # pragma: no cover - last resort
+        process.kill()
+        process.join(timeout=1.0)

@@ -15,9 +15,9 @@ def _run(deployment, buoy_count=20, sink_count=40, duration_s=60.0, seed=0, **kw
         duration_s=duration_s,
         seed=seed,
     )
-    testbed = Celestial(config)
-    experiment = DartExperiment(testbed, deployment=deployment, group_count=5, **kwargs)
-    return experiment.run()
+    with Celestial(config) as testbed:
+        experiment = DartExperiment(testbed, deployment=deployment, group_count=5, **kwargs)
+        return experiment.run()
 
 
 @pytest.fixture(scope="module")
@@ -74,5 +74,5 @@ class TestDartExperiment:
 
     def test_unknown_deployment_rejected(self):
         config = dart_configuration(buoy_count=3, sink_count=3, duration_s=10.0)
-        with pytest.raises(ValueError):
-            DartExperiment(Celestial(config), deployment="edge-of-tomorrow")
+        with Celestial(config) as testbed, pytest.raises(ValueError):
+            DartExperiment(testbed, deployment="edge-of-tomorrow")

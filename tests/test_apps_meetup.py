@@ -14,9 +14,9 @@ _TEST_STREAM = VideoStreamParams(bitrate_kbps=2600.0, packet_interval_s=0.1)
 
 def _run(mode, duration_s=60.0, seed=0, shells="lowest"):
     config = west_africa_configuration(duration_s=duration_s, shells=shells, seed=seed)
-    testbed = Celestial(config)
-    experiment = MeetupExperiment(testbed, mode=mode, stream=_TEST_STREAM)
-    return experiment.run()
+    with Celestial(config) as testbed:
+        experiment = MeetupExperiment(testbed, mode=mode, stream=_TEST_STREAM)
+        return experiment.run()
 
 
 @pytest.fixture(scope="module")
@@ -87,5 +87,5 @@ class TestMeetupExperiment:
 
     def test_invalid_mode_rejected(self):
         config = west_africa_configuration(duration_s=10.0, shells="lowest")
-        with pytest.raises(ValueError):
-            MeetupExperiment(Celestial(config), mode="balloon")
+        with Celestial(config) as testbed, pytest.raises(ValueError):
+            MeetupExperiment(testbed, mode="balloon")

@@ -32,15 +32,15 @@ def _configuration(duration_s=300.0, seed=0):
 
 
 def _run(policy, duration_s=300.0):
-    testbed = Celestial(_configuration(duration_s=duration_s))
-    experiment = VirtualStationarityExperiment(
-        testbed,
-        anchor_station="accra",
-        client_stations=["accra", "abuja"],
-        policy=policy,
-        read_interval_s=1.0,
-    )
-    return experiment.run()
+    with Celestial(_configuration(duration_s=duration_s)) as testbed:
+        experiment = VirtualStationarityExperiment(
+            testbed,
+            anchor_station="accra",
+            client_stations=["accra", "abuja"],
+            policy=policy,
+            read_interval_s=1.0,
+        )
+        return experiment.run()
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,5 @@ class TestVirtualStationarity:
         assert static_results.migration_count == 0
 
     def test_invalid_policy_rejected(self):
-        testbed = Celestial(_configuration(duration_s=10.0))
-        with pytest.raises(ValueError):
+        with Celestial(_configuration(duration_s=10.0)) as testbed, pytest.raises(ValueError):
             VirtualStationarityExperiment(testbed, anchor_station="accra", policy="teleport")

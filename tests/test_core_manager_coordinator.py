@@ -48,12 +48,24 @@ def _config(bounding_box=None):
     )
 
 
+#: The coordinators the running test built: closed when it ends.
+_built: list[Coordinator] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_coordinators():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def _coordinator(bounding_box=None, host_count=2):
     config = _config(bounding_box)
     calculation = ConstellationCalculation(config)
     database = ConstellationDatabase()
     managers = [MachineManager(Host(index=i, allow_memory_overcommit=True)) for i in range(host_count)]
     coordinator = Coordinator(config, calculation, database, managers)
+    _built.append(coordinator)
     return config, calculation, database, managers, coordinator
 
 
@@ -178,6 +190,7 @@ class TestCoordinator:
         monkeypatch.setattr(MachineTable, "__iter__", lambda table: walks.append(table) or iter(()))
         managers = [MachineManager(Host(index=i, memory_mib=1 << 20)) for i in range(4)]
         coordinator = Coordinator(config, calculation, ConstellationDatabase(), managers)
+        _built.append(coordinator)
         # Interleave the shells so machine sizes alternate.
         order = [
             calculation.satellite(shell, identifier)

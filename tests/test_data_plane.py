@@ -246,27 +246,27 @@ class TestPathRows:
 class TestStoppedInFlight:
     def test_message_to_machine_stopped_in_flight_is_dropped_at_delivery(self):
         config = dart_configuration("central", buoy_count=2, sink_count=2, update_interval_s=1.0)
-        testbed = Celestial(config)
-        testbed.start()
-        testbed.run(until=1.0)
-        central = testbed.ground_station("pacific-tsunami-warning-center")
-        buoy = testbed.ground_station("buoy-0")
-        testbed.endpoint(central)
-        sender = testbed.endpoint(buoy)
-        in_flight_ms = testbed.database.pair_rule(buoy, central).delay_ms
-        assert in_flight_ms > 1.0
+        with Celestial(config) as testbed:
+            testbed.start()
+            testbed.run(until=1.0)
+            central = testbed.ground_station("pacific-tsunami-warning-center")
+            buoy = testbed.ground_station("buoy-0")
+            testbed.endpoint(central)
+            sender = testbed.endpoint(buoy)
+            in_flight_ms = testbed.database.pair_rule(buoy, central).delay_ms
+            assert in_flight_ms > 1.0
 
-        def scenario():
-            sender.send(central, 256)
-            yield testbed.sim.timeout(in_flight_ms / 2000.0)
-            assert testbed.coordinator.is_running_at(central, testbed.sim.now)
-            testbed.fault_injector.terminate(central, testbed.sim.now)
-            assert not testbed.coordinator.is_running_at(central, testbed.sim.now)
+            def scenario():
+                sender.send(central, 256)
+                yield testbed.sim.timeout(in_flight_ms / 2000.0)
+                assert testbed.coordinator.is_running_at(central, testbed.sim.now)
+                testbed.fault_injector.terminate(central, testbed.sim.now)
+                assert not testbed.coordinator.is_running_at(central, testbed.sim.now)
 
-        testbed.sim.process(scenario())
-        testbed.run(until=2.0)
-        statistics = testbed.network_statistics()
-        assert (statistics["sent"], statistics["delivered"], statistics["dropped"]) == (1, 0, 1)
-        # A machine that was never created is not running either.
-        ghost = MachineId(MachineId.GROUND_SHELL, 0, "ghost")
-        assert not testbed.coordinator.is_running_at(ghost, testbed.sim.now)
+            testbed.sim.process(scenario())
+            testbed.run(until=2.0)
+            statistics = testbed.network_statistics()
+            assert (statistics["sent"], statistics["delivered"], statistics["dropped"]) == (1, 0, 1)
+            # A machine that was never created is not running either.
+            ghost = MachineId(MachineId.GROUND_SHELL, 0, "ghost")
+            assert not testbed.coordinator.is_running_at(ghost, testbed.sim.now)

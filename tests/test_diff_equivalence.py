@@ -231,6 +231,17 @@ def _iridium_box_config(update_interval_s, duration_s):
     )
 
 
+#: The coordinators the running test built: closed when it ends.
+_built: list[Coordinator] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_coordinators():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def _coordinator(config, host_count=3):
     calculation = ConstellationCalculation(config)
     managers = [
@@ -238,6 +249,7 @@ def _coordinator(config, host_count=3):
         for i in range(host_count)
     ]
     coordinator = Coordinator(config, calculation, ConstellationDatabase(), managers)
+    _built.append(coordinator)
     coordinator.create_ground_stations(0.0)
     return coordinator, managers
 

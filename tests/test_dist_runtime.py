@@ -97,6 +97,17 @@ def _iridium_box_config(update_interval_s=60.0, duration_s=1200.0):
     )
 
 
+#: The coordinators the running test built: closed when it ends.
+_built: list[Coordinator] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_coordinators():
+    yield
+    while _built:
+        _built.pop().close()
+
+
 def _coordinator(config, parallelism, host_count=3, worker_count=2, transport=None):
     calculation = ConstellationCalculation(config)
     managers = [
@@ -115,6 +126,7 @@ def _coordinator(config, parallelism, host_count=3, worker_count=2, transport=No
         worker_count=worker_count,
         transport=transport,
     )
+    _built.append(coordinator)
     coordinator.create_ground_stations(0.0)
     return coordinator
 

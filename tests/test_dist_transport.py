@@ -464,6 +464,27 @@ class TestSupervisionHardening:
         finally:
             pool.close()
 
+    def test_close_resumes_a_stopped_worker(self, monkeypatch):
+        # A SIGSTOPped worker reads nothing and ignores SIGTERM: close()
+        # continues it, so it reads its SHUTDOWN and exits cleanly instead of
+        # being killed after the bounded joins.
+        pool = _pool(monkeypatch)
+        process = pool._handles[0].process
+        try:
+            assert "counters" in _ping(pool, 0)
+            os.kill(process.pid, signal.SIGSTOP)
+            stat = Path(f"/proc/{process.pid}/stat")
+            deadline = time.monotonic() + 5.0
+            while stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "T":
+                assert time.monotonic() < deadline, "the worker did not stop"
+                time.sleep(0.01)
+            started = time.monotonic()
+            pool.close()
+            assert time.monotonic() - started < 2.0
+        finally:
+            pool.close()
+        assert process.exitcode == 0
+
     def test_timeout_error_is_a_crash_error(self):
         assert issubclass(WorkerTimeoutError, WorkerCrashError)
 

@@ -1,20 +1,20 @@
-"""Finalisers are a reviewed list, and none of them joins a thread.
+"""Every process the testbed forks has one reaper, and nothing it runs waits unboundedly.
 
 A ``__del__`` runs wherever the garbage collector happens to fire — on any
 thread, holding whatever that thread holds.  One that joined a thread pool
 deadlocked roughly one full test run in ten (PR 20), so the rule of this
 code base is: a finaliser never waits for a thread, nor for a worker's
-acknowledgement.  In pure ``ast`` (the code under test is not imported):
-the classes of ``src/repro`` that define ``__del__`` are exactly the one
-below, and nothing a finaliser reaches through ``self.<method>()`` inside
-its own class calls ``.shutdown(``, collects acknowledgements
-(``_collect`` / ``_collect_from`` / ``worker_counters``) or calls a
-``.join(`` other than ``str.join`` and the *process* joins of
-``ProcessFanoutBackend._join`` — ``<...>.process.join(timeout=...)``,
-bounded, and on a child process rather than a thread.  At run time, a
-process backend dropped with requests in flight collects none of them, the
-interpreter-exit hook collects none either, and neither keeps a dropped
-pool alive.
+acknowledgement.  The worker pool and the calculation child are reaped by
+``weakref.finalize`` (which also runs at interpreter exit) calling the one
+escalation, :func:`repro.dist.transport.stop`.  In pure ``ast`` (the code
+under test is not imported): no class of ``src/repro`` defines ``__del__``,
+nothing registers an ``atexit`` hook or imports ``multiprocessing``, the
+only ``os.fork`` is :func:`repro.dist.transport.fork`, and every ``.join(``
+in ``stop`` is a bounded ``process.join(timeout=...)`` — on a child
+process, never a thread.  At run time, a process backend dropped with
+requests in flight collects none of them and is stopped all the same, a
+dropped coordinator leaves no live child, and neither a pool nor a child
+left open outlives the interpreter.
 """
 
 import ast
@@ -22,99 +22,79 @@ import gc
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "repro"
-FINALISING_CLASSES = {"ProcessFanoutBackend"}
 #: What reads worker acknowledgements: only an explicit call may wait for one.
 COLLECTING = {"_collect", "_collect_from", "worker_counters"}
 
 
-def _classes():
+def _trees():
     for path in sorted(SOURCE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                yield path, node
+        yield path.relative_to(SOURCE).as_posix(), ast.parse(path.read_text())
 
 
-def _methods(class_node):
-    return {
-        node.name: node
-        for node in class_node.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
+def _calls(tree, receiver: str, attribute: str) -> list[ast.Call]:
+    """The calls ``<receiver>.<attribute>(...)`` in ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attribute
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == receiver
+    ]
 
 
-def _reached_from_del(class_node):
-    """The class's own methods ``__del__`` reaches through ``self.<name>(...)``."""
-    methods = _methods(class_node)
-    reached, frontier = set(), ["__del__"]
-    while frontier:
-        name = frontier.pop()
-        if name in reached or name not in methods:
-            continue
-        reached.add(name)
-        for node in ast.walk(methods[name]):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-            ):
-                frontier.append(node.func.attr)
-    return [methods[name] for name in sorted(reached)]
-
-
-def _is_bounded_process_join(call):
-    receiver = call.func.value
-    return (
-        isinstance(receiver, ast.Attribute)
-        and receiver.attr == "process"
-        and any(keyword.arg == "timeout" for keyword in call.keywords)
-    )
-
-
-def _is_str_join(call):
-    receiver = call.func.value
-    return isinstance(receiver, ast.Constant) and isinstance(receiver.value, str)
-
-
-def test_the_classes_with_a_finaliser_are_the_reviewed_one():
-    finalising = {
-        node.name: path.relative_to(SOURCE).as_posix()
-        for path, node in _classes()
-        if "__del__" in _methods(node)
-    }
-    assert set(finalising) == FINALISING_CLASSES, finalising
-    assert "GatewayServer" not in finalising  # it owns a thread: stop() joins it, nothing else
-
-
-def test_no_finaliser_waits_for_a_thread():
+def test_no_del_no_atexit_hook_and_no_multiprocessing():
     offences = []
-    checked = 0
-    for path, class_node in _classes():
-        if class_node.name not in FINALISING_CLASSES:
-            continue
-        for method in _reached_from_del(class_node):
-            for call in ast.walk(method):
-                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
-                    continue
-                where = f"{path.name}:{call.lineno} {class_node.name}.{method.name}"
-                if call.func.attr == "shutdown":
-                    offences.append(f"{where} calls .shutdown(")
-                elif call.func.attr in COLLECTING:
-                    offences.append(f"{where} collects acknowledgements")
-                elif call.func.attr == "join":
-                    checked += 1
-                    if not (_is_str_join(call) or _is_bounded_process_join(call)):
-                        offences.append(f"{where} calls .join( on something that may be a thread")
+    for where, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                offences.append(f"{where}:{node.lineno} defines __del__")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names
+                ]
+                if any(name and name.split(".")[0] == "multiprocessing" for name in names):
+                    offences.append(f"{where}:{node.lineno} imports multiprocessing")
+        for call in _calls(tree, "atexit", "register"):
+            offences.append(f"{where}:{call.lineno} registers an atexit hook")
     assert not offences, "\n".join(offences)
-    # The walk saw the joins it exists to judge (ProcessFanoutBackend._join's three).
-    assert checked >= 3
+
+
+def test_every_fork_goes_through_the_one_fork():
+    forks = [
+        f"{where}:{call.lineno}" for where, tree in _trees() for call in _calls(tree, "os", "fork")
+    ]
+    inside = _calls(_function("dist/transport.py", "fork"), "os", "fork")
+    assert forks == [f"dist/transport.py:{call.lineno}" for call in inside] and len(forks) == 1
+
+
+def _function(where: str, name: str) -> ast.FunctionDef:
+    for node in ast.walk(ast.parse((SOURCE / where).read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"{where} has no {name}")
+
+
+def test_the_one_escalation_joins_only_the_process_and_bounded():
+    calls = [
+        call
+        for call in ast.walk(_function("dist/transport.py", "stop"))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in {"join", "shutdown", *COLLECTING}
+    ]
+    assert len(calls) == 3
+    for call in calls:
+        receiver = call.func.value
+        assert call.func.attr == "join" and isinstance(receiver, ast.Name)
+        assert receiver.id == "process" and [k.arg for k in call.keywords] == ["timeout"]
 
 
 def test_a_backend_dropped_with_requests_in_flight_collects_none(monkeypatch):
     import weakref
 
     from repro.core import MachineManager
-    from repro.dist import backend as backend_module
     from repro.dist.backend import ProcessFanoutBackend
     from repro.hosts import Host
 
@@ -122,58 +102,23 @@ def test_a_backend_dropped_with_requests_in_flight_collects_none(monkeypatch):
     monkeypatch.setattr(
         ProcessFanoutBackend, "_collect_from", lambda self, handle: collected.append(handle)
     )
-
-    def pool_with_two_in_flight():
-        manager = MachineManager(Host(index=0, allow_memory_overcommit=True))
-        backend = ProcessFanoutBackend([manager], worker_count=1)
-        backend.sample_all(0.0)
-        backend.sample_all(1.0)
-        assert len(backend._handles[0].inflight) == 2
-        # The manager's sink holds its worker's batch, not the pool.
-        assert manager.sink.func.__self__ is backend._handles[0].control
-        return backend, backend._handles[0].process
-
-    backend, process = pool_with_two_in_flight()
+    manager = MachineManager(Host(index=0, allow_memory_overcommit=True))
+    backend = ProcessFanoutBackend([manager], worker_count=1)
+    backend.sample_all(0.0)
+    backend.sample_all(1.0)
+    assert len(backend._handles[0].inflight) == 2
+    # The manager's sink holds its worker's batch, not the pool.
+    assert manager.sink.func.__self__ is backend._handles[0].control
+    process = backend._handles[0].process
     dropped = weakref.ref(backend)
     del backend
     gc.collect()
-    assert dropped() is None  # the interpreter-exit hook kept no reference
+    assert dropped() is None  # nothing kept the pool alive
     assert collected == []
-    assert not process.is_alive()  # the finaliser joined the pool all the same
-    backend, process = pool_with_two_in_flight()
-    backend_module._join_live_pools()  # the interpreter-exit hook
-    assert collected == []  # it collects nothing either
-    assert not process.is_alive()
-    backend.close()  # already joined: nothing is left to collect
-    assert collected == []
+    assert not process.is_alive()  # the finaliser stopped the pool all the same
 
 
-def _calculation_child_stop():
-    path = SOURCE / "dist" / "calculation.py"
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.FunctionDef) and node.name == "_stop":
-            return node
-    raise AssertionError("dist/calculation.py has no _stop")
-
-
-def test_the_calculation_childs_finaliser_joins_only_the_process():
-    # The child is reaped by a weakref finaliser (also run at interpreter
-    # exit), not a __del__: it obeys the same rule, bounded process joins.
-    joins = [
-        call
-        for call in ast.walk(_calculation_child_stop())
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and call.func.attr in {"join", "shutdown", *COLLECTING}
-    ]
-    assert len(joins) == 3
-    for call in joins:
-        receiver = call.func.value
-        assert call.func.attr == "join" and isinstance(receiver, ast.Name)
-        assert receiver.id == "process" and [k.arg for k in call.keywords] == ["timeout"]
-
-
-def _forked_coordinator():
+def _forked_coordinator(parallelism: str = "threads"):
     from repro.core import (
         ConstellationCalculation,
         ConstellationDatabase,
@@ -189,6 +134,7 @@ def _forked_coordinator():
         ConstellationCalculation(config),
         ConstellationDatabase(),
         [MachineManager(Host(index=0, allow_memory_overcommit=True))],
+        parallelism=parallelism,
     )
     coordinator.update(0.0)
     coordinator.update(2.0)  # the first differential update forks the child
@@ -212,7 +158,7 @@ def test_a_coordinator_dropped_unclosed_leaves_no_live_child():
         os.kill(process.pid, 0)  # reaped, not a zombie
 
 
-def test_the_interpreter_exit_hook_reaps_the_child():
+def test_interpreter_exit_reaps_a_pool_and_a_child_left_open():
     import os
     import subprocess
     import sys
@@ -221,7 +167,8 @@ def test_the_interpreter_exit_hook_reaps_the_child():
 
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import test_finalisers as t; "
-        "coordinator, process = t._forked_coordinator(); print(process.pid, flush=True)"
+        "coordinator, child = t._forked_coordinator('processes'); "
+        "print(child.pid, *(h.process.pid for h in coordinator._backend._handles), flush=True)"
     )
     tests = str(Path(__file__).resolve().parent)
     environment = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), tests]))
@@ -229,7 +176,10 @@ def test_the_interpreter_exit_hook_reaps_the_child():
         [sys.executable, "-c", script, tests],
         capture_output=True, text=True, timeout=120, env=environment, check=True,
     )
+    pids = [int(pid) for pid in finished.stdout.split()]
+    assert len(pids) == 2  # the calculation child and the pool's one worker
     # Reaped before the interpreter was gone: no orphan is left to end by
     # itself a second later (and be a zombie until someone reaps it).
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(finished.stdout.split()[0]), 0)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -464,44 +464,44 @@ class TestDegradedOperator:
             victim_shell_index(config, "nonexistent")
 
     def test_progressive_isl_loss_via_fault_injection(self):
-        testbed = _small_degraded_testbed()
-        victim = victim_shell_index(testbed.config)
-        degradation = OperatorDegradation(
-            testbed, victim, isls_per_step=5, interval_s=30.0, target_fraction=0.4
-        )
-        testbed.start()
-        testbed.sim.process(degradation.process())
-        testbed.run(until=240.0)
-        # The cascade ran and every severed pair is an intra-victim ISL.
-        assert degradation.steps
-        assert len(degradation.severed) >= 5
-        span = testbed.state.node_index.satellites_of_shell(victim)
-        for node_a, node_b in degradation.severed:
-            assert node_a in span and node_b in span
-        # Severed ISLs are applied through the fault-injection API: the
-        # network carries a total-loss override in both directions and the
-        # injector logged the events.
-        loss_events = [
-            event
-            for event in testbed.fault_injector.events
-            if event.kind == "packet-loss"
-        ]
-        assert len(loss_events) == 2 * len(degradation.severed)
-        # Monotone progress up to the target fraction.
-        totals = [step.total_severed for step in degradation.steps]
-        assert totals == sorted(totals)
-        assert degradation.done or degradation.steps[-1].remaining_intact == 0
-        # Every injected loss targets the victim shell, so the healthy
-        # operator's shell is untouched.
-        for event in loss_events:
-            source, _, destination = event.machine.partition("->")
-            for name in (source, destination):
-                _identifier, shell, _ = name.split(".", 2)
-                assert int(shell) == victim
+        with _small_degraded_testbed() as testbed:
+            victim = victim_shell_index(testbed.config)
+            degradation = OperatorDegradation(
+                testbed, victim, isls_per_step=5, interval_s=30.0, target_fraction=0.4
+            )
+            testbed.start()
+            testbed.sim.process(degradation.process())
+            testbed.run(until=240.0)
+            # The cascade ran and every severed pair is an intra-victim ISL.
+            assert degradation.steps
+            assert len(degradation.severed) >= 5
+            span = testbed.state.node_index.satellites_of_shell(victim)
+            for node_a, node_b in degradation.severed:
+                assert node_a in span and node_b in span
+            # Severed ISLs are applied through the fault-injection API: the
+            # network carries a total-loss override in both directions and the
+            # injector logged the events.
+            loss_events = [
+                event
+                for event in testbed.fault_injector.events
+                if event.kind == "packet-loss"
+            ]
+            assert len(loss_events) == 2 * len(degradation.severed)
+            # Monotone progress up to the target fraction.
+            totals = [step.total_severed for step in degradation.steps]
+            assert totals == sorted(totals)
+            assert degradation.done or degradation.steps[-1].remaining_intact == 0
+            # Every injected loss targets the victim shell, so the healthy
+            # operator's shell is untouched.
+            for event in loss_events:
+                source, _, destination = event.machine.partition("->")
+                for name in (source, destination):
+                    _identifier, shell, _ = name.split(".", 2)
+                    assert int(shell) == victim
 
     def test_rejects_invalid_parameters(self):
-        testbed = _small_degraded_testbed()
-        with pytest.raises(ValueError):
-            OperatorDegradation(testbed, 1, target_fraction=0.0)
-        with pytest.raises(ValueError):
-            OperatorDegradation(testbed, 1, isls_per_step=0)
+        with _small_degraded_testbed() as testbed:
+            with pytest.raises(ValueError):
+                OperatorDegradation(testbed, 1, target_fraction=0.0)
+            with pytest.raises(ValueError):
+                OperatorDegradation(testbed, 1, isls_per_step=0)
