@@ -72,12 +72,15 @@ stream's DIFF frame; the driver rebuilds the same state and diff from the
 frame with :meth:`ConstellationCalculation.state_from_replica`.  A replica
 holds the graph's link columns with their delay counts, the trend and the
 activity, but no geometry, which is a pure function of the configuration
-and the time: the positions are propagated again and each link's distance
-is the norm of its endpoints' difference, the bits ``diff_since`` computes.
-The topology diff is the frame's own removed, added, delay-changed and
-bandwidth-changed sets, not a diff of the two graphs.  Such a state carries
-no update hints (the child keeps those); ``diff_since`` from it evaluates
-every pair, as from a cold state.
+and the time.  The rebuilt state derives it only where it is read: the
+positions on first need, each link's distance (the norm of its endpoints'
+difference) on the first read of the column, a path's bound from its two
+endpoints and a station's uplinks from their own satellites (the first such
+read of an epoch propagates only those), each with the bits ``diff_since``
+computes.  The topology diff is the frame's
+own removed, added, delay-changed and bandwidth-changed sets, not a diff of
+the two graphs.  Such a state carries no update hints (the child keeps
+those); ``diff_since`` from it evaluates every pair, as from a cold state.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -351,23 +354,104 @@ class _EpochArrays:
     hints: Optional[_UpdateHints] = None
 
 
+class _Geometry:
+    """An epoch's node positions [km, ECEF], over the flat node order.
+
+    The satellites' are one :meth:`ConstellationCalculation._positions_ecef`
+    at the epoch's time: given where the epoch was computed, else propagated
+    on first need and kept.  The first read of a few satellites propagates
+    only those, with the same bits (a satellite's position depends on its
+    own elements alone); a second read in the epoch propagates all of them,
+    as a reader that comes back (a stream of path queries, an app asking
+    each station's uplinks) would otherwise pay a propagation per read.
+    The ground stations' are the configuration's stack.  Nothing here
+    refers to a graph or a state, so a graph that derives its distances
+    from it (:meth:`slant_ranges_km`) is freed by reference counting alone.
+    """
+
+    __slots__ = ("_calculation", "_time_s", "_satellites", "_nodes", "_read_alone")
+
+    def __init__(
+        self,
+        calculation: "ConstellationCalculation",
+        time_s: float,
+        satellites: Optional[np.ndarray] = None,
+    ):
+        self._calculation = calculation
+        self._time_s = time_s
+        self._satellites = satellites
+        self._nodes: Optional[np.ndarray] = None  # satellites, then stations
+        self._read_alone = False
+
+    def satellites(self) -> np.ndarray:
+        """Every satellite's position, ``(N, 3)``: one propagation, on first need."""
+        if self._satellites is None:
+            self._satellites = self._calculation._positions_ecef(self._time_s)
+        return self._satellites
+
+    def of(self, nodes: np.ndarray) -> np.ndarray:
+        """The positions of the flat nodes ``nodes``: rows of :meth:`satellites`
+        and of the ground-station stack, propagated as the class docstring says."""
+        calculation = self._calculation
+        if self._satellites is None:
+            count = calculation.node_index.satellite_count
+            aloft = nodes < count  # stations follow every satellite
+            if not aloft.any():
+                return calculation._gst_position_stack.take(nodes - count, axis=0)
+            if not self._read_alone and np.count_nonzero(aloft) < count:
+                self._read_alone = True
+                positions = np.empty((nodes.size, 3))
+                grounded = ~aloft
+                positions[grounded] = calculation._gst_position_stack[nodes[grounded] - count]
+                positions[aloft] = calculation._positions_ecef(self._time_s, nodes[aloft])
+                return positions
+        if self._nodes is None:
+            self._nodes = np.concatenate([self.satellites(), calculation._gst_position_stack])
+        return self._nodes.take(nodes, axis=0)
+
+    def slant_ranges_km(self, node_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
+        """The distance [km] of each link ``(node_a, node_b)``: the slant range
+        of its endpoints, the bits the epoch's computation gives it (a
+        slant range is the norm of an endpoint difference either way round)."""
+        return slant_range_km(self.of(node_a), self.of(node_b))
+
+
 @dataclass
 class ConstellationState:
-    """Snapshot of the constellation network at one instant."""
+    """Snapshot of the constellation network at one instant.
+
+    The graph, the path store, the activity and the trend are held as
+    computed or rebuilt.  The satellite positions are the epoch's
+    :class:`_Geometry`: a computed epoch (:meth:`ConstellationCalculation.state_at`,
+    :meth:`~ConstellationCalculation.diff_since`) holds them, a rebuilt one
+    (:meth:`~ConstellationCalculation.state_from_replica`) propagates them
+    on first need.  A path's bound and a station's uplinks read only their
+    own satellites' positions, and the first such read in an epoch
+    propagates only those (:class:`_Geometry`).
+    """
 
     time_s: float
     node_index: NodeIndex
     graph: NetworkGraph
     paths: PathRows
-    satellite_positions_ecef: dict[int, np.ndarray]
     active_satellites: dict[int, np.ndarray]
     ground_positions_ecef: dict[str, np.ndarray]
     #: The epoch's delay trend: provenance, outside every identity check.
     trend: DelayTrend = field(repr=False, compare=False)
+    _geometry: _Geometry = field(repr=False, compare=False)
     _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
     _geodetic: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def satellite_positions_ecef(self) -> dict[int, np.ndarray]:
+        """Per shell, its satellites' ECEF positions [km]: views of the epoch's
+        one flat array, which a rebuilt state propagates on first need."""
+        positions = self._geometry.satellites()
+        index = self.node_index
+        shells = (index.satellites_of_shell(shell) for shell in range(len(index.shell_sizes)))
+        return {shell: positions[rows.start : rows.stop] for shell, rows in enumerate(shells)}
 
     # -- machine-level queries -------------------------------------------
 
@@ -413,14 +497,9 @@ class ConstellationState:
 
     def _chord_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Straight-line propagation delay between two machines [ms]."""
-        return float(
-            propagation_delay_ms(math.dist(self._position(machine_a), self._position(machine_b)))
-        )
-
-    def _position(self, machine: MachineId) -> np.ndarray:
-        if machine.is_ground_station:
-            return self.ground_positions_ecef[machine.name]
-        return self.satellite_positions_ecef[machine.shell][machine.identifier]
+        nodes = np.array([self.node_for(machine_a), self.node_for(machine_b)])
+        position_a, position_b = self._geometry.of(nodes)
+        return float(propagation_delay_ms(math.dist(position_a, position_b)))
 
     def bandwidth_kbps(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Bottleneck bandwidth along the shortest path [kbps] (0 if unreachable)."""
@@ -475,20 +554,24 @@ class ConstellationState:
         A view of the graph's ``UPLINK`` edges, which carry the ground
         station as their higher endpoint (stations follow every satellite
         in the node index); equally distant satellites keep their edge
-        order (shell, then satellite).  An unknown name has no uplinks.
+        order (shell, then satellite).  Only these edges' distances are read
+        (:meth:`~repro.topology.graph.NetworkGraph.distances_of`).  An
+        unknown name has no uplinks.
         """
         index, graph = self.node_index, self.graph
         try:
             node = index.ground_station(ground_station)
         except KeyError:
             return []
-        edges = np.nonzero((graph.node_b == node) & (graph.link_type_codes == _UPLINK_CODE))[0]
-        edges = edges[np.argsort(graph.distances_km[edges], kind="stable")]
+        edges = np.flatnonzero((graph.node_b == node) & (graph.link_type_codes == _UPLINK_CODE))
+        distances = graph.distances_of(edges)
+        order = np.argsort(distances, kind="stable")
+        edges = edges[order]
         return [
             UplinkInfo(*index.describe(satellite)[1:], distance, delay)
             for satellite, distance, delay in zip(
                 graph.node_a[edges].tolist(),
-                graph.distances_km[edges].tolist(),
+                distances[order].tolist(),
                 graph.delays_ms[edges].tolist(),
             )
         ]
@@ -765,18 +848,31 @@ class ConstellationCalculation:
             ),
         )
 
-    def _positions_ecef(self, time_s: float) -> np.ndarray:
+    def _positions_ecef(self, time_s: float, nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Every satellite's ECEF position [km] at a time, over the global
-        node order: one propagation and one frame rotation."""
-        positions_eci = circular_positions_eci(self._elements, time_s)
+        node order: one propagation and one frame rotation.  Given ``nodes``
+        (global satellite indices), the rows of those alone, with the same
+        bits: a satellite's position depends on its own elements only, and
+        a row rotates alike in any batch."""
+        elements = self._elements
+        if nodes is not None:
+            radius, raan, raan_rate, plane_of, *rest = elements
+            per_satellite = (column[nodes] for column in rest)
+            elements = (radius[nodes], raan, raan_rate, plane_of[nodes], *per_satellite)
+        positions_eci = circular_positions_eci(elements, time_s)
         for rows, shell in self._sgp4_shells:
-            positions_eci[rows] = shell.positions_eci(time_s)
+            if nodes is None:
+                positions_eci[rows] = shell.positions_eci(time_s)
+                continue
+            mine = (nodes >= rows.start) & (nodes < rows.stop)
+            if mine.any():
+                positions_eci[mine] = shell.positions_eci(time_s)[nodes[mine] - rows.start]
         return eci_to_ecef(positions_eci, self.config.epoch.gmst_at(time_s))
 
     def _state(
         self,
         time_s: float,
-        positions: np.ndarray,
+        geometry: _Geometry,
         active: np.ndarray,
         graph: NetworkGraph,
         trend: DelayTrend,
@@ -784,9 +880,9 @@ class ConstellationCalculation:
         topology: Optional[TopologyDiff] = None,
         hints: Optional[_UpdateHints] = None,
     ) -> ConstellationState:
-        """A state over the flat ``positions`` and ``active`` arrays; its
-        path store advances from ``previous``'s by ``topology``, or starts
-        with the ground stations as sources."""
+        """A state over ``geometry`` and the flat ``active`` array; its path
+        store advances from ``previous``'s by ``topology``, or starts with
+        the ground stations as sources."""
         if previous is not None and topology is not None:
             paths = self.path_engine.advance_all(previous.paths, graph, topology)
         else:
@@ -797,11 +893,11 @@ class ConstellationCalculation:
             node_index=self.node_index,
             graph=graph,
             paths=paths,
-            # Per-shell views of the flat arrays.
-            satellite_positions_ecef={s: positions[r] for s, r in enumerate(rows)},
+            # Per-shell views of the flat array.
             active_satellites={s: active[r] for s, r in enumerate(rows)},
             ground_positions_ecef=dict(self._ground_positions),
             trend=trend,
+            _geometry=geometry,
             _update_hints=hints,
         )
 
@@ -857,9 +953,8 @@ class ConstellationCalculation:
         epoch = self._epoch_arrays(time_s)
         graph = self._assemble_graph(epoch)
         trend = DelayTrend.cold(graph)
-        return self._state(
-            time_s, epoch.satellite_positions, epoch.active, graph, trend, hints=epoch.hints
-        )
+        geometry = _Geometry(self, time_s, epoch.satellite_positions)
+        return self._state(time_s, geometry, epoch.active, graph, trend, hints=epoch.hints)
 
     def diff_since(
         self, previous: ConstellationState, time_s: float
@@ -894,7 +989,7 @@ class ConstellationCalculation:
 
         state = self._state(
             time_s,
-            epoch.satellite_positions,
+            _Geometry(self, time_s, epoch.satellite_positions),
             epoch.active,
             graph,
             previous.trend.after(topology),
@@ -919,25 +1014,28 @@ class ConstellationCalculation:
         ``previous``, the state of its epoch before.
 
         The same state and diff as :meth:`diff_since` from ``previous`` (the
-        frame was encoded from those), rebuilt without computing the epoch:
-        the graph's columns are copies of the replica's, which the next
-        frame patches in place; its distances are computed from the
-        propagated positions, which rebuilds them bit for bit (a slant range
-        is the norm of an endpoint difference either way round); the
-        activity is the replica's and the trend its object, which the
-        published diff must reference.  The :class:`TopologyDiff` is the
+        frame was encoded from those), rebuilt without computing the epoch.
+        Eager: the graph's columns are copies of the replica's, which the
+        next frame patches in place; the activity is the replica's and the
+        trend its object, which the published diff must reference.  Lazy,
+        because almost nothing reads them: the geometry, a pure function of
+        the configuration and the time.  The satellite positions are
+        propagated on first need (:class:`_Geometry`: one read of a few
+        satellites propagates only those), and the graph's ``distances_km``
+        are the slant ranges of its endpoints on their first read
+        (:meth:`_Geometry.slant_ranges_km`).  Either is computed at most
+        once, with the expression ``diff_since`` uses, so it has the same
+        bits whenever it is read.  The :class:`TopologyDiff` is the
         frame's own sets (:attr:`~repro.serve.codec.EpochReplica.applied`),
         not a diff of the two graphs: a delay-changed link's previous edge
         id is its rank among the kept links, counted past the removed ones.
         """
         removed, added, delay_changed, bandwidth_changed, flips = replica.applied
         time_s = replica.time_s
-        positions = self._positions_ecef(time_s)
+        geometry = _Geometry(self, time_s)
         node_a, node_b, counts, bandwidths, types = (column.copy() for column in replica.links)
-        nodes = np.concatenate([positions, self._gst_position_stack])
-        distances_km = slant_range_km(nodes.take(node_a, axis=0), nodes.take(node_b, axis=0))
         graph = NetworkGraph.from_edge_arrays(
-            self.node_index, node_a, node_b, distances_km, counts, bandwidths, types
+            self.node_index, node_a, node_b, geometry.slant_ranges_km, counts, bandwidths, types
         )
         kept = delay_changed - np.searchsorted(added, delay_changed)
         topology = TopologyDiff(
@@ -952,7 +1050,7 @@ class ConstellationCalculation:
         )
         shells = range(len(self.shells))
         active = np.concatenate([replica.active[shell] for shell in shells])
-        state = self._state(time_s, positions, active, graph, replica.trend, previous, topology)
+        state = self._state(time_s, geometry, active, graph, replica.trend, previous, topology)
         nothing = np.empty(0, dtype=np.intp)
         diff = ConstellationDiff(
             time_s=time_s,

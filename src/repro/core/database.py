@@ -223,7 +223,7 @@ class ConstellationDatabase:
             return {
                 "time_s": state.time_s,
                 "epoch": self.epoch,
-                "shells": len(state.satellite_positions_ecef),
+                "shells": len(state.active_satellites),
                 "satellites": int(state.node_index.satellite_count),
                 "ground_stations": len(state.ground_positions_ecef),
                 "active_satellites": state.active_count(),
@@ -236,7 +236,7 @@ class ConstellationDatabase:
     def shell_info(self, shell: int) -> dict:
         """Information about one shell (served at ``/shell/<n>``)."""
         state = self.state
-        if shell not in state.satellite_positions_ecef:
+        if shell not in state.active_satellites:
             raise KeyError(f"unknown shell {shell}")
         active = state.active_satellites[shell]
         return {
@@ -248,11 +248,11 @@ class ConstellationDatabase:
     def satellite_info(self, shell: int, identifier: int) -> dict:
         """Information about one satellite (served at ``/sat/<shell>/<id>``)."""
         state = self.state
-        if shell not in state.satellite_positions_ecef:
+        if shell not in state.active_satellites:
             raise KeyError(f"unknown shell {shell}")
-        positions = state.satellite_positions_ecef[shell]
-        if not 0 <= identifier < positions.shape[0]:
+        if not 0 <= identifier < state.active_satellites[shell].shape[0]:
             raise KeyError(f"unknown satellite {identifier} in shell {shell}")
+        positions = state.satellite_positions_ecef[shell]
         latitude, longitude = state.satellite_position_geodetic(shell, identifier)
         return {
             "shell": shell,

@@ -22,6 +22,13 @@ the state and the diff from it
 (:meth:`~repro.core.constellation.ConstellationCalculation.state_from_replica`)
 and publishes the frame's bytes as they are, so the gateway forwards them
 without encoding again: the driver is one more consumer of its own stream.
+The rebuild copies what the frame carries — the link columns with their
+delay counts, the activity, the trend — and derives the geometry only where
+it is read: the satellite positions and the link distances on first need,
+a path's bound from its two endpoints and a station's uplinks from their own
+satellites (the first such read of an epoch propagates only those).  The
+child computes every epoch eagerly, because its visibility checks need
+every position.
 
 Failure is typed and bounded.  Every receive has a deadline,
 :data:`CHILD_TIMEOUT_S`, and the child's liveness is checked while the

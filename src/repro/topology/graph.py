@@ -47,6 +47,14 @@ own (no graph borrows another's):
   by row from the canonical order without a sort.  An epoch whose
   shortest-path rows no query solves never builds it.
 
+The distance column is either given or derived: a graph built with a
+function of its endpoints in its place (the update stream's rebuilt epochs,
+whose distances are a pure function of the time) derives
+:attr:`NetworkGraph.distances_km` on its first read, and
+:meth:`NetworkGraph.distances_of` derives only the edges asked for until
+then.  Nothing in the path engine, the diff or the codec reads distances:
+their delays come from the counts.
+
 Epoch-to-epoch diffs
 --------------------
 
@@ -64,7 +72,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -91,6 +99,12 @@ _LINK_TYPE_BY_CODE: tuple[LinkType, ...] = tuple(LinkType)
 _CODE_BY_LINK_TYPE: dict[LinkType, int] = {
     link_type: code for code, link_type in enumerate(_LINK_TYPE_BY_CODE)
 }
+
+
+#: Derives link distances [km] from the links' endpoint columns
+#: ``(node_a, node_b)``: what :meth:`NetworkGraph.from_edge_arrays` takes in
+#: place of the distance column.
+DistanceFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def pair_keys(nodes_a: np.ndarray, nodes_b: np.ndarray, node_count: int) -> np.ndarray:
@@ -258,7 +272,7 @@ class NetworkGraph:
         index: NodeIndex,
         node_a: np.ndarray,
         node_b: np.ndarray,
-        distance_km: np.ndarray,
+        distance_km: np.ndarray | DistanceFunction,
         delay_counts: np.ndarray,
         bandwidth_kbps: np.ndarray,
         type_code: np.ndarray,
@@ -272,16 +286,24 @@ class NetworkGraph:
         any other dtype is a ``ValueError``.  The graph stores the edges in
         the canonical order (module docstring): input already in it is
         verified in O(E) and kept as given, any other is sorted once.
+
+        ``distance_km`` is a column, or a function of the stored endpoint
+        columns that derives it (:data:`DistanceFunction`): the graph calls
+        it on the first read of :attr:`distances_km`, keeps the column and
+        drops the function, or calls it on a few edges' endpoints for
+        :meth:`distances_of`.  The function must not refer to the graph.
         """
         node_count = len(index)
         delay_counts = np.asarray(delay_counts)
         if delay_counts.dtype != np.uint32:
             raise ValueError(f"delays are uint32 grid counts, not {delay_counts.dtype}")
+        derive = distance_km if callable(distance_km) else None
+        given = () if derive is not None else (distance_km,)
         low, high, *values = (
             np.asarray(column, dtype=dtype)
             for column, dtype in zip(
-                (node_a, node_b, distance_km, delay_counts, bandwidth_kbps, type_code),
-                (np.int64, np.int64, np.float64, np.uint32, np.float64, np.int8),
+                (node_a, node_b, delay_counts, bandwidth_kbps, type_code, *given),
+                (np.int64, np.int64, np.uint32, np.float64, np.int8, np.float64),
             )
         )
         count = low.size
@@ -308,11 +330,13 @@ class NetworkGraph:
         (
             graph._node_a,
             graph._node_b,
-            graph._distance_km,
             graph._delay_counts,
             graph._bandwidth_kbps,
             graph._type_code,
+            *given,
         ) = map(_read_only, columns)
+        # The column, or the function that derives it on first read.
+        graph._distance_km = derive if derive is not None else given[0]
         graph._delay_ms = graph._delay_counts.astype(np.float64)
         graph._delay_ms *= DELAY_GRID_MS  # a power of two: exact
         graph._delay_ms.flags.writeable = False
@@ -359,8 +383,28 @@ class NetworkGraph:
 
     @property
     def distances_km(self) -> np.ndarray:
-        """Link distances [km]."""
-        return self._distance_km
+        """Link distances [km]: as given, or derived on this first read and
+        kept (:meth:`from_edge_arrays`).  It takes no lock: threads that race
+        on the first read each derive equal arrays, and one of them is kept."""
+        distances = self._distance_km
+        if callable(distances):
+            distances = self._distance_km = self._derived(distances, self._node_a, self._node_b)
+        return distances
+
+    def distances_of(self, edges: np.ndarray) -> np.ndarray:
+        """``distances_km[edges]``, the same bits; while the column is not
+        derived, only these edges' distances are, and none is kept."""
+        distances = self._distance_km
+        if callable(distances):
+            return self._derived(distances, self._node_a[edges], self._node_b[edges])
+        return distances[edges]
+
+    @staticmethod
+    def _derived(derive: DistanceFunction, node_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
+        distances = _read_only(np.asarray(derive(node_a, node_b), dtype=np.float64))
+        if distances.shape != node_a.shape:
+            raise ValueError("a distance function must give one distance per link")
+        return distances
 
     @property
     def delay_counts(self) -> np.ndarray:
