@@ -72,12 +72,12 @@ stream's DIFF frame; the driver rebuilds the same state and diff from the
 frame with :meth:`ConstellationCalculation.state_from_replica`.  A replica
 holds the graph's link columns with their delay counts, the trend and the
 activity, but no geometry, which is a pure function of the configuration
-and the time.  The rebuilt state derives it only where it is read: the
-positions on first need, each link's distance (the norm of its endpoints'
-difference) on the first read of the column, a path's bound from its two
-endpoints and a station's uplinks from their own satellites (the first such
-read of an epoch propagates only those), each with the bits ``diff_since``
-computes.  The topology diff is the frame's
+and the time.  The rebuilt state derives it only where it is read: every
+satellite's position on the first read that names one (a path's bound,
+which only a bounded search reads, a station's uplinks, the position
+routes), and each link's distance (the norm of its endpoints' difference)
+on the first read of the column, or of a station's uplinks alone, each
+with the bits ``diff_since`` computes.  The topology diff is the frame's
 own removed, added, delay-changed and bandwidth-changed sets, not a diff of
 the two graphs.  Such a state carries no update hints (the child keeps
 those); ``diff_since`` from it evaluates every pair, as from a cold state.
@@ -359,17 +359,15 @@ class _Geometry:
 
     The satellites' are one :meth:`ConstellationCalculation._positions_ecef`
     at the epoch's time: given where the epoch was computed, else propagated
-    on first need and kept.  The first read of a few satellites propagates
-    only those, with the same bits (a satellite's position depends on its
-    own elements alone); a second read in the epoch propagates all of them,
-    as a reader that comes back (a stream of path queries, an app asking
-    each station's uplinks) would otherwise pay a propagation per read.
-    The ground stations' are the configuration's stack.  Nothing here
-    refers to a graph or a state, so a graph that derives its distances
-    from it (:meth:`slant_ranges_km`) is freed by reference counting alone.
+    on the first read that names a satellite, all at once, and kept: such
+    reads come in streams (a path's bound per pair query), and propagating
+    every satellite costs about as much as seven reads of two.  Nothing
+    here refers to a graph or a state, so a graph that derives its
+    distances from it (:meth:`slant_ranges_km`) is freed by reference
+    counting alone.
     """
 
-    __slots__ = ("_calculation", "_time_s", "_satellites", "_nodes", "_read_alone")
+    __slots__ = ("_calculation", "_time_s", "_satellites")
 
     def __init__(
         self,
@@ -380,8 +378,6 @@ class _Geometry:
         self._calculation = calculation
         self._time_s = time_s
         self._satellites = satellites
-        self._nodes: Optional[np.ndarray] = None  # satellites, then stations
-        self._read_alone = False
 
     def satellites(self) -> np.ndarray:
         """Every satellite's position, ``(N, 3)``: one propagation, on first need."""
@@ -389,31 +385,14 @@ class _Geometry:
             self._satellites = self._calculation._positions_ecef(self._time_s)
         return self._satellites
 
-    def of(self, nodes: np.ndarray) -> np.ndarray:
-        """The positions of the flat nodes ``nodes``: rows of :meth:`satellites`
-        and of the ground-station stack, propagated as the class docstring says."""
-        calculation = self._calculation
-        if self._satellites is None:
-            count = calculation.node_index.satellite_count
-            aloft = nodes < count  # stations follow every satellite
-            if not aloft.any():
-                return calculation._gst_position_stack.take(nodes - count, axis=0)
-            if not self._read_alone and np.count_nonzero(aloft) < count:
-                self._read_alone = True
-                positions = np.empty((nodes.size, 3))
-                grounded = ~aloft
-                positions[grounded] = calculation._gst_position_stack[nodes[grounded] - count]
-                positions[aloft] = calculation._positions_ecef(self._time_s, nodes[aloft])
-                return positions
-        if self._nodes is None:
-            self._nodes = np.concatenate([self.satellites(), calculation._gst_position_stack])
-        return self._nodes.take(nodes, axis=0)
-
     def slant_ranges_km(self, node_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
         """The distance [km] of each link ``(node_a, node_b)``: the slant range
-        of its endpoints, the bits the epoch's computation gives it (a
-        slant range is the norm of an endpoint difference either way round)."""
-        return slant_range_km(self.of(node_a), self.of(node_b))
+        of its endpoints over the satellites, then the ground stations, the
+        bits the epoch's computation gives it (a slant range is the norm of
+        an endpoint difference either way round).  Every link has a
+        satellite endpoint, so this propagates them on first need."""
+        nodes = np.concatenate([self.satellites(), self._calculation._gst_position_stack])
+        return slant_range_km(nodes.take(node_a, axis=0), nodes.take(node_b, axis=0))
 
 
 @dataclass
@@ -425,9 +404,7 @@ class ConstellationState:
     :class:`_Geometry`: a computed epoch (:meth:`ConstellationCalculation.state_at`,
     :meth:`~ConstellationCalculation.diff_since`) holds them, a rebuilt one
     (:meth:`~ConstellationCalculation.state_from_replica`) propagates them
-    on first need.  A path's bound and a station's uplinks read only their
-    own satellites' positions, and the first such read in an epoch
-    propagates only those (:class:`_Geometry`).
+    on the first read that names a satellite (:class:`_Geometry`).
     """
 
     time_s: float
@@ -493,13 +470,18 @@ class ConstellationState:
         if node_a == node_b:  # what a solved row answers, without the solve
             return PathResult(node_a, node_a, 0.0, (node_a,))
         source, target = self.paths.oriented(node_a, node_b)
-        return self.paths.pair_path(source, target, self._chord_ms(machine_a, machine_b))
+        return self.paths.pair_path(source, target, lambda: self._chord_ms(machine_a, machine_b))
 
     def _chord_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Straight-line propagation delay between two machines [ms]."""
-        nodes = np.array([self.node_for(machine_a), self.node_for(machine_b)])
-        position_a, position_b = self._geometry.of(nodes)
-        return float(propagation_delay_ms(math.dist(position_a, position_b)))
+        return float(
+            propagation_delay_ms(math.dist(self._position(machine_a), self._position(machine_b)))
+        )
+
+    def _position(self, machine: MachineId) -> np.ndarray:
+        if machine.is_ground_station:
+            return self.ground_positions_ecef[machine.name]
+        return self._geometry.satellites()[self.node_for(machine)]
 
     def bandwidth_kbps(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """Bottleneck bandwidth along the shortest path [kbps] (0 if unreachable)."""
@@ -848,25 +830,12 @@ class ConstellationCalculation:
             ),
         )
 
-    def _positions_ecef(self, time_s: float, nodes: Optional[np.ndarray] = None) -> np.ndarray:
+    def _positions_ecef(self, time_s: float) -> np.ndarray:
         """Every satellite's ECEF position [km] at a time, over the global
-        node order: one propagation and one frame rotation.  Given ``nodes``
-        (global satellite indices), the rows of those alone, with the same
-        bits: a satellite's position depends on its own elements only, and
-        a row rotates alike in any batch."""
-        elements = self._elements
-        if nodes is not None:
-            radius, raan, raan_rate, plane_of, *rest = elements
-            per_satellite = (column[nodes] for column in rest)
-            elements = (radius[nodes], raan, raan_rate, plane_of[nodes], *per_satellite)
-        positions_eci = circular_positions_eci(elements, time_s)
+        node order: one propagation and one frame rotation."""
+        positions_eci = circular_positions_eci(self._elements, time_s)
         for rows, shell in self._sgp4_shells:
-            if nodes is None:
-                positions_eci[rows] = shell.positions_eci(time_s)
-                continue
-            mine = (nodes >= rows.start) & (nodes < rows.stop)
-            if mine.any():
-                positions_eci[mine] = shell.positions_eci(time_s)[nodes[mine] - rows.start]
+            positions_eci[rows] = shell.positions_eci(time_s)
         return eci_to_ecef(positions_eci, self.config.epoch.gmst_at(time_s))
 
     def _state(
@@ -1020,9 +989,9 @@ class ConstellationCalculation:
         trend its object, which the published diff must reference.  Lazy,
         because almost nothing reads them: the geometry, a pure function of
         the configuration and the time.  The satellite positions are
-        propagated on first need (:class:`_Geometry`: one read of a few
-        satellites propagates only those), and the graph's ``distances_km``
-        are the slant ranges of its endpoints on their first read
+        propagated on the first read that names a satellite
+        (:class:`_Geometry`), and the graph's ``distances_km`` are the slant
+        ranges of its endpoints on their first read
         (:meth:`_Geometry.slant_ranges_km`).  Either is computed at most
         once, with the expression ``diff_since`` uses, so it has the same
         bits whenever it is read.  The :class:`TopologyDiff` is the

@@ -24,11 +24,11 @@ and publishes the frame's bytes as they are, so the gateway forwards them
 without encoding again: the driver is one more consumer of its own stream.
 The rebuild copies what the frame carries — the link columns with their
 delay counts, the activity, the trend — and derives the geometry only where
-it is read: the satellite positions and the link distances on first need,
-a path's bound from its two endpoints and a station's uplinks from their own
-satellites (the first such read of an epoch propagates only those).  The
-child computes every epoch eagerly, because its visibility checks need
-every position.
+it is read: the satellite positions on the first read that names a
+satellite (a path's bound, which only a bounded search reads, a station's
+uplinks), the link distances on the first read of the column, or of a
+station's uplinks alone.  The child computes every epoch eagerly, because
+its visibility checks need every position.
 
 Failure is typed and bounded.  Every receive has a deadline,
 :data:`CHILD_TIMEOUT_S`, and the child's liveness is checked while the

@@ -190,7 +190,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import json
 import math
 import struct
@@ -442,23 +441,6 @@ def _validated_descriptor(descriptor: Any) -> tuple[np.dtype, tuple[int, ...]]:
     dtype_str, shape = descriptor
     if not isinstance(dtype_str, str):
         raise WireError(f"array dtype descriptor {dtype_str!r} is not a string")
-    dtype = _validated_dtype(dtype_str)
-    if not isinstance(shape, list) or len(shape) > 32:
-        raise WireError(f"malformed array shape {shape!r}")
-    if not all(_is_int(dim) and dim >= 0 for dim in shape):
-        raise WireError(f"invalid array shape dimension in {shape!r}")
-    return dtype, tuple(shape)
-
-
-@functools.lru_cache(maxsize=64)
-def _validated_dtype(dtype_str: str) -> np.dtype:
-    """The dtype a descriptor's string names, checked once per string.
-
-    A frame's arrays use a handful of dtype strings, so each is parsed and
-    checked on its first sight and then looked up.  A string that fails a
-    check raises, which the cache never keeps; the cache holds at most 64
-    strings, so forged frames cannot grow it.
-    """
     try:
         dtype = np.dtype(dtype_str)
     except Exception as error:
@@ -471,7 +453,11 @@ def _validated_dtype(dtype_str: str) -> np.dtype:
         raise WireError(
             f"array dtype {dtype_str!r} is not a bool/integer/unsigned/float dtype"
         )
-    return dtype
+    if not isinstance(shape, list) or len(shape) > 32:
+        raise WireError(f"malformed array shape {shape!r}")
+    if not all(_is_int(dim) and dim >= 0 for dim in shape):
+        raise WireError(f"invalid array shape dimension in {shape!r}")
+    return dtype, tuple(shape)
 
 
 # -- epoch records -------------------------------------------------------------

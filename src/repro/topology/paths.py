@@ -36,9 +36,10 @@ row takes ≈ 1 ms (a 2-vCPU x86 container).  The search settles exactly the nod
 ``L`` of the source, with the distances and predecessors of a full row:
 every node on a shortest path to a node at ``d ≤ L`` lies within ``d``.
 It starts at ``L = 2·L0``, where ``L0`` is the larger of the pair's
-straight-line delay (chord ÷ c, from the state's positions) and the sum of
-the two endpoints' cheapest links; the second term carries co-located
-endpoints, whose chord is 0.  A try ends in one of three ways:
+straight-line delay (chord ÷ c, from the state's positions, read only
+when a search runs) and the sum of the two endpoints' cheapest links; the
+second term carries co-located endpoints, whose chord is 0.  A try ends in
+one of three ways:
 
 1. the target is settled: its distance and path are exact;
 2. the farthest settled distance plus the widest link delay of the store
@@ -94,7 +95,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, fields
-from typing import Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -298,15 +299,16 @@ class PathRows(ShortestPaths):
         )
         return np.where(flip, nodes_b, nodes_a), np.where(flip, nodes_a, nodes_b)
 
-    def pair_path(self, source: int, target: int, chord_ms: float) -> PathResult:
+    def pair_path(self, source: int, target: int, chord_ms: Callable[[], float]) -> PathResult:
         """:meth:`path` of one pair, from ``source``'s held row or a bounded
-        search; ``chord_ms`` is the endpoints' straight-line delay."""
+        search; ``chord_ms`` gives the endpoints' straight-line delay, and
+        only a search that needs its bound calls it."""
         if source in self._row_of:
             return self.path(source, target)
         return _walked(source, target, *self._search(source, target, chord_ms))
 
     def _search(
-        self, source: int, target: int, chord_ms: float
+        self, source: int, target: int, chord_ms: Callable[[], float]
     ) -> tuple[float, Optional[np.ndarray]]:
         """``target``'s distance and the predecessors that reach it, from
         searches of ``source`` bounded as the module docstring says."""
@@ -318,7 +320,7 @@ class PathRows(ShortestPaths):
         links_of_target = weights[indptr[target] : indptr[target + 1]]
         if not (links_of_source.size and links_of_target.size):
             return math.inf, None
-        limit = 2.0 * max(chord_ms, float(links_of_source.min() + links_of_target.min()))
+        limit = 2.0 * max(chord_ms(), float(links_of_source.min() + links_of_target.min()))
         while True:
             distances, predecessors = self._engine.solve(matrix, [source], limit=limit)
             distances = distances[0]

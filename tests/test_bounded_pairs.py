@@ -180,7 +180,7 @@ class TestFixedPairs:
         store = PathRows(cut, engine, list(graph.index.ground_station_indices()))
         for source, target in ((satellite, station), (station, satellite)):
             searches = engine.stats.bounded_searches
-            found = store.pair_path(source, target, chord_ms=0.0)
+            found = store.pair_path(source, target, chord_ms=lambda: 0.0)
             assert found == ShortestPaths(cut, [source]).path(source, target)
             assert not found.reachable and engine.stats.bounded_searches > searches
         assert engine.stats.rows_solved == 0 and store._row_of == {}

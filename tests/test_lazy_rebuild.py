@@ -1,14 +1,14 @@
 """The driver's rebuilt epoch derives its geometry only where it is read.
 
 A state rebuilt from the calculation child's DIFF frame
-(``ConstellationCalculation.state_from_replica``) propagates the satellite
-positions on their first read and derives the graph's ``distances_km`` on
-theirs; a path's bound reads its two endpoints and a station's uplinks their
-own satellites.  These tests pin what is derived (nothing for ground-station
-queries, ``/info`` and ``/shell``; two satellites for a satellite pair), the
-bits of what is derived against a cold ``state_at``, and that the laziness
-leaves no reference cycle: an epoch out of the database is freed by
-reference counting alone.
+(``ConstellationCalculation.state_from_replica``) propagates every satellite
+on the first read that names one and derives the graph's ``distances_km`` on
+the column's first read; a station's uplinks derive their own distances
+alone.  These tests pin what is derived (nothing for ground-station queries,
+``/info`` and ``/shell``; one propagation an epoch for satellite pairs, none
+for a pair its held row answers), the bits of what is derived against a
+cold ``state_at``, and that the laziness leaves no reference cycle: an epoch
+out of the database is freed by reference counting alone.
 """
 
 import gc
@@ -17,18 +17,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import (
-    Configuration,
-    ConstellationCalculation,
-    ConstellationDatabase,
-    Coordinator,
-    GroundStationConfig,
-    MachineManager,
-    NetworkParams,
-    ShellConfig,
-)
+from repro.core import ConstellationCalculation, ConstellationDatabase, Coordinator, MachineManager
 from repro.hosts import Host
-from repro.orbits import GroundStation, ShellGeometry
 from repro.scenarios import dart_configuration, west_africa_configuration
 
 
@@ -47,15 +37,15 @@ def _coordinator(config) -> Coordinator:
 
 @pytest.fixture
 def propagations(monkeypatch):
-    """The ``_positions_ecef`` calls made in this process, by calculation:
-    ``None`` for every satellite, else how many.  The child inherits the
-    wrapper but appends to its own copy of the dict."""
+    """The times of the ``_positions_ecef`` calls made in this process, by
+    calculation.  The child inherits the wrapper but appends to its own copy
+    of the dict."""
     calls = {}
     positions_ecef = ConstellationCalculation._positions_ecef
 
-    def recorded(self, time_s, nodes=None):
-        calls.setdefault(self, []).append(None if nodes is None else len(nodes))
-        return positions_ecef(self, time_s, nodes)
+    def recorded(self, time_s):
+        calls.setdefault(self, []).append(time_s)
+        return positions_ecef(self, time_s)
 
     monkeypatch.setattr(ConstellationCalculation, "_positions_ecef", recorded)
     return calls
@@ -77,12 +67,12 @@ class TestTheDriverDerivesNothingUnread:
                 for source, target in zip(stations, stations[1:] + stations[:1]):
                     assert state.delay_ms(source, target) > 0.0
                 # Epoch 0's cold state_at, and nothing since.
-                assert propagations[calculation] == [None], f"epoch {epoch}"
+                assert propagations[calculation] == [0.0], f"epoch {epoch}"
             assert callable(state.graph._distance_km)  # no reader: never derived
         finally:
             coordinator.close()
 
-    def test_a_satellite_pair_propagates_its_two_endpoints_then_all_once(self, propagations):
+    def test_satellite_pairs_propagate_every_satellite_once(self, propagations):
         config = _starlink()
         coordinator = _coordinator(config)
         reference = ConstellationCalculation(config)
@@ -101,14 +91,33 @@ class TestTheDriverDerivesNothingUnread:
                 )
                 assert state._chord_ms(machine_a, machine_b) == cold._chord_ms(machine_a, machine_b)
                 assert state.delay_ms(machine_a, machine_b) == cold.delay_ms(machine_a, machine_b)
-            # The first read propagates the pair alone; the next one, every
-            # satellite once; the rest read rows.
-            assert driver == [2, None]
+            # The first read propagates every satellite; the rest read rows.
+            assert driver == [state.time_s]
+            positions, cold_positions = state.satellite_positions_ecef, cold.satellite_positions_ecef
+            assert all(positions[s].tobytes() == cold_positions[s].tobytes() for s in positions)
+            assert driver == [state.time_s]
+        finally:
+            coordinator.close()
+
+    def test_a_held_row_answers_without_the_chord(self, propagations):
+        config = _starlink()
+        coordinator = _coordinator(config)
+        try:
+            for epoch in range(3):
+                state = coordinator.update(epoch * 2.0)
+            calculation = coordinator.calculation
+            station = calculation.ground_station(config.ground_station_names[0])
+            satellite = calculation.satellite(0, 12)
+            state.paths.delays_from(state.node_for(station))  # holds the station's row
+            driver = propagations[calculation]
+            driver.clear()
+            assert state.path(satellite, station) == state.path(station, satellite)
+            assert driver == []
         finally:
             coordinator.close()
 
     @pytest.mark.parametrize("config", [_starlink, _iridium], ids=["starlink_bbox", "dart"])
-    def test_uplinks_are_the_cold_ones_from_their_own_satellites(self, propagations, config):
+    def test_uplinks_are_the_cold_ones_without_the_distance_column(self, propagations, config):
         config = config()
         coordinator = _coordinator(config)
         reference = ConstellationCalculation(config)
@@ -122,44 +131,19 @@ class TestTheDriverDerivesNothingUnread:
                 before = len(calls)
                 for name in config.ground_station_names:
                     assert state.uplinks_of(name) == cold.uplinks_of(name), (epoch, name)
-                # One read of a few satellites alone, then all of them once.
-                read = calls[before:]
-                assert read[:1] != [None] and read[1:] in ([], [None]), read
+                # The first station with an uplink propagates every satellite once.
+                assert calls[before:] in ([], [state.time_s]), calls[before:]
                 assert callable(state.graph._distance_km)  # read edge by edge only
             assert any(state.uplinks_of(name) for name in config.ground_station_names)
+            # The whole column, read first in an epoch, is one propagation.
+            state = coordinator.update(12.0)
+            cold = reference.state_at(state.time_s)
+            before = len(calls)
+            assert state.graph.distances_km.tobytes() == cold.graph.distances_km.tobytes()
+            assert state.graph.distances_km is state.graph.distances_km
+            assert len(calls) == before + 1
         finally:
             coordinator.close()
-
-
-def _sgp4_configuration() -> Configuration:
-    return Configuration(
-        shells=(
-            ShellConfig(
-                name="sgp4",
-                geometry=ShellGeometry(4, 6, 780.0, 86.4, 180.0),
-                network=NetworkParams(min_elevation_deg=10.0),
-                propagator="sgp4",
-            ),
-            ShellConfig(
-                name="kepler",
-                geometry=ShellGeometry(6, 10, 550.0, 53.0),
-                network=NetworkParams(min_elevation_deg=25.0),
-            ),
-        ),
-        ground_stations=(GroundStationConfig(GroundStation("accra", 5.6, -0.2)),),
-    )
-
-
-@pytest.mark.parametrize("config", [_starlink, _iridium, _sgp4_configuration])
-def test_a_few_satellites_propagate_to_the_rows_of_all(config):
-    calculation = ConstellationCalculation(config())
-    count = calculation.node_index.satellite_count
-    rng = np.random.default_rng(9)
-    for time_s in (0.0, 2.0, 1234.5, 3599.0):
-        every = calculation._positions_ecef(time_s)
-        for size in (1, 2, 3, 17):
-            nodes = rng.integers(0, count, size)
-            assert calculation._positions_ecef(time_s, nodes).tobytes() == every[nodes].tobytes()
 
 
 class TestTheRebuildLeavesNoCycle:
