@@ -101,7 +101,7 @@ import numpy as np
 from repro.core.config import Configuration
 from repro.core.dns import dns_slug
 from repro.orbits import Shell, constants
-from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef
+from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
 from repro.orbits.shells import circular_positions_eci, stacked_elements
 from repro.orbits.visibility import (
     elevation_angle_deg,
@@ -602,7 +602,8 @@ class ConstellationCalculation:
         # the states, so any retained state can seed a replay.
         self.path_engine = PathEngine()
         # Static structures reused across consecutive snapshots, over the
-        # global node order (shell offset + identifier): every shell's
+        # global node order (shell offset + identifier), each built by whole
+        # arrays with no per-satellite loop or object: every shell's
         # circular-orbit elements stacked, each satellite's shell, the +GRID
         # ISL candidates as flat endpoint arrays with their pair keys.  Each
         # shell's pairs ascend and the shells' node ranges do, so the
@@ -621,10 +622,7 @@ class ConstellationCalculation:
             for rows, shell in zip(self._shell_rows, self.shells)
             if shell.propagator == "sgp4"
         ]
-        isl_pairs = [
-            np.array(grid_plus_isl_pairs(shell_config.geometry), dtype=np.int64).reshape(-1, 2)
-            for shell_config in config.shells
-        ]
+        isl_pairs = [grid_plus_isl_pairs(shell_config.geometry) for shell_config in config.shells]
         self._isl_endpoints_a, self._isl_endpoints_b = (
             np.concatenate([pairs[:, side] + offset for pairs, offset in zip(isl_pairs, offsets)])
             for side in (0, 1)
@@ -632,9 +630,6 @@ class ConstellationCalculation:
         self._isl_keys = pair_keys(
             self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index)
         )
-        self._ground_positions = {
-            gst.name: gst.station.position_ecef for gst in config.ground_stations
-        }
         # Name → configuration-order position, so ground_station() is O(1)
         # instead of an O(n) list.index scan per call (hot in
         # create_ground_stations and per-update pair lookups).
@@ -642,14 +637,24 @@ class ConstellationCalculation:
             name: position for position, name in enumerate(config.ground_station_names)
         }
         # Stacked ground-station structures for the batched elevation
-        # checks: positions as a (G, 3) array, the (G, N) minimum elevation
-        # of every station/satellite pair and the (shell, station) uplink
-        # bandwidths, ground-station overrides applied.  The uplink table's
-        # station column indexes these and the node lookup below.
-        self._gst_position_stack = (
-            np.stack([gst.station.position_ecef for gst in config.ground_stations])
-            if config.ground_stations
-            else np.empty((0, 3), dtype=float)
+        # checks: positions as a read-only (G, 3) array from one conversion
+        # (each row has the bits of the station's own ``position_ecef``), by
+        # name as rows of it, the (G, N) minimum elevation of every
+        # station/satellite pair and the (shell, station) uplink bandwidths,
+        # ground-station overrides applied.  The uplink table's station
+        # column indexes these and the node lookup below.
+        self._gst_position_stack = geodetic_to_ecef(
+            *np.array(
+                [
+                    (gst.station.latitude_deg, gst.station.longitude_deg, gst.station.altitude_km)
+                    for gst in config.ground_stations
+                ],
+                dtype=float,
+            ).reshape(-1, 3).T
+        )
+        self._gst_position_stack.flags.writeable = False
+        self._ground_positions = dict(
+            zip(config.ground_station_names, self._gst_position_stack)
         )
         self._gst_min_elevations = np.array(
             [
@@ -727,8 +732,8 @@ class ConstellationCalculation:
     def machines(self) -> Iterator[MachineId]:
         """All machines of the configuration (satellites then ground stations)."""
         for shell_index, shell in enumerate(self.shells):
-            for satellite in shell:
-                yield self.satellite(shell_index, satellite.identifier)
+            for identifier in range(len(shell)):
+                yield self.satellite(shell_index, identifier)
         for name in self.config.ground_station_names:
             yield self.ground_station(name)
 

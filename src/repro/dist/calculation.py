@@ -158,7 +158,6 @@ class CalculationChild:
                 f"the calculation child stalled mid-frame at epoch {epoch}: {error}"
             ) from error
         except (EOFError, OSError) as error:
-            self.process.join(timeout=1.0)
             raise self._failed(f"its stream closed at epoch {epoch} ({error})") from error
         try:
             kind, meta, arrays = wire.decode_frame(data)
@@ -182,6 +181,11 @@ class CalculationChild:
         return data, meta, arrays
 
     def _failed(self, what: str) -> CalculationChildError:
+        """The error for a child found gone or stopped, naming its fate: a
+        killed child's stream can close before ``waitpid`` sees it exit, so
+        one that is not stopped gets a bounded join first."""
+        if self.process.stopped is None:
+            self.process.join(timeout=1.0)
         return CalculationChildError(f"the calculation child {self.process.fate()}: {what}")
 
     def close(self) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -31,14 +31,13 @@ from repro.orbits.tle import TwoLineElement
 class Satellite:
     """Identity of one satellite within a shell.
 
-    ``identifier`` is the flat index within its shell; Celestial's DNS names
-    satellites as ``<identifier>.<shell>.celestial`` (§3.2).
+    ``identifier`` is the flat index within its shell (plane × satellites per
+    plane + slot); Celestial's DNS names satellites as
+    ``<identifier>.<shell>.celestial`` (§3.2).
     """
 
     shell_index: int
     identifier: int
-    plane: int
-    index_in_plane: int
 
     @property
     def name(self) -> str:
@@ -122,6 +121,11 @@ class Shell:
     vectorised circular-orbit propagator with secular J2 drift (fast enough
     for full Starlink-scale shells), ``"sgp4"`` uses one scalar SGP4 instance
     per satellite (the model named in the paper).
+
+    The shell's satellites are its identifiers ``0 … len(shell) - 1``, plane
+    by plane; their angles and elements are arrays over them, built without
+    a per-satellite object.  A :class:`Satellite` is made only where one is
+    read: for each SGP4 instance, and by callers of :meth:`elements_for`.
     """
 
     def __init__(
@@ -132,21 +136,14 @@ class Shell:
     ):
         self.geometry = geometry
         self.shell_index = shell_index
-        self.satellites: list[Satellite] = [
-            Satellite(
-                shell_index=shell_index,
-                identifier=plane * geometry.satellites_per_plane + index,
-                plane=plane,
-                index_in_plane=index,
-            )
-            for plane in range(geometry.planes)
-            for index in range(geometry.satellites_per_plane)
-        ]
         self._raan_deg, self._anomaly_deg = self._initial_angles()
         self.propagator = propagator
         self._sgp4: list[SGP4Propagator] | None = None
         if propagator == "sgp4":
-            self._sgp4 = [self._sgp4_for(sat) for sat in self.satellites]
+            self._sgp4 = [
+                self._sgp4_for(Satellite(shell_index, identifier))
+                for identifier in range(len(self))
+            ]
         elif propagator != "kepler_j2":
             raise ValueError(f"unknown propagator kind: {propagator!r}")
         incl = math.radians(geometry.inclination_deg)
@@ -169,17 +166,14 @@ class Shell:
         )
 
     def __len__(self) -> int:
-        return len(self.satellites)
-
-    def __iter__(self) -> Iterator[Satellite]:
-        return iter(self.satellites)
+        return self.geometry.total_satellites
 
     # -- element construction --------------------------------------------
 
     def _initial_angles(self) -> tuple[np.ndarray, np.ndarray]:
         geometry = self.geometry
-        planes = np.array([sat.plane for sat in self.satellites], dtype=float)
-        indices = np.array([sat.index_in_plane for sat in self.satellites], dtype=float)
+        planes = np.repeat(np.arange(geometry.planes, dtype=float), geometry.satellites_per_plane)
+        indices = np.tile(np.arange(geometry.satellites_per_plane, dtype=float), geometry.planes)
         raan = (
             geometry.raan_offset_deg
             + planes * geometry.arc_of_ascending_nodes_deg / geometry.planes

@@ -19,47 +19,41 @@ plane when ``geometry.is_polar_star`` is set (§5, Fig. 10).  Traffic between
 the seam planes must route the long way around the shell, which is exactly
 the asymmetry the paper's Fig. 10 Iridium topology shows.
 
-The pair list of a shell is static — only link distances/delays change as
-satellites move — which is why the constellation calculation precomputes the
-pairs once (as flat node-index arrays) and reuses them for every snapshot.
+The pairs of a shell are static — only link distances/delays change as
+satellites move — which is why the constellation calculation builds them once
+per shell, as one ``(K, 2)`` array made by whole-array arithmetic over the
+satellites' identifiers, and reuses them for every snapshot.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.orbits.shells import ShellGeometry
 
 
-def grid_plus_isl_pairs(geometry: ShellGeometry) -> list[tuple[int, int]]:
-    """Return the +GRID ISL pairs of a shell as flat in-shell identifiers.
+def grid_plus_isl_pairs(geometry: ShellGeometry) -> np.ndarray:
+    """Return the +GRID ISL pairs of a shell as a ``(K, 2)`` int64 array of
+    flat in-shell identifiers.
 
-    Each pair ``(a, b)`` satisfies ``a < b``; links are undirected and listed
-    exactly once, ascending — the shell's part of the canonical link order.
+    Each row ``(a, b)`` has ``a < b``; links are undirected and listed exactly
+    once, ascending by ``(a, b)`` — the shell's part of the canonical link
+    order.  Every satellite proposes a link to its successor in its plane and
+    one to the same slot in the next plane, except across a Walker-star
+    shell's seam (last plane to first); a ring of one satellite or a shell of
+    one plane proposes itself, and a ring of two or a shell of two planes
+    proposes each link twice, so self-pairs and repeats are dropped.
     """
-    planes = geometry.planes
-    per_plane = geometry.satellites_per_plane
-    pairs: set[tuple[int, int]] = set()
-
-    def flat(plane: int, index: int) -> int:
-        return plane * per_plane + index
-
-    for plane in range(planes):
-        for index in range(per_plane):
-            this = flat(plane, index)
-            # Intra-plane link to the successor (rings close within a plane
-            # whenever there is more than one satellite in it).
-            if per_plane > 1:
-                successor = flat(plane, (index + 1) % per_plane)
-                if successor != this:
-                    pairs.add((min(this, successor), max(this, successor)))
-            # Inter-plane link to the same slot in the next plane.  For a
-            # Walker-star shell the last and first planes form a seam across
-            # which no ISL is possible.
-            if planes > 1:
-                next_plane = plane + 1
-                if next_plane >= planes:
-                    if geometry.is_polar_star:
-                        continue
-                    next_plane = 0
-                neighbor = flat(next_plane, index)
-                pairs.add((min(this, neighbor), max(this, neighbor)))
-    return sorted(pairs)
+    planes, per_plane = geometry.planes, geometry.satellites_per_plane
+    count = planes * per_plane
+    this = np.arange(count, dtype=np.int64)
+    plane, index = np.divmod(this, per_plane)
+    successor = plane * per_plane + (index + 1) % per_plane
+    neighbour = (plane + 1) % planes * per_plane + index
+    across = (plane < planes - 1) | (not geometry.is_polar_star)
+    other = np.concatenate([successor, neighbour[across]])
+    this = np.concatenate([this, this[across]])
+    keys = np.minimum(this, other) * count + np.maximum(this, other)
+    keys = np.sort(keys[this != other])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack(np.divmod(keys, count), axis=1)

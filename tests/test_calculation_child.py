@@ -249,6 +249,27 @@ class TestFailuresAreTypedAndBounded:
             coordinator.close()
         assert not coordinator._child.process.is_alive()
 
+    def test_a_send_that_fails_right_after_a_kill_names_the_kill(self, monkeypatch):
+        # The guess is in the socket before the kill, so the receive succeeds
+        # and the EPOCH_AT send fails first, before waitpid may see the exit.
+        coordinator = self._forked()
+        child = coordinator._child
+        try:
+            assert child._transport.poll(30.0)
+
+            def broken(data):
+                raise BrokenPipeError("the child's end is closed")
+
+            monkeypatch.setattr(child._transport, "send_bytes", broken)
+            os.kill(child.process.pid, signal.SIGKILL)
+            with pytest.raises(
+                CalculationChildError, match="killed by SIGKILL: it took no answer to epoch 3"
+            ):
+                coordinator.update(4.0)
+        finally:
+            coordinator.close()
+        assert not child.process.is_alive()
+
     def test_a_stalled_child_fails_at_the_deadline(self, monkeypatch):
         monkeypatch.setattr(child_module, "CHILD_TIMEOUT_S", 0.5)
         advance = child_module._advance

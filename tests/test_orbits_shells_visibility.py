@@ -62,13 +62,15 @@ class TestShell:
     def test_satellite_identities(self):
         shell = Shell(_small_shell(), shell_index=1)
         assert len(shell) == 66
-        first = shell.satellites[0]
-        assert first == Satellite(shell_index=1, identifier=0, plane=0, index_in_plane=0)
-        last = shell.satellites[-1]
-        assert last.identifier == 65
-        assert last.plane == 5
-        assert last.index_in_plane == 10
+        first = Satellite(shell_index=1, identifier=0)
         assert first.name == "0.1.celestial"
+        # Identifiers run plane by plane: 0 is slot 0 of plane 0, 65 slot 10 of plane 5.
+        elements = shell.elements_for(first)
+        assert (elements.raan_deg, elements.mean_anomaly_deg) == (0.0, 0.0)
+        spacing = 360.0 / 11
+        last = shell.elements_for(Satellite(shell_index=1, identifier=65))
+        assert last.raan_deg == pytest.approx(5 * 180.0 / 6)
+        assert last.mean_anomaly_deg == pytest.approx(10 * spacing + 5 * 0.5 * spacing / 6)
 
     def test_positions_shape_and_altitude(self):
         shell = Shell(_small_shell())
@@ -106,7 +108,7 @@ class TestShell:
 
     def test_kepler_and_vectorised_propagation_agree(self):
         shell = Shell(_small_shell())
-        satellite = shell.satellites[17]
+        satellite = Satellite(shell_index=0, identifier=17)
         scalar = KeplerPropagator(shell.elements_for(satellite))
         for t in (0.0, 120.0, 1200.0):
             vector_position = shell.positions_eci(t)[satellite.identifier]

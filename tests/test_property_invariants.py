@@ -83,8 +83,9 @@ class TestShellGeometryProperties:
         geometry = ShellGeometry(planes, per_plane, 550.0, 53.0, arc)
         pairs = grid_plus_isl_pairs(geometry)
         total = geometry.total_satellites
-        assert all(0 <= a < b < total for a, b in pairs)
-        assert len(set(pairs)) == len(pairs)
+        low, high = pairs.T
+        assert np.all((0 <= low) & (low < high) & (high < total))
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
         expected = 2 * total - (per_plane if arc <= 180.0 else 0)
         assert len(pairs) == expected
 

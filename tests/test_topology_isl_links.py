@@ -33,17 +33,16 @@ class TestGridPlusISL:
         star = ShellGeometry(planes=6, satellites_per_plane=11, altitude_km=780.0,
                              inclination_deg=86.4, arc_of_ascending_nodes_deg=180.0)
         pairs = grid_plus_isl_pairs(star)
-        first_plane = set(range(11))
-        last_plane = set(range(5 * 11, 6 * 11))
-        for a, b in pairs:
-            assert not (a in first_plane and b in last_plane)
-            assert not (a in last_plane and b in first_plane)
+        first_plane = np.isin(pairs, np.arange(11))
+        last_plane = np.isin(pairs, np.arange(5 * 11, 6 * 11))
+        assert not np.any(first_plane[:, 0] & last_plane[:, 1])
+        assert not np.any(last_plane[:, 0] & first_plane[:, 1])
 
     def test_pairs_are_unique_and_ordered(self):
         geometry = ShellGeometry(4, 5, 550.0, 53.0)
         pairs = grid_plus_isl_pairs(geometry)
-        assert len(pairs) == len(set(pairs))
-        assert all(a < b for a, b in pairs)
+        assert len(pairs) == len(np.unique(pairs, axis=0))
+        assert np.all(pairs[:, 0] < pairs[:, 1])
 
     def test_single_plane_ring(self):
         geometry = ShellGeometry(planes=1, satellites_per_plane=8, altitude_km=550.0,
@@ -63,10 +62,7 @@ class TestGridPlusISL:
         geometry = ShellGeometry(planes, per_plane, 550.0, 53.0,
                                  arc_of_ascending_nodes_deg=180.0)
         pairs = grid_plus_isl_pairs(geometry)
-        degree = np.zeros(geometry.total_satellites, dtype=int)
-        for a, b in pairs:
-            degree[a] += 1
-            degree[b] += 1
+        degree = np.bincount(pairs.ravel(), minlength=geometry.total_satellites)
         # Seam satellites have 3 links, everyone else has 4.
         assert set(np.unique(degree)) <= {3, 4}
         assert np.count_nonzero(degree == 3) == 2 * per_plane
