@@ -7,7 +7,6 @@ suspended to free host resources; they are resumed when they re-enter
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,8 @@ from repro.orbits.coordinates import (
     WGS84_EQUATORIAL_RADIUS_KM,
     ecef_to_geocentric_latlon,
     ecef_to_geodetic,
-    geodetic_latitude_distance_km,
 )
 from repro.orbits.visibility import _dot
-
-#: Taken off every clearance [km]: far above the iterative geodetic
-#: conversion's error and the rounding of the distances, so a point farther
-#: than this from a box edge gets the verdict of the exact geometry.
-CLEARANCE_SLACK_KM = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,28 +106,3 @@ class BoundingBox:
         if scalar:
             return bool(result[0])
         return result
-
-    def clearance_km(self, position_ecef) -> np.ndarray:
-        """How far [km] each ECEF point may move without changing its verdict.
-
-        The distance to the nearest surface where :meth:`contains_ecef`'s
-        verdict can change — the two geodetic latitudes and the two meridian
-        half-planes of the box edges — bounded from below, less
-        :data:`CLEARANCE_SLACK_KM`.  A point whose path stays shorter than
-        its clearance keeps its verdict bit for bit; a negative clearance
-        certifies nothing.
-        """
-        positions = np.atleast_2d(np.asarray(position_ecef, dtype=float))
-        x, y = positions[:, 0], positions[:, 1]
-        axis = np.sqrt(x * x + y * y)
-        nearest = np.minimum(
-            geodetic_latitude_distance_km(positions, self.lat_min),
-            geodetic_latitude_distance_km(positions, self.lat_max),
-        )
-        for longitude in (self.lon_min, self.lon_max):
-            cos_lon, sin_lon = math.cos(math.radians(longitude)), math.sin(math.radians(longitude))
-            # A point that projects onto the half-plane is its distance from
-            # the plane away; any other is nearest to its edge, the axis.
-            across = np.abs(y * cos_lon - x * sin_lon)
-            nearest = np.minimum(nearest, np.where(x * cos_lon + y * sin_lon >= 0.0, across, axis))
-        return nearest - CLEARANCE_SLACK_KM

@@ -13,8 +13,7 @@ search, so computing an epoch solves none.
 The snapshot hot path is one flat pass over the global node order (shell
 offset + identifier): static structures (the node index, every shell's
 circular-orbit elements stacked, all shells' +GRID ISL candidates as flat
-global endpoint arrays with their grazing limits, motion bounds and
-bandwidths, and the ground-station nodes/positions/thresholds) are computed
+global endpoint arrays with their grazing limits and bandwidths, and the ground-station nodes/positions/thresholds) are computed
 once in :class:`ConstellationCalculation` and reused across consecutive
 snapshots.  Each epoch propagates every satellite at once, rotates them into
 the Earth-fixed frame, tests them against the bounding box, checks the line
@@ -36,28 +35,26 @@ Differential updates
 --------------------
 
 :meth:`ConstellationCalculation.state_at` is the cold reference,
-:meth:`ConstellationCalculation.diff_since` the epoch-to-epoch fast path.
-Both derive their link set from the same per-epoch arrays and build the
-graph through the same assembly
+:meth:`ConstellationCalculation.diff_since` the epoch-to-epoch path.  Both
+evaluate the epoch itself alike (:meth:`ConstellationCalculation._epoch_arrays`:
+every satellite's box verdict, every ISL candidate's line of sight, every
+station/satellite elevation) and build the graph through the same assembly
 (:meth:`ConstellationCalculation._assemble_graph`), so edge ids agree and
 the states they produce are byte-identical.  The assembly emits the edges
 in the graph's canonical link order (``node_a < node_b``, ascending by pair
 key), so neither path sorts the edge set and the graph only verifies the
 order: the static ISL candidates are generated in that order, an epoch
 keeps the candidates whose line of sight is clear and merges in its few
-sorted uplinks.  Nothing of the previous graph is reused; what differs
-is what the diff path reuses from the previous epoch:
+sorted uplinks.  Nothing of the previous epoch enters the computation;
+what ``diff_since`` adds is what it reads off the previous state:
 
-* the certified visibility bounds (:class:`_UpdateHints`), which restrict
-  the line-of-sight and elevation checks to the pairs that can have
-  crossed a threshold — ``state_at`` evaluates every pair; either way the
-  pairs go through the same ``visible_satellites_batch`` tail;
+* the :class:`ConstellationDiff` (below): the graph diff and the flips;
 * the path store's sources, handed on by
   :meth:`~repro.topology.paths.PathEngine.advance_all` to an empty store,
   as ``state_at`` starts with — neither path carries or solves a row;
 * the :class:`DelayTrend`, which the diff path advances by the epoch's
   delay changes — ``state_at``'s is zero.  The trend stays out of every
-  identity check, as the hints do.
+  identity check.
 
 The diff path also emits a :class:`ConstellationDiff` — the
 :class:`~repro.topology.graph.TopologyDiff` edge index arrays plus the
@@ -79,8 +76,9 @@ routes), and each link's distance (the norm of its endpoints' difference)
 on the first read of the column, or of a station's uplinks alone, each
 with the bits ``diff_since`` computes.  The topology diff is the frame's
 own removed, added, delay-changed and bandwidth-changed sets, not a diff of
-the two graphs.  Such a state carries no update hints (the child keeps
-those); ``diff_since`` from it evaluates every pair, as from a cold state.
+the two graphs.  ``diff_since`` from such a state computes the same epoch
+as from the state it was rebuilt from, since no epoch reads its
+predecessor's geometry.
 
 The bounding-box activity test runs on the certified geocentric-latitude
 bound (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`), so the
@@ -104,7 +102,7 @@ from repro.orbits import Shell, constants
 from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
 from repro.orbits.shells import circular_positions_eci, stacked_elements
 from repro.orbits.visibility import (
-    elevation_angle_deg,
+    elevation_angle_deg,  # unread here, kept: bench/trace.py patches it by name
     elevation_angle_matrix_deg,
     isl_closest_approach_km,
     slant_range_km,
@@ -289,46 +287,6 @@ class ConstellationDiff:
 
 
 @dataclass
-class _UpdateHints:
-    """Certified visibility bounds carried from one epoch to the next.
-
-    All arrays run over the global node order (shell offset + identifier).
-    ``elevation_bounds`` is a ``(G, N)`` matrix of *upper bounds* on each
-    ground-station/satellite elevation angle [deg]: entries are exact where
-    the elevation was last computed and grow by a certified maximum
-    elevation rate × Δt per epoch otherwise (the rate of the satellite's
-    shell).  A pair whose bound stays below its minimum elevation provably
-    cannot have become visible, so the differential path skips its
-    elevation check.
-
-    ``los_lower``/``los_upper`` bracket each ISL candidate's closest
-    approach to Earth's centre [km], one entry per candidate of the flat
-    ``_isl_endpoints_a/b``; the closest-approach function is 1-Lipschitz in
-    the endpoint positions, so the interval widens by the maximum satellite
-    displacement of the candidate's shell per epoch.  Only links whose
-    interval straddles their shell's atmosphere-grazing limit need an exact
-    recomputation.
-
-    ``active`` is the epoch's bounding-box mask and ``box_clearance_km``
-    (``None`` without a box) each satellite's
-    :meth:`~repro.core.bounding_box.BoundingBox.clearance_km`, which
-    shrinks by the satellite's maximum displacement per epoch; only
-    satellites whose clearance is used up are tested against the box again.
-
-    The bounds are conservative: any Δt (including large gaps or stepping
-    backwards in time) only widens them, degrading gracefully to the full
-    recomputation while never changing a visibility verdict.
-    """
-
-    time_s: float
-    elevation_bounds: np.ndarray
-    los_lower: np.ndarray
-    los_upper: np.ndarray
-    active: np.ndarray
-    box_clearance_km: Optional[np.ndarray]
-
-
-@dataclass
 class _EpochArrays:
     """Per-epoch intermediate arrays shared by ``state_at`` and ``diff_since``.
 
@@ -351,7 +309,6 @@ class _EpochArrays:
     active: np.ndarray
     isls: tuple[np.ndarray, np.ndarray, np.ndarray]
     uplinks: tuple[np.ndarray, np.ndarray, np.ndarray]
-    hints: Optional[_UpdateHints] = None
 
 
 class _Geometry:
@@ -404,7 +361,10 @@ class ConstellationState:
     :class:`_Geometry`: a computed epoch (:meth:`ConstellationCalculation.state_at`,
     :meth:`~ConstellationCalculation.diff_since`) holds them, a rebuilt one
     (:meth:`~ConstellationCalculation.state_from_replica`) propagates them
-    on the first read that names a satellite (:class:`_Geometry`).
+    on the first read that names a satellite (:class:`_Geometry`).  The
+    next epoch's :meth:`~ConstellationCalculation.diff_since` reads only the
+    graph, the activity, the trend and the path store's sources, so it
+    advances a rebuilt state as it advances a computed one.
     """
 
     time_s: float
@@ -416,7 +376,6 @@ class ConstellationState:
     #: The epoch's delay trend: provenance, outside every identity check.
     trend: DelayTrend = field(repr=False, compare=False)
     _geometry: _Geometry = field(repr=False, compare=False)
-    _update_hints: Optional[_UpdateHints] = field(default=None, repr=False, compare=False)
     _geodetic: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -681,37 +640,20 @@ class ConstellationCalculation:
             dtype=float,
         )
         self._gst_nodes = np.array(self.node_index.ground_station_indices(), dtype=np.int64)
-        # Per ISL candidate its shell's grazing limit, bandwidth and certified
-        # motion bound, per satellite its shell's motion and elevation rate
-        # bounds — the bounds of the differential path (:class:`_UpdateHints`).
-        # In the rotating ECEF frame a satellite moves at most orbital speed +
-        # frame rotation at the orbit radius (×1.5 safety); an elevation
-        # angle seen from the ground then changes at most speed/range rad/s
-        # with range ≥ altitude, and an ISL closest approach (1-Lipschitz in
-        # the endpoints) at most speed km/s.
-        per_shell: list[tuple[float, float, float, float]] = []
-        for shell_config in config.shells:
-            geometry, network = shell_config.geometry, shell_config.network
-            radius_km = constants.EARTH_RADIUS_KM + geometry.altitude_km
-            orbital_km_s = 2.0 * np.pi * radius_km / geometry.period_s
-            frame_km_s = 7.2921159e-5 * radius_km  # sidereal rotation rate × radius
-            speed = (orbital_km_s + frame_km_s) * 1.5
-            min_range_km = max(geometry.altitude_km - 20.0, 1.0)
-            per_shell.append(
+        # Per ISL candidate its shell's atmosphere-grazing limit and bandwidth.
+        limits, bandwidths = np.array(
+            [
                 (
-                    constants.EARTH_RADIUS_KM + network.atmosphere_grazing_altitude_km,
-                    network.isl_bandwidth_kbps,
-                    speed,
-                    float(np.degrees(speed / min_range_km)),
+                    constants.EARTH_RADIUS_KM + shell_config.network.atmosphere_grazing_altitude_km,
+                    shell_config.network.isl_bandwidth_kbps,
                 )
-            )
-        limits, bandwidths, speeds, elevation_rates = np.array(per_shell, dtype=float).T
+                for shell_config in config.shells
+            ],
+            dtype=float,
+        ).T
         candidates = [len(pairs) for pairs in isl_pairs]
         self._isl_limit_km = np.repeat(limits, candidates)
         self._isl_bandwidths = np.repeat(bandwidths, candidates)
-        self._isl_speed_km_s = np.repeat(speeds, candidates)
-        self._satellite_speed_km_s = np.repeat(speeds, sizes)
-        self._elevation_rate_deg_s = np.repeat(elevation_rates, sizes)
 
     # -- machine identities -------------------------------------------------
 
@@ -739,85 +681,43 @@ class ConstellationCalculation:
 
     # -- state computation ----------------------------------------------------
 
-    def _epoch_arrays(
-        self, time_s: float, previous: Optional[ConstellationState] = None
-    ) -> _EpochArrays:
+    def _epoch_arrays(self, time_s: float) -> _EpochArrays:
         """Propagate positions and derive the epoch's link arrays.
 
-        Shared by :meth:`state_at` (full rebuild) and :meth:`diff_since`
-        (differential path) so both produce byte-identical link sets.  One
+        Shared by :meth:`state_at` (the cold reference) and
+        :meth:`diff_since`, so both produce byte-identical link sets.  One
         pass over the global satellite order: one propagation, one frame
-        rotation, one bounding-box test, one line-of-sight check of every
-        ISL candidate and one elevation test of every station/satellite
-        pair.  When ``previous`` carries :class:`_UpdateHints`, the
-        line-of-sight and elevation checks are restricted to the pairs whose
-        certified bounds could have crossed their thresholds since the
-        previous epoch; all other pairs provably keep their visibility
-        verdict, and recomputed values are bitwise identical to the full
-        evaluation.
+        rotation, one bounding-box test of every satellite, one
+        line-of-sight check of every ISL candidate and one elevation test
+        of every station/satellite pair.  Nothing here reads a previous
+        epoch.
         """
-        hints = previous._update_hints if previous is not None else None
-        dt = abs(time_s - hints.time_s) if hints is not None else 0.0
-
         positions = self._positions_ecef(time_s)
         box = self.config.bounding_box
         if box is None:
-            active, box_clearance = np.ones(len(positions), dtype=bool), None
-        elif hints is None:
+            active = np.ones(len(positions), dtype=bool)
+        else:
             # Certified geocentric latitude bound: the full geodetic
             # conversion runs only for satellites within the margin band of
             # a box latitude edge — identical verdicts.
             active = np.asarray(box.contains_ecef(positions), dtype=bool)
-            box_clearance = box.clearance_km(positions)
-        else:
-            # A satellite that cannot have moved as far as its clearance
-            # keeps its verdict; only the others are tested again.
-            box_clearance = hints.box_clearance_km - self._satellite_speed_km_s * dt
-            active = hints.active.copy()
-            moved = np.flatnonzero(box_clearance <= 0.0)
-            if moved.size:
-                near = positions[moved]
-                active[moved] = box.contains_ecef(near)
-                box_clearance[moved] = box.clearance_km(near)
 
         # Inter-satellite links (+GRID): the line-of-sight check of every
         # candidate against its shell's grazing limit.
         endpoint_a = positions.take(self._isl_endpoints_a, axis=0)  # take: 5× a fancy index
         endpoint_b = positions.take(self._isl_endpoints_b, axis=0)
         isl_distances = slant_range_km(endpoint_a, endpoint_b)
-        limit = self._isl_limit_km
-        if hints is not None:
-            step = self._isl_speed_km_s * dt
-            los_lower = hints.los_lower - step
-            los_upper = hints.los_upper + step
-            uncertain = np.flatnonzero((los_lower < limit) & (los_upper >= limit))
-            if uncertain.size:
-                exact = isl_closest_approach_km(endpoint_a[uncertain], endpoint_b[uncertain])
-                los_lower[uncertain] = exact
-                los_upper[uncertain] = exact
-        else:
-            los_lower = isl_closest_approach_km(endpoint_a, endpoint_b)
-            los_upper = los_lower.copy()
-        clear = los_lower >= limit
+        clear = isl_closest_approach_km(endpoint_a, endpoint_b) >= self._isl_limit_km
 
         # Ground-station visibility: one flat (station, satellite, slant
-        # range) table for all stations and shells at once — over every pair
-        # on the cold path, over the candidate pairs whose bound reached the
-        # threshold on the differential path.  Its rows come in station,
-        # shell, satellite order.
+        # range) table for all stations and shells at once, its rows in
+        # station, shell, satellite order.
         ground = self._gst_position_stack
-        thresholds = self._gst_min_elevations
-        if hints is None:
-            candidates = None
-            bounds = exact = elevation_angle_matrix_deg(ground, positions)
-        else:
-            bounds = hints.elevation_bounds + self._elevation_rate_deg_s * dt
-            # np.nonzero's pairs in its order, at a sixth of its cost on (G, N).
-            candidates = np.divmod(np.flatnonzero(bounds >= thresholds), bounds.shape[1])
-            exact = elevation_angle_deg(ground[candidates[0]], positions[candidates[1]])
-            bounds[candidates] = exact
         station, satellite, distance_km = visible_satellites_batch(
-            ground, positions, thresholds, elevations_deg=exact, candidates=candidates
+            ground,
+            positions,
+            self._gst_min_elevations,
+            elevations_deg=elevation_angle_matrix_deg(ground, positions),
         )
 
         return _EpochArrays(
@@ -825,14 +725,6 @@ class ConstellationCalculation:
             active=active,
             isls=(clear, isl_distances[clear], self._isl_bandwidths[clear]),
             uplinks=(station, satellite, distance_km),
-            hints=_UpdateHints(
-                time_s=time_s,
-                elevation_bounds=bounds,
-                los_lower=los_lower,
-                los_upper=los_upper,
-                active=active,
-                box_clearance_km=box_clearance,
-            ),
         )
 
     def _positions_ecef(self, time_s: float) -> np.ndarray:
@@ -852,7 +744,6 @@ class ConstellationCalculation:
         trend: DelayTrend,
         previous: Optional[ConstellationState] = None,
         topology: Optional[TopologyDiff] = None,
-        hints: Optional[_UpdateHints] = None,
     ) -> ConstellationState:
         """A state over ``geometry`` and the flat ``active`` array; its path
         store advances from ``previous``'s by ``topology``, or starts with
@@ -872,7 +763,6 @@ class ConstellationCalculation:
             ground_positions_ecef=dict(self._ground_positions),
             trend=trend,
             _geometry=geometry,
-            _update_hints=hints,
         )
 
     def _assemble_graph(self, epoch: _EpochArrays) -> NetworkGraph:
@@ -919,26 +809,26 @@ class ConstellationCalculation:
     def state_at(self, time_s: float) -> ConstellationState:
         """Compute the full constellation state at a simulation time.
 
-        This is the cold reference path: every visibility pair is
-        evaluated (no hints), the path rows start empty and the delay trend
-        is zero.  Use
-        :meth:`diff_since` to advance from a previous epoch instead.
+        This is the cold reference path: the epoch is evaluated as
+        :meth:`diff_since` evaluates it, the path rows start empty and the
+        delay trend is zero.  Use :meth:`diff_since` to advance from a
+        previous epoch instead.
         """
         epoch = self._epoch_arrays(time_s)
         graph = self._assemble_graph(epoch)
         trend = DelayTrend.cold(graph)
         geometry = _Geometry(self, time_s, epoch.satellite_positions)
-        return self._state(time_s, geometry, epoch.active, graph, trend, hints=epoch.hints)
+        return self._state(time_s, geometry, epoch.active, graph, trend)
 
     def diff_since(
         self, previous: ConstellationState, time_s: float
     ) -> tuple[ConstellationState, ConstellationDiff]:
-        """Advance from a previous epoch, reusing its arrays where possible.
+        """Advance from a previous epoch.
 
-        Returns the new state — byte-identical to what :meth:`state_at`
-        would compute for ``time_s`` — together with the
-        :class:`ConstellationDiff` describing everything that changed since
-        ``previous``.  The graph is assembled exactly as :meth:`state_at`
+        Returns the new state — the epoch computed as :meth:`state_at`
+        computes it, so byte-identical to its state for ``time_s`` —
+        together with the :class:`ConstellationDiff` describing everything
+        that changed since ``previous``.  The graph is assembled exactly as :meth:`state_at`
         assembles it, and no step of the epoch sorts more than its uplinks:
         the canonical link order comes from the presorted ISL candidates,
         the topology diff pairs the two sorted key arrays with one
@@ -948,7 +838,7 @@ class ConstellationCalculation:
         """
         if previous.node_index is not self.node_index:
             raise ValueError("previous state belongs to a different calculation")
-        epoch = self._epoch_arrays(time_s, previous)
+        epoch = self._epoch_arrays(time_s)
         graph = self._assemble_graph(epoch)
         topology = graph.diff_from(previous.graph)
 
@@ -969,7 +859,6 @@ class ConstellationCalculation:
             previous.trend.after(topology),
             previous,
             topology,
-            epoch.hints,
         )
         diff = ConstellationDiff(
             time_s=time_s,
@@ -1003,6 +892,9 @@ class ConstellationCalculation:
         frame's own sets (:attr:`~repro.serve.codec.EpochReplica.applied`),
         not a diff of the two graphs: a delay-changed link's previous edge
         id is its rank among the kept links, counted past the removed ones.
+        The rebuilt state holds all that :meth:`diff_since` reads of a
+        previous state, so the next epoch from it is the one from the
+        computed state, frame for frame.
         """
         removed, added, delay_changed, bandwidth_changed, flips = replica.applied
         time_s = replica.time_s

@@ -114,26 +114,6 @@ def ecef_to_geodetic(position_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return np.degrees(lat), np.degrees(lon), alt
 
 
-def geodetic_latitude_distance_km(position_ecef: np.ndarray, latitude_deg: float) -> np.ndarray:
-    """A lower bound [km] on each ECEF point's distance to a geodetic latitude.
-
-    The points of geodetic latitude φ lie on the ellipsoid's normals at φ,
-    which in a meridian plane form the line ``z·cos φ − p·sin φ +
-    e²·N(φ)·sin φ·cos φ = 0`` (``p`` the distance from the polar axis,
-    ``N`` the prime vertical radius of curvature).  Its coefficients of
-    ``(p, z)`` are a unit normal, so the left side's magnitude is the
-    distance to that line, and no point of the surface of revolution lies
-    closer to a point than the line in the point's own meridian plane.
-    """
-    position_ecef = np.asarray(position_ecef, dtype=float)
-    x, y, z = position_ecef[..., 0], position_ecef[..., 1], position_ecef[..., 2]
-    latitude = math.radians(latitude_deg)
-    sin_lat, cos_lat = math.sin(latitude), math.cos(latitude)
-    normal_n = _WGS84_A / math.sqrt(1.0 - _WGS84_E2 * sin_lat * sin_lat)
-    offset = _WGS84_E2 * normal_n * sin_lat * cos_lat
-    return np.abs(z * cos_lat - np.sqrt(x * x + y * y) * sin_lat + offset)
-
-
 def ecef_to_geocentric_latlon(position_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ECEF position (km) to geocentric latitude and longitude (degrees).
 

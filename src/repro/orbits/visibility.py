@@ -82,11 +82,7 @@ def isl_closest_approach_km(
     """Closest approach [km] of the segment between two satellites to Earth's centre.
 
     An ISL is blocked while this falls below ``EARTH_RADIUS_KM`` plus the
-    shell's atmosphere-grazing altitude.  The differential update path
-    caches it between epochs: the function is 1-Lipschitz in each endpoint
-    position, so between two epochs the value can move by at most the
-    largest endpoint displacement — a certified margin that lets steady
-    links skip the recomputation entirely.
+    shell's atmosphere-grazing altitude.
     """
     a = np.asarray(position_a, dtype=float)
     b = np.asarray(position_b, dtype=float)

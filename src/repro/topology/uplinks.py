@@ -47,7 +47,6 @@ def visible_satellites_batch(
     satellite_positions: np.ndarray,
     min_elevations_deg: np.ndarray | float = constants.DEFAULT_MIN_ELEVATION_DEG,
     elevations_deg: np.ndarray | None = None,
-    candidates: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visible (station, satellite) pairs of all ground stations as one flat table.
 
@@ -60,15 +59,10 @@ def visible_satellites_batch(
     returns for that station, and the slant ranges of all stations come from
     a single :func:`~repro.orbits.visibility.slant_range_km` call.
 
-    Without ``candidates`` every G×N pair is tested against its threshold in
-    one batched operation
-    (:func:`~repro.orbits.visibility.elevation_angle_matrix_deg`).
-    ``candidates`` — ``(stations, satellites)`` index arrays in the same
-    station-then-satellite order — restricts the test to those pairs; the
-    caller certifies that no other pair is visible (the differential
-    update's visibility bounds do).  A caller that already holds the
-    elevations of the tested pairs passes them via ``elevations_deg``: the
-    (G, N) matrix without candidates, one value per candidate pair with.
+    Every G×N pair is tested against its threshold in one batched
+    operation on the (G, N) elevation matrix
+    (:func:`~repro.orbits.visibility.elevation_angle_matrix_deg`), which a
+    caller that already holds it passes as ``elevations_deg``.
     """
     ground_positions = np.asarray(ground_positions, dtype=float).reshape(-1, 3)
     satellite_positions = np.asarray(satellite_positions, dtype=float)
@@ -77,17 +71,8 @@ def visible_satellites_batch(
         thresholds[:, None] if thresholds.ndim == 1 else thresholds,
         (ground_positions.shape[0], satellite_positions.shape[0]),
     )
-    if candidates is None:
-        if elevations_deg is None:
-            elevations_deg = elevation_angle_matrix_deg(ground_positions, satellite_positions)
-        stations, satellites = np.nonzero(elevations_deg >= thresholds)
-    else:
-        stations, satellites = candidates
-        if elevations_deg is None:
-            elevations_deg = elevation_angle_deg(
-                ground_positions[stations], satellite_positions[satellites]
-            )
-        visible = elevations_deg >= thresholds[stations, satellites]
-        stations, satellites = stations[visible], satellites[visible]
+    if elevations_deg is None:
+        elevations_deg = elevation_angle_matrix_deg(ground_positions, satellite_positions)
+    stations, satellites = np.nonzero(elevations_deg >= thresholds)
     ranges_km = slant_range_km(ground_positions[stations], satellite_positions[satellites])
     return stations, satellites, ranges_km

@@ -95,68 +95,6 @@ class TestContainsEcef:
         assert np.array_equal(box.contains_ecef(points), self._exact(box, points))
 
 
-class TestClearance:
-    """``clearance_km`` is a certified lower bound on the distance to every
-    surface where the verdict can change (the differential pipeline reuses
-    a verdict while a satellite's motion stays within it)."""
-
-    BOXES = TestContainsEcef.BOXES
-
-    def test_a_move_within_the_clearance_keeps_the_verdict(self):
-        rng = np.random.default_rng(1)
-        points = rng.normal(size=(20000, 3))
-        points /= np.sqrt((points * points).sum(axis=1, keepdims=True))
-        points *= rng.uniform(6650.0, 7950.0, (points.shape[0], 1))
-        for box in self.BOXES:
-            clearance = box.clearance_km(points)
-            keep = clearance > 0.0
-            steps = rng.normal(size=points.shape)
-            steps /= np.sqrt((steps * steps).sum(axis=1, keepdims=True))
-            steps *= (np.maximum(clearance, 0.0) * rng.uniform(0.0, 1.0, clearance.size))[:, None]
-            moved = points + steps
-            assert keep.mean() > 0.9
-            assert np.array_equal(box.contains_ecef(moved)[keep], box.contains_ecef(points)[keep])
-
-    @pytest.mark.parametrize("offset_deg", [-0.1, -0.01, 0.01, 0.1])
-    def test_it_is_the_distance_to_the_nearest_edge(self, offset_deg):
-        box = self.BOXES[0]  # lon -8…18: its latitude edges are nearest at lon 5
-        for altitude in (0.0, 550.0, 1325.0):
-            for edge in (box.lat_min, box.lat_max):
-                point = geodetic_to_ecef(edge + offset_deg, 5.0, altitude)
-                # The edge's normal line through the point's meridian, densely.
-                line = geodetic_to_ecef(
-                    np.full(4001, edge), np.full(4001, 5.0), altitude + np.linspace(-40, 40, 4001)
-                )
-                distance = np.sqrt(((line - point) ** 2).sum(axis=1)).min()
-                (clearance,) = box.clearance_km(point)
-                assert distance - 0.01 < clearance <= distance
-            for edge in (box.lon_min, box.lon_max):
-                point = geodetic_to_ecef(5.0, edge + offset_deg, altitude)
-                across = np.hypot(point[0], point[1]) * np.sin(np.radians(abs(offset_deg)))
-                (clearance,) = box.clearance_km(point)
-                assert across - 0.01 < clearance <= across
-
-    def test_near_the_axis_no_point_is_farther_from_a_meridian_than_from_the_axis(self):
-        lons = np.linspace(-180.0, 180.0, 361)
-        for lat in (-89.99, 89.99):
-            points = geodetic_to_ecef(np.full_like(lons, lat), lons, 550.0)
-            for box in self.BOXES:
-                assert (box.clearance_km(points) <= np.hypot(points[:, 0], points[:, 1])).all()
-
-    def test_points_on_an_edge_certify_nothing(self):
-        for box in self.BOXES:
-            lats = np.linspace(-90.0, 90.0, 37)
-            lons = np.linspace(-180.0, 180.0, 73)
-            edges = [
-                *(geodetic_to_ecef(lats, np.full_like(lats, lon), 550.0)
-                  for lon in (box.lon_min, box.lon_max)),
-                *(geodetic_to_ecef(np.full_like(lons, lat), lons, 550.0)
-                  for lat in (box.lat_min, box.lat_max)),
-            ]
-            for points in edges:
-                assert (box.clearance_km(points) <= 0.0).all()
-
-
 class TestAddressing:
     def test_machine_and_gateway_in_same_block(self):
         shell_sizes = [66]

@@ -111,18 +111,66 @@ class TestDiffSinceEquivalence:
                 break
         assert seen == {True, False}
 
-    def test_large_time_gap_falls_back_gracefully(self):
-        # A big Δt blows up the certified visibility margins so the diff
-        # path degrades to the full evaluation — results must stay identical.
+    def test_after_a_gap_and_a_step_back_the_state_equals_the_cold_state(self):
+        # diff_since computes the epoch without reading the previous one's
+        # geometry, so neither a 30-minute gap nor a step back in time
+        # changes a bit of the state.
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=120.0)
         calculation = ConstellationCalculation(config)
         reference = ConstellationCalculation(config)
         state = calculation.state_at(0.0)
         state, _ = calculation.diff_since(state, 1800.0)
         _assert_states_identical(reference.state_at(1800.0), state)
-        # Stepping backwards in time also only widens the margins.
         state, _ = calculation.diff_since(state, 900.0)
         _assert_states_identical(reference.state_at(900.0), state)
+
+    @pytest.mark.parametrize(
+        "configuration",
+        [
+            lambda: west_africa_configuration(duration_s=3600.0, shells="all", use_bounding_box=True),
+            lambda: west_africa_configuration(duration_s=3600.0, use_bounding_box=False),
+            lambda: dart_configuration(buoy_count=6, sink_count=10, duration_s=3600.0),
+            lambda: _iridium_box_config(update_interval_s=60.0, duration_s=3600.0),
+        ],
+        ids=["starlink_bbox", "starlink_two_lowest", "dart", "iridium_bbox"],
+    )
+    def test_the_state_does_not_depend_on_the_predecessor(self, configuration):
+        # One epoch reached from the epoch before, from a 40-minute gap,
+        # from a later epoch and from itself: the same state every time.
+        config = configuration()
+        time_s = 2400.0
+        cold = ConstellationCalculation(config).state_at(time_s)
+        calculation = ConstellationCalculation(config)
+        for before_s in (time_s - config.update_interval_s, 0.0, time_s + 900.0, time_s):
+            state, diff = calculation.diff_since(calculation.state_at(before_s), time_s)
+            assert diff.time_s == time_s
+            _assert_states_identical(cold, state)
+
+    @pytest.mark.parametrize(
+        "before_s", [2220.0, 0.0, 3300.0], ids=["one_epoch", "a_gap", "a_step_back"]
+    )
+    def test_the_diff_is_the_difference_of_the_two_cold_epochs(self, before_s):
+        """The flips are the satellites whose cold box verdict differs
+        between the two epochs and the added and removed links the cold
+        link sets' differences, however far apart the epochs are."""
+        config = _iridium_box_config(update_interval_s=60.0, duration_s=3600.0)
+        time_s = 2280.0
+        reference = ConstellationCalculation(config)
+        was, now = reference.state_at(before_s), reference.state_at(time_s)
+        calculation = ConstellationCalculation(config)
+        _, diff = calculation.diff_since(calculation.state_at(before_s), time_s)
+
+        for shell, active in now.active_satellites.items():
+            expected = np.flatnonzero(active != was.active_satellites[shell])
+            assert np.array_equal(diff.flipped[shell], expected)
+        assert sum(ids.size for ids in diff.flipped.values()) > 0
+
+        def pairs(graph, edges=slice(None)):
+            return set(zip(graph.node_a[edges].tolist(), graph.node_b[edges].tolist()))
+
+        assert pairs(now.graph, diff.topology.links_added) == pairs(now.graph) - pairs(was.graph)
+        assert pairs(was.graph, diff.topology.links_removed) == pairs(was.graph) - pairs(now.graph)
+        assert diff.topology.structural_change_count > 0
 
     def test_rejects_foreign_state(self):
         config = dart_configuration(buoy_count=4, sink_count=4, duration_s=60.0)

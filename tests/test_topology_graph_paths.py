@@ -419,8 +419,7 @@ class TestUplinks:
     def test_batch_table_equals_per_pair_bit_for_bit(self):
         """The flat (station, satellite, range) table holds, per station,
         exactly what the per-pair reference returns — with per-station and
-        per-pair thresholds, a precomputed elevation matrix and a candidate
-        restriction (with and without the candidates' elevations)."""
+        per-pair thresholds and a precomputed elevation matrix."""
         positions = Shell(ShellGeometry(6, 11, 780.0, 86.4, 180.0)).positions_eci(0.0)
         grounds = np.stack(
             [
@@ -448,30 +447,6 @@ class TestUplinks:
             visible_satellites_batch(grounds, positions, thresholds, elevations_deg=matrix),
             thresholds,
         )
-        # Candidates: a certified superset of the visible pairs.
-        candidates = np.nonzero(matrix >= thresholds[:, None] - 20.0)
-        assert candidates[0].size > table[0].size
-        assert_reference(
-            visible_satellites_batch(grounds, positions, thresholds, candidates=candidates),
-            thresholds,
-        )
-        assert_reference(
-            visible_satellites_batch(
-                grounds,
-                positions,
-                thresholds,
-                elevations_deg=matrix[candidates],
-                candidates=candidates,
-            ),
-            thresholds,
-        )
-        nothing = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        assert all(
-            column.size == 0
-            for column in visible_satellites_batch(
-                grounds, positions, thresholds, candidates=nothing
-            )
-        )
         # One threshold for every station.
         assert_reference(visible_satellites_batch(grounds, positions, 40.0), [40.0] * 4)
         # One threshold per pair: the satellites fall in two "shells" with
@@ -479,21 +454,6 @@ class TestUplinks:
         pairwise = np.where(np.arange(positions.shape[0]) < 30, 5.0, 20.0) + np.zeros((4, 1))
         pairwise[1] = 12.5
         assert_reference(visible_satellites_batch(grounds, positions, pairwise), pairwise)
-        candidates = np.nonzero(matrix >= pairwise - 20.0)
-        assert_reference(
-            visible_satellites_batch(grounds, positions, pairwise, candidates=candidates),
-            pairwise,
-        )
-        assert_reference(
-            visible_satellites_batch(
-                grounds,
-                positions,
-                pairwise,
-                elevations_deg=matrix[candidates],
-                candidates=candidates,
-            ),
-            pairwise,
-        )
 
     def test_no_visible_satellite_returns_none(self):
         # A single-satellite shell on the other side of the planet.
