@@ -58,8 +58,10 @@ def main() -> None:
         metrics=MetricsSpec(outputs=("summary", "fault-events")),
     )
 
-    # Specs round-trip byte-stably through TOML — what you run is what you
-    # can check in next to the paper's figures.
+    # A spec is written by the one writer of repro.core.tables, the inverse
+    # of the reader that loads it (the configuration file's too): the TOML
+    # names every field, defaults included, and reads back byte-stably —
+    # what you run is what you can check in next to the paper's figures.
     text = spec.to_toml()
     assert ExperimentSpec.from_dict(tomllib.loads(text)).to_toml() == text
     print("\n=== Spec as TOML (repro-celestial run <file>) ===")

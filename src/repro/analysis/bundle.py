@@ -38,8 +38,11 @@ def write_experiment_bundle(result, output_dir: str | Path) -> list[Path]:
     outputs = result.spec.metrics.outputs
     written: list[Path] = []
 
+    spec = result.spec.to_dict()
+    if spec["serve"] is not None:
+        del spec["serve"]["auth_secret"]  # the gateway's shared secret stays out
     summary = {
-        "spec": result.spec.to_dict(),
+        "spec": spec,
         "title": result.title,
         "metrics": [[label, _json_value(value)] for label, value in result.metrics],
         "network": result.network_statistics,

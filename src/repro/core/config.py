@@ -6,21 +6,19 @@ bandwidth, minimum elevation), compute parameters (resources allocated to
 satellite and ground-station servers), orbital parameters for each satellite
 shell, ground-station locations, the optional bounding box, the host fleet
 and the update interval.  This module provides the typed in-memory form of
-that file plus (de)serialisation from plain dictionaries, TOML and JSON.
-
-The file is read like an experiment spec (:mod:`repro.core.tables`): an
-unknown key or a value of the wrong type is a :class:`ConfigurationError`
-naming its dotted path and expected type, not a run with the default.
+that file, read and written like an experiment spec by the one reader and
+writer of :mod:`repro.core.tables`: an unknown key or a value of the wrong
+type is a :class:`ConfigurationError` naming its dotted path and expected
+type, not a run with the default.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Literal, Optional
+from typing import Literal, Optional
 
 from repro.core.bounding_box import BoundingBox
-from repro.core.tables import FLAT, ConfigurationError, load, read
+from repro.core.tables import FLAT, ConfigurationError, Table
 from repro.orbits import Epoch, GroundStation, ShellGeometry
 from repro.orbits import constants
 
@@ -118,7 +116,7 @@ class HostConfig:
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(Table):
     """Complete configuration of one emulation run."""
 
     shells: tuple[ShellConfig, ...]
@@ -160,50 +158,3 @@ class Configuration:
     def ground_station_names(self) -> list[str]:
         """Names of all configured ground stations."""
         return [gst.name for gst in self.ground_stations]
-
-    # -- (de)serialisation ---------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dictionary form of the configuration (JSON/TOML friendly)."""
-        return {
-            "epoch": self.epoch.start.isoformat(),
-            "update_interval_s": self.update_interval_s,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "bounding_box": (
-                dataclasses.asdict(self.bounding_box) if self.bounding_box else None
-            ),
-            "hosts": dataclasses.asdict(self.hosts),
-            "shells": [
-                {
-                    "name": shell.name,
-                    "propagator": shell.propagator,
-                    "geometry": dataclasses.asdict(shell.geometry),
-                    "network": dataclasses.asdict(shell.network),
-                    "compute": dataclasses.asdict(shell.compute),
-                }
-                for shell in self.shells
-            ],
-            "ground_stations": [
-                {
-                    "name": gst.station.name,
-                    "latitude_deg": gst.station.latitude_deg,
-                    "longitude_deg": gst.station.longitude_deg,
-                    "altitude_km": gst.station.altitude_km,
-                    "compute": dataclasses.asdict(gst.compute),
-                    "uplink_bandwidth_kbps": gst.uplink_bandwidth_kbps,
-                    "min_elevation_deg": gst.min_elevation_deg,
-                }
-                for gst in self.ground_stations
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Configuration":
-        """Build a configuration from its plain-dictionary form, checked key by key."""
-        return read(cls, data)
-
-    @classmethod
-    def from_path(cls, path) -> "Configuration":
-        """Load a configuration from a ``.toml`` or ``.json`` file (by suffix)."""
-        return cls.from_dict(load(path))

@@ -1,4 +1,4 @@
-"""One reader for every table a run reads.
+"""One reader and one writer for every table a run reads.
 
 The configuration file, an experiment spec and every ``params`` table are
 bound to a *schema* — a dataclass's fields or a function's signature, with
@@ -8,6 +8,10 @@ must have.  Only what the file format writes differently is converted: an
 integer to a float (never a bool), a list to a tuple, a table to a nested
 dataclass, an ISO string to an :class:`~repro.orbits.Epoch`, and the keys
 of a :data:`FLAT` field (a ground station's location) sit in its parent's.
+
+:func:`write` is the inverse of :func:`read` and :func:`render` its one TOML
+writer: a :class:`Table` (the configuration, a spec) gets ``to_dict`` /
+``to_toml`` / ``from_dict`` / ``from_path`` from them, so what is written is read.
 """
 
 from __future__ import annotations
@@ -50,6 +54,30 @@ REMOVED = {
 #: How an error names the type a value must have.
 _NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 _NAMES |= {dict: "a table", tuple: "a list", Epoch: "an ISO 8601 date-time string"}
+
+
+class Table:
+    """A dataclass that is one whole file, read and written by this module."""
+
+    error = ConfigurationError  # what a malformed table or file raises
+
+    def to_dict(self) -> dict[str, Any]:
+        """The plain table of every field (:func:`write`); ``None`` is ``null``."""
+        return write(self)
+
+    def to_toml(self) -> str:
+        """The TOML text of :meth:`to_dict`, a ``None`` field left out (:func:`render`)."""
+        return render(write(self, nulls=False), self.error)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """The value ``data`` holds, every key and type checked (:func:`read`)."""
+        return read(cls, data, error=cls.error)
+
+    @classmethod
+    def from_path(cls, path) -> Any:
+        """The value a ``.toml`` or ``.json`` file holds (by suffix)."""
+        return cls.from_dict(load(path, cls.error))
 
 
 def load(path, error: type = ConfigurationError) -> Any:
@@ -154,3 +182,63 @@ def _value(annotation: Any, value: Any, path: str, error: type) -> Any:
     elif dataclasses.is_dataclass(annotation) and isinstance(value, Mapping):
         return read(annotation, value, path, error)
     raise error(f"{path} must be {expected}, not {value!r}")
+
+
+def write(value: Any, nulls: bool = True) -> Any:
+    """The plain table :func:`read` turns back into ``value``.
+
+    Every field is written, in field order (a :data:`FLAT` field's keys in
+    its parent's table); an :class:`Epoch` becomes its ISO string, a tuple a
+    list, and a mapping's keys are sorted.  ``nulls=False`` leaves out a
+    field whose value is ``None``; a ``None`` in a mapping or a list stays.
+    """
+    if isinstance(value, Epoch):
+        return value.start.isoformat()
+    if dataclasses.is_dataclass(value):
+        table = {}
+        for spec in dataclasses.fields(value):
+            item = getattr(value, spec.name)
+            if item is not None or nulls:
+                flat = spec.metadata.get("flat")
+                table.update(write(item, nulls) if flat else {spec.name: write(item, nulls)})
+        return table
+    if isinstance(value, Mapping):
+        return {key: write(value[key], nulls) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [write(item, nulls) for item in value]
+    return value
+
+
+def render(table: Mapping[str, Any], error: type = ConfigurationError, path: str = "") -> str:
+    """TOML text that :mod:`tomllib` parses back to ``table`` exactly.
+
+    A table's values come first, then its tables and lists of tables under
+    dotted headers.  TOML has no null: a ``None`` is an ``error`` naming its
+    dotted path, as is a value of a type TOML cannot hold.
+    """
+    lines, nested = [], []
+    for key, value in table.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, Mapping):
+            nested.append((f"[{dotted}]", dotted, value))
+        elif value and isinstance(value, list) and all(isinstance(row, Mapping) for row in value):
+            nested += [(f"[[{dotted}]]", dotted, item) for item in value]
+        else:
+            lines.append(f"{key} = {_toml(value, dotted, error)}\n")
+    for header, dotted, inner in nested:
+        lines.append(f"\n{header}\n{render(inner, error, dotted)}")
+    return "".join(lines).lstrip("\n")
+
+
+def _toml(value: Any, path: str, error: type) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):  # repr: the shortest float that reads back
+        return (int if isinstance(value, int) else float).__repr__(value)
+    if isinstance(value, str):
+        return json.dumps(value)  # JSON's escapes are TOML basic-string escapes
+    if isinstance(value, list):
+        return "[" + ", ".join(_toml(item, path, error) for item in value) + "]"
+    if value is None:
+        raise error(f"{path} is None, and TOML has no null")
+    raise error(f"{path}: cannot write {type(value).__name__} as TOML")

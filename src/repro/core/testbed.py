@@ -87,7 +87,7 @@ class Celestial:
         )
         self.info_api = InfoAPI(self.database, self.calculation, self.dns)
         self.resource_estimate = estimate_resources(config)
-        self._started = False
+        self._loops = ()  # the run loops start() hands the simulation
 
     # -- wiring callbacks -----------------------------------------------------
 
@@ -108,13 +108,13 @@ class Celestial:
 
     def start(self) -> None:
         """Create ground stations, run the first update and start the run loop."""
-        if self._started:
+        if self._loops:
             return
-        self._started = True
         self.coordinator.create_ground_stations(self.sim.now)
         self.coordinator.sample_all_usage(self.sim.now, setup_phase=True)
-        self.sim.process(self.coordinator.run_updates(self.sim))
-        self.sim.process(self._usage_sampling_process())
+        self._loops = (self.coordinator.run_updates(self.sim), self._usage_sampling_process())
+        for loop in self._loops:
+            self.sim.process(loop)
 
     def _usage_sampling_process(self):
         while True:
@@ -129,21 +129,26 @@ class Celestial:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the emulation until ``until`` (default: the configured duration)."""
-        if not self._started:
+        if not self._loops:
             self.start()
         self.sim.run(until if until is not None else self.config.duration_s)
 
     def close(self) -> None:
         """Stop the coordinator's worker pool and its calculation child
-        (idempotent; :meth:`Coordinator.close`).
+        (idempotent; :meth:`Coordinator.close`), and end the run.
 
-        Use the testbed as a context manager, or close it in a ``finally``:
-        a running testbed sits in reference cycles through its simulation's
-        processes, so dropping it reaps nothing until the garbage collector
-        breaks them (each process's ``weakref.finalize`` does it at
-        interpreter exit at the latest).
+        Closing breaks the cycles through the testbed and its coordinator —
+        the run loops are closed and the network sees no machine running —
+        so a closed testbed is freed as soon as it is dropped.  An unclosed
+        one waits for the garbage collector (each process's
+        ``weakref.finalize`` reaps at interpreter exit at the latest).
         """
-        self.coordinator.close()
+        try:
+            self.coordinator.close()
+        finally:
+            for loop in self._loops:
+                loop.close()
+            self.network.running_check = lambda machine: False
 
     def __enter__(self) -> "Celestial":
         return self

@@ -12,9 +12,10 @@ ablations become data files interpreted by one runner
 RAFDA line of work that keeps application logic policy-free and pushes
 placement/workload/fault policy into declarative configuration.
 
-A spec is read like the configuration file, by the one reader of
-:mod:`repro.core.tables`; its ``params`` tables are bound later, each
-against the signature that consumes it, before the run starts.
+A spec is read and written like the configuration file, by the one reader
+and the one writer of :mod:`repro.core.tables`; what it writes names every
+field, defaults too.  Its ``params`` tables are bound later, each against
+the signature that consumes it, before the run starts.
 
 Example (``experiment.toml``)::
 
@@ -46,12 +47,11 @@ Example (``experiment.toml``)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 from repro.core.fault_injection import FAULT_OP_KINDS
-from repro.core.tables import ConfigurationError, load, read
+from repro.core.tables import ConfigurationError, Table
 
 
 class ExperimentSpecError(ConfigurationError):
@@ -185,8 +185,10 @@ class MetricsSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Table):
     """A complete, declarative description of one experiment."""
+
+    error = ExperimentSpecError
 
     name: str
     scenario: ScenarioSpec
@@ -215,151 +217,15 @@ class ExperimentSpec:
         """
         base = self.serve if self.serve is not None else ServeSpec()
         host, port = base.host, base.port
-        if address:
-            head, _, tail = address.rpartition(":")
-            if head:
-                host, port = head, int(tail)
-            elif address.startswith(":"):
+        head, colon, tail = address.rpartition(":")
+        if colon:
+            host = head or host
+            try:
                 port = int(tail)
-            else:
-                host = tail
+            except ValueError:
+                raise ExperimentSpecError(
+                    f"serve address {address!r} has no integer port (expected host:port)"
+                ) from None
+        elif address:
+            host = address
         return replace(self, serve=replace(base, host=host, port=port))
-
-    # -- (de)serialisation ---------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dictionary form; ``None``/empty fields are omitted so the
-        dictionary (and its TOML/JSON renderings) round-trip byte-stably."""
-        data: dict[str, Any] = {"name": self.name}
-        scenario: dict[str, Any] = {}
-        if self.scenario.name:
-            scenario["name"] = self.scenario.name
-        if self.scenario.path is not None:
-            scenario["path"] = self.scenario.path
-        if self.scenario.params:
-            scenario["params"] = _sorted_dict(self.scenario.params)
-        if self.scenario.overrides:
-            scenario["overrides"] = _sorted_dict(self.scenario.overrides)
-        data["scenario"] = scenario
-        workload: dict[str, Any] = {"app": self.workload.app}
-        if self.workload.params:
-            workload["params"] = _sorted_dict(self.workload.params)
-        data["workload"] = workload
-        if self.fault_program:
-            ops = []
-            for op in self.fault_program:
-                entry: dict[str, Any] = {"kind": op.kind, "at_s": float(op.at_s)}
-                if op.target:
-                    entry["target"] = op.target
-                if op.params:
-                    entry["params"] = _sorted_dict(op.params)
-                ops.append(entry)
-            data["fault_program"] = ops
-        runtime: dict[str, Any] = {}
-        if self.runtime.duration_s is not None:
-            runtime["duration_s"] = float(self.runtime.duration_s)
-        runtime["parallelism"] = self.runtime.parallelism
-        if self.runtime.workers is not None:
-            runtime["workers"] = int(self.runtime.workers)
-        if self.runtime.seed is not None:
-            runtime["seed"] = int(self.runtime.seed)
-        data["runtime"] = runtime
-        data["metrics"] = {"outputs": list(self.metrics.outputs)}
-        if self.serve is not None:
-            # Only non-default fields are emitted (an all-default serving
-            # tier renders as a bare ``[serve]`` table), keeping the
-            # TOML/JSON round-trip byte-stable.
-            serve: dict[str, Any] = {}
-            defaults = ServeSpec()
-            if self.serve.host != defaults.host:
-                serve["host"] = self.serve.host
-            if self.serve.port != defaults.port:
-                serve["port"] = int(self.serve.port)
-            if self.serve.queue_limit != defaults.queue_limit:
-                serve["queue_limit"] = int(self.serve.queue_limit)
-            if self.serve.ack_timeout_s != defaults.ack_timeout_s:
-                serve["ack_timeout_s"] = float(self.serve.ack_timeout_s)
-            if self.serve.auth_secret:
-                serve["auth_secret"] = self.serve.auth_secret
-            data["serve"] = serve
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Build a spec from its plain-dictionary form, every key and type checked."""
-        return read(cls, data, error=ExperimentSpecError)
-
-    def to_toml(self) -> str:
-        """Deterministic TOML rendering of the spec.
-
-        The standard library reads TOML (:mod:`tomllib`) but does not write
-        it, so the fixed spec shape is emitted directly; the output parses
-        back to :meth:`to_dict` exactly, making TOML round-trips byte-stable.
-        """
-        data = self.to_dict()
-        lines: list[str] = [f"name = {_toml_value(data['name'])}", ""]
-        _emit_table(lines, "scenario", data["scenario"])
-        _emit_table(lines, "workload", data["workload"])
-        for op in data.get("fault_program", []):
-            lines.append("[[fault_program]]")
-            _emit_pairs(lines, op, skip=("params",))
-            if "params" in op:
-                lines.append("")
-                lines.append("[fault_program.params]")
-                _emit_pairs(lines, op["params"])
-            lines.append("")
-        _emit_table(lines, "runtime", data["runtime"])
-        _emit_table(lines, "metrics", data["metrics"])
-        if "serve" in data:
-            _emit_table(lines, "serve", data["serve"])
-        while lines and lines[-1] == "":
-            lines.pop()
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_path(cls, path) -> "ExperimentSpec":
-        """Load a spec from a ``.toml`` or ``.json`` file (by suffix)."""
-        return cls.from_dict(load(path, ExperimentSpecError))
-
-
-# -- TOML emission helpers ---------------------------------------------------
-
-
-def _sorted_dict(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {key: params[key] for key in sorted(params)}
-
-
-def _toml_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        # repr() is the shortest round-trip form and always carries a '.'
-        # or exponent, so tomllib reads the value back as a float.
-        return repr(value)
-    if isinstance(value, str):
-        # JSON string escaping is a subset of TOML basic-string escaping
-        # for the characters configurations use.
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(item) for item in value) + "]"
-    raise ExperimentSpecError(f"cannot render {type(value).__name__} as TOML")
-
-
-def _emit_pairs(lines: list[str], table: Mapping[str, Any], skip: tuple[str, ...] = ()) -> None:
-    for key, value in table.items():
-        if key in skip or isinstance(value, Mapping):
-            continue
-        lines.append(f"{key} = {_toml_value(value)}")
-
-
-def _emit_table(lines: list[str], name: str, table: Mapping[str, Any]) -> None:
-    lines.append(f"[{name}]")
-    _emit_pairs(lines, table)
-    for key, value in table.items():
-        if isinstance(value, Mapping):
-            lines.append("")
-            lines.append(f"[{name}.{key}]")
-            _emit_pairs(lines, value)
-    lines.append("")

@@ -166,7 +166,8 @@ class VirtualNetwork:
     ):
         self.sim = sim
         self._rule_provider = rule_provider
-        self._running_check = running_check
+        #: Whether a machine runs now; a closed testbed replaces it.
+        self.running_check = running_check
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._links: dict[tuple[str, str], PairLink] = {}
         self._epoch = 0
@@ -283,11 +284,11 @@ class VirtualNetwork:
         self.messages_sent += 1
         source, destination = message.source, message.destination
         self.running_checks += 1
-        if not self._running_check(source):
+        if not self.running_check(source):
             self.messages_dropped += 1
             return False
         self.running_checks += 1
-        if not self._running_check(destination):
+        if not self.running_check(destination):
             self.messages_dropped += 1
             return False
         if destination.name not in self._endpoints:
@@ -310,7 +311,7 @@ class VirtualNetwork:
         stopped while the message was in flight is dropped.
         """
         self.running_checks += 1
-        if not self._running_check(message.destination):
+        if not self.running_check(message.destination):
             self.messages_dropped += 1
             return
         self._endpoints[message.destination.name].put(message)

@@ -320,6 +320,13 @@ class TestConfigurationErrors:
         )
         assert "workers must be at least 1" in line
 
+    def test_run_with_a_malformed_serve_address(self, tmp_path, capsys):
+        spec_path = tmp_path / "experiment.toml"
+        spec_path.write_text(_SPEC_TOML)
+        argv = ["run", str(spec_path), "--no-output", "--serve", "127.0.0.1:abc"]
+        line = self._error_line(argv, capsys)
+        assert str(spec_path) in line and "'127.0.0.1:abc'" in line
+
     def test_run_on_a_taken_serve_port(self, tmp_path, capsys):
         # The gateway cannot bind: the user's to fix, like a bad spec.
         with socket.socket() as holder:

@@ -1,6 +1,7 @@
 """Unit tests for the Celestial configuration model."""
 
 import json
+import tomllib
 
 import pytest
 
@@ -206,6 +207,14 @@ class TestConfiguration:
         assert Configuration.from_dict(config.to_dict()) == config
         text = json.dumps(config.to_dict())
         assert json.dumps(Configuration.from_dict(json.loads(text)).to_dict()) == text
+        assert Configuration.from_dict(json.loads(text)) == config
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_every_registered_scenario_round_trips_through_its_toml(self, name):
+        """The one writer's TOML leaves out a ``None`` field, which reads back as its default."""
+        text = build(name).to_toml()
+        assert Configuration.from_dict(tomllib.loads(text)) == build(name)
+        assert Configuration.from_dict(tomllib.loads(text)).to_toml() == text
 
     def test_epoch_default_and_custom(self):
         from datetime import datetime

@@ -267,6 +267,18 @@ class TestSpecSerialisation:
         spec = _full_spec()
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    def test_toml_refuses_a_none_in_params(self):
+        """TOML has no null: a ``None`` parameter is refused, not dropped for its default."""
+        spec = ExperimentSpec(
+            name="all-kuiper",
+            scenario=ScenarioSpec(name="mixed-operator", params={"kuiper_shell_limit": None}),
+        )
+        with pytest.raises(
+            ExperimentSpecError, match="scenario.params.kuiper_shell_limit is None"
+        ):
+            spec.to_toml()
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
     def test_from_path_toml_and_json(self, tmp_path):
         spec = _full_spec()
         toml_path = tmp_path / "spec.toml"

@@ -27,6 +27,7 @@ from repro.experiments import (
     ExperimentSpec,
     ExperimentSpecError,
     FaultOp,
+    MetricsSpec,
     ScenarioSpec,
     ServeSpec,
     WorkloadSpec,
@@ -89,6 +90,12 @@ class TestServeSpec:
         assert spec.with_serve(":9099").serve == ServeSpec(port=9099)
         assert spec.with_serve("10.0.0.7").serve == ServeSpec(host="10.0.0.7")
 
+    @pytest.mark.parametrize("address", ["127.0.0.1:abc", ":", "host:"])
+    def test_with_serve_refuses_an_address_without_an_integer_port(self, address):
+        spec = ExperimentSpec(name="serve-cli", scenario=ScenarioSpec(name="iridium"))
+        with pytest.raises(ExperimentSpecError, match=f"serve address {address!r}"):
+            spec.with_serve(address)
+
 
 class TestRunnerServe:
     def test_gateway_serves_the_run_and_lands_in_the_bundle(self, tmp_path):
@@ -107,6 +114,24 @@ class TestRunnerServe:
         assert stats["encode_count"] >= stats["published_epochs"]
         summary = json.loads((output_dir / "result.json").read_text())
         assert summary["serve"]["published_epochs"] == stats["published_epochs"]
+
+    def test_the_bundle_leaves_out_the_shared_secret(self, tmp_path):
+        spec = ExperimentSpec(
+            name="serve-secret",
+            scenario=ScenarioSpec(
+                name="iridium", params={"duration_s": 10.0, "update_interval_s": 5.0}
+            ),
+            serve=ServeSpec(auth_secret="orbital"),
+            metrics=MetricsSpec(outputs=("summary", "resource-traces", "fault-events")),
+        )
+        output_dir = tmp_path / "bundle"
+        written = ExperimentRunner(spec, output_dir=output_dir).run().output_paths
+        assert len(written) >= 3
+        for path in output_dir.iterdir():
+            assert b"orbital" not in path.read_bytes(), path.name
+        summary = json.loads((output_dir / "result.json").read_text())
+        assert summary["spec"]["serve"]["port"] == 0  # the rest of [serve] is kept
+        assert spec.serve.auth_secret == "orbital"  # the spec itself is unchanged
 
 
 class TestBandwidthCapEquivalence:

@@ -13,8 +13,9 @@ only ``os.fork`` is :func:`repro.dist.transport.fork`, and every ``.join(``
 in ``stop`` is a bounded ``process.join(timeout=...)`` — on a child
 process, never a thread.  At run time, a process backend dropped with
 requests in flight collects none of them and is stopped all the same, a
-dropped coordinator leaves no live child, and neither a pool nor a child
-left open outlives the interpreter.
+dropped coordinator leaves no live child, neither a pool nor a child left
+open outlives the interpreter, and a closed testbed is freed by reference
+counting alone.
 """
 
 import ast
@@ -156,6 +157,27 @@ def test_a_coordinator_dropped_unclosed_leaves_no_live_child():
     assert not process.is_alive()
     with pytest.raises(ProcessLookupError):
         os.kill(process.pid, 0)  # reaped, not a zombie
+
+
+def test_a_closed_testbed_and_its_coordinator_are_freed_without_the_collector():
+    import weakref
+
+    from repro.core.testbed import Celestial
+    from repro.scenarios import dart_configuration
+
+    config = dart_configuration("central", buoy_count=2, sink_count=2, update_interval_s=2.0)
+    testbed = Celestial(config)
+    gc.disable()
+    try:
+        testbed.run(6.0)  # mid-run: both loops wait on a timeout
+        process = testbed.coordinator._child.process
+        testbed.close()
+        dropped = [weakref.ref(testbed), weakref.ref(testbed.coordinator)]
+        del testbed
+        assert [ref() for ref in dropped] == [None, None]
+    finally:
+        gc.enable()
+    assert not process.is_alive()
 
 
 def test_interpreter_exit_reaps_a_pool_and_a_child_left_open():
