@@ -97,7 +97,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.core.config import Configuration
-from repro.core.dns import dns_slug
 from repro.orbits import Shell, constants
 from repro.orbits.coordinates import ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef
 from repro.orbits.shells import circular_positions_eci, stacked_elements
@@ -126,38 +125,36 @@ _UPLINK_CODE = _CODE_BY_LINK_TYPE[LinkType.UPLINK]
 
 
 def satellite_name(shell: int, identifier: int) -> str:
-    """Canonical DNS-style name of a satellite server.
+    """Canonical name of a satellite server, ``<id>.<shell>.celestial``: one
+    spelling of the grammar :func:`machine_from_name` reads.
 
-    The single source of the naming rule: machine creation, the name
-    resolver of the info API and the gateway (:func:`machine_from_name`) and
-    the distribution runtime's wire codec (which rebuilds identities from
-    ``(shell, identifier)`` pairs) all derive names from here.
+    Machine creation and the wire codec (which rebuilds identities from
+    ``(shell, identifier)`` pairs) derive satellite names from here.
     """
     return f"{identifier}.{shell}.celestial"
 
 
 def machine_from_name(name: str, node_index: NodeIndex) -> MachineId:
-    """Resolve a machine name as every query surface accepts it.
+    """The machine a name names: the one resolver of the DNS, the info API,
+    the gateway and the fault program (:meth:`NodeIndex.resolve
+    <repro.topology.graph.NodeIndex.resolve>`, one lookup).
 
-    The single name resolver of the info API and the streaming gateway.
-    Satellites are ``<id>.<shell>``; ground stations are the configured
-    name, its DNS slug, or the slug as ``<slug>.gst`` / ``gst.<slug>``; every
-    form may carry the DNS scheme's ``.celestial`` suffix.  The result is
-    the identity machine creation gives the machine (a ground station's
-    identifier is its configuration position).  An out-of-range satellite
+    Grammar: case-folded, with or without ``.celestial`` and a trailing dot;
+    a satellite is ``<id>.<shell>``, a ground station its configured name,
+    DNS slug, ``<slug>.gst`` or ``gst.<slug>``.  An out-of-range satellite
     is an ``IndexError``, any other unknown name a ``KeyError``.
     """
-    body = name.removesuffix(".celestial")
-    parts = body.split(".")
-    if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-        identifier, shell = int(parts[0]), int(parts[1])
-        node_index.satellite(shell, identifier)  # the range check
-        return MachineId(shell, identifier, satellite_name(shell, identifier))
-    station = body.removesuffix(".gst").removeprefix("gst.")
-    for position, configured in enumerate(node_index.ground_station_names):
-        if station in (configured, dns_slug(configured)):
-            return MachineId(MachineId.GROUND_SHELL, position, configured)
-    raise KeyError(f"unknown machine name: {name!r}")
+    return machine_at(node_index, node_index.resolve(name))
+
+
+def machine_at(node_index: NodeIndex, node: int) -> MachineId:
+    """The identity of the machine at a flat node index (a ground station's
+    identifier is its configuration position)."""
+    position, names = node - node_index.satellite_count, node_index.ground_station_names
+    if 0 <= position < len(names):
+        return MachineId(MachineId.GROUND_SHELL, position, names[position])
+    _, shell, identifier = node_index.describe(node)
+    return MachineId(shell, identifier, satellite_name(shell, identifier))
 
 
 @dataclass(frozen=True)
@@ -246,13 +243,15 @@ class DelayTrend:
 class ConstellationDiff:
     """What changed between two consecutive constellation epochs.
 
-    This is the unit of distribution of the differential update protocol:
-    the coordinator computes one per epoch via
-    :meth:`ConstellationCalculation.diff_since`, publishes it with the new
-    state (the database holds that one publication, the streaming gateway
-    encodes it as the epoch's DIFF) and hands it to the virtual network;
-    the machine managers get the same epoch's activity as one
-    :class:`~repro.core.machine_manager.EpochRecord`.
+    This is the unit of distribution of the differential update protocol,
+    one per epoch.  The coordinator's calculation child computes it
+    (:meth:`ConstellationCalculation.diff_since`) and sends it as a DIFF
+    frame; the driver rebuilds it from that frame
+    (:meth:`ConstellationCalculation.state_from_replica`), publishes it with
+    the new state (the database holds that one publication, the streaming
+    gateway streams the frame as the epoch's DIFF) and hands it to the
+    virtual network; the machine managers get the same epoch's activity as
+    one :class:`~repro.core.machine_manager.EpochRecord`.
 
     ``topology`` carries the edge-level changes (see
     :class:`~repro.topology.graph.TopologyDiff`); ``flipped`` holds, per
@@ -569,7 +568,8 @@ class ConstellationCalculation:
         # candidates are in the canonical link order.
         sizes = config.shell_sizes
         offsets = np.array(
-            [self.node_index.shell_offset(shell) for shell in range(len(sizes))], dtype=np.int64
+            [self.node_index.satellites_of_shell(shell).start for shell in range(len(sizes))],
+            dtype=np.int64,
         )
         self._satellite_shell = np.repeat(np.arange(len(sizes)), sizes)
         self._elements = stacked_elements(self.shells)
@@ -589,12 +589,6 @@ class ConstellationCalculation:
         self._isl_keys = pair_keys(
             self._isl_endpoints_a, self._isl_endpoints_b, len(self.node_index)
         )
-        # Name → configuration-order position, so ground_station() is O(1)
-        # instead of an O(n) list.index scan per call (hot in
-        # create_ground_stations and per-update pair lookups).
-        self._ground_station_position = {
-            name: position for position, name in enumerate(config.ground_station_names)
-        }
         # Stacked ground-station structures for the batched elevation
         # checks: positions as a read-only (G, 3) array from one conversion
         # (each row has the bits of the station's own ``position_ecef``), by
@@ -658,26 +652,23 @@ class ConstellationCalculation:
     # -- machine identities -------------------------------------------------
 
     def satellite(self, shell: int, identifier: int) -> MachineId:
-        """MachineId of a satellite server."""
-        if not 0 <= shell < len(self.shells):
-            raise IndexError(f"shell {shell} out of range")
-        if not 0 <= identifier < len(self.shells[shell]):
-            raise IndexError(f"satellite {identifier} out of range for shell {shell}")
+        """MachineId of a satellite server; out of range is an ``IndexError``."""
+        self.node_index.satellite(shell, identifier)  # the range check
         return MachineId(shell, identifier, satellite_name(shell, identifier))
 
     def ground_station(self, name: str) -> MachineId:
-        """MachineId of a ground-station server (O(1) name lookup)."""
-        if name not in self._ground_station_position:
-            raise ValueError(f"unknown ground station {name!r}")
-        return MachineId(MachineId.GROUND_SHELL, self._ground_station_position[name], name)
+        """MachineId of a ground-station server, by its configured name or
+        DNS slug; an unknown name is a ``ValueError``."""
+        try:
+            node = self.node_index.ground_station(name)
+        except KeyError:
+            raise ValueError(f"unknown ground station {name!r}") from None
+        return machine_at(self.node_index, node)
 
     def machines(self) -> Iterator[MachineId]:
-        """All machines of the configuration (satellites then ground stations)."""
-        for shell_index, shell in enumerate(self.shells):
-            for identifier in range(len(shell)):
-                yield self.satellite(shell_index, identifier)
-        for name in self.config.ground_station_names:
-            yield self.ground_station(name)
+        """All machines of the configuration, in node order (satellites then
+        ground stations)."""
+        return (machine_at(self.node_index, node) for node in range(len(self.node_index)))
 
     # -- state computation ----------------------------------------------------
 

@@ -110,6 +110,7 @@ from repro.core.constellation import (
     ConstellationCalculation,
     ConstellationState,
     MachineId,
+    machine_at,
     satellite_name,
 )
 from repro.core.database import ConstellationDatabase
@@ -291,10 +292,8 @@ class Coordinator:
 
     def create_ground_stations(self, now_s: float) -> None:
         """Create and boot the microVMs of all configured ground stations."""
-        stations = [
-            self.calculation.ground_station(name)
-            for name in self.config.ground_station_names
-        ]
+        index = self.calculation.node_index
+        stations = [machine_at(index, node) for node in index.ground_station_indices()]
         new = [station for station in stations if not self.has_machine(station)]
         self.create_machines(
             [station.name for station in new],

@@ -9,7 +9,8 @@ use it instead of implementing their own model of satellite movement.
 exposes the same API over a real local HTTP socket (standard library only)
 for applications that expect to speak HTTP.  Every route answers from the
 current epoch; a machine that wants the change stream subscribes to the
-streaming gateway (:mod:`repro.serve`).
+streaming gateway (:mod:`repro.serve`).  A machine name in a path reads as
+on every surface (:func:`~repro.core.constellation.machine_from_name`).
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ class InfoAPI:
                 return self.database.shell_info(int(parts[1]))
             if parts[0] == "sat" and len(parts) == 3:
                 return self.database.satellite_info(int(parts[1]), int(parts[2]))
-            if parts[0] == "gst" and len(parts) >= 2:
-                return self.database.ground_station_info("/".join(parts[1:]))
-            if parts[0] == "self" and len(parts) >= 2:
+            if parts[0] in ("gst", "self") and len(parts) >= 2:
                 machine = machine_from_name("/".join(parts[1:]), nodes)
                 if machine.is_ground_station:
                     return self.database.ground_station_info(machine.name)
+                if parts[0] == "gst":
+                    raise KeyError(f"not a ground station: {machine.name!r}")
                 return self.database.satellite_info(machine.shell, machine.identifier)
             if parts[0] == "path" and len(parts) == 3:
                 source = machine_from_name(parts[1], nodes)

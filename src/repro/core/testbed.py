@@ -52,7 +52,7 @@ class Celestial:
         self.streams = RandomStreams(config.seed)
         self.calculation = ConstellationCalculation(config)
         self.database = ConstellationDatabase()
-        self.dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
+        self.dns = CelestialDNS(self.calculation.node_index)
         self.hosts = [
             Host(
                 index=index,
@@ -137,17 +137,19 @@ class Celestial:
         """Stop the coordinator's worker pool and its calculation child
         (idempotent; :meth:`Coordinator.close`), and end the run.
 
-        Closing breaks the cycles through the testbed and its coordinator —
-        the run loops are closed and the network sees no machine running —
-        so a closed testbed is freed as soon as it is dropped.  An unclosed
-        one waits for the garbage collector (each process's
-        ``weakref.finalize`` reaps at interpreter exit at the latest).
+        Closing breaks the cycles through the testbed, its coordinator and
+        its simulation — the run loops are closed, the queue emptied and the
+        network sees no machine running — so a closed testbed is freed as
+        soon as it is dropped.  An unclosed one waits for the garbage
+        collector (each process's ``weakref.finalize`` reaps at interpreter
+        exit at the latest).
         """
         try:
             self.coordinator.close()
         finally:
             for loop in self._loops:
                 loop.close()
+            self.sim.clear()
             self.network.running_check = lambda machine: False
 
     def __enter__(self) -> "Celestial":

@@ -67,8 +67,8 @@ moment — machine table, counters, dirty set, key root (empty tables at pool
 start).  A crash is detected four ways: a broken/EOF transport while sending
 or collecting, a heartbeat sweep finding the process dead, an ack wait
 observing process exit, or — for a worker that *wedges while staying
-alive* — the :data:`ACK_TIMEOUT_S` receive deadline expiring (the wedged process
-is killed before its successor spawns).  One rule makes recovery exact:
+alive* — the :data:`~repro.dist.transport.PEER_TIMEOUT_S` receive deadline
+expiring (the wedged process is killed before its successor spawns).  One rule makes recovery exact:
 
 * **A worker (re)spawned from the replica drops the rows still pending for
   it and the requests still in flight.**  The backend runs every row, record
@@ -98,7 +98,7 @@ import numpy as np
 
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
-from repro.dist import wire
+from repro.dist import transport, wire
 from repro.dist.transport import TcpTransportFactory, TransportTimeout, stop
 from repro.dist.wire import FrameKind
 
@@ -109,8 +109,6 @@ from repro.dist.wire import FrameKind
 MAX_IN_FLIGHT = 8
 #: Restarts of one worker before its crash is fatal (the budget decays).
 MAX_RESTARTS = 3
-#: Seconds a worker has to acknowledge a request before it counts as wedged.
-ACK_TIMEOUT_S = 120.0
 #: Healthy acknowledged requests after which a worker's restart budget resets.
 RESTART_DECAY_ACKS = 64
 
@@ -124,7 +122,8 @@ class WorkerCrashError(RuntimeError):
 
 
 class WorkerTimeoutError(WorkerCrashError):
-    """A live worker failed to acknowledge within :data:`ACK_TIMEOUT_S`.
+    """A live worker failed to acknowledge within
+    :data:`~repro.dist.transport.PEER_TIMEOUT_S`.
 
     Subclasses :class:`WorkerCrashError` so a wedged-but-alive worker takes
     the same kill/respawn path as a dead one.
@@ -509,8 +508,8 @@ class ProcessFanoutBackend:
         return acks
 
     def _await_ack(self, handle: _Handle, seq: int) -> dict[str, Any]:
-        deadline = time.monotonic() + ACK_TIMEOUT_S
-        while not handle.conn.poll(0.05):
+        deadline = time.monotonic() + transport.PEER_TIMEOUT_S
+        while not handle.conn.poll(transport.PEER_POLL_S):
             if handle.process is not None and not handle.process.is_alive():
                 raise WorkerCrashError(f"worker {handle.index} {handle.process.fate()}")
             if time.monotonic() > deadline:
@@ -519,13 +518,15 @@ class ProcessFanoutBackend:
                 # rebuilds it instead of hanging the epoch forever.
                 raise WorkerTimeoutError(
                     f"worker {handle.index} did not acknowledge "
-                    f"frame {seq} within {ACK_TIMEOUT_S:.0f}s"
+                    f"frame {seq} within {transport.PEER_TIMEOUT_S:.0f}s"
                 )
         try:
             # The remaining deadline bounds the receive itself too: a peer
             # that wedges mid-frame (or a stream stalled after the length
-            # prefix) cannot block past ACK_TIMEOUT_S.
-            data = handle.conn.recv_bytes(timeout=max(0.05, deadline - time.monotonic()))
+            # prefix) cannot block past the deadline.
+            data = handle.conn.recv_bytes(
+                timeout=max(transport.PEER_POLL_S, deadline - time.monotonic())
+            )
         except (TransportTimeout, TimeoutError) as error:
             raise WorkerTimeoutError(
                 f"worker {handle.index} stalled mid-frame while "

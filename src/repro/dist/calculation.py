@@ -30,13 +30,13 @@ uplinks), the link distances on the first read of the column, or of a
 station's uplinks alone.  The child computes every epoch eagerly, because
 its visibility checks need every position.
 
-Failure is typed and bounded.  Every receive has a deadline,
-:data:`CHILD_TIMEOUT_S`, and the child's liveness is checked while the
-driver waits: a child that died or was stopped, that stalled past the
-deadline, that reported an exception, or whose frame does not decode, is
-not the ``DIFF`` of the epoch asked for or does not chain onto the replica,
-is a :class:`CalculationChildError` naming the cause.  A failed child is not
-respawned.
+Failure is typed and bounded.  Every receive has the forked-peer deadline,
+:data:`~repro.dist.transport.PEER_TIMEOUT_S`, and the child's liveness is
+checked while the driver waits: a child that died or was stopped, that
+stalled past the deadline, that reported an exception, or whose frame does
+not decode, is not the ``DIFF`` of the epoch asked for or does not chain
+onto the replica, is a :class:`CalculationChildError` naming the cause.  A
+failed child is not respawned.
 
 The child is forked (:func:`~repro.dist.transport.fork`) while other
 driver threads (the gateway's event loop) run, so it touches nothing they
@@ -56,7 +56,7 @@ import time
 import traceback
 import weakref
 
-from repro.dist import wire
+from repro.dist import transport, wire
 from repro.dist.transport import SocketTransport, TransportTimeout, fork, stop
 from repro.dist.wire import FrameKind
 from repro.serve.codec import (
@@ -67,10 +67,6 @@ from repro.serve.codec import (
     encode_keyframe_update,
 )
 
-#: Seconds the driver waits for each frame of the child.
-CHILD_TIMEOUT_S = 120.0
-#: Seconds between a waiting driver's checks that the child still runs.
-_LIVENESS_S = 0.05
 #: Seconds between an idle child's checks that the driver still runs.
 _ORPHAN_S = 1.0
 
@@ -141,18 +137,21 @@ class CalculationChild:
 
     def _receive(self, epoch: int) -> tuple[bytes, dict, list]:
         """The child's next frame, the ``DIFF`` of ``epoch``, decoded, within
-        :data:`CHILD_TIMEOUT_S`; a child found dead or stopped while the
-        driver waits fails at once."""
-        deadline = time.monotonic() + CHILD_TIMEOUT_S
-        while not self._transport.poll(_LIVENESS_S):
+        :data:`~repro.dist.transport.PEER_TIMEOUT_S`; a child found dead or
+        stopped while the driver waits fails at once."""
+        deadline = time.monotonic() + transport.PEER_TIMEOUT_S
+        while not self._transport.poll(transport.PEER_POLL_S):
             if not self.process.is_alive() or self.process.stopped is not None:
                 raise self._failed(f"no epoch {epoch} came")
             if time.monotonic() > deadline:
                 raise CalculationChildError(
-                    f"the calculation child sent no epoch {epoch} within {CHILD_TIMEOUT_S:g} s"
+                    f"the calculation child sent no epoch {epoch} within "
+                    f"{transport.PEER_TIMEOUT_S:g} s"
                 )
         try:
-            data = self._transport.recv_bytes(timeout=max(_LIVENESS_S, deadline - time.monotonic()))
+            data = self._transport.recv_bytes(
+                timeout=max(transport.PEER_POLL_S, deadline - time.monotonic())
+            )
         except TransportTimeout as error:
             raise CalculationChildError(
                 f"the calculation child stalled mid-frame at epoch {epoch}: {error}"
@@ -207,26 +206,26 @@ def _serve(
     and sent too.  Anything but an ``EPOCH_AT`` or a closed stream ends it,
     and any other exception is sent as an ``ERROR`` frame before it ends
     the child."""
-    transport = SocketTransport(sock)
+    stream = SocketTransport(sock)
     try:
         while True:
             following, frame = _advance(calculation, state, time_s, epoch + 1)
-            transport.send_bytes(frame)
-            while not transport.poll(_ORPHAN_S):
+            stream.send_bytes(frame)
+            while not stream.poll(_ORPHAN_S):
                 if os.getppid() != parent:
                     return
-            kind, meta, _arrays = wire.decode_frame(transport.recv_bytes())
+            kind, meta, _arrays = wire.decode_frame(stream.recv_bytes())
             if kind is not FrameKind.EPOCH_AT:
                 return
             if meta["time_s"] != time_s:
                 time_s = meta["time_s"]
                 following, frame = _advance(calculation, state, time_s, epoch + 1)
-                transport.send_bytes(frame)
+                stream.send_bytes(frame)
             state, epoch, time_s = following, epoch + 1, time_s + interval_s
     except (EOFError, OSError):  # the driver closed the stream: it asks for nothing more
         return
     except Exception:
-        transport.send_bytes(
+        stream.send_bytes(
             wire.encode_frame(FrameKind.ERROR, {"traceback": traceback.format_exc()})
         )
         raise

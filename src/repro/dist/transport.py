@@ -63,6 +63,11 @@ AUTH_NONCE_BYTES = 32
 #: The little-endian ``u32`` byte count in front of every frame on a stream.
 LENGTH_PREFIX = struct.Struct("<I")
 
+#: Seconds the driver waits for a frame of a process it forked (ack or epoch).
+PEER_TIMEOUT_S = 120.0
+#: Seconds between a waiting driver's checks that the peer still runs.
+PEER_POLL_S = 0.05
+
 
 class TransportError(OSError):
     """The transport channel failed (framing corruption, broken stream)."""

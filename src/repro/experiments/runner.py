@@ -34,7 +34,7 @@ from typing import Any, Literal, Mapping, Optional
 
 from repro.analysis.metrics import LatencySeries
 from repro.core.config import Configuration
-from repro.core.constellation import MachineId
+from repro.core.constellation import MachineId, machine_from_name
 from repro.core.fault_injection import OP_METHODS, FaultInjector
 from repro.core.tables import bind, read
 from repro.core.testbed import Celestial
@@ -98,32 +98,36 @@ def build_configuration(spec: ExperimentSpec) -> Configuration:
 # -- fault program -------------------------------------------------------------
 
 
-def _station(testbed: Celestial, name: str) -> MachineId:
-    """A ground station a fault op names; an unknown one is an :class:`ExperimentSpecError`."""
+def _named(testbed: Celestial, name: str) -> MachineId:
+    """The machine a fault op names, read as every surface reads a name
+    (:func:`~repro.core.constellation.machine_from_name`); an unknown one is
+    an :class:`ExperimentSpecError`."""
     try:
-        return testbed.ground_station(name)
-    except ValueError as error:
+        return machine_from_name(name, testbed.calculation.node_index)
+    except LookupError as error:
         raise ExperimentSpecError(f"fault target: {error}") from error
 
 
 def _resolve_machine(testbed: Celestial, target: str) -> MachineId:
-    """A machine target: a ground-station name or ``"<shell>/<identifier>"``.
+    """A machine target: a name (:func:`_named`) or ``"<shell>/<identifier>"``.
 
-    The shell part may be a shell index or a shell name; satellite targets
-    are created immediately (outside bounding-box logic) so the op can reach
-    them.  A target naming no machine is an :class:`ExperimentSpecError`.
+    The shell part may be a shell index or a shell name.  The machine is
+    created at once if it is not yet (a satellite outside the bounding box)
+    so the op can reach it.  A target naming no machine is an
+    :class:`ExperimentSpecError`.
     """
     if "/" not in target:
-        return _station(testbed, target)
-    shell_part, identifier = target.split("/", 1)
-    names = [shell.name for shell in testbed.config.shells]
-    if not shell_part.isdigit() and shell_part not in names:
-        raise ExperimentSpecError(f"fault target {target!r}: no shell named {shell_part!r}")
-    shell_index = int(shell_part) if shell_part.isdigit() else names.index(shell_part)
-    try:
-        machine = testbed.satellite(shell_index, int(identifier))
-    except (ValueError, IndexError) as error:  # not a number, or out of range
-        raise ExperimentSpecError(f"fault target {target!r}: {error}") from error
+        machine = _named(testbed, target)
+    else:
+        shell_part, identifier = target.split("/", 1)
+        names = [shell.name for shell in testbed.config.shells]
+        if not shell_part.isdigit() and shell_part not in names:
+            raise ExperimentSpecError(f"fault target {target!r}: no shell named {shell_part!r}")
+        shell_index = int(shell_part) if shell_part.isdigit() else names.index(shell_part)
+        try:
+            machine = testbed.satellite(shell_index, int(identifier))
+        except (ValueError, IndexError) as error:  # not a number, or out of range
+            raise ExperimentSpecError(f"fault target {target!r}: {error}") from error
     testbed.ensure_machine(machine)
     return machine
 
@@ -182,7 +186,9 @@ def _schedule_ground_outage(
         ]
     if not names:
         raise ExperimentSpecError("ground-outage selects no ground stations")
-    stations = [_station(testbed, name) for name in names]
+    stations = [_named(testbed, name) for name in names]
+    if not all(station.is_ground_station for station in stations):
+        raise ExperimentSpecError(f"fault target: ground-outage takes stations, not {names}")
     injector = testbed.fault_injector
 
     def _all(kind: str, now_s: float) -> None:

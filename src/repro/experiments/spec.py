@@ -103,7 +103,14 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class FaultOp:
-    """One declarative fault-injection operation of the fault program."""
+    """One declarative fault-injection operation of the fault program.
+
+    ``target`` is a machine, a pair ``"<machine>-><machine>"``, stations
+    (``ground-outage``) or a shell (``operator-degradation``).  A machine is
+    ``<shell>/<id>`` (shell index or name), or a name in the grammar of
+    every surface (any case, optional ``.celestial`` and trailing dot):
+    ``<id>.<shell>``, or a station's name, slug, ``<slug>.gst`` or ``gst.<slug>``.
+    """
 
     kind: str
     at_s: float = 0.0

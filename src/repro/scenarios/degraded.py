@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import Configuration
+from repro.core.constellation import machine_at
 from repro.experiments.registry import scenario
 from repro.scenarios.operators import mixed_operator_configuration
 
@@ -132,10 +133,6 @@ class OperatorDegradation:
         pairs = zip(node_a[mask].tolist(), node_b[mask].tolist())
         return [pair for pair in pairs if pair not in self.severed]
 
-    def _machine(self, node: int):
-        shell_offset = self.testbed.state.node_index.shell_offset(self.shell_index)
-        return self.testbed.satellite(self.shell_index, node - shell_offset)
-
     # -- degradation --------------------------------------------------------
 
     def sever(self, count: int, now_s: float) -> int:
@@ -145,10 +142,10 @@ class OperatorDegradation:
             return 0
         picked = self.rng.choice(len(intact), size=min(count, len(intact)),
                                  replace=False)
-        injector = self.testbed.fault_injector
+        injector, index = self.testbed.fault_injector, self.testbed.state.node_index
         for position in np.sort(picked).tolist():
             node_a, node_b = intact[position]
-            machine_a, machine_b = self._machine(node_a), self._machine(node_b)
+            machine_a, machine_b = machine_at(index, node_a), machine_at(index, node_b)
             injector.inject_packet_loss(machine_a, machine_b, 1.0, now_s)
             injector.inject_packet_loss(machine_b, machine_a, 1.0, now_s)
             self.severed.add((node_a, node_b))

@@ -132,10 +132,8 @@ class SubscriptionClient:
     def query(self, source: str, destination: str) -> dict:
         """Path latency ``source → destination`` in the gateway's current epoch.
 
-        Targets are machine names, resolved as the info API resolves them
-        (:func:`~repro.core.constellation.machine_from_name`): ``<id>.<shell>``
-        for satellites, the station name, its DNS slug or
-        ``<slug>.gst.celestial`` for ground stations.
+        Targets are machine names, resolved as every surface resolves them
+        (:func:`~repro.core.constellation.machine_from_name`).
         """
         self.transport.send_bytes(
             wire.encode_frame(

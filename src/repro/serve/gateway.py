@@ -9,10 +9,12 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
 "serving tier" direction:
 
 * **Single encode, shared fan-out.**  Each published epoch is encoded
-  exactly once by the database's :class:`EpochUpdateCodec`, from the state
-  or diff the gateway hands it; every client queue holds references to the
-  same ``bytes`` object.  Fan-out cost is queue handling, not
-  serialization.
+  at most once by the database's :class:`EpochUpdateCodec`, from the state
+  or diff the gateway hands it; a DIFF rebuilt from the calculation
+  child's frame is not encoded at all, the codec adopts that frame's bytes
+  (:attr:`~repro.core.constellation.ConstellationDiff.frame`).  Every
+  client queue holds references to the same ``bytes`` object.  Fan-out
+  cost is queue handling, not serialization.
 * **Bounded queues, backpressure, keyframe resync.**  Every client has a
   bounded send queue.  A client that cannot drain its queue within the
   configured ``ack_timeout_s`` — the same discipline the worker
@@ -431,7 +433,7 @@ class StreamGateway:
     def _answer_query(self, subscription: _Subscription, meta: dict) -> dict:
         """Answer one path-latency query from the current state.
 
-        The names resolve as the info API resolves them
+        The names resolve as on every surface
         (:func:`~repro.core.constellation.machine_from_name`), and the query
         goes through :meth:`ConstellationState.path` under the database
         lock, so the delay and the epoch it names belong to one publication.

@@ -136,6 +136,10 @@ class Simulation:
         """Register a generator as a simulation process and start it."""
         return Process(self, generator)
 
+    def clear(self) -> None:
+        """Drop every pending entry (each event holds the simulation)."""
+        self._queue.clear()
+
     # -- execution --------------------------------------------------------
 
     @property

@@ -3,7 +3,8 @@
 Nodes are satellites (addressed by shell index and in-shell identifier) and
 ground stations (addressed by name).  :class:`NodeIndex` maps every node to
 a flat integer index so that adjacency matrices and shortest-path
-algorithms can operate on NumPy/SciPy structures.
+algorithms can operate on NumPy/SciPy structures, and it is the one
+resolver of machine names (its docstring holds the grammar).
 
 Array layout
 ------------
@@ -171,20 +172,26 @@ class TopologyDiff:
         }
 
 
-class NodeIndex:
-    """Bidirectional mapping between logical node names and flat indices.
+def dns_slug(name: str) -> str:
+    """A ground-station name as a DNS label (lower case, spaces as dashes, no commas)."""
+    return name.lower().replace(" ", "-").replace(",", "")
 
-    Satellites come first, ordered by shell then by in-shell identifier;
-    ground stations follow in registration order.  This matches Celestial's
-    address-space layout where each (shell, id) pair and each ground station
-    receives a deterministic network address (§3.2).
+
+class NodeIndex:
+    """The one numbering and naming of the testbed's machines.
+
+    Satellites come first, by shell then in-shell identifier; ground stations
+    follow in configuration order.  The flat index is also a machine's slot
+    in the address space (§3.2).  :meth:`resolve` reads every name, with one
+    grammar: case-folded, with or without ``.celestial`` and a trailing dot;
+    a satellite is ``<id>.<shell>``, a ground station its configured name,
+    DNS slug (:func:`dns_slug`), ``<slug>.gst`` or ``gst.<slug>``.  Two
+    stations with one slug are a ``ValueError``.
     """
 
     def __init__(self, shell_sizes: Iterable[int], ground_station_names: Iterable[str]):
         self.shell_sizes = list(shell_sizes)
         self.ground_station_names = list(ground_station_names)
-        if len(set(self.ground_station_names)) != len(self.ground_station_names):
-            raise ValueError("ground station names must be unique")
         self._shell_offsets: list[int] = []
         offset = 0
         for size in self.shell_sizes:
@@ -193,19 +200,13 @@ class NodeIndex:
             self._shell_offsets.append(offset)
             offset += size
         self.satellite_count = offset
-        self._gst_offset = offset
-        self._gst_indices = {
-            name: self._gst_offset + position
-            for position, name in enumerate(self.ground_station_names)
-        }
+        names = self.ground_station_names
+        self._stations = {dns_slug(name): node for node, name in enumerate(names, offset)}
+        if len(self._stations) != len(names):
+            raise ValueError("ground station names and their DNS slugs must be unique")
 
     def __len__(self) -> int:
         return self.satellite_count + len(self.ground_station_names)
-
-    @property
-    def node_count(self) -> int:
-        """Total number of nodes (satellites + ground stations)."""
-        return len(self)
 
     def satellite(self, shell: int, identifier: int) -> int:
         """Flat index of a satellite."""
@@ -215,17 +216,28 @@ class NodeIndex:
             raise IndexError(f"satellite {identifier} out of range for shell {shell}")
         return self._shell_offsets[shell] + identifier
 
-    def shell_offset(self, shell: int) -> int:
-        """Flat index of the first satellite of a shell."""
-        if not 0 <= shell < len(self.shell_sizes):
-            raise IndexError(f"shell {shell} out of range")
-        return self._shell_offsets[shell]
-
     def ground_station(self, name: str) -> int:
-        """Flat index of a ground station."""
-        if name not in self._gst_indices:
+        """Flat index of a ground station, by its configured name or DNS slug."""
+        # A slug is its own slug: the common exact spelling skips the fold.
+        node = self._stations.get(name)
+        if node is None:
+            node = self._stations.get(dns_slug(name))
+        if node is None:
             raise KeyError(f"unknown ground station: {name}")
-        return self._gst_indices[name]
+        return node
+
+    def resolve(self, name: str) -> int:
+        """Flat index of the machine a name names (the class docstring's
+        grammar), with one lookup; an out-of-range satellite is an
+        ``IndexError``, any other unknown name a ``KeyError``."""
+        body = name.lower().removesuffix(".").removesuffix(".celestial")
+        identifier, dot, shell = body.partition(".")
+        if dot and identifier.isdecimal() and shell.isdecimal():
+            return self.satellite(int(shell), int(identifier))
+        node = self._stations.get(dns_slug(body.removesuffix(".gst").removeprefix("gst.")))
+        if node is None:
+            raise KeyError(f"unknown machine name: {name!r}")
+        return node
 
     def is_satellite(self, index: int) -> bool:
         """Whether a flat index refers to a satellite."""
@@ -243,16 +255,18 @@ class NodeIndex:
             for shell, offset in enumerate(self._shell_offsets):
                 if index < offset + self.shell_sizes[shell]:
                     return ("sat", shell, index - offset)
-        return ("gst", -1, self.ground_station_names[index - self._gst_offset])
+        return ("gst", -1, self.ground_station_names[index - self.satellite_count])
 
     def satellites_of_shell(self, shell: int) -> range:
         """Flat index range of all satellites of one shell."""
+        if not 0 <= shell < len(self.shell_sizes):
+            raise IndexError(f"shell {shell} out of range")
         offset = self._shell_offsets[shell]
         return range(offset, offset + self.shell_sizes[shell])
 
     def ground_station_indices(self) -> range:
         """Flat index range of all ground stations."""
-        return range(self._gst_offset, len(self))
+        return range(self.satellite_count, len(self))
 
 
 class NetworkGraph:

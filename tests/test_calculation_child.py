@@ -25,6 +25,7 @@ from repro.core import (
     MachineManager,
 )
 from repro.dist import calculation as child_module
+from repro.dist import transport as transport_module
 from repro.dist.calculation import CalculationChildError
 from repro.hosts import Host
 from repro.scenarios import dart_configuration, west_africa_configuration
@@ -235,7 +236,7 @@ class TestFailuresAreTypedAndBounded:
     def test_a_killed_or_stopped_child_fails_before_the_deadline(
         self, monkeypatch, sent, cause
     ):
-        monkeypatch.setattr(child_module, "CHILD_TIMEOUT_S", 30.0)
+        monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", 30.0)
         coordinator = self._forked()
         try:
             os.kill(coordinator._child.process.pid, sent)
@@ -271,7 +272,7 @@ class TestFailuresAreTypedAndBounded:
         assert not child.process.is_alive()
 
     def test_a_stalled_child_fails_at_the_deadline(self, monkeypatch):
-        monkeypatch.setattr(child_module, "CHILD_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", 0.5)
         advance = child_module._advance
 
         def stalling(calculation, previous, time_s, epoch):

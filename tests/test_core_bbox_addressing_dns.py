@@ -7,7 +7,11 @@ import pytest
 
 from repro.core import BoundingBox, CelestialDNS, DNSError
 from repro.core.addressing import machine_ip, network_for
+from repro.core.constellation import satellite_name
 from repro.orbits import ecef_to_geodetic, geodetic_to_ecef
+from repro.scenarios import dart_configuration, west_africa_configuration
+from repro.topology import NodeIndex
+from repro.topology.graph import dns_slug
 
 
 class TestBoundingBox:
@@ -97,39 +101,72 @@ class TestContainsEcef:
 
 class TestAddressing:
     def test_machine_and_gateway_in_same_block(self):
-        shell_sizes = [66]
-        network = network_for(shell_sizes, 0, 10)
+        index = NodeIndex([66], [])
+        network = network_for(index.satellite(0, 10))
         # A /30 block: .1 is the host-side gateway, .2 the machine.
         assert network.prefixlen == 30
-        assert machine_ip(shell_sizes, 0, 10) == network[2] != network[1]
+        assert machine_ip(index.satellite(0, 10)) == network[2] != network[1]
 
     def test_addresses_are_unique(self):
         # Over the phase I Starlink address space, ground stations included
-        # (the virtual shell after all satellite shells).
-        shell_sizes = [1584, 1600, 400, 375, 450]
-        pairs = [
-            (shell, identifier)
-            for shell, size in enumerate(shell_sizes + [10])
+        # (they follow all satellite shells in the node index).
+        index = NodeIndex([1584, 1600, 400, 375, 450], [f"gst-{n}" for n in range(10)])
+        nodes = [
+            index.satellite(shell, identifier)
+            for shell, size in enumerate(index.shell_sizes)
             for identifier in range(size)
-        ]
-        addresses = {machine_ip(shell_sizes, shell, identifier) for shell, identifier in pairs}
-        assert len(addresses) == len(pairs) == 4409 + 10
+        ] + [index.ground_station(name) for name in index.ground_station_names]
+        addresses = {machine_ip(node) for node in nodes}
+        assert len(addresses) == len(nodes) == 4409 + 10
 
     def test_invalid_lookups(self):
+        index = NodeIndex([10], [])
         with pytest.raises(IndexError):
-            machine_ip([10], 0, 99)
+            machine_ip(index.satellite(0, 99))
         with pytest.raises(IndexError):
-            machine_ip([10], 5, 0)
+            machine_ip(index.satellite(5, 0))
+        with pytest.raises(ValueError):
+            machine_ip(-1)
+        with pytest.raises(ValueError):
+            machine_ip(2**22)
 
     def test_all_addresses_in_10_slash_8(self):
-        shell_sizes = [100]
         network = ipaddress.IPv4Network("10.0.0.0/8")
-        assert machine_ip(shell_sizes, 0, 99) in network
+        assert machine_ip(NodeIndex([100], []).satellite(0, 99)) in network
+        assert machine_ip(2**22 - 1) in network
+
+    @pytest.mark.parametrize(
+        "build, nodes",
+        [
+            (lambda: west_africa_configuration(shells="all"), 4414),
+            (lambda: dart_configuration("central"), 367),
+        ],
+        ids=["west-africa-all-shells", "dart"],
+    )
+    def test_every_node_is_four_per_node_plus_two(self, build, nodes):
+        # The scheme of every address, pinned node by node (satellites shell
+        # by shell, then the ground stations, one /30 block each), and
+        # reached from the machine's DNS name.
+        config = build()
+        index = NodeIndex(config.shell_sizes, config.ground_station_names)
+        dns = CelestialDNS(index)
+        names = [
+            satellite_name(shell, identifier)
+            for shell, size in enumerate(index.shell_sizes)
+            for identifier in range(size)
+        ] + [f"{dns_slug(name)}.gst.celestial" for name in index.ground_station_names]
+        assert len(index) == len(names) == nodes
+        base = int(ipaddress.IPv4Address("10.0.0.0"))
+        for node, name in enumerate(names):
+            assert int(machine_ip(node)) == int(dns.resolve(name)) == base + 4 * node + 2
 
 
 class TestDNS:
+    def _index(self):
+        return NodeIndex([66, 100], ["Accra", "abuja"])
+
     def _dns(self):
-        return CelestialDNS(shell_sizes=[66, 100], ground_station_names=["Accra", "abuja"])
+        return CelestialDNS(self._index())
 
     def test_resolve_satellite(self):
         dns = self._dns()
@@ -139,8 +176,10 @@ class TestDNS:
 
     def test_paper_example_name(self):
         # §3.2: "878.0.celestial" resolves satellite 878 in the first shell.
-        dns = CelestialDNS(shell_sizes=[1584], ground_station_names=[])
-        assert dns.resolve("878.0.celestial") == machine_ip([1584], 0, 878)
+        index = NodeIndex([1584], [])
+        assert CelestialDNS(index).resolve("878.0.celestial") == machine_ip(
+            index.satellite(0, 878)
+        )
 
     def test_resolve_ground_station_both_orders(self):
         dns = self._dns()
@@ -153,10 +192,11 @@ class TestDNS:
         assert record["address"] == str(dns.resolve("3.0.celestial"))
 
     def test_canonical_names(self):
-        dns = self._dns()
-        assert dns.resolve("42.1.celestial") == machine_ip([66, 100], 1, 42)
-        assert dns.resolve("ABUJA.gst.celestial.") == machine_ip([66, 100], 2, 1)
-        assert dns.resolve("gst.accra.celestial") == machine_ip([66, 100], 2, 0)
+        dns, index = self._dns(), self._index()
+        assert dns.resolve("42.1.celestial") == machine_ip(index.satellite(1, 42)) == machine_ip(108)
+        assert dns.resolve("ABUJA.gst.celestial.") == machine_ip(index.ground_station("abuja"))
+        assert dns.resolve("gst.accra.celestial") == machine_ip(index.ground_station("Accra"))
+        assert machine_ip(index.ground_station("abuja")) == machine_ip(167)
         with pytest.raises(DNSError):
             dns.resolve("lagos.gst.celestial")
 
@@ -170,3 +210,6 @@ class TestDNS:
             dns.resolve("lagos.gst.celestial")
         with pytest.raises(DNSError):
             dns.resolve("example.com")
+        # The zone is required even where the rest of the name resolves.
+        with pytest.raises(DNSError):
+            dns.resolve("accra.gst")

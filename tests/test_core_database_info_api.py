@@ -48,7 +48,7 @@ def setup():
     calculation = ConstellationCalculation(config)
     database = ConstellationDatabase()
     database.set_state(calculation.state_at(0.0))
-    dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
+    dns = CelestialDNS(calculation.node_index)
     api = InfoAPI(database, calculation, dns)
     return config, calculation, database, api
 
@@ -131,7 +131,7 @@ class TestInfoAPI:
         config, calculation, _, _ = setup
         database = ConstellationDatabase()
         database.set_state(calculation.state_at(0.0))
-        dns = CelestialDNS(config.shell_sizes, config.ground_station_names)
+        dns = CelestialDNS(calculation.node_index)
         api = InfoAPI(database, calculation, dns)
         state, stats = database.state, calculation.path_engine.stats
         hawaii = calculation.ground_station("hawaii")

@@ -31,6 +31,7 @@ import pytest
 import repro
 from repro.core import MachineManager
 from repro.dist import backend as backend_module
+from repro.dist import transport as transport_module
 from repro.dist import wire
 from repro.dist.backend import (
     ProcessFanoutBackend,
@@ -439,10 +440,11 @@ def _crash(backend, worker):
     process.join(timeout=5.0)
 
 
-def _pool(monkeypatch, **constants):
+def _pool(monkeypatch, ack_timeout_s=10.0, **constants):
     """A one-worker pool under patched module constants (``max_restarts=1``
-    patches ``MAX_RESTARTS``); the ack deadline defaults to 10 s."""
-    constants.setdefault("ack_timeout_s", 10.0)
+    patches ``MAX_RESTARTS``); the ack deadline, the forked-peer deadline
+    ``PEER_TIMEOUT_S``, defaults to 10 s."""
+    monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", ack_timeout_s)
     for name, value in constants.items():
         monkeypatch.setattr(backend_module, name.upper(), value)
     return ProcessFanoutBackend(list(_hosts().values()))
@@ -553,7 +555,7 @@ class TestExternalWorkers:
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        monkeypatch.setattr(backend_module, "ACK_TIMEOUT_S", 20.0)
+        monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", 20.0)
         process = _launch_external_worker(port)
         pool = None
         try:
@@ -576,7 +578,7 @@ class TestExternalWorkers:
         factory = TcpTransportFactory(
             base_port=port, external=True, accept_timeout_s=20.0
         )
-        monkeypatch.setattr(backend_module, "ACK_TIMEOUT_S", 20.0)
+        monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", 20.0)
         first = _launch_external_worker(port)
         pool = replacement = None
         try:

@@ -438,6 +438,8 @@ class TestParamsAreReadBeforeTheRun:
              "fault_program.params.duration_s must be a number, not '5 s'"),
             ("ground-outage", "", {"lat_min": 30, "lat_max": 10, "lon_min": 0, "lon_max": 10},
              "fault_program.params: lat_min must be below lat_max"),
+            ("ground-outage", "hawaii, 3.0", {},
+             "fault target: ground-outage takes stations, not ['hawaii', '3.0']"),
             # The injector method an op runs takes one machine or a directed pair.
             ("packet-loss", "hawaii", {},
              "fault_program.target: a packet-loss op targets \"<machine>-><machine>\", "

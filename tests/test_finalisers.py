@@ -14,8 +14,8 @@ in ``stop`` is a bounded ``process.join(timeout=...)`` — on a child
 process, never a thread.  At run time, a process backend dropped with
 requests in flight collects none of them and is stopped all the same, a
 dropped coordinator leaves no live child, neither a pool nor a child left
-open outlives the interpreter, and a closed testbed is freed by reference
-counting alone.
+open outlives the interpreter, and a closed testbed, its coordinator and
+its simulation are freed by reference counting alone.
 """
 
 import ast
@@ -172,9 +172,9 @@ def test_a_closed_testbed_and_its_coordinator_are_freed_without_the_collector():
         testbed.run(6.0)  # mid-run: both loops wait on a timeout
         process = testbed.coordinator._child.process
         testbed.close()
-        dropped = [weakref.ref(testbed), weakref.ref(testbed.coordinator)]
+        dropped = [weakref.ref(item) for item in (testbed, testbed.coordinator, testbed.sim)]
         del testbed
-        assert [ref() for ref in dropped] == [None, None]
+        assert [ref() for ref in dropped] == [None, None, None]
     finally:
         gc.enable()
     assert not process.is_alive()

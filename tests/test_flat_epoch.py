@@ -102,7 +102,7 @@ def _oracle(calculation, time_s):
         a, b = ecef[pairs[:, 0]], ecef[pairs[:, 1]]
         clear = _closest_approach_km(a, b) >= limit
         distances = _norm(b - a)[clear]
-        offset = index.shell_offset(shell)
+        offset = index.satellites_of_shell(shell).start
         isl_columns.append(
             (
                 pairs[clear, 0] + offset,
@@ -130,7 +130,7 @@ def _oracle(calculation, time_s):
             uplink_columns.append(
                 (
                     np.full(visible.size, index.ground_station(gst.name), dtype=np.int64),
-                    visible + index.shell_offset(shell),
+                    visible + index.satellites_of_shell(shell).start,
                     distances,
                     np.full(visible.size, bandwidth, dtype=float),
                 )

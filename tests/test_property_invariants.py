@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.core.addressing import machine_ip
 from repro.orbits import GroundStation, Shell, ShellGeometry, constants
+from repro.topology import NodeIndex
 from repro.topology.isl import grid_plus_isl_pairs
 
 
@@ -38,8 +39,9 @@ class TestAddressingProperties:
             shell = data.draw(st.integers(min_value=0, max_value=len(shell_sizes) - 1))
             return shell, data.draw(st.integers(min_value=0, max_value=shell_sizes[shell] - 1))
 
+        index = NodeIndex(shell_sizes, [])
         first, second = machine(), machine()
-        same = machine_ip(shell_sizes, *first) == machine_ip(shell_sizes, *second)
+        same = machine_ip(index.satellite(*first)) == machine_ip(index.satellite(*second))
         assert same == (first == second)
 
     @settings(max_examples=30, deadline=None)
@@ -49,9 +51,9 @@ class TestAddressingProperties:
     )
     def test_dns_resolution_matches_addressing(self, shell_size, identifier):
         identifier = identifier % shell_size
-        dns = CelestialDNS([shell_size], ["gst-a"])
-        resolved = dns.resolve(f"{identifier}.0.celestial")
-        assert resolved == machine_ip([shell_size], 0, identifier)
+        index = NodeIndex([shell_size], ["gst-a"])
+        resolved = CelestialDNS(index).resolve(f"{identifier}.0.celestial")
+        assert resolved == machine_ip(index.satellite(0, identifier)) == machine_ip(identifier)
 
 
 class TestShellGeometryProperties:

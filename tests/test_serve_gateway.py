@@ -10,6 +10,7 @@ and the server's start-up failing fast on a taken port.
 
 import asyncio
 import contextlib
+import dataclasses
 import itertools
 import pickle
 import socket
@@ -20,15 +21,20 @@ import time
 import pytest
 
 from repro.core import (
+    Celestial,
     ComputeParams,
     Configuration,
     ConstellationCalculation,
     ConstellationDatabase,
+    DNSError,
     GroundStationConfig,
     InfoAPI,
+    InfoAPIError,
     NetworkParams,
     ShellConfig,
 )
+from repro.core.addressing import machine_ip
+from repro.experiments import ExperimentSpecError, FaultOp, schedule_fault_program
 from repro.orbits import GroundStation, ShellGeometry
 from repro.dist import wire
 from repro.scenarios import west_africa_configuration
@@ -491,6 +497,63 @@ class TestEvictionPreservesReplies:
         assert items[-1] is None
 
 
+class _ErrorResult(Exception):
+    """The gateway's answer to a query naming no machine."""
+
+
+def _name_surfaces(testbed, config, client) -> dict:
+    """Every surface that reads a machine name: surface → (the name of the
+    machine its answer is for, its own error, which spellings it refuses)."""
+    api = testbed.info_api
+    by_address = {
+        machine_ip(testbed.state.node_for(machine)): machine.name
+        for machine in testbed.calculation.machines()
+    }
+
+    def query(source, destination, end):
+        answer = client.query(source, destination)
+        if "error" in answer:
+            raise _ErrorResult(answer["error"])
+        # The gateway's delay is the info API's for the same spellings.
+        expected = api.get(f"/path/{source}/{destination}")
+        assert [answer[key] for key in ("reachable", "delay_ms")] == [
+            expected[key] for key in ("reachable", "delay_ms")
+        ]
+        return answer[end]
+
+    def fault(name):
+        schedule_fault_program(testbed, config, (FaultOp(kind="restore-cpu", target=name),))
+        return testbed.fault_injector.events[-1].machine
+
+    def outside_the_zone(spelling, machine):
+        return not spelling.lower().removesuffix(".").endswith(".celestial")
+
+    def a_satellite(spelling, machine):
+        return machine.endswith(".celestial")
+
+    def nothing(spelling, machine):
+        return False
+
+    return {
+        "DNS A record": (
+            lambda name: by_address[testbed.dns.resolve(name)], DNSError, outside_the_zone
+        ),
+        "/self": (lambda name: api.get(f"/self/{name}")["name"], InfoAPIError, nothing),
+        "/gst": (lambda name: api.get(f"/gst/{name}")["name"], InfoAPIError, a_satellite),
+        "/path source": (
+            lambda name: api.get(f"/path/{name}/hawaii")["source"], InfoAPIError, nothing
+        ),
+        "/path destination": (
+            lambda name: api.get(f"/path/hawaii/{name}")["destination"], InfoAPIError, nothing
+        ),
+        "QUERY source": (lambda name: query(name, "hawaii", "source"), _ErrorResult, nothing),
+        "QUERY destination": (
+            lambda name: query("hawaii", name, "destination"), _ErrorResult, nothing
+        ),
+        "fault target": (fault, ExperimentSpecError, nothing),
+    }
+
+
 class TestQueries:
     def test_path_queries_answered_from_warm_tables(self, testbed_core):
         _, calculation, database, state = testbed_core
@@ -510,27 +573,47 @@ class TestQueries:
                 stats = server.statistics()["clients"]["asker"]
                 assert stats["queries"] == 3
 
-    def test_every_spelling_gets_the_info_api_answer(self, testbed_core):
-        # One resolver behind both surfaces: the gateway used to take any
-        # non-satellite name verbatim, so "buoy-0.gst.celestial" was an
-        # unknown ground station there and a delay on the info API's /path.
-        _, calculation, database, _ = testbed_core
-        api = InfoAPI(database, calculation)
-        buoy = ["buoy-0", "buoy-0.gst", "buoy-0.gst.celestial", "gst.buoy-0.celestial"]
-        others = ["hawaii", "hawaii.gst.celestial", "3.0", "3.0.celestial"]
-        with GatewayServer(database) as server:
-            host, port = server.address
-            with SubscriptionClient(host, port, client_id="asker") as client:
-                for source, destination in itertools.product(buoy, others):
-                    answer = client.query(source, destination)
-                    expected = api.get(f"/path/{source}/{destination}")
-                    assert "error" not in answer, (source, destination, answer)
-                    for key in ("source", "destination", "reachable", "delay_ms"):
-                        assert answer[key] == expected[key], (source, destination, key)
-                    assert answer["source"] == "buoy-0"
-                    if destination.startswith("hawaii"):
-                        assert answer["destination"] == "hawaii"
-                        assert answer["reachable"] is True
+    def test_every_surface_reads_every_spelling_as_one_machine(self):
+        # One resolver behind every surface.  Each used to have its own
+        # grammar: "/self/ACCRA.gst.celestial." was a 404 while the DNS
+        # answered it, "accra.celestial" resolved on /self but not in the
+        # DNS, and /path, /gst and a fault target took no ".gst" form.
+        config = iridium_configuration()
+        cape_verde = GroundStationConfig(station=GroundStation("Cape Verde", 16.0, -24.0))
+        config = dataclasses.replace(
+            config, ground_stations=(*config.ground_stations, cape_verde)
+        )
+        bases = {
+            "Cape Verde": "Cape Verde",  # the configured name
+            "cape-verde": "Cape Verde",  # its DNS slug
+            "cape-verde.gst": "Cape Verde",
+            "gst.cape-verde": "Cape Verde",
+            "buoy-0": "buoy-0",
+            "3.0": "3.0.celestial",
+        }
+        spellings = {
+            case(form.format(base)): machine
+            for base, machine in bases.items()
+            for form in ("{}", "{}.", "{}.celestial", "{}.celestial.")
+            for case in (str, str.upper)
+        }
+        unknown = ["atlantis", "atlantis.gst.celestial", "gst.atlantis", "99999.0", "1.9.celestial"]
+        with Celestial(config) as testbed, GatewayServer(testbed.database) as server:
+            testbed.run(0.0)  # the first epoch: stations up, the state published
+            with SubscriptionClient(*server.address, client_id="asker") as client:
+                surfaces = _name_surfaces(testbed, config, client)
+                for surface, (resolve, error, refuses) in surfaces.items():
+                    for spelling, machine in spellings.items():
+                        if refuses(spelling, machine):
+                            with pytest.raises(error):
+                                resolve(spelling)
+                        else:
+                            assert resolve(spelling) == machine, (surface, spelling)
+                    for spelling in unknown:
+                        with pytest.raises(error):
+                            resolve(spelling)
+                queries = server.statistics()["clients"]["asker"]["queries"]
+                assert queries == 2 * (len(spellings) + len(unknown))
 
     def test_out_of_range_satellite_query_keeps_the_subscription(self, testbed_core):
         # "99999.0" parses as a satellite of shell 0 but no such node exists:

@@ -79,6 +79,10 @@ class TestNodeIndex:
     def test_validation(self):
         with pytest.raises(ValueError):
             NodeIndex([3], ["a", "a"])
+        # One slug is one DNS name: the DNS and /self used to pick different
+        # stations of such a pair.
+        with pytest.raises(ValueError, match="DNS slugs must be unique"):
+            NodeIndex([3], ["Cape Town", "cape-town"])
         with pytest.raises(ValueError):
             NodeIndex([0], [])
         index = _simple_index()
