@@ -118,6 +118,7 @@ class DartExperiment:
         self.buoys = [station for station in stations if station.name.startswith("buoy-")]
         self.sinks = [station for station in stations if station.name.startswith("sink-")]
         self.central = testbed.ground_station(CENTRAL_NAME)
+        self._sink_machines = {sink.name: testbed.ground_station(sink.name) for sink in self.sinks}
         self.groups = SensorGroups(self.buoys, self.sinks, group_count)
         self.reading_interval_s = reading_interval_s
         self.lstm = lstm if lstm is not None else StackedLSTM(input_size=1, hidden_sizes=(16, 16))
@@ -137,8 +138,7 @@ class DartExperiment:
         self.testbed.start()
         sim = self.testbed.sim
         for sink in self.sinks:
-            machine = self.testbed.ground_station(sink.name)
-            self._sink_endpoints[sink.name] = self.testbed.endpoint(machine)
+            self._sink_endpoints[sink.name] = self.testbed.endpoint(self._sink_machines[sink.name])
             self.results.sink_latencies[sink.name] = LatencySeries(sink.name)
             self.results.sink_locations[sink.name] = (sink.latitude_deg, sink.longitude_deg)
             sim.process(self._sink_process(sink.name))
@@ -199,8 +199,7 @@ class DartExperiment:
             payload = dict(message.payload)
             payload["inference_at"] = machine.name
             for sink_name in self.groups.subscribers(message.payload["origin"]):
-                sink_machine = self.testbed.ground_station(sink_name)
-                endpoint.send(sink_machine, RESULT_SIZE_BYTES, payload=payload)
+                endpoint.send(self._sink_machines[sink_name], RESULT_SIZE_BYTES, payload=payload)
 
     def _sink_process(self, sink_name: str):
         sim = self.testbed.sim

@@ -519,9 +519,11 @@ class ConstellationState:
     def geodetic(self, shell: int) -> tuple[np.ndarray, np.ndarray]:
         """Sub-satellite (latitudes, longitudes) [degrees] of one shell.
 
-        The epoch path only needs geodetic coordinates where the
-        bounding-box verdict is uncertain, so the full per-shell conversion
-        runs on first use and is cached on the state.
+        Only the info API's satellite answers (``/sat``, ``/self``, through
+        :meth:`satellite_position_geodetic`) and the animation read these, so the per-shell conversion runs on first use
+        and is cached on the state.  The epoch path never does: the bounding
+        box converts its own uncertain points
+        (:meth:`~repro.core.bounding_box.BoundingBox.contains_ecef`).
         """
         if shell not in self._geodetic:
             latitudes, longitudes, _ = ecef_to_geodetic(self.satellite_positions_ecef[shell])

@@ -19,6 +19,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+from urllib.parse import unquote, urlsplit
 
 from repro.core.constellation import ConstellationCalculation, machine_from_name
 from repro.core.database import ConstellationDatabase
@@ -29,6 +30,7 @@ class InfoAPIError(KeyError):
     """Raised when an info API path does not resolve to a resource."""
 
     status = 404  # what the HTTP server answers
+    __str__ = Exception.__str__  # the message, not a KeyError's repr of its key
 
 
 class InfoAPINotReady(InfoAPIError):
@@ -77,7 +79,7 @@ class InfoAPI:
             if parts[0] == "dns" and len(parts) >= 2 and self.dns is not None:
                 return self.dns.a_record("/".join(parts[1:]))
         except (KeyError, ValueError, IndexError, DNSError) as error:
-            raise InfoAPIError(str(error)) from error
+            raise InfoAPIError(Exception.__str__(error)) from error
         raise InfoAPIError(f"unknown path: {path!r}")
 
 
@@ -91,7 +93,8 @@ class HTTPInfoServer:
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802 (stdlib naming)
                 try:
-                    payload = outer.api.get(self.path)
+                    # The route is the decoded path, without a query string.
+                    payload = outer.api.get(unquote(urlsplit(self.path).path))
                     body = json.dumps(payload).encode()
                     self.send_response(200)
                 except InfoAPIError as error:

@@ -48,8 +48,8 @@ on a TCP stream.
   the remote-worker protocol) answer the same calls, selected with
   ``Coordinator(parallelism="threads" | "processes")``.  The pool spawns
   its workers as it is built, sweeps them for liveness before each record,
-  detects crashes and wedges (every receive is bounded by
-  ``transport.PEER_TIMEOUT_S``) and restarts a worker under a bounded, decaying
+  detects crashes, stops and wedges (``transport.receive_from``, the one
+  forked-peer wait) and restarts a worker under a bounded, decaying
   budget: a restarted worker starts from the replica like a new one, and
   the requests in flight are dropped.  Its deployment settings (address,
   ports, external workers, shared secret) arrive as a ready

@@ -64,11 +64,10 @@ dropped unclosed or still open at interpreter exit.
 Every worker, at pool start and after every crash, starts the same way: its
 ``SPEC`` frame carries each of its hosts as the replica holds it at that
 moment — machine table, counters, dirty set, key root (empty tables at pool
-start).  A crash is detected four ways: a broken/EOF transport while sending
-or collecting, a heartbeat sweep finding the process dead, an ack wait
-observing process exit, or — for a worker that *wedges while staying
-alive* — the :data:`~repro.dist.transport.PEER_TIMEOUT_S` receive deadline
-expiring (the wedged process is killed before its successor spawns).  One rule makes recovery exact:
+start).  A crash is what the heartbeat sweep or the forked-peer wait
+(:func:`~repro.dist.transport.receive_from`) finds: a worker dead or stopped,
+a broken stream or a corrupt frame, or silence past the deadline; the
+process is killed before its successor spawns.  One rule makes recovery exact:
 
 * **A worker (re)spawned from the replica drops the rows still pending for
   it and the requests still in flight.**  The backend runs every row, record
@@ -99,7 +98,7 @@ import numpy as np
 from repro.core.machine_manager import EpochRecord, MachineManager
 from repro.hosts.resources import UsageSample
 from repro.dist import transport, wire
-from repro.dist.transport import TcpTransportFactory, TransportTimeout, stop
+from repro.dist.transport import TcpTransportFactory, stop
 from repro.dist.wire import FrameKind
 
 
@@ -118,15 +117,15 @@ class WorkerDesyncError(RuntimeError):
 
 
 class WorkerCrashError(RuntimeError):
-    """A worker died (detected via transport, heartbeat, exit or timeout)."""
+    """A worker died, stopped, broke its stream or sent a corrupt frame."""
 
 
 class WorkerTimeoutError(WorkerCrashError):
-    """A live worker failed to acknowledge within
+    """A running worker sent no acknowledgement, or stalled mid-frame, within
     :data:`~repro.dist.transport.PEER_TIMEOUT_S`.
 
-    Subclasses :class:`WorkerCrashError` so a wedged-but-alive worker takes
-    the same kill/respawn path as a dead one.
+    Subclasses :class:`WorkerCrashError` so a wedged-but-running worker
+    takes the same kill/respawn path as a dead one.
     """
 
 
@@ -403,8 +402,8 @@ class ProcessFanoutBackend:
         handle.control.clear()
         spec = wire.encode_frame(FrameKind.SPEC, *wire.spec_payload(handle.managers))
         # ``process`` is None for externally placed workers: the factory
-        # then only accepts the (re)connection — liveness checks fall back
-        # to EOF detection and the receive timeout.
+        # then only accepts the (re)connection, and only the stream and the
+        # deadline tell a crash.
         handle.process, handle.conn = self._factory.spawn(handle.index, spec)
 
     def _send(self, handle: _Handle, frame: bytes) -> None:
@@ -488,7 +487,8 @@ class ProcessFanoutBackend:
             seq, sent_at, answers = handle.inflight[0]
             try:
                 if handle.dead:
-                    raise WorkerCrashError(f"worker {handle.index} transport broke mid-send")
+                    fate = transport.fate_of(handle.process)
+                    raise WorkerCrashError(f"worker {handle.index} {fate}: its stream broke mid-send")
                 ack = self._await_ack(handle, seq)
             except WorkerCrashError:
                 if recover:
@@ -508,50 +508,19 @@ class ProcessFanoutBackend:
         return acks
 
     def _await_ack(self, handle: _Handle, seq: int) -> dict[str, Any]:
-        deadline = time.monotonic() + transport.PEER_TIMEOUT_S
-        while not handle.conn.poll(transport.PEER_POLL_S):
-            if handle.process is not None and not handle.process.is_alive():
-                raise WorkerCrashError(f"worker {handle.index} {handle.process.fate()}")
-            if time.monotonic() > deadline:
-                # The worker is alive (or unobservable, when external) but
-                # silent: treat the wedge as a crash so recovery kills and
-                # rebuilds it instead of hanging the epoch forever.
-                raise WorkerTimeoutError(
-                    f"worker {handle.index} did not acknowledge "
-                    f"frame {seq} within {transport.PEER_TIMEOUT_S:.0f}s"
-                )
-        try:
-            # The remaining deadline bounds the receive itself too: a peer
-            # that wedges mid-frame (or a stream stalled after the length
-            # prefix) cannot block past the deadline.
-            data = handle.conn.recv_bytes(
-                timeout=max(transport.PEER_POLL_S, deadline - time.monotonic())
-            )
-        except (TransportTimeout, TimeoutError) as error:
-            raise WorkerTimeoutError(
-                f"worker {handle.index} stalled mid-frame while "
-                f"acknowledging frame {seq}: {error}"
-            ) from error
-        except (EOFError, OSError) as error:
-            raise WorkerCrashError(f"worker {handle.index} transport closed: {error}") from error
-        try:
-            kind, meta, _arrays = wire.decode_frame(data)
-        except wire.WireVersionError:
-            raise  # version skew is fatal: a restart cannot fix the build
-        except wire.WireError as error:
-            # A corrupt frame means the stream itself can no longer be
-            # trusted; tear the worker down and rebuild it.
-            raise WorkerCrashError(
-                f"worker {handle.index} sent a malformed frame: {error}"
-            ) from error
+        _data, kind, meta, _arrays = transport.receive_from(
+            handle.process, handle.conn, f"worker {handle.index}", f"ack {seq}",
+            WorkerCrashError, WorkerTimeoutError,
+        )
         return _checked_ack(handle.index, kind, meta, seq)
 
     # -- heartbeat and recovery ----------------------------------------------
 
     def _heartbeat(self) -> None:
-        """Liveness sweep: restart every worker found dead since the last one."""
+        """Liveness sweep: restart every worker found lost (dead or stopped)
+        or with a broken stream since the last one."""
         for handle in self._handles:
-            if handle.dead or (handle.process is not None and not handle.process.is_alive()):
+            if handle.dead or transport.lost(handle.process):
                 self._recover(handle)
 
     def _recover(self, handle: _Handle) -> None:
@@ -568,9 +537,8 @@ class ProcessFanoutBackend:
             if handle.restarts > MAX_RESTARTS:
                 raise WorkerCrashError(f"worker {handle.index} exceeded {MAX_RESTARTS} restarts")
             if handle.process is not None:
-                # Wedged workers are still alive — the receive timeout, not
-                # process death, routed us here — so the kill is load-
-                # bearing, not merely defensive.
+                # A stopped or wedged worker is still alive, so the kill is
+                # load-bearing, not merely defensive.
                 handle.process.kill()
                 handle.process.join(timeout=5.0)
             if handle.conn is not None:

@@ -30,12 +30,12 @@ uplinks), the link distances on the first read of the column, or of a
 station's uplinks alone.  The child computes every epoch eagerly, because
 its visibility checks need every position.
 
-Failure is typed and bounded.  Every receive has the forked-peer deadline,
-:data:`~repro.dist.transport.PEER_TIMEOUT_S`, and the child's liveness is
-checked while the driver waits: a child that died or was stopped, that
-stalled past the deadline, that reported an exception, or whose frame does
+Failure is typed and bounded.  The driver waits for each frame as for any
+forked peer (:func:`~repro.dist.transport.receive_from`): a child found dead
+or stopped fails at the next poll, one silent or stalled mid-frame at the
+deadline.  That, a child that reported an exception, and a frame that does
 not decode, is not the ``DIFF`` of the epoch asked for or does not chain
-onto the replica, is a :class:`CalculationChildError` naming the cause.  A
+onto the replica, are a :class:`CalculationChildError` naming the cause.  A
 failed child is not respawned.
 
 The child is forked (:func:`~repro.dist.transport.fork`) while other
@@ -52,12 +52,11 @@ from __future__ import annotations
 
 import os
 import socket
-import time
 import traceback
 import weakref
 
 from repro.dist import transport, wire
-from repro.dist.transport import SocketTransport, TransportTimeout, fork, stop
+from repro.dist.transport import SocketTransport, fork, stop
 from repro.dist.wire import FrameKind
 from repro.serve.codec import (
     CodecError,
@@ -119,7 +118,10 @@ class CalculationChild:
         try:
             self._transport.send_bytes(wire.encode_frame(FrameKind.EPOCH_AT, {"time_s": time_s}))
         except OSError as error:
-            raise self._failed(f"it took no answer to epoch {epoch} ({error})") from error
+            raise CalculationChildError(
+                f"the calculation child {transport.fate_of(self.process)}: "
+                f"it took no answer to epoch {epoch} ({error})"
+            ) from error
         if meta["time_s"] != time_s:  # not the guess: computed now, from the same epoch
             data, meta, arrays = self._receive(epoch)
             if meta["time_s"] != time_s:
@@ -137,33 +139,11 @@ class CalculationChild:
 
     def _receive(self, epoch: int) -> tuple[bytes, dict, list]:
         """The child's next frame, the ``DIFF`` of ``epoch``, decoded, within
-        :data:`~repro.dist.transport.PEER_TIMEOUT_S`; a child found dead or
-        stopped while the driver waits fails at once."""
-        deadline = time.monotonic() + transport.PEER_TIMEOUT_S
-        while not self._transport.poll(transport.PEER_POLL_S):
-            if not self.process.is_alive() or self.process.stopped is not None:
-                raise self._failed(f"no epoch {epoch} came")
-            if time.monotonic() > deadline:
-                raise CalculationChildError(
-                    f"the calculation child sent no epoch {epoch} within "
-                    f"{transport.PEER_TIMEOUT_S:g} s"
-                )
-        try:
-            data = self._transport.recv_bytes(
-                timeout=max(transport.PEER_POLL_S, deadline - time.monotonic())
-            )
-        except TransportTimeout as error:
-            raise CalculationChildError(
-                f"the calculation child stalled mid-frame at epoch {epoch}: {error}"
-            ) from error
-        except (EOFError, OSError) as error:
-            raise self._failed(f"its stream closed at epoch {epoch} ({error})") from error
-        try:
-            kind, meta, arrays = wire.decode_frame(data)
-        except wire.WireError as error:
-            raise CalculationChildError(
-                f"the calculation child sent a malformed frame at epoch {epoch}: {error}"
-            ) from error
+        the forked-peer wait (:func:`~repro.dist.transport.receive_from`)."""
+        data, kind, meta, arrays = transport.receive_from(
+            self.process, self._transport, "the calculation child", f"epoch {epoch}",
+            CalculationChildError,
+        )
         if kind is FrameKind.ERROR:
             raise CalculationChildError(
                 f"the calculation child failed at epoch {epoch}:\n{meta.get('traceback')}"
@@ -178,14 +158,6 @@ class CalculationChild:
                 f"at {meta.get('time_s')!r} s, not the DIFF of epoch {epoch}"
             )
         return data, meta, arrays
-
-    def _failed(self, what: str) -> CalculationChildError:
-        """The error for a child found gone or stopped, naming its fate: a
-        killed child's stream can close before ``waitpid`` sees it exit, so
-        one that is not stopped gets a bounded join first."""
-        if self.process.stopped is None:
-            self.process.join(timeout=1.0)
-        return CalculationChildError(f"the calculation child {self.process.fate()}: {what}")
 
     def close(self) -> None:
         """Reap the child (idempotent)."""

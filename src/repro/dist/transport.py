@@ -25,12 +25,15 @@ obtain it:
   loopback worker and one started by hand
   on another machine (``python -m repro.dist.worker --connect host:port``,
   ``external=True`` here) therefore run the same code.
-* :func:`fork`, :class:`ForkedProcess` and :func:`stop` — how every process
-  the testbed starts is started and reaped, a spawned worker and the
-  coordinator's calculation child alike: forked, watched through one handle
-  and stopped by one escalation (``SHUTDOWN``, then terminate, then kill,
-  each join bounded).  Their owners call :func:`stop` from ``close`` and
-  from a ``weakref.finalize``, which also runs at interpreter exit.
+* :func:`fork`, :class:`ForkedProcess`, :func:`receive_from` and
+  :func:`stop` — how every process the testbed starts is started, waited on
+  and reaped, a spawned worker and the coordinator's calculation child
+  alike: forked, watched through one handle, its frames awaited by one rule
+  (checked every :data:`PEER_POLL_S`, it fails at once when dead or stopped,
+  at :data:`PEER_TIMEOUT_S` when silent or stalled mid-frame) and stopped
+  by one escalation (``SHUTDOWN``, then terminate, then kill, each join
+  bounded).  Their owners call :func:`stop` from ``close`` and from a
+  ``weakref.finalize``, which also runs at interpreter exit.
 """
 
 from __future__ import annotations
@@ -510,7 +513,7 @@ class TcpTransportFactory:
 class ForkedProcess:
     """A child forked by this process (:func:`fork`), known by its pid.
 
-    The calls :func:`stop` and a worker pool's heartbeat make on a process
+    The calls :func:`stop` and the forked-peer wait make on a process
     (``is_alive``, ``join``, ``terminate``, ``kill``), plus the stop a
     ``SIGSTOP`` leaves.  ``join`` takes a deadline: nothing waits for a
     child unboundedly.
@@ -556,16 +559,6 @@ class ForkedProcess:
                 os.kill(self.pid, number)
             except ProcessLookupError:
                 pass
-
-    def fate(self) -> str:
-        """How the child ended or paused, for an error message."""
-        if self.exitcode is not None and self.exitcode < 0:
-            return f"was killed by {signal.Signals(-self.exitcode).name}"
-        if self.exitcode is not None:
-            return f"exited with status {self.exitcode}"
-        if self.stopped is not None:
-            return f"was stopped by {signal.Signals(self.stopped).name}"
-        return "is still running"
 
 
 def fork(main: Callable[..., object], *args) -> ForkedProcess:
@@ -635,3 +628,67 @@ def stop(process: Optional[ForkedProcess], transport: Optional[SocketTransport])
     if process.is_alive():  # pragma: no cover - last resort
         process.kill()
         process.join(timeout=1.0)
+
+
+# -- the wait for a forked peer's frame --------------------------------------------
+
+
+def lost(process: Optional[ForkedProcess]) -> bool:
+    """The liveness rule of a forked peer: it is lost when dead or stopped.
+    An external worker (``None``) is never found lost; only its stream tells."""
+    return process is not None and (not process.is_alive() or process.stopped is not None)
+
+
+def fate_of(process: Optional[ForkedProcess]) -> str:
+    """How a peer ended or paused, for an error message.  A killed child's
+    stream can close before ``waitpid`` sees it exit, so a child that is not
+    stopped gets a bounded join first."""
+    if process is None:
+        return "is gone"
+    if process.stopped is None:
+        process.join(timeout=1.0)
+    if process.exitcode is not None and process.exitcode < 0:
+        return f"was killed by {signal.Signals(-process.exitcode).name}"
+    if process.exitcode is not None:
+        return f"exited with status {process.exitcode}"
+    if process.stopped is not None:
+        return f"was stopped by {signal.Signals(process.stopped).name}"
+    return "is still running"
+
+
+def receive_from(
+    process: Optional[ForkedProcess],
+    stream: SocketTransport,
+    peer: str,
+    awaited: str,
+    failure: type[Exception],
+    timeout: Optional[type[Exception]] = None,
+) -> tuple[bytes, FrameKind, dict, list]:
+    """The next frame of ``peer`` (``process`` is ``None`` for an external
+    worker), decoded: ``(data, kind, meta, arrays)``.
+
+    A peer found :func:`lost` at a poll, a closed stream and a frame that
+    does not decode raise the owner's ``failure``, naming ``awaited``; a
+    peer silent or stalled mid-frame until :data:`PEER_TIMEOUT_S` its
+    ``timeout`` (default ``failure``).  A version skew passes as it is.
+    """
+    timeout = timeout or failure
+    deadline = time.monotonic() + PEER_TIMEOUT_S
+    while not stream.poll(PEER_POLL_S):
+        if lost(process):
+            raise failure(f"{peer} {fate_of(process)}: no {awaited} came")
+        if time.monotonic() > deadline:
+            raise timeout(f"{peer} sent no {awaited} within {PEER_TIMEOUT_S:g} s")
+    try:
+        data = stream.recv_bytes(timeout=max(PEER_POLL_S, deadline - time.monotonic()))
+    except TransportTimeout as error:
+        raise timeout(f"{peer} stalled mid-frame at {awaited}: {error}") from error
+    except (EOFError, OSError) as error:
+        raise failure(f"{peer} {fate_of(process)}: its stream closed at {awaited} ({error})") from error
+    try:
+        kind, meta, arrays = wire.decode_frame(data)
+    except wire.WireVersionError:
+        raise
+    except wire.WireError as error:
+        raise failure(f"{peer} sent a malformed frame at {awaited}: {error}") from error
+    return data, kind, meta, arrays

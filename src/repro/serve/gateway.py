@@ -153,13 +153,17 @@ class StreamGateway:
 
     # -- framing over asyncio streams --------------------------------------
 
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-        prefix = await reader.readexactly(LENGTH_PREFIX.size)
-        (length,) = LENGTH_PREFIX.unpack(prefix)
-        if length > MAX_FRAME_BYTES:
-            raise GatewayError(f"frame length {length} exceeds the limit")
-        return await reader.readexactly(length)
+    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes:
+        """A client's next frame.  The wait for its first byte is unbounded
+        (an idle subscriber is legal); the rest must follow within
+        ``ack_timeout_s``, so a client stalled mid-frame is dropped."""
+        first = await reader.readexactly(1)
+        async with asyncio.timeout(self.ack_timeout_s):
+            prefix = first + await reader.readexactly(LENGTH_PREFIX.size - 1)
+            (length,) = LENGTH_PREFIX.unpack(prefix)
+            if length > MAX_FRAME_BYTES:
+                raise GatewayError(f"frame length {length} exceeds the limit")
+            return await reader.readexactly(length)
 
     # -- publication (called from the database listener) --------------------
 

@@ -1,5 +1,6 @@
 """Unit tests for the constellation database, info API, DNS-over-HTTP and animation."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -204,6 +205,36 @@ class TestInfoAPI:
             host, port = server.address
             with pytest.raises(urllib.error.HTTPError):
                 urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=5)
+
+    def test_http_server_routes_the_decoded_path_without_its_query(self, setup):
+        # A station name with a space travels percent-encoded, and a query
+        # string is not part of the route; an error body is the plain message.
+        config, calculation, _, _ = setup
+        config = dataclasses.replace(
+            config,
+            ground_stations=config.ground_stations
+            + (GroundStationConfig(station=GroundStation("Cape Verde", 16.0, -24.0)),)
+        )
+        calculation = ConstellationCalculation(config)
+        database = ConstellationDatabase()
+        database.set_state(calculation.state_at(0.0))
+
+        def get(path):
+            url = f"http://{host}:{port}{path}"
+            try:
+                with urllib.request.urlopen(url, timeout=5) as response:
+                    return response.status, json.loads(response.read())
+            except urllib.error.HTTPError as error:
+                return error.code, json.loads(error.read())
+
+        with HTTPInfoServer(InfoAPI(database, calculation)) as server:
+            host, port = server.address
+            for path in ("/gst/cape-verde", "/gst/Cape%20Verde", "/gst/Cape%20Verde?x=1"):
+                status, body = get(path)
+                assert (status, body["name"]) == (200, "Cape Verde")
+            assert get("/info?x=1") == (200, database.constellation_info())
+            assert get("/gst/atlantis") == (404, {"error": "unknown machine name: 'atlantis'"})
+            assert get("/nope/") == (404, {"error": "unknown path: '/nope/'"})
 
     def test_http_server_503_before_the_first_epoch(self, setup):
         # A machine can boot and ask before the coordinator's first update:

@@ -33,6 +33,7 @@ from repro.core import MachineManager
 from repro.dist import backend as backend_module
 from repro.dist import transport as transport_module
 from repro.dist import wire
+from repro.dist import worker as worker_module
 from repro.dist.backend import (
     ProcessFanoutBackend,
     WorkerCrashError,
@@ -450,12 +451,38 @@ def _pool(monkeypatch, ack_timeout_s=10.0, **constants):
     return ProcessFanoutBackend(list(_hosts().values()))
 
 
+def _failures(monkeypatch, pool):
+    """The errors the pool's ack wait raises from now on, in order."""
+    failures = []
+    await_ack = pool._await_ack
+
+    def recording(handle, seq):
+        try:
+            return await_ack(handle, seq)
+        except Exception as error:
+            failures.append(error)
+            raise
+
+    monkeypatch.setattr(pool, "_await_ack", recording)
+    return failures
+
+
+def _stop(process):
+    """SIGSTOP a forked worker and wait until it is stopped."""
+    os.kill(process.pid, signal.SIGSTOP)
+    stat = Path(f"/proc/{process.pid}/stat")
+    deadline = time.monotonic() + 5.0
+    while stat.read_text().rsplit(")", 1)[1].split()[0] != "T":
+        assert time.monotonic() < deadline, "the worker did not stop"
+        time.sleep(0.01)
+
+
 class TestSupervisionHardening:
     def test_wedged_worker_hits_timeout_and_is_rebuilt(self, monkeypatch):
-        # The worker stays alive but stops serving (SIGSTOP): only the
-        # receive deadline can notice, and it must route into the
-        # crash/restart path rather than surfacing a bare TimeoutError (or
-        # hanging); the pool's kill still ends the stopped process.
+        # The worker stays alive but stops serving (SIGSTOP): the wait's
+        # poll finds it stopped, and that must route into the crash/restart
+        # path rather than surfacing a bare error (or hanging); the pool's
+        # kill still ends the stopped process.
         pool = _pool(monkeypatch, ack_timeout_s=1.0, max_restarts=2)
         try:
             assert "counters" in _ping(pool, 0)
@@ -486,6 +513,59 @@ class TestSupervisionHardening:
         finally:
             pool.close()
         assert process.exitcode == 0
+
+    def test_a_worker_that_never_answers_hits_the_deadline_and_is_rebuilt(self, monkeypatch):
+        # The worker runs but never answers its second request: only the
+        # deadline can tell, and recovery kills and rebuilds it.
+        dispatch = worker_module._Worker._dispatch
+
+        def wedging(worker, kind, meta, arrays):
+            if meta.get("seq") == 2:
+                time.sleep(60.0)
+            return dispatch(worker, kind, meta, arrays)
+
+        monkeypatch.setattr(worker_module._Worker, "_dispatch", wedging)  # before the fork
+        pool = _pool(monkeypatch, ack_timeout_s=1.0, max_restarts=2)
+        failures = _failures(monkeypatch, pool)
+        try:
+            assert "counters" in _ping(pool, 0)
+            started = time.monotonic()
+            assert _ping(pool, 0) is None  # deadline → kill → respawn, dropped
+            assert time.monotonic() - started >= 1.0
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
+        finally:
+            pool.close()
+        assert [type(error) for error in failures] == [WorkerTimeoutError]
+        assert str(failures[0]) == "worker 0 sent no ack 2 within 1 s"
+
+    def test_a_stopped_worker_is_rebuilt_at_the_next_poll(self, monkeypatch):
+        # Found stopped while the pool waits for its ack, not after the deadline.
+        pool = _pool(monkeypatch, ack_timeout_s=30.0)
+        failures = _failures(monkeypatch, pool)
+        try:
+            assert "counters" in _ping(pool, 0)
+            _stop(pool._handles[0].process)
+            started = time.monotonic()
+            assert _ping(pool, 0) is None  # stopped → kill → respawn, dropped
+            assert time.monotonic() - started < 5.0
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
+        finally:
+            pool.close()
+        assert [type(error) for error in failures] == [WorkerCrashError]
+        assert str(failures[0]) == "worker 0 was stopped by SIGSTOP: no ack 2 came"
+
+    def test_the_heartbeat_rebuilds_a_stopped_worker(self, monkeypatch):
+        pool = _pool(monkeypatch, ack_timeout_s=30.0)
+        try:
+            assert "counters" in _ping(pool, 0)
+            _stop(pool._handles[0].process)
+            pool._heartbeat()
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
+        finally:
+            pool.close()
 
     def test_timeout_error_is_a_crash_error(self):
         assert issubclass(WorkerTimeoutError, WorkerCrashError)
@@ -572,6 +652,37 @@ class TestExternalWorkers:
             finally:
                 if process.poll() is None:  # pragma: no cover - cleanup
                     process.kill()
+
+    def test_an_external_worker_that_closes_its_stream_is_a_crash(self, monkeypatch):
+        # No process to watch: the closed stream alone tells, at once.
+        port = _free_port()
+        factory = TcpTransportFactory(base_port=port, external=True, accept_timeout_s=20.0)
+        monkeypatch.setattr(transport_module, "PEER_TIMEOUT_S", 20.0)
+        first = _launch_external_worker(port)
+        pool = replacement = None
+        try:
+            pool = ProcessFanoutBackend(list(_hosts().values()), transport=factory)
+            handle = pool._handles[0]
+            assert "counters" in _ping(pool, 0)
+            handle.conn.send_bytes(wire.encode_frame(FrameKind.SHUTDOWN, {}))
+            assert first.wait(timeout=10.0) == 0  # it closed its stream and left
+            pool._request(FrameKind.PING, {})
+            with pytest.raises(
+                WorkerCrashError, match="worker 0 is gone: its stream closed at ack 2"
+            ) as raised:
+                pool._await_ack(handle, handle.inflight[0][0])
+            assert not isinstance(raised.value, WorkerTimeoutError)
+            replacement = _launch_external_worker(port)
+            assert _ping(pool, 0) is None  # EOF → recover → re-handshake, dropped
+            assert pool.restart_count == 1
+            assert "counters" in _ping(pool, 0)
+        finally:
+            if pool is not None:
+                pool.close()
+            for process in (first, replacement):
+                if process is not None and process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=5.0)
 
     def test_killed_external_worker_recovers_via_relaunch_and_reconnect(self, monkeypatch):
         port = _free_port()

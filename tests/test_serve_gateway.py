@@ -454,6 +454,35 @@ class TestPreAuthSafety:
         assert _CANARY_CALLS == []
 
 
+class TestStalledClients:
+    @pytest.mark.parametrize(
+        "stall",
+        [LENGTH_PREFIX.pack(100) + b"\x00" * 10, LENGTH_PREFIX.pack(100)[:2]],
+        ids=["mid-body", "mid-prefix"],
+    )
+    def test_a_subscriber_stalled_mid_frame_is_dropped(self, testbed_core, stall):
+        # An idle subscriber stays; one that begins a frame and stalls is
+        # dropped within the deadline, as a failed SUBSCRIBE is.
+        _, _, database, _ = testbed_core
+        with GatewayServer(database, ack_timeout_s=0.5) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=5.0) as stalled, \
+                    socket.create_connection((host, port), timeout=5.0) as idle:
+                for sock, client in ((stalled, "stalled"), (idle, "idle")):
+                    sock.sendall(stream_frame(
+                        wire.encode_frame(wire.FrameKind.SUBSCRIBE, {"client": client})
+                    ))
+                deadline = time.monotonic() + 5.0
+                while server.statistics()["subscriptions"] < 2:
+                    assert time.monotonic() < deadline, "the subscriptions did not open"
+                    time.sleep(0.01)
+                stalled.sendall(stall)
+                time.sleep(2.0)
+                assert sorted(server.statistics()["clients"]) == ["idle"]
+                while stalled.recv(65536):  # the ack and the keyframe, then the close
+                    pass
+
+
 class TestEvictionPreservesReplies:
     def test_pending_query_replies_survive_a_flush(self, testbed_core):
         _, _, database, _ = testbed_core
