@@ -7,14 +7,12 @@ aggregations over raw measurement samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LatencySample:
+class LatencySample(NamedTuple):
     """One end-to-end latency measurement."""
 
     time_s: float

@@ -101,7 +101,7 @@ from __future__ import annotations
 import time as wallclock
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -257,6 +257,21 @@ class Coordinator:
         """
         table = self._table_of.get(machine.name)
         return table is not None and table.is_running_at(machine.name, now_s)
+
+    def running_check(self, clock: Simulation) -> Callable[[MachineId], bool]:
+        """:meth:`is_running_at` at the clock's time, as one call: two
+        subscripts and a comparison once the machine's table keeps its
+        threshold (:attr:`~repro.microvm.MachineTable.running_from`)."""
+        table_of, is_running_at = self._table_of, self.is_running_at
+
+        def is_running(machine: MachineId) -> bool:
+            name = machine.name
+            try:
+                return clock.now >= table_of[name].running_from[name]
+            except KeyError:
+                return is_running_at(machine, clock.now)
+
+        return is_running
 
     def create_machines(
         self, names: list[str], shells: np.ndarray, identifiers: np.ndarray, now_s: float

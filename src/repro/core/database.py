@@ -39,7 +39,9 @@ demand, and a batch roots its pairs at the endpoint most of them share —
 one row for a DART deployment whose every pair contains the central
 station, where asking pair by pair would root each at its first ground
 station.  The kept list is bounded by the previous epoch's working set and
-replaced on every ``set_state``, whether or not it was used.  Pair rules
+replaced on every ``set_state``, whether or not it was used.  Rules are
+kept by the pair's machine names, and a pair's node ids are looked up once,
+at its first resolution, so a batch reads no name twice.  Pair rules
 stay in the state's row regime even for a batch of one, because the rows a
 batch solves serve the rest of the epoch's traffic; the single-pair
 queries (:meth:`~ConstellationDatabase.path_info`, the gateway's ``QUERY``)
@@ -84,10 +86,15 @@ class ConstellationDatabase:
     def __init__(self):
         self._state: Optional[ConstellationState] = None
         self.epoch = 0
-        self._rule_cache: dict[tuple[MachineId, MachineId], PairRule] = {}
+        #: This epoch's rules, by the pair's machine names.
+        self._rule_cache: dict[tuple[str, str], PairRule] = {}
         #: Pairs that had a rule in the previous epoch, until the first miss
         #: of this epoch resolves them in one batch.
         self._warm_pairs: list[tuple[MachineId, MachineId]] = []
+        #: Every pair resolved so far, by its machine names: its machines
+        #: and their node ids under ``_node_index``, from its first resolution.
+        self._pairs: dict[tuple[str, str], tuple[tuple[MachineId, MachineId], tuple[int, int]]] = {}
+        self._node_index = None
         #: ``pair_rule`` calls / those that found no rule / pairs resolved
         #: ahead of demand by a batch (exact counts, for observability).
         self.rule_lookups = 0
@@ -138,7 +145,7 @@ class ConstellationDatabase:
             self._state = state
             self._latest_diff = diff
             self.epoch += 1
-            self._warm_pairs = list(self._rule_cache)
+            self._warm_pairs = [self._pairs[names][0] for names in self._rule_cache]
             self._rule_cache.clear()
             epoch = self.epoch
             listeners = list(self._listeners)
@@ -182,13 +189,13 @@ class ConstellationDatabase:
         """Delay/bandwidth rule currently installed for a machine pair."""
         with self._lock:
             self.rule_lookups += 1
-            pair = (source, destination)
-            rule = self._rule_cache.get(pair)
+            names = (source.name, destination.name)
+            rule = self._rule_cache.get(names)
             if rule is None:
                 self.rule_misses += 1
                 warm, self._warm_pairs = self._warm_pairs, []
-                self._resolve(pair, warm)
-                rule = self._rule_cache[pair]
+                self._resolve((source, destination), warm)
+                rule = self._rule_cache[names]
             return rule
 
     def _resolve(
@@ -199,17 +206,23 @@ class ConstellationDatabase:
         """Derive and cache the rule of ``pair`` and, in the same pass, of
         every pair of ``warm``."""
         state = self.state
-        pairs = dict.fromkeys([pair, *warm])
-        self.rule_batch_pairs += len(pairs) - 1
-        nodes = [(state.node_for(source), state.node_for(target)) for source, target in pairs]
-        delays, bandwidths = state.pair_metrics(*zip(*nodes))
-        for key, delay, bandwidth in zip(pairs, delays.tolist(), bandwidths.tolist()):
-            reachable = math.isfinite(delay)
-            self._rule_cache[key] = PairRule(
-                delay_ms=delay if reachable else 0.0,
-                bandwidth_kbps=bandwidth if reachable and bandwidth > 0 else None,
-                reachable=reachable,
-            )
+        if state.node_index is not self._node_index:
+            self._pairs, self._node_index = {}, state.node_index
+        known = self._pairs
+        nodes = {}  # the batch: each pair once, in order
+        for source, target in [pair, *warm]:
+            names = (source.name, target.name)
+            if names not in known:
+                known[names] = ((source, target), (state.node_for(source), state.node_for(target)))
+            nodes[names] = known[names][1]
+        self.rule_batch_pairs += len(nodes) - 1
+        delays, bandwidths = state.pair_metrics(*zip(*nodes.values()))
+        rule_cache = self._rule_cache
+        for names, delay, bandwidth in zip(nodes, delays.tolist(), bandwidths.tolist()):
+            if math.isfinite(delay):
+                rule_cache[names] = PairRule(delay, bandwidth if bandwidth > 0 else None, True)
+            else:
+                rule_cache[names] = PairRule(0.0, None, False)
 
     # -- info-API queries ----------------------------------------------------
 

@@ -69,7 +69,7 @@ class Celestial:
         self.network = VirtualNetwork(
             self.sim,
             rule_provider=self.database.pair_rule,
-            running_check=self._machine_running,
+            running_check=None,  # the coordinator's, below
             rng=self.streams.stream("network"),
         )
         self.coordinator = Coordinator(
@@ -82,17 +82,13 @@ class Celestial:
             worker_count=worker_count,
             transport=transport,
         )
+        self.network.running_check = self.coordinator.running_check(self.sim)
         self.fault_injector = FaultInjector(
             manager_resolver=self.coordinator.manager_for, network=self.network
         )
         self.info_api = InfoAPI(self.database, self.calculation, self.dns)
         self.resource_estimate = estimate_resources(config)
         self._loops = ()  # the run loops start() hands the simulation
-
-    # -- wiring callbacks -----------------------------------------------------
-
-    def _machine_running(self, machine: MachineId) -> bool:
-        return self.coordinator.is_running_at(machine, self.sim.now)
 
     # -- machine identities ------------------------------------------------------
 

@@ -568,14 +568,19 @@ def fork(main: Callable[..., object], *args) -> ForkedProcess:
 
     The child inherits what is imported and built, keeps standard input,
     output and error and the sockets among ``args``, and leaves the rest to
-    this process (:func:`_enter_child`).  It ends by ``os._exit``: status 0
-    when ``main`` returns, 1 after printing the traceback when it raises.
+    this process (:func:`_enter_child`).  On Linux it runs under
+    ``SCHED_BATCH``, so a wake-up of the child never preempts this process:
+    the driver waits on its peers only when it asks them for something.  It
+    ends by ``os._exit``: status 0 when ``main`` returns, 1 after printing
+    the traceback when it raises.
     """
     keep = sorted(arg.fileno() for arg in args if isinstance(arg, socket.socket))
     pid = os.fork()
     if pid == 0:  # pragma: no cover - runs in the child, which leaves by os._exit
         code = 1
         try:
+            if hasattr(os, "SCHED_BATCH"):  # Linux; elsewhere the default policy
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
             _enter_child(keep)
             main(*args)
             code = 0

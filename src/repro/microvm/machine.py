@@ -132,8 +132,10 @@ class MachineTable(Mapping):
     ``busy``, ``seeds``, ``states``, ``boot_counts``, ``boot_started_s``,
     ``held_until_s``), so a row costs a few dozen bytes and a scalar read
     is a Python number, never a NumPy scalar.  Every write goes through a
-    method, which drops the kept usage reading.  As a mapping the table is
-    name → :class:`MachineView`, in creation order.
+    method, which drops the kept usage reading and, if it changes the
+    row's state or boot, the row's kept liveness threshold
+    (:attr:`running_from`).  As a mapping the table is name →
+    :class:`MachineView`, in creation order.
     """
 
     #: The columns a row consists of, in the order :meth:`take` returns them.
@@ -176,6 +178,11 @@ class MachineTable(Mapping):
         #: Running total over the rows.
         self.reserved_memory_mib = 0
         self._usage: Optional[Usage] = None
+        #: name → the earliest time ``state_at`` reads RUNNING for the row as
+        #: it is: ``inf`` unless the stored state is RUNNING, else the end of
+        #: the boot window.  Filled by a row's first :meth:`is_running_at`,
+        #: dropped by every write to the row's state or boot.
+        self.running_from: dict[str, float] = {}
 
     # -- the mapping: name → view ------------------------------------------
 
@@ -239,6 +246,7 @@ class MachineTable(Mapping):
     def take(self, name: str) -> tuple:
         """Remove a machine's row and return its values (for :meth:`put`)."""
         row = self._rows.pop(name)
+        self.running_from.pop(name, None)
         values = tuple(getattr(self, column).pop(row) for column in self.COLUMNS)
         for later in self.names[row:]:
             self._rows[later] -= 1
@@ -262,6 +270,7 @@ class MachineTable(Mapping):
     def _set(self, row: int, code: int) -> None:
         self.states[row] = code
         self._usage = None
+        self.running_from.pop(self.names[row], None)
 
     def suspend(self, name: str) -> None:
         """Suspend a running machine (bounding-box exit); memory stays allocated."""
@@ -352,13 +361,19 @@ class MachineTable(Mapping):
         return _STATES[self.states[row]]
 
     def is_running_at(self, name: str, time_s: float) -> bool:
-        """Whether ``state_at(name, time_s)`` is ``RUNNING``: the per-message check."""
-        row = self._rows[name]
-        if self.states[row] != _RUNNING:
-            return False
-        if time_s >= self.boot_started_s[row] + MAX_BOOT_TIME_S:
-            return True
-        return not (time_s < self.held_until_s[row] or time_s < self._finish(row))
+        """Whether ``state_at(name, time_s)`` is ``RUNNING``: the per-message
+        check, one lookup of the row's :attr:`running_from` and one comparison."""
+        running_from = self.running_from.get(name)
+        if running_from is None:
+            row = self._rows[name]
+            running_from = math.inf
+            if self.states[row] == _RUNNING:
+                running_from = min(
+                    self.boot_started_s[row] + MAX_BOOT_TIME_S,
+                    max(self.held_until_s[row], self._finish(row)),
+                )
+            self.running_from[name] = running_from
+        return time_s >= running_from
 
     # -- accounting ----------------------------------------------------------------
 

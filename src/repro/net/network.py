@@ -34,13 +34,17 @@ bandwidth override dropped the link (the next send rebuilds it from a
 fresh rule, so an override never leaves per-pair residue behind).  Across
 an epoch with an empty diff the provider is not called at all.  Every
 delivery is one :meth:`~repro.sim.Simulation.call_at` timer.
+
+A send checks that both machines run, a delivery the destination again:
+one call of ``running_check`` each, which in a testbed compares the clock
+with the threshold the machine's table keeps
+(:attr:`~repro.microvm.MachineTable.running_from`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,8 +61,7 @@ BURST_BYTES = 32 * 1024
 QUEUE_LIMIT_BYTES = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class PairRule:
+class PairRule(NamedTuple):
     """Network rule for one directed machine pair, as installed by a manager."""
 
     delay_ms: float
@@ -134,10 +137,10 @@ class PairLink:
         departure_s = now_s
         rate = self.rate
         if rate is not None:
-            self._tokens = min(
-                float(BURST_BYTES),
-                self._tokens + max(0.0, now_s - self._updated_s) * rate,
-            )
+            elapsed_s = now_s - self._updated_s
+            if elapsed_s > 0.0:
+                tokens = self._tokens + elapsed_s * rate
+                self._tokens = tokens if tokens < BURST_BYTES else float(BURST_BYTES)
             self._updated_s = now_s
             clears_at_s = self._clears_at_s
             backlog_bytes = 0.0 if now_s >= clears_at_s else (clears_at_s - now_s) * rate
@@ -248,11 +251,15 @@ class VirtualNetwork:
             return cap
         return min(cap, rule.bandwidth_kbps)
 
-    def _link_for(self, source: MachineId, destination: MachineId) -> PairLink:
-        key = (source.name, destination.name)
-        link = self._links.get(key)
-        if link is not None and link.epoch == self._epoch:
-            return link
+    def _link_for(
+        self,
+        key: tuple[str, str],
+        source: MachineId,
+        destination: MachineId,
+        link: Optional[PairLink],
+    ) -> PairLink:
+        """The pair's link under a rule of the current epoch: ``link``, the
+        one materialised, refreshed, or a new one when there is none."""
         rule = self._rule_provider(source, destination)
         if link is None:
             link = PairLink(self._loss_overrides.get(key, 0.0), self._rng)
@@ -283,25 +290,32 @@ class VirtualNetwork:
         """
         self.messages_sent += 1
         source, destination = message.source, message.destination
+        running = self.running_check
         self.running_checks += 1
-        if not self.running_check(source):
+        if not running(source):
             self.messages_dropped += 1
             return False
         self.running_checks += 1
-        if not self.running_check(destination):
+        if not running(destination):
             self.messages_dropped += 1
             return False
         if destination.name not in self._endpoints:
             self.messages_dropped += 1
             return False
-        now = self.sim.now
-        arrival_s = self._link_for(source, destination).transmit(message.size_bytes, now)
+        key = (source.name, destination.name)
+        link = self._links.get(key)
+        if link is None or link.epoch != self._epoch:
+            link = self._link_for(key, source, destination, link)
+        sim = self.sim
+        now = sim.now
+        arrival_s = link.transmit(message.size_bytes, now)
         if arrival_s is None:
             self.messages_dropped += 1
             return False
         # The timer fires at ``now + delay`` (not the arrival time itself:
         # the sum is what receivers have always observed).
-        self.sim.call_at(now + max(0.0, arrival_s - now), partial(self._deliver, message))
+        delay_s = arrival_s - now
+        sim.call_at(now + delay_s if delay_s > 0.0 else now, partial(self._deliver, message))
         return True
 
     def _deliver(self, message: Message) -> None:

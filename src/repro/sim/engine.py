@@ -26,6 +26,8 @@ nothing).
 
 :attr:`Simulation.processed_events` counts queue entries popped — events
 and timers alike, one per :meth:`Simulation.step`.
+Events are ``__slots__`` objects, and a step tells a timer from an event by
+its exact type, with no ``isinstance``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A condition that may be triggered once, resuming waiting processes."""
+    """A condition that may be triggered once, resuming waiting processes.
+
+    The queue tells an event from a timer by its exact type, so the only
+    events are an ``Event`` and a :class:`Timeout`: subclass neither.
+    """
+
+    __slots__ = ("sim", "callbacks", "triggered", "processed", "value")
 
     def __init__(self, sim: "Simulation"):
         self.sim = sim
@@ -60,6 +68,8 @@ class Event:
 
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay."""
+
+    __slots__ = ()
 
     def __init__(self, sim: "Simulation", delay: float, value: Any = None):
         if delay < 0:
@@ -83,7 +93,8 @@ class Process:
             target = self._generator.send(event.value)
         except StopIteration:
             return
-        if not isinstance(target, Event):
+        kind = type(target)
+        if kind is not Event and kind is not Timeout:
             raise SimulationError(
                 f"process yielded {target!r}, which is not an Event"
             )
@@ -103,7 +114,8 @@ class Simulation:
         #: :class:`Event` or the bare callback of a :meth:`call_at` timer.
         self._queue: list[tuple[float, int, int, Event | Callable[[], None]]] = []
         self._sequence = 0
-        self._processed_events = 0
+        #: Queue entries (events and timers) processed so far.
+        self.processed_events = 0
 
     # -- scheduling -------------------------------------------------------
 
@@ -142,21 +154,18 @@ class Simulation:
 
     # -- execution --------------------------------------------------------
 
-    @property
-    def processed_events(self) -> int:
-        """Queue entries (events and timers) processed so far."""
-        return self._processed_events
-
     def step(self) -> None:
         """Process exactly one queue entry: an event or a timer."""
         if not self._queue:
             raise SimulationError("no more events to process")
         time, _, _, entry = heapq.heappop(self._queue)
-        if time < self.now - 1e-12:
+        if time > self.now:
+            self.now = time
+        elif time < self.now - 1e-12:
             raise SimulationError("event scheduled in the past")
-        self.now = max(self.now, time)
-        self._processed_events += 1
-        if not isinstance(entry, Event):
+        self.processed_events += 1
+        kind = type(entry)
+        if kind is not Event and kind is not Timeout:
             entry()
             return
         entry.processed = True

@@ -262,12 +262,13 @@ class PathRows(ShortestPaths):
         self.graph = graph
         self.sources = list(sources)
         self._engine = engine
-        self._stations = frozenset(self.sources)
+        node_count = len(graph.index)
+        self._is_station = np.zeros(node_count, dtype=bool)
+        self._is_station[self.sources] = True
         self._matrix: Optional[csr_matrix] = None
         self._widest_ms = 0.0
         self._lock = threading.Lock()
         self._row_of: dict[int, int] = {}
-        node_count = len(graph.index)
         self._distances = self._distance_buffer = np.empty((0, node_count))
         self._predecessors = self._predecessor_buffer = np.empty((0, node_count), np.int32)
 
@@ -276,26 +277,25 @@ class PathRows(ShortestPaths):
         held = self._row_of
         if node_a in held:
             return node_a, node_b
-        if node_b in held or (node_b in self._stations and node_a not in self._stations):
+        if node_b in held or (self._is_station[node_b] and not self._is_station[node_a]):
             return node_b, node_a
         return node_a, node_b
 
     def orient(
         self, nodes_a: np.ndarray, nodes_b: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(sources, targets)`` of many pairs by the module's source-choice rule."""
+        """``(sources, targets)`` of many pairs by the module's source-choice
+        rule, read in node space: how many endpoints of the batch each node
+        is, and whether it has a row or is a station."""
+        held = np.zeros_like(self._is_station)
         with self._lock:
-            held = np.fromiter(self._row_of, dtype=np.int64, count=len(self._row_of))
-        _, endpoint, shared = np.unique(
-            np.concatenate([nodes_a, nodes_b]), return_inverse=True, return_counts=True
-        )
-        shared_a, shared_b = np.split(shared[endpoint], 2)
-        stations = np.fromiter(self._stations, dtype=np.int64, count=len(self._stations))
-        station_b = np.isin(nodes_b, stations) & ~np.isin(nodes_a, stations)
-        flip = ~np.isin(nodes_a, held) & (
-            np.isin(nodes_b, held)
-            | (shared_b > shared_a)
-            | ((shared_b == shared_a) & station_b)
+            held[np.fromiter(self._row_of, dtype=np.int64, count=len(self._row_of))] = True
+        shared = np.bincount(np.concatenate([nodes_a, nodes_b]))
+        shared_a, shared_b = shared[nodes_a], shared[nodes_b]
+        is_station = self._is_station
+        station_b = is_station[nodes_b] & ~is_station[nodes_a]
+        flip = ~held[nodes_a] & (
+            held[nodes_b] | (shared_b > shared_a) | ((shared_b == shared_a) & station_b)
         )
         return np.where(flip, nodes_b, nodes_a), np.where(flip, nodes_a, nodes_b)
 

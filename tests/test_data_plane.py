@@ -2,7 +2,8 @@
 
 How the middleware moves a message — one timer per delivery, a rule lookup
 only when the epoch moved, one batched rule pass per epoch, an O(1) running
-check — must not show in anything an experiment observes: every delivery,
+check (one call, reading the liveness threshold the machine's table keeps)
+— must not show in anything an experiment observes: every delivery,
 drop and latency sample is the one the plain per-pair, per-message
 computation gives.  The references here are that plain computation:
 ``ConstellationState.delay_ms`` + ``bandwidth_kbps`` pair by pair, and a
