@@ -193,7 +193,8 @@ def test_path_engine_breakdown(dart_central_run):
         f"rows solved per epoch: Starlink {np.mean(rows_per_epoch):.2f} "
         f"(4 station queries), DART {results['rows_per_epoch']['dart_central_mean']:.2f}; "
         f"bounded searches per epoch: Starlink {np.mean(searches_per_epoch):.2f} "
-        f"(4 satellite pairs)"
+        f"(4 satellite pairs; {churn_stats['cache_misses']} pairs searched, "
+        f"{churn_stats['cache_hits']} read from a held row or search)"
     )
     merge_artifact("steady_state", results)
 

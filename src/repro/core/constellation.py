@@ -399,8 +399,8 @@ class ConstellationState:
     def delay_ms(self, machine_a: MachineId, machine_b: MachineId) -> float:
         """One-way shortest-path network delay between two machines [ms].
 
-        The delay of :meth:`path`: read from a held row of the pair's
-        source, else found by a bounded search that stores nothing.
+        The delay of :meth:`path`: read from a held row or search of the
+        pair's source, else found by a bounded search the store holds.
         """
         return self.path(machine_a, machine_b).delay_ms
 
@@ -417,16 +417,15 @@ class ConstellationState:
 
         Reported from the source the store orients the pair to, so
         ``source`` may be ``machine_b``'s node (see
-        :class:`~repro.topology.paths.PathRows`).  A held row of that source
-        answers; otherwise one Dijkstra search from it, bounded by twice the
-        larger of the machines' straight-line delay and their cheapest
-        links' sum and doubled until it settles the target or proves it
-        unreachable, answers with the same bits and stores nothing
+        :class:`~repro.topology.paths.PathRows`).  A held row of that
+        source, or a held search of it that settled the target, answers;
+        otherwise one Dijkstra search from it, bounded by twice the larger
+        of the machines' straight-line delay and their cheapest links' sum
+        and doubled until it settles the target or proves it unreachable,
+        answers with the same bits and is held for the epoch
         (:meth:`~repro.topology.paths.PathRows.pair_path`).
         """
         node_a, node_b = self.node_for(machine_a), self.node_for(machine_b)
-        if node_a == node_b:  # what a solved row answers, without the solve
-            return PathResult(node_a, node_a, 0.0, (node_a,))
         source, target = self.paths.oriented(node_a, node_b)
         return self.paths.pair_path(source, target, lambda: self._chord_ms(machine_a, machine_b))
 

@@ -186,8 +186,8 @@ class Celestial:
         """Wall-clock duration of a compute task on a machine under its CPU quota."""
         if not self.coordinator.has_machine(machine):
             return nominal_seconds
-        quota = self.machine(machine).cpu_quota
-        return quota.scaled_duration(nominal_seconds, parallelism=parallelism)
+        table = self.coordinator.manager_for(machine).host.machines
+        return table.scaled_duration(machine.name, nominal_seconds, parallelism)
 
     # -- observability ------------------------------------------------------------------
 
@@ -225,8 +225,9 @@ class Celestial:
         """``{"totals": ...}``: the cumulative
         :class:`~repro.topology.paths.PathEngineStats` snapshot —
         ``solver_calls`` (every ``csgraph`` call), ``rows_solved`` (the full
-        rows batches asked for) and ``bounded_searches`` (the limited
-        searches that answer single pairs, every try counted)."""
+        rows batches asked for), ``bounded_searches`` (the limited searches
+        that answer single pairs, every try counted) and ``cache_hits`` /
+        ``cache_misses`` (pairs a held row or search answered / searched)."""
         return {"totals": self.calculation.path_engine.stats.snapshot()}
 
     def booted_machines(self) -> int:

@@ -36,12 +36,18 @@ class CPUQuota:
         self.quota_fraction = quota_fraction
 
     def scaled_duration(self, nominal_seconds: float, parallelism: int = 1) -> float:
-        """Wall-clock duration of a compute task under this quota.
+        """Wall-clock duration of a compute task under this quota."""
+        return scaled_duration(nominal_seconds, self.vcpu_count, self.quota_fraction, parallelism)
 
-        ``nominal_seconds`` is the single-core duration on an unconstrained
-        host core; ``parallelism`` is how many cores the task can use.
-        """
-        if nominal_seconds < 0:
-            raise ValueError("duration must be non-negative")
-        usable = min(max(1, parallelism), self.vcpu_count) * self.quota_fraction
-        return nominal_seconds / usable
+
+def scaled_duration(
+    nominal_seconds: float, vcpu_count: int, quota_fraction: float, parallelism: int = 1
+) -> float:
+    """Wall-clock duration of a compute task under a quota.
+
+    ``nominal_seconds`` is the single-core duration on an unconstrained
+    host core; ``parallelism`` is how many cores the task can use.
+    """
+    if nominal_seconds < 0:
+        raise ValueError("duration must be non-negative")
+    return nominal_seconds / (min(max(1, parallelism), vcpu_count) * quota_fraction)

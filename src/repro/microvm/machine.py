@@ -41,7 +41,7 @@ from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.microvm.cgroups import CPUQuota
+from repro.microvm.cgroups import CPUQuota, scaled_duration
 
 
 class MicroVMError(RuntimeError):
@@ -203,6 +203,11 @@ class MachineTable(Mapping):
     def state(self, name: str) -> MachineState:
         """A machine's stored lifecycle state."""
         return _STATES[self.states[self._rows[name]]]
+
+    def scaled_duration(self, name: str, nominal_seconds: float, parallelism: int) -> float:
+        """:func:`~repro.microvm.cgroups.scaled_duration` under a machine's row."""
+        row = self._rows[name]
+        return scaled_duration(nominal_seconds, self.vcpus[row], self.quota[row], parallelism)
 
     def identity(self, name: str) -> tuple[int, int]:
         """A machine's shell (``-1``: a ground station) and identifier."""

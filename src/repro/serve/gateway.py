@@ -33,8 +33,9 @@ the constellation computation from its consumers (§3.2) and the ROADMAP's
   that asks for a filtered stream (a ``scope``, gone since wire version 6)
   is refused with an ``ERROR`` frame, never silently widened.
 * **Path queries.**  ``QUERY`` frames ("path latency src→dst now") are
-  answered from the current state, which solves a path row the first time
-  a query needs it; the reply names the epoch it was computed on.
+  answered from the current state: from a row or bounded search its path
+  store holds for the epoch when one settled the pair, else by a bounded
+  search the store then holds; the reply names the epoch it was computed on.
 
 The asyncio core runs inside :class:`GatewayServer`, a thread-hosted
 facade that plugs into :meth:`ConstellationDatabase.add_listener` so the

@@ -43,10 +43,10 @@ own (no graph borrows another's):
   the constellation calculation emits its links in the canonical order —
   is verified in O(E); any other input is sorted once.  The keys serve
   :meth:`NetworkGraph.edge_ids_between` and :meth:`NetworkGraph.diff_from`;
-* on the first :meth:`NetworkGraph.delay_matrix` call, the sparsity
-  structure (data permutation, column indices, row pointers), placed row
-  by row from the canonical order without a sort.  An epoch whose
-  shortest-path rows no query solves never builds it.
+* on each :meth:`NetworkGraph.delay_matrix` call, the CSR structure
+  (column indices, row pointers), placed row by row from the canonical
+  order without a sort; the path store keeps the matrix for its epoch.
+  An epoch whose pairs no query asks never builds it.
 
 The distance column is either given or derived: a graph built with a
 function of its endpoints in its place (the update stream's rebuilt epochs,
@@ -354,34 +354,7 @@ class NetworkGraph:
         graph._delay_ms = graph._delay_counts.astype(np.float64)
         graph._delay_ms *= DELAY_GRID_MS  # a power of two: exact
         graph._delay_ms.flags.writeable = False
-        graph._csr_template = None
         return graph
-
-    def _build_csr_template(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparsity structure of :meth:`delay_matrix`, from the canonical order.
-
-        Entry ``e`` of ``[delays, delays]`` is the directed pair
-        ``(node_a[e], node_b[e])``, entry ``E + e`` its reverse.  In CSR
-        order a row holds its entries towards lower nodes, then those
-        towards higher ones, each ascending.  In edge-id order the edges'
-        downward entries ``(node_b, node_a)`` ascend in ``node_a`` within
-        each row and their upward entries ``(node_a, node_b)`` in
-        ``node_b``, so SciPy's COO → CSR conversion, which places entries
-        row by row in input order, receives the downward entries, then the
-        upward ones, and finds every row already sorted.  The result equals
-        a ``lexsort`` of all 2E entries.
-        """
-        count, n = self._keys.size, self._node_count
-        ids = np.arange(count, dtype=np.int64)
-        low, high = self._node_a, self._node_b
-        entries = sparse.coo_matrix(
-            (
-                np.concatenate([ids + count, ids]),
-                (np.concatenate([high, low]), np.concatenate([low, high])),
-            ),
-            shape=(n, n),
-        ).tocsr()
-        return entries.data, entries.indices.astype(np.int64), entries.indptr.astype(np.int64)
 
     # -- array views --------------------------------------------------------
 
@@ -447,21 +420,19 @@ class NetworkGraph:
 
         Exact-zero delays are clamped to :data:`DELAY_EPSILON_MS` so that
         ``csgraph`` solvers (which treat explicit zeros as missing edges) keep
-        co-located nodes reachable.  The first call builds the sparsity
-        structure (:meth:`_build_csr_template`) and keeps it, leaving a pure
-        delay scatter per later call.  It takes no lock: threads that race
-        on the first call each build equal arrays, and one of them is kept.
+        co-located nodes reachable.  Entry ``e`` of ``[delays, delays]`` is
+        the directed pair ``(node_b[e], node_a[e])``, entry ``E + e`` its
+        reverse.  In edge-id order the downward entries ascend in
+        ``node_a`` within each row and the upward ones in ``node_b``, so
+        SciPy's COO → CSR conversion, which places entries row by row in
+        input order, finds every row already sorted: the result equals a
+        ``lexsort`` of all 2E entries, with no sort and nothing cached.
         """
-        n = self._node_count
-        if self._node_a.size == 0:
-            return sparse.csr_matrix((n, n))
-        template = self._csr_template
-        if template is None:
-            template = self._csr_template = self._build_csr_template()
-        order, indices, indptr = template
+        n, low, high = self._node_count, self._node_a, self._node_b
         delays = np.maximum(self._delay_ms, DELAY_EPSILON_MS)
-        data = np.concatenate([delays, delays])[order]
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        rows, columns = np.concatenate([high, low]), np.concatenate([low, high])
+        entries = (np.concatenate([delays, delays]), (rows, columns))
+        return sparse.coo_matrix(entries, shape=(n, n)).tocsr()
 
     def edge_ids_between(
         self, nodes_a: Sequence[int] | np.ndarray, nodes_b: Sequence[int] | np.ndarray

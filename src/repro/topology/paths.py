@@ -27,19 +27,25 @@ single stacked ``csgraph.dijkstra`` over the store's delay matrix, and the
 store keeps them (``rows_solved``).
 
 *Pairs by bounded search.*  One pair asked on its own
-(:meth:`PathRows.pair_path`) is read from its source's row when the store
-holds one.  Otherwise it costs one Dijkstra search from the source that
-stops at a limit ``L`` (``csgraph.dijkstra(limit=L)``, one
-``bounded_searches`` per try), and nothing of it is stored: on full
-phase-I Starlink (4,414 nodes) a station pair takes ≈ 0.1 ms where its
-row takes ≈ 1 ms (a 2-vCPU x86 container).  The search settles exactly the nodes within
-``L`` of the source, with the distances and predecessors of a full row:
-every node on a shortest path to a node at ``d ≤ L`` lies within ``d``.
+(:meth:`PathRows.pair_path`) is read from its source's row, or from a
+held search of its source that settled the target, when the store holds
+one (``cache_hits``).  Otherwise it costs one Dijkstra search from the
+source that stops at a limit ``L`` (``csgraph.dijkstra(limit=L)``, one
+``bounded_searches`` per try, one ``cache_misses`` per pair), and its last
+try is held for the epoch: on full phase-I Starlink (4,414 nodes) a
+station pair takes ≈ 0.1–0.3 ms where its row takes ≈ 1 ms, and a pair a
+held search answers ≈ 9 µs (a 2-vCPU x86 container).  The search settles
+exactly the nodes within ``L`` of the source, with the distances and
+predecessors of a full row: every node on a shortest path to a node at
+``d ≤ L`` lies within ``d``.  So a held search answers every target within
+its limit, and one that closed its source's component (below) is its full
+row.
 It starts at ``L = 2·L0``, where ``L0`` is the larger of the pair's
 straight-line delay (chord ÷ c, from the state's positions, read only
 when a search runs) and the sum of the two endpoints' cheapest links; the
-second term carries co-located endpoints, whose chord is 0.  A try ends in
-one of three ways:
+second term carries co-located endpoints, whose chord is 0; a source
+searched again starts at twice its held limit if that is larger, as its
+held search settled everything within it.  A try ends in one of three ways:
 
 1. the target is settled: its distance and path are exact;
 2. the farthest settled distance plus the widest link delay of the store
@@ -59,7 +65,8 @@ row for an epoch that is only asked pairs.
 A pair is answered from the row or the search of one of its endpoints,
 chosen in this order:
 
-1. an endpoint the store already holds a row for;
+1. an endpoint the store holds a row for, or a search that settled the
+   other endpoint (a batch reads rows only, so for a batch: a row);
 2. within a batch, the endpoint more of the batch's pairs share;
 3. a ground station (the store's :attr:`~PathRows.sources`);
 4. the first endpoint.
@@ -84,9 +91,9 @@ Epoch to epoch: start empty
 ---------------------------
 
 :meth:`PathEngine.advance_all` gives the next epoch an empty store: no row
-is carried across epochs, shared or re-solved, so what an epoch asks one
-pair at a time never fixes the row set of a later epoch.  Every row is a
-solver row on its own graph, so distances and predecessors are
+or search is carried across epochs, shared or re-solved, so what an epoch
+asks one pair at a time never fixes the row set of a later epoch.  Every
+row is a solver row on its own graph, so distances and predecessors are
 **byte-identical** to a cold solve by construction.
 """
 
@@ -254,8 +261,9 @@ class PathRows(ShortestPaths):
     database's lock — so every row is solved once, whichever thread asks
     first.  Arrays grow by doubling and rows are written before they are
     indexed by ``_row_of``, so a lock-free lookup that finds a row reads it
-    from whichever array is current.  A search stores nothing, so once the
-    delay matrix is built it takes no lock.
+    from whichever array is current.  A search takes no lock once the
+    delay matrix is built: one dict assignment holds it whole, and of two
+    threads that search one source, the later's (valid) search is kept.
     """
 
     def __init__(self, graph: NetworkGraph, engine: "PathEngine", sources: Sequence[int] = ()):
@@ -269,17 +277,30 @@ class PathRows(ShortestPaths):
         self._widest_ms = 0.0
         self._lock = threading.Lock()
         self._row_of: dict[int, int] = {}
+        self._searches: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._distances = self._distance_buffer = np.empty((0, node_count))
         self._predecessors = self._predecessor_buffer = np.empty((0, node_count), np.int32)
 
     def oriented(self, node_a: int, node_b: int) -> tuple[int, int]:
-        """``(source, target)`` of one pair: :meth:`orient` on a batch of one."""
-        held = self._row_of
-        if node_a in held:
+        """``(source, target)`` of one pair: :meth:`orient` on a batch of one,
+        whose rule 1 also takes an endpoint with a held search that answers
+        the other."""
+        rows, is_station = self._row_of, self._is_station
+        if node_a in rows or self._held(node_a, node_b):
             return node_a, node_b
-        if node_b in held or (self._is_station[node_b] and not self._is_station[node_a]):
+        if node_b in rows or self._held(node_b, node_a) or (
+            is_station[node_b] and not is_station[node_a]
+        ):
             return node_b, node_a
         return node_a, node_b
+
+    def _held(self, source: int, target: int) -> Optional[tuple[np.ndarray, np.ndarray, float]]:
+        """The held search of ``source`` if it answers ``target``, read once:
+        another thread may replace it with a narrower one meanwhile."""
+        held = self._searches.get(source)
+        if held is not None and (held[2] == math.inf or held[0][target] != math.inf):
+            return held
+        return None
 
     def orient(
         self, nodes_a: np.ndarray, nodes_b: np.ndarray
@@ -300,35 +321,46 @@ class PathRows(ShortestPaths):
         return np.where(flip, nodes_b, nodes_a), np.where(flip, nodes_a, nodes_b)
 
     def pair_path(self, source: int, target: int, chord_ms: Callable[[], float]) -> PathResult:
-        """:meth:`path` of one pair, from ``source``'s held row or a bounded
-        search; ``chord_ms`` gives the endpoints' straight-line delay, and
-        only a search that needs its bound calls it."""
+        """:meth:`path` of one pair, from ``source``'s held row or search, else
+        from a bounded search, which the store then holds; ``chord_ms`` gives
+        the endpoints' straight-line delay, and only a search that needs its
+        bound calls it."""
+        if source == target:
+            return PathResult(source, source, 0.0, (source,))
         if source in self._row_of:
+            self._engine.tally(hit=True)
             return self.path(source, target)
-        return _walked(source, target, *self._search(source, target, chord_ms))
+        held = self._held(source, target)
+        if held is None:
+            return _walked(source, target, *self._search(source, target, chord_ms))
+        self._engine.tally(hit=True)
+        return _walked(source, target, float(held[0][target]), held[1])
 
     def _search(
         self, source: int, target: int, chord_ms: Callable[[], float]
     ) -> tuple[float, Optional[np.ndarray]]:
         """``target``'s distance and the predecessors that reach it, from
-        searches of ``source`` bounded as the module docstring says."""
-        if source == target:
-            return 0.0, None
+        searches of ``source`` bounded as the module docstring says; the last
+        try is held as ``(distances, predecessors, limit)``, limit ∞ if closed."""
         matrix, widest = self._weights()
         indptr, weights = matrix.indptr, matrix.data
         links_of_source = weights[indptr[source] : indptr[source + 1]]
         links_of_target = weights[indptr[target] : indptr[target + 1]]
         if not (links_of_source.size and links_of_target.size):
             return math.inf, None
+        self._engine.tally(hit=False)
         limit = 2.0 * max(chord_ms(), float(links_of_source.min() + links_of_target.min()))
+        held = self._searches.get(source)
+        if held is not None:  # it settled everything within its limit
+            limit = max(limit, 2.0 * held[2])
         while True:
-            distances, predecessors = self._engine.solve(matrix, [source], limit=limit)
-            distances = distances[0]
+            (distances,), (predecessors,) = self._engine.solve(matrix, [source], limit=limit)
             delay = float(distances[target])
-            if delay != math.inf:
-                return delay, predecessors[0]
-            if distances[distances != math.inf].max() + widest <= limit:
-                return math.inf, None
+            if delay == math.inf and distances[distances != math.inf].max() + widest <= limit:
+                limit = math.inf  # closed: the source's full row
+            if delay != math.inf or limit == math.inf:
+                self._searches[source] = distances, predecessors, limit
+                return delay, predecessors
             limit *= 2.0
 
     def _weights(self) -> tuple[csr_matrix, float]:
@@ -406,12 +438,16 @@ class PathEngineStats:
     ``solver_calls`` counts ``csgraph`` invocations; ``rows_solved`` the
     full source rows they computed — each row a state was asked for, once —
     and ``bounded_searches`` the limited searches, every try of a pair
-    counted.
+    counted.  Of the pairs asked on their own, ``cache_hits`` counts those
+    a held row or search answered and ``cache_misses`` those that ran a
+    search; a self-pair, or one with a linkless endpoint, is neither.
     """
 
     solver_calls: int = 0
     rows_solved: int = 0
     bounded_searches: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy (JSON-serialisable, used by the benchmarks)."""
@@ -437,6 +473,12 @@ class PathEngine:
     def reset_stats(self) -> None:
         """Zero all counters (used by benchmarks between phases)."""
         self.stats = PathEngineStats()
+
+    def tally(self, hit: bool) -> None:
+        """Count one pair as a cache hit or miss."""
+        with self._counting:
+            self.stats.cache_hits += hit
+            self.stats.cache_misses += not hit
 
     def solve(
         self, matrix: csr_matrix, sources: Sequence[int], limit: Optional[float] = None

@@ -78,6 +78,14 @@ def _assert_row_answer(state, stats, machine_a, machine_b):
     return found, tries
 
 
+def _agrees(found, expected, state):
+    """``found`` is its source's full-row answer, between ``expected``'s
+    endpoints, with ``expected``'s delay bits."""
+    row = ShortestPaths(state.graph, [found.source]).path(found.source, found.target)
+    same_pair = {found.source, found.target} == {expected.source, expected.target}
+    return found == row and same_pair and found.delay_ms.hex() == expected.delay_ms.hex()
+
+
 def _linked(graph):
     """Nodes with at least one link."""
     return np.unique(np.concatenate([graph.node_a, graph.node_b])).tolist()
@@ -109,7 +117,11 @@ def test_a_bounded_answer_is_its_full_rows_on_cold_and_chained_states(scenario, 
 
 def test_concurrent_pair_queries_answer_and_count_as_one_thread_does():
     """Threads asking pairs of one fresh state (its delay matrix not built
-    yet) get the answers one thread gets, and no try goes uncounted."""
+    yet) get the answers one thread gets — up to which endpoint roots a
+    pair, which follows what the store held when it was asked — and every
+    pair counts as a hit or a miss.  Two threads may both search one
+    source; each search they hold is valid, so a pair asked again
+    afterwards is a hit."""
     calculation = ConstellationCalculation(SCENARIOS["dart"]())
     stats = calculation.path_engine.stats
     rng = np.random.default_rng(3)
@@ -117,7 +129,8 @@ def test_concurrent_pair_queries_answer_and_count_as_one_thread_does():
     pairs = [(_machine(calculation, a), _machine(calculation, b)) for a, b in nodes]
     reference = calculation.state_at(7.0)
     expected = [reference.path(*pair) for pair in pairs]
-    one_thread = stats.bounded_searches  # the engine is this test's own
+    one_pass = stats.cache_hits + stats.cache_misses  # the engine is this test's own
+    before = stats.snapshot()
     state, threads_count = calculation.state_at(7.0), 8
     barrier = threading.Barrier(threads_count, timeout=60.0)
     answers = {}
@@ -140,21 +153,33 @@ def test_concurrent_pair_queries_answer_and_count_as_one_thread_does():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(answers) == threads_count * len(pairs)
-    assert all(found == expected[at] for (_, at), found in answers.items())
-    assert stats.bounded_searches - one_thread == threads_count * one_thread
+    assert all(_agrees(found, expected[at], state) for (_, at), found in answers.items())
+    after = stats.snapshot()
+    asked = {name: after[name] - before[name] for name in after}
+    assert asked["cache_hits"] + asked["cache_misses"] == threads_count * one_pass
+    assert asked["solver_calls"] == asked["bounded_searches"] >= asked["cache_misses"]
+    for at, pair in enumerate(pairs):
+        state.path(*pair)
+        searches = stats.bounded_searches
+        assert _agrees(state.path(*pair), expected[at], state)
+        assert stats.bounded_searches == searches
     assert stats.rows_solved == 0 and state.paths._row_of == {}
 
 
 class TestFixedPairs:
     def test_co_located_stations_start_from_their_cheapest_links(self):
         calculation = _calculation("west-africa")
-        state = _chain("west-africa")[0]
+        state = calculation.state_at(0.0)  # a state of its own: nothing held yet
         cloud = calculation.ground_station("johannesburg-cloud")
         tracking = calculation.ground_station("johannesburg-tracking")
         assert state._chord_ms(cloud, tracking) == 0.0
         found, tries = _assert_row_answer(state, calculation.path_engine.stats, cloud, tracking)
         assert found.reachable and found.hop_count >= 2
         assert 1 <= tries <= 2  # the chord alone would start the limit at 0
+        # One search per source per epoch: the reversed pair reads it.
+        assert _assert_row_answer(state, calculation.path_engine.stats, tracking, cloud) == (
+            found, 0
+        )
 
     def test_a_cross_shell_pair_goes_through_the_ground(self):
         calculation = _calculation("west-africa")
@@ -204,9 +229,12 @@ class TestFixedPairs:
         accra, satellite = calculation.ground_station("accra"), calculation.satellite(1, 12)
         source, target = state.node_for(accra), state.node_for(satellite)
         state.paths.delays_from(source)  # holds accra's row
+        solver = ("solver_calls", "rows_solved", "bounded_searches")
         before = stats.snapshot()
         found = state.path(satellite, accra)
+        after = stats.snapshot()
         assert state.delay_ms(satellite, accra) == found.delay_ms
-        assert stats.snapshot() == before
+        assert [after[name] for name in solver] == [before[name] for name in solver]
+        assert after["cache_hits"] == before["cache_hits"] + 1
         assert found == state.paths.path(source, target)
         assert found == ShortestPaths(state.graph, [source]).path(source, target)

@@ -127,8 +127,9 @@ class TestInfoAPI:
 
 
     def test_a_path_request_searches_its_pair_once(self, setup):
-        """``/path`` derives the bottleneck from the path it found: one
-        bounded search (every try counted), no row, the row's answer."""
+        """``/path`` derives the bottleneck from the path it found: the
+        pair's one bounded search (every try counted) is held, so the
+        request reads it without a search; no row, the row's answer."""
         config, calculation, _, _ = setup
         database = ConstellationDatabase()
         database.set_state(calculation.state_at(0.0))
@@ -143,7 +144,8 @@ class TestInfoAPI:
         before = stats.snapshot()
         answer = api.get("/path/hawaii/buoy-0")
         after = stats.snapshot()
-        assert after["bounded_searches"] - before["bounded_searches"] == tries >= 1
+        assert after["bounded_searches"] == before["bounded_searches"] and tries >= 1
+        assert after["cache_hits"] - before["cache_hits"] == 1
         assert after["rows_solved"] == before["rows_solved"] and state.paths._row_of == {}
         row = ShortestPaths(state.graph, [found.source]).path(found.source, found.target)
         assert answer["delay_ms"] == row.delay_ms and answer["rtt_ms"] == row.rtt_ms

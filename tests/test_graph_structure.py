@@ -2,10 +2,10 @@
 
 A :class:`NetworkGraph` stores its edges in the canonical link order —
 verified when the caller (the constellation calculation) emits them in it,
-sorted once otherwise — builds its delay-matrix structure on the first
-``delay_matrix()`` call from that order, and diffs two epochs with one
-``searchsorted`` of their keys.  The three plain algorithms those replaced
-— an ``argsort`` of every pair key (which must find the stored order
+sorted once otherwise — builds its delay matrix from that order without a
+sort, and diffs two epochs with one ``searchsorted`` of their keys.  The
+three plain algorithms those replaced — an ``argsort`` of every pair key
+(which must find the stored order
 already sorted), a ``lexsort`` of all 2E directed entries and an
 ``intersect1d`` of both key sets — are kept here as oracles, and every
 array must equal theirs byte for byte: on real constellation chains (cold
@@ -94,16 +94,10 @@ def _same_bytes(mine, theirs, what):
 
 
 def _assert_structure(graph):
-    """Canonical order, template and delay matrix equal the oracles'."""
+    """Canonical order and delay matrix equal the oracles', empty graphs too."""
     assert (graph.node_a < graph.node_b).all()
     _same_bytes(_oracle_order(graph), np.arange(graph.total_links()), "canonical order")
-    if not graph.total_links():
-        return
     matrix, oracle = graph.delay_matrix(), _oracle_matrix(graph)
-    for name, mine, theirs in zip(
-        ("order", "indices", "indptr"), graph._csr_template, _oracle_template(graph)
-    ):
-        _same_bytes(mine, theirs, name)
     for name in ("data", "indices", "indptr"):
         _same_bytes(getattr(matrix, name), getattr(oracle, name), name)
 
@@ -303,8 +297,8 @@ class TestSuppliedOrder:
 
 def test_no_epoch_sorts_its_edges_or_builds_a_template_unasked(monkeypatch):
     """Record the sizes every sort and set intersection sees during
-    ``diff_since``: none may be as long as the edge table, and the delay
-    matrix structure is built only by ``delay_matrix()``."""
+    ``diff_since`` and ``delay_matrix()``: none may be as long as the edge
+    table, and no epoch builds a delay matrix it is not asked for."""
     config = west_africa_configuration(duration_s=600.0, shells="two-lowest")
     calculation = ConstellationCalculation(config)
     state = calculation.state_at(0.0)
@@ -318,11 +312,9 @@ def test_no_epoch_sorts_its_edges_or_builds_a_template_unasked(monkeypatch):
             return _original(values, *args, **kwargs)
 
         monkeypatch.setattr(np, name, recording)
-    build = NetworkGraph._build_csr_template
+    build = NetworkGraph.delay_matrix
     monkeypatch.setattr(
-        NetworkGraph,
-        "_build_csr_template",
-        lambda graph: builds.append(graph) or build(graph),
+        NetworkGraph, "delay_matrix", lambda graph: builds.append(graph) or build(graph)
     )
     structural = 0
     for step in range(1, 21):
@@ -331,11 +323,11 @@ def test_no_epoch_sorts_its_edges_or_builds_a_template_unasked(monkeypatch):
         structural += diff.topology.structural_change_count > 0
         edges = state.graph.total_links()
         assert all(size < edges for _, size in sizes), (step, sizes, edges)
-        assert builds == [] and state.graph._csr_template is None
-        if step % 5 == 0:  # a query's first solve builds it, once
-            state.graph.delay_matrix()
+        assert builds == []
+        if step % 5 == 0:  # a query's first solve builds it
             state.graph.delay_matrix()
             assert builds == [state.graph]
+            assert all(size < edges for _, size in sizes), (step, sizes, edges)
             builds.clear()
     assert structural > 0
 
@@ -345,7 +337,6 @@ def test_concurrent_first_calls_build_equal_matrices():
     calculation = ConstellationCalculation(config)
     graph = calculation.state_at(0.0).graph
     cold = calculation.state_at(0.0).graph.delay_matrix()
-    assert graph._csr_template is None
     barrier = threading.Barrier(8, timeout=60.0)
     results = [None] * 8
 

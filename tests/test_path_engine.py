@@ -461,10 +461,10 @@ class TestRowsOnDemand:
         assert stats.rows_solved == 0 and stats.solver_calls == 0
         a, b = calculation.satellite(0, 3), calculation.satellite(0, 40)
         assert state.delay_ms(a, b) < 1000.0
-        searches = stats.bounded_searches
+        searches, hits = stats.bounded_searches, stats.cache_hits
         assert searches >= 1
-        assert state.path(b, a).hop_count >= 1  # a search of its own: no row was kept
-        assert stats.bounded_searches >= searches + 1
+        assert state.path(b, a).hop_count >= 1  # the held search settled b: no search
+        assert stats.bounded_searches == searches and stats.cache_hits == hits + 1
         assert stats.rows_solved == 0 and state.paths._row_of == {}
         assert stats.solver_calls == stats.bounded_searches
 
